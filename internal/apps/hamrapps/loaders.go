@@ -96,7 +96,9 @@ func (l *LocalTextLoader) Load(sp core.Split, ctx core.Context) error {
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	// Lines may reach 1 MiB, but the scanner grows on demand: starting at
+	// the maximum cost every split a megabyte it never used.
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	var off int64
 	for sc.Scan() {
 		line := sc.Text()

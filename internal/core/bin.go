@@ -7,6 +7,13 @@ import (
 // Bin is the minimum unit of data that can enable a flowlet (§2): a batch
 // of key-value pairs destined for one flowlet on one node. Bins are what
 // the shuffle moves and what the bin queue stores.
+//
+// A bin is a recycled slab with exactly one owner at a time: the producer's
+// binBuffer slot while it fills, then sendBin and the fabric (the in-memory
+// network hands the pointer over), then the consuming task, which returns
+// it to the producing node's binList once applyBin is done. Consumers copy
+// each KV out by value and must not retain KVs — the backing array is
+// cleared and refilled by the next producer.
 type Bin struct {
 	Job     int64
 	Edge    int // index into the graph's edge list
@@ -14,6 +21,71 @@ type Bin struct {
 	From    int // producing node
 	KVs     []KV
 	Bytes   int64
+
+	// home is the free list the slab was drawn from; nil for a bin that
+	// arrived through a codec (TCP, compressed batch frames), which is
+	// simply left to the GC.
+	home *binList
+}
+
+// release hands a fully consumed bin back to the list it came from. The
+// caller must not touch the bin afterwards.
+func (b *Bin) release() {
+	if b.home != nil {
+		b.home.put(b)
+	}
+}
+
+// binList is one node's free list of bin slabs: a LIFO stack behind a
+// mutex, so reuse does not depend on GC timing the way a sync.Pool does.
+// Slabs have cap(KVs) == the configured bin size, so filling one never
+// grows it. The list is bounded — a put beyond max drops the slab to the
+// GC — and max is the largest need any job on the node has declared: one
+// slab per destination slot plus a flow-control window in flight, per edge.
+type binList struct {
+	size int // cap(KVs) of every slab
+
+	mu   sync.Mutex
+	free []*Bin
+	max  int
+	out  int // slabs drawn and not yet returned
+}
+
+// reserve raises the list's bound to hold n slabs.
+func (l *binList) reserve(n int) {
+	l.mu.Lock()
+	if n > l.max {
+		l.max = n
+	}
+	l.mu.Unlock()
+}
+
+// get returns an empty slab, allocating one only when the list is empty.
+func (l *binList) get() *Bin {
+	l.mu.Lock()
+	l.out++
+	if n := len(l.free); n > 0 {
+		b := l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+		l.mu.Unlock()
+		return b
+	}
+	l.mu.Unlock()
+	return &Bin{KVs: make([]KV, 0, l.size), home: l}
+}
+
+// put clears a consumed slab (its keys and values must not stay reachable
+// from the free list) and stacks it for reuse.
+func (l *binList) put(b *Bin) {
+	clear(b.KVs)
+	b.KVs, b.Bytes = b.KVs[:0], 0
+	l.mu.Lock()
+	l.out--
+	if len(l.free) < l.max {
+		l.free = append(l.free, b)
+	}
+	l.mu.Unlock()
 }
 
 // credit implements the flow-control window for one edge on one producing
@@ -125,67 +197,56 @@ func (c *credit) Stalls() int64 {
 // neighbouring destinations do not false-share.
 type binBuffer struct {
 	slots   []binSlot // one per destination node
-	maxKVs  int
+	list    *binList
 	maxByte int64
 }
 
 type binSlot struct {
-	mu    sync.Mutex
-	kvs   []KV
-	bytes int64
-	_     [64 - 8 - 24 - 8]byte // pad to one 64-byte cache line
+	mu  sync.Mutex
+	bin *Bin             // slab being filled; nil while the slot is empty
+	_   [64 - 8 - 8]byte // pad to one 64-byte cache line
 }
 
-// drained is one sealed batch returned by drain.
-type drained struct {
-	Dest  int
-	KVs   []KV
-	Bytes int64
-}
-
-func newBinBuffer(numNodes, maxKVs int, maxBytes int64) *binBuffer {
-	if maxKVs <= 0 {
-		maxKVs = 1024
-	}
-	if maxBytes <= 0 {
-		maxBytes = 256 << 10
-	}
+func newBinBuffer(numNodes int, list *binList, maxBytes int64) *binBuffer {
 	return &binBuffer{
 		slots:   make([]binSlot, numNodes),
-		maxKVs:  maxKVs,
+		list:    list,
 		maxByte: maxBytes,
 	}
 }
 
-// add appends kv to the destination slot and returns a sealed batch when
-// the slot fills, or nil. size is the caller-computed kv.Size(): emits
-// that fan a pair out to several edges or destinations size it once.
-func (b *binBuffer) add(dest int, kv KV, size int64) (sealed []KV, sealedBytes int64) {
+// add appends kv to the destination slot and returns the slot's bin when
+// it fills (the caller now owns it), or nil. size is the caller-computed
+// kv.Size(): emits that fan a pair out to several edges or destinations
+// size it once.
+func (b *binBuffer) add(dest int, kv KV, size int64) *Bin {
 	s := &b.slots[dest]
 	s.mu.Lock()
-	s.kvs = append(s.kvs, kv)
-	s.bytes += size
-	if len(s.kvs) >= b.maxKVs || s.bytes >= b.maxByte {
-		sealed, sealedBytes = s.kvs, s.bytes
-		s.kvs, s.bytes = nil, 0
+	bin := s.bin
+	if bin == nil {
+		bin = b.list.get()
+		s.bin = bin
 	}
+	bin.KVs = append(bin.KVs, kv)
+	bin.Bytes += size
+	if len(bin.KVs) < cap(bin.KVs) && bin.Bytes < b.maxByte {
+		s.mu.Unlock()
+		return nil
+	}
+	s.bin = nil
 	s.mu.Unlock()
-	return sealed, sealedBytes
+	return bin
 }
 
-// drain seals and returns every non-empty slot; called when the producing
-// flowlet completes on this node. Slots are locked one at a time, so a
-// drain does not stall emitters targeting other destinations.
-func (b *binBuffer) drain() []drained {
-	var out []drained
-	for dest := range b.slots {
-		s := &b.slots[dest]
-		s.mu.Lock()
-		if len(s.kvs) > 0 {
-			out = append(out, drained{dest, s.kvs, s.bytes})
-			s.kvs, s.bytes = nil, 0
-		}
-		s.mu.Unlock()
-	}
-	return out
+// take seals and returns dest's partially filled bin, or nil if the slot
+// is empty; called per destination when the producing flowlet completes on
+// this node. Slots are locked one at a time, so a drain does not stall
+// emitters targeting other destinations.
+func (b *binBuffer) take(dest int) *Bin {
+	s := &b.slots[dest]
+	s.mu.Lock()
+	bin := s.bin
+	s.bin = nil
+	s.mu.Unlock()
+	return bin
 }

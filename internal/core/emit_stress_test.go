@@ -19,7 +19,7 @@ func TestBinBufferConcurrentMultiset(t *testing.T) {
 		perW    = 5000
 		nodes   = 4
 	)
-	buf := newBinBuffer(nodes, 16, 1<<30)
+	buf := newBinBuffer(nodes, &binList{size: 16, max: nodes}, 1<<30)
 	var mu sync.Mutex
 	got := make(map[string]int)
 	var wg sync.WaitGroup
@@ -31,21 +31,24 @@ func TestBinBufferConcurrentMultiset(t *testing.T) {
 			for i := 0; i < perW; i++ {
 				kv := KV{Key: fmt.Sprintf("w%d-k%d", w, i), Value: int64(i)}
 				// Interleave destinations so every slot sees every worker.
-				sealed, _ := buf.add((w+i)%nodes, kv, kv.Size())
-				if sealed != nil {
+				if bin := buf.add((w+i)%nodes, kv, kv.Size()); bin != nil {
 					mu.Lock()
-					for _, s := range sealed {
+					for _, s := range bin.KVs {
 						got[s.Key]++
 					}
 					mu.Unlock()
+					bin.release() // recycled under the other workers' feet
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	for _, d := range buf.drain() {
-		for _, s := range d.KVs {
-			got[s.Key]++
+	for dest := 0; dest < nodes; dest++ {
+		if bin := buf.take(dest); bin != nil {
+			for _, s := range bin.KVs {
+				got[s.Key]++
+			}
+			bin.release()
 		}
 	}
 	if len(got) != workers*perW {
@@ -56,8 +59,8 @@ func TestBinBufferConcurrentMultiset(t *testing.T) {
 			t.Fatalf("key %q seen %d times", k, n)
 		}
 	}
-	if again := buf.drain(); len(again) != 0 {
-		t.Fatalf("second drain returned %d bins", len(again))
+	if buf.list.out != 0 || len(buf.list.free) > nodes {
+		t.Fatalf("list: %d slabs out, %d free (bound %d)", buf.list.out, len(buf.list.free), nodes)
 	}
 }
 

@@ -18,13 +18,13 @@ import (
 // emitBuffer abstracts the sharded binBuffer and the legacy single-mutex
 // implementation for side-by-side benchmarking.
 type emitBuffer interface {
-	add(dest int, kv KV, size int64) ([]KV, int64)
-	drain() []drained
+	add(dest int, kv KV, size int64) *Bin
 }
 
 // legacyBinBuffer is the pre-change implementation: one mutex guarding
 // every destination slot of an edge, with kv.Size() recomputed inside
-// the lock. Kept verbatim as the benchmark baseline.
+// the lock, each slot grown from nil and handed off in a fresh Bin. Kept as
+// the benchmark baseline.
 type legacyBinBuffer struct {
 	mu      sync.Mutex
 	slots   []legacySlot
@@ -41,32 +41,18 @@ func newLegacyBinBuffer(numNodes, maxKVs int, maxBytes int64) *legacyBinBuffer {
 	return &legacyBinBuffer{slots: make([]legacySlot, numNodes), maxKVs: maxKVs, maxByte: maxBytes}
 }
 
-func (b *legacyBinBuffer) add(dest int, kv KV, _ int64) (sealed []KV, sealedBytes int64) {
+func (b *legacyBinBuffer) add(dest int, kv KV, _ int64) *Bin {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	s := &b.slots[dest]
 	s.kvs = append(s.kvs, kv)
 	s.bytes += kv.Size()
 	if len(s.kvs) >= b.maxKVs || s.bytes >= b.maxByte {
-		sealed, sealedBytes = s.kvs, s.bytes
+		bin := &Bin{KVs: s.kvs, Bytes: s.bytes}
 		s.kvs, s.bytes = nil, 0
+		return bin
 	}
-	return sealed, sealedBytes
-}
-
-func (b *legacyBinBuffer) drain() []drained {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var out []drained
-	for dest := range b.slots {
-		s := &b.slots[dest]
-		if len(s.kvs) == 0 {
-			continue
-		}
-		out = append(out, drained{dest, s.kvs, s.bytes})
-		s.kvs, s.bytes = nil, 0
-	}
-	return out
+	return nil
 }
 
 // benchEmit runs `workers` goroutines emitting interleaved keys on one
@@ -89,15 +75,15 @@ func benchEmit(b *testing.B, workers, nodes int, mk func() emitBuffer) {
 			for i := 0; i < perW; i++ {
 				kv := KV{Key: keys[(w+i)%len(keys)], Value: int64(i)}
 				size := kv.Size()
-				if sealed, _ := buf.add((w+i)%nodes, kv, size); sealed != nil {
-					_ = sealed // a real emit would hand the bin to sendBin
+				if bin := buf.add((w+i)%nodes, kv, size); bin != nil {
+					// A real emit hands the bin to sendBin; its consumer
+					// releases it (a no-op for the baseline's bins).
+					bin.release()
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	b.StopTimer()
-	buf.drain()
 }
 
 // BenchmarkEmitPath measures the per-edge output buffer under concurrent
@@ -108,7 +94,9 @@ func BenchmarkEmitPath(b *testing.B) {
 	for _, workers := range []int{1, 8} {
 		workers := workers
 		b.Run(fmt.Sprintf("sharded-%dw", workers), func(b *testing.B) {
-			benchEmit(b, workers, nodes, func() emitBuffer { return newBinBuffer(nodes, 512, 128<<10) })
+			benchEmit(b, workers, nodes, func() emitBuffer {
+				return newBinBuffer(nodes, &binList{size: 512, max: 2 * nodes}, 128<<10)
+			})
 		})
 		b.Run(fmt.Sprintf("single-mutex-baseline-%dw", workers), func(b *testing.B) {
 			benchEmit(b, workers, nodes, func() emitBuffer { return newLegacyBinBuffer(nodes, 512, 128<<10) })

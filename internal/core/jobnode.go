@@ -220,12 +220,13 @@ func newJobNode(rt *NodeRuntime, graph *Graph, jobID int64, numNodes int) *jobNo
 		es := &edgeState{
 			idx:  i,
 			edge: e,
-			buf:  newBinBuffer(numNodes, rt.cfg.BinSize, rt.cfg.BinBytes),
+			buf:  newBinBuffer(numNodes, rt.bins, rt.cfg.BinBytes),
 			cred: newCredit(rt.cfg.FlowControlWindow),
 		}
 		jn.edges = append(jn.edges, es)
 		jn.outBy[e.From] = append(jn.outBy[e.From], es)
 	}
+	rt.bins.reserve(len(jn.edges) * (numNodes + rt.cfg.FlowControlWindow))
 	for _, spec := range graph.Flowlets() {
 		fs := &flowletState{spec: spec, jn: jn}
 		ups := map[int]bool{}
@@ -417,8 +418,13 @@ func (jn *jobNode) drainPending(fs *flowletState) {
 			fs.mu.Unlock()
 			return
 		}
+		// A popped entry left in the backing array would pin a bin the
+		// queue no longer owns — by now recycled and someone else's.
 		bin := fs.pending[0]
-		fs.pending = fs.pending[1:]
+		fs.pending[0] = nil
+		if fs.pending = fs.pending[1:]; len(fs.pending) == 0 {
+			fs.pending = nil // drop the stranded head with the array
+		}
 		fs.mu.Unlock()
 		jn.rt.pool.Submit(func() { jn.processBin(fs, bin, false) })
 	}
@@ -430,6 +436,11 @@ func (jn *jobNode) processBin(fs *flowletState, bin *Bin, local bool) {
 			jn.fail(fmt.Errorf("flowlet %q on node %d: %w", fs.spec.Name, jn.node, err))
 		}
 	}
+	// applyBin copied every pair out by value, so the slab goes home here:
+	// before processed++ (a finished job has every slab back) and before
+	// the ack (the producer it unblocks finds the slab on its list).
+	from, edge := bin.From, bin.Edge
+	bin.release()
 	fs.mu.Lock()
 	fs.processed++
 	fs.mu.Unlock()
@@ -437,9 +448,9 @@ func (jn *jobNode) processBin(fs *flowletState, bin *Bin, local bool) {
 		// Ack frees the producer's flow-control credit.
 		_ = jn.rt.send(transport.Message{
 			From:    transport.NodeID(jn.node),
-			To:      transport.NodeID(bin.From),
+			To:      transport.NodeID(from),
 			Kind:    msgAck,
-			Payload: ackMsg{Job: jn.jobID, Edge: bin.Edge},
+			Payload: ackMsg{Job: jn.jobID, Edge: edge},
 			Size:    16,
 		})
 	}
@@ -729,8 +740,12 @@ func (jn *jobNode) finishFlowlet(fs *flowletState) {
 	// Flush partially filled output bins.
 	if !jn.failed.Load() {
 		for _, es := range jn.outBy[fs.spec.ID] {
-			for _, d := range es.buf.drain() {
-				if err := jn.sendBin(es, d.Dest, d.KVs, d.Bytes, true); err != nil && !errors.Is(err, ErrJobAborted) {
+			for dest := 0; dest < jn.nodes; dest++ {
+				bin := es.buf.take(dest)
+				if bin == nil {
+					continue
+				}
+				if err := jn.sendBin(es, dest, bin, true); err != nil && !errors.Is(err, ErrJobAborted) {
 					jn.fail(err)
 				}
 			}
@@ -915,21 +930,23 @@ func (jn *jobNode) finishReduce(fs *flowletState) error {
 	return firstErr
 }
 
-// sendBin ships one sealed bin to dest. Local destinations are processed
-// inline (operator chaining) and bypass flow control; remote sends take a
-// credit — blocking first if the caller runs on a plain goroutine or a
+// sendBin stamps and ships one sealed bin to dest, giving up ownership of
+// it (an aborted send leaves the slab to the GC). Local destinations are
+// processed inline (operator chaining) and take no credit; remote sends
+// take one — blocking first if the caller runs on a plain goroutine or a
 // loader task (blocking=true), overshooting otherwise.
-func (jn *jobNode) sendBin(es *edgeState, dest int, kvs []KV, bytes int64, blocking bool) error {
-	bin := &Bin{
-		Job:     jn.jobID,
-		Edge:    es.idx,
-		Flowlet: es.edge.To,
-		From:    jn.node,
-		KVs:     kvs,
-		Bytes:   bytes,
-	}
+func (jn *jobNode) sendBin(es *edgeState, dest int, bin *Bin, blocking bool) error {
+	bin.Job, bin.Edge, bin.Flowlet, bin.From = jn.jobID, es.idx, es.edge.To, jn.node
 	jn.mBinsSent.Inc()
 	if dest == jn.node {
+		// The chained flowlet runs inside this task, so its output windows
+		// are this task's too: a loader waits for them here as it does for
+		// its own. Without this a loader chained into a local map emitted
+		// its whole split past the map's window, and the bins in flight —
+		// hence the slabs a node needs — were bounded by nothing.
+		if blocking && !jn.waitOutBelow(jn.flowlets[es.edge.To]) {
+			return ErrJobAborted
+		}
 		jn.onBin(bin, true)
 		return nil
 	}
@@ -942,14 +959,14 @@ func (jn *jobNode) sendBin(es *edgeState, dest int, kvs []KV, bytes int64, block
 		return ErrJobAborted
 	}
 	es.cred.take()
-	jn.mShuffleBytes.Add(bytes)
-	jn.mShuffleKVs.Add(int64(len(kvs)))
+	jn.mShuffleBytes.Add(bin.Bytes)
+	jn.mShuffleKVs.Add(int64(len(bin.KVs)))
 	return jn.rt.send(transport.Message{
 		From:    transport.NodeID(jn.node),
 		To:      transport.NodeID(dest),
 		Kind:    msgBin,
 		Payload: bin,
-		Size:    bytes,
+		Size:    bin.Bytes,
 	})
 }
 
@@ -1074,9 +1091,8 @@ func (c *flowCtx) emitTo(es *edgeState, dest int, kv KV, size int64) error {
 	if dest < 0 || dest >= c.jn.nodes {
 		return fmt.Errorf("core: emit to invalid node %d", dest)
 	}
-	sealed, bytes := es.buf.add(dest, kv, size)
-	if sealed != nil {
-		return c.jn.sendBin(es, dest, sealed, bytes, c.blocking())
+	if bin := es.buf.add(dest, kv, size); bin != nil {
+		return c.jn.sendBin(es, dest, bin, c.blocking())
 	}
 	return nil
 }

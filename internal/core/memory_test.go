@@ -238,32 +238,57 @@ func TestCreditAbort(t *testing.T) {
 }
 
 func TestBinBufferSealing(t *testing.T) {
-	b := newBinBuffer(3, 4, 1<<20)
-	var sealed [][]KV
+	b := newBinBuffer(3, &binList{size: 4}, 1<<20)
+	var sealed []*Bin
 	for i := 0; i < 10; i++ {
 		kv := KV{Key: fmt.Sprint(i), Value: int64(i)}
-		kvs, _ := b.add(1, kv, kv.Size())
-		if kvs != nil {
-			sealed = append(sealed, kvs)
+		if bin := b.add(1, kv, kv.Size()); bin != nil {
+			sealed = append(sealed, bin)
 		}
 	}
-	if len(sealed) != 2 {
+	if len(sealed) != 2 || len(sealed[0].KVs) != 4 || len(sealed[1].KVs) != 4 {
 		t.Fatalf("%d bins sealed, want 2 (4+4, 2 left)", len(sealed))
 	}
-	rest := b.drain()
-	if len(rest) != 1 || rest[0].Dest != 1 || len(rest[0].KVs) != 2 {
-		t.Fatalf("drain = %+v", rest)
+	if b.take(0) != nil || b.take(2) != nil {
+		t.Fatal("untouched slots hold a bin")
 	}
-	if again := b.drain(); len(again) != 0 {
-		t.Fatal("second drain returned data")
+	if rest := b.take(1); rest == nil || len(rest.KVs) != 2 {
+		t.Fatalf("take(1) = %+v", rest)
+	}
+	if b.take(1) != nil {
+		t.Fatal("second take returned data")
 	}
 }
 
+// TestBinListRecycles pins the free list's contract: a returned slab comes
+// back empty with its capacity intact and no reference to the old pairs,
+// the list never holds more than its bound, and out counts slabs in use.
+func TestBinListRecycles(t *testing.T) {
+	l := &binList{size: 4}
+	l.reserve(1)
+	a, b := l.get(), l.get()
+	a.KVs = append(a.KVs, KV{Key: "k", Value: "v"})
+	a.Bytes = 2
+	kept := a.KVs[:1]
+	a.release()
+	b.release() // beyond the bound of 1: dropped
+	if len(l.free) != 1 || l.out != 0 {
+		t.Fatalf("free = %d, out = %d, want 1, 0", len(l.free), l.out)
+	}
+	if kept[0] != (KV{}) {
+		t.Fatalf("released slab still references %+v", kept[0])
+	}
+	c := l.get()
+	if c != a || len(c.KVs) != 0 || cap(c.KVs) != 4 || c.Bytes != 0 {
+		t.Fatalf("recycled slab = %+v (cap %d), want the first one, empty", c, cap(c.KVs))
+	}
+	(&Bin{}).release() // a decoded bin has no home
+}
+
 func TestBinBufferSealsByBytes(t *testing.T) {
-	b := newBinBuffer(1, 1000, 64)
+	b := newBinBuffer(1, &binList{size: 1000}, 64)
 	kv := KV{Key: "k", Value: make([]byte, 100)}
-	kvs, _ := b.add(0, kv, kv.Size())
-	if kvs == nil {
+	if b.add(0, kv, kv.Size()) == nil {
 		t.Fatal("oversized value did not seal the bin")
 	}
 }

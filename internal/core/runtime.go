@@ -187,6 +187,10 @@ type NodeRuntime struct {
 	pool      *par.Pool
 	loaderSem par.Semaphore
 
+	// bins is the free list every bin this node produces is drawn from and
+	// returned to — by whichever node consumed it — across jobs.
+	bins *binList
+
 	// binsDropped counts payloads the delivery handler could not route
 	// (malformed payload type, or a data bin for a job this node no
 	// longer knows). Resolved once: handle runs on the delivery goroutine.
@@ -216,6 +220,7 @@ func NewNodeRuntime(id int, cfg Config, net transport.Network, disk storage.Disk
 		reg:       reg,
 		pool:      par.NewPool(cfg.Workers, cfg.Workers*64),
 		loaderSem: par.NewSemaphore(cfg.LoaderConcurrency),
+		bins:      &binList{size: cfg.BinSize},
 
 		binsDropped: reg.Counter("bins.dropped"),
 	}

@@ -455,13 +455,14 @@ func (fs *FileSystem) readReplica(src transport.NodeID, b Block) ([]byte, error)
 		return nil, fmt.Errorf("hdfs: open block %s on node %d: %w", b.ID, src, err)
 	}
 	defer f.Close()
-	data, err := io.ReadAll(f)
-	if err != nil {
+	data := make([]byte, b.Size)
+	n, err := io.ReadFull(f, data)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return nil, fmt.Errorf("hdfs: read block %s on node %d: %w", b.ID, src, err)
 	}
-	if int64(len(data)) != b.Size {
+	if int64(n) != b.Size {
 		return nil, fmt.Errorf("hdfs: block %s on node %d truncated: %d of %d bytes",
-			b.ID, src, len(data), b.Size)
+			b.ID, src, n, b.Size)
 	}
 	return data, nil
 }

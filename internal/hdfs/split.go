@@ -67,7 +67,7 @@ func (fs *FileSystem) readRange(name string, off, length int64, at transport.Nod
 	if off+length > meta.size {
 		length = meta.size - off
 	}
-	var out bytes.Buffer
+	out := make([]byte, 0, length)
 	for _, b := range meta.blocks {
 		if b.Offset+b.Size <= off || b.Offset >= off+length {
 			continue
@@ -84,9 +84,9 @@ func (fs *FileSystem) readRange(name string, off, length int64, at transport.Nod
 		if off+length < b.Offset+b.Size {
 			end = off + length - b.Offset
 		}
-		out.Write(data[start:end])
+		out = append(out, data[start:end]...)
 	}
-	return out.Bytes(), nil
+	return out, nil
 }
 
 // LineIterator yields the lines belonging to a split using Hadoop's rule:
