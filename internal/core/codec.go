@@ -54,11 +54,6 @@ func RegisterValue(v any) {
 
 // EncodeValue appends the encoded form of v to dst and returns the result.
 func EncodeValue(dst []byte, v any) ([]byte, error) {
-	var scratch [8]byte
-	putU64 := func(x uint64) {
-		binary.LittleEndian.PutUint64(scratch[:], x)
-		dst = append(dst, scratch[:]...)
-	}
 	switch x := v.(type) {
 	case nil:
 		dst = append(dst, byte(tagNil))
@@ -71,64 +66,68 @@ func EncodeValue(dst []byte, v any) ([]byte, error) {
 		}
 	case int:
 		dst = append(dst, byte(tagInt64))
-		putU64(uint64(int64(x)))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(x)))
 	case int64:
 		dst = append(dst, byte(tagInt64))
-		putU64(uint64(x))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(x))
 	case float64:
 		dst = append(dst, byte(tagFloat64))
-		putU64(math.Float64bits(x))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
 	case string:
 		dst = append(dst, byte(tagString))
-		putU64(uint64(len(x)))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(x)))
 		dst = append(dst, x...)
 	case []byte:
 		dst = append(dst, byte(tagBytes))
-		putU64(uint64(len(x)))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(x)))
 		dst = append(dst, x...)
 	case []float64:
 		dst = append(dst, byte(tagFloat64Slice))
-		putU64(uint64(len(x)))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(x)))
 		for _, f := range x {
-			putU64(math.Float64bits(f))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 		}
 	case []int64:
 		dst = append(dst, byte(tagInt64Slice))
-		putU64(uint64(len(x)))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(x)))
 		for _, i := range x {
-			putU64(uint64(i))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(i))
 		}
 	case []string:
 		dst = append(dst, byte(tagStringSlice))
-		putU64(uint64(len(x)))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(x)))
 		for _, s := range x {
-			putU64(uint64(len(s)))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(len(s)))
 			dst = append(dst, s...)
 		}
 	case []int:
 		dst = append(dst, byte(tagIntSlice))
-		putU64(uint64(len(x)))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(x)))
 		for _, i := range x {
-			putU64(uint64(int64(i)))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(i)))
 		}
 	case map[string]int64:
 		dst = append(dst, byte(tagMapStringInt64))
-		putU64(uint64(len(x)))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(x)))
 		for k, i := range x {
-			putU64(uint64(len(k)))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(len(k)))
 			dst = append(dst, k...)
-			putU64(uint64(i))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(i))
 		}
 	default:
+		// gob needs an addressable interface value; taking v's own address
+		// would move the parameter to the heap on every call, fast paths
+		// included, so only this branch pays for a copy.
+		boxed := v
 		sess := codecPool.Get().(*codecSession)
 		sess.buf.Reset()
-		err := gob.NewEncoder(&sess.buf).Encode(&v)
+		err := gob.NewEncoder(&sess.buf).Encode(&boxed)
 		if err != nil {
 			codecPool.Put(sess)
 			return nil, fmt.Errorf("core: gob-encode %T: %w", v, err)
 		}
 		dst = append(dst, byte(tagGob))
-		putU64(uint64(sess.buf.Len()))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(sess.buf.Len()))
 		dst = append(dst, sess.buf.Bytes()...)
 		codecPool.Put(sess)
 	}

@@ -861,7 +861,14 @@ func (jn *jobNode) finishReduce(fs *flowletState) error {
 		mu       sync.Mutex
 		firstErr error
 	)
-	batch := make([]group, 0, jn.rt.cfg.ReduceTaskKeys)
+	// A batch holds at most ReduceTaskKeys groups and never more than the
+	// pairs still to come, so a node left with a handful of keys does not
+	// allocate a full batch for them.
+	remaining := fs.acc.Count()
+	newBatch := func() []group {
+		return make([]group, 0, min(int64(jn.rt.cfg.ReduceTaskKeys), remaining))
+	}
+	batch := newBatch()
 	// Bound in-flight batches so a huge key space does not re-materialize
 	// in memory while tasks queue.
 	inflight := par.NewSemaphore(jn.rt.cfg.Workers * 2)
@@ -909,11 +916,12 @@ func (jn *jobNode) finishReduce(fs *flowletState) error {
 			return ErrJobAborted
 		}
 		batch = append(batch, group{key, values})
+		remaining -= int64(len(values))
 		if len(batch) >= jn.rt.cfg.ReduceTaskKeys {
 			if !submit(batch) {
 				return ErrJobAborted
 			}
-			batch = make([]group, 0, jn.rt.cfg.ReduceTaskKeys)
+			batch = newBatch()
 		}
 		return nil
 	})

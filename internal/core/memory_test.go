@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -290,5 +291,30 @@ func TestBinBufferSealsByBytes(t *testing.T) {
 	kv := KV{Key: "k", Value: make([]byte, 100)}
 	if b.add(0, kv, kv.Size()) == nil {
 		t.Fatal("oversized value did not seal the bin")
+	}
+}
+
+// TestKVKeyBytesOrderAsKVRecCompare pins the byte-order contract extsort's
+// byte merge relies on (extsort.Format): bytes.Compare on two encoded keys
+// has the sign of kvRecCompare on the records — keys with NUL, 0xff, both
+// sides of 0x80, prefixes of each other and the empty key included.
+func TestKVKeyBytesOrderAsKVRecCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	alphabet := []byte{0x00, 0x01, 'a', 'b', 0x7f, 0x80, 0xfe, 0xff}
+	draw := func() kvRec {
+		b := make([]byte, rng.Intn(5))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return kvRec{key: string(b)}
+	}
+	sign := func(x int) int { return min(max(x, -1), 1) }
+	for i := 0; i < 50000; i++ {
+		a, b := draw(), draw()
+		ka, _, _ := kvFormat{}.AppendRecord(nil, nil, a)
+		kb, _, _ := kvFormat{}.AppendRecord(nil, nil, b)
+		if got, want := sign(bytes.Compare(ka, kb)), sign(kvRecCompare(a, b)); got != want {
+			t.Fatalf("%q vs %q: bytes order %d, kvRecCompare %d", a.key, b.key, got, want)
+		}
 	}
 }

@@ -16,31 +16,109 @@ type Sink interface {
 }
 
 // CollectSink gathers all output pairs in memory; used by tests, examples
-// and result verification.
+// and result verification. Each node appends to its own list of chunks —
+// Write is serial per node, so nodes do not contend and nothing is ever
+// re-copied to grow — and the readers concatenate them, node by node in
+// write order.
 type CollectSink struct {
-	mu  sync.Mutex
-	kvs []KV
+	mu    sync.RWMutex // guards the nodes map, not the lists in it
+	nodes map[int]*collected
+}
+
+// Chunks double from minCollectChunk to maxCollectChunk pairs, so a small
+// output stays small and a large one wastes at most its last chunk.
+const (
+	minCollectChunk = 64
+	maxCollectChunk = 4096
+)
+
+// collected is one node's pairs. Its mutex is only ever contended by a
+// reader running beside the node's writer.
+type collected struct {
+	mu     sync.Mutex
+	chunks [][]KV
 }
 
 // NewCollectSink returns an empty collector.
-func NewCollectSink() *CollectSink { return &CollectSink{} }
+func NewCollectSink() *CollectSink { return &CollectSink{nodes: make(map[int]*collected)} }
+
+func (s *CollectSink) node(id int) *collected {
+	s.mu.RLock()
+	c := s.nodes[id]
+	s.mu.RUnlock()
+	if c == nil {
+		s.mu.Lock()
+		if c = s.nodes[id]; c == nil {
+			c = &collected{}
+			s.nodes[id] = c
+		}
+		s.mu.Unlock()
+	}
+	return c
+}
 
 // Write implements Sink.
 func (s *CollectSink) Write(node int, kv KV) error {
-	s.mu.Lock()
-	s.kvs = append(s.kvs, kv)
-	s.mu.Unlock()
+	c := s.node(node)
+	c.mu.Lock()
+	last := len(c.chunks) - 1
+	if last < 0 || len(c.chunks[last]) == cap(c.chunks[last]) {
+		size := minCollectChunk
+		if last >= 0 {
+			size = min(2*cap(c.chunks[last]), maxCollectChunk)
+		}
+		c.chunks = append(c.chunks, make([]KV, 0, size))
+		last++
+	}
+	c.chunks[last] = append(c.chunks[last], kv)
+	c.mu.Unlock()
 	return nil
 }
 
 // Close implements Sink.
 func (s *CollectSink) Close(node int) error { return nil }
 
+// byNode returns the per-node lists in node order.
+func (s *CollectSink) byNode() []*collected {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	ids := make([]int, 0, len(s.nodes))
+	for id := range s.nodes {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	lists := make([]*collected, len(ids))
+	for i, id := range ids {
+		lists[i] = s.nodes[id]
+	}
+	return lists
+}
+
+// countPairs sums the lengths of the lists.
+func countPairs(lists []*collected) int {
+	total := 0
+	for _, c := range lists {
+		c.mu.Lock()
+		for _, chunk := range c.chunks {
+			total += len(chunk)
+		}
+		c.mu.Unlock()
+	}
+	return total
+}
+
 // Pairs returns a copy of all collected pairs.
 func (s *CollectSink) Pairs() []KV {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]KV(nil), s.kvs...)
+	lists := s.byNode()
+	kvs := make([]KV, 0, countPairs(lists))
+	for _, c := range lists {
+		c.mu.Lock()
+		for _, chunk := range c.chunks {
+			kvs = append(kvs, chunk...)
+		}
+		c.mu.Unlock()
+	}
+	return kvs
 }
 
 // Sorted returns all collected pairs sorted by key (ties broken by the
@@ -57,19 +135,14 @@ func (s *CollectSink) Sorted() []KV {
 }
 
 // Len returns the number of collected pairs.
-func (s *CollectSink) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.kvs)
-}
+func (s *CollectSink) Len() int { return countPairs(s.byNode()) }
 
 // Map returns the collected pairs as a map; duplicate keys keep the last
 // written value.
 func (s *CollectSink) Map() map[string]any {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := make(map[string]any, len(s.kvs))
-	for _, kv := range s.kvs {
+	kvs := s.Pairs()
+	m := make(map[string]any, len(kvs))
+	for _, kv := range kvs {
 		m[kv.Key] = kv.Value
 	}
 	return m

@@ -39,6 +39,51 @@ func TestCollectSink(t *testing.T) {
 	}
 }
 
+// TestCollectSinkConcurrentWriters drives the sink the way a job does —
+// every node writing serially, all nodes at once — with readers running
+// beside them, and checks nothing is lost, duplicated or reordered within
+// a node. Run under -race it checks the per-node locking.
+func TestCollectSinkConcurrentWriters(t *testing.T) {
+	const nodes, perNode = 8, 10000 // several chunks per node
+	s := NewCollectSink()
+	var wg sync.WaitGroup
+	for n := 0; n < nodes; n++ {
+		wg.Add(1)
+		go func(n int) {
+			defer wg.Done()
+			for i := 0; i < perNode; i++ {
+				s.Write(n, KV{Key: fmt.Sprintf("n%d", n), Value: i})
+				if i%1000 == 0 {
+					if got := s.Len(); got < i {
+						t.Errorf("Len = %d after node %d wrote %d", got, n, i)
+					}
+					_ = s.Pairs()
+				}
+			}
+		}(n)
+	}
+	wg.Wait()
+	if s.Len() != nodes*perNode {
+		t.Fatalf("Len = %d, want %d", s.Len(), nodes*perNode)
+	}
+	next := make(map[string]int)
+	for _, kv := range s.Pairs() {
+		if kv.Value.(int) != next[kv.Key] {
+			t.Fatalf("%s: value %d where %d was written next", kv.Key, kv.Value, next[kv.Key])
+		}
+		next[kv.Key]++
+	}
+	for n := 0; n < nodes; n++ {
+		if got := next[fmt.Sprintf("n%d", n)]; got != perNode {
+			t.Errorf("node %d: %d pairs collected, want %d", n, got, perNode)
+		}
+	}
+	// Map keeps the last value written for a key.
+	if m := s.Map(); len(m) != nodes || m["n3"] != perNode-1 {
+		t.Errorf("Map = %d keys, n3 -> %v", len(m), m["n3"])
+	}
+}
+
 func TestCountSink(t *testing.T) {
 	s := NewCountSink()
 	for i := 0; i < 10; i++ {

@@ -72,6 +72,9 @@ func (b *RunBuilder[T]) Add(rec T, size int64) error {
 		// must be admitted regardless, or the job cannot progress.
 		b.cfg.Budget.ForceReserve(size)
 	}
+	if len(b.buf) == cap(b.buf) {
+		b.growBuf()
+	}
 	b.buf = append(b.buf, rec)
 	b.bytes += size
 	b.count++
@@ -79,6 +82,15 @@ func (b *RunBuilder[T]) Add(rec T, size int64) error {
 		return b.Spill()
 	}
 	return nil
+}
+
+// growBuf doubles the full buffer. (append's own growth past 256
+// elements is 1.25x, which allocates about five times the final buffer on
+// the way to it; doubling allocates twice.)
+func (b *RunBuilder[T]) growBuf() {
+	nb := make([]T, len(b.buf), max(2*cap(b.buf), 256))
+	copy(nb, b.buf)
+	b.buf = nb
 }
 
 // Spill stably sorts the buffered records, applies the transform, and

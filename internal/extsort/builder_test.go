@@ -230,7 +230,7 @@ func TestMergeToFactorPassesAndCleanup(t *testing.T) {
 		t.Fatalf("%d initial runs", len(runs))
 	}
 	passes := 0
-	merged, err := MergeToFactor(disk, testFormat{}, testCmp, runs, 4,
+	merged, err := MergeToFactor(disk, runs, 4,
 		func(pass int) string { return fmt.Sprintf("interm-%04d", pass) },
 		func() { passes++ })
 	if err != nil {
@@ -305,7 +305,7 @@ func TestMergeToFactorNoOpWithinFactor(t *testing.T) {
 		t.Fatal(err)
 	}
 	runs := b.Runs()
-	got, err := MergeToFactor(disk, testFormat{}, testCmp, runs, 10,
+	got, err := MergeToFactor(disk, runs, 10,
 		func(int) string { return "interm" }, func() { t.Fatal("pass run under factor") })
 	if err != nil {
 		t.Fatal(err)

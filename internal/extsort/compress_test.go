@@ -84,7 +84,7 @@ func TestCompressedBuilderAndMerge(t *testing.T) {
 		if err := b.Spill(); err != nil {
 			t.Fatal(err)
 		}
-		runs, err := MergeToFactorC(disk, testFormat{}, testCmp, b.Runs(), 3,
+		runs, err := MergeToFactorC(disk, b.Runs(), 3,
 			func(pass int) string { return fmt.Sprintf("interm-%d", pass) }, nil, cc)
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,8 @@
 package extsort
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 
 	"github.com/hamr-go/hamr/internal/compress"
@@ -177,66 +179,81 @@ func MergeGrouped[T any](sources []Source[T], cmp Compare[T], sameGroup func(a, 
 	return nil
 }
 
+// compareKeys orders encoded records by their key bytes — the order a
+// Format's byte-order contract makes equal to its Compare.
+func compareKeys(a, b storage.Record) int { return bytes.Compare(a.Key, b.Key) }
+
 // MergeToFactor reduces a run list to at most factor runs by repeatedly
 // merging the first factor runs into one intermediate run — Hadoop's
 // io.sort.factor semantics, where every extra pass rereads and rewrites
-// the intermediate data on disk. intermName names the pass-i
-// intermediate run; onPass (may be nil) is invoked once per completed
-// pass, which is where callers count merge passes. Input runs consumed
-// by a pass are removed from disk; the returned list replaces them with
-// the intermediates.
-func MergeToFactor[T any](disk storage.Disk, f Format[T], cmp Compare[T], runs []string,
-	factor int, intermName func(pass int) string, onPass func()) ([]string, error) {
-	return MergeToFactorC(disk, f, cmp, runs, factor, intermName, onPass, compress.Config{})
+// the intermediate data on disk. Runs are merged as bytes: encoded keys
+// are compared with bytes.Compare (see Format's byte-order contract) and
+// each record is written back as read, so a pass decodes nothing and
+// allocates nothing per record. intermName names the pass-i intermediate
+// run; onPass (may be nil) is invoked once per completed pass, which is
+// where callers count merge passes. Input runs consumed by a pass are
+// removed from disk; the returned list replaces them with the
+// intermediates.
+func MergeToFactor(disk storage.Disk, runs []string, factor int,
+	intermName func(pass int) string, onPass func()) ([]string, error) {
+	return MergeToFactorC(disk, runs, factor, intermName, onPass, compress.Config{})
 }
 
 // MergeToFactorC is MergeToFactor over compressed runs: input runs are
 // opened and intermediates written with cc (zero Config = MergeToFactor).
 // All runs in the list must share one enabled/disabled state.
-func MergeToFactorC[T any](disk storage.Disk, f Format[T], cmp Compare[T], runs []string,
-	factor int, intermName func(pass int) string, onPass func(), cc compress.Config) ([]string, error) {
+func MergeToFactorC(disk storage.Disk, runs []string, factor int,
+	intermName func(pass int) string, onPass func(), cc compress.Config) ([]string, error) {
 
 	pass := 0
 	for factor > 1 && len(runs) > factor {
-		batch, rest := runs[:factor], runs[factor:]
-		sources := make([]Source[T], 0, len(batch))
-		readers := make([]*RunReader[T], 0, len(batch))
-		closeAll := func() {
-			for _, r := range readers {
-				r.Close()
-			}
-		}
-		for _, name := range batch {
-			rr, err := OpenRunC(disk, name, f, cc)
-			if err != nil {
-				closeAll()
-				return nil, err
-			}
-			readers = append(readers, rr)
-			sources = append(sources, rr)
-		}
 		name := intermName(pass)
 		pass++
-		w, err := NewRunWriterC(disk, name, f, cc)
-		if err != nil {
-			closeAll()
+		if err := mergeRuns(disk, runs[:factor], name, cc); err != nil {
 			return nil, err
 		}
-		err = Merge(sources, cmp, func(rec T, _ int) error { return w.Write(rec) })
-		closeAll()
-		if cerr := w.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range batch {
+		for _, s := range runs[:factor] {
 			_ = disk.Remove(s)
 		}
-		runs = append([]string{name}, rest...)
+		runs = append([]string{name}, runs[factor:]...)
 		if onPass != nil {
 			onPass()
 		}
 	}
 	return runs, nil
+}
+
+// mergeRuns merges the batch into one new run file named name.
+func mergeRuns(disk storage.Disk, batch []string, name string, cc compress.Config) error {
+	readers := make([]*storage.RecordReader, 0, len(batch))
+	defer func() {
+		for _, r := range readers {
+			r.Close()
+		}
+	}()
+	sources := make([]Source[storage.Record], 0, len(batch))
+	for _, run := range batch {
+		r, err := OpenRawRun(disk, run, cc)
+		if err != nil {
+			return err
+		}
+		readers = append(readers, r)
+		sources = append(sources, r)
+	}
+	w, err := CreateRawRun(disk, name, cc)
+	if err != nil {
+		return err
+	}
+	// A head's bytes live in its reader's scratch until that reader's next
+	// Next, which the tree calls only after the head has been written.
+	err = Merge(sources, compareKeys, func(rec storage.Record, _ int) error {
+		return w.Write(rec.Key, rec.Value)
+	})
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("extsort: merge runs: %w", err)
+	}
+	return nil
 }

@@ -1,20 +1,12 @@
 package extsort
 
 import (
-	"container/heap"
 	"fmt"
+	"runtime"
 	"testing"
-)
 
-// The two in-tree legacy baselines these benchmarks compare against are
-// the merge algorithms the engines used before extsort existed:
-//
-//   - baselineLinearScan is mapreduce's old mergeRuns/mergeInMemory
-//     selection: scan every source's head per emitted record, O(k).
-//   - baselineHeap is core's old container/heap merge: O(log k) per
-//     record but with interface boxing and heap churn per push/pop.
-//
-// See EXPERIMENTS.md "Merge microbenchmarks" for recorded numbers.
+	"github.com/hamr-go/hamr/internal/storage"
+)
 
 func benchData(k, perRun int) [][]testRec {
 	raw := make([]byte, k*perRun)
@@ -26,69 +18,6 @@ func benchData(k, perRun int) [][]testRec {
 		raw[i] = byte(state)
 	}
 	return buildRuns(raw, k, 101)
-}
-
-func baselineLinearScan(runs [][]testRec, emit func(r testRec)) {
-	idx := make([]int, len(runs))
-	for {
-		best := -1
-		for i, run := range runs {
-			if idx[i] >= len(run) {
-				continue
-			}
-			if best < 0 || testCmp(run[idx[i]], runs[best][idx[best]]) < 0 {
-				best = i
-			}
-		}
-		if best < 0 {
-			return
-		}
-		emit(runs[best][idx[best]])
-		idx[best]++
-	}
-}
-
-type heapItem struct {
-	rec testRec
-	src int
-}
-
-type benchHeap []heapItem
-
-func (h benchHeap) Len() int      { return len(h) }
-func (h benchHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h benchHeap) Less(i, j int) bool {
-	if c := testCmp(h[i].rec, h[j].rec); c != 0 {
-		return c < 0
-	}
-	return h[i].src < h[j].src
-}
-func (h *benchHeap) Push(x any) { *h = append(*h, x.(heapItem)) }
-func (h *benchHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-func baselineHeap(runs [][]testRec, emit func(r testRec)) {
-	idx := make([]int, len(runs))
-	h := &benchHeap{}
-	for i, run := range runs {
-		if len(run) > 0 {
-			heap.Push(h, heapItem{rec: run[0], src: i})
-			idx[i] = 1
-		}
-	}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(heapItem)
-		emit(it.rec)
-		if idx[it.src] < len(runs[it.src]) {
-			heap.Push(h, heapItem{rec: runs[it.src][idx[it.src]], src: it.src})
-			idx[it.src]++
-		}
-	}
 }
 
 var benchSink int64
@@ -120,14 +49,86 @@ func BenchmarkMergeLoserTree(b *testing.B) {
 	})
 }
 
-func BenchmarkMergeLinearScan(b *testing.B) {
-	benchKs(b, func(b *testing.B, runs [][]testRec) {
-		baselineLinearScan(runs, func(r testRec) { benchSink += r.seq })
-	})
+// mergeToFactorFixture writes 16 sorted runs of perRun records each to
+// disk and returns the run names and the record count.
+func mergeToFactorFixture(tb testing.TB, disk storage.Disk, perRun int) ([]string, int) {
+	tb.Helper()
+	runs := benchData(16, perRun)
+	names := make([]string, len(runs))
+	for i, run := range runs {
+		names[i] = fmt.Sprintf("run-%02d", i)
+		if err := WriteRun(disk, names[i], testFormat{}, run); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return names, 16 * perRun
 }
 
-func BenchmarkMergeHeap(b *testing.B) {
-	benchKs(b, func(b *testing.B, runs [][]testRec) {
-		baselineHeap(runs, func(r testRec) { benchSink += r.seq })
-	})
+// mergeToFactor4 merges the fixture's 16 runs down to four, removes what
+// is left, and returns the number of passes it took.
+func mergeToFactor4(tb testing.TB, disk storage.Disk, names []string) int {
+	tb.Helper()
+	passes := 0
+	left, err := MergeToFactor(disk, names, 4,
+		func(pass int) string { return fmt.Sprintf("interm-%02d", pass) }, func() { passes++ })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(left) > 4 {
+		tb.Fatalf("%d runs left", len(left))
+	}
+	for _, name := range left {
+		if err := disk.Remove(name); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return passes
+}
+
+// BenchmarkMergeToFactor times the multi-pass byte merge: 16 runs of 4096
+// records to factor 4 on a MemDisk, fixture building excluded.
+func BenchmarkMergeToFactor(b *testing.B) {
+	disk := storage.NewMemDisk(0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		names, _ := mergeToFactorFixture(b, disk, 4096)
+		b.StartTimer()
+		mergeToFactor4(b, disk, names)
+	}
+}
+
+// TestMergeAllocsPerRecord is the allocation guard on the merge path: a
+// pass of MergeToFactor moves records as bytes through recycled pages and
+// buffers, so what it allocates does not scale with the records it moves.
+// The typed pass it replaced allocated 4 objects (~150 B) per record per
+// pass. The second merge on the disk is the one measured, the disk's pages
+// and the package's buffers already warm.
+func TestMergeAllocsPerRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations are counted in MemStats")
+	}
+	const (
+		maxAllocsPerRecordPass = 0.1
+		maxBytesPerRecordPass  = 2
+	)
+	disk := storage.NewMemDisk(0)
+	run := func() (allocs, bytes float64) {
+		names, records := mergeToFactorFixture(t, disk, 4096)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		passes := mergeToFactor4(t, disk, names)
+		runtime.ReadMemStats(&m1)
+		// Every pass at factor 4 moves a quarter of the records or more;
+		// charging each pass the full count keeps the bound simple.
+		n := float64(records * passes)
+		return float64(m1.Mallocs-m0.Mallocs) / n, float64(m1.TotalAlloc-m0.TotalAlloc) / n
+	}
+	run()
+	allocs, bytes := run()
+	t.Logf("second merge, per record per pass: %.4f allocs, %.3f B (bounds %.1f, %d B)",
+		allocs, bytes, maxAllocsPerRecordPass, maxBytesPerRecordPass)
+	if allocs > maxAllocsPerRecordPass || bytes > maxBytesPerRecordPass {
+		t.Errorf("second merge allocated %.4f objects, %.3f B per record per pass", allocs, bytes)
+	}
 }

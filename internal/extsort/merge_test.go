@@ -1,6 +1,7 @@
 package extsort
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"strings"
@@ -52,9 +53,11 @@ func buildRuns(raw []byte, numRuns, vocab int) [][]testRec {
 // concatenation of all runs (in run order), stably sorted by (key, run
 // index). Within one key, records from earlier runs come first, and
 // within one run their original order is preserved.
-func referenceMerge(runs [][]testRec) []testRec {
+func referenceMerge(runs [][]testRec) []testRec { return referenceMergeBy(runs, testCmp) }
+
+func referenceMergeBy[T any](runs [][]T, cmp Compare[T]) []T {
 	type tagged struct {
-		rec testRec
+		rec T
 		src int
 	}
 	var all []tagged
@@ -64,16 +67,114 @@ func referenceMerge(runs [][]testRec) []testRec {
 		}
 	}
 	SortStable(all, func(a, b tagged) int {
-		if c := strings.Compare(a.rec.key, b.rec.key); c != 0 {
+		if c := cmp(a.rec, b.rec); c != 0 {
 			return c
 		}
 		return a.src - b.src
 	})
-	out := make([]testRec, len(all))
+	out := make([]T, len(all))
 	for i, t := range all {
 		out[i] = t.rec
 	}
 	return out
+}
+
+// partRec / partFormat mirror the MapReduce engine's run records: ordered
+// by (partition, key), the key stored behind a 4-byte big-endian
+// partition. testRec / testFormat mirror the HAMR accumulator's: ordered
+// by key, the key stored raw.
+type partRec struct {
+	part int
+	key  string
+	seq  int64
+}
+
+func partCmp(a, b partRec) int {
+	if a.part != b.part {
+		return a.part - b.part
+	}
+	return strings.Compare(a.key, b.key)
+}
+
+type partFormat struct{}
+
+func (partFormat) AppendRecord(kbuf, vbuf []byte, r partRec) ([]byte, []byte, error) {
+	kbuf = binary.BigEndian.AppendUint32(kbuf, uint32(r.part))
+	return append(kbuf, r.key...), fmt.Appendf(vbuf, "%d", r.seq), nil
+}
+
+func (partFormat) DecodeRecord(key, value []byte) (partRec, error) {
+	r, err := testFormat{}.DecodeRecord(key[4:], value)
+	return partRec{part: int(binary.BigEndian.Uint32(key)), key: r.key, seq: r.seq}, err
+}
+
+// buildPartRuns deals raw bytes into numRuns runs sorted by (partition,
+// key): keys are the input bytes themselves (empty keys and 0xff
+// included), partitions lie on both sides of 256.
+func buildPartRuns(raw []byte, numRuns int) [][]partRec {
+	runs := make([][]partRec, numRuns)
+	for i, b := range raw {
+		r := partRec{part: int(b%4) * 100, key: string(raw[i : i+int(b)%2]), seq: int64(i)}
+		runs[i%numRuns] = append(runs[i%numRuns], r)
+	}
+	for i := range runs {
+		SortStable(runs[i], partCmp)
+	}
+	return runs
+}
+
+// checkByteMerge writes the sorted runs to a disk, reduces them to at most
+// factor run files with the byte merge, and requires the typed merge of
+// what is left to be the reference merge of the original runs: same
+// order, ties to the lower run index, nothing lost — and every consumed
+// run removed.
+func checkByteMerge[T comparable](t *testing.T, runs [][]T, f Format[T], cmp Compare[T], factor int) {
+	t.Helper()
+	want := referenceMergeBy(runs, cmp)
+	disk := storage.NewMemDisk(0)
+	names := make([]string, len(runs))
+	for i, run := range runs {
+		names[i] = fmt.Sprintf("run-%03d", i)
+		if err := WriteRun(disk, names[i], f, run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	passes := 0
+	left, err := MergeToFactor(disk, names, factor,
+		func(pass int) string { return fmt.Sprintf("interm-%03d", pass) }, func() { passes++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if factor > 1 && len(left) > factor {
+		t.Fatalf("%d runs left, factor %d", len(left), factor)
+	}
+	if got := disk.List(""); len(got) != len(left) {
+		t.Fatalf("disk holds %v, merge returned %v", got, left)
+	}
+	sources := make([]Source[T], len(left))
+	for i, name := range left {
+		rr, err := OpenRun(disk, name, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rr.Close()
+		sources[i] = rr
+	}
+	var got []T
+	if err := Merge(sources, cmp, func(r T, _ int) error {
+		got = append(got, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("byte merge (factor %d, %d passes): %d records, want %d", factor, passes, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("byte merge (factor %d, %d passes): record %d = %+v, want %+v", factor, passes, i, got[i], want[i])
+		}
+	}
 }
 
 // mergeAll collects the loser-tree merge of the given sources.
@@ -293,7 +394,28 @@ func FuzzMerge(f *testing.F) {
 				t.Fatalf("grouped record %d = %+v, want %+v", i, flat[i], want[i])
 			}
 		}
+
+		// The byte merge of run files agrees with the typed reference, in
+		// both engines' key layouts.
+		factor := int(runsRaw)/9%3 + 2
+		checkByteMerge(t, runs, testFormat{}, testCmp, factor)
+		checkByteMerge(t, buildPartRuns(raw, numRuns), partFormat{}, partCmp, factor)
 	})
+}
+
+// TestByteMergeMatchesReference runs the byte-merge check of FuzzMerge on
+// inputs large enough for several passes at each factor.
+func TestByteMergeMatchesReference(t *testing.T) {
+	raw := make([]byte, 900)
+	for i := range raw {
+		raw[i] = byte((i*37 + 11) % 251)
+	}
+	for _, k := range []int{1, 2, 5, 9, 16} {
+		for _, factor := range []int{2, 3, 4} {
+			checkByteMerge(t, buildRuns(raw, k, 17), testFormat{}, testCmp, factor)
+			checkByteMerge(t, buildPartRuns(raw, k), partFormat{}, partCmp, factor)
+		}
+	}
 }
 
 func TestRunReaderPropagatesCorruption(t *testing.T) {

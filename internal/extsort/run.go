@@ -3,7 +3,6 @@ package extsort
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/storage"
@@ -11,8 +10,14 @@ import (
 
 // Format converts typed records to and from the raw key/value byte
 // pairs stored in length-prefixed run files. Encoders append into
-// caller-provided scratch (reused across records by RunWriter — the
-// pooled codec session); decoders receive slices they must not retain.
+// caller-provided scratch (reused across records by RunWriter); decoders
+// receive slices they must not retain.
+//
+// Byte-order contract: for the Compare the runs are sorted by,
+// bytes.Compare on two records' encoded keys must have the sign of
+// Compare on the records, and equal only when Compare is zero. Runs are
+// merged as bytes (MergeToFactor) without ever calling DecodeRecord, so a
+// Format that breaks the contract produces unsorted intermediates.
 type Format[T any] interface {
 	// AppendRecord appends rec's key and value encodings to kbuf and
 	// vbuf (either may be nil) and returns the extended slices.
@@ -21,31 +26,21 @@ type Format[T any] interface {
 	DecodeRecord(key, value []byte) (T, error)
 }
 
-// scratch holds the reusable encode buffers of one writer session.
-type scratch struct{ k, v []byte }
-
-var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
-
 // RunWriter writes one sorted run file. The caller is responsible for
 // feeding records in run order; the writer only encodes and frames.
 type RunWriter[T any] struct {
-	w  *storage.RecordWriter
-	f  Format[T]
-	sc *scratch
+	w    *storage.RecordWriter
+	f    Format[T]
+	k, v []byte // encode scratch, reused across records
 }
 
-// NewRunWriter creates the named run file on disk, uncompressed.
-func NewRunWriter[T any](disk storage.Disk, name string, f Format[T]) (*RunWriter[T], error) {
-	return NewRunWriterC(disk, name, f, compress.Config{})
-}
-
-// NewRunWriterC creates the named run file with optional compression:
-// when cc has a codec, record framing is layered over a block-compressing
-// writer (RecordWriter → compress.Writer → file) so runs hit the
-// cost-modeled disk as compressed frames. The zero Config is byte-for-
-// byte NewRunWriter. A run written with compression must be opened with
-// OpenRunC and a matching enabled config.
-func NewRunWriterC[T any](disk storage.Disk, name string, f Format[T], cc compress.Config) (*RunWriter[T], error) {
+// CreateRawRun creates the named run file and returns the record writer
+// over it, for callers that already hold encoded key/value bytes. When cc
+// has a codec, record framing is layered over a block-compressing writer
+// (RecordWriter → compress.Writer → file) so runs hit the cost-modeled
+// disk as compressed frames; such a run must be opened with a matching
+// enabled config.
+func CreateRawRun(disk storage.Disk, name string, cc compress.Config) (*storage.RecordWriter, error) {
 	file, err := disk.Create(name)
 	if err != nil {
 		return nil, fmt.Errorf("extsort: create run: %w", err)
@@ -54,31 +49,61 @@ func NewRunWriterC[T any](disk storage.Disk, name string, f Format[T], cc compre
 	if cc.Enabled() {
 		w = compress.NewWriter(file, cc, 0)
 	}
-	return &RunWriter[T]{
-		w:  storage.NewRecordWriter(w),
-		f:  f,
-		sc: scratchPool.Get().(*scratch),
-	}, nil
+	return storage.NewRecordWriter(w), nil
+}
+
+// OpenRawRun opens a run written with the same enabled/disabled cc and
+// returns the record reader over it: encoded key/value bytes, valid until
+// the next call to Next. Decompression is frame-driven (the codec id is
+// in each frame header); cc.Meter only charges the modeled decode CPU.
+func OpenRawRun(disk storage.Disk, name string, cc compress.Config) (*storage.RecordReader, error) {
+	file, err := disk.Open(name)
+	if err != nil {
+		return nil, fmt.Errorf("extsort: open run: %w", err)
+	}
+	var r io.Reader = file
+	if cc.Enabled() {
+		r = compress.NewReader(file, cc.Meter)
+	}
+	return storage.NewRecordReader(r), nil
+}
+
+// NewRunWriter creates the named run file on disk, uncompressed.
+func NewRunWriter[T any](disk storage.Disk, name string, f Format[T]) (*RunWriter[T], error) {
+	return NewRunWriterC(disk, name, f, compress.Config{})
+}
+
+// NewRunWriterC creates the named run file with optional compression
+// (see CreateRawRun). The zero Config is byte-for-byte NewRunWriter.
+func NewRunWriterC[T any](disk storage.Disk, name string, f Format[T], cc compress.Config) (*RunWriter[T], error) {
+	w, err := CreateRawRun(disk, name, cc)
+	if err != nil {
+		return nil, err
+	}
+	return &RunWriter[T]{w: w, f: f}, nil
 }
 
 // Write appends one record.
 func (w *RunWriter[T]) Write(rec T) error {
-	k, v, err := w.f.AppendRecord(w.sc.k[:0], w.sc.v[:0], rec)
+	k, v, err := w.f.AppendRecord(w.k[:0], w.v[:0], rec)
 	if err != nil {
 		return err
 	}
-	w.sc.k, w.sc.v = k, v
+	w.k, w.v = k, v
 	if err := w.w.Write(k, v); err != nil {
 		return fmt.Errorf("extsort: write run: %w", err)
 	}
 	return nil
 }
 
-// Close flushes and closes the file, returning the codec session to the
-// pool. Close is not idempotent; call it exactly once.
+// Count returns the number of records written.
+func (w *RunWriter[T]) Count() int64 { return w.w.Count() }
+
+// Bytes returns the encoded key+value bytes written, framing excluded.
+func (w *RunWriter[T]) Bytes() int64 { return w.w.Bytes() }
+
+// Close flushes and closes the file.
 func (w *RunWriter[T]) Close() error {
-	scratchPool.Put(w.sc)
-	w.sc = nil
 	if err := w.w.Close(); err != nil {
 		return fmt.Errorf("extsort: close run: %w", err)
 	}
@@ -117,18 +142,13 @@ func OpenRun[T any](disk storage.Disk, name string, f Format[T]) (*RunReader[T],
 }
 
 // OpenRunC opens a run written by NewRunWriterC with the same
-// enabled/disabled state. Decompression is frame-driven (the codec id is
-// in each frame header); cc.Meter only charges the modeled decode CPU.
+// enabled/disabled state (see OpenRawRun).
 func OpenRunC[T any](disk storage.Disk, name string, f Format[T], cc compress.Config) (*RunReader[T], error) {
-	file, err := disk.Open(name)
+	r, err := OpenRawRun(disk, name, cc)
 	if err != nil {
-		return nil, fmt.Errorf("extsort: open run: %w", err)
+		return nil, err
 	}
-	var r io.Reader = file
-	if cc.Enabled() {
-		r = compress.NewReader(file, cc.Meter)
-	}
-	return &RunReader[T]{r: storage.NewRecordReader(r), f: f}, nil
+	return &RunReader[T]{r: r, f: f}, nil
 }
 
 // Next implements Source.

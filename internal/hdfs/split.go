@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"strings"
 
 	"github.com/hamr-go/hamr/internal/transport"
 )
@@ -55,8 +56,11 @@ func (fs *FileSystem) SplitsGlob(prefix string) ([]Split, error) {
 	return all, nil
 }
 
-// readRange reads file bytes [off, off+length) as observed from node at.
-func (fs *FileSystem) readRange(name string, off, length int64, at transport.NodeID) ([]byte, error) {
+// readRange reads file bytes [off, off+length) as observed from node at
+// and returns them as one slice per block the range touches, in file
+// order. The slices are views into the buffers readBlock returned — which
+// a cached block shares with the block cache — so callers only read them.
+func (fs *FileSystem) readRange(name string, off, length int64, at transport.NodeID) ([][]byte, error) {
 	meta, err := fs.lookup(name)
 	if err != nil {
 		return nil, err
@@ -67,7 +71,7 @@ func (fs *FileSystem) readRange(name string, off, length int64, at transport.Nod
 	if off+length > meta.size {
 		length = meta.size - off
 	}
-	out := make([]byte, 0, length)
+	var parts [][]byte
 	for _, b := range meta.blocks {
 		if b.Offset+b.Size <= off || b.Offset >= off+length {
 			continue
@@ -84,9 +88,9 @@ func (fs *FileSystem) readRange(name string, off, length int64, at transport.Nod
 		if off+length < b.Offset+b.Size {
 			end = off + length - b.Offset
 		}
-		out = append(out, data[start:end]...)
+		parts = append(parts, data[start:end])
 	}
-	return out, nil
+	return parts, nil
 }
 
 // LineIterator yields the lines belonging to a split using Hadoop's rule:
@@ -108,12 +112,16 @@ func (fs *FileSystem) OpenLines(sp Split, at transport.NodeID, maxLine int64) (*
 	if maxLine <= 0 {
 		maxLine = 1 << 20
 	}
-	data, err := fs.readRange(sp.File, sp.Offset, sp.Length+maxLine, at)
+	parts, err := fs.readRange(sp.File, sp.Offset, sp.Length+maxLine, at)
 	if err != nil {
 		return nil, err
 	}
+	readers := make([]io.Reader, len(parts))
+	for i, p := range parts {
+		readers[i] = bytes.NewReader(p)
+	}
 	it := &LineIterator{
-		r:      bufio.NewReader(bytes.NewReader(data)),
+		r:      bufio.NewReader(io.MultiReader(readers...)),
 		limit:  sp.Length,
 		offset: sp.Offset,
 	}
@@ -163,12 +171,17 @@ func (fs *FileSystem) ReadLineAt(name string, off int64, at transport.NodeID, ma
 	if maxLine <= 0 {
 		maxLine = 1 << 20
 	}
-	data, err := fs.readRange(name, off, maxLine, at)
+	parts, err := fs.readRange(name, off, maxLine, at)
 	if err != nil {
 		return "", err
 	}
-	if i := bytes.IndexByte(data, '\n'); i >= 0 {
-		data = data[:i]
+	var line strings.Builder
+	for _, p := range parts {
+		if i := bytes.IndexByte(p, '\n'); i >= 0 {
+			line.Write(p[:i])
+			break
+		}
+		line.Write(p)
 	}
-	return string(data), nil
+	return line.String(), nil
 }

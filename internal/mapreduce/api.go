@@ -84,7 +84,8 @@ type Job struct {
 	// job whose map output goes directly to HDFS.
 	NewReducer func() Reducer
 	// NewCombiner, if non-nil, is applied to map output at spill and merge
-	// time (Hadoop's combiner).
+	// time (Hadoop's combiner). The values slice a combiner is handed is
+	// reused for the next group: it must not keep it past the call.
 	NewCombiner func() Reducer
 	// NumReduces overrides the engine default.
 	NumReduces int

@@ -100,7 +100,12 @@ func (e *Engine) RunChainContext(ctx context.Context, jobs ...Job) (*Result, err
 type segInfo struct {
 	name string
 	node int
-	size int64
+	size int64 // bytes on disk (and on the wire)
+	// records and payload (encoded key+value bytes, framing excluded) let
+	// the fetching reducer size its buffer and pick its merge path before
+	// it reads the segment.
+	records int64
+	payload int64
 }
 
 type mapResult struct {
@@ -413,13 +418,18 @@ func recCompare(a, b rec) int {
 // preserves (partition, key) order, the value is codec-encoded.
 type runFormat struct{}
 
+// appendRunKey appends runFormat's key encoding. bytes.Compare on two of
+// them orders as recCompare orders the records — big-endian partition
+// first, then the raw key, which strings.Compare also compares byte-wise
+// — the contract extsort's byte merge relies on.
+func appendRunKey[K string | []byte](kbuf []byte, part int, key K) []byte {
+	kbuf = binary.BigEndian.AppendUint32(kbuf, uint32(part))
+	return append(kbuf, key...)
+}
+
 func (runFormat) AppendRecord(kbuf, vbuf []byte, r rec) ([]byte, []byte, error) {
-	var pb [4]byte
-	binary.BigEndian.PutUint32(pb[:], uint32(r.part))
-	kbuf = append(kbuf, pb[:]...)
-	kbuf = append(kbuf, r.key...)
 	vbuf, err := core.EncodeValue(vbuf, r.value)
-	return kbuf, vbuf, err
+	return appendRunKey(kbuf, r.part, r.key), vbuf, err
 }
 
 func (runFormat) DecodeRecord(key, value []byte) (rec, error) {
@@ -717,23 +727,33 @@ func (mt *mapTask) combineRun(in []rec) ([]rec, error) {
 		return in, nil
 	}
 	comb := mt.job.NewCombiner()
-	var out []rec
+	// A combiner emits about one record per group: count them, so out is
+	// allocated once at its final size.
+	groups := 0
+	for i := range in {
+		if i == 0 || in[i].part != in[i-1].part || in[i].key != in[i-1].key {
+			groups++
+		}
+	}
+	out := make([]rec, 0, groups)
+	// One emitter and one values scratch serve every group of the run: the
+	// combiner may keep neither past its Reduce call.
+	part := 0
+	ce := &taskEmitter{task: mt.name + "/combine", heap: 0}
+	ce.sink = func(kv core.KV) error {
+		out = append(out, rec{part: part, key: kv.Key, value: kv.Value})
+		return nil
+	}
+	var values []any
 	i := 0
 	for i < len(in) {
 		j := i
+		values = values[:0]
 		for j < len(in) && in[j].part == in[i].part && in[j].key == in[i].key {
+			values = append(values, in[j].value)
 			j++
 		}
-		values := make([]any, 0, j-i)
-		for k := i; k < j; k++ {
-			values = append(values, in[k].value)
-		}
-		part := in[i].part
-		ce := &taskEmitter{task: mt.name + "/combine", heap: 0}
-		ce.sink = func(kv core.KV) error {
-			out = append(out, rec{part: part, key: kv.Key, value: kv.Value})
-			return nil
-		}
+		part = in[i].part
 		if err := comb.Reduce(in[i].key, values, ce); err != nil {
 			return nil, err
 		}
@@ -761,8 +781,7 @@ func (mt *mapTask) finish() ([]segInfo, error) {
 	// rereads and rewrites the intermediate data on disk, as Hadoop's
 	// io.sort.factor does.
 	reg := mt.e.c.Metrics()
-	spills, err := extsort.MergeToFactorC(mt.disk, runFormat{}, recCompare,
-		mt.sorter.Runs(), mt.e.cfg.MergeFactor,
+	spills, err := extsort.MergeToFactorC(mt.disk, mt.sorter.Runs(), mt.e.cfg.MergeFactor,
 		func(pass int) string { return fmt.Sprintf("%s/interm-%04d", mt.name, pass) },
 		func() { reg.Inc("mr.merge.passes") }, mt.cc)
 	if err != nil {
@@ -821,17 +840,20 @@ func (mt *mapTask) finish() ([]segInfo, error) {
 		return w.Write(r)
 	}
 
+	// As in combineRun, one emitter and one values scratch serve every group.
+	part := 0
+	ce := &taskEmitter{task: mt.name + "/merge-combine"}
+	ce.sink = func(kv core.KV) error {
+		return write(rec{part: part, key: kv.Key, value: kv.Value})
+	}
+	var values []any
 	err = extsort.MergeGrouped(sources, recCompare, nil, func(group []rec) error {
 		if comb != nil && len(group) > 1 {
-			values := make([]any, len(group))
-			for i, g := range group {
-				values[i] = g.value
+			values = values[:0]
+			for _, g := range group {
+				values = append(values, g.value)
 			}
-			part := group[0].part
-			ce := &taskEmitter{task: mt.name + "/merge-combine"}
-			ce.sink = func(kv core.KV) error {
-				return write(rec{part: part, key: kv.Key, value: kv.Value})
-			}
+			part = group[0].part
 			return comb.Reduce(group[0].key, values, ce)
 		}
 		for _, g := range group {
@@ -849,15 +871,16 @@ func (mt *mapTask) finish() ([]segInfo, error) {
 		if writers[p] == nil {
 			continue
 		}
-		if err := writers[p].Close(); err != nil {
+		w := writers[p]
+		writers[p] = nil
+		if err := w.Close(); err != nil {
 			return nil, err
 		}
-		writers[p] = nil
 		size, err := mt.disk.Size(names[p])
 		if err != nil {
 			return nil, err
 		}
-		segs[p] = segInfo{name: names[p], node: mt.node, size: size}
+		segs[p] = segInfo{name: names[p], node: mt.node, size: size, records: w.Count(), payload: w.Bytes()}
 		segBytes += size
 	}
 	msp.EndBytes(segBytes)
@@ -866,6 +889,53 @@ func (mt *mapTask) finish() ([]segInfo, error) {
 
 // ---------------------------------------------------------------------------
 // reduce task
+
+// readSegment decodes a fetched segment of partition part into memory;
+// records is the count the map task recorded for it.
+func readSegment(src *storage.RecordReader, part int, records int64) ([]rec, error) {
+	f := segFormat{part: part}
+	recs := make([]rec, 0, records)
+	for {
+		rc, err := src.Next()
+		if err == io.EOF {
+			return recs, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		r, err := f.DecodeRecord(rc.Key, rc.Value)
+		if err != nil {
+			return nil, err
+		}
+		recs = append(recs, r)
+	}
+}
+
+// copySegment streams a fetched segment of partition part into the local
+// fetch run name without decoding it: the key gains the partition prefix
+// runFormat gives it and the value bytes are copied as they are, which is
+// what decoding into recs and writing them with runFormat produced.
+func copySegment(src *storage.RecordReader, disk storage.Disk, name string, part int, cc compress.Config) error {
+	w, err := extsort.CreateRawRun(disk, name, cc)
+	if err != nil {
+		return err
+	}
+	var key []byte
+	for {
+		rc, err := src.Next()
+		if err == io.EOF {
+			return w.Close()
+		}
+		if err == nil {
+			key = appendRunKey(key[:0], part, rc.Key)
+			err = w.Write(key, rc.Value)
+		}
+		if err != nil {
+			w.Close()
+			return err
+		}
+	}
+}
 
 func (e *Engine) runReduceTask(job Job, jobID int64, r, attempt int, maps []*mapResult,
 	format func(core.KV) string, heap int64) (fetched int64, rerr error) {
@@ -937,52 +1007,7 @@ func (e *Engine) runReduceTask(job Job, jobID int64, r, attempt int, maps []*map
 			continue
 		}
 		seg := mr.segments[r]
-		// Read the segment from the map node's disk (charges that disk),
-		// then pay the network transfer to this node. With spill compression
-		// on, segments are compressed run files: seg.size (the on-disk and
-		// on-wire bytes below) is the compressed size, and the fetch pays
-		// the modeled decode CPU here.
-		var fsp trace.Span
-		if tr.Enabled() {
-			fsp = tr.Start(seg.node, tag+"/"+tname,
-				fmt.Sprintf("%s/%s/fetch-%05d", tag, tname, mi), "fetch", "disk")
-		}
-		src, err := e.c.Disk(seg.node).Open(seg.name)
-		if err != nil {
-			return fetched, fmt.Errorf("%s fetch %s: %w", taskName, seg.name, err)
-		}
-		var segSrc io.Reader = src
-		if cc.Enabled() {
-			segSrc = compress.NewReader(src, cc.Meter)
-		}
-		rdr := storage.NewRecordReader(segSrc)
-		var recs []rec
-		var segBytes int64
-		for {
-			rc, err := rdr.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				rdr.Close()
-				return fetched, err
-			}
-			v, _, err := core.DecodeValue(rc.Value)
-			if err != nil {
-				rdr.Close()
-				return fetched, err
-			}
-			recs = append(recs, rec{part: r, key: string(rc.Key), value: v})
-			segBytes += int64(len(rc.Key)) + int64(len(rc.Value))
-		}
-		rdr.Close()
-		fsp.EndBytes(seg.size)
-		if seg.node != node {
-			remoteBytes[seg.node] += seg.size
-		}
-		fetched += seg.size
-
-		if !external && memBytes+segBytes > heap/2 {
+		if !external && memBytes+seg.payload > heap/2 {
 			// Spill previously fetched in-memory segments and switch to
 			// the external (on-disk) merge path, like Hadoop's
 			// merge-to-disk when fetched data exceeds the in-memory
@@ -998,20 +1023,47 @@ func (e *Engine) runReduceTask(job Job, jobID int64, r, attempt int, maps []*map
 			memSegs = nil
 			memBytes = 0
 		}
+		// Read the segment from the map node's disk (charges that disk),
+		// then pay the network transfer to this node. With spill compression
+		// on, segments are compressed run files: seg.size (the on-disk and
+		// on-wire bytes below) is the compressed size, and the fetch pays
+		// the modeled decode CPU here.
+		var fsp trace.Span
+		if tr.Enabled() {
+			fsp = tr.Start(seg.node, tag+"/"+tname,
+				fmt.Sprintf("%s/%s/fetch-%05d", tag, tname, mi), "fetch", "disk")
+		}
+		rdr, err := extsort.OpenRawRun(e.c.Disk(seg.node), seg.name, cc)
+		if err != nil {
+			return fetched, fmt.Errorf("%s fetch %s: %w", taskName, seg.name, err)
+		}
 		if external {
+			// The segment goes to a local fetch run as bytes; it is decoded
+			// once, by the final merge.
 			name := fmt.Sprintf("%s/fetch-%05d", taskName, len(local))
-			if err := extsort.WriteRunC(disk, name, runFormat{}, recs, cc); err != nil {
-				return fetched, err
-			}
+			err = copySegment(rdr, disk, name, r, cc)
 			local = append(local, name)
+		} else {
+			var recs []rec
+			recs, err = readSegment(rdr, r, seg.records)
+			memSegs = append(memSegs, recs)
+			memBytes += seg.payload
+		}
+		rdr.Close()
+		if err != nil {
+			return fetched, err
+		}
+		fsp.EndBytes(seg.size)
+		if seg.node != node {
+			remoteBytes[seg.node] += seg.size
+		}
+		fetched += seg.size
+		if external {
 			reg.Inc("mr.reduce.disk.merges")
 			if tr.Enabled() {
 				tr.Instant(node, tag+"/"+tname,
-					fmt.Sprintf("%s/%s/rspill-%05d", tag, tname, len(local)-1), "spill", segBytes)
+					fmt.Sprintf("%s/%s/rspill-%05d", tag, tname, len(local)-1), "spill", seg.payload)
 			}
-		} else {
-			memSegs = append(memSegs, recs)
-			memBytes += segBytes
 		}
 	}
 

@@ -1,0 +1,104 @@
+package mapreduce
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"strings"
+	"testing"
+
+	"github.com/hamr-go/hamr/internal/cluster"
+	"github.com/hamr-go/hamr/internal/core"
+	"github.com/hamr-go/hamr/internal/storage"
+)
+
+// teraRows builds TeraSort-style rows: a pseudo-random 10-hex-digit key
+// and a fixed-width payload, one per line.
+func teraRows(n int) string {
+	var sb strings.Builder
+	state := uint64(0x9E3779B97F4A7C15)
+	for i := 0; i < n; i++ {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		fmt.Fprintf(&sb, "%010x %08d-payload\n", state&0xFFFFFFFFFF, i)
+	}
+	return sb.String()
+}
+
+// TestExternalReduceMatchesPinnedBaseline runs an identity sort whose map
+// tasks spill and multi-pass merge and whose reducers merge from disk —
+// every leg of the spill → merge → fetch path — and compares its output
+// and its modeled-cost counters with values recorded before that path
+// moved to byte merges and recycled pages (PR 13). A change to the path
+// must not move any of them.
+func TestExternalReduceMatchesPinnedBaseline(t *testing.T) {
+	// A zero-cost disk model still counts every byte through CostDisk.
+	c, err := cluster.New(cluster.Options{NumNodes: 4, HDFSBlockSize: 4 << 10, DiskModel: &storage.CostModel{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if err := c.FS().WriteFile("in/rows.txt", []byte(teraRows(6000)), -1); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(c, Config{SortBufferBytes: 2 << 10, MergeFactor: 3, ReduceHeapBytes: 16 << 10})
+	job := Job{
+		Name:          "terasort",
+		InputPrefixes: []string{"in/"},
+		Output:        "out",
+		NumReduces:    4,
+		NewMapper: func() Mapper {
+			return MapperFunc(func(kv core.KV, out Emitter) error {
+				k, v, _ := strings.Cut(kv.Value.(string), " ")
+				return out.Emit(core.KV{Key: k, Value: v})
+			})
+		},
+		NewReducer: func() Reducer {
+			return ReducerFunc(func(key string, values []any, out Emitter) error {
+				for _, v := range values {
+					if err := out.Emit(core.KV{Key: key, Value: v}); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		},
+	}
+	if _, err := e.Run(job); err != nil {
+		t.Fatal(err)
+	}
+
+	h := sha256.New()
+	rows := 0
+	for _, f := range c.FS().List("out/") {
+		data, err := c.FS().ReadFile(f, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", f, len(data))
+		h.Write(data)
+		rows += strings.Count(string(data), "\n")
+	}
+	if rows != 6000 {
+		t.Errorf("output holds %d rows, want 6000", rows)
+	}
+	const wantHash = "09bccd8f20df66484ff083377ff9868af64e34376fdebb1b476976fcbfce140c"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != wantHash {
+		t.Errorf("output hash = %s, want %s", got, wantHash)
+	}
+	for _, want := range []struct {
+		name  string
+		value int64
+	}{
+		{"mr.spills", 206},
+		{"mr.spill.bytes", 348000},
+		{"mr.merge.passes", 41},
+		{"mr.reduce.disk.merges", 142},
+		{"disk.write.bytes", 1231548},
+		{"disk.read.bytes", 4592892},
+	} {
+		if got := c.Metrics().Counter(want.name).Value(); got != want.value {
+			t.Errorf("%s = %d, want %d", want.name, got, want.value)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -252,6 +253,50 @@ func TestMergeFactorMultiPass(t *testing.T) {
 	for w, n := range want {
 		if got[w] != n {
 			t.Errorf("count[%q] = %d, want %d", w, got[w], n)
+		}
+	}
+}
+
+// nastyKey draws short keys from bytes that trip naive orderings — NUL,
+// 0xff, both sides of 0x80 — so ties, prefixes and the empty key are all
+// common.
+func nastyKey(rng *rand.Rand) string {
+	alphabet := []byte{0x00, 0x01, 'a', 'b', 0x7f, 0x80, 0xfe, 0xff}
+	b := make([]byte, rng.Intn(5))
+	for i := range b {
+		b[i] = alphabet[rng.Intn(len(alphabet))]
+	}
+	return string(b)
+}
+
+func sign(x int) int {
+	switch {
+	case x < 0:
+		return -1
+	case x > 0:
+		return 1
+	}
+	return 0
+}
+
+// TestRunKeyBytesOrderAsRecCompare pins the byte-order contract extsort's
+// byte merge relies on (extsort.Format): bytes.Compare on two encoded run
+// keys has the sign of recCompare on the records.
+func TestRunKeyBytesOrderAsRecCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	parts := []int{0, 1, 2, 255, 256, 257, 65535, 65536, 1 << 24, 1<<31 - 1}
+	encode := func(r rec) []byte {
+		k, _, err := runFormat{}.AppendRecord(nil, nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	for i := 0; i < 50000; i++ {
+		a := rec{part: parts[rng.Intn(len(parts))], key: nastyKey(rng)}
+		b := rec{part: parts[rng.Intn(len(parts))], key: nastyKey(rng)}
+		if got, want := sign(bytes.Compare(encode(a), encode(b))), sign(recCompare(a, b)); got != want {
+			t.Fatalf("(%d,%q) vs (%d,%q): bytes order %d, recCompare %d", a.part, a.key, b.part, b.key, got, want)
 		}
 	}
 }

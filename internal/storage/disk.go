@@ -9,7 +9,6 @@
 package storage
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -52,17 +51,127 @@ func (e *ErrDiskFull) Error() string { return "storage: disk full writing " + e.
 // MemDisk is an in-memory Disk. The zero value is not usable; use
 // NewMemDisk. Capacity limits (bytes) support disk-full failure injection;
 // capacity <= 0 means unlimited.
+//
+// A file is a list of pages drawn from a free list the disk owns, so
+// writing a file costs the bytes it stores and removing one makes its
+// pages available to the next writer. Page ownership: a writer is the
+// only holder of its pages until Close publishes the file; from then on
+// the pages are immutable and shared by the directory entry and every
+// open reader, each holding one reference. Remove and overwrite drop the
+// directory's reference, a reader's Close drops the reader's; the last
+// one out returns the pages to the free list. A reader (or writer) that
+// is never closed therefore just leaves its pages to the GC. Pages are
+// only made when their size class has none free, so the free list never
+// holds more than the disk's own high-water mark.
 type MemDisk struct {
 	mu       sync.Mutex
-	files    map[string][]byte
+	files    map[string]*memFile
 	used     int64
 	capacity int64
+	pages    [pageClasses]pageClass
+}
+
+// Pages come in power-of-two size classes from minPage to maxPage. A
+// file's first page is sized to the write that needs it and later pages
+// double up to maxPage, so a 2 KiB shuffle segment pins 2 KiB, not 64.
+const (
+	minPageShift = 9 // 512 B
+	maxPageShift = 16
+	minPage      = 1 << minPageShift
+	maxPage      = 1 << maxPageShift
+	pageClasses  = maxPageShift - minPageShift + 1
+)
+
+// pageClass is the ledger and free list of one page size. live counts
+// pages held by files, writers and readers; made == live + len(free) at
+// all times and made == peak, because a page is made only when none is
+// free.
+type pageClass struct {
+	free             [][]byte
+	made, live, peak int
+}
+
+// PageStats is the page ledger summed over the size classes, in pages
+// (MadeBytes: the bytes of the pages made). Made == Live + Free always
+// holds; Made == Peak says the free list is bounded by the disk's own
+// high-water mark.
+type PageStats struct {
+	Made, Live, Free, Peak int
+	MadeBytes              int64
+}
+
+// PageStats returns the current page ledger.
+func (d *MemDisk) PageStats() PageStats {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var st PageStats
+	for i := range d.pages {
+		c := &d.pages[i]
+		st.Made += c.made
+		st.Live += c.live
+		st.Free += len(c.free)
+		st.Peak += c.peak
+		st.MadeBytes += int64(c.made) * int64(minPage<<i)
+	}
+	return st
+}
+
+// classFor returns the smallest size class holding n bytes (maxPage's
+// class for anything larger).
+func classFor(n int) int {
+	c := 0
+	for c < pageClasses-1 && minPage<<c < n {
+		c++
+	}
+	return c
+}
+
+// takePage returns an empty page of class c. Caller holds d.mu.
+func (d *MemDisk) takePage(c int) []byte {
+	pc := &d.pages[c]
+	pc.live++
+	if pc.live > pc.peak {
+		pc.peak = pc.live
+	}
+	if n := len(pc.free); n > 0 {
+		p := pc.free[n-1]
+		pc.free[n-1] = nil
+		pc.free = pc.free[:n-1]
+		return p
+	}
+	pc.made++
+	return make([]byte, 0, minPage<<c)
+}
+
+// putPages returns pages to their free lists. Caller holds d.mu.
+func (d *MemDisk) putPages(pages [][]byte) {
+	for _, p := range pages {
+		pc := &d.pages[classFor(cap(p))]
+		pc.live--
+		pc.free = append(pc.free, p[:0])
+	}
+}
+
+// memFile is one published file: immutable pages plus the reference
+// count (guarded by MemDisk.mu) that decides when they may be reused.
+type memFile struct {
+	pages [][]byte
+	size  int64
+	refs  int
+}
+
+// unref drops one reference. Caller holds d.mu.
+func (d *MemDisk) unref(f *memFile) {
+	if f.refs--; f.refs == 0 {
+		d.putPages(f.pages)
+		f.pages = nil
+	}
 }
 
 // NewMemDisk returns an empty in-memory disk with the given byte capacity
 // (<= 0 for unlimited).
 func NewMemDisk(capacity int64) *MemDisk {
-	return &MemDisk{files: make(map[string][]byte), capacity: capacity}
+	return &MemDisk{files: make(map[string]*memFile), capacity: capacity}
 }
 
 // Used returns the number of bytes currently stored.
@@ -75,7 +184,9 @@ func (d *MemDisk) Used() int64 {
 type memWriter struct {
 	d      *MemDisk
 	name   string
-	buf    bytes.Buffer
+	pages  [][]byte
+	cur    int // first page with room left (== len(pages) when none has)
+	size   int64
 	closed bool
 }
 
@@ -83,13 +194,48 @@ func (w *memWriter) Write(p []byte) (int, error) {
 	if w.closed {
 		return 0, fmt.Errorf("storage: write to closed file %q", w.name)
 	}
-	w.d.mu.Lock()
-	cap, used := w.d.capacity, w.d.used
-	w.d.mu.Unlock()
-	if cap > 0 && used+int64(w.buf.Len()+len(p)) > cap {
+	d := w.d
+	d.mu.Lock()
+	if d.capacity > 0 && d.used+w.size+int64(len(p)) > d.capacity {
+		d.mu.Unlock()
 		return 0, &ErrDiskFull{Name: w.name}
 	}
-	return w.buf.Write(p)
+	// Take the pages this write needs beyond the room left in the last
+	// one; the copy below then runs outside the disk's lock.
+	need := len(p)
+	if w.cur < len(w.pages) {
+		need -= cap(w.pages[w.cur]) - len(w.pages[w.cur])
+	}
+	for need > 0 {
+		// Size the page to what is left of this write, but while pages
+		// are below maxPage never under twice the previous one: a file
+		// written in small pieces still needs few pages, and the tail of
+		// a large one is not rounded up to maxPage.
+		c := classFor(need)
+		if n := len(w.pages); n > 0 {
+			if prev := classFor(cap(w.pages[n-1])); prev < pageClasses-1 {
+				c = max(c, prev+1)
+			}
+		}
+		pg := d.takePage(c)
+		w.pages = append(w.pages, pg)
+		need -= cap(pg)
+	}
+	d.mu.Unlock()
+
+	n := len(p)
+	for len(p) > 0 {
+		pg := w.pages[w.cur]
+		k := copy(pg[len(pg):cap(pg)], p)
+		pg = pg[:len(pg)+k]
+		w.pages[w.cur] = pg
+		p = p[k:]
+		if len(pg) == cap(pg) {
+			w.cur++
+		}
+	}
+	w.size += int64(n)
+	return n, nil
 }
 
 func (w *memWriter) Close() error {
@@ -97,17 +243,64 @@ func (w *memWriter) Close() error {
 		return nil
 	}
 	w.closed = true
-	w.d.mu.Lock()
-	defer w.d.mu.Unlock()
-	if old, ok := w.d.files[w.name]; ok {
-		w.d.used -= int64(len(old))
+	d := w.d
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	old := d.files[w.name]
+	var oldSize int64
+	if old != nil {
+		oldSize = old.size
 	}
-	data := append([]byte(nil), w.buf.Bytes()...)
-	if w.d.capacity > 0 && w.d.used+int64(len(data)) > w.d.capacity {
+	if d.capacity > 0 && d.used-oldSize+w.size > d.capacity {
+		d.putPages(w.pages)
+		w.pages = nil
 		return &ErrDiskFull{Name: w.name}
 	}
-	w.d.files[w.name] = data
-	w.d.used += int64(len(data))
+	if old != nil {
+		d.unref(old)
+	}
+	d.files[w.name] = &memFile{pages: w.pages, size: w.size, refs: 1}
+	d.used += w.size - oldSize
+	w.pages = nil
+	return nil
+}
+
+// memReader streams a published file. Read fills p across page
+// boundaries, so callers (CostDisk's per-call charges above all) see the
+// same call sizes a flat byte slice would give them.
+type memReader struct {
+	d    *MemDisk
+	f    *memFile // nil once closed
+	page int
+	off  int
+}
+
+func (r *memReader) Read(p []byte) (int, error) {
+	if r.f == nil {
+		return 0, fmt.Errorf("storage: read from closed file")
+	}
+	pages := r.f.pages
+	n := 0
+	for r.page < len(pages) && n < len(p) {
+		k := copy(p[n:], pages[r.page][r.off:])
+		n += k
+		if r.off += k; r.off == len(pages[r.page]) {
+			r.page, r.off = r.page+1, 0
+		}
+	}
+	if n == 0 && r.page == len(pages) {
+		return 0, io.EOF
+	}
+	return n, nil
+}
+
+func (r *memReader) Close() error {
+	if r.f != nil {
+		r.d.mu.Lock()
+		r.d.unref(r.f)
+		r.d.mu.Unlock()
+		r.f = nil
+	}
 	return nil
 }
 
@@ -119,24 +312,26 @@ func (d *MemDisk) Create(name string) (io.WriteCloser, error) {
 // Open implements Disk.
 func (d *MemDisk) Open(name string) (io.ReadCloser, error) {
 	d.mu.Lock()
-	data, ok := d.files[name]
-	d.mu.Unlock()
+	defer d.mu.Unlock()
+	f, ok := d.files[name]
 	if !ok {
 		return nil, &ErrNotExist{Name: name}
 	}
-	return io.NopCloser(bytes.NewReader(data)), nil
+	f.refs++
+	return &memReader{d: d, f: f}, nil
 }
 
 // Remove implements Disk.
 func (d *MemDisk) Remove(name string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	data, ok := d.files[name]
+	f, ok := d.files[name]
 	if !ok {
 		return &ErrNotExist{Name: name}
 	}
-	d.used -= int64(len(data))
+	d.used -= f.size
 	delete(d.files, name)
+	d.unref(f)
 	return nil
 }
 
@@ -144,11 +339,11 @@ func (d *MemDisk) Remove(name string) error {
 func (d *MemDisk) Size(name string) (int64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	data, ok := d.files[name]
+	f, ok := d.files[name]
 	if !ok {
 		return 0, &ErrNotExist{Name: name}
 	}
-	return int64(len(data)), nil
+	return f.size, nil
 }
 
 // List implements Disk.

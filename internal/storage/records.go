@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Record is a raw key/value byte pair, the unit stored in spill files,
@@ -15,10 +16,92 @@ type Record struct {
 	Value []byte
 }
 
+// recordBuf is the 64 KiB buffering a RecordWriter and a RecordReader
+// each need.
+const recordBuf = 64 << 10
+
+// maxFreeBufs bounds each free list below. It has to cover the runs a
+// busy cluster has open at once or every job pays for the excess again:
+// a reducer's final merge opens one reader per map output and a map
+// task's one writer per partition, times the tasks running (24 x 8 and
+// 8 x 16 in the sort_spill benchmark). 16 MiB at most is held per list.
+const maxFreeBufs = 256
+
+// readBuf is what a RecordReader borrows while open: the bufio.Reader
+// and the scratch Next decodes into.
+type readBuf struct {
+	br      *bufio.Reader
+	scratch []byte
+}
+
+// freeList is a bounded LIFO of idle buffers. It is a plain stack behind
+// a mutex rather than a sync.Pool on purpose: its content must survive a
+// GC cycle, or a process that collects between jobs pays for every buffer
+// again.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []*T
+}
+
+// get returns an idle buffer, or nil when there is none.
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.items)
+	if n == 0 {
+		return nil
+	}
+	it := l.items[n-1]
+	l.items[n-1] = nil
+	l.items = l.items[:n-1]
+	return it
+}
+
+// put keeps it for the next get unless the list is full.
+func (l *freeList[T]) put(it *T) {
+	l.mu.Lock()
+	if len(l.items) < maxFreeBufs {
+		l.items = append(l.items, it)
+	}
+	l.mu.Unlock()
+}
+
+// The buffers of closed writers and readers, package-wide.
+var (
+	freeWriters freeList[bufio.Writer]
+	freeReaders freeList[readBuf]
+)
+
+func getWriter(w io.Writer) *bufio.Writer {
+	if bw := freeWriters.get(); bw != nil {
+		bw.Reset(w)
+		return bw
+	}
+	return bufio.NewWriterSize(w, recordBuf)
+}
+
+func putWriter(bw *bufio.Writer) {
+	bw.Reset(nil) // drop the reference to the closed file
+	freeWriters.put(bw)
+}
+
+func getReader(r io.Reader) *readBuf {
+	if rb := freeReaders.get(); rb != nil {
+		rb.br.Reset(r)
+		return rb
+	}
+	return &readBuf{br: bufio.NewReaderSize(r, recordBuf)}
+}
+
+func putReader(rb *readBuf) {
+	rb.br.Reset(nil)
+	freeReaders.put(rb)
+}
+
 // RecordWriter writes length-prefixed records to an underlying writer.
 // Format per record: uvarint(keyLen) keyBytes uvarint(valueLen) valueBytes.
 type RecordWriter struct {
-	w       *bufio.Writer
+	w       *bufio.Writer // nil once closed
 	c       io.Closer
 	scratch [binary.MaxVarintLen64]byte
 	bytes   int64
@@ -27,7 +110,7 @@ type RecordWriter struct {
 
 // NewRecordWriter wraps w. If w is also an io.Closer, Close closes it.
 func NewRecordWriter(w io.Writer) *RecordWriter {
-	rw := &RecordWriter{w: bufio.NewWriterSize(w, 64<<10)}
+	rw := &RecordWriter{w: getWriter(w)}
 	if c, ok := w.(io.Closer); ok {
 		rw.c = c
 	}
@@ -61,30 +144,33 @@ func (w *RecordWriter) Count() int64 { return w.count }
 // Bytes returns the payload bytes written (keys+values, excluding framing).
 func (w *RecordWriter) Bytes() int64 { return w.bytes }
 
-// Close flushes buffered data and closes the underlying writer if it is a
-// Closer.
+// Close flushes buffered data, closes the underlying writer if it is a
+// Closer, and gives the write buffer back for the next writer. A second
+// Close is a no-op; a Write after Close is a bug and panics.
 func (w *RecordWriter) Close() error {
-	if err := w.w.Flush(); err != nil {
-		if w.c != nil {
-			w.c.Close()
-		}
-		return err
+	if w.w == nil {
+		return nil
 	}
+	err := w.w.Flush()
+	putWriter(w.w)
+	w.w = nil
 	if w.c != nil {
-		return w.c.Close()
+		if cerr := w.c.Close(); err == nil {
+			err = cerr
+		}
 	}
-	return nil
+	return err
 }
 
 // RecordReader reads records written by RecordWriter.
 type RecordReader struct {
-	r *bufio.Reader
-	c io.Closer
+	rb *readBuf // nil once closed
+	c  io.Closer
 }
 
 // NewRecordReader wraps r. If r is also an io.Closer, Close closes it.
 func NewRecordReader(r io.Reader) *RecordReader {
-	rr := &RecordReader{r: bufio.NewReaderSize(r, 64<<10)}
+	rr := &RecordReader{rb: getReader(r)}
 	if c, ok := r.(io.Closer); ok {
 		rr.c = c
 	}
@@ -94,9 +180,12 @@ func NewRecordReader(r io.Reader) *RecordReader {
 const maxRecordSide = 1 << 30 // sanity bound on one key or value
 
 // Next returns the next record, or io.EOF at end of stream. The returned
-// slices are freshly allocated and owned by the caller.
+// slices point into the reader's scratch: they are valid until the next
+// call to Next or Close, and a caller that keeps a record longer copies
+// it (ReadRecords does).
 func (r *RecordReader) Next() (Record, error) {
-	klen, err := binary.ReadUvarint(r.r)
+	br := r.rb.br
+	klen, err := binary.ReadUvarint(br)
 	if err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return Record{}, fmt.Errorf("storage: truncated record: %w", err)
@@ -106,26 +195,47 @@ func (r *RecordReader) Next() (Record, error) {
 	if klen > maxRecordSide {
 		return Record{}, fmt.Errorf("storage: implausible key length %d", klen)
 	}
-	key := make([]byte, klen)
-	if _, err := io.ReadFull(r.r, key); err != nil {
+	key := r.grow(0, int(klen))
+	if _, err := io.ReadFull(br, key); err != nil {
 		return Record{}, fmt.Errorf("storage: truncated key: %w", err)
 	}
-	vlen, err := binary.ReadUvarint(r.r)
+	vlen, err := binary.ReadUvarint(br)
 	if err != nil {
 		return Record{}, fmt.Errorf("storage: truncated value length: %w", err)
 	}
 	if vlen > maxRecordSide {
 		return Record{}, fmt.Errorf("storage: implausible value length %d", vlen)
 	}
-	value := make([]byte, vlen)
-	if _, err := io.ReadFull(r.r, value); err != nil {
+	value := r.grow(int(klen), int(vlen))
+	if _, err := io.ReadFull(br, value); err != nil {
 		return Record{}, fmt.Errorf("storage: truncated value: %w", err)
 	}
-	return Record{Key: key, Value: value}, nil
+	// grow may have moved the scratch under key; re-slice it.
+	return Record{Key: r.rb.scratch[:klen:klen], Value: value}, nil
 }
 
-// Close closes the underlying reader if it is a Closer.
+// grow returns scratch[keep:keep+n], enlarging the scratch (and keeping
+// its first keep bytes) when it is too small.
+func (r *RecordReader) grow(keep, n int) []byte {
+	sc := r.rb.scratch
+	if need := keep + n; need > cap(sc) {
+		nsc := make([]byte, max(need, 2*cap(sc), 256))
+		copy(nsc, sc[:keep])
+		sc = nsc
+		r.rb.scratch = sc
+	}
+	sc = sc[:cap(sc)]
+	return sc[keep : keep+n : keep+n]
+}
+
+// Close closes the underlying reader if it is a Closer and gives the
+// read buffer back for the next reader. A second Close is a no-op.
 func (r *RecordReader) Close() error {
+	if r.rb == nil {
+		return nil
+	}
+	putReader(r.rb)
+	r.rb = nil
 	if r.c != nil {
 		return r.c.Close()
 	}
@@ -166,6 +276,10 @@ func ReadRecords(d Disk, name string) ([]Record, error) {
 		if err != nil {
 			return nil, err
 		}
-		recs = append(recs, rec)
+		// Next's slices die with the next call; one copy per record.
+		buf := make([]byte, len(rec.Key)+len(rec.Value))
+		n := copy(buf, rec.Key)
+		copy(buf[n:], rec.Value)
+		recs = append(recs, Record{Key: buf[:n:n], Value: buf[n:]})
 	}
 }
