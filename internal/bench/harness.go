@@ -178,13 +178,11 @@ func (h *Harness) newHAMRClusterWith(b Benchmark, mutate func(*cluster.Options))
 	net := h.Spec.Net
 	vc := h.newClock()
 	opts := cluster.Options{
-		NumNodes:        h.Spec.Nodes,
-		Core:            h.Spec.CoreConfig(),
-		DiskModel:       &disk,
-		NetModel:        &net,
-		CompressSpill:   h.Spec.CompressCodec != "",
-		CompressShuffle: h.Spec.CompressCodec != "",
-		CompressCodec:   h.Spec.CompressCodec,
+		NumNodes:      h.Spec.Nodes,
+		Core:          h.Spec.CoreConfig(),
+		DiskModel:     &disk,
+		NetModel:      &net,
+		CompressCodec: h.Spec.CompressCodec,
 	}
 	if vc != nil {
 		opts.Clock = vc
@@ -215,15 +213,13 @@ func (h *Harness) newMRCluster(b Benchmark) (*cluster.Cluster, *mapreduce.Engine
 	net := h.Spec.Net
 	vc := h.newClock()
 	opts := cluster.Options{
-		NumNodes:        h.Spec.Nodes,
-		Core:            h.Spec.CoreConfig(),
-		DiskModel:       &disk,
-		NetModel:        &net,
-		HDFSBlockSize:   h.Spec.HDFSBlockSize,
-		HDFSCacheMB:     h.Spec.HDFSCacheMB,
-		CompressSpill:   h.Spec.CompressCodec != "",
-		CompressShuffle: h.Spec.CompressCodec != "",
-		CompressCodec:   h.Spec.CompressCodec,
+		NumNodes:      h.Spec.Nodes,
+		Core:          h.Spec.CoreConfig(),
+		DiskModel:     &disk,
+		NetModel:      &net,
+		HDFSBlockSize: h.Spec.HDFSBlockSize,
+		HDFSCacheMB:   h.Spec.HDFSCacheMB,
+		CompressCodec: h.Spec.CompressCodec,
 	}
 	if vc != nil {
 		opts.Clock = vc

@@ -2,10 +2,11 @@ package bench
 
 import (
 	"bytes"
-	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/hamr-go/hamr/internal/apps/hamrapps"
+	"github.com/hamr-go/hamr/internal/apps/mrapps"
 	"github.com/hamr-go/hamr/internal/cluster"
 	"github.com/hamr-go/hamr/internal/core"
 	"github.com/hamr-go/hamr/internal/datagen"
@@ -73,14 +74,7 @@ func runMRTimeline(t *testing.T, vc *vtime.VirtualClock) traceRun {
 		SortBufferBytes: 2 << 10,
 		MergeFactor:     2,
 	})
-	if _, err := eng.Run(mapreduce.Job{
-		Name:          "tracewc",
-		InputPrefixes: []string{"in/"},
-		Output:        "out",
-		NumReduces:    1,
-		NewMapper:     func() mapreduce.Mapper { return wcInvMapper{} },
-		NewReducer:    func() mapreduce.Reducer { return sumInvReducer{} },
-	}); err != nil {
+	if _, err := eng.Run(mrapps.WordCountJob("in/", "out", false, 1)); err != nil {
 		t.Fatal(err)
 	}
 	return captureTrace(t, tr)
@@ -164,51 +158,13 @@ func TestTraceDeterministicTimelineHAMR(t *testing.T) {
 
 // ---- overlap regression (the paper's core scheduling claim) ----
 
-// teraTestLines generates n sortable lines from a fixed xorshift stream.
-func teraTestLines(n int) []byte {
-	var buf bytes.Buffer
-	x := uint64(0x2545F4914F6CDD1D)
-	for i := 0; i < n; i++ {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		fmt.Fprintf(&buf, "%016x%012d\n", x, i)
-	}
-	return buf.Bytes()
-}
-
-type teraCutMapper struct{}
-
-func (teraCutMapper) Map(kv core.KV, out mapreduce.Emitter) error {
-	line := kv.Value.(string)
-	k := line
-	if len(k) > 10 {
-		k = k[:10]
-	}
-	return out.Emit(core.KV{Key: k, Value: line})
-}
-
-type teraIdentityReducer struct{}
-
-func (teraIdentityReducer) Reduce(key string, values []any, out mapreduce.Emitter) error {
-	for _, v := range values {
-		if err := out.Emit(core.KV{Key: key, Value: v}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// teraCutFlowlet is the flowlet-engine TeraSort mapper: cut the sort key.
+// teraCutFlowlet is the flowlet-engine TeraSort mapper: cut the sort key
+// off a teraLines row, as teraSortJob's mapper does.
 type teraCutFlowlet struct{}
 
 func (teraCutFlowlet) Map(kv core.KV, ctx core.Context) error {
-	line := kv.Value.(string)
-	k := line
-	if len(k) > 10 {
-		k = k[:10]
-	}
-	return ctx.Emit(core.KV{Key: k, Value: line})
+	k, v, _ := strings.Cut(kv.Value.(string), " ")
+	return ctx.Emit(core.KV{Key: k, Value: v})
 }
 
 // teraOrderReducer is the flowlet-engine TeraSort reduce: a full
@@ -249,7 +205,7 @@ func TestTraceOverlapRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	input := teraTestLines(3000)
+	input := teraLines(3000)
 	if err := mc.FS().WriteFile("in/tera", input, -1); err != nil {
 		t.Fatal(err)
 	}
@@ -257,14 +213,7 @@ func TestTraceOverlapRegression(t *testing.T) {
 		SortBufferBytes: 4 << 10,
 		MergeFactor:     2,
 	})
-	if _, err := eng.Run(mapreduce.Job{
-		Name:          "tracetera",
-		InputPrefixes: []string{"in/"},
-		Output:        "out",
-		NumReduces:    3,
-		NewMapper:     func() mapreduce.Mapper { return teraCutMapper{} },
-		NewReducer:    func() mapreduce.Reducer { return teraIdentityReducer{} },
-	}); err != nil {
+	if _, err := eng.Run(teraSortJob("in/", "out", 3)); err != nil {
 		t.Fatal(err)
 	}
 	mrEvs := mtr.Events()

@@ -1,18 +1,15 @@
 package bench
 
 import (
-	"crypto/sha256"
-	"fmt"
-	"strings"
 	"testing"
 	"time"
 
 	"github.com/hamr-go/hamr/internal/apps/hamrapps"
+	"github.com/hamr-go/hamr/internal/apps/mrapps"
 	"github.com/hamr-go/hamr/internal/cluster"
 	"github.com/hamr-go/hamr/internal/core"
 	"github.com/hamr-go/hamr/internal/datagen"
 	"github.com/hamr-go/hamr/internal/mapreduce"
-	"github.com/hamr-go/hamr/internal/metrics"
 	"github.com/hamr-go/hamr/internal/storage"
 	"github.com/hamr-go/hamr/internal/transport"
 	"github.com/hamr-go/hamr/internal/vtime"
@@ -23,23 +20,8 @@ import (
 // between a real-clock and a virtual-clock run of the same workload.
 // The configurations here are placement-deterministic (single reduce
 // task, oversized YARN memory, one worker per node, no coalescing) so
-// the comparison is exact, the cacheprobe discipline.
-
-// invariantCounters are the byte/op counters whose values must not
-// depend on which clock paid the modeled delays.
-var invariantCounters = []string{
-	"mr.jobs", "mr.spills", "mr.spill.bytes", "mr.merge.passes",
-	"mr.shuffle.bytes", "mr.reduce.disk.merges",
-	"disk.read.bytes", "disk.write.bytes", "net.bytes",
-}
-
-func counterValues(reg *metrics.Registry, names []string) string {
-	parts := make([]string, 0, len(names))
-	for _, n := range names {
-		parts = append(parts, fmt.Sprintf("%s=%d", n, reg.Counter(n).Value()))
-	}
-	return strings.Join(parts, " ")
-}
+// the comparison is exact (the rule in invariance_test.go's header).
+// Unlike TestInvariance's vclock variants, the cost models here charge.
 
 // invariantModels returns mild but non-zero cost models, so the real
 // run actually sleeps and the virtual run actually charges.
@@ -91,51 +73,14 @@ func runMRInvariant(t *testing.T, vc *vtime.VirtualClock) (string, string, time.
 	if vc != nil {
 		mark = vc.Mark()
 	}
-	if _, err := eng.Run(mapreduce.Job{
-		Name:          "wc",
-		InputPrefixes: []string{"in/"},
-		Output:        "out",
-		NumReduces:    1,
-		NewMapper:     func() mapreduce.Mapper { return wcInvMapper{} },
-		NewReducer:    func() mapreduce.Reducer { return sumInvReducer{} },
-	}); err != nil {
+	if _, err := eng.Run(mrapps.WordCountJob("in/", "out", false, 1)); err != nil {
 		t.Fatal(err)
 	}
 	var modeled time.Duration
 	if vc != nil {
 		modeled = vc.Since(mark)
 	}
-	h := sha256.New()
-	for _, name := range c.FS().List("out/") {
-		data, err := c.FS().ReadFile(name, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(h, "%s\n", name)
-		h.Write(data)
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)), counterValues(c.Metrics(), invariantCounters), modeled
-}
-
-type wcInvMapper struct{}
-
-func (wcInvMapper) Map(kv core.KV, out mapreduce.Emitter) error {
-	for _, w := range strings.Fields(kv.Value.(string)) {
-		if err := out.Emit(core.KV{Key: w, Value: int64(1)}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-type sumInvReducer struct{}
-
-func (sumInvReducer) Reduce(key string, values []any, out mapreduce.Emitter) error {
-	var total int64
-	for _, v := range values {
-		total += v.(int64)
-	}
-	return out.Emit(core.KV{Key: key, Value: total})
+	return hashHDFS(t, c, "out/"), counterLine(c.Metrics(), mrCounters), modeled
 }
 
 // runHAMRInvariant runs a spill-heavy WordCount on the flowlet engine
@@ -186,15 +131,11 @@ func runHAMRInvariant(t *testing.T, vc *vtime.VirtualClock) (string, string, tim
 	if vc != nil {
 		modeled = vc.Since(mark)
 	}
-	h := sha256.New()
-	for _, kv := range sink.Sorted() {
-		fmt.Fprintf(h, "%s=%v\n", kv.Key, kv.Value)
-	}
-	counters := counterValues(c.Metrics(), []string{
+	counters := counterLine(c.Metrics(), []string{
 		"reduce.spills", "reduce.spill.bytes",
 		"disk.read.bytes", "disk.write.bytes", "net.bytes",
 	})
-	return fmt.Sprintf("%x", h.Sum(nil)), counters, modeled
+	return hashPairs(sink), counters, modeled
 }
 
 // TestMRInvariantRealVsVirtual: same outputs and byte counters under
@@ -203,7 +144,7 @@ func TestMRInvariantRealVsVirtual(t *testing.T) {
 	realHash, realCounters, _ := runMRInvariant(t, nil)
 	v1Hash, v1Counters, v1Modeled := runMRInvariant(t, vtime.NewVirtual(3))
 	if v1Hash != realHash {
-		t.Errorf("output hash differs: real %s virtual %s", realHash[:16], v1Hash[:16])
+		t.Errorf("output hash differs: real %s virtual %s", realHash, v1Hash)
 	}
 	if v1Counters != realCounters {
 		t.Errorf("counters differ:\n real:    %s\n virtual: %s", realCounters, v1Counters)
@@ -223,7 +164,7 @@ func TestHAMRInvariantRealVsVirtual(t *testing.T) {
 	realHash, realCounters, _ := runHAMRInvariant(t, nil)
 	v1Hash, v1Counters, v1Modeled := runHAMRInvariant(t, vtime.NewVirtual(3))
 	if v1Hash != realHash {
-		t.Errorf("output hash differs: real %s virtual %s", realHash[:16], v1Hash[:16])
+		t.Errorf("output hash differs: real %s virtual %s", realHash, v1Hash)
 	}
 	if v1Counters != realCounters {
 		t.Errorf("counters differ:\n real:    %s\n virtual: %s", realCounters, v1Counters)

@@ -67,24 +67,13 @@ type Options struct {
 	// and (via the engines) task execution. A nil Faults leaves every hot
 	// path untouched — no wrapper disks, no fabric hook.
 	Faults *faults.Config
-	// CompressSpill enables block compression of sort/reduce spill runs and
-	// shuffle segments on their way to local disk; CompressShuffle enables
-	// compression of coalesced shuffle batches on the fabric. Both default
-	// off: as with HDFSCacheMB == 0, the disabled paths — and every
-	// counter — stay bit-identical to a compression-less build.
-	CompressSpill   bool
-	CompressShuffle bool
-	// CompressCodec names the block codec ("lz", "flate", "none"); empty
-	// defaults to "lz". "none" turns both sites back off.
+	// CompressCodec names the block codec ("lz", "flate") that compresses
+	// both byte-moving sites: sort/reduce spill runs and shuffle segments
+	// on their way to local disk, and coalesced shuffle batches on the
+	// fabric. "" (the default) and "none" leave both off: as with
+	// HDFSCacheMB == 0, the disabled paths — and every counter — stay
+	// bit-identical to a compression-less build.
 	CompressCodec string
-	// CompressMinBytes stores blocks smaller than this raw instead of
-	// compressing them (0 = compress everything framed).
-	CompressMinBytes int
-	// CompressNsPerByte is the modeled CPU cost per raw byte charged (and
-	// slept) on both encode and decode, pricing the CPU-for-IO trade. Zero
-	// picks a default of 0.5 ns/byte (scaled by NetModel.TimeScale like
-	// every other data-proportional delay); negative disables the model.
-	CompressNsPerByte float64
 	// Clock pays every modeled delay in the cluster — disk, network,
 	// compression CPU, contention — and is threaded to both engines (the
 	// MapReduce baseline reads it via Cluster.Clock for its startup and
@@ -115,6 +104,11 @@ type Options struct {
 	// trace output bit-identical to the pre-manager engine.
 	JobMemMB int
 }
+
+// compressNsPerByte is the modeled CPU cost per raw byte charged (and
+// slept) on both encode and decode, pricing the CPU-for-IO trade; it is
+// scaled by NetModel.TimeScale like every other data-proportional delay.
+const compressNsPerByte = 0.5
 
 // Cluster is a running simulated cluster.
 type Cluster struct {
@@ -194,61 +188,36 @@ func New(opts Options) (*Cluster, error) {
 		c.net.SetFaults(c.inj)
 	}
 
-	if opts.CompressSpill || opts.CompressShuffle {
-		name := opts.CompressCodec
-		if name == "" {
-			name = "lz"
+	codec, err := compress.Lookup(opts.CompressCodec)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	if codec != nil {
+		// Counters exist only when a codec is on — with compression off
+		// the registry (and every report built from it) is bit-identical
+		// to a compression-less build, the HDFSCacheMB discipline.
+		nsPerByte := compressNsPerByte
+		if s := netModel.TimeScale; s != 0 && s != 1 {
+			nsPerByte *= s
 		}
-		codec, err := compress.Lookup(name)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		if codec != nil {
-			// Counters exist only when a codec is on — with compression off
-			// the registry (and every report built from it) is bit-identical
-			// to a compression-less build, the HDFSCacheMB discipline.
-			nsPerByte := opts.CompressNsPerByte
-			if nsPerByte == 0 {
-				nsPerByte = 0.5
-			}
-			if s := netModel.TimeScale; s != 0 && s != 1 && nsPerByte > 0 {
-				nsPerByte *= s
-			}
-			cin := c.reg.Counter("compress.in.bytes")
-			cout := c.reg.Counter("compress.out.bytes")
-			cskip := c.reg.Counter("compress.skipped")
-			ctime := c.reg.Timer("compress.time")
-			if opts.CompressSpill {
-				c.spillCC = compress.Config{
-					Codec:    codec,
-					MinBytes: opts.CompressMinBytes,
-					Meter: &compress.Meter{
-						In: cin, Out: cout, Skipped: cskip,
-						SiteOut:   c.reg.Counter("spill.compressed.bytes"),
-						Time:      ctime,
-						NsPerByte: nsPerByte,
-						Sleep:     c.cpuCharge,
-					},
-				}
-				opts.Core.SpillCompress = c.spillCC
-			}
-			if opts.CompressShuffle {
-				opts.Core.ShuffleCompress = compress.Config{
-					Codec:    codec,
-					MinBytes: opts.CompressMinBytes,
-					Meter: &compress.Meter{
-						In: cin, Out: cout, Skipped: cskip,
-						SiteOut:   c.reg.Counter("net.compressed.bytes"),
-						Time:      ctime,
-						NsPerByte: nsPerByte,
-						Sleep:     c.cpuCharge,
-					},
-				}
-				// Inbound KindBatchZ frames charge decode CPU only — byte
-				// counters already accounted on the sending side.
-				c.net.SetDecodeMeter(&compress.Meter{Time: ctime, NsPerByte: nsPerByte, Sleep: c.cpuCharge})
+		ctime := c.reg.Timer("compress.time")
+		meter := func(site string) *compress.Meter {
+			return &compress.Meter{
+				In:        c.reg.Counter("compress.in.bytes"),
+				Out:       c.reg.Counter("compress.out.bytes"),
+				Skipped:   c.reg.Counter("compress.skipped"),
+				SiteOut:   c.reg.Counter(site),
+				Time:      ctime,
+				NsPerByte: nsPerByte,
+				Sleep:     c.cpuCharge,
 			}
 		}
+		c.spillCC = compress.Config{Codec: codec, Meter: meter("spill.compressed.bytes")}
+		opts.Core.SpillCompress = c.spillCC
+		opts.Core.ShuffleCompress = compress.Config{Codec: codec, Meter: meter("net.compressed.bytes")}
+		// Inbound KindBatchZ frames charge decode CPU only — byte
+		// counters already accounted on the sending side.
+		c.net.SetDecodeMeter(&compress.Meter{Time: ctime, NsPerByte: nsPerByte, Sleep: c.cpuCharge})
 	}
 
 	c.disks = make([]storage.Disk, opts.NumNodes)
@@ -344,7 +313,7 @@ func (c *Cluster) Tracer() *trace.Tracer { return c.opts.Trace }
 func (c *Cluster) Clock() vtime.Clock { return c.clk }
 
 // SpillCompression returns the spill-site compression config (zero when
-// CompressSpill is off). The MapReduce baseline applies it to sort runs,
+// CompressCodec is off). The MapReduce baseline applies it to sort runs,
 // shuffle segments and fetched reduce runs, so both engines pay — and
 // save — the same bytes on the disk path.
 func (c *Cluster) SpillCompression() compress.Config { return c.spillCC }

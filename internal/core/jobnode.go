@@ -254,10 +254,13 @@ func newJobNode(rt *NodeRuntime, graph *Graph, jobID int64, numNodes int) *jobNo
 	return jn
 }
 
+// maxRefires bounds re-fires of one crashed flowlet task.
+const maxRefires = 3
+
 // fireTask launches one fine-grain flowlet task under the fault injector.
 // The injector may crash the task at its start — before fn has run, so
 // before any side effects — in which case the task is re-fired with the
-// next attempt number. Re-fires are bounded by MaxRefires; an exhausted
+// next attempt number. Re-fires are bounded by maxRefires; an exhausted
 // task returns the injected error, which aborts the job through the normal
 // failure path with the original cause intact. site must be a
 // job-relative identity (flowlet name + node + task index) so the same
@@ -266,7 +269,7 @@ func (jn *jobNode) fireTask(site string, fn func() error) error {
 	inj := jn.rt.cfg.Faults
 	for attempt := 0; ; attempt++ {
 		if err := inj.FlowletFire(site, attempt); err != nil {
-			if attempt >= jn.rt.cfg.MaxRefires {
+			if attempt >= maxRefires {
 				return err
 			}
 			jn.mRefires.Inc()

@@ -63,19 +63,15 @@ type Config struct {
 	// consult it at their start — before any side effects — and a crashed
 	// task is re-fired with the next attempt number.
 	Faults *faults.Injector
-	// MaxRefires bounds re-fires of one crashed flowlet task; once
-	// exhausted the original injected error aborts the job through the
-	// normal failure path (default 3).
-	MaxRefires int
-	// CoalesceBytes / CoalesceMsgs / CoalesceAge configure the node's
-	// outbound transport.Coalescer, which packs small same-destination
-	// messages (bin flushes, acks) into one framed wire message. Zero
-	// fields take the transport defaults (16 KiB / 32 msgs / 500 µs);
-	// CoalesceMsgs < 0 disables coalescing entirely (sends go straight to
-	// the network, used by ablations and tests that count raw messages).
-	CoalesceBytes int64
-	CoalesceMsgs  int
-	CoalesceAge   time.Duration
+	// CoalesceMsgs / CoalesceAge configure the node's outbound
+	// transport.Coalescer, which packs small same-destination messages
+	// (bin flushes, acks) into one framed wire message of at most the
+	// transport default 16 KiB. Zero fields take the transport defaults
+	// (32 msgs / 500 µs); CoalesceMsgs < 0 disables coalescing entirely
+	// (sends go straight to the network, used by ablations and tests that
+	// count raw messages).
+	CoalesceMsgs int
+	CoalesceAge  time.Duration
 	// Clock pays the runtime's modeled delays (the contention model, the
 	// coalescer's age timer). Nil defaults to the real clock — plain
 	// sleeps, bit-identical to the pre-seam engine. The cluster threads
@@ -121,9 +117,6 @@ func (c *Config) FillDefaults() {
 	}
 	if c.PartialStripes <= 0 {
 		c.PartialStripes = 64
-	}
-	if c.MaxRefires <= 0 {
-		c.MaxRefires = 3
 	}
 	if c.Clock == nil {
 		c.Clock = vtime.Real()
@@ -226,7 +219,6 @@ func NewNodeRuntime(id int, cfg Config, net transport.Network, disk storage.Disk
 	}
 	if cfg.CoalesceMsgs >= 0 {
 		rt.co = transport.NewCoalescer(net, transport.CoalescerConfig{
-			MaxBytes: cfg.CoalesceBytes,
 			MaxMsgs:  cfg.CoalesceMsgs,
 			MaxAge:   cfg.CoalesceAge,
 			Compress: cfg.ShuffleCompress,

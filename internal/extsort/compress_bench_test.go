@@ -35,7 +35,7 @@ func zipfSpillRecs(n int) []testRec {
 }
 
 // teraSpillRecs builds TeraSort-style rows: a 10-hex-digit pseudo-random
-// key per record (the same generator shape as cmd/sortprobe's teraLines).
+// key per record (the same generator shape as internal/bench's teraLines).
 func teraSpillRecs(n int) []testRec {
 	recs := make([]testRec, n)
 	state := uint64(0x9E3779B97F4A7C15)

@@ -1,168 +1,32 @@
 package transport
 
-// Before/after microbenchmarks for the fabric rebuild. As with
-// internal/core/hotpath_bench_test.go, the pre-optimization implementation
-// is kept in-tree (legacyInMemNetwork below, verbatim from the original
-// transport.go modulo renames) so a single `go test -bench` run measures
-// both sides on the same host:
+// Microbenchmarks for the message fabric. The pre-optimization network
+// they were first measured against (global mutex + map routing, queue[1:]
+// inbox) is gone; its numbers are in EXPERIMENTS.md "Fabric
+// microbenchmarks (before/after)".
 //
-//	BenchmarkNetSendPath          — lock-free snapshot routing + ring inbox
-//	BenchmarkNetSendPathBaseline  — global mutex + map + queue[1:] slice
-//	BenchmarkCoalescedShuffle     — small messages through a Coalescer
+//	BenchmarkNetSendPath            — lock-free snapshot routing + ring inbox
+//	BenchmarkCoalescedShuffle       — small messages through a Coalescer
 //	BenchmarkCoalescedShuffleDirect — the same messages sent one frame each
 //
-// The send-path benchmarks exercise exactly the per-message work the
+// The send-path benchmark exercises exactly the per-message work the
 // jobNode's shuffle does: a unicast Send with a modeled size, zero-cost
-// model (the modeled sleep is identical on both sides and would drown the
-// engineering difference being measured).
+// model (the modeled sleep would drown the engineering cost being
+// measured).
 
 import (
-	"errors"
-	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"github.com/hamr-go/hamr/internal/metrics"
 )
-
-// ---------------------------------------------------------------------------
-// legacy implementation (pre-optimization), kept for baseline benchmarks
-
-type legacyInbox struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []Message
-	closed  bool
-	handler Handler
-	done    chan struct{}
-}
-
-type legacyInMemNetwork struct {
-	mu     sync.Mutex
-	nodes  map[NodeID]*legacyInbox
-	model  CostModel
-	reg    *metrics.Registry
-	sleep  func(time.Duration)
-	closed bool
-}
-
-func newLegacyInMemNetwork(model CostModel, reg *metrics.Registry) *legacyInMemNetwork {
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	return &legacyInMemNetwork{
-		nodes: make(map[NodeID]*legacyInbox),
-		model: model,
-		reg:   reg,
-		sleep: time.Sleep,
-	}
-}
-
-func (n *legacyInMemNetwork) Register(node NodeID, h Handler) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return errors.New("transport: register on closed network")
-	}
-	if _, dup := n.nodes[node]; dup {
-		return fmt.Errorf("transport: node %d already registered", node)
-	}
-	ib := &legacyInbox{handler: h, done: make(chan struct{})}
-	ib.cond = sync.NewCond(&ib.mu)
-	n.nodes[node] = ib
-	go n.deliver(ib)
-	return nil
-}
-
-func (n *legacyInMemNetwork) deliver(ib *legacyInbox) {
-	defer close(ib.done)
-	for {
-		ib.mu.Lock()
-		for len(ib.queue) == 0 && !ib.closed {
-			ib.cond.Wait()
-		}
-		if len(ib.queue) == 0 && ib.closed {
-			ib.mu.Unlock()
-			return
-		}
-		msg := ib.queue[0]
-		ib.queue = ib.queue[1:]
-		ib.mu.Unlock()
-
-		if d := n.model.delay(msg.Size); d > 0 {
-			n.reg.Observe("net.time", d)
-			n.sleep(d)
-		}
-		ib.handler(msg)
-	}
-}
-
-func (n *legacyInMemNetwork) Send(msg Message) error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return errors.New("transport: send on closed network")
-	}
-	var targets []*legacyInbox
-	if msg.To == Broadcast {
-		targets = make([]*legacyInbox, 0, len(n.nodes))
-		for _, ib := range n.nodes {
-			targets = append(targets, ib)
-		}
-	} else {
-		ib, ok := n.nodes[msg.To]
-		if !ok {
-			n.mu.Unlock()
-			return fmt.Errorf("transport: unknown node %d", msg.To)
-		}
-		targets = []*legacyInbox{ib}
-	}
-	n.mu.Unlock()
-
-	n.reg.Add("net.msgs", int64(len(targets)))
-	n.reg.Add("net.bytes", msg.Size*int64(len(targets)))
-	for _, ib := range targets {
-		ib.mu.Lock()
-		if ib.closed {
-			ib.mu.Unlock()
-			return errors.New("transport: send to closed node")
-		}
-		ib.queue = append(ib.queue, msg)
-		ib.cond.Signal()
-		ib.mu.Unlock()
-	}
-	return nil
-}
-
-func (n *legacyInMemNetwork) Close() error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil
-	}
-	n.closed = true
-	nodes := n.nodes
-	n.mu.Unlock()
-	for _, ib := range nodes {
-		ib.mu.Lock()
-		ib.closed = true
-		ib.cond.Broadcast()
-		ib.mu.Unlock()
-		<-ib.done
-	}
-	return nil
-}
-
-var _ Network = (*legacyInMemNetwork)(nil)
 
 // ---------------------------------------------------------------------------
 // send path
 
 const benchNodes = 8
 
-func benchSendPath(b *testing.B, net Network) {
+func BenchmarkNetSendPath(b *testing.B) {
+	net := NewInMemNetwork(CostModel{}, nil)
 	var delivered atomic.Int64
 	for i := 0; i < benchNodes; i++ {
 		if err := net.Register(NodeID(i), func(Message) { delivered.Add(1) }); err != nil {
@@ -187,14 +51,6 @@ func benchSendPath(b *testing.B, net Network) {
 	if delivered.Load() != int64(b.N) {
 		b.Fatalf("delivered %d of %d", delivered.Load(), b.N)
 	}
-}
-
-func BenchmarkNetSendPath(b *testing.B) {
-	benchSendPath(b, NewInMemNetwork(CostModel{}, nil))
-}
-
-func BenchmarkNetSendPathBaseline(b *testing.B) {
-	benchSendPath(b, newLegacyInMemNetwork(CostModel{}, nil))
 }
 
 // ---------------------------------------------------------------------------
