@@ -16,7 +16,10 @@ type BuilderConfig[T any] struct {
 	RunName func(i int) string
 	// Threshold, when > 0, spills after an Add brings buffered bytes to
 	// Threshold or beyond — Hadoop's io.sort.mb semantics, where the
-	// record that crossed the line is included in the spill.
+	// record that crossed the line is included in the spill. No engine
+	// sets it any more (the MapReduce map task, whose policy it is, runs
+	// on SortBuffer); it is kept for benchmark/layers.go's extsort probe
+	// and the builder's own tests.
 	Threshold int64
 	// Budget, when non-nil, is consulted before each Add; a denied
 	// reservation spills the current buffer first and then forces the
@@ -25,15 +28,11 @@ type BuilderConfig[T any] struct {
 	// buffered records are released on each spill; the caller releases
 	// the final buffer's bytes when it is done iterating.
 	Budget Budget
-	// Transform, when non-nil, maps the sorted buffer to the records
-	// actually written (the map-side combiner). Byte accounting (OnSpill,
-	// Budget release) always uses the pre-transform buffer.
-	Transform func(sorted []T) ([]T, error)
-	// OnSpill observes each spill: the pre-transform record count and
-	// byte total of the buffer just written. Callers attach their
-	// spill counters and heap-accounting resets here. OnSpill always
-	// reports pre-compression (accounted) bytes — Compress only changes
-	// what hits the disk, never the spill accounting or Budget release.
+	// OnSpill observes each spill: the record count and byte total of
+	// the buffer just written. Callers attach their spill counters and
+	// heap-accounting resets here. OnSpill always reports pre-compression
+	// (accounted) bytes — Compress only changes what hits the disk, never
+	// the spill accounting or Budget release.
 	OnSpill func(records int, bytes int64)
 	// Compress, when enabled, block-compresses each spilled run file.
 	// Anyone merging this builder's runs must open them with OpenRunC and
@@ -41,9 +40,12 @@ type BuilderConfig[T any] struct {
 	Compress compress.Config
 }
 
-// RunBuilder accumulates records in memory and spills them as sorted
-// run files when its spill policy (byte threshold or memory budget)
-// triggers. It is not safe for concurrent use; callers that share one
+// RunBuilder accumulates typed records in memory and spills them as
+// sorted run files when its spill policy (byte threshold or memory
+// budget) triggers. It is HAMR's reduce accumulator's builder: that
+// buffer usually never spills and is handed to the reducer as a slice,
+// so it stays typed; records that always reach a run file belong in a
+// SortBuffer. It is not safe for concurrent use; callers that share one
 // builder across goroutines must serialize access.
 type RunBuilder[T any] struct {
 	cfg     BuilderConfig[T]
@@ -93,8 +95,8 @@ func (b *RunBuilder[T]) growBuf() {
 	b.buf = nb
 }
 
-// Spill stably sorts the buffered records, applies the transform, and
-// writes them as the next run file. An empty buffer is a no-op.
+// Spill stably sorts the buffered records and writes them as the next
+// run file. An empty buffer is a no-op.
 func (b *RunBuilder[T]) Spill() error {
 	if len(b.buf) == 0 {
 		return nil
@@ -103,15 +105,8 @@ func (b *RunBuilder[T]) Spill() error {
 		return ErrNoDisk
 	}
 	SortStable(b.buf, b.cfg.Cmp)
-	out := b.buf
-	if b.cfg.Transform != nil {
-		var err error
-		if out, err = b.cfg.Transform(b.buf); err != nil {
-			return err
-		}
-	}
 	name := b.cfg.RunName(b.nextRun)
-	if err := WriteRunC(b.cfg.Disk, name, b.cfg.Format, out, b.cfg.Compress); err != nil {
+	if err := WriteRunC(b.cfg.Disk, name, b.cfg.Format, b.buf, b.cfg.Compress); err != nil {
 		return err
 	}
 	b.nextRun++

@@ -132,59 +132,6 @@ func TestBuilderThresholdIncludesCrossingRecord(t *testing.T) {
 	}
 }
 
-func TestBuilderTransform(t *testing.T) {
-	disk := storage.NewMemDisk(0)
-	var preCount int
-	var preBytes int64
-	b := NewRunBuilder(BuilderConfig[testRec]{
-		Cmp:     testCmp,
-		Format:  testFormat{},
-		Disk:    disk,
-		RunName: func(i int) string { return fmt.Sprintf("t/run-%04d", i) },
-		// Collapse each key group to one record summing seqs (a combiner).
-		Transform: func(sorted []testRec) ([]testRec, error) {
-			var out []testRec
-			for _, r := range sorted {
-				if n := len(out); n > 0 && out[n-1].key == r.key {
-					out[n-1].seq += r.seq
-				} else {
-					out = append(out, r)
-				}
-			}
-			return out, nil
-		},
-		OnSpill: func(records int, bytes int64) { preCount, preBytes = records, bytes },
-	})
-	for i := 0; i < 6; i++ {
-		if err := b.Add(testRec{key: fmt.Sprintf("k%d", i%2), seq: int64(i)}, 7); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.Spill(); err != nil {
-		t.Fatal(err)
-	}
-	if preCount != 6 || preBytes != 42 {
-		t.Fatalf("OnSpill saw (%d, %d), want pre-transform (6, 42)", preCount, preBytes)
-	}
-	rr, err := OpenRun(disk, b.Runs()[0], testFormat{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rr.Close()
-	var recs []testRec
-	for {
-		r, err := rr.Next()
-		if err != nil {
-			break
-		}
-		recs = append(recs, r)
-	}
-	// k0 sums 0+2+4=6, k1 sums 1+3+5=9.
-	if len(recs) != 2 || recs[0].seq != 6 || recs[1].seq != 9 {
-		t.Fatalf("transformed run = %+v", recs)
-	}
-}
-
 func TestBuilderDrainResetsButKeepsRunNumbering(t *testing.T) {
 	disk := storage.NewMemDisk(0)
 	b, _ := testBuilder(disk, nil, 15)

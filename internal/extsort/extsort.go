@@ -1,15 +1,16 @@
 // Package extsort is the single external-sort substrate shared by both
 // engines and the SQL layer: a budget-aware run builder that sorts
 // in-memory buffers and spills them to a node-local disk as ordered run
-// files, a loser-tree k-way merge that streams runs (on disk or in
-// memory) back in global order, and a multi-pass merge honoring a merge
-// factor (Hadoop's io.sort.factor).
+// files, its twin for records that are already bytes (SortBuffer), a
+// loser-tree k-way merge that streams runs (on disk or in memory) back
+// in global order, and a multi-pass merge honoring a merge factor
+// (Hadoop's io.sort.factor).
 //
 // The substrate deliberately owns no cost model of its own: every byte
 // it moves goes through the storage.Disk handed to it, so modeled disk
 // charges (seek latency, throughput, capacity) attach exactly where
 // they did when each engine carried its own spill code. Metrics are
-// reported through explicit hooks (BuilderConfig.OnSpill, the onPass
+// reported through explicit hooks (the builders' OnSpill, the onPass
 // callback of MergeToFactor) so each caller keeps its own counter names
 // and byte-accounting conventions — spill totals and merge pass counts
 // are bit-identical to the pre-extsort implementations.
@@ -18,9 +19,11 @@
 //
 //   - core's reduce accumulator: records are (key, value) pairs ordered
 //     by key, spilling when the node MemoryManager denies a reservation;
-//   - mapreduce's map task: records are (partition, key, value) ordered
-//     by (partition, key), spilling past io.sort.mb, combined at spill
-//     and merge time, multi-pass merged under io.sort.factor;
+//   - mapreduce's map task: records are encoded (partition, key) and value
+//     bytes in a SortBuffer, ordered by the key bytes, spilling past
+//     io.sort.mb, combined at spill and merge time, multi-pass merged
+//     under io.sort.factor; its reduce task merges typed (partition, key,
+//     value) records from fetched segments;
 //   - sqlq's ORDER BY: in-memory SortStable with a row comparator.
 package extsort
 

@@ -225,30 +225,11 @@ func MergeToFactorC(disk storage.Disk, runs []string, factor int,
 
 // mergeRuns merges the batch into one new run file named name.
 func mergeRuns(disk storage.Disk, batch []string, name string, cc compress.Config) error {
-	readers := make([]*storage.RecordReader, 0, len(batch))
-	defer func() {
-		for _, r := range readers {
-			r.Close()
-		}
-	}()
-	sources := make([]Source[storage.Record], 0, len(batch))
-	for _, run := range batch {
-		r, err := OpenRawRun(disk, run, cc)
-		if err != nil {
-			return err
-		}
-		readers = append(readers, r)
-		sources = append(sources, r)
-	}
 	w, err := CreateRawRun(disk, name, cc)
 	if err != nil {
 		return err
 	}
-	// A head's bytes live in its reader's scratch until that reader's next
-	// Next, which the tree calls only after the head has been written.
-	err = Merge(sources, compareKeys, func(rec storage.Record, _ int) error {
-		return w.Write(rec.Key, rec.Value)
-	})
+	err = MergeRuns(disk, batch, cc, w.Write)
 	if cerr := w.Close(); err == nil {
 		err = cerr
 	}
@@ -256,4 +237,30 @@ func mergeRuns(disk storage.Disk, batch []string, name string, cc compress.Confi
 		return fmt.Errorf("extsort: merge runs: %w", err)
 	}
 	return nil
+}
+
+// MergeRuns streams the records of the named run files (written with cc)
+// to emit as bytes, merged in the order of bytes.Compare on their encoded
+// keys, equal keys from the earlier run first. key and value live in the
+// source reader's scratch until that reader's next Next, which the tree
+// calls only after emit has returned: emit must not keep them.
+func MergeRuns(disk storage.Disk, runs []string, cc compress.Config, emit func(key, value []byte) error) error {
+	readers := make([]*storage.RecordReader, 0, len(runs))
+	defer func() {
+		for _, r := range readers {
+			r.Close()
+		}
+	}()
+	sources := make([]Source[storage.Record], 0, len(runs))
+	for _, run := range runs {
+		r, err := OpenRawRun(disk, run, cc)
+		if err != nil {
+			return err
+		}
+		readers = append(readers, r)
+		sources = append(sources, r)
+	}
+	return Merge(sources, compareKeys, func(rec storage.Record, _ int) error {
+		return emit(rec.Key, rec.Value)
+	})
 }

@@ -167,7 +167,9 @@ type Writer struct {
 	fs        *FileSystem
 	meta      *fileMeta
 	preferred transport.NodeID
-	buf       bytes.Buffer
+	// block accumulates the block being written: it starts small, never
+	// grows past the block size, and is handed to appendBlock as it is.
+	block     []byte
 	closed    bool
 	published bool
 	err       error
@@ -193,20 +195,36 @@ func (w *Writer) Write(p []byte) (int, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
-	w.buf.Write(p)
-	for int64(w.buf.Len()) >= w.fs.blockSize {
-		if err := w.flushBlock(w.fs.blockSize); err != nil {
-			w.err = err
-			return 0, err
+	n := len(p)
+	size := int(w.fs.blockSize)
+	for len(p) > 0 {
+		take := min(len(p), size-len(w.block))
+		if need := len(w.block) + take; need > cap(w.block) {
+			grown := make([]byte, len(w.block), min(max(need, 2*cap(w.block), 512), size))
+			copy(grown, w.block)
+			w.block = grown
+		}
+		w.block = append(w.block, p[:take]...)
+		p = p[take:]
+		if len(w.block) == size {
+			if err := w.flushBlock(); err != nil {
+				w.err = err
+				return 0, err
+			}
 		}
 	}
-	return len(p), nil
+	return n, nil
 }
 
-func (w *Writer) flushBlock(n int64) error {
-	data := make([]byte, n)
-	if _, err := io.ReadFull(&w.buf, data); err != nil {
-		return err
+// flushBlock stores the accumulated bytes as the file's next block. The
+// block cache keeps the slice it is given, so the next block starts in the
+// same storage only when the cache is off.
+func (w *Writer) flushBlock() error {
+	data := w.block
+	if w.fs.cache == nil {
+		w.block = data[:0]
+	} else {
+		w.block = nil
 	}
 	return w.fs.appendBlock(w.meta, w.preferred, data)
 }
@@ -313,8 +331,8 @@ func (w *Writer) Close() error {
 		w.discardBlocks()
 		return w.err
 	}
-	if w.buf.Len() > 0 {
-		if err := w.flushBlock(int64(w.buf.Len())); err != nil {
+	if len(w.block) > 0 {
+		if err := w.flushBlock(); err != nil {
 			w.err = err
 			w.discardBlocks()
 			return err

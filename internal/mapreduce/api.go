@@ -4,8 +4,10 @@
 // §3 attributes Hadoop's behaviour to:
 //
 //   - input splits read from HDFS with block locality;
-//   - a map-side sort buffer that spills sorted runs to local disk and
-//     merges them into per-partition map output files (all on-disk);
+//   - a map-side sort buffer of serialized records that spills sorted runs
+//     to local disk and merges them into per-partition map output files
+//     (all on-disk): a pair is encoded when the mapper emits it and not
+//     decoded again before the reducer, unless a combiner folds it;
 //   - an optional combiner applied at spill and merge time;
 //   - a barrier between the map and reduce phases — reduce computation
 //     starts only after every map task finished;
@@ -84,8 +86,12 @@ type Job struct {
 	// job whose map output goes directly to HDFS.
 	NewReducer func() Reducer
 	// NewCombiner, if non-nil, is applied to map output at spill and merge
-	// time (Hadoop's combiner). The values slice a combiner is handed is
-	// reused for the next group: it must not keep it past the call.
+	// time (Hadoop's combiner): one combiner per spill run and one for the
+	// final merge, which folds only groups of two records or more. A
+	// combiner works on records that are already encoded: its values are
+	// decoded for the call into a slice the next group reuses, and what it
+	// emits is encoded before Emit returns. It must keep neither the values
+	// slice nor the emitter past the call.
 	NewCombiner func() Reducer
 	// NumReduces overrides the engine default.
 	NumReduces int

@@ -2,11 +2,14 @@ package mapreduce
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -139,9 +142,9 @@ func (e *Engine) run(ctx context.Context, job Job) (*Result, error) {
 	if partition == nil {
 		partition = core.HashPartition
 	}
-	format := job.OutputFormat
-	if format == nil {
-		format = func(kv core.KV) string { return fmt.Sprintf("%s\t%v\n", kv.Key, kv.Value) }
+	format := appendLine
+	if f := job.OutputFormat; f != nil {
+		format = func(dst []byte, kv core.KV) []byte { return append(dst, f(kv)...) }
 	}
 	mapHeap := job.MapHeapBytes
 	if mapHeap <= 0 {
@@ -306,7 +309,7 @@ func (e *Engine) retryTask(ctx context.Context, jobName, traceID string, base in
 // running and its output is discarded when it finishes (specWG lets the
 // job wait for that drain).
 func (e *Engine) runMapAttempts(ctx context.Context, job Job, jobID int64, taskID int, split hdfs.Split,
-	numReduces int, partition core.Partitioner, format func(core.KV) string, heap int64,
+	numReduces int, partition core.Partitioner, format lineFormat, heap int64,
 	specWG *sync.WaitGroup) (*mapResult, error) {
 
 	tr := e.c.Tracer()
@@ -397,72 +400,18 @@ func (e *Engine) removeSegments(mr *mapResult) {
 // ---------------------------------------------------------------------------
 // map task
 
-// rec is one intermediate record in the map-side sort buffer.
-type rec struct {
-	part  int
-	key   string
-	value any
-}
+// errCorruptRun reports a run record without a usable partition prefix.
+var errCorruptRun = errors.New("mapreduce: corrupt run record")
 
-// recCompare orders intermediate records by (partition, key) — the order
-// spill runs are written in and merges consume them in.
-func recCompare(a, b rec) int {
-	if a.part != b.part {
-		return a.part - b.part
-	}
-	return strings.Compare(a.key, b.key)
-}
-
-// runFormat stores recs in spill/intermediate/fetch run files: the record
-// key embeds the partition as a 4-byte big-endian prefix so merging
-// preserves (partition, key) order, the value is codec-encoded.
-type runFormat struct{}
-
-// appendRunKey appends runFormat's key encoding. bytes.Compare on two of
-// them orders as recCompare orders the records — big-endian partition
-// first, then the raw key, which strings.Compare also compares byte-wise
-// — the contract extsort's byte merge relies on.
+// appendRunKey appends a run key — the key of a record in a spill,
+// intermediate or fetch run file: the partition as a 4-byte big-endian
+// prefix, then the key. bytes.Compare on two run keys orders as recCompare
+// orders the records (big-endian partition first, then the raw key, which
+// strings.Compare also compares byte-wise): the contract extsort's sort
+// buffer and byte merges rely on.
 func appendRunKey[K string | []byte](kbuf []byte, part int, key K) []byte {
 	kbuf = binary.BigEndian.AppendUint32(kbuf, uint32(part))
 	return append(kbuf, key...)
-}
-
-func (runFormat) AppendRecord(kbuf, vbuf []byte, r rec) ([]byte, []byte, error) {
-	vbuf, err := core.EncodeValue(vbuf, r.value)
-	return appendRunKey(kbuf, r.part, r.key), vbuf, err
-}
-
-func (runFormat) DecodeRecord(key, value []byte) (rec, error) {
-	if len(key) < 4 {
-		return rec{}, fmt.Errorf("mapreduce: corrupt run record")
-	}
-	v, _, err := core.DecodeValue(value)
-	if err != nil {
-		return rec{}, err
-	}
-	return rec{
-		part:  int(binary.BigEndian.Uint32(key[:4])),
-		key:   string(key[4:]),
-		value: v,
-	}, nil
-}
-
-// segFormat stores recs in per-partition map output segments: the
-// partition is implied by the file, so the key is stored raw.
-type segFormat struct{ part int }
-
-func (segFormat) AppendRecord(kbuf, vbuf []byte, r rec) ([]byte, []byte, error) {
-	kbuf = append(kbuf, r.key...)
-	vbuf, err := core.EncodeValue(vbuf, r.value)
-	return kbuf, vbuf, err
-}
-
-func (f segFormat) DecodeRecord(key, value []byte) (rec, error) {
-	v, _, err := core.DecodeValue(value)
-	if err != nil {
-		return rec{}, err
-	}
-	return rec{part: f.part, key: string(key), value: v}, nil
 }
 
 // taskEmitter is the Emitter implementation shared by all task kinds; sink
@@ -484,8 +433,32 @@ func (t *taskEmitter) Charge(bytes int64) error {
 	return nil
 }
 
+// lineFormat appends one output pair's text line to dst.
+type lineFormat func(dst []byte, kv core.KV) []byte
+
+// appendLine is the default lineFormat, "key\tvalue\n" with the value as
+// fmt's %v prints it: the common value types are appended directly, the
+// rest go through fmt.
+func appendLine(dst []byte, kv core.KV) []byte {
+	dst = append(dst, kv.Key...)
+	dst = append(dst, '\t')
+	switch v := kv.Value.(type) {
+	case string:
+		dst = append(dst, v...)
+	case int:
+		dst = strconv.AppendInt(dst, int64(v), 10)
+	case int64:
+		dst = strconv.AppendInt(dst, v, 10)
+	case float64:
+		dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
+	default:
+		dst = fmt.Append(dst, v)
+	}
+	return append(dst, '\n')
+}
+
 func (e *Engine) runMapTask(job Job, jobID int64, taskID, attempt int, split hdfs.Split,
-	numReduces int, partition core.Partitioner, format func(core.KV) string, heap int64) (mres *mapResult, rerr error) {
+	numReduces int, partition core.Partitioner, format lineFormat, heap int64) (mres *mapResult, rerr error) {
 
 	reg := e.c.Metrics()
 	inj := e.c.Faults()
@@ -563,21 +536,8 @@ func (e *Engine) runMapTask(job Job, jobID int64, taskID, attempt int, split hdf
 		}
 	}
 
-	disk := e.c.Disk(node)
-
-	mt := &mapTask{
-		e:          e,
-		job:        job,
-		name:       taskName,
-		node:       node,
-		disk:       disk,
-		numReduces: numReduces,
-		partition:  partition,
-		cc:         e.c.SpillCompression(),
-		tr:         tr,
-		tag:        tag,
-		tname:      tname,
-	}
+	em := &taskEmitter{task: taskName, heap: heap}
+	mt := e.newMapTask(job, taskName, tname, tag, node, numReduces, partition, em)
 
 	mapOnly := job.NewReducer == nil
 	var hdfsOut *bufio.Writer
@@ -596,41 +556,20 @@ func (e *Engine) runMapTask(job Job, jobID int64, taskID, attempt int, split hdf
 		if hdfsFile != nil {
 			hdfsFile.Abort()
 		}
-		for _, f := range disk.List(taskName + "/") {
-			_ = disk.Remove(f)
+		for _, f := range mt.disk.List(taskName + "/") {
+			_ = mt.disk.Remove(f)
 		}
 	}()
 
-	em := &taskEmitter{task: taskName, heap: heap}
+	var text []byte // the map-only sink's format scratch
 	em.sink = func(kv core.KV) error {
 		if mapOnly {
-			_, err := hdfsOut.WriteString(format(kv))
+			text = format(text[:0], kv)
+			_, err := hdfsOut.Write(text)
 			return err
 		}
 		return mt.collect(kv, em)
 	}
-
-	// The map-side sort buffer: spills when it exceeds io.sort.mb, each
-	// spill run combined (if configured) and released from the task heap.
-	mt.sorter = extsort.NewRunBuilder(extsort.BuilderConfig[rec]{
-		Cmp:       recCompare,
-		Format:    runFormat{},
-		Disk:      disk,
-		RunName:   func(i int) string { return fmt.Sprintf("%s/spill-%04d", taskName, i) },
-		Threshold: e.cfg.SortBufferBytes,
-		Transform: mt.combineRun,
-		OnSpill: func(i int, bytes int64) {
-			reg.Inc("mr.spills")
-			reg.Add("mr.spill.bytes", bytes)
-			if tr.Enabled() {
-				tr.Instant(node, tag+"/"+tname,
-					fmt.Sprintf("%s/%s/spill-%04d", tag, tname, i), "spill", bytes)
-			}
-			em.Charge(-em.used) // buffer released
-			em.used = 0
-		},
-		Compress: mt.cc,
-	})
 
 	mapper := job.NewMapper()
 	if s, ok := mapper.(Setupper); ok {
@@ -647,7 +586,7 @@ func (e *Engine) runMapTask(job Job, jobID int64, taskID, attempt int, split hdf
 		if !ok {
 			break
 		}
-		kv := core.KV{Key: fmt.Sprintf("%d", off), Value: line}
+		kv := core.KV{Key: strconv.FormatInt(off, 10), Value: line}
 		if err := mapper.Map(kv, em); err != nil {
 			return nil, fmt.Errorf("%s: %w", taskName, err)
 		}
@@ -706,67 +645,193 @@ type mapTask struct {
 	tag   string
 	tname string
 
-	sorter *extsort.RunBuilder[rec]
+	// buf is the sort buffer; kbuf and vbuf are collect's encode scratch.
+	buf        *extsort.SortBuffer
+	kbuf, vbuf []byte
 }
 
-// collect adds one intermediate pair to the sort buffer; the run builder
-// spills when the buffer exceeds io.sort.mb.
+// newMapTask sets up the map side of one task attempt on its node's disk:
+// the sort buffer spills when it exceeds io.sort.mb, each spill run
+// combined (if configured) and released from em, the task's heap account.
+func (e *Engine) newMapTask(job Job, taskName, tname, tag string, node, numReduces int,
+	partition core.Partitioner, em *taskEmitter) *mapTask {
+
+	reg := e.c.Metrics()
+	mt := &mapTask{
+		e:          e,
+		job:        job,
+		name:       taskName,
+		node:       node,
+		disk:       e.c.Disk(node),
+		numReduces: numReduces,
+		partition:  partition,
+		cc:         e.c.SpillCompression(),
+		tr:         e.c.Tracer(),
+		tag:        tag,
+		tname:      tname,
+	}
+	// Every spill run is folded by a combiner of its own, made when the
+	// run's first group arrives.
+	var comb *groupCombiner
+	cfg := extsort.SortBufferConfig{
+		Disk:      mt.disk,
+		RunName:   func(i int) string { return fmt.Sprintf("%s/spill-%04d", taskName, i) },
+		Threshold: e.cfg.SortBufferBytes,
+		OnSpill: func(records int, bytes int64) {
+			reg.Inc("mr.spills")
+			reg.Add("mr.spill.bytes", bytes)
+			if mt.tr.Enabled() {
+				mt.tr.Instant(node, tag+"/"+tname,
+					fmt.Sprintf("%s/%s/spill-%04d", tag, tname, records), "spill", bytes)
+			}
+			em.Charge(-em.used) // buffer released
+			if comb != nil {
+				comb.red = nil
+			}
+		},
+		Compress: mt.cc,
+	}
+	if job.NewCombiner != nil {
+		comb = newGroupCombiner(taskName + "/combine")
+		cfg.Combine = func(key []byte, values [][]byte, emit func(key, value []byte) error) error {
+			if comb.red == nil {
+				comb.red = job.NewCombiner()
+				reg.Inc("mr.combines")
+			}
+			return comb.fold(key, values, emit)
+		}
+	}
+	mt.buf = extsort.NewSortBuffer(cfg)
+	return mt
+}
+
+// collect encodes one intermediate pair — the only time it is encoded on
+// the map side — and adds it to the sort buffer, which spills when it
+// exceeds io.sort.mb.
 func (mt *mapTask) collect(kv core.KV, em *taskEmitter) error {
 	p := mt.partition(kv.Key, mt.numReduces)
 	sz := kv.Size()
 	if err := em.Charge(sz); err != nil {
 		return err
 	}
-	return mt.sorter.Add(rec{part: p, key: kv.Key, value: kv.Value}, sz)
+	var err error
+	if mt.vbuf, err = core.EncodeValue(mt.vbuf[:0], kv.Value); err != nil {
+		return err
+	}
+	mt.kbuf = appendRunKey(mt.kbuf[:0], p, kv.Key)
+	return mt.buf.Add(mt.kbuf, mt.vbuf, sz)
 }
 
-// combineRun applies the job's combiner to a sorted run, collapsing each
-// (partition, key) group. It is the run builder's spill transform.
-func (mt *mapTask) combineRun(in []rec) ([]rec, error) {
-	if mt.job.NewCombiner == nil || len(in) == 0 {
-		return in, nil
+// groupCombiner applies a job's combiner to groups of encoded records: it
+// decodes one group's values, calls Reduce, and encodes what the combiner
+// emits under the group's partition. One emitter and one values scratch
+// serve every group: the combiner may keep neither past its Reduce call.
+type groupCombiner struct {
+	red        Reducer
+	em         taskEmitter
+	values     []any
+	part       int
+	kbuf, vbuf []byte
+	emit       func(key, value []byte) error
+}
+
+// newGroupCombiner returns a combiner whose emitter reports as task; red
+// is set by the caller.
+func newGroupCombiner(task string) *groupCombiner {
+	c := &groupCombiner{}
+	c.em = taskEmitter{task: task, sink: c.encode}
+	return c
+}
+
+// encode is the emitter's sink: one combined pair becomes a run record.
+func (c *groupCombiner) encode(kv core.KV) error {
+	var err error
+	if c.vbuf, err = core.EncodeValue(c.vbuf[:0], kv.Value); err != nil {
+		return err
 	}
-	comb := mt.job.NewCombiner()
-	// A combiner emits about one record per group: count them, so out is
-	// allocated once at its final size.
-	groups := 0
-	for i := range in {
-		if i == 0 || in[i].part != in[i-1].part || in[i].key != in[i-1].key {
-			groups++
+	c.kbuf = appendRunKey(c.kbuf[:0], c.part, kv.Key)
+	return c.emit(c.kbuf, c.vbuf)
+}
+
+// fold combines the group with the given run key and encoded values and
+// passes the combiner's output, as run records, to emit.
+func (c *groupCombiner) fold(key []byte, values [][]byte, emit func(key, value []byte) error) error {
+	if len(key) < 4 {
+		return errCorruptRun
+	}
+	if n := len(values); n > cap(c.values) {
+		c.values = make([]any, 0, max(n, 2*cap(c.values)))
+	}
+	c.values = c.values[:0]
+	for _, b := range values {
+		v, _, err := core.DecodeValue(b)
+		if err != nil {
+			return err
+		}
+		c.values = append(c.values, v)
+	}
+	c.part, c.emit = int(binary.BigEndian.Uint32(key)), emit
+	return c.red.Reduce(string(key[4:]), c.values, &c.em)
+}
+
+// mergeGroups gathers the final merge's records into key groups for the
+// merge-time combiner. The merge lends a record only until it reads the
+// next, so the open group's key and values are copied into scratch that
+// every group reuses.
+type mergeGroups struct {
+	comb   *groupCombiner
+	out    func(key, value []byte) error
+	key    []byte   // the open group's run key
+	data   []byte   // its encoded values, back to back
+	ends   []int    // where each one ends in data
+	values [][]byte // fold's argument
+}
+
+// add takes the merge's next record, first closing the open group if the
+// record is not part of it.
+func (g *mergeGroups) add(key, value []byte) error {
+	if len(g.ends) > 0 && !bytes.Equal(key, g.key) {
+		if err := g.flush(); err != nil {
+			return err
 		}
 	}
-	out := make([]rec, 0, groups)
-	// One emitter and one values scratch serve every group of the run: the
-	// combiner may keep neither past its Reduce call.
-	part := 0
-	ce := &taskEmitter{task: mt.name + "/combine", heap: 0}
-	ce.sink = func(kv core.KV) error {
-		out = append(out, rec{part: part, key: kv.Key, value: kv.Value})
+	if len(g.ends) == 0 {
+		g.key = append(g.key[:0], key...)
+	}
+	g.data = append(g.data, value...)
+	g.ends = append(g.ends, len(g.data))
+	return nil
+}
+
+// flush writes the open group out: combined when it holds more than one
+// record, as it is — and never decoded — when it holds one.
+func (g *mergeGroups) flush() error {
+	if len(g.ends) == 0 {
 		return nil
 	}
-	var values []any
-	i := 0
-	for i < len(in) {
-		j := i
-		values = values[:0]
-		for j < len(in) && in[j].part == in[i].part && in[j].key == in[i].key {
-			values = append(values, in[j].value)
-			j++
+	var err error
+	if len(g.ends) == 1 {
+		err = g.out(g.key, g.data)
+	} else {
+		g.values = g.values[:0]
+		start := 0
+		for _, end := range g.ends {
+			g.values = append(g.values, g.data[start:end])
+			start = end
 		}
-		part = in[i].part
-		if err := comb.Reduce(in[i].key, values, ce); err != nil {
-			return nil, err
-		}
-		i = j
+		err = g.comb.fold(g.key, g.values, g.out)
 	}
-	mt.e.c.Metrics().Inc("mr.combines")
-	return out, nil
+	g.data, g.ends = g.data[:0], g.ends[:0]
+	return err
 }
 
 // finish performs the final spill and merges all spills into one sorted
-// per-partition segment file each, returning the segment list.
+// per-partition segment file each, returning the segment list. The merge
+// moves bytes: a record's partition prefix is cut off on its way into its
+// segment and its value is decoded only if the merge-time combiner folds
+// it, so what collect encoded is first decoded by the reducer.
 func (mt *mapTask) finish() ([]segInfo, error) {
-	if err := mt.sorter.Spill(); err != nil {
+	if err := mt.buf.Spill(); err != nil {
 		return nil, err
 	}
 	// The merge span covers every pass plus the final per-partition write;
@@ -781,38 +846,21 @@ func (mt *mapTask) finish() ([]segInfo, error) {
 	// rereads and rewrites the intermediate data on disk, as Hadoop's
 	// io.sort.factor does.
 	reg := mt.e.c.Metrics()
-	spills, err := extsort.MergeToFactorC(mt.disk, mt.sorter.Runs(), mt.e.cfg.MergeFactor,
+	spills, err := extsort.MergeToFactorC(mt.disk, mt.buf.Runs(), mt.e.cfg.MergeFactor,
 		func(pass int) string { return fmt.Sprintf("%s/interm-%04d", mt.name, pass) },
 		func() { reg.Inc("mr.merge.passes") }, mt.cc)
 	if err != nil {
 		return nil, err
 	}
-	// Final merge of the remaining runs (disk read) into per-partition
-	// segments (disk write) — Hadoop's merge phase.
-	sources := make([]extsort.Source[rec], 0, len(spills))
-	readers := make([]*extsort.RunReader[rec], 0, len(spills))
-	for _, s := range spills {
-		rr, err := extsort.OpenRunC(mt.disk, s, runFormat{}, mt.cc)
-		if err != nil {
-			for _, r := range readers {
-				r.Close()
-			}
-			return nil, err
-		}
-		readers = append(readers, rr)
-		sources = append(sources, rr)
-	}
 	defer func() {
-		for _, r := range readers {
-			r.Close()
-		}
 		for _, s := range spills {
 			_ = mt.disk.Remove(s)
 		}
 	}()
 
-	segs := make([]segInfo, mt.numReduces)
-	writers := make([]*extsort.RunWriter[rec], mt.numReduces)
+	// Final merge of the remaining runs (disk read) into per-partition
+	// segments (disk write) — Hadoop's merge phase.
+	writers := make([]*storage.RecordWriter, mt.numReduces)
 	names := make([]string, mt.numReduces)
 	defer func() {
 		for _, w := range writers {
@@ -821,57 +869,44 @@ func (mt *mapTask) finish() ([]segInfo, error) {
 			}
 		}
 	}()
-
-	var comb Reducer
-	if mt.job.NewCombiner != nil && len(readers) > 1 {
-		comb = mt.job.NewCombiner()
-	}
-	write := func(r rec) error {
-		w := writers[r.part]
+	write := func(key, value []byte) error {
+		if len(key) < 4 {
+			return errCorruptRun
+		}
+		part := int(binary.BigEndian.Uint32(key))
+		if part >= len(writers) {
+			return errCorruptRun
+		}
+		w := writers[part]
 		if w == nil {
-			names[r.part] = fmt.Sprintf("%s/segment-%05d", mt.name, r.part)
+			names[part] = fmt.Sprintf("%s/segment-%05d", mt.name, part)
 			var err error
-			w, err = extsort.NewRunWriterC(mt.disk, names[r.part], segFormat{part: r.part}, mt.cc)
-			if err != nil {
+			if w, err = extsort.CreateRawRun(mt.disk, names[part], mt.cc); err != nil {
 				return err
 			}
-			writers[r.part] = w
+			writers[part] = w
 		}
-		return w.Write(r)
+		return w.Write(key[4:], value)
 	}
-
-	// As in combineRun, one emitter and one values scratch serve every group.
-	part := 0
-	ce := &taskEmitter{task: mt.name + "/merge-combine"}
-	ce.sink = func(kv core.KV) error {
-		return write(rec{part: part, key: kv.Key, value: kv.Value})
+	if mt.job.NewCombiner != nil && len(spills) > 1 {
+		groups := &mergeGroups{comb: newGroupCombiner(mt.name + "/merge-combine"), out: write}
+		groups.comb.red = mt.job.NewCombiner()
+		if err = extsort.MergeRuns(mt.disk, spills, mt.cc, groups.add); err == nil {
+			err = groups.flush()
+		}
+	} else {
+		err = extsort.MergeRuns(mt.disk, spills, mt.cc, write)
 	}
-	var values []any
-	err = extsort.MergeGrouped(sources, recCompare, nil, func(group []rec) error {
-		if comb != nil && len(group) > 1 {
-			values = values[:0]
-			for _, g := range group {
-				values = append(values, g.value)
-			}
-			part = group[0].part
-			return comb.Reduce(group[0].key, values, ce)
-		}
-		for _, g := range group {
-			if err := write(g); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 	if err != nil {
 		return nil, err
 	}
+
+	segs := make([]segInfo, mt.numReduces)
 	var segBytes int64
-	for p := 0; p < mt.numReduces; p++ {
-		if writers[p] == nil {
+	for p, w := range writers {
+		if w == nil {
 			continue
 		}
-		w := writers[p]
 		writers[p] = nil
 		if err := w.Close(); err != nil {
 			return nil, err
@@ -890,10 +925,50 @@ func (mt *mapTask) finish() ([]segInfo, error) {
 // ---------------------------------------------------------------------------
 // reduce task
 
-// readSegment decodes a fetched segment of partition part into memory;
-// records is the count the map task recorded for it.
+// rec is one intermediate record of a reduce task's merge, decoded.
+type rec struct {
+	part  int
+	key   string
+	value any
+}
+
+// recCompare orders intermediate records by (partition, key) — the order
+// spill runs are written in and merges consume them in.
+func recCompare(a, b rec) int {
+	if a.part != b.part {
+		return a.part - b.part
+	}
+	return strings.Compare(a.key, b.key)
+}
+
+// runFormat reads and writes recs in run files: the key is the run key
+// (appendRunKey), the value is codec-encoded.
+type runFormat struct{}
+
+func (runFormat) AppendRecord(kbuf, vbuf []byte, r rec) ([]byte, []byte, error) {
+	vbuf, err := core.EncodeValue(vbuf, r.value)
+	return appendRunKey(kbuf, r.part, r.key), vbuf, err
+}
+
+func (runFormat) DecodeRecord(key, value []byte) (rec, error) {
+	if len(key) < 4 {
+		return rec{}, errCorruptRun
+	}
+	v, _, err := core.DecodeValue(value)
+	if err != nil {
+		return rec{}, err
+	}
+	return rec{
+		part:  int(binary.BigEndian.Uint32(key[:4])),
+		key:   string(key[4:]),
+		value: v,
+	}, nil
+}
+
+// readSegment decodes a fetched segment of partition part — its keys are
+// stored without the partition prefix — into memory; records is the count
+// the map task recorded for it.
 func readSegment(src *storage.RecordReader, part int, records int64) ([]rec, error) {
-	f := segFormat{part: part}
 	recs := make([]rec, 0, records)
 	for {
 		rc, err := src.Next()
@@ -903,11 +978,11 @@ func readSegment(src *storage.RecordReader, part int, records int64) ([]rec, err
 		if err != nil {
 			return nil, err
 		}
-		r, err := f.DecodeRecord(rc.Key, rc.Value)
+		v, _, err := core.DecodeValue(rc.Value)
 		if err != nil {
 			return nil, err
 		}
-		recs = append(recs, r)
+		recs = append(recs, rec{part: part, key: string(rc.Key), value: v})
 	}
 }
 
@@ -938,7 +1013,7 @@ func copySegment(src *storage.RecordReader, disk storage.Disk, name string, part
 }
 
 func (e *Engine) runReduceTask(job Job, jobID int64, r, attempt int, maps []*mapResult,
-	format func(core.KV) string, heap int64) (fetched int64, rerr error) {
+	format lineFormat, heap int64) (fetched int64, rerr error) {
 
 	reg := e.c.Metrics()
 	inj := e.c.Faults()
@@ -1099,8 +1174,10 @@ func (e *Engine) runReduceTask(job Job, jobID int64, r, attempt int, maps []*map
 	out = e.c.FS().Create(fmt.Sprintf("%s/part-r-%05d", job.Output, r), transport.NodeID(node))
 	w := bufio.NewWriter(out)
 	em := &taskEmitter{task: taskName, heap: heap}
+	var text []byte // the sink's format scratch
 	em.sink = func(kv core.KV) error {
-		_, err := w.WriteString(format(kv))
+		text = format(text[:0], kv)
+		_, err := w.Write(text)
 		return err
 	}
 	reducer := job.NewReducer()

@@ -25,28 +25,14 @@ func teraRows(n int) string {
 	return sb.String()
 }
 
-// TestExternalReduceMatchesPinnedBaseline runs an identity sort whose map
-// tasks spill and multi-pass merge and whose reducers merge from disk —
-// every leg of the spill → merge → fetch path — and compares its output
-// and its modeled-cost counters with values recorded before that path
-// moved to byte merges and recycled pages (PR 13). A change to the path
-// must not move any of them.
-func TestExternalReduceMatchesPinnedBaseline(t *testing.T) {
-	// A zero-cost disk model still counts every byte through CostDisk.
-	c, err := cluster.New(cluster.Options{NumNodes: 4, HDFSBlockSize: 4 << 10, DiskModel: &storage.CostModel{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	if err := c.FS().WriteFile("in/rows.txt", []byte(teraRows(6000)), -1); err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(c, Config{SortBufferBytes: 2 << 10, MergeFactor: 3, ReduceHeapBytes: 16 << 10})
-	job := Job{
+// identitySortJob is TeraSort over teraRows: the mapper cuts a row into key
+// and payload, the reducer emits every value of every key.
+func identitySortJob(reduces int) Job {
+	return Job{
 		Name:          "terasort",
 		InputPrefixes: []string{"in/"},
 		Output:        "out",
-		NumReduces:    4,
+		NumReduces:    reduces,
 		NewMapper: func() Mapper {
 			return MapperFunc(func(kv core.KV, out Emitter) error {
 				k, v, _ := strings.Cut(kv.Value.(string), " ")
@@ -64,6 +50,26 @@ func TestExternalReduceMatchesPinnedBaseline(t *testing.T) {
 			})
 		},
 	}
+}
+
+// TestExternalReduceMatchesPinnedBaseline runs an identity sort whose map
+// tasks spill and multi-pass merge and whose reducers merge from disk —
+// every leg of the spill → merge → fetch path — and compares its output
+// and its modeled-cost counters with values recorded before that path
+// moved to byte merges and recycled pages (PR 13). A change to the path
+// must not move any of them.
+func TestExternalReduceMatchesPinnedBaseline(t *testing.T) {
+	// A zero-cost disk model still counts every byte through CostDisk.
+	c, err := cluster.New(cluster.Options{NumNodes: 4, HDFSBlockSize: 4 << 10, DiskModel: &storage.CostModel{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if err := c.FS().WriteFile("in/rows.txt", []byte(teraRows(6000)), -1); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(c, Config{SortBufferBytes: 2 << 10, MergeFactor: 3, ReduceHeapBytes: 16 << 10})
+	job := identitySortJob(4)
 	if _, err := e.Run(job); err != nil {
 		t.Fatal(err)
 	}
