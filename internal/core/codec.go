@@ -150,6 +150,19 @@ func DecodeValue(b []byte) (any, int, error) {
 		p += 8
 		return x, nil
 	}
+	// getCount reads an element count and requires the bytes that remain
+	// to hold that many elements of at least width bytes, so a corrupt
+	// header cannot size an allocation.
+	getCount := func(width int) (int, error) {
+		n, err := getU64()
+		if err != nil {
+			return 0, err
+		}
+		if n > uint64(len(b)-p)/uint64(width) {
+			return 0, fmt.Errorf("core: truncated value")
+		}
+		return int(n), nil
+	}
 	switch tag {
 	case tagNil:
 		return nil, p, nil
@@ -192,7 +205,7 @@ func DecodeValue(b []byte) (any, int, error) {
 		v := append([]byte(nil), b[p:p+int(n)]...)
 		return v, p + int(n), nil
 	case tagFloat64Slice:
-		n, err := getU64()
+		n, err := getCount(8)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -206,7 +219,7 @@ func DecodeValue(b []byte) (any, int, error) {
 		}
 		return v, p, nil
 	case tagInt64Slice:
-		n, err := getU64()
+		n, err := getCount(8)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -220,7 +233,7 @@ func DecodeValue(b []byte) (any, int, error) {
 		}
 		return v, p, nil
 	case tagStringSlice:
-		n, err := getU64()
+		n, err := getCount(8)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -238,7 +251,7 @@ func DecodeValue(b []byte) (any, int, error) {
 		}
 		return v, p, nil
 	case tagIntSlice:
-		n, err := getU64()
+		n, err := getCount(8)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -252,12 +265,12 @@ func DecodeValue(b []byte) (any, int, error) {
 		}
 		return v, p, nil
 	case tagMapStringInt64:
-		n, err := getU64()
+		n, err := getCount(16) // a key length and a value
 		if err != nil {
 			return nil, 0, err
 		}
 		v := make(map[string]int64, n)
-		for i := uint64(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			kl, err := getU64()
 			if err != nil {
 				return nil, 0, err

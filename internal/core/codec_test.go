@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -154,6 +156,85 @@ func TestCodecTruncatedInput(t *testing.T) {
 	if _, _, err := DecodeValue(nil); err == nil {
 		t.Fatal("decoding empty buffer succeeded")
 	}
+}
+
+// hostileCounts are encodings whose element count is not backed by the
+// bytes that follow: a count whose byte size overflows int, one that fits
+// int and would size a 2 GiB slice, a map of 2^40 entries.
+var hostileCounts = [][]byte{
+	{byte(tagFloat64Slice), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+	{byte(tagInt64Slice), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+	{byte(tagStringSlice), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+	{byte(tagIntSlice), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+	{byte(tagFloat64Slice), 0, 0, 0, 0x10, 0, 0, 0, 0},
+	{byte(tagStringSlice), 0, 0, 0, 0x10, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 'x'},
+	{byte(tagMapStringInt64), 0, 0, 0, 0, 0, 1, 0, 0},
+}
+
+// decodeMeasured is DecodeValue and the bytes the call allocated.
+func decodeMeasured(b []byte) (v any, n int, err error, alloc uint64) {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	v, n, err = DecodeValue(b)
+	runtime.ReadMemStats(&m1)
+	return v, n, err, m1.TotalAlloc - m0.TotalAlloc
+}
+
+// A count the input cannot back is an error before it is an allocation.
+func TestCodecHostileCounts(t *testing.T) {
+	for _, b := range hostileCounts {
+		if _, _, err, alloc := decodeMeasured(b); err == nil || alloc > 1<<20 {
+			t.Errorf("DecodeValue(% x) = %v after allocating %d bytes, want an error and none to speak of", b, err, alloc)
+		}
+	}
+}
+
+// FuzzDecodeValue holds DecodeValue to what a decoder of bytes read back
+// from disk owes its caller: whatever the input, it does not panic and it
+// allocates no more than a small multiple of the input (plus gob's fixed
+// cost); and what it accepts encodes again to something that decodes to
+// the same value.
+func FuzzDecodeValue(f *testing.F) {
+	RegisterValue(customValue{})
+	for _, v := range []any{
+		nil, true, int64(-7), 2.5, "string", []byte("bytes"), []float64{1, math.NaN()},
+		[]int64{1, -2}, []string{"a", "", "bc"}, customValue{Name: "gob", Count: 1},
+		[]int{3, 4}, map[string]int64{"k": 1, "": 2},
+	} {
+		b, err := EncodeValue(nil, v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, b := range hostileCounts {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		v, n, err, alloc := decodeMeasured(b)
+		if limit := uint64(64*len(b) + 1<<20); alloc > limit {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(b), alloc, limit)
+		}
+		if err != nil {
+			return
+		}
+		if n < 1 || n > len(b) {
+			t.Fatalf("consumed %d of %d bytes", n, len(b))
+		}
+		enc, err := EncodeValue(nil, v)
+		if err != nil {
+			t.Fatalf("decoded %#v does not encode: %v", v, err)
+		}
+		v2, n2, err := DecodeValue(enc)
+		if err != nil || n2 != len(enc) {
+			t.Fatalf("re-decode of %#v: %v (%d of %d bytes)", v, err, n2, len(enc))
+		}
+		// Maps encode in any order and NaN is not DeepEqual to itself, so
+		// either the values or their encodings must agree.
+		if enc2, _ := EncodeValue(nil, v2); !reflect.DeepEqual(v, v2) && !bytes.Equal(enc, enc2) {
+			t.Fatalf("round trip %#v -> %#v", v, v2)
+		}
+	})
 }
 
 // Property: KV pairs with string keys and mixed scalar values always

@@ -106,7 +106,7 @@ func (b *RunBuilder[T]) Spill() error {
 	}
 	SortStable(b.buf, b.cfg.Cmp)
 	name := b.cfg.RunName(b.nextRun)
-	if err := WriteRunC(b.cfg.Disk, name, b.cfg.Format, b.buf, b.cfg.Compress); err != nil {
+	if err := writeRun(b.cfg.Disk, name, b.cfg.Format, b.buf, b.cfg.Compress); err != nil {
 		return err
 	}
 	b.nextRun++

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/storage"
 )
 
@@ -179,7 +180,7 @@ func TestMergeToFactorPassesAndCleanup(t *testing.T) {
 	passes := 0
 	merged, err := MergeToFactor(disk, runs, 4,
 		func(pass int) string { return fmt.Sprintf("interm-%04d", pass) },
-		func() { passes++ })
+		func() { passes++ }, compress.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func TestMergeToFactorNoOpWithinFactor(t *testing.T) {
 	}
 	runs := b.Runs()
 	got, err := MergeToFactor(disk, runs, 10,
-		func(int) string { return "interm" }, func() { t.Fatal("pass run under factor") })
+		func(int) string { return "interm" }, func() { t.Fatal("pass run under factor") }, compress.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func benchSpill(b *testing.B, recs []testRec, cc compress.Config) {
 	var bytes int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := WriteRunC(disk, "bench-run", testFormat{}, recs, cc); err != nil {
+		if err := writeRun(disk, "bench-run", testFormat{}, recs, cc); err != nil {
 			b.Fatal(err)
 		}
 		rr, err := OpenRunC(disk, "bench-run", testFormat{}, cc)

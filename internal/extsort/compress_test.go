@@ -29,10 +29,10 @@ func TestCompressedRunRoundTrip(t *testing.T) {
 	SortStable(recs, testCmp)
 
 	cc := compress.Config{Codec: compress.LZ{}}
-	if err := WriteRunC(disk, "plain", testFormat{}, recs, compress.Config{}); err != nil {
+	if err := writeRun(disk, "plain", testFormat{}, recs, compress.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteRunC(disk, "lz", testFormat{}, recs, cc); err != nil {
+	if err := writeRun(disk, "lz", testFormat{}, recs, cc); err != nil {
 		t.Fatal(err)
 	}
 	plainSize, _ := disk.Size("plain")
@@ -62,7 +62,7 @@ func TestCompressedRunRoundTrip(t *testing.T) {
 }
 
 // TestCompressedBuilderAndMerge: spills from a builder with Compress set
-// merge through MergeToFactorC into the same sequence an uncompressed
+// merge through MergeToFactor into the same sequence an uncompressed
 // pipeline produces, and OnSpill still reports pre-compression bytes.
 func TestCompressedBuilderAndMerge(t *testing.T) {
 	run := func(cc compress.Config) (recs []testRec, spillBytes int64, diskBytes int64) {
@@ -84,7 +84,7 @@ func TestCompressedBuilderAndMerge(t *testing.T) {
 		if err := b.Spill(); err != nil {
 			t.Fatal(err)
 		}
-		runs, err := MergeToFactorC(disk, b.Runs(), 3,
+		runs, err := MergeToFactor(disk, b.Runs(), 3,
 			func(pass int) string { return fmt.Sprintf("interm-%d", pass) }, nil, cc)
 		if err != nil {
 			t.Fatal(err)

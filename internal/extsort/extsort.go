@@ -22,8 +22,8 @@
 //   - mapreduce's map task: records are encoded (partition, key) and value
 //     bytes in a SortBuffer, ordered by the key bytes, spilling past
 //     io.sort.mb, combined at spill and merge time, multi-pass merged
-//     under io.sort.factor; its reduce task merges typed (partition, key,
-//     value) records from fetched segments;
+//     under io.sort.factor; its reduce task merges the same bytes from
+//     the runs it fetched its segments into (MergeRuns);
 //   - sqlq's ORDER BY: in-memory SortStable with a row comparator.
 package extsort
 

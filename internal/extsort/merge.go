@@ -193,16 +193,9 @@ func compareKeys(a, b storage.Record) int { return bytes.Compare(a.Key, b.Key) }
 // run; onPass (may be nil) is invoked once per completed pass, which is
 // where callers count merge passes. Input runs consumed by a pass are
 // removed from disk; the returned list replaces them with the
-// intermediates.
+// intermediates. Runs are opened and intermediates written with cc; all
+// runs in the list must share its enabled/disabled state.
 func MergeToFactor(disk storage.Disk, runs []string, factor int,
-	intermName func(pass int) string, onPass func()) ([]string, error) {
-	return MergeToFactorC(disk, runs, factor, intermName, onPass, compress.Config{})
-}
-
-// MergeToFactorC is MergeToFactor over compressed runs: input runs are
-// opened and intermediates written with cc (zero Config = MergeToFactor).
-// All runs in the list must share one enabled/disabled state.
-func MergeToFactorC(disk storage.Disk, runs []string, factor int,
 	intermName func(pass int) string, onPass func(), cc compress.Config) ([]string, error) {
 
 	pass := 0

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/storage"
 )
 
@@ -57,7 +58,7 @@ func mergeToFactorFixture(tb testing.TB, disk storage.Disk, perRun int) ([]strin
 	names := make([]string, len(runs))
 	for i, run := range runs {
 		names[i] = fmt.Sprintf("run-%02d", i)
-		if err := WriteRun(disk, names[i], testFormat{}, run); err != nil {
+		if err := writeRun(disk, names[i], testFormat{}, run, compress.Config{}); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -70,7 +71,7 @@ func mergeToFactor4(tb testing.TB, disk storage.Disk, names []string) int {
 	tb.Helper()
 	passes := 0
 	left, err := MergeToFactor(disk, names, 4,
-		func(pass int) string { return fmt.Sprintf("interm-%02d", pass) }, func() { passes++ })
+		func(pass int) string { return fmt.Sprintf("interm-%02d", pass) }, func() { passes++ }, compress.Config{})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/storage"
 )
 
@@ -135,13 +136,13 @@ func checkByteMerge[T comparable](t *testing.T, runs [][]T, f Format[T], cmp Com
 	names := make([]string, len(runs))
 	for i, run := range runs {
 		names[i] = fmt.Sprintf("run-%03d", i)
-		if err := WriteRun(disk, names[i], f, run); err != nil {
+		if err := writeRun(disk, names[i], f, run, compress.Config{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	passes := 0
 	left, err := MergeToFactor(disk, names, factor,
-		func(pass int) string { return fmt.Sprintf("interm-%03d", pass) }, func() { passes++ })
+		func(pass int) string { return fmt.Sprintf("interm-%03d", pass) }, func() { passes++ }, compress.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestMergeMixedFileAndSliceSources(t *testing.T) {
 	for i, run := range runs {
 		if i%2 == 0 {
 			name := fmt.Sprintf("run-%d", i)
-			if err := WriteRun(disk, name, testFormat{}, run); err != nil {
+			if err := writeRun(disk, name, testFormat{}, run, compress.Config{}); err != nil {
 				t.Fatal(err)
 			}
 			rr, err := OpenRun(disk, name, testFormat{})

@@ -10,7 +10,7 @@ import (
 
 // Format converts typed records to and from the raw key/value byte
 // pairs stored in length-prefixed run files. Encoders append into
-// caller-provided scratch (reused across records by RunWriter); decoders
+// caller-provided scratch (reused across records); decoders
 // receive slices they must not retain.
 //
 // Byte-order contract: for the Compare the runs are sorted by,
@@ -24,14 +24,6 @@ type Format[T any] interface {
 	AppendRecord(kbuf, vbuf []byte, rec T) ([]byte, []byte, error)
 	// DecodeRecord reconstructs a record from raw key/value bytes.
 	DecodeRecord(key, value []byte) (T, error)
-}
-
-// RunWriter writes one sorted run file. The caller is responsible for
-// feeding records in run order; the writer only encodes and frames.
-type RunWriter[T any] struct {
-	w    *storage.RecordWriter
-	f    Format[T]
-	k, v []byte // encode scratch, reused across records
 }
 
 // CreateRawRun creates the named run file and returns the record writer
@@ -68,66 +60,28 @@ func OpenRawRun(disk storage.Disk, name string, cc compress.Config) (*storage.Re
 	return storage.NewRecordReader(r), nil
 }
 
-// NewRunWriter creates the named run file on disk, uncompressed.
-func NewRunWriter[T any](disk storage.Disk, name string, f Format[T]) (*RunWriter[T], error) {
-	return NewRunWriterC(disk, name, f, compress.Config{})
-}
-
-// NewRunWriterC creates the named run file with optional compression
-// (see CreateRawRun). The zero Config is byte-for-byte NewRunWriter.
-func NewRunWriterC[T any](disk storage.Disk, name string, f Format[T], cc compress.Config) (*RunWriter[T], error) {
+// writeRun writes an already-sorted slice of records as one run file,
+// compressed when cc has a codec (see CreateRawRun).
+func writeRun[T any](disk storage.Disk, name string, f Format[T], recs []T, cc compress.Config) error {
 	w, err := CreateRawRun(disk, name, cc)
 	if err != nil {
-		return nil, err
-	}
-	return &RunWriter[T]{w: w, f: f}, nil
-}
-
-// Write appends one record.
-func (w *RunWriter[T]) Write(rec T) error {
-	k, v, err := w.f.AppendRecord(w.k[:0], w.v[:0], rec)
-	if err != nil {
 		return err
 	}
-	w.k, w.v = k, v
-	if err := w.w.Write(k, v); err != nil {
-		return fmt.Errorf("extsort: write run: %w", err)
-	}
-	return nil
-}
-
-// Count returns the number of records written.
-func (w *RunWriter[T]) Count() int64 { return w.w.Count() }
-
-// Bytes returns the encoded key+value bytes written, framing excluded.
-func (w *RunWriter[T]) Bytes() int64 { return w.w.Bytes() }
-
-// Close flushes and closes the file.
-func (w *RunWriter[T]) Close() error {
-	if err := w.w.Close(); err != nil {
-		return fmt.Errorf("extsort: close run: %w", err)
-	}
-	return nil
-}
-
-// WriteRun writes an already-sorted slice of records as one run file.
-func WriteRun[T any](disk storage.Disk, name string, f Format[T], recs []T) error {
-	return WriteRunC(disk, name, f, recs, compress.Config{})
-}
-
-// WriteRunC is WriteRun with optional compression (see NewRunWriterC).
-func WriteRunC[T any](disk storage.Disk, name string, f Format[T], recs []T, cc compress.Config) error {
-	w, err := NewRunWriterC(disk, name, f, cc)
-	if err != nil {
-		return err
-	}
+	var k, v []byte // encode scratch, reused across records
 	for _, rec := range recs {
-		if err := w.Write(rec); err != nil {
+		if k, v, err = f.AppendRecord(k[:0], v[:0], rec); err != nil {
 			w.Close()
 			return err
 		}
+		if err := w.Write(k, v); err != nil {
+			w.Close()
+			return fmt.Errorf("extsort: write run: %w", err)
+		}
 	}
-	return w.Close()
+	if err := w.Close(); err != nil {
+		return fmt.Errorf("extsort: close run: %w", err)
+	}
+	return nil
 }
 
 // RunReader streams one run file back as a merge Source.
@@ -136,13 +90,14 @@ type RunReader[T any] struct {
 	f Format[T]
 }
 
-// OpenRun opens the named run file for reading, uncompressed.
+// OpenRun opens the named run file for reading, uncompressed. It stays
+// beside OpenRunC because benchmark/layers.go's extsort probe calls it.
 func OpenRun[T any](disk storage.Disk, name string, f Format[T]) (*RunReader[T], error) {
 	return OpenRunC(disk, name, f, compress.Config{})
 }
 
-// OpenRunC opens a run written by NewRunWriterC with the same
-// enabled/disabled state (see OpenRawRun).
+// OpenRunC opens a run written with the same enabled/disabled cc (see
+// OpenRawRun).
 func OpenRunC[T any](disk storage.Disk, name string, f Format[T], cc compress.Config) (*RunReader[T], error) {
 	r, err := OpenRawRun(disk, name, cc)
 	if err != nil {

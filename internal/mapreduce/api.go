@@ -42,7 +42,10 @@ type Mapper interface {
 	Map(kv core.KV, out Emitter) error
 }
 
-// Reducer processes one key with all its values.
+// Reducer processes one key with all its values. The key and each value
+// are the call's own and may be kept; the values slice is not — the task
+// decodes every group into the same one — so a reducer (or a combiner, see
+// Job.NewCombiner) that wants the slice past the call copies it.
 type Reducer interface {
 	Reduce(key string, values []any, out Emitter) error
 }

@@ -10,7 +10,6 @@ import (
 	"io"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,10 +103,8 @@ type segInfo struct {
 	name string
 	node int
 	size int64 // bytes on disk (and on the wire)
-	// records and payload (encoded key+value bytes, framing excluded) let
-	// the fetching reducer size its buffer and pick its merge path before
-	// it reads the segment.
-	records int64
+	// payload (encoded key+value bytes, framing excluded) tells the
+	// fetching reducer where to put the segment before it reads it.
 	payload int64
 }
 
@@ -397,6 +394,35 @@ func (e *Engine) removeSegments(mr *mapResult) {
 	}
 }
 
+// beginAttempt names one attempt of the task at site ("map-00003"), opens
+// its span and pays its startup on node. taskName is the attempt's
+// namespace on disk; tname, its job-relative name, is what trace IDs are
+// built from, so that two identical runs produce identical timelines
+// whatever the process-global job sequence (the tag already identifies the
+// job). Attempt 0 keeps the plain name, so fault-free runs are
+// bit-identical; retries and speculative attempts get a namespace of
+// their own, so a straggling loser can never clobber the winner.
+func (e *Engine) beginAttempt(jobID int64, kind, site string, attempt, node int) (taskName, tname string, tsp trace.Span) {
+	tr := e.c.Tracer()
+	tag := tr.JobTag(jobID)
+	tname = site
+	if attempt > 0 {
+		tname = fmt.Sprintf("%s-a%d", site, attempt)
+	}
+	if tr.Enabled() {
+		tsp = tr.Start(node, tag, tag+"/"+tname, kind, "cpu")
+	}
+	if e.cfg.TaskStartup > 0 {
+		var ssp trace.Span
+		if tr.Enabled() {
+			ssp = tr.Start(node, tag+"/"+tname, tag+"/"+tname+"/startup", "startup", "startup")
+		}
+		e.c.Clock().Charge(node, vtime.Startup, e.cfg.scaled(e.cfg.TaskStartup))
+		ssp.End()
+	}
+	return fmt.Sprintf("job%d/%s", jobID, tname), tname, tsp
+}
+
 // ---------------------------------------------------------------------------
 // map task
 
@@ -405,10 +431,10 @@ var errCorruptRun = errors.New("mapreduce: corrupt run record")
 
 // appendRunKey appends a run key — the key of a record in a spill,
 // intermediate or fetch run file: the partition as a 4-byte big-endian
-// prefix, then the key. bytes.Compare on two run keys orders as recCompare
-// orders the records (big-endian partition first, then the raw key, which
-// strings.Compare also compares byte-wise): the contract extsort's sort
-// buffer and byte merges rely on.
+// prefix, then the key. bytes.Compare on two run keys orders the records by
+// (partition, key) — big-endian partition first, then the raw key, as
+// strings.Compare orders it: the contract extsort's sort buffer and byte
+// merges rely on.
 func appendRunKey[K string | []byte](kbuf []byte, part int, key K) []byte {
 	kbuf = binary.BigEndian.AppendUint32(kbuf, uint32(part))
 	return append(kbuf, key...)
@@ -480,32 +506,8 @@ func (e *Engine) runMapTask(job Job, jobID int64, taskID, attempt int, split hdf
 	}
 	defer e.c.Yarn().Release(ct)
 
-	// Attempt 0 keeps the historical name so fault-free runs are
-	// bit-identical; retries and speculative attempts get their own
-	// namespace so a straggling loser can never clobber the winner.
-	// Trace IDs use tname — the job-relative task name — so two identical
-	// runs produce identical timelines regardless of the process-global
-	// job sequence (the tag already identifies the job).
-	taskName := fmt.Sprintf("job%d/map-%05d", jobID, taskID)
-	tname := fmt.Sprintf("map-%05d", taskID)
-	if attempt > 0 {
-		taskName = fmt.Sprintf("%s-a%d", taskName, attempt)
-		tname = fmt.Sprintf("%s-a%d", tname, attempt)
-	}
-	var tsp trace.Span
-	if tr.Enabled() {
-		tsp = tr.Start(ct.Node, tag, tag+"/"+tname, "map", "cpu")
-	}
+	taskName, tname, tsp := e.beginAttempt(jobID, "map", site, attempt, ct.Node)
 	defer func() { tsp.EndBytes(split.Length) }()
-
-	if e.cfg.TaskStartup > 0 {
-		var ssp trace.Span
-		if tr.Enabled() {
-			ssp = tr.Start(ct.Node, tag+"/"+tname, tag+"/"+tname+"/startup", "startup", "startup")
-		}
-		e.c.Clock().Charge(ct.Node, vtime.Startup, e.cfg.scaled(e.cfg.TaskStartup))
-		ssp.End()
-	}
 	// An injected straggler stalls only the original attempt; retries and
 	// speculative backups run at full speed.
 	if attempt == 0 {
@@ -722,24 +724,101 @@ func (mt *mapTask) collect(kv core.KV, em *taskEmitter) error {
 	return mt.buf.Add(mt.kbuf, mt.vbuf, sz)
 }
 
-// groupCombiner applies a job's combiner to groups of encoded records: it
-// decodes one group's values, calls Reduce, and encodes what the combiner
-// emits under the group's partition. One emitter and one values scratch
-// serve every group: the combiner may keep neither past its Reduce call.
+// groupReducer feeds a Reducer the records of a merge, or of a sorted
+// buffer, a key group at a time: add takes the next record, flush closes
+// the last group. The source lends a record only until the next, so the
+// open group's key is copied, and so is its first value: a group that ends
+// as one record goes to single, if there is one, as it is and never
+// decoded. Otherwise values are decoded as they arrive, into one slice
+// that serves every group (see Reducer).
+type groupReducer struct {
+	red    Reducer
+	em     *taskEmitter
+	single func(key, value []byte) error
+	key    []byte // the open group's run key
+	first  []byte // its first value, encoded
+	n      int    // records in it
+	values []any  // the decoded ones
+	size   int64  // their core.ValueSize
+}
+
+// add takes the next record, first closing the open group if the record is
+// not part of it.
+func (g *groupReducer) add(key, value []byte) error {
+	if g.n > 0 && !bytes.Equal(key, g.key) {
+		if err := g.flush(); err != nil {
+			return err
+		}
+	}
+	g.n++
+	if g.n == 1 {
+		g.key = append(g.key[:0], key...)
+		g.first = append(g.first[:0], value...)
+		return nil
+	}
+	if g.n == 2 {
+		if err := g.push(g.first); err != nil {
+			return err
+		}
+	}
+	return g.push(value)
+}
+
+// push decodes one value of the open group.
+func (g *groupReducer) push(value []byte) error {
+	v, _, err := core.DecodeValue(value)
+	if err != nil {
+		return err
+	}
+	if len(g.values) == cap(g.values) {
+		// Doubling allocates twice the largest group on the way to it;
+		// append's own growth past 256 elements, about five times.
+		g.values = slices.Grow(g.values, max(len(g.values), 16))
+	}
+	g.values = append(g.values, v)
+	g.size += core.ValueSize(v)
+	return nil
+}
+
+// flush closes the open group, if there is one. A group whose values do
+// not fit the emitter's heap fails the task.
+func (g *groupReducer) flush() error {
+	n := g.n
+	g.n = 0
+	switch {
+	case n == 0:
+		return nil
+	case n == 1 && g.single != nil:
+		return g.single(g.key, g.first)
+	case n == 1:
+		if err := g.push(g.first); err != nil {
+			return err
+		}
+	}
+	values, size := g.values, g.size
+	g.values, g.size = g.values[:0], 0
+	if len(g.key) < 4 {
+		return errCorruptRun
+	}
+	if heap := g.em.heap; heap > 0 && size > heap {
+		return &OOMError{Task: g.em.task, Need: size, Heap: heap}
+	}
+	return g.red.Reduce(string(g.key[4:]), values, g.em)
+}
+
+// groupCombiner is a groupReducer for a job's combiner: what the combiner
+// emits is encoded as run records under the group's partition and passed
+// to emit. One emitter serves every group; red is set by the caller.
 type groupCombiner struct {
-	red        Reducer
-	em         taskEmitter
-	values     []any
-	part       int
+	groupReducer
 	kbuf, vbuf []byte
 	emit       func(key, value []byte) error
 }
 
-// newGroupCombiner returns a combiner whose emitter reports as task; red
-// is set by the caller.
+// newGroupCombiner returns a combiner whose emitter reports as task.
 func newGroupCombiner(task string) *groupCombiner {
 	c := &groupCombiner{}
-	c.em = taskEmitter{task: task, sink: c.encode}
+	c.em = &taskEmitter{task: task, sink: c.encode}
 	return c
 }
 
@@ -749,80 +828,20 @@ func (c *groupCombiner) encode(kv core.KV) error {
 	if c.vbuf, err = core.EncodeValue(c.vbuf[:0], kv.Value); err != nil {
 		return err
 	}
-	c.kbuf = appendRunKey(c.kbuf[:0], c.part, kv.Key)
+	c.kbuf = append(append(c.kbuf[:0], c.key[:4]...), kv.Key...)
 	return c.emit(c.kbuf, c.vbuf)
 }
 
-// fold combines the group with the given run key and encoded values and
-// passes the combiner's output, as run records, to emit.
+// fold combines one whole group: the run key and its encoded values.
 func (c *groupCombiner) fold(key []byte, values [][]byte, emit func(key, value []byte) error) error {
-	if len(key) < 4 {
-		return errCorruptRun
-	}
-	if n := len(values); n > cap(c.values) {
-		c.values = make([]any, 0, max(n, 2*cap(c.values)))
-	}
-	c.values = c.values[:0]
+	c.emit = emit
+	c.values = slices.Grow(c.values, len(values))
 	for _, b := range values {
-		v, _, err := core.DecodeValue(b)
-		if err != nil {
-			return err
-		}
-		c.values = append(c.values, v)
-	}
-	c.part, c.emit = int(binary.BigEndian.Uint32(key)), emit
-	return c.red.Reduce(string(key[4:]), c.values, &c.em)
-}
-
-// mergeGroups gathers the final merge's records into key groups for the
-// merge-time combiner. The merge lends a record only until it reads the
-// next, so the open group's key and values are copied into scratch that
-// every group reuses.
-type mergeGroups struct {
-	comb   *groupCombiner
-	out    func(key, value []byte) error
-	key    []byte   // the open group's run key
-	data   []byte   // its encoded values, back to back
-	ends   []int    // where each one ends in data
-	values [][]byte // fold's argument
-}
-
-// add takes the merge's next record, first closing the open group if the
-// record is not part of it.
-func (g *mergeGroups) add(key, value []byte) error {
-	if len(g.ends) > 0 && !bytes.Equal(key, g.key) {
-		if err := g.flush(); err != nil {
+		if err := c.add(key, b); err != nil {
 			return err
 		}
 	}
-	if len(g.ends) == 0 {
-		g.key = append(g.key[:0], key...)
-	}
-	g.data = append(g.data, value...)
-	g.ends = append(g.ends, len(g.data))
-	return nil
-}
-
-// flush writes the open group out: combined when it holds more than one
-// record, as it is — and never decoded — when it holds one.
-func (g *mergeGroups) flush() error {
-	if len(g.ends) == 0 {
-		return nil
-	}
-	var err error
-	if len(g.ends) == 1 {
-		err = g.out(g.key, g.data)
-	} else {
-		g.values = g.values[:0]
-		start := 0
-		for _, end := range g.ends {
-			g.values = append(g.values, g.data[start:end])
-			start = end
-		}
-		err = g.comb.fold(g.key, g.values, g.out)
-	}
-	g.data, g.ends = g.data[:0], g.ends[:0]
-	return err
+	return c.flush()
 }
 
 // finish performs the final spill and merges all spills into one sorted
@@ -846,7 +865,7 @@ func (mt *mapTask) finish() ([]segInfo, error) {
 	// rereads and rewrites the intermediate data on disk, as Hadoop's
 	// io.sort.factor does.
 	reg := mt.e.c.Metrics()
-	spills, err := extsort.MergeToFactorC(mt.disk, mt.buf.Runs(), mt.e.cfg.MergeFactor,
+	spills, err := extsort.MergeToFactor(mt.disk, mt.buf.Runs(), mt.e.cfg.MergeFactor,
 		func(pass int) string { return fmt.Sprintf("%s/interm-%04d", mt.name, pass) },
 		func() { reg.Inc("mr.merge.passes") }, mt.cc)
 	if err != nil {
@@ -889,10 +908,10 @@ func (mt *mapTask) finish() ([]segInfo, error) {
 		return w.Write(key[4:], value)
 	}
 	if mt.job.NewCombiner != nil && len(spills) > 1 {
-		groups := &mergeGroups{comb: newGroupCombiner(mt.name + "/merge-combine"), out: write}
-		groups.comb.red = mt.job.NewCombiner()
-		if err = extsort.MergeRuns(mt.disk, spills, mt.cc, groups.add); err == nil {
-			err = groups.flush()
+		comb := newGroupCombiner(mt.name + "/merge-combine")
+		comb.red, comb.emit, comb.single = mt.job.NewCombiner(), write, write
+		if err = extsort.MergeRuns(mt.disk, spills, mt.cc, comb.add); err == nil {
+			err = comb.flush()
 		}
 	} else {
 		err = extsort.MergeRuns(mt.disk, spills, mt.cc, write)
@@ -915,7 +934,7 @@ func (mt *mapTask) finish() ([]segInfo, error) {
 		if err != nil {
 			return nil, err
 		}
-		segs[p] = segInfo{name: names[p], node: mt.node, size: size, records: w.Count(), payload: w.Bytes()}
+		segs[p] = segInfo{name: names[p], node: mt.node, size: size, payload: w.Bytes()}
 		segBytes += size
 	}
 	msp.EndBytes(segBytes)
@@ -925,72 +944,11 @@ func (mt *mapTask) finish() ([]segInfo, error) {
 // ---------------------------------------------------------------------------
 // reduce task
 
-// rec is one intermediate record of a reduce task's merge, decoded.
-type rec struct {
-	part  int
-	key   string
-	value any
-}
-
-// recCompare orders intermediate records by (partition, key) — the order
-// spill runs are written in and merges consume them in.
-func recCompare(a, b rec) int {
-	if a.part != b.part {
-		return a.part - b.part
-	}
-	return strings.Compare(a.key, b.key)
-}
-
-// runFormat reads and writes recs in run files: the key is the run key
-// (appendRunKey), the value is codec-encoded.
-type runFormat struct{}
-
-func (runFormat) AppendRecord(kbuf, vbuf []byte, r rec) ([]byte, []byte, error) {
-	vbuf, err := core.EncodeValue(vbuf, r.value)
-	return appendRunKey(kbuf, r.part, r.key), vbuf, err
-}
-
-func (runFormat) DecodeRecord(key, value []byte) (rec, error) {
-	if len(key) < 4 {
-		return rec{}, errCorruptRun
-	}
-	v, _, err := core.DecodeValue(value)
-	if err != nil {
-		return rec{}, err
-	}
-	return rec{
-		part:  int(binary.BigEndian.Uint32(key[:4])),
-		key:   string(key[4:]),
-		value: v,
-	}, nil
-}
-
-// readSegment decodes a fetched segment of partition part — its keys are
-// stored without the partition prefix — into memory; records is the count
-// the map task recorded for it.
-func readSegment(src *storage.RecordReader, part int, records int64) ([]rec, error) {
-	recs := make([]rec, 0, records)
-	for {
-		rc, err := src.Next()
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		v, _, err := core.DecodeValue(rc.Value)
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec{part: part, key: string(rc.Key), value: v})
-	}
-}
-
-// copySegment streams a fetched segment of partition part into the local
-// fetch run name without decoding it: the key gains the partition prefix
-// runFormat gives it and the value bytes are copied as they are, which is
-// what decoding into recs and writing them with runFormat produced.
-func copySegment(src *storage.RecordReader, disk storage.Disk, name string, part int, cc compress.Config) error {
+// copySegment copies the records of src into the run file name on disk
+// without decoding them, and closes src. A fetched segment's keys gain
+// prefix, the partition prefix of a run key (appendRunKey), on the way.
+func copySegment(src *storage.RecordReader, disk storage.Disk, name string, cc compress.Config, prefix []byte) error {
+	defer src.Close()
 	w, err := extsort.CreateRawRun(disk, name, cc)
 	if err != nil {
 		return err
@@ -1002,7 +960,7 @@ func copySegment(src *storage.RecordReader, disk storage.Disk, name string, part
 			return w.Close()
 		}
 		if err == nil {
-			key = appendRunKey(key[:0], part, rc.Key)
+			key = append(append(key[:0], prefix...), rc.Key...)
 			err = w.Write(key, rc.Value)
 		}
 		if err != nil {
@@ -1027,28 +985,8 @@ func (e *Engine) runReduceTask(job Job, jobID int64, r, attempt int, maps []*map
 	}
 	defer e.c.Yarn().Release(ct)
 	node := ct.Node
-	taskName := fmt.Sprintf("job%d/reduce-%05d", jobID, r)
-	// tname is the job-relative task name trace IDs are built from: two
-	// identical runs then produce identical timelines regardless of the
-	// process-global job sequence (the tag already identifies the job).
-	tname := fmt.Sprintf("reduce-%05d", r)
-	if attempt > 0 {
-		taskName = fmt.Sprintf("%s-a%d", taskName, attempt)
-		tname = fmt.Sprintf("%s-a%d", tname, attempt)
-	}
-	var tsp trace.Span
-	if tr.Enabled() {
-		tsp = tr.Start(node, tag, tag+"/"+tname, "reduce", "cpu")
-	}
+	taskName, tname, tsp := e.beginAttempt(jobID, "reduce", site, attempt, node)
 	defer func() { tsp.EndBytes(fetched) }()
-	if e.cfg.TaskStartup > 0 {
-		var ssp trace.Span
-		if tr.Enabled() {
-			ssp = tr.Start(node, tag+"/"+tname, tag+"/"+tname+"/startup", "startup", "startup")
-		}
-		e.c.Clock().Charge(ct.Node, vtime.Startup, e.cfg.scaled(e.cfg.TaskStartup))
-		ssp.End()
-	}
 	disk := e.c.Disk(node)
 	var out *hdfs.Writer
 	defer func() {
@@ -1066,37 +1004,42 @@ func (e *Engine) runReduceTask(job Job, jobID int64, r, attempt int, maps []*map
 	}()
 
 	// ---- shuffle fetch ----
-	var local []string // local copies of segments (external merge path)
-	var memSegs [][]rec
-	var memBytes int64
-	external := false
+	// A fetched segment becomes a run of run keys and encoded values on at:
+	// mem, a disk made of the task's own memory, uncharged and uncompressed,
+	// while the segments fit the in-memory shuffle budget; the node's disk
+	// from the first one that does not, when mem is dropped.
+	mem := storage.NewMemDisk(0)
+	at, atCC := storage.Disk(mem), compress.Config{}
+	var runs []string
+	var payload int64 // of the segments fetched so far
+	prefix := appendRunKey(nil, r, "")
 
 	// Transfers are charged per source node with the segment sizes summed
 	// (one bulk fetch per map host, the way Hadoop's fetcher pulls all of
 	// a host's map outputs over one connection) rather than per segment:
 	// byte totals are identical, only the per-message latency count drops.
-	remoteBytes := make(map[int]int64)
+	remoteBytes := make([]int64, e.c.NumNodes())
 
 	for mi, mr := range maps {
 		if mr == nil || len(mr.segments) <= r || mr.segments[r].name == "" {
 			continue
 		}
 		seg := mr.segments[r]
-		if !external && memBytes+seg.payload > heap/2 {
-			// Spill previously fetched in-memory segments and switch to
-			// the external (on-disk) merge path, like Hadoop's
-			// merge-to-disk when fetched data exceeds the in-memory
-			// shuffle budget.
-			external = true
-			for i, ms := range memSegs {
-				name := fmt.Sprintf("%s/fetch-%05d", taskName, i)
-				if err := extsort.WriteRunC(disk, name, runFormat{}, ms, cc); err != nil {
+		if mem != nil && payload+seg.payload > heap/2 {
+			// The fetched data exceeds the in-memory shuffle budget: move
+			// the runs held in memory to the disk and fetch the rest there,
+			// like Hadoop's merge-to-disk.
+			at, atCC = disk, cc
+			for _, name := range runs {
+				src, err := extsort.OpenRawRun(mem, name, compress.Config{})
+				if err == nil {
+					err = copySegment(src, at, name, atCC, nil)
+				}
+				if err != nil {
 					return fetched, err
 				}
-				local = append(local, name)
 			}
-			memSegs = nil
-			memBytes = 0
+			mem = nil
 		}
 		// Read the segment from the map node's disk (charges that disk),
 		// then pay the network transfer to this node. With spill compression
@@ -1112,20 +1055,10 @@ func (e *Engine) runReduceTask(job Job, jobID int64, r, attempt int, maps []*map
 		if err != nil {
 			return fetched, fmt.Errorf("%s fetch %s: %w", taskName, seg.name, err)
 		}
-		if external {
-			// The segment goes to a local fetch run as bytes; it is decoded
-			// once, by the final merge.
-			name := fmt.Sprintf("%s/fetch-%05d", taskName, len(local))
-			err = copySegment(rdr, disk, name, r, cc)
-			local = append(local, name)
-		} else {
-			var recs []rec
-			recs, err = readSegment(rdr, r, seg.records)
-			memSegs = append(memSegs, recs)
-			memBytes += seg.payload
-		}
-		rdr.Close()
-		if err != nil {
+		name := fmt.Sprintf("%s/fetch-%05d", taskName, len(runs))
+		runs = append(runs, name)
+		payload += seg.payload
+		if err := copySegment(rdr, at, name, atCC, prefix); err != nil {
 			return fetched, err
 		}
 		fsp.EndBytes(seg.size)
@@ -1133,31 +1066,28 @@ func (e *Engine) runReduceTask(job Job, jobID int64, r, attempt int, maps []*map
 			remoteBytes[seg.node] += seg.size
 		}
 		fetched += seg.size
-		if external {
+		if mem == nil {
 			reg.Inc("mr.reduce.disk.merges")
 			if tr.Enabled() {
 				tr.Instant(node, tag+"/"+tname,
-					fmt.Sprintf("%s/%s/rspill-%05d", tag, tname, len(local)-1), "spill", seg.payload)
+					fmt.Sprintf("%s/%s/rspill-%05d", tag, tname, len(runs)-1), "spill", seg.payload)
 			}
 		}
 	}
 
-	// Pay the grouped network transfers (sources in a fixed order so runs
-	// are deterministic).
-	sources := make([]int, 0, len(remoteBytes))
-	for src := range remoteBytes {
-		sources = append(sources, src)
-	}
-	slices.Sort(sources)
-	for _, src := range sources {
+	// Pay the grouped network transfers, in node order.
+	for src, n := range remoteBytes {
+		if n == 0 {
+			continue
+		}
 		var ssp trace.Span
 		if tr.Enabled() {
 			ssp = tr.Start(node, tag+"/"+tname,
 				fmt.Sprintf("%s/%s/shuffle:from%d", tag, tname, src), "shuffle", "net")
 		}
-		e.c.ChargeNet(transport.NodeID(src), transport.NodeID(node), remoteBytes[src])
-		reg.Add("mr.shuffle.bytes", remoteBytes[src])
-		ssp.EndBytes(remoteBytes[src])
+		e.c.ChargeNet(transport.NodeID(src), transport.NodeID(node), n)
+		reg.Add("mr.shuffle.bytes", n)
+		ssp.EndBytes(n)
 	}
 
 	// Mid-merge fault checkpoint: the shuffle is fetched but the merge has
@@ -1187,51 +1117,17 @@ func (e *Engine) runReduceTask(job Job, jobID int64, r, attempt int, maps []*map
 		}
 	}
 
-	reduceGroup := func(group []rec) error {
-		values := make([]any, len(group))
-		var groupBytes int64
-		for i, g := range group {
-			values[i] = g.value
-			groupBytes += core.ValueSize(g.value)
-		}
-		if heap > 0 && groupBytes > heap {
-			return &OOMError{Task: taskName, Need: groupBytes, Heap: heap}
-		}
-		return reducer.Reduce(group[0].key, values, em)
+	// One merge over the fetched runs, in map-task order, wherever they
+	// are; a value is first decoded here, on its way into Reduce.
+	groups := &groupReducer{red: reducer, em: em}
+	if err = extsort.MergeRuns(at, runs, atCC, groups.add); err == nil {
+		err = groups.flush()
 	}
-
-	if external {
-		mergeSrcs := make([]extsort.Source[rec], 0, len(local))
-		readers := make([]*extsort.RunReader[rec], 0, len(local))
-		for _, name := range local {
-			rr, oerr := extsort.OpenRunC(disk, name, runFormat{}, cc)
-			if oerr != nil {
-				for _, r := range readers {
-					r.Close()
-				}
-				return fetched, oerr
-			}
-			readers = append(readers, rr)
-			mergeSrcs = append(mergeSrcs, rr)
-		}
-		err = extsort.MergeGrouped(mergeSrcs, recCompare, nil, reduceGroup)
-		for _, rr := range readers {
-			rr.Close()
-		}
-		for _, name := range local {
-			_ = disk.Remove(name)
-		}
-		if err != nil {
-			return fetched, fmt.Errorf("%s: %w", taskName, err)
-		}
-	} else {
-		mergeSrcs := make([]extsort.Source[rec], len(memSegs))
-		for i, ms := range memSegs {
-			mergeSrcs[i] = extsort.SliceSource(ms)
-		}
-		if err := extsort.MergeGrouped(mergeSrcs, recCompare, nil, reduceGroup); err != nil {
-			return fetched, fmt.Errorf("%s: %w", taskName, err)
-		}
+	for _, name := range runs {
+		_ = at.Remove(name)
+	}
+	if err != nil {
+		return fetched, fmt.Errorf("%s: %w", taskName, err)
 	}
 
 	if c, ok := reducer.(Cleanupper); ok {

@@ -16,15 +16,16 @@ import (
 	"github.com/hamr-go/hamr/internal/storage"
 )
 
-// fileLedger records a hash of every file the map tasks of a job write to
-// their local disks — spill runs, intermediate merge runs and output
-// segments, most of which are gone again before the job returns.
+// fileLedger records a hash of every file the tasks of a job write to their
+// local disks — the map side's spill runs, intermediate merge runs and
+// output segments, the reduce side's fetch runs — most of which are gone
+// again before the job returns.
 type fileLedger struct {
 	mu    sync.Mutex
 	files map[string]string // name without the job number → size and sha256
 }
 
-var mapFile = regexp.MustCompile(`^job\d+/(map-\d+/(spill|interm|segment)-\d+)$`)
+var taskFile = regexp.MustCompile(`^job\d+/(map-\d+/(spill|interm|segment)-\d+|reduce-\d+/fetch-\d+)$`)
 
 // watch puts the ledger between the cluster and each of its local disks.
 // Cluster.Disks returns the slice the cluster itself indexes, so every
@@ -37,20 +38,15 @@ func (l *fileLedger) watch(c *cluster.Cluster) {
 	}
 }
 
-// digest folds the ledger into one hash and counts the files by kind.
-func (l *fileLedger) digest() (hash string, spills, interms, segments int) {
+// digest folds the files whose name contains kind into one hash and counts
+// them.
+func (l *fileLedger) digest(kind string) (hash string, n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	names := make([]string, 0, len(l.files))
+	var names []string
 	for name := range l.files {
-		names = append(names, name)
-		switch {
-		case strings.Contains(name, "/spill-"):
-			spills++
-		case strings.Contains(name, "/interm-"):
-			interms++
-		default:
-			segments++
+		if strings.Contains(name, kind) {
+			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
@@ -58,7 +54,7 @@ func (l *fileLedger) digest() (hash string, spills, interms, segments int) {
 	for _, name := range names {
 		fmt.Fprintf(h, "%s %s\n", name, l.files[name])
 	}
-	return fmt.Sprintf("%x", h.Sum(nil)), spills, interms, segments
+	return fmt.Sprintf("%x", h.Sum(nil)), len(names)
 }
 
 type ledgerDisk struct {
@@ -68,7 +64,7 @@ type ledgerDisk struct {
 
 func (d ledgerDisk) Create(name string) (io.WriteCloser, error) {
 	f, err := d.Disk.Create(name)
-	m := mapFile.FindStringSubmatch(name)
+	m := taskFile.FindStringSubmatch(name)
 	if err != nil || m == nil {
 		return f, err
 	}
@@ -108,7 +104,10 @@ func (f *ledgerFile) Close() error {
 // job's output, and the engine's counters. The values were recorded at the
 // commit before the map-side sort buffer held bytes (PR 15), where records
 // sat in a typed buffer, were encoded at spill and decoded again by the
-// final merge: the files the byte path writes are those files.
+// final merge: the files the byte path writes are those files. The hash of
+// the reduce side's fetch runs was recorded at the commit before the
+// reduce task merged bytes (PR 16), where the runs of segments fetched
+// into memory were encoded from decoded records.
 func TestMapOutputFilesMatchPinnedBaseline(t *testing.T) {
 	sumReducer := func() Reducer { return wcReducer{} }
 	for _, tc := range []struct {
@@ -118,6 +117,8 @@ func TestMapOutputFilesMatchPinnedBaseline(t *testing.T) {
 		job     Job
 		files   string // ledger digest
 		counts  [3]int // spill, intermediate, segment files
+		fetch   string // ledger digest of the fetch runs
+		nfetch  int
 		output  string
 		metrics map[string]int64
 	}{
@@ -141,6 +142,7 @@ func TestMapOutputFilesMatchPinnedBaseline(t *testing.T) {
 			},
 			files:  "eb2e4adb2548bf6bef13a35ff4bb99d6a972eafcb040890671b254439d112857",
 			counts: [3]int{74, 30, 5},
+			fetch:  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", // of nothing
 			output: "2f01e8b1c42a2802c59d6df3df2868f4f4e9dbd3a2f3f1c564a80b06b8c73cda",
 			metrics: map[string]int64{
 				"mr.spills": 74, "mr.spill.bytes": 150000, "mr.merge.passes": 30,
@@ -159,6 +161,10 @@ func TestMapOutputFilesMatchPinnedBaseline(t *testing.T) {
 			job:    identitySortJob(4),
 			files:  "f5477cbbe225ebce0a840e5d25d04161e6f83f2ca2b484da154202b46a67a5b2",
 			counts: [3]int{123, 41, 56},
+			// Every reducer crosses its in-memory budget part of the way
+			// through its fetch: 12 of the runs were written from memory.
+			fetch:  "7d4c0971270f91c9ec92477858e3d1c16e74dd6e55ba032dc76babb356535be1",
+			nfetch: 56,
 			output: "64b3f8c737b492a0d206a7932891084b62184a61634ca5baab4ef46d93595c15",
 			metrics: map[string]int64{
 				"mr.spills": 123, "mr.spill.bytes": 232000, "mr.merge.passes": 41,
@@ -188,12 +194,18 @@ func TestMapOutputFilesMatchPinnedBaseline(t *testing.T) {
 				t.Errorf("%d map tasks spilled %d times and merged in %d passes: the scenario is too small",
 					res.MapTasks, spills, passes)
 			}
-			files, nSpill, nInterm, nSeg := ledger.digest()
-			if got := [3]int{nSpill, nInterm, nSeg}; got != tc.counts {
+			var got [3]int
+			for i, kind := range []string{"/spill-", "/interm-", "/segment-"} {
+				_, got[i] = ledger.digest(kind)
+			}
+			if got != tc.counts {
 				t.Errorf("map side wrote %v spill, intermediate and segment files, want %v", got, tc.counts)
 			}
-			if files != tc.files {
+			if files, _ := ledger.digest("map-"); files != tc.files {
 				t.Errorf("map-side files hash = %s, want %s", files, tc.files)
+			}
+			if fetch, n := ledger.digest("/fetch-"); fetch != tc.fetch || n != tc.nfetch {
+				t.Errorf("%d fetch runs, hash %s, want %d, %s", n, fetch, tc.nfetch, tc.fetch)
 			}
 			h := sha256.New()
 			for _, f := range res.OutputFiles {
