@@ -36,8 +36,6 @@ func main() {
 		nodes   = flag.Int("nodes", 0, "override worker node count")
 		workers = flag.Int("workers", 0, "override workers per node")
 		check   = flag.Bool("check", true, "run the shape check after Table 2")
-		chaos   = flag.Bool("chaos", false, "run the chaos recovery check (seeded fault injection on both engines) and exit")
-		seed    = flag.Int64("chaos-seed", 1, "fault-injection seed for -chaos")
 		cacheMB = flag.Int("hdfs-cache", 0, "per-node HDFS block cache budget in MB for the baseline (0 = off, matching the paper's cold-read accounting)")
 		codec   = flag.String("codec", "", "block codec for spills and shuffle on both engines: lz or flate (empty = off, matching the paper's uncompressed byte accounting)")
 		vclock  = flag.Bool("vclock", false, "run under the virtual clock: modeled delays advance logical clocks instead of sleeping, tables report modeled seconds")
@@ -65,21 +63,6 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "unknown -scale %q (want tiny or small)\n", *scale)
 		os.Exit(2)
-	}
-
-	if *chaos {
-		fmt.Printf("chaos recovery check (%d nodes, seed %d):\n", spec.Nodes, *seed)
-		failed := false
-		for _, v := range bench.ChaosCheck(spec.Nodes, *seed, *vclock) {
-			fmt.Println(" ", v)
-			if strings.HasPrefix(v, "[FAIL]") {
-				failed = true
-			}
-		}
-		if failed {
-			os.Exit(1)
-		}
-		return
 	}
 
 	h := bench.NewHarness(spec, sc)

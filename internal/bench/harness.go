@@ -102,10 +102,10 @@ func NewHarness(spec ClusterSpec, scale Scale) *Harness {
 // purely logical charge cannot reproduce.
 //
 // Disk charges are deliberately NOT divided by the disk model's stream
-// parallelism (vtime.SetParallelism would do it): with more workers
-// than disk slots the slot pool runs saturated and queue wait pushes
-// real per-node disk wall time toward the serialized sum, which the
-// undivided lane matches far better across Table 2.
+// parallelism: with more workers than disk slots the slot pool runs
+// saturated and queue wait pushes real per-node disk wall time toward the
+// serialized sum, which the undivided lane matches far better across
+// Table 2.
 func (h *Harness) newClock() *vtime.VirtualClock {
 	if !h.Spec.VClock {
 		return nil

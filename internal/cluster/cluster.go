@@ -334,14 +334,7 @@ func (c *Cluster) ChargeNet(from, to transport.NodeID, bytes int64) {
 	}
 	c.mNetBytes.Add(bytes)
 	c.mNetMsgs.Inc()
-	d := c.model.Latency
-	if c.model.BytesPerSec > 0 {
-		d += time.Duration(float64(bytes) / float64(c.model.BytesPerSec) * float64(time.Second))
-	}
-	if s := c.model.TimeScale; s != 0 && s != 1 {
-		d = time.Duration(float64(d) * s)
-	}
-	if d > 0 {
+	if d := c.model.Delay(bytes); d > 0 {
 		c.tNetTime.Observe(d)
 		if int(to) >= 0 && int(to) < len(c.rxMu) {
 			mu := &c.rxMu[to]

@@ -9,11 +9,14 @@ import (
 // the shuffle moves and what the bin queue stores.
 //
 // A bin is a recycled slab with exactly one owner at a time: the producer's
-// binBuffer slot while it fills, then sendBin and the fabric (the in-memory
-// network hands the pointer over), then the consuming task, which returns
-// it to the producing node's binList once applyBin is done. Consumers copy
-// each KV out by value and must not retain KVs — the backing array is
-// cleared and refilled by the next producer.
+// binBuffer slot while it fills, then sendBin and the fabric, then the
+// consuming task, which returns it to the list it came from once applyBin
+// is done. In process the fabric hands the pointer over and that list is
+// the producing node's; where the bin has to cross as bytes (wire.go) the
+// fabric releases the producer's slab once the frame is committed and the
+// receiver decodes into a slab from its own list. Consumers copy each KV
+// out by value and must not retain KVs — the backing array is cleared and
+// refilled by the next producer.
 type Bin struct {
 	Job     int64
 	Edge    int // index into the graph's edge list
@@ -22,19 +25,18 @@ type Bin struct {
 	KVs     []KV
 	Bytes   int64
 
-	// home is the free list the slab was drawn from; nil for a bin that
-	// arrived through a codec (TCP, compressed batch frames), which is
-	// simply left to the GC.
+	// home is the free list the slab was drawn from; binList.get is the
+	// only place a Bin is made, so it is never nil.
 	home *binList
 }
 
 // release hands a fully consumed bin back to the list it came from. The
 // caller must not touch the bin afterwards.
-func (b *Bin) release() {
-	if b.home != nil {
-		b.home.put(b)
-	}
-}
+func (b *Bin) release() { b.home.put(b) }
+
+// Release is release for the fabric, which calls it on a bin whose bytes
+// have replaced it on the way to the receiver.
+func (b *Bin) Release() { b.release() }
 
 // binList is one node's free list of bin slabs: a LIFO stack behind a
 // mutex, so reuse does not depend on GC timing the way a sync.Pool does.

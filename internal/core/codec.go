@@ -1,18 +1,18 @@
 package core
 
 import (
-	"bytes"
+	"encoding"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 )
 
-// The codec turns KV values into bytes for reduce-side spills and for the
-// TCP transport. Common scalar and slice types use a compact type-tagged
-// encoding; everything else falls back to gob (types must be registered
-// with RegisterValue).
+// The codec turns KV values into bytes for spill runs, map output and the
+// wire form of a bin: a type tag, then a compact encoding per type. The
+// type set is closed (see EncodeValue) and RegisterValue is the one way to
+// extend it.
 
 type typeTag byte
 
@@ -26,33 +26,37 @@ const (
 	tagFloat64Slice
 	tagInt64Slice
 	tagStringSlice
-	tagGob
+	tagRegistered
 	tagIntSlice
 	tagMapStringInt64
 )
 
-// codecSession holds the per-call scratch state of one gob fallback
-// encode or decode. gob streams are stateful (type descriptors are sent
-// once per stream), so each value gets a fresh Encoder/Decoder to stay
-// self-contained — but the buffers they run over are pooled, and nothing
-// is shared, so concurrent workers encode and decode fully independently.
-// (An earlier revision funnelled every gob operation through one
-// process-global mutex, serializing the spill and TCP paths.)
-type codecSession struct {
-	buf bytes.Buffer
-	rd  bytes.Reader
-}
+// registered maps a RegisterValue'd type to its name (reflect.Type ->
+// string) and back (string -> reflect.Type).
+var registered sync.Map
 
-var codecPool = sync.Pool{New: func() any { return new(codecSession) }}
-
-// RegisterValue registers a custom value type for the gob fallback
-// encoding. Safe to call from init functions of app packages and safe for
-// concurrent use (gob's registry is internally synchronized).
+// RegisterValue makes v's type a value the codec carries: it is encoded as
+// the registered type name and the bytes of its MarshalBinary, and decoded
+// by UnmarshalBinary on a pointer to a fresh value. A type missing either
+// method panics here rather than at the first spill. Safe to call from
+// init functions of app packages and safe for concurrent use.
 func RegisterValue(v any) {
-	gob.Register(v)
+	t := reflect.TypeOf(v)
+	_, marshals := v.(encoding.BinaryMarshaler)
+	if _, unmarshals := reflect.New(t).Interface().(encoding.BinaryUnmarshaler); !marshals || !unmarshals {
+		panic(fmt.Sprintf("core: RegisterValue(%T): need MarshalBinary on the value and UnmarshalBinary on its pointer", v))
+	}
+	name := t.PkgPath() + "." + t.Name()
+	if prev, dup := registered.LoadOrStore(name, t); dup && prev != t {
+		panic(fmt.Sprintf("core: RegisterValue(%T): name %s is taken by another type", v, name))
+	}
+	registered.Store(t, name)
 }
 
 // EncodeValue appends the encoded form of v to dst and returns the result.
+// It carries nil, bool, int (read back as int64), int64, float64, string,
+// []byte, []float64, []int64, []int, []string, map[string]int64 and the
+// types given to RegisterValue; any other type is an error naming it.
 func EncodeValue(dst []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
@@ -115,21 +119,19 @@ func EncodeValue(dst []byte, v any) ([]byte, error) {
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(i))
 		}
 	default:
-		// gob needs an addressable interface value; taking v's own address
-		// would move the parameter to the heap on every call, fast paths
-		// included, so only this branch pays for a copy.
-		boxed := v
-		sess := codecPool.Get().(*codecSession)
-		sess.buf.Reset()
-		err := gob.NewEncoder(&sess.buf).Encode(&boxed)
-		if err != nil {
-			codecPool.Put(sess)
-			return nil, fmt.Errorf("core: gob-encode %T: %w", v, err)
+		name, ok := registered.Load(reflect.TypeOf(v))
+		if !ok {
+			return nil, fmt.Errorf("core: cannot encode a %T: not a codec type and not registered with RegisterValue", v)
 		}
-		dst = append(dst, byte(tagGob))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(sess.buf.Len()))
-		dst = append(dst, sess.buf.Bytes()...)
-		codecPool.Put(sess)
+		body, err := v.(encoding.BinaryMarshaler).MarshalBinary()
+		if err != nil {
+			return nil, fmt.Errorf("core: marshal %T: %w", v, err)
+		}
+		dst = append(dst, byte(tagRegistered))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(name.(string))))
+		dst = append(dst, name.(string)...)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(body)))
+		dst = append(dst, body...)
 	}
 	return dst, nil
 }
@@ -287,23 +289,28 @@ func DecodeValue(b []byte) (any, int, error) {
 			v[k] = int64(x)
 		}
 		return v, p, nil
-	case tagGob:
-		n, err := getU64()
-		if err != nil {
-			return nil, 0, err
+	case tagRegistered:
+		var field [2][]byte // type name, marshaled body
+		for i := range field {
+			n, err := getU64()
+			if err != nil {
+				return nil, 0, err
+			}
+			if uint64(len(b)-p) < n {
+				return nil, 0, fmt.Errorf("core: truncated registered value")
+			}
+			field[i] = b[p : p+int(n)]
+			p += int(n)
 		}
-		if uint64(len(b)-p) < n {
-			return nil, 0, fmt.Errorf("core: truncated gob value")
+		t, ok := registered.Load(string(field[0]))
+		if !ok {
+			return nil, 0, fmt.Errorf("core: value of unregistered type %q", field[0])
 		}
-		var v any
-		sess := codecPool.Get().(*codecSession)
-		sess.rd.Reset(b[p : p+int(n)])
-		err = gob.NewDecoder(&sess.rd).Decode(&v)
-		codecPool.Put(sess)
-		if err != nil {
-			return nil, 0, fmt.Errorf("core: gob-decode: %w", err)
+		v := reflect.New(t.(reflect.Type))
+		if err := v.Interface().(encoding.BinaryUnmarshaler).UnmarshalBinary(field[1]); err != nil {
+			return nil, 0, fmt.Errorf("core: unmarshal %s: %w", field[0], err)
 		}
-		return v, p + int(n), nil
+		return v.Elem().Interface(), p, nil
 	default:
 		return nil, 0, fmt.Errorf("core: unknown value tag %d", tag)
 	}

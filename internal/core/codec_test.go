@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -84,24 +87,59 @@ func TestCodecIntBecomesInt64(t *testing.T) {
 	}
 }
 
+// customValue is a value type outside the codec's own set: it reaches
+// bytes through RegisterValue and its own marshaling.
 type customValue struct {
 	Name  string
 	Count int64
 }
 
-func TestCodecGobFallback(t *testing.T) {
+func (c customValue) MarshalBinary() ([]byte, error) {
+	return append(binary.LittleEndian.AppendUint64(nil, uint64(c.Count)), c.Name...), nil
+}
+
+func (c *customValue) UnmarshalBinary(b []byte) error {
+	if len(b) < 8 {
+		return errors.New("customValue: short")
+	}
+	c.Count, c.Name = int64(binary.LittleEndian.Uint64(b)), string(b[8:])
+	return nil
+}
+
+func TestCodecRegisteredValue(t *testing.T) {
 	RegisterValue(customValue{})
 	v := customValue{Name: "x", Count: 9}
 	got := roundTripValue(t, v)
 	if !reflect.DeepEqual(got, v) {
-		t.Fatalf("gob round trip = %#v", got)
+		t.Fatalf("registered round trip = %#v", got)
 	}
 }
 
-// TestCodecConcurrentGob exercises the pooled codec sessions from many
-// goroutines (the gob fallback used to funnel through one process-global
-// mutex; pooled sessions must stay correct without it). Run under -race.
-func TestCodecConcurrentGob(t *testing.T) {
+// TestCodecUnregisteredTypes: the type set is closed. Registering a type
+// that cannot marshal itself panics on the spot, and a value outside the
+// set fails at encode with an error naming its type.
+func TestCodecUnregisteredTypes(t *testing.T) {
+	type plain struct{ N int }
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("RegisterValue accepted a type without MarshalBinary/UnmarshalBinary")
+			}
+		}()
+		RegisterValue(plain{})
+	}()
+	for _, v := range []any{int32(1), plain{N: 1}, &customValue{}} {
+		_, err := EncodeValue(nil, v)
+		if want := fmt.Sprintf("%T", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("EncodeValue(%s) = %v, want an error naming the type", want, err)
+		}
+	}
+}
+
+// TestCodecConcurrentRegistered encodes and decodes a registered type from
+// many goroutines at once; the registry is the only shared state. Run
+// under -race.
+func TestCodecConcurrentRegistered(t *testing.T) {
 	RegisterValue(customValue{})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -191,14 +229,13 @@ func TestCodecHostileCounts(t *testing.T) {
 
 // FuzzDecodeValue holds DecodeValue to what a decoder of bytes read back
 // from disk owes its caller: whatever the input, it does not panic and it
-// allocates no more than a small multiple of the input (plus gob's fixed
-// cost); and what it accepts encodes again to something that decodes to
-// the same value.
+// allocates no more than a small multiple of the input; and what it accepts
+// encodes again to something that decodes to the same value.
 func FuzzDecodeValue(f *testing.F) {
 	RegisterValue(customValue{})
 	for _, v := range []any{
 		nil, true, int64(-7), 2.5, "string", []byte("bytes"), []float64{1, math.NaN()},
-		[]int64{1, -2}, []string{"a", "", "bc"}, customValue{Name: "gob", Count: 1},
+		[]int64{1, -2}, []string{"a", "", "bc"}, customValue{Name: "registered", Count: 1},
 		[]int{3, 4}, map[string]int64{"k": 1, "": 2},
 	} {
 		b, err := EncodeValue(nil, v)

@@ -16,8 +16,14 @@ import (
 // modeled costs.
 func newTestCluster(t testing.TB, n int, cfg Config) ([]*NodeRuntime, func()) {
 	t.Helper()
+	return newClusterOn(t, NewTestNetwork(), n, cfg)
+}
+
+// newClusterOn builds n node runtimes over net, which the returned cleanup
+// closes after them.
+func newClusterOn(t testing.TB, net transport.Network, n int, cfg Config) ([]*NodeRuntime, func()) {
+	t.Helper()
 	cfg.NumNodes = n
-	net := NewTestNetwork()
 	nodes := make([]*NodeRuntime, n)
 	for i := 0; i < n; i++ {
 		disk := storage.NewMemDisk(0)

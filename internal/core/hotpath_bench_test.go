@@ -9,7 +9,7 @@ import (
 // Microbenchmarks for the two hottest engine loops (emit→bin and the
 // partial-reduce fold) and the value codec. The pre-optimization
 // implementations they were first measured against (whole-edge mutex,
-// process-global gob lock, per-bin map grouping) are gone; their numbers
+// process-global codec lock, per-bin map grouping) are gone; their numbers
 // are in EXPERIMENTS.md "Hot-path microbenchmarks (before/after)".
 
 // benchEmit runs `workers` goroutines emitting interleaved keys on one
@@ -53,17 +53,38 @@ func BenchmarkEmitPath(b *testing.B) {
 	}
 }
 
-type benchGobValue struct {
+// benchRegValue is a RegisterValue'd type marshaled field by field through
+// the codec itself.
+type benchRegValue struct {
 	Name  string
 	Count int64
 	Pos   []float64
 }
 
-func init() { RegisterValue(benchGobValue{}) }
+func (v benchRegValue) MarshalBinary() ([]byte, error) {
+	b, _ := EncodeValue(nil, v.Name)
+	b, _ = EncodeValue(b, v.Count)
+	return EncodeValue(b, v.Pos)
+}
+
+func (v *benchRegValue) UnmarshalBinary(b []byte) error {
+	var f [3]any
+	for i := range f {
+		x, n, err := DecodeValue(b)
+		if err != nil {
+			return err
+		}
+		f[i], b = x, b[n:]
+	}
+	v.Name, v.Count, v.Pos = f[0].(string), f[1].(int64), f[2].([]float64)
+	return nil
+}
+
+func init() { RegisterValue(benchRegValue{}) }
 
 // BenchmarkCodec measures EncodeValue/DecodeValue for the shapes the
-// benchmarks actually emit, plus the gob fallback — sequential and with 8
-// concurrent encoders sharing the pooled gob sessions.
+// benchmarks actually emit, plus a registered type — sequential and with 8
+// concurrent encoders sharing the registry.
 func BenchmarkCodec(b *testing.B) {
 	values := []struct {
 		name string
@@ -74,7 +95,7 @@ func BenchmarkCodec(b *testing.B) {
 		{"float64-slice", []float64{1, 2, 3, 4, 5, 6, 7, 8}},
 		{"int-slice", []int{9, 8, 7, 6, 5, 4, 3, 2, 1}},
 		{"map-string-int64", map[string]int64{"a": 1, "bb": 2, "ccc": 3, "dddd": 4}},
-		{"gob-fallback", benchGobValue{Name: "x", Count: 42, Pos: []float64{1, 2, 3}}},
+		{"registered", benchRegValue{Name: "x", Count: 42, Pos: []float64{1, 2, 3}}},
 	}
 	for _, tc := range values {
 		tc := tc
@@ -93,15 +114,15 @@ func BenchmarkCodec(b *testing.B) {
 			}
 		})
 	}
-	gobVal := benchGobValue{Name: "y", Count: 7, Pos: []float64{3, 1, 4, 1, 5}}
-	b.Run("parallel-gob/pooled", func(b *testing.B) {
+	regVal := benchRegValue{Name: "y", Count: 7, Pos: []float64{3, 1, 4, 1, 5}}
+	b.Run("parallel-registered", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetParallelism(8)
 		b.RunParallel(func(pb *testing.PB) {
 			var scratch []byte
 			for pb.Next() {
 				var err error
-				scratch, err = EncodeValue(scratch[:0], gobVal)
+				scratch, err = EncodeValue(scratch[:0], regVal)
 				if err != nil {
 					b.Fatal(err)
 				}

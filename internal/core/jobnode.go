@@ -220,7 +220,7 @@ func newJobNode(rt *NodeRuntime, graph *Graph, jobID int64, numNodes int) *jobNo
 		es := &edgeState{
 			idx:  i,
 			edge: e,
-			buf:  newBinBuffer(numNodes, rt.bins, rt.cfg.BinBytes),
+			buf:  newBinBuffer(numNodes, rt.bins, maxBinBytes),
 			cred: newCredit(rt.cfg.FlowControlWindow),
 		}
 		jn.edges = append(jn.edges, es)
@@ -256,6 +256,10 @@ func newJobNode(rt *NodeRuntime, graph *Graph, jobID int64, numNodes int) *jobNo
 
 // maxRefires bounds re-fires of one crashed flowlet task.
 const maxRefires = 3
+
+// maxBinBytes seals a bin whose pairs reach this many modeled bytes before
+// it holds BinSize of them.
+const maxBinBytes = 128 << 10
 
 // fireTask launches one fine-grain flowlet task under the fault injector.
 // The injector may crash the task at its start — before fn has run, so
@@ -387,6 +391,7 @@ func (jn *jobNode) onBin(bin *Bin, local bool) {
 		jn.rt.binsDropped.Inc()
 		log.Printf("core: node %d dropped bin for job %d with out-of-range flowlet %d (%d kvs, from node %d)",
 			jn.node, bin.Job, bin.Flowlet, len(bin.KVs), bin.From)
+		bin.release()
 		return
 	}
 	fs := jn.flowlets[bin.Flowlet]

@@ -283,7 +283,6 @@ func TestBinListRecycles(t *testing.T) {
 	if c != a || len(c.KVs) != 0 || cap(c.KVs) != 4 || c.Bytes != 0 {
 		t.Fatalf("recycled slab = %+v (cap %d), want the first one, empty", c, cap(c.KVs))
 	}
-	(&Bin{}).release() // a decoded bin has no home
 }
 
 func TestBinBufferSealsByBytes(t *testing.T) {

@@ -28,8 +28,6 @@ type Config struct {
 	// BinSize is the maximum number of pairs per bin, the engine's
 	// scheduling quantum.
 	BinSize int
-	// BinBytes caps a bin's payload size in bytes.
-	BinBytes int64
 	// FlowControlWindow is the number of bins that may be outstanding per
 	// edge per producing node before producers stall (§2). Zero disables
 	// flow control (used by the ablation benchmark).
@@ -103,9 +101,6 @@ func (c *Config) FillDefaults() {
 	if c.BinSize <= 0 {
 		c.BinSize = 512
 	}
-	if c.BinBytes <= 0 {
-		c.BinBytes = 128 << 10
-	}
 	if c.FlowControlWindow < 0 {
 		c.FlowControlWindow = 0
 	}
@@ -155,14 +150,6 @@ type failMsg struct {
 	// error matching ErrJobCanceled, the same cross-node typing the fault
 	// fields provide.
 	Canceled bool
-}
-
-func init() {
-	transport.RegisterPayload(&Bin{})
-	transport.RegisterPayload(ackMsg{})
-	transport.RegisterPayload(completeMsg{})
-	transport.RegisterPayload(failMsg{})
-	transport.RegisterPayload(KV{})
 }
 
 // NodeRuntime is the long-lived flowlet runtime on one node (Fig. 2): a
@@ -264,10 +251,6 @@ func (rt *NodeRuntime) Disk() storage.Disk { return rt.disk }
 // Service returns a node-local service handle.
 func (rt *NodeRuntime) Service(name string) any { return rt.services[name] }
 
-// SetService installs a node-local service handle (used by the cluster at
-// construction time).
-func (rt *NodeRuntime) SetService(name string, v any) { rt.services[name] = v }
-
 // Pool exposes the worker pool for utilization reporting.
 func (rt *NodeRuntime) Pool() *par.Pool { return rt.pool }
 
@@ -305,20 +288,29 @@ func (rt *NodeRuntime) unregisterJob(id int64) {
 	rt.mu.Unlock()
 }
 
+// payloadOf returns msg's payload as the sender's own T — the in-process
+// fabric hands the value over — or decodes the bytes a byte boundary left
+// in its place. A kind has these two shapes and no other.
+func payloadOf[T any](msg transport.Message, decode func([]byte) (T, error)) (T, error) {
+	switch p := msg.Payload.(type) {
+	case T:
+		return p, nil
+	case []byte:
+		return decode(p)
+	}
+	var zero T
+	return zero, fmt.Errorf("payload is a %T", msg.Payload)
+}
+
 // handle is the transport handler: it runs on the node's delivery
 // goroutine, so it only does bookkeeping and task submission.
 func (rt *NodeRuntime) handle(msg transport.Message) {
+	var err error
 	switch msg.Kind {
 	case msgBin:
-		bin, ok := msg.Payload.(*Bin)
-		if !ok {
-			// TCP transport delivers by value after gob decoding.
-			if b, ok2 := msg.Payload.(Bin); ok2 {
-				bin = &b
-			} else {
-				rt.dropPayload(msg)
-				return
-			}
+		var bin *Bin
+		if bin, err = payloadOf(msg, rt.bins.decode); err != nil {
+			break
 		}
 		if jn := rt.job(bin.Job); jn != nil {
 			jn.onBin(bin, false)
@@ -328,12 +320,12 @@ func (rt *NodeRuntime) handle(msg transport.Message) {
 			rt.binsDropped.Inc()
 			log.Printf("core: node %d dropped bin for unknown job %d (flowlet %d, %d kvs, from node %d)",
 				rt.id, bin.Job, bin.Flowlet, len(bin.KVs), bin.From)
+			bin.release()
 		}
 	case msgAck:
-		ack, ok := msg.Payload.(ackMsg)
-		if !ok {
-			rt.dropPayload(msg)
-			return
+		var ack ackMsg
+		if ack, err = payloadOf(msg, decodeAck); err != nil {
+			break
 		}
 		// Acks and completions for unknown jobs are normal teardown
 		// stragglers (the job already finished or failed here); only a
@@ -342,31 +334,28 @@ func (rt *NodeRuntime) handle(msg transport.Message) {
 			jn.onAck(ack.Edge)
 		}
 	case msgComplete:
-		cm, ok := msg.Payload.(completeMsg)
-		if !ok {
-			rt.dropPayload(msg)
-			return
+		var cm completeMsg
+		if cm, err = payloadOf(msg, decodeComplete); err != nil {
+			break
 		}
 		if jn := rt.job(cm.Job); jn != nil {
 			jn.onComplete(cm.Flowlet, cm.Node)
 		}
 	case msgFail:
-		fm, ok := msg.Payload.(failMsg)
-		if !ok {
-			rt.dropPayload(msg)
-			return
+		var fm failMsg
+		if fm, err = payloadOf(msg, decodeFail); err != nil {
+			break
 		}
 		if jn := rt.job(fm.Job); jn != nil {
 			jn.onRemoteFail(fm)
 		}
 	}
-}
-
-// dropPayload counts and logs a message whose payload did not match its
-// kind; these were previously discarded with no trace, which made
-// transport-codec regressions look like hangs.
-func (rt *NodeRuntime) dropPayload(msg transport.Message) {
-	rt.binsDropped.Inc()
-	log.Printf("core: node %d dropped malformed %s payload %T from node %d",
-		rt.id, msg.Kind, msg.Payload, msg.From)
+	if err != nil {
+		// Counted and logged: discarded without a trace, a payload that
+		// does not match its kind makes a wire-form regression look like a
+		// hang.
+		rt.binsDropped.Inc()
+		log.Printf("core: node %d dropped malformed %s message from node %d: %v",
+			rt.id, msg.Kind, msg.From, err)
+	}
 }

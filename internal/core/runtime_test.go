@@ -3,50 +3,70 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/metrics"
 	"github.com/hamr-go/hamr/internal/storage"
 	"github.com/hamr-go/hamr/internal/transport"
 )
 
-// TestEngineOverTCP runs a full wordcount job with the data plane on real
-// TCP sockets — the engine is transport-agnostic.
+// TestEngineOverTCP runs a full wordcount job with the data plane in
+// process and on real TCP sockets, with shuffle compression off and on —
+// the engine is transport-agnostic, and wherever a bin has to become bytes
+// (every TCP frame, every compressed batch) the counts do not change and
+// the slab ledger still balances: the sender's slab is released when the
+// frame is committed, the receiver's is drawn from and returned to its own
+// list. Bins are small so that batches hold several and really compress.
 func TestEngineOverTCP(t *testing.T) {
 	const numNodes = 3
-	addrs := map[transport.NodeID]string{}
-	for i := 0; i < numNodes; i++ {
-		addrs[transport.NodeID(i)] = "127.0.0.1:0"
-	}
-	net := transport.NewTCPNetwork(addrs)
-	defer net.Close()
-
-	cfg := Config{NumNodes: numNodes, Workers: 2}
-	nodes := make([]*NodeRuntime, numNodes)
-	for i := 0; i < numNodes; i++ {
-		rt, err := NewNodeRuntime(i, cfg, net, storage.NewMemDisk(0), nil, metrics.NewRegistry())
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = rt
-		defer rt.Close()
-	}
-
 	chunks, want := wordChunks(8, 25)
-	g, sink := buildWordCount(t, true, chunks)
-	if _, err := Run(g, nodes, nil); err != nil {
-		t.Fatalf("Run over TCP: %v", err)
-	}
-	got := map[string]int64{}
-	for _, kv := range sink.Pairs() {
-		got[kv.Key] += kv.Value.(int64)
-	}
-	for w, n := range want {
-		if got[w] != n {
-			t.Errorf("count[%q] = %d, want %d (over TCP)", w, got[w], n)
+	for _, fabric := range []string{"inmem", "tcp"} {
+		for _, codec := range []compress.Codec{nil, compress.LZ{}} {
+			fabric, codec := fabric, codec
+			name := fabric + "/off"
+			if codec != nil {
+				name = fabric + "/" + codec.Name()
+			}
+			t.Run(name, func(t *testing.T) {
+				var framed metrics.Counter
+				cfg := Config{Workers: 2, BinSize: 16,
+					ShuffleCompress: compress.Config{Codec: codec, Meter: &compress.Meter{Out: &framed}}}
+				var net transport.Network = NewTestNetwork()
+				if fabric == "tcp" {
+					addrs := map[transport.NodeID]string{}
+					for i := 0; i < numNodes; i++ {
+						addrs[transport.NodeID(i)] = "127.0.0.1:0"
+					}
+					net = transport.NewTCPNetwork(addrs)
+				}
+				nodes, cleanup := newClusterOn(t, net, numNodes, cfg)
+				defer cleanup()
+				g, sink := buildWordCount(t, true, chunks)
+				if _, err := Run(g, nodes, nil); err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				got := map[string]int64{}
+				for _, kv := range sink.Pairs() {
+					got[kv.Key] += kv.Value.(int64)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("counts = %v, want %v", got, want)
+				}
+				assertSlabsHome(t, nodes)
+				for _, rt := range nodes {
+					if d := rt.Metrics().Snapshot().Get("bins.dropped"); d != 0 {
+						t.Errorf("node %d: bins.dropped = %d", rt.id, d)
+					}
+				}
+				if (framed.Value() > 0) != (codec != nil) {
+					t.Errorf("compressed %d frame bytes with codec %v", framed.Value(), codec)
+				}
+			})
 		}
 	}
 }
@@ -276,7 +296,7 @@ func TestSerializeUpdatesSingleStripe(t *testing.T) {
 func TestConfigFillDefaults(t *testing.T) {
 	var c Config
 	c.FillDefaults()
-	if c.Workers <= 0 || c.BinSize <= 0 || c.BinBytes <= 0 ||
+	if c.Workers <= 0 || c.BinSize <= 0 ||
 		c.LoaderConcurrency <= 0 || c.ReduceTaskKeys <= 0 || c.PartialStripes <= 0 {
 		t.Errorf("defaults incomplete: %+v", c)
 	}

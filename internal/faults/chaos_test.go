@@ -26,6 +26,7 @@ import (
 	"github.com/hamr-go/hamr/internal/datagen"
 	"github.com/hamr-go/hamr/internal/faults"
 	"github.com/hamr-go/hamr/internal/mapreduce"
+	"github.com/hamr-go/hamr/internal/vtime"
 )
 
 // chaosSeeds are the fixed seeds every scenario replays under (CI runs the
@@ -49,16 +50,18 @@ type mrRun struct {
 	output map[string]string
 }
 
-// runMRWordCount executes WordCount on a fresh cluster. The injector is
+// runMRWordCount executes WordCount on a fresh cluster of nodes nodes that
+// pays modeled delays through clk (nil is the real clock). The injector is
 // armed only around the job: input load and output verification stay
 // fault-free.
-func runMRWordCount(t *testing.T, fcfg *faults.Config, mcfg mapreduce.Config) *mrRun {
+func runMRWordCount(t *testing.T, nodes int, clk vtime.Clock, fcfg *faults.Config, mcfg mapreduce.Config) *mrRun {
 	t.Helper()
 	c, err := cluster.New(cluster.Options{
-		NumNodes:        chaosNodes,
+		NumNodes:        nodes,
 		HDFSBlockSize:   4 << 10,
 		HDFSReplication: 2,
 		Faults:          fcfg,
+		Clock:           clk,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +163,7 @@ func assertSameOutput(t *testing.T, got, want map[string]string) {
 // checkpoint and verifies the retried tasks reproduce the fault-free
 // output exactly, with kill and retry counters matching the predictor.
 func TestChaosMapTaskKills(t *testing.T) {
-	base := runMRWordCount(t, nil, mapreduce.Config{})
+	base := runMRWordCount(t, chaosNodes, nil, nil, mapreduce.Config{})
 	if base.err != nil {
 		t.Fatal(base.err)
 	}
@@ -169,7 +172,7 @@ func TestChaosMapTaskKills(t *testing.T) {
 	for _, seed := range []int64{1, 3, 5} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			fcfg := &faults.Config{Seed: seed, KillMap: 0.3}
-			run := runMRWordCount(t, fcfg, mapreduce.Config{})
+			run := runMRWordCount(t, chaosNodes, nil, fcfg, mapreduce.Config{})
 			inj := run.c.Faults()
 
 			var kills, retries int64
@@ -206,7 +209,7 @@ func TestChaosMapTaskKills(t *testing.T) {
 // (mid-merge): the retry must re-fetch from the still-present map output
 // and produce identical results.
 func TestChaosReduceTaskKills(t *testing.T) {
-	base := runMRWordCount(t, nil, mapreduce.Config{})
+	base := runMRWordCount(t, chaosNodes, nil, nil, mapreduce.Config{})
 	if base.err != nil {
 		t.Fatal(base.err)
 	}
@@ -214,7 +217,7 @@ func TestChaosReduceTaskKills(t *testing.T) {
 	for _, seed := range []int64{1, 2, 4} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			fcfg := &faults.Config{Seed: seed, KillReduce: 0.5}
-			run := runMRWordCount(t, fcfg, mapreduce.Config{})
+			run := runMRWordCount(t, chaosNodes, nil, fcfg, mapreduce.Config{})
 			inj := run.c.Faults()
 
 			var kills, retries int64
@@ -248,14 +251,14 @@ func TestChaosReduceTaskKills(t *testing.T) {
 // holds is unreadable and reads must fail over to the surviving replica,
 // while blocks written during the job must avoid the dead node entirely.
 func TestChaosDeadDatanode(t *testing.T) {
-	base := runMRWordCount(t, nil, mapreduce.Config{})
+	base := runMRWordCount(t, chaosNodes, nil, nil, mapreduce.Config{})
 	if base.err != nil {
 		t.Fatal(base.err)
 	}
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			fcfg := &faults.Config{Seed: seed, DeadNodes: 1}
-			run := runMRWordCount(t, fcfg, mapreduce.Config{})
+			run := runMRWordCount(t, chaosNodes, nil, fcfg, mapreduce.Config{})
 			if run.err != nil {
 				t.Fatalf("job failed: %v", run.err)
 			}
@@ -302,14 +305,14 @@ func TestChaosDeadDatanode(t *testing.T) {
 // memory must be returned exactly once per revocation and the rescheduled
 // attempts must reproduce the output.
 func TestChaosContainerRevocation(t *testing.T) {
-	base := runMRWordCount(t, nil, mapreduce.Config{})
+	base := runMRWordCount(t, chaosNodes, nil, nil, mapreduce.Config{})
 	if base.err != nil {
 		t.Fatal(base.err)
 	}
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			fcfg := &faults.Config{Seed: seed, Revoke: 0.4}
-			run := runMRWordCount(t, fcfg, mapreduce.Config{})
+			run := runMRWordCount(t, chaosNodes, nil, fcfg, mapreduce.Config{})
 			inj := run.c.Faults()
 
 			var revokes, retries int64
@@ -362,12 +365,12 @@ func TestChaosContainerRevocation(t *testing.T) {
 // Speculation on, a backup attempt races each stalled original and the job
 // finishes with identical output.
 func TestChaosSpeculativeExecution(t *testing.T) {
-	base := runMRWordCount(t, nil, mapreduce.Config{})
+	base := runMRWordCount(t, chaosNodes, nil, nil, mapreduce.Config{})
 	if base.err != nil {
 		t.Fatal(base.err)
 	}
 	fcfg := &faults.Config{Seed: 1, Straggle: 1, StraggleDelay: 300 * time.Millisecond}
-	run := runMRWordCount(t, fcfg, mapreduce.Config{Speculation: true})
+	run := runMRWordCount(t, chaosNodes, nil, fcfg, mapreduce.Config{Speculation: true})
 	if run.err != nil {
 		t.Fatalf("job failed: %v", run.err)
 	}
@@ -393,22 +396,23 @@ type hamrRun struct {
 	output []core.KV
 }
 
-// runHAMRWordCount executes the flowlet WordCount. Coalescing is disabled
-// so every fabric message is individually visible to the injector's
-// delivery hook.
-func runHAMRWordCount(t *testing.T, fcfg *faults.Config) *hamrRun {
+// runHAMRWordCount executes the flowlet WordCount on nodes nodes and clk, as
+// runMRWordCount does. Coalescing is disabled so every fabric message is
+// individually visible to the injector's delivery hook.
+func runHAMRWordCount(t *testing.T, nodes int, clk vtime.Clock, fcfg *faults.Config) *hamrRun {
 	t.Helper()
 	c, err := cluster.New(cluster.Options{
-		NumNodes:      chaosNodes,
+		NumNodes:      nodes,
 		HDFSBlockSize: 4 << 10,
 		Core:          core.Config{Workers: 2, CoalesceMsgs: -1},
 		Faults:        fcfg,
+		Clock:         clk,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	files, err := hamrapps.DistributeLocalText(c, "words", corpus(), 2*chaosNodes)
+	files, err := hamrapps.DistributeLocalText(c, "words", corpus(), 2*nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +448,7 @@ func runHAMRWordCount(t *testing.T, fcfg *faults.Config) *hamrRun {
 // messages: the reliable fabric retransmits and dedups, so the flowlet
 // output must not change at all.
 func TestChaosMessageDropDupDelay(t *testing.T) {
-	base := runHAMRWordCount(t, nil)
+	base := runHAMRWordCount(t, chaosNodes, nil, nil)
 	if base.err != nil {
 		t.Fatal(base.err)
 	}
@@ -460,7 +464,7 @@ func TestChaosMessageDropDupDelay(t *testing.T) {
 				MsgDelay:    0.05,
 				MsgDelayDur: 200 * time.Microsecond,
 			}
-			run := runHAMRWordCount(t, fcfg)
+			run := runHAMRWordCount(t, chaosNodes, nil, fcfg)
 			if run.err != nil {
 				t.Fatalf("job failed: %v", run.err)
 			}
@@ -489,14 +493,14 @@ func TestChaosMessageDropDupDelay(t *testing.T) {
 // TestChaosFlowletRefire crashes fine-grain flowlet tasks at their start;
 // bounded re-fires must mask every crash and reproduce the output.
 func TestChaosFlowletRefire(t *testing.T) {
-	base := runHAMRWordCount(t, nil)
+	base := runHAMRWordCount(t, chaosNodes, nil, nil)
 	if base.err != nil {
 		t.Fatal(base.err)
 	}
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			fcfg := &faults.Config{Seed: seed, FlowletFire: 0.15}
-			run := runHAMRWordCount(t, fcfg)
+			run := runHAMRWordCount(t, chaosNodes, nil, fcfg)
 			if run.err != nil {
 				t.Fatalf("job failed: %v", run.err)
 			}
@@ -514,6 +518,62 @@ func TestChaosFlowletRefire(t *testing.T) {
 				t.Errorf("flowlet.refires = %d, faults.flowlet.fire = %d", refires, fires)
 			}
 		})
+	}
+}
+
+// TestChaosMixedFaults is the end-to-end recovery check at the benchmarks'
+// cluster size: eight nodes, a mixed fault configuration per engine — task
+// kills with container revocations under MapReduce, flowlet crashes with
+// message drop/dup/delay under HAMR — on the real clock and on a virtual
+// one, where injected delays advance logical clocks instead of sleeping.
+// Seeds are verified to inject faults into every layer without exhausting
+// any task's retry budget. Recovery must mask every fault: faults fired,
+// tasks were retried, and both outputs are the fault-free ones.
+func TestChaosMixedFaults(t *testing.T) {
+	const nodes = 8
+	mrBase := runMRWordCount(t, nodes, nil, nil, mapreduce.Config{})
+	hBase := runHAMRWordCount(t, nodes, nil, nil)
+	if mrBase.err != nil || hBase.err != nil {
+		t.Fatal(mrBase.err, hBase.err)
+	}
+	for _, seed := range []int64{1, 3, 5} {
+		for _, virtual := range []bool{false, true} {
+			seed, virtual := seed, virtual
+			t.Run(fmt.Sprintf("seed=%d/vclock=%v", seed, virtual), func(t *testing.T) {
+				clock := func() vtime.Clock {
+					if virtual {
+						return vtime.NewVirtual(nodes)
+					}
+					return nil
+				}
+				mr := runMRWordCount(t, nodes, clock(),
+					&faults.Config{Seed: seed, KillMap: 0.3, Revoke: 0.2}, mapreduce.Config{})
+				if mr.err != nil {
+					t.Fatalf("mapreduce job failed: %v", mr.err)
+				}
+				if counter(mr.c, "faults.injected") == 0 {
+					t.Error("mapreduce: no faults fired")
+				}
+				if counter(mr.c, "mr.task.retries") == 0 {
+					t.Error("mapreduce: no task was retried")
+				}
+				assertSameOutput(t, mr.output, mrBase.output)
+
+				h := runHAMRWordCount(t, nodes, clock(), &faults.Config{
+					Seed: seed, FlowletFire: 0.1, MsgDrop: 0.03, MsgDup: 0.02,
+					MsgDelay: 0.03, MsgDelayDur: 100 * time.Microsecond,
+				})
+				if h.err != nil {
+					t.Fatalf("hamr job failed: %v", h.err)
+				}
+				if counter(h.c, "faults.injected") == 0 {
+					t.Error("hamr: no faults fired")
+				}
+				if !reflect.DeepEqual(h.output, hBase.output) {
+					t.Errorf("hamr output diverged under faults: %d pairs vs %d", len(h.output), len(hBase.output))
+				}
+			})
+		}
 	}
 }
 
@@ -571,7 +631,7 @@ func TestChaosSeedReplay(t *testing.T) {
 		output   map[string]string
 	}
 	run := func(seed int64) replay {
-		r := runMRWordCount(t, &faults.Config{Seed: seed, KillMap: 0.3, KillReduce: 0.3, Revoke: 0.2},
+		r := runMRWordCount(t, chaosNodes, nil, &faults.Config{Seed: seed, KillMap: 0.3, KillReduce: 0.3, Revoke: 0.2},
 			mapreduce.Config{})
 		if r.err != nil {
 			t.Fatalf("seed %d job failed: %v", seed, r.err)
@@ -614,7 +674,7 @@ func TestChaosDisabledInjectorIsInvariant(t *testing.T) {
 		Revoke: 0.9, FlowletFire: 0.9,
 	}
 
-	bare := runMRWordCount(t, nil, mapreduce.Config{})
+	bare := runMRWordCount(t, chaosNodes, nil, nil, mapreduce.Config{})
 	if bare.err != nil {
 		t.Fatal(bare.err)
 	}
@@ -666,7 +726,7 @@ func TestChaosDisabledInjectorIsInvariant(t *testing.T) {
 	}
 
 	// Same invariance for the flowlet engine.
-	hBare := runHAMRWordCount(t, nil)
+	hBare := runHAMRWordCount(t, chaosNodes, nil, nil)
 	if hBare.err != nil {
 		t.Fatal(hBare.err)
 	}

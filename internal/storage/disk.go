@@ -499,8 +499,6 @@ type CostDisk struct {
 	// slots serializes modeled delays so aggregate throughput cannot
 	// exceed Parallel concurrent streams.
 	slots chan struct{}
-	// sleep, when non-nil, replaces the clock for tests (SetSleep).
-	sleep func(time.Duration)
 	// clock pays modeled delays; node attributes them (vtime.Driver when
 	// the disk is not part of a cluster).
 	clock vtime.Clock
@@ -527,10 +525,6 @@ func NewCostDisk(backing Disk, model CostModel, reg *metrics.Registry) *CostDisk
 	}
 }
 
-// SetSleep replaces the delay function; tests use this to capture modeled
-// time without real sleeping. It overrides the clock.
-func (d *CostDisk) SetSleep(fn func(time.Duration)) { d.sleep = fn }
-
 // SetClock routes modeled delays through clk, attributed to node's disk
 // lane. The cluster wires every node disk here; the default is the real
 // clock (plain sleeps).
@@ -546,11 +540,7 @@ func (d *CostDisk) charge(dur time.Duration) {
 	}
 	d.reg.Observe("disk.time", dur)
 	d.slots <- struct{}{}
-	if d.sleep != nil {
-		d.sleep(dur)
-	} else {
-		d.clock.Charge(d.node, vtime.Disk, dur)
-	}
+	d.clock.Charge(d.node, vtime.Disk, dur)
 	<-d.slots
 }
 

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/hamr-go/hamr/internal/vtime"
 )
 
 // diskContract runs the behavioural contract every Disk implementation
@@ -196,48 +198,42 @@ func TestMemDiskUsedAccounting(t *testing.T) {
 }
 
 func TestCostDiskChargesModeledTime(t *testing.T) {
-	var charged time.Duration
 	cd := NewCostDisk(NewMemDisk(0), CostModel{
 		SeekLatency:      time.Millisecond,
 		ReadBytesPerSec:  1 << 20,
 		WriteBytesPerSec: 1 << 20,
 	}, nil)
-	cd.SetSleep(func(d time.Duration) { charged += d })
+	vc := vtime.NewVirtual(1)
+	cd.SetClock(vc, 0)
 
 	w, _ := cd.Create("f") // seek
 	w.Write(make([]byte, 1<<20))
 	w.Close()
-	if charged < time.Millisecond+900*time.Millisecond {
-		t.Errorf("write charge %v, want >= ~1s", charged)
+	written := vc.Busy(vtime.Disk)
+	if written < time.Millisecond+900*time.Millisecond {
+		t.Errorf("write charge %v, want >= ~1s", written)
 	}
-	charged = 0
 	r, _ := cd.Open("f") // seek
 	io.ReadAll(r)
 	r.Close()
-	if charged < time.Millisecond+900*time.Millisecond {
-		t.Errorf("read charge %v, want >= ~1s", charged)
+	if read := vc.Busy(vtime.Disk) - written; read < time.Millisecond+900*time.Millisecond {
+		t.Errorf("read charge %v, want >= ~1s", read)
 	}
 }
 
 func TestCostDiskTimeScale(t *testing.T) {
-	var base, scaled time.Duration
-	mk := func(scale float64, out *time.Duration) *CostDisk {
+	charge := func(scale float64) time.Duration {
 		cd := NewCostDisk(NewMemDisk(0), CostModel{
 			WriteBytesPerSec: 1 << 20, TimeScale: scale,
 		}, nil)
-		cd.SetSleep(func(d time.Duration) { *out += d })
-		return cd
-	}
-	for _, c := range []struct {
-		scale float64
-		out   *time.Duration
-	}{{1, &base}, {10, &scaled}} {
-		cd := mk(c.scale, c.out)
+		vc := vtime.NewVirtual(1)
+		cd.SetClock(vc, 0)
 		w, _ := cd.Create("f")
 		w.Write(make([]byte, 512<<10))
 		w.Close()
+		return vc.Busy(vtime.Disk)
 	}
-	ratio := float64(scaled) / float64(base)
+	ratio := float64(charge(10)) / float64(charge(1))
 	if ratio < 9.5 || ratio > 10.5 {
 		t.Errorf("TimeScale 10 changed charge by %.2fx, want ~10x", ratio)
 	}

@@ -1,12 +1,9 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
+	"fmt"
 	"sync"
 	"time"
-
-	"fmt"
 
 	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/trace"
@@ -19,8 +16,8 @@ import (
 // never observe the framing.
 const KindBatch = "transport.batch"
 
-// KindBatchZ marks a compressed coalesced frame: the payload is one
-// compress frame wrapping the gob encoding of a BatchPayload. The
+// KindBatchZ marks a compressed coalesced frame: the payload is the bytes
+// of one compress frame wrapping the batch's messages in wire form. The
 // message's modeled Size is the wire frame length, so net.bytes and the
 // delivery delay are charged on the bytes that would actually cross the
 // fabric. Both Network implementations decompress in dispatch.
@@ -30,16 +27,6 @@ const KindBatchZ = "transport.batchz"
 // messages, in send order.
 type BatchPayload struct {
 	Msgs []Message
-}
-
-// BatchZPayload is the payload of a KindBatchZ frame.
-type BatchZPayload struct {
-	Frame []byte
-}
-
-func init() {
-	gob.Register(&BatchPayload{})
-	gob.Register(&BatchZPayload{})
 }
 
 // CoalescerConfig bounds how long and how large a pending batch may grow.
@@ -55,8 +42,8 @@ type CoalescerConfig struct {
 	// background flush pushes it out; this caps the latency added to
 	// credit acks and stragglers.
 	MaxAge time.Duration
-	// Compress, when enabled, gob-encodes each batch and compresses it
-	// into one KindBatchZ frame, provided the modeled batch bytes reach
+	// Compress, when enabled, puts each batch in wire form and compresses
+	// it into one KindBatchZ frame, provided the modeled batch bytes reach
 	// Compress.MinBytes AND the wire frame beats the raw modeled size —
 	// otherwise the plain KindBatch goes out (counted as skipped), so
 	// net.bytes can only shrink. With compression on, the MaxBytes flush
@@ -286,20 +273,20 @@ func (c *Coalescer) sendPendingLocked(d *destBuffer, to NodeID) error {
 	})
 }
 
-// batchEncPool recycles the gob-encode and frame scratch of one
-// compressed flush.
+// batchEncPool recycles the wire-form and frame scratch of one compressed
+// flush.
 type batchEnc struct {
-	buf   bytes.Buffer
-	frame []byte
+	raw, frame []byte
 }
 
 var batchEncPool = sync.Pool{New: func() any { return new(batchEnc) }}
 
 // compressBatch tries to turn a pending batch into one KindBatchZ wire
 // frame. It reports false — plain KindBatch must go out — when
-// compression is off, the batch is under the minimum, a payload type is
-// not gob-registered, or the wire frame would not beat the raw modeled
-// bytes (net.bytes must never grow from compression).
+// compression is off, the batch is under the minimum, a payload cannot
+// encode itself, or the wire frame would not beat the raw modeled bytes
+// (net.bytes must never grow from compression). Only a committed frame
+// releases the payloads it replaces.
 func (c *Coalescer) compressBatch(msgs []Message, to NodeID, raw int64) (Message, bool) {
 	cc := c.cfg.Compress
 	if !cc.Enabled() || raw < int64(cc.MinBytes) {
@@ -307,26 +294,25 @@ func (c *Coalescer) compressBatch(msgs []Message, to NodeID, raw int64) (Message
 	}
 	e := batchEncPool.Get().(*batchEnc)
 	defer batchEncPool.Put(e)
-	e.buf.Reset()
-	// Each frame is self-contained, so each flush gets a fresh gob stream
-	// (type descriptors included; the codec squeezes the repetition out).
-	if err := gob.NewEncoder(&e.buf).Encode(&BatchPayload{Msgs: msgs}); err != nil {
-		// An unregistered payload type cannot cross as a compressed frame;
-		// the plain in-process batch still works.
-		cc.Meter.Skip()
-		return Message{}, false
+	var err error
+	if e.raw, err = appendMessages(e.raw[:0], msgs); err == nil {
+		e.frame = compress.AppendFrame(cc.Codec, e.frame[:0], e.raw, cc.MinBytes, nil)
 	}
-	e.frame = compress.AppendFrame(cc.Codec, e.frame[:0], e.buf.Bytes(), cc.MinBytes, nil)
-	if int64(len(e.frame)) >= raw {
+	// A payload without AppendBinary cannot cross as a compressed frame;
+	// the plain in-process batch still works.
+	if err != nil || int64(len(e.frame)) >= raw {
 		cc.Meter.Skip()
 		return Message{}, false
 	}
 	cc.Meter.Encoded(int(raw), len(e.frame))
+	for i := range msgs {
+		release(msgs[i].Payload)
+	}
 	return Message{
 		From:    msgs[0].From,
 		To:      to,
 		Kind:    KindBatchZ,
-		Payload: &BatchZPayload{Frame: append([]byte(nil), e.frame...)},
+		Payload: append([]byte(nil), e.frame...),
 		Size:    int64(len(e.frame)),
 	}, true
 }

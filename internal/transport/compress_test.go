@@ -1,8 +1,9 @@
 package transport
 
 import (
-	"encoding/gob"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,12 +13,30 @@ import (
 	"github.com/hamr-go/hamr/internal/metrics"
 )
 
-// shufflePayload mimics a shuffle bin: a compressible word payload.
+// shufflePayload mimics a shuffle bin: a compressible word payload that
+// crosses a byte boundary as newline-terminated words.
 type shufflePayload struct {
 	Words []string
 }
 
-func init() { gob.Register(&shufflePayload{}) }
+func (p *shufflePayload) AppendBinary(b []byte) ([]byte, error) {
+	for _, w := range p.Words {
+		b = append(append(b, w...), '\n')
+	}
+	return b, nil
+}
+
+// wordsOf reads a shufflePayload in either shape a handler can be handed:
+// the sender's own value, or its bytes.
+func wordsOf(m Message) []string {
+	switch p := m.Payload.(type) {
+	case *shufflePayload:
+		return p.Words
+	case []byte:
+		return strings.Split(strings.TrimSuffix(string(p), "\n"), "\n")
+	}
+	return nil
+}
 
 func shuffleMsg(i int, to NodeID) Message {
 	words := make([]string, 12)
@@ -48,12 +67,12 @@ func TestCoalescerCompression(t *testing.T) {
 	defer co.Close()
 
 	const msgs = 200
-	var got []Message
+	var got [][]string
 	var mu sync.Mutex
 	allIn := make(chan struct{})
 	if err := co.Register(0, func(m Message) {
 		mu.Lock()
-		got = append(got, m)
+		got = append(got, wordsOf(m))
 		if len(got) == msgs {
 			close(allIn)
 		}
@@ -84,16 +103,9 @@ func TestCoalescerCompression(t *testing.T) {
 	if len(got) != msgs {
 		t.Fatalf("handler saw %d messages, want %d", len(got), msgs)
 	}
-	for i, m := range got {
-		want := shuffleMsg(i, 0)
-		p, ok := m.Payload.(*shufflePayload)
-		if !ok {
-			t.Fatalf("message %d payload type %T", i, m.Payload)
-		}
-		for j, w := range p.Words {
-			if w != want.Payload.(*shufflePayload).Words[j] {
-				t.Fatalf("message %d word %d = %q", i, j, w)
-			}
+	for i, words := range got {
+		if want := shuffleMsg(i, 0).Payload.(*shufflePayload).Words; !reflect.DeepEqual(words, want) {
+			t.Fatalf("message %d words = %q, want %q", i, words, want)
 		}
 	}
 	wire := reg.Counter("net.bytes").Value()
@@ -199,12 +211,12 @@ func TestTCPCompressedBatch(t *testing.T) {
 	defer net.Close()
 	net.SetDecodeMeter(&compress.Meter{})
 
-	var got []Message
+	var got [][]string
 	var mu sync.Mutex
 	done := make(chan struct{})
 	if err := net.Register(0, func(m Message) {
 		mu.Lock()
-		got = append(got, m)
+		got = append(got, wordsOf(m))
 		if len(got) == 50 {
 			close(done)
 		}
@@ -235,10 +247,9 @@ func TestTCPCompressedBatch(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	for i, m := range got {
-		p, ok := m.Payload.(*shufflePayload)
-		if !ok || p.Words[0] != fmt.Sprintf("word-%03d", i%50) {
-			t.Fatalf("message %d corrupted: %T %+v", i, m.Payload, m.Payload)
+	for i, words := range got {
+		if len(words) != 12 || words[0] != fmt.Sprintf("word-%03d", i%50) {
+			t.Fatalf("message %d corrupted: %q", i, words)
 		}
 	}
 }

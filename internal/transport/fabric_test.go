@@ -379,16 +379,15 @@ func TestCoalescerAgeFlush(t *testing.T) {
 // TestTCPLargePayload: multi-MB payloads must round-trip intact through
 // the framed stream.
 func TestTCPLargePayload(t *testing.T) {
-	RegisterPayload([]byte(nil))
 	addrs := map[NodeID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"}
 	n := NewTCPNetwork(addrs)
 	defer n.Close()
 
 	got := make(chan Message, 1)
-	if err := n.Register(0, func(m Message) { got <- m }); err != nil {
+	if err := n.Register(0, func(m Message) { got <- keep(m) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Register(1, func(m Message) { got <- m }); err != nil {
+	if err := n.Register(1, func(m Message) { got <- keep(m) }); err != nil {
 		t.Fatal(err)
 	}
 	payload := make([]byte, 3<<20)
@@ -420,7 +419,6 @@ func TestTCPLargePayload(t *testing.T) {
 // TestTCPCoalescedFrames: a Coalescer over TCPNetwork delivers batch
 // frames that unpack transparently, in order, on the receiving side.
 func TestTCPCoalescedFrames(t *testing.T) {
-	RegisterPayload("")
 	addrs := map[NodeID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"}
 	tcp := NewTCPNetwork(addrs)
 	defer tcp.Close()
@@ -429,14 +427,14 @@ func TestTCPCoalescedFrames(t *testing.T) {
 
 	const msgs = 64
 	got := make(chan Message, msgs)
-	if err := co.Register(0, func(m Message) { got <- m }); err != nil {
+	if err := co.Register(0, func(m Message) { got <- keep(m) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := co.Register(1, func(m Message) { got <- m }); err != nil {
+	if err := co.Register(1, func(m Message) { got <- keep(m) }); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < msgs; i++ {
-		if err := co.Send(Message{From: 0, To: 1, Kind: "kv", Payload: fmt.Sprintf("m%03d", i), Size: 4}); err != nil {
+		if err := co.Send(Message{From: 0, To: 1, Kind: "kv", Payload: []byte(fmt.Sprintf("m%03d", i)), Size: 4}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -446,7 +444,7 @@ func TestTCPCoalescedFrames(t *testing.T) {
 	for i := 0; i < msgs; i++ {
 		select {
 		case m := <-got:
-			if want := fmt.Sprintf("m%03d", i); m.Payload.(string) != want {
+			if want := fmt.Sprintf("m%03d", i); string(m.Payload.([]byte)) != want {
 				t.Fatalf("message %d: payload %v, want %q (batch unpack must preserve order)", i, m.Payload, want)
 			}
 			if m.Kind != "kv" {

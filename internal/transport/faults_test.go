@@ -4,6 +4,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/hamr-go/hamr/internal/vtime"
 )
 
 // countingHook is a FaultHook that marks every 3rd message dropped (one
@@ -28,11 +30,11 @@ func (h *countingHook) DeliveryFault(node int, size int64) (int, int, time.Durat
 
 func TestInMemFaultHookChargesWithoutDroppingDelivery(t *testing.T) {
 	// Per-message latency 1ms so a retransmission is visible as extra
-	// charged (not slept: the sleep function is stubbed) delay.
+	// charged (not slept: the clock is virtual) delay.
 	n := NewInMemNetwork(CostModel{Latency: time.Millisecond}, nil)
 	defer n.Close()
-	var charged atomic.Int64
-	n.SetSleep(func(d time.Duration) { charged.Add(int64(d)) })
+	vc := vtime.NewVirtual(2)
+	n.SetClock(vc)
 	hook := &countingHook{extra: 10 * time.Millisecond}
 	n.SetFaults(hook)
 
@@ -60,9 +62,9 @@ func TestInMemFaultHookChargesWithoutDroppingDelivery(t *testing.T) {
 		t.Fatalf("hook consulted %d times, want once per message", hook.calls.Load())
 	}
 	// 30 transfers + 10 retransmissions at 1ms, + 6 extra delays of 10ms.
-	want := int64(40*time.Millisecond + 6*10*time.Millisecond)
-	if charged.Load() != want {
-		t.Fatalf("charged %v, want %v", time.Duration(charged.Load()), time.Duration(want))
+	n.Quiesce() // the last batch's handler runs after its charge, but be explicit
+	if got, want := vc.Busy(vtime.Net), 40*time.Millisecond+6*10*time.Millisecond; got != want {
+		t.Fatalf("charged %v, want %v", got, want)
 	}
 }
 
@@ -85,7 +87,6 @@ func TestInMemNilHookIgnored(t *testing.T) {
 }
 
 func TestTCPFaultHookDelaysInboundFrames(t *testing.T) {
-	RegisterPayload("")
 	n := NewTCPNetwork(map[NodeID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"})
 	defer n.Close()
 	hook := &countingHook{extra: time.Millisecond}
@@ -99,7 +100,7 @@ func TestTCPFaultHookDelaysInboundFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := n.Send(Message{From: 0, To: 1, Kind: "k", Payload: "p", Size: 8}); err != nil {
+		if err := n.Send(Message{From: 0, To: 1, Kind: "k", Payload: []byte("p"), Size: 8}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -21,11 +21,11 @@ func TestQuiesceIdleReturnsImmediately(t *testing.T) {
 
 // TestQuiesceWaitsForDelivery: Quiesce returns only after every accepted
 // message — unicast and broadcast copies alike — has been handed to its
-// handler, even when delivery is slowed by a modeled delay.
+// handler, even when delivery is slowed by a modeled delay (the real clock
+// sleeps it).
 func TestQuiesceWaitsForDelivery(t *testing.T) {
-	n := NewInMemNetwork(CostModel{}, nil)
+	n := NewInMemNetwork(CostModel{Latency: 2 * time.Millisecond}, nil)
 	defer n.Close()
-	n.SetSleep(func(time.Duration) { time.Sleep(2 * time.Millisecond) })
 
 	const nodes = 3
 	var handled atomic.Int64

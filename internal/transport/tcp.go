@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -15,21 +14,6 @@ import (
 	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/vtime"
 )
-
-// wireMessage is the on-the-wire form of Message for the TCP transport.
-// Payload types must be registered with RegisterPayload before use.
-type wireMessage struct {
-	From    NodeID
-	To      NodeID
-	Kind    string
-	Payload any
-	Size    int64
-}
-
-// RegisterPayload registers a payload type for gob encoding on the TCP
-// transport. It must be called (typically from an init function) for every
-// concrete payload type sent across TCPNetwork.
-func RegisterPayload(v any) { gob.Register(v) }
 
 // ioBufSize is the buffered reader/writer size per connection; large
 // enough that a coalesced batch frame of small messages goes out in one
@@ -51,13 +35,14 @@ var readerPool = sync.Pool{
 // processes and communicate over TCP. Each node runs a listener;
 // connections are established lazily per destination and reused.
 //
-// Wire format: a stream of frames, each a uvarint byte length followed by
-// that many bytes of a persistent per-connection gob stream. Messages are
-// gob-encoded into a scratch buffer and framed, so one Send is one
+// Wire format: a stream of frames, each a uvarint byte length (at most
+// maxFrame) followed by exactly one message in wire form (wire.go).
+// Messages are encoded into a scratch buffer and framed, so one Send is one
 // buffered write plus one flush — a single syscall even for a coalesced
-// batch of many small messages — and the receiver can account whole
-// frames without decoding them first. Coalesced KindBatch frames are
-// unpacked before the handler runs (see dispatch).
+// batch of many small messages. Coalesced KindBatch frames are unpacked
+// before the handler runs (see dispatch). A peer that sends anything else —
+// an oversized length, a frame that is not one whole message, a batch that
+// does not decode — has its connection closed.
 //
 // TCPNetwork exists to demonstrate the engine over the real network stack;
 // the simulated-cluster benchmarks use InMemNetwork.
@@ -118,55 +103,37 @@ type connKey struct {
 	from, to NodeID
 }
 
+// maxFrame bounds the length prefix a reader will believe, so a hostile
+// peer cannot size an allocation; a sender refuses what a reader would.
+const maxFrame = 16 << 20
+
 type tcpConn struct {
 	mu      sync.Mutex
 	c       net.Conn
 	bw      *bufio.Writer
-	enc     *gob.Encoder // encodes into scratch, never directly to the conn
-	scratch bytes.Buffer
+	scratch []byte
 	lenBuf  [binary.MaxVarintLen64]byte
 }
 
-// send gob-encodes msg into the connection's persistent encoder stream and
-// writes it as one length-prefixed frame.
+// send writes msg as one length-prefixed frame.
 func (tc *tcpConn) send(msg Message) error {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	tc.scratch.Reset()
-	if err := tc.enc.Encode(wireMessage(msg)); err != nil {
+	var err error
+	if tc.scratch, err = appendMessage(tc.scratch[:0], msg); err != nil {
 		return err
 	}
-	n := binary.PutUvarint(tc.lenBuf[:], uint64(tc.scratch.Len()))
+	if len(tc.scratch) > maxFrame {
+		return fmt.Errorf("transport: %d-byte message exceeds the %d-byte frame bound", len(tc.scratch), maxFrame)
+	}
+	n := binary.PutUvarint(tc.lenBuf[:], uint64(len(tc.scratch)))
 	if _, err := tc.bw.Write(tc.lenBuf[:n]); err != nil {
 		return err
 	}
-	if _, err := tc.bw.Write(tc.scratch.Bytes()); err != nil {
+	if _, err := tc.bw.Write(tc.scratch); err != nil {
 		return err
 	}
 	return tc.bw.Flush()
-}
-
-// frameReader adapts the framed stream back into the continuous byte
-// stream the gob decoder expects, stripping the uvarint length prefixes.
-type frameReader struct {
-	r         *bufio.Reader
-	remaining int64
-}
-
-func (f *frameReader) Read(p []byte) (int, error) {
-	for f.remaining == 0 {
-		n, err := binary.ReadUvarint(f.r)
-		if err != nil {
-			return 0, err
-		}
-		f.remaining = int64(n)
-	}
-	if int64(len(p)) > f.remaining {
-		p = p[:f.remaining]
-	}
-	n, err := f.r.Read(p)
-	f.remaining -= int64(n)
-	return n, err
 }
 
 // NewTCPNetwork creates a TCP network given the address of every node
@@ -238,18 +205,31 @@ func (n *TCPNetwork) serve(ln net.Listener, h Handler, node NodeID) {
 				br.Reset(bytes.NewReader(nil))
 				readerPool.Put(br)
 			}()
-			dec := gob.NewDecoder(&frameReader{r: br})
+			var frame []byte
 			for {
-				var wm wireMessage
-				if err := dec.Decode(&wm); err != nil {
+				size, err := binary.ReadUvarint(br)
+				if err != nil || size > maxFrame {
+					return
+				}
+				if uint64(cap(frame)) < size {
+					frame = make([]byte, size)
+				}
+				frame = frame[:size]
+				if _, err := io.ReadFull(br, frame); err != nil {
+					return
+				}
+				msg, used, err := readMessage(frame)
+				if err != nil || used != len(frame) {
 					return
 				}
 				if hook := n.faultHook(); hook != nil {
-					if _, _, extra := hook.DeliveryFault(int(node), wm.Size); extra > 0 {
+					if _, _, extra := hook.DeliveryFault(int(node), msg.Size); extra > 0 {
 						n.clk().Charge(int(node), vtime.Fault, extra)
 					}
 				}
-				dispatch(h, Message(wm), n.decm.Load())
+				if dispatch(h, msg, n.decm.Load()) != nil {
+					return
+				}
 			}
 		}()
 	}
@@ -280,7 +260,6 @@ func (n *TCPNetwork) conn(from, to NodeID) (*tcpConn, error) {
 	tc := &tcpConn{c: c}
 	tc.bw = writerPool.Get().(*bufio.Writer)
 	tc.bw.Reset(c)
-	tc.enc = gob.NewEncoder(&tc.scratch)
 	n.mu.Lock()
 	if existing, ok := n.conns[key]; ok {
 		n.mu.Unlock()
@@ -295,29 +274,37 @@ func (n *TCPNetwork) conn(from, to NodeID) (*tcpConn, error) {
 }
 
 // Send implements Network. Broadcast expands to a unicast per known node.
+// A unicast payload is released once its frame is written (see release).
 func (n *TCPNetwork) Send(msg Message) error {
-	if msg.To == Broadcast {
-		n.mu.Lock()
-		ids := make([]NodeID, 0, len(n.addrs))
-		for id := range n.addrs {
-			ids = append(ids, id)
+	if msg.To != Broadcast {
+		if err := n.sendTo(msg, msg.To); err != nil {
+			return err
 		}
-		n.mu.Unlock()
-		for _, id := range ids {
-			m := msg
-			m.To = id
-			if err := n.Send(m); err != nil {
-				return err
-			}
-		}
+		release(msg.Payload)
 		return nil
 	}
-	tc, err := n.conn(msg.From, msg.To)
+	n.mu.Lock()
+	ids := make([]NodeID, 0, len(n.addrs))
+	for id := range n.addrs {
+		ids = append(ids, id)
+	}
+	n.mu.Unlock()
+	for _, id := range ids {
+		if err := n.sendTo(msg, id); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (n *TCPNetwork) sendTo(msg Message, to NodeID) error {
+	msg.To = to
+	tc, err := n.conn(msg.From, to)
 	if err != nil {
 		return err
 	}
 	if err := tc.send(msg); err != nil {
-		return fmt.Errorf("transport: encode to node %d: %w", msg.To, err)
+		return fmt.Errorf("transport: send to node %d: %w", to, err)
 	}
 	return nil
 }

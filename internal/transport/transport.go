@@ -10,13 +10,15 @@
 //     therefore serialized, which models the hot-receiver bottleneck the
 //     paper observes for skewed key spaces (§5.2, HistogramRatings).
 //
-//   - TCPNetwork: a real TCP transport (gob framing) demonstrating that the
-//     engine runs over the operating system network stack; used by tests
-//     and the multi-process mode of cmd/hamr.
+//   - TCPNetwork: the same interface over real sockets, showing that the
+//     engine runs over the operating system network stack; only tests
+//     construct it.
 //
 // A Coalescer (coalesce.go) can wrap either network to aggregate small
 // same-destination messages into one framed batch; both networks unpack
-// batch frames transparently before invoking handlers.
+// batch frames transparently before invoking handlers. Where a message has
+// to become bytes — a compressed batch frame, a TCP connection — wire.go
+// holds the one form it takes.
 //
 // Fabric engineering vs modeled cost: the send path is lock-free beyond
 // the destination inbox (an atomically swapped immutable routing snapshot
@@ -31,8 +33,6 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -60,7 +60,9 @@ const Broadcast NodeID = -1
 
 // Message is one unit of communication. Size is the modeled wire size in
 // bytes used by cost models; senders should set it to the approximate
-// serialized size of Payload.
+// serialized size of Payload. In process the receiver gets the sender's
+// Payload itself; across a byte boundary it gets the payload's bytes as a
+// []byte that is valid until the handler returns (see wire.go).
 type Message struct {
 	From    NodeID
 	To      NodeID
@@ -117,7 +119,8 @@ func GigabitEthernet() CostModel {
 	return CostModel{Latency: 100 * time.Microsecond, BytesPerSec: 115 << 20, TimeScale: 1}
 }
 
-func (m CostModel) delay(size int64) time.Duration {
+// Delay is the modeled time to move one message of size bytes.
+func (m CostModel) Delay(size int64) time.Duration {
 	d := m.Latency
 	if m.BytesPerSec > 0 {
 		d += time.Duration(float64(size) / float64(m.BytesPerSec) * float64(time.Second))
@@ -130,11 +133,13 @@ func (m CostModel) delay(size int64) time.Duration {
 }
 
 // dispatch invokes h once per application message: coalesced batch frames
-// are unpacked in order, compressed batch frames are decompressed first
-// (dm charges the modeled decode CPU; nil is free), everything else
-// passes straight through. Both network implementations route deliveries
-// through it, so receivers never see the framing.
-func dispatch(h Handler, msg Message, dm *compress.Meter) {
+// are unpacked in order — the sender's own BatchPayload, or its bytes —
+// compressed batch frames are decompressed first (dm charges the modeled
+// decode CPU; nil is free), everything else passes straight through. Both
+// network implementations route deliveries through it, so receivers never
+// see the framing. An error means a frame did not decode; messages ahead of
+// the damage have been delivered.
+func dispatch(h Handler, msg Message, dm *compress.Meter) error {
 	switch msg.Kind {
 	case KindBatch:
 		switch bp := msg.Payload.(type) {
@@ -142,41 +147,24 @@ func dispatch(h Handler, msg Message, dm *compress.Meter) {
 			for i := range bp.Msgs {
 				h(bp.Msgs[i])
 			}
-			return
-		case BatchPayload: // the TCP transport decodes payloads by value
-			for i := range bp.Msgs {
-				h(bp.Msgs[i])
-			}
-			return
+			return nil
+		case []byte:
+			return readBatch(h, bp)
 		}
 	case KindBatchZ:
-		var frame []byte
-		switch zp := msg.Payload.(type) {
-		case *BatchZPayload:
-			frame = zp.Frame
-		case BatchZPayload:
-			frame = zp.Frame
-		}
-		if frame != nil {
-			// The fabric is reliable and the frame was built by our own
-			// coalescer, so a decode failure is a programming bug, not a
-			// recoverable condition — failing loudly beats silently losing
-			// a batch and deadlocking flow control.
-			raw, _, err := compress.DecodeFrame(nil, frame, dm)
+		if frame, ok := msg.Payload.([]byte); ok {
+			raw, rest, err := compress.DecodeFrame(nil, frame, dm)
 			if err != nil {
-				panic(fmt.Sprintf("transport: corrupt compressed batch frame: %v", err))
+				return fmt.Errorf("transport: compressed batch frame: %w", err)
 			}
-			var bp BatchPayload
-			if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&bp); err != nil {
-				panic(fmt.Sprintf("transport: undecodable compressed batch: %v", err))
+			if len(rest) > 0 {
+				return fmt.Errorf("transport: %d bytes after compressed batch frame", len(rest))
 			}
-			for i := range bp.Msgs {
-				h(bp.Msgs[i])
-			}
-			return
+			return readBatch(h, raw)
 		}
 	}
 	h(msg)
+	return nil
 }
 
 // msgRing is a growable circular queue of messages. Unlike the previous
@@ -255,26 +243,21 @@ func (ib *inbox) enqueue(msg Message) bool {
 // routeTable is an immutable routing snapshot. Send loads it with one
 // atomic read and touches no lock shared with other senders; Register,
 // Unregister and Close copy-on-write a new table (RCU-style) under regMu.
-// Dense non-negative node ids — the only ids the simulated cluster uses —
-// resolve through a direct slice index; anything else falls back to a map.
+// Node ids resolve through a direct slice index.
 type routeTable struct {
-	dense  []*inbox          // index = NodeID for 0 <= id < len(dense), nil holes
-	sparse map[NodeID]*inbox // ids outside the dense range
-	list   []*inbox          // every registered inbox, for Broadcast
+	dense []*inbox // index = NodeID, nil holes
+	list  []*inbox // every registered inbox, for Broadcast
 }
 
-// maxDenseNodeID bounds the dense slice so a stray huge id cannot make
-// Register allocate gigabytes.
-const maxDenseNodeID = 1 << 16
+// maxNodeID bounds the dense slice so a stray huge id cannot make Register
+// allocate gigabytes.
+const maxNodeID = 1 << 16
 
 func (rt *routeTable) lookup(id NodeID) *inbox {
 	if id >= 0 && int(id) < len(rt.dense) {
 		return rt.dense[id]
 	}
-	if rt.sparse == nil {
-		return nil
-	}
-	return rt.sparse[id]
+	return nil
 }
 
 // clone copies the table so one entry can be added or removed.
@@ -285,12 +268,6 @@ func (rt *routeTable) clone(extraDense int) *routeTable {
 	}
 	copy(next.dense, rt.dense)
 	copy(next.list, rt.list)
-	if len(rt.sparse) > 0 {
-		next.sparse = make(map[NodeID]*inbox, len(rt.sparse))
-		for id, ib := range rt.sparse {
-			next.sparse[id] = ib
-		}
-	}
 	return next
 }
 
@@ -306,7 +283,6 @@ type InMemNetwork struct {
 	regMu  sync.Mutex // serializes Register / Unregister / Close
 	model  CostModel
 	reg    *metrics.Registry
-	sleep  func(time.Duration) // test override; nil = clock
 	clock  vtime.Clock
 	closed atomic.Bool
 	hook   atomic.Value                   // FaultHook, set via SetFaults
@@ -376,9 +352,6 @@ func (n *InMemNetwork) Quiesce() {
 	n.quiMu.Unlock()
 }
 
-// SetSleep replaces the delay function (tests). It overrides the clock.
-func (n *InMemNetwork) SetSleep(fn func(time.Duration)) { n.sleep = fn }
-
 // SetClock routes modeled delivery delays through clk; charges are
 // attributed to the receiving node's lane. The default is the real
 // clock (plain sleeps).
@@ -428,6 +401,9 @@ func (n *InMemNetwork) Register(node NodeID, h Handler) error {
 	if n.closed.Load() {
 		return errors.New("transport: register on closed network")
 	}
+	if node < 0 || node >= maxNodeID {
+		return fmt.Errorf("transport: node id %d outside [0, %d)", node, maxNodeID)
+	}
 	cur := n.routes.Load()
 	if cur.lookup(node) != nil {
 		return fmt.Errorf("transport: node %d already registered", node)
@@ -435,17 +411,8 @@ func (n *InMemNetwork) Register(node NodeID, h Handler) error {
 	ib := &inbox{id: node, handler: h, done: make(chan struct{})}
 	ib.cond = sync.NewCond(&ib.mu)
 
-	var next *routeTable
-	if node >= 0 && node < maxDenseNodeID {
-		next = cur.clone(int(node) + 1)
-		next.dense[node] = ib
-	} else {
-		next = cur.clone(0)
-		if next.sparse == nil {
-			next.sparse = make(map[NodeID]*inbox, 1)
-		}
-		next.sparse[node] = ib
-	}
+	next := cur.clone(int(node) + 1)
+	next.dense[node] = ib
 	next.list = append(next.list, ib)
 	n.routes.Store(next)
 	go n.deliver(ib)
@@ -465,11 +432,7 @@ func (n *InMemNetwork) Unregister(node NodeID) error {
 		return fmt.Errorf("transport: unregister unknown node %d", node)
 	}
 	next := cur.clone(0)
-	if node >= 0 && int(node) < len(next.dense) {
-		next.dense[node] = nil
-	} else if next.sparse != nil {
-		delete(next.sparse, node)
-	}
+	next.dense[node] = nil
 	for i, other := range next.list {
 		if other == ib {
 			next.list = append(next.list[:i], next.list[i+1:]...)
@@ -510,7 +473,7 @@ func (n *InMemNetwork) deliver(ib *inbox) {
 		hook := n.faultHook()
 		var total time.Duration
 		for i := range batch {
-			d := n.model.delay(batch[i].Size)
+			d := n.model.Delay(batch[i].Size)
 			if hook != nil {
 				// Injected wire faults: each retransmitted or duplicated
 				// copy costs one more transfer of the same message, plus
@@ -523,29 +486,28 @@ func (n *InMemNetwork) deliver(ib *inbox) {
 		}
 		if total > 0 {
 			n.tTime.ObserveN(total, int64(len(batch)))
+			var sp trace.Span // stays inert when tracing is off
+			var bytes int64
 			if t := n.tr.Load(); t != nil {
 				ib.deliveries++
-				var bytes int64
 				for i := range batch {
 					bytes += batch[i].Size
 				}
-				sp := t.Start(int(ib.id), "",
+				sp = t.Start(int(ib.id), "",
 					fmt.Sprintf("net:rx%d:%d", ib.id, ib.deliveries), "deliver", "net")
-				if n.sleep != nil {
-					n.sleep(total)
-				} else {
-					n.clock.Charge(int(ib.id), vtime.Net, total)
-				}
-				sp.EndBytes(bytes)
-			} else if n.sleep != nil {
-				n.sleep(total)
-			} else {
-				n.clock.Charge(int(ib.id), vtime.Net, total)
 			}
+			n.clock.Charge(int(ib.id), vtime.Net, total)
+			sp.EndBytes(bytes)
 		}
 		dm := n.decm.Load()
 		for i := range batch {
-			dispatch(ib.handler, batch[i], dm)
+			// Frames here were built by this process's own coalescer and
+			// never left it, so one that does not decode is a bug, not a
+			// condition to recover from: failing loudly beats silently
+			// losing a batch and deadlocking flow control.
+			if err := dispatch(ib.handler, batch[i], dm); err != nil {
+				panic(err)
+			}
 			batch[i] = Message{} // release payload before the next wait
 		}
 		ib.inflight.Store(0)

@@ -7,7 +7,17 @@ import (
 	"time"
 
 	"github.com/hamr-go/hamr/internal/metrics"
+	"github.com/hamr-go/hamr/internal/vtime"
 )
+
+// keep copies a payload that arrived as bytes, which are the handler's
+// only until it returns, so a test can look at the message afterwards.
+func keep(m Message) Message {
+	if b, ok := m.Payload.([]byte); ok {
+		m.Payload = append([]byte(nil), b...)
+	}
+	return m
+}
 
 func TestInMemDelivery(t *testing.T) {
 	n := NewInMemNetwork(CostModel{}, nil)
@@ -50,6 +60,11 @@ func TestInMemDuplicateRegister(t *testing.T) {
 	}
 	if err := n.Register(0, h); err == nil {
 		t.Fatal("duplicate register succeeded")
+	}
+	for _, id := range []NodeID{Broadcast, maxNodeID} {
+		if err := n.Register(id, h); err == nil {
+			t.Fatalf("register of out-of-range node id %d succeeded", id)
+		}
 	}
 }
 
@@ -156,14 +171,14 @@ func TestInMemCloseWaitsForQueue(t *testing.T) {
 func TestInMemCostModelCharges(t *testing.T) {
 	reg := metrics.NewRegistry()
 	n := NewInMemNetwork(CostModel{Latency: time.Millisecond, BytesPerSec: 1 << 20}, reg)
-	var charged atomic.Int64
-	n.SetSleep(func(d time.Duration) { charged.Add(int64(d)) })
+	vc := vtime.NewVirtual(1)
+	n.SetClock(vc)
 	done := make(chan struct{})
 	n.Register(0, func(Message) { close(done) })
 	n.Send(Message{From: 1, To: 0, Size: 1 << 20})
 	<-done
 	n.Close()
-	if got := time.Duration(charged.Load()); got < time.Second {
+	if got := vc.Busy(vtime.Net); got < time.Second {
 		t.Errorf("charged %v for 1MiB at 1MiB/s + 1ms, want >= ~1s", got)
 	}
 	if reg.Counter("net.bytes").Value() != 1<<20 {
@@ -194,24 +209,23 @@ func TestInMemQueueDepth(t *testing.T) {
 }
 
 func TestTCPNetworkRoundTrip(t *testing.T) {
-	RegisterPayload("")
 	addrs := map[NodeID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"}
 	n := NewTCPNetwork(addrs)
 	defer n.Close()
 
 	got := make(chan Message, 10)
-	if err := n.Register(0, func(m Message) { got <- m }); err != nil {
+	if err := n.Register(0, func(m Message) { got <- keep(m) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Register(1, func(m Message) { got <- m }); err != nil {
+	if err := n.Register(1, func(m Message) { got <- keep(m) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Send(Message{From: 0, To: 1, Kind: "ping", Payload: "over tcp", Size: 8}); err != nil {
+	if err := n.Send(Message{From: 0, To: 1, Kind: "ping", Payload: []byte("over tcp"), Size: 8}); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case m := <-got:
-		if m.Kind != "ping" || m.Payload.(string) != "over tcp" {
+		if m.Kind != "ping" || string(m.Payload.([]byte)) != "over tcp" || m.From != 0 || m.To != 1 || m.Size != 8 {
 			t.Fatalf("got %+v", m)
 		}
 	case <-time.After(5 * time.Second):
@@ -219,7 +233,7 @@ func TestTCPNetworkRoundTrip(t *testing.T) {
 	}
 
 	// Reply over the reverse connection.
-	if err := n.Send(Message{From: 1, To: 0, Kind: "pong", Payload: "back"}); err != nil {
+	if err := n.Send(Message{From: 1, To: 0, Kind: "pong", Payload: []byte("back")}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -233,7 +247,6 @@ func TestTCPNetworkRoundTrip(t *testing.T) {
 }
 
 func TestTCPBroadcast(t *testing.T) {
-	RegisterPayload("")
 	addrs := map[NodeID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0", 2: "127.0.0.1:0"}
 	n := NewTCPNetwork(addrs)
 	defer n.Close()
@@ -244,7 +257,7 @@ func TestTCPBroadcast(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := n.Send(Message{From: 0, To: Broadcast, Kind: "b", Payload: "x"}); err != nil {
+	if err := n.Send(Message{From: 0, To: Broadcast, Kind: "b", Payload: []byte("x")}); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
@@ -265,9 +278,12 @@ func TestTCPUnknownNode(t *testing.T) {
 	}
 }
 
+// bytePayload is a typed payload that encodes itself as its one byte.
+type bytePayload byte
+
+func (p bytePayload) AppendBinary(b []byte) ([]byte, error) { return append(b, byte(p)), nil }
+
 func TestTCPConcurrentSenders(t *testing.T) {
-	type payload struct{ N int }
-	RegisterPayload(payload{})
 	addrs := map[NodeID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"}
 	n := NewTCPNetwork(addrs)
 	defer n.Close()
@@ -275,7 +291,7 @@ func TestTCPConcurrentSenders(t *testing.T) {
 	var count atomic.Int64
 	done := make(chan struct{})
 	n.Register(0, func(m Message) {
-		sum.Add(int64(m.Payload.(payload).N))
+		sum.Add(int64(m.Payload.([]byte)[0]))
 		if count.Add(1) == 200 {
 			close(done)
 		}
@@ -287,7 +303,7 @@ func TestTCPConcurrentSenders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if err := n.Send(Message{From: 1, To: 0, Payload: payload{N: 1}}); err != nil {
+				if err := n.Send(Message{From: 1, To: 0, Payload: bytePayload(1)}); err != nil {
 					t.Error(err)
 					return
 				}

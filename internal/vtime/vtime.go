@@ -23,9 +23,7 @@
 // time over an interval is the driver lane's advance plus the maximum
 // advance of any single node lane — driver work is serial with
 // everything, node work overlaps across nodes. Within one node, charges
-// add up; SetParallelism can divide a resource's lane advance to model a
-// resource that serves several streams at once (the disk model's
-// Parallel field).
+// add up.
 package vtime
 
 import (
@@ -132,12 +130,11 @@ type lane struct {
 // goroutine scheduling order: two runs that issue the same charges
 // report identical modeled times regardless of interleaving.
 //
-// Configure with SetParallelism / SetRealHold before the run starts;
-// both are plain writes read concurrently afterwards.
+// Configure with SetRealHold before the run starts; it is a plain write
+// read concurrently afterwards.
 type VirtualClock struct {
 	lanes []lane // [0] = driver, [1+i] = node i
 	busy  [numResources]atomic.Int64
-	par   [numResources]int64
 	hold  [numResources]bool
 }
 
@@ -147,24 +144,7 @@ func NewVirtual(nodes int) *VirtualClock {
 	if nodes < 0 {
 		nodes = 0
 	}
-	v := &VirtualClock{lanes: make([]lane, nodes+1)}
-	for i := range v.par {
-		v.par[i] = 1
-	}
-	return v
-}
-
-// SetParallelism models a resource that serves n concurrent streams per
-// node at full speed: each charge advances the node lane by d/n while
-// busy-time accounting keeps the full d. The disk model's Parallel
-// field maps here. n <= 1 restores serial accounting. Call before the
-// run starts.
-func (v *VirtualClock) SetParallelism(res Resource, n int) *VirtualClock {
-	if n < 1 {
-		n = 1
-	}
-	v.par[res] = int64(n)
-	return v
+	return &VirtualClock{lanes: make([]lane, nodes+1)}
 }
 
 // SetRealHold makes node-attributed charges of res also block the
@@ -194,11 +174,7 @@ func (v *VirtualClock) Charge(node int, res Resource, d time.Duration) {
 	if node >= 0 && node < len(v.lanes)-1 {
 		li = node + 1
 	}
-	eff := int64(d)
-	if p := v.par[res]; p > 1 {
-		eff /= p
-	}
-	v.lanes[li].ns.Add(eff)
+	v.lanes[li].ns.Add(int64(d))
 	v.busy[res].Add(int64(d))
 	if v.hold[res] && node >= 0 {
 		time.Sleep(d)
@@ -220,8 +196,8 @@ func (v *VirtualClock) AddBusy(res Resource, d time.Duration) {
 	}
 }
 
-// AdvanceLane advances one lane without busy accounting or parallelism
-// division — the companion to AddBusy for callers modeling their own
+// AdvanceLane advances one lane without busy accounting — the companion
+// to AddBusy for callers modeling their own
 // overlap. node < 0 advances the driver lane.
 func (v *VirtualClock) AdvanceLane(node int, d time.Duration) {
 	if d <= 0 {
@@ -250,8 +226,8 @@ func (v *VirtualClock) Mark() Mark {
 // advance plus the maximum advance of any single node lane. Driver work
 // (job startup, un-attributed transfers) is serial with everything;
 // node work overlaps across nodes and the slowest node paces the run.
-// Within a node charges accumulate, so intra-node overlap beyond
-// SetParallelism is deliberately not modeled — see DESIGN.md "Virtual
+// Within a node charges accumulate, so intra-node overlap is
+// deliberately not modeled — see DESIGN.md "Virtual
 // time and the cost model" for what that approximation preserves.
 func (v *VirtualClock) Since(m Mark) time.Duration {
 	at := func(i int) int64 {
@@ -274,7 +250,7 @@ func (v *VirtualClock) Since(m Mark) time.Duration {
 func (v *VirtualClock) Elapsed() time.Duration { return v.Since(Mark{}) }
 
 // Busy reports the total charged time of one resource across all nodes
-// (undivided by parallelism) — the per-resource accounting that lets a
+// — the per-resource accounting that lets a
 // report decompose modeled elapsed time into disk, net, startup and so
 // on.
 func (v *VirtualClock) Busy(res Resource) time.Duration {

@@ -102,20 +102,6 @@ func TestElapsedModelAndMarks(t *testing.T) {
 	}
 }
 
-// SetParallelism divides lane advance but not busy accounting.
-func TestParallelismDividesLaneOnly(t *testing.T) {
-	v := NewVirtual(1)
-	v.SetParallelism(Disk, 2)
-	v.Charge(0, Disk, 10*time.Millisecond)
-	v.Charge(0, Disk, 10*time.Millisecond)
-	if got, want := v.Elapsed(), 10*time.Millisecond; got != want {
-		t.Fatalf("elapsed = %v, want %v", got, want)
-	}
-	if got, want := v.Busy(Disk), 20*time.Millisecond; got != want {
-		t.Fatalf("busy = %v, want %v", got, want)
-	}
-}
-
 // A real hold blocks node-attributed charges for the charged duration
 // but never driver-attributed ones.
 func TestRealHoldBlocksNodeChargesOnly(t *testing.T) {
