@@ -1,7 +1,9 @@
 package hamrapps
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -305,35 +307,15 @@ func BuildKMeans(opts KMeansOptions) (*core.Graph, *KMeansSinks, error) {
 	return g, sinks, nil
 }
 
-// readLineAt returns the line starting at byte offset off.
-func readLineAt(f interface{ Read([]byte) (int, error) }, off int64) (string, error) {
-	// Skip to the offset; MemDisk readers do not seek, so we discard.
-	remaining := off
-	buf := make([]byte, 32<<10)
-	for remaining > 0 {
-		n := int64(len(buf))
-		if remaining < n {
-			n = remaining
-		}
-		read, err := f.Read(buf[:n])
-		if err != nil {
-			return "", fmt.Errorf("hamrapps: seek to offset: %w", err)
-		}
-		remaining -= int64(read)
+// readLineAt returns the line starting at byte offset off of an open
+// local file, reading no more than the line and a small read-ahead.
+func readLineAt(f io.ReadSeeker, off int64) (string, error) {
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		return "", fmt.Errorf("hamrapps: seek to offset: %w", err)
 	}
-	var sb strings.Builder
-	one := make([]byte, 1)
-	for {
-		n, err := f.Read(one)
-		if n > 0 {
-			if one[0] == '\n' {
-				break
-			}
-			sb.WriteByte(one[0])
-		}
-		if err != nil {
-			break
-		}
+	line, err := bufio.NewReaderSize(f, 512).ReadString('\n')
+	if err != nil && err != io.EOF {
+		return "", fmt.Errorf("hamrapps: read record: %w", err)
 	}
-	return sb.String(), nil
+	return strings.TrimSuffix(line, "\n"), nil
 }

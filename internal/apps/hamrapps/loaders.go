@@ -155,14 +155,15 @@ func (l *HDFSTextLoader) Load(sp core.Split, ctx core.Context) error {
 		return fmt.Errorf("hamrapps: no hdfs service on node %d", ctx.Node())
 	}
 	hs := sp.Payload.(hdfs.Split)
-	it, err := fs.OpenLines(hs, transport.NodeID(ctx.Node()), 0)
+	it, err := fs.OpenLines(hs, transport.NodeID(ctx.Node()))
 	if err != nil {
 		return err
 	}
+	defer it.Close()
 	for {
 		line, _, ok := it.Next()
 		if !ok {
-			return nil
+			return it.Err()
 		}
 		if line == "" {
 			continue

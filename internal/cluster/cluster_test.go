@@ -184,14 +184,15 @@ func (l *hdfsLoader) Plan(env *core.Env) ([]core.Split, error) {
 
 func (l *hdfsLoader) Load(sp core.Split, ctx core.Context) error {
 	fs := ctx.Service(ServiceHDFS).(*hdfs.FileSystem)
-	it, err := fs.OpenLines(sp.Payload.(hdfs.Split), transport.NodeID(ctx.Node()), 0)
+	it, err := fs.OpenLines(sp.Payload.(hdfs.Split), transport.NodeID(ctx.Node()))
 	if err != nil {
 		return err
 	}
+	defer it.Close()
 	for {
 		line, _, ok := it.Next()
 		if !ok {
-			return nil
+			return it.Err()
 		}
 		if err := ctx.Emit(core.KV{Value: line}); err != nil {
 			return err

@@ -18,19 +18,38 @@ import (
 
 // countingDisk wraps a Disk and counts Open calls, optionally stalling
 // each one; the single-flight tests use it to prove a cache miss storm
-// collapses to one disk read.
+// collapses to one disk read. It also counts the readers closed, so a test
+// can tell that none was left open.
 type countingDisk struct {
 	storage.Disk
-	opens atomic.Int64
-	stall time.Duration
+	opens, closes atomic.Int64
+	stall         time.Duration
 }
 
-func (d *countingDisk) Open(name string) (io.ReadCloser, error) {
+func (d *countingDisk) Open(name string) (io.ReadSeekCloser, error) {
 	d.opens.Add(1)
 	if d.stall > 0 {
 		time.Sleep(d.stall)
 	}
-	return d.Disk.Open(name)
+	r, err := d.Disk.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &countedReader{ReadSeekCloser: r, d: d}, nil
+}
+
+type countedReader struct {
+	io.ReadSeekCloser
+	d      *countingDisk
+	closed bool
+}
+
+func (r *countedReader) Close() error {
+	if !r.closed {
+		r.closed = true
+		r.d.closes.Add(1)
+	}
+	return r.ReadSeekCloser.Close()
 }
 
 // cachedFS builds a filesystem over counting disks with the cache enabled

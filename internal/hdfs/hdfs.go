@@ -502,9 +502,7 @@ func (fs *FileSystem) readBlock(b Block, at transport.NodeID) (data []byte, shar
 		data, err = fs.readBlockSlow(b, at)
 		return data, false, err
 	}
-	if data, ok := fs.cacheLookup(at, b); ok {
-		c.mHits.Inc()
-		fs.traceCache("hit", b, at)
+	if data, ok := fs.cacheHit(at, b); ok {
 		return data, true, nil
 	}
 	f, leader := c.join(at, b.ID)
@@ -522,9 +520,7 @@ func (fs *FileSystem) readBlock(b Block, at transport.NodeID) (data []byte, shar
 	}
 	// Leader: re-check the cache (another flight may have populated it
 	// between our lookup and join), then do the real read.
-	if cached, ok := fs.cacheLookup(at, b); ok {
-		c.mHits.Inc()
-		fs.traceCache("hit", b, at)
+	if cached, ok := fs.cacheHit(at, b); ok {
 		f.data = cached
 		c.finish(at, b.ID, f)
 		return cached, true, nil
@@ -548,6 +544,17 @@ func (fs *FileSystem) traceCache(what string, b Block, at transport.NodeID) {
 		fs.tr.Instant(int(at), "",
 			fmt.Sprintf("hdfs:%s:%s:at%d:%d", what, b.ID, at, fs.readSeq.Add(1)), "cache-"+what, b.Size)
 	}
+}
+
+// cacheHit is cacheLookup for a reader: a payload found is a hit, counted
+// and traced.
+func (fs *FileSystem) cacheHit(at transport.NodeID, b Block) ([]byte, bool) {
+	data, ok := fs.cacheLookup(at, b)
+	if ok {
+		fs.cache.mHits.Inc()
+		fs.traceCache("hit", b, at)
+	}
+	return data, ok
 }
 
 // cacheLookup returns a block's cached payload at a node, first consulting
@@ -574,21 +581,28 @@ func (fs *FileSystem) cacheLookup(at transport.NodeID, b Block) ([]byte, bool) {
 // hdfs.bytes.local / hdfs.bytes.remote account where the bytes were
 // served from, as observed by a node-resident reader.
 func (fs *FileSystem) readBlockSlow(b Block, at transport.NodeID) ([]byte, error) {
-	if fs.tr.Enabled() {
-		sp := fs.tr.Start(int(at), "",
-			fmt.Sprintf("hdfs:%s:at%d:%d", b.ID, at, fs.readSeq.Add(1)), "hdfs-read", "disk")
-		data, err := fs.readBlockSlowInner(b, at)
-		sp.EndBytes(int64(len(data)))
-		return data, err
-	}
-	return fs.readBlockSlowInner(b, at)
+	return fs.traced(b, at, func() ([]byte, error) { return fs.readBlockSlowInner(b, at) })
 }
 
-func (fs *FileSystem) readBlockSlowInner(b Block, at transport.NodeID) ([]byte, error) {
+// traced runs one disk/network read of (part of) block b, under an
+// hdfs-read span when tracing is on.
+func (fs *FileSystem) traced(b Block, at transport.NodeID, read func() ([]byte, error)) ([]byte, error) {
+	if !fs.tr.Enabled() {
+		return read()
+	}
+	sp := fs.tr.Start(int(at), "",
+		fmt.Sprintf("hdfs:%s:at%d:%d", b.ID, at, fs.readSeq.Add(1)), "hdfs-read", "disk")
+	data, err := read()
+	sp.EndBytes(int64(len(data)))
+	return data, err
+}
+
+// candidates returns a block's replicas in the order a reader at node at
+// tries them: its own replica first, then the declared list.
+func candidates(b Block, at transport.NodeID) []transport.NodeID {
 	// The replica list is already in candidate order unless `at` holds a
 	// replica that is not listed first; skip the reorder allocation in the
 	// common single-replica and local-first cases.
-	cands := b.Replicas
 	for i, r := range b.Replicas {
 		if r == at && i > 0 {
 			reordered := make([]transport.NodeID, 0, len(b.Replicas))
@@ -598,12 +612,29 @@ func (fs *FileSystem) readBlockSlowInner(b Block, at transport.NodeID) ([]byte, 
 					reordered = append(reordered, o)
 				}
 			}
-			cands = reordered
-			break
+			return reordered
 		}
 	}
+	return b.Replicas
+}
+
+// served accounts n bytes of a block moved from replica node src to a
+// reader at node at: the byte counters, and the fabric when they crossed it.
+func (fs *FileSystem) served(src, at transport.NodeID, n int64) {
+	switch {
+	case src == at:
+		fs.mLocalBytes.Add(n)
+	case at >= 0:
+		fs.mRemoteBytes.Add(n)
+		if fs.charge != nil {
+			fs.charge(src, at, n)
+		}
+	}
+}
+
+func (fs *FileSystem) readBlockSlowInner(b Block, at transport.NodeID) ([]byte, error) {
 	var lastErr error
-	for i, src := range cands {
+	for i, src := range candidates(b, at) {
 		if err := fs.faults.ReplicaDown(int(src), b.ID); err != nil {
 			lastErr = err
 			continue
@@ -616,14 +647,7 @@ func (fs *FileSystem) readBlockSlowInner(b Block, at transport.NodeID) ([]byte, 
 		if i > 0 {
 			fs.mFailover.Inc()
 		}
-		if src == at {
-			fs.mLocalBytes.Add(int64(len(data)))
-		} else if at >= 0 {
-			fs.mRemoteBytes.Add(int64(len(data)))
-		}
-		if src != at && at >= 0 && fs.charge != nil {
-			fs.charge(src, at, int64(len(data)))
-		}
+		fs.served(src, at, int64(len(data)))
 		return data, nil
 	}
 	return nil, fmt.Errorf("hdfs: block %s: no readable replica: %w", b.ID, lastErr)
@@ -660,47 +684,3 @@ func (fs *FileSystem) ReadFile(name string, at transport.NodeID) ([]byte, error)
 	}
 	return out.Bytes(), nil
 }
-
-// Open returns a streaming reader for the file as observed from node at.
-func (fs *FileSystem) Open(name string, at transport.NodeID) (io.ReadCloser, error) {
-	meta, err := fs.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return &fileReader{fs: fs, blocks: meta.blocks, at: at}, nil
-}
-
-type fileReader struct {
-	fs     *FileSystem
-	blocks []Block
-	at     transport.NodeID
-	cur    io.Reader
-	idx    int
-}
-
-func (r *fileReader) Read(p []byte) (int, error) {
-	for {
-		if r.cur != nil {
-			n, err := r.cur.Read(p)
-			if err == io.EOF {
-				r.cur = nil
-				if n > 0 {
-					return n, nil
-				}
-				continue
-			}
-			return n, err
-		}
-		if r.idx >= len(r.blocks) {
-			return 0, io.EOF
-		}
-		data, _, err := r.fs.readBlock(r.blocks[r.idx], r.at)
-		if err != nil {
-			return 0, err
-		}
-		r.idx++
-		r.cur = bytes.NewReader(data)
-	}
-}
-
-func (r *fileReader) Close() error { return nil }

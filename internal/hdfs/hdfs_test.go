@@ -191,7 +191,7 @@ func TestSplitsAndLineIterator(t *testing.T) {
 	var got []string
 	offsets := map[int64]bool{}
 	for _, sp := range splits {
-		it, err := fs.OpenLines(sp, -1, 0)
+		it, err := fs.OpenLines(sp, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestSplitLinePropertyQuick(t *testing.T) {
 		}
 		var got []string
 		for _, sp := range splits {
-			it, err := fs.OpenLines(sp, -1, 0)
+			it, err := fs.OpenLines(sp, -1)
 			if err != nil {
 				return false
 			}
@@ -279,22 +279,6 @@ func TestSplitLinePropertyQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(2))}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestReadLineAt(t *testing.T) {
-	fs, _ := newFS(t, 2, Config{BlockSize: 16})
-	content := "first line\nsecond line\nthird\n"
-	fs.WriteFile("f", []byte(content), -1)
-	line, err := fs.ReadLineAt("f", 11, -1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if line != "second line" {
-		t.Fatalf("ReadLineAt(11) = %q", line)
-	}
-	if line, _ := fs.ReadLineAt("f", 0, -1, 0); line != "first line" {
-		t.Fatalf("ReadLineAt(0) = %q", line)
 	}
 }
 

@@ -2,10 +2,9 @@ package hdfs
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
-	"strings"
+	"sort"
 
 	"github.com/hamr-go/hamr/internal/transport"
 )
@@ -56,82 +55,59 @@ func (fs *FileSystem) SplitsGlob(prefix string) ([]Split, error) {
 	return all, nil
 }
 
-// readRange reads file bytes [off, off+length) as observed from node at
-// and returns them as one slice per block the range touches, in file
-// order. The slices are views into the buffers readBlock returned — which
-// a cached block shares with the block cache — so callers only read them.
-func (fs *FileSystem) readRange(name string, off, length int64, at transport.NodeID) ([][]byte, error) {
-	meta, err := fs.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	if off < 0 || off > meta.size {
-		return nil, fmt.Errorf("hdfs: offset %d out of range for %q (size %d)", off, name, meta.size)
-	}
-	if off+length > meta.size {
-		length = meta.size - off
-	}
-	var parts [][]byte
-	for _, b := range meta.blocks {
-		if b.Offset+b.Size <= off || b.Offset >= off+length {
-			continue
-		}
-		data, _, err := fs.readBlock(b, at)
-		if err != nil {
-			return nil, err
-		}
-		start := int64(0)
-		if off > b.Offset {
-			start = off - b.Offset
-		}
-		end := b.Size
-		if off+length < b.Offset+b.Size {
-			end = off + length - b.Offset
-		}
-		parts = append(parts, data[start:end])
-	}
-	return parts, nil
-}
+// maxLine bounds how far past its end a split follows its last line.
+const maxLine = 1 << 20
 
 // LineIterator yields the lines belonging to a split using Hadoop's rule:
 // a line belongs to the split in which it starts. The iterator therefore
 // skips a leading partial line (unless the split starts at offset 0) and
-// reads one line past the end of the split when the final line straddles
-// the boundary.
+// reads past the end of the split only to the end of the line that
+// straddles the boundary.
 type LineIterator struct {
+	src      *fileReader
 	r        *bufio.Reader
 	consumed int64 // bytes consumed relative to split start
 	limit    int64 // split length (stop once consumed > limit at line start)
 	offset   int64 // absolute file offset of the next line
 	done     bool
+	err      error
 }
 
 // OpenLines returns a line iterator over the split as observed from node
-// at. The slack read past the split end is bounded by maxLine bytes.
-func (fs *FileSystem) OpenLines(sp Split, at transport.NodeID, maxLine int64) (*LineIterator, error) {
-	if maxLine <= 0 {
-		maxLine = 1 << 20
-	}
-	parts, err := fs.readRange(sp.File, sp.Offset, sp.Length+maxLine, at)
+// at. The split's blocks are read whole as the iterator reaches them; what
+// follows is read only as far as the last line goes (see fileReader), and
+// at most maxLine bytes. Close the iterator unless Next has reported the
+// end.
+func (fs *FileSystem) OpenLines(sp Split, at transport.NodeID) (*LineIterator, error) {
+	meta, err := fs.lookup(sp.File)
 	if err != nil {
 		return nil, err
 	}
-	readers := make([]io.Reader, len(parts))
-	for i, p := range parts {
-		readers[i] = bytes.NewReader(p)
+	if sp.Offset < 0 || sp.Offset > meta.size {
+		return nil, fmt.Errorf("hdfs: offset %d out of range for %q (size %d)", sp.Offset, sp.File, meta.size)
+	}
+	end := min(sp.Offset+sp.Length, meta.size)
+	src := &fileReader{
+		fs: fs, at: at, blocks: meta.blocks,
+		idx:   sort.Search(len(meta.blocks), func(i int) bool { return meta.blocks[i].Offset+meta.blocks[i].Size > sp.Offset }),
+		pos:   sp.Offset,
+		own:   end,
+		limit: min(end+maxLine, meta.size),
 	}
 	it := &LineIterator{
-		r:      bufio.NewReader(io.MultiReader(readers...)),
+		src:    src,
+		r:      bufio.NewReader(src),
 		limit:  sp.Length,
 		offset: sp.Offset,
 	}
 	if sp.Offset > 0 {
 		// Skip the partial line carried over from the previous split.
 		skipped, err := it.r.ReadString('\n')
-		if err == io.EOF {
-			it.done = true
-		} else if err != nil {
-			return nil, err
+		if err != nil {
+			it.Close()
+			if err != io.EOF {
+				return nil, err
+			}
 		}
 		it.consumed += int64(len(skipped))
 		it.offset += int64(len(skipped))
@@ -140,7 +116,9 @@ func (fs *FileSystem) OpenLines(sp Split, at transport.NodeID, maxLine int64) (*
 }
 
 // Next returns the next line (without the trailing newline) and its
-// absolute byte offset in the file. ok is false at the end of the split.
+// absolute byte offset in the file. ok is false at the end of the split and
+// on a read error, which Err then reports; either way the iterator has
+// closed itself.
 //
 // The boundary rule mirrors Hadoop's LineRecordReader: a split keeps
 // reading while the next line starts at or before the split end
@@ -148,11 +126,15 @@ func (fs *FileSystem) OpenLines(sp Split, at transport.NodeID, maxLine int64) (*
 // its first line — including a line that starts exactly on the boundary.
 func (it *LineIterator) Next() (line string, offset int64, ok bool) {
 	if it.done || it.consumed > it.limit {
+		it.Close()
 		return "", 0, false
 	}
 	s, err := it.r.ReadString('\n')
-	if err == io.EOF && s == "" {
-		it.done = true
+	if err != nil && err != io.EOF {
+		it.err = err
+	}
+	if s == "" || it.err != nil {
+		it.Close()
 		return "", 0, false
 	}
 	offset = it.offset
@@ -164,24 +146,13 @@ func (it *LineIterator) Next() (line string, offset int64, ok bool) {
 	return s, offset, true
 }
 
-// ReadLineAt returns the line starting at the given absolute offset of the
-// file, as observed from node at. It is used by the K-Means flowlets that
-// re-read a record by its location (Alg. 1, steps 4-5).
-func (fs *FileSystem) ReadLineAt(name string, off int64, at transport.NodeID, maxLine int64) (string, error) {
-	if maxLine <= 0 {
-		maxLine = 1 << 20
-	}
-	parts, err := fs.readRange(name, off, maxLine, at)
-	if err != nil {
-		return "", err
-	}
-	var line strings.Builder
-	for _, p := range parts {
-		if i := bytes.IndexByte(p, '\n'); i >= 0 {
-			line.Write(p[:i])
-			break
-		}
-		line.Write(p)
-	}
-	return line.String(), nil
+// Err returns the read error that ended the iteration early, if any. A
+// line cut short by an unreadable block is never returned as a line.
+func (it *LineIterator) Err() error { return it.err }
+
+// Close ends the iteration and releases the replica the iterator may hold
+// open. It is idempotent.
+func (it *LineIterator) Close() {
+	it.done = true
+	it.src.Close()
 }

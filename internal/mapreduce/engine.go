@@ -579,10 +579,11 @@ func (e *Engine) runMapTask(job Job, jobID int64, taskID, attempt int, split hdf
 			return nil, fmt.Errorf("%s setup: %w", taskName, err)
 		}
 	}
-	it, err := e.c.FS().OpenLines(split, transport.NodeID(node), 0)
+	it, err := e.c.FS().OpenLines(split, transport.NodeID(node))
 	if err != nil {
 		return nil, fmt.Errorf("%s open split: %w", taskName, err)
 	}
+	defer it.Close()
 	for {
 		line, off, ok := it.Next()
 		if !ok {
@@ -592,6 +593,9 @@ func (e *Engine) runMapTask(job Job, jobID int64, taskID, attempt int, split hdf
 		if err := mapper.Map(kv, em); err != nil {
 			return nil, fmt.Errorf("%s: %w", taskName, err)
 		}
+	}
+	if err := it.Err(); err != nil {
+		return nil, fmt.Errorf("%s read split: %w", taskName, err)
 	}
 	if c, ok := mapper.(Cleanupper); ok {
 		if err := c.Cleanup(em); err != nil {

@@ -28,8 +28,10 @@ type Disk interface {
 	// Create opens a new file for writing, truncating any existing file
 	// with the same name.
 	Create(name string) (io.WriteCloser, error)
-	// Open opens an existing file for reading.
-	Open(name string) (io.ReadCloser, error)
+	// Open opens an existing file for reading. Seek positions the open
+	// file without reading: the bytes skipped are neither counted nor
+	// charged, and the move itself is covered by what Open cost.
+	Open(name string) (io.ReadSeekCloser, error)
 	// Remove deletes a file. Removing a missing file is an error.
 	Remove(name string) error
 	// Size returns the byte size of a file.
@@ -273,6 +275,7 @@ type memReader struct {
 	f    *memFile // nil once closed
 	page int
 	off  int
+	pos  int64 // file offset of the next Read; past the end after such a Seek
 }
 
 func (r *memReader) Read(p []byte) (int, error) {
@@ -291,7 +294,38 @@ func (r *memReader) Read(p []byte) (int, error) {
 	if n == 0 && r.page == len(pages) {
 		return 0, io.EOF
 	}
+	r.pos += int64(n)
 	return n, nil
+}
+
+// Seek implements io.Seeker. As on a file, a position past the end is
+// legal and the next Read reports io.EOF.
+func (r *memReader) Seek(offset int64, whence int) (int64, error) {
+	if r.f == nil {
+		return 0, fmt.Errorf("storage: seek on closed file")
+	}
+	switch whence {
+	case io.SeekStart:
+	case io.SeekCurrent:
+		offset += r.pos
+	case io.SeekEnd:
+		offset += r.f.size
+	default:
+		return 0, fmt.Errorf("storage: seek: invalid whence %d", whence)
+	}
+	if offset < 0 {
+		return 0, fmt.Errorf("storage: seek to negative offset %d", offset)
+	}
+	pages := r.f.pages
+	r.pos, r.page, r.off = offset, 0, 0
+	for r.page < len(pages) && offset >= int64(len(pages[r.page])) {
+		offset -= int64(len(pages[r.page]))
+		r.page++
+	}
+	if r.page < len(pages) {
+		r.off = int(offset)
+	}
+	return r.pos, nil
 }
 
 func (r *memReader) Close() error {
@@ -310,7 +344,7 @@ func (d *MemDisk) Create(name string) (io.WriteCloser, error) {
 }
 
 // Open implements Disk.
-func (d *MemDisk) Open(name string) (io.ReadCloser, error) {
+func (d *MemDisk) Open(name string) (io.ReadSeekCloser, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	f, ok := d.files[name]
@@ -386,7 +420,7 @@ func (d *OSDisk) Create(name string) (io.WriteCloser, error) {
 }
 
 // Open implements Disk.
-func (d *OSDisk) Open(name string) (io.ReadCloser, error) {
+func (d *OSDisk) Open(name string) (io.ReadSeekCloser, error) {
 	f, err := os.Open(d.path(name))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -558,13 +592,15 @@ func (w *costWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// costReader charges what Read delivers. Seek is the backing reader's: the
+// SeekLatency Open charged covers positioning the open file.
 type costReader struct {
-	io.ReadCloser
+	io.ReadSeekCloser
 	d *CostDisk
 }
 
 func (r *costReader) Read(p []byte) (int, error) {
-	n, err := r.ReadCloser.Read(p)
+	n, err := r.ReadSeekCloser.Read(p)
 	if n > 0 {
 		r.d.reg.Add("disk.read.bytes", int64(n))
 		r.d.charge(r.d.model.readDelay(n))
@@ -584,14 +620,14 @@ func (d *CostDisk) Create(name string) (io.WriteCloser, error) {
 }
 
 // Open implements Disk.
-func (d *CostDisk) Open(name string) (io.ReadCloser, error) {
+func (d *CostDisk) Open(name string) (io.ReadSeekCloser, error) {
 	d.reg.Inc("disk.read.ops")
 	d.charge(d.model.scale(d.model.SeekLatency))
 	r, err := d.backing.Open(name)
 	if err != nil {
 		return nil, err
 	}
-	return &costReader{ReadCloser: r, d: d}, nil
+	return &costReader{ReadSeekCloser: r, d: d}, nil
 }
 
 // Remove implements Disk.

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"github.com/hamr-go/hamr/internal/metrics"
 	"github.com/hamr-go/hamr/internal/vtime"
 )
 
@@ -92,6 +93,45 @@ func diskContract(t *testing.T, mk func(t *testing.T) Disk) {
 		}
 		if all := d.List(""); len(all) != 2 {
 			t.Fatalf("List(\"\") = %v", all)
+		}
+	})
+	t.Run("seek", func(t *testing.T) {
+		d := mk(t)
+		w, _ := d.Create("s")
+		io.WriteString(w, "0123456789")
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := d.Open("s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		buf := make([]byte, 3)
+		for _, c := range []struct {
+			off     int64
+			whence  int
+			wantPos int64
+			want    string // "" = io.EOF
+		}{
+			{4, io.SeekStart, 4, "456"},
+			{-5, io.SeekCurrent, 2, "234"}, // from 7
+			{-2, io.SeekEnd, 8, "89"},
+			{0, io.SeekStart, 0, "012"},
+			{25, io.SeekStart, 25, ""}, // past the end is legal, reading there is EOF
+			{-20, io.SeekCurrent, 5, "567"},
+		} {
+			pos, err := r.Seek(c.off, c.whence)
+			if err != nil || pos != c.wantPos {
+				t.Fatalf("Seek(%d, %d) = %d, %v; want %d", c.off, c.whence, pos, err, c.wantPos)
+			}
+			n, err := io.ReadFull(r, buf)
+			if got := string(buf[:n]); got != c.want || (c.want == "" && err != io.EOF) {
+				t.Fatalf("after Seek(%d, %d) read %q, %v; want %q", c.off, c.whence, got, err, c.want)
+			}
+		}
+		if _, err := r.Seek(-1, io.SeekStart); err == nil {
+			t.Error("Seek to a negative offset succeeded")
 		}
 	})
 	t.Run("concurrentFiles", func(t *testing.T) {
@@ -218,6 +258,47 @@ func TestCostDiskChargesModeledTime(t *testing.T) {
 	r.Close()
 	if read := vc.Busy(vtime.Disk) - written; read < time.Millisecond+900*time.Millisecond {
 		t.Errorf("read charge %v, want >= ~1s", read)
+	}
+}
+
+// Positioning an open file is covered by the seek Open charged: Seek adds
+// no time, no op and no bytes, and the Read after it pays for what it
+// delivers and nothing it skipped.
+func TestCostDiskSeekIsFree(t *testing.T) {
+	reg := metrics.NewRegistry()
+	cd := NewCostDisk(NewMemDisk(0), CostModel{
+		SeekLatency:     time.Millisecond,
+		ReadBytesPerSec: 1 << 20,
+	}, reg)
+	vc := vtime.NewVirtual(1)
+	cd.SetClock(vc, 0)
+	w, _ := cd.Create("f")
+	w.Write(make([]byte, 1<<20))
+	w.Close()
+
+	r, err := cd.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	opened := vc.Busy(vtime.Disk)
+	if _, err := r.Seek(1<<20-1024, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	if d := vc.Busy(vtime.Disk) - opened; d != 0 {
+		t.Errorf("Seek charged %v", d)
+	}
+	if n, err := io.ReadFull(r, make([]byte, 1024)); n != 1024 || err != nil {
+		t.Fatalf("read after seek = %d, %v", n, err)
+	}
+	if d, want := vc.Busy(vtime.Disk)-opened, cd.model.readDelay(1024); d != want {
+		t.Errorf("1 KiB after a 1 MiB seek charged %v, want %v", d, want)
+	}
+	if got := reg.Counter("disk.read.bytes").Value(); got != 1024 {
+		t.Errorf("disk.read.bytes = %d, want 1024", got)
+	}
+	if got := reg.Counter("disk.read.ops").Value(); got != 1 {
+		t.Errorf("disk.read.ops = %d, want 1", got)
 	}
 }
 

@@ -5,9 +5,10 @@ import "io"
 // FaultPolicy decides injected IO failures for a FaultyDisk. The policy is
 // consulted once per Create/Open; a non-nil error arms a fault on the
 // returned handle. failAfter is the number of bytes the handle accepts
-// (writes) or serves (reads) before every subsequent call returns err; the
-// armed error is also surfaced from Close on a writer that never reached
-// the threshold, so an armed fault always fires exactly once per handle.
+// (writes) or serves (reads: bytes delivered, wherever Seek put them)
+// before every subsequent call returns err; the armed error is also
+// surfaced from Close on a writer that never reached the threshold, so an
+// armed fault always fires exactly once per handle.
 //
 // Implementations must be safe for concurrent use; storage deliberately
 // knows nothing about how decisions are made (see internal/faults).
@@ -73,14 +74,14 @@ func (w *faultyWriter) Close() error {
 }
 
 type faultyReader struct {
-	io.ReadCloser
+	io.ReadSeekCloser
 	remain int64
 	err    error
 }
 
 func (r *faultyReader) Read(p []byte) (int, error) {
 	if r.err == nil {
-		return r.ReadCloser.Read(p)
+		return r.ReadSeekCloser.Read(p)
 	}
 	if r.remain <= 0 {
 		return 0, r.err
@@ -88,7 +89,7 @@ func (r *faultyReader) Read(p []byte) (int, error) {
 	if int64(len(p)) > r.remain {
 		p = p[:r.remain]
 	}
-	n, err := r.ReadCloser.Read(p)
+	n, err := r.ReadSeekCloser.Read(p)
 	r.remain -= int64(n)
 	return n, err
 }
@@ -107,7 +108,7 @@ func (d *FaultyDisk) Create(name string) (io.WriteCloser, error) {
 }
 
 // Open implements Disk.
-func (d *FaultyDisk) Open(name string) (io.ReadCloser, error) {
+func (d *FaultyDisk) Open(name string) (io.ReadSeekCloser, error) {
 	r, err := d.backing.Open(name)
 	if err != nil || d.policy == nil {
 		return r, err
@@ -116,7 +117,7 @@ func (d *FaultyDisk) Open(name string) (io.ReadCloser, error) {
 	if ferr == nil {
 		return r, nil
 	}
-	return &faultyReader{ReadCloser: r, remain: failAfter, err: ferr}, nil
+	return &faultyReader{ReadSeekCloser: r, remain: failAfter, err: ferr}, nil
 }
 
 // Remove implements Disk.

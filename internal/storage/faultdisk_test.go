@@ -119,6 +119,33 @@ func TestFaultyDiskReadFailsAfterThreshold(t *testing.T) {
 	}
 }
 
+// An armed read budget counts bytes delivered: seeking over bytes spends
+// none of it, and the fault still fires after failAfter bytes from there.
+func TestFaultyDiskSeekKeepsBudget(t *testing.T) {
+	mem := NewMemDisk(0)
+	errBoom := errors.New("boom")
+	d := NewFaultyDisk(mem, &scriptPolicy{failAfter: 3, err: errBoom})
+	f, _ := mem.Create("bad/file")
+	f.Write([]byte("abcdefghij"))
+	f.Close()
+
+	r, err := d.Open("bad/file")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if pos, err := r.Seek(5, io.SeekStart); pos != 5 || err != nil {
+		t.Fatalf("Seek = %d, %v", pos, err)
+	}
+	data, err := io.ReadAll(r)
+	if !errors.Is(err, errBoom) {
+		t.Fatalf("ReadAll err = %v; want boom", err)
+	}
+	if string(data) != "fgh" {
+		t.Fatalf("read %q before fault; want \"fgh\"", data)
+	}
+}
+
 func TestFaultyDiskNilPolicyPassthrough(t *testing.T) {
 	mem := NewMemDisk(0)
 	d := NewFaultyDisk(mem, nil)

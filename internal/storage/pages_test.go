@@ -166,6 +166,55 @@ func TestMemDiskReadFillsAcrossPages(t *testing.T) {
 	}
 }
 
+// Seek must land on the right byte whichever page holds it (pages differ in
+// size), including the first and last byte of every page, and a reader
+// positioned past the end or closed must say so.
+func TestMemDiskSeekAcrossPages(t *testing.T) {
+	d := NewMemDisk(0)
+	data := selfDescribing("big", 1, 200_000)
+	writeAll(t, d, "big", data, 7001)
+	r, err := d.Open("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var offs []int64
+	bound := int64(0)
+	for _, pg := range d.files["big"].pages {
+		offs = append(offs, bound, bound+int64(len(pg))-1)
+		bound += int64(len(pg))
+	}
+	if len(offs) < 8 || bound != int64(len(data)) {
+		t.Fatalf("file has %d pages over %d bytes", len(offs)/2, bound)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		offs = append(offs, rng.Int63n(int64(len(data))))
+	}
+	buf := make([]byte, 70_000) // longer than any page
+	for _, off := range offs {
+		if pos, err := r.Seek(off, io.SeekStart); pos != off || err != nil {
+			t.Fatalf("Seek(%d) = %d, %v", off, pos, err)
+		}
+		want := data[off:min(off+int64(len(buf)), int64(len(data)))]
+		if n, err := r.Read(buf); err != nil || !bytes.Equal(buf[:n], want) {
+			t.Fatalf("Read at %d = %d bytes, %v; want %d matching bytes", off, n, err, len(want))
+		}
+	}
+	for _, off := range []int64{int64(len(data)), int64(len(data)) + 1000} {
+		if _, err := r.Seek(off, io.SeekStart); err != nil {
+			t.Fatalf("Seek(%d) past the end: %v", off, err)
+		}
+		if n, err := r.Read(buf); n != 0 || err != io.EOF {
+			t.Fatalf("Read at %d = %d, %v; want 0, EOF", off, n, err)
+		}
+	}
+	r.Close()
+	if _, err := r.Seek(0, io.SeekStart); err == nil {
+		t.Error("Seek on a closed reader succeeded")
+	}
+	checkLedger(t, d, len(d.files["big"].pages))
+}
+
 func TestMemDiskReaderHoldsPages(t *testing.T) {
 	for _, how := range []string{"remove", "overwrite"} {
 		t.Run(how, func(t *testing.T) {
