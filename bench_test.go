@@ -125,7 +125,6 @@ func BenchmarkFigure3b(b *testing.B) { benchFigure(b, bench.Figure3bBenchmarks) 
 func ablationCluster(b *testing.B, cfg core.Config) (*cluster.Cluster, map[int][]string) {
 	b.Helper()
 	spec := bench.DefaultSpec()
-	cfg.NumNodes = spec.Nodes
 	c, err := cluster.New(cluster.Options{
 		NumNodes:  spec.Nodes,
 		Core:      cfg,

@@ -97,7 +97,8 @@ type (
 	// Partitioner maps keys to nodes.
 	Partitioner = core.Partitioner
 	// EngineConfig tunes the per-node runtime (workers, bin size, flow
-	// control, memory budget).
+	// control, memory budget, coalescing). It holds tuning values only: the
+	// clock, tracer and codec a cluster runs on are ClusterOptions fields.
 	EngineConfig = core.Config
 	// JobResult reports a completed job.
 	JobResult = core.JobResult

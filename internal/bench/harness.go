@@ -115,13 +115,17 @@ func (h *Harness) newClock() *vtime.VirtualClock {
 	return vc
 }
 
-// traceClock picks the clock new tracers stamp from: the run's virtual
-// clock when there is one, the real clock otherwise.
-func (h *Harness) traceClock(vc *vtime.VirtualClock) vtime.Clock {
-	if vc != nil {
-		return vc
+// clusterOptions builds one run's clock (nil vc: the real one), its tracer
+// when tracing is on, and the benchmark cluster's options over both.
+func (h *Harness) clusterOptions() (opts cluster.Options, vc *vtime.VirtualClock, tr *trace.Tracer) {
+	clk := vtime.Real()
+	if vc = h.newClock(); vc != nil {
+		clk = vc
 	}
-	return vtime.Real()
+	if h.Trace {
+		tr = trace.New(h.Spec.Nodes, clk)
+	}
+	return h.Spec.ClusterOptions(clk, tr), vc, tr
 }
 
 // measure starts a wall+modeled interval and returns the stop function
@@ -174,22 +178,9 @@ func (h *Harness) newHAMRCluster(b Benchmark) (*cluster.Cluster, map[int][]strin
 // newHAMRClusterWith is newHAMRCluster with an options hook, letting the
 // concurrency mode raise MaxConcurrentJobs before the cluster is built.
 func (h *Harness) newHAMRClusterWith(b Benchmark, mutate func(*cluster.Options)) (*cluster.Cluster, map[int][]string, *vtime.VirtualClock, error) {
-	disk := h.Spec.Disk
-	net := h.Spec.Net
-	vc := h.newClock()
-	opts := cluster.Options{
-		NumNodes:      h.Spec.Nodes,
-		Core:          h.Spec.CoreConfig(),
-		DiskModel:     &disk,
-		NetModel:      &net,
-		CompressCodec: h.Spec.CompressCodec,
-	}
-	if vc != nil {
-		opts.Clock = vc
-	}
-	if h.Trace {
-		h.LastHAMRTrace = trace.New(h.Spec.Nodes, h.traceClock(vc))
-		opts.Trace = h.LastHAMRTrace
+	opts, vc, tr := h.clusterOptions()
+	if tr != nil {
+		h.LastHAMRTrace = tr
 	}
 	if mutate != nil {
 		mutate(&opts)
@@ -209,24 +200,10 @@ func (h *Harness) newHAMRClusterWith(b Benchmark, mutate func(*cluster.Options))
 // newMRCluster builds a fresh baseline cluster with the same cost models
 // and writes the benchmark's input into HDFS.
 func (h *Harness) newMRCluster(b Benchmark) (*cluster.Cluster, *mapreduce.Engine, string, *vtime.VirtualClock, error) {
-	disk := h.Spec.Disk
-	net := h.Spec.Net
-	vc := h.newClock()
-	opts := cluster.Options{
-		NumNodes:      h.Spec.Nodes,
-		Core:          h.Spec.CoreConfig(),
-		DiskModel:     &disk,
-		NetModel:      &net,
-		HDFSBlockSize: h.Spec.HDFSBlockSize,
-		HDFSCacheMB:   h.Spec.HDFSCacheMB,
-		CompressCodec: h.Spec.CompressCodec,
-	}
-	if vc != nil {
-		opts.Clock = vc
-	}
-	if h.Trace {
-		h.LastMRTrace = trace.New(h.Spec.Nodes, h.traceClock(vc))
-		opts.Trace = h.LastMRTrace
+	opts, vc, tr := h.clusterOptions()
+	opts.HDFSCacheMB = h.Spec.HDFSCacheMB
+	if tr != nil {
+		h.LastMRTrace = tr
 	}
 	c, err := cluster.New(opts)
 	if err != nil {

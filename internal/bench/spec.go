@@ -8,10 +8,13 @@ package bench
 import (
 	"time"
 
+	"github.com/hamr-go/hamr/internal/cluster"
 	"github.com/hamr-go/hamr/internal/core"
 	"github.com/hamr-go/hamr/internal/mapreduce"
 	"github.com/hamr-go/hamr/internal/storage"
+	"github.com/hamr-go/hamr/internal/trace"
 	"github.com/hamr-go/hamr/internal/transport"
+	"github.com/hamr-go/hamr/internal/vtime"
 )
 
 // ClusterSpec is the scaled analogue of Table 1. The paper ran 16 Xeon
@@ -114,6 +117,27 @@ func (s ClusterSpec) CoreConfig() core.Config {
 		FlowControlWindow: s.FlowControlWindow,
 		BinSize:           s.BinSize,
 		ContentionCost:    s.ContentionCost,
+	}
+}
+
+// ClusterOptions is the benchmark cluster: the spec's nodes, cost models,
+// block size and codec, paying modeled delays to clk and recording into tr
+// (either may be nil). Both harness clusters are built from it, so the two
+// engines cannot be handed different substrates. HDFSCacheMB is left out:
+// only the baseline reads HDFS, and a cache on the HAMR cluster would add
+// four hdfs.cache.* counters to its registry, so newMRCluster sets it.
+// benchmark/runner.go's clusterOptions is a copy of this literal, to be
+// retired by a benchmark PR.
+func (s ClusterSpec) ClusterOptions(clk vtime.Clock, tr *trace.Tracer) cluster.Options {
+	return cluster.Options{
+		NumNodes:      s.Nodes,
+		Core:          s.CoreConfig(),
+		DiskModel:     &s.Disk,
+		NetModel:      &s.Net,
+		HDFSBlockSize: s.HDFSBlockSize,
+		CompressCodec: s.CompressCodec,
+		Clock:         clk,
+		Trace:         tr,
 	}
 }
 

@@ -5,9 +5,9 @@
 // distributed key-value store deployed on top.
 //
 // Both engines run over the same Cluster: the HAMR engine through Run, the
-// MapReduce baseline through the handles exposed by FS, Disks, Yarn and
-// ChargeNet — so a comparison between them reflects engine design, not
-// substrate differences.
+// MapReduce baseline through the handles exposed by FS, Disks, Yarn,
+// ChargeNet and Substrate — so a comparison between them reflects engine
+// design, not substrate differences.
 package cluster
 
 import (
@@ -24,6 +24,7 @@ import (
 	"github.com/hamr-go/hamr/internal/kvstore"
 	"github.com/hamr-go/hamr/internal/metrics"
 	"github.com/hamr-go/hamr/internal/storage"
+	"github.com/hamr-go/hamr/internal/substrate"
 	"github.com/hamr-go/hamr/internal/trace"
 	"github.com/hamr-go/hamr/internal/transport"
 	"github.com/hamr-go/hamr/internal/vtime"
@@ -62,9 +63,9 @@ type Options struct {
 	// YarnMemMB/4 (the slice of RAM the OS would realistically keep for
 	// the page cache next to container heaps).
 	HDFSCacheMB int
-	// Faults, if non-nil, installs a seeded fault injector across every
-	// substrate layer: local disks, HDFS replica reads, the message fabric
-	// and (via the engines) task execution. A nil Faults leaves every hot
+	// Faults, if non-nil, puts a seeded fault injector in the substrate
+	// handle: local disks, HDFS replica reads, the message fabric and (via
+	// the engines) task execution consult it. A nil Faults leaves every hot
 	// path untouched — no wrapper disks, no fabric hook.
 	Faults *faults.Config
 	// CompressCodec names the block codec ("lz", "flate") that compresses
@@ -75,10 +76,9 @@ type Options struct {
 	// bit-identical to a compression-less build.
 	CompressCodec string
 	// Clock pays every modeled delay in the cluster — disk, network,
-	// compression CPU, contention — and is threaded to both engines (the
-	// MapReduce baseline reads it via Cluster.Clock for its startup and
-	// straggler charges). Nil defaults to vtime.Real(): plain sleeps,
-	// bit-identical to the pre-seam substrate. Install a
+	// compression CPU, contention, startup, stragglers. It is the substrate
+	// handle's clock, so both engines and every layer under them charge the
+	// same one. Nil defaults to vtime.Real(): plain sleeps. Install a
 	// *vtime.VirtualClock to run the same workload without wall sleeps
 	// while modeled elapsed time accrues on per-node logical clocks.
 	Clock vtime.Clock
@@ -112,21 +112,17 @@ const compressNsPerByte = 0.5
 
 // Cluster is a running simulated cluster.
 type Cluster struct {
-	opts  Options
-	reg   *metrics.Registry
+	opts Options
+	// sub is the shared substrate: New builds it once and HDFS, the node
+	// runtimes and the MapReduce engine (via Substrate) take it whole.
+	sub   substrate.Handle
 	net   *transport.InMemNetwork
 	disks []storage.Disk
 	fs    *hdfs.FileSystem
 	store *kvstore.Store
 	sched *yarn.Scheduler
 	nodes []*core.NodeRuntime
-	inj   *faults.Injector
 	model transport.CostModel
-	clk   vtime.Clock
-	// spillCC is the spill-site compression config threaded to both engines
-	// (the HAMR runtime via core.Config, the MapReduce baseline via
-	// SpillCompression). Zero when compression is off.
-	spillCC compress.Config
 	// rxMu serializes modeled ChargeNet delays per receiving node, so a
 	// node's ingress bandwidth is a real bottleneck for the baseline's
 	// shuffle fetches and HDFS remote reads (the fabric's own deliveries
@@ -155,42 +151,23 @@ func New(opts Options) (*Cluster, error) {
 	if opts.YarnMemMB <= 0 {
 		opts.YarnMemMB = 4096
 	}
-	opts.Core.NumNodes = opts.NumNodes
-	// Resolve the clock before Core.FillDefaults, which would otherwise
-	// fill the nil Core.Clock with the real clock and cut the engine's
-	// contention charges off from a virtual clock installed here.
-	if opts.Clock == nil {
-		opts.Clock = vtime.Real()
-	}
-	if opts.Core.Clock == nil {
-		opts.Core.Clock = opts.Clock
-	}
-	opts.Core.Trace = opts.Trace
 	opts.Core.FillDefaults()
-
-	c := &Cluster{opts: opts, reg: metrics.NewRegistry()}
-	c.clk = opts.Clock
-	c.mNetBytes = c.reg.Counter("net.bytes")
-	c.mNetMsgs = c.reg.Counter("net.msgs")
-	c.tNetTime = c.reg.Timer("net.time")
+	codec, err := compress.Lookup(opts.CompressCodec)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
 	var netModel transport.CostModel
 	if opts.NetModel != nil {
 		netModel = *opts.NetModel
 	}
-	c.model = netModel
-	c.net = transport.NewInMemNetwork(netModel, c.reg)
-	c.net.SetClock(c.clk)
-	c.net.SetTrace(opts.Trace)
 
+	sub := substrate.Handle{Clock: opts.Clock, Trace: opts.Trace}
+	sub.Fill()
+	reg := sub.Metrics
+	env := transport.Env{Clock: sub.Clock, Trace: sub.Trace}
 	if opts.Faults != nil {
-		c.inj = faults.New(*opts.Faults, opts.NumNodes, c.reg)
-		opts.Core.Faults = c.inj
-		c.net.SetFaults(c.inj)
-	}
-
-	codec, err := compress.Lookup(opts.CompressCodec)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
+		sub.Faults = faults.New(*opts.Faults, opts.NumNodes, reg)
+		env.Faults = sub.Faults
 	}
 	if codec != nil {
 		// Counters exist only when a codec is on — with compression off
@@ -200,33 +177,50 @@ func New(opts Options) (*Cluster, error) {
 		if s := netModel.TimeScale; s != 0 && s != 1 {
 			nsPerByte *= s
 		}
-		ctime := c.reg.Timer("compress.time")
+		// The Meter callback carries no node identity, so compression CPU
+		// lands on the driver lane; under the real clock this is exactly
+		// the time.Sleep the meter would have done itself.
+		clk := sub.Clock
+		cpu := func(d time.Duration) { clk.Charge(vtime.Driver, vtime.CPU, d) }
+		ctime := reg.Timer("compress.time")
 		meter := func(site string) *compress.Meter {
 			return &compress.Meter{
-				In:        c.reg.Counter("compress.in.bytes"),
-				Out:       c.reg.Counter("compress.out.bytes"),
-				Skipped:   c.reg.Counter("compress.skipped"),
-				SiteOut:   c.reg.Counter(site),
+				In:        reg.Counter("compress.in.bytes"),
+				Out:       reg.Counter("compress.out.bytes"),
+				Skipped:   reg.Counter("compress.skipped"),
+				SiteOut:   reg.Counter(site),
 				Time:      ctime,
 				NsPerByte: nsPerByte,
-				Sleep:     c.cpuCharge,
+				Sleep:     cpu,
 			}
 		}
-		c.spillCC = compress.Config{Codec: codec, Meter: meter("spill.compressed.bytes")}
-		opts.Core.SpillCompress = c.spillCC
-		opts.Core.ShuffleCompress = compress.Config{Codec: codec, Meter: meter("net.compressed.bytes")}
+		sub.Spill = compress.Config{Codec: codec, Meter: meter("spill.compressed.bytes")}
+		sub.Shuffle = compress.Config{Codec: codec, Meter: meter("net.compressed.bytes")}
 		// Inbound KindBatchZ frames charge decode CPU only — byte
 		// counters already accounted on the sending side.
-		c.net.SetDecodeMeter(&compress.Meter{Time: ctime, NsPerByte: nsPerByte, Sleep: c.cpuCharge})
+		env.Decode = &compress.Meter{Time: ctime, NsPerByte: nsPerByte, Sleep: cpu}
 	}
+
+	c := &Cluster{
+		opts:  opts,
+		sub:   sub,
+		model: netModel,
+		rxMu:  make([]sync.Mutex, opts.NumNodes),
+
+		mNetBytes: reg.Counter("net.bytes"),
+		mNetMsgs:  reg.Counter("net.msgs"),
+		tNetTime:  reg.Timer("net.time"),
+	}
+	c.net = transport.NewInMemNetwork(netModel, reg)
+	c.net.Use(env)
 
 	c.disks = make([]storage.Disk, opts.NumNodes)
 	for i := range c.disks {
 		var d storage.Disk = storage.NewMemDisk(opts.DiskCapacity)
-		d = c.inj.WrapDisk(i, d)
+		d = sub.Faults.WrapDisk(i, d)
 		if opts.DiskModel != nil {
-			cd := storage.NewCostDisk(d, *opts.DiskModel, c.reg)
-			cd.SetClock(c.clk, i)
+			cd := storage.NewCostDisk(d, *opts.DiskModel, reg)
+			cd.SetClock(sub.Clock, i)
 			d = cd
 		}
 		c.disks[i] = d
@@ -240,10 +234,8 @@ func New(opts Options) (*Cluster, error) {
 		BlockSize:   opts.HDFSBlockSize,
 		Replication: opts.HDFSReplication,
 		Remote:      c.ChargeNet,
-		Faults:      c.inj,
-		Metrics:     c.reg,
 		CacheBytes:  int64(cacheMB) << 20,
-		Trace:       opts.Trace,
+		Substrate:   sub,
 	})
 	if err != nil {
 		return nil, err
@@ -251,8 +243,7 @@ func New(opts Options) (*Cluster, error) {
 	c.fs = fs
 	c.store = kvstore.New(opts.NumNodes, c.ChargeNet)
 	c.sched = yarn.NewScheduler(opts.NumNodes, opts.YarnMemMB)
-	c.sched.SetTracer(opts.Trace)
-	c.rxMu = make([]sync.Mutex, opts.NumNodes)
+	c.sched.SetTracer(sub.Trace)
 
 	c.nodes = make([]*core.NodeRuntime, opts.NumNodes)
 	for i := 0; i < opts.NumNodes; i++ {
@@ -262,7 +253,7 @@ func New(opts Options) (*Cluster, error) {
 			ServiceKVStore: c.store,
 			ServiceCluster: c,
 		}
-		rt, err := core.NewNodeRuntime(i, opts.Core, c.net, c.disks[i], services, c.reg)
+		rt, err := core.NewNodeRuntime(i, opts.Core, sub, c.net, c.disks[i], services)
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
@@ -294,35 +285,14 @@ func (c *Cluster) Disk(node int) storage.Disk { return c.disks[node] }
 func (c *Cluster) Nodes() []*core.NodeRuntime { return c.nodes }
 
 // Metrics returns the shared cluster metrics registry.
-func (c *Cluster) Metrics() *metrics.Registry { return c.reg }
+func (c *Cluster) Metrics() *metrics.Registry { return c.sub.Metrics }
 
-// Faults returns the cluster's fault injector, or nil when the cluster was
-// built without one. Every injector method is nil-safe, so callers may use
-// the result unconditionally.
-func (c *Cluster) Faults() *faults.Injector { return c.inj }
-
-// Tracer returns the span recorder installed via Options.Trace, or nil
-// when tracing is off. Every recorder method is nil-safe, so callers may
-// use the result unconditionally.
-func (c *Cluster) Tracer() *trace.Tracer { return c.opts.Trace }
-
-// Clock returns the clock every modeled delay is paid through — the real
-// clock unless Options.Clock installed a virtual one. Engines charge
-// their own modeled costs (job/task startup, stragglers) here so one
-// knob switches the whole stack between sleeping and logical time.
-func (c *Cluster) Clock() vtime.Clock { return c.clk }
-
-// SpillCompression returns the spill-site compression config (zero when
-// CompressCodec is off). The MapReduce baseline applies it to sort runs,
-// shuffle segments and fetched reduce runs, so both engines pay — and
-// save — the same bytes on the disk path.
-func (c *Cluster) SpillCompression() compress.Config { return c.spillCC }
-
-// cpuCharge pays modeled compression CPU through the cluster clock (the
-// Meter callback carries no node identity, so charges land on the driver
-// lane; under the real clock this is exactly the time.Sleep the meter
-// would have done itself).
-func (c *Cluster) cpuCharge(d time.Duration) { c.clk.Charge(vtime.Driver, vtime.CPU, d) }
+// Substrate returns the handle New built: the clock every modeled delay is
+// paid through, the tracer and injector (nil when off; every method of both
+// is nil-safe), the registry and the two compression sites. The MapReduce
+// baseline takes it from here, so both engines pay — and save — the same
+// bytes and seconds.
+func (c *Cluster) Substrate() substrate.Handle { return c.sub }
 
 // ChargeNet charges the network cost model for a point-to-point transfer,
 // sleeping the modeled delay in the caller's goroutine. It is used by the
@@ -339,10 +309,10 @@ func (c *Cluster) ChargeNet(from, to transport.NodeID, bytes int64) {
 		if int(to) >= 0 && int(to) < len(c.rxMu) {
 			mu := &c.rxMu[to]
 			mu.Lock()
-			c.clk.Charge(int(to), vtime.Net, d)
+			c.sub.Clock.Charge(int(to), vtime.Net, d)
 			mu.Unlock()
 		} else {
-			c.clk.Charge(vtime.Driver, vtime.Net, d)
+			c.sub.Clock.Charge(vtime.Driver, vtime.Net, d)
 		}
 	}
 }

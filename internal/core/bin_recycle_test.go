@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/hamr-go/hamr/internal/faults"
+	"github.com/hamr-go/hamr/internal/substrate"
 )
 
 // Bin recycling safety: a slab that is cleared or refilled while a
@@ -262,8 +263,7 @@ func TestBinRecyclingUnderRefires(t *testing.T) {
 	const numNodes, splits, perSplit = 4, 8, 1500
 	cfg := recycleConfig()
 	inj := faults.New(faults.Config{Seed: 3, FlowletFire: 0.15, Armed: true}, numNodes, nil)
-	cfg.Faults = inj
-	nodes, cleanup := newTestCluster(t, numNodes, cfg)
+	nodes, cleanup := newClusterOn(t, NewTestNetwork(), numNodes, cfg, substrate.Handle{Faults: inj})
 	defer cleanup()
 	g, sink := idGraph(t, idLoader(splits, perSplit), true)
 	if _, err := Run(g, nodes, nil); err != nil {

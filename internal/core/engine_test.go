@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/hamr-go/hamr/internal/metrics"
 	"github.com/hamr-go/hamr/internal/storage"
+	"github.com/hamr-go/hamr/internal/substrate"
 	"github.com/hamr-go/hamr/internal/transport"
 )
 
@@ -16,18 +16,17 @@ import (
 // modeled costs.
 func newTestCluster(t testing.TB, n int, cfg Config) ([]*NodeRuntime, func()) {
 	t.Helper()
-	return newClusterOn(t, NewTestNetwork(), n, cfg)
+	return newClusterOn(t, NewTestNetwork(), n, cfg, substrate.Handle{})
 }
 
 // newClusterOn builds n node runtimes over net, which the returned cleanup
-// closes after them.
-func newClusterOn(t testing.TB, net transport.Network, n int, cfg Config) ([]*NodeRuntime, func()) {
+// closes after them; each fills sub with a registry of its own.
+func newClusterOn(t testing.TB, net transport.Network, n int, cfg Config, sub substrate.Handle) ([]*NodeRuntime, func()) {
 	t.Helper()
-	cfg.NumNodes = n
 	nodes := make([]*NodeRuntime, n)
 	for i := 0; i < n; i++ {
 		disk := storage.NewMemDisk(0)
-		rt, err := NewNodeRuntime(i, cfg, net, disk, nil, metrics.NewRegistry())
+		rt, err := NewNodeRuntime(i, cfg, sub, net, disk, nil)
 		if err != nil {
 			t.Fatalf("NewNodeRuntime(%d): %v", i, err)
 		}

@@ -212,7 +212,7 @@ func newJobNode(rt *NodeRuntime, graph *Graph, jobID int64, numNodes int) *jobNo
 		mShuffleKVs:   reg.Counter("shuffle.kvs"),
 		mRefires:      reg.Counter("flowlet.refires"),
 
-		tr: rt.cfg.Trace,
+		tr: rt.sub.Trace,
 	}
 	jn.traceTag = jn.tr.JobTag(jobID)
 	jn.outBy = make([][]*edgeState, len(graph.Flowlets()))
@@ -247,7 +247,7 @@ func newJobNode(rt *NodeRuntime, graph *Graph, jobID int64, numNodes int) *jobNo
 			fs.contention = reg.Timer("partial.contention")
 		case KindReduce:
 			prefix := fmt.Sprintf("job%d/reduce-%d", jobID, spec.ID)
-			fs.acc = newAccumulator(jn.mem, rt.disk, prefix, reg, rt.cfg.SpillCompress)
+			fs.acc = newAccumulator(jn.mem, rt.disk, prefix, reg, rt.sub.Spill)
 		}
 		jn.flowlets = append(jn.flowlets, fs)
 	}
@@ -270,7 +270,7 @@ const maxBinBytes = 128 << 10
 // job-relative identity (flowlet name + node + task index) so the same
 // seed crashes the same tasks on every run.
 func (jn *jobNode) fireTask(site string, fn func() error) error {
-	inj := jn.rt.cfg.Faults
+	inj := jn.rt.sub.Faults
 	for attempt := 0; ; attempt++ {
 		if err := inj.FlowletFire(site, attempt); err != nil {
 			if attempt >= maxRefires {
@@ -641,7 +641,7 @@ func (fs *flowletState) applyStripeBatch(st *prStripe, kvs []KV) error {
 // inputs are monotone sums of atomic adds, so the final lane advance is
 // scheduling-independent and deterministic.
 func (fs *flowletState) chargeContention(st *prStripe, d time.Duration) {
-	clk := fs.jn.rt.cfg.Clock
+	clk := fs.jn.rt.sub.Clock
 	vc, ok := clk.(*vtime.VirtualClock)
 	if !ok {
 		clk.Charge(fs.jn.rt.id, vtime.Contention, d)

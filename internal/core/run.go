@@ -202,7 +202,7 @@ func (j *Job) Start() {
 	}
 	// Job root span on the driver lane; every per-node span parents to it
 	// through the tracer's per-run job tag.
-	tr := j.nodes[0].cfg.Trace
+	tr := j.nodes[0].sub.Trace
 	j.jsp = tr.Start(-1, "", tr.JobTag(j.id)+"/job:"+j.graph.Name, "job", "")
 	start := time.Now()
 	j.startT = start
@@ -273,7 +273,7 @@ func (j *Job) wait() (*JobResult, error) {
 	// the result aggregate (so res.Metrics is exactly this job's deltas).
 	for _, jn := range j.jns {
 		agg.Merge(jn.reg)
-		jn.rt.reg.Merge(jn.reg)
+		jn.rt.sub.Metrics.Merge(jn.reg)
 		jn.rt.unregisterJob(j.id)
 	}
 	res.Metrics = agg.Snapshot()

@@ -6,22 +6,19 @@ import (
 	"sync"
 	"time"
 
-	"github.com/hamr-go/hamr/internal/compress"
-	"github.com/hamr-go/hamr/internal/faults"
 	"github.com/hamr-go/hamr/internal/metrics"
 	"github.com/hamr-go/hamr/internal/par"
 	"github.com/hamr-go/hamr/internal/storage"
-	"github.com/hamr-go/hamr/internal/trace"
+	"github.com/hamr-go/hamr/internal/substrate"
 	"github.com/hamr-go/hamr/internal/transport"
-	"github.com/hamr-go/hamr/internal/vtime"
 )
 
-// Config controls the per-node runtime and the engine's scheduling
-// granularity. The zero value is usable: FillDefaults supplies sensible
-// settings.
+// Config is the per-node runtime's tuning: pool sizes and the engine's
+// scheduling granularity. The zero value is usable: FillDefaults supplies
+// sensible settings. What the runtime shares with the rest of the cluster —
+// clock, tracer, fault injector, registry, codecs — is not tuning and
+// arrives as a substrate.Handle.
 type Config struct {
-	// NumNodes is the cluster size.
-	NumNodes int
 	// Workers is the size of each node's thread pool (the paper's cluster
 	// used 32 threads per node).
 	Workers int
@@ -56,11 +53,6 @@ type Config struct {
 	// proposed fix) pay a tenth of it — a single writer does not fight
 	// over the cache line. Zero disables the model.
 	ContentionCost time.Duration
-	// Faults, if non-nil, is the cluster's seeded fault injector. Fine-grain
-	// flowlet tasks (loader splits, partial-reduce stripes, reduce batches)
-	// consult it at their start — before any side effects — and a crashed
-	// task is re-fired with the next attempt number.
-	Faults *faults.Injector
 	// CoalesceMsgs / CoalesceAge configure the node's outbound
 	// transport.Coalescer, which packs small same-destination messages
 	// (bin flushes, acks) into one framed wire message of at most the
@@ -70,31 +62,10 @@ type Config struct {
 	// count raw messages).
 	CoalesceMsgs int
 	CoalesceAge  time.Duration
-	// Clock pays the runtime's modeled delays (the contention model, the
-	// coalescer's age timer). Nil defaults to the real clock — plain
-	// sleeps, bit-identical to the pre-seam engine. The cluster threads
-	// its own clock here so one knob switches every layer together.
-	Clock vtime.Clock
-	// SpillCompress, when enabled, block-compresses reduce-flowlet spill
-	// runs on their way to local disk. The zero value leaves the spill
-	// path byte-identical to a compression-less build.
-	SpillCompress compress.Config
-	// ShuffleCompress, when enabled, lets the node's outbound coalescer
-	// compress batched shuffle traffic into KindBatchZ wire frames. It
-	// has no effect when coalescing is disabled (CoalesceMsgs < 0).
-	ShuffleCompress compress.Config
-	// Trace, if non-nil, records per-flowlet-task spans (loader splits,
-	// partial-reduce stripes, reduce batches), accumulate windows and
-	// refire instants. Nil — the default, never filled by FillDefaults —
-	// keeps every hot path untouched.
-	Trace *trace.Tracer
 }
 
 // FillDefaults replaces zero fields with defaults.
 func (c *Config) FillDefaults() {
-	if c.NumNodes <= 0 {
-		c.NumNodes = 1
-	}
 	if c.Workers <= 0 {
 		c.Workers = 4
 	}
@@ -112,9 +83,6 @@ func (c *Config) FillDefaults() {
 	}
 	if c.PartialStripes <= 0 {
 		c.PartialStripes = 64
-	}
-	if c.Clock == nil {
-		c.Clock = vtime.Real()
 	}
 }
 
@@ -156,13 +124,16 @@ type failMsg struct {
 // worker pool, a bin queue fed by the network, and the per-job flowlet
 // state. One NodeRuntime exists per simulated node; jobs come and go.
 type NodeRuntime struct {
-	id       int
-	cfg      Config
+	id  int
+	cfg Config
+	// sub is the cluster's shared substrate: flowlet tasks consult its
+	// injector at their start, before any side effect; reduce spills use its
+	// Spill codec and the coalescer, when there is one, its Shuffle codec.
+	sub      substrate.Handle
 	net      transport.Network
 	co       *transport.Coalescer // nil when coalescing is disabled
 	disk     storage.Disk
 	services map[string]any
-	reg      *metrics.Registry
 
 	pool      *par.Pool
 	loaderSem par.Semaphore
@@ -180,41 +151,40 @@ type NodeRuntime struct {
 	jobs map[int64]*jobNode
 }
 
-// NewNodeRuntime creates the runtime for node id and registers it on the
-// network. services are node-local handles exposed to flowlets via
-// Context.Service (e.g. "hdfs", "disk", "kvstore").
-func NewNodeRuntime(id int, cfg Config, net transport.Network, disk storage.Disk, services map[string]any, reg *metrics.Registry) (*NodeRuntime, error) {
+// NewNodeRuntime creates the runtime for node id over the shared substrate
+// (a zero Handle is filled) and registers it on the network. services are
+// node-local handles exposed to flowlets via Context.Service (e.g. "hdfs",
+// "disk", "kvstore").
+func NewNodeRuntime(id int, cfg Config, sub substrate.Handle, net transport.Network, disk storage.Disk, services map[string]any) (*NodeRuntime, error) {
 	cfg.FillDefaults()
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+	sub.Fill()
 	if services == nil {
 		services = map[string]any{}
 	}
 	rt := &NodeRuntime{
 		id:        id,
 		cfg:       cfg,
+		sub:       sub,
 		net:       net,
 		disk:      disk,
 		services:  services,
-		reg:       reg,
 		pool:      par.NewPool(cfg.Workers, cfg.Workers*64),
 		loaderSem: par.NewSemaphore(cfg.LoaderConcurrency),
 		bins:      &binList{size: cfg.BinSize},
 
-		binsDropped: reg.Counter("bins.dropped"),
+		binsDropped: sub.Metrics.Counter("bins.dropped"),
 	}
 	if cfg.CoalesceMsgs >= 0 {
 		rt.co = transport.NewCoalescer(net, transport.CoalescerConfig{
 			MaxMsgs:  cfg.CoalesceMsgs,
 			MaxAge:   cfg.CoalesceAge,
-			Compress: cfg.ShuffleCompress,
-			Clock:    cfg.Clock,
-			Trace:    cfg.Trace,
+			Compress: sub.Shuffle,
+			Trace:    sub.Trace,
 		})
 	}
 	rt.jobs = make(map[int64]*jobNode)
 	if err := net.Register(transport.NodeID(id), rt.handle); err != nil {
+		rt.Close()
 		return nil, err
 	}
 	return rt, nil
@@ -243,7 +213,7 @@ func (rt *NodeRuntime) flushNet() {
 func (rt *NodeRuntime) ID() int { return rt.id }
 
 // Metrics returns the node's metrics registry.
-func (rt *NodeRuntime) Metrics() *metrics.Registry { return rt.reg }
+func (rt *NodeRuntime) Metrics() *metrics.Registry { return rt.sub.Metrics }
 
 // Disk returns the node's local disk.
 func (rt *NodeRuntime) Disk() storage.Disk { return rt.disk }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -12,6 +13,7 @@ import (
 	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/metrics"
 	"github.com/hamr-go/hamr/internal/storage"
+	"github.com/hamr-go/hamr/internal/substrate"
 	"github.com/hamr-go/hamr/internal/transport"
 )
 
@@ -34,8 +36,8 @@ func TestEngineOverTCP(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				var framed metrics.Counter
-				cfg := Config{Workers: 2, BinSize: 16,
-					ShuffleCompress: compress.Config{Codec: codec, Meter: &compress.Meter{Out: &framed}}}
+				cfg := Config{Workers: 2, BinSize: 16}
+				sub := substrate.Handle{Shuffle: compress.Config{Codec: codec, Meter: &compress.Meter{Out: &framed}}}
 				var net transport.Network = NewTestNetwork()
 				if fabric == "tcp" {
 					addrs := map[transport.NodeID]string{}
@@ -44,7 +46,7 @@ func TestEngineOverTCP(t *testing.T) {
 					}
 					net = transport.NewTCPNetwork(addrs)
 				}
-				nodes, cleanup := newClusterOn(t, net, numNodes, cfg)
+				nodes, cleanup := newClusterOn(t, net, numNodes, cfg, sub)
 				defer cleanup()
 				g, sink := buildWordCount(t, true, chunks)
 				if _, err := Run(g, nodes, nil); err != nil {
@@ -188,11 +190,40 @@ type MapperFuncT func(kv KV, ctx Context) error
 // Map implements Mapper.
 func (f MapperFuncT) Map(kv KV, ctx Context) error { return f(kv, ctx) }
 
+// TestRefusedRuntimeLeavesNoGoroutine: by the time the network refuses a
+// second runtime under a registered id, that runtime has started its worker
+// pool and its coalescer; the error path has to stop both.
+func TestRefusedRuntimeLeavesNoGoroutine(t *testing.T) {
+	net := NewTestNetwork()
+	defer net.Close()
+	newRuntime := func() (*NodeRuntime, error) {
+		return NewNodeRuntime(0, Config{Workers: 8}, substrate.Handle{}, net, storage.NewMemDisk(0), nil)
+	}
+	rt, err := newRuntime()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	base := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		if _, err := newRuntime(); err == nil {
+			t.Fatal("a second runtime registered as node 0")
+		}
+	}
+	// A worker has called Done a moment before it is gone.
+	for wait := time.Millisecond; runtime.NumGoroutine() > base && wait < time.Second; wait *= 2 {
+		time.Sleep(wait)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after ten refused runtimes, %d before", n, base)
+	}
+}
+
 func TestStatusLifecycle(t *testing.T) {
 	// Build a job node directly and inspect flowlet status transitions.
 	net := NewTestNetwork()
 	defer net.Close()
-	rt, err := NewNodeRuntime(0, Config{NumNodes: 1, Workers: 1}, net, storage.NewMemDisk(0), nil, nil)
+	rt, err := NewNodeRuntime(0, Config{Workers: 1}, substrate.Handle{}, net, storage.NewMemDisk(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

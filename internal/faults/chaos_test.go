@@ -71,7 +71,7 @@ func runMRWordCount(t *testing.T, nodes int, clk vtime.Clock, fcfg *faults.Confi
 		t.Fatal(err)
 	}
 	eng := mapreduce.NewEngine(c, mcfg)
-	inj := c.Faults()
+	inj := c.Substrate().Faults
 	inj.Arm()
 	res, err := eng.Run(mrapps.WordCountJob("in/words", "out", true, 3))
 	inj.Disarm()
@@ -173,7 +173,7 @@ func TestChaosMapTaskKills(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			fcfg := &faults.Config{Seed: seed, KillMap: 0.3}
 			run := runMRWordCount(t, chaosNodes, nil, fcfg, mapreduce.Config{})
-			inj := run.c.Faults()
+			inj := run.c.Substrate().Faults
 
 			var kills, retries int64
 			for i := 0; i < base.res.MapTasks; i++ {
@@ -218,7 +218,7 @@ func TestChaosReduceTaskKills(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			fcfg := &faults.Config{Seed: seed, KillReduce: 0.5}
 			run := runMRWordCount(t, chaosNodes, nil, fcfg, mapreduce.Config{})
-			inj := run.c.Faults()
+			inj := run.c.Substrate().Faults
 
 			var kills, retries int64
 			for r := 0; r < base.res.ReduceTasks; r++ {
@@ -264,7 +264,7 @@ func TestChaosDeadDatanode(t *testing.T) {
 			}
 			assertSameOutput(t, run.output, base.output)
 
-			inj := run.c.Faults()
+			inj := run.c.Substrate().Faults
 			dead := map[int]bool{}
 			for _, n := range inj.DeadNodeSet() {
 				dead[n] = true
@@ -313,7 +313,7 @@ func TestChaosContainerRevocation(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			fcfg := &faults.Config{Seed: seed, Revoke: 0.4}
 			run := runMRWordCount(t, chaosNodes, nil, fcfg, mapreduce.Config{})
-			inj := run.c.Faults()
+			inj := run.c.Substrate().Faults
 
 			var revokes, retries int64
 			for i := 0; i < base.res.MapTasks; i++ {
@@ -423,7 +423,7 @@ func runHAMRWordCount(t *testing.T, nodes int, clk vtime.Clock, fcfg *faults.Con
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := c.Faults()
+	inj := c.Substrate().Faults
 	inj.Arm()
 	done := make(chan error, 1)
 	go func() {
@@ -600,8 +600,8 @@ func TestChaosFlowletAbortPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Faults().Arm()
-	defer c.Faults().Disarm()
+	c.Substrate().Faults.Arm()
+	defer c.Substrate().Faults.Disarm()
 	done := make(chan error, 1)
 	go func() {
 		_, rerr := c.Run(g)
@@ -637,7 +637,7 @@ func TestChaosSeedReplay(t *testing.T) {
 			t.Fatalf("seed %d job failed: %v", seed, r.err)
 		}
 		return replay{
-			sites:    r.c.Faults().Sites(),
+			sites:    r.c.Substrate().Faults.Sites(),
 			injected: counter(r.c, "faults.injected"),
 			retries:  counter(r.c, "mr.task.retries"),
 			output:   r.output,

@@ -13,6 +13,7 @@ import (
 	"github.com/hamr-go/hamr/internal/faults"
 	"github.com/hamr-go/hamr/internal/metrics"
 	"github.com/hamr-go/hamr/internal/storage"
+	"github.com/hamr-go/hamr/internal/substrate"
 	"github.com/hamr-go/hamr/internal/transport"
 )
 
@@ -56,9 +57,7 @@ func (r *countedReader) Close() error {
 // (budget in bytes; 0 disables).
 func cachedFS(t testing.TB, nodes int, cfg Config) (*FileSystem, []*countingDisk, *metrics.Registry) {
 	t.Helper()
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
+	cfg.Substrate.Fill()
 	counting := make([]*countingDisk, nodes)
 	disks := make([]storage.Disk, nodes)
 	for i := range disks {
@@ -69,7 +68,7 @@ func cachedFS(t testing.TB, nodes int, cfg Config) (*FileSystem, []*countingDisk
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fs, counting, cfg.Metrics
+	return fs, counting, cfg.Substrate.Metrics
 }
 
 func totalOpens(disks []*countingDisk) int64 {
@@ -113,7 +112,7 @@ func TestCacheRemoteFetchPopulatesReader(t *testing.T) {
 	fs, _, _ := cachedFS(t, 2, Config{
 		BlockSize:  64,
 		CacheBytes: 1 << 20,
-		Metrics:    reg,
+		Substrate:  substrate.Handle{Metrics: reg},
 		Remote: func(from, to transport.NodeID, n int64) {
 			charges.Add(1)
 		},
@@ -273,7 +272,7 @@ func TestCacheDisabledIsIdentical(t *testing.T) {
 	// CacheBytes == 0: no cache, and no hdfs.cache.* counters may appear
 	// in the registry (metric-set invariance for cache-off runs).
 	reg := metrics.NewRegistry()
-	fs, _, _ := cachedFS(t, 2, Config{BlockSize: 64, Metrics: reg})
+	fs, _, _ := cachedFS(t, 2, Config{BlockSize: 64, Substrate: substrate.Handle{Metrics: reg}})
 	if fs.cache != nil {
 		t.Fatal("cache built despite CacheBytes == 0")
 	}
@@ -346,7 +345,7 @@ func TestCacheDeadReplicaNotResurrected(t *testing.T) {
 	}
 	fs, err := New(disks, Config{
 		BlockSize: 64, Replication: 2,
-		CacheBytes: 1 << 20, Faults: inj, Metrics: reg,
+		CacheBytes: 1 << 20, Substrate: substrate.Handle{Faults: inj, Metrics: reg},
 	})
 	if err != nil {
 		t.Fatal(err)

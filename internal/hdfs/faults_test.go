@@ -11,6 +11,7 @@ import (
 	"github.com/hamr-go/hamr/internal/faults"
 	"github.com/hamr-go/hamr/internal/metrics"
 	"github.com/hamr-go/hamr/internal/storage"
+	"github.com/hamr-go/hamr/internal/substrate"
 	"github.com/hamr-go/hamr/internal/transport"
 )
 
@@ -25,8 +26,7 @@ func faultFS(t testing.TB, nodes int, cfg Config, fcfg faults.Config, reg *metri
 		mems[i] = storage.NewMemDisk(0)
 		disks[i] = inj.WrapDisk(i, mems[i])
 	}
-	cfg.Faults = inj
-	cfg.Metrics = reg
+	cfg.Substrate = substrate.Handle{Faults: inj, Metrics: reg}
 	fs, err := New(disks, cfg)
 	if err != nil {
 		t.Fatal(err)

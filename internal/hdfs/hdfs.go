@@ -22,6 +22,7 @@ import (
 	"github.com/hamr-go/hamr/internal/faults"
 	"github.com/hamr-go/hamr/internal/metrics"
 	"github.com/hamr-go/hamr/internal/storage"
+	"github.com/hamr-go/hamr/internal/substrate"
 	"github.com/hamr-go/hamr/internal/trace"
 	"github.com/hamr-go/hamr/internal/transport"
 )
@@ -79,19 +80,16 @@ type Config struct {
 	// Remote is invoked for every remote block read; nil means free remote
 	// reads (tests).
 	Remote RemoteCharger
-	// Faults is the cluster's fault injector (nil for none): reads fail
-	// over past dead replicas and writes re-place blocks off dead nodes.
-	Faults *faults.Injector
-	// Metrics receives hdfs.failover.reads / hdfs.write.replaced (nil for
-	// a private registry).
-	Metrics *metrics.Registry
 	// CacheBytes is the per-node block cache budget modeling the datanode
 	// page cache; 0 disables the cache entirely (read path identical to a
 	// cache-less build, and no hdfs.cache.* counters are created).
 	CacheBytes int64
-	// Trace, if non-nil, records block-read spans and (with the cache on)
-	// cache hit/miss instants. Nil leaves the read path untouched.
-	Trace *trace.Tracer
+	// Substrate is the cluster's shared handle; the zero value is filled.
+	// Under its injector reads fail over past dead replicas and writes
+	// re-place blocks off dead nodes; its registry receives the hdfs.*
+	// counters; its tracer records block-read spans and (with the cache on)
+	// cache hit/miss instants.
+	Substrate substrate.Handle
 }
 
 // New creates a filesystem over the given per-node disks.
@@ -108,18 +106,16 @@ func New(disks []storage.Disk, cfg Config) (*FileSystem, error) {
 	if cfg.Replication > len(disks) {
 		cfg.Replication = len(disks)
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+	cfg.Substrate.Fill()
+	reg := cfg.Substrate.Metrics
 	fs := &FileSystem{
 		blockSize:    cfg.BlockSize,
 		replication:  cfg.Replication,
 		disks:        disks,
 		files:        make(map[string]*fileMeta),
 		charge:       cfg.Remote,
-		faults:       cfg.Faults,
-		tr:           cfg.Trace,
+		faults:       cfg.Substrate.Faults,
+		tr:           cfg.Substrate.Trace,
 		mFailover:    reg.Counter("hdfs.failover.reads"),
 		mReplaced:    reg.Counter("hdfs.write.replaced"),
 		mLocalBytes:  reg.Counter("hdfs.bytes.local"),

@@ -10,6 +10,7 @@ import (
 	"github.com/hamr-go/hamr/internal/faults"
 	"github.com/hamr-go/hamr/internal/metrics"
 	"github.com/hamr-go/hamr/internal/storage"
+	"github.com/hamr-go/hamr/internal/substrate"
 	"github.com/hamr-go/hamr/internal/transport"
 )
 
@@ -69,7 +70,7 @@ func TestSplitsReadTheirBytesOnce(t *testing.T) {
 	for i := range disks {
 		disks[i] = storage.NewCostDisk(storage.NewMemDisk(0), storage.CostModel{}, reg)
 	}
-	fs, err := New(disks, Config{BlockSize: blockSize, Metrics: reg})
+	fs, err := New(disks, Config{BlockSize: blockSize, Substrate: substrate.Handle{Metrics: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func slackFS(t *testing.T, inj *faults.Injector, wrap func(blk1 string, d storag
 		// Block IDs count up from zero per filesystem.
 		disks[2] = wrap(blockName("blk_000001"), disks[2])
 	}
-	fs, err := New(disks, Config{BlockSize: blockSize, Replication: 2, Faults: inj, Metrics: reg})
+	fs, err := New(disks, Config{BlockSize: blockSize, Replication: 2, Substrate: substrate.Handle{Faults: inj, Metrics: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,7 @@ import (
 	"github.com/hamr-go/hamr/internal/hdfs"
 	"github.com/hamr-go/hamr/internal/par"
 	"github.com/hamr-go/hamr/internal/storage"
+	"github.com/hamr-go/hamr/internal/substrate"
 	"github.com/hamr-go/hamr/internal/trace"
 	"github.com/hamr-go/hamr/internal/transport"
 	"github.com/hamr-go/hamr/internal/vtime"
@@ -33,12 +34,18 @@ var jobSeq atomic.Int64
 type Engine struct {
 	c   *cluster.Cluster
 	cfg Config
+	// sub is the cluster's substrate handle, the one the flowlet runtimes
+	// and HDFS were built over: startup and straggler charges go to its
+	// clock, and spill runs, intermediate merge runs, shuffle segments and
+	// fetched reduce runs share its Spill codec — so segment sizes, and the
+	// shuffle bytes charged from them, shrink with compression on.
+	sub substrate.Handle
 }
 
 // NewEngine creates an engine over the cluster with the given defaults.
 func NewEngine(c *cluster.Cluster, cfg Config) *Engine {
 	cfg.FillDefaults()
-	return &Engine{c: c, cfg: cfg}
+	return &Engine{c: c, cfg: cfg, sub: c.Substrate()}
 }
 
 // Config returns the engine configuration.
@@ -113,6 +120,59 @@ type mapResult struct {
 	segments []segInfo // one per reduce partition (nil entries allowed)
 }
 
+// jobRun is one job in flight: what run resolved once from the Job and the
+// engine's defaults. Its methods are the job's tasks.
+type jobRun struct {
+	*Engine
+	ctx context.Context
+	job Job
+	id  int64
+	// tag is the tracer's label for this job: trace IDs are built from it
+	// and from job-relative names, never from id, so that two identical
+	// runs produce identical timelines whatever the process-global jobSeq.
+	tag                 string
+	numReduces          int
+	partition           core.Partitioner
+	format              lineFormat
+	mapHeap, reduceHeap int64
+	// specWG tracks speculative loser attempts still draining; they must
+	// finish (and their output be discarded) before the job returns.
+	specWG sync.WaitGroup
+}
+
+// newJobRun numbers job and fills what it leaves unset from the engine's
+// defaults.
+func (e *Engine) newJobRun(ctx context.Context, job Job) *jobRun {
+	j := &jobRun{
+		Engine:     e,
+		ctx:        ctx,
+		job:        job,
+		id:         jobSeq.Add(1),
+		numReduces: job.NumReduces,
+		partition:  job.Partitioner,
+		format:     appendLine,
+		mapHeap:    job.MapHeapBytes,
+		reduceHeap: job.ReduceHeapBytes,
+	}
+	j.tag = e.sub.Trace.JobTag(j.id)
+	if j.numReduces <= 0 {
+		j.numReduces = e.cfg.DefaultReduces
+	}
+	if j.partition == nil {
+		j.partition = core.HashPartition
+	}
+	if f := job.OutputFormat; f != nil {
+		j.format = func(dst []byte, kv core.KV) []byte { return append(dst, f(kv)...) }
+	}
+	if j.mapHeap <= 0 {
+		j.mapHeap = e.cfg.MapHeapBytes
+	}
+	if j.reduceHeap <= 0 {
+		j.reduceHeap = e.cfg.ReduceHeapBytes
+	}
+	return j
+}
+
 // canceled wraps a ctx expiry as this job's typed cancellation error.
 func canceled(name string, ctx context.Context) error {
 	return fmt.Errorf("mapreduce: job %q: %w: %v", name, core.ErrJobCanceled, context.Cause(ctx))
@@ -131,36 +191,13 @@ func (e *Engine) run(ctx context.Context, job Job) (*Result, error) {
 	if job.Output == "" {
 		return nil, fmt.Errorf("mapreduce: job %q has no output", job.Name)
 	}
-	numReduces := job.NumReduces
-	if numReduces <= 0 {
-		numReduces = e.cfg.DefaultReduces
-	}
-	partition := job.Partitioner
-	if partition == nil {
-		partition = core.HashPartition
-	}
-	format := appendLine
-	if f := job.OutputFormat; f != nil {
-		format = func(dst []byte, kv core.KV) []byte { return append(dst, f(kv)...) }
-	}
-	mapHeap := job.MapHeapBytes
-	if mapHeap <= 0 {
-		mapHeap = e.cfg.MapHeapBytes
-	}
-	reduceHeap := job.ReduceHeapBytes
-	if reduceHeap <= 0 {
-		reduceHeap = e.cfg.ReduceHeapBytes
-	}
-
-	jobID := jobSeq.Add(1)
-	reg := e.c.Metrics()
+	j := e.newJobRun(ctx, job)
+	reg, tr := e.sub.Metrics, e.sub.Trace
 	reg.Inc("mr.jobs")
 
 	// Job root span on the driver lane; task spans parent to it through
 	// the per-run job tag.
-	tr := e.c.Tracer()
-	tag := tr.JobTag(jobID)
-	jsp := tr.Start(-1, "", tag+"/job:"+job.Name, "job", "")
+	jsp := tr.Start(-1, "", j.tag+"/job:"+job.Name, "job", "")
 	defer jsp.End()
 
 	// Per-job startup: AppMaster + JVM launch overhead (§3.2: "the
@@ -171,9 +208,9 @@ func (e *Engine) run(ctx context.Context, job Job) (*Result, error) {
 		reg.Observe("mr.job.startup", d)
 		var ssp trace.Span
 		if tr.Enabled() {
-			ssp = tr.Start(-1, tag+"/job:"+job.Name, tag+"/job-startup", "startup", "startup")
+			ssp = tr.Start(-1, j.tag+"/job:"+job.Name, j.tag+"/job-startup", "startup", "startup")
 		}
-		e.c.Clock().Charge(vtime.Driver, vtime.Startup, d)
+		e.sub.Clock.Charge(vtime.Driver, vtime.Startup, d)
 		ssp.End()
 	}
 
@@ -193,10 +230,7 @@ func (e *Engine) run(ctx context.Context, job Job) (*Result, error) {
 
 	// ---- Map phase ----
 	mapResults := make([]*mapResult, len(splits))
-	// specWG tracks speculative loser attempts still draining; they must
-	// finish (and their output be discarded) before the job returns.
-	var specWG sync.WaitGroup
-	defer specWG.Wait()
+	defer j.specWG.Wait()
 	g := par.NewGroup(0)
 	for i := range splits {
 		i := i
@@ -204,7 +238,7 @@ func (e *Engine) run(ctx context.Context, job Job) (*Result, error) {
 			if ctx.Err() != nil {
 				return canceled(job.Name, ctx)
 			}
-			mr, err := e.runMapAttempts(ctx, job, jobID, i, splits[i], numReduces, partition, format, mapHeap, &specWG)
+			mr, err := j.runMapAttempts(i, splits[i])
 			if err != nil {
 				return err
 			}
@@ -226,19 +260,18 @@ func (e *Engine) run(ctx context.Context, job Job) (*Result, error) {
 	}
 
 	// ---- Reduce phase ----
-	res.ReduceTasks = numReduces
+	res.ReduceTasks = j.numReduces
 	rg := par.NewGroup(0)
 	var shuffleBytes atomic.Int64
-	for r := 0; r < numReduces; r++ {
+	for r := 0; r < j.numReduces; r++ {
 		r := r
 		rg.Go(func() error {
 			if ctx.Err() != nil {
 				return canceled(job.Name, ctx)
 			}
 			var n int64
-			err := e.retryTask(ctx, job.Name, fmt.Sprintf("%s/retry:reduce-%05d", tag, r), 0, func(attempt int) error {
-				nn, rerr := e.runReduceTask(job, jobID, r, attempt, mapResults, format, reduceHeap)
-				n = nn
+			err := j.retryTask(fmt.Sprintf("%s/retry:reduce-%05d", j.tag, r), 0, func(attempt int) (rerr error) {
+				n, rerr = j.runReduceTask(r, attempt, mapResults)
 				return rerr
 			})
 			shuffleBytes.Add(n)
@@ -271,29 +304,28 @@ const revokeBudget = 8
 // attempt — like Hadoop, a preempted task is rescheduled, not blamed — but
 // total reschedules are bounded by revokeBudget so the job cannot loop.
 // A canceled ctx stops the sequence at the next attempt boundary.
-func (e *Engine) retryTask(ctx context.Context, jobName, traceID string, base int, run func(attempt int) error) error {
-	reg := e.c.Metrics()
+func (j *jobRun) retryTask(traceID string, base int, run func(attempt int) error) error {
 	fails := 0
 	for seq := 0; ; seq++ {
-		if ctx.Err() != nil {
-			return canceled(jobName, ctx)
+		if j.ctx.Err() != nil {
+			return canceled(j.job.Name, j.ctx)
 		}
 		err := run(base + seq)
 		if err == nil {
 			return nil
 		}
 		if faults.IsRevocation(err) {
-			if seq+1 >= e.cfg.MaxTaskAttempts+revokeBudget {
+			if seq+1 >= j.cfg.MaxTaskAttempts+revokeBudget {
 				return err
 			}
 		} else {
 			fails++
-			if fails >= e.cfg.MaxTaskAttempts {
+			if fails >= j.cfg.MaxTaskAttempts {
 				return err
 			}
 		}
-		reg.Inc("mr.task.retries")
-		if tr := e.c.Tracer(); tr.Enabled() {
+		j.sub.Metrics.Inc("mr.task.retries")
+		if tr := j.sub.Trace; tr.Enabled() {
 			tr.Instant(-1, "", fmt.Sprintf("%s:%d", traceID, base+seq), "retry", 0)
 		}
 	}
@@ -305,17 +337,10 @@ func (e *Engine) retryTask(ctx context.Context, jobName, traceID string, base in
 // Hadoop's speculative execution. The first success wins; the loser keeps
 // running and its output is discarded when it finishes (specWG lets the
 // job wait for that drain).
-func (e *Engine) runMapAttempts(ctx context.Context, job Job, jobID int64, taskID int, split hdfs.Split,
-	numReduces int, partition core.Partitioner, format lineFormat, heap int64,
-	specWG *sync.WaitGroup) (*mapResult, error) {
-
-	tr := e.c.Tracer()
-	tag := tr.JobTag(jobID)
-	run := func(base int) (*mapResult, error) {
-		var mr *mapResult
-		err := e.retryTask(ctx, job.Name, fmt.Sprintf("%s/retry:map-%05d", tag, taskID), base, func(attempt int) error {
-			m, rerr := e.runMapTask(job, jobID, taskID, attempt, split, numReduces, partition, format, heap)
-			mr = m
+func (j *jobRun) runMapAttempts(taskID int, split hdfs.Split) (*mapResult, error) {
+	run := func(base int) (mr *mapResult, err error) {
+		err = j.retryTask(fmt.Sprintf("%s/retry:map-%05d", j.tag, taskID), base, func(attempt int) (rerr error) {
+			mr, rerr = j.runMapTask(taskID, attempt, split)
 			return rerr
 		})
 		if err != nil {
@@ -324,16 +349,15 @@ func (e *Engine) runMapAttempts(ctx context.Context, job Job, jobID int64, taskI
 		return mr, nil
 	}
 
-	inj := e.c.Faults()
 	site := fmt.Sprintf("map-%05d", taskID)
-	if !e.cfg.Speculation || job.NewReducer == nil || !inj.WouldStraggle(site) {
+	if !j.cfg.Speculation || j.job.NewReducer == nil || !j.sub.Faults.WouldStraggle(site) {
 		return run(0)
 	}
 
-	reg := e.c.Metrics()
+	reg, tr := j.sub.Metrics, j.sub.Trace
 	reg.Inc("mr.speculative.launched")
 	if tr.Enabled() {
-		tr.Instant(-1, tag, fmt.Sprintf("%s/spec:launch:map-%05d", tag, taskID), "speculative", 0)
+		tr.Instant(-1, j.tag, fmt.Sprintf("%s/spec:launch:map-%05d", j.tag, taskID), "speculative", 0)
 	}
 	type specRes struct {
 		mr     *mapResult
@@ -360,7 +384,7 @@ func (e *Engine) runMapAttempts(ctx context.Context, job Job, jobID int64, taskI
 		if second.backup {
 			reg.Inc("mr.speculative.won")
 			if tr.Enabled() {
-				tr.Instant(-1, tag, fmt.Sprintf("%s/spec:won:map-%05d", tag, taskID), "speculative", 0)
+				tr.Instant(-1, j.tag, fmt.Sprintf("%s/spec:won:map-%05d", j.tag, taskID), "speculative", 0)
 			}
 		}
 		return second.mr, nil
@@ -368,14 +392,14 @@ func (e *Engine) runMapAttempts(ctx context.Context, job Job, jobID int64, taskI
 	if first.backup {
 		reg.Inc("mr.speculative.won")
 		if tr.Enabled() {
-			tr.Instant(-1, tag, fmt.Sprintf("%s/spec:won:map-%05d", tag, taskID), "speculative", 0)
+			tr.Instant(-1, j.tag, fmt.Sprintf("%s/spec:won:map-%05d", j.tag, taskID), "speculative", 0)
 		}
 	}
-	specWG.Add(1)
+	j.specWG.Add(1)
 	go func() {
-		defer specWG.Done()
+		defer j.specWG.Done()
 		if second := <-ch; second.err == nil {
-			e.removeSegments(second.mr)
+			j.removeSegments(second.mr)
 		}
 	}()
 	return first.mr, nil
@@ -397,30 +421,28 @@ func (e *Engine) removeSegments(mr *mapResult) {
 // beginAttempt names one attempt of the task at site ("map-00003"), opens
 // its span and pays its startup on node. taskName is the attempt's
 // namespace on disk; tname, its job-relative name, is what trace IDs are
-// built from, so that two identical runs produce identical timelines
-// whatever the process-global job sequence (the tag already identifies the
-// job). Attempt 0 keeps the plain name, so fault-free runs are
-// bit-identical; retries and speculative attempts get a namespace of
-// their own, so a straggling loser can never clobber the winner.
-func (e *Engine) beginAttempt(jobID int64, kind, site string, attempt, node int) (taskName, tname string, tsp trace.Span) {
-	tr := e.c.Tracer()
-	tag := tr.JobTag(jobID)
+// built from (see jobRun.tag). Attempt 0 keeps the plain name, so
+// fault-free runs are bit-identical; retries and speculative attempts get a
+// namespace of their own, so a straggling loser can never clobber the
+// winner.
+func (j *jobRun) beginAttempt(kind, site string, attempt, node int) (taskName, tname string, tsp trace.Span) {
+	tr := j.sub.Trace
 	tname = site
 	if attempt > 0 {
 		tname = fmt.Sprintf("%s-a%d", site, attempt)
 	}
 	if tr.Enabled() {
-		tsp = tr.Start(node, tag, tag+"/"+tname, kind, "cpu")
+		tsp = tr.Start(node, j.tag, j.tag+"/"+tname, kind, "cpu")
 	}
-	if e.cfg.TaskStartup > 0 {
+	if j.cfg.TaskStartup > 0 {
 		var ssp trace.Span
 		if tr.Enabled() {
-			ssp = tr.Start(node, tag+"/"+tname, tag+"/"+tname+"/startup", "startup", "startup")
+			ssp = tr.Start(node, j.tag+"/"+tname, j.tag+"/"+tname+"/startup", "startup", "startup")
 		}
-		e.c.Clock().Charge(node, vtime.Startup, e.cfg.scaled(e.cfg.TaskStartup))
+		j.sub.Clock.Charge(node, vtime.Startup, j.cfg.scaled(j.cfg.TaskStartup))
 		ssp.End()
 	}
-	return fmt.Sprintf("job%d/%s", jobID, tname), tname, tsp
+	return fmt.Sprintf("job%d/%s", j.id, tname), tname, tsp
 }
 
 // ---------------------------------------------------------------------------
@@ -483,13 +505,8 @@ func appendLine(dst []byte, kv core.KV) []byte {
 	return append(dst, '\n')
 }
 
-func (e *Engine) runMapTask(job Job, jobID int64, taskID, attempt int, split hdfs.Split,
-	numReduces int, partition core.Partitioner, format lineFormat, heap int64) (mres *mapResult, rerr error) {
-
-	reg := e.c.Metrics()
-	inj := e.c.Faults()
-	tr := e.c.Tracer()
-	tag := tr.JobTag(jobID)
+func (j *jobRun) runMapTask(taskID, attempt int, split hdfs.Split) (mres *mapResult, rerr error) {
+	job, reg, inj, tr := j.job, j.sub.Metrics, j.sub.Faults, j.sub.Trace
 	site := fmt.Sprintf("map-%05d", taskID)
 	// Cache-aware placement (HDFS centralized-cache-management style): a
 	// node holding the split's block hot in its page cache beats a merely
@@ -500,22 +517,22 @@ func (e *Engine) runMapTask(job Job, jobID int64, taskID, attempt int, split hdf
 	} else if len(split.Hosts) > 0 {
 		pref = int(split.Hosts[0])
 	}
-	ct, err := e.c.Yarn().Allocate(e.cfg.MapMemMB, pref)
+	ct, err := j.c.Yarn().Allocate(j.cfg.MapMemMB, pref)
 	if err != nil {
 		return nil, err
 	}
-	defer e.c.Yarn().Release(ct)
+	defer j.c.Yarn().Release(ct)
 
-	taskName, tname, tsp := e.beginAttempt(jobID, "map", site, attempt, ct.Node)
+	taskName, tname, tsp := j.beginAttempt("map", site, attempt, ct.Node)
 	defer func() { tsp.EndBytes(split.Length) }()
 	// An injected straggler stalls only the original attempt; retries and
 	// speculative backups run at full speed.
 	if attempt == 0 {
 		if d, ok := inj.Straggle(site); ok {
 			if tr.Enabled() {
-				tr.Instant(ct.Node, tag+"/"+tname, tag+"/"+tname+"/straggle", "fault", 0)
+				tr.Instant(ct.Node, j.tag+"/"+tname, j.tag+"/"+tname+"/straggle", "fault", 0)
 			}
-			e.c.Clock().Charge(ct.Node, vtime.Fault, d)
+			j.sub.Clock.Charge(ct.Node, vtime.Fault, d)
 		}
 	}
 	node := ct.Node
@@ -538,14 +555,14 @@ func (e *Engine) runMapTask(job Job, jobID int64, taskID, attempt int, split hdf
 		}
 	}
 
-	em := &taskEmitter{task: taskName, heap: heap}
-	mt := e.newMapTask(job, taskName, tname, tag, node, numReduces, partition, em)
+	em := &taskEmitter{task: taskName, heap: j.mapHeap}
+	mt := j.newMapTask(taskName, tname, node, em)
 
 	mapOnly := job.NewReducer == nil
 	var hdfsOut *bufio.Writer
 	var hdfsFile *hdfs.Writer
 	if mapOnly {
-		hdfsFile = e.c.FS().Create(fmt.Sprintf("%s/part-m-%05d", job.Output, taskID), transport.NodeID(node))
+		hdfsFile = j.c.FS().Create(fmt.Sprintf("%s/part-m-%05d", job.Output, taskID), transport.NodeID(node))
 		hdfsOut = bufio.NewWriter(hdfsFile)
 	}
 	defer func() {
@@ -566,7 +583,7 @@ func (e *Engine) runMapTask(job Job, jobID int64, taskID, attempt int, split hdf
 	var text []byte // the map-only sink's format scratch
 	em.sink = func(kv core.KV) error {
 		if mapOnly {
-			text = format(text[:0], kv)
+			text = j.format(text[:0], kv)
 			_, err := hdfsOut.Write(text)
 			return err
 		}
@@ -579,7 +596,7 @@ func (e *Engine) runMapTask(job Job, jobID int64, taskID, attempt int, split hdf
 			return nil, fmt.Errorf("%s setup: %w", taskName, err)
 		}
 	}
-	it, err := e.c.FS().OpenLines(split, transport.NodeID(node))
+	it, err := j.c.FS().OpenLines(split, transport.NodeID(node))
 	if err != nil {
 		return nil, fmt.Errorf("%s open split: %w", taskName, err)
 	}
@@ -609,7 +626,7 @@ func (e *Engine) runMapTask(job Job, jobID int64, taskID, attempt int, split hdf
 		return nil, err
 	}
 	if inj.Revoke(site, attempt) {
-		e.c.Yarn().Revoke(ct)
+		j.c.Yarn().Revoke(ct)
 		return nil, &faults.Error{Op: "yarn.revoke", Site: fmt.Sprintf("%s#%d", site, attempt)}
 	}
 
@@ -630,26 +647,15 @@ func (e *Engine) runMapTask(job Job, jobID int64, taskID, attempt int, split hdf
 	return &mapResult{node: node, segments: segs}, nil
 }
 
-// mapTask holds the map-side sort buffer and spill machinery.
+// mapTask holds the map-side sort buffer and spill machinery of one
+// attempt of one of j's map tasks.
 type mapTask struct {
-	e          *Engine
-	job        Job
-	name       string
-	node       int
-	disk       storage.Disk
-	numReduces int
-	partition  core.Partitioner
-	// cc is the cluster's spill-site compression config (zero when off):
-	// spill runs, intermediate merge runs and shuffle segments all share it,
-	// so segment sizes — and the shuffle bytes charged from them — shrink
-	// with compression on.
-	cc compress.Config
-	// tr/tag/tname carry the job's span recorder into spill and merge
-	// callbacks (tr is nil with tracing off; tag is the per-run job label,
-	// tname the job-relative task name trace IDs are built from).
-	tr    *trace.Tracer
-	tag   string
+	j    *jobRun
+	name string
+	// tname is the job-relative task name trace IDs are built from.
 	tname string
+	node  int
+	disk  storage.Disk
 
 	// buf is the sort buffer; kbuf and vbuf are collect's encode scratch.
 	buf        *extsort.SortBuffer
@@ -659,49 +665,35 @@ type mapTask struct {
 // newMapTask sets up the map side of one task attempt on its node's disk:
 // the sort buffer spills when it exceeds io.sort.mb, each spill run
 // combined (if configured) and released from em, the task's heap account.
-func (e *Engine) newMapTask(job Job, taskName, tname, tag string, node, numReduces int,
-	partition core.Partitioner, em *taskEmitter) *mapTask {
-
-	reg := e.c.Metrics()
-	mt := &mapTask{
-		e:          e,
-		job:        job,
-		name:       taskName,
-		node:       node,
-		disk:       e.c.Disk(node),
-		numReduces: numReduces,
-		partition:  partition,
-		cc:         e.c.SpillCompression(),
-		tr:         e.c.Tracer(),
-		tag:        tag,
-		tname:      tname,
-	}
+func (j *jobRun) newMapTask(taskName, tname string, node int, em *taskEmitter) *mapTask {
+	reg, tr := j.sub.Metrics, j.sub.Trace
+	mt := &mapTask{j: j, name: taskName, tname: tname, node: node, disk: j.c.Disk(node)}
 	// Every spill run is folded by a combiner of its own, made when the
 	// run's first group arrives.
 	var comb *groupCombiner
 	cfg := extsort.SortBufferConfig{
 		Disk:      mt.disk,
 		RunName:   func(i int) string { return fmt.Sprintf("%s/spill-%04d", taskName, i) },
-		Threshold: e.cfg.SortBufferBytes,
+		Threshold: j.cfg.SortBufferBytes,
 		OnSpill: func(records int, bytes int64) {
 			reg.Inc("mr.spills")
 			reg.Add("mr.spill.bytes", bytes)
-			if mt.tr.Enabled() {
-				mt.tr.Instant(node, tag+"/"+tname,
-					fmt.Sprintf("%s/%s/spill-%04d", tag, tname, records), "spill", bytes)
+			if tr.Enabled() {
+				tr.Instant(node, j.tag+"/"+tname,
+					fmt.Sprintf("%s/%s/spill-%04d", j.tag, tname, records), "spill", bytes)
 			}
 			em.Charge(-em.used) // buffer released
 			if comb != nil {
 				comb.red = nil
 			}
 		},
-		Compress: mt.cc,
+		Compress: j.sub.Spill,
 	}
-	if job.NewCombiner != nil {
+	if j.job.NewCombiner != nil {
 		comb = newGroupCombiner(taskName + "/combine")
 		cfg.Combine = func(key []byte, values [][]byte, emit func(key, value []byte) error) error {
 			if comb.red == nil {
-				comb.red = job.NewCombiner()
+				comb.red = j.job.NewCombiner()
 				reg.Inc("mr.combines")
 			}
 			return comb.fold(key, values, emit)
@@ -715,7 +707,7 @@ func (e *Engine) newMapTask(job Job, taskName, tname, tag string, node, numReduc
 // the map side — and adds it to the sort buffer, which spills when it
 // exceeds io.sort.mb.
 func (mt *mapTask) collect(kv core.KV, em *taskEmitter) error {
-	p := mt.partition(kv.Key, mt.numReduces)
+	p := mt.j.partition(kv.Key, mt.j.numReduces)
 	sz := kv.Size()
 	if err := em.Charge(sz); err != nil {
 		return err
@@ -860,18 +852,18 @@ func (mt *mapTask) finish() ([]segInfo, error) {
 	// The merge span covers every pass plus the final per-partition write;
 	// its byte count is the summed segment output. Error paths leave the
 	// span unended, which drops it from the recording.
+	j, cc := mt.j, mt.j.sub.Spill
 	var msp trace.Span
-	if mt.tr.Enabled() {
-		msp = mt.tr.Start(mt.node, mt.tag+"/"+mt.tname, mt.tag+"/"+mt.tname+"/merge", "merge", "disk")
+	if tr := j.sub.Trace; tr.Enabled() {
+		msp = tr.Start(mt.node, j.tag+"/"+mt.tname, j.tag+"/"+mt.tname+"/merge", "merge", "disk")
 	}
 	// Multi-pass merge: while more runs exist than the merge factor
 	// allows, merge batches into intermediate runs — every extra pass
 	// rereads and rewrites the intermediate data on disk, as Hadoop's
 	// io.sort.factor does.
-	reg := mt.e.c.Metrics()
-	spills, err := extsort.MergeToFactor(mt.disk, mt.buf.Runs(), mt.e.cfg.MergeFactor,
+	spills, err := extsort.MergeToFactor(mt.disk, mt.buf.Runs(), j.cfg.MergeFactor,
 		func(pass int) string { return fmt.Sprintf("%s/interm-%04d", mt.name, pass) },
-		func() { reg.Inc("mr.merge.passes") }, mt.cc)
+		func() { j.sub.Metrics.Inc("mr.merge.passes") }, cc)
 	if err != nil {
 		return nil, err
 	}
@@ -883,8 +875,8 @@ func (mt *mapTask) finish() ([]segInfo, error) {
 
 	// Final merge of the remaining runs (disk read) into per-partition
 	// segments (disk write) — Hadoop's merge phase.
-	writers := make([]*storage.RecordWriter, mt.numReduces)
-	names := make([]string, mt.numReduces)
+	writers := make([]*storage.RecordWriter, j.numReduces)
+	names := make([]string, j.numReduces)
 	defer func() {
 		for _, w := range writers {
 			if w != nil {
@@ -904,27 +896,27 @@ func (mt *mapTask) finish() ([]segInfo, error) {
 		if w == nil {
 			names[part] = fmt.Sprintf("%s/segment-%05d", mt.name, part)
 			var err error
-			if w, err = extsort.CreateRawRun(mt.disk, names[part], mt.cc); err != nil {
+			if w, err = extsort.CreateRawRun(mt.disk, names[part], cc); err != nil {
 				return err
 			}
 			writers[part] = w
 		}
 		return w.Write(key[4:], value)
 	}
-	if mt.job.NewCombiner != nil && len(spills) > 1 {
+	if j.job.NewCombiner != nil && len(spills) > 1 {
 		comb := newGroupCombiner(mt.name + "/merge-combine")
-		comb.red, comb.emit, comb.single = mt.job.NewCombiner(), write, write
-		if err = extsort.MergeRuns(mt.disk, spills, mt.cc, comb.add); err == nil {
+		comb.red, comb.emit, comb.single = j.job.NewCombiner(), write, write
+		if err = extsort.MergeRuns(mt.disk, spills, cc, comb.add); err == nil {
 			err = comb.flush()
 		}
 	} else {
-		err = extsort.MergeRuns(mt.disk, spills, mt.cc, write)
+		err = extsort.MergeRuns(mt.disk, spills, cc, write)
 	}
 	if err != nil {
 		return nil, err
 	}
 
-	segs := make([]segInfo, mt.numReduces)
+	segs := make([]segInfo, j.numReduces)
 	var segBytes int64
 	for p, w := range writers {
 		if w == nil {
@@ -974,24 +966,19 @@ func copySegment(src *storage.RecordReader, disk storage.Disk, name string, cc c
 	}
 }
 
-func (e *Engine) runReduceTask(job Job, jobID int64, r, attempt int, maps []*mapResult,
-	format lineFormat, heap int64) (fetched int64, rerr error) {
-
-	reg := e.c.Metrics()
-	inj := e.c.Faults()
-	cc := e.c.SpillCompression()
-	tr := e.c.Tracer()
-	tag := tr.JobTag(jobID)
+func (j *jobRun) runReduceTask(r, attempt int, maps []*mapResult) (fetched int64, rerr error) {
+	job, reg, inj, tr, cc := j.job, j.sub.Metrics, j.sub.Faults, j.sub.Trace, j.sub.Spill
+	tag, heap := j.tag, j.reduceHeap
 	site := fmt.Sprintf("reduce-%05d", r)
-	ct, err := e.c.Yarn().Allocate(e.cfg.ReduceMemMB, -1)
+	ct, err := j.c.Yarn().Allocate(j.cfg.ReduceMemMB, -1)
 	if err != nil {
 		return 0, err
 	}
-	defer e.c.Yarn().Release(ct)
+	defer j.c.Yarn().Release(ct)
 	node := ct.Node
-	taskName, tname, tsp := e.beginAttempt(jobID, "reduce", site, attempt, node)
+	taskName, tname, tsp := j.beginAttempt("reduce", site, attempt, node)
 	defer func() { tsp.EndBytes(fetched) }()
-	disk := e.c.Disk(node)
+	disk := j.c.Disk(node)
 	var out *hdfs.Writer
 	defer func() {
 		if rerr == nil {
@@ -1022,7 +1009,7 @@ func (e *Engine) runReduceTask(job Job, jobID int64, r, attempt int, maps []*map
 	// (one bulk fetch per map host, the way Hadoop's fetcher pulls all of
 	// a host's map outputs over one connection) rather than per segment:
 	// byte totals are identical, only the per-message latency count drops.
-	remoteBytes := make([]int64, e.c.NumNodes())
+	remoteBytes := make([]int64, j.c.NumNodes())
 
 	for mi, mr := range maps {
 		if mr == nil || len(mr.segments) <= r || mr.segments[r].name == "" {
@@ -1055,7 +1042,7 @@ func (e *Engine) runReduceTask(job Job, jobID int64, r, attempt int, maps []*map
 			fsp = tr.Start(seg.node, tag+"/"+tname,
 				fmt.Sprintf("%s/%s/fetch-%05d", tag, tname, mi), "fetch", "disk")
 		}
-		rdr, err := extsort.OpenRawRun(e.c.Disk(seg.node), seg.name, cc)
+		rdr, err := extsort.OpenRawRun(j.c.Disk(seg.node), seg.name, cc)
 		if err != nil {
 			return fetched, fmt.Errorf("%s fetch %s: %w", taskName, seg.name, err)
 		}
@@ -1089,7 +1076,7 @@ func (e *Engine) runReduceTask(job Job, jobID int64, r, attempt int, maps []*map
 			ssp = tr.Start(node, tag+"/"+tname,
 				fmt.Sprintf("%s/%s/shuffle:from%d", tag, tname, src), "shuffle", "net")
 		}
-		e.c.ChargeNet(transport.NodeID(src), transport.NodeID(node), n)
+		j.c.ChargeNet(transport.NodeID(src), transport.NodeID(node), n)
 		reg.Add("mr.shuffle.bytes", n)
 		ssp.EndBytes(n)
 	}
@@ -1100,17 +1087,17 @@ func (e *Engine) runReduceTask(job Job, jobID int64, r, attempt int, maps []*map
 		return fetched, err
 	}
 	if inj.Revoke(site, attempt) {
-		e.c.Yarn().Revoke(ct)
+		j.c.Yarn().Revoke(ct)
 		return fetched, &faults.Error{Op: "yarn.revoke", Site: fmt.Sprintf("%s#%d", site, attempt)}
 	}
 
 	// ---- merge + reduce ----
-	out = e.c.FS().Create(fmt.Sprintf("%s/part-r-%05d", job.Output, r), transport.NodeID(node))
+	out = j.c.FS().Create(fmt.Sprintf("%s/part-r-%05d", job.Output, r), transport.NodeID(node))
 	w := bufio.NewWriter(out)
 	em := &taskEmitter{task: taskName, heap: heap}
 	var text []byte // the sink's format scratch
 	em.sink = func(kv core.KV) error {
-		text = format(text[:0], kv)
+		text = j.format(text[:0], kv)
 		_, err := w.Write(text)
 		return err
 	}

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -321,13 +322,13 @@ func mapCollectFixture(tb testing.TB, n int) ([]core.KV, func() (*mapTask, *task
 		kvs[i] = core.KV{Key: fmt.Sprintf("k%07d", (i*7919)%4000), Value: int64(i)}
 	}
 	c := newTestCluster(tb, 1)
-	e := NewEngine(c, Config{SortBufferBytes: 1 << 20})
+	j := NewEngine(c, Config{SortBufferBytes: 1 << 20}).newJobRun(context.Background(), Job{NumReduces: 4})
 	task := 0
 	return kvs, func() (*mapTask, *taskEmitter) {
 		task++
 		name := fmt.Sprintf("jobX/map-%05d", task)
 		em := &taskEmitter{task: name}
-		return e.newMapTask(Job{}, name, "map", "", 0, 4, core.HashPartition, em), em
+		return j.newMapTask(name, "map", 0, em), em
 	}
 }
 

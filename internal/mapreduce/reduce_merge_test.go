@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"runtime"
@@ -85,9 +86,9 @@ func TestReducePlacementsAgree(t *testing.T) {
 							t.Fatal(err)
 						}
 						cell := fmt.Sprintf("codec %q, heap %d, faults %v", codec, heap, fc != nil)
-						c.Faults().Arm()
+						c.Substrate().Faults.Arm()
 						_, err = NewEngine(c, Config{ReduceHeapBytes: heap}).Run(tc.job)
-						c.Faults().Disarm()
+						c.Substrate().Faults.Disarm()
 						if err != nil {
 							t.Fatalf("%s: %v", cell, err)
 						}
@@ -125,10 +126,11 @@ func reduceFixture(tb testing.TB) (*Engine, []*mapResult, int) {
 	c := newTestCluster(tb, 1)
 	e := NewEngine(c, Config{SortBufferBytes: 1 << 20})
 	results := make([]*mapResult, maps)
+	j := e.newJobRun(context.Background(), Job{NumReduces: reduces})
 	for m := range results {
 		name := fmt.Sprintf("jobX/map-%05d", m)
 		em := &taskEmitter{task: name}
-		mt := e.newMapTask(Job{}, name, "map", "", 0, reduces, core.HashPartition, em)
+		mt := j.newMapTask(name, "map", 0, em)
 		for i := m; i < records; i += maps {
 			kv := core.KV{Key: fmt.Sprintf("%010d", (i*7919)%records), Value: fmt.Sprintf("%08d-payload", i)}
 			if err := mt.collect(kv, em); err != nil {
@@ -173,10 +175,12 @@ func TestReduceAllocsPerRecord(t *testing.T) {
 				run++
 				job := identitySortJob(len(maps[0].segments))
 				job.Output = fmt.Sprintf("out%d", run)
+				job.ReduceHeapBytes = tc.heap
+				j := e.newJobRun(context.Background(), job)
 				var m0, m1 runtime.MemStats
 				runtime.ReadMemStats(&m0)
 				for r := range maps[0].segments {
-					if _, err := e.runReduceTask(job, int64(run), r, 0, maps, appendLine, tc.heap); err != nil {
+					if _, err := j.runReduceTask(r, 0, maps); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -529,7 +529,9 @@ func (m CostModel) writeDelay(n int) time.Duration {
 type CostDisk struct {
 	backing Disk
 	model   CostModel
-	reg     *metrics.Registry
+	// Metric handles, resolved once: charge runs per Read and Write.
+	mReadBytes, mWriteBytes, mReadOps, mWriteOps *metrics.Counter
+	tTime                                        *metrics.Timer
 	// slots serializes modeled delays so aggregate throughput cannot
 	// exceed Parallel concurrent streams.
 	slots chan struct{}
@@ -552,10 +554,16 @@ func NewCostDisk(backing Disk, model CostModel, reg *metrics.Registry) *CostDisk
 	return &CostDisk{
 		backing: backing,
 		model:   model,
-		reg:     reg,
-		slots:   make(chan struct{}, par),
-		clock:   vtime.Real(),
-		node:    vtime.Driver,
+
+		mReadBytes:  reg.Counter("disk.read.bytes"),
+		mWriteBytes: reg.Counter("disk.write.bytes"),
+		mReadOps:    reg.Counter("disk.read.ops"),
+		mWriteOps:   reg.Counter("disk.write.ops"),
+		tTime:       reg.Timer("disk.time"),
+
+		slots: make(chan struct{}, par),
+		clock: vtime.Real(),
+		node:  vtime.Driver,
 	}
 }
 
@@ -572,7 +580,7 @@ func (d *CostDisk) charge(dur time.Duration) {
 	if dur <= 0 {
 		return
 	}
-	d.reg.Observe("disk.time", dur)
+	d.tTime.Observe(dur)
 	d.slots <- struct{}{}
 	d.clock.Charge(d.node, vtime.Disk, dur)
 	<-d.slots
@@ -586,7 +594,7 @@ type costWriter struct {
 func (w *costWriter) Write(p []byte) (int, error) {
 	n, err := w.WriteCloser.Write(p)
 	if n > 0 {
-		w.d.reg.Add("disk.write.bytes", int64(n))
+		w.d.mWriteBytes.Add(int64(n))
 		w.d.charge(w.d.model.writeDelay(n))
 	}
 	return n, err
@@ -602,7 +610,7 @@ type costReader struct {
 func (r *costReader) Read(p []byte) (int, error) {
 	n, err := r.ReadSeekCloser.Read(p)
 	if n > 0 {
-		r.d.reg.Add("disk.read.bytes", int64(n))
+		r.d.mReadBytes.Add(int64(n))
 		r.d.charge(r.d.model.readDelay(n))
 	}
 	return n, err
@@ -610,7 +618,7 @@ func (r *costReader) Read(p []byte) (int, error) {
 
 // Create implements Disk.
 func (d *CostDisk) Create(name string) (io.WriteCloser, error) {
-	d.reg.Inc("disk.write.ops")
+	d.mWriteOps.Inc()
 	d.charge(d.model.scale(d.model.SeekLatency))
 	w, err := d.backing.Create(name)
 	if err != nil {
@@ -621,7 +629,7 @@ func (d *CostDisk) Create(name string) (io.WriteCloser, error) {
 
 // Open implements Disk.
 func (d *CostDisk) Open(name string) (io.ReadSeekCloser, error) {
-	d.reg.Inc("disk.read.ops")
+	d.mReadOps.Inc()
 	d.charge(d.model.scale(d.model.SeekLatency))
 	r, err := d.backing.Open(name)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/trace"
-	"github.com/hamr-go/hamr/internal/vtime"
 )
 
 // KindBatch marks a coalesced frame carrying several application messages
@@ -51,11 +50,6 @@ type CoalescerConfig struct {
 	// of the achieved ratio per destination), bounded by a hard raw-byte
 	// cap so memory stays bounded when data stops compressing.
 	Compress compress.Config
-	// Clock supplies the MaxAge timer (nil = real clock). Both clock
-	// implementations schedule it on wall time: the age flush is
-	// liveness pacing for batching — it must keep firing when a virtual
-	// clock has removed every modeled sleep — not a modeled cost.
-	Clock vtime.Clock
 	// Trace, if non-nil, records an instant event per multi-message batch
 	// flush (single-message pass-throughs are not flushes and trace
 	// nothing, so uncoalesced traffic stays event-free).
@@ -79,9 +73,6 @@ func (c *CoalescerConfig) fillDefaults() {
 	}
 	if c.MaxAge <= 0 {
 		c.MaxAge = d.MaxAge
-	}
-	if c.Clock == nil {
-		c.Clock = vtime.Real()
 	}
 }
 
@@ -345,7 +336,10 @@ func (c *Coalescer) Flush() error {
 
 // arm schedules the age-bound background flush if one isn't already
 // pending. The timer is re-armed on demand rather than ticking
-// continuously, so an idle coalescer costs nothing.
+// continuously, so an idle coalescer costs nothing. It runs on wall time
+// under either clock: the age flush is liveness pacing for batching — it
+// must keep firing when a virtual clock has removed every modeled sleep —
+// not a modeled cost.
 func (c *Coalescer) arm() {
 	c.timerMu.Lock()
 	defer c.timerMu.Unlock()
@@ -354,7 +348,7 @@ func (c *Coalescer) arm() {
 	}
 	c.armed = true
 	if c.timer == nil {
-		c.timer = c.cfg.Clock.AfterFunc(c.cfg.MaxAge, c.onTimer)
+		c.timer = time.AfterFunc(c.cfg.MaxAge, c.onTimer)
 	} else {
 		c.timer.Reset(c.cfg.MaxAge)
 	}

@@ -18,7 +18,7 @@ func benchShuffleCompress(b *testing.B, cc compress.Config) {
 	reg := metrics.NewRegistry()
 	inner := NewInMemNetwork(CostModel{}, reg)
 	if cc.Enabled() {
-		inner.SetDecodeMeter(&compress.Meter{})
+		inner.Use(Env{Decode: &compress.Meter{}})
 	}
 	co := NewCoalescer(inner, CoalescerConfig{
 		MaxBytes: 16 << 10, MaxMsgs: 64, MaxAge: 500 * time.Microsecond, Compress: cc,

@@ -53,7 +53,7 @@ func TestCoalescerCompression(t *testing.T) {
 	reg := metrics.NewRegistry()
 	n := NewInMemNetwork(CostModel{}, reg)
 	defer n.Close()
-	n.SetDecodeMeter(&compress.Meter{})
+	n.Use(Env{Decode: &compress.Meter{}})
 	meter := &compress.Meter{
 		In:      reg.Counter("compress.in.bytes"),
 		Out:     reg.Counter("compress.out.bytes"),
@@ -209,7 +209,7 @@ func TestCoalescerCompressionRawCap(t *testing.T) {
 func TestTCPCompressedBatch(t *testing.T) {
 	net := NewTCPNetwork(map[NodeID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"})
 	defer net.Close()
-	net.SetDecodeMeter(&compress.Meter{})
+	net.Use(Env{Decode: &compress.Meter{}})
 
 	var got [][]string
 	var mu sync.Mutex

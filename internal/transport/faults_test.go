@@ -34,9 +34,8 @@ func TestInMemFaultHookChargesWithoutDroppingDelivery(t *testing.T) {
 	n := NewInMemNetwork(CostModel{Latency: time.Millisecond}, nil)
 	defer n.Close()
 	vc := vtime.NewVirtual(2)
-	n.SetClock(vc)
 	hook := &countingHook{extra: 10 * time.Millisecond}
-	n.SetFaults(hook)
+	n.Use(Env{Clock: vc, Faults: hook})
 
 	const total = 30
 	var got atomic.Int64
@@ -71,7 +70,7 @@ func TestInMemFaultHookChargesWithoutDroppingDelivery(t *testing.T) {
 func TestInMemNilHookIgnored(t *testing.T) {
 	n := NewInMemNetwork(CostModel{}, nil)
 	defer n.Close()
-	n.SetFaults(nil) // must not install a typed-nil hook
+	n.Use(Env{}) // no hook: delivery must not consult one
 	done := make(chan struct{})
 	if err := n.Register(1, func(m Message) { close(done) }); err != nil {
 		t.Fatal(err)
@@ -90,7 +89,7 @@ func TestTCPFaultHookDelaysInboundFrames(t *testing.T) {
 	n := NewTCPNetwork(map[NodeID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"})
 	defer n.Close()
 	hook := &countingHook{extra: time.Millisecond}
-	n.SetFaults(hook)
+	n.Use(Env{Faults: hook})
 
 	recv := make(chan Message, 4)
 	if err := n.Register(0, func(m Message) {}); err != nil {

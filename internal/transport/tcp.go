@@ -9,9 +9,7 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 
-	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/vtime"
 )
 
@@ -54,50 +52,14 @@ type TCPNetwork struct {
 	handlers  map[NodeID]Handler
 	wg        sync.WaitGroup
 	closed    bool
-	hook      atomic.Value                   // FaultHook, set via SetFaults
-	decm      atomic.Pointer[compress.Meter] // decode meter, set via SetDecodeMeter
-	clock     atomic.Value                   // vtime.Clock, set via SetClock
+	env       Env
 }
 
-// SetClock routes injected inbound delays through clk (nil is ignored);
-// the default real clock sleeps them. Install before Register.
-func (n *TCPNetwork) SetClock(clk vtime.Clock) {
-	if clk != nil {
-		n.clock.Store(clk)
-	}
-}
-
-// clk returns the installed clock or the real default.
-func (n *TCPNetwork) clk() vtime.Clock {
-	if c, ok := n.clock.Load().(vtime.Clock); ok {
-		return c
-	}
-	return vtime.Real()
-}
-
-// SetFaults installs a fault hook (nil is ignored) applied to every
-// inbound frame: injected extra delay is slept for real — this transport
-// has no cost model — while drop/duplicate decisions only tick the
-// injector's counters, since TCP itself already retransmits and dedups.
-// Install before Register to cover all connections.
-func (n *TCPNetwork) SetFaults(h FaultHook) {
-	if h != nil {
-		n.hook.Store(h)
-	}
-}
-
-func (n *TCPNetwork) faultHook() FaultHook {
-	h, _ := n.hook.Load().(FaultHook)
-	return h
-}
-
-// SetDecodeMeter installs the meter charged for decompressing inbound
-// KindBatchZ frames (nil is ignored).
-func (n *TCPNetwork) SetDecodeMeter(m *compress.Meter) {
-	if m != nil {
-		n.decm.Store(m)
-	}
-}
+// Use installs env (see Env). Env.Faults applies to every inbound frame:
+// injected extra delay is charged to Env.Clock — this transport has no cost
+// model — while drop/duplicate decisions only tick the injector's counters,
+// since TCP itself already retransmits and dedups. Env.Trace is not used.
+func (n *TCPNetwork) Use(env Env) { n.env = env.filled() }
 
 type connKey struct {
 	from, to NodeID
@@ -149,6 +111,7 @@ func NewTCPNetwork(addrs map[NodeID]string) *TCPNetwork {
 		listeners: make(map[NodeID]net.Listener),
 		conns:     make(map[connKey]*tcpConn),
 		handlers:  make(map[NodeID]Handler),
+		env:       Env{}.filled(),
 	}
 }
 
@@ -222,12 +185,12 @@ func (n *TCPNetwork) serve(ln net.Listener, h Handler, node NodeID) {
 				if err != nil || used != len(frame) {
 					return
 				}
-				if hook := n.faultHook(); hook != nil {
+				if hook := n.env.Faults; hook != nil {
 					if _, _, extra := hook.DeliveryFault(int(node), msg.Size); extra > 0 {
-						n.clk().Charge(int(node), vtime.Fault, extra)
+						n.env.Clock.Charge(int(node), vtime.Fault, extra)
 					}
 				}
-				if dispatch(h, msg, n.decm.Load()) != nil {
+				if dispatch(h, msg, n.env.Decode) != nil {
 					return
 				}
 			}

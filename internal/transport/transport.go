@@ -97,6 +97,32 @@ type Network interface {
 	Close() error
 }
 
+// Env is what a Network takes from the substrate around it; the zero value
+// is the real clock with nothing else installed. Each Network has one Use
+// that installs it, to be called once before the first Register: delivery
+// goroutines read it without synchronization.
+type Env struct {
+	// Clock pays modeled delivery delays and injected wire delays on the
+	// receiving node's lane.
+	Clock vtime.Clock
+	// Trace records a span per delivery batch with a positive modeled delay,
+	// so zero-cost fabrics trace nothing and stay schedule-identical.
+	Trace *trace.Tracer
+	// Faults perturbs delivery. Leave it nil rather than storing a nil
+	// pointer in it.
+	Faults FaultHook
+	// Decode is charged for decompressing KindBatchZ frames at delivery
+	// (decompression itself is frame-driven and needs no configuration).
+	Decode *compress.Meter
+}
+
+func (e Env) filled() Env {
+	if e.Clock == nil {
+		e.Clock = vtime.Real()
+	}
+	return e
+}
+
 // CostModel describes modeled link performance.
 type CostModel struct {
 	// Latency is charged once per message.
@@ -283,11 +309,8 @@ type InMemNetwork struct {
 	regMu  sync.Mutex // serializes Register / Unregister / Close
 	model  CostModel
 	reg    *metrics.Registry
-	clock  vtime.Clock
+	env    Env
 	closed atomic.Bool
-	hook   atomic.Value                   // FaultHook, set via SetFaults
-	decm   atomic.Pointer[compress.Meter] // decode meter, set via SetDecodeMeter
-	tr     atomic.Pointer[trace.Tracer]   // span recorder, set via SetTrace
 
 	mMsgs    *metrics.Counter
 	mBytes   *metrics.Counter
@@ -313,7 +336,7 @@ func NewInMemNetwork(model CostModel, reg *metrics.Registry) *InMemNetwork {
 	n := &InMemNetwork{
 		model: model,
 		reg:   reg,
-		clock: vtime.Real(),
+		env:   Env{}.filled(),
 
 		mMsgs:    reg.Counter("net.msgs"),
 		mBytes:   reg.Counter("net.bytes"),
@@ -352,47 +375,8 @@ func (n *InMemNetwork) Quiesce() {
 	n.quiMu.Unlock()
 }
 
-// SetClock routes modeled delivery delays through clk; charges are
-// attributed to the receiving node's lane. The default is the real
-// clock (plain sleeps).
-func (n *InMemNetwork) SetClock(clk vtime.Clock) {
-	if clk != nil {
-		n.clock = clk
-	}
-}
-
-// SetFaults installs a fault hook (nil is ignored). Install before
-// traffic starts; a hook installed mid-flight applies from the next
-// delivery batch.
-func (n *InMemNetwork) SetFaults(h FaultHook) {
-	if h != nil {
-		n.hook.Store(h)
-	}
-}
-
-// faultHook returns the installed hook, if any.
-func (n *InMemNetwork) faultHook() FaultHook {
-	h, _ := n.hook.Load().(FaultHook)
-	return h
-}
-
-// SetDecodeMeter installs the meter charged for decompressing KindBatchZ
-// frames at delivery (nil is ignored; decompression itself is
-// frame-driven and needs no configuration).
-func (n *InMemNetwork) SetDecodeMeter(m *compress.Meter) {
-	if m != nil {
-		n.decm.Store(m)
-	}
-}
-
-// SetTrace installs a span recorder for delivery batches (nil is
-// ignored). Spans are recorded only for batches with a positive modeled
-// delay, so zero-cost fabrics trace nothing and stay schedule-identical.
-func (n *InMemNetwork) SetTrace(t *trace.Tracer) {
-	if t != nil {
-		n.tr.Store(t)
-	}
-}
+// Use installs env (see Env).
+func (n *InMemNetwork) Use(env Env) { n.env = env.filled() }
 
 // Register implements Network.
 func (n *InMemNetwork) Register(node NodeID, h Handler) error {
@@ -470,7 +454,7 @@ func (n *InMemNetwork) deliver(ib *inbox) {
 		ib.inflight.Store(int64(len(batch)))
 		ib.mu.Unlock()
 
-		hook := n.faultHook()
+		hook := n.env.Faults
 		var total time.Duration
 		for i := range batch {
 			d := n.model.Delay(batch[i].Size)
@@ -488,7 +472,7 @@ func (n *InMemNetwork) deliver(ib *inbox) {
 			n.tTime.ObserveN(total, int64(len(batch)))
 			var sp trace.Span // stays inert when tracing is off
 			var bytes int64
-			if t := n.tr.Load(); t != nil {
+			if t := n.env.Trace; t != nil {
 				ib.deliveries++
 				for i := range batch {
 					bytes += batch[i].Size
@@ -496,16 +480,15 @@ func (n *InMemNetwork) deliver(ib *inbox) {
 				sp = t.Start(int(ib.id), "",
 					fmt.Sprintf("net:rx%d:%d", ib.id, ib.deliveries), "deliver", "net")
 			}
-			n.clock.Charge(int(ib.id), vtime.Net, total)
+			n.env.Clock.Charge(int(ib.id), vtime.Net, total)
 			sp.EndBytes(bytes)
 		}
-		dm := n.decm.Load()
 		for i := range batch {
 			// Frames here were built by this process's own coalescer and
 			// never left it, so one that does not decode is a bug, not a
 			// condition to recover from: failing loudly beats silently
 			// losing a batch and deadlocking flow control.
-			if err := dispatch(ib.handler, batch[i], dm); err != nil {
+			if err := dispatch(ib.handler, batch[i], n.env.Decode); err != nil {
 				panic(err)
 			}
 			batch[i] = Message{} // release payload before the next wait

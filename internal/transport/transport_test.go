@@ -172,7 +172,7 @@ func TestInMemCostModelCharges(t *testing.T) {
 	reg := metrics.NewRegistry()
 	n := NewInMemNetwork(CostModel{Latency: time.Millisecond, BytesPerSec: 1 << 20}, reg)
 	vc := vtime.NewVirtual(1)
-	n.SetClock(vc)
+	n.Use(Env{Clock: vc})
 	done := make(chan struct{})
 	n.Register(0, func(Message) { close(done) })
 	n.Send(Message{From: 1, To: 0, Size: 1 << 20})

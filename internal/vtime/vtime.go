@@ -71,24 +71,10 @@ const Driver = -1
 
 // Clock is the seam every modeled delay is paid through.
 type Clock interface {
-	// Now returns the wall clock. Neither implementation virtualizes the
-	// scheduler's notion of wall time — engines still timestamp and
-	// measure their own overhead with it.
-	Now() time.Time
-	// Sleep pauses the calling goroutine. Under RealClock it is
-	// time.Sleep; under VirtualClock it returns immediately after
-	// advancing the driver lane (callers that need real pacing should
-	// use time.Sleep directly).
-	Sleep(d time.Duration)
 	// Charge pays a modeled delay of d attributed to node's resource
 	// res. node < 0 (Driver) attributes it to the serial driver lane.
 	// RealClock sleeps for d; VirtualClock advances logical clocks.
 	Charge(node int, res Resource, d time.Duration)
-	// AfterFunc schedules f on a wall-clock timer. Both implementations
-	// use real timers: the one user (the coalescer's age flush) is
-	// liveness pacing for batching, not a modeled cost, and must keep
-	// firing even when no time is being slept.
-	AfterFunc(d time.Duration, f func()) *time.Timer
 }
 
 // RealClock pays charges with real sleeps — the default, bit-identical
@@ -98,25 +84,12 @@ type RealClock struct{}
 // Real returns the shared real clock.
 func Real() Clock { return RealClock{} }
 
-// Now implements Clock.
-func (RealClock) Now() time.Time { return time.Now() }
-
-// Sleep implements Clock.
-func (RealClock) Sleep(d time.Duration) {
-	if d > 0 {
-		time.Sleep(d)
-	}
-}
-
 // Charge implements Clock by sleeping in the caller's goroutine.
 func (RealClock) Charge(_ int, _ Resource, d time.Duration) {
 	if d > 0 {
 		time.Sleep(d)
 	}
 }
-
-// AfterFunc implements Clock.
-func (RealClock) AfterFunc(d time.Duration, f func()) *time.Timer { return time.AfterFunc(d, f) }
 
 // lane is one logical clock, padded to its own cache line so concurrent
 // chargers on different nodes do not false-share.
@@ -159,12 +132,6 @@ func (v *VirtualClock) SetRealHold(res Resource, on bool) *VirtualClock {
 	return v
 }
 
-// Now implements Clock.
-func (v *VirtualClock) Now() time.Time { return time.Now() }
-
-// Sleep implements Clock: the pause becomes a driver-lane CPU charge.
-func (v *VirtualClock) Sleep(d time.Duration) { v.Charge(Driver, CPU, d) }
-
 // Charge implements Clock by advancing logical clocks.
 func (v *VirtualClock) Charge(node int, res Resource, d time.Duration) {
 	if d <= 0 {
@@ -180,9 +147,6 @@ func (v *VirtualClock) Charge(node int, res Resource, d time.Duration) {
 		time.Sleep(d)
 	}
 }
-
-// AfterFunc implements Clock with a real timer (see Clock.AfterFunc).
-func (v *VirtualClock) AfterFunc(d time.Duration, f func()) *time.Timer { return time.AfterFunc(d, f) }
 
 // AddBusy records busy time for res without advancing any lane. It is
 // for callers that model their own overlap — work whose full cost should

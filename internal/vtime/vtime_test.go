@@ -129,11 +129,10 @@ func TestVirtualChargeDoesNotSleep(t *testing.T) {
 	start := time.Now()
 	v.Charge(0, Disk, 2*time.Second)
 	v.Charge(Driver, Net, 2*time.Second)
-	v.Sleep(2 * time.Second)
 	if wall := time.Since(start); wall > 200*time.Millisecond {
 		t.Fatalf("virtual charges took %v of wall time", wall)
 	}
-	if got, want := v.Elapsed(), 6*time.Second; got != want {
+	if got, want := v.Elapsed(), 4*time.Second; got != want {
 		t.Fatalf("elapsed = %v, want %v", got, want)
 	}
 }
@@ -148,7 +147,6 @@ func TestRealClockChargeSleeps(t *testing.T) {
 	}
 	// Non-positive durations return immediately.
 	Real().Charge(0, Disk, -time.Second)
-	Real().Sleep(-time.Second)
 }
 
 func TestResourceStrings(t *testing.T) {
