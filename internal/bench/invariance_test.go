@@ -40,7 +40,7 @@ import (
 //	            (never on base), disk.write.bytes and net.bytes cut >= 30%
 //
 // After every run each local disk must hold nothing but HDFS blocks and
-// the scenario's own input files: a spill run or map segment left behind
+// the scenario's own input files: a spill run or map output left behind
 // is a failure. After an intended change to what the engines do:
 //
 //	go test ./internal/bench -run Invariance -update
@@ -106,7 +106,7 @@ var scenarios = []scenario{
 		variants: "vclock trace lz flate", run: mrWordCount(false)},
 	{name: "mr-wordcount+comb", nodes: 3, blockSize: 8 << 10, counters: mrCounters,
 		variants: "vclock", run: mrWordCount(true)},
-	// A 32 KiB reduce heap pushes the fetched segments past heap/2, so the
+	// A 32 KiB reduce heap pushes the fetched sections past heap/2, so the
 	// reduce task spills them and merges from disk. Every input block is on
 	// node 1: the maps run there, their slack reads past the split end stay
 	// local, and net.bytes is exactly the shuffle to the reduce on node 0.

@@ -35,6 +35,15 @@ func captureTrace(t *testing.T, tr *trace.Tracer) traceRun {
 	if len(evs) == 0 {
 		t.Fatal("no trace events recorded")
 	}
+	// Events sorts by ID before anything else, so the exported timeline is
+	// canonical only while an ID names one event.
+	seen := make(map[string]bool, len(evs))
+	for _, ev := range evs {
+		if seen[ev.ID] {
+			t.Errorf("two events share the ID %q", ev.ID)
+		}
+		seen[ev.ID] = true
+	}
 	var buf bytes.Buffer
 	if err := trace.WriteJSON(&buf, evs); err != nil {
 		t.Fatal(err)

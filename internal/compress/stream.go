@@ -94,6 +94,15 @@ func (w *Writer) flushBlock() error {
 	return nil
 }
 
+// Flush ends the open block: what has been written so far goes out as
+// whole frames, so the bytes written from here on decode without them.
+func (w *Writer) Flush() error {
+	if w.err != nil {
+		return w.err
+	}
+	return w.flushBlock()
+}
+
 // Close flushes the final block and closes the underlying writer if it
 // is an io.Closer. Double-Close is safe.
 func (w *Writer) Close() error {

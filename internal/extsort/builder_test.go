@@ -178,26 +178,27 @@ func TestMergeToFactorPassesAndCleanup(t *testing.T) {
 		t.Fatalf("%d initial runs", len(runs))
 	}
 	passes := 0
-	merged, err := MergeToFactor(disk, runs, 4,
+	merged, err := MergeToFactor(disk, plainRuns(runs), 4,
 		func(pass int) string { return fmt.Sprintf("interm-%04d", pass) },
 		func() { passes++ }, compress.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(merged) > 4 {
+	// 24 runs at factor 4: the first pass takes (24-1) mod 3 + 1 = 3 runs
+	// so that every later one takes four and the last leaves four:
+	// 24→22→19→16→13→10→7→4, seven passes.
+	if len(merged) != 4 {
 		t.Fatalf("%d runs remain, factor 4", len(merged))
 	}
-	// 24 runs at factor 4: each pass replaces 4 runs with 1 (net -3):
-	// 24→21→18→15→12→9→6→3, seven passes.
 	if passes != 7 {
 		t.Fatalf("passes = %d, want 7", passes)
 	}
 	// Consumed inputs are removed: only the remaining runs occupy disk.
 	var remaining int64
-	for _, name := range merged {
-		sz, err := disk.Size(name)
+	for _, run := range merged {
+		sz, err := disk.Size(run.Name)
 		if err != nil {
-			t.Fatalf("remaining run %s: %v", name, err)
+			t.Fatalf("remaining run %s: %v", run.Name, err)
 		}
 		remaining += sz
 	}
@@ -206,8 +207,8 @@ func TestMergeToFactorPassesAndCleanup(t *testing.T) {
 	}
 	// All records survive, in order.
 	var sources []Source[testRec]
-	for _, name := range merged {
-		rr, err := OpenRun(disk, name, testFormat{})
+	for _, run := range merged {
+		rr, err := OpenRun(disk, run.Name, testFormat{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,8 +232,8 @@ func TestMergeToFactorPassesAndCleanup(t *testing.T) {
 		t.Fatalf("merged %d records, want %d", count, total)
 	}
 	// After the caller removes the final runs, disk returns to baseline.
-	for _, name := range merged {
-		if err := disk.Remove(name); err != nil {
+	for _, run := range merged {
+		if err := disk.Remove(run.Name); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,7 +253,7 @@ func TestMergeToFactorNoOpWithinFactor(t *testing.T) {
 	if err := b.Spill(); err != nil {
 		t.Fatal(err)
 	}
-	runs := b.Runs()
+	runs := plainRuns(b.Runs())
 	got, err := MergeToFactor(disk, runs, 10,
 		func(int) string { return "interm" }, func() { t.Fatal("pass run under factor") }, compress.Config{})
 	if err != nil {

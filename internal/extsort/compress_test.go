@@ -84,14 +84,14 @@ func TestCompressedBuilderAndMerge(t *testing.T) {
 		if err := b.Spill(); err != nil {
 			t.Fatal(err)
 		}
-		runs, err := MergeToFactor(disk, b.Runs(), 3,
+		runs, err := MergeToFactor(disk, plainRuns(b.Runs()), 3,
 			func(pass int) string { return fmt.Sprintf("interm-%d", pass) }, nil, cc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sources := make([]Source[testRec], 0, len(runs))
-		for _, name := range runs {
-			rr, err := OpenRunC(disk, name, testFormat{}, cc)
+		for _, run := range runs {
+			rr, err := OpenRunC(disk, run.Name, testFormat{}, cc)
 			if err != nil {
 				t.Fatal(err)
 			}

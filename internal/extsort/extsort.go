@@ -1,10 +1,11 @@
 // Package extsort is the single external-sort substrate shared by both
 // engines and the SQL layer: a budget-aware run builder that sorts
 // in-memory buffers and spills them to a node-local disk as ordered run
-// files, its twin for records that are already bytes (SortBuffer), a
-// loser-tree k-way merge that streams runs (on disk or in memory) back
-// in global order, and a multi-pass merge honoring a merge factor
-// (Hadoop's io.sort.factor).
+// files, its twin for records that are already bytes (SortBuffer), whose
+// runs are sectioned by partition (sections.go), a loser-tree k-way merge
+// that streams runs (on disk or in memory) back in global order, and a
+// multi-pass merge honoring a merge factor (Hadoop's io.sort.factor, on
+// its Merger's schedule).
 //
 // The substrate deliberately owns no cost model of its own: every byte
 // it moves goes through the storage.Disk handed to it, so modeled disk
@@ -21,9 +22,10 @@
 //     by key, spilling when the node MemoryManager denies a reservation;
 //   - mapreduce's map task: records are encoded (partition, key) and value
 //     bytes in a SortBuffer, ordered by the key bytes, spilling past
-//     io.sort.mb, combined at spill and merge time, multi-pass merged
-//     under io.sort.factor; its reduce task merges the same bytes from
-//     the runs it fetched its segments into (MergeRuns);
+//     io.sort.mb into sectioned runs, combined at spill and merge time,
+//     multi-pass merged under io.sort.factor into one sectioned output;
+//     its reduce task merges the same bytes from the plain runs it fetched
+//     its sections into (MergeRuns);
 //   - sqlq's ORDER BY: in-memory SortStable with a row comparator.
 package extsort
 

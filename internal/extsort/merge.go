@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/storage"
@@ -183,75 +184,128 @@ func MergeGrouped[T any](sources []Source[T], cmp Compare[T], sameGroup func(a, 
 // Format's byte-order contract makes equal to its Compare.
 func compareKeys(a, b storage.Record) int { return bytes.Compare(a.Key, b.Key) }
 
-// MergeToFactor reduces a run list to at most factor runs by repeatedly
-// merging the first factor runs into one intermediate run — Hadoop's
-// io.sort.factor semantics, where every extra pass rereads and rewrites
-// the intermediate data on disk. Runs are merged as bytes: encoded keys
-// are compared with bytes.Compare (see Format's byte-order contract) and
-// each record is written back as read, so a pass decodes nothing and
-// allocates nothing per record. intermName names the pass-i intermediate
-// run; onPass (may be nil) is invoked once per completed pass, which is
-// where callers count merge passes. Input runs consumed by a pass are
-// removed from disk; the returned list replaces them with the
-// intermediates. Runs are opened and intermediates written with cc; all
-// runs in the list must share its enabled/disabled state.
-func MergeToFactor(disk storage.Disk, runs []string, factor int,
-	intermName func(pass int) string, onPass func(), cc compress.Config) ([]string, error) {
+// MergeToFactor reduces a run list to at most factor runs by merging
+// windows of adjacent runs into intermediate runs, each pass rereading and
+// rewriting its window on disk — Hadoop's io.sort.factor, on Hadoop's
+// Merger schedule: the first pass takes (n-1) mod (factor-1) + 1 runs when
+// that is not one, so that every later pass takes a full factor and the
+// last leaves exactly factor; and a pass takes the lightest window there
+// is, so an intermediate is merged again only once nothing smaller is left.
+// The count of passes is the least there can be, ceil((n-factor)/(factor-1)).
+// A window is adjacent runs and its intermediate takes its place in the
+// list, so records with equal keys still leave in the order of the
+// original list whatever was merged first.
+//
+// Runs are merged as bytes: encoded keys are compared with bytes.Compare
+// (see Format's byte-order contract) and each record is written back as
+// read, so a pass decodes nothing and allocates nothing per record.
+// intermName names the pass-i intermediate run; onPass (may be nil) is
+// invoked once per completed pass, which is where callers count merge
+// passes. Input runs consumed by a pass are removed from disk; the returned
+// list, the caller's when no pass was needed, replaces them with the
+// intermediates. Runs are opened and intermediates written with cc and
+// with the first run's Prefix; all runs in the list must share both.
+func MergeToFactor(disk storage.Disk, runs []Run, factor int,
+	intermName func(pass int) string, onPass func(), cc compress.Config) ([]Run, error) {
 
-	pass := 0
-	for factor > 1 && len(runs) > factor {
-		name := intermName(pass)
-		pass++
-		if err := mergeRuns(disk, runs[:factor], name, cc); err != nil {
+	if factor <= 1 || len(runs) <= factor {
+		return runs, nil
+	}
+	runs = slices.Clone(runs)
+	sizes := make([]int64, len(runs))
+	for i, run := range runs {
+		var err error
+		if sizes[i], err = disk.Size(run.Name); err != nil {
+			return nil, fmt.Errorf("extsort: merge runs: %w", err)
+		}
+	}
+	take := (len(runs)-1)%(factor-1) + 1
+	if take == 1 {
+		take = factor
+	}
+	for pass := 0; len(runs) > factor; pass++ {
+		// The lightest window of take adjacent runs, the first of them
+		// when several weigh the same.
+		var sum int64
+		for _, sz := range sizes[:take] {
+			sum += sz
+		}
+		at, least := 0, sum
+		for i := take; i < len(sizes); i++ {
+			if sum += sizes[i] - sizes[i-take]; sum < least {
+				at, least = i-take+1, sum
+			}
+		}
+		window := runs[at : at+take]
+		merged, err := mergeRuns(disk, window, intermName(pass), cc)
+		if err != nil {
 			return nil, err
 		}
-		for _, s := range runs[:factor] {
-			_ = disk.Remove(s)
+		for _, run := range window {
+			_ = disk.Remove(run.Name) // a leftover costs space, not the merge
 		}
-		runs = append([]string{name}, runs[factor:]...)
+		size, err := disk.Size(merged.Name)
+		if err != nil {
+			return nil, fmt.Errorf("extsort: merge runs: %w", err)
+		}
+		runs = slices.Replace(runs, at, at+take, merged)
+		sizes = slices.Replace(sizes, at, at+take, size)
 		if onPass != nil {
 			onPass()
 		}
+		take = factor
 	}
 	return runs, nil
 }
 
-// mergeRuns merges the batch into one new run file named name.
-func mergeRuns(disk storage.Disk, batch []string, name string, cc compress.Config) error {
-	w, err := CreateRawRun(disk, name, cc)
+// mergeRuns merges the batch into one new run named name, sectioned by the
+// batch's prefix (plain runs have none, and what they merge into reads as
+// either kind).
+func mergeRuns(disk storage.Disk, batch []Run, name string, cc compress.Config) (Run, error) {
+	w, err := CreateSectioned(disk, name, batch[0].Prefix, cc)
 	if err != nil {
-		return err
+		return Run{}, err
 	}
 	err = MergeRuns(disk, batch, cc, w.Write)
-	if cerr := w.Close(); err == nil {
+	merged, cerr := w.Close()
+	if err == nil {
 		err = cerr
 	}
 	if err != nil {
-		return fmt.Errorf("extsort: merge runs: %w", err)
+		return Run{}, fmt.Errorf("extsort: merge runs: %w", err)
 	}
-	return nil
+	return merged, nil
 }
 
-// MergeRuns streams the records of the named run files (written with cc)
-// to emit as bytes, merged in the order of bytes.Compare on their encoded
-// keys, equal keys from the earlier run first. key and value live in the
-// source reader's scratch until that reader's next Next, which the tree
-// calls only after emit has returned: emit must not keep them.
-func MergeRuns(disk storage.Disk, runs []string, cc compress.Config, emit func(key, value []byte) error) error {
-	readers := make([]*storage.RecordReader, 0, len(runs))
+// MergeRuns streams the records of the runs (written with cc) to emit as
+// bytes, merged in the order of bytes.Compare on their encoded keys, equal
+// keys from the earlier run first. key and value live in the source reader's
+// scratch until that reader's next Next, which the tree calls only after
+// emit has returned: emit must not keep them.
+func MergeRuns(disk storage.Disk, runs []Run, cc compress.Config, emit func(key, value []byte) error) error {
+	type source interface {
+		Source[storage.Record]
+		io.Closer
+	}
+	sources := make([]Source[storage.Record], 0, len(runs))
+	open := make([]io.Closer, 0, len(runs))
 	defer func() {
-		for _, r := range readers {
-			r.Close()
+		for _, src := range open {
+			src.Close()
 		}
 	}()
-	sources := make([]Source[storage.Record], 0, len(runs))
 	for _, run := range runs {
-		r, err := OpenRawRun(disk, run, cc)
+		var src source
+		var err error
+		if run.Sections == nil {
+			src, err = OpenRawRun(disk, run.Name, cc)
+		} else {
+			src, err = OpenSections(disk, run, cc)
+		}
 		if err != nil {
 			return err
 		}
-		readers = append(readers, r)
-		sources = append(sources, r)
+		sources, open = append(sources, src), append(open, src)
 	}
 	return Merge(sources, compareKeys, func(rec storage.Record, _ int) error {
 		return emit(rec.Key, rec.Value)

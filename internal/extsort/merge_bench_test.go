@@ -51,8 +51,8 @@ func BenchmarkMergeLoserTree(b *testing.B) {
 }
 
 // mergeToFactorFixture writes 16 sorted runs of perRun records each to
-// disk and returns the run names and the record count.
-func mergeToFactorFixture(tb testing.TB, disk storage.Disk, perRun int) ([]string, int) {
+// disk and returns the runs and the record count.
+func mergeToFactorFixture(tb testing.TB, disk storage.Disk, perRun int) ([]Run, int) {
 	tb.Helper()
 	runs := benchData(16, perRun)
 	names := make([]string, len(runs))
@@ -62,15 +62,15 @@ func mergeToFactorFixture(tb testing.TB, disk storage.Disk, perRun int) ([]strin
 			tb.Fatal(err)
 		}
 	}
-	return names, 16 * perRun
+	return plainRuns(names), 16 * perRun
 }
 
 // mergeToFactor4 merges the fixture's 16 runs down to four, removes what
 // is left, and returns the number of passes it took.
-func mergeToFactor4(tb testing.TB, disk storage.Disk, names []string) int {
+func mergeToFactor4(tb testing.TB, disk storage.Disk, runs []Run) int {
 	tb.Helper()
 	passes := 0
-	left, err := MergeToFactor(disk, names, 4,
+	left, err := MergeToFactor(disk, runs, 4,
 		func(pass int) string { return fmt.Sprintf("interm-%02d", pass) }, func() { passes++ }, compress.Config{})
 	if err != nil {
 		tb.Fatal(err)
@@ -78,8 +78,8 @@ func mergeToFactor4(tb testing.TB, disk storage.Disk, names []string) int {
 	if len(left) > 4 {
 		tb.Fatalf("%d runs left", len(left))
 	}
-	for _, name := range left {
-		if err := disk.Remove(name); err != nil {
+	for _, run := range left {
+		if err := disk.Remove(run.Name); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -93,9 +93,9 @@ func BenchmarkMergeToFactor(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		names, _ := mergeToFactorFixture(b, disk, 4096)
+		runs, _ := mergeToFactorFixture(b, disk, 4096)
 		b.StartTimer()
-		mergeToFactor4(b, disk, names)
+		mergeToFactor4(b, disk, runs)
 	}
 }
 
@@ -115,10 +115,10 @@ func TestMergeAllocsPerRecord(t *testing.T) {
 	)
 	disk := storage.NewMemDisk(0)
 	run := func() (allocs, bytes float64) {
-		names, records := mergeToFactorFixture(t, disk, 4096)
+		runs, records := mergeToFactorFixture(t, disk, 4096)
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		passes := mergeToFactor4(t, disk, names)
+		passes := mergeToFactor4(t, disk, runs)
 		runtime.ReadMemStats(&m1)
 		// Every pass at factor 4 moves a quarter of the records or more;
 		// charging each pass the full count keeps the bound simple.

@@ -1,9 +1,12 @@
 package extsort
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -81,9 +84,9 @@ func referenceMergeBy[T any](runs [][]T, cmp Compare[T]) []T {
 }
 
 // partRec / partFormat mirror the MapReduce engine's run records: ordered
-// by (partition, key), the key stored behind a 4-byte big-endian
-// partition. testRec / testFormat mirror the HAMR accumulator's: ordered
-// by key, the key stored raw.
+// by (partition, key), the key behind a 4-byte big-endian partition, which
+// a sectioned run cuts off. testRec / testFormat mirror the HAMR
+// accumulator's: ordered by key, the key stored raw in a plain run.
 type partRec struct {
 	part int
 	key  string
@@ -124,24 +127,60 @@ func buildPartRuns(raw []byte, numRuns int) [][]partRec {
 	return runs
 }
 
-// checkByteMerge writes the sorted runs to a disk, reduces them to at most
-// factor run files with the byte merge, and requires the typed merge of
-// what is left to be the reference merge of the original runs: same
-// order, ties to the lower run index, nothing lost — and every consumed
-// run removed.
-func checkByteMerge[T comparable](t *testing.T, runs [][]T, f Format[T], cmp Compare[T], factor int) {
+// plainRuns names plain run files as Runs.
+func plainRuns(names []string) []Run {
+	runs := make([]Run, len(names))
+	for i, name := range names {
+		runs[i] = Run{Name: name}
+	}
+	return runs
+}
+
+// writeTestRun writes sorted records as one run file: sectioned by the
+// first prefix bytes of their encoded keys, or plain when prefix is 0.
+func writeTestRun[T any](t testing.TB, disk storage.Disk, name string, f Format[T], recs []T, prefix int) Run {
 	t.Helper()
-	want := referenceMergeBy(runs, cmp)
-	disk := storage.NewMemDisk(0)
-	names := make([]string, len(runs))
-	for i, run := range runs {
-		names[i] = fmt.Sprintf("run-%03d", i)
-		if err := writeRun(disk, names[i], f, run, compress.Config{}); err != nil {
+	if prefix == 0 {
+		if err := writeRun(disk, name, f, recs, compress.Config{}); err != nil {
+			t.Fatal(err)
+		}
+		return Run{Name: name}
+	}
+	w, err := CreateSectioned(disk, name, prefix, compress.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		k, v, err := f.AppendRecord(nil, nil, rec)
+		if err == nil {
+			err = w.Write(k, v)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
+	run, err := w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
+// checkByteMerge writes the sorted runs to a disk (see writeTestRun),
+// reduces them to at most factor run files with the byte merge, and
+// requires the merge of what is left to be the reference merge of the
+// original runs: same order, ties to the lower run index, nothing lost —
+// and every consumed run removed.
+func checkByteMerge[T comparable](t *testing.T, runs [][]T, f Format[T], cmp Compare[T], prefix, factor int) {
+	t.Helper()
+	want := referenceMergeBy(runs, cmp)
+	disk := storage.NewMemDisk(0)
+	list := make([]Run, len(runs))
+	for i, run := range runs {
+		list[i] = writeTestRun(t, disk, fmt.Sprintf("run-%03d", i), f, run, prefix)
+	}
 	passes := 0
-	left, err := MergeToFactor(disk, names, factor,
+	left, err := MergeToFactor(disk, list, factor,
 		func(pass int) string { return fmt.Sprintf("interm-%03d", pass) }, func() { passes++ }, compress.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -152,20 +191,13 @@ func checkByteMerge[T comparable](t *testing.T, runs [][]T, f Format[T], cmp Com
 	if got := disk.List(""); len(got) != len(left) {
 		t.Fatalf("disk holds %v, merge returned %v", got, left)
 	}
-	sources := make([]Source[T], len(left))
-	for i, name := range left {
-		rr, err := OpenRun(disk, name, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rr.Close()
-		sources[i] = rr
-	}
 	var got []T
-	if err := Merge(sources, cmp, func(r T, _ int) error {
+	err = MergeRuns(disk, left, compress.Config{}, func(key, value []byte) error {
+		r, err := f.DecodeRecord(key, value)
 		got = append(got, r)
-		return nil
-	}); err != nil {
+		return err
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
@@ -399,8 +431,8 @@ func FuzzMerge(f *testing.F) {
 		// The byte merge of run files agrees with the typed reference, in
 		// both engines' key layouts.
 		factor := int(runsRaw)/9%3 + 2
-		checkByteMerge(t, runs, testFormat{}, testCmp, factor)
-		checkByteMerge(t, buildPartRuns(raw, numRuns), partFormat{}, partCmp, factor)
+		checkByteMerge(t, runs, testFormat{}, testCmp, 0, factor)
+		checkByteMerge(t, buildPartRuns(raw, numRuns), partFormat{}, partCmp, 4, factor)
 	})
 }
 
@@ -413,8 +445,132 @@ func TestByteMergeMatchesReference(t *testing.T) {
 	}
 	for _, k := range []int{1, 2, 5, 9, 16} {
 		for _, factor := range []int{2, 3, 4} {
-			checkByteMerge(t, buildRuns(raw, k, 17), testFormat{}, testCmp, factor)
-			checkByteMerge(t, buildPartRuns(raw, k), partFormat{}, partCmp, factor)
+			checkByteMerge(t, buildRuns(raw, k, 17), testFormat{}, testCmp, 0, factor)
+			checkByteMerge(t, buildPartRuns(raw, k), partFormat{}, partCmp, 4, factor)
+		}
+	}
+}
+
+// collectRuns is one MergeRuns over the list, every record framed into one
+// byte string.
+func collectRuns(t *testing.T, disk storage.Disk, runs []Run) []byte {
+	t.Helper()
+	var out []byte
+	err := MergeRuns(disk, runs, compress.Config{}, func(key, value []byte) error {
+		out = binary.AppendUvarint(out, uint64(len(key)))
+		out = append(out, key...)
+		out = binary.AppendUvarint(out, uint64(len(value)))
+		out = append(out, value...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestMergeToFactorSchedule holds the merge schedule to what it promises,
+// for 1 to 40 sectioned runs — of random sizes, sharing keys, and again all
+// of one size — at every factor from 2 to 8: the records that leave
+// MergeToFactor and one MergeRuns are byte for byte those of one MergeRuns
+// over the original list, order and tie-break included; at most factor
+// runs remain, and exactly factor when any pass ran; the passes are the
+// least there can be; a pass's inputs are gone from the disk; the bytes the
+// passes write never exceed what merging the first factor runs again and
+// again would (the schedule this one replaced: in pass i it merged the
+// first factor+i*(factor-1) original runs, a prefix inside which the first
+// factor runs of this schedule's list always lie, and the lightest window
+// weighs no more than they do), and for runs of one size stay within
+// n * ceil(log_factor n) of them.
+func TestMergeToFactorSchedule(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for n := 1; n <= 40; n++ {
+		for factor := 2; factor <= 8; factor++ {
+			for _, equal := range []bool{false, true} {
+				disk := storage.NewMemDisk(0)
+				runs := make([]Run, n)
+				sizes := make([]int64, n)
+				seq := 0
+				for i := range runs {
+					recs := make([]partRec, 12)
+					if !equal {
+						recs = make([]partRec, 1+rng.Intn(30))
+					}
+					for j := range recs {
+						// Five keys in three partitions: every run shares
+						// keys with its neighbours. Keys and values are of
+						// one length, so equal counts are equal sizes.
+						k := rng.Intn(5)
+						recs[j] = partRec{part: k % 3 * 300, key: fmt.Sprintf("k%d", k), seq: int64(10000 + seq)}
+						seq++
+					}
+					SortStable(recs, partCmp)
+					runs[i] = writeTestRun(t, disk, fmt.Sprintf("run-%02d", i), partFormat{}, recs, 4)
+					sizes[i], _ = disk.Size(runs[i].Name)
+				}
+				want := collectRuns(t, disk, runs)
+
+				var names []string
+				var written int64
+				left, err := MergeToFactor(disk, runs, factor,
+					func(pass int) string {
+						names = append(names, fmt.Sprintf("interm-%02d", pass))
+						return names[pass]
+					},
+					func() {
+						sz, err := disk.Size(names[len(names)-1])
+						if err != nil {
+							t.Fatal(err)
+						}
+						written += sz
+					}, compress.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cell := fmt.Sprintf("n=%d factor=%d equal=%t", n, factor, equal)
+				wantPasses, wantLeft := 0, n
+				if n > factor {
+					wantPasses = (n - factor + factor - 2) / (factor - 1)
+					wantLeft = factor
+				}
+				if len(names) != wantPasses || len(left) != wantLeft {
+					t.Fatalf("%s: %d passes left %d runs, want %d and %d", cell, len(names), len(left), wantPasses, wantLeft)
+				}
+				var leftNames []string
+				for _, run := range left {
+					leftNames = append(leftNames, run.Name)
+				}
+				slices.Sort(leftNames)
+				if onDisk := disk.List(""); !slices.Equal(onDisk, leftNames) {
+					t.Fatalf("%s: disk holds %v, the list %v", cell, onDisk, leftNames)
+				}
+				if got := collectRuns(t, disk, left); !bytes.Equal(got, want) {
+					t.Fatalf("%s: the merge of what is left differs from the merge of the original runs", cell)
+				}
+
+				var parent int64
+				for s := slices.Clone(sizes); len(s) > factor; {
+					var sum int64
+					for _, sz := range s[:factor] {
+						sum += sz
+					}
+					parent += sum
+					s = append([]int64{sum}, s[factor:]...)
+				}
+				if written > parent {
+					t.Errorf("%s: passes wrote %d bytes, merging the front again and again writes %d", cell, written, parent)
+				}
+				if equal {
+					levels := 0
+					for reach := 1; reach < n; reach *= factor {
+						levels++
+					}
+					if bound := int64(n*levels) * sizes[0]; written > bound {
+						t.Errorf("%s: passes wrote %d bytes, want at most n*ceil(log_f n) = %d runs' worth, %d",
+							cell, written, n*levels, bound)
+					}
+				}
+			}
 		}
 	}
 }

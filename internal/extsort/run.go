@@ -53,11 +53,16 @@ func OpenRawRun(disk storage.Disk, name string, cc compress.Config) (*storage.Re
 	if err != nil {
 		return nil, fmt.Errorf("extsort: open run: %w", err)
 	}
-	var r io.Reader = file
+	return newRecordReader(file, cc), nil
+}
+
+// newRecordReader returns the record reader over the bytes of a run, or of
+// a part of one, written with cc: r, decompressed if cc has a codec.
+func newRecordReader(r io.Reader, cc compress.Config) *storage.RecordReader {
 	if cc.Enabled() {
-		r = compress.NewReader(file, cc.Meter)
+		r = compress.NewReader(r, cc.Meter)
 	}
-	return storage.NewRecordReader(r), nil
+	return storage.NewRecordReader(r)
 }
 
 // writeRun writes an already-sorted slice of records as one run file,

@@ -26,6 +26,9 @@ type SortBufferConfig struct {
 	Disk storage.Disk
 	// RunName names the i-th spilled run (i counts from 0).
 	RunName func(i int) string
+	// Prefix is the number of leading key bytes that hold a record's
+	// partition: the runs are sectioned by it (see CreateSectioned).
+	Prefix int
 	// Threshold, when > 0, spills after an Add brings the accounted bytes
 	// to Threshold or beyond — Hadoop's io.sort.mb semantics, where the
 	// record that crossed the line is included in the spill.
@@ -34,19 +37,20 @@ type SortBufferConfig struct {
 	// in key order, and what it emits is the run (the map-side combiner).
 	// OnSpill's accounting is of the records added, not the records emitted.
 	Combine CombineFunc
-	// OnSpill observes each spill: the number of records added since the
-	// last one and their accounted bytes.
+	// OnSpill observes each spill, its run already in Runs: the number of
+	// records added since the last one and their accounted bytes.
 	OnSpill func(records int, bytes int64)
 	// Compress, when enabled, block-compresses each spilled run file (see
-	// CreateRawRun).
+	// CreateSectioned).
 	Compress compress.Config
 }
 
 // SortBuffer is the run builder for records that are already bytes —
 // Hadoop's kvbuffer. Add copies an encoded key and value into storage the
-// buffer owns; Spill sorts an index over them and streams them to a run
-// file as they are. Runs are ordered by bytes.Compare on the keys, equal
-// keys in arrival order: the order MergeToFactor and MergeRuns keep.
+// buffer owns; Spill sorts an index over them and streams them to a
+// sectioned run file as they are. Runs are ordered by bytes.Compare on the
+// keys, equal keys in arrival order: the order MergeToFactor and MergeRuns
+// keep.
 //
 // Storage is a list of pointer-free blocks of sortBlockSize (a record too
 // large for one gets a block of its own size). A record sits in its block
@@ -61,7 +65,7 @@ type SortBuffer struct {
 	cur    int      // the block being filled; those after it are empty
 	index  []uint64
 	bytes  int64
-	runs   []string
+	runs   []Run
 	values [][]byte // Combine's argument, reused
 }
 
@@ -144,19 +148,19 @@ func (b *SortBuffer) Spill() error {
 		ky, _ := b.key(y)
 		return bytes.Compare(kx, ky)
 	})
-	name := b.cfg.RunName(len(b.runs))
-	w, err := CreateRawRun(b.cfg.Disk, name, b.cfg.Compress)
+	w, err := CreateSectioned(b.cfg.Disk, b.cfg.RunName(len(b.runs)), b.cfg.Prefix, b.cfg.Compress)
 	if err != nil {
 		return err
 	}
 	err = b.groups(w.Write)
-	if cerr := w.Close(); err == nil {
+	run, cerr := w.Close()
+	if err == nil {
 		err = cerr
 	}
 	if err != nil {
 		return err
 	}
-	b.runs = append(b.runs, name)
+	b.runs = append(b.runs, run)
 	if b.cfg.OnSpill != nil {
 		b.cfg.OnSpill(len(b.index), b.bytes)
 	}
@@ -216,6 +220,6 @@ func (b *SortBuffer) groups(emit func(key, value []byte) error) error {
 	return nil
 }
 
-// Runs returns the names of the spilled run files, in spill order. The
-// returned slice is owned by the buffer.
-func (b *SortBuffer) Runs() []string { return b.runs }
+// Runs returns the spilled runs, in spill order. The returned slice is
+// owned by the buffer.
+func (b *SortBuffer) Runs() []Run { return b.runs }

@@ -12,9 +12,14 @@ import (
 	"github.com/hamr-go/hamr/internal/storage"
 )
 
-func readRun(t testing.TB, disk storage.Disk, name string) []storage.Record {
+// readRun reads a run back as its reader gives it: under run keys.
+func readRun(t testing.TB, disk storage.Disk, run Run) []storage.Record {
 	t.Helper()
-	recs, err := storage.ReadRecords(disk, name)
+	var recs []storage.Record
+	err := MergeRuns(disk, []Run{run}, compress.Config{}, func(key, value []byte) error {
+		recs = append(recs, storage.Record{Key: slices.Clone(key), Value: slices.Clone(value)})
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +63,8 @@ func TestSortBufferThresholdIncludesCrossingRecord(t *testing.T) {
 		t.Fatalf("OnSpill saw %v, want %v", spills, want)
 	}
 	var got []string
-	for _, name := range b.Runs() {
-		for _, r := range readRun(t, disk, name) {
+	for _, run := range b.Runs() {
+		for _, r := range readRun(t, disk, run) {
 			got = append(got, fmt.Sprintf("%s=%d", r.Key, r.Value[0]))
 		}
 	}
@@ -183,8 +188,8 @@ func TestSortBufferLargeRecords(t *testing.T) {
 		{{Key: []byte("h"), Value: huge}},
 		{{Key: []byte("b"), Value: []byte("after")}},
 	}
-	for i, name := range b.Runs() {
-		got := readRun(t, disk, name)
+	for i, run := range b.Runs() {
+		got := readRun(t, disk, run)
 		if len(got) != len(want[i]) {
 			t.Fatalf("run %d holds %d records, want %d", i, len(got), len(want[i]))
 		}
@@ -213,7 +218,10 @@ func TestSortBufferStorageFollowsInput(t *testing.T) {
 // records in the MapReduce map task's (partition, key) order, seq being
 // the arrival stamp: every run is the stable sort of what was added since the run
 // before, and MergeRuns over all of them is the stable sort of everything
-// — so values inside a key group come back in arrival order.
+// — so values inside a key group come back in arrival order. The runs are
+// sectioned by the partition, as the map task's are: no file holds a
+// prefix, every record comes back under its own, and the index accounts
+// for every record and every byte.
 func FuzzSortBuffer(f *testing.F) {
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(3), uint16(40))
 	f.Add([]byte{0, 0, 0, 0, 0xff, 0xff, 0xff, 1, 1, 2, 2, 0xff, 0}, uint8(1), uint16(0))
@@ -237,6 +245,7 @@ func FuzzSortBuffer(f *testing.F) {
 		disk := storage.NewMemDisk(0)
 		var perRun []int
 		b := sortBufferOn(disk, int64(threshold), SortBufferConfig{
+			Prefix:  4,
 			OnSpill: func(records int, _ int64) { perRun = append(perRun, records) },
 		})
 		encode := func(r partRec) (key, value []byte) {
@@ -265,8 +274,18 @@ func FuzzSortBuffer(f *testing.F) {
 			}
 		}
 		start := 0
-		for i, name := range b.Runs() {
-			check(name, readRun(t, disk, name), slices.Clone(recs[start:start+perRun[i]]))
+		for i, run := range b.Runs() {
+			check(run.Name, readRun(t, disk, run), slices.Clone(recs[start:start+perRun[i]]))
+			var records, span int64
+			for _, sec := range run.Sections {
+				if sec.Off != span {
+					t.Fatalf("%s: partition %d's section begins at %d, the one before ends at %d", run.Name, sec.Partition, sec.Off, span)
+				}
+				records, span = records+sec.Records, span+sec.Len
+			}
+			if size, _ := disk.Size(run.Name); records != int64(perRun[i]) || span != size {
+				t.Fatalf("%s: the index holds %d records in %d bytes, the file %d in %d", run.Name, records, span, perRun[i], size)
+			}
 			start += perRun[i]
 		}
 		if start != len(recs) {

@@ -16,6 +16,7 @@ package faults_test
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -78,6 +79,17 @@ func runMRWordCount(t *testing.T, nodes int, clk vtime.Clock, fcfg *faults.Confi
 	r := &mrRun{c: c, res: res, err: err}
 	if err == nil {
 		r.output = readHDFSOutput(t, c, "out/")
+		// Every map task here spills once, so its output is that one file
+		// under its attempt's name: a killed or revoked attempt, a
+		// speculative loser and the winner itself must each have taken
+		// theirs away by the time the job returns.
+		for node, d := range c.Disks() {
+			for _, f := range d.List("") {
+				if !strings.HasPrefix(f, "hdfs/") {
+					t.Errorf("node %d still holds %s after the job", node, f)
+				}
+			}
+		}
 	}
 	return r
 }

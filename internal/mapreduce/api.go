@@ -5,14 +5,15 @@
 //
 //   - input splits read from HDFS with block locality;
 //   - a map-side sort buffer of serialized records that spills sorted runs
-//     to local disk and merges them into per-partition map output files
-//     (all on-disk): a pair is encoded when the mapper emits it and not
+//     to local disk and merges them into one map output file, a section
+//     per partition (all on-disk; a task that spilled once has nothing to
+//     merge): a pair is encoded when the mapper emits it and not
 //     decoded again before the reducer, unless a combiner folds it;
 //   - an optional combiner applied at spill and merge time;
 //   - a barrier between the map and reduce phases — reduce computation
 //     starts only after every map task finished;
-//   - a shuffle in which reduce tasks fetch map output segments across the
-//     network and merge them (externally, via local disk, when they exceed
+//   - a shuffle in which reduce tasks fetch their sections of the map
+//     outputs across the network and merge them (externally, via local disk, when they exceed
 //     the task heap);
 //   - one "JVM" per task: tasks share nothing and carry an individual heap
 //     limit, so a task whose working set exceeds its heap dies with an

@@ -36,8 +36,8 @@ type Engine struct {
 	cfg Config
 	// sub is the cluster's substrate handle, the one the flowlet runtimes
 	// and HDFS were built over: startup and straggler charges go to its
-	// clock, and spill runs, intermediate merge runs, shuffle segments and
-	// fetched reduce runs share its Spill codec — so segment sizes, and the
+	// clock, and spill runs, intermediate merge runs, map outputs and
+	// fetched reduce runs share its Spill codec — so section sizes, and the
 	// shuffle bytes charged from them, shrink with compression on.
 	sub substrate.Handle
 }
@@ -106,18 +106,15 @@ func (e *Engine) RunChainContext(ctx context.Context, jobs ...Job) (*Result, err
 	return total, nil
 }
 
-type segInfo struct {
-	name string
-	node int
-	size int64 // bytes on disk (and on the wire)
-	// payload (encoded key+value bytes, framing excluded) tells the
-	// fetching reducer where to put the segment before it reads it.
-	payload int64
-}
-
+// mapResult is what a finished map attempt hands the reducers: its one
+// output file on node's disk and, in out.Sections, where each partition's
+// records lie in it (Hadoop's file.out and its index). A reducer reads its
+// section's Len bytes, which are also what crosses the wire; the section's
+// Payload tells it where to put them before it does. out.Name is empty when
+// the task emitted nothing.
 type mapResult struct {
-	node     int
-	segments []segInfo // one per reduce partition (nil entries allowed)
+	node int
+	out  extsort.Run
 }
 
 // jobRun is one job in flight: what run resolved once from the Job and the
@@ -286,7 +283,7 @@ func (e *Engine) run(ctx context.Context, job Job) (*Result, error) {
 
 	// Clean intermediate map outputs.
 	for _, mr := range mapResults {
-		e.removeSegments(mr)
+		e.removeOutput(mr)
 	}
 	return res, nil
 }
@@ -399,22 +396,17 @@ func (j *jobRun) runMapAttempts(taskID int, split hdfs.Split) (*mapResult, error
 	go func() {
 		defer j.specWG.Done()
 		if second := <-ch; second.err == nil {
-			j.removeSegments(second.mr)
+			j.removeOutput(second.mr)
 		}
 	}()
 	return first.mr, nil
 }
 
-// removeSegments drops a map attempt's output segments (job cleanup and
+// removeOutput drops a map attempt's output file (job cleanup and
 // speculative losers).
-func (e *Engine) removeSegments(mr *mapResult) {
-	if mr == nil {
-		return
-	}
-	for _, seg := range mr.segments {
-		if seg.name != "" {
-			_ = e.c.Disk(seg.node).Remove(seg.name)
-		}
+func (e *Engine) removeOutput(mr *mapResult) {
+	if mr != nil && mr.out.Name != "" {
+		_ = e.c.Disk(mr.node).Remove(mr.out.Name)
 	}
 }
 
@@ -451,12 +443,16 @@ func (j *jobRun) beginAttempt(kind, site string, attempt, node int) (taskName, t
 // errCorruptRun reports a run record without a usable partition prefix.
 var errCorruptRun = errors.New("mapreduce: corrupt run record")
 
-// appendRunKey appends a run key — the key of a record in a spill,
-// intermediate or fetch run file: the partition as a 4-byte big-endian
-// prefix, then the key. bytes.Compare on two run keys orders the records by
-// (partition, key) — big-endian partition first, then the raw key, as
-// strings.Compare orders it: the contract extsort's sort buffer and byte
-// merges rely on.
+// runKeyPrefix is the width of a run key's partition prefix.
+const runKeyPrefix = 4
+
+// appendRunKey appends a run key — the key of a record in the sort buffer,
+// in every merge and in a fetch run file: the partition as a 4-byte
+// big-endian prefix, then the key. bytes.Compare on two run keys orders the
+// records by (partition, key) — big-endian partition first, then the raw
+// key, as strings.Compare orders it: the contract extsort's sort buffer and
+// byte merges rely on. The map side's files are sectioned by the prefix and
+// do not hold it (extsort.CreateSectioned).
 func appendRunKey[K string | []byte](kbuf []byte, part int, key K) []byte {
 	kbuf = binary.BigEndian.AppendUint32(kbuf, uint32(part))
 	return append(kbuf, key...)
@@ -569,9 +565,9 @@ func (j *jobRun) runMapTask(taskID, attempt int, split hdfs.Split) (mres *mapRes
 		if rerr == nil {
 			return
 		}
-		// Failed attempt: roll back everything it wrote — spills, segments
-		// and any unpublished HDFS output — so a retry starts clean and no
-		// partial files leak.
+		// Failed attempt: roll back everything it wrote — spills, merged
+		// runs and any unpublished HDFS output — so a retry starts clean and
+		// no partial files leak.
 		if hdfsFile != nil {
 			hdfsFile.Abort()
 		}
@@ -640,11 +636,11 @@ func (j *jobRun) runMapTask(taskID, attempt int, split hdfs.Split) (mres *mapRes
 		return &mapResult{node: node}, nil
 	}
 
-	segs, err := mt.finish()
+	out, err := mt.finish()
 	if err != nil {
 		return nil, err
 	}
-	return &mapResult{node: node, segments: segs}, nil
+	return &mapResult{node: node, out: out}, nil
 }
 
 // mapTask holds the map-side sort buffer and spill machinery of one
@@ -674,13 +670,15 @@ func (j *jobRun) newMapTask(taskName, tname string, node int, em *taskEmitter) *
 	cfg := extsort.SortBufferConfig{
 		Disk:      mt.disk,
 		RunName:   func(i int) string { return fmt.Sprintf("%s/spill-%04d", taskName, i) },
+		Prefix:    runKeyPrefix,
 		Threshold: j.cfg.SortBufferBytes,
-		OnSpill: func(records int, bytes int64) {
+		OnSpill: func(_ int, bytes int64) {
 			reg.Inc("mr.spills")
 			reg.Add("mr.spill.bytes", bytes)
 			if tr.Enabled() {
+				// Named like its run, by the spill's ordinal.
 				tr.Instant(node, j.tag+"/"+tname,
-					fmt.Sprintf("%s/%s/spill-%04d", j.tag, tname, records), "spill", bytes)
+					fmt.Sprintf("%s/%s/spill-%04d", j.tag, tname, len(mt.buf.Runs())-1), "spill", bytes)
 			}
 			em.Charge(-em.used) // buffer released
 			if comb != nil {
@@ -793,13 +791,13 @@ func (g *groupReducer) flush() error {
 	}
 	values, size := g.values, g.size
 	g.values, g.size = g.values[:0], 0
-	if len(g.key) < 4 {
+	if len(g.key) < runKeyPrefix {
 		return errCorruptRun
 	}
 	if heap := g.em.heap; heap > 0 && size > heap {
 		return &OOMError{Task: g.em.task, Need: size, Heap: heap}
 	}
-	return g.red.Reduce(string(g.key[4:]), values, g.em)
+	return g.red.Reduce(string(g.key[runKeyPrefix:]), values, g.em)
 }
 
 // groupCombiner is a groupReducer for a job's combiner: what the combiner
@@ -824,7 +822,7 @@ func (c *groupCombiner) encode(kv core.KV) error {
 	if c.vbuf, err = core.EncodeValue(c.vbuf[:0], kv.Value); err != nil {
 		return err
 	}
-	c.kbuf = append(append(c.kbuf[:0], c.key[:4]...), kv.Key...)
+	c.kbuf = append(append(c.kbuf[:0], c.key[:runKeyPrefix]...), kv.Key...)
 	return c.emit(c.kbuf, c.vbuf)
 }
 
@@ -840,124 +838,99 @@ func (c *groupCombiner) fold(key []byte, values [][]byte, emit func(key, value [
 	return c.flush()
 }
 
-// finish performs the final spill and merges all spills into one sorted
-// per-partition segment file each, returning the segment list. The merge
-// moves bytes: a record's partition prefix is cut off on its way into its
-// segment and its value is decoded only if the merge-time combiner folds
-// it, so what collect encoded is first decoded by the reducer.
-func (mt *mapTask) finish() ([]segInfo, error) {
+// finish performs the final spill and leaves the task's output as one
+// sectioned run, the way Hadoop's mergeParts does: a task that never
+// spilled has no file; one that spilled once has its output where that
+// spill lies, neither read nor written again; any other merges its spills,
+// in MergeToFactor passes while there are more than the merge factor
+// allows and then all that is left into the one output file. The merge
+// moves bytes: a record's value is decoded only if the merge-time combiner
+// folds it, so what collect encoded is first decoded by the reducer.
+func (mt *mapTask) finish() (extsort.Run, error) {
 	if err := mt.buf.Spill(); err != nil {
-		return nil, err
+		return extsort.Run{}, err
 	}
-	// The merge span covers every pass plus the final per-partition write;
-	// its byte count is the summed segment output. Error paths leave the
-	// span unended, which drops it from the recording.
+	spills := mt.buf.Runs()
+	switch len(spills) {
+	case 0:
+		return extsort.Run{}, nil
+	case 1:
+		return spills[0], nil
+	}
+	// The merge span covers every pass plus the final merge; its byte count
+	// is the output file's. Error paths leave the span unended, which drops
+	// it from the recording.
 	j, cc := mt.j, mt.j.sub.Spill
 	var msp trace.Span
 	if tr := j.sub.Trace; tr.Enabled() {
 		msp = tr.Start(mt.node, j.tag+"/"+mt.tname, j.tag+"/"+mt.tname+"/merge", "merge", "disk")
 	}
-	// Multi-pass merge: while more runs exist than the merge factor
-	// allows, merge batches into intermediate runs — every extra pass
-	// rereads and rewrites the intermediate data on disk, as Hadoop's
-	// io.sort.factor does.
-	spills, err := extsort.MergeToFactor(mt.disk, mt.buf.Runs(), j.cfg.MergeFactor,
+	// Every pass rereads and rewrites its share of the intermediate data on
+	// disk, as Hadoop's io.sort.factor does.
+	spills, err := extsort.MergeToFactor(mt.disk, spills, j.cfg.MergeFactor,
 		func(pass int) string { return fmt.Sprintf("%s/interm-%04d", mt.name, pass) },
 		func() { j.sub.Metrics.Inc("mr.merge.passes") }, cc)
 	if err != nil {
-		return nil, err
+		return extsort.Run{}, err
 	}
 	defer func() {
 		for _, s := range spills {
-			_ = mt.disk.Remove(s)
+			_ = mt.disk.Remove(s.Name)
 		}
 	}()
 
-	// Final merge of the remaining runs (disk read) into per-partition
-	// segments (disk write) — Hadoop's merge phase.
-	writers := make([]*storage.RecordWriter, j.numReduces)
-	names := make([]string, j.numReduces)
-	defer func() {
-		for _, w := range writers {
-			if w != nil {
-				w.Close()
-			}
-		}
-	}()
-	write := func(key, value []byte) error {
-		if len(key) < 4 {
-			return errCorruptRun
-		}
-		part := int(binary.BigEndian.Uint32(key))
-		if part >= len(writers) {
-			return errCorruptRun
-		}
-		w := writers[part]
-		if w == nil {
-			names[part] = fmt.Sprintf("%s/segment-%05d", mt.name, part)
-			var err error
-			if w, err = extsort.CreateRawRun(mt.disk, names[part], cc); err != nil {
-				return err
-			}
-			writers[part] = w
-		}
-		return w.Write(key[4:], value)
+	w, err := extsort.CreateSectioned(mt.disk, mt.name+"/file.out", runKeyPrefix, cc)
+	if err != nil {
+		return extsort.Run{}, err
 	}
-	if j.job.NewCombiner != nil && len(spills) > 1 {
+	if j.job.NewCombiner != nil {
 		comb := newGroupCombiner(mt.name + "/merge-combine")
-		comb.red, comb.emit, comb.single = j.job.NewCombiner(), write, write
+		comb.red, comb.emit, comb.single = j.job.NewCombiner(), w.Write, w.Write
 		if err = extsort.MergeRuns(mt.disk, spills, cc, comb.add); err == nil {
 			err = comb.flush()
 		}
 	} else {
-		err = extsort.MergeRuns(mt.disk, spills, cc, write)
+		err = extsort.MergeRuns(mt.disk, spills, cc, w.Write)
+	}
+	out, cerr := w.Close()
+	if err == nil {
+		err = cerr
 	}
 	if err != nil {
-		return nil, err
+		return extsort.Run{}, err
 	}
-
-	segs := make([]segInfo, j.numReduces)
-	var segBytes int64
-	for p, w := range writers {
-		if w == nil {
-			continue
-		}
-		writers[p] = nil
-		if err := w.Close(); err != nil {
-			return nil, err
-		}
-		size, err := mt.disk.Size(names[p])
-		if err != nil {
-			return nil, err
-		}
-		segs[p] = segInfo{name: names[p], node: mt.node, size: size, payload: w.Bytes()}
-		segBytes += size
+	size, err := mt.disk.Size(out.Name)
+	if err != nil {
+		return extsort.Run{}, err
 	}
-	msp.EndBytes(segBytes)
-	return segs, nil
+	msp.EndBytes(size)
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
 // reduce task
 
+// runSource is an open run: encoded records, each valid until the next.
+type runSource interface {
+	extsort.Source[storage.Record]
+	io.Closer
+}
+
 // copySegment copies the records of src into the run file name on disk
-// without decoding them, and closes src. A fetched segment's keys gain
-// prefix, the partition prefix of a run key (appendRunKey), on the way.
-func copySegment(src *storage.RecordReader, disk storage.Disk, name string, cc compress.Config, prefix []byte) error {
+// without decoding them, and closes src.
+func copySegment(src runSource, disk storage.Disk, name string, cc compress.Config) error {
 	defer src.Close()
 	w, err := extsort.CreateRawRun(disk, name, cc)
 	if err != nil {
 		return err
 	}
-	var key []byte
 	for {
 		rc, err := src.Next()
 		if err == io.EOF {
 			return w.Close()
 		}
 		if err == nil {
-			key = append(append(key[:0], prefix...), rc.Key...)
-			err = w.Write(key, rc.Value)
+			err = w.Write(rc.Key, rc.Value)
 		}
 		if err != nil {
 			w.Close()
@@ -995,36 +968,39 @@ func (j *jobRun) runReduceTask(r, attempt int, maps []*mapResult) (fetched int64
 	}()
 
 	// ---- shuffle fetch ----
-	// A fetched segment becomes a run of run keys and encoded values on at:
-	// mem, a disk made of the task's own memory, uncharged and uncompressed,
-	// while the segments fit the in-memory shuffle budget; the node's disk
-	// from the first one that does not, when mem is dropped.
+	// A fetched section becomes a plain run of run keys and encoded values on
+	// at: mem, a disk made of the task's own memory, uncharged and
+	// uncompressed, while the sections fit the in-memory shuffle budget; the
+	// node's disk from the first one that does not, when mem is dropped.
 	mem := storage.NewMemDisk(0)
 	at, atCC := storage.Disk(mem), compress.Config{}
-	var runs []string
-	var payload int64 // of the segments fetched so far
-	prefix := appendRunKey(nil, r, "")
+	var runs []extsort.Run
+	var payload int64 // of the sections fetched so far
 
-	// Transfers are charged per source node with the segment sizes summed
+	// Transfers are charged per source node with the section sizes summed
 	// (one bulk fetch per map host, the way Hadoop's fetcher pulls all of
-	// a host's map outputs over one connection) rather than per segment:
+	// a host's map outputs over one connection) rather than per section:
 	// byte totals are identical, only the per-message latency count drops.
 	remoteBytes := make([]int64, j.c.NumNodes())
 
 	for mi, mr := range maps {
-		if mr == nil || len(mr.segments) <= r || mr.segments[r].name == "" {
+		if mr == nil {
 			continue
 		}
-		seg := mr.segments[r]
-		if mem != nil && payload+seg.payload > heap/2 {
+		part, ok := mr.out.Partition(r)
+		if !ok {
+			continue
+		}
+		seg := part.Sections[0]
+		if mem != nil && payload+seg.Payload > heap/2 {
 			// The fetched data exceeds the in-memory shuffle budget: move
 			// the runs held in memory to the disk and fetch the rest there,
 			// like Hadoop's merge-to-disk.
 			at, atCC = disk, cc
-			for _, name := range runs {
-				src, err := extsort.OpenRawRun(mem, name, compress.Config{})
+			for _, run := range runs {
+				src, err := extsort.OpenRawRun(mem, run.Name, compress.Config{})
 				if err == nil {
-					err = copySegment(src, at, name, atCC, nil)
+					err = copySegment(src, at, run.Name, atCC)
 				}
 				if err != nil {
 					return fetched, err
@@ -1032,36 +1008,38 @@ func (j *jobRun) runReduceTask(r, attempt int, maps []*mapResult) (fetched int64
 			}
 			mem = nil
 		}
-		// Read the segment from the map node's disk (charges that disk),
-		// then pay the network transfer to this node. With spill compression
-		// on, segments are compressed run files: seg.size (the on-disk and
-		// on-wire bytes below) is the compressed size, and the fetch pays
-		// the modeled decode CPU here.
+		// Read the section from the map node's disk (charges that disk one
+		// seek and the section's bytes), then pay the network transfer to
+		// this node. The reader puts the partition back in front of the
+		// keys, which makes the records run keys again. With spill
+		// compression on, a section is compressed frames: seg.Len (the
+		// on-disk and on-wire bytes below) is the compressed size, and the
+		// fetch pays the modeled decode CPU here.
 		var fsp trace.Span
 		if tr.Enabled() {
-			fsp = tr.Start(seg.node, tag+"/"+tname,
+			fsp = tr.Start(mr.node, tag+"/"+tname,
 				fmt.Sprintf("%s/%s/fetch-%05d", tag, tname, mi), "fetch", "disk")
 		}
-		rdr, err := extsort.OpenRawRun(j.c.Disk(seg.node), seg.name, cc)
+		rdr, err := extsort.OpenSections(j.c.Disk(mr.node), part, cc)
 		if err != nil {
-			return fetched, fmt.Errorf("%s fetch %s: %w", taskName, seg.name, err)
+			return fetched, fmt.Errorf("%s fetch %s: %w", taskName, part.Name, err)
 		}
 		name := fmt.Sprintf("%s/fetch-%05d", taskName, len(runs))
-		runs = append(runs, name)
-		payload += seg.payload
-		if err := copySegment(rdr, at, name, atCC, prefix); err != nil {
+		runs = append(runs, extsort.Run{Name: name})
+		payload += seg.Payload
+		if err := copySegment(rdr, at, name, atCC); err != nil {
 			return fetched, err
 		}
-		fsp.EndBytes(seg.size)
-		if seg.node != node {
-			remoteBytes[seg.node] += seg.size
+		fsp.EndBytes(seg.Len)
+		if mr.node != node {
+			remoteBytes[mr.node] += seg.Len
 		}
-		fetched += seg.size
+		fetched += seg.Len
 		if mem == nil {
 			reg.Inc("mr.reduce.disk.merges")
 			if tr.Enabled() {
 				tr.Instant(node, tag+"/"+tname,
-					fmt.Sprintf("%s/%s/rspill-%05d", tag, tname, len(runs)-1), "spill", seg.payload)
+					fmt.Sprintf("%s/%s/rspill-%05d", tag, tname, len(runs)-1), "spill", seg.Payload)
 			}
 		}
 	}
@@ -1114,8 +1092,8 @@ func (j *jobRun) runReduceTask(r, attempt int, maps []*mapResult) (fetched int64
 	if err = extsort.MergeRuns(at, runs, atCC, groups.add); err == nil {
 		err = groups.flush()
 	}
-	for _, name := range runs {
-		_ = at.Remove(name)
+	for _, run := range runs {
+		_ = at.Remove(run.Name)
 	}
 	if err != nil {
 		return fetched, fmt.Errorf("%s: %w", taskName, err)

@@ -333,7 +333,7 @@ func mapCollectFixture(tb testing.TB, n int) ([]core.KV, func() (*mapTask, *task
 }
 
 // runMapSide pushes kvs through collect, the spills and finish, and drops
-// the segments.
+// the output.
 func runMapSide(tb testing.TB, mt *mapTask, em *taskEmitter, kvs []core.KV) {
 	tb.Helper()
 	for _, kv := range kvs {
@@ -341,19 +341,17 @@ func runMapSide(tb testing.TB, mt *mapTask, em *taskEmitter, kvs []core.KV) {
 			tb.Fatal(err)
 		}
 	}
-	segs, err := mt.finish()
+	out, err := mt.finish()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for _, seg := range segs {
-		if seg.name != "" {
-			_ = mt.disk.Remove(seg.name)
-		}
+	if err := mt.disk.Remove(out.Name); err != nil {
+		tb.Fatal(err)
 	}
 }
 
 // TestMapCollectAllocsPerRecord bounds what the map side of a task
-// allocates per record from collect to the finished segments: the sort
+// allocates per record from collect to the finished output: the sort
 // buffer's blocks and index, and nothing per record in the spills or the
 // merge. Measured: 6.9 B and 0.001 allocations per record. The typed buffer
 // this replaced (a []rec doubled to its final size, every record decoded
@@ -386,7 +384,7 @@ func TestMapCollectAllocsPerRecord(t *testing.T) {
 }
 
 // BenchmarkMapCollect times the same path: 200 000 pairs through collect,
-// six spills, and the merge into four segments.
+// six spills, and the merge into one output of four sections.
 func BenchmarkMapCollect(b *testing.B) {
 	const records = 200_000
 	kvs, newTask := mapCollectFixture(b, records)

@@ -18,23 +18,33 @@ import (
 
 // fileLedger records a hash of every file the tasks of a job write to their
 // local disks — the map side's spill runs, intermediate merge runs and
-// output segments, the reduce side's fetch runs — most of which are gone
-// again before the job returns.
+// merged outputs, the reduce side's fetch runs — most of which are gone
+// again before the job returns, and what is read of every file on those
+// disks, HDFS blocks included.
 type fileLedger struct {
 	mu    sync.Mutex
-	files map[string]string // name without the job number → size and sha256
+	files map[string]string      // name without the job number → size and sha256
+	reads map[string]*ledgerRead // full name → what was read of it
 }
 
-var taskFile = regexp.MustCompile(`^job\d+/(map-\d+/(spill|interm|segment)-\d+|reduce-\d+/fetch-\d+)$`)
+// ledgerRead is what was read of one file: how often it was opened and how
+// many bytes were delivered.
+type ledgerRead struct {
+	node         int
+	opens, bytes int64
+}
+
+var taskFile = regexp.MustCompile(`^job\d+/(map-\d+/((spill|interm)-\d+|file\.out)|reduce-\d+/fetch-\d+)$`)
 
 // watch puts the ledger between the cluster and each of its local disks.
-// Cluster.Disks returns the slice the cluster itself indexes, so every
-// task's Disk(node) sees the wrapper.
+// Cluster.Disks returns the slice the cluster itself indexes and HDFS
+// shares, so every task's Disk(node) and every block read sees the wrapper.
 func (l *fileLedger) watch(c *cluster.Cluster) {
 	l.files = map[string]string{}
+	l.reads = map[string]*ledgerRead{}
 	disks := c.Disks()
 	for i, d := range disks {
-		disks[i] = ledgerDisk{Disk: d, l: l}
+		disks[i] = ledgerDisk{Disk: d, l: l, node: i}
 	}
 }
 
@@ -59,7 +69,38 @@ func (l *fileLedger) digest(kind string) (hash string, n int) {
 
 type ledgerDisk struct {
 	storage.Disk
-	l *fileLedger
+	l    *fileLedger
+	node int
+}
+
+func (d ledgerDisk) Open(name string) (io.ReadSeekCloser, error) {
+	f, err := d.Disk.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	d.l.mu.Lock()
+	defer d.l.mu.Unlock()
+	rd := d.l.reads[name]
+	if rd == nil {
+		rd = &ledgerRead{node: d.node}
+		d.l.reads[name] = rd
+	}
+	rd.opens++
+	return &ledgerReader{ReadSeekCloser: f, l: d.l, rd: rd}, nil
+}
+
+type ledgerReader struct {
+	io.ReadSeekCloser
+	l  *fileLedger
+	rd *ledgerRead
+}
+
+func (r *ledgerReader) Read(p []byte) (int, error) {
+	n, err := r.ReadSeekCloser.Read(p)
+	r.l.mu.Lock()
+	r.rd.bytes += int64(n)
+	r.l.mu.Unlock()
+	return n, err
 }
 
 func (d ledgerDisk) Create(name string) (io.WriteCloser, error) {
@@ -100,14 +141,23 @@ func (f *ledgerFile) Close() error {
 
 // TestMapOutputFilesMatchPinnedBaseline pins, for two jobs whose map tasks
 // spill at least three times and merge in at least two passes, a hash of
-// every spill, intermediate and segment file the map side writes, the
-// job's output, and the engine's counters. The values were recorded at the
-// commit before the map-side sort buffer held bytes (PR 15), where records
-// sat in a typed buffer, were encoded at spill and decoded again by the
-// final merge: the files the byte path writes are those files. The hash of
-// the reduce side's fetch runs was recorded at the commit before the
-// reduce task merged bytes (PR 16), where the runs of segments fetched
-// into memory were encoded from decoded records.
+// every spill, intermediate and output file the map side writes, the job's
+// output, and the engine's counters.
+//
+// The job output hash and the six counters were recorded at the commit
+// before the map-side sort buffer held bytes (PR 15), and the hash of the
+// reduce side's fetch runs at the commit before the reduce task merged bytes
+// (PR 16); none has moved since. The map-side pins moved once, at PR 20,
+// when a map task's runs became sectioned and its output one file:
+//
+//   - spills: the same files in the same number, without the 4-byte
+//     partition prefix on every key. The pin is the digest of the parent's
+//     spill files, recorded there with that prefix cut off each record.
+//   - files: every map-side file. It moved with the spills, with the
+//     intermediates (no prefix either, and a pass now merges the lightest
+//     adjacent window, not the front of the list: as many files, other
+//     contents) and with the outputs: segment-NNNNN, one file a partition,
+//     is gone and file.out, one a map task, holds the same records.
 func TestMapOutputFilesMatchPinnedBaseline(t *testing.T) {
 	sumReducer := func() Reducer { return wcReducer{} }
 	for _, tc := range []struct {
@@ -115,8 +165,9 @@ func TestMapOutputFilesMatchPinnedBaseline(t *testing.T) {
 		input   []byte
 		cfg     Config
 		job     Job
-		files   string // ledger digest
-		counts  [3]int // spill, intermediate, segment files
+		files   string // ledger digest of the map side
+		spills  string // of its spill files
+		counts  [3]int // spill, intermediate, output files
 		fetch   string // ledger digest of the fetch runs
 		nfetch  int
 		output  string
@@ -140,7 +191,8 @@ func TestMapOutputFilesMatchPinnedBaseline(t *testing.T) {
 				NewCombiner:   sumReducer,
 				NewReducer:    sumReducer,
 			},
-			files:  "eb2e4adb2548bf6bef13a35ff4bb99d6a972eafcb040890671b254439d112857",
+			files:  "1b2e7b290cf07aae4d2c12e85dc66f667c9c2eeed2cde7652500235563b68f4a",
+			spills: "aec2e324f2bfaab1d8b344ef013d18b3e1efff51c68e2884b396c1c8c09d7b36",
 			counts: [3]int{74, 30, 5},
 			fetch:  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", // of nothing
 			output: "2f01e8b1c42a2802c59d6df3df2868f4f4e9dbd3a2f3f1c564a80b06b8c73cda",
@@ -151,16 +203,18 @@ func TestMapOutputFilesMatchPinnedBaseline(t *testing.T) {
 		},
 		{
 			// No combiner, string values, four partitions: every record
-			// passes through collect, a spill, merge passes and the cut
-			// into per-partition segments untouched. With four reduce
-			// tasks racing for containers the remote share of the shuffle
-			// follows the schedule, so mr.shuffle.bytes is left out.
+			// passes through collect, a spill, merge passes and the final
+			// merge into the output's four sections untouched. With four
+			// reduce tasks racing for containers the remote share of the
+			// shuffle follows the schedule, so mr.shuffle.bytes is left out.
 			name:   "terasort",
 			input:  []byte(teraRows(4000)),
 			cfg:    Config{SortBufferBytes: 2 << 10, MergeFactor: 3, ReduceHeapBytes: 16 << 10},
 			job:    identitySortJob(4),
-			files:  "f5477cbbe225ebce0a840e5d25d04161e6f83f2ca2b484da154202b46a67a5b2",
-			counts: [3]int{123, 41, 56},
+			files:  "2f75f974c4299c70df7312f42e395faa12cff66dc353c472e30a76565e76b902",
+			spills: "e7ba02c6a27a6499e4c0b487d6166abdff6028770dff5ce9b2bbe74998a6f0fd",
+			// 14 outputs hold what 56 segment files did.
+			counts: [3]int{123, 41, 14},
 			// Every reducer crosses its in-memory budget part of the way
 			// through its fetch: 12 of the runs were written from memory.
 			fetch:  "7d4c0971270f91c9ec92477858e3d1c16e74dd6e55ba032dc76babb356535be1",
@@ -195,11 +249,17 @@ func TestMapOutputFilesMatchPinnedBaseline(t *testing.T) {
 					res.MapTasks, spills, passes)
 			}
 			var got [3]int
-			for i, kind := range []string{"/spill-", "/interm-", "/segment-"} {
+			for i, kind := range []string{"/spill-", "/interm-", "/file.out"} {
 				_, got[i] = ledger.digest(kind)
 			}
-			if got != tc.counts {
-				t.Errorf("map side wrote %v spill, intermediate and segment files, want %v", got, tc.counts)
+			if got != tc.counts || got[2] != res.MapTasks {
+				t.Errorf("%d map tasks wrote %v spill, intermediate and output files, want %v", res.MapTasks, got, tc.counts)
+			}
+			if _, n := ledger.digest("segment"); n != 0 {
+				t.Errorf("the map side wrote %d segment files", n)
+			}
+			if spills, _ := ledger.digest("/spill-"); spills != tc.spills {
+				t.Errorf("spill files hash = %s, want %s", spills, tc.spills)
 			}
 			if files, _ := ledger.digest("map-"); files != tc.files {
 				t.Errorf("map-side files hash = %s, want %s", files, tc.files)
@@ -207,16 +267,7 @@ func TestMapOutputFilesMatchPinnedBaseline(t *testing.T) {
 			if fetch, n := ledger.digest("/fetch-"); fetch != tc.fetch || n != tc.nfetch {
 				t.Errorf("%d fetch runs, hash %s, want %d, %s", n, fetch, tc.nfetch, tc.fetch)
 			}
-			h := sha256.New()
-			for _, f := range res.OutputFiles {
-				data, err := c.FS().ReadFile(f, -1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fmt.Fprintf(h, "%s %d\n", f, len(data))
-				h.Write(data)
-			}
-			if got := fmt.Sprintf("%x", h.Sum(nil)); got != tc.output {
+			if got := outputHash(t, c); got != tc.output {
 				t.Errorf("output hash = %s, want %s", got, tc.output)
 			}
 			for name, want := range tc.metrics {
@@ -228,5 +279,78 @@ func TestMapOutputFilesMatchPinnedBaseline(t *testing.T) {
 				t.Errorf("the job left %v", left)
 			}
 		})
+	}
+}
+
+// TestLoneSpillIsTheMapOutput: a map task that spills once — at the end,
+// its sort buffer never full — has written its output when it has spilled.
+// The job writes one map-side file a map task and no other; nothing reads a
+// byte of one but the reducers, each its own section, once; and with the
+// reducers' fetch runs in memory, what the disks deliver is the HDFS blocks
+// under the splits and those sections.
+func TestLoneSpillIsTheMapOutput(t *testing.T) {
+	c, err := cluster.New(cluster.Options{NumNodes: 3, HDFSBlockSize: 8 << 10, DiskModel: &storage.CostModel{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	var ledger fileLedger
+	ledger.watch(c)
+	input := datagen.Text(datagen.TextConfig{Seed: 5, Vocabulary: 300, Lines: 600})
+	if err := c.FS().WriteFile("in/data", input, -1); err != nil {
+		t.Fatal(err)
+	}
+	job := wordCountJob(false)
+	res, err := NewEngine(c, Config{}).Run(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := c.Metrics()
+	if spills := reg.Counter("mr.spills").Value(); res.MapTasks < 3 || spills != int64(res.MapTasks) {
+		t.Fatalf("%d map tasks spilled %d times: the scenario needs several, one spill each", res.MapTasks, spills)
+	}
+
+	sizes := map[string]int64{} // map-side files by name
+	loneSpill := regexp.MustCompile(`^map-\d+/spill-0000$`)
+	for name, entry := range ledger.files {
+		if !loneSpill.MatchString(name) {
+			t.Errorf("the job wrote %s: want one spill a map task and nothing else", name)
+		}
+		var size int64
+		if _, err := fmt.Sscan(entry, &size); err != nil {
+			t.Fatalf("%s: ledger entry %q", name, entry)
+		}
+		sizes[name] = size
+	}
+	if len(sizes) != res.MapTasks {
+		t.Errorf("%d map-side files for %d map tasks", len(sizes), res.MapTasks)
+	}
+
+	var outputs, total int64
+	for name, rd := range ledger.reads {
+		total += rd.bytes
+		if strings.HasPrefix(name, "hdfs/") {
+			continue
+		}
+		m := taskFile.FindStringSubmatch(name)
+		if m == nil {
+			t.Errorf("node %d: %s was read, neither a block nor a map output", rd.node, name)
+			continue
+		}
+		// One open a reducer with a section in it, and between them every
+		// byte once.
+		if rd.opens < 1 || rd.opens > int64(job.NumReduces) || rd.bytes != sizes[m[1]] {
+			t.Errorf("node %d: %s of %d bytes: %d opens read %d", rd.node, m[1], sizes[m[1]], rd.opens, rd.bytes)
+		}
+		outputs += rd.bytes
+	}
+	if outputs != res.ShuffleBytes {
+		t.Errorf("reducers read %d bytes of map output and fetched %d", outputs, res.ShuffleBytes)
+	}
+	if got := reg.Counter("disk.read.bytes").Value(); got != total {
+		t.Errorf("disk.read.bytes = %d, the ledger saw %d", got, total)
+	}
+	if left := mapFilesLeft(c); len(left) > 0 {
+		t.Errorf("the job left %v", left)
 	}
 }

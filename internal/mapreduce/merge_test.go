@@ -33,7 +33,7 @@ func TestMergeGroupsAcrossRuns(t *testing.T) {
 		value int64
 	}
 	disk := storage.NewMemDisk(0)
-	var names []string
+	var runs []extsort.Run
 	for i, run := range [][]rec{
 		{{0, "a", 1}, {0, "c", 2}, {256, "", 6}},
 		{{0, "a", 3}, {1, "a", 4}},
@@ -56,7 +56,7 @@ func TestMergeGroupsAcrossRuns(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		names = append(names, name)
+		runs = append(runs, extsort.Run{Name: name})
 	}
 	var got []string
 	line := func(key string, values ...any) { got = append(got, key+": "+fmt.Sprint(values...)) }
@@ -72,7 +72,7 @@ func TestMergeGroupsAcrossRuns(t *testing.T) {
 			return err
 		},
 	}
-	if err := extsort.MergeRuns(disk, names, compress.Config{}, groups.add); err != nil {
+	if err := extsort.MergeRuns(disk, runs, compress.Config{}, groups.add); err != nil {
 		t.Fatal(err)
 	}
 	if err := groups.flush(); err != nil {

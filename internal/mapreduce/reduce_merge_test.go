@@ -52,10 +52,12 @@ func killSomeReducers(t *testing.T, reduces int) *faults.Config {
 }
 
 // TestReducePlacementsAgree runs one job with its reducers' fetched
-// segments all in memory, moved to disk part of the way through the fetch,
-// and all on disk, with and without compressed runs, and with reduce
-// attempts killed between fetch and merge: where the bytes were is not to
-// show in the output, and a task leaves nothing on its disk either way.
+// sections all in memory, moved to disk part of the way through the fetch,
+// and all on disk, without compressed runs and with either codec (where a
+// fetched section is a frame sequence cut out of the middle of a map's
+// output file), and with reduce attempts killed between fetch and merge:
+// where the bytes were is not to show in the output, and a task leaves
+// nothing on its disk either way.
 func TestReducePlacementsAgree(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -68,7 +70,7 @@ func TestReducePlacementsAgree(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			kill := killSomeReducers(t, tc.job.NumReduces)
 			var want string
-			for _, codec := range []string{"", "lz"} {
+			for _, codec := range []string{"", "lz", "flate"} {
 				// Half the heap is the in-memory shuffle budget: every
 				// reducer's segments fit in the first, a few of them in the
 				// second, not one in the third, which still holds any one
@@ -118,11 +120,14 @@ func TestReducePlacementsAgree(t *testing.T) {
 }
 
 // reduceFixture is the map output of 200 000 records with distinct 10-byte
-// keys and 16-byte values, written by four map tasks for four reducers on
-// a one-node cluster, and the engine to run reduce tasks over it.
+// keys and 16-byte values, written by four map tasks for reduceFixtureTasks
+// reducers on a one-node cluster, and the engine to run reduce tasks over
+// it.
+const reduceFixtureTasks = 4
+
 func reduceFixture(tb testing.TB) (*Engine, []*mapResult, int) {
 	tb.Helper()
-	const records, maps, reduces = 200_000, 4, 4
+	const records, maps, reduces = 200_000, 4, reduceFixtureTasks
 	c := newTestCluster(tb, 1)
 	e := NewEngine(c, Config{SortBufferBytes: 1 << 20})
 	results := make([]*mapResult, maps)
@@ -137,11 +142,11 @@ func reduceFixture(tb testing.TB) (*Engine, []*mapResult, int) {
 				tb.Fatal(err)
 			}
 		}
-		segs, err := mt.finish()
+		out, err := mt.finish()
 		if err != nil {
 			tb.Fatal(err)
 		}
-		results[m] = &mapResult{node: 0, segments: segs}
+		results[m] = &mapResult{node: 0, out: out}
 	}
 	return e, results, records
 }
@@ -173,13 +178,13 @@ func TestReduceAllocsPerRecord(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			reduce := func() (allocs, bytes float64) {
 				run++
-				job := identitySortJob(len(maps[0].segments))
+				job := identitySortJob(reduceFixtureTasks)
 				job.Output = fmt.Sprintf("out%d", run)
 				job.ReduceHeapBytes = tc.heap
 				j := e.newJobRun(context.Background(), job)
 				var m0, m1 runtime.MemStats
 				runtime.ReadMemStats(&m0)
-				for r := range maps[0].segments {
+				for r := 0; r < reduceFixtureTasks; r++ {
 					if _, err := j.runReduceTask(r, 0, maps); err != nil {
 						t.Fatal(err)
 					}

@@ -104,6 +104,7 @@ type RecordWriter struct {
 	w       *bufio.Writer // nil once closed
 	c       io.Closer
 	scratch [binary.MaxVarintLen64]byte
+	size    int64
 	bytes   int64
 	count   int64
 }
@@ -119,20 +120,21 @@ func NewRecordWriter(w io.Writer) *RecordWriter {
 
 // Write appends one record.
 func (w *RecordWriter) Write(key, value []byte) error {
-	n := binary.PutUvarint(w.scratch[:], uint64(len(key)))
-	if _, err := w.w.Write(w.scratch[:n]); err != nil {
+	kn := binary.PutUvarint(w.scratch[:], uint64(len(key)))
+	if _, err := w.w.Write(w.scratch[:kn]); err != nil {
 		return err
 	}
 	if _, err := w.w.Write(key); err != nil {
 		return err
 	}
-	n = binary.PutUvarint(w.scratch[:], uint64(len(value)))
-	if _, err := w.w.Write(w.scratch[:n]); err != nil {
+	vn := binary.PutUvarint(w.scratch[:], uint64(len(value)))
+	if _, err := w.w.Write(w.scratch[:vn]); err != nil {
 		return err
 	}
 	if _, err := w.w.Write(value); err != nil {
 		return err
 	}
+	w.size += int64(kn + len(key) + vn + len(value))
 	w.bytes += int64(len(key) + len(value))
 	w.count++
 	return nil
@@ -143,6 +145,13 @@ func (w *RecordWriter) Count() int64 { return w.count }
 
 // Bytes returns the payload bytes written (keys+values, excluding framing).
 func (w *RecordWriter) Bytes() int64 { return w.bytes }
+
+// Size returns the bytes written, framing included: where the next record
+// begins in the stream of records.
+func (w *RecordWriter) Size() int64 { return w.size }
+
+// Flush hands the buffered records to the underlying writer.
+func (w *RecordWriter) Flush() error { return w.w.Flush() }
 
 // Close flushes buffered data, closes the underlying writer if it is a
 // Closer, and gives the write buffer back for the next writer. A second
@@ -166,6 +175,9 @@ func (w *RecordWriter) Close() error {
 type RecordReader struct {
 	rb *readBuf // nil once closed
 	c  io.Closer
+	// prefix bytes at the head of the scratch go in front of every key
+	// (see KeyPrefix).
+	prefix int
 }
 
 // NewRecordReader wraps r. If r is also an io.Closer, Close closes it.
@@ -179,10 +191,19 @@ func NewRecordReader(r io.Reader) *RecordReader {
 
 const maxRecordSide = 1 << 30 // sanity bound on one key or value
 
+// KeyPrefix makes every key Next returns from now on begin with p, which
+// the stream does not hold: p is copied to the head of the reader's scratch
+// once and each key is read in behind it, so a record costs no more than
+// one without a prefix.
+func (r *RecordReader) KeyPrefix(p []byte) {
+	copy(r.grow(0, len(p)), p)
+	r.prefix = len(p)
+}
+
 // Next returns the next record, or io.EOF at end of stream. The returned
 // slices point into the reader's scratch: they are valid until the next
-// call to Next or Close, and a caller that keeps a record longer copies
-// it (ReadRecords does).
+// call to Next, KeyPrefix or Close, and a caller that keeps a record longer
+// copies it (ReadRecords does).
 func (r *RecordReader) Next() (Record, error) {
 	br := r.rb.br
 	klen, err := binary.ReadUvarint(br)
@@ -195,7 +216,7 @@ func (r *RecordReader) Next() (Record, error) {
 	if klen > maxRecordSide {
 		return Record{}, fmt.Errorf("storage: implausible key length %d", klen)
 	}
-	key := r.grow(0, int(klen))
+	key := r.grow(r.prefix, int(klen))
 	if _, err := io.ReadFull(br, key); err != nil {
 		return Record{}, fmt.Errorf("storage: truncated key: %w", err)
 	}
@@ -206,12 +227,14 @@ func (r *RecordReader) Next() (Record, error) {
 	if vlen > maxRecordSide {
 		return Record{}, fmt.Errorf("storage: implausible value length %d", vlen)
 	}
-	value := r.grow(int(klen), int(vlen))
+	kend := r.prefix + int(klen)
+	value := r.grow(kend, int(vlen))
 	if _, err := io.ReadFull(br, value); err != nil {
 		return Record{}, fmt.Errorf("storage: truncated value: %w", err)
 	}
-	// grow may have moved the scratch under key; re-slice it.
-	return Record{Key: r.rb.scratch[:klen:klen], Value: value}, nil
+	// grow may have moved the scratch under key; re-slice it, from the
+	// prefix on.
+	return Record{Key: r.rb.scratch[:kend:kend], Value: value}, nil
 }
 
 // grow returns scratch[keep:keep+n], enlarging the scratch (and keeping
