@@ -22,16 +22,16 @@ import (
 	"strings"
 	"time"
 
+	"github.com/hamr-go/hamr/internal/apps"
 	"github.com/hamr-go/hamr/internal/apps/hamrapps"
 	"github.com/hamr-go/hamr/internal/cluster"
 	"github.com/hamr-go/hamr/internal/core"
-	"github.com/hamr-go/hamr/internal/datagen"
 	"github.com/hamr-go/hamr/internal/sqlq"
 )
 
 func main() {
 	var (
-		app      = flag.String("app", "wordcount", "application: wordcount, histogram-movies, histogram-ratings, naivebayes, pagerank, kcliques, kmeans, classification")
+		app      = flag.String("app", "wordcount", "application: "+strings.Join(appNames(), ", "))
 		in       = flag.String("in", "", "input file (required)")
 		nodes    = flag.Int("nodes", 4, "simulated cluster size")
 		workers  = flag.Int("workers", 4, "workers per node")
@@ -62,60 +62,12 @@ func main() {
 	}
 	defer c.Close()
 
-	files, err := hamrapps.DistributeLocalText(c, "input", data, 2**nodes)
-	if err != nil {
-		fatal(err)
-	}
-	loader := &hamrapps.LocalTextLoader{Files: files}
-
 	start := time.Now()
-	var pairs []core.KV
-	switch *app {
-	case "wordcount":
-		g, sink, err := hamrapps.BuildWordCount(hamrapps.WordCountOptions{Loader: loader, Combiner: *combiner})
-		run(c, g, err, stats)
-		pairs = sink.Sorted()
-	case "histogram-movies":
-		g, sink, err := hamrapps.BuildHistogramMovies(hamrapps.HistogramOptions{Loader: loader, Combiner: *combiner})
-		run(c, g, err, stats)
-		pairs = sink.Sorted()
-	case "histogram-ratings":
-		g, sink, err := hamrapps.BuildHistogramRatings(hamrapps.HistogramOptions{Loader: loader, Combiner: *combiner})
-		run(c, g, err, stats)
-		pairs = sink.Sorted()
-	case "naivebayes":
-		g, sink, err := hamrapps.BuildNaiveBayes(loader)
-		run(c, g, err, stats)
-		pairs = sink.Sorted()
-	case "pagerank":
-		res, err := hamrapps.RunPageRank(c, loader, 1e-4, *iters)
+	if *app == "sql" {
+		files, err := hamrapps.DistributeLocalText(c, "input", data, 2**nodes)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("pagerank: %d iterations, final max delta %.6f\n", res.Iterations, res.MaxDelta)
-		for page, rank := range res.Ranks {
-			pairs = append(pairs, core.KV{Key: page, Value: rank})
-		}
-		sort.Slice(pairs, func(i, j int) bool {
-			return pairs[i].Value.(float64) > pairs[j].Value.(float64)
-		})
-	case "kcliques":
-		g, sink, err := hamrapps.BuildKCliques(*k, loader)
-		run(c, g, err, stats)
-		pairs = sink.Sorted()
-	case "kmeans":
-		centroids := datagen.InitialCentroids(data, *k)
-		g, sinks, err := hamrapps.BuildKMeans(hamrapps.KMeansOptions{Files: files, Centroids: centroids})
-		run(c, g, err, stats)
-		pairs = sinks.Centroids.Sorted()
-	case "classification":
-		centroids := datagen.InitialCentroids(data, *k)
-		g, sinks, err := hamrapps.BuildClassification(hamrapps.ClassificationOptions{
-			Files: files, Centroids: centroids, WithCounts: true,
-		})
-		run(c, g, err, stats)
-		pairs = sinks.Counts.Sorted()
-	case "sql":
 		if *query == "" || *cols == "" {
 			fmt.Fprintln(os.Stderr, "hamr: -app sql needs -query and -cols")
 			os.Exit(2)
@@ -124,7 +76,7 @@ func main() {
 		if err := cat.Register(&sqlq.Table{
 			Name:    "t",
 			Columns: strings.Split(*cols, ","),
-			Loader:  loader,
+			Loader:  &hamrapps.LocalTextLoader{Files: files},
 		}); err != nil {
 			fatal(err)
 		}
@@ -136,29 +88,21 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hamr: sql finished in %v on %d nodes\n",
 			time.Since(start).Round(time.Millisecond), *nodes)
 		return
-	default:
+	}
+
+	// Every other application is a row of the workload table, run the way
+	// the harness runs it; what prints is the row's canonical answer.
+	w := apps.Lookup(*app)
+	if w == nil {
 		fmt.Fprintf(os.Stderr, "hamr: unknown -app %q\n", *app)
 		os.Exit(2)
 	}
-
-	n := len(pairs)
-	if *top > 0 && n > *top {
-		n = *top
+	env, err := w.HAMREnv(c, data, w.NewRun(
+		apps.Scale{KClusters: *k, KCliquesK: *k, PageRankIters: *iters}, data, apps.Variant{Combiner: *combiner}))
+	if err != nil {
+		fatal(err)
 	}
-	for _, kv := range pairs[:n] {
-		fmt.Printf("%s\t%v\n", kv.Key, kv.Value)
-	}
-	if len(pairs) > n {
-		fmt.Printf("... (%d more rows)\n", len(pairs)-n)
-	}
-	fmt.Fprintf(os.Stderr, "hamr: %s finished in %v on %d nodes\n", *app, time.Since(start).Round(time.Millisecond), *nodes)
-}
-
-func run(c *cluster.Cluster, g *core.Graph, buildErr error, stats *bool) {
-	if buildErr != nil {
-		fatal(buildErr)
-	}
-	res, err := c.Run(g)
+	res, collect, err := w.RunHAMR(env)
 	if err != nil {
 		fatal(err)
 	}
@@ -166,6 +110,36 @@ func run(c *cluster.Cluster, g *core.Graph, buildErr error, stats *bool) {
 		fmt.Fprintf(os.Stderr, "--- flowlet timeline (job %d, %v) ---\n%s", res.Job, res.Duration.Round(time.Millisecond), res.Timeline())
 		fmt.Fprintf(os.Stderr, "--- metrics ---\n%s", res.Metrics)
 	}
+	out, err := collect()
+	if err != nil {
+		fatal(err)
+	}
+	keys := make([]string, 0, len(out))
+	for key := range out {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+
+	n := len(keys)
+	if *top > 0 && n > *top {
+		n = *top
+	}
+	for _, key := range keys[:n] {
+		fmt.Printf("%s\t%s\n", key, out[key])
+	}
+	if len(keys) > n {
+		fmt.Printf("... (%d more rows)\n", len(keys)-n)
+	}
+	fmt.Fprintf(os.Stderr, "hamr: %s finished in %v on %d nodes\n", *app, time.Since(start).Round(time.Millisecond), *nodes)
+}
+
+// appNames lists what -app accepts: the workload table's rows, and sql.
+func appNames() []string {
+	var names []string
+	for _, w := range apps.Table {
+		names = append(names, w.App)
+	}
+	return append(names, "sql")
 }
 
 func fatal(err error) {

@@ -3,7 +3,9 @@
 // baseline and HAMR), Table 3 (HAMR with combiner) and Figure 3's two
 // speedup panels. Measured numbers print side by side with the published
 // ones; a shape check asserts the qualitative agreement the reproduction
-// targets.
+// targets. Every row it times is also a row it checks: both engines' answers
+// are held to the row's single-threaded reference (internal/apps), and a
+// disagreement is an error and a non-zero exit.
 //
 // Usage:
 //
@@ -23,6 +25,7 @@ import (
 	"os"
 	"strings"
 
+	"github.com/hamr-go/hamr/internal/apps"
 	"github.com/hamr-go/hamr/internal/bench"
 	"github.com/hamr-go/hamr/internal/trace"
 )
@@ -65,22 +68,25 @@ func main() {
 		os.Exit(2)
 	}
 
+	// The one row -bench names (nil: none; -jobs then runs WordCount).
+	var row *apps.Workload
+	if *one != "" {
+		if row = apps.Lookup(*one); row == nil {
+			var names []string
+			for _, w := range apps.Table {
+				names = append(names, string(w.Name))
+			}
+			fmt.Fprintf(os.Stderr, "unknown benchmark %q; choices: %v\n", *one, names)
+			os.Exit(2)
+		}
+	}
+
 	h := bench.NewHarness(spec, sc)
 	if *jobs > 0 {
-		b := bench.WordCount
-		if *one != "" {
-			var found bool
-			for _, cand := range bench.AllBenchmarks {
-				if strings.EqualFold(string(cand), *one) {
-					b, found = cand, true
-				}
-			}
-			if !found {
-				fmt.Fprintf(os.Stderr, "unknown benchmark %q; choices: %v\n", *one, bench.AllBenchmarks)
-				os.Exit(2)
-			}
+		if row == nil {
+			row = apps.Lookup(string(apps.WordCount))
 		}
-		rep, err := h.ConcurrentThroughput(b, *jobs)
+		rep, err := h.ConcurrentThroughput(row, *jobs)
 		if err != nil {
 			fatal(err)
 		}
@@ -88,40 +94,30 @@ func main() {
 		return
 	}
 	if *traceTo != "" {
-		if *one == "" {
+		if row == nil {
 			fmt.Fprintln(os.Stderr, "hamrbench: -trace requires -bench NAME (one benchmark per trace)")
 			os.Exit(2)
 		}
 		h.Trace = true
 	}
 
-	if *one != "" {
-		var found bool
-		for _, b := range bench.AllBenchmarks {
-			if strings.EqualFold(string(b), *one) {
-				row, err := h.RunRow(b)
-				if err != nil {
-					fatal(err)
-				}
-				bench.WriteTable2(os.Stdout, []bench.Row{row})
-				fmt.Println()
-				bench.WriteTimeReport(os.Stdout, []bench.Row{row})
-				fmt.Println()
-				bench.WriteIOReport(os.Stdout, h.LastMR)
-				if *traceTo != "" {
-					if err := exportTrace(h.LastMRTrace, *traceTo, "mr"); err != nil {
-						fatal(err)
-					}
-					if err := exportTrace(h.LastHAMRTrace, *traceTo, "hamr"); err != nil {
-						fatal(err)
-					}
-				}
-				found = true
-			}
+	if row != nil {
+		r, err := h.RunRow(row, apps.Variant{})
+		if err != nil {
+			fatal(err)
 		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "unknown benchmark %q; choices: %v\n", *one, bench.AllBenchmarks)
-			os.Exit(2)
+		bench.WriteTable2(os.Stdout, []bench.Row{r})
+		fmt.Println()
+		bench.WriteTimeReport(os.Stdout, []bench.Row{r})
+		fmt.Println()
+		bench.WriteIOReport(os.Stdout, h.LastMR)
+		if *traceTo != "" {
+			if err := exportTrace(h.LastMRTrace, *traceTo, "mr"); err != nil {
+				fatal(err)
+			}
+			if err := exportTrace(h.LastHAMRTrace, *traceTo, "hamr"); err != nil {
+				fatal(err)
+			}
 		}
 		return
 	}
@@ -176,13 +172,9 @@ func main() {
 
 // exportTrace writes one engine's Chrome trace JSON next to the -trace
 // path (base.ENGINE.json) and prints its critical path.
-func exportTrace(t *trace.Tracer, path, engine string) error {
-	if t == nil {
-		return nil
-	}
+func exportTrace(evs []*trace.Event, path, engine string) error {
 	base := strings.TrimSuffix(path, ".json")
 	name := fmt.Sprintf("%s.%s.json", base, engine)
-	evs := t.Events()
 	f, err := os.Create(name)
 	if err != nil {
 		return err

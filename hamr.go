@@ -51,7 +51,7 @@
 // the paper's experiments — a simulated commodity cluster with cost-model
 // disks and network, a simulated HDFS, a YARN-style scheduler and a
 // Hadoop-faithful MapReduce baseline — under internal/, driven by
-// cmd/hamrbench and the benchmarks in bench_test.go.
+// cmd/hamrbench over the workload table in internal/apps.
 package hamr
 
 import (

@@ -1,447 +1,250 @@
-// Package apps_test differentially tests the eight benchmarks: the flowlet
-// implementation and the MapReduce implementation must compute identical
-// results from identical inputs — the engines differ in *how* data moves,
-// never in *what* is computed.
+// Package apps_test differentially tests the workload table: for every row
+// and every variant it declares, the flowlet implementation and the MapReduce
+// implementation must both compute the single-threaded reference's answer
+// from identical inputs — the engines differ in *how* data moves, never in
+// *what* is computed.
 package apps_test
 
 import (
-	"fmt"
-	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 
-	"github.com/hamr-go/hamr/internal/apps/hamrapps"
-	"github.com/hamr-go/hamr/internal/apps/mrapps"
+	"github.com/hamr-go/hamr/internal/apps"
 	"github.com/hamr-go/hamr/internal/cluster"
 	"github.com/hamr-go/hamr/internal/core"
-	"github.com/hamr-go/hamr/internal/datagen"
 	"github.com/hamr-go/hamr/internal/mapreduce"
 )
 
 const testNodes = 4
 
-// env builds one cluster per engine (separate substrates, same geometry)
-// plus shared input data written both to HDFS (baseline) and node-local
-// disks (HAMR).
-type env struct {
-	hamr *cluster.Cluster
-	mr   *cluster.Cluster
-	eng  *mapreduce.Engine
+// diffScale keeps every row's input to a few hundred records.
+var diffScale = apps.Scale{
+	KMeansMovies: 300, KMeansUsers: 60, KClusters: 4,
+	HistogramMovies: 400, HistogramUsers: 80,
+	WordCountLines: 400, WordCountVocab: 200,
+	NaiveBayesDocs: 300,
+	PageRankPages:  200, PageRankIters: 3,
+	KCliquesScale: 6, KCliquesEdges: 300, KCliquesK: 3,
+	Reduces: 3,
 }
 
-func newEnv(t testing.TB) *env {
+func newCluster(t *testing.T) *cluster.Cluster {
 	t.Helper()
-	mk := func() *cluster.Cluster {
-		c, err := cluster.New(cluster.Options{
-			NumNodes:      testNodes,
-			HDFSBlockSize: 8 << 10,
-			Core:          core.Config{Workers: 2},
-		})
-		if err != nil {
-			t.Fatal(err)
+	c, err := cluster.New(cluster.Options{
+		NumNodes:      testNodes,
+		HDFSBlockSize: 8 << 10,
+		Core:          core.Config{Workers: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	return c
+}
+
+// diffRow runs one row of the table — plain, then under each variant it
+// declares — on one cluster per engine (separate substrates, same geometry),
+// through the same table entries and the same input layout the harness uses
+// (Workload.HAMREnv / MREnv),
+// and holds both answers to the reference. labels name the subtests, plain
+// run first; without them a variant's subtest carries its name.
+func diffRow(t *testing.T, name apps.Benchmark, labels ...string) {
+	w := apps.Lookup(string(name))
+	if w == nil {
+		t.Fatalf("the table has no row %q", name)
+	}
+	variants := append([]apps.Variant{{}}, w.Variants...)
+	if len(labels) == 0 {
+		labels = []string{"plain"}
+		for _, v := range w.Variants {
+			labels = append(labels, v.Name)
 		}
-		t.Cleanup(c.Close)
+	}
+	if len(labels) != len(variants) {
+		t.Fatalf("%d subtest names for %d runs of %s", len(labels), len(variants), name)
+	}
+	data := w.Data.Gen(diffScale)
+	for i, v := range variants {
+		run := func(t *testing.T) {
+			r := w.NewRun(diffScale, data, v)
+			ref := w.Reference(data, r)
+
+			env, err := w.HAMREnv(newCluster(t), data, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, collect, err := w.RunHAMR(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res == nil || res.Job == 0 {
+				t.Errorf("no job result from the flowlet side: %+v", res)
+			}
+			check(t, w, ref, apps.SideHAMR, collect)
+
+			if env, err = w.MREnv(newCluster(t), mapreduce.Config{}, data, r); err != nil {
+				t.Fatal(err)
+			}
+			if collect, err = w.MR(env); err != nil {
+				t.Fatal(err)
+			}
+			check(t, w, ref, apps.SideMR, collect)
+
+			if w.Name == apps.HistogramRatings && len(ref) > 5 {
+				t.Errorf("rating histogram has %d keys, want <= 5", len(ref))
+			}
+		}
+		if len(variants) == 1 {
+			run(t)
+		} else {
+			t.Run(labels[i], run)
+		}
+	}
+}
+
+func check(t *testing.T, w *apps.Workload, ref apps.Output, side string, collect apps.Collect) {
+	t.Helper()
+	out, err := collect()
+	if err != nil {
+		t.Fatalf("%s: reading the answer: %v", side, err)
+	}
+	if err := w.Check(ref, side, out); err != nil {
+		t.Error(err)
+	}
+}
+
+// One test per row of Table 2, under the names (subtests included) these
+// comparisons have always run under; everything they do is read from the
+// table. TestRegistryCoversTable2 holds the table to these eight rows.
+func TestDiffKMeans(t *testing.T)          { diffRow(t, apps.KMeans) }
+func TestDiffClassification(t *testing.T)  { diffRow(t, apps.Classification) }
+func TestDiffPageRank(t *testing.T)        { diffRow(t, apps.PageRank) }
+func TestDiffKCliques(t *testing.T)        { diffRow(t, apps.KCliques, "k=3", "k=4") }
+func TestDiffWordCount(t *testing.T)       { diffRow(t, apps.WordCount, "combiner=false", "combiner=true") }
+func TestDiffHistogramMovies(t *testing.T) { diffRow(t, apps.HistogramMovies) }
+func TestDiffNaiveBayes(t *testing.T)      { diffRow(t, apps.NaiveBayes) }
+func TestDiffHistogramRatings(t *testing.T) {
+	diffRow(t, apps.HistogramRatings,
+		"combiner=false,serialize=false", "combiner=true,serialize=false", "combiner=false,serialize=true")
+}
+
+// TestCheckNamesTheFirstDifference: the comparison every timed row rests on
+// must itself fail when an answer is wrong, and say where.
+func TestCheckNamesTheFirstDifference(t *testing.T) {
+	wc, km, pr := apps.Lookup("WordCount"), apps.Lookup("K-Means"), apps.Lookup("PageRank")
+	data := wc.Data.Gen(diffScale)
+	ref := wc.Reference(data, wc.NewRun(diffScale, data, apps.Variant{}))
+	var keys []string
+	for k := range ref {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	lo, hi := keys[0], keys[1]
+	// edit copies an answer without some keys and with others set.
+	edit := func(o apps.Output, drop []string, set apps.Output) apps.Output {
+		c := apps.Output{}
+		for k, v := range o {
+			c[k] = v
+		}
+		for _, k := range drop {
+			delete(c, k)
+		}
+		for k, v := range set {
+			c[k] = v
+		}
 		return c
 	}
-	e := &env{hamr: mk(), mr: mk()}
-	e.eng = mapreduce.NewEngine(e.mr, mapreduce.Config{})
-	return e
-}
-
-// feed writes data to the baseline's HDFS and distributes it across the
-// HAMR cluster's local disks.
-func (e *env) feed(t testing.TB, name string, data []byte) (hdfsPath string, files map[int][]string) {
-	t.Helper()
-	hdfsPath = "in/" + name
-	if err := e.mr.FS().WriteFile(hdfsPath, data, -1); err != nil {
-		t.Fatal(err)
-	}
-	files, err := hamrapps.DistributeLocalText(e.hamr, name, data, 2*testNodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return hdfsPath, files
-}
-
-// mrCounts parses "key\tint" part files.
-func mrCounts(t testing.TB, c *cluster.Cluster, prefix string) map[string]int64 {
-	t.Helper()
-	out := map[string]int64{}
-	for _, f := range c.FS().List(prefix) {
-		data, err := c.FS().ReadFile(f, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range strings.Split(string(data), "\n") {
-			if line == "" {
-				continue
-			}
-			parts := strings.SplitN(line, "\t", 2)
-			if len(parts) != 2 {
-				t.Fatalf("bad output line %q", line)
-			}
-			n, err := strconv.ParseInt(parts[1], 10, 64)
-			if err != nil {
-				t.Fatalf("bad count in %q: %v", line, err)
-			}
-			out[parts[0]] += n
-		}
-	}
-	return out
-}
-
-func sinkCounts(s *core.CollectSink) map[string]int64 {
-	out := map[string]int64{}
-	for _, kv := range s.Pairs() {
-		out[kv.Key] += kv.Value.(int64)
-	}
-	return out
-}
-
-func diffCounts(t *testing.T, name string, hamr, mr map[string]int64) {
-	t.Helper()
-	if len(hamr) == 0 {
-		t.Fatalf("%s: flowlet output empty", name)
-	}
-	if len(hamr) != len(mr) {
-		t.Errorf("%s: %d keys (flowlet) vs %d keys (mapreduce)", name, len(hamr), len(mr))
-	}
-	for k, v := range hamr {
-		if mr[k] != v {
-			t.Errorf("%s[%q]: flowlet %d, mapreduce %d", name, k, v, mr[k])
-		}
-	}
-	for k := range mr {
-		if _, ok := hamr[k]; !ok {
-			t.Errorf("%s[%q]: only in mapreduce output", name, k)
-		}
-	}
-}
-
-func TestDiffWordCount(t *testing.T) {
-	for _, combiner := range []bool{false, true} {
-		t.Run(fmt.Sprintf("combiner=%v", combiner), func(t *testing.T) {
-			e := newEnv(t)
-			data := datagen.Text(datagen.TextConfig{Seed: 1, Vocabulary: 200, Lines: 400})
-			hp, files := e.feed(t, "words.txt", data)
-
-			g, sink, err := hamrapps.BuildWordCount(hamrapps.WordCountOptions{
-				Loader:   &hamrapps.LocalTextLoader{Files: files},
-				Combiner: combiner,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.hamr.Run(g); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.eng.Run(mrapps.WordCountJob(hp, "out", combiner, 3)); err != nil {
-				t.Fatal(err)
-			}
-			diffCounts(t, "wordcount", sinkCounts(sink), mrCounts(t, e.mr, "out/"))
-		})
-	}
-}
-
-func TestDiffHistogramMovies(t *testing.T) {
-	e := newEnv(t)
-	data := datagen.Movies(datagen.MoviesConfig{Seed: 7, Movies: 400, Users: 80})
-	hp, files := e.feed(t, "movies.txt", data)
-
-	g, sink, err := hamrapps.BuildHistogramMovies(hamrapps.HistogramOptions{
-		Loader: &hamrapps.LocalTextLoader{Files: files},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.hamr.Run(g); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.eng.Run(mrapps.HistogramMoviesJob(hp, "out", true, 3)); err != nil {
-		t.Fatal(err)
-	}
-	diffCounts(t, "histogram-movies", sinkCounts(sink), mrCounts(t, e.mr, "out/"))
-}
-
-func TestDiffHistogramRatings(t *testing.T) {
-	for _, opts := range []hamrapps.HistogramOptions{
-		{},
-		{Combiner: true},
-		{SerializeUpdates: true},
+	centroid := apps.Output{"0": "1:5", "assign|movie000001": "0"}
+	ranks := apps.Output{"iterations": "3", "7": "0.5"}
+	for _, tc := range []struct {
+		what     string
+		w        *apps.Workload
+		ref, got apps.Output
+		side     string
+		key      string // the key the mismatch must name; "": the answers agree
+	}{
+		{"the reference's own answer", wc, ref, edit(ref, nil, nil), apps.SideMR, ""},
+		{"lines dropped from one side", wc, ref, edit(ref, []string{hi, lo}, nil), apps.SideMR, lo},
+		{"lines dropped from the reference", wc, edit(ref, []string{lo, hi}, nil), ref, apps.SideHAMR, lo},
+		{"a wrong count", wc, ref, edit(ref, nil, apps.Output{hi: "-1"}), apps.SideHAMR, hi},
+		{"an empty answer", wc, ref, apps.Output{}, apps.SideMR, lo},
+		{"an empty reference, which checks nothing", wc, apps.Output{}, apps.Output{}, apps.SideMR, "WordCount"},
+		// The assignments are the flowlet K-Means's output alone.
+		{"MapReduce K-Means without assignments", km, centroid, apps.Output{"0": "1:5"}, apps.SideMR, ""},
+		{"HAMR K-Means without assignments", km, centroid, apps.Output{"0": "1:5"}, apps.SideHAMR, "assign|movie000001"},
+		// Ranks agree to 1e-9, no further.
+		{"ranks 1e-13 apart", pr, ranks, edit(ranks, nil, apps.Output{"7": "0.5000000000001"}), apps.SideHAMR, ""},
+		{"ranks 1e-6 apart", pr, ranks, edit(ranks, nil, apps.Output{"7": "0.500001"}), apps.SideHAMR, "7"},
+		{"another iteration count", pr, ranks, edit(ranks, nil, apps.Output{"iterations": "2"}), apps.SideMR, "iterations"},
 	} {
-		name := fmt.Sprintf("combiner=%v,serialize=%v", opts.Combiner, opts.SerializeUpdates)
-		t.Run(name, func(t *testing.T) {
-			e := newEnv(t)
-			data := datagen.Movies(datagen.MoviesConfig{Seed: 11, Movies: 300, Users: 60})
-			hp, files := e.feed(t, "movies.txt", data)
-			o := opts
-			o.Loader = &hamrapps.LocalTextLoader{Files: files}
-			g, sink, err := hamrapps.BuildHistogramRatings(o)
+		err := tc.w.Check(tc.ref, tc.side, tc.got)
+		if tc.key == "" {
 			if err != nil {
-				t.Fatal(err)
+				t.Errorf("%s: %v", tc.what, err)
 			}
-			if _, err := e.hamr.Run(g); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.eng.Run(mrapps.HistogramRatingsJob(hp, "out", true, 5)); err != nil {
-				t.Fatal(err)
-			}
-			got := sinkCounts(sink)
-			diffCounts(t, "histogram-ratings", got, mrCounts(t, e.mr, "out/"))
-			if len(got) > 5 {
-				t.Errorf("rating histogram has %d keys, want <= 5", len(got))
-			}
-		})
-	}
-}
-
-func TestDiffNaiveBayes(t *testing.T) {
-	e := newEnv(t)
-	data := datagen.Docs(datagen.DocsConfig{Seed: 3, Labels: 3, Vocabulary: 120, Docs: 300})
-	hp, files := e.feed(t, "docs.txt", data)
-
-	g, sink, err := hamrapps.BuildNaiveBayes(&hamrapps.LocalTextLoader{Files: files})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.hamr.Run(g); err != nil {
-		t.Fatal(err)
-	}
-	jobs := mrapps.NaiveBayesJobs(hp, "mid", "out", 3)
-	if _, err := e.eng.RunChain(jobs...); err != nil {
-		t.Fatal(err)
-	}
-	diffCounts(t, "naivebayes", sinkCounts(sink), mrCounts(t, e.mr, "out/"))
-}
-
-func TestDiffKMeans(t *testing.T) {
-	e := newEnv(t)
-	data := datagen.Movies(datagen.MoviesConfig{Seed: 21, Movies: 300, Users: 60, Clusters: 4})
-	hp, files := e.feed(t, "movies.txt", data)
-	centroids := datagen.InitialCentroids(data, 4)
-	if len(centroids) != 4 {
-		t.Fatalf("got %d initial centroids", len(centroids))
-	}
-
-	g, sinks, err := hamrapps.BuildKMeans(hamrapps.KMeansOptions{Files: files, Centroids: centroids})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.hamr.Run(g); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.eng.Run(mrapps.KMeansJob(hp, "out", centroids, 4)); err != nil {
-		t.Fatal(err)
-	}
-
-	hamrCent := map[string]string{}
-	for _, kv := range sinks.Centroids.Pairs() {
-		hamrCent[kv.Key] = kv.Value.(string)
-	}
-	mrCent := map[string]string{}
-	for _, f := range e.mr.FS().List("out/") {
-		d, _ := e.mr.FS().ReadFile(f, -1)
-		for _, line := range strings.Split(string(d), "\n") {
-			if line == "" {
-				continue
-			}
-			parts := strings.SplitN(line, "\t", 2)
-			mrCent[parts[0]] = parts[1]
-		}
-	}
-	if len(hamrCent) == 0 {
-		t.Fatal("flowlet kmeans produced no centroids")
-	}
-	if len(hamrCent) != len(mrCent) {
-		t.Errorf("centroid counts differ: %d vs %d", len(hamrCent), len(mrCent))
-	}
-	for k, v := range hamrCent {
-		if mrCent[k] != v {
-			t.Errorf("centroid[%s] differs:\n flowlet   %s\n mapreduce %s", k, v, mrCent[k])
-		}
-	}
-	// Assignment sink must have seen every parsable movie.
-	if n := sinks.Assignments.Len(); n == 0 {
-		t.Error("no assignments collected")
-	}
-	_ = hp
-}
-
-func TestDiffClassification(t *testing.T) {
-	e := newEnv(t)
-	data := datagen.Movies(datagen.MoviesConfig{Seed: 31, Movies: 300, Users: 50, Clusters: 3})
-	hp, files := e.feed(t, "movies.txt", data)
-	centroids := datagen.InitialCentroids(data, 3)
-
-	g, sinks, err := hamrapps.BuildClassification(hamrapps.ClassificationOptions{
-		Files: files, Centroids: centroids, WithCounts: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.hamr.Run(g); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.eng.Run(mrapps.ClassificationJob(hp, "out", centroids, 3, false)); err != nil {
-		t.Fatal(err)
-	}
-	diffCounts(t, "classification", sinkCounts(sinks.Counts), mrCounts(t, e.mr, "out/"))
-}
-
-func TestDiffPageRank(t *testing.T) {
-	e := newEnv(t)
-	data := datagen.WebGraph(datagen.WebGraphConfig{Seed: 5, Pages: 200, OutLinks: 5})
-	hp, files := e.feed(t, "edges.txt", data)
-
-	const iters = 3
-	hamrRes, err := hamrapps.RunPageRank(e.hamr,
-		&hamrapps.LocalTextLoader{Files: files}, 0, iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hamrRes.Iterations != iters {
-		t.Fatalf("flowlet pagerank ran %d iterations, want %d", hamrRes.Iterations, iters)
-	}
-	mrRes, err := mrapps.RunPageRankMR(e.eng, e.mr.FS(), hp, "work", iters, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hamrRes.Ranks) == 0 {
-		t.Fatal("flowlet pagerank produced no ranks")
-	}
-	// Compare every page's rank. MR emits ranks for every page seen;
-	// HAMR stores ranks for pages with adjacency or contributions.
-	for page, hr := range hamrRes.Ranks {
-		mrRank, ok := mrRes.Ranks[page]
-		if !ok {
-			t.Errorf("page %s missing from mapreduce ranks", page)
 			continue
 		}
-		if math.Abs(hr-mrRank) > 1e-9*math.Max(1, math.Abs(hr)) {
-			t.Errorf("rank[%s]: flowlet %.12f, mapreduce %.12f", page, hr, mrRank)
-		}
-	}
-}
-
-func TestDiffKCliques(t *testing.T) {
-	for _, k := range []int{3, 4} {
-		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			e := newEnv(t)
-			data := datagen.RMAT(datagen.RMATConfig{Seed: 9, Scale: 6, Edges: 300})
-			hp, files := e.feed(t, "graph.txt", data)
-
-			g, sink, err := hamrapps.BuildKCliques(k, &hamrapps.LocalTextLoader{Files: files})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.hamr.Run(g); err != nil {
-				t.Fatal(err)
-			}
-			var hamrCliques []string
-			for _, kv := range sink.Pairs() {
-				hamrCliques = append(hamrCliques, kv.Key)
-			}
-			sort.Strings(hamrCliques)
-
-			mrRes, err := mrapps.RunKCliquesMR(e.eng, e.mr.FS(), hp, "work", k, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(hamrCliques) == 0 {
-				t.Logf("warning: graph has no %d-cliques; result comparison is trivial", k)
-			}
-			if !equalStrings(hamrCliques, mrRes.Cliques) {
-				t.Errorf("clique sets differ: flowlet %d cliques, mapreduce %d\nflowlet: %v\nmapreduce: %v",
-					len(hamrCliques), len(mrRes.Cliques), head(hamrCliques, 10), head(mrRes.Cliques, 10))
-			}
-			// Cross-check against a sequential brute-force enumeration.
-			brute := bruteCliques(string(data), k)
-			if !equalStrings(hamrCliques, brute) {
-				t.Errorf("flowlet cliques disagree with brute force: %d vs %d",
-					len(hamrCliques), len(brute))
-			}
-		})
-	}
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func head(s []string, n int) []string {
-	if len(s) < n {
-		return s
-	}
-	return s[:n]
-}
-
-// bruteCliques enumerates k-cliques directly from the edge list.
-func bruteCliques(data string, k int) []string {
-	adj := map[int64]map[int64]bool{}
-	var verts []int64
-	addV := func(v int64) {
-		if adj[v] == nil {
-			adj[v] = map[int64]bool{}
-			verts = append(verts, v)
-		}
-	}
-	for _, line := range strings.Split(data, "\n") {
-		f := strings.Fields(line)
-		if len(f) != 2 {
+		if err == nil {
+			t.Errorf("%s: no mismatch reported", tc.what)
 			continue
 		}
-		u, _ := strconv.ParseInt(f[0], 10, 64)
-		v, _ := strconv.ParseInt(f[1], 10, 64)
-		if u == v {
-			continue
+		for _, want := range []string{string(tc.w.Name), tc.side, tc.key} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %s", tc.what, err, want)
+			}
 		}
-		addV(u)
-		addV(v)
-		adj[u][v] = true
-		adj[v][u] = true
 	}
-	sort.Slice(verts, func(i, j int) bool { return verts[i] < verts[j] })
-	var out []string
-	var extend func(clique []int64)
-	extend = func(clique []int64) {
-		if len(clique) == k {
-			parts := make([]string, k)
-			for i, v := range clique {
-				parts[i] = strconv.FormatInt(v, 10)
-			}
-			out = append(out, strings.Join(parts, ","))
-			return
-		}
-		last := clique[len(clique)-1]
-		for n := range adj[last] {
-			if n <= last {
-				continue
-			}
-			ok := true
-			for _, m := range clique {
-				if !adj[n][m] {
-					ok = false
-					break
+}
+
+// TestRegistryCoversTable2: the table is Table 2, whole and once.
+func TestRegistryCoversTable2(t *testing.T) {
+	if len(apps.Table) != 8 {
+		t.Fatalf("the table has %d rows; Table 2 has eight, each with a TestDiff above", len(apps.Table))
+	}
+	bands := map[*apps.Band]bool{}
+	for _, b := range apps.Bands {
+		bands[b] = true
+	}
+	var table3 []string
+	for i, w := range apps.Table {
+		for _, other := range apps.Table[:i] {
+			for _, a := range []string{string(w.Name), w.App} {
+				if strings.EqualFold(a, string(other.Name)) || strings.EqualFold(a, other.App) {
+					t.Errorf("%s and %s share the name %q", other.Name, w.Name, a)
 				}
 			}
-			if ok {
-				extend(append(clique, n))
+		}
+		for _, name := range []string{string(w.Name), w.App, strings.ToUpper(w.App)} {
+			if apps.Lookup(name) != w {
+				t.Errorf("Lookup(%q) is not the %s row", name, w.Name)
+			}
+		}
+		if w.Paper.DataSize == "" || w.Paper.IDH <= 0 || w.Paper.HAMR <= 0 {
+			t.Errorf("%s has no Table 2 entry: %+v", w.Name, w.Paper)
+		}
+		if (w.Panel != "3a" && w.Panel != "3b") || !bands[w.Shape] {
+			t.Errorf("%s: panel %q and band %p, want 3a or 3b and one of apps.Bands", w.Name, w.Panel, w.Shape)
+		}
+		for _, v := range w.Variants {
+			if v.Paper != nil && v.Name == "combiner" {
+				table3 = append(table3, string(w.Name))
+			} else if v.Paper != nil {
+				t.Errorf("%s: Table 3 is the combiner ablation, but variant %q carries a paper row", w.Name, v.Name)
 			}
 		}
 	}
-	for _, v := range verts {
-		extend([]int64{v})
+	if got := strings.Join(table3, ","); got != "HistogramMovies,HistogramRatings" {
+		t.Errorf("Table 3's rows are %s, want the two histograms", got)
 	}
-	sort.Strings(out)
-	return out
+	if apps.Lookup("nonsense") != nil || apps.Lookup("") != nil {
+		t.Error("Lookup finds rows for names the table does not have")
+	}
+	// The spellings cmd/hamr has always taken.
+	for _, app := range []string{"wordcount", "histogram-movies", "histogram-ratings", "naivebayes",
+		"pagerank", "kcliques", "kmeans", "classification"} {
+		if apps.Lookup(app) == nil {
+			t.Errorf("-app %s is no longer a row", app)
+		}
+	}
 }

@@ -10,17 +10,13 @@ import (
 // Classification (§4): like K-Means but with fixed centroids — assign each
 // movie to its closest predetermined cluster. The flowlet version exploits
 // data locality exactly as K-Means does: records are read from and results
-// written to the local disk; only per-cluster counts are shuffled so the
-// job has a (tiny) global output.
+// written to the local disk, and nothing is shuffled.
 //
 //	TextLoader -> Classify(map) -> assign sink (local)
-//	                            -> count(partial reduce) -> sink
 
 // Classify assigns movies to fixed centroids.
 type Classify struct {
 	Centroids []Centroid
-	// Counts enables the optional per-cluster count emission.
-	Counts bool
 }
 
 // Map implements core.Mapper.
@@ -30,14 +26,7 @@ func (m *Classify) Map(kv core.KV, ctx core.Context) error {
 		return nil
 	}
 	best, _ := BestCluster(rec, m.Centroids)
-	key := fmt.Sprintf("%d", best)
-	if err := ctx.EmitTo("assign", core.KV{Key: key, Value: rec.ID}); err != nil {
-		return err
-	}
-	if m.Counts {
-		return ctx.EmitTo("count", core.KV{Key: key, Value: int64(1)})
-	}
-	return nil
+	return ctx.EmitTo("assign", core.KV{Key: fmt.Sprintf("%d", best), Value: rec.ID})
 }
 
 // ClassificationOptions configures the benchmark.
@@ -46,17 +35,10 @@ type ClassificationOptions struct {
 	Centroids []Centroid
 	// AssignmentSink overrides the local assignment output.
 	AssignmentSink core.Sink
-	// WithCounts adds a per-cluster count aggregation (used by the
-	// differential tests for cross-engine comparison). The paper's
-	// benchmark writes only the locally classified records, so the
-	// harness leaves this off.
-	WithCounts bool
 }
 
 // ClassificationSinks carries the outputs.
 type ClassificationSinks struct {
-	// Counts receives (clusterID, count) pairs.
-	Counts *core.CollectSink
 	// Assignments receives (clusterID, movieID) pairs; nil when overridden.
 	Assignments *core.CollectSink
 }
@@ -67,10 +49,7 @@ func BuildClassification(opts ClassificationOptions) (*core.Graph, *Classificati
 		return nil, nil, fmt.Errorf("hamrapps: classification needs centroids")
 	}
 	g := core.NewGraph("classification")
-	sinks := &ClassificationSinks{
-		Counts:      core.NewCollectSink(),
-		Assignments: core.NewCollectSink(),
-	}
+	sinks := &ClassificationSinks{Assignments: core.NewCollectSink()}
 	var assignSink core.Sink = sinks.Assignments
 	if opts.AssignmentSink != nil {
 		assignSink = opts.AssignmentSink
@@ -80,7 +59,7 @@ func BuildClassification(opts ClassificationOptions) (*core.Graph, *Classificati
 	if err != nil {
 		return nil, nil, err
 	}
-	cl, err := g.AddMap("classify", &Classify{Centroids: opts.Centroids, Counts: opts.WithCounts})
+	cl, err := g.AddMap("classify", &Classify{Centroids: opts.Centroids})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -93,24 +72,6 @@ func BuildClassification(opts ClassificationOptions) (*core.Graph, *Classificati
 	}
 	if err := g.Connect(cl, asn); err != nil {
 		return nil, nil, err
-	}
-	if opts.WithCounts {
-		cnt, err := g.AddPartialReduce("count", SumCounts{})
-		if err != nil {
-			return nil, nil, err
-		}
-		sk, err := g.AddSink("out", sinks.Counts)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := g.Connect(cl, cnt); err != nil {
-			return nil, nil, err
-		}
-		if err := g.Connect(cnt, sk); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		sinks.Counts = nil
 	}
 	return g, sinks, nil
 }

@@ -64,14 +64,17 @@ type HistogramOptions struct {
 	SerializeUpdates bool
 }
 
-func buildHistogram(name string, mapper core.Mapper, opts HistogramOptions) (*core.Graph, *core.CollectSink, error) {
+// buildCount is the graph the three counting benchmarks share: a map
+// flowlet, named mapName, emitting (key, 1) into a shuffled partial-reduce
+// sum, with an optional node-local sum before the shuffle.
+func buildCount(name, mapName string, mapper core.Mapper, opts HistogramOptions) (*core.Graph, *core.CollectSink, error) {
 	g := core.NewGraph(name)
 	sink := core.NewCollectSink()
 	ld, err := g.AddLoader("load", opts.Loader)
 	if err != nil {
 		return nil, nil, err
 	}
-	mp, err := g.AddMap("bucket", mapper)
+	mp, err := g.AddMap(mapName, mapper)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -97,7 +100,8 @@ func buildHistogram(name string, mapper core.Mapper, opts HistogramOptions) (*co
 	if err != nil {
 		return nil, nil, err
 	}
-	// Records are parsed on the node holding them (§3.3).
+	// The loader's lines carry no keys; they are parsed on the node that
+	// holds them (§3.3), so the edge is explicitly local.
 	if err := g.Connect(ld, mp, core.WithRouting(core.RouteLocal)); err != nil {
 		return nil, nil, err
 	}
@@ -114,12 +118,12 @@ func buildHistogram(name string, mapper core.Mapper, opts HistogramOptions) (*co
 //
 //	loader -> avg+bucket(map) -> [combine ->] count(partial reduce) -> sink
 func BuildHistogramMovies(opts HistogramOptions) (*core.Graph, *core.CollectSink, error) {
-	return buildHistogram("histogram-movies", MovieAvgBucket{}, opts)
+	return buildCount("histogram-movies", "bucket", MovieAvgBucket{}, opts)
 }
 
 // BuildHistogramRatings constructs the HistogramRatings graph:
 //
 //	loader -> explode(map) -> [combine ->] count(partial reduce) -> sink
 func BuildHistogramRatings(opts HistogramOptions) (*core.Graph, *core.CollectSink, error) {
-	return buildHistogram("histogram-ratings", RatingExplode{}, opts)
+	return buildCount("histogram-ratings", "bucket", RatingExplode{}, opts)
 }

@@ -255,6 +255,8 @@ type PageRankResult struct {
 	Iterations int
 	MaxDelta   float64
 	Ranks      map[string]float64
+	// Last is the final iteration's job.
+	Last *core.JobResult
 }
 
 // RunPageRank executes Algorithm 2's driver loop on a cluster: iterate
@@ -273,7 +275,7 @@ func RunPageRank(c *cluster.Cluster, edgeLoader core.Loader, epsilon float64, ma
 		if err != nil {
 			return nil, err
 		}
-		if _, err := c.Run(g); err != nil {
+		if res.Last, err = c.Run(g); err != nil {
 			return nil, fmt.Errorf("hamrapps: pagerank iteration %d: %w", it+1, err)
 		}
 		res.Iterations = it + 1

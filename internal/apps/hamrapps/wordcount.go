@@ -51,46 +51,5 @@ type WordCountOptions struct {
 //
 //	loader -> split(map) -> [combine(local partial reduce) ->] count(partial reduce) -> sink
 func BuildWordCount(opts WordCountOptions) (*core.Graph, *core.CollectSink, error) {
-	g := core.NewGraph("wordcount")
-	sink := core.NewCollectSink()
-	ld, err := g.AddLoader("load", opts.Loader)
-	if err != nil {
-		return nil, nil, err
-	}
-	mp, err := g.AddMap("split", SplitWords{})
-	if err != nil {
-		return nil, nil, err
-	}
-	prev := mp
-	prevRouting := core.RouteShuffle
-	if opts.Combiner {
-		cb, err := g.AddPartialReduce("combine", SumCounts{})
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := g.Connect(mp, cb, core.WithRouting(core.RouteLocal)); err != nil {
-			return nil, nil, err
-		}
-		prev = cb
-	}
-	cnt, err := g.AddPartialReduce("count", SumCounts{})
-	if err != nil {
-		return nil, nil, err
-	}
-	sk, err := g.AddSink("out", sink)
-	if err != nil {
-		return nil, nil, err
-	}
-	// The loader's lines carry no keys; mapping happens on the node that
-	// holds the data (§3.3), so the edge is explicitly local.
-	if err := g.Connect(ld, mp, core.WithRouting(core.RouteLocal)); err != nil {
-		return nil, nil, err
-	}
-	if err := g.Connect(prev, cnt, core.WithRouting(prevRouting)); err != nil {
-		return nil, nil, err
-	}
-	if err := g.Connect(cnt, sk); err != nil {
-		return nil, nil, err
-	}
-	return g, sink, nil
+	return buildCount("wordcount", "split", SplitWords{}, HistogramOptions{Loader: opts.Loader, Combiner: opts.Combiner})
 }

@@ -27,25 +27,16 @@ func sumReducer() mapreduce.Reducer {
 	})
 }
 
-// WordCountJob builds the PUMA WordCount job. The combiner is what lets
-// Hadoop stay within 1.2x of HAMR on this benchmark (§5.2).
-func WordCountJob(input, output string, combiner bool, reduces int) mapreduce.Job {
+// countJob is the shape the three counting benchmarks share: a mapper that
+// emits (key, 1), the sum as reducer and, when asked for, as combiner too.
+func countJob(name, input, output string, combiner bool, reduces int, mapper mapreduce.MapperFunc) mapreduce.Job {
 	j := mapreduce.Job{
-		Name:          "wordcount",
+		Name:          name,
 		InputPrefixes: []string{input},
 		Output:        output,
-		NewMapper: func() mapreduce.Mapper {
-			return mapreduce.MapperFunc(func(kv core.KV, out mapreduce.Emitter) error {
-				for _, w := range strings.Fields(kv.Value.(string)) {
-					if err := out.Emit(core.KV{Key: w, Value: int64(1)}); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		},
-		NewReducer: sumReducer,
-		NumReduces: reduces,
+		NewMapper:     func() mapreduce.Mapper { return mapper },
+		NewReducer:    sumReducer,
+		NumReduces:    reduces,
 	}
 	if combiner {
 		j.NewCombiner = sumReducer
@@ -53,66 +44,53 @@ func WordCountJob(input, output string, combiner bool, reduces int) mapreduce.Jo
 	return j
 }
 
+// WordCountJob builds the PUMA WordCount job. The combiner is what lets
+// Hadoop stay within 1.2x of HAMR on this benchmark (§5.2).
+func WordCountJob(input, output string, combiner bool, reduces int) mapreduce.Job {
+	return countJob("wordcount", input, output, combiner, reduces, func(kv core.KV, out mapreduce.Emitter) error {
+		for _, w := range strings.Fields(kv.Value.(string)) {
+			if err := out.Emit(core.KV{Key: w, Value: int64(1)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
 // HistogramMoviesJob buckets movies by average rating (half stars 1..5).
 func HistogramMoviesJob(input, output string, combiner bool, reduces int) mapreduce.Job {
-	j := mapreduce.Job{
-		Name:          "histogram-movies",
-		InputPrefixes: []string{input},
-		Output:        output,
-		NewMapper: func() mapreduce.Mapper {
-			return mapreduce.MapperFunc(func(kv core.KV, out mapreduce.Emitter) error {
-				rec, ok := datagen.ParseMovie(kv.Value.(string))
-				if !ok || len(rec.Ratings) == 0 {
-					return nil
-				}
-				b := math.Round(rec.AvgRating()*2) / 2
-				if b < 1 {
-					b = 1
-				}
-				if b > 5 {
-					b = 5
-				}
-				return out.Emit(core.KV{Key: fmt.Sprintf("%.1f", b), Value: int64(1)})
-			})
-		},
-		NewReducer: sumReducer,
-		NumReduces: reduces,
-	}
-	if combiner {
-		j.NewCombiner = sumReducer
-	}
-	return j
+	return countJob("histogram-movies", input, output, combiner, reduces, func(kv core.KV, out mapreduce.Emitter) error {
+		rec, ok := datagen.ParseMovie(kv.Value.(string))
+		if !ok || len(rec.Ratings) == 0 {
+			return nil
+		}
+		b := math.Round(rec.AvgRating()*2) / 2
+		if b < 1 {
+			b = 1
+		}
+		if b > 5 {
+			b = 5
+		}
+		return out.Emit(core.KV{Key: fmt.Sprintf("%.1f", b), Value: int64(1)})
+	})
 }
 
 // HistogramRatingsJob counts individual ratings (five keys). PUMA's
 // version runs with a combiner, which keeps Hadoop's shuffle tiny and is
 // why it beats HAMR here (§5.2).
 func HistogramRatingsJob(input, output string, combiner bool, reduces int) mapreduce.Job {
-	j := mapreduce.Job{
-		Name:          "histogram-ratings",
-		InputPrefixes: []string{input},
-		Output:        output,
-		NewMapper: func() mapreduce.Mapper {
-			return mapreduce.MapperFunc(func(kv core.KV, out mapreduce.Emitter) error {
-				rec, ok := datagen.ParseMovie(kv.Value.(string))
-				if !ok {
-					return nil
-				}
-				for _, r := range rec.Ratings {
-					if err := out.Emit(core.KV{Key: fmt.Sprintf("%d", int(r)), Value: int64(1)}); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		},
-		NewReducer: sumReducer,
-		NumReduces: reduces,
-	}
-	if combiner {
-		j.NewCombiner = sumReducer
-	}
-	return j
+	return countJob("histogram-ratings", input, output, combiner, reduces, func(kv core.KV, out mapreduce.Emitter) error {
+		rec, ok := datagen.ParseMovie(kv.Value.(string))
+		if !ok {
+			return nil
+		}
+		for _, r := range rec.Ratings {
+			if err := out.Emit(core.KV{Key: fmt.Sprintf("%d", int(r)), Value: int64(1)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // NaiveBayesJobs builds the two chained Mahout-style training jobs

@@ -4,11 +4,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/hamr-go/hamr/internal/apps"
 )
 
 // fastSpec strips the cost models so harness tests run in milliseconds;
-// shape calibration is exercised by cmd/hamrbench and bench_test.go at the
-// repo root, not here.
+// shape calibration is exercised by cmd/hamrbench, not here.
 func fastSpec() ClusterSpec {
 	s := DefaultSpec()
 	s.Disk = DefaultSpec().Disk
@@ -20,21 +21,48 @@ func fastSpec() ClusterSpec {
 	return s
 }
 
+// row is the table's entry for a benchmark this package names.
+func row(b Benchmark) *apps.Workload { return apps.Lookup(string(b)) }
+
 func TestHarnessRunsEveryBenchmarkOnBothEngines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness pass")
 	}
 	h := NewHarness(fastSpec(), TinyScale())
-	for _, b := range AllBenchmarks {
-		b := b
-		t.Run(string(b), func(t *testing.T) {
-			if d, err := h.RunHAMR(b); err != nil || d <= 0 {
-				t.Fatalf("HAMR: %v (%v)", err, d)
+	for _, w := range apps.Table {
+		t.Run(string(w.Name), func(t *testing.T) {
+			checked := h.Checked
+			row, err := h.RunRow(w, apps.Variant{})
+			if err != nil || row.IDH <= 0 || row.HAMR <= 0 {
+				t.Fatalf("%v (%+v)", err, row)
 			}
-			if d, err := h.RunMR(b); err != nil || d <= 0 {
-				t.Fatalf("MR: %v (%v)", err, d)
+			// Both answers were held to the reference, not just timed.
+			if h.Checked < checked+2 {
+				t.Errorf("%d keys checked, want at least one from each engine", h.Checked-checked)
 			}
 		})
+	}
+}
+
+// TestHarnessFailsOnAWrongAnswer: a row whose engines disagree with the
+// reference is an error naming the row and the side, not a time.
+func TestHarnessFailsOnAWrongAnswer(t *testing.T) {
+	h := NewHarness(fastSpec(), TinyScale())
+	wrong := *row(WordCount)
+	wrong.Reference = func(input []byte, r apps.Run) apps.Output {
+		out := row(WordCount).Reference(input, r)
+		for k := range out {
+			delete(out, k) // one word the reference never saw
+			break
+		}
+		return out
+	}
+	_, err := h.RunRow(&wrong, apps.Variant{})
+	if err == nil || !strings.Contains(err.Error(), "WordCount") || !strings.Contains(err.Error(), apps.SideMR) {
+		t.Errorf("RunRow: %v, want a mismatch naming the row and the first side checked", err)
+	}
+	if h.Checked != 0 {
+		t.Errorf("Checked = %d after a failed check", h.Checked)
 	}
 }
 
@@ -45,7 +73,7 @@ func TestHarnessRunsEveryBenchmarkOnBothEngines(t *testing.T) {
 // here as bins.dropped > 0 or missing shuffle traffic.
 func TestHarnessHotPathClean(t *testing.T) {
 	h := NewHarness(fastSpec(), TinyScale())
-	if _, err := h.RunHAMR(WordCount); err != nil {
+	if _, err := h.RunRow(row(WordCount), apps.Variant{}); err != nil {
 		t.Fatalf("wordcount: %v", err)
 	}
 	res := h.LastHAMR
@@ -69,23 +97,45 @@ func TestHarnessHotPathClean(t *testing.T) {
 	if got := h.LastHAMRCluster.Get("net.dropped"); got != 0 {
 		t.Errorf("net.dropped = %d on a clean run", got)
 	}
+
+	// LastHAMR is this row's last job, whatever the row: PageRank is a
+	// chain run by a driver, not a graph the harness runs itself.
+	wordcount := res.Job
+	if _, err := h.RunRow(row(PageRank), apps.Variant{}); err != nil {
+		t.Fatalf("pagerank: %v", err)
+	}
+	if h.LastHAMR == nil || h.LastHAMR.Job == wordcount {
+		t.Errorf("after PageRank LastHAMR is still WordCount's job %d", wordcount)
+	}
 }
 
+// TestHarnessCombinerVariant: every variant a row declares runs and is
+// checked, and Table 3 is the variants the paper printed a number for.
 func TestHarnessCombinerVariant(t *testing.T) {
 	h := NewHarness(fastSpec(), TinyScale())
-	for _, b := range []Benchmark{HistogramMovies, HistogramRatings} {
-		if _, err := h.RunHAMRCombiner(b); err != nil {
-			t.Fatalf("%s with combiner: %v", b, err)
+	for _, w := range apps.Table {
+		for _, v := range w.Variants {
+			if v.Paper != nil {
+				continue // Table3, below, runs these
+			}
+			if _, err := h.RunRow(w, v); err != nil {
+				t.Errorf("%s, %s: %v", w.Name, v.Name, err)
+			}
 		}
 	}
-	// Combiner variant is identical to plain for non-histogram benchmarks.
-	if _, err := h.RunHAMRCombiner(WordCount); err != nil {
-		t.Fatalf("wordcount with combiner: %v", err)
+	rows, err := h.Table3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || rows[0].Benchmark != apps.HistogramMovies || rows[1].Benchmark != HistogramRatings ||
+		rows[0].Paper.Speedup != 1.79 || rows[1].Paper.Speedup != 0.31 {
+		t.Errorf("Table 3 = %+v, want the two histograms beside the paper's combiner numbers", rows)
 	}
 }
 
 func TestPaperTablesComplete(t *testing.T) {
-	for _, b := range AllBenchmarks {
+	for _, w := range apps.Table {
+		b := w.Name
 		row, ok := PaperTable2[b]
 		if !ok {
 			t.Errorf("PaperTable2 missing %s", b)
@@ -96,8 +146,8 @@ func TestPaperTablesComplete(t *testing.T) {
 			t.Errorf("%s: published speedup %.2f inconsistent with times (%.2f)", b, row.Speedup, want)
 		}
 	}
-	if len(Figure3aBenchmarks)+len(Figure3bBenchmarks) != len(AllBenchmarks) {
-		t.Error("figure panels do not cover Table 2")
+	if len(PaperTable2) != len(apps.Table) {
+		t.Errorf("PaperTable2 has %d rows, the table %d", len(PaperTable2), len(apps.Table))
 	}
 }
 
@@ -105,8 +155,8 @@ func TestShapeCheckAgainstPaperNumbers(t *testing.T) {
 	// Feeding the paper's own numbers through the shape check must pass
 	// every assertion.
 	var rows []Row
-	for _, b := range AllBenchmarks {
-		p := PaperTable2[b]
+	for _, w := range apps.Table {
+		b, p := w.Name, w.Paper
 		rows = append(rows, Row{
 			Benchmark: b,
 			DataSize:  p.DataSize,
@@ -142,8 +192,8 @@ func TestShapeCheckCatchesInversionLoss(t *testing.T) {
 
 func TestReportsRender(t *testing.T) {
 	var rows []Row
-	for _, b := range AllBenchmarks {
-		p := PaperTable2[b]
+	for _, w := range apps.Table {
+		b, p := w.Name, w.Paper
 		rows = append(rows, Row{
 			Benchmark: b, DataSize: p.DataSize,
 			IDH:  2 * time.Second,
@@ -169,8 +219,8 @@ func TestReportsRender(t *testing.T) {
 
 func TestFigure3Selection(t *testing.T) {
 	var rows []Row
-	for _, b := range AllBenchmarks {
-		rows = append(rows, Row{Benchmark: b})
+	for _, w := range apps.Table {
+		rows = append(rows, Row{Benchmark: w.Name})
 	}
 	a := Figure3(rows, "3a")
 	if len(a) != 4 || a[0].Benchmark != KMeans {

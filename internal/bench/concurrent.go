@@ -6,9 +6,8 @@ import (
 	"io"
 	"time"
 
-	"github.com/hamr-go/hamr/internal/apps/hamrapps"
+	"github.com/hamr-go/hamr/internal/apps"
 	"github.com/hamr-go/hamr/internal/cluster"
-	"github.com/hamr-go/hamr/internal/core"
 )
 
 // ConcurrentReport summarizes one multi-job throughput measurement: n
@@ -32,80 +31,67 @@ type ConcurrentReport struct {
 	Slowdown float64
 }
 
-// concurrentGraph builds a fresh graph for one submission of the
-// benchmark; every job needs its own graph (sinks hold per-job output).
-func concurrentGraph(b Benchmark, files map[int][]string) (*core.Graph, error) {
-	loader := &hamrapps.LocalTextLoader{Files: files}
-	switch b {
-	case WordCount:
-		g, _, err := hamrapps.BuildWordCount(hamrapps.WordCountOptions{Loader: loader})
-		return g, err
-	case HistogramMovies:
-		g, _, err := hamrapps.BuildHistogramMovies(hamrapps.HistogramOptions{Loader: loader})
-		return g, err
-	case HistogramRatings:
-		g, _, err := hamrapps.BuildHistogramRatings(hamrapps.HistogramOptions{Loader: loader})
-		return g, err
-	case NaiveBayes:
-		g, _, err := hamrapps.BuildNaiveBayes(loader)
-		return g, err
-	default:
-		return nil, fmt.Errorf("bench: benchmark %q not supported in -jobs mode", b)
-	}
-}
-
 // ConcurrentThroughput measures multi-job throughput: one solo run for the
 // baseline, then n identical jobs submitted together through the cluster's
 // job manager, which divides loader slots and YARN memory between them.
 // Durations are wall-clock — overlapping jobs are exactly what virtual
 // per-lane time cannot attribute, so this mode ignores Spec.VClock.
-func (h *Harness) ConcurrentThroughput(b Benchmark, n int) (*ConcurrentReport, error) {
+func (h *Harness) ConcurrentThroughput(w *apps.Workload, n int) (*ConcurrentReport, error) {
+	if w.Graph == nil {
+		return nil, fmt.Errorf("bench: %s is not one graph a job manager can be handed: not supported in -jobs mode", w.Name)
+	}
 	if n < 1 {
 		n = 1
 	}
-	c, files, _, err := h.newHAMRClusterWith(b, func(o *cluster.Options) {
-		o.MaxConcurrentJobs = n
-		o.JobQueueDepth = n + 1
-		// Split each node's schedulable memory across the n jobs so YARN
-		// admission is a real (but satisfiable) constraint.
-		if o.YarnMemMB <= 0 {
-			o.YarnMemMB = 4096
-		}
-		o.JobMemMB = o.YarnMemMB / n
-	})
+	opts, _, _ := h.clusterOptions()
+	opts.MaxConcurrentJobs = n
+	opts.JobQueueDepth = n + 1
+	// Split each node's schedulable memory across the n jobs so YARN
+	// admission is a real (but satisfiable) constraint.
+	if opts.YarnMemMB <= 0 {
+		opts.YarnMemMB = 4096
+	}
+	opts.JobMemMB = opts.YarnMemMB / n
+	c, err := cluster.New(opts)
 	if err != nil {
 		return nil, err
 	}
 	defer c.Close()
+	data, r := h.input(w, apps.Variant{})
+	env, err := w.HAMREnv(c, data, r)
+	if err != nil {
+		return nil, err
+	}
 
-	solo, err := concurrentGraph(b, files)
+	// Every submission needs its own graph: sinks hold per-job output.
+	solo, _, err := w.Graph(env)
 	if err != nil {
 		return nil, err
 	}
 	soloRes, err := c.Run(solo)
 	if err != nil {
-		return nil, fmt.Errorf("bench: %s solo: %w", b, err)
+		return nil, fmt.Errorf("bench: %s solo: %w", w.Name, err)
 	}
 
 	handles := make([]*cluster.JobHandle, n)
 	start := time.Now()
 	for i := range handles {
-		g, err := concurrentGraph(b, files)
+		g, _, err := w.Graph(env)
 		if err != nil {
 			return nil, err
 		}
 		hnd, err := c.Submit(context.Background(), g)
 		if err != nil {
-			return nil, fmt.Errorf("bench: %s submit %d: %w", b, i, err)
+			return nil, fmt.Errorf("bench: %s submit %d: %w", w.Name, i, err)
 		}
 		handles[i] = hnd
 	}
-	rep := &ConcurrentReport{Benchmark: b, Jobs: n, Solo: soloRes.Duration}
+	rep := &ConcurrentReport{Benchmark: w.Name, Jobs: n, Solo: soloRes.Duration}
 	var sum time.Duration
 	for i, hnd := range handles {
 		res, err := hnd.Wait()
 		if err != nil {
-			return nil, fmt.Errorf("bench: %s job %d: %w", b, i, err)
+			return nil, fmt.Errorf("bench: %s job %d: %w", w.Name, i, err)
 		}
 		rep.PerJob = append(rep.PerJob, res.Duration)
 		sum += res.Duration

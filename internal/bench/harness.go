@@ -2,33 +2,32 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"time"
 
-	"github.com/hamr-go/hamr/internal/apps/hamrapps"
-	"github.com/hamr-go/hamr/internal/apps/mrapps"
+	"github.com/hamr-go/hamr/internal/apps"
 	"github.com/hamr-go/hamr/internal/cluster"
 	"github.com/hamr-go/hamr/internal/core"
-	"github.com/hamr-go/hamr/internal/datagen"
-	"github.com/hamr-go/hamr/internal/mapreduce"
 	"github.com/hamr-go/hamr/internal/metrics"
 	"github.com/hamr-go/hamr/internal/trace"
 	"github.com/hamr-go/hamr/internal/vtime"
 )
 
-// Harness generates the benchmark inputs once and runs each benchmark on
-// either engine over a fresh cluster built from the spec.
+// Harness runs the rows of apps.Table on both engines, each run over a fresh
+// cluster built from the spec, generating a row's input the first time it is
+// asked for. Both answers are held to the row's single-threaded reference
+// once the clocks have stopped and the counters are captured; a row that
+// disagrees is an error — a time without a checked answer is not a result.
 type Harness struct {
 	Spec  ClusterSpec
 	Scale Scale
 
 	// Trace attaches a span recorder to every cluster the harness builds;
-	// the recorder of the most recent run on each engine is kept in
+	// the timeline of the most recent run on each engine is kept in
 	// LastMRTrace / LastHAMRTrace for export and critical-path analysis.
 	// Off by default — the engines' hot paths stay untouched.
 	Trace         bool
-	LastMRTrace   *trace.Tracer
-	LastHAMRTrace *trace.Tracer
+	LastMRTrace   []*trace.Event
+	LastHAMRTrace []*trace.Event
 
 	// LastHAMR is the JobResult of the most recent HAMR job run by the
 	// harness (the last job if a benchmark chains several). It exposes
@@ -48,78 +47,50 @@ type Harness struct {
 	// job — the fabric's net.bytes/net.msgs, bins.dropped — live here.
 	LastHAMRCluster metrics.Snapshot
 
-	// LastWall / LastModeled record the most recent run's wall-clock cost
-	// and modeled duration. In real-clock mode they are equal; under
-	// Spec.VClock the modeled figure comes from the virtual clock's
-	// logical lanes and is what RunHAMR/RunMR return.
-	LastWall    time.Duration
-	LastModeled time.Duration
+	// LastWall is the most recent run's wall-clock cost. In real-clock mode
+	// it is the duration the tables report; under Spec.VClock that one is
+	// modeled, read from the virtual clock's logical lanes.
+	LastWall time.Duration
 
-	// LastBusy decomposes the most recent run's modeled time by resource
-	// (virtual-clock runs only; nil in real mode). Busy time is summed
-	// across nodes, undivided by parallelism.
-	LastBusy map[vtime.Resource]time.Duration
+	// Checked counts the keys of the answers held to their reference so
+	// far: it grows with every row the harness returns without error.
+	Checked int
 
-	movies300 []byte // "300GB" movies (K-Means / Classification)
-	movies30  []byte // "30GB" movies (Histograms)
-	text      []byte
-	docs      []byte
-	webgraph  []byte
-	rmat      []byte
-	centroids []hamrapps.Centroid
+	inputs map[*apps.Dataset][]byte
 }
 
-// NewHarness prepares a harness with deterministic datasets.
+// NewHarness prepares a harness; inputs are deterministic in the scale.
 func NewHarness(spec ClusterSpec, scale Scale) *Harness {
-	h := &Harness{Spec: spec, Scale: scale}
-	h.movies300 = datagen.Movies(datagen.MoviesConfig{
-		Seed: 1001, Movies: scale.KMeansMovies, Users: scale.KMeansUsers,
-		Clusters: scale.KClusters,
-	})
-	h.movies30 = datagen.Movies(datagen.MoviesConfig{
-		Seed: 1002, Movies: scale.HistogramMovies, Users: scale.HistogramUsers,
-	})
-	h.text = datagen.Text(datagen.TextConfig{
-		Seed: 1003, Vocabulary: scale.WordCountVocab, Lines: scale.WordCountLines,
-	})
-	h.docs = datagen.Docs(datagen.DocsConfig{
-		Seed: 1004, Docs: scale.NaiveBayesDocs,
-	})
-	h.webgraph = datagen.WebGraph(datagen.WebGraphConfig{
-		Seed: 1005, Pages: scale.PageRankPages,
-	})
-	h.rmat = datagen.RMAT(datagen.RMATConfig{
-		Seed: 1006, Scale: scale.KCliquesScale, Edges: scale.KCliquesEdges,
-	})
-	h.centroids = datagen.InitialCentroids(h.movies300, scale.KClusters)
-	return h
+	return &Harness{Spec: spec, Scale: scale, inputs: map[*apps.Dataset][]byte{}}
 }
 
-// newClock builds the per-run virtual clock when the spec asks for one
-// (nil means real clock). Task-startup charges keep a real hold: they
-// are issued while the task's YARN container is held, and that hold is
-// what spreads sibling allocations across nodes — a scheduling effect a
-// purely logical charge cannot reproduce.
+// input is the row's generated input and its run under a variant.
+func (h *Harness) input(w *apps.Workload, v apps.Variant) ([]byte, apps.Run) {
+	data, ok := h.inputs[w.Data]
+	if !ok {
+		data = w.Data.Gen(h.Scale)
+		h.inputs[w.Data] = data
+	}
+	return data, w.NewRun(h.Scale, data, v)
+}
+
+// clusterOptions builds one run's clock — the per-run virtual clock (vc) when
+// the spec asks for one, the real one otherwise — its tracer when tracing is
+// on, and the benchmark cluster's options over both. Task-startup charges
+// keep a real hold: they are issued while the task's YARN container is held,
+// and that hold is what spreads sibling allocations across nodes — a
+// scheduling effect a purely logical charge cannot reproduce.
 //
 // Disk charges are deliberately NOT divided by the disk model's stream
 // parallelism: with more workers than disk slots the slot pool runs
 // saturated and queue wait pushes real per-node disk wall time toward the
 // serialized sum, which the undivided lane matches far better across
 // Table 2.
-func (h *Harness) newClock() *vtime.VirtualClock {
-	if !h.Spec.VClock {
-		return nil
-	}
-	vc := vtime.NewVirtual(h.Spec.Nodes)
-	vc.SetRealHold(vtime.Startup, true)
-	return vc
-}
-
-// clusterOptions builds one run's clock (nil vc: the real one), its tracer
-// when tracing is on, and the benchmark cluster's options over both.
 func (h *Harness) clusterOptions() (opts cluster.Options, vc *vtime.VirtualClock, tr *trace.Tracer) {
 	clk := vtime.Real()
-	if vc = h.newClock(); vc != nil {
+	if h.Spec.VClock {
+		vc = vtime.NewVirtual(h.Spec.Nodes)
+		vc.SetRealHold(vtime.Startup, true)
 		clk = vc
 	}
 	if h.Trace {
@@ -128,9 +99,9 @@ func (h *Harness) clusterOptions() (opts cluster.Options, vc *vtime.VirtualClock
 	return h.Spec.ClusterOptions(clk, tr), vc, tr
 }
 
-// measure starts a wall+modeled interval and returns the stop function
-// recording both in the harness; the returned duration is the one the
-// tables report (modeled under VClock, wall otherwise).
+// measure starts a wall+modeled interval and returns the stop function; the
+// duration it returns is the one the tables report (modeled under VClock,
+// wall otherwise).
 func (h *Harness) measure(vc *vtime.VirtualClock) func() time.Duration {
 	start := time.Now()
 	var mark vtime.Mark
@@ -139,239 +110,104 @@ func (h *Harness) measure(vc *vtime.VirtualClock) func() time.Duration {
 	}
 	return func() time.Duration {
 		h.LastWall = time.Since(start)
-		h.LastModeled = h.LastWall
 		if vc != nil {
-			h.LastModeled = vc.Since(mark)
-			h.LastBusy = map[vtime.Resource]time.Duration{}
-			for _, r := range vtime.Resources() {
-				h.LastBusy[r] = vc.Busy(r)
-			}
+			return vc.Since(mark)
 		}
-		return h.LastModeled
+		return h.LastWall
 	}
 }
 
-func (h *Harness) data(b Benchmark) []byte {
-	switch b {
-	case KMeans, Classification:
-		return h.movies300
-	case HistogramMovies, HistogramRatings:
-		return h.movies30
-	case WordCount:
-		return h.text
-	case NaiveBayes:
-		return h.docs
-	case PageRank:
-		return h.webgraph
-	case KCliques:
-		return h.rmat
-	}
-	return nil
-}
-
-// newHAMRCluster builds a fresh HAMR-side cluster with the spec's cost
-// models and distributes the benchmark's input over the node-local disks.
-func (h *Harness) newHAMRCluster(b Benchmark) (*cluster.Cluster, map[int][]string, *vtime.VirtualClock, error) {
-	return h.newHAMRClusterWith(b, nil)
-}
-
-// newHAMRClusterWith is newHAMRCluster with an options hook, letting the
-// concurrency mode raise MaxConcurrentJobs before the cluster is built.
-func (h *Harness) newHAMRClusterWith(b Benchmark, mutate func(*cluster.Options)) (*cluster.Cluster, map[int][]string, *vtime.VirtualClock, error) {
+// runHAMR times one row on the HAMR engine, over a fresh cluster with the
+// spec's cost models, and returns its answer.
+func (h *Harness) runHAMR(w *apps.Workload, data []byte, r apps.Run) (time.Duration, apps.Output, error) {
 	opts, vc, tr := h.clusterOptions()
-	if tr != nil {
-		h.LastHAMRTrace = tr
-	}
-	if mutate != nil {
-		mutate(&opts)
-	}
 	c, err := cluster.New(opts)
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	files, err := hamrapps.DistributeLocalText(c, string(b), h.data(b), 2*h.Spec.Nodes)
-	if err != nil {
-		c.Close()
-		return nil, nil, nil, err
-	}
-	return c, files, vc, nil
-}
-
-// newMRCluster builds a fresh baseline cluster with the same cost models
-// and writes the benchmark's input into HDFS.
-func (h *Harness) newMRCluster(b Benchmark) (*cluster.Cluster, *mapreduce.Engine, string, *vtime.VirtualClock, error) {
-	opts, vc, tr := h.clusterOptions()
-	opts.HDFSCacheMB = h.Spec.HDFSCacheMB
-	if tr != nil {
-		h.LastMRTrace = tr
-	}
-	c, err := cluster.New(opts)
-	if err != nil {
-		return nil, nil, "", nil, err
-	}
-	path := "in/" + string(b)
-	if err := c.FS().WriteFile(path, h.data(b), -1); err != nil {
-		c.Close()
-		return nil, nil, "", nil, err
-	}
-	return c, mapreduce.NewEngine(c, h.Spec.MapReduce), path, vc, nil
-}
-
-// RunHAMR executes one benchmark on the HAMR engine and returns its
-// wall-clock duration.
-func (h *Harness) RunHAMR(b Benchmark) (time.Duration, error) {
-	return h.runHAMR(b, false)
-}
-
-// RunHAMRCombiner executes the Table 3 variant (HAMR with combiner);
-// it only differs for the histogram benchmarks.
-func (h *Harness) RunHAMRCombiner(b Benchmark) (time.Duration, error) {
-	return h.runHAMR(b, true)
-}
-
-func (h *Harness) runHAMR(b Benchmark, combiner bool) (time.Duration, error) {
-	c, files, vc, err := h.newHAMRCluster(b)
-	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	defer c.Close()
-	loader := &hamrapps.LocalTextLoader{Files: files}
-
-	var graphs []*core.Graph
-	stop := h.measure(vc)
-	switch b {
-	case WordCount:
-		g, _, err := hamrapps.BuildWordCount(hamrapps.WordCountOptions{Loader: loader, Combiner: combiner})
-		if err != nil {
-			return 0, err
-		}
-		graphs = append(graphs, g)
-	case HistogramMovies:
-		g, _, err := hamrapps.BuildHistogramMovies(hamrapps.HistogramOptions{Loader: loader, Combiner: combiner})
-		if err != nil {
-			return 0, err
-		}
-		graphs = append(graphs, g)
-	case HistogramRatings:
-		g, _, err := hamrapps.BuildHistogramRatings(hamrapps.HistogramOptions{Loader: loader, Combiner: combiner})
-		if err != nil {
-			return 0, err
-		}
-		graphs = append(graphs, g)
-	case NaiveBayes:
-		g, _, err := hamrapps.BuildNaiveBayes(loader)
-		if err != nil {
-			return 0, err
-		}
-		graphs = append(graphs, g)
-	case KMeans:
-		g, _, err := hamrapps.BuildKMeans(hamrapps.KMeansOptions{
-			Files: files, Centroids: h.centroids, AssignmentSink: localAssignSink(c, "out/kmeans-assign"),
-		})
-		if err != nil {
-			return 0, err
-		}
-		graphs = append(graphs, g)
-	case Classification:
-		g, _, err := hamrapps.BuildClassification(hamrapps.ClassificationOptions{
-			Files: files, Centroids: h.centroids, AssignmentSink: localAssignSink(c, "out/classify-assign"),
-		})
-		if err != nil {
-			return 0, err
-		}
-		graphs = append(graphs, g)
-	case PageRank:
-		if _, err := hamrapps.RunPageRank(c, loader, 0, h.Scale.PageRankIters); err != nil {
-			return 0, err
-		}
-		elapsed := stop()
-		h.LastHAMRCluster = c.Metrics().Snapshot()
-		return elapsed, nil
-	case KCliques:
-		g, _, err := hamrapps.BuildKCliques(h.Scale.KCliquesK, loader)
-		if err != nil {
-			return 0, err
-		}
-		graphs = append(graphs, g)
-	default:
-		return 0, fmt.Errorf("bench: unknown benchmark %q", b)
+	env, err := w.HAMREnv(c, data, r)
+	if err != nil {
+		return 0, nil, err
 	}
-	for _, g := range graphs {
-		res, err := c.Run(g)
-		if err != nil {
-			return 0, fmt.Errorf("bench: %s on hamr: %w", b, err)
-		}
-		h.LastHAMR = res
+
+	stop := h.measure(vc)
+	res, collect, err := w.RunHAMR(env)
+	if err != nil {
+		return 0, nil, fmt.Errorf("bench: %s on hamr: %w", w.Name, err)
 	}
 	elapsed := stop()
+	h.LastHAMR = res
 	h.LastHAMRCluster = c.Metrics().Snapshot()
-	return elapsed, nil
-}
-
-// localAssignSink writes assignment output to each node's own local disk
-// ("output can happen not only in reduce ... but also in map", §3.3) so
-// the HAMR side pays the same output-materialization the paper's
-// deployment did.
-func localAssignSink(c *cluster.Cluster, name string) core.Sink {
-	return core.NewFileSink(func(node int) (io.WriteCloser, error) {
-		return c.Disk(node).Create(fmt.Sprintf("%s-%02d", name, node))
-	}, nil)
-}
-
-// RunMR executes one benchmark on the MapReduce baseline (IDH stand-in)
-// and returns its wall-clock duration. The histogram and wordcount jobs
-// use combiners, as the PUMA implementations do.
-func (h *Harness) RunMR(b Benchmark) (time.Duration, error) {
-	c, eng, input, vc, err := h.newMRCluster(b)
+	h.LastHAMRTrace = tr.Events()
+	out, err := collect()
 	if err != nil {
-		return 0, err
+		return 0, nil, fmt.Errorf("bench: %s on hamr: reading the answer: %w", w.Name, err)
+	}
+	return elapsed, out, nil
+}
+
+// runMR times one row on the MapReduce baseline (IDH stand-in), over a fresh
+// cluster with the same cost models, and returns its answer.
+func (h *Harness) runMR(w *apps.Workload, data []byte, r apps.Run) (time.Duration, apps.Output, error) {
+	opts, vc, tr := h.clusterOptions()
+	opts.HDFSCacheMB = h.Spec.HDFSCacheMB
+	c, err := cluster.New(opts)
+	if err != nil {
+		return 0, nil, err
 	}
 	defer c.Close()
-	r := h.Scale.Reduces
+	env, err := w.MREnv(c, h.Spec.MapReduce, data, r)
+	if err != nil {
+		return 0, nil, err
+	}
 
 	stop := h.measure(vc)
-	switch b {
-	case WordCount:
-		_, err = eng.Run(mrapps.WordCountJob(input, "out", true, r))
-	case HistogramMovies:
-		_, err = eng.Run(mrapps.HistogramMoviesJob(input, "out", true, r))
-	case HistogramRatings:
-		_, err = eng.Run(mrapps.HistogramRatingsJob(input, "out", true, r))
-	case NaiveBayes:
-		_, err = eng.RunChain(mrapps.NaiveBayesJobs(input, "mid", "out", r)...)
-	case KMeans:
-		_, err = eng.Run(mrapps.KMeansJob(input, "out", h.centroids, r))
-	case Classification:
-		_, err = eng.Run(mrapps.ClassificationJob(input, "out", h.centroids, r, true))
-	case PageRank:
-		_, err = mrapps.RunPageRankMR(eng, c.FS(), input, "work", h.Scale.PageRankIters, r)
-	case KCliques:
-		_, err = mrapps.RunKCliquesMR(eng, c.FS(), input, "work", h.Scale.KCliquesK, r)
-	default:
-		err = fmt.Errorf("bench: unknown benchmark %q", b)
-	}
+	collect, err := w.MR(env)
 	if err != nil {
-		return 0, fmt.Errorf("bench: %s on mapreduce: %w", b, err)
+		return 0, nil, fmt.Errorf("bench: %s on mapreduce: %w", w.Name, err)
 	}
 	elapsed := stop()
 	h.LastMR = c.Metrics().Snapshot()
-	return elapsed, nil
+	h.LastMRTrace = tr.Events()
+	out, err := collect()
+	if err != nil {
+		return 0, nil, fmt.Errorf("bench: %s on mapreduce: reading the answer: %w", w.Name, err)
+	}
+	return elapsed, out, nil
 }
 
-// RunRow measures one Table 2 row (both engines).
-func (h *Harness) RunRow(b Benchmark) (Row, error) {
-	idh, err := h.RunMR(b)
+// RunRow measures one row on both engines and holds both answers to the
+// row's reference. A variant (the zero Variant: none) runs on the HAMR side
+// against the same baseline and is reported next to the paper's number for
+// it, where the paper printed one.
+func (h *Harness) RunRow(w *apps.Workload, v apps.Variant) (Row, error) {
+	data, r := h.input(w, v)
+	idh, mrOut, err := h.runMR(w, data, r)
 	if err != nil {
 		return Row{}, err
 	}
 	idhWall := h.LastWall
-	hamr, err := h.RunHAMR(b)
+	hamr, hamrOut, err := h.runHAMR(w, data, r)
 	if err != nil {
 		return Row{}, err
 	}
-	paper := PaperTable2[b]
+	ref := w.Reference(data, r)
+	for _, side := range []struct {
+		name string
+		out  apps.Output
+	}{{apps.SideMR, mrOut}, {apps.SideHAMR, hamrOut}} {
+		if err := w.Check(ref, side.name, side.out); err != nil {
+			return Row{}, err
+		}
+		h.Checked += len(side.out)
+	}
+	paper := w.Paper
+	if v.Paper != nil {
+		paper = *v.Paper
+	}
 	return Row{
-		Benchmark: b,
+		Benchmark: w.Name,
 		DataSize:  paper.DataSize,
 		IDH:       idh,
 		HAMR:      hamr,
@@ -385,9 +221,9 @@ func (h *Harness) RunRow(b Benchmark) (Row, error) {
 
 // Table2 measures every row.
 func (h *Harness) Table2() ([]Row, error) {
-	rows := make([]Row, 0, len(AllBenchmarks))
-	for _, b := range AllBenchmarks {
-		row, err := h.RunRow(b)
+	rows := make([]Row, 0, len(apps.Table))
+	for _, w := range apps.Table {
+		row, err := h.RunRow(w, apps.Variant{})
 		if err != nil {
 			return rows, err
 		}
@@ -396,51 +232,32 @@ func (h *Harness) Table2() ([]Row, error) {
 	return rows, nil
 }
 
-// Table3 measures the combiner ablation (HAMR with combiner vs the same
-// IDH baseline).
+// Table3 measures the combiner ablation: HAMR with combiner against the
+// same IDH baseline, for the rows the paper printed one for.
 func (h *Harness) Table3() ([]Row, error) {
 	var rows []Row
-	for _, b := range []Benchmark{HistogramMovies, HistogramRatings} {
-		idh, err := h.RunMR(b)
-		if err != nil {
-			return rows, err
+	for _, w := range apps.Table {
+		for _, v := range w.Variants {
+			if v.Paper == nil {
+				continue
+			}
+			row, err := h.RunRow(w, v)
+			if err != nil {
+				return rows, err
+			}
+			rows = append(rows, row)
 		}
-		idhWall := h.LastWall
-		hamr, err := h.RunHAMRCombiner(b)
-		if err != nil {
-			return rows, err
-		}
-		paper := PaperTable3[b]
-		rows = append(rows, Row{
-			Benchmark: b,
-			DataSize:  paper.DataSize,
-			IDH:       idh,
-			HAMR:      hamr,
-			Speedup:   idh.Seconds() / hamr.Seconds(),
-			Paper:     paper,
-			IDHWall:   idhWall,
-			HAMRWall:  h.LastWall,
-			Modeled:   h.Spec.VClock,
-		})
 	}
 	return rows, nil
 }
 
-// Figure3 selects the subset of rows for one of the two speedup figures.
+// Figure3 selects the rows drawn in one of the two speedup figures' panels
+// ("3a" or "3b").
 func Figure3(rows []Row, panel string) []Row {
-	var want []Benchmark
-	switch panel {
-	case "3a", "a":
-		want = Figure3aBenchmarks
-	default:
-		want = Figure3bBenchmarks
-	}
 	var out []Row
-	for _, b := range want {
-		for _, r := range rows {
-			if r.Benchmark == b {
-				out = append(out, r)
-			}
+	for _, r := range rows {
+		if w := apps.Lookup(string(r.Benchmark)); w != nil && w.Panel == panel {
+			out = append(out, r)
 		}
 	}
 	return out

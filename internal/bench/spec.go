@@ -8,6 +8,7 @@ package bench
 import (
 	"time"
 
+	"github.com/hamr-go/hamr/internal/apps"
 	"github.com/hamr-go/hamr/internal/cluster"
 	"github.com/hamr-go/hamr/internal/core"
 	"github.com/hamr-go/hamr/internal/mapreduce"
@@ -141,32 +142,9 @@ func (s ClusterSpec) ClusterOptions(clk vtime.Clock, tr *trace.Tracer) cluster.O
 	}
 }
 
-// Scale fixes the benchmark input sizes. The Paper column of each row
-// records the original size for the reports.
-type Scale struct {
-	// Movies datasets (K-Means / Classification at "300GB",
-	// HistogramMovies / HistogramRatings at "30GB").
-	KMeansMovies    int
-	KMeansUsers     int
-	HistogramMovies int
-	HistogramUsers  int
-	// WordCount ("16GB") text.
-	WordCountLines int
-	WordCountVocab int
-	// NaiveBayes ("10GB") documents.
-	NaiveBayesDocs int
-	// PageRank ("20GB") web graph.
-	PageRankPages int
-	PageRankIters int
-	// K-Cliques ("168MB", 2^18 vertices / 7.6M edges in the paper).
-	KCliquesScale int // 2^Scale vertices
-	KCliquesEdges int
-	KCliquesK     int
-	// Clusters for K-Means / Classification.
-	KClusters int
-	// Reduces for the baseline.
-	Reduces int
-}
+// Scale fixes the benchmark input sizes; the workload table's generators
+// read it.
+type Scale = apps.Scale
 
 // SmallScale finishes the whole Table 2 in roughly a minute on one
 // machine; shapes (who wins, by what factor) already hold at this size.
@@ -207,59 +185,26 @@ func TinyScale() Scale {
 	return s
 }
 
-// Benchmark identifies one Table 2 row.
-type Benchmark string
+// Benchmark identifies one Table 2 row; the rows themselves are apps.Table.
+// The names below are the ones code outside the table still spells out: the
+// ordering check and the ablations here, the benchmark module's workloads.
+type Benchmark = apps.Benchmark
 
-// The eight benchmarks of §4, in Table 2 order.
 const (
-	KMeans           Benchmark = "K-Means"
-	Classification   Benchmark = "Classification"
-	PageRank         Benchmark = "PageRank"
-	KCliques         Benchmark = "KCliques"
-	WordCount        Benchmark = "WordCount"
-	HistogramMovies  Benchmark = "HistogramMovies"
-	HistogramRatings Benchmark = "HistogramRatings"
-	NaiveBayes       Benchmark = "NaiveBayes"
+	KMeans           = apps.KMeans
+	PageRank         = apps.PageRank
+	WordCount        = apps.WordCount
+	HistogramRatings = apps.HistogramRatings
 )
 
-// AllBenchmarks lists Table 2's rows in order.
-var AllBenchmarks = []Benchmark{
-	KMeans, Classification, PageRank, KCliques,
-	WordCount, HistogramMovies, HistogramRatings, NaiveBayes,
-}
-
-// Figure3a holds the feature-exploiting benchmarks (iterative and
-// multi-phase); Figure3b the IO-intensive ones.
-var (
-	Figure3aBenchmarks = []Benchmark{KMeans, Classification, PageRank, KCliques}
-	Figure3bBenchmarks = []Benchmark{WordCount, HistogramMovies, HistogramRatings, NaiveBayes}
-)
-
-// PaperRow is the published Table 2 entry for a benchmark.
-type PaperRow struct {
-	DataSize string
-	IDH      float64 // seconds
-	HAMR     float64 // seconds
-	Speedup  float64
-}
-
-// PaperTable2 reproduces the numbers printed in Table 2.
-var PaperTable2 = map[Benchmark]PaperRow{
-	KMeans:           {"300GB", 5215.079, 505.685, 10.31},
-	Classification:   {"300GB", 2773.660, 212.815, 13.03},
-	PageRank:         {"20GB", 2162.102, 158.853, 13.61},
-	KCliques:         {"168MB", 1161.246, 100.945, 11.50},
-	WordCount:        {"16GB", 89.904, 75.078, 1.20},
-	HistogramMovies:  {"30GB", 59.522, 34.542, 1.72},
-	HistogramRatings: {"30GB", 66.694, 252.198, 0.26},
-	NaiveBayes:       {"10GB", 263.078, 108.29, 2.43},
-}
-
-// PaperTable3 reproduces Table 3 (HAMR with combiner).
-var PaperTable3 = map[Benchmark]PaperRow{
-	HistogramMovies:  {"30GB", 59.522, 33.234, 1.79},
-	HistogramRatings: {"30GB", 66.694, 215.911, 0.31},
-}
+// PaperTable2 is the numbers printed in Table 2, by row.
+var PaperTable2 = func() map[Benchmark]apps.PaperRow {
+	m := make(map[Benchmark]apps.PaperRow, len(apps.Table))
+	for _, w := range apps.Table {
+		m[w.Name] = w.Paper
+	}
+	return m
+}()
 
 // Row is one measured Table 2 / Table 3 entry.
 type Row struct {
@@ -268,7 +213,7 @@ type Row struct {
 	IDH       time.Duration
 	HAMR      time.Duration
 	Speedup   float64
-	Paper     PaperRow
+	Paper     apps.PaperRow
 	// IDHWall / HAMRWall are the wall-clock costs of producing the row.
 	// In real-clock mode they equal IDH / HAMR; under -vclock IDH/HAMR
 	// are modeled seconds from the logical clocks and the wall columns

@@ -64,7 +64,7 @@ func TestConfigsAreTuning(t *testing.T) {
 	}{
 		{cluster.Options{}, 16},
 		{core.Config{}, 10},
-		{mapreduce.Config{}, 12},
+		{mapreduce.Config{}, 10},
 		{hdfs.Config{}, 5},
 		{transport.CoalescerConfig{}, 5},
 	} {

@@ -112,7 +112,7 @@ func (sumReduce) Reduce(key string, values []any, ctx core.Context) error {
 
 // buildSpillWordCount wires loader -> split -> count (full reduce) -> sink,
 // mapping on the node that holds the lines like hamrapps.BuildWordCount.
-func buildSpillWordCount(t *testing.T, files map[int][]string) (*core.Graph, *core.CollectSink) {
+func buildSpillWordCount(t testing.TB, files map[int][]string) (*core.Graph, *core.CollectSink) {
 	t.Helper()
 	g := core.NewGraph("spillwc")
 	sink := core.NewCollectSink()

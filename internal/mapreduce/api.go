@@ -129,17 +129,6 @@ type Config struct {
 	JobStartup time.Duration
 	// TaskStartup is charged once per task.
 	TaskStartup time.Duration
-	// TimeScale multiplies JobStartup and TaskStartup (0 treated as 1),
-	// mirroring the disk/net cost models' TimeScale so startup overhead
-	// can be scaled uniformly with every other modeled delay. Specs that
-	// already state startup values in scaled units leave it unset.
-	TimeScale float64
-	// MaxTaskAttempts bounds how often a failed map/reduce task is re-run
-	// before the job fails (mapreduce.task.maxattempts; default 4).
-	// Container revocations do not consume attempts — like Hadoop, a
-	// preempted task is rescheduled, not blamed — but are bounded
-	// separately so a pathological injector cannot loop forever.
-	MaxTaskAttempts int
 	// Speculation enables Hadoop-style speculative execution: when the
 	// cluster's fault injector declares a map task's first attempt a
 	// straggler, a backup attempt races it and the first to finish wins
@@ -171,17 +160,6 @@ func (c *Config) FillDefaults() {
 	if c.ReduceHeapBytes <= 0 {
 		c.ReduceHeapBytes = 64 << 20
 	}
-	if c.MaxTaskAttempts <= 0 {
-		c.MaxTaskAttempts = 4
-	}
-}
-
-// scaled applies the config's TimeScale to a startup delay.
-func (c Config) scaled(d time.Duration) time.Duration {
-	if c.TimeScale > 0 && c.TimeScale != 1 {
-		return time.Duration(float64(d) * c.TimeScale)
-	}
-	return d
 }
 
 // OOMError reports a task exceeding its modeled heap.

@@ -201,7 +201,7 @@ func (e *Engine) run(ctx context.Context, job Job) (*Result, error) {
 	// overhead of creating and starting new jobs"), charged on the
 	// driver lane — job launch is serial with everything.
 	if e.cfg.JobStartup > 0 {
-		d := e.cfg.scaled(e.cfg.JobStartup)
+		d := e.cfg.JobStartup
 		reg.Observe("mr.job.startup", d)
 		var ssp trace.Span
 		if tr.Enabled() {
@@ -292,14 +292,19 @@ func (e *Engine) run(ctx context.Context, job Job) (*Result, error) {
 // are independent of the primary's retries.
 const specAttemptBase = 100
 
-// revokeBudget bounds container-revocation reschedules per task runner.
-const revokeBudget = 8
+// maxTaskAttempts bounds how often a failed task is re-run before the job
+// fails (mapreduce.task.maxattempts); revokeBudget bounds container-revocation
+// reschedules per task runner.
+const (
+	maxTaskAttempts = 4
+	revokeBudget    = 8
+)
 
 // retryTask drives one task's attempt sequence, starting at attempt base:
-// any failure is retried until the MaxTaskAttempts budget is spent
-// (mapreduce.task.maxattempts). A container revocation does not consume an
-// attempt — like Hadoop, a preempted task is rescheduled, not blamed — but
-// total reschedules are bounded by revokeBudget so the job cannot loop.
+// any failure is retried until the maxTaskAttempts budget is spent. A
+// container revocation does not consume an attempt — like Hadoop, a
+// preempted task is rescheduled, not blamed — but total reschedules are
+// bounded by revokeBudget so the job cannot loop.
 // A canceled ctx stops the sequence at the next attempt boundary.
 func (j *jobRun) retryTask(traceID string, base int, run func(attempt int) error) error {
 	fails := 0
@@ -312,12 +317,12 @@ func (j *jobRun) retryTask(traceID string, base int, run func(attempt int) error
 			return nil
 		}
 		if faults.IsRevocation(err) {
-			if seq+1 >= j.cfg.MaxTaskAttempts+revokeBudget {
+			if seq+1 >= maxTaskAttempts+revokeBudget {
 				return err
 			}
 		} else {
 			fails++
-			if fails >= j.cfg.MaxTaskAttempts {
+			if fails >= maxTaskAttempts {
 				return err
 			}
 		}
@@ -431,7 +436,7 @@ func (j *jobRun) beginAttempt(kind, site string, attempt, node int) (taskName, t
 		if tr.Enabled() {
 			ssp = tr.Start(node, j.tag+"/"+tname, j.tag+"/"+tname+"/startup", "startup", "startup")
 		}
-		j.sub.Clock.Charge(node, vtime.Startup, j.cfg.scaled(j.cfg.TaskStartup))
+		j.sub.Clock.Charge(node, vtime.Startup, j.cfg.TaskStartup)
 		ssp.End()
 	}
 	return fmt.Sprintf("job%d/%s", j.id, tname), tname, tsp
