@@ -366,6 +366,24 @@ func TestHashPartitionProperties(t *testing.T) {
 	}
 }
 
+// TestStripesIndependentOfPartition: the keys one node owns must spread
+// over that node's lock stripes. With the raw hash on both sides they
+// occupied only stripes/nodes of them (every owned key is ≡ node mod nodes).
+func TestStripesIndependentOfPartition(t *testing.T) {
+	const stripes, vocabulary = 64, 4000
+	for _, nodes := range []int{2, 4, 8, 16} {
+		used := map[int]bool{}
+		for i := 0; i < vocabulary; i++ {
+			if w := fmt.Sprintf("w%05d", i); HashPartition(w, nodes) == 0 {
+				used[stripeOf(w, stripes)] = true
+			}
+		}
+		if len(used) < 56 {
+			t.Errorf("%d nodes: node 0's keys occupy %d of %d stripes, want >= 56", nodes, len(used), stripes)
+		}
+	}
+}
+
 func TestHashPartitionCoversAllNodes(t *testing.T) {
 	const nodes = 8
 	hit := make([]bool, nodes)

@@ -547,7 +547,7 @@ func (fs *flowletState) applyPartialBin(bin *Bin) error {
 	sc := prScratchPool.Get().(*prScratch)
 	sc.grow(len(bin.KVs), nstripes)
 	for i, kv := range bin.KVs {
-		idx := int32(HashKey(kv.Key) % uint64(nstripes))
+		idx := int32(stripeOf(kv.Key, nstripes))
 		sc.idx[i] = idx
 		sc.counts[idx]++
 	}

@@ -107,3 +107,19 @@ func HashPartition(key string, n int) int {
 	}
 	return int(HashKey(key) % uint64(n))
 }
+
+// stripeOf picks the partial-reduce lock stripe a key folds under. The
+// hash is finalizer-mixed (murmur3's fmix64) before the modulo: every key
+// a node owns already satisfies HashKey(k) ≡ node (mod nodes), so the raw
+// hash modulo the stripe count would leave a node only stripes/nodes of
+// its stripes. FNV-1a's high bits are poorly mixed for short keys, so a
+// shift is not enough.
+func stripeOf(key string, nstripes int) int {
+	h := HashKey(key)
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return int(h % uint64(nstripes))
+}
