@@ -60,7 +60,7 @@ func main() {
 		if !ok {
 			log.Fatalf("bad seed record %q", line)
 		}
-		centroids = append(centroids, rec.Ratings)
+		centroids = append(centroids, rec.Vector())
 	}
 
 	for iter := 1; iter <= 8; iter++ {

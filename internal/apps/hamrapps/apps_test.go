@@ -152,7 +152,7 @@ func TestLoaderErrors(t *testing.T) {
 }
 
 func TestBestClusterDeterministic(t *testing.T) {
-	rec := datagen.MovieRecord{ID: "m", Ratings: map[int]float64{1: 5, 2: 3}}
+	rec := datagen.MovieRecord{ID: "m", Ratings: []datagen.Rating{{User: 1, Rating: 5}, {User: 2, Rating: 3}}}
 	cents := []Centroid{{1: 5, 2: 3}, {9: 1}}
 	best, sim := BestCluster(rec, cents)
 	if best != 0 || sim < 0.99 {
@@ -320,5 +320,30 @@ func TestHistogramMoviesBucketsValid(t *testing.T) {
 	}
 	if total != 300 {
 		t.Fatalf("histogram covers %d movies, want 300", total)
+	}
+}
+
+// TestKeysMatchTheirFmtForms: the per-record strings built without fmt are
+// the strings fmt built — they are keys and values both engines and the
+// reference must agree on to the byte.
+func TestKeysMatchTheirFmtForms(t *testing.T) {
+	for b := -1.0; b <= 7; b += 0.125 {
+		if got, want := BucketKey(b), fmt.Sprintf("%.1f", b); got != want {
+			t.Errorf("BucketKey(%v) = %q, %%.1f gives %q", b, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, sim := range []float64{0, 1, 0.5, 1e-7, 0.999999999999, 1.0 / 3, 123456789012345, 1e21} {
+		for i := 0; i < 20; i++ {
+			if got, want := FormatSimilarity(sim), fmt.Sprintf("%.12g", sim); got != want {
+				t.Errorf("FormatSimilarity(%v) = %q, %%.12g gives %q", sim, got, want)
+			}
+			sim *= rng.Float64()
+		}
+	}
+	for _, p := range []Position{{}, {Node: 7, File: "input/kmeans-part-0003", Offset: 1 << 40}, {Node: -1, File: "a|b", Offset: -5}} {
+		if got, want := p.String(), fmt.Sprintf("%d|%s|%d", p.Node, p.File, p.Offset); got != want {
+			t.Errorf("Position%+v.String() = %q, want %q", p, got, want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package hamrapps
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/hamr-go/hamr/internal/core"
 	"github.com/hamr-go/hamr/internal/datagen"
@@ -26,7 +27,7 @@ func (m *Classify) Map(kv core.KV, ctx core.Context) error {
 		return nil
 	}
 	best, _ := BestCluster(rec, m.Centroids)
-	return ctx.EmitTo("assign", core.KV{Key: fmt.Sprintf("%d", best), Value: rec.ID})
+	return ctx.EmitTo("assign", core.KV{Key: strconv.Itoa(best), Value: rec.ID})
 }
 
 // ClassificationOptions configures the benchmark.

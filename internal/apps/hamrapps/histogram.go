@@ -1,8 +1,8 @@
 package hamrapps
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 
 	"github.com/hamr-go/hamr/internal/core"
 	"github.com/hamr-go/hamr/internal/datagen"
@@ -13,8 +13,16 @@ import (
 // (1.0, 1.5, ..., 5.0) it falls in — 8 buckets, like the PUMA benchmark.
 type MovieAvgBucket struct{}
 
-// BucketKey renders a histogram bucket.
-func BucketKey(b float64) string { return fmt.Sprintf("%.1f", b) }
+// bucketKeys are the half-star buckets 1.0 ... 5.0, indexed by 2b-2.
+var bucketKeys = [...]string{"1.0", "1.5", "2.0", "2.5", "3.0", "3.5", "4.0", "4.5", "5.0"}
+
+// BucketKey renders a histogram bucket to one decimal.
+func BucketKey(b float64) string {
+	if i := b*2 - 2; i >= 0 && i < float64(len(bucketKeys)) && i == math.Trunc(i) {
+		return bucketKeys[int(i)]
+	}
+	return strconv.FormatFloat(b, 'f', 1, 64)
+}
 
 // Map implements core.Mapper.
 func (MovieAvgBucket) Map(kv core.KV, ctx core.Context) error {
@@ -42,16 +50,9 @@ type RatingExplode struct{}
 
 // Map implements core.Mapper.
 func (RatingExplode) Map(kv core.KV, ctx core.Context) error {
-	rec, ok := datagen.ParseMovie(kv.Value.(string))
-	if !ok {
-		return nil
-	}
-	for _, r := range rec.Ratings {
-		if err := ctx.Emit(core.KV{Key: fmt.Sprintf("%d", int(r)), Value: int64(1)}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return datagen.EachRating(kv.Value.(string), func(_ int, r float64) error {
+		return ctx.Emit(core.KV{Key: strconv.Itoa(int(r)), Value: int64(1)})
+	})
 }
 
 // HistogramOptions configures the two histogram benchmarks.

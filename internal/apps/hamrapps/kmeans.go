@@ -100,19 +100,22 @@ func (m *ClusterGen) Map(kv core.KV, ctx core.Context) error {
 		return nil
 	}
 	best, sim := BestCluster(rec, m.Centroids)
+	cluster := strconv.Itoa(best)
 	// Data locality: write the full assignment locally...
-	if err := ctx.EmitTo("assign", core.KV{
-		Key:   fmt.Sprintf("%d", best),
-		Value: rec.ID,
-	}); err != nil {
+	if err := ctx.EmitTo("assign", core.KV{Key: cluster, Value: rec.ID}); err != nil {
 		return err
 	}
 	// ...and ship only the location + similarity to the reducer.
 	return ctx.EmitTo("newcentroid", core.KV{
-		Key:   fmt.Sprintf("%d", best),
-		Value: fmt.Sprintf("%s;%.12g;%s", kv.Key, sim, rec.ID),
+		Key:   cluster,
+		Value: kv.Key + ";" + FormatSimilarity(sim) + ";" + rec.ID,
 	})
 }
+
+// FormatSimilarity renders a similarity to 12 significant digits (%.12g),
+// which is what a similarity is defined to on both engines: it is all that
+// reaches either reduce.
+func FormatSimilarity(sim float64) string { return strconv.FormatFloat(sim, 'g', 12, 64) }
 
 // NewCentroidGen picks each cluster's new representative — the
 // median-similarity member, a medoid-style update that is robust to the
@@ -200,7 +203,7 @@ func (NewCentroidInfoGet) Map(kv core.KV, ctx core.Context) error {
 	if !ok2 {
 		return fmt.Errorf("hamrapps: position %s does not hold a movie record", kv.Value)
 	}
-	return ctx.EmitBroadcast("update", core.KV{Key: kv.Key, Value: FormatCentroid(rec.Ratings)})
+	return ctx.EmitBroadcast("update", core.KV{Key: kv.Key, Value: FormatCentroid(rec.Vector())})
 }
 
 // CentroidUpdate installs the new centroid locally on every node (Alg. 1

@@ -29,7 +29,12 @@ type Position struct {
 }
 
 // String renders a position as "node|file|offset".
-func (p Position) String() string { return fmt.Sprintf("%d|%s|%d", p.Node, p.File, p.Offset) }
+func (p Position) String() string {
+	b := make([]byte, 0, 64)
+	b = strconv.AppendInt(b, int64(p.Node), 10)
+	b = append(append(append(b, '|'), p.File...), '|')
+	return string(strconv.AppendInt(b, p.Offset, 10))
+}
 
 // ParsePosition parses the String form.
 func ParsePosition(s string) (Position, error) {

@@ -95,15 +95,12 @@ type WeightSum struct{}
 
 // Update implements core.PartialReducer.
 func (WeightSum) Update(key string, state, value any) (any, error) {
-	if state == nil {
-		return value.(int64), nil
-	}
-	return state.(int64) + value.(int64), nil
+	return SumCounts{}.Update(key, state, value)
 }
 
 // Finish implements core.PartialReducer.
 func (WeightSum) Finish(feature string, state any, ctx core.Context) error {
-	return ctx.Emit(core.KV{Key: "featureweight|" + feature, Value: state.(int64)})
+	return ctx.Emit(core.KV{Key: "featureweight|" + feature, Value: state.(*count).n})
 }
 
 // BuildNaiveBayes constructs the Algorithm 4 graph.

@@ -1,9 +1,8 @@
 package hamrapps
 
 import (
-	"strings"
-
 	"github.com/hamr-go/hamr/internal/core"
+	"github.com/hamr-go/hamr/internal/datagen"
 )
 
 // SplitWords is the WordCount map flowlet: line -> (word, 1).
@@ -11,12 +10,9 @@ type SplitWords struct{}
 
 // Map implements core.Mapper.
 func (SplitWords) Map(kv core.KV, ctx core.Context) error {
-	for _, w := range strings.Fields(kv.Value.(string)) {
-		if err := ctx.Emit(core.KV{Key: w, Value: int64(1)}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return datagen.EachField(kv.Value.(string), func(w string) error {
+		return ctx.Emit(core.KV{Key: w, Value: int64(1)})
+	})
 }
 
 // SumCounts is a partial reduce folding int64 counts — WordCount "can
@@ -25,17 +21,26 @@ func (SplitWords) Map(kv core.KV, ctx core.Context) error {
 // paper's requirement for partial reduce.
 type SumCounts struct{}
 
+// count is a key's running sum. The state is the pointer, so an update adds
+// in place where an int64 state would be boxed anew on every update.
+type count struct{ n int64 }
+
+// SizeBytes implements core.Sizer: the memory manager is charged what an
+// int64 state would be.
+func (*count) SizeBytes() int64 { return 8 }
+
 // Update implements core.PartialReducer.
 func (SumCounts) Update(key string, state, value any) (any, error) {
 	if state == nil {
-		return value.(int64), nil
+		return &count{n: value.(int64)}, nil
 	}
-	return state.(int64) + value.(int64), nil
+	state.(*count).n += value.(int64)
+	return state, nil
 }
 
 // Finish implements core.PartialReducer.
 func (SumCounts) Finish(key string, state any, ctx core.Context) error {
-	return ctx.Emit(core.KV{Key: key, Value: state.(int64)})
+	return ctx.Emit(core.KV{Key: key, Value: state.(*count).n})
 }
 
 // WordCountOptions configures BuildWordCount.

@@ -39,8 +39,8 @@ func KMeansJob(input, output string, centroids []hamrapps.Centroid, reduces int)
 					return err
 				}
 				return out.Emit(core.KV{
-					Key:   fmt.Sprintf("%d", best),
-					Value: fmt.Sprintf("%.12g;%s", sim, kv.Value.(string)),
+					Key:   strconv.Itoa(best),
+					Value: hamrapps.FormatSimilarity(sim) + ";" + kv.Value.(string),
 				})
 			})
 		},
@@ -82,7 +82,7 @@ func KMeansJob(input, output string, centroids []hamrapps.Centroid, reduces int)
 				})
 				chosen := recs[hamrapps.MedianIndex(len(recs))]
 				rec, _ := datagen.ParseMovie(chosen.line)
-				return out.Emit(core.KV{Key: key, Value: hamrapps.FormatCentroid(rec.Ratings)})
+				return out.Emit(core.KV{Key: key, Value: hamrapps.FormatCentroid(rec.Vector())})
 			})
 		},
 		NumReduces: reduces,
@@ -111,7 +111,7 @@ func ClassificationJob(input, output string, centroids []hamrapps.Centroid, redu
 				if err := out.Charge(kv.Size()); err != nil {
 					return err
 				}
-				return out.Emit(core.KV{Key: fmt.Sprintf("%d", best), Value: kv.Value})
+				return out.Emit(core.KV{Key: strconv.Itoa(best), Value: kv.Value})
 			})
 		},
 		NewReducer: func() mapreduce.Reducer {

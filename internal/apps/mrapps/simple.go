@@ -9,8 +9,10 @@ package mrapps
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
+	"github.com/hamr-go/hamr/internal/apps/hamrapps"
 	"github.com/hamr-go/hamr/internal/core"
 	"github.com/hamr-go/hamr/internal/datagen"
 	"github.com/hamr-go/hamr/internal/mapreduce"
@@ -48,12 +50,9 @@ func countJob(name, input, output string, combiner bool, reduces int, mapper map
 // Hadoop stay within 1.2x of HAMR on this benchmark (§5.2).
 func WordCountJob(input, output string, combiner bool, reduces int) mapreduce.Job {
 	return countJob("wordcount", input, output, combiner, reduces, func(kv core.KV, out mapreduce.Emitter) error {
-		for _, w := range strings.Fields(kv.Value.(string)) {
-			if err := out.Emit(core.KV{Key: w, Value: int64(1)}); err != nil {
-				return err
-			}
-		}
-		return nil
+		return datagen.EachField(kv.Value.(string), func(w string) error {
+			return out.Emit(core.KV{Key: w, Value: int64(1)})
+		})
 	})
 }
 
@@ -71,7 +70,7 @@ func HistogramMoviesJob(input, output string, combiner bool, reduces int) mapred
 		if b > 5 {
 			b = 5
 		}
-		return out.Emit(core.KV{Key: fmt.Sprintf("%.1f", b), Value: int64(1)})
+		return out.Emit(core.KV{Key: hamrapps.BucketKey(b), Value: int64(1)})
 	})
 }
 
@@ -80,16 +79,9 @@ func HistogramMoviesJob(input, output string, combiner bool, reduces int) mapred
 // why it beats HAMR here (§5.2).
 func HistogramRatingsJob(input, output string, combiner bool, reduces int) mapreduce.Job {
 	return countJob("histogram-ratings", input, output, combiner, reduces, func(kv core.KV, out mapreduce.Emitter) error {
-		rec, ok := datagen.ParseMovie(kv.Value.(string))
-		if !ok {
-			return nil
-		}
-		for _, r := range rec.Ratings {
-			if err := out.Emit(core.KV{Key: fmt.Sprintf("%d", int(r)), Value: int64(1)}); err != nil {
-				return err
-			}
-		}
-		return nil
+		return datagen.EachRating(kv.Value.(string), func(_ int, r float64) error {
+			return out.Emit(core.KV{Key: strconv.Itoa(int(r)), Value: int64(1)})
+		})
 	})
 }
 
@@ -115,12 +107,9 @@ func NaiveBayesJobs(input, mid, output string, reduces int) []mapreduce.Job {
 					return nil
 				}
 				label := line[:tab]
-				for _, w := range strings.Fields(line[tab+1:]) {
-					if err := out.Emit(core.KV{Key: label + "|" + w, Value: int64(1)}); err != nil {
-						return err
-					}
-				}
-				return nil
+				return datagen.EachField(line[tab+1:], func(w string) error {
+					return out.Emit(core.KV{Key: label + "|" + w, Value: int64(1)})
+				})
 			})
 		},
 		NewReducer:  sumReducer,

@@ -156,11 +156,10 @@ func refHistogramMovies(input []byte, _ Run) Output {
 func refHistogramRatings(input []byte, _ Run) Output {
 	n := map[string]int64{}
 	for _, line := range lines(input) {
-		if rec, ok := datagen.ParseMovie(line); ok {
-			for _, r := range rec.Ratings {
-				n[strconv.Itoa(int(r))]++
-			}
-		}
+		_ = datagen.EachRating(line, func(_ int, r float64) error { // fn returns no error
+			n[strconv.Itoa(int(r))]++
+			return nil
+		})
 	}
 	return counts(n)
 }
@@ -222,7 +221,7 @@ func refKMeans(input []byte, r Run) Output {
 			}
 			return ms[i].rec.ID < ms[j].rec.ID
 		})
-		out[strconv.Itoa(c)] = hamrapps.FormatCentroid(ms[len(ms)/2].rec.Ratings)
+		out[strconv.Itoa(c)] = hamrapps.FormatCentroid(ms[len(ms)/2].rec.Vector())
 	}
 	return out
 }

@@ -133,12 +133,12 @@ func TestMoviesParseRoundTrip(t *testing.T) {
 		if len(rec.Ratings) == 0 {
 			t.Fatalf("movie %s has no ratings", rec.ID)
 		}
-		for u, r := range rec.Ratings {
-			if u < 0 || u >= 40 {
-				t.Fatalf("user %d out of range", u)
+		for _, r := range rec.Ratings {
+			if r.User < 0 || r.User >= 40 {
+				t.Fatalf("user %d out of range", r.User)
 			}
-			if r < 1 || r > 5 {
-				t.Fatalf("rating %v out of range", r)
+			if r.Rating < 1 || r.Rating > 5 {
+				t.Fatalf("rating %v out of range", r.Rating)
 			}
 		}
 		avg := rec.AvgRating()
@@ -165,8 +165,8 @@ func TestParseMovieRejectsGarbage(t *testing.T) {
 }
 
 func TestCosine(t *testing.T) {
-	rec := MovieRecord{ID: "m", Ratings: map[int]float64{1: 3, 2: 4}}
-	if got := rec.Cosine(rec.Ratings); math.Abs(got-1) > 1e-12 {
+	rec := MovieRecord{ID: "m", Ratings: []Rating{{User: 1, Rating: 3}, {User: 2, Rating: 4}}}
+	if got := rec.Cosine(rec.Vector()); math.Abs(got-1) > 1e-12 {
 		t.Errorf("self cosine = %v", got)
 	}
 	if got := rec.Cosine(map[int]float64{3: 5}); got != 0 {

@@ -1,7 +1,6 @@
 package datagen
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -55,8 +54,16 @@ func (c *MoviesConfig) FillDefaults() {
 	}
 }
 
-// MovieID returns the i-th movie identifier.
-func MovieID(i int) string { return fmt.Sprintf("movie%06d", i) }
+// MovieID returns the i-th movie identifier, "movie" and i to six digits.
+func MovieID(i int) string { return string(appendMovieID(nil, i)) }
+
+func appendMovieID(dst []byte, i int) []byte {
+	dst = append(dst, "movie"...)
+	for w := 100000; w > 1 && i < w; w /= 10 {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, int64(i), 10)
+}
 
 // Movies generates the dataset as newline-separated records.
 func Movies(cfg MoviesConfig) []byte {
@@ -74,26 +81,28 @@ func Movies(cfg MoviesConfig) []byte {
 		}
 	}
 
-	var sb strings.Builder
+	// rated[u] == m+1 marks user u as having rated movie m: one array for
+	// the whole run, never cleared.
+	rated := make([]int, cfg.Users)
+	out := make([]byte, 0, cfg.Movies*(12+(cfg.MinRatings+cfg.MaxRatings)/2*7))
 	for m := 0; m < cfg.Movies; m++ {
 		cluster := m % cfg.Clusters
 		n := cfg.MinRatings
 		if cfg.MaxRatings > cfg.MinRatings {
 			n += rng.Intn(cfg.MaxRatings - cfg.MinRatings + 1)
 		}
-		sb.WriteString(MovieID(m))
-		sb.WriteByte(':')
-		seen := make(map[int]bool, n)
+		out = appendMovieID(out, m)
+		out = append(out, ':')
 		wrote := 0
 		for wrote < n {
 			u := userZipf.Next()
-			if seen[u] {
+			if rated[u] == m+1 {
 				u = rng.Intn(cfg.Users)
-				if seen[u] {
+				if rated[u] == m+1 {
 					break // dense movie; accept fewer ratings
 				}
 			}
-			seen[u] = true
+			rated[u] = m + 1
 			mean := profiles[cluster][u]
 			r := int(math.Round(mean + rng.NormFloat64()*0.7))
 			if r < 1 {
@@ -103,50 +112,138 @@ func Movies(cfg MoviesConfig) []byte {
 				r = 5
 			}
 			if wrote > 0 {
-				sb.WriteByte(',')
+				out = append(out, ',')
 			}
-			fmt.Fprintf(&sb, "u%d_%d", u, r)
+			out = append(out, 'u')
+			out = strconv.AppendInt(out, int64(u), 10)
+			out = append(out, '_', byte('0'+r))
 			wrote++
 		}
-		sb.WriteByte('\n')
+		out = append(out, '\n')
 	}
-	return []byte(sb.String())
+	return out
 }
 
-// MovieRecord is one parsed movie line.
+// Rating is one user's rating of a movie.
+type Rating struct {
+	User   int
+	Rating float64
+}
+
+// MovieRecord is one parsed movie line. Ratings holds one entry per user
+// in the order the line first names them; a user the line repeats keeps
+// the last rating given.
 type MovieRecord struct {
 	ID      string
-	Ratings map[int]float64 // user -> rating
+	Ratings []Rating
+}
+
+// inlineRatings is how many ratings EachRating parses without touching the
+// heap, and past which parseMovie indexes users instead of scanning for a
+// repeat.
+const inlineRatings = 64
+
+// parseMovie is the one parser: it returns the movie's ID and its ratings,
+// held in buf's array when that has room and otherwise in one allocation
+// sized from the comma count; ok is false for blank or malformed lines.
+func parseMovie(line string, buf []Rating) (id string, ratings []Rating, ok bool) {
+	colon := strings.IndexByte(line, ':')
+	if colon <= 0 {
+		return "", nil, false
+	}
+	id, body := line[:colon], line[colon+1:]
+	if body == "" {
+		return id, nil, true
+	}
+	n := strings.Count(body, ",") + 1
+	ratings = buf[:0]
+	if cap(buf) < n {
+		ratings = make([]Rating, 0, n)
+	}
+	var slot map[int]int // user -> index in ratings, kept for long lines only
+	for body != "" {
+		ent := body
+		if comma := strings.IndexByte(body, ','); comma >= 0 {
+			ent, body = body[:comma], body[comma+1:]
+			if body == "" {
+				return "", nil, false // trailing comma: an empty entry
+			}
+		} else {
+			body = ""
+		}
+		us := strings.IndexByte(ent, '_')
+		if us <= 1 || ent[0] != 'u' {
+			return "", nil, false
+		}
+		uid, err := strconv.Atoi(ent[1:us])
+		if err != nil {
+			return "", nil, false
+		}
+		r, err := strconv.Atoi(ent[us+1:])
+		if err != nil {
+			return "", nil, false
+		}
+		// A user named before keeps their place and takes the new rating.
+		at := -1
+		if n <= inlineRatings {
+			for i := range ratings {
+				if ratings[i].User == uid {
+					at = i
+					break
+				}
+			}
+		} else {
+			if slot == nil {
+				slot = make(map[int]int, n)
+			}
+			if i, dup := slot[uid]; dup {
+				at = i
+			} else {
+				slot[uid] = len(ratings)
+			}
+		}
+		if at >= 0 {
+			ratings[at].Rating = float64(r)
+		} else {
+			ratings = append(ratings, Rating{User: uid, Rating: float64(r)})
+		}
+	}
+	return id, ratings, true
 }
 
 // ParseMovie parses one movie line; it returns ok=false for blank or
 // malformed lines.
 func ParseMovie(line string) (MovieRecord, bool) {
-	colon := strings.IndexByte(line, ':')
-	if colon <= 0 {
+	id, ratings, ok := parseMovie(line, nil)
+	if !ok {
 		return MovieRecord{}, false
 	}
-	rec := MovieRecord{ID: line[:colon], Ratings: make(map[int]float64)}
-	body := line[colon+1:]
-	if body == "" {
-		return rec, true
+	return MovieRecord{ID: id, Ratings: ratings}, true
+}
+
+// EachRating calls fn for every rating ParseMovie(line) would hold, in the
+// same order, without building the record: a mapper that needs only the
+// ratings allocates nothing. A line ParseMovie rejects has no ratings to
+// visit. It stops at, and returns, fn's first error.
+func EachRating(line string, fn func(user int, rating float64) error) error {
+	var buf [inlineRatings]Rating
+	_, ratings, _ := parseMovie(line, buf[:0])
+	for _, r := range ratings {
+		if err := fn(r.User, r.Rating); err != nil {
+			return err
+		}
 	}
-	for _, ent := range strings.Split(body, ",") {
-		us := strings.IndexByte(ent, '_')
-		if us <= 1 || ent[0] != 'u' {
-			return MovieRecord{}, false
-		}
-		uid, err := strconv.Atoi(ent[1:us])
-		if err != nil {
-			return MovieRecord{}, false
-		}
-		r, err := strconv.Atoi(ent[us+1:])
-		if err != nil {
-			return MovieRecord{}, false
-		}
-		rec.Ratings[uid] = float64(r)
+	return nil
+}
+
+// Vector returns the ratings as a sparse user -> rating vector, the form a
+// centroid has.
+func (m MovieRecord) Vector() map[int]float64 {
+	v := make(map[int]float64, len(m.Ratings))
+	for _, r := range m.Ratings {
+		v[r.User] = r.Rating
 	}
-	return rec, true
+	return v
 }
 
 // AvgRating returns a movie's mean rating (0 for no ratings).
@@ -156,7 +253,7 @@ func (m MovieRecord) AvgRating() float64 {
 	}
 	sum := 0.0
 	for _, r := range m.Ratings {
-		sum += r
+		sum += r.Rating
 	}
 	return sum / float64(len(m.Ratings))
 }
@@ -165,10 +262,10 @@ func (m MovieRecord) AvgRating() float64 {
 // with a centroid vector.
 func (m MovieRecord) Cosine(centroid map[int]float64) float64 {
 	var dot, nm, nc float64
-	for u, r := range m.Ratings {
-		nm += r * r
-		if c, ok := centroid[u]; ok {
-			dot += r * c
+	for _, r := range m.Ratings {
+		nm += r.Rating * r.Rating
+		if c, ok := centroid[r.User]; ok {
+			dot += r.Rating * c
 		}
 	}
 	for _, c := range centroid {
@@ -183,11 +280,11 @@ func (m MovieRecord) Cosine(centroid map[int]float64) float64 {
 // InitialCentroids deterministically picks k centroid vectors from the
 // dataset (every (movies/k)-th record), the usual PUMA seeding.
 func InitialCentroids(data []byte, k int) []map[int]float64 {
-	lines := strings.Split(string(data), "\n")
-	var recs []MovieRecord
-	for _, l := range lines {
-		if rec, ok := ParseMovie(l); ok && len(rec.Ratings) > 0 {
-			recs = append(recs, rec)
+	var recs []string // the lines that hold a record with ratings
+	for _, l := range strings.Split(string(data), "\n") {
+		var buf [inlineRatings]Rating
+		if _, ratings, ok := parseMovie(l, buf[:0]); ok && len(ratings) > 0 {
+			recs = append(recs, l)
 		}
 	}
 	if k <= 0 || len(recs) == 0 {
@@ -199,7 +296,8 @@ func InitialCentroids(data []byte, k int) []map[int]float64 {
 		step = 1
 	}
 	for i := 0; i < k && i*step < len(recs); i++ {
-		cents = append(cents, recs[i*step].Ratings)
+		rec, _ := ParseMovie(recs[i*step])
+		cents = append(cents, rec.Vector())
 	}
 	return cents
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"unicode/utf8"
 )
 
 // TextConfig controls Zipfian text generation (HiBench RandomTextWriter
@@ -114,4 +115,41 @@ func Docs(cfg DocsConfig) []byte {
 		sb.WriteByte('\n')
 	}
 	return []byte(sb.String())
+}
+
+// EachField calls fn for each field of s, the fields and their order being
+// exactly strings.Fields(s), without building the list: on ASCII nothing is
+// allocated. From the first field that holds a byte outside ASCII on,
+// Unicode decides what a space is and strings.Fields does the rest. It
+// stops at, and returns, fn's first error.
+func EachField(s string, fn func(field string) error) error {
+	start := -1 // where the field being read began; -1 between fields
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= utf8.RuneSelf:
+			if start < 0 {
+				start = i
+			}
+			for _, f := range strings.Fields(s[start:]) {
+				if err := fn(f); err != nil {
+					return err
+				}
+			}
+			return nil
+		case c == ' ' || ('\t' <= c && c <= '\r'):
+			if start >= 0 {
+				if err := fn(s[start:i]); err != nil {
+					return err
+				}
+				start = -1
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	if start >= 0 {
+		return fn(s[start:])
+	}
+	return nil
 }
