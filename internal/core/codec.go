@@ -3,16 +3,18 @@ package core
 import (
 	"encoding"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 )
 
 // The codec turns KV values into bytes for spill runs, map output and the
-// wire form of a bin: a type tag, then a compact encoding per type. The
-// type set is closed (see EncodeValue) and RegisterValue is the one way to
-// extend it.
+// wire form of a bin: a type tag, then a compact encoding per type (laid
+// out above EncodeValue). The type set is closed and RegisterValue is the
+// one way to extend it.
 
 type typeTag byte
 
@@ -53,10 +55,48 @@ func RegisterValue(v any) {
 	registered.Store(t, name)
 }
 
+// The layout, byte by byte. A value is one tag byte and then:
+//
+//	nil                nothing
+//	bool               one byte, 0 or 1
+//	int, int64         zig-zag varint (1 byte for -64..63, 10 at most)
+//	float64            8 bytes, little-endian IEEE 754 bits
+//	string, []byte     uvarint length, the bytes
+//	[]float64          uvarint count, 8 bytes per element
+//	[]int64, []int     uvarint count, 8 bytes per element (two's complement)
+//	[]string           uvarint count, then per element uvarint length, bytes
+//	map[string]int64   uvarint count, then per entry in key order: uvarint
+//	                   key length, key bytes, 8-byte value
+//	registered         uvarint length and bytes of the type name, then of
+//	                   the MarshalBinary body
+//
+// Lengths and counts are uvarints because almost all of them are under 128
+// and a fixed word spent 8 bytes on each; a scalar int is zig-zag because
+// the counts the benchmarks shuffle are small and either sign. Floats and
+// the elements of numeric slices stay fixed words: float bits do not
+// shrink as varints, and a fixed element width is what lets a count be
+// checked against the bytes that remain before it sizes a slice. EncodeKV
+// puts a uvarint key length and the key in front of the value. There is one
+// layout and no version byte: run files, sections and frames never outlive
+// the process that wrote them.
+
+// Decode errors a caller can test for. A length or count the remaining
+// bytes cannot back is ErrTruncated, whether the input was cut short or
+// the header is corrupt; a varint past 64 bits is ErrVarintOverflow.
+var (
+	ErrTruncated      = errors.New("core: truncated value")
+	ErrVarintOverflow = errors.New("core: varint overflows 64 bits")
+)
+
+func appendWord(dst []byte, x uint64) []byte { return binary.LittleEndian.AppendUint64(dst, x) }
+
+func appendLen(dst []byte, n int) []byte { return binary.AppendUvarint(dst, uint64(n)) }
+
 // EncodeValue appends the encoded form of v to dst and returns the result.
 // It carries nil, bool, int (read back as int64), int64, float64, string,
 // []byte, []float64, []int64, []int, []string, map[string]int64 and the
-// types given to RegisterValue; any other type is an error naming it.
+// types given to RegisterValue; any other type is an error naming it. Equal
+// values encode to equal bytes: a map's entries are written in key order.
 func EncodeValue(dst []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
@@ -69,54 +109,47 @@ func EncodeValue(dst []byte, v any) ([]byte, error) {
 			dst = append(dst, 0)
 		}
 	case int:
-		dst = append(dst, byte(tagInt64))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(x)))
+		dst = binary.AppendVarint(append(dst, byte(tagInt64)), int64(x))
 	case int64:
-		dst = append(dst, byte(tagInt64))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(x))
+		dst = binary.AppendVarint(append(dst, byte(tagInt64)), x)
 	case float64:
-		dst = append(dst, byte(tagFloat64))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
+		dst = appendWord(append(dst, byte(tagFloat64)), math.Float64bits(x))
 	case string:
-		dst = append(dst, byte(tagString))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(x)))
+		dst = appendLen(append(dst, byte(tagString)), len(x))
 		dst = append(dst, x...)
 	case []byte:
-		dst = append(dst, byte(tagBytes))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(x)))
+		dst = appendLen(append(dst, byte(tagBytes)), len(x))
 		dst = append(dst, x...)
 	case []float64:
-		dst = append(dst, byte(tagFloat64Slice))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(x)))
+		dst = appendLen(append(dst, byte(tagFloat64Slice)), len(x))
 		for _, f := range x {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
+			dst = appendWord(dst, math.Float64bits(f))
 		}
 	case []int64:
-		dst = append(dst, byte(tagInt64Slice))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(x)))
+		dst = appendLen(append(dst, byte(tagInt64Slice)), len(x))
 		for _, i := range x {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(i))
+			dst = appendWord(dst, uint64(i))
 		}
 	case []string:
-		dst = append(dst, byte(tagStringSlice))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(x)))
+		dst = appendLen(append(dst, byte(tagStringSlice)), len(x))
 		for _, s := range x {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(len(s)))
-			dst = append(dst, s...)
+			dst = append(appendLen(dst, len(s)), s...)
 		}
 	case []int:
-		dst = append(dst, byte(tagIntSlice))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(x)))
+		dst = appendLen(append(dst, byte(tagIntSlice)), len(x))
 		for _, i := range x {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(i)))
+			dst = appendWord(dst, uint64(int64(i)))
 		}
 	case map[string]int64:
-		dst = append(dst, byte(tagMapStringInt64))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(x)))
-		for k, i := range x {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(len(k)))
-			dst = append(dst, k...)
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(i))
+		dst = appendLen(append(dst, byte(tagMapStringInt64)), len(x))
+		keys := make([]string, 0, len(x))
+		for k := range x {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			dst = append(appendLen(dst, len(k)), k...)
+			dst = appendWord(dst, uint64(x[k]))
 		}
 	default:
 		name, ok := registered.Load(reflect.TypeOf(v))
@@ -127,219 +160,210 @@ func EncodeValue(dst []byte, v any) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: marshal %T: %w", v, err)
 		}
-		dst = append(dst, byte(tagRegistered))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(name.(string))))
+		dst = appendLen(append(dst, byte(tagRegistered)), len(name.(string)))
 		dst = append(dst, name.(string)...)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(body)))
-		dst = append(dst, body...)
+		dst = append(appendLen(dst, len(body)), body...)
 	}
 	return dst, nil
+}
+
+// reader walks an encoded buffer. Every method checks what it is about to
+// take against the bytes that remain, so nothing read from the input sizes
+// an allocation the input does not back.
+type reader struct {
+	b []byte
+	p int
+}
+
+func (r *reader) uvarint() (uint64, error) {
+	x, n := binary.Uvarint(r.b[r.p:])
+	if n == 0 {
+		return 0, ErrTruncated
+	}
+	if n < 0 {
+		return 0, ErrVarintOverflow
+	}
+	r.p += n
+	return x, nil
+}
+
+// varint undoes the zig-zag binary.AppendVarint applies.
+func (r *reader) varint() (int64, error) {
+	x, err := r.uvarint()
+	return int64(x>>1) ^ -int64(x&1), err
+}
+
+func (r *reader) word() (uint64, error) {
+	if len(r.b)-r.p < 8 {
+		return 0, ErrTruncated
+	}
+	x := binary.LittleEndian.Uint64(r.b[r.p:])
+	r.p += 8
+	return x, nil
+}
+
+// count reads an element count and requires the bytes that remain to hold
+// that many elements of at least width bytes each.
+func (r *reader) count(width int) (int, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(len(r.b)-r.p)/uint64(width) {
+		return 0, ErrTruncated
+	}
+	return int(n), nil
+}
+
+// bytes reads a length and returns that many bytes of the buffer itself.
+func (r *reader) bytes() ([]byte, error) {
+	n, err := r.count(1)
+	if err != nil {
+		return nil, err
+	}
+	r.p += n
+	return r.b[r.p-n : r.p], nil
 }
 
 // DecodeValue decodes one value from b, returning the value and the number
 // of bytes consumed.
 func DecodeValue(b []byte) (any, int, error) {
 	if len(b) == 0 {
-		return nil, 0, fmt.Errorf("core: decode empty buffer")
+		return nil, 0, fmt.Errorf("core: decode empty buffer: %w", ErrTruncated)
 	}
-	tag := typeTag(b[0])
-	p := 1
-	getU64 := func() (uint64, error) {
-		if len(b) < p+8 {
-			return 0, fmt.Errorf("core: truncated value")
-		}
-		x := binary.LittleEndian.Uint64(b[p:])
-		p += 8
-		return x, nil
+	r := reader{b: b, p: 1}
+	v, err := r.value(typeTag(b[0]))
+	if err != nil {
+		return nil, 0, err
 	}
-	// getCount reads an element count and requires the bytes that remain
-	// to hold that many elements of at least width bytes, so a corrupt
-	// header cannot size an allocation.
-	getCount := func(width int) (int, error) {
-		n, err := getU64()
-		if err != nil {
-			return 0, err
-		}
-		if n > uint64(len(b)-p)/uint64(width) {
-			return 0, fmt.Errorf("core: truncated value")
-		}
-		return int(n), nil
-	}
+	return v, r.p, nil
+}
+
+func (r *reader) value(tag typeTag) (any, error) {
 	switch tag {
 	case tagNil:
-		return nil, p, nil
+		return nil, nil
 	case tagBool:
-		if len(b) < p+1 {
-			return nil, 0, fmt.Errorf("core: truncated bool")
+		if r.p == len(r.b) {
+			return nil, ErrTruncated
 		}
-		v := b[p] != 0
-		return v, p + 1, nil
+		r.p++
+		return r.b[r.p-1] != 0, nil
 	case tagInt64:
-		x, err := getU64()
-		if err != nil {
-			return nil, 0, err
-		}
-		return int64(x), p, nil
+		return r.varint()
 	case tagFloat64:
-		x, err := getU64()
-		if err != nil {
-			return nil, 0, err
-		}
-		return math.Float64frombits(x), p, nil
+		x, err := r.word()
+		return math.Float64frombits(x), err
 	case tagString:
-		n, err := getU64()
-		if err != nil {
-			return nil, 0, err
-		}
-		if uint64(len(b)-p) < n {
-			return nil, 0, fmt.Errorf("core: truncated string")
-		}
-		v := string(b[p : p+int(n)])
-		return v, p + int(n), nil
+		s, err := r.bytes()
+		return string(s), err
 	case tagBytes:
-		n, err := getU64()
-		if err != nil {
-			return nil, 0, err
-		}
-		if uint64(len(b)-p) < n {
-			return nil, 0, fmt.Errorf("core: truncated bytes")
-		}
-		v := append([]byte(nil), b[p:p+int(n)]...)
-		return v, p + int(n), nil
+		s, err := r.bytes()
+		return append([]byte(nil), s...), err
 	case tagFloat64Slice:
-		n, err := getCount(8)
+		n, err := r.count(8)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		v := make([]float64, n)
 		for i := range v {
-			x, err := getU64()
-			if err != nil {
-				return nil, 0, err
-			}
+			x, _ := r.word() // count(8) checked the bytes are there
 			v[i] = math.Float64frombits(x)
 		}
-		return v, p, nil
+		return v, nil
 	case tagInt64Slice:
-		n, err := getCount(8)
+		n, err := r.count(8)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		v := make([]int64, n)
 		for i := range v {
-			x, err := getU64()
-			if err != nil {
-				return nil, 0, err
-			}
+			x, _ := r.word()
 			v[i] = int64(x)
 		}
-		return v, p, nil
-	case tagStringSlice:
-		n, err := getCount(8)
-		if err != nil {
-			return nil, 0, err
-		}
-		v := make([]string, n)
-		for i := range v {
-			sl, err := getU64()
-			if err != nil {
-				return nil, 0, err
-			}
-			if uint64(len(b)-p) < sl {
-				return nil, 0, fmt.Errorf("core: truncated string slice")
-			}
-			v[i] = string(b[p : p+int(sl)])
-			p += int(sl)
-		}
-		return v, p, nil
+		return v, nil
 	case tagIntSlice:
-		n, err := getCount(8)
+		n, err := r.count(8)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		v := make([]int, n)
 		for i := range v {
-			x, err := getU64()
-			if err != nil {
-				return nil, 0, err
-			}
+			x, _ := r.word()
 			v[i] = int(int64(x))
 		}
-		return v, p, nil
-	case tagMapStringInt64:
-		n, err := getCount(16) // a key length and a value
+		return v, nil
+	case tagStringSlice:
+		n, err := r.count(1) // an element is at least its length byte
 		if err != nil {
-			return nil, 0, err
+			return nil, err
+		}
+		v := make([]string, n)
+		for i := range v {
+			s, err := r.bytes()
+			if err != nil {
+				return nil, err
+			}
+			v[i] = string(s)
+		}
+		return v, nil
+	case tagMapStringInt64:
+		n, err := r.count(9) // an entry is at least a key length byte and a value
+		if err != nil {
+			return nil, err
 		}
 		v := make(map[string]int64, n)
 		for i := 0; i < n; i++ {
-			kl, err := getU64()
+			k, err := r.bytes()
 			if err != nil {
-				return nil, 0, err
+				return nil, err
 			}
-			if uint64(len(b)-p) < kl {
-				return nil, 0, fmt.Errorf("core: truncated map key")
-			}
-			k := string(b[p : p+int(kl)])
-			p += int(kl)
-			x, err := getU64()
+			x, err := r.word()
 			if err != nil {
-				return nil, 0, err
+				return nil, err
 			}
-			v[k] = int64(x)
+			v[string(k)] = int64(x)
 		}
-		return v, p, nil
+		return v, nil
 	case tagRegistered:
-		var field [2][]byte // type name, marshaled body
-		for i := range field {
-			n, err := getU64()
-			if err != nil {
-				return nil, 0, err
-			}
-			if uint64(len(b)-p) < n {
-				return nil, 0, fmt.Errorf("core: truncated registered value")
-			}
-			field[i] = b[p : p+int(n)]
-			p += int(n)
+		name, err := r.bytes()
+		if err != nil {
+			return nil, err
 		}
-		t, ok := registered.Load(string(field[0]))
+		body, err := r.bytes()
+		if err != nil {
+			return nil, err
+		}
+		t, ok := registered.Load(string(name))
 		if !ok {
-			return nil, 0, fmt.Errorf("core: value of unregistered type %q", field[0])
+			return nil, fmt.Errorf("core: value of unregistered type %q", name)
 		}
 		v := reflect.New(t.(reflect.Type))
-		if err := v.Interface().(encoding.BinaryUnmarshaler).UnmarshalBinary(field[1]); err != nil {
-			return nil, 0, fmt.Errorf("core: unmarshal %s: %w", field[0], err)
+		if err := v.Interface().(encoding.BinaryUnmarshaler).UnmarshalBinary(body); err != nil {
+			return nil, fmt.Errorf("core: unmarshal %s: %w", name, err)
 		}
-		return v.Elem().Interface(), p, nil
+		return v.Elem().Interface(), nil
 	default:
-		return nil, 0, fmt.Errorf("core: unknown value tag %d", tag)
+		return nil, fmt.Errorf("core: unknown value tag %d", tag)
 	}
 }
 
 // EncodeKV encodes a full pair (key then value) into dst.
 func EncodeKV(dst []byte, kv KV) ([]byte, error) {
-	var scratch [8]byte
-	binary.LittleEndian.PutUint64(scratch[:], uint64(len(kv.Key)))
-	dst = append(dst, scratch[:]...)
-	dst = append(dst, kv.Key...)
+	dst = append(appendLen(dst, len(kv.Key)), kv.Key...)
 	return EncodeValue(dst, kv.Value)
 }
 
 // DecodeKV decodes one pair from b, returning the pair and bytes consumed.
 func DecodeKV(b []byte) (KV, int, error) {
-	if len(b) < 8 {
-		return KV{}, 0, fmt.Errorf("core: truncated kv")
-	}
-	klen := binary.LittleEndian.Uint64(b)
-	p := 8
-	if uint64(len(b)-p) < klen {
-		return KV{}, 0, fmt.Errorf("core: truncated key")
-	}
-	key := string(b[p : p+int(klen)])
-	p += int(klen)
-	v, n, err := DecodeValue(b[p:])
+	r := reader{b: b}
+	key, err := r.bytes()
 	if err != nil {
 		return KV{}, 0, err
 	}
-	return KV{Key: key, Value: v}, p + n, nil
+	v, n, err := DecodeValue(b[r.p:])
+	if err != nil {
+		return KV{}, 0, err
+	}
+	return KV{Key: string(key), Value: v}, r.p + n, nil
 }

@@ -196,17 +196,33 @@ func TestCodecTruncatedInput(t *testing.T) {
 	}
 }
 
-// hostileCounts are encodings whose element count is not backed by the
+// counted is a tag, a uvarint count or length, and whatever follows it.
+func counted(tag typeTag, n uint64, tail ...byte) []byte {
+	return append(binary.AppendUvarint([]byte{byte(tag)}, n), tail...)
+}
+
+// overlong is a tag and a varint of eleven continuation bytes: past 64 bits.
+func overlong(tag typeTag) []byte {
+	return append([]byte{byte(tag)}, bytes.Repeat([]byte{0x80}, 11)...)
+}
+
+// hostileCounts are encodings whose count or length is not backed by the
 // bytes that follow: a count whose byte size overflows int, one that fits
-// int and would size a 2 GiB slice, a map of 2^40 entries.
+// int and would size a 2 GiB slice, a map of 2^40 entries, a varint of
+// eleven continuation bytes, a length one past the bytes that remain.
 var hostileCounts = [][]byte{
-	{byte(tagFloat64Slice), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
-	{byte(tagInt64Slice), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
-	{byte(tagStringSlice), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
-	{byte(tagIntSlice), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
-	{byte(tagFloat64Slice), 0, 0, 0, 0x10, 0, 0, 0, 0},
-	{byte(tagStringSlice), 0, 0, 0, 0x10, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 'x'},
-	{byte(tagMapStringInt64), 0, 0, 0, 0, 0, 1, 0, 0},
+	counted(tagFloat64Slice, math.MaxInt64),
+	counted(tagInt64Slice, math.MaxInt64),
+	counted(tagStringSlice, math.MaxInt64),
+	counted(tagIntSlice, math.MaxInt64),
+	counted(tagBytes, math.MaxUint64),
+	counted(tagFloat64Slice, 1<<28),
+	counted(tagStringSlice, 1<<28, 1, 'x'),
+	counted(tagMapStringInt64, 1<<40),
+	overlong(tagString),
+	overlong(tagInt64),
+	counted(tagString, 5, 'a', 'b', 'c', 'd'),
+	counted(tagMapStringInt64, 1, 1, 'k', 0, 0, 0, 0, 0, 0, 0),
 }
 
 // decodeMeasured is DecodeValue and the bytes the call allocated.
@@ -218,12 +234,60 @@ func decodeMeasured(b []byte) (v any, n int, err error, alloc uint64) {
 	return v, n, err, m1.TotalAlloc - m0.TotalAlloc
 }
 
-// A count the input cannot back is an error before it is an allocation.
+// A count the input cannot back is a typed error before it is an
+// allocation.
 func TestCodecHostileCounts(t *testing.T) {
 	for _, b := range hostileCounts {
-		if _, _, err, alloc := decodeMeasured(b); err == nil || alloc > 1<<20 {
-			t.Errorf("DecodeValue(% x) = %v after allocating %d bytes, want an error and none to speak of", b, err, alloc)
+		_, _, err, alloc := decodeMeasured(b)
+		if typed := errors.Is(err, ErrTruncated) || errors.Is(err, ErrVarintOverflow); !typed || alloc > 1<<20 {
+			t.Errorf("DecodeValue(% x) = %v after allocating %d bytes, want ErrTruncated or ErrVarintOverflow and none to speak of", b, err, alloc)
 		}
+	}
+}
+
+// TestEncodedSizes pins what a length and a small int cost, so a slide
+// back to fixed-width words fails here rather than in a benchmark.
+func TestEncodedSizes(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		want int
+	}{
+		{int64(1), 2}, {int64(-1), 2}, {int64(63), 2}, {int64(-64), 2}, {int64(64), 3},
+		{int64(math.MinInt64), 11}, {"0123456789abcdef", 18}, {"", 2}, {[]byte{}, 2},
+		{[]string{"a", ""}, 5}, {map[string]int64{"k": 1}, 12},
+	} {
+		if b, err := EncodeValue(nil, c.v); err != nil || len(b) != c.want {
+			t.Errorf("%#v encodes to %d bytes (%v), want %d", c.v, len(b), err, c.want)
+		}
+	}
+	// The TeraSort row: 37 bytes under fixed-width lengths, 26 of payload.
+	row, err := EncodeKV(nil, KV{Key: "0123456789", Value: "00000000-payload"})
+	if err != nil || len(row) != 29 {
+		t.Errorf("the TeraSort row encodes to %d bytes (%v), want 29", len(row), err)
+	}
+	if hdr, _ := (&Bin{Job: 1 << 40, Edge: 3, Flowlet: 2, From: 7, Bytes: 64 << 10}).AppendBinary(nil); len(hdr) > 42 {
+		t.Errorf("an empty bin is %d bytes on the wire, want <= 42", len(hdr))
+	}
+}
+
+// TestCodecMapOrder: equal maps encode to equal bytes whatever order Go
+// ranges over them in, so map order does not leak into run files and frames.
+func TestCodecMapOrder(t *testing.T) {
+	m := map[string]int64{}
+	for i := 0; i < 50; i++ {
+		m[fmt.Sprintf("key-%02d", i*37%50)] = int64(i)
+	}
+	first, err := EncodeValue(nil, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 100; i++ {
+		if again, _ := EncodeValue(nil, m); !bytes.Equal(first, again) {
+			t.Fatalf("encoding %d of one map differs from the first", i)
+		}
+	}
+	if got := roundTripValue(t, m); !reflect.DeepEqual(got, m) {
+		t.Errorf("round trip %v -> %v", m, got)
 	}
 }
 
@@ -266,8 +330,8 @@ func FuzzDecodeValue(f *testing.F) {
 		if err != nil || n2 != len(enc) {
 			t.Fatalf("re-decode of %#v: %v (%d of %d bytes)", v, err, n2, len(enc))
 		}
-		// Maps encode in any order and NaN is not DeepEqual to itself, so
-		// either the values or their encodings must agree.
+		// NaN is not DeepEqual to itself, so either the values or their
+		// encodings must agree.
 		if enc2, _ := EncodeValue(nil, v2); !reflect.DeepEqual(v, v2) && !bytes.Equal(enc, enc2) {
 			t.Fatalf("round trip %#v -> %#v", v, v2)
 		}

@@ -84,7 +84,8 @@ func init() { RegisterValue(benchRegValue{}) }
 
 // BenchmarkCodec measures EncodeValue/DecodeValue for the shapes the
 // benchmarks actually emit, plus a registered type — sequential and with 8
-// concurrent encoders sharing the registry.
+// concurrent encoders sharing the registry — and EncodeKV/DecodeKV for the
+// two pairs DESIGN.md §6 prices, with their encoded size as bytes/kv.
 func BenchmarkCodec(b *testing.B) {
 	values := []struct {
 		name string
@@ -112,6 +113,30 @@ func BenchmarkCodec(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+	for _, tc := range []struct {
+		name string
+		kv   KV
+	}{
+		{"terasort-row", KV{Key: "0123456789", Value: "00000000-payload"}},
+		{"word-count", KV{Key: "dataflow", Value: int64(1)}},
+	} {
+		tc := tc
+		b.Run("kv/"+tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var scratch []byte
+			for i := 0; i < b.N; i++ {
+				var err error
+				scratch, err = EncodeKV(scratch[:0], tc.kv)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := DecodeKV(scratch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(scratch)), "bytes/kv")
 		})
 	}
 	regVal := benchRegValue{Name: "y", Count: 7, Pos: []float64{3, 1, 4, 1, 5}}

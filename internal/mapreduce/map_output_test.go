@@ -158,6 +158,14 @@ func (f *ledgerFile) Close() error {
 //     adjacent window, not the front of the list: as many files, other
 //     contents) and with the outputs: segment-NNNNN, one file a partition,
 //     is gone and file.out, one a map task, holds the same records.
+//
+// Every file pin and the two byte-derived counters moved again at PR 23,
+// when the value codec's lengths and ints became varints: each record in
+// each file is shorter (a word's count 9 bytes -> 2, a row's payload 25 ->
+// 18) and nothing else about a file changed. What that change could not
+// move is pinned beside them and did not: the file counts, mr.spills,
+// mr.spill.bytes (accounted before encoding), mr.merge.passes, mr.combines,
+// the number of fetch runs and the output hash.
 func TestMapOutputFilesMatchPinnedBaseline(t *testing.T) {
 	sumReducer := func() Reducer { return wcReducer{} }
 	for _, tc := range []struct {
@@ -191,14 +199,15 @@ func TestMapOutputFilesMatchPinnedBaseline(t *testing.T) {
 				NewCombiner:   sumReducer,
 				NewReducer:    sumReducer,
 			},
-			files:  "1b2e7b290cf07aae4d2c12e85dc66f667c9c2eeed2cde7652500235563b68f4a",
-			spills: "aec2e324f2bfaab1d8b344ef013d18b3e1efff51c68e2884b396c1c8c09d7b36",
+			files:  "de0f2fa85a92f6e3573a3b7fb0e172d27b5348e479c7e22a181b24b9a43d94bb",
+			spills: "a589a1148aaa8024c5b0f8750aac8bf451a39ce97669a6bd1bf7349d85325b5e",
 			counts: [3]int{74, 30, 5},
 			fetch:  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", // of nothing
 			output: "2f01e8b1c42a2802c59d6df3df2868f4f4e9dbd3a2f3f1c564a80b06b8c73cda",
 			metrics: map[string]int64{
 				"mr.spills": 74, "mr.spill.bytes": 150000, "mr.merge.passes": 30,
-				"mr.combines": 74, "mr.shuffle.bytes": 16847, "mr.reduce.disk.merges": 0,
+				// 16847 shuffled before PR 23: 7 bytes off each combined pair.
+				"mr.combines": 74, "mr.shuffle.bytes": 9920, "mr.reduce.disk.merges": 0,
 			},
 		},
 		{
@@ -211,18 +220,20 @@ func TestMapOutputFilesMatchPinnedBaseline(t *testing.T) {
 			input:  []byte(teraRows(4000)),
 			cfg:    Config{SortBufferBytes: 2 << 10, MergeFactor: 3, ReduceHeapBytes: 16 << 10},
 			job:    identitySortJob(4),
-			files:  "2f75f974c4299c70df7312f42e395faa12cff66dc353c472e30a76565e76b902",
-			spills: "e7ba02c6a27a6499e4c0b487d6166abdff6028770dff5ce9b2bbe74998a6f0fd",
+			files:  "9d55cf81ff8d5b10e93847c7d68807177c967efa224795564188181bbec3b319",
+			spills: "d14c7acde4e2446697b18b0f92eef8f74c82c060fc029da26f8b119272f58cb6",
 			// 14 outputs hold what 56 segment files did.
 			counts: [3]int{123, 41, 14},
 			// Every reducer crosses its in-memory budget part of the way
-			// through its fetch: 12 of the runs were written from memory.
-			fetch:  "7d4c0971270f91c9ec92477858e3d1c16e74dd6e55ba032dc76babb356535be1",
+			// through its fetch: 14 of the runs were written from memory (12
+			// and 44 disk merges before PR 23 — smaller sections, so two
+			// more of them fit under heap/2).
+			fetch:  "1b8acedaf2df45f888d53e04d518d18e352320961d1587b8a0d7820a43dcd886",
 			nfetch: 56,
 			output: "64b3f8c737b492a0d206a7932891084b62184a61634ca5baab4ef46d93595c15",
 			metrics: map[string]int64{
 				"mr.spills": 123, "mr.spill.bytes": 232000, "mr.merge.passes": 41,
-				"mr.combines": 0, "mr.reduce.disk.merges": 44,
+				"mr.combines": 0, "mr.reduce.disk.merges": 42,
 			},
 		},
 	} {

@@ -70,49 +70,67 @@ func TestReducePlacementsAgree(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			kill := killSomeReducers(t, tc.job.NumReduces)
 			var want string
+			// cell runs the job once and holds it to the first cell's output;
+			// it returns the job's result and how many sections went to disk.
+			cell := func(codec string, heap int64, fc *faults.Config) (*Result, int64) {
+				c, err := cluster.New(cluster.Options{
+					NumNodes: 2, HDFSBlockSize: 4 << 10, CompressCodec: codec, Faults: fc,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				if err := c.FS().WriteFile("in/data", tc.input, -1); err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("codec %q, heap %d, faults %v", codec, heap, fc != nil)
+				c.Substrate().Faults.Arm()
+				res, err := NewEngine(c, Config{ReduceHeapBytes: heap}).Run(tc.job)
+				c.Substrate().Faults.Disarm()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got := outputHash(t, c); want == "" {
+					want = got
+				} else if got != want {
+					t.Errorf("%s: output hash %s, want %s as in the first cell", name, got, want)
+				}
+				if left := mapFilesLeft(c); len(left) > 0 {
+					t.Errorf("%s: the job left %v", name, left)
+				}
+				if fc != nil && c.Metrics().Counter("mr.task.retries").Value() == 0 {
+					t.Errorf("%s: no reduce attempt was killed", name)
+				}
+				return res, c.Metrics().Counter("mr.reduce.disk.merges").Value()
+			}
+			// Half the heap is the in-memory shuffle budget, so the heaps
+			// come from what the job's sections measure, uncompressed and
+			// with room for all of them — not from literals a change of
+			// the value codec leaves on one side of every section: a heap
+			// of four times the whole shuffle holds every reducer's
+			// sections, one of a reducer's mean share the first half of
+			// them, and one of the mean section none, while it still holds
+			// any one group's values. The budget counts a section's
+			// uncompressed payload, so one probe serves all three codecs
+			// and each must send the same sections to disk: terasort
+			// [0 31 63] and wordcount+combiner [0 9 21] under each.
+			probe, _ := cell("", 1<<30, nil)
+			shuffle, sections := probe.ShuffleBytes, int64(probe.MapTasks*probe.ReduceTasks)
+			heaps := [3]int64{4 * shuffle, shuffle / int64(probe.ReduceTasks), shuffle / sections}
+			var uncompressed [3]int64
 			for _, codec := range []string{"", "lz", "flate"} {
-				// Half the heap is the in-memory shuffle budget: every
-				// reducer's segments fit in the first, a few of them in the
-				// second, not one in the third, which still holds any one
-				// group's values.
 				var merges [3]int64
-				for i, heap := range []int64{1 << 20, 8 << 10, 256} {
-					for _, fc := range []*faults.Config{nil, kill} {
-						c, err := cluster.New(cluster.Options{
-							NumNodes: 2, HDFSBlockSize: 4 << 10, CompressCodec: codec, Faults: fc,
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if err := c.FS().WriteFile("in/data", tc.input, -1); err != nil {
-							t.Fatal(err)
-						}
-						cell := fmt.Sprintf("codec %q, heap %d, faults %v", codec, heap, fc != nil)
-						c.Substrate().Faults.Arm()
-						_, err = NewEngine(c, Config{ReduceHeapBytes: heap}).Run(tc.job)
-						c.Substrate().Faults.Disarm()
-						if err != nil {
-							t.Fatalf("%s: %v", cell, err)
-						}
-						if got := outputHash(t, c); want == "" {
-							want = got
-						} else if got != want {
-							t.Errorf("%s: output hash %s, want %s as in the first cell", cell, got, want)
-						}
-						if left := mapFilesLeft(c); len(left) > 0 {
-							t.Errorf("%s: the job left %v", cell, left)
-						}
-						reg := c.Metrics()
-						if fc == nil {
-							merges[i] = reg.Counter("mr.reduce.disk.merges").Value()
-						} else if reg.Counter("mr.task.retries").Value() == 0 {
-							t.Errorf("%s: no reduce attempt was killed", cell)
-						}
-						c.Close()
-					}
+				for i, heap := range heaps {
+					_, merges[i] = cell(codec, heap, nil)
+					cell(codec, heap, kill)
 				}
 				if merges[0] != 0 || merges[1] <= 0 || merges[1] >= merges[2] {
-					t.Errorf("codec %q: %v segments fetched to disk, want none, some and all", codec, merges)
+					t.Errorf("codec %q, heaps %v: %v segments fetched to disk, want none, some and all", codec, heaps, merges)
+				}
+				if codec == "" {
+					uncompressed = merges
+				} else if merges != uncompressed {
+					t.Errorf("codec %q, heaps %v: %v segments fetched to disk, want %v as without a codec", codec, heaps, merges, uncompressed)
 				}
 			}
 		})
