@@ -7,6 +7,14 @@
 // edge list and builds adjacency lists in memory; later iterations replay
 // contributions straight from memory.
 //
+//	iteration 1:  edges -> join(reduce) -> merge(reduce) => maxΔ -> sink
+//	iteration i:  memory                -> merge(reduce) => maxΔ -> sink
+//
+// "=>" is a node-local edge: every rank delta carries the one key
+// "delta", so shuffling it would send them all to one node. Each node
+// folds its own maximum instead, one pair per node reaches the sink, and
+// the driver takes the maximum of those.
+//
 // Run with:
 //
 //	go run ./examples/pagerank
@@ -138,7 +146,7 @@ func (c *edgeCtx) Emit(kv hamr.KV) error {
 	return c.Context.Emit(hamr.KV{Key: f[0], Value: f[1]})
 }
 
-// maxDelta keeps the largest observed rank change.
+// maxDelta keeps the largest rank change observed on its node.
 func maxDelta() hamr.PartialReducer {
 	return hamr.Fold(func(key string, state, value any) (any, error) {
 		v := value.(float64)
@@ -159,6 +167,7 @@ func buildIteration(first bool, edges hamr.Loader) (*hamr.Graph, *hamr.CollectSi
 	}
 	return p.
 		Reduce("merge", rankMerge{}).
+		Via(hamr.WithRouting(hamr.RouteLocal)). // fold the maximum where the deltas are
 		PartialReduce("maxdelta", maxDelta()).
 		Collect()
 }

@@ -2,6 +2,7 @@ package hamrapps
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -265,6 +266,126 @@ func TestPageRankHubDominates(t *testing.T) {
 	}
 	if res.Iterations < 2 {
 		t.Errorf("converged suspiciously fast: %d iterations", res.Iterations)
+	}
+}
+
+// seqPageRank is PageRank over "src dst" lines the way Algorithm 2 defines
+// it — every page starts at 1, a page that receives nothing keeps its rank
+// — on one thread: the final ranks and each iteration's largest |Δrank|.
+func seqPageRank(edgeLines string, iters int) (map[string]float64, []float64) {
+	var edges [][2]string
+	outdeg, rank := map[string]float64{}, map[string]float64{}
+	for _, line := range strings.Split(edgeLines, "\n") {
+		if f := strings.Fields(line); len(f) == 2 {
+			edges = append(edges, [2]string{f[0], f[1]})
+			outdeg[f[0]]++
+			rank[f[0]], rank[f[1]] = 1, 1
+		}
+	}
+	var deltas []float64
+	for it := 0; it < iters; it++ {
+		sum := map[string]float64{}
+		for _, e := range edges {
+			sum[e[1]] += rank[e[0]] / outdeg[e[0]]
+		}
+		largest := 0.0
+		for page, s := range sum {
+			next := (1 - PRDamping) + PRDamping*s
+			largest = math.Max(largest, math.Abs(next-rank[page]))
+			rank[page] = next
+		}
+		deltas = append(deltas, largest)
+	}
+	return rank, deltas
+}
+
+// TestPageRankDeltaFoldsLocally holds the convergence check's dataflow: the
+// deltas all carry one key, so they are folded on the node that produced
+// them and one pair per node reaches the driver — not shuffled to the one
+// node that key hashes to — and the driver's maximum over those pairs is
+// still the iteration's true maximum.
+func TestPageRankDeltaFoldsLocally(t *testing.T) {
+	const nodes, iters = 4, 3
+	c := newCluster(t, nodes)
+	var sb strings.Builder
+	const pages = 40
+	for i := 1; i < pages; i++ {
+		fmt.Fprintf(&sb, "%d 0\n0 %d\n%d %d\n", i, i, i, (i*7+3)%pages)
+	}
+	files, err := DistributeLocalText(c, "pr", []byte(sb.String()), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader := &LocalTextLoader{Files: files}
+	wantRanks, wantDeltas := seqPageRank(sb.String(), iters)
+
+	for it := 0; it < iters; it++ {
+		g, sink, err := BuildPageRankIteration(it == 0, loader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local := 0
+		for _, e := range g.Edges() {
+			from, to := g.Flowlets()[e.From].Name, g.Flowlets()[e.To].Name
+			switch from + ">" + to {
+			case "merge>cont", "cont>maxdelta":
+				local++
+				if e.Routing != core.RouteLocal {
+					t.Errorf("edge %s -> %s has routing %v, want RouteLocal: a constant key over a shuffle is an all-to-one transfer", from, to, e.Routing)
+				}
+			}
+		}
+		if local != 2 {
+			t.Fatalf("found %d of the edges merge -> cont -> maxdelta", local)
+		}
+		if _, err := c.Run(g); err != nil {
+			t.Fatal(err)
+		}
+		pairs := sink.Pairs()
+		if len(pairs) == 0 || len(pairs) > nodes {
+			t.Fatalf("iteration %d: %d pairs at the sink, want one per node that reduced a page (1-%d)", it+1, len(pairs), nodes)
+		}
+		got := 0.0
+		for _, kv := range pairs {
+			if kv.Key != "delta" {
+				t.Errorf("iteration %d: sink pair keyed %q, want \"delta\"", it+1, kv.Key)
+			}
+			got = math.Max(got, kv.Value.(float64))
+		}
+		if math.Abs(got-wantDeltas[it]) > 1e-12 {
+			t.Errorf("iteration %d: max over the nodes' maxima = %.15f, sequential max |Δrank| = %.15f", it+1, got, wantDeltas[it])
+		}
+	}
+
+	res, err := RunPageRank(c, loader, 0, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Ranks) != len(wantRanks) {
+		t.Errorf("%d ranks, sequential has %d", len(res.Ranks), len(wantRanks))
+	}
+	for page, want := range wantRanks {
+		if got := res.Ranks[page]; math.Abs(got-want) > 1e-9 {
+			t.Errorf("page %s: rank %.12f, sequential %.12f", page, got, want)
+		}
+	}
+
+	// The epsilon stop reads the global maximum: a driver that took the
+	// first pair, or a node whose maximum went missing, would see less
+	// than iteration 1's true delta and stop one iteration early.
+	d1 := wantDeltas[0]
+	for _, tc := range []struct {
+		epsilon float64
+		iters   int
+	}{{d1 * (1 + 1e-9), 1}, {d1 * (1 - 1e-9), 2}} {
+		res, err := RunPageRank(c, loader, tc.epsilon, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iterations != tc.iters {
+			t.Errorf("epsilon %.12f against a first max delta of %.12f: %d iterations, want %d (last max delta %.12f)",
+				tc.epsilon, d1, res.Iterations, tc.iters, res.MaxDelta)
+		}
 	}
 }
 

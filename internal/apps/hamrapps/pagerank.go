@@ -15,8 +15,16 @@ import (
 // materialization between them; HAMR keeps the adjacency lists and ranks
 // distributed in memory (the kv-store) and runs each iteration as one job:
 //
-//	iteration 1:  EdgeFileLoader -> HashJoinRed(reduce) -> MergeRed(reduce) -> ContMap -> maxΔ -> sink
-//	iteration i:  EdgeLoader (from memory)              -> MergeRed(reduce) -> ContMap -> maxΔ -> sink
+//	iteration 1:  EdgeFileLoader -> HashJoinRed(reduce) -> MergeRed(reduce) => ContMap => maxΔ -> sink
+//	iteration i:  EdgeLoader (from memory)              -> MergeRed(reduce) => ContMap => maxΔ -> sink
+//
+// "=>" is a node-local edge. The convergence check is a two-level
+// maximum: every delta carries the one constant key "delta", so over a
+// shuffle edge it would be an all-to-one transfer and one serialised
+// partial-reduce stripe on one node while the others idle. Instead
+// ContMap and maxΔ run on the node whose MergeRed produced the delta,
+// each node folds its own maximum, and one pair per node reaches the
+// sink for the driver to take the maximum of.
 //
 // The damping follows the common formulation rank = 0.15 + 0.85·Σ
 // contributions; pages keep rank 1 until they receive contributions.
@@ -169,7 +177,7 @@ func (MergeRed) Reduce(key string, values []any, ctx core.Context) error {
 	return ctx.Emit(core.KV{Key: "delta", Value: delta})
 }
 
-// ContMap forwards deltas to the max aggregation (Alg. 2 step 10).
+// ContMap forwards deltas to the node's max aggregation (Alg. 2 step 10).
 type ContMap struct{}
 
 // Map implements core.Mapper.
@@ -194,7 +202,8 @@ func (MaxFloat) Finish(key string, state any, ctx core.Context) error {
 
 // BuildPageRankIteration constructs the graph for one iteration. first
 // selects the Algorithm 2 branch (edge file load + hash join vs in-memory
-// edge replay). The sink receives ("delta", maxDelta).
+// edge replay). The sink receives one ("delta", node-local max) per node
+// that reduced a page; the iteration's max delta is their maximum.
 func BuildPageRankIteration(first bool, edgeLoader core.Loader) (*core.Graph, *core.CollectSink, error) {
 	g := core.NewGraph("pagerank-iter")
 	sink := core.NewCollectSink()
@@ -238,10 +247,10 @@ func BuildPageRankIteration(first bool, edgeLoader core.Loader) (*core.Graph, *c
 	if err := g.Connect(prev, merge); err != nil {
 		return nil, nil, err
 	}
-	if err := g.Connect(merge, cont); err != nil {
+	if err := g.Connect(merge, cont, core.WithRouting(core.RouteLocal)); err != nil {
 		return nil, nil, err
 	}
-	if err := g.Connect(cont, mx); err != nil {
+	if err := g.Connect(cont, mx, core.WithRouting(core.RouteLocal)); err != nil {
 		return nil, nil, err
 	}
 	if err := g.Connect(mx, sk); err != nil {

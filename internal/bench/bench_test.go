@@ -198,6 +198,7 @@ func TestReportsRender(t *testing.T) {
 			Benchmark: b, DataSize: p.DataSize,
 			IDH:  2 * time.Second,
 			HAMR: time.Second, Speedup: 2, Paper: p,
+			Modeled: true, IDHImbalance: 1.25, HAMRImbalance: 2.5,
 		})
 	}
 	var sb strings.Builder
@@ -206,10 +207,12 @@ func TestReportsRender(t *testing.T) {
 	WriteTable3(&sb, rows[:2])
 	WriteFigure3(&sb, rows, "3a")
 	WriteFigure3(&sb, rows, "3b")
+	WriteTimeReport(&sb, rows)
 	out := sb.String()
 	for _, want := range []string{
 		"Table 1", "Table 2", "Table 3", "Figure 3(a)", "Figure 3(b)",
 		"K-Means", "HistogramRatings", "Baseline",
+		"Time report", "max/mean", "1.25x", "2.50x",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q", want)
@@ -244,4 +247,56 @@ func TestScalesProportioned(t *testing.T) {
 	if tiny.KMeansMovies >= s.KMeansMovies {
 		t.Error("tiny scale not smaller than small scale")
 	}
+}
+
+// TestHAMRLaneImbalance is the funnel guard over the workload table: every
+// row's HAMR side, once, under a virtual clock with the benchmark's cost
+// models, held to a ceiling on its lane imbalance (Row.HAMRImbalance). A
+// graph that shuffles a constant key sends its pairs to one node and folds
+// them on one stripe while the rest of the cluster idles; the modeled
+// seconds only say the row got slower, this says one node set them. A row
+// above the default ceiling carries the mechanism that puts it there, and
+// at TinyScale that is always the paper's §5.2: few keys, or a few hot ones.
+//
+// PageRank is the row this was written for, held at both scales: with its
+// convergence check's two edges (merge -> cont -> maxdelta) on the default
+// shuffle it read 1.35x here and 2.70x at SmallScale — every page's delta
+// folded on one node; folded where it is produced it reads 1.02x and 1.01x.
+// Putting either edge back on the shuffle gives 1.35-1.39x / 2.69-2.70x
+// again and fails this test.
+func TestHAMRLaneImbalance(t *testing.T) {
+	const ceiling = 1.25 // Classification 1.01x, KCliques 1.02-1.03x
+	hot := map[Benchmark]struct {
+		max float64
+		why string
+	}{
+		PageRank:             {1.1, "no hot key: the one constant key is folded on the node that produced it"},
+		KMeans:               {1.45, "1.30x: four cluster keys, so at most four of eight nodes re-read members and sum (§5.2); 1.07x at SmallScale, where the map's read dominates"},
+		apps.HistogramMovies: {1.45, "1.32x: nine half-star buckets over eight nodes (§5.2)"},
+		apps.NaiveBayes:      {1.35, "1.22x: Zipfian words under a handful of labels (§5.2)"},
+		HistogramRatings:     {1.7, "1.51x: five keys, so at most five of eight nodes fold anything (§5.2, the paper's inversion)"},
+		WordCount:            {1.85, "1.66x: Zipfian words, the head of the vocabulary is a few hot keys (§5.2)"},
+	}
+	spec := DefaultSpec()
+	spec.VClock = true
+	run := func(h *Harness, w *apps.Workload) {
+		t.Helper()
+		data, r := h.input(w, apps.Variant{})
+		if _, _, err := h.runHAMR(w, data, r); err != nil {
+			t.Fatal(err)
+		}
+		limit, why := ceiling, "default"
+		if row, ok := hot[w.Name]; ok {
+			limit, why = row.max, row.why
+		}
+		if got := h.LastImbalance; got < 1 || got > limit {
+			t.Errorf("%s: largest node lane is %.2fx the mean, want 1x-%.2fx (%s): one node paces the row while the others idle",
+				w.Name, got, limit, why)
+		}
+	}
+	tiny := NewHarness(spec, TinyScale())
+	for _, w := range apps.Table {
+		run(tiny, w)
+	}
+	run(NewHarness(spec, SmallScale()), row(PageRank))
 }

@@ -52,6 +52,11 @@ type Harness struct {
 	// modeled, read from the virtual clock's logical lanes.
 	LastWall time.Duration
 
+	// LastImbalance is the most recent run's lane imbalance under
+	// Spec.VClock (Row.HAMRImbalance says what it reads); 0 on the real
+	// clock, which has no lanes.
+	LastImbalance float64
+
 	// Checked counts the keys of the answers held to their reference so
 	// far: it grows with every row the harness returns without error.
 	Checked int
@@ -110,11 +115,30 @@ func (h *Harness) measure(vc *vtime.VirtualClock) func() time.Duration {
 	}
 	return func() time.Duration {
 		h.LastWall = time.Since(start)
+		h.LastImbalance = 0
 		if vc != nil {
+			h.LastImbalance = laneImbalance(vc.LanesSince(mark))
 			return vc.Since(mark)
 		}
 		return h.LastWall
 	}
+}
+
+// laneImbalance is the largest node lane's advance over the mean advance:
+// 1 when every node carried an equal share of the modeled work, the node
+// count when one node carried all of it. 0 when nothing was charged.
+func laneImbalance(lanes []time.Duration) float64 {
+	var largest, sum time.Duration
+	for _, d := range lanes {
+		sum += d
+		if d > largest {
+			largest = d
+		}
+	}
+	if sum == 0 {
+		return 0
+	}
+	return float64(largest) * float64(len(lanes)) / float64(sum)
 }
 
 // runHAMR times one row on the HAMR engine, over a fresh cluster with the
@@ -187,7 +211,7 @@ func (h *Harness) RunRow(w *apps.Workload, v apps.Variant) (Row, error) {
 	if err != nil {
 		return Row{}, err
 	}
-	idhWall := h.LastWall
+	idhWall, idhImbalance := h.LastWall, h.LastImbalance
 	hamr, hamrOut, err := h.runHAMR(w, data, r)
 	if err != nil {
 		return Row{}, err
@@ -207,15 +231,17 @@ func (h *Harness) RunRow(w *apps.Workload, v apps.Variant) (Row, error) {
 		paper = *v.Paper
 	}
 	return Row{
-		Benchmark: w.Name,
-		DataSize:  paper.DataSize,
-		IDH:       idh,
-		HAMR:      hamr,
-		Speedup:   idh.Seconds() / hamr.Seconds(),
-		Paper:     paper,
-		IDHWall:   idhWall,
-		HAMRWall:  h.LastWall,
-		Modeled:   h.Spec.VClock,
+		Benchmark:     w.Name,
+		DataSize:      paper.DataSize,
+		IDH:           idh,
+		HAMR:          hamr,
+		Speedup:       idh.Seconds() / hamr.Seconds(),
+		Paper:         paper,
+		IDHWall:       idhWall,
+		HAMRWall:      h.LastWall,
+		Modeled:       h.Spec.VClock,
+		IDHImbalance:  idhImbalance,
+		HAMRImbalance: h.LastImbalance,
 	}, nil
 }
 

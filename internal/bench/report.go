@@ -127,21 +127,24 @@ func WriteIOReport(w io.Writer, snap interface{ Get(string) int64 }) {
 // measured row: "wall" is what producing the row actually cost, the
 // plain column is what the tables report. In real-clock mode the pairs
 // are equal; under -vclock the wall columns show the suite speedup the
-// virtual clock buys.
+// virtual clock buys, and each engine's "max/mean" column is the row's
+// lane imbalance (Row.HAMRImbalance): the node lane that set the modeled
+// time over the average one. The seconds say how long; this says whether
+// one node was doing the work while the others waited.
 func WriteTimeReport(w io.Writer, rows []Row) {
 	mode := "real clock (wall == modeled)"
 	if len(rows) > 0 && rows[0].Modeled {
-		mode = "virtual clock"
+		mode = "virtual clock; max/mean = largest node lane over the mean node lane"
 	}
 	fmt.Fprintf(w, "Time report: wall vs modeled seconds per row (%s)\n", mode)
-	fmt.Fprintf(w, "  %-18s %12s %12s %12s %12s\n",
-		"Benchmark", "IDH wall", "IDH", "HAMR wall", "HAMR")
-	fmt.Fprintln(w, "  "+strings.Repeat("-", 72))
+	fmt.Fprintf(w, "  %-18s %12s %12s %9s %12s %12s %9s\n",
+		"Benchmark", "IDH wall", "IDH", "max/mean", "HAMR wall", "HAMR", "max/mean")
+	fmt.Fprintln(w, "  "+strings.Repeat("-", 92))
 	var wall, modeled float64
 	for _, r := range rows {
-		fmt.Fprintf(w, "  %-18s %12s %12s %12s %12s\n",
-			r.Benchmark, fmtDur(r.IDHWall), fmtDur(r.IDH),
-			fmtDur(r.HAMRWall), fmtDur(r.HAMR))
+		fmt.Fprintf(w, "  %-18s %12s %12s %9s %12s %12s %9s\n",
+			r.Benchmark, fmtDur(r.IDHWall), fmtDur(r.IDH), fmtImbalance(r.IDHImbalance),
+			fmtDur(r.HAMRWall), fmtDur(r.HAMR), fmtImbalance(r.HAMRImbalance))
 		wall += r.IDHWall.Seconds() + r.HAMRWall.Seconds()
 		modeled += r.IDH.Seconds() + r.HAMR.Seconds()
 	}
@@ -189,4 +192,12 @@ func ShapeCheck(rows []Row) []string {
 
 func fmtDur(d interface{ Seconds() float64 }) string {
 	return fmt.Sprintf("%.3fs", d.Seconds())
+}
+
+// fmtImbalance renders a lane imbalance; the real clock has no lanes.
+func fmtImbalance(x float64) string {
+	if x == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.2fx", x)
 }

@@ -222,4 +222,12 @@ type Row struct {
 	HAMRWall time.Duration
 	// Modeled marks rows measured under the virtual clock.
 	Modeled bool
+	// IDHImbalance / HAMRImbalance are, on a modeled row, the largest node
+	// lane's advance over the mean node lane's advance across the timed
+	// interval. Modeled elapsed time is set by the largest lane, so 1.0
+	// says the nodes shared the work and N says one node of N did it all
+	// while the rest idled — a funnel (or the paper's §5.2 hot keys) that
+	// the per-resource sums cannot show. 0 on the real clock.
+	IDHImbalance  float64
+	HAMRImbalance float64
 }

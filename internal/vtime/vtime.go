@@ -210,6 +210,22 @@ func (v *VirtualClock) Since(m Mark) time.Duration {
 	return time.Duration(driver + maxNode)
 }
 
+// LanesSince reports every node lane's advance since m, in node order —
+// the terms Since takes the maximum of. A run whose largest lane stands
+// far above the mean is paced by one node while the others idle, which
+// the per-resource Busy sums cannot show.
+func (v *VirtualClock) LanesSince(m Mark) []time.Duration {
+	out := make([]time.Duration, len(v.lanes)-1)
+	for n := range out {
+		d := v.lanes[n+1].ns.Load()
+		if n+1 < len(m.lanes) {
+			d -= m.lanes[n+1]
+		}
+		out[n] = time.Duration(d)
+	}
+	return out
+}
+
 // Elapsed is Since the clock's creation.
 func (v *VirtualClock) Elapsed() time.Duration { return v.Since(Mark{}) }
 

@@ -100,6 +100,14 @@ func TestElapsedModelAndMarks(t *testing.T) {
 	if got, want := v.Elapsed(), 55*time.Millisecond; got != want {
 		t.Fatalf("elapsed after mark = %v, want %v", got, want)
 	}
+	// The per-lane advances Since maximises over: the interval's, and
+	// (from the zero Mark) the clock's whole life, driver lane excluded.
+	if got := v.LanesSince(m); len(got) != 2 || got[0] != 0 || got[1] != 5*time.Millisecond {
+		t.Fatalf("lanes since mark = %v, want [0 5ms]", got)
+	}
+	if got := v.LanesSince(Mark{}); len(got) != 2 || got[0] != 30*time.Millisecond || got[1] != 45*time.Millisecond {
+		t.Fatalf("lanes since creation = %v, want [30ms 45ms]", got)
+	}
 }
 
 // A real hold blocks node-attributed charges for the charged duration
