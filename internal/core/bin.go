@@ -24,6 +24,10 @@ type Bin struct {
 	From    int // producing node
 	KVs     []KV
 	Bytes   int64
+	// Last marks the final bin the producing flowlet flushed to this node:
+	// once it is enqueued, that flowlet counts as complete on From (§2),
+	// the same as a completion marker arriving after it.
+	Last bool
 
 	// home is the free list the slab was drawn from; binList.get is the
 	// only place a Bin is made, so it is never nil.
@@ -81,7 +85,7 @@ func (l *binList) get() *Bin {
 // from the free list) and stacks it for reuse.
 func (l *binList) put(b *Bin) {
 	clear(b.KVs)
-	b.KVs, b.Bytes = b.KVs[:0], 0
+	b.KVs, b.Bytes, b.Last = b.KVs[:0], 0, false
 	l.mu.Lock()
 	l.out--
 	if len(l.free) < l.max {

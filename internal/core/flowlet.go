@@ -133,7 +133,10 @@ type Routing int
 const (
 	// RouteShuffle partitions by key hash across all nodes (default).
 	RouteShuffle Routing = iota
-	// RouteLocal keeps pairs on the producing node (locality, §3.3).
+	// RouteLocal keeps pairs on the producing node (locality, §3.3). The
+	// consumer therefore waits only for its own node's producer to
+	// complete when every edge out of that producer is local; emitting to
+	// another node over a local edge is an error.
 	RouteLocal
 	// RouteBroadcast copies every pair to all nodes.
 	RouteBroadcast

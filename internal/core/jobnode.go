@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"log"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,7 +49,10 @@ type jobNode struct {
 
 	failed  atomic.Bool
 	errOnce sync.Once
-	err     error
+	// err is atomic because a node whose flowlets all finished is done —
+	// and may be read by Job.Wait — before another node's failure reaches
+	// it and records the error here.
+	err atomic.Pointer[error]
 
 	doneOnce  sync.Once
 	doneCh    chan struct{}
@@ -98,7 +100,7 @@ type flowletState struct {
 	spec *FlowletSpec
 	jn   *jobNode
 
-	upNeeded int // distinct upstream flowlets * numNodes
+	upNeeded int // completions to hear: per distinct upstream, 1 if it is localOnly, else numNodes
 
 	mu         sync.Mutex
 	upReceived int
@@ -231,9 +233,18 @@ func newJobNode(rt *NodeRuntime, graph *Graph, jobID int64, numNodes int) *jobNo
 		fs := &flowletState{spec: spec, jn: jn}
 		ups := map[int]bool{}
 		for _, u := range graph.Upstream(spec.ID) {
+			if ups[u] {
+				continue
+			}
 			ups[u] = true
+			// Completion is counted only where data can come from: an
+			// upstream whose every out-edge is local feeds this node alone.
+			if jn.localOnly(u) {
+				fs.upNeeded++
+			} else {
+				fs.upNeeded += numNodes
+			}
 		}
-		fs.upNeeded = len(ups) * numNodes
 		switch spec.Kind {
 		case KindPartialReduce:
 			n := rt.cfg.PartialStripes
@@ -382,15 +393,28 @@ func (jn *jobNode) waitOutBelow(fs *flowletState) bool {
 	return true
 }
 
+// localOnly reports whether flowlet id has out-edges and every one is
+// RouteLocal: its pairs never leave its node, so its completion concerns
+// that node alone.
+func (jn *jobNode) localOnly(id int) bool {
+	for _, es := range jn.outBy[id] {
+		if es.edge.Routing != RouteLocal {
+			return false
+		}
+	}
+	return len(jn.outBy[id]) > 0
+}
+
 // onBin receives a bin for a flowlet on this node. Local bins are
 // processed inline by the emitting task (operator chaining); remote bins
 // are gated by the destination flowlet's flow-control state and otherwise
-// dispatched to the worker pool.
+// dispatched to the worker pool. A bin that names no edge of this job fails
+// it: its data would be lost, and so might the completion it carries.
 func (jn *jobNode) onBin(bin *Bin, local bool) {
-	if bin.Flowlet < 0 || bin.Flowlet >= len(jn.flowlets) {
+	if bin.Edge < 0 || bin.Edge >= len(jn.edges) || bin.Flowlet != jn.edges[bin.Edge].edge.To {
 		jn.rt.binsDropped.Inc()
-		log.Printf("core: node %d dropped bin for job %d with out-of-range flowlet %d (%d kvs, from node %d)",
-			jn.node, bin.Job, bin.Flowlet, len(bin.KVs), bin.From)
+		jn.fail(fmt.Errorf("core: node %d got a bin for job %d on edge %d to flowlet %d, which the job does not have (%d kvs, from node %d)",
+			jn.node, bin.Job, bin.Edge, bin.Flowlet, len(bin.KVs), bin.From))
 		bin.release()
 		return
 	}
@@ -403,18 +427,28 @@ func (jn *jobNode) onBin(bin *Bin, local bool) {
 		jn.processBin(fs, bin, true)
 		return
 	}
+	// Read before the bin is handed on: the task that processes it returns
+	// the slab to its list, where the next producer refills it.
+	last, producer, from := bin.Last, jn.edges[bin.Edge].edge.From, bin.From
 	fs.mu.Lock()
 	fs.enqueued++
-	if !jn.failed.Load() && jn.outFull(fs) {
-		// Flow control: stop scheduling this flowlet until its output
-		// window drains (§2).
+	// Flow control: stop scheduling this flowlet until its output window
+	// drains (§2).
+	gated := !jn.failed.Load() && jn.outFull(fs)
+	if gated {
 		fs.pending = append(fs.pending, bin)
-		fs.mu.Unlock()
-		jn.mFlowGated.Inc()
-		return
 	}
 	fs.mu.Unlock()
-	jn.rt.pool.Submit(func() { jn.processBin(fs, bin, false) })
+	if gated {
+		jn.mFlowGated.Inc()
+	} else {
+		jn.rt.pool.Submit(func() { jn.processBin(fs, bin, false) })
+	}
+	if last {
+		// Counted once the bin is enqueued, so the consumer still has to
+		// process it — gated or not — before it can finish.
+		jn.onComplete(producer, from)
+	}
 }
 
 // drainPending re-schedules bins that were gated by flow control once the
@@ -449,11 +483,10 @@ func (jn *jobNode) processBin(fs *flowletState, bin *Bin, local bool) {
 	// the ack (the producer it unblocks finds the slab on its list).
 	from, edge := bin.From, bin.Edge
 	bin.release()
-	fs.mu.Lock()
-	fs.processed++
-	fs.mu.Unlock()
 	if !local {
-		// Ack frees the producer's flow-control credit.
+		// Ack frees the producer's flow-control credit. It is queued before
+		// processed++, so whoever finishes this node's last flowlet — and
+		// flushes the coalescer then — finds it queued.
 		_ = jn.rt.send(transport.Message{
 			From:    transport.NodeID(jn.node),
 			To:      transport.NodeID(from),
@@ -462,6 +495,9 @@ func (jn *jobNode) processBin(fs *flowletState, bin *Bin, local bool) {
 			Size:    16,
 		})
 	}
+	fs.mu.Lock()
+	fs.processed++
+	fs.mu.Unlock()
 	jn.maybeFinish(fs)
 }
 
@@ -745,20 +781,7 @@ func (jn *jobNode) finishFlowlet(fs *flowletState) {
 			jn.fail(fmt.Errorf("finish %q on node %d: %w", fs.spec.Name, jn.node, err))
 		}
 	}
-	// Flush partially filled output bins.
-	if !jn.failed.Load() {
-		for _, es := range jn.outBy[fs.spec.ID] {
-			for dest := 0; dest < jn.nodes; dest++ {
-				bin := es.buf.take(dest)
-				if bin == nil {
-					continue
-				}
-				if err := jn.sendBin(es, dest, bin, true); err != nil && !errors.Is(err, ErrJobAborted) {
-					jn.fail(err)
-				}
-			}
-		}
-	}
+	jn.flushFinal(fs)
 	if fs.spec.Kind == KindSink {
 		if err := fs.spec.Sink.Close(jn.node); err != nil && !jn.failed.Load() {
 			jn.fail(fmt.Errorf("sink %q close on node %d: %w", fs.spec.Name, jn.node, err))
@@ -773,23 +796,70 @@ func (jn *jobNode) finishFlowlet(fs *flowletState) {
 			fmt.Sprintf("%s/complete:%s:%d", jn.traceTag, fs.spec.Name, jn.node), "flowlet", 0)
 	}
 
-	// Propagate completion to every node (the broadcast includes
-	// ourselves via the fabric's loopback delivery). The flush barrier
-	// guarantees every bin this node sent has reached the fabric before
-	// any receiver sees our completion marker — the completion protocol
-	// requires per-receiver bins-before-complete ordering.
-	jn.rt.flushNet()
-	if !jn.failed.Load() {
-		_ = jn.rt.send(transport.Message{
-			From:    transport.NodeID(jn.node),
-			To:      transport.Broadcast,
-			Kind:    msgComplete,
-			Payload: completeMsg{Job: jn.jobID, Flowlet: fs.spec.ID, Node: jn.node},
-			Size:    16,
-		})
+	// This node hears of the completion directly, once it is recorded: its
+	// bins were processed inline, so none is still in flight.
+	if !jn.failed.Load() && len(jn.outBy[fs.spec.ID]) > 0 {
+		jn.onComplete(fs.spec.ID, jn.node)
 	}
 	if int(jn.finishedN.Add(1)) == len(jn.flowlets) {
+		// The acks of this node's last bins leave before it reports the job
+		// done, so the job's traffic is on the fabric — and priced — by the
+		// time the job ends, not at the coalescer's age bound after it.
+		jn.rt.flushNet()
 		jn.signalDone()
+	}
+}
+
+// flushFinal sends the flowlet's partially filled output bins and tells
+// every other node that can hear from it that it is complete here (§2):
+// none when it is localOnly or has no out-edge, each other node once
+// otherwise — on the last bin flushed to that node, on any edge (Bin.Last),
+// or in one unicast marker when no bin is left for it. Either follows this
+// node's earlier bins to it through the destination's FIFO (coalescer and
+// inbox alike).
+func (jn *jobNode) flushFinal(fs *flowletState) {
+	outs := jn.outBy[fs.spec.ID]
+	tell := len(outs) > 0 && !jn.localOnly(fs.spec.ID)
+	for dest := 0; dest < jn.nodes && !jn.failed.Load(); dest++ {
+		remote := tell && dest != jn.node
+		// One bin is held back until the next shows up, so the last is
+		// known when it is sent.
+		var held *Bin
+		var heldOn *edgeState
+		for _, es := range outs {
+			if bin := es.buf.take(dest); bin != nil {
+				if held != nil {
+					jn.sendFinal(heldOn, dest, held)
+				}
+				held, heldOn = bin, es
+			}
+		}
+		switch {
+		case held != nil:
+			held.Last = remote
+			jn.sendFinal(heldOn, dest, held)
+		case remote:
+			_ = jn.rt.send(transport.Message{
+				From:    transport.NodeID(jn.node),
+				To:      transport.NodeID(dest),
+				Kind:    msgComplete,
+				Payload: completeMsg{Job: jn.jobID, Flowlet: fs.spec.ID, Node: jn.node},
+				Size:    16,
+			})
+		}
+	}
+	if tell {
+		// The final bins and markers leave now rather than at the
+		// coalescer's age bound.
+		jn.rt.flushNet()
+	}
+}
+
+// sendFinal sends one final bin, waiting for flow-control credit; an abort
+// it runs into is already the job's failure.
+func (jn *jobNode) sendFinal(es *edgeState, dest int, bin *Bin) {
+	if err := jn.sendBin(es, dest, bin, true); err != nil && !errors.Is(err, ErrJobAborted) {
+		jn.fail(err)
 	}
 }
 
@@ -989,7 +1059,7 @@ func (jn *jobNode) sendBin(es *edgeState, dest int, bin *Bin, blocking bool) err
 // fail aborts the job on this node and notifies every other node.
 func (jn *jobNode) fail(err error) {
 	jn.errOnce.Do(func() {
-		jn.err = err
+		jn.err.Store(&err)
 		jn.failed.Store(true)
 		for _, es := range jn.edges {
 			es.cred.abort()
@@ -1023,17 +1093,19 @@ func (e *remoteError) Unwrap() error { return e.cause }
 
 func (jn *jobNode) onRemoteFail(fm failMsg) {
 	jn.errOnce.Do(func() {
+		var err error
 		switch {
 		case fm.FaultOp != "":
-			jn.err = &remoteError{msg: fm.Err, cause: &faults.Error{Op: fm.FaultOp, Site: fm.FaultSite}}
+			err = &remoteError{msg: fm.Err, cause: &faults.Error{Op: fm.FaultOp, Site: fm.FaultSite}}
 		case fm.Canceled:
 			// A relayed cancellation keeps its typed cause, the same
 			// contract FaultOp/FaultSite give injected faults: errors.Is
 			// still matches ErrJobCanceled after the abort crossed nodes.
-			jn.err = &remoteError{msg: fm.Err, cause: ErrJobCanceled}
+			err = &remoteError{msg: fm.Err, cause: ErrJobCanceled}
 		default:
-			jn.err = errors.New(fm.Err)
+			err = errors.New(fm.Err)
 		}
+		jn.err.Store(&err)
 		jn.failed.Store(true)
 		for _, es := range jn.edges {
 			es.cred.abort()
@@ -1048,7 +1120,10 @@ func (jn *jobNode) signalDone() {
 
 // Error returns the job error recorded on this node, if any.
 func (jn *jobNode) Error() error {
-	return jn.err
+	if p := jn.err.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // totalStalls sums flow-control stalls across this node's edges.
@@ -1106,6 +1181,12 @@ func (c *flowCtx) emitOn(es *edgeState, kv KV, size int64) error {
 func (c *flowCtx) emitTo(es *edgeState, dest int, kv KV, size int64) error {
 	if dest < 0 || dest >= c.jn.nodes {
 		return fmt.Errorf("core: emit to invalid node %d", dest)
+	}
+	if dest != c.jn.node && es.edge.Routing == RouteLocal {
+		// Completion counting trusts this: a local edge's consumer hears
+		// only from its own node.
+		return fmt.Errorf("core: node %d emits to node %d over local edge %q -> %q",
+			c.jn.node, dest, c.fs.spec.Name, c.jn.flowlets[es.edge.To].spec.Name)
 	}
 	if bin := es.buf.add(dest, kv, size); bin != nil {
 		return c.jn.sendBin(es, dest, bin, c.blocking())

@@ -200,9 +200,10 @@ func (rt *NodeRuntime) send(msg transport.Message) error {
 }
 
 // flushNet pushes any coalesced outbound messages to the network. Called
-// at ordering barriers (e.g. before a completion broadcast) — though the
-// coalescer already flushes on Broadcast, an explicit barrier keeps the
-// protocol's ordering requirement visible at the call site.
+// once a flowlet has queued its final bins and completion markers, and once
+// a node's last flowlet of a job finishes, so they leave now instead of at
+// the coalescer's age bound. Ordering does not depend on it: sends to one
+// destination stay FIFO either way.
 func (rt *NodeRuntime) flushNet() {
 	if rt.co != nil {
 		_ = rt.co.Flush()

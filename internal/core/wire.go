@@ -33,8 +33,14 @@ func decodeMsg(p []byte, n int) ([]int64, error) {
 }
 
 // AppendBinary appends the bin's wire form: its stamp, then its pairs.
+// Last rides in the low bit of the From word, so the header stays five
+// words.
 func (b *Bin) AppendBinary(dst []byte) ([]byte, error) {
-	dst, err := EncodeValue(dst, []int64{b.Job, int64(b.Edge), int64(b.Flowlet), int64(b.From), b.Bytes})
+	from := int64(b.From) << 1
+	if b.Last {
+		from |= 1
+	}
+	dst, err := EncodeValue(dst, []int64{b.Job, int64(b.Edge), int64(b.Flowlet), from, b.Bytes})
 	for i := 0; i < len(b.KVs) && err == nil; i++ {
 		dst, err = EncodeKV(dst, b.KVs[i])
 	}
@@ -52,7 +58,8 @@ func (l *binList) decode(p []byte) (*Bin, error) {
 		return nil, err
 	}
 	b := l.get()
-	b.Job, b.Edge, b.Flowlet, b.From, b.Bytes = hdr[0], int(hdr[1]), int(hdr[2]), int(hdr[3]), hdr[4]
+	b.Job, b.Edge, b.Flowlet, b.Bytes = hdr[0], int(hdr[1]), int(hdr[2]), hdr[4]
+	b.From, b.Last = int(hdr[3]>>1), hdr[3]&1 != 0
 	for len(p) > 0 {
 		kv, n, err := DecodeKV(p)
 		if err == nil && len(b.KVs) == cap(b.KVs) {

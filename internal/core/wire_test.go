@@ -36,7 +36,7 @@ func wireBin(l *binList, r *rand.Rand, n int) *Bin {
 
 // sameBin compares everything of a bin that crosses the wire.
 func sameBin(a, b *Bin) bool {
-	return a.Job == b.Job && a.Edge == b.Edge && a.Flowlet == b.Flowlet && a.From == b.From &&
+	return a.Job == b.Job && a.Edge == b.Edge && a.Flowlet == b.Flowlet && a.From == b.From && a.Last == b.Last &&
 		a.Bytes == b.Bytes && len(a.KVs) == len(b.KVs) && (len(a.KVs) == 0 || reflect.DeepEqual(a.KVs, b.KVs))
 }
 
@@ -68,6 +68,7 @@ func TestWirePayloadRoundTrips(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		from, to := &binList{size: 16}, &binList{size: 16}
 		sent := wireBin(from, r, int(n)%17)
+		sent.Last = n%2 == 1
 		b, err := sent.AppendBinary(nil)
 		if err != nil {
 			t.Error(err)
@@ -114,7 +115,9 @@ func FuzzDecodeBin(f *testing.F) {
 	seeds := &binList{size: 4}
 	r := rand.New(rand.NewSource(2))
 	for n := 0; n <= 4; n++ {
-		b, err := wireBin(seeds, r, n).AppendBinary(nil)
+		bin := wireBin(seeds, r, n)
+		bin.Last = n == 2 // the final bin a producer flushes to a node
+		b, err := bin.AppendBinary(nil)
 		if err != nil {
 			f.Fatal(err)
 		}

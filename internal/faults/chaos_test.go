@@ -413,10 +413,18 @@ type hamrRun struct {
 // individually visible to the injector's delivery hook.
 func runHAMRWordCount(t *testing.T, nodes int, clk vtime.Clock, fcfg *faults.Config) *hamrRun {
 	t.Helper()
+	return runHAMRWordCountBins(t, nodes, clk, fcfg, 0)
+}
+
+// runHAMRWordCountBins is runHAMRWordCount with binSize pairs per bin (0:
+// the engine default); smaller bins mean more fabric messages for the same
+// input.
+func runHAMRWordCountBins(t *testing.T, nodes int, clk vtime.Clock, fcfg *faults.Config, binSize int) *hamrRun {
+	t.Helper()
 	c, err := cluster.New(cluster.Options{
 		NumNodes:      nodes,
 		HDFSBlockSize: 4 << 10,
-		Core:          core.Config{Workers: 2, CoalesceMsgs: -1},
+		Core:          core.Config{Workers: 2, CoalesceMsgs: -1, BinSize: binSize},
 		Faults:        fcfg,
 		Clock:         clk,
 	})
@@ -460,23 +468,34 @@ func runHAMRWordCount(t *testing.T, nodes int, clk vtime.Clock, fcfg *faults.Con
 // messages: the reliable fabric retransmits and dedups, so the flowlet
 // output must not change at all.
 func TestChaosMessageDropDupDelay(t *testing.T) {
-	base := runHAMRWordCount(t, chaosNodes, nil, nil)
+	const dropRate, binSize = 0.05, 8
+	base := runHAMRWordCountBins(t, chaosNodes, nil, nil, binSize)
 	if base.err != nil {
 		t.Fatal(base.err)
 	}
 	if len(base.output) == 0 {
 		t.Fatal("baseline output empty")
 	}
+	// With the combiner on, the fabric carries each node's folded counts
+	// and their acks — a dozen messages at the default bin size, which is
+	// why bins are small here. One seed may still drop none; over all seeds
+	// the expected number of drops must be large enough that none firing
+	// means the hook was not consulted, not bad luck.
+	msgs := counter(base.c, "net.msgs")
+	if want := dropRate * float64(msgs) * float64(len(chaosSeeds)); want < 8 {
+		t.Fatalf("%d fabric messages per job expect %.1f drops over %d seeds; shrink binSize", msgs, want, len(chaosSeeds))
+	}
+	var drops int64
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			fcfg := &faults.Config{
 				Seed:        seed,
-				MsgDrop:     0.05,
+				MsgDrop:     dropRate,
 				MsgDup:      0.03,
 				MsgDelay:    0.05,
 				MsgDelayDur: 200 * time.Microsecond,
 			}
-			run := runHAMRWordCount(t, chaosNodes, nil, fcfg)
+			run := runHAMRWordCountBins(t, chaosNodes, nil, fcfg, binSize)
 			if run.err != nil {
 				t.Fatalf("job failed: %v", run.err)
 			}
@@ -484,21 +503,21 @@ func TestChaosMessageDropDupDelay(t *testing.T) {
 				t.Fatalf("output diverged under message faults: %d pairs vs %d",
 					len(run.output), len(base.output))
 			}
-			// Thousands of fabric messages flow at these rates; a zero
-			// count means the hook was not consulted.
 			if counter(run.c, "faults.injected") == 0 {
 				t.Error("no message faults fired")
 			}
-			drops := counter(run.c, "faults.net.drop")
+			d := counter(run.c, "faults.net.drop")
 			dups := counter(run.c, "faults.net.dup")
 			delays := counter(run.c, "faults.net.delay")
-			if drops+dups+delays != counter(run.c, "faults.injected") {
+			if d+dups+delays != counter(run.c, "faults.injected") {
 				t.Error("message scenario fired non-network faults")
 			}
-			if drops == 0 {
-				t.Error("no drops at 5% over the whole job")
-			}
+			drops += d
 		})
+	}
+	t.Logf("%d fabric messages per job, %d drops over %d seeds", msgs, drops, len(chaosSeeds))
+	if drops == 0 {
+		t.Errorf("no drops at %.0f%% over %d jobs of %d messages", 100*dropRate, len(chaosSeeds), msgs)
 	}
 }
 
