@@ -8,8 +8,6 @@
 //	hamr -app pagerank -in edges.txt -iters 5
 //	hamr -app kcliques -in graph.txt -k 4
 //	hamr -app naivebayes -in docs.txt
-//	hamr -app sql -in table.tsv -cols "city,item,amount" \
-//	     -query "SELECT city, SUM(amount) AS t FROM t GROUP BY city ORDER BY t DESC"
 //
 // Use cmd/datagen to produce inputs in the right formats.
 package main
@@ -23,10 +21,8 @@ import (
 	"time"
 
 	"github.com/hamr-go/hamr/internal/apps"
-	"github.com/hamr-go/hamr/internal/apps/hamrapps"
 	"github.com/hamr-go/hamr/internal/cluster"
 	"github.com/hamr-go/hamr/internal/core"
-	"github.com/hamr-go/hamr/internal/sqlq"
 )
 
 func main() {
@@ -40,8 +36,6 @@ func main() {
 		k        = flag.Int("k", 3, "clique size / cluster count")
 		top      = flag.Int("top", 20, "print at most this many result rows (0 = all)")
 		stats    = flag.Bool("stats", false, "print engine metrics after the run")
-		query    = flag.String("query", "", "sql: the SELECT statement (table name: t)")
-		cols     = flag.String("cols", "", "sql: comma-separated column names of the input")
 	)
 	flag.Parse()
 	if *in == "" {
@@ -63,35 +57,8 @@ func main() {
 	defer c.Close()
 
 	start := time.Now()
-	if *app == "sql" {
-		files, err := hamrapps.DistributeLocalText(c, "input", data, 2**nodes)
-		if err != nil {
-			fatal(err)
-		}
-		if *query == "" || *cols == "" {
-			fmt.Fprintln(os.Stderr, "hamr: -app sql needs -query and -cols")
-			os.Exit(2)
-		}
-		cat := sqlq.NewCatalog(c)
-		if err := cat.Register(&sqlq.Table{
-			Name:    "t",
-			Columns: strings.Split(*cols, ","),
-			Loader:  &hamrapps.LocalTextLoader{Files: files},
-		}); err != nil {
-			fatal(err)
-		}
-		res, err := cat.Query(*query)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(res.Format())
-		fmt.Fprintf(os.Stderr, "hamr: sql finished in %v on %d nodes\n",
-			time.Since(start).Round(time.Millisecond), *nodes)
-		return
-	}
-
-	// Every other application is a row of the workload table, run the way
-	// the harness runs it; what prints is the row's canonical answer.
+	// Every application is a row of the workload table, run the way the
+	// harness runs it; what prints is the row's canonical answer.
 	w := apps.Lookup(*app)
 	if w == nil {
 		fmt.Fprintf(os.Stderr, "hamr: unknown -app %q\n", *app)
@@ -133,13 +100,13 @@ func main() {
 	fmt.Fprintf(os.Stderr, "hamr: %s finished in %v on %d nodes\n", *app, time.Since(start).Round(time.Millisecond), *nodes)
 }
 
-// appNames lists what -app accepts: the workload table's rows, and sql.
+// appNames lists what -app accepts: the workload table's rows.
 func appNames() []string {
 	var names []string
 	for _, w := range apps.Table {
 		names = append(names, w.App)
 	}
-	return append(names, "sql")
+	return names
 }
 
 func fatal(err error) {

@@ -87,39 +87,6 @@ func ExampleNewGraph() {
 	// z=1
 }
 
-// ExampleNewSQLCatalog shows a GROUP BY query compiling onto the engine.
-func ExampleNewSQLCatalog() {
-	c, err := hamr.NewCluster(hamr.ClusterOptions{NumNodes: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer c.Close()
-
-	rows := "east\t10\neast\t5\nwest\t40\n"
-	files, err := hamr.DistributeLocalText(c, "sales", []byte(rows), 2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cat := hamr.NewSQLCatalog(c)
-	if err := cat.Register(&hamr.SQLTable{
-		Name:    "sales",
-		Columns: []string{"region", "amount"},
-		Loader:  &hamr.LocalTextLoader{Files: files},
-	}); err != nil {
-		log.Fatal(err)
-	}
-	res, err := cat.Query("SELECT region, SUM(amount) AS total FROM sales GROUP BY region ORDER BY total DESC")
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, row := range res.Rows {
-		fmt.Println(strings.Join(row, " "))
-	}
-	// Output:
-	// west 40
-	// east 15
-}
-
 // ExampleFold builds a custom partial reducer (here: max) from plain
 // functions.
 func ExampleFold() {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 )
 
 func newTestClusterRoot(t testing.TB, nodes int) *Cluster {
@@ -170,39 +169,6 @@ func TestStoreServiceFromContext(t *testing.T) {
 	}
 	if v, ok := c.Store().Table("t").Get(-1, "written"); !ok || v.(int64) != 1 {
 		t.Fatalf("kv-store write lost: %v %v", v, ok)
-	}
-}
-
-func TestStreamingFacade(t *testing.T) {
-	c := newTestClusterRoot(t, 2)
-	src := NewStreamSource()
-	build := func(epoch int, loader Loader) (*Graph, error) {
-		g, err := NewPipeline(fmt.Sprintf("e%d", epoch), loader).
-			Via(WithRouting(RouteLocal)).
-			Map("window", WindowAssign{
-				Width: time.Second,
-				Keys: func(line string) []KV {
-					return []KV{{Key: line, Value: int64(1)}}
-				},
-			}).
-			PartialReduce("acc", Accumulate{Table: "facade.totals"}).
-			Sink("out", NewCountSink())
-		return g, err
-	}
-	exec := NewStreamExecutor(c, src, build)
-	for i := 0; i < 6; i++ {
-		src.Push(StreamRecord{Time: time.Unix(100, 0), Value: "evt"})
-	}
-	if n, err := exec.Epoch(); err != nil || n != 6 {
-		t.Fatalf("epoch: n=%d err=%v", n, err)
-	}
-	totals := StreamTotals(c, "facade.totals")
-	var sum int64
-	for _, n := range totals {
-		sum += n
-	}
-	if sum != 6 {
-		t.Fatalf("totals = %v", totals)
 	}
 }
 

@@ -25,8 +25,7 @@
 //     io.sort.mb into sectioned runs, combined at spill and merge time,
 //     multi-pass merged under io.sort.factor into one sectioned output;
 //     its reduce task merges the same bytes from the plain runs it fetched
-//     its sections into (MergeRuns);
-//   - sqlq's ORDER BY: in-memory SortStable with a row comparator.
+//     its sections into (MergeRuns).
 package extsort
 
 import (

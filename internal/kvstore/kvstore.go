@@ -56,13 +56,6 @@ func (s *Store) Table(name string) *Table {
 	return t
 }
 
-// Drop removes a table and its data.
-func (s *Store) Drop(name string) {
-	s.mu.Lock()
-	delete(s.tables, name)
-	s.mu.Unlock()
-}
-
 // Table is one namespace of the store, sharded across nodes by key hash.
 type Table struct {
 	store  *Store
@@ -118,15 +111,6 @@ func (t *Table) Get(from int, key string) (any, bool) {
 	return v, ok
 }
 
-// Delete removes key.
-func (t *Table) Delete(from int, key string) {
-	owner := t.Owner(key)
-	sh := &t.shards[owner]
-	sh.mu.Lock()
-	delete(sh.m, key)
-	sh.mu.Unlock()
-}
-
 // Update atomically applies fn to the current value of key (nil if absent)
 // and stores the result. It returns the new value.
 func (t *Table) Update(from int, key string, fn func(old any) any) any {
@@ -158,16 +142,6 @@ func (t *Table) LocalGet(node int, key string) (any, bool) {
 	return v, ok
 }
 
-// LocalUpdate atomically applies fn to a key in node's own shard.
-func (t *Table) LocalUpdate(node int, key string, fn func(old any) any) any {
-	sh := &t.shards[node]
-	sh.mu.Lock()
-	next := fn(sh.m[key])
-	sh.m[key] = next
-	sh.mu.Unlock()
-	return next
-}
-
 // LocalKeys returns the keys stored in node's shard (unordered).
 func (t *Table) LocalKeys(node int) []string {
 	sh := &t.shards[node]
@@ -178,14 +152,6 @@ func (t *Table) LocalKeys(node int) []string {
 		keys = append(keys, k)
 	}
 	return keys
-}
-
-// LocalLen returns the number of keys in node's shard.
-func (t *Table) LocalLen(node int) int {
-	sh := &t.shards[node]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return len(sh.m)
 }
 
 // Len returns the total number of keys across shards.

@@ -10,7 +10,7 @@ import (
 	"github.com/hamr-go/hamr/internal/transport"
 )
 
-func TestPutGetDelete(t *testing.T) {
+func TestPutGet(t *testing.T) {
 	s := New(4, nil)
 	tb := s.Table("t")
 	tb.Put(0, "alpha", int64(1))
@@ -24,11 +24,7 @@ func TestPutGetDelete(t *testing.T) {
 	if _, ok := tb.Get(0, "gamma"); ok {
 		t.Fatal("Get(missing) succeeded")
 	}
-	tb.Delete(0, "alpha")
-	if _, ok := tb.Get(0, "alpha"); ok {
-		t.Fatal("deleted key still present")
-	}
-	if tb.Len() != 1 {
+	if tb.Len() != 2 {
 		t.Fatalf("Len = %d", tb.Len())
 	}
 }
@@ -41,10 +37,6 @@ func TestTablesAreIsolated(t *testing.T) {
 	}
 	if got := s.Table("a"); got != s.Table("a") {
 		t.Fatal("Table not stable")
-	}
-	s.Drop("a")
-	if _, ok := s.Table("a").Get(0, "k"); ok {
-		t.Fatal("dropped table retained data")
 	}
 }
 
@@ -79,8 +71,8 @@ func TestLocalPutBypassesHashing(t *testing.T) {
 	if keys := tb.LocalKeys(3); len(keys) != 1 || keys[0] != "anything" {
 		t.Fatalf("LocalKeys(3) = %v", keys)
 	}
-	if tb.LocalLen(3) != 1 || tb.LocalLen(0) != 0 {
-		t.Fatal("LocalLen wrong")
+	if keys := tb.LocalKeys(0); len(keys) != 0 {
+		t.Fatalf("LocalKeys(0) = %v", keys)
 	}
 }
 
@@ -107,24 +99,6 @@ func TestUpdateAtomicity(t *testing.T) {
 	v, _ := tb.Get(0, "shared")
 	if v.(int64) != goroutines*increments {
 		t.Fatalf("count = %d, want %d", v, goroutines*increments)
-	}
-}
-
-func TestLocalUpdate(t *testing.T) {
-	s := New(2, nil)
-	tb := s.Table("t")
-	got := tb.LocalUpdate(1, "k", func(old any) any {
-		if old != nil {
-			t.Errorf("old = %v on first update", old)
-		}
-		return 10
-	})
-	if got.(int) != 10 {
-		t.Fatalf("LocalUpdate returned %v", got)
-	}
-	tb.LocalUpdate(1, "k", func(old any) any { return old.(int) + 5 })
-	if v, _ := tb.LocalGet(1, "k"); v.(int) != 15 {
-		t.Fatalf("after updates = %v", v)
 	}
 }
 
