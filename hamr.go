@@ -98,7 +98,7 @@ type (
 	Partitioner = core.Partitioner
 	// EngineConfig tunes the per-node runtime (workers, bin size, flow
 	// control, memory budget, coalescing). It holds tuning values only: the
-	// clock, tracer and codec a cluster runs on are ClusterOptions fields.
+	// clock and tracer a cluster runs on are ClusterOptions fields.
 	EngineConfig = core.Config
 	// JobResult reports a completed job.
 	JobResult = core.JobResult

@@ -9,7 +9,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/hamr-go/hamr/internal/apps/hamrapps"
 	"github.com/hamr-go/hamr/internal/apps/mrapps"
@@ -36,8 +35,6 @@ import (
 //	            recorded, Chrome JSON valid, critical path computable
 //	cache       HDFS block cache on: output identical, cache hit (never on
 //	            base), disk.read.bytes strictly lower
-//	lz, flate   codec on spill and shuffle: output identical, codec used
-//	            (never on base), disk.write.bytes and net.bytes cut >= 30%
 //
 // After every run each local disk must hold nothing but HDFS blocks and
 // the scenario's own input files: a spill run or map output left behind
@@ -62,9 +59,9 @@ import (
 //     file on node 0 and one worker per node.
 //   - net.msgs on the flowlet engine counts coalescer frames, whose
 //     boundaries follow the age timer: exact only with CoalesceMsgs: -1.
-//     The flowlet scenario keeps coalescing on (the codecs compress
-//     coalesced batches) and leaves net.msgs out; net.bytes does not
-//     depend on framing and stays in.
+//     The flowlet scenario keeps coalescing on, as the engine runs, and
+//     leaves net.msgs out; net.bytes does not depend on framing and stays
+//     in.
 
 var update = flag.Bool("update", false, "rewrite testdata/invariance.golden from this run's base fingerprints")
 
@@ -103,7 +100,7 @@ var scenarios = []scenario{
 	// A 1 KiB sort buffer forces many spills per map task and MergeFactor
 	// 2 forces multi-pass merging.
 	{name: "mr-wordcount", nodes: 3, blockSize: 8 << 10, counters: mrCounters,
-		variants: "vclock trace lz flate", run: mrWordCount(false)},
+		variants: "vclock trace", run: mrWordCount(false)},
 	{name: "mr-wordcount+comb", nodes: 3, blockSize: 8 << 10, counters: mrCounters,
 		variants: "vclock", run: mrWordCount(true)},
 	// A 32 KiB reduce heap pushes the fetched sections past heap/2, so the
@@ -111,7 +108,7 @@ var scenarios = []scenario{
 	// node 1: the maps run there, their slack reads past the split end stay
 	// local, and net.bytes is exactly the shuffle to the reduce on node 0.
 	{name: "mr-terasort", nodes: 3, blockSize: 16 << 10, counters: mrCounters,
-		variants: "vclock trace lz flate",
+		variants: "vclock trace",
 		run: mrRun(teraLines(2500), 1, mapreduce.Config{SortBufferBytes: 4 << 10, MergeFactor: 3},
 			func(e *mapreduce.Engine, _ *cluster.Cluster) error {
 				job := teraSortJob("in/", "out", 1)
@@ -122,7 +119,7 @@ var scenarios = []scenario{
 	// Two PageRank iterations are four chained jobs, every boundary
 	// materialized in HDFS and reread by the next job's maps.
 	{name: "mr-pagerank", nodes: 3, blockSize: 8 << 10, counters: mrCounters,
-		variants: "vclock cache lz flate",
+		variants: "vclock cache",
 		run: mrRun(invGraph, -1, mapreduce.Config{SortBufferBytes: 2 << 10, MergeFactor: 3},
 			func(e *mapreduce.Engine, c *cluster.Cluster) error {
 				_, err := mrapps.RunPageRankMR(e, c.FS(), "in/data", "out", 2, 1)
@@ -143,15 +140,12 @@ var scenarios = []scenario{
 				return nil
 			})},
 	// A 4 KiB MemoryBudget makes every reduce accumulator spill sorted
-	// runs and merge them back. Small bins and a long coalescer age keep
-	// the frames the codec variants compress size-driven: a lone bin
-	// flushed by the age timer crosses the fabric uncompressed.
+	// runs and merge them back.
 	{name: "hamr-wordcount-spill", nodes: 2,
-		core: core.Config{Workers: 1, MemoryBudget: 4 << 10, BinSize: 64,
-			CoalesceAge: 50 * time.Millisecond},
+		core: core.Config{Workers: 1, MemoryBudget: 4 << 10, BinSize: 64},
 		counters: []string{"reduce.spills", "reduce.spill.bytes",
 			"disk.read.bytes", "disk.write.bytes", "net.bytes"},
-		variants: "vclock trace lz flate",
+		variants: "vclock trace",
 		run: func(t *testing.T, c *cluster.Cluster) (string, map[int][]string) {
 			files, err := hamrapps.DistributeLocalText(c, "wc", invText, 1)
 			if err != nil {
@@ -216,8 +210,6 @@ func runScenario(t *testing.T, s scenario, variant string) runResult {
 		opts.Trace = trace.New(s.nodes, vtime.Real())
 	case "cache":
 		opts.HDFSCacheMB = 8 // holds every scenario's working set: no evictions
-	case "lz", "flate":
-		opts.CompressCodec = variant
 	}
 	c, err := cluster.New(opts)
 	if err != nil {
@@ -339,23 +331,6 @@ func checkVariant(t *testing.T, s scenario, base runResult, variant string) {
 		if got("disk.read.bytes") >= off("disk.read.bytes") {
 			t.Errorf("%s/cache: disk.read.bytes = %d, want below base %d",
 				s.name, got("disk.read.bytes"), off("disk.read.bytes"))
-		}
-	case "lz", "flate":
-		used("compress.in.bytes")
-		for _, name := range []string{"disk.write.bytes", "net.bytes"} {
-			// 70 % everywhere but one cell (71 %). The zero bytes the varint
-			// value codec no longer writes were what a block codec squeezed
-			// first, so compressed bytes stayed and the base they are held
-			// to shrank: mr-pagerank/lz net.bytes was 16 160 of 33 491 and
-			// is 16 136 of 22 970 (70.2 %). The next highest of the other
-			// fifteen cells is 67.4 %; EXPERIMENTS.md has all sixteen.
-			pct := int64(70)
-			if s.name == "mr-pagerank" && variant == "lz" && name == "net.bytes" {
-				pct = 71
-			}
-			if got(name)*100 > off(name)*pct {
-				t.Errorf("%s/%s: %s = %d, want <= %d%% of base %d", s.name, variant, name, got(name), pct, off(name))
-			}
 		}
 	}
 	if variant != "trace" {

@@ -107,20 +107,6 @@ func WriteIOReport(w io.Writer, snap interface{ Get(string) int64 }) {
 		fmt.Fprintf(w, "  %-24s %d\n", "mr.map.cachehot", snap.Get("mr.map.cachehot"))
 		fmt.Fprintf(w, "  %-24s %.1f%%\n", "cache hit rate", 100*float64(hits)/float64(hits+misses))
 	}
-	// Compression lines appear only when a codec ran (the counters are
-	// created lazily with the codec, the same discipline as the cache).
-	cin, cskip := snap.Get("compress.in.bytes"), snap.Get("compress.skipped")
-	if cin+cskip > 0 {
-		cout := snap.Get("compress.out.bytes")
-		fmt.Fprintf(w, "  %-24s %d\n", "compress.in.bytes", cin)
-		fmt.Fprintf(w, "  %-24s %d\n", "compress.out.bytes", cout)
-		fmt.Fprintf(w, "  %-24s %d\n", "compress.skipped", cskip)
-		fmt.Fprintf(w, "  %-24s %d\n", "spill.compressed.bytes", snap.Get("spill.compressed.bytes"))
-		fmt.Fprintf(w, "  %-24s %d\n", "net.compressed.bytes", snap.Get("net.compressed.bytes"))
-		if cout > 0 {
-			fmt.Fprintf(w, "  %-24s %.2fx\n", "compression ratio", float64(cin)/float64(cout))
-		}
-	}
 }
 
 // WriteTimeReport prints wall vs modeled seconds side by side for every

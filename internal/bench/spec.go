@@ -44,12 +44,6 @@ type ClusterSpec struct {
 	// the paper's cold-read accounting; set it to model a warm page
 	// cache (hamrbench -hdfs-cache).
 	HDFSCacheMB int
-	// CompressCodec enables block compression of spills and shuffle
-	// traffic on both engines ("lz" or "flate"). The default spec keeps
-	// it "" — compression off — so the byte accounting stays identical
-	// to the paper's uncompressed runs; set it to trade modeled CPU for
-	// disk and network bytes (hamrbench -codec).
-	CompressCodec string
 	// MapReduce holds the baseline engine's overhead model.
 	MapReduce mapreduce.Config
 	// FlowControlWindow is the HAMR flow-control window in bins.
@@ -122,7 +116,7 @@ func (s ClusterSpec) CoreConfig() core.Config {
 }
 
 // ClusterOptions is the benchmark cluster: the spec's nodes, cost models,
-// block size and codec, paying modeled delays to clk and recording into tr
+// and block size, paying modeled delays to clk and recording into tr
 // (either may be nil). Both harness clusters are built from it, so the two
 // engines cannot be handed different substrates. HDFSCacheMB is left out:
 // only the baseline reads HDFS, and a cache on the HAMR cluster would add
@@ -136,7 +130,6 @@ func (s ClusterSpec) ClusterOptions(clk vtime.Clock, tr *trace.Tracer) cluster.O
 		DiskModel:     &s.Disk,
 		NetModel:      &s.Net,
 		HDFSBlockSize: s.HDFSBlockSize,
-		CompressCodec: s.CompressCodec,
 		Clock:         clk,
 		Trace:         tr,
 	}

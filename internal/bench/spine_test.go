@@ -2,10 +2,10 @@ package bench
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/hamr-go/hamr/internal/cluster"
-	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/core"
 	"github.com/hamr-go/hamr/internal/faults"
 	"github.com/hamr-go/hamr/internal/hdfs"
@@ -17,24 +17,29 @@ import (
 )
 
 // TestConfigsAreTuning keeps the configuration spine from growing back: the
-// clock, the tracer, the injector and the codecs reach a layer in the
-// substrate handle cluster.New builds, never as a field of a tuning struct.
+// clock, the tracer and the injector reach a layer in the substrate handle
+// cluster.New builds, never as a field of a tuning struct.
 func TestConfigsAreTuning(t *testing.T) {
 	substrateTypes := map[reflect.Type]bool{
 		reflect.TypeOf((*vtime.Clock)(nil)).Elem(): true,
 		reflect.TypeOf((*trace.Tracer)(nil)):       true,
 		reflect.TypeOf((*faults.Injector)(nil)):    true,
-		reflect.TypeOf(compress.Config{}):          true,
 	}
 	// Where the substrate comes in: the cluster's own inputs, and the
 	// coalescer's, a leaf that cannot import the handle.
 	allowed := map[string]bool{
-		"cluster.Options.Clock":              true,
-		"cluster.Options.Trace":              true,
-		"transport.CoalescerConfig.Compress": true,
-		"transport.CoalescerConfig.Trace":    true,
+		"cluster.Options.Clock":           true,
+		"cluster.Options.Trace":           true,
+		"transport.CoalescerConfig.Trace": true,
 	}
 	handle := reflect.TypeOf(substrate.Handle{})
+	var fields []string
+	for i := 0; i < handle.NumField(); i++ {
+		fields = append(fields, handle.Field(i).Name)
+	}
+	if want := []string{"Clock", "Trace", "Faults", "Metrics"}; !slices.Equal(fields, want) {
+		t.Errorf("substrate.Handle has fields %v, want exactly %v", fields, want)
+	}
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
 		if typ == handle {
@@ -62,11 +67,11 @@ func TestConfigsAreTuning(t *testing.T) {
 		v      any
 		budget int
 	}{
-		{cluster.Options{}, 16},
+		{cluster.Options{}, 15},
 		{core.Config{}, 10},
 		{mapreduce.Config{}, 10},
 		{hdfs.Config{}, 5},
-		{transport.CoalescerConfig{}, 5},
+		{transport.CoalescerConfig{}, 4},
 	} {
 		typ := reflect.TypeOf(cfg.v)
 		walk(typ.String(), typ)

@@ -15,9 +15,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
-	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/core"
 	"github.com/hamr-go/hamr/internal/faults"
 	"github.com/hamr-go/hamr/internal/hdfs"
@@ -68,17 +66,9 @@ type Options struct {
 	// the engines) task execution consult it. A nil Faults leaves every hot
 	// path untouched — no wrapper disks, no fabric hook.
 	Faults *faults.Config
-	// CompressCodec names the block codec ("lz", "flate") that compresses
-	// both byte-moving sites: sort/reduce spill runs and shuffle segments
-	// on their way to local disk, and coalesced shuffle batches on the
-	// fabric. "" (the default) and "none" leave both off: as with
-	// HDFSCacheMB == 0, the disabled paths — and every counter — stay
-	// bit-identical to a compression-less build.
-	CompressCodec string
 	// Clock pays every modeled delay in the cluster — disk, network,
-	// compression CPU, contention, startup, stragglers. It is the substrate
-	// handle's clock, so both engines and every layer under them charge the
-	// same one. Nil defaults to vtime.Real(): plain sleeps. Install a
+	// contention, startup, stragglers. It is the substrate handle's clock,
+	// so both engines and every layer under them charge the same one. Nil defaults to vtime.Real(): plain sleeps. Install a
 	// *vtime.VirtualClock to run the same workload without wall sleeps
 	// while modeled elapsed time accrues on per-node logical clocks.
 	Clock vtime.Clock
@@ -104,11 +94,6 @@ type Options struct {
 	// trace output bit-identical to the pre-manager engine.
 	JobMemMB int
 }
-
-// compressNsPerByte is the modeled CPU cost per raw byte charged (and
-// slept) on both encode and decode, pricing the CPU-for-IO trade; it is
-// scaled by NetModel.TimeScale like every other data-proportional delay.
-const compressNsPerByte = 0.5
 
 // Cluster is a running simulated cluster.
 type Cluster struct {
@@ -152,10 +137,6 @@ func New(opts Options) (*Cluster, error) {
 		opts.YarnMemMB = 4096
 	}
 	opts.Core.FillDefaults()
-	codec, err := compress.Lookup(opts.CompressCodec)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
 	var netModel transport.CostModel
 	if opts.NetModel != nil {
 		netModel = *opts.NetModel
@@ -168,37 +149,6 @@ func New(opts Options) (*Cluster, error) {
 	if opts.Faults != nil {
 		sub.Faults = faults.New(*opts.Faults, opts.NumNodes, reg)
 		env.Faults = sub.Faults
-	}
-	if codec != nil {
-		// Counters exist only when a codec is on — with compression off
-		// the registry (and every report built from it) is bit-identical
-		// to a compression-less build, the HDFSCacheMB discipline.
-		nsPerByte := compressNsPerByte
-		if s := netModel.TimeScale; s != 0 && s != 1 {
-			nsPerByte *= s
-		}
-		// The Meter callback carries no node identity, so compression CPU
-		// lands on the driver lane; under the real clock this is exactly
-		// the time.Sleep the meter would have done itself.
-		clk := sub.Clock
-		cpu := func(d time.Duration) { clk.Charge(vtime.Driver, vtime.CPU, d) }
-		ctime := reg.Timer("compress.time")
-		meter := func(site string) *compress.Meter {
-			return &compress.Meter{
-				In:        reg.Counter("compress.in.bytes"),
-				Out:       reg.Counter("compress.out.bytes"),
-				Skipped:   reg.Counter("compress.skipped"),
-				SiteOut:   reg.Counter(site),
-				Time:      ctime,
-				NsPerByte: nsPerByte,
-				Sleep:     cpu,
-			}
-		}
-		sub.Spill = compress.Config{Codec: codec, Meter: meter("spill.compressed.bytes")}
-		sub.Shuffle = compress.Config{Codec: codec, Meter: meter("net.compressed.bytes")}
-		// Inbound KindBatchZ frames charge decode CPU only — byte
-		// counters already accounted on the sending side.
-		env.Decode = &compress.Meter{Time: ctime, NsPerByte: nsPerByte, Sleep: cpu}
 	}
 
 	c := &Cluster{
@@ -289,9 +239,8 @@ func (c *Cluster) Metrics() *metrics.Registry { return c.sub.Metrics }
 
 // Substrate returns the handle New built: the clock every modeled delay is
 // paid through, the tracer and injector (nil when off; every method of both
-// is nil-safe), the registry and the two compression sites. The MapReduce
-// baseline takes it from here, so both engines pay — and save — the same
-// bytes and seconds.
+// is nil-safe) and the registry. The MapReduce baseline takes it from here,
+// so both engines pay the same bytes and seconds.
 func (c *Cluster) Substrate() substrate.Handle { return c.sub }
 
 // ChargeNet charges the network cost model for a point-to-point transfer,

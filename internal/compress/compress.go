@@ -1,28 +1,19 @@
-// Package compress is the dependency-free block-codec substrate behind
-// every byte-moving layer of the simulated cluster: spill/merge run files
-// (internal/extsort) and coalesced shuffle frames (internal/transport)
-// optionally pass their payloads through a Codec before they hit the
-// cost-modeled disk or fabric, so `disk.*.bytes` and `net.bytes` are
-// charged on the bytes that would really move — the paper attributes most
-// of Hadoop's cost to exactly those bytes (§3.1–§3.3), and real Hadoop
-// deployments lean on mapred.compress.map.output for the same reason.
+// Package compress is a dependency-free block codec: a hand-rolled
+// LZ4-style LZ77 codec (byte-oriented, no entropy stage) and a "none"
+// passthrough, framed self-describingly — codec id + uvarint raw length +
+// uvarint payload length + payload — with incompressible blocks stored
+// raw, so a reader needs no out-of-band configuration and a pathological
+// input costs at most the frame header.
 //
-// Three codecs are provided: a hand-rolled LZ4-style LZ77 block codec
-// (the default — byte-oriented, no entropy stage, tuned for the repo's
-// repetitive KV shapes), a stdlib compress/flate wrapper for a
-// high-ratio option, and a "none" passthrough. Frames are
-// self-describing — codec id + uvarint raw length + uvarint payload
-// length + payload — and incompressible blocks are stored raw, so a
-// reader never needs out-of-band codec configuration and a pathological
-// input costs at most the frame header. Scratch buffers are pooled; the
-// hot path allocates nothing at steady state.
+// Neither engine compresses anything: the paper's byte accounting is
+// uncompressed, and an ablation showed the codec never made HAMR faster
+// (EXPERIMENTS.md, "Block compression and the block cache"). The only
+// caller left is the benchmark's compress probe (benchmark/layers.go),
+// which compiles against Lookup, LZ, AppendFrame, DecodeFrame and Meter; a
+// benchmark change retires the probe and this package together.
 //
-// Accounting is explicit: a Meter carries the codec counters
-// (compress.in.bytes / compress.out.bytes / compress.skipped, plus a
-// per-site output counter such as spill.compressed.bytes) and the
-// modeled per-byte encode/decode CPU cost that keeps the simulation
-// honest about the CPU-for-IO trade. A nil Meter is valid everywhere and
-// costs nothing, mirroring the cache-off discipline of internal/hdfs.
+// A Meter carries optional counters and a modeled per-byte CPU cost; a
+// nil Meter is valid everywhere and costs nothing.
 package compress
 
 import (
@@ -47,7 +38,7 @@ type Codec interface {
 	// to bound work and MUST error (never panic or over-allocate) when
 	// the payload disagrees with it.
 	Decode(dst, src []byte, rawLen int) ([]byte, error)
-	// Name is the codec's registry name ("lz", "flate", "none").
+	// Name is the codec's registry name ("lz").
 	Name() string
 }
 
@@ -55,9 +46,8 @@ type Codec interface {
 // whenever compression is skipped or does not pay, so every id below must
 // decode bytes written by any build that knew it.
 const (
-	idRaw   = 0x00 // stored: payload is the raw block
-	idLZ    = 0x01 // the LZ4-style LZ77 codec (lz.go)
-	idFlate = 0x02 // stdlib compress/flate (flate.go)
+	idRaw = 0x00 // stored: payload is the raw block
+	idLZ  = 0x01 // the LZ4-style LZ77 codec (lz.go)
 )
 
 // Typed frame errors. Callers match with errors.Is; all decode failures
@@ -83,54 +73,38 @@ const maxFrameRaw = 1 << 28 // 256 MiB
 // into a huge allocation before the payload runs dry.
 const allocStep = 1 << 20
 
-// DefaultBlockSize is the raw-block granularity of the stream Writer:
-// 64 KiB blocks keep LZ77 match offsets within the 2-byte window and
-// align with the 64 KiB bufio layers above and below.
-const DefaultBlockSize = 64 << 10
-
 // codecs is the id-indexed registry used by frame decoding.
 var codecs = [...]Codec{
-	idRaw:   nil, // stored frames bypass the codec entirely
-	idLZ:    LZ{},
-	idFlate: Flate{},
+	idRaw: nil, // stored frames bypass the codec entirely
+	idLZ:  LZ{},
 }
 
 // Lookup resolves a codec by registry name. The empty string and "none"
-// both return a nil Codec (compression off) with no error, so option
-// structs can pass user flags straight through.
+// both return a nil Codec, which AppendFrame stores raw.
 func Lookup(name string) (Codec, error) {
 	switch name {
 	case "", "none":
 		return nil, nil
 	case "lz":
 		return LZ{}, nil
-	case "flate":
-		return Flate{}, nil
 	}
-	return nil, fmt.Errorf("compress: unknown codec %q (want lz, flate or none)", name)
+	return nil, fmt.Errorf("compress: unknown codec %q (want lz or none)", name)
 }
 
-// Names lists the codec names Lookup accepts, for flag help text.
-func Names() []string { return []string{"lz", "flate", "none"} }
-
 func idOf(c Codec) byte {
-	switch c.(type) {
-	case LZ:
+	if _, ok := c.(LZ); ok {
 		return idLZ
-	case Flate:
-		return idFlate
 	}
 	return idRaw
 }
 
-// Meter accounts for one compression site (spill files, shuffle frames).
-// Every field may be zero/nil; a nil *Meter is valid and free. Counter
-// semantics: In is raw bytes entering Encode, Out is frame bytes leaving
-// it (header included), SiteOut is the same bytes on the site's own
-// counter, Skipped counts frames stored raw (under the minimum size or
-// incompressible). NsPerByte is the modeled CPU cost per raw byte, charged
-// (and slept) on both encode and decode so the simulation prices the
-// CPU-for-IO trade; Time accumulates those modeled charges.
+// Meter accounts for one compression site. Every field may be zero/nil; a
+// nil *Meter is valid and free. Counter semantics: In is raw bytes entering
+// Encode, Out is frame bytes leaving it (header included), SiteOut is the
+// same bytes on the site's own counter, Skipped counts frames stored raw
+// (under the minimum size or incompressible). NsPerByte is the modeled CPU
+// cost per raw byte, charged (and slept) on both encode and decode; Time
+// accumulates those modeled charges.
 type Meter struct {
 	In, Out, Skipped, SiteOut *metrics.Counter
 	Time                      *metrics.Timer
@@ -146,9 +120,7 @@ func (m *Meter) onEncode(rawLen, frameLen int, stored bool) {
 }
 
 // Encoded accounts one encoded frame: rawLen bytes in, frameLen bytes
-// out, plus the modeled encode CPU. Exported for sites (the shuffle
-// coalescer) that frame bytes themselves and decide afterward whether the
-// compressed form goes on the wire.
+// out, plus the modeled encode CPU.
 func (m *Meter) Encoded(rawLen, frameLen int) {
 	if m == nil {
 		return
@@ -180,7 +152,7 @@ func (m *Meter) onDecode(rawLen int) {
 }
 
 // charge applies the modeled per-byte CPU cost: observed on the timer and
-// slept in the caller's goroutine, the same shape as Cluster.ChargeNet.
+// slept in the caller's goroutine.
 func (m *Meter) charge(rawLen int) {
 	if m.NsPerByte <= 0 || rawLen <= 0 {
 		return
@@ -198,22 +170,6 @@ func (m *Meter) charge(rawLen int) {
 		time.Sleep(d)
 	}
 }
-
-// Config bundles a codec choice with its accounting for one site. The
-// zero value means compression off: every consumer treats it as "do what
-// you did before this package existed", bit for bit.
-type Config struct {
-	// Codec compresses each block/frame; nil disables compression.
-	Codec Codec
-	// MinBytes stores blocks smaller than this raw (counted as skipped):
-	// tiny frames pay header plus codec overhead for nothing.
-	MinBytes int
-	// Meter carries the site's counters and modeled CPU cost (may be nil).
-	Meter *Meter
-}
-
-// Enabled reports whether this config actually compresses.
-func (c Config) Enabled() bool { return c.Codec != nil }
 
 // scratchPool recycles encode scratch buffers across frames.
 var scratchPool = sync.Pool{New: func() any { return new([]byte) }}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -41,7 +40,7 @@ func corpora() map[string][]byte {
 }
 
 func TestCodecRoundTrip(t *testing.T) {
-	for _, codec := range []Codec{LZ{}, Flate{}} {
+	for _, codec := range []Codec{LZ{}} {
 		for name, data := range corpora() {
 			t.Run(codec.Name()+"/"+name, func(t *testing.T) {
 				enc := codec.Encode(nil, data)
@@ -65,7 +64,7 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	for _, codec := range []Codec{nil, LZ{}, Flate{}} {
+	for _, codec := range []Codec{nil, LZ{}} {
 		name := "none"
 		if codec != nil {
 			name = codec.Name()
@@ -181,96 +180,19 @@ func TestCorruptFrames(t *testing.T) {
 	})
 }
 
-func TestStreamRoundTrip(t *testing.T) {
-	for _, codec := range []Codec{nil, LZ{}, Flate{}} {
-		name := "none"
-		if codec != nil {
-			name = codec.Name()
-		}
-		for cname, data := range corpora() {
-			t.Run(name+"/"+cname, func(t *testing.T) {
-				var buf bytes.Buffer
-				w := NewWriter(&buf, Config{Codec: codec}, 0)
-				// Write in awkward chunk sizes to cross block boundaries.
-				for off := 0; off < len(data); {
-					n := min(777, len(data)-off)
-					if _, err := w.Write(data[off : off+n]); err != nil {
-						t.Fatal(err)
-					}
-					off += n
-				}
-				if err := w.Close(); err != nil {
-					t.Fatal(err)
-				}
-				r := NewReader(bytes.NewReader(buf.Bytes()), nil)
-				got, err := io.ReadAll(r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := r.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, data) {
-					t.Fatalf("stream round trip mismatch: %d vs %d bytes", len(got), len(data))
-				}
-			})
-		}
-	}
-}
-
-// TestStreamTruncated: chopping a compressed stream mid-frame must be a
-// typed error from the reader, not a hang or panic.
-func TestStreamTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, Config{Codec: LZ{}}, 1<<10)
-	w.Write(bytes.Repeat([]byte("spill data "), 2000)) //nolint:errcheck
-	w.Close()                                          //nolint:errcheck
-	full := buf.Bytes()
-	r := NewReader(bytes.NewReader(full[:len(full)-5]), nil)
-	_, err := io.ReadAll(r)
-	if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("err = %v, want typed truncation", err)
-	}
-}
-
-// TestStreamCloserChain: Writer.Close and Reader.Close must close an
-// underlying io.Closer exactly once (the run-file teardown contract).
-func TestStreamCloserChain(t *testing.T) {
-	cc := &countingCloser{}
-	w := NewWriter(cc, Config{}, 0)
-	w.Write([]byte("abc")) //nolint:errcheck
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err) // double close is safe
-	}
-	if cc.closes != 1 {
-		t.Fatalf("underlying closed %d times", cc.closes)
-	}
-}
-
-type countingCloser struct {
-	bytes.Buffer
-	closes int
-}
-
-func (c *countingCloser) Close() error { c.closes++; return nil }
-
 func TestLookup(t *testing.T) {
 	for _, name := range []string{"", "none"} {
 		if c, err := Lookup(name); err != nil || c != nil {
 			t.Fatalf("Lookup(%q) = %v, %v", name, c, err)
 		}
 	}
-	for _, name := range Names()[:2] {
-		c, err := Lookup(name)
-		if err != nil || c == nil || c.Name() != name {
-			t.Fatalf("Lookup(%q) = %v, %v", name, c, err)
-		}
+	if c, err := Lookup("lz"); err != nil || c != (LZ{}) {
+		t.Fatalf("Lookup(lz) = %v, %v", c, err)
 	}
-	if _, err := Lookup("zstd"); err == nil {
-		t.Fatal("Lookup(zstd) should fail")
+	for _, name := range []string{"flate", "zstd"} {
+		if _, err := Lookup(name); err == nil {
+			t.Fatalf("Lookup(%s) should fail", name)
+		}
 	}
 }
 

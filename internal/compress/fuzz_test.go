@@ -15,14 +15,14 @@ func FuzzDecodeFrame(f *testing.F) {
 	// Seed with well-formed frames of each codec and the classic corrupt
 	// shapes, so coverage starts at the interesting boundaries.
 	text := bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog "), 40)
-	for _, c := range []Codec{nil, LZ{}, Flate{}} {
+	for _, c := range []Codec{nil, LZ{}} {
 		f.Add(AppendFrame(c, nil, text, 0, nil))
 		f.Add(AppendFrame(c, nil, []byte("x"), 0, nil))
 		f.Add(AppendFrame(c, nil, nil, 0, nil))
 	}
 	f.Add([]byte{idLZ, 0xff, 0xff, 0xff, 0xff, 0x7f, 3, 1, 2, 3}) // lying rawLen
 	f.Add([]byte{99, 4, 4, 'a', 'b', 'c', 'd'})                   // unknown codec id
-	f.Add([]byte{idFlate, 10, 2, 0, 0})                           // truncated flate
+	f.Add([]byte{0x02, 10, 2, 0, 0})                              // flate's retired id: unknown
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		out, rest, err := DecodeFrame(nil, frame, nil)
@@ -31,7 +31,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		// A frame that decodes must round-trip through re-encoding: encode
 		// the decoded payload with each codec and decode it back.
-		for _, c := range []Codec{nil, LZ{}, Flate{}} {
+		for _, c := range []Codec{nil, LZ{}} {
 			re := AppendFrame(c, nil, out, 0, nil)
 			back, rest2, err2 := DecodeFrame(nil, re, nil)
 			if err2 != nil {
@@ -44,7 +44,7 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("codec %v round-trip mismatch: %d bytes vs %d", c, len(back), len(out))
 			}
 		}
-		_ = rest // trailing bytes after a valid frame are legal (streams)
+		_ = rest // trailing bytes after a valid frame are legal
 	})
 }
 
@@ -67,38 +67,5 @@ func FuzzLZDecode(f *testing.F) {
 		if err == nil && len(out) != rawLen {
 			t.Fatalf("LZ decode returned %d bytes, claimed rawLen %d", len(out), rawLen)
 		}
-	})
-}
-
-// FuzzStreamReader feeds arbitrary byte streams to the block-stream
-// reader: reads must terminate with either io.EOF (valid stream consumed)
-// or a typed error, never a panic.
-func FuzzStreamReader(f *testing.F) {
-	var valid bytes.Buffer
-	w := NewWriter(&valid, Config{Codec: LZ{}}, 512)
-	for i := 0; i < 4; i++ {
-		_, _ = w.Write(bytes.Repeat([]byte("streaming block payload "), 50))
-	}
-	_ = w.Close()
-	f.Add(valid.Bytes())
-	f.Add(valid.Bytes()[:valid.Len()-3])
-	f.Add([]byte{})
-	f.Add([]byte{idLZ, 200, 200})
-
-	f.Fuzz(func(t *testing.T, stream []byte) {
-		r := NewReader(bytes.NewReader(stream), nil)
-		buf := make([]byte, 4096)
-		var total int
-		for {
-			n, err := r.Read(buf)
-			total += n
-			if err != nil {
-				break
-			}
-			if total > 4*maxFrameRaw {
-				t.Fatalf("reader produced %d bytes from a %d-byte stream", total, len(stream))
-			}
-		}
-		_ = r.Close()
 	})
 }

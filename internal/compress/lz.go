@@ -7,13 +7,7 @@ import (
 
 // LZ is the hand-rolled LZ4-style LZ77 block codec: byte-aligned tokens,
 // greedy matching through a 16K-entry hash table over 4-byte sequences,
-// 2-byte little-endian match offsets (64 KiB window — exactly one stream
-// block), no entropy stage. The shapes it is tuned for are the repo's
-// intermediates: uvarint-framed KV records with repeated words (WordCount,
-// PageRank adjacency), fixed-layout TeraSort lines, and gob batch frames
-// whose type preambles repeat per batch. On those it trades a little ratio
-// against flate for an order of magnitude less encode work, which matters
-// because the simulation charges modeled CPU per compressed byte.
+// 2-byte little-endian match offsets (64 KiB window), no entropy stage.
 //
 // Block format (a sequence of sequences, mirroring LZ4's):
 //

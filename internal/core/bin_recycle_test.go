@@ -195,7 +195,7 @@ func assertSlabsHome(t *testing.T, nodes []*NodeRuntime) {
 }
 
 func TestBinRecyclingExactlyOnce(t *testing.T) {
-	const numNodes, splits, perSplit = 4, 8, 1500
+	const numNodes, splits, perSplit = 4, 8, 50
 	for _, chain := range []bool{false, true} {
 		chain := chain
 		t.Run(fmt.Sprintf("chain=%v", chain), func(t *testing.T) {
@@ -224,7 +224,7 @@ func TestBinRecyclingExactlyOnce(t *testing.T) {
 // and then requires a clean job on the same runtimes, sharing their lists
 // with whatever the aborted job's stragglers still return, to be exact.
 func TestBinRecyclingSurvivesAbort(t *testing.T) {
-	const numNodes, splits, perSplit = 4, 8, 1500
+	const numNodes, splits, perSplit = 4, 8, 50
 	nodes, cleanup := newTestCluster(t, numNodes, recycleConfig())
 	defer cleanup()
 
@@ -260,7 +260,7 @@ func TestBinRecyclingSurvivesAbort(t *testing.T) {
 // stripes and reduce batches at their start; the re-fired tasks draw slabs
 // from the same lists and the output must not change.
 func TestBinRecyclingUnderRefires(t *testing.T) {
-	const numNodes, splits, perSplit = 4, 8, 1500
+	const numNodes, splits, perSplit = 4, 8, 50
 	cfg := recycleConfig()
 	inj := faults.New(faults.Config{Seed: 3, FlowletFire: 0.15, Armed: true}, numNodes, nil)
 	nodes, cleanup := newClusterOn(t, NewTestNetwork(), numNodes, cfg, substrate.Handle{Faults: inj})

@@ -105,41 +105,61 @@ func (joinReduce) Reduce(key string, values []any, ctx Context) error {
 	return ctx.Emit(KV{Key: key, Value: int64(len(values))})
 }
 
-// slowSink delays every write, making the terminal stage the bottleneck.
-type slowSink struct {
+// gatedSink holds every write until open is closed.
+type gatedSink struct {
+	open  chan struct{}
 	wrote atomic.Int64
-	delay time.Duration
 }
 
-func (s *slowSink) Write(node int, kv KV) error {
-	time.Sleep(s.delay)
+func (s *gatedSink) Write(node int, kv KV) error {
+	<-s.open
 	s.wrote.Add(1)
 	return nil
 }
 
-func (s *slowSink) Close(node int) error { return nil }
+func (s *gatedSink) Close(node int) error { return nil }
 
-// TestFlowControlEngagesUnderPressure drives a fast loader into a slow
-// consumer through a tiny window and checks that (a) the job completes,
-// (b) flow control actually engaged (loader stalls or gated bins), and
-// (c) nothing was lost.
+// flowEngaged reports whether any job on the nodes has had a producer stall
+// or a bin gated by flow control so far.
+func flowEngaged(nodes []*NodeRuntime) bool {
+	for _, rt := range nodes {
+		rt.mu.Lock()
+		for _, jn := range rt.jobs {
+			if jn.totalStalls() > 0 || jn.mFlowGated.Value() > 0 {
+				rt.mu.Unlock()
+				return true
+			}
+		}
+		rt.mu.Unlock()
+	}
+	return false
+}
+
+// TestFlowControlEngagesUnderPressure drives a fast loader into a consumer
+// that takes nothing until flow control has pushed back, through a tiny
+// window, and checks that (a) the job completes, (b) flow control actually
+// engaged (loader stalls or gated bins), and (c) nothing was lost. The map
+// flowlets run on node 0 and the sink on node 1, so every sink bin is a
+// remote bin whose ack the closed gate withholds: node 0's loader, chaining
+// both maps inline, must stall on the window.
 func TestFlowControlEngagesUnderPressure(t *testing.T) {
 	const records = 3000
 	var lines []string
 	for i := 0; i < records; i++ {
 		lines = append(lines, fmt.Sprintf("r%d", i))
 	}
+	on := func(node int) EdgeOption {
+		return WithPartitioner(func(string, int) int { return node })
+	}
 	g := NewGraph("pressure")
-	sink := &slowSink{delay: 40 * time.Microsecond}
+	sink := &gatedSink{open: make(chan struct{})}
 	ld, _ := g.AddLoader("load", &sliceLoader{chunks: [][]string{lines[:1500], lines[1500:]}})
 	mp, _ := g.AddMap("fwd", forwardMapper{})
 	slow, _ := g.AddMap("slowzone", passThrough{})
 	sk, _ := g.AddSink("out", sink)
-	g.Connect(ld, mp)
-	g.Connect(mp, slow)
-	// The slow sink is reached through a shuffled edge so remote bins and
-	// their acks exercise the credit machinery.
-	g.Connect(slow, sk, WithRouting(RouteShuffle))
+	g.Connect(ld, mp, on(0))
+	g.Connect(mp, slow, on(0))
+	g.Connect(slow, sk, WithRouting(RouteShuffle), on(1))
 	nodes, cleanup := newTestCluster(t, 2, Config{
 		Workers:           2,
 		BinSize:           16,
@@ -154,12 +174,23 @@ func TestFlowControlEngagesUnderPressure(t *testing.T) {
 		res, err = Run(g, nodes, nil)
 		done <- err
 	}()
+	deadline := time.After(60 * time.Second)
+	for !flowEngaged(nodes) {
+		select {
+		case err := <-done:
+			t.Fatalf("job ended (%v) with the sink still closed", err)
+		case <-deadline:
+			t.Fatal("flow control never pushed back on a closed sink")
+		case <-time.After(100 * time.Microsecond):
+		}
+	}
+	close(sink.open)
 	select {
 	case err := <-done:
 		if err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(60 * time.Second):
+	case <-deadline:
 		t.Fatal("flow-controlled job hung")
 	}
 	if sink.wrote.Load() != records {

@@ -258,7 +258,7 @@ func newJobNode(rt *NodeRuntime, graph *Graph, jobID int64, numNodes int) *jobNo
 			fs.contention = reg.Timer("partial.contention")
 		case KindReduce:
 			prefix := fmt.Sprintf("job%d/reduce-%d", jobID, spec.ID)
-			fs.acc = newAccumulator(jn.mem, rt.disk, prefix, reg, rt.sub.Spill)
+			fs.acc = newAccumulator(jn.mem, rt.disk, prefix, reg)
 		}
 		jn.flowlets = append(jn.flowlets, fs)
 	}

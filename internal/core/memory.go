@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/extsort"
 	"github.com/hamr-go/hamr/internal/metrics"
 	"github.com/hamr-go/hamr/internal/storage"
@@ -102,10 +101,9 @@ type accumulator struct {
 	b    *extsort.RunBuilder[kvRec]
 	mem  *MemoryManager
 	disk storage.Disk
-	cc   compress.Config
 }
 
-func newAccumulator(mem *MemoryManager, disk storage.Disk, prefix string, reg *metrics.Registry, cc compress.Config) *accumulator {
+func newAccumulator(mem *MemoryManager, disk storage.Disk, prefix string, reg *metrics.Registry) *accumulator {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
@@ -116,21 +114,16 @@ func newAccumulator(mem *MemoryManager, disk storage.Disk, prefix string, reg *m
 	return &accumulator{
 		mem:  mem,
 		disk: disk,
-		cc:   cc,
 		b: extsort.NewRunBuilder(extsort.BuilderConfig[kvRec]{
 			Cmp:     kvRecCompare,
 			Format:  kvFormat{},
 			Disk:    disk,
 			RunName: func(i int) string { return fmt.Sprintf("%s/run-%04d", prefix, i) },
 			Budget:  budget,
-			// OnSpill bytes are the accounted (pre-compression) buffer
-			// size: reduce.spill.bytes and the Budget release are invariant
-			// under compression; only disk.write.bytes shrinks.
 			OnSpill: func(_ int, bytes int64) {
 				reg.Inc("reduce.spills")
 				reg.Add("reduce.spill.bytes", bytes)
 			},
-			Compress: cc,
 		}),
 	}
 }
@@ -199,7 +192,7 @@ func (a *accumulator) iterate(fn func(key string, values []any) error) error {
 		}
 	}()
 	for _, name := range runs {
-		rr, err := extsort.OpenRunC(a.disk, name, kvFormat{}, a.cc)
+		rr, err := extsort.OpenRun(a.disk, name, kvFormat{})
 		if err != nil {
 			return fmt.Errorf("core: open spill run: %w", err)
 		}

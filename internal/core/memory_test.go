@@ -9,7 +9,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/storage"
 )
 
@@ -54,7 +53,7 @@ func TestMemoryManagerFirstReservationAlwaysGranted(t *testing.T) {
 }
 
 func TestAccumulatorInMemory(t *testing.T) {
-	acc := newAccumulator(nil, storage.NewMemDisk(0), "t", nil, compress.Config{})
+	acc := newAccumulator(nil, storage.NewMemDisk(0), "t", nil)
 	for i := 0; i < 100; i++ {
 		acc.add(KV{Key: fmt.Sprintf("k%02d", i%10), Value: int64(i)})
 	}
@@ -82,7 +81,7 @@ func TestAccumulatorInMemory(t *testing.T) {
 func TestAccumulatorSpillsAndMerges(t *testing.T) {
 	disk := storage.NewMemDisk(0)
 	mem := NewMemoryManager(512) // tiny: forces many spills
-	acc := newAccumulator(mem, disk, "spill", nil, compress.Config{})
+	acc := newAccumulator(mem, disk, "spill", nil)
 	want := map[string]int64{}
 	for i := 0; i < 500; i++ {
 		k := fmt.Sprintf("key-%02d", i%17)
@@ -127,7 +126,7 @@ func TestAccumulatorGroupingProperty(t *testing.T) {
 		i++
 		disk := storage.NewMemDisk(0)
 		mem := NewMemoryManager(int64(budget%2000) + 64)
-		acc := newAccumulator(mem, disk, fmt.Sprintf("p%d", i), nil, compress.Config{})
+		acc := newAccumulator(mem, disk, fmt.Sprintf("p%d", i), nil)
 		want := map[string][]int64{}
 		for j, kRaw := range keys {
 			k := fmt.Sprintf("k%d", kRaw%13)
@@ -174,7 +173,7 @@ func TestAccumulatorGroupingProperty(t *testing.T) {
 
 func TestAccumulatorSpillWithoutDisk(t *testing.T) {
 	mem := NewMemoryManager(32)
-	acc := newAccumulator(mem, nil, "x", nil, compress.Config{})
+	acc := newAccumulator(mem, nil, "x", nil)
 	var err error
 	for i := 0; i < 100 && err == nil; i++ {
 		err = acc.add(KV{Key: fmt.Sprintf("key%d", i), Value: int64(i)})

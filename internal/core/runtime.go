@@ -16,7 +16,7 @@ import (
 // Config is the per-node runtime's tuning: pool sizes and the engine's
 // scheduling granularity. The zero value is usable: FillDefaults supplies
 // sensible settings. What the runtime shares with the rest of the cluster —
-// clock, tracer, fault injector, registry, codecs — is not tuning and
+// clock, tracer, fault injector, registry — is not tuning and
 // arrives as a substrate.Handle.
 type Config struct {
 	// Workers is the size of each node's thread pool (the paper's cluster
@@ -127,8 +127,7 @@ type NodeRuntime struct {
 	id  int
 	cfg Config
 	// sub is the cluster's shared substrate: flowlet tasks consult its
-	// injector at their start, before any side effect; reduce spills use its
-	// Spill codec and the coalescer, when there is one, its Shuffle codec.
+	// injector at their start, before any side effect.
 	sub      substrate.Handle
 	net      transport.Network
 	co       *transport.Coalescer // nil when coalescing is disabled
@@ -176,10 +175,9 @@ func NewNodeRuntime(id int, cfg Config, sub substrate.Handle, net transport.Netw
 	}
 	if cfg.CoalesceMsgs >= 0 {
 		rt.co = transport.NewCoalescer(net, transport.CoalescerConfig{
-			MaxMsgs:  cfg.CoalesceMsgs,
-			MaxAge:   cfg.CoalesceAge,
-			Compress: sub.Shuffle,
-			Trace:    sub.Trace,
+			MaxMsgs: cfg.CoalesceMsgs,
+			MaxAge:  cfg.CoalesceAge,
+			Trace:   sub.Trace,
 		})
 	}
 	rt.jobs = make(map[int64]*jobNode)

@@ -10,66 +10,51 @@ import (
 	"testing/quick"
 	"time"
 
-	"github.com/hamr-go/hamr/internal/compress"
-	"github.com/hamr-go/hamr/internal/metrics"
 	"github.com/hamr-go/hamr/internal/storage"
 	"github.com/hamr-go/hamr/internal/substrate"
 	"github.com/hamr-go/hamr/internal/transport"
 )
 
 // TestEngineOverTCP runs a full wordcount job with the data plane in
-// process and on real TCP sockets, with shuffle compression off and on —
-// the engine is transport-agnostic, and wherever a bin has to become bytes
-// (every TCP frame, every compressed batch) the counts do not change and
-// the slab ledger still balances: the sender's slab is released when the
+// process and on real TCP sockets — the engine is transport-agnostic, and
+// where a bin has to become bytes (every TCP frame) the counts do not change
+// and the slab ledger still balances: the sender's slab is released when the
 // frame is committed, the receiver's is drawn from and returned to its own
-// list. Bins are small so that batches hold several and really compress.
+// list. Bins are small so that batches hold several.
 func TestEngineOverTCP(t *testing.T) {
 	const numNodes = 3
 	chunks, want := wordChunks(8, 25)
 	for _, fabric := range []string{"inmem", "tcp"} {
-		for _, codec := range []compress.Codec{nil, compress.LZ{}} {
-			fabric, codec := fabric, codec
-			name := fabric + "/off"
-			if codec != nil {
-				name = fabric + "/" + codec.Name()
+		t.Run(fabric, func(t *testing.T) {
+			cfg := Config{Workers: 2, BinSize: 16}
+			var net transport.Network = NewTestNetwork()
+			if fabric == "tcp" {
+				addrs := map[transport.NodeID]string{}
+				for i := 0; i < numNodes; i++ {
+					addrs[transport.NodeID(i)] = "127.0.0.1:0"
+				}
+				net = transport.NewTCPNetwork(addrs)
 			}
-			t.Run(name, func(t *testing.T) {
-				var framed metrics.Counter
-				cfg := Config{Workers: 2, BinSize: 16}
-				sub := substrate.Handle{Shuffle: compress.Config{Codec: codec, Meter: &compress.Meter{Out: &framed}}}
-				var net transport.Network = NewTestNetwork()
-				if fabric == "tcp" {
-					addrs := map[transport.NodeID]string{}
-					for i := 0; i < numNodes; i++ {
-						addrs[transport.NodeID(i)] = "127.0.0.1:0"
-					}
-					net = transport.NewTCPNetwork(addrs)
+			nodes, cleanup := newClusterOn(t, net, numNodes, cfg, substrate.Handle{})
+			defer cleanup()
+			g, sink := buildWordCount(t, true, chunks)
+			if _, err := Run(g, nodes, nil); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			got := map[string]int64{}
+			for _, kv := range sink.Pairs() {
+				got[kv.Key] += kv.Value.(int64)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("counts = %v, want %v", got, want)
+			}
+			assertSlabsHome(t, nodes)
+			for _, rt := range nodes {
+				if d := rt.Metrics().Snapshot().Get("bins.dropped"); d != 0 {
+					t.Errorf("node %d: bins.dropped = %d", rt.id, d)
 				}
-				nodes, cleanup := newClusterOn(t, net, numNodes, cfg, sub)
-				defer cleanup()
-				g, sink := buildWordCount(t, true, chunks)
-				if _, err := Run(g, nodes, nil); err != nil {
-					t.Fatalf("Run: %v", err)
-				}
-				got := map[string]int64{}
-				for _, kv := range sink.Pairs() {
-					got[kv.Key] += kv.Value.(int64)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("counts = %v, want %v", got, want)
-				}
-				assertSlabsHome(t, nodes)
-				for _, rt := range nodes {
-					if d := rt.Metrics().Snapshot().Get("bins.dropped"); d != 0 {
-						t.Errorf("node %d: bins.dropped = %d", rt.id, d)
-					}
-				}
-				if (framed.Value() > 0) != (codec != nil) {
-					t.Errorf("compressed %d frame bytes with codec %v", framed.Value(), codec)
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -2,12 +2,11 @@ package core
 
 import "fmt"
 
-// Wire forms of the four payloads the runtime sends, for the places a
-// message has to become bytes (a compressed batch frame, a TCP
-// connection). Each is built from the value codec run files use: a header
-// of int64s through EncodeValue and, for a bin, its pairs through EncodeKV.
-// transport hands the bytes back as the payload and handle decodes them by
-// kind.
+// Wire forms of the four payloads the runtime sends, for the place a
+// message has to become bytes (a TCP connection). Each is built from the
+// value codec run files use: a header of int64s through EncodeValue and,
+// for a bin, its pairs through EncodeKV. transport hands the bytes back as
+// the payload and handle decodes them by kind.
 
 // decodeInts reads a header of exactly n int64s from the front of p and
 // returns it with the bytes after it.

@@ -1,9 +1,6 @@
 package extsort
 
-import (
-	"github.com/hamr-go/hamr/internal/compress"
-	"github.com/hamr-go/hamr/internal/storage"
-)
+import "github.com/hamr-go/hamr/internal/storage"
 
 // BuilderConfig configures a RunBuilder. Cmp, Format, and RunName are
 // required when the builder can spill; Disk may be nil for callers that
@@ -30,14 +27,8 @@ type BuilderConfig[T any] struct {
 	Budget Budget
 	// OnSpill observes each spill: the record count and byte total of
 	// the buffer just written. Callers attach their spill counters and
-	// heap-accounting resets here. OnSpill always reports pre-compression
-	// (accounted) bytes — Compress only changes what hits the disk, never
-	// the spill accounting or Budget release.
+	// heap-accounting resets here.
 	OnSpill func(records int, bytes int64)
-	// Compress, when enabled, block-compresses each spilled run file.
-	// Anyone merging this builder's runs must open them with OpenRunC and
-	// the same enabled state.
-	Compress compress.Config
 }
 
 // RunBuilder accumulates typed records in memory and spills them as
@@ -106,7 +97,7 @@ func (b *RunBuilder[T]) Spill() error {
 	}
 	SortStable(b.buf, b.cfg.Cmp)
 	name := b.cfg.RunName(b.nextRun)
-	if err := writeRun(b.cfg.Disk, name, b.cfg.Format, b.buf, b.cfg.Compress); err != nil {
+	if err := writeRun(b.cfg.Disk, name, b.cfg.Format, b.buf); err != nil {
 		return err
 	}
 	b.nextRun++

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/storage"
 )
 
@@ -180,7 +179,7 @@ func TestMergeToFactorPassesAndCleanup(t *testing.T) {
 	passes := 0
 	merged, err := MergeToFactor(disk, plainRuns(runs), 4,
 		func(pass int) string { return fmt.Sprintf("interm-%04d", pass) },
-		func() { passes++ }, compress.Config{})
+		func() { passes++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +254,7 @@ func TestMergeToFactorNoOpWithinFactor(t *testing.T) {
 	}
 	runs := plainRuns(b.Runs())
 	got, err := MergeToFactor(disk, runs, 10,
-		func(int) string { return "interm" }, func() { t.Fatal("pass run under factor") }, compress.Config{})
+		func(int) string { return "interm" }, func() { t.Fatal("pass run under factor") })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"slices"
 
-	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/storage"
 )
 
@@ -203,10 +202,10 @@ func compareKeys(a, b storage.Record) int { return bytes.Compare(a.Key, b.Key) }
 // invoked once per completed pass, which is where callers count merge
 // passes. Input runs consumed by a pass are removed from disk; the returned
 // list, the caller's when no pass was needed, replaces them with the
-// intermediates. Runs are opened and intermediates written with cc and
-// with the first run's Prefix; all runs in the list must share both.
+// intermediates. Intermediates are written with the first run's Prefix;
+// all runs in the list must share it.
 func MergeToFactor(disk storage.Disk, runs []Run, factor int,
-	intermName func(pass int) string, onPass func(), cc compress.Config) ([]Run, error) {
+	intermName func(pass int) string, onPass func()) ([]Run, error) {
 
 	if factor <= 1 || len(runs) <= factor {
 		return runs, nil
@@ -237,7 +236,7 @@ func MergeToFactor(disk storage.Disk, runs []Run, factor int,
 			}
 		}
 		window := runs[at : at+take]
-		merged, err := mergeRuns(disk, window, intermName(pass), cc)
+		merged, err := mergeRuns(disk, window, intermName(pass))
 		if err != nil {
 			return nil, err
 		}
@@ -261,12 +260,12 @@ func MergeToFactor(disk storage.Disk, runs []Run, factor int,
 // mergeRuns merges the batch into one new run named name, sectioned by the
 // batch's prefix (plain runs have none, and what they merge into reads as
 // either kind).
-func mergeRuns(disk storage.Disk, batch []Run, name string, cc compress.Config) (Run, error) {
-	w, err := CreateSectioned(disk, name, batch[0].Prefix, cc)
+func mergeRuns(disk storage.Disk, batch []Run, name string) (Run, error) {
+	w, err := CreateSectioned(disk, name, batch[0].Prefix)
 	if err != nil {
 		return Run{}, err
 	}
-	err = MergeRuns(disk, batch, cc, w.Write)
+	err = MergeRuns(disk, batch, w.Write)
 	merged, cerr := w.Close()
 	if err == nil {
 		err = cerr
@@ -277,12 +276,12 @@ func mergeRuns(disk storage.Disk, batch []Run, name string, cc compress.Config) 
 	return merged, nil
 }
 
-// MergeRuns streams the records of the runs (written with cc) to emit as
+// MergeRuns streams the records of the runs to emit as
 // bytes, merged in the order of bytes.Compare on their encoded keys, equal
 // keys from the earlier run first. key and value live in the source reader's
 // scratch until that reader's next Next, which the tree calls only after
 // emit has returned: emit must not keep them.
-func MergeRuns(disk storage.Disk, runs []Run, cc compress.Config, emit func(key, value []byte) error) error {
+func MergeRuns(disk storage.Disk, runs []Run, emit func(key, value []byte) error) error {
 	type source interface {
 		Source[storage.Record]
 		io.Closer
@@ -298,9 +297,9 @@ func MergeRuns(disk storage.Disk, runs []Run, cc compress.Config, emit func(key,
 		var src source
 		var err error
 		if run.Sections == nil {
-			src, err = OpenRawRun(disk, run.Name, cc)
+			src, err = OpenRawRun(disk, run.Name)
 		} else {
-			src, err = OpenSections(disk, run, cc)
+			src, err = OpenSections(disk, run)
 		}
 		if err != nil {
 			return err

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/storage"
 )
 
@@ -58,7 +57,7 @@ func mergeToFactorFixture(tb testing.TB, disk storage.Disk, perRun int) ([]Run, 
 	names := make([]string, len(runs))
 	for i, run := range runs {
 		names[i] = fmt.Sprintf("run-%02d", i)
-		if err := writeRun(disk, names[i], testFormat{}, run, compress.Config{}); err != nil {
+		if err := writeRun(disk, names[i], testFormat{}, run); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -71,7 +70,7 @@ func mergeToFactor4(tb testing.TB, disk storage.Disk, runs []Run) int {
 	tb.Helper()
 	passes := 0
 	left, err := MergeToFactor(disk, runs, 4,
-		func(pass int) string { return fmt.Sprintf("interm-%02d", pass) }, func() { passes++ }, compress.Config{})
+		func(pass int) string { return fmt.Sprintf("interm-%02d", pass) }, func() { passes++ })
 	if err != nil {
 		tb.Fatal(err)
 	}

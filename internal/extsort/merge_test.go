@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/storage"
 )
 
@@ -141,12 +140,12 @@ func plainRuns(names []string) []Run {
 func writeTestRun[T any](t testing.TB, disk storage.Disk, name string, f Format[T], recs []T, prefix int) Run {
 	t.Helper()
 	if prefix == 0 {
-		if err := writeRun(disk, name, f, recs, compress.Config{}); err != nil {
+		if err := writeRun(disk, name, f, recs); err != nil {
 			t.Fatal(err)
 		}
 		return Run{Name: name}
 	}
-	w, err := CreateSectioned(disk, name, prefix, compress.Config{})
+	w, err := CreateSectioned(disk, name, prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +180,7 @@ func checkByteMerge[T comparable](t *testing.T, runs [][]T, f Format[T], cmp Com
 	}
 	passes := 0
 	left, err := MergeToFactor(disk, list, factor,
-		func(pass int) string { return fmt.Sprintf("interm-%03d", pass) }, func() { passes++ }, compress.Config{})
+		func(pass int) string { return fmt.Sprintf("interm-%03d", pass) }, func() { passes++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +191,7 @@ func checkByteMerge[T comparable](t *testing.T, runs [][]T, f Format[T], cmp Com
 		t.Fatalf("disk holds %v, merge returned %v", got, left)
 	}
 	var got []T
-	err = MergeRuns(disk, left, compress.Config{}, func(key, value []byte) error {
+	err = MergeRuns(disk, left, func(key, value []byte) error {
 		r, err := f.DecodeRecord(key, value)
 		got = append(got, r)
 		return err
@@ -259,7 +258,7 @@ func TestMergeMixedFileAndSliceSources(t *testing.T) {
 	for i, run := range runs {
 		if i%2 == 0 {
 			name := fmt.Sprintf("run-%d", i)
-			if err := writeRun(disk, name, testFormat{}, run, compress.Config{}); err != nil {
+			if err := writeRun(disk, name, testFormat{}, run); err != nil {
 				t.Fatal(err)
 			}
 			rr, err := OpenRun(disk, name, testFormat{})
@@ -456,7 +455,7 @@ func TestByteMergeMatchesReference(t *testing.T) {
 func collectRuns(t *testing.T, disk storage.Disk, runs []Run) []byte {
 	t.Helper()
 	var out []byte
-	err := MergeRuns(disk, runs, compress.Config{}, func(key, value []byte) error {
+	err := MergeRuns(disk, runs, func(key, value []byte) error {
 		out = binary.AppendUvarint(out, uint64(len(key)))
 		out = append(out, key...)
 		out = binary.AppendUvarint(out, uint64(len(value)))
@@ -523,7 +522,7 @@ func TestMergeToFactorSchedule(t *testing.T) {
 							t.Fatal(err)
 						}
 						written += sz
-					}, compress.Config{})
+					})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/storage"
 )
 
@@ -27,48 +26,28 @@ type Format[T any] interface {
 }
 
 // CreateRawRun creates the named run file and returns the record writer
-// over it, for callers that already hold encoded key/value bytes. When cc
-// has a codec, record framing is layered over a block-compressing writer
-// (RecordWriter → compress.Writer → file) so runs hit the cost-modeled
-// disk as compressed frames; such a run must be opened with a matching
-// enabled config.
-func CreateRawRun(disk storage.Disk, name string, cc compress.Config) (*storage.RecordWriter, error) {
+// over it, for callers that already hold encoded key/value bytes.
+func CreateRawRun(disk storage.Disk, name string) (*storage.RecordWriter, error) {
 	file, err := disk.Create(name)
 	if err != nil {
 		return nil, fmt.Errorf("extsort: create run: %w", err)
 	}
-	var w io.Writer = file
-	if cc.Enabled() {
-		w = compress.NewWriter(file, cc, 0)
-	}
-	return storage.NewRecordWriter(w), nil
+	return storage.NewRecordWriter(file), nil
 }
 
-// OpenRawRun opens a run written with the same enabled/disabled cc and
-// returns the record reader over it: encoded key/value bytes, valid until
-// the next call to Next. Decompression is frame-driven (the codec id is
-// in each frame header); cc.Meter only charges the modeled decode CPU.
-func OpenRawRun(disk storage.Disk, name string, cc compress.Config) (*storage.RecordReader, error) {
+// OpenRawRun opens a run and returns the record reader over it: encoded
+// key/value bytes, valid until the next call to Next.
+func OpenRawRun(disk storage.Disk, name string) (*storage.RecordReader, error) {
 	file, err := disk.Open(name)
 	if err != nil {
 		return nil, fmt.Errorf("extsort: open run: %w", err)
 	}
-	return newRecordReader(file, cc), nil
+	return storage.NewRecordReader(file), nil
 }
 
-// newRecordReader returns the record reader over the bytes of a run, or of
-// a part of one, written with cc: r, decompressed if cc has a codec.
-func newRecordReader(r io.Reader, cc compress.Config) *storage.RecordReader {
-	if cc.Enabled() {
-		r = compress.NewReader(r, cc.Meter)
-	}
-	return storage.NewRecordReader(r)
-}
-
-// writeRun writes an already-sorted slice of records as one run file,
-// compressed when cc has a codec (see CreateRawRun).
-func writeRun[T any](disk storage.Disk, name string, f Format[T], recs []T, cc compress.Config) error {
-	w, err := CreateRawRun(disk, name, cc)
+// writeRun writes an already-sorted slice of records as one run file.
+func writeRun[T any](disk storage.Disk, name string, f Format[T], recs []T) error {
+	w, err := CreateRawRun(disk, name)
 	if err != nil {
 		return err
 	}
@@ -95,16 +74,9 @@ type RunReader[T any] struct {
 	f Format[T]
 }
 
-// OpenRun opens the named run file for reading, uncompressed. It stays
-// beside OpenRunC because benchmark/layers.go's extsort probe calls it.
+// OpenRun opens the named run file for reading.
 func OpenRun[T any](disk storage.Disk, name string, f Format[T]) (*RunReader[T], error) {
-	return OpenRunC(disk, name, f, compress.Config{})
-}
-
-// OpenRunC opens a run written with the same enabled/disabled cc (see
-// OpenRawRun).
-func OpenRunC[T any](disk storage.Disk, name string, f Format[T], cc compress.Config) (*RunReader[T], error) {
-	r, err := OpenRawRun(disk, name, cc)
+	r, err := OpenRawRun(disk, name)
 	if err != nil {
 		return nil, err
 	}

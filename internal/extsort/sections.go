@@ -6,7 +6,6 @@ import (
 	"io"
 	"slices"
 
-	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/storage"
 )
 
@@ -19,15 +18,12 @@ import (
 // index, one Section per partition that has records, and the index is
 // memory: it lives in the Run the writer returns and goes where the task's
 // result goes.
-//
-// With a codec on, every section is a frame sequence of its own, so a reader
-// of one section needs no byte of the ones before it.
 
 // Section locates one partition's records in a sectioned run.
 type Section struct {
 	Partition int
-	// Off and Len are the section's bytes in the file, compressed if the
-	// run is: what a reader of this section alone reads.
+	// Off and Len are the section's bytes in the file: what a reader of
+	// this section alone reads.
 	Off, Len int64
 	// Payload is the key and value bytes of its records, prefix and framing
 	// excluded.
@@ -79,49 +75,25 @@ func partitionOf(prefix []byte) (p int) {
 	return p
 }
 
-// countingWriter counts the bytes that have reached the file under a
-// compressed run.
-type countingWriter struct {
-	io.WriteCloser
-	n int64
-}
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	n, err := w.WriteCloser.Write(p)
-	w.n += int64(n)
-	return n, err
-}
-
 // SectionWriter writes a sectioned run: Write takes run keys in
 // (partition, key) order, cuts the prefix off and opens a new section when
 // it changes; Close returns the run with its index.
 type SectionWriter struct {
-	run  Run
-	w    *storage.RecordWriter
-	cw   *compress.Writer // between w and file; nil without a codec
-	file *countingWriter  // likewise
+	run Run
+	w   *storage.RecordWriter
 	// w's Bytes and Count when the open section began.
 	payload0, records0 int64
 }
 
 // CreateSectioned creates the named run file for records whose keys begin
 // with a partition in prefix bytes (0 to 8, big-endian; 0 makes the run one
-// section of partition 0 with nothing cut). With a codec in cc the record
-// framing is layered over a block-compressing writer, as in CreateRawRun.
-func CreateSectioned(disk storage.Disk, name string, prefix int, cc compress.Config) (*SectionWriter, error) {
+// section of partition 0 with nothing cut).
+func CreateSectioned(disk storage.Disk, name string, prefix int) (*SectionWriter, error) {
 	file, err := disk.Create(name)
 	if err != nil {
 		return nil, fmt.Errorf("extsort: create run: %w", err)
 	}
-	sw := &SectionWriter{run: Run{Name: name, Prefix: prefix}}
-	if cc.Enabled() {
-		sw.file = &countingWriter{WriteCloser: file}
-		sw.cw = compress.NewWriter(sw.file, cc, 0)
-		sw.w = storage.NewRecordWriter(sw.cw)
-	} else {
-		sw.w = storage.NewRecordWriter(file)
-	}
-	return sw, nil
+	return &SectionWriter{run: Run{Name: name, Prefix: prefix}, w: storage.NewRecordWriter(file)}, nil
 }
 
 // Write appends one record under its run key.
@@ -135,31 +107,16 @@ func (w *SectionWriter) Write(key, value []byte) error {
 		if len(secs) > 0 && secs[len(secs)-1].Partition > p {
 			return errRunKey
 		}
-		off, err := w.cut()
-		if err != nil {
-			return err
-		}
+		off := w.cut()
 		w.run.Sections = append(w.run.Sections, Section{Partition: p, Off: off})
 	}
 	return w.w.Write(key[n:], value)
 }
 
 // cut closes the open section, if there is one, and returns the file
-// offset it ends at. Without a codec that is the size of the records so
-// far. With one the open frame is ended first, which is what makes the next
-// section a frame sequence of its own.
-func (w *SectionWriter) cut() (off int64, err error) {
-	if w.cw == nil {
-		off = w.w.Size()
-	} else {
-		if err = w.w.Flush(); err == nil {
-			err = w.cw.Flush()
-		}
-		if err != nil {
-			return 0, err
-		}
-		off = w.file.n
-	}
+// offset it ends at: the size of the records so far.
+func (w *SectionWriter) cut() int64 {
+	off := w.w.Size()
 	if n := len(w.run.Sections); n > 0 {
 		s := &w.run.Sections[n-1]
 		s.Len = off - s.Off
@@ -167,16 +124,13 @@ func (w *SectionWriter) cut() (off int64, err error) {
 		s.Records = w.w.Count() - w.records0
 	}
 	w.payload0, w.records0 = w.w.Bytes(), w.w.Count()
-	return off, nil
+	return off
 }
 
 // Close closes the last section and the file, and returns the run.
 func (w *SectionWriter) Close() (Run, error) {
-	_, err := w.cut()
-	if cerr := w.w.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	w.cut()
+	if err := w.w.Close(); err != nil {
 		return Run{}, fmt.Errorf("extsort: close run: %w", err)
 	}
 	return w.run, nil
@@ -200,11 +154,10 @@ type SectionReader struct {
 	left   int64     // records left in the one that is
 }
 
-// OpenSections opens run, written with the same enabled/disabled cc (see
-// OpenRawRun), on its sections: the file is positioned at the first and
-// read to the end of the last, so a run narrowed to one partition costs
-// the disk one seek and that partition's bytes.
-func OpenSections(disk storage.Disk, run Run, cc compress.Config) (*SectionReader, error) {
+// OpenSections opens run on its sections: the file is positioned at the
+// first and read to the end of the last, so a run narrowed to one partition
+// costs the disk one seek and that partition's bytes.
+func OpenSections(disk storage.Disk, run Run) (*SectionReader, error) {
 	file, err := disk.Open(run.Name)
 	if err != nil {
 		return nil, fmt.Errorf("extsort: open run: %w", err)
@@ -221,7 +174,7 @@ func OpenSections(disk storage.Disk, run Run, cc compress.Config) (*SectionReade
 		}
 	}
 	r := &fileRange{LimitedReader: io.LimitedReader{R: file, N: span}, Closer: file}
-	return &SectionReader{r: newRecordReader(r, cc), prefix: run.Prefix, next: run.Sections}, nil
+	return &SectionReader{r: storage.NewRecordReader(r), prefix: run.Prefix, next: run.Sections}, nil
 }
 
 // Next implements Source. The record is the reader's until the next call.

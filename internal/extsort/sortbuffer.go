@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"slices"
 
-	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/storage"
 )
 
@@ -40,9 +39,6 @@ type SortBufferConfig struct {
 	// OnSpill observes each spill, its run already in Runs: the number of
 	// records added since the last one and their accounted bytes.
 	OnSpill func(records int, bytes int64)
-	// Compress, when enabled, block-compresses each spilled run file (see
-	// CreateSectioned).
-	Compress compress.Config
 }
 
 // SortBuffer is the run builder for records that are already bytes —
@@ -148,7 +144,7 @@ func (b *SortBuffer) Spill() error {
 		ky, _ := b.key(y)
 		return bytes.Compare(kx, ky)
 	})
-	w, err := CreateSectioned(b.cfg.Disk, b.cfg.RunName(len(b.runs)), b.cfg.Prefix, b.cfg.Compress)
+	w, err := CreateSectioned(b.cfg.Disk, b.cfg.RunName(len(b.runs)), b.cfg.Prefix)
 	if err != nil {
 		return err
 	}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/storage"
 )
 
@@ -16,7 +15,7 @@ import (
 func readRun(t testing.TB, disk storage.Disk, run Run) []storage.Record {
 	t.Helper()
 	var recs []storage.Record
-	err := MergeRuns(disk, []Run{run}, compress.Config{}, func(key, value []byte) error {
+	err := MergeRuns(disk, []Run{run}, func(key, value []byte) error {
 		recs = append(recs, storage.Record{Key: slices.Clone(key), Value: slices.Clone(value)})
 		return nil
 	})
@@ -292,7 +291,7 @@ func FuzzSortBuffer(f *testing.F) {
 			t.Fatalf("runs hold %d of %d records", start, len(recs))
 		}
 		var merged []storage.Record
-		err := MergeRuns(disk, b.Runs(), compress.Config{}, func(key, value []byte) error {
+		err := MergeRuns(disk, b.Runs(), func(key, value []byte) error {
 			merged = append(merged, storage.Record{Key: slices.Clone(key), Value: slices.Clone(value)})
 			return nil
 		})

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"github.com/hamr-go/hamr/internal/cluster"
-	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/core"
 	"github.com/hamr-go/hamr/internal/extsort"
 	"github.com/hamr-go/hamr/internal/faults"
@@ -35,10 +34,7 @@ type Engine struct {
 	c   *cluster.Cluster
 	cfg Config
 	// sub is the cluster's substrate handle, the one the flowlet runtimes
-	// and HDFS were built over: startup and straggler charges go to its
-	// clock, and spill runs, intermediate merge runs, map outputs and
-	// fetched reduce runs share its Spill codec — so section sizes, and the
-	// shuffle bytes charged from them, shrink with compression on.
+	// and HDFS were built over: startup and straggler charges go to its clock.
 	sub substrate.Handle
 }
 
@@ -690,7 +686,6 @@ func (j *jobRun) newMapTask(taskName, tname string, node int, em *taskEmitter) *
 				comb.red = nil
 			}
 		},
-		Compress: j.sub.Spill,
 	}
 	if j.job.NewCombiner != nil {
 		comb = newGroupCombiner(taskName + "/combine")
@@ -865,7 +860,7 @@ func (mt *mapTask) finish() (extsort.Run, error) {
 	// The merge span covers every pass plus the final merge; its byte count
 	// is the output file's. Error paths leave the span unended, which drops
 	// it from the recording.
-	j, cc := mt.j, mt.j.sub.Spill
+	j := mt.j
 	var msp trace.Span
 	if tr := j.sub.Trace; tr.Enabled() {
 		msp = tr.Start(mt.node, j.tag+"/"+mt.tname, j.tag+"/"+mt.tname+"/merge", "merge", "disk")
@@ -874,7 +869,7 @@ func (mt *mapTask) finish() (extsort.Run, error) {
 	// disk, as Hadoop's io.sort.factor does.
 	spills, err := extsort.MergeToFactor(mt.disk, spills, j.cfg.MergeFactor,
 		func(pass int) string { return fmt.Sprintf("%s/interm-%04d", mt.name, pass) },
-		func() { j.sub.Metrics.Inc("mr.merge.passes") }, cc)
+		func() { j.sub.Metrics.Inc("mr.merge.passes") })
 	if err != nil {
 		return extsort.Run{}, err
 	}
@@ -884,18 +879,18 @@ func (mt *mapTask) finish() (extsort.Run, error) {
 		}
 	}()
 
-	w, err := extsort.CreateSectioned(mt.disk, mt.name+"/file.out", runKeyPrefix, cc)
+	w, err := extsort.CreateSectioned(mt.disk, mt.name+"/file.out", runKeyPrefix)
 	if err != nil {
 		return extsort.Run{}, err
 	}
 	if j.job.NewCombiner != nil {
 		comb := newGroupCombiner(mt.name + "/merge-combine")
 		comb.red, comb.emit, comb.single = j.job.NewCombiner(), w.Write, w.Write
-		if err = extsort.MergeRuns(mt.disk, spills, cc, comb.add); err == nil {
+		if err = extsort.MergeRuns(mt.disk, spills, comb.add); err == nil {
 			err = comb.flush()
 		}
 	} else {
-		err = extsort.MergeRuns(mt.disk, spills, cc, w.Write)
+		err = extsort.MergeRuns(mt.disk, spills, w.Write)
 	}
 	out, cerr := w.Close()
 	if err == nil {
@@ -923,9 +918,9 @@ type runSource interface {
 
 // copySegment copies the records of src into the run file name on disk
 // without decoding them, and closes src.
-func copySegment(src runSource, disk storage.Disk, name string, cc compress.Config) error {
+func copySegment(src runSource, disk storage.Disk, name string) error {
 	defer src.Close()
-	w, err := extsort.CreateRawRun(disk, name, cc)
+	w, err := extsort.CreateRawRun(disk, name)
 	if err != nil {
 		return err
 	}
@@ -945,7 +940,7 @@ func copySegment(src runSource, disk storage.Disk, name string, cc compress.Conf
 }
 
 func (j *jobRun) runReduceTask(r, attempt int, maps []*mapResult) (fetched int64, rerr error) {
-	job, reg, inj, tr, cc := j.job, j.sub.Metrics, j.sub.Faults, j.sub.Trace, j.sub.Spill
+	job, reg, inj, tr := j.job, j.sub.Metrics, j.sub.Faults, j.sub.Trace
 	tag, heap := j.tag, j.reduceHeap
 	site := fmt.Sprintf("reduce-%05d", r)
 	ct, err := j.c.Yarn().Allocate(j.cfg.ReduceMemMB, -1)
@@ -974,11 +969,11 @@ func (j *jobRun) runReduceTask(r, attempt int, maps []*mapResult) (fetched int64
 
 	// ---- shuffle fetch ----
 	// A fetched section becomes a plain run of run keys and encoded values on
-	// at: mem, a disk made of the task's own memory, uncharged and
-	// uncompressed, while the sections fit the in-memory shuffle budget; the
-	// node's disk from the first one that does not, when mem is dropped.
+	// at: mem, a disk made of the task's own memory, uncharged, while the
+	// sections fit the in-memory shuffle budget; the node's disk from the
+	// first one that does not, when mem is dropped.
 	mem := storage.NewMemDisk(0)
-	at, atCC := storage.Disk(mem), compress.Config{}
+	at := storage.Disk(mem)
 	var runs []extsort.Run
 	var payload int64 // of the sections fetched so far
 
@@ -1001,11 +996,11 @@ func (j *jobRun) runReduceTask(r, attempt int, maps []*mapResult) (fetched int64
 			// The fetched data exceeds the in-memory shuffle budget: move
 			// the runs held in memory to the disk and fetch the rest there,
 			// like Hadoop's merge-to-disk.
-			at, atCC = disk, cc
+			at = disk
 			for _, run := range runs {
-				src, err := extsort.OpenRawRun(mem, run.Name, compress.Config{})
+				src, err := extsort.OpenRawRun(mem, run.Name)
 				if err == nil {
-					err = copySegment(src, at, run.Name, atCC)
+					err = copySegment(src, at, run.Name)
 				}
 				if err != nil {
 					return fetched, err
@@ -1016,23 +1011,20 @@ func (j *jobRun) runReduceTask(r, attempt int, maps []*mapResult) (fetched int64
 		// Read the section from the map node's disk (charges that disk one
 		// seek and the section's bytes), then pay the network transfer to
 		// this node. The reader puts the partition back in front of the
-		// keys, which makes the records run keys again. With spill
-		// compression on, a section is compressed frames: seg.Len (the
-		// on-disk and on-wire bytes below) is the compressed size, and the
-		// fetch pays the modeled decode CPU here.
+		// keys, which makes the records run keys again.
 		var fsp trace.Span
 		if tr.Enabled() {
 			fsp = tr.Start(mr.node, tag+"/"+tname,
 				fmt.Sprintf("%s/%s/fetch-%05d", tag, tname, mi), "fetch", "disk")
 		}
-		rdr, err := extsort.OpenSections(j.c.Disk(mr.node), part, cc)
+		rdr, err := extsort.OpenSections(j.c.Disk(mr.node), part)
 		if err != nil {
 			return fetched, fmt.Errorf("%s fetch %s: %w", taskName, part.Name, err)
 		}
 		name := fmt.Sprintf("%s/fetch-%05d", taskName, len(runs))
 		runs = append(runs, extsort.Run{Name: name})
 		payload += seg.Payload
-		if err := copySegment(rdr, at, name, atCC); err != nil {
+		if err := copySegment(rdr, at, name); err != nil {
 			return fetched, err
 		}
 		fsp.EndBytes(seg.Len)
@@ -1094,7 +1086,7 @@ func (j *jobRun) runReduceTask(r, attempt int, maps []*mapResult) (fetched int64
 	// One merge over the fetched runs, in map-task order, wherever they
 	// are; a value is first decoded here, on its way into Reduce.
 	groups := &groupReducer{red: reducer, em: em}
-	if err = extsort.MergeRuns(at, runs, atCC, groups.add); err == nil {
+	if err = extsort.MergeRuns(at, runs, groups.add); err == nil {
 		err = groups.flush()
 	}
 	for _, run := range runs {

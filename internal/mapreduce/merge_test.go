@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/core"
 	"github.com/hamr-go/hamr/internal/extsort"
 	"github.com/hamr-go/hamr/internal/storage"
@@ -40,7 +39,7 @@ func TestMergeGroupsAcrossRuns(t *testing.T) {
 		{{0, "a", 7}, {0, "b", 5}},
 	} {
 		name := fmt.Sprintf("run-%d", i)
-		w, err := extsort.CreateRawRun(disk, name, compress.Config{})
+		w, err := extsort.CreateRawRun(disk, name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +71,7 @@ func TestMergeGroupsAcrossRuns(t *testing.T) {
 			return err
 		},
 	}
-	if err := extsort.MergeRuns(disk, runs, compress.Config{}, groups.add); err != nil {
+	if err := extsort.MergeRuns(disk, runs, groups.add); err != nil {
 		t.Fatal(err)
 	}
 	if err := groups.flush(); err != nil {

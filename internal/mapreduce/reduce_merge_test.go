@@ -53,9 +53,7 @@ func killSomeReducers(t *testing.T, reduces int) *faults.Config {
 
 // TestReducePlacementsAgree runs one job with its reducers' fetched
 // sections all in memory, moved to disk part of the way through the fetch,
-// and all on disk, without compressed runs and with either codec (where a
-// fetched section is a frame sequence cut out of the middle of a map's
-// output file), and with reduce attempts killed between fetch and merge:
+// and all on disk, and with reduce attempts killed between fetch and merge:
 // where the bytes were is not to show in the output, and a task leaves
 // nothing on its disk either way.
 func TestReducePlacementsAgree(t *testing.T) {
@@ -72,10 +70,8 @@ func TestReducePlacementsAgree(t *testing.T) {
 			var want string
 			// cell runs the job once and holds it to the first cell's output;
 			// it returns the job's result and how many sections went to disk.
-			cell := func(codec string, heap int64, fc *faults.Config) (*Result, int64) {
-				c, err := cluster.New(cluster.Options{
-					NumNodes: 2, HDFSBlockSize: 4 << 10, CompressCodec: codec, Faults: fc,
-				})
+			cell := func(heap int64, fc *faults.Config) (*Result, int64) {
+				c, err := cluster.New(cluster.Options{NumNodes: 2, HDFSBlockSize: 4 << 10, Faults: fc})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -83,7 +79,7 @@ func TestReducePlacementsAgree(t *testing.T) {
 				if err := c.FS().WriteFile("in/data", tc.input, -1); err != nil {
 					t.Fatal(err)
 				}
-				name := fmt.Sprintf("codec %q, heap %d, faults %v", codec, heap, fc != nil)
+				name := fmt.Sprintf("heap %d, faults %v", heap, fc != nil)
 				c.Substrate().Faults.Arm()
 				res, err := NewEngine(c, Config{ReduceHeapBytes: heap}).Run(tc.job)
 				c.Substrate().Faults.Disarm()
@@ -104,34 +100,23 @@ func TestReducePlacementsAgree(t *testing.T) {
 				return res, c.Metrics().Counter("mr.reduce.disk.merges").Value()
 			}
 			// Half the heap is the in-memory shuffle budget, so the heaps
-			// come from what the job's sections measure, uncompressed and
-			// with room for all of them — not from literals a change of
-			// the value codec leaves on one side of every section: a heap
-			// of four times the whole shuffle holds every reducer's
-			// sections, one of a reducer's mean share the first half of
-			// them, and one of the mean section none, while it still holds
-			// any one group's values. The budget counts a section's
-			// uncompressed payload, so one probe serves all three codecs
-			// and each must send the same sections to disk: terasort
-			// [0 31 63] and wordcount+combiner [0 9 21] under each.
-			probe, _ := cell("", 1<<30, nil)
+			// come from what the job's sections measure, with room for all
+			// of them — not from literals a change of the value codec
+			// leaves on one side of every section: a heap of four times the
+			// whole shuffle holds every reducer's sections, one of a
+			// reducer's mean share the first half of them, and one of the
+			// mean section none, while it still holds any one group's
+			// values (terasort [0 31 63], wordcount+combiner [0 9 21]).
+			probe, _ := cell(1<<30, nil)
 			shuffle, sections := probe.ShuffleBytes, int64(probe.MapTasks*probe.ReduceTasks)
 			heaps := [3]int64{4 * shuffle, shuffle / int64(probe.ReduceTasks), shuffle / sections}
-			var uncompressed [3]int64
-			for _, codec := range []string{"", "lz", "flate"} {
-				var merges [3]int64
-				for i, heap := range heaps {
-					_, merges[i] = cell(codec, heap, nil)
-					cell(codec, heap, kill)
-				}
-				if merges[0] != 0 || merges[1] <= 0 || merges[1] >= merges[2] {
-					t.Errorf("codec %q, heaps %v: %v segments fetched to disk, want none, some and all", codec, heaps, merges)
-				}
-				if codec == "" {
-					uncompressed = merges
-				} else if merges != uncompressed {
-					t.Errorf("codec %q, heaps %v: %v segments fetched to disk, want %v as without a codec", codec, heaps, merges, uncompressed)
-				}
+			var merges [3]int64
+			for i, heap := range heaps {
+				_, merges[i] = cell(heap, nil)
+				cell(heap, kill)
+			}
+			if merges[0] != 0 || merges[1] <= 0 || merges[1] >= merges[2] {
+				t.Errorf("heaps %v: %v segments fetched to disk, want none, some and all", heaps, merges)
 			}
 		})
 	}

@@ -150,9 +150,6 @@ func (w *RecordWriter) Bytes() int64 { return w.bytes }
 // begins in the stream of records.
 func (w *RecordWriter) Size() int64 { return w.size }
 
-// Flush hands the buffered records to the underlying writer.
-func (w *RecordWriter) Flush() error { return w.w.Flush() }
-
 // Close flushes buffered data, closes the underlying writer if it is a
 // Closer, and gives the write buffer back for the next writer. A second
 // Close is a no-op; a Write after Close is a bug and panics.

@@ -1,12 +1,11 @@
 // Package substrate holds what the simulated cluster's layers share: the
 // clock that pays every modeled delay, the span recorder, the fault
-// injector, the metrics registry and the two compression sites. cluster.New
+// injector and the metrics registry. cluster.New
 // builds one Handle and hands it down whole to HDFS and to both engines, so
 // a comparison between the engines cannot differ in any of them.
 package substrate
 
 import (
-	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/faults"
 	"github.com/hamr-go/hamr/internal/metrics"
 	"github.com/hamr-go/hamr/internal/trace"
@@ -14,8 +13,7 @@ import (
 )
 
 // Handle is the shared substrate. Trace and Faults may be nil — every
-// method of both is a nil-safe no-op — and a zero compress.Config leaves
-// its site uncompressed.
+// method of both is a nil-safe no-op.
 type Handle struct {
 	// Clock pays modeled delays: vtime.Real sleeps, a *vtime.VirtualClock
 	// advances per-node logical clocks.
@@ -23,10 +21,6 @@ type Handle struct {
 	Trace   *trace.Tracer
 	Faults  *faults.Injector
 	Metrics *metrics.Registry
-	// Spill compresses spill runs and shuffle segments on their way to
-	// local disk; Shuffle compresses coalesced batches on the fabric.
-	Spill   compress.Config
-	Shuffle compress.Config
 }
 
 // Fill supplies the real clock and a private registry where there is none,

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/trace"
 )
 
@@ -14,13 +13,6 @@ import (
 // (see dispatch) before invoking the destination handler, so receivers
 // never observe the framing.
 const KindBatch = "transport.batch"
-
-// KindBatchZ marks a compressed coalesced frame: the payload is the bytes
-// of one compress frame wrapping the batch's messages in wire form. The
-// message's modeled Size is the wire frame length, so net.bytes and the
-// delivery delay are charged on the bytes that would actually cross the
-// fabric. Both Network implementations decompress in dispatch.
-const KindBatchZ = "transport.batchz"
 
 // BatchPayload is the payload of a KindBatch frame: the coalesced
 // messages, in send order.
@@ -41,15 +33,6 @@ type CoalescerConfig struct {
 	// background flush pushes it out; this caps the latency added to
 	// credit acks and stragglers.
 	MaxAge time.Duration
-	// Compress, when enabled, puts each batch in wire form and compresses
-	// it into one KindBatchZ frame, provided the modeled batch bytes reach
-	// Compress.MinBytes AND the wire frame beats the raw modeled size —
-	// otherwise the plain KindBatch goes out (counted as skipped), so
-	// net.bytes can only shrink. With compression on, the MaxBytes flush
-	// threshold tracks the estimated post-compression frame size (an EWMA
-	// of the achieved ratio per destination), bounded by a hard raw-byte
-	// cap so memory stays bounded when data stops compressing.
-	Compress compress.Config
 	// Trace, if non-nil, records an instant event per multi-message batch
 	// flush (single-message pass-throughs are not flushes and trace
 	// nothing, so uncoalesced traffic stays event-free).
@@ -86,40 +69,10 @@ func (c *CoalescerConfig) fillDefaults() {
 // ordering barrier seal/complete broadcasts rely on.
 type destBuffer struct {
 	sendMu sync.Mutex // serializes sends to this destination
-	mu     sync.Mutex // guards msgs/bytes/ratio
+	mu     sync.Mutex // guards msgs/bytes
 	msgs   []Message
 	bytes  int64
-	// ratio is the EWMA of achieved wire-frame/raw-bytes per compressed
-	// flush toward this destination; 0 = no sample yet (treated as 1).
-	ratio float64
 }
-
-// estRatio returns the flush-threshold compression estimate. Caller
-// holds d.mu.
-func (d *destBuffer) estRatio() float64 {
-	if d.ratio <= 0 || d.ratio > 1 {
-		return 1
-	}
-	return d.ratio
-}
-
-// observeRatio folds one flush's achieved ratio into the EWMA. Caller
-// must NOT hold d.mu.
-func (d *destBuffer) observeRatio(r float64) {
-	d.mu.Lock()
-	if d.ratio <= 0 {
-		d.ratio = r
-	} else {
-		d.ratio = 0.75*d.ratio + 0.25*r
-	}
-	d.mu.Unlock()
-}
-
-// rawCapFactor bounds how many raw bytes may accumulate while the
-// estimated compressed size stays under MaxBytes: even at a wildly
-// optimistic ratio estimate, a destination buffer never holds more than
-// rawCapFactor×MaxBytes of raw payload.
-const rawCapFactor = 8
 
 // Coalescer wraps a Network and aggregates small same-destination
 // messages into single KindBatch frames under size/count/age thresholds.
@@ -204,18 +157,7 @@ func (c *Coalescer) Send(msg Message) error {
 	d.mu.Lock()
 	d.msgs = append(d.msgs, msg)
 	d.bytes += msg.Size
-	var full bool
-	if c.cfg.Compress.Enabled() {
-		// Satellite fix: a compressed batch under MaxBytes on the wire
-		// should keep coalescing rather than flush early on raw size. The
-		// post-compression size is estimated from this destination's
-		// achieved ratio; the raw cap bounds buffered memory regardless.
-		est := int64(float64(d.bytes) * d.estRatio())
-		full = len(d.msgs) >= c.cfg.MaxMsgs || est >= c.cfg.MaxBytes ||
-			d.bytes >= rawCapFactor*c.cfg.MaxBytes
-	} else {
-		full = len(d.msgs) >= c.cfg.MaxMsgs || d.bytes >= c.cfg.MaxBytes
-	}
+	full := len(d.msgs) >= c.cfg.MaxMsgs || d.bytes >= c.cfg.MaxBytes
 	d.mu.Unlock()
 
 	if full {
@@ -248,13 +190,6 @@ func (c *Coalescer) sendPendingLocked(d *destBuffer, to NodeID) error {
 		t.Instant(int(msgs[0].From), "",
 			fmt.Sprintf("coalesce:n%d:to%d:%d", msgs[0].From, to, seq), "flush", bytes)
 	}
-	if zmsg, ok := c.compressBatch(msgs, to, bytes); ok {
-		if err := c.net.Send(zmsg); err != nil {
-			return err
-		}
-		d.observeRatio(float64(zmsg.Size) / float64(bytes))
-		return nil
-	}
 	return c.net.Send(Message{
 		From:    msgs[0].From,
 		To:      to,
@@ -262,50 +197,6 @@ func (c *Coalescer) sendPendingLocked(d *destBuffer, to NodeID) error {
 		Payload: &BatchPayload{Msgs: msgs},
 		Size:    bytes,
 	})
-}
-
-// batchEncPool recycles the wire-form and frame scratch of one compressed
-// flush.
-type batchEnc struct {
-	raw, frame []byte
-}
-
-var batchEncPool = sync.Pool{New: func() any { return new(batchEnc) }}
-
-// compressBatch tries to turn a pending batch into one KindBatchZ wire
-// frame. It reports false — plain KindBatch must go out — when
-// compression is off, the batch is under the minimum, a payload cannot
-// encode itself, or the wire frame would not beat the raw modeled bytes
-// (net.bytes must never grow from compression). Only a committed frame
-// releases the payloads it replaces.
-func (c *Coalescer) compressBatch(msgs []Message, to NodeID, raw int64) (Message, bool) {
-	cc := c.cfg.Compress
-	if !cc.Enabled() || raw < int64(cc.MinBytes) {
-		return Message{}, false
-	}
-	e := batchEncPool.Get().(*batchEnc)
-	defer batchEncPool.Put(e)
-	var err error
-	if e.raw, err = appendMessages(e.raw[:0], msgs); err == nil {
-		e.frame = compress.AppendFrame(cc.Codec, e.frame[:0], e.raw, cc.MinBytes, nil)
-	}
-	// A payload without AppendBinary cannot cross as a compressed frame;
-	// the plain in-process batch still works.
-	if err != nil || int64(len(e.frame)) >= raw {
-		cc.Meter.Skip()
-		return Message{}, false
-	}
-	cc.Meter.Encoded(int(raw), len(e.frame))
-	for i := range msgs {
-		release(msgs[i].Payload)
-	}
-	return Message{
-		From:    msgs[0].From,
-		To:      to,
-		Kind:    KindBatchZ,
-		Payload: append([]byte(nil), e.frame...),
-		Size:    int64(len(e.frame)),
-	}, true
 }
 
 func (c *Coalescer) flushDest(d *destBuffer, to NodeID) error {

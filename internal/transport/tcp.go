@@ -190,7 +190,7 @@ func (n *TCPNetwork) serve(ln net.Listener, h Handler, node NodeID) {
 						n.env.Clock.Charge(int(node), vtime.Fault, extra)
 					}
 				}
-				if dispatch(h, msg, n.env.Decode) != nil {
+				if dispatch(h, msg) != nil {
 					return
 				}
 			}

@@ -17,8 +17,7 @@
 // A Coalescer (coalesce.go) can wrap either network to aggregate small
 // same-destination messages into one framed batch; both networks unpack
 // batch frames transparently before invoking handlers. Where a message has
-// to become bytes — a compressed batch frame, a TCP connection — wire.go
-// holds the one form it takes.
+// to become bytes — a TCP connection — wire.go holds the one form it takes.
 //
 // Fabric engineering vs modeled cost: the send path is lock-free beyond
 // the destination inbox (an atomically swapped immutable routing snapshot
@@ -39,7 +38,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/hamr-go/hamr/internal/compress"
 	"github.com/hamr-go/hamr/internal/metrics"
 	"github.com/hamr-go/hamr/internal/trace"
 	"github.com/hamr-go/hamr/internal/vtime"
@@ -111,9 +109,6 @@ type Env struct {
 	// Faults perturbs delivery. Leave it nil rather than storing a nil
 	// pointer in it.
 	Faults FaultHook
-	// Decode is charged for decompressing KindBatchZ frames at delivery
-	// (decompression itself is frame-driven and needs no configuration).
-	Decode *compress.Meter
 }
 
 func (e Env) filled() Env {
@@ -159,15 +154,13 @@ func (m CostModel) Delay(size int64) time.Duration {
 }
 
 // dispatch invokes h once per application message: coalesced batch frames
-// are unpacked in order — the sender's own BatchPayload, or its bytes —
-// compressed batch frames are decompressed first (dm charges the modeled
-// decode CPU; nil is free), everything else passes straight through. Both
-// network implementations route deliveries through it, so receivers never
-// see the framing. An error means a frame did not decode; messages ahead of
-// the damage have been delivered.
-func dispatch(h Handler, msg Message, dm *compress.Meter) error {
-	switch msg.Kind {
-	case KindBatch:
+// are unpacked in order — the sender's own BatchPayload, or its bytes off a
+// TCP connection — and everything else passes straight through. Both network
+// implementations route deliveries through it, so receivers never see the
+// framing. An error means a byte batch did not decode; messages ahead of the
+// damage have been delivered.
+func dispatch(h Handler, msg Message) error {
+	if msg.Kind == KindBatch {
 		switch bp := msg.Payload.(type) {
 		case *BatchPayload:
 			for i := range bp.Msgs {
@@ -176,17 +169,6 @@ func dispatch(h Handler, msg Message, dm *compress.Meter) error {
 			return nil
 		case []byte:
 			return readBatch(h, bp)
-		}
-	case KindBatchZ:
-		if frame, ok := msg.Payload.([]byte); ok {
-			raw, rest, err := compress.DecodeFrame(nil, frame, dm)
-			if err != nil {
-				return fmt.Errorf("transport: compressed batch frame: %w", err)
-			}
-			if len(rest) > 0 {
-				return fmt.Errorf("transport: %d bytes after compressed batch frame", len(rest))
-			}
-			return readBatch(h, raw)
 		}
 	}
 	h(msg)
@@ -488,7 +470,7 @@ func (n *InMemNetwork) deliver(ib *inbox) {
 			// never left it, so one that does not decode is a bug, not a
 			// condition to recover from: failing loudly beats silently
 			// losing a batch and deadlocking flow control.
-			if err := dispatch(ib.handler, batch[i], n.env.Decode); err != nil {
+			if err := dispatch(ib.handler, batch[i]); err != nil {
 				panic(err)
 			}
 			batch[i] = Message{} // release payload before the next wait

@@ -7,10 +7,9 @@ import (
 	"math"
 )
 
-// The wire form. Whatever crosses a byte boundary — a compressed batch
-// frame, a TCP connection — is a Message turned into bytes by
-// appendMessage and back by readMessage; nothing else knows the layout,
-// all little-endian:
+// The wire form. Whatever crosses a byte boundary — a TCP connection — is
+// a Message turned into bytes by appendMessage and back by readMessage;
+// nothing else knows the layout, all little-endian:
 //
 //	int64   From, To, Size
 //	uint32  len(Kind)
@@ -91,19 +90,17 @@ func readMessage(b []byte) (Message, int, error) {
 	return msg, p, nil
 }
 
-// appendMessages is a batch on the wire: its messages one after the other.
-func appendMessages(dst []byte, msgs []Message) ([]byte, error) {
+// AppendBinary lets a KindBatch frame cross a TCP connection: a batch on
+// the wire is its messages one after the other.
+func (bp *BatchPayload) AppendBinary(b []byte) ([]byte, error) {
 	var err error
-	for i := range msgs {
-		if dst, err = appendMessage(dst, msgs[i]); err != nil {
-			return dst, err
+	for i := range bp.Msgs {
+		if b, err = appendMessage(b, bp.Msgs[i]); err != nil {
+			return b, err
 		}
 	}
-	return dst, nil
+	return b, nil
 }
-
-// AppendBinary lets a plain KindBatch frame cross a TCP connection.
-func (bp *BatchPayload) AppendBinary(b []byte) ([]byte, error) { return appendMessages(b, bp.Msgs) }
 
 // readBatch hands h every message of a batch that arrived as bytes.
 func readBatch(h Handler, b []byte) error {

@@ -12,8 +12,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"github.com/hamr-go/hamr/internal/compress"
 )
 
 // wireMsg draws a message whose payload is one of the shapes the wire form
@@ -153,15 +151,14 @@ func (p countedPayload) AppendBinary(b []byte) ([]byte, error) { return append(b
 func (p countedPayload) Release()                              { p.released.Add(1) }
 
 // TestReleaseOncePerCommittedFrame: a payload is released exactly when its
-// bytes have replaced it — each unicast payload of a compressed batch or a
-// TCP frame once; never when the coalescer falls back to the plain pointer
-// batch, never in process, never per copy of a broadcast.
+// bytes have replaced it — each unicast payload of a TCP frame once; never
+// in a coalesced pointer batch, never in process, never per copy of a
+// broadcast.
 func TestReleaseOncePerCommittedFrame(t *testing.T) {
 	var released atomic.Int64
 	msg := func(to NodeID, body []byte) Message {
 		return Message{From: 1, To: to, Kind: "k", Payload: countedPayload{&released, body}, Size: int64(len(body))}
 	}
-	squeezable := bytes.Repeat([]byte("abcd"), 256)
 	noise := make([]byte, 1024)
 	rand.New(rand.NewSource(7)).Read(noise)
 
@@ -171,29 +168,22 @@ func TestReleaseOncePerCommittedFrame(t *testing.T) {
 	if err := mem.Register(0, func(Message) { delivered.Add(1) }); err != nil {
 		t.Fatal(err)
 	}
-	co := NewCoalescer(mem, CoalescerConfig{MaxBytes: 1 << 20, MaxMsgs: 1 << 20, MaxAge: time.Hour,
-		Compress: compress.Config{Codec: compress.LZ{}, MinBytes: 1}})
+	co := NewCoalescer(mem, CoalescerConfig{MaxBytes: 1 << 20, MaxMsgs: 1 << 20, MaxAge: time.Hour})
 	defer co.Close()
-	flush := func(body []byte, want int64, why string) {
-		t.Helper()
-		released.Store(0)
-		for i := 0; i < 4; i++ {
-			if err := co.Send(msg(0, body[i*256:(i+1)*256])); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := co.Flush(); err != nil {
+	for i := 0; i < 4; i++ {
+		if err := co.Send(msg(0, noise[i*256:(i+1)*256])); err != nil {
 			t.Fatal(err)
 		}
-		mem.Quiesce()
-		if got := released.Load(); got != want {
-			t.Errorf("%s: %d releases, want %d", why, got, want)
-		}
 	}
-	flush(squeezable, 4, "compressed batch")
-	flush(noise, 0, "incompressible batch falling back to the pointer batch")
-	if delivered.Load() != 8 {
-		t.Fatalf("delivered %d of 8 messages", delivered.Load())
+	if err := co.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	mem.Quiesce()
+	if got := released.Load(); got != 0 {
+		t.Errorf("coalesced in process: %d releases, want 0", got)
+	}
+	if delivered.Load() != 4 {
+		t.Fatalf("delivered %d of 4 messages", delivered.Load())
 	}
 
 	tcp := NewTCPNetwork(map[NodeID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"})
@@ -239,10 +229,6 @@ func TestTCPHostileFrames(t *testing.T) {
 	frame := func(body []byte) []byte {
 		return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
 	}
-	nineBytes, err := appendMessage(nil, Message{From: 1, To: 0, Kind: KindBatchZ, Payload: []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	whole, err := appendMessage(nil, Message{From: 1, To: 0, Kind: "k", Payload: []byte("whole")})
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +238,6 @@ func TestTCPHostileFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, wire := range map[string][]byte{
-		"nine-byte compressed batch":  frame(nineBytes),
 		"length prefix past maxFrame": binary.AppendUvarint(nil, 1<<40),
 		"one and a half messages":     frame(append(append([]byte(nil), whole...), whole[:len(whole)/2]...)),
 		"half a message":              frame(whole[:len(whole)/2]),

@@ -1,9 +1,8 @@
 // Package vtime is the clock seam under every modeled cost in the
 // simulation. Disk throughput and seeks (storage.CostModel), network
-// latency and bandwidth (transport.CostModel, cluster.ChargeNet),
-// compression CPU, MapReduce job/task startup and injected fault delays
-// all price a simulated action as a time.Duration; how that duration is
-// *paid* is this package's concern.
+// latency and bandwidth (transport.CostModel, cluster.ChargeNet), MapReduce
+// job/task startup and injected fault delays all price a simulated action
+// as a time.Duration; how that duration is *paid* is this package's concern.
 //
 // Two implementations are provided:
 //
@@ -39,7 +38,7 @@ type Resource uint8
 const (
 	Disk       Resource = iota // local-disk seeks and throughput
 	Net                        // fabric latency and bandwidth
-	CPU                        // modeled compute (compression codec work)
+	CPU                        // modeled compute; nothing charges it yet (the benchmark reports the lane)
 	Startup                    // MapReduce job and task launch overhead
 	Contention                 // contended shared-variable updates (§5.2)
 	Fault                      // injected delays (stragglers, wire faults)
