@@ -39,7 +39,6 @@ func main() {
 		nodes   = flag.Int("nodes", 0, "override worker node count")
 		workers = flag.Int("workers", 0, "override workers per node")
 		check   = flag.Bool("check", true, "run the shape check after Table 2")
-		cacheMB = flag.Int("hdfs-cache", 0, "per-node HDFS block cache budget in MB for the baseline (0 = off, matching the paper's cold-read accounting)")
 		vclock  = flag.Bool("vclock", false, "run under the virtual clock: modeled delays advance logical clocks instead of sleeping, tables report modeled seconds")
 		traceTo = flag.String("trace", "", "with -bench: record per-task spans, write Chrome trace JSON per engine (PATH.mr.json / PATH.hamr.json) and print each engine's critical path")
 		jobs    = flag.Int("jobs", 0, "multi-job throughput mode: submit N concurrent jobs (default benchmark WordCount, override with -bench) and report jobs/sec and per-job slowdown vs solo")
@@ -53,7 +52,6 @@ func main() {
 	if *workers > 0 {
 		spec.WorkersPerNode = *workers
 	}
-	spec.HDFSCacheMB = *cacheMB
 	spec.VClock = *vclock
 	var sc bench.Scale
 	switch strings.ToLower(*scale) {

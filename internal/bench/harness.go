@@ -38,7 +38,7 @@ type Harness struct {
 
 	// LastMR is the metrics snapshot of the most recent baseline run's
 	// cluster, captured before the cluster is torn down; WriteIOReport
-	// renders its HDFS read-path and cache counters.
+	// renders its HDFS read-path counters.
 	LastMR metrics.Snapshot
 
 	// LastHAMRCluster is the cluster-wide metrics snapshot of the most
@@ -175,7 +175,6 @@ func (h *Harness) runHAMR(w *apps.Workload, data []byte, r apps.Run) (time.Durat
 // cluster with the same cost models, and returns its answer.
 func (h *Harness) runMR(w *apps.Workload, data []byte, r apps.Run) (time.Duration, apps.Output, error) {
 	opts, vc, tr := h.clusterOptions()
-	opts.HDFSCacheMB = h.Spec.HDFSCacheMB
 	c, err := cluster.New(opts)
 	if err != nil {
 		return 0, nil, err

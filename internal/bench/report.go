@@ -88,9 +88,8 @@ func WriteFigure3(w io.Writer, rows []Row, panel string) {
 }
 
 // WriteIOReport renders the baseline's HDFS read-path accounting from a
-// cluster metrics snapshot: where the bytes came from (local disk, remote
-// replica, page cache) and what the cache did. Cache lines are printed
-// only when the run had the cache enabled (the counters exist).
+// cluster metrics snapshot: where the bytes came from (local disk or remote
+// replica) and what crossed the fabric.
 func WriteIOReport(w io.Writer, snap interface{ Get(string) int64 }) {
 	fmt.Fprintln(w, "HDFS IO report (baseline engine)")
 	fmt.Fprintf(w, "  %-24s %d\n", "disk.read.bytes", snap.Get("disk.read.bytes"))
@@ -98,15 +97,6 @@ func WriteIOReport(w io.Writer, snap interface{ Get(string) int64 }) {
 	fmt.Fprintf(w, "  %-24s %d\n", "hdfs.bytes.local", snap.Get("hdfs.bytes.local"))
 	fmt.Fprintf(w, "  %-24s %d\n", "hdfs.bytes.remote", snap.Get("hdfs.bytes.remote"))
 	fmt.Fprintf(w, "  %-24s %d\n", "net.bytes", snap.Get("net.bytes"))
-	hits, misses := snap.Get("hdfs.cache.hits"), snap.Get("hdfs.cache.misses")
-	if hits+misses > 0 {
-		fmt.Fprintf(w, "  %-24s %d\n", "hdfs.cache.hits", hits)
-		fmt.Fprintf(w, "  %-24s %d\n", "hdfs.cache.misses", misses)
-		fmt.Fprintf(w, "  %-24s %d\n", "hdfs.cache.bytes", snap.Get("hdfs.cache.bytes"))
-		fmt.Fprintf(w, "  %-24s %d\n", "hdfs.cache.evictions", snap.Get("hdfs.cache.evictions"))
-		fmt.Fprintf(w, "  %-24s %d\n", "mr.map.cachehot", snap.Get("mr.map.cachehot"))
-		fmt.Fprintf(w, "  %-24s %.1f%%\n", "cache hit rate", 100*float64(hits)/float64(hits+misses))
-	}
 }
 
 // WriteTimeReport prints wall vs modeled seconds side by side for every

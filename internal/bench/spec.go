@@ -38,12 +38,6 @@ type ClusterSpec struct {
 	Net  transport.CostModel
 	// HDFSBlockSize is the scaled block size for the baseline's input.
 	HDFSBlockSize int64
-	// HDFSCacheMB is the per-node HDFS block cache budget (the modeled
-	// datanode page cache) for the baseline's cluster. The default spec
-	// keeps it 0 — cache off — so Table 2 numbers stay comparable with
-	// the paper's cold-read accounting; set it to model a warm page
-	// cache (hamrbench -hdfs-cache).
-	HDFSCacheMB int
 	// MapReduce holds the baseline engine's overhead model.
 	MapReduce mapreduce.Config
 	// FlowControlWindow is the HAMR flow-control window in bins.
@@ -118,9 +112,7 @@ func (s ClusterSpec) CoreConfig() core.Config {
 // ClusterOptions is the benchmark cluster: the spec's nodes, cost models,
 // and block size, paying modeled delays to clk and recording into tr
 // (either may be nil). Both harness clusters are built from it, so the two
-// engines cannot be handed different substrates. HDFSCacheMB is left out:
-// only the baseline reads HDFS, and a cache on the HAMR cluster would add
-// four hdfs.cache.* counters to its registry, so newMRCluster sets it.
+// engines cannot be handed different substrates.
 // benchmark/runner.go's clusterOptions is a copy of this literal, to be
 // retired by a benchmark PR.
 func (s ClusterSpec) ClusterOptions(clk vtime.Clock, tr *trace.Tracer) cluster.Options {

@@ -67,10 +67,10 @@ func TestConfigsAreTuning(t *testing.T) {
 		v      any
 		budget int
 	}{
-		{cluster.Options{}, 15},
+		{cluster.Options{}, 14},
 		{core.Config{}, 10},
 		{mapreduce.Config{}, 10},
-		{hdfs.Config{}, 5},
+		{hdfs.Config{}, 4},
 		{transport.CoalescerConfig{}, 4},
 	} {
 		typ := reflect.TypeOf(cfg.v)

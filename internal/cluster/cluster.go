@@ -54,13 +54,6 @@ type Options struct {
 	HDFSReplication int
 	// YarnMemMB is each node's schedulable memory for the YARN scheduler.
 	YarnMemMB int
-	// HDFSCacheMB is the per-node HDFS block cache budget modeling the
-	// datanode page cache. 0 (the default) disables the cache — the read
-	// path and every counter stay bit-identical to a cache-less build. A
-	// negative value sizes the cache automatically from node memory as
-	// YarnMemMB/4 (the slice of RAM the OS would realistically keep for
-	// the page cache next to container heaps).
-	HDFSCacheMB int
 	// Faults, if non-nil, puts a seeded fault injector in the substrate
 	// handle: local disks, HDFS replica reads, the message fabric and (via
 	// the engines) task execution consult it. A nil Faults leaves every hot
@@ -75,7 +68,7 @@ type Options struct {
 	// Trace, if non-nil, records per-task spans and instant events across
 	// every instrumented layer (engines, transport, HDFS, YARN). Nil — the
 	// default — leaves every hot path untouched: all recorder methods are
-	// nil-safe no-ops and no IDs are built, the HDFSCacheMB discipline.
+	// nil-safe no-ops and no IDs are built.
 	Trace *trace.Tracer
 	// MaxConcurrentJobs bounds how many submitted jobs may execute at
 	// once; further admitted jobs wait in the FIFO queue. <= 0 (the
@@ -176,15 +169,10 @@ func New(opts Options) (*Cluster, error) {
 		c.disks[i] = d
 	}
 
-	cacheMB := opts.HDFSCacheMB
-	if cacheMB < 0 {
-		cacheMB = opts.YarnMemMB / 4
-	}
 	fs, err := hdfs.New(c.disks, hdfs.Config{
 		BlockSize:   opts.HDFSBlockSize,
 		Replication: opts.HDFSReplication,
 		Remote:      c.ChargeNet,
-		CacheBytes:  int64(cacheMB) << 20,
 		Substrate:   sub,
 	})
 	if err != nil {

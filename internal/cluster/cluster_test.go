@@ -223,57 +223,3 @@ func (summer) Update(key string, state, value any) (any, error) {
 func (summer) Finish(key string, state any, ctx core.Context) error {
 	return ctx.Emit(core.KV{Key: key, Value: state})
 }
-
-func TestHDFSCacheWiring(t *testing.T) {
-	// HDFSCacheMB > 0 enables the block cache: a read-after-write hits.
-	c, err := New(Options{NumNodes: 2, HDFSBlockSize: 64, HDFSCacheMB: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	data := []byte(strings.Repeat("cache wiring ", 20))
-	if err := c.FS().WriteFile("f", data, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.FS().ReadFile("f", 0); err != nil {
-		t.Fatal(err)
-	}
-	if v := c.Metrics().Counter("hdfs.cache.hits").Value(); v == 0 {
-		t.Error("HDFSCacheMB=1 cluster recorded no cache hits")
-	}
-
-	// HDFSCacheMB < 0 sizes the budget from node memory (YarnMemMB/4):
-	// the cache must be on.
-	auto, err := New(Options{NumNodes: 2, HDFSBlockSize: 64, HDFSCacheMB: -1, YarnMemMB: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer auto.Close()
-	if err := auto.FS().WriteFile("f", data, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := auto.FS().ReadFile("f", 0); err != nil {
-		t.Fatal(err)
-	}
-	if v := auto.Metrics().Counter("hdfs.cache.hits").Value(); v == 0 {
-		t.Error("HDFSCacheMB=-1 (auto) cluster recorded no cache hits")
-	}
-
-	// The default (0) keeps the cache off and creates no cache counters.
-	off, err := New(Options{NumNodes: 2, HDFSBlockSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer off.Close()
-	if err := off.FS().WriteFile("f", data, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := off.FS().ReadFile("f", 0); err != nil {
-		t.Fatal(err)
-	}
-	for name := range off.Metrics().Snapshot().Counters {
-		if strings.HasPrefix(name, "hdfs.cache.") {
-			t.Errorf("cache-off cluster created counter %s", name)
-		}
-	}
-}

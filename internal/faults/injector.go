@@ -424,8 +424,9 @@ func (in *Injector) ReplicaDown(node int, block string) error {
 	return &Error{Op: "hdfs.replica", Site: site}
 }
 
-// WouldReplicaDown is the pure decision behind ReplicaDown (it does not
-// consult the armed flag, so tests can predict counts before a run).
+// WouldReplicaDown is the pure decision behind ReplicaDown. Like the other
+// Would* predictors it does not consult the armed flag and no engine path
+// calls it: tests use it to predict which replicas a run will lose.
 func (in *Injector) WouldReplicaDown(node int, block string) bool {
 	if in == nil {
 		return false

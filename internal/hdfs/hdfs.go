@@ -40,10 +40,6 @@ type Block struct {
 	Offset   int64 // offset of the block within the file
 	Size     int64
 	Replicas []transport.NodeID
-	// Cached lists the nodes holding the block in their page cache at
-	// lookup time (empty when the cache is disabled): cached replicas
-	// first in replica order, then cached non-replica nodes.
-	Cached []transport.NodeID
 }
 
 type fileMeta struct {
@@ -63,7 +59,6 @@ type FileSystem struct {
 	nextNode    int // round-robin placement cursor
 	charge      RemoteCharger
 	faults      *faults.Injector
-	cache       *blockCache // nil when CacheBytes == 0 (page cache off)
 	tr          *trace.Tracer
 	readSeq     atomic.Int64 // numbers traced block reads for span IDs
 
@@ -80,15 +75,10 @@ type Config struct {
 	// Remote is invoked for every remote block read; nil means free remote
 	// reads (tests).
 	Remote RemoteCharger
-	// CacheBytes is the per-node block cache budget modeling the datanode
-	// page cache; 0 disables the cache entirely (read path identical to a
-	// cache-less build, and no hdfs.cache.* counters are created).
-	CacheBytes int64
 	// Substrate is the cluster's shared handle; the zero value is filled.
 	// Under its injector reads fail over past dead replicas and writes
 	// re-place blocks off dead nodes; its registry receives the hdfs.*
-	// counters; its tracer records block-read spans and (with the cache on)
-	// cache hit/miss instants.
+	// counters; its tracer records block-read spans.
 	Substrate substrate.Handle
 }
 
@@ -120,9 +110,6 @@ func New(disks []storage.Disk, cfg Config) (*FileSystem, error) {
 		mReplaced:    reg.Counter("hdfs.write.replaced"),
 		mLocalBytes:  reg.Counter("hdfs.bytes.local"),
 		mRemoteBytes: reg.Counter("hdfs.bytes.remote"),
-	}
-	if cfg.CacheBytes > 0 {
-		fs.cache = newBlockCache(len(disks), cfg.CacheBytes, reg)
 	}
 	return fs, nil
 }
@@ -212,16 +199,11 @@ func (w *Writer) Write(p []byte) (int, error) {
 	return n, nil
 }
 
-// flushBlock stores the accumulated bytes as the file's next block. The
-// block cache keeps the slice it is given, so the next block starts in the
-// same storage only when the cache is off.
+// flushBlock stores the accumulated bytes as the file's next block; the
+// next block reuses their storage.
 func (w *Writer) flushBlock() error {
 	data := w.block
-	if w.fs.cache == nil {
-		w.block = data[:0]
-	} else {
-		w.block = nil
-	}
+	w.block = data[:0]
 	return w.fs.appendBlock(w.meta, w.preferred, data)
 }
 
@@ -296,14 +278,6 @@ func (fs *FileSystem) appendBlock(meta *fileMeta, preferred transport.NodeID, da
 		}
 		return fmt.Errorf("hdfs: write block on node %d: %w", node, err)
 	}
-	// Write-through population: a just-flushed block is hot in every
-	// replica node's page cache (all entries share the writer's buffer,
-	// which is never mutated after flush).
-	if fs.cache != nil {
-		for _, node := range replicas {
-			fs.cache.insert(node, id, data)
-		}
-	}
 	meta.blocks = append(meta.blocks, Block{
 		ID:       id,
 		Offset:   meta.size,
@@ -358,13 +332,9 @@ func (w *Writer) Abort() {
 	w.discardBlocks()
 }
 
-// discardBlocks removes every block flushed so far from its replicas and
-// from every node's cache (write-through made them hot).
+// discardBlocks removes every block flushed so far from its replicas.
 func (w *Writer) discardBlocks() {
 	for _, b := range w.meta.blocks {
-		if w.fs.cache != nil {
-			w.fs.cache.invalidate(b.ID)
-		}
 		for _, node := range b.Replicas {
 			_ = w.fs.disks[node].Remove(blockName(b.ID))
 		}
@@ -434,9 +404,6 @@ func (fs *FileSystem) Remove(name string) error {
 		return &storage.ErrNotExist{Name: name}
 	}
 	for _, b := range meta.blocks {
-		if fs.cache != nil {
-			fs.cache.invalidate(b.ID)
-		}
 		for _, node := range b.Replicas {
 			_ = fs.disks[node].Remove(blockName(b.ID))
 		}
@@ -444,21 +411,13 @@ func (fs *FileSystem) Remove(name string) error {
 	return nil
 }
 
-// Blocks returns the block layout of a file. With the cache enabled each
-// block also reports the nodes currently holding it hot (Cached), in the
-// scheduler's preference order.
+// Blocks returns the block layout of a file.
 func (fs *FileSystem) Blocks(name string) ([]Block, error) {
 	meta, err := fs.lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	out := append([]Block(nil), meta.blocks...)
-	if fs.cache != nil {
-		for i := range out {
-			out[i].Cached = fs.cache.holders(out[i])
-		}
-	}
-	return out, nil
+	return append([]Block(nil), meta.blocks...), nil
 }
 
 // readReplica reads one replica of a block, validating its length (a
@@ -481,103 +440,15 @@ func (fs *FileSystem) readReplica(src transport.NodeID, b Block) ([]byte, error)
 	return data, nil
 }
 
-// readBlock reads a block's bytes as observed from reader node `at`. With
-// the cache enabled it checks the node's page cache first, dedups
-// concurrent misses through a single flight, and populates the cache from
-// the slow read (including remote fetches — the bytes land in the
-// reader's cache, so the second remote read is free and uncharged).
-//
-// shared reports that the returned slice may also be referenced by the
-// cache: the caller must treat it as read-only, cloning before any
-// mutation. With the cache off (or for location-less clients, at < 0) the
-// path is identical to a cache-less build: shared is false and the slice
-// is caller-owned.
-func (fs *FileSystem) readBlock(b Block, at transport.NodeID) (data []byte, shared bool, err error) {
-	c := fs.cache
-	if c == nil || at < 0 {
-		data, err = fs.readBlockSlow(b, at)
-		return data, false, err
-	}
-	if data, ok := fs.cacheHit(at, b); ok {
-		return data, true, nil
-	}
-	f, leader := c.join(at, b.ID)
-	if !leader {
-		<-f.done
-		if f.err == nil {
-			c.mHits.Inc()
-			fs.traceCache("hit", b, at)
-			return f.data, true, nil
-		}
-		// The leader failed; retry independently so one injected fault
-		// cannot fan out to every waiting reader.
-		data, err = fs.readBlockSlow(b, at)
-		return data, false, err
-	}
-	// Leader: re-check the cache (another flight may have populated it
-	// between our lookup and join), then do the real read.
-	if cached, ok := fs.cacheHit(at, b); ok {
-		f.data = cached
-		c.finish(at, b.ID, f)
-		return cached, true, nil
-	}
-	c.mMisses.Inc()
-	fs.traceCache("miss", b, at)
-	data, err = fs.readBlockSlow(b, at)
-	if err == nil {
-		c.insert(at, b.ID, data)
-		f.data = data
-	}
-	f.err = err
-	c.finish(at, b.ID, f)
-	return data, err == nil, err
-}
-
-// traceCache records a cache hit/miss instant; only reachable with the
-// cache enabled, so cache-off runs trace no cache events at all.
-func (fs *FileSystem) traceCache(what string, b Block, at transport.NodeID) {
-	if fs.tr.Enabled() {
-		fs.tr.Instant(int(at), "",
-			fmt.Sprintf("hdfs:%s:%s:at%d:%d", what, b.ID, at, fs.readSeq.Add(1)), "cache-"+what, b.Size)
-	}
-}
-
-// cacheHit is cacheLookup for a reader: a payload found is a hit, counted
-// and traced.
-func (fs *FileSystem) cacheHit(at transport.NodeID, b Block) ([]byte, bool) {
-	data, ok := fs.cacheLookup(at, b)
-	if ok {
-		fs.cache.mHits.Inc()
-		fs.traceCache("hit", b, at)
-	}
-	return data, ok
-}
-
-// cacheLookup returns a block's cached payload at a node, first consulting
-// the fault injector: a cached copy of a replica the injector has declared
-// dead must not be served (the cache cannot resurrect a killed block), so
-// the entry is dropped and the read falls through to failover.
-func (fs *FileSystem) cacheLookup(at transport.NodeID, b Block) ([]byte, bool) {
-	data, ok := fs.cache.get(at, b.ID)
-	if !ok {
-		return nil, false
-	}
-	if fs.faults.Armed() && fs.faults.WouldReplicaDown(int(at), b.ID) {
-		fs.cache.drop(at, b.ID)
-		return nil, false
-	}
-	return data, true
-}
-
-// readBlockSlow is the disk/network read path, byte-identical to the
-// pre-cache readBlock: candidates are tried in order — the local replica
+// readBlock reads a block's bytes as observed from reader node at, into a
+// caller-owned slice: candidates are tried in order — the local replica
 // first, then the declared replica list — and a dead or failing replica
-// fails over to the next one (hdfs.failover.reads counts reads that did
-// not succeed on their first choice). Remote reads charge the network.
-// hdfs.bytes.local / hdfs.bytes.remote account where the bytes were
-// served from, as observed by a node-resident reader.
-func (fs *FileSystem) readBlockSlow(b Block, at transport.NodeID) ([]byte, error) {
-	return fs.traced(b, at, func() ([]byte, error) { return fs.readBlockSlowInner(b, at) })
+// fails over to the next one (hdfs.failover.reads counts reads that did not
+// succeed on their first choice). Remote reads charge the network.
+// hdfs.bytes.local / hdfs.bytes.remote account where the bytes were served
+// from, as observed by a node-resident reader.
+func (fs *FileSystem) readBlock(b Block, at transport.NodeID) ([]byte, error) {
+	return fs.traced(b, at, func() ([]byte, error) { return fs.readReplicas(b, at) })
 }
 
 // traced runs one disk/network read of (part of) block b, under an
@@ -628,7 +499,7 @@ func (fs *FileSystem) served(src, at transport.NodeID, n int64) {
 	}
 }
 
-func (fs *FileSystem) readBlockSlowInner(b Block, at transport.NodeID) ([]byte, error) {
+func (fs *FileSystem) readReplicas(b Block, at transport.NodeID) ([]byte, error) {
 	var lastErr error
 	for i, src := range candidates(b, at) {
 		if err := fs.faults.ReplicaDown(int(src), b.ID); err != nil {
@@ -657,22 +528,14 @@ func (fs *FileSystem) ReadFile(name string, at transport.NodeID) ([]byte, error)
 		return nil, err
 	}
 	// Single-block fast path: hand the block's bytes back directly
-	// instead of copying them through a bytes.Buffer. A cache-shared
-	// slice is cloned to preserve caller ownership.
+	// instead of copying them through a bytes.Buffer.
 	if len(meta.blocks) == 1 {
-		data, shared, err := fs.readBlock(meta.blocks[0], at)
-		if err != nil {
-			return nil, err
-		}
-		if shared {
-			data = append([]byte(nil), data...)
-		}
-		return data, nil
+		return fs.readBlock(meta.blocks[0], at)
 	}
 	var out bytes.Buffer
 	out.Grow(int(meta.size))
 	for _, b := range meta.blocks {
-		data, _, err := fs.readBlock(b, at)
+		data, err := fs.readBlock(b, at)
 		if err != nil {
 			return nil, err
 		}

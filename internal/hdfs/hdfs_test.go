@@ -332,40 +332,36 @@ func TestEmptyFile(t *testing.T) {
 }
 
 // A writer cuts blocks at the block size whatever sizes it is written in,
-// and — with the cache keeping each flushed block's storage — a later
-// block never shows through an earlier one.
+// and — reusing its block buffer for the next block — a later block never
+// shows through an earlier one.
 func TestWriterBlockBoundariesAnyWriteSizes(t *testing.T) {
 	const blockSize = 1000
 	data := make([]byte, 2*blockSize+345)
 	rand.New(rand.NewSource(5)).Read(data)
-	for _, cacheBytes := range []int64{0, 1 << 20} {
-		for _, chunk := range []int{1, 7, 999, 1000, 1001, len(data)} {
-			fs, _ := newFS(t, 2, Config{BlockSize: blockSize, CacheBytes: cacheBytes})
-			w := fs.Create("f", 0)
-			for off := 0; off < len(data); off += chunk {
-				if _, err := w.Write(data[off:min(off+chunk, len(data))]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := w.Close(); err != nil {
+	for _, chunk := range []int{1, 7, 999, 1000, 1001, len(data)} {
+		fs, _ := newFS(t, 2, Config{BlockSize: blockSize})
+		w := fs.Create("f", 0)
+		for off := 0; off < len(data); off += chunk {
+			if _, err := w.Write(data[off:min(off+chunk, len(data))]); err != nil {
 				t.Fatal(err)
 			}
-			var sizes []int64
-			for _, b := range w.meta.blocks {
-				sizes = append(sizes, b.Size)
-			}
-			if fmt.Sprint(sizes) != "[1000 1000 345]" {
-				t.Errorf("cache %d, chunk %d: blocks %v, want [1000 1000 345]", cacheBytes, chunk, sizes)
-			}
-			// Node 0 holds every first replica: with the cache on this reads
-			// the slices the writer handed over.
-			got, err := fs.ReadFile("f", 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, data) {
-				t.Errorf("cache %d, chunk %d: read back differs", cacheBytes, chunk)
-			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var sizes []int64
+		for _, b := range w.meta.blocks {
+			sizes = append(sizes, b.Size)
+		}
+		if fmt.Sprint(sizes) != "[1000 1000 345]" {
+			t.Errorf("chunk %d: blocks %v, want [1000 1000 345]", chunk, sizes)
+		}
+		got, err := fs.ReadFile("f", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Errorf("chunk %d: read back differs", chunk)
 		}
 	}
 }

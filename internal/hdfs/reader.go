@@ -15,12 +15,11 @@ const readAhead = 4 << 10
 // at, one block at a time and only as far as it is read.
 //
 // A block that starts before own is fetched whole through readBlock when
-// the stream reaches it, so it is cached, single-flighted and traced like
-// any block read. A block that starts at or after own is slack — a split
-// only follows its last line into it — and moves as a prefix: served from
-// the reader's cache when the block is hot there, otherwise readAhead bytes
-// at a time from an open replica, with the disk, the fabric and the byte
-// counters charged for those bytes alone. A partial block is never cached.
+// the stream reaches it, so it fails over and is traced like any block
+// read. A block that starts at or after own is slack — a split only follows
+// its last line into it — and moves as a prefix, readAhead bytes at a time
+// from an open replica, with the disk, the fabric and the byte counters
+// charged for those bytes alone.
 type fileReader struct {
 	fs     *FileSystem
 	at     transport.NodeID
@@ -29,7 +28,7 @@ type fileReader struct {
 	pos    int64 // file offset of the next byte to fetch
 	own    int64
 	limit  int64
-	cur    []byte // fetched, undelivered bytes; read-only (may be the cache's)
+	cur    []byte // fetched, undelivered bytes
 	err    error  // sticky: a failed fetch is not retried
 
 	// The open replica of slack block idx. cand counts the candidates
@@ -82,7 +81,7 @@ func (r *fileReader) closeReplica() {
 }
 
 // fetch makes the next stretch of the file current: the rest of an own
-// block, the rest of a cached slack block, or one read-ahead unit.
+// block or one read-ahead unit of a slack block.
 func (r *fileReader) fetch() error {
 	if r.pos >= r.limit {
 		r.closeReplica()
@@ -92,12 +91,10 @@ func (r *fileReader) fetch() error {
 	off := r.pos - b.Offset
 	var data []byte
 	if b.Offset < r.own {
-		whole, _, err := r.fs.readBlock(b, r.at)
+		whole, err := r.fs.readBlock(b, r.at)
 		if err != nil {
 			return err
 		}
-		data = whole[off:]
-	} else if whole, ok := r.cachedSlack(b); ok {
 		data = whole[off:]
 	} else {
 		n := min(readAhead, b.Size-off)
@@ -117,18 +114,9 @@ func (r *fileReader) fetch() error {
 	return nil
 }
 
-// cachedSlack returns slack block b whole when the reader's node has it
-// hot. It only makes sense before the block's first replica is opened.
-func (r *fileReader) cachedSlack(b Block) ([]byte, bool) {
-	if r.fs.cache == nil || r.at < 0 || r.rep != nil {
-		return nil, false
-	}
-	return r.fs.cacheHit(r.at, b)
-}
-
 // readSlack reads bytes [off, off+n) of slack block b from its open
 // replica, opening the first live full-length candidate when there is none
-// and failing over as readBlockSlowInner does: a dead, missing, truncated
+// and failing over as readReplicas does: a dead, missing, truncated
 // or erroring replica yields to the next candidate, and a read that did
 // not succeed on its first choice counts in hdfs.failover.reads.
 func (r *fileReader) readSlack(b Block, off, n int64) ([]byte, error) {

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/hamr-go/hamr/internal/faults"
@@ -13,6 +16,69 @@ import (
 	"github.com/hamr-go/hamr/internal/substrate"
 	"github.com/hamr-go/hamr/internal/transport"
 )
+
+// countingDisk wraps a Disk and counts the readers it opens and closes, so
+// a test can tell that none was left open.
+type countingDisk struct {
+	storage.Disk
+	opens, closes atomic.Int64
+}
+
+func (d *countingDisk) Open(name string) (io.ReadSeekCloser, error) {
+	d.opens.Add(1)
+	r, err := d.Disk.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &countedReader{ReadSeekCloser: r, d: d}, nil
+}
+
+type countedReader struct {
+	io.ReadSeekCloser
+	d      *countingDisk
+	closed bool
+}
+
+func (r *countedReader) Close() error {
+	if !r.closed {
+		r.closed = true
+		r.d.closes.Add(1)
+	}
+	return r.ReadSeekCloser.Close()
+}
+
+// countingFS builds a filesystem over counting in-memory disks.
+func countingFS(t testing.TB, nodes int, cfg Config) (*FileSystem, []*countingDisk) {
+	t.Helper()
+	counting := make([]*countingDisk, nodes)
+	disks := make([]storage.Disk, nodes)
+	for i := range disks {
+		counting[i] = &countingDisk{Disk: storage.NewMemDisk(0)}
+		disks[i] = counting[i]
+	}
+	fs, err := New(disks, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs, counting
+}
+
+func totalOpens(disks []*countingDisk) int64 {
+	var n int64
+	for _, d := range disks {
+		n += d.opens.Load()
+	}
+	return n
+}
+
+func mustBlocks(t *testing.T, fs *FileSystem, name string) []Block {
+	t.Helper()
+	bs, err := fs.Blocks(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bs
+}
 
 type lineAt struct {
 	line string
@@ -62,7 +128,8 @@ func shortLines(total int) []byte {
 // A split reads its own block and then only as much of the next one as its
 // last line needs: over a whole file of short lines every byte moves once,
 // plus at most one read-ahead unit per block boundary, and only those units
-// cross the network.
+// cross the network. A reader on a node that holds no replica pays exactly
+// its own block and one read-ahead unit.
 func TestSplitsReadTheirBytesOnce(t *testing.T) {
 	const nodes, blockSize, blocks = 4, 16 << 10, 12
 	reg := metrics.NewRegistry()
@@ -100,8 +167,20 @@ func TestSplitsReadTheirBytesOnce(t *testing.T) {
 	if v := reg.Counter("hdfs.bytes.local").Value(); v != size {
 		t.Errorf("hdfs.bytes.local = %d, want the file's %d", v, size)
 	}
-	if v := reg.Counter("hdfs.bytes.remote").Value(); v == 0 || v > slack {
-		t.Errorf("hdfs.bytes.remote = %d, want within (0, %d]", v, slack)
+	remote := reg.Counter("hdfs.bytes.remote").Value()
+	if remote == 0 || remote > slack {
+		t.Errorf("hdfs.bytes.remote = %d, want within (0, %d]", remote, slack)
+	}
+
+	far := transport.NodeID(0)
+	for slices.Contains(splits[0].Hosts, far) || slices.Contains(splits[1].Hosts, far) {
+		far++
+	}
+	if _, err := splitLines(t, fs, splits[0], far); err != nil {
+		t.Fatal(err)
+	}
+	if v := reg.Counter("hdfs.bytes.remote").Value() - remote; v != blockSize+readAhead {
+		t.Errorf("split 0 read from node %d moved %d remote bytes, want %d", far, v, blockSize+readAhead)
 	}
 }
 
@@ -282,52 +361,11 @@ func TestSlackWithNoReadableReplicaIsAnError(t *testing.T) {
 	}
 }
 
-// With the cache on, slack comes from the reader's cache when the next
-// block is hot there, and a prefix read never enters the cache.
-func TestSlackAndTheCache(t *testing.T) {
-	const blockSize = 16 << 10
-	data := shortLines(3 * blockSize)
-	fs, disks, reg := cachedFS(t, 2, Config{BlockSize: blockSize, CacheBytes: 1 << 20})
-	// Replication 1, every block on node 0 and, by write-through, hot there.
-	if err := fs.WriteFile("f", data, 0); err != nil {
-		t.Fatal(err)
-	}
-	splits, _ := fs.Splits("f")
-	blocks := mustBlocks(t, fs, "f")
-
-	if _, err := splitLines(t, fs, splits[0], 0); err != nil {
-		t.Fatal(err)
-	}
-	if n := totalOpens(disks); n != 0 {
-		t.Errorf("hot reader opened the disk %d times, want 0", n)
-	}
-	if h := reg.Counter("hdfs.cache.hits").Value(); h != 2 {
-		t.Errorf("hdfs.cache.hits = %d, want 2 (own block, slack)", h)
-	}
-
-	// Node 1 is cold: its own block is fetched whole and cached, the slack
-	// moves as a prefix and is not.
-	cached := reg.Counter("hdfs.cache.bytes").Value()
-	if _, err := splitLines(t, fs, splits[0], 1); err != nil {
-		t.Fatal(err)
-	}
-	if !fs.cache.has(1, blocks[0].ID) || fs.cache.has(1, blocks[1].ID) {
-		t.Errorf("node 1 caches own block: %v, slack block: %v; want true, false",
-			fs.cache.has(1, blocks[0].ID), fs.cache.has(1, blocks[1].ID))
-	}
-	if grew := reg.Counter("hdfs.cache.bytes").Value() - cached; grew != blockSize {
-		t.Errorf("cache grew by %d bytes, want one whole block (%d)", grew, blockSize)
-	}
-	if v := reg.Counter("hdfs.bytes.remote").Value(); v != blockSize+readAhead {
-		t.Errorf("hdfs.bytes.remote = %d, want %d", v, blockSize+readAhead)
-	}
-}
-
 // No replica stays open behind an iterator: not after Next has reported the
 // end, and not after a Close that came first.
 func TestLineIteratorLeavesNoReplicaOpen(t *testing.T) {
 	const blockSize = 16 << 10
-	fs, disks, _ := cachedFS(t, 3, Config{BlockSize: blockSize})
+	fs, disks := countingFS(t, 3, Config{BlockSize: blockSize})
 	if err := fs.WriteFile("f", shortLines(4*blockSize), -1); err != nil {
 		t.Fatal(err)
 	}

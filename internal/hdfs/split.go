@@ -17,10 +17,6 @@ type Split struct {
 	Offset int64
 	Length int64
 	Hosts  []transport.NodeID
-	// CachedHosts lists the nodes holding the split's block hot in their
-	// page cache at split time (empty with the cache disabled); schedulers
-	// prefer these over merely disk-local Hosts.
-	CachedHosts []transport.NodeID
 }
 
 // Splits returns one split per block of the file.
@@ -32,11 +28,10 @@ func (fs *FileSystem) Splits(name string) ([]Split, error) {
 	splits := make([]Split, 0, len(blocks))
 	for _, b := range blocks {
 		splits = append(splits, Split{
-			File:        name,
-			Offset:      b.Offset,
-			Length:      b.Size,
-			Hosts:       append([]transport.NodeID(nil), b.Replicas...),
-			CachedHosts: append([]transport.NodeID(nil), b.Cached...),
+			File:   name,
+			Offset: b.Offset,
+			Length: b.Size,
+			Hosts:  append([]transport.NodeID(nil), b.Replicas...),
 		})
 	}
 	return splits, nil

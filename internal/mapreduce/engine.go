@@ -505,13 +505,9 @@ func appendLine(dst []byte, kv core.KV) []byte {
 func (j *jobRun) runMapTask(taskID, attempt int, split hdfs.Split) (mres *mapResult, rerr error) {
 	job, reg, inj, tr := j.job, j.sub.Metrics, j.sub.Faults, j.sub.Trace
 	site := fmt.Sprintf("map-%05d", taskID)
-	// Cache-aware placement (HDFS centralized-cache-management style): a
-	// node holding the split's block hot in its page cache beats a merely
-	// disk-local replica holder; fall back to the replica list otherwise.
+	// Data-local placement: ask for the split's first replica holder.
 	pref := -1
-	if len(split.CachedHosts) > 0 {
-		pref = int(split.CachedHosts[0])
-	} else if len(split.Hosts) > 0 {
+	if len(split.Hosts) > 0 {
 		pref = int(split.Hosts[0])
 	}
 	ct, err := j.c.Yarn().Allocate(j.cfg.MapMemMB, pref)
@@ -544,12 +540,6 @@ func (j *jobRun) runMapTask(taskID, attempt int, split hdfs.Split) (mres *mapRes
 		reg.Inc("mr.map.local")
 	} else {
 		reg.Inc("mr.map.remote")
-	}
-	for _, h := range split.CachedHosts {
-		if int(h) == node {
-			reg.Inc("mr.map.cachehot")
-			break
-		}
 	}
 
 	em := &taskEmitter{task: taskName, heap: j.mapHeap}

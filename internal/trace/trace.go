@@ -1,7 +1,7 @@
 // Package trace is a low-overhead span recorder for the simulated
 // cluster. It records per-task timelines — spans carrying (node,
 // task/flowlet id, phase, resource, byte count) plus instant events
-// for faults, retries, spills and cache hits — and exports them as
+// for faults, retries, spills and container grants — and exports them as
 // Chrome trace_event JSON together with a computed critical path.
 //
 // The recorder is nil-safe and default-off: every method on a nil
@@ -205,8 +205,8 @@ func (s Span) EndBytes(bytes int64) {
 	})
 }
 
-// Instant records a zero-duration event (fault, retry, spill, cache
-// hit/miss, container grant) on the given node's lane.
+// Instant records a zero-duration event (fault, retry, spill, container
+// grant) on the given node's lane.
 func (t *Tracer) Instant(node int, parent, id, phase string, bytes int64) {
 	if t == nil {
 		return
