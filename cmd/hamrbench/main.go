@@ -16,7 +16,6 @@
 //	hamrbench -scale tiny      # smaller inputs (fast smoke run)
 //	hamrbench -nodes 8 -workers 4
 //	hamrbench -vclock          # virtual clock: modeled seconds, no sleeps
-//	hamrbench -jobs 4          # multi-job throughput: N concurrent WordCounts
 package main
 
 import (
@@ -41,7 +40,6 @@ func main() {
 		check   = flag.Bool("check", true, "run the shape check after Table 2")
 		vclock  = flag.Bool("vclock", false, "run under the virtual clock: modeled delays advance logical clocks instead of sleeping, tables report modeled seconds")
 		traceTo = flag.String("trace", "", "with -bench: record per-task spans, write Chrome trace JSON per engine (PATH.mr.json / PATH.hamr.json) and print each engine's critical path")
-		jobs    = flag.Int("jobs", 0, "multi-job throughput mode: submit N concurrent jobs (default benchmark WordCount, override with -bench) and report jobs/sec and per-job slowdown vs solo")
 	)
 	flag.Parse()
 
@@ -64,7 +62,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The one row -bench names (nil: none; -jobs then runs WordCount).
+	// The one row -bench names (nil: none).
 	var row *apps.Workload
 	if *one != "" {
 		if row = apps.Lookup(*one); row == nil {
@@ -78,17 +76,6 @@ func main() {
 	}
 
 	h := bench.NewHarness(spec, sc)
-	if *jobs > 0 {
-		if row == nil {
-			row = apps.Lookup(string(apps.WordCount))
-		}
-		rep, err := h.ConcurrentThroughput(row, *jobs)
-		if err != nil {
-			fatal(err)
-		}
-		bench.WriteConcurrentReport(os.Stdout, rep)
-		return
-	}
 	if *traceTo != "" {
 		if row == nil {
 			fmt.Fprintln(os.Stderr, "hamrbench: -trace requires -bench NAME (one benchmark per trace)")

@@ -30,22 +30,17 @@
 //
 //	res, err := c.Run(g)
 //
-// # Concurrent jobs and cancellation
+// # Cancellation
 //
-// Run blocks; Submit does not. Submit(ctx, g) admits a job into a bounded
-// queue and returns a JobHandle immediately — up to
-// ClusterOptions.MaxConcurrentJobs admitted jobs execute at once, sharing
-// the cluster's loader slots fairly and (with JobMemMB set) competing for
-// YARN memory. Each JobHandle's Result carries only that job's own metric
-// deltas; concurrent jobs do not contaminate each other's counters.
+// RunContext is Run with a context: canceling ctx aborts the job on every
+// node through the engine's failure path. Errors are typed sentinels
+// matched with errors.Is, and survive being relayed across nodes by that
+// abort broadcast:
 //
-// Errors are typed sentinels matched with errors.Is, and survive being
-// relayed across nodes by the engine's abort broadcast:
-//
-//	h, err := c.Submit(ctx, g)
-//	if errors.Is(err, hamr.ErrQueueFull) { /* back off and resubmit */ }
-//	res, err := h.Wait()
-//	if errors.Is(err, hamr.ErrJobCanceled) { /* ctx expired or h.Cancel() */ }
+//	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+//	defer cancel()
+//	res, err := c.RunContext(ctx, g)
+//	if errors.Is(err, hamr.ErrJobCanceled) { /* ctx expired or canceled */ }
 //
 // The package also ships the full evaluation substrate used to reproduce
 // the paper's experiments — a simulated commodity cluster with cost-model
@@ -177,35 +172,11 @@ func GigabitEthernet() NetModel { return transport.GigabitEthernet() }
 // NewCluster builds and starts a cluster.
 func NewCluster(opts ClusterOptions) (*Cluster, error) { return cluster.New(opts) }
 
-// Job-submission types (see Cluster.Submit).
-type (
-	// JobHandle tracks one submitted job: Wait, Result, Cancel, Done,
-	// Status.
-	JobHandle = cluster.JobHandle
-	// JobStatus is a submitted job's lifecycle state.
-	JobStatus = cluster.JobStatus
-	// JobStats reports the job manager's lifetime counters.
-	JobStats = cluster.JobStats
-)
-
-// JobStatus values.
-const (
-	// JobQueued means admitted but not yet dispatched.
-	JobQueued = cluster.JobQueued
-	// JobRunning means executing on the node runtimes.
-	JobRunning = cluster.JobRunning
-	// JobDone means finished: succeeded, failed or canceled.
-	JobDone = cluster.JobDone
-)
-
-// Typed sentinels for the job-submission path; match with errors.Is.
+// Typed sentinels for the job path; match with errors.Is.
 var (
-	// ErrJobCanceled reports a job stopped by JobHandle.Cancel or an
-	// expired submission context.
+	// ErrJobCanceled reports a job stopped by a canceled or expired
+	// context (Cluster.RunContext, Pipeline.Run).
 	ErrJobCanceled = core.ErrJobCanceled
-	// ErrQueueFull reports a Submit refused because the admission queue
-	// was at ClusterOptions.JobQueueDepth.
-	ErrQueueFull = cluster.ErrQueueFull
 	// ErrNoNodes reports a run over zero node runtimes.
 	ErrNoNodes = core.ErrNoNodes
 	// ErrGraphInvalid wraps graph validation failures.

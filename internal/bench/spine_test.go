@@ -67,7 +67,7 @@ func TestConfigsAreTuning(t *testing.T) {
 		v      any
 		budget int
 	}{
-		{cluster.Options{}, 14},
+		{cluster.Options{}, 11},
 		{core.Config{}, 10},
 		{mapreduce.Config{}, 10},
 		{hdfs.Config{}, 4},

@@ -70,22 +70,6 @@ type Options struct {
 	// default — leaves every hot path untouched: all recorder methods are
 	// nil-safe no-ops and no IDs are built.
 	Trace *trace.Tracer
-	// MaxConcurrentJobs bounds how many submitted jobs may execute at
-	// once; further admitted jobs wait in the FIFO queue. <= 0 (the
-	// default) means 1 — Submit still works but jobs serialize, and a
-	// serial Run stays bit-identical to the pre-manager engine.
-	MaxConcurrentJobs int
-	// JobQueueDepth bounds the admission queue; Submit on a full queue
-	// fails fast with ErrQueueFull instead of blocking. <= 0 defaults
-	// to 16.
-	JobQueueDepth int
-	// JobMemMB, when > 0, makes every dispatched job hold one YARN
-	// container of this size on each node for its lifetime, so job
-	// admission competes with the MapReduce baseline for the same
-	// schedulable memory. 0 (the default) skips the grant — with tracing
-	// on, YARN grants emit instant events, so the default keeps serial
-	// trace output bit-identical to the pre-manager engine.
-	JobMemMB int
 }
 
 // Cluster is a running simulated cluster.
@@ -106,11 +90,6 @@ type Cluster struct {
 	// shuffle fetches and HDFS remote reads (the fabric's own deliveries
 	// are already serialized per receiver by the transport).
 	rxMu []sync.Mutex
-
-	// jobs is the lazily-built multi-job manager behind Submit; jobsMu
-	// guards its creation and the handoff to Close.
-	jobsMu sync.Mutex
-	jobs   *JobManager
 
 	// ChargeNet handles, resolved once: shuffle fetches and HDFS remote
 	// reads charge the model at block rates, where a string-keyed registry
@@ -266,42 +245,43 @@ func (c *Cluster) jobEnv() *core.Env {
 	}
 }
 
-// Jobs returns the cluster's job manager, creating it on first use. Most
-// callers go through Submit/RunContext/Run instead; the manager is exposed
-// for its Stats.
-func (c *Cluster) Jobs() *JobManager {
-	c.jobsMu.Lock()
-	defer c.jobsMu.Unlock()
-	if c.jobs == nil {
-		c.jobs = newJobManager(c)
-	}
-	return c.jobs
-}
-
-// Submit admits a flowlet graph for execution and returns immediately with
-// a handle. Admission is non-blocking: a full queue fails with ErrQueueFull.
-// Up to MaxConcurrentJobs admitted jobs run concurrently, arbitrated by
-// YARN memory (JobMemMB) and a fair share of the cluster's loader slots.
-// Canceling ctx — or calling JobHandle.Cancel — stops the job wherever it
-// is; Wait then returns an error matching core.ErrJobCanceled.
-func (c *Cluster) Submit(ctx context.Context, g *core.Graph) (*JobHandle, error) {
-	return c.Jobs().Submit(ctx, g)
-}
-
-// RunContext executes a flowlet graph through the job manager and blocks
-// until completion, honoring ctx cancellation.
+// RunContext executes a flowlet graph on the cluster and blocks until it
+// completes. A nil or malformed graph fails with core.ErrGraphInvalid.
+// Canceling ctx aborts the job through the engine's cross-node failure
+// path, and the returned error then matches core.ErrJobCanceled; a ctx
+// already canceled starts nothing.
+//
+// Before returning, RunContext drains the message fabric: delivery runs on
+// per-inbox goroutines, so the job's trailing completion messages may still
+// be charging modeled network time to receiver lanes after Wait. Draining
+// makes the return a true barrier, so virtual-clock readings taken after it
+// are the same on every run.
 func (c *Cluster) RunContext(ctx context.Context, g *core.Graph) (*core.JobResult, error) {
-	h, err := c.Submit(ctx, g)
+	if ctx.Err() != nil {
+		return nil, fmt.Errorf("cluster: %w: %v", core.ErrJobCanceled, context.Cause(ctx))
+	}
+	j, err := core.NewJob(g, c.nodes, c.jobEnv())
 	if err != nil {
 		return nil, err
 	}
-	return h.Wait()
+	j.Start()
+	aborted := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		defer close(aborted)
+		j.Abort(fmt.Errorf("cluster: job %q: %w: %v", g.Name, core.ErrJobCanceled, context.Cause(ctx)))
+	})
+	res, err := j.Wait()
+	// A watcher already running must finish before the drain, so a cancel
+	// that lands after RunContext returns can send nothing.
+	if !stop() {
+		<-aborted
+	}
+	c.net.Quiesce()
+	return res, err
 }
 
-// Run executes a flowlet graph on the cluster and waits for completion —
-// RunContext with a background context. With the default Options (serial
-// admission), its behavior and metrics are identical to running the graph
-// directly on the engine.
+// Run executes a flowlet graph on the cluster and waits for completion:
+// RunContext with a background context.
 func (c *Cluster) Run(g *core.Graph) (*core.JobResult, error) {
 	return c.RunContext(context.Background(), g)
 }
@@ -331,16 +311,9 @@ func (c *Cluster) ReadLocalText(node int, name string) ([]byte, error) {
 	return io.ReadAll(f)
 }
 
-// Close shuts down the job manager, the runtimes and the fabric. Queued
-// jobs are canceled; running jobs are aborted and waited for before the
-// substrate below them goes away.
+// Close shuts down the runtimes, the scheduler and the fabric. Call it
+// once every Run and RunContext on the cluster has returned.
 func (c *Cluster) Close() {
-	c.jobsMu.Lock()
-	m := c.jobs
-	c.jobsMu.Unlock()
-	if m != nil {
-		m.Close()
-	}
 	for _, rt := range c.nodes {
 		if rt != nil {
 			rt.Close()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -396,21 +397,45 @@ func TestLocalRoutingStaysOnNode(t *testing.T) {
 	}
 }
 
+// TestRunConcurrentJobs: jobs overlapping on the same runtimes do not
+// interfere — each reports exactly a solo run's per-job counters and
+// output, because every jobNode accounts into its own registry.
 func TestRunConcurrentJobs(t *testing.T) {
-	// Two jobs sharing the same runtimes must not interfere.
 	nodes, cleanup := newTestCluster(t, 2, Config{Workers: 4})
 	defer cleanup()
+	chunks, want := wordChunks(6, 20)
+	count := func(s *CollectSink) map[string]int64 {
+		m := map[string]int64{}
+		for _, kv := range s.Pairs() {
+			m[kv.Key] += kv.Value.(int64)
+		}
+		return m
+	}
+
+	g, sink := buildWordCount(t, true, chunks)
+	solo, err := Run(g, nodes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(solo.Metrics.Counters) == 0 {
+		t.Fatal("solo run reported no per-job counters")
+	}
+	if got := count(sink); !reflect.DeepEqual(got, want) {
+		t.Fatalf("solo run counted %v, want %v", got, want)
+	}
+
+	const jobs = 3
 	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	sinks := make([]*CollectSink, 2)
-	for i := 0; i < 2; i++ {
-		chunks, _ := wordChunks(6, 20)
+	errs := make([]error, jobs)
+	results := make([]*JobResult, jobs)
+	sinks := make([]*CollectSink, jobs)
+	for i := range sinks {
 		g, sink := buildWordCount(t, true, chunks)
 		sinks[i] = sink
 		wg.Add(1)
 		go func(i int, g *Graph) {
 			defer wg.Done()
-			_, errs[i] = Run(g, nodes, nil)
+			results[i], errs[i] = Run(g, nodes, nil)
 		}(i, g)
 	}
 	wg.Wait()
@@ -418,8 +443,12 @@ func TestRunConcurrentJobs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
-		if sinks[i].Len() == 0 {
-			t.Errorf("job %d produced no output", i)
+		if !reflect.DeepEqual(results[i].Metrics.Counters, solo.Metrics.Counters) {
+			t.Errorf("job %d counters diverge from solo:\n solo: %v\n job:  %v",
+				i, solo.Metrics.Counters, results[i].Metrics.Counters)
+		}
+		if got := count(sinks[i]); !reflect.DeepEqual(got, want) {
+			t.Errorf("job %d counted %v, want %v", i, got, want)
 		}
 	}
 }

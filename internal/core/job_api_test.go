@@ -97,6 +97,9 @@ func TestNewJobTypedErrors(t *testing.T) {
 	if _, err := NewJob(g, nil, nil); !errors.Is(err, ErrNoNodes) {
 		t.Errorf("no nodes: %v, want ErrNoNodes", err)
 	}
+	if _, err := NewJob(nil, nodes, nil); !errors.Is(err, ErrGraphInvalid) {
+		t.Errorf("nil graph: %v, want ErrGraphInvalid", err)
+	}
 	if _, err := NewJob(NewGraph("empty"), nodes, nil); !errors.Is(err, ErrGraphInvalid) {
 		t.Errorf("empty graph: %v, want ErrGraphInvalid", err)
 	}

@@ -30,16 +30,10 @@ type jobNode struct {
 
 	// reg is the job-scoped metrics registry: everything this job does on
 	// this node is accounted here and merged into the node registry only
-	// at job end, so concurrent jobs cannot contaminate each other's
-	// JobResult.Metrics while cluster totals stay identical to the old
-	// shared-registry accounting.
+	// at job end, so JobResult.Metrics holds this job's deltas alone even
+	// when another Run overlaps it on the same runtime, and cluster totals
+	// still add up.
 	reg *metrics.Registry
-
-	// admit, when non-nil, is the multi-job fair-share gate on loader
-	// admission (set by Job.SetAdmission before start). Acquired before
-	// the node's loader semaphore; closed by the job manager at job end so
-	// blocked spawners always drain.
-	admit *par.Share
 
 	flowlets []*flowletState
 	edges    []*edgeState
@@ -324,23 +318,9 @@ func (jn *jobNode) start(splits map[int][]Split) {
 		go func() {
 			for i, sp := range ss {
 				i, sp := i, sp
-				// The job's fair-share gate is taken before the node's
-				// loader semaphore: a job throttled down by the manager
-				// queues here, on its own spawner goroutine, without
-				// holding any node-wide resource. A closed gate (job over)
-				// just marks the split done so the flowlet can finish.
-				if jn.admit != nil && !jn.admit.Acquire() {
-					jn.loaderSplitDone(fs)
-					continue
-				}
 				jn.rt.loaderSem.Acquire()
 				go func() {
-					defer func() {
-						jn.rt.loaderSem.Release()
-						if jn.admit != nil {
-							jn.admit.Release()
-						}
-					}()
+					defer jn.rt.loaderSem.Release()
 					if !jn.failed.Load() {
 						site := fmt.Sprintf("split:%s:%d:%d", fs.spec.Name, jn.node, i)
 						var sp2 trace.Span

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/hamr-go/hamr/internal/metrics"
-	"github.com/hamr-go/hamr/internal/par"
 	"github.com/hamr-go/hamr/internal/trace"
 )
 
@@ -19,8 +18,8 @@ var jobCounter atomic.Int64
 // sentinels survive wrapping on the driver and — via the abort broadcast's
 // failMsg — relaying across nodes.
 var (
-	// ErrJobCanceled reports a job stopped by JobHandle.Cancel or an
-	// expired submission context rather than by its own code failing.
+	// ErrJobCanceled reports a job stopped by its caller — a canceled or
+	// expired context — rather than by its own code failing.
 	ErrJobCanceled = errors.New("core: job canceled")
 	// ErrNoNodes reports a run attempted over zero node runtimes.
 	ErrNoNodes = errors.New("core: no node runtimes")
@@ -55,10 +54,10 @@ type JobResult struct {
 	// Gated counts bins whose scheduling was deferred by flow control.
 	Gated int64
 	// Metrics is this job's own metric deltas, aggregated across nodes.
-	// Concurrent jobs on one cluster do not contaminate each other here:
-	// every jobNode accounts into a job-scoped registry that is merged
-	// into the node registry (and into this snapshot) only at job end, so
-	// cluster totals are unchanged while per-job figures stay exact.
+	// Node runtimes are long-lived and may host overlapping Runs, so every
+	// jobNode accounts into a job-scoped registry that is merged into the
+	// node registry (and into this snapshot) only at job end: cluster
+	// totals still add up while per-job figures stay exact.
 	Metrics metrics.Snapshot
 	// SplitsPerNode records how many loader splits each node executed.
 	SplitsPerNode []int
@@ -81,8 +80,8 @@ func (r *JobResult) Timeline() string {
 // staged form of Run: NewJob validates the graph, plans loader splits and
 // registers per-node state; Start kicks off execution; Wait blocks until
 // completion; Abort stops a running (or not-yet-started) job through the
-// engine's failure path. Run composes the stages for serial callers; the
-// cluster's JobManager drives them individually so jobs can overlap.
+// engine's failure path. Run composes the stages; a caller that cancels
+// drives them individually so it can Abort between Start and Wait.
 type Job struct {
 	id    int64
 	graph *Graph
@@ -106,6 +105,9 @@ type Job struct {
 // and assigned preferring each split's local node (§3.3), falling back to
 // least-loaded round-robin.
 func NewJob(graph *Graph, nodes []*NodeRuntime, env *Env) (*Job, error) {
+	if graph == nil {
+		return nil, fmt.Errorf("%w: nil graph", ErrGraphInvalid)
+	}
 	if err := graph.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrGraphInvalid, err)
 	}
@@ -181,18 +183,6 @@ func NewJob(graph *Graph, nodes []*NodeRuntime, env *Env) (*Job, error) {
 
 // ID returns the engine-assigned job id.
 func (j *Job) ID() int64 { return j.id }
-
-// SetAdmission installs a fair-share gate bounding how many of this job's
-// loader splits may run concurrently across the whole cluster. The node
-// runtimes' own loader semaphores still cap per-node concurrency; the
-// share is the multi-job arbiter on top (the paper's "decrease the number
-// of concurrent loader tasks" valve, §2, applied between jobs). Must be
-// called before Start; a nil gate leaves admission unlimited.
-func (j *Job) SetAdmission(s *par.Share) {
-	for _, jn := range j.jns {
-		jn.admit = s
-	}
-}
 
 // Start kicks off execution on every node. It is idempotent; only the
 // first call has effect.

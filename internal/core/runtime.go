@@ -114,7 +114,7 @@ type failMsg struct {
 	FaultOp   string
 	FaultSite string
 	// Canceled marks an abort that originated from job cancellation
-	// (JobHandle.Cancel or an expired context) so receivers reconstruct an
+	// (a canceled or expired context) so receivers reconstruct an
 	// error matching ErrJobCanceled, the same cross-node typing the fault
 	// fields provide.
 	Canceled bool
