@@ -11,12 +11,10 @@ import (
 // A bin is a recycled slab with exactly one owner at a time: the producer's
 // binBuffer slot while it fills, then sendBin and the fabric, then the
 // consuming task, which returns it to the list it came from once applyBin
-// is done. In process the fabric hands the pointer over and that list is
-// the producing node's; where the bin has to cross as bytes (wire.go) the
-// fabric releases the producer's slab once the frame is committed and the
-// receiver decodes into a slab from its own list. Consumers copy each KV
-// out by value and must not retain KVs — the backing array is cleared and
-// refilled by the next producer.
+// is done. The fabric hands the pointer over, so that list is the
+// producing node's. Consumers copy each KV out by value and must not
+// retain KVs — the backing array is cleared and refilled by the next
+// producer.
 type Bin struct {
 	Job     int64
 	Edge    int // index into the graph's edge list
@@ -37,10 +35,6 @@ type Bin struct {
 // release hands a fully consumed bin back to the list it came from. The
 // caller must not touch the bin afterwards.
 func (b *Bin) release() { b.home.put(b) }
-
-// Release is release for the fabric, which calls it on a bin whose bytes
-// have replaced it on the way to the receiver.
-func (b *Bin) Release() { b.release() }
 
 // binList is one node's free list of bin slabs: a LIFO stack behind a
 // mutex, so reuse does not depend on GC timing the way a sync.Pool does.

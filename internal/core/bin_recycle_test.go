@@ -177,7 +177,9 @@ func recycleConfig() Config {
 }
 
 // assertSlabsHome checks every node's free list after a clean job: no slab
-// still out, and no more kept than the bound the job declared.
+// still out, and no more kept than the bound the job declared. It also
+// requires that no node dropped a bin: every pair a clean job sends
+// reaches a job that knows it, as the sender's own value.
 func assertSlabsHome(t *testing.T, nodes []*NodeRuntime) {
 	t.Helper()
 	for _, rt := range nodes {
@@ -190,6 +192,9 @@ func assertSlabsHome(t *testing.T, nodes []*NodeRuntime) {
 		}
 		if free > max || max == 0 {
 			t.Errorf("node %d: free list holds %d slabs, bound %d", rt.id, free, max)
+		}
+		if d := rt.Metrics().Snapshot().Get("bins.dropped"); d != 0 {
+			t.Errorf("node %d: bins.dropped = %d after a clean job", rt.id, d)
 		}
 	}
 }

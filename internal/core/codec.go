@@ -11,10 +11,9 @@ import (
 	"sync"
 )
 
-// The codec turns KV values into bytes for spill runs, map output and the
-// wire form of a bin: a type tag, then a compact encoding per type (laid
-// out above EncodeValue). The type set is closed and RegisterValue is the
-// one way to extend it.
+// The codec turns KV values into bytes for spill runs and map output: a
+// type tag, then a compact encoding per type (laid out above EncodeValue).
+// The type set is closed and RegisterValue is the one way to extend it.
 
 type typeTag byte
 
@@ -77,8 +76,8 @@ func RegisterValue(v any) {
 // shrink as varints, and a fixed element width is what lets a count be
 // checked against the bytes that remain before it sizes a slice. EncodeKV
 // puts a uvarint key length and the key in front of the value. There is one
-// layout and no version byte: run files, sections and frames never outlive
-// the process that wrote them.
+// layout and no version byte: run files and sections never outlive the
+// process that wrote them.
 
 // Decode errors a caller can test for. A length or count the remaining
 // bytes cannot back is ErrTruncated, whether the input was cut short or

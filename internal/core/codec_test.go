@@ -265,14 +265,10 @@ func TestEncodedSizes(t *testing.T) {
 	if err != nil || len(row) != 29 {
 		t.Errorf("the TeraSort row encodes to %d bytes (%v), want 29", len(row), err)
 	}
-	// Last rides in the From word: a completion costs no header byte.
-	if hdr, _ := (&Bin{Job: 1 << 40, Edge: 3, Flowlet: 2, From: 7, Bytes: 64 << 10, Last: true}).AppendBinary(nil); len(hdr) > 42 {
-		t.Errorf("an empty bin is %d bytes on the wire, want <= 42", len(hdr))
-	}
 }
 
 // TestCodecMapOrder: equal maps encode to equal bytes whatever order Go
-// ranges over them in, so map order does not leak into run files and frames.
+// ranges over them in, so map order does not leak into run files.
 func TestCodecMapOrder(t *testing.T) {
 	m := map[string]int64{}
 	for i := 0; i < 50; i++ {

@@ -13,7 +13,7 @@ import (
 
 // KV is a key-value pair, the unit of data flowing through the graph.
 // Values are kept as native Go values in memory; the codec (codec.go)
-// defines their byte representation for spills and wire transfer.
+// defines their byte representation for spills and run files.
 type KV struct {
 	Key   string
 	Value any

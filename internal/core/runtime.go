@@ -142,7 +142,7 @@ type NodeRuntime struct {
 	bins *binList
 
 	// binsDropped counts payloads the delivery handler could not route
-	// (malformed payload type, or a data bin for a job this node no
+	// (a payload of the wrong type, or a data bin for a job this node no
 	// longer knows). Resolved once: handle runs on the delivery goroutine.
 	binsDropped *metrics.Counter
 
@@ -257,18 +257,14 @@ func (rt *NodeRuntime) unregisterJob(id int64) {
 	rt.mu.Unlock()
 }
 
-// payloadOf returns msg's payload as the sender's own T — the in-process
-// fabric hands the value over — or decodes the bytes a byte boundary left
-// in its place. A kind has these two shapes and no other.
-func payloadOf[T any](msg transport.Message, decode func([]byte) (T, error)) (T, error) {
-	switch p := msg.Payload.(type) {
-	case T:
-		return p, nil
-	case []byte:
-		return decode(p)
+// payloadOf returns msg's payload as the sender's own T, the one shape the
+// fabric delivers a kind in.
+func payloadOf[T any](msg transport.Message) (T, error) {
+	p, ok := msg.Payload.(T)
+	if !ok {
+		return p, fmt.Errorf("payload is a %T", msg.Payload)
 	}
-	var zero T
-	return zero, fmt.Errorf("payload is a %T", msg.Payload)
+	return p, nil
 }
 
 // handle is the transport handler: it runs on the node's delivery
@@ -278,7 +274,7 @@ func (rt *NodeRuntime) handle(msg transport.Message) {
 	switch msg.Kind {
 	case msgBin:
 		var bin *Bin
-		if bin, err = payloadOf(msg, rt.bins.decode); err != nil {
+		if bin, err = payloadOf[*Bin](msg); err != nil {
 			break
 		}
 		if jn := rt.job(bin.Job); jn != nil {
@@ -293,18 +289,18 @@ func (rt *NodeRuntime) handle(msg transport.Message) {
 		}
 	case msgAck:
 		var ack ackMsg
-		if ack, err = payloadOf(msg, decodeAck); err != nil {
+		if ack, err = payloadOf[ackMsg](msg); err != nil {
 			break
 		}
 		// Acks and completions for unknown jobs are normal teardown
 		// stragglers (the job already finished or failed here); only a
-		// malformed payload is worth counting.
+		// payload of the wrong type is worth counting.
 		if jn := rt.job(ack.Job); jn != nil {
 			jn.onAck(ack.Edge)
 		}
 	case msgComplete:
 		var cm completeMsg
-		if cm, err = payloadOf(msg, decodeComplete); err != nil {
+		if cm, err = payloadOf[completeMsg](msg); err != nil {
 			break
 		}
 		if jn := rt.job(cm.Job); jn != nil {
@@ -312,7 +308,7 @@ func (rt *NodeRuntime) handle(msg transport.Message) {
 		}
 	case msgFail:
 		var fm failMsg
-		if fm, err = payloadOf(msg, decodeFail); err != nil {
+		if fm, err = payloadOf[failMsg](msg); err != nil {
 			break
 		}
 		if jn := rt.job(fm.Job); jn != nil {
@@ -321,10 +317,9 @@ func (rt *NodeRuntime) handle(msg transport.Message) {
 	}
 	if err != nil {
 		// Counted and logged: discarded without a trace, a payload that
-		// does not match its kind makes a wire-form regression look like a
-		// hang.
+		// does not match its kind makes a sender bug look like a hang.
 		rt.binsDropped.Inc()
-		log.Printf("core: node %d dropped malformed %s message from node %d: %v",
+		log.Printf("core: node %d dropped mistyped %s message from node %d: %v",
 			rt.id, msg.Kind, msg.From, err)
 	}
 }

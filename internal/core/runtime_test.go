@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -15,46 +14,40 @@ import (
 	"github.com/hamr-go/hamr/internal/transport"
 )
 
-// TestEngineOverTCP runs a full wordcount job with the data plane in
-// process and on real TCP sockets — the engine is transport-agnostic, and
-// where a bin has to become bytes (every TCP frame) the counts do not change
-// and the slab ledger still balances: the sender's slab is released when the
-// frame is committed, the receiver's is drawn from and returned to its own
-// list. Bins are small so that batches hold several.
-func TestEngineOverTCP(t *testing.T) {
-	const numNodes = 3
-	chunks, want := wordChunks(8, 25)
-	for _, fabric := range []string{"inmem", "tcp"} {
-		t.Run(fabric, func(t *testing.T) {
-			cfg := Config{Workers: 2, BinSize: 16}
-			var net transport.Network = NewTestNetwork()
-			if fabric == "tcp" {
-				addrs := map[transport.NodeID]string{}
-				for i := 0; i < numNodes; i++ {
-					addrs[transport.NodeID(i)] = "127.0.0.1:0"
-				}
-				net = transport.NewTCPNetwork(addrs)
-			}
-			nodes, cleanup := newClusterOn(t, net, numNodes, cfg, substrate.Handle{})
-			defer cleanup()
-			g, sink := buildWordCount(t, true, chunks)
-			if _, err := Run(g, nodes, nil); err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			got := map[string]int64{}
-			for _, kv := range sink.Pairs() {
-				got[kv.Key] += kv.Value.(int64)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("counts = %v, want %v", got, want)
-			}
-			assertSlabsHome(t, nodes)
-			for _, rt := range nodes {
-				if d := rt.Metrics().Snapshot().Get("bins.dropped"); d != 0 {
-					t.Errorf("node %d: bins.dropped = %d", rt.id, d)
-				}
-			}
-		})
+// TestHandleDropsWhatItCannotDecode: per kind, handle takes the sender's
+// own value and nothing else. A payload of any other type — bytes are just
+// another one — is one counted bins.dropped, as is a bin for a job this
+// node does not know, and every slab goes home. Well-typed acks,
+// completions and failures for an unknown job are stragglers, not drops.
+func TestHandleDropsWhatItCannotDecode(t *testing.T) {
+	nodes, cleanup := newTestCluster(t, 1, Config{BinSize: 4})
+	defer cleanup()
+	rt := nodes[0]
+	var bad []transport.Message
+	for _, kind := range []string{msgBin, msgAck, msgComplete, msgFail} {
+		for _, p := range []any{[]byte{1, 2, 3}, Bin{}, &ackMsg{}, "text"} {
+			bad = append(bad, transport.Message{Kind: kind, Payload: p})
+		}
+	}
+	stray := rt.bins.get()
+	stray.Job = 1
+	bad = append(bad, transport.Message{Kind: msgBin, Payload: stray})
+	for _, m := range bad {
+		rt.handle(m)
+	}
+	if got := rt.Metrics().Snapshot().Get("bins.dropped"); got != int64(len(bad)) {
+		t.Errorf("bins.dropped = %d, want %d", got, len(bad))
+	}
+	if rt.bins.out != 0 {
+		t.Errorf("%d slabs out after the drops", rt.bins.out)
+	}
+	for _, m := range []transport.Message{
+		{Kind: msgAck, Payload: ackMsg{Job: 1}}, {Kind: msgComplete, Payload: completeMsg{Job: 1}}, {Kind: msgFail, Payload: failMsg{Job: 1}},
+	} {
+		rt.handle(m)
+	}
+	if got := rt.Metrics().Snapshot().Get("bins.dropped"); got != int64(len(bad)) {
+		t.Errorf("bins.dropped = %d after well-typed stragglers, want %d", got, len(bad))
 	}
 }
 

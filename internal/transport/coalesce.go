@@ -9,9 +9,9 @@ import (
 )
 
 // KindBatch marks a coalesced frame carrying several application messages
-// to one destination. Both Network implementations unpack batch frames
-// (see dispatch) before invoking the destination handler, so receivers
-// never observe the framing.
+// to one destination. InMemNetwork unpacks batch frames (see dispatch)
+// before invoking the destination handler, so receivers never observe the
+// framing.
 const KindBatch = "transport.batch"
 
 // BatchPayload is the payload of a KindBatch frame: the coalesced
@@ -255,8 +255,8 @@ func (c *Coalescer) onTimer() {
 	if closed {
 		return
 	}
-	// Best-effort: a node that unregistered while its ack sat in the
-	// buffer is not an error worth surfacing from a timer goroutine.
+	// Best-effort: a network that closed while an ack sat in the buffer
+	// is not an error worth surfacing from a timer goroutine.
 	_ = c.Flush()
 }
 

@@ -84,33 +84,3 @@ func TestInMemNilHookIgnored(t *testing.T) {
 		t.Fatal("message not delivered")
 	}
 }
-
-func TestTCPFaultHookDelaysInboundFrames(t *testing.T) {
-	n := NewTCPNetwork(map[NodeID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"})
-	defer n.Close()
-	hook := &countingHook{extra: time.Millisecond}
-	n.Use(Env{Faults: hook})
-
-	recv := make(chan Message, 4)
-	if err := n.Register(0, func(m Message) {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Register(1, func(m Message) { recv <- m }); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := n.Send(Message{From: 0, To: 1, Kind: "k", Payload: []byte("p"), Size: 8}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		select {
-		case <-recv:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("message %d not delivered", i)
-		}
-	}
-	if hook.calls.Load() != 4 {
-		t.Fatalf("hook consulted %d times, want 4", hook.calls.Load())
-	}
-}

@@ -49,19 +49,19 @@ func TestQuiesceWaitsForDelivery(t *testing.T) {
 	}
 }
 
-// TestQuiesceAfterRejectedSend: a send to an unregistering node must not
-// strand the pending count and hang later Quiesce calls.
+// TestQuiesceAfterRejectedSend: a send to a node whose inbox has closed
+// must not strand the pending count and hang later Quiesce calls.
 func TestQuiesceAfterRejectedSend(t *testing.T) {
 	n := NewInMemNetwork(CostModel{}, nil)
 	defer n.Close()
 	if err := n.Register(0, func(Message) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Unregister(0); err != nil {
-		t.Fatal(err)
-	}
+	// The send below is accepted into the pending count, then rejected by
+	// the closed inbox.
+	closeInbox(n, 0)
 	if err := n.Send(Message{From: 1, To: 0, Kind: "x"}); err == nil {
-		t.Fatal("send to unregistered node succeeded")
+		t.Fatal("send to a closed inbox succeeded")
 	}
 	done := make(chan struct{})
 	go func() { n.Quiesce(); close(done) }()

@@ -1,23 +1,18 @@
 // Package transport provides the inter-node message fabric used by the
 // HAMR runtime and the MapReduce baseline's shuffle.
 //
-// Two implementations are provided:
+// InMemNetwork is the one network: an in-process fabric for the simulated
+// cluster, priced by a CostModel that stands in for the paper's FDR
+// InfiniBand. Each destination node has a delivery queue drained by a
+// dedicated goroutine, which charges a configurable latency + bandwidth
+// cost before invoking the destination handler. Per-node ingress is
+// therefore serialized, which models the hot-receiver bottleneck the paper
+// observes for skewed key spaces (§5.2, HistogramRatings). Every payload
+// reaches its handler as the sender's own Go value; nothing is encoded.
 //
-//   - InMemNetwork: an in-process network for the simulated cluster. Each
-//     destination node has a delivery queue drained by a dedicated
-//     goroutine, which charges a configurable latency + bandwidth cost
-//     before invoking the destination handler. Per-node ingress is
-//     therefore serialized, which models the hot-receiver bottleneck the
-//     paper observes for skewed key spaces (§5.2, HistogramRatings).
-//
-//   - TCPNetwork: the same interface over real sockets, showing that the
-//     engine runs over the operating system network stack; only tests
-//     construct it.
-//
-// A Coalescer (coalesce.go) can wrap either network to aggregate small
-// same-destination messages into one framed batch; both networks unpack
-// batch frames transparently before invoking handlers. Where a message has
-// to become bytes — a TCP connection — wire.go holds the one form it takes.
+// A Coalescer (coalesce.go) can wrap the network to aggregate small
+// same-destination messages into one batch frame, which the network
+// unpacks transparently before invoking handlers.
 //
 // Fabric engineering vs modeled cost: the send path is lock-free beyond
 // the destination inbox (an atomically swapped immutable routing snapshot
@@ -50,17 +45,16 @@ type NodeID int
 // (including the sender).
 //
 // Broadcast delivery is best-effort: nodes whose inbox has been closed
-// (network shutdown or Unregister racing the send) are skipped rather than
-// aborting the fan-out partway — a partial abort previously left some
+// (network shutdown racing the send) are skipped rather than aborting the
+// fan-out partway — a partial abort previously left some
 // nodes with the message and some without, with no trace. Skipped
 // deliveries are counted in the "net.dropped" counter.
 const Broadcast NodeID = -1
 
 // Message is one unit of communication. Size is the modeled wire size in
 // bytes used by cost models; senders should set it to the approximate
-// serialized size of Payload. In process the receiver gets the sender's
-// Payload itself; across a byte boundary it gets the payload's bytes as a
-// []byte that is valid until the handler returns (see wire.go).
+// serialized size of Payload. The receiver gets the sender's Payload
+// itself.
 type Message struct {
 	From    NodeID
 	To      NodeID
@@ -84,7 +78,8 @@ type FaultHook interface {
 	DeliveryFault(node int, size int64) (retrans, dups int, extra time.Duration)
 }
 
-// Network is the fabric interface shared by all implementations.
+// Network is the fabric interface: InMemNetwork implements it, and so do
+// wrappers around it such as Coalescer.
 type Network interface {
 	// Register installs the handler for a node. Must be called before any
 	// message is sent to that node.
@@ -153,26 +148,17 @@ func (m CostModel) Delay(size int64) time.Duration {
 	return time.Duration(float64(d) * s)
 }
 
-// dispatch invokes h once per application message: coalesced batch frames
-// are unpacked in order — the sender's own BatchPayload, or its bytes off a
-// TCP connection — and everything else passes straight through. Both network
-// implementations route deliveries through it, so receivers never see the
-// framing. An error means a byte batch did not decode; messages ahead of the
-// damage have been delivered.
-func dispatch(h Handler, msg Message) error {
-	if msg.Kind == KindBatch {
-		switch bp := msg.Payload.(type) {
-		case *BatchPayload:
-			for i := range bp.Msgs {
-				h(bp.Msgs[i])
-			}
-			return nil
-		case []byte:
-			return readBatch(h, bp)
+// dispatch invokes h once per application message: a coalesced batch frame
+// is unpacked in order and everything else passes straight through, so
+// receivers never see the framing.
+func dispatch(h Handler, msg Message) {
+	if bp, ok := msg.Payload.(*BatchPayload); ok && msg.Kind == KindBatch {
+		for i := range bp.Msgs {
+			h(bp.Msgs[i])
 		}
+		return
 	}
 	h(msg)
-	return nil
 }
 
 // msgRing is a growable circular queue of messages. Unlike the previous
@@ -249,8 +235,8 @@ func (ib *inbox) enqueue(msg Message) bool {
 }
 
 // routeTable is an immutable routing snapshot. Send loads it with one
-// atomic read and touches no lock shared with other senders; Register,
-// Unregister and Close copy-on-write a new table (RCU-style) under regMu.
+// atomic read and touches no lock shared with other senders; Register
+// copies-on-write a new table (RCU-style) under regMu.
 // Node ids resolve through a direct slice index.
 type routeTable struct {
 	dense []*inbox // index = NodeID, nil holes
@@ -268,7 +254,7 @@ func (rt *routeTable) lookup(id NodeID) *inbox {
 	return nil
 }
 
-// clone copies the table so one entry can be added or removed.
+// clone copies the table so one entry can be added.
 func (rt *routeTable) clone(extraDense int) *routeTable {
 	next := &routeTable{
 		dense: make([]*inbox, max(len(rt.dense), extraDense)),
@@ -288,7 +274,7 @@ func (rt *routeTable) clone(extraDense int) *routeTable {
 // than two string-keyed registry lookups.
 type InMemNetwork struct {
 	routes atomic.Pointer[routeTable]
-	regMu  sync.Mutex // serializes Register / Unregister / Close
+	regMu  sync.Mutex // serializes Register / Close
 	model  CostModel
 	reg    *metrics.Registry
 	env    Env
@@ -385,37 +371,6 @@ func (n *InMemNetwork) Register(node NodeID, h Handler) error {
 	return nil
 }
 
-// Unregister removes a node from the network: queued messages are still
-// delivered, then the inbox closes and its delivery goroutine exits.
-// Subsequent unicast sends to the node fail; broadcasts skip it (counted
-// in net.dropped).
-func (n *InMemNetwork) Unregister(node NodeID) error {
-	n.regMu.Lock()
-	cur := n.routes.Load()
-	ib := cur.lookup(node)
-	if ib == nil {
-		n.regMu.Unlock()
-		return fmt.Errorf("transport: unregister unknown node %d", node)
-	}
-	next := cur.clone(0)
-	next.dense[node] = nil
-	for i, other := range next.list {
-		if other == ib {
-			next.list = append(next.list[:i], next.list[i+1:]...)
-			break
-		}
-	}
-	n.routes.Store(next)
-	n.regMu.Unlock()
-
-	ib.mu.Lock()
-	ib.closed = true
-	ib.cond.Broadcast()
-	ib.mu.Unlock()
-	<-ib.done
-	return nil
-}
-
 // deliver drains one node's inbox. The whole pending batch is taken in a
 // single critical section; the summed modeled delay of the batch — each
 // message priced with the identical per-message formula — is charged with
@@ -466,13 +421,7 @@ func (n *InMemNetwork) deliver(ib *inbox) {
 			sp.EndBytes(bytes)
 		}
 		for i := range batch {
-			// Frames here were built by this process's own coalescer and
-			// never left it, so one that does not decode is a bug, not a
-			// condition to recover from: failing loudly beats silently
-			// losing a batch and deadlocking flow control.
-			if err := dispatch(ib.handler, batch[i]); err != nil {
-				panic(err)
-			}
+			dispatch(ib.handler, batch[i])
 			batch[i] = Message{} // release payload before the next wait
 		}
 		ib.inflight.Store(0)

@@ -10,15 +10,6 @@ import (
 	"github.com/hamr-go/hamr/internal/vtime"
 )
 
-// keep copies a payload that arrived as bytes, which are the handler's
-// only until it returns, so a test can look at the message afterwards.
-func keep(m Message) Message {
-	if b, ok := m.Payload.([]byte); ok {
-		m.Payload = append([]byte(nil), b...)
-	}
-	return m
-}
-
 func TestInMemDelivery(t *testing.T) {
 	n := NewInMemNetwork(CostModel{}, nil)
 	defer n.Close()
@@ -206,119 +197,6 @@ func TestInMemQueueDepth(t *testing.T) {
 		t.Errorf("QueueDepth = %d, want 5", d)
 	}
 	close(block)
-}
-
-func TestTCPNetworkRoundTrip(t *testing.T) {
-	addrs := map[NodeID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"}
-	n := NewTCPNetwork(addrs)
-	defer n.Close()
-
-	got := make(chan Message, 10)
-	if err := n.Register(0, func(m Message) { got <- keep(m) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Register(1, func(m Message) { got <- keep(m) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Send(Message{From: 0, To: 1, Kind: "ping", Payload: []byte("over tcp"), Size: 8}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-got:
-		if m.Kind != "ping" || string(m.Payload.([]byte)) != "over tcp" || m.From != 0 || m.To != 1 || m.Size != 8 {
-			t.Fatalf("got %+v", m)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("tcp message not delivered")
-	}
-
-	// Reply over the reverse connection.
-	if err := n.Send(Message{From: 1, To: 0, Kind: "pong", Payload: []byte("back")}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-got:
-		if m.Kind != "pong" {
-			t.Fatalf("got %+v", m)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("tcp reply not delivered")
-	}
-}
-
-func TestTCPBroadcast(t *testing.T) {
-	addrs := map[NodeID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0", 2: "127.0.0.1:0"}
-	n := NewTCPNetwork(addrs)
-	defer n.Close()
-	var wg sync.WaitGroup
-	wg.Add(3)
-	for i := 0; i < 3; i++ {
-		if err := n.Register(NodeID(i), func(m Message) { wg.Done() }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := n.Send(Message{From: 0, To: Broadcast, Kind: "b", Payload: []byte("x")}); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("tcp broadcast incomplete")
-	}
-}
-
-func TestTCPUnknownNode(t *testing.T) {
-	n := NewTCPNetwork(map[NodeID]string{0: "127.0.0.1:0"})
-	defer n.Close()
-	n.Register(0, func(Message) {})
-	if err := n.Send(Message{From: 0, To: 9}); err == nil {
-		t.Fatal("send to unknown tcp node succeeded")
-	}
-}
-
-// bytePayload is a typed payload that encodes itself as its one byte.
-type bytePayload byte
-
-func (p bytePayload) AppendBinary(b []byte) ([]byte, error) { return append(b, byte(p)), nil }
-
-func TestTCPConcurrentSenders(t *testing.T) {
-	addrs := map[NodeID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"}
-	n := NewTCPNetwork(addrs)
-	defer n.Close()
-	var sum atomic.Int64
-	var count atomic.Int64
-	done := make(chan struct{})
-	n.Register(0, func(m Message) {
-		sum.Add(int64(m.Payload.([]byte)[0]))
-		if count.Add(1) == 200 {
-			close(done)
-		}
-	})
-	n.Register(1, func(Message) {})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				if err := n.Send(Message{From: 1, To: 0, Payload: bytePayload(1)}); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("only %d/200 messages arrived", count.Load())
-	}
-	if sum.Load() != 200 {
-		t.Fatalf("sum = %d", sum.Load())
-	}
 }
 
 func TestCostModelPresets(t *testing.T) {
