@@ -69,7 +69,7 @@ func TestConfigsAreTuning(t *testing.T) {
 	}{
 		{cluster.Options{}, 11},
 		{core.Config{}, 10},
-		{mapreduce.Config{}, 10},
+		{mapreduce.Config{}, 9},
 		{hdfs.Config{}, 4},
 		{transport.CoalescerConfig{}, 4},
 	} {

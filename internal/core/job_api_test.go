@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"github.com/hamr-go/hamr/internal/faults"
 )
 
 func wcChunks() [][]string {
@@ -85,6 +87,54 @@ func TestJobAbortTyped(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("aborted job did not settle")
+	}
+}
+
+// TestAbortCauseReachesEveryNode: a job that fails on node 1 fails on every
+// node, and each node's error keeps the typed cause — errors.Is still
+// matches ErrJobCanceled, faults.IsInjected an injected fault — after the
+// abort broadcast carried it across the fabric.
+func TestAbortCauseReachesEveryNode(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		err   error
+		match func(error) bool
+	}{
+		{"canceled", fmt.Errorf("caller stop: %w", ErrJobCanceled), func(err error) bool { return errors.Is(err, ErrJobCanceled) }},
+		{"injected", fmt.Errorf("loader failed: %w", &faults.Error{Op: "flowlet.fire", Site: "split:load:1:0#3"}), faults.IsInjected},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			nodes, cleanup := newTestCluster(t, 3, Config{Workers: 2})
+			defer cleanup()
+			// Node 0's held split keeps the job running on every node until
+			// the failure reaches it.
+			release := make(chan struct{})
+			defer close(release)
+			g := NewGraph("abort-" + c.name)
+			ld, _ := g.AddLoader("load", &heldLoader{release: release})
+			mp, _ := g.AddMap("map", nodeStamp{})
+			sk, _ := g.AddSink("out", NewCollectSink())
+			g.Connect(ld, mp)
+			g.Connect(mp, sk)
+			j, err := NewJob(g, nodes, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.Start()
+			j.jns[1].fail(c.err)
+			done := make(chan struct{})
+			go func() { j.Wait(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("a failure on node 1 did not end the job on every node")
+			}
+			for n, jn := range j.jns {
+				if err := jn.Error(); !c.match(err) {
+					t.Errorf("node %d: error %v lost its cause", n, err)
+				}
+			}
+		})
 	}
 }
 

@@ -312,7 +312,7 @@ func (rt *NodeRuntime) handle(msg transport.Message) {
 			break
 		}
 		if jn := rt.job(fm.Job); jn != nil {
-			jn.onRemoteFail(fm)
+			jn.abort(fm.relayed(), false)
 		}
 	}
 	if err != nil {

@@ -55,7 +55,7 @@ type mrRun struct {
 // pays modeled delays through clk (nil is the real clock). The injector is
 // armed only around the job: input load and output verification stay
 // fault-free.
-func runMRWordCount(t *testing.T, nodes int, clk vtime.Clock, fcfg *faults.Config, mcfg mapreduce.Config) *mrRun {
+func runMRWordCount(t *testing.T, nodes int, clk vtime.Clock, fcfg *faults.Config) *mrRun {
 	t.Helper()
 	c, err := cluster.New(cluster.Options{
 		NumNodes:        nodes,
@@ -71,7 +71,7 @@ func runMRWordCount(t *testing.T, nodes int, clk vtime.Clock, fcfg *faults.Confi
 	if err := c.FS().WriteFile("in/words", corpus(), -1); err != nil {
 		t.Fatal(err)
 	}
-	eng := mapreduce.NewEngine(c, mcfg)
+	eng := mapreduce.NewEngine(c, mapreduce.Config{})
 	inj := c.Substrate().Faults
 	inj.Arm()
 	res, err := eng.Run(mrapps.WordCountJob("in/words", "out", true, 3))
@@ -80,9 +80,9 @@ func runMRWordCount(t *testing.T, nodes int, clk vtime.Clock, fcfg *faults.Confi
 	if err == nil {
 		r.output = readHDFSOutput(t, c, "out/")
 		// Every map task here spills once, so its output is that one file
-		// under its attempt's name: a killed or revoked attempt, a
-		// speculative loser and the winner itself must each have taken
-		// theirs away by the time the job returns.
+		// under its attempt's name: a killed or revoked attempt and the
+		// one that succeeded must each have taken theirs away by the time
+		// the job returns.
 		for node, d := range c.Disks() {
 			for _, f := range d.List("") {
 				if !strings.HasPrefix(f, "hdfs/") {
@@ -175,7 +175,7 @@ func assertSameOutput(t *testing.T, got, want map[string]string) {
 // checkpoint and verifies the retried tasks reproduce the fault-free
 // output exactly, with kill and retry counters matching the predictor.
 func TestChaosMapTaskKills(t *testing.T) {
-	base := runMRWordCount(t, chaosNodes, nil, nil, mapreduce.Config{})
+	base := runMRWordCount(t, chaosNodes, nil, nil)
 	if base.err != nil {
 		t.Fatal(base.err)
 	}
@@ -184,7 +184,7 @@ func TestChaosMapTaskKills(t *testing.T) {
 	for _, seed := range []int64{1, 3, 5} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			fcfg := &faults.Config{Seed: seed, KillMap: 0.3}
-			run := runMRWordCount(t, chaosNodes, nil, fcfg, mapreduce.Config{})
+			run := runMRWordCount(t, chaosNodes, nil, fcfg)
 			inj := run.c.Substrate().Faults
 
 			var kills, retries int64
@@ -221,7 +221,7 @@ func TestChaosMapTaskKills(t *testing.T) {
 // (mid-merge): the retry must re-fetch from the still-present map output
 // and produce identical results.
 func TestChaosReduceTaskKills(t *testing.T) {
-	base := runMRWordCount(t, chaosNodes, nil, nil, mapreduce.Config{})
+	base := runMRWordCount(t, chaosNodes, nil, nil)
 	if base.err != nil {
 		t.Fatal(base.err)
 	}
@@ -229,7 +229,7 @@ func TestChaosReduceTaskKills(t *testing.T) {
 	for _, seed := range []int64{1, 2, 4} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			fcfg := &faults.Config{Seed: seed, KillReduce: 0.5}
-			run := runMRWordCount(t, chaosNodes, nil, fcfg, mapreduce.Config{})
+			run := runMRWordCount(t, chaosNodes, nil, fcfg)
 			inj := run.c.Substrate().Faults
 
 			var kills, retries int64
@@ -263,14 +263,14 @@ func TestChaosReduceTaskKills(t *testing.T) {
 // holds is unreadable and reads must fail over to the surviving replica,
 // while blocks written during the job must avoid the dead node entirely.
 func TestChaosDeadDatanode(t *testing.T) {
-	base := runMRWordCount(t, chaosNodes, nil, nil, mapreduce.Config{})
+	base := runMRWordCount(t, chaosNodes, nil, nil)
 	if base.err != nil {
 		t.Fatal(base.err)
 	}
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			fcfg := &faults.Config{Seed: seed, DeadNodes: 1}
-			run := runMRWordCount(t, chaosNodes, nil, fcfg, mapreduce.Config{})
+			run := runMRWordCount(t, chaosNodes, nil, fcfg)
 			if run.err != nil {
 				t.Fatalf("job failed: %v", run.err)
 			}
@@ -317,14 +317,14 @@ func TestChaosDeadDatanode(t *testing.T) {
 // memory must be returned exactly once per revocation and the rescheduled
 // attempts must reproduce the output.
 func TestChaosContainerRevocation(t *testing.T) {
-	base := runMRWordCount(t, chaosNodes, nil, nil, mapreduce.Config{})
+	base := runMRWordCount(t, chaosNodes, nil, nil)
 	if base.err != nil {
 		t.Fatal(base.err)
 	}
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			fcfg := &faults.Config{Seed: seed, Revoke: 0.4}
-			run := runMRWordCount(t, chaosNodes, nil, fcfg, mapreduce.Config{})
+			run := runMRWordCount(t, chaosNodes, nil, fcfg)
 			inj := run.c.Substrate().Faults
 
 			var revokes, retries int64
@@ -373,31 +373,27 @@ func TestChaosContainerRevocation(t *testing.T) {
 	}
 }
 
-// TestChaosSpeculativeExecution declares every map task a straggler: with
-// Speculation on, a backup attempt races each stalled original and the job
-// finishes with identical output.
-func TestChaosSpeculativeExecution(t *testing.T) {
-	base := runMRWordCount(t, chaosNodes, nil, nil, mapreduce.Config{})
+// TestChaosStragglerChargesFirstAttempt declares every map task a
+// straggler: each first attempt pays StraggleDelay to the clock's fault
+// resource, and the job's output is unchanged.
+func TestChaosStragglerChargesFirstAttempt(t *testing.T) {
+	base := runMRWordCount(t, chaosNodes, nil, nil)
 	if base.err != nil {
 		t.Fatal(base.err)
 	}
-	fcfg := &faults.Config{Seed: 1, Straggle: 1, StraggleDelay: 300 * time.Millisecond}
-	run := runMRWordCount(t, chaosNodes, nil, fcfg, mapreduce.Config{Speculation: true})
+	const delay = 300 * time.Millisecond
+	clk := vtime.NewVirtual(chaosNodes)
+	run := runMRWordCount(t, chaosNodes, clk, &faults.Config{Seed: 1, Straggle: 1, StraggleDelay: delay})
 	if run.err != nil {
 		t.Fatalf("job failed: %v", run.err)
 	}
 	assertSameOutput(t, run.output, base.output)
-	if got := counter(run.c, "mr.speculative.launched"); got != int64(base.res.MapTasks) {
-		t.Errorf("mr.speculative.launched = %d, want %d", got, base.res.MapTasks)
+	tasks := int64(base.res.MapTasks)
+	if got := counter(run.c, "faults.mr.straggle"); got != tasks {
+		t.Errorf("faults.mr.straggle = %d, want one per map task (%d)", got, tasks)
 	}
-	// The originals stall 300ms; the backups run at full speed and must
-	// win at least once (scheduling noise can let a stalled original slip
-	// through occasionally, but not everywhere).
-	if got := counter(run.c, "mr.speculative.won"); got == 0 {
-		t.Error("no speculative attempt won against a 300ms straggler")
-	}
-	if got := counter(run.c, "faults.mr.straggle"); got == 0 {
-		t.Error("no straggle faults recorded")
+	if got, want := clk.Busy(vtime.Fault), time.Duration(tasks)*delay; got != want {
+		t.Errorf("fault time charged = %v, want %v", got, want)
 	}
 }
 
@@ -562,7 +558,7 @@ func TestChaosFlowletRefire(t *testing.T) {
 // tasks were retried, and both outputs are the fault-free ones.
 func TestChaosMixedFaults(t *testing.T) {
 	const nodes = 8
-	mrBase := runMRWordCount(t, nodes, nil, nil, mapreduce.Config{})
+	mrBase := runMRWordCount(t, nodes, nil, nil)
 	hBase := runHAMRWordCount(t, nodes, nil, nil)
 	if mrBase.err != nil || hBase.err != nil {
 		t.Fatal(mrBase.err, hBase.err)
@@ -578,7 +574,7 @@ func TestChaosMixedFaults(t *testing.T) {
 					return nil
 				}
 				mr := runMRWordCount(t, nodes, clock(),
-					&faults.Config{Seed: seed, KillMap: 0.3, Revoke: 0.2}, mapreduce.Config{})
+					&faults.Config{Seed: seed, KillMap: 0.3, Revoke: 0.2})
 				if mr.err != nil {
 					t.Fatalf("mapreduce job failed: %v", mr.err)
 				}
@@ -662,8 +658,7 @@ func TestChaosSeedReplay(t *testing.T) {
 		output   map[string]string
 	}
 	run := func(seed int64) replay {
-		r := runMRWordCount(t, chaosNodes, nil, &faults.Config{Seed: seed, KillMap: 0.3, KillReduce: 0.3, Revoke: 0.2},
-			mapreduce.Config{})
+		r := runMRWordCount(t, chaosNodes, nil, &faults.Config{Seed: seed, KillMap: 0.3, KillReduce: 0.3, Revoke: 0.2})
 		if r.err != nil {
 			t.Fatalf("seed %d job failed: %v", seed, r.err)
 		}
@@ -705,7 +700,7 @@ func TestChaosDisabledInjectorIsInvariant(t *testing.T) {
 		Revoke: 0.9, FlowletFire: 0.9,
 	}
 
-	bare := runMRWordCount(t, chaosNodes, nil, nil, mapreduce.Config{})
+	bare := runMRWordCount(t, chaosNodes, nil, nil)
 	if bare.err != nil {
 		t.Fatal(bare.err)
 	}
@@ -741,7 +736,7 @@ func TestChaosDisabledInjectorIsInvariant(t *testing.T) {
 	// be zero (scheduling-dependent counters like mr.map.local are
 	// legitimately run-variable and are not compared).
 	for _, name := range []string{
-		"mr.jobs", "mr.spills", "mr.task.retries", "mr.speculative.launched",
+		"mr.jobs", "mr.spills", "mr.task.retries",
 		"faults.injected", "hdfs.failover.reads", "hdfs.write.replaced",
 		"flowlet.refires",
 	} {

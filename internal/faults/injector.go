@@ -89,8 +89,7 @@ type Config struct {
 	KillMap    float64
 	KillReduce float64
 
-	// Straggle makes a map task's first attempt sleep StraggleDelay,
-	// triggering speculative re-execution when enabled.
+	// Straggle makes a map task's first attempt sleep StraggleDelay.
 	Straggle      float64
 	StraggleDelay time.Duration
 
@@ -376,12 +375,6 @@ func (in *Injector) Straggle(site string) (time.Duration, bool) {
 	return in.cfg.StraggleDelay, true
 }
 
-// WouldStraggle is the pure decision behind Straggle; the scheduler uses
-// it to launch a speculative attempt without charging a fault.
-func (in *Injector) WouldStraggle(site string) bool {
-	return in.Armed() && in.chance("mr.straggle", site, 0, in.cfg.Straggle)
-}
-
 // --- flowlet faults (HAMR) ---
 
 // FlowletFire fails a fine-grain flowlet task at its start (crash before
@@ -422,16 +415,6 @@ func (in *Injector) ReplicaDown(node int, block string) error {
 	site := fmt.Sprintf("%s@%d", block, node)
 	in.record("hdfs.replica", site)
 	return &Error{Op: "hdfs.replica", Site: site}
-}
-
-// WouldReplicaDown is the pure decision behind ReplicaDown. Like the other
-// Would* predictors it does not consult the armed flag and no engine path
-// calls it: tests use it to predict which replicas a run will lose.
-func (in *Injector) WouldReplicaDown(node int, block string) bool {
-	if in == nil {
-		return false
-	}
-	return in.dead[node] || in.chance("hdfs.replica", block, uint64(node), in.cfg.DeadReplica)
 }
 
 // --- transport faults ---

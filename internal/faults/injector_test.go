@@ -32,13 +32,13 @@ func TestNilInjectorIsSafeAndInert(t *testing.T) {
 	if in.Revoke("map-00000", 0) || in.WouldRevoke("map-00000", 0) {
 		t.Fatal("nil injector revokes")
 	}
-	if _, ok := in.Straggle("map-00000"); ok || in.WouldStraggle("map-00000") {
+	if _, ok := in.Straggle("map-00000"); ok {
 		t.Fatal("nil injector straggles")
 	}
 	if err := in.FlowletFire("split:x:0:0", 0); err != nil || in.WouldFlowletFire("split:x:0:0", 0) {
 		t.Fatal("nil injector fires")
 	}
-	if in.NodeDown(0) || in.WouldReplicaDown(0, "blk_0") {
+	if in.NodeDown(0) {
 		t.Fatal("nil injector declares nodes down")
 	}
 	if err := in.ReplicaDown(0, "blk_0"); err != nil {
@@ -93,14 +93,16 @@ func TestDecisionsArePureFunctionsOfSeed(t *testing.T) {
 				t.Fatalf("same-seed decisions diverge at %s#%d", s, att)
 			}
 		}
-		if a.WouldStraggle(s) != b.WouldStraggle(s) {
+		da, oka := a.Straggle(s)
+		db, okb := b.Straggle(s)
+		if da != db || oka != okb {
 			t.Fatalf("straggle decision diverges at %s", s)
 		}
 	}
 	for node := 0; node < 8; node++ {
 		for blk := 0; blk < 10; blk++ {
 			id := blockID(blk)
-			if a.WouldReplicaDown(node, id) != b.WouldReplicaDown(node, id) {
+			if ea, eb := a.ReplicaDown(node, id), b.ReplicaDown(node, id); !reflect.DeepEqual(ea, eb) {
 				t.Fatalf("replica decision diverges at %s@%d", id, node)
 			}
 		}

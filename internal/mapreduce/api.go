@@ -129,12 +129,6 @@ type Config struct {
 	JobStartup time.Duration
 	// TaskStartup is charged once per task.
 	TaskStartup time.Duration
-	// Speculation enables Hadoop-style speculative execution: when the
-	// cluster's fault injector declares a map task's first attempt a
-	// straggler, a backup attempt races it and the first to finish wins
-	// (mapreduce.map.speculative). Only jobs with reducers speculate —
-	// map-only attempts publish HDFS files, which must stay single-writer.
-	Speculation bool
 }
 
 // FillDefaults replaces zero fields.
