@@ -5,16 +5,17 @@
 // distributed key-value store deployed on top.
 //
 // Both engines run over the same Cluster: the HAMR engine through Run, the
-// MapReduce baseline through the handles exposed by FS, Disks, Yarn,
-// ChargeNet and Substrate — so a comparison between them reflects engine
-// design, not substrate differences.
+// MapReduce baseline through the handles exposed by FS, Disks, Yarn, Net
+// and Substrate — so a comparison between them reflects engine design, not
+// substrate differences. Every byte that crosses nodes is priced by the one
+// fabric: bins as delivered messages, and HDFS remote reads, shuffle
+// fetches and key-value store access as its Transfers.
 package cluster
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 
 	"github.com/hamr-go/hamr/internal/core"
 	"github.com/hamr-go/hamr/internal/faults"
@@ -34,7 +35,6 @@ const (
 	ServiceHDFS    = "hdfs"
 	ServiceDisk    = "disk"
 	ServiceKVStore = "kvstore"
-	ServiceCluster = "cluster"
 )
 
 // Options configures a simulated cluster.
@@ -84,20 +84,6 @@ type Cluster struct {
 	store *kvstore.Store
 	sched *yarn.Scheduler
 	nodes []*core.NodeRuntime
-	model transport.CostModel
-	// rxMu serializes modeled ChargeNet delays per receiving node, so a
-	// node's ingress bandwidth is a real bottleneck for the baseline's
-	// shuffle fetches and HDFS remote reads (the fabric's own deliveries
-	// are already serialized per receiver by the transport).
-	rxMu []sync.Mutex
-
-	// ChargeNet handles, resolved once: shuffle fetches and HDFS remote
-	// reads charge the model at block rates, where a string-keyed registry
-	// lookup per charge is measurable (same pattern as the jobNode's
-	// pre-resolved counters).
-	mNetBytes *metrics.Counter
-	mNetMsgs  *metrics.Counter
-	tNetTime  *metrics.Timer
 }
 
 // New builds and starts a cluster.
@@ -123,16 +109,7 @@ func New(opts Options) (*Cluster, error) {
 		env.Faults = sub.Faults
 	}
 
-	c := &Cluster{
-		opts:  opts,
-		sub:   sub,
-		model: netModel,
-		rxMu:  make([]sync.Mutex, opts.NumNodes),
-
-		mNetBytes: reg.Counter("net.bytes"),
-		mNetMsgs:  reg.Counter("net.msgs"),
-		tNetTime:  reg.Timer("net.time"),
-	}
+	c := &Cluster{opts: opts, sub: sub}
 	c.net = transport.NewInMemNetwork(netModel, reg)
 	c.net.Use(env)
 
@@ -151,14 +128,14 @@ func New(opts Options) (*Cluster, error) {
 	fs, err := hdfs.New(c.disks, hdfs.Config{
 		BlockSize:   opts.HDFSBlockSize,
 		Replication: opts.HDFSReplication,
-		Remote:      c.ChargeNet,
+		Remote:      c.net.Transfer,
 		Substrate:   sub,
 	})
 	if err != nil {
 		return nil, err
 	}
 	c.fs = fs
-	c.store = kvstore.New(opts.NumNodes, c.ChargeNet)
+	c.store = kvstore.New(opts.NumNodes, c.net.Transfer)
 	c.sched = yarn.NewScheduler(opts.NumNodes, opts.YarnMemMB)
 	c.sched.SetTracer(sub.Trace)
 
@@ -168,7 +145,6 @@ func New(opts Options) (*Cluster, error) {
 			ServiceHDFS:    c.fs,
 			ServiceDisk:    c.disks[i],
 			ServiceKVStore: c.store,
-			ServiceCluster: c,
 		}
 		rt, err := core.NewNodeRuntime(i, opts.Core, sub, c.net, c.disks[i], services)
 		if err != nil {
@@ -201,6 +177,10 @@ func (c *Cluster) Disk(node int) storage.Disk { return c.disks[node] }
 // Nodes returns the per-node flowlet runtimes.
 func (c *Cluster) Nodes() []*core.NodeRuntime { return c.nodes }
 
+// Net returns the message fabric. The MapReduce baseline pays its shuffle
+// fetches through its Transfer, on the ingress that prices bins.
+func (c *Cluster) Net() *transport.InMemNetwork { return c.net }
+
 // Metrics returns the shared cluster metrics registry.
 func (c *Cluster) Metrics() *metrics.Registry { return c.sub.Metrics }
 
@@ -210,29 +190,6 @@ func (c *Cluster) Metrics() *metrics.Registry { return c.sub.Metrics }
 // so both engines pay the same bytes and seconds.
 func (c *Cluster) Substrate() substrate.Handle { return c.sub }
 
-// ChargeNet charges the network cost model for a point-to-point transfer,
-// sleeping the modeled delay in the caller's goroutine. It is used by the
-// substrates whose transfers do not flow through the message fabric (HDFS
-// remote reads, kv-store remote access, the baseline's shuffle fetch).
-func (c *Cluster) ChargeNet(from, to transport.NodeID, bytes int64) {
-	if from == to {
-		return
-	}
-	c.mNetBytes.Add(bytes)
-	c.mNetMsgs.Inc()
-	if d := c.model.Delay(bytes); d > 0 {
-		c.tNetTime.Observe(d)
-		if int(to) >= 0 && int(to) < len(c.rxMu) {
-			mu := &c.rxMu[to]
-			mu.Lock()
-			c.sub.Clock.Charge(int(to), vtime.Net, d)
-			mu.Unlock()
-		} else {
-			c.sub.Clock.Charge(vtime.Driver, vtime.Net, d)
-		}
-	}
-}
-
 // jobEnv builds the execution environment handed to every job.
 func (c *Cluster) jobEnv() *core.Env {
 	return &core.Env{
@@ -240,7 +197,6 @@ func (c *Cluster) jobEnv() *core.Env {
 		Services: map[string]any{
 			ServiceHDFS:    c.fs,
 			ServiceKVStore: c.store,
-			ServiceCluster: c,
 		},
 	}
 }

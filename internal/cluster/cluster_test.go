@@ -64,52 +64,6 @@ func TestLocalTextRoundTrip(t *testing.T) {
 	}
 }
 
-func TestChargeNetSerializesPerReceiver(t *testing.T) {
-	model := transport.CostModel{BytesPerSec: 10 << 20} // 10 MB/s
-	c, err := New(Options{NumNodes: 3, NetModel: &model})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	// Two concurrent 512KiB transfers to the SAME receiver must serialize
-	// (>= ~100ms); to different receivers they overlap (< ~100ms).
-	elapsed := func(to1, to2 transport.NodeID) time.Duration {
-		start := time.Now()
-		var wg sync.WaitGroup
-		for _, to := range []transport.NodeID{to1, to2} {
-			wg.Add(1)
-			go func(to transport.NodeID) {
-				defer wg.Done()
-				c.ChargeNet(2, to, 512<<10)
-			}(to)
-		}
-		wg.Wait()
-		return time.Since(start)
-	}
-	same := elapsed(0, 0)
-	diff := elapsed(0, 1)
-	if same < 90*time.Millisecond {
-		t.Errorf("same-receiver transfers took %v, want >= ~100ms", same)
-	}
-	if diff > same {
-		t.Errorf("different receivers (%v) slower than same receiver (%v)", diff, same)
-	}
-}
-
-func TestChargeNetSelfIsFree(t *testing.T) {
-	model := transport.CostModel{BytesPerSec: 1} // absurdly slow
-	c, err := New(Options{NumNodes: 2, NetModel: &model})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	start := time.Now()
-	c.ChargeNet(1, 1, 1<<30)
-	if time.Since(start) > 100*time.Millisecond {
-		t.Fatal("self transfer charged")
-	}
-}
-
 func TestRunJobOnCluster(t *testing.T) {
 	c, err := New(Options{NumNodes: 4, Core: core.Config{Workers: 2}})
 	if err != nil {

@@ -550,8 +550,9 @@ func TestChaosFlowletRefire(t *testing.T) {
 
 // TestChaosMixedFaults is the end-to-end recovery check at the benchmarks'
 // cluster size: eight nodes, a mixed fault configuration per engine — task
-// kills with container revocations under MapReduce, flowlet crashes with
-// message drop/dup/delay under HAMR — on the real clock and on a virtual
+// kills with container revocations and wire drops/delays under MapReduce,
+// flowlet crashes with message drop/dup/delay under HAMR — on the real
+// clock and on a virtual
 // one, where injected delays advance logical clocks instead of sleeping.
 // Seeds are verified to inject faults into every layer without exhausting
 // any task's retry budget. Recovery must mask every fault: faults fired,
@@ -573,8 +574,10 @@ func TestChaosMixedFaults(t *testing.T) {
 					}
 					return nil
 				}
-				mr := runMRWordCount(t, nodes, clock(),
-					&faults.Config{Seed: seed, KillMap: 0.3, Revoke: 0.2})
+				mr := runMRWordCount(t, nodes, clock(), &faults.Config{
+					Seed: seed, KillMap: 0.3, Revoke: 0.2,
+					MsgDrop: 0.2, MsgDelay: 0.2, MsgDelayDur: 100 * time.Microsecond,
+				})
 				if mr.err != nil {
 					t.Fatalf("mapreduce job failed: %v", mr.err)
 				}
@@ -583,6 +586,11 @@ func TestChaosMixedFaults(t *testing.T) {
 				}
 				if counter(mr.c, "mr.task.retries") == 0 {
 					t.Error("mapreduce: no task was retried")
+				}
+				// Shuffle fetches and remote block reads cross the fabric as
+				// Transfers, so the wire faults reach them too.
+				if counter(mr.c, "faults.net.drop")+counter(mr.c, "faults.net.delay") == 0 {
+					t.Errorf("mapreduce: no wire fault over %d transfers", counter(mr.c, "net.msgs"))
 				}
 				assertSameOutput(t, mr.output, mrBase.output)
 

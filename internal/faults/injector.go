@@ -420,11 +420,13 @@ func (in *Injector) ReplicaDown(node int, block string) error {
 // --- transport faults ---
 
 // DeliveryFault is consulted once per message delivered to node's inbox
-// and returns the simulated wire mishaps: retrans counts dropped-then-
-// retransmitted copies, dups counts duplicates the fabric dedups, extra is
-// added latency. The fabric stays reliable — delivery happens exactly
-// once — so outputs are unchanged while modeled time and the faults.net.*
-// counters show the churn. Implements transport.FaultHook.
+// and once per priced transfer to node (HDFS remote read, shuffle fetch,
+// key-value store access), and returns the simulated wire mishaps: retrans
+// counts dropped-then-retransmitted copies, dups counts duplicates the
+// fabric dedups, extra is added latency. The fabric stays reliable —
+// delivery happens exactly once — so outputs are unchanged while modeled
+// time and the faults.net.* counters show the churn. Implements
+// transport.FaultHook.
 func (in *Injector) DeliveryFault(node int, size int64) (retrans, dups int, extra time.Duration) {
 	if !in.Armed() {
 		return 0, 0, 0

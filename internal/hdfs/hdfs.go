@@ -6,8 +6,9 @@
 // locality behaviour §3.3 contrasts with).
 //
 // Reads from a node that holds a replica hit only the local disk; remote
-// reads additionally charge the cluster network model via the RemoteCharger
-// callback.
+// reads additionally pay the fabric through Config.Remote, which the
+// cluster sets to its network's Transfer, so a remote block queues at the
+// reader's ingress with the messages arriving there.
 package hdfs
 
 import (
@@ -29,10 +30,6 @@ import (
 
 // DefaultBlockSize is the scaled-down stand-in for HDFS's 64/128 MB blocks.
 const DefaultBlockSize = 1 << 20
-
-// RemoteCharger accounts for a remote block transfer of the given size from
-// the node holding the replica to the reading node.
-type RemoteCharger func(from, to transport.NodeID, bytes int64)
 
 // Block describes one stored block of a file.
 type Block struct {
@@ -57,7 +54,7 @@ type FileSystem struct {
 	files       map[string]*fileMeta
 	nextBlock   int
 	nextNode    int // round-robin placement cursor
-	charge      RemoteCharger
+	charge      func(from, to transport.NodeID, bytes int64)
 	faults      *faults.Injector
 	tr          *trace.Tracer
 	readSeq     atomic.Int64 // numbers traced block reads for span IDs
@@ -72,9 +69,10 @@ type FileSystem struct {
 type Config struct {
 	BlockSize   int64
 	Replication int
-	// Remote is invoked for every remote block read; nil means free remote
-	// reads (tests).
-	Remote RemoteCharger
+	// Remote prices every remote block read, from the replica's node to
+	// the reader's: the cluster passes its fabric's Transfer. Nil means
+	// free remote reads (tests).
+	Remote func(from, to transport.NodeID, bytes int64)
 	// Substrate is the cluster's shared handle; the zero value is filled.
 	// Under its injector reads fail over past dead replicas and writes
 	// re-place blocks off dead nodes; its registry receives the hdfs.*

@@ -5,8 +5,11 @@
 //
 // A Store is sharded across cluster nodes by key hash. Tables namespace
 // keys. Access from the shard's own node is free; access from another node
-// charges the cluster network model through the RemoteCharger callback,
-// preserving the cost structure a real deployment would have.
+// pays the fabric for the bytes in the direction they move — a Put or
+// Update from the requester to the owner, a Get from the owner back to the
+// requester — through the transfer function the cluster passes to New (its
+// network's Transfer). LocalPut and LocalGet touch only the caller's own
+// shard and are always free; they are what the workloads use.
 package kvstore
 
 import (
@@ -16,21 +19,18 @@ import (
 	"github.com/hamr-go/hamr/internal/transport"
 )
 
-// RemoteCharger accounts a cross-node transfer of approximately `bytes`
-// bytes between two nodes.
-type RemoteCharger func(from, to transport.NodeID, bytes int64)
-
 // Store is a cluster-wide, node-sharded key-value store.
 type Store struct {
 	numNodes int
-	charge   RemoteCharger
+	charge   func(from, to transport.NodeID, bytes int64)
 	mu       sync.Mutex
 	tables   map[string]*Table
 }
 
-// New creates a store over numNodes shards. charge may be nil (free remote
-// access, used in tests).
-func New(numNodes int, charge RemoteCharger) *Store {
+// New creates a store over numNodes shards. charge prices a remote access
+// of about bytes moving from one node to another; nil makes remote access
+// free (tests).
+func New(numNodes int, charge func(from, to transport.NodeID, bytes int64)) *Store {
 	if numNodes < 1 {
 		numNodes = 1
 	}
@@ -81,9 +81,11 @@ func (t *Table) Owner(key string) int {
 	return core.HashPartition(key, t.store.numNodes)
 }
 
-func (t *Table) chargeIfRemote(from, owner int, bytes int64) {
-	if from >= 0 && from != owner && t.store.charge != nil {
-		t.store.charge(transport.NodeID(from), transport.NodeID(owner), bytes)
+// chargeIfRemote prices bytes moving from node src to node dst. A
+// location-less client (-1) on either end is never charged.
+func (t *Table) chargeIfRemote(src, dst int, bytes int64) {
+	if src >= 0 && dst >= 0 && src != dst && t.store.charge != nil {
+		t.store.charge(transport.NodeID(src), transport.NodeID(dst), bytes)
 	}
 }
 
@@ -106,7 +108,7 @@ func (t *Table) Get(from int, key string) (any, bool) {
 	v, ok := sh.m[key]
 	sh.mu.RUnlock()
 	if ok {
-		t.chargeIfRemote(from, owner, int64(len(key))+core.ValueSize(v))
+		t.chargeIfRemote(owner, from, int64(len(key))+core.ValueSize(v))
 	}
 	return v, ok
 }

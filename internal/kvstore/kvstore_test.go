@@ -3,6 +3,7 @@ package kvstore
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -140,6 +141,30 @@ func TestRemoteChargeAccounting(t *testing.T) {
 	tb.Put(-1, key, "v2")
 	if transfers != 0 {
 		t.Fatalf("client put charged %d", transfers)
+	}
+}
+
+// TestRemoteChargeDirection: a remote access is charged in the direction
+// its bytes move — a Put from the requester to the owner, a Get's value
+// from the owner back to the requester, whose ingress it arrives at.
+func TestRemoteChargeDirection(t *testing.T) {
+	type hop struct{ from, to transport.NodeID }
+	var hops []hop
+	s := New(4, func(from, to transport.NodeID, n int64) {
+		hops = append(hops, hop{from, to})
+	})
+	tb := s.Table("t")
+	key := "somekey"
+	owner := transport.NodeID(tb.Owner(key))
+	requester := (owner + 1) % 4
+
+	tb.Put(int(requester), key, "value")
+	if _, ok := tb.Get(int(requester), key); !ok {
+		t.Fatal("get failed")
+	}
+	want := []hop{{requester, owner}, {owner, requester}}
+	if !reflect.DeepEqual(hops, want) {
+		t.Fatalf("charged %v, want Put %v then Get %v", hops, want[0], want[1])
 	}
 }
 

@@ -243,7 +243,7 @@ func (j *jobRun) runReduceTask(r, attempt int, maps []*mapResult) (fetched int64
 			ssp = tr.Start(node, tag+"/"+tname,
 				fmt.Sprintf("%s/%s/shuffle:from%d", tag, tname, src), "shuffle", "net")
 		}
-		j.c.ChargeNet(transport.NodeID(src), transport.NodeID(node), n)
+		j.c.Net().Transfer(transport.NodeID(src), transport.NodeID(node), n)
 		reg.Add("mr.shuffle.bytes", n)
 		ssp.EndBytes(n)
 	}

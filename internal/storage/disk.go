@@ -1,6 +1,6 @@
 // Package storage provides the local-disk substrate used by both engines:
-// an in-memory disk for tests, a real-filesystem disk, and a cost-model
-// disk that charges seek latency and throughput-proportional delays so a
+// an in-memory disk, a fault-injecting wrapper, and a cost-model wrapper
+// that charges seek latency and throughput-proportional delays so a
 // scaled-down single-machine run preserves the relative cost of disk IO on
 // a commodity cluster (SATA-III in the paper's Table 1).
 //
@@ -11,8 +11,6 @@ package storage
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -394,85 +392,6 @@ func (d *MemDisk) List(prefix string) []string {
 	return names
 }
 
-// OSDisk stores files under a root directory on the real filesystem. File
-// names may contain '/' which map to subdirectories.
-type OSDisk struct {
-	root string
-}
-
-// NewOSDisk returns a Disk rooted at dir, creating it if needed.
-func NewOSDisk(dir string) (*OSDisk, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("storage: create root: %w", err)
-	}
-	return &OSDisk{root: dir}, nil
-}
-
-func (d *OSDisk) path(name string) string { return filepath.Join(d.root, filepath.FromSlash(name)) }
-
-// Create implements Disk.
-func (d *OSDisk) Create(name string) (io.WriteCloser, error) {
-	p := d.path(name)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return nil, err
-	}
-	return os.Create(p)
-}
-
-// Open implements Disk.
-func (d *OSDisk) Open(name string) (io.ReadSeekCloser, error) {
-	f, err := os.Open(d.path(name))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, &ErrNotExist{Name: name}
-		}
-		return nil, err
-	}
-	return f, nil
-}
-
-// Remove implements Disk.
-func (d *OSDisk) Remove(name string) error {
-	err := os.Remove(d.path(name))
-	if os.IsNotExist(err) {
-		return &ErrNotExist{Name: name}
-	}
-	return err
-}
-
-// Size implements Disk.
-func (d *OSDisk) Size(name string) (int64, error) {
-	fi, err := os.Stat(d.path(name))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, &ErrNotExist{Name: name}
-		}
-		return 0, err
-	}
-	return fi.Size(), nil
-}
-
-// List implements Disk.
-func (d *OSDisk) List(prefix string) []string {
-	var names []string
-	_ = filepath.Walk(d.root, func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() {
-			return nil
-		}
-		rel, err := filepath.Rel(d.root, path)
-		if err != nil {
-			return nil
-		}
-		name := filepath.ToSlash(rel)
-		if strings.HasPrefix(name, prefix) {
-			names = append(names, name)
-		}
-		return nil
-	})
-	sort.Strings(names)
-	return names
-}
-
 // CostModel describes the performance of a modeled disk. A scaled-down
 // run uses TimeScale < 1 to compress modeled delays while preserving
 // their ratio to compute time.
@@ -652,6 +571,5 @@ func (d *CostDisk) List(prefix string) []string { return d.backing.List(prefix) 
 
 var (
 	_ Disk = (*MemDisk)(nil)
-	_ Disk = (*OSDisk)(nil)
 	_ Disk = (*CostDisk)(nil)
 )

@@ -178,16 +178,6 @@ func TestMemDisk(t *testing.T) {
 	diskContract(t, func(t *testing.T) Disk { return NewMemDisk(0) })
 }
 
-func TestOSDisk(t *testing.T) {
-	diskContract(t, func(t *testing.T) Disk {
-		d, err := NewOSDisk(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	})
-}
-
 func TestCostDiskPassthrough(t *testing.T) {
 	diskContract(t, func(t *testing.T) Disk {
 		cd := NewCostDisk(NewMemDisk(0), CostModel{}, nil)

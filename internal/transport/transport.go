@@ -5,10 +5,13 @@
 // cluster, priced by a CostModel that stands in for the paper's FDR
 // InfiniBand. Each destination node has a delivery queue drained by a
 // dedicated goroutine, which charges a configurable latency + bandwidth
-// cost before invoking the destination handler. Per-node ingress is
-// therefore serialized, which models the hot-receiver bottleneck the paper
-// observes for skewed key spaces (§5.2, HistogramRatings). Every payload
-// reaches its handler as the sender's own Go value; nothing is encoded.
+// cost before invoking the destination handler. Transfer prices the bytes
+// that cross nodes without a handler (HDFS remote reads, shuffle fetches,
+// key-value store access) the same way, on the same per-node ingress.
+// Ingress is therefore serialized, which models the hot-receiver
+// bottleneck the paper observes for skewed key spaces (§5.2,
+// HistogramRatings). Every payload reaches its handler as the sender's own
+// Go value; nothing is encoded.
 //
 // A Coalescer (coalesce.go) can wrap the network to aggregate small
 // same-destination messages into one batch frame, which the network
@@ -69,11 +72,12 @@ type Handler func(msg Message)
 
 // FaultHook lets a fault injector perturb delivery (see internal/faults).
 // It is consulted once per wire message (a coalesced batch frame counts as
-// one) arriving at a node and returns the simulated mishaps: retrans
-// counts dropped-then-retransmitted copies, dups counts duplicates the
-// fabric dedups by sequence number, extra is added latency. The fabric
-// stays reliable — every message is still delivered exactly once — so the
-// faults cost modeled time without perturbing application state.
+// one) and once per Transfer arriving at a node, and returns the simulated
+// mishaps: retrans counts dropped-then-retransmitted copies, dups counts
+// duplicates the fabric dedups by sequence number, extra is added latency.
+// The fabric stays reliable — every message is still delivered exactly
+// once — so the faults cost modeled time without perturbing application
+// state.
 type FaultHook interface {
 	DeliveryFault(node int, size int64) (retrans, dups int, extra time.Duration)
 }
@@ -207,6 +211,10 @@ type inbox struct {
 	closed  bool
 	handler Handler
 	done    chan struct{}
+	// ingress is the node's receive link: every modeled charge on its Net
+	// lane — a delivered batch or a Transfer — is paid holding it, so on the
+	// real clock two arrivals at one node queue instead of overlapping.
+	ingress sync.Mutex
 	// inflight counts messages drained from the queue but not yet handed
 	// to the handler, so QueueDepth reports undelivered messages even
 	// while the delivery goroutine works through a batch.
@@ -371,6 +379,26 @@ func (n *InMemNetwork) Register(node NodeID, h Handler) error {
 	return nil
 }
 
+// price is the modeled cost of one wire message of size bytes arriving at
+// node: the model's delay, plus, under injected wire faults, one more
+// transfer per retransmitted or duplicated copy and any extra latency. The
+// payload itself still arrives exactly once.
+func (n *InMemNetwork) price(node NodeID, size int64) time.Duration {
+	d := n.model.Delay(size)
+	if hook := n.env.Faults; hook != nil {
+		retrans, dups, extra := hook.DeliveryFault(int(node), size)
+		d += time.Duration(retrans+dups)*d + extra
+	}
+	return d
+}
+
+// pay charges d to ib's node's Net lane through its ingress.
+func (n *InMemNetwork) pay(ib *inbox, d time.Duration) {
+	ib.ingress.Lock()
+	n.env.Clock.Charge(int(ib.id), vtime.Net, d)
+	ib.ingress.Unlock()
+}
+
 // deliver drains one node's inbox. The whole pending batch is taken in a
 // single critical section; the summed modeled delay of the batch — each
 // message priced with the identical per-message formula — is charged with
@@ -391,19 +419,9 @@ func (n *InMemNetwork) deliver(ib *inbox) {
 		ib.inflight.Store(int64(len(batch)))
 		ib.mu.Unlock()
 
-		hook := n.env.Faults
 		var total time.Duration
 		for i := range batch {
-			d := n.model.Delay(batch[i].Size)
-			if hook != nil {
-				// Injected wire faults: each retransmitted or duplicated
-				// copy costs one more transfer of the same message, plus
-				// any extra injected latency. Delivery still happens
-				// exactly once below.
-				retrans, dups, extra := hook.DeliveryFault(int(ib.id), batch[i].Size)
-				d += time.Duration(retrans+dups)*d + extra
-			}
-			total += d
+			total += n.price(ib.id, batch[i].Size)
 		}
 		if total > 0 {
 			n.tTime.ObserveN(total, int64(len(batch)))
@@ -417,7 +435,7 @@ func (n *InMemNetwork) deliver(ib *inbox) {
 				sp = t.Start(int(ib.id), "",
 					fmt.Sprintf("net:rx%d:%d", ib.id, ib.deliveries), "deliver", "net")
 			}
-			n.env.Clock.Charge(int(ib.id), vtime.Net, total)
+			n.pay(ib, total)
 			sp.EndBytes(bytes)
 		}
 		for i := range batch {
@@ -467,6 +485,29 @@ func (n *InMemNetwork) Send(msg Message) error {
 	n.mMsgs.Inc()
 	n.mBytes.Add(msg.Size)
 	return nil
+}
+
+// Transfer prices a payload-less move of bytes from one node to another —
+// an HDFS remote block read, a shuffle fetch, a key-value store access —
+// exactly as a delivered message of that size is priced, and pays it in
+// the caller's goroutine on the receiver's ingress, where it queues with
+// the bins arriving there. A transfer to self is free; one to a node with
+// no inbox moves nothing and counts in net.dropped.
+func (n *InMemNetwork) Transfer(from, to NodeID, bytes int64) {
+	if from == to {
+		return
+	}
+	ib := n.routes.Load().lookup(to)
+	if ib == nil {
+		n.mDropped.Inc()
+		return
+	}
+	n.mMsgs.Inc()
+	n.mBytes.Add(bytes)
+	if d := n.price(to, bytes); d > 0 {
+		n.tTime.Observe(d)
+		n.pay(ib, d)
+	}
 }
 
 // QueueDepth returns the number of undelivered messages for a node

@@ -1,8 +1,9 @@
 // Package vtime is the clock seam under every modeled cost in the
 // simulation. Disk throughput and seeks (storage.CostModel), network
-// latency and bandwidth (transport.CostModel, cluster.ChargeNet), MapReduce
-// job/task startup and injected fault delays all price a simulated action
-// as a time.Duration; how that duration is *paid* is this package's concern.
+// latency and bandwidth (transport.CostModel, charged only by the fabric:
+// its delivered messages and its Transfers), MapReduce job/task startup
+// and injected fault delays all price a simulated action as a
+// time.Duration; how that duration is *paid* is this package's concern.
 //
 // Two implementations are provided:
 //
@@ -187,7 +188,7 @@ func (v *VirtualClock) Mark() Mark {
 
 // Since reports the modeled elapsed time since m: the driver lane's
 // advance plus the maximum advance of any single node lane. Driver work
-// (job startup, un-attributed transfers) is serial with everything;
+// (job startup) is serial with everything;
 // node work overlaps across nodes and the slowest node paces the run.
 // Within a node charges accumulate, so intra-node overlap is
 // deliberately not modeled — see DESIGN.md "Virtual
