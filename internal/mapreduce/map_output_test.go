@@ -166,6 +166,11 @@ func (f *ledgerFile) Close() error {
 // move is pinned beside them and did not: the file counts, mr.spills,
 // mr.spill.bytes (accounted before encoding), mr.merge.passes, mr.combines,
 // the number of fetch runs and the output hash.
+//
+// The fetch pin, its count and mr.reduce.disk.merges moved when the reduce
+// side began to merge in memory, as Hadoop's InMemoryMerger does: a fetch
+// run is now what memory held when heap/2 filled, merged into one file.
+// Every map-side pin, the output hash and the other counters did not move.
 func TestMapOutputFilesMatchPinnedBaseline(t *testing.T) {
 	sumReducer := func() Reducer { return wcReducer{} }
 	for _, tc := range []struct {
@@ -225,15 +230,18 @@ func TestMapOutputFilesMatchPinnedBaseline(t *testing.T) {
 			// 14 outputs hold what 56 segment files did.
 			counts: [3]int{123, 41, 14},
 			// Every reducer crosses its in-memory budget part of the way
-			// through its fetch: 14 of the runs were written from memory (12
-			// and 44 disk merges before PR 23 — smaller sections, so two
-			// more of them fit under heap/2).
-			fetch:  "1b8acedaf2df45f888d53e04d518d18e352320961d1587b8a0d7820a43dcd886",
-			nfetch: 56,
+			// through its fetch and merges what memory holds into one disk
+			// run each time heap/2 fills: the fetch runs are those 14. Before
+			// the in-memory merge they were 56, one a section, 14 of them
+			// copied from memory at the crossing, with 42 disk merges (12
+			// and 44 before the varint codec: smaller sections, so two more
+			// of them fit under heap/2).
+			fetch:  "6677fbd0b2c428e4cbf643e0707e59dcd3883ec46bedcf2f434ea88d6e88ea24",
+			nfetch: 14,
 			output: "64b3f8c737b492a0d206a7932891084b62184a61634ca5baab4ef46d93595c15",
 			metrics: map[string]int64{
 				"mr.spills": 123, "mr.spill.bytes": 232000, "mr.merge.passes": 41,
-				"mr.combines": 0, "mr.reduce.disk.merges": 42,
+				"mr.combines": 0, "mr.reduce.disk.merges": 14,
 			},
 		},
 	} {

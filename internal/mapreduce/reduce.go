@@ -102,33 +102,46 @@ func (g *groupReducer) flush() error {
 	return g.red.Reduce(string(g.key[runKeyPrefix:]), values, g.em)
 }
 
-// runSource is an open run: encoded records, each valid until the next.
-type runSource interface {
-	extsort.Source[storage.Record]
-	io.Closer
-}
-
-// copySegment copies the records of src into the run file name on disk
-// without decoding them, and closes src.
-func copySegment(src runSource, disk storage.Disk, name string) error {
-	defer src.Close()
-	w, err := extsort.CreateRawRun(disk, name)
+// writeRun merges the runs on from into one plain run named name on to.
+func writeRun(from storage.Disk, runs []extsort.Run, to storage.Disk, name string) error {
+	w, err := extsort.CreateRawRun(to, name)
 	if err != nil {
 		return err
 	}
-	for {
-		rc, err := src.Next()
-		if err == io.EOF {
-			return w.Close()
+	err = extsort.MergeRuns(from, runs, w.Write)
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// mergeFetched streams the records of the runs on disk and then of those in
+// mem to emit, merged as MergeRuns merges one disk's: by their key bytes,
+// equal keys from the earlier run first.
+func mergeFetched(disk storage.Disk, onDisk []extsort.Run, mem storage.Disk, inMem []extsort.Run,
+	emit func(key, value []byte) error) error {
+
+	sources := make([]extsort.Source[storage.Record], 0, len(onDisk)+len(inMem))
+	var open []io.Closer
+	defer func() {
+		for _, src := range open {
+			src.Close()
 		}
-		if err == nil {
-			err = w.Write(rc.Key, rc.Value)
-		}
-		if err != nil {
-			w.Close()
-			return err
+	}()
+	for _, at := range []struct {
+		disk storage.Disk
+		runs []extsort.Run
+	}{{disk, onDisk}, {mem, inMem}} {
+		for _, run := range at.runs {
+			src, err := extsort.OpenRawRun(at.disk, run.Name)
+			if err != nil {
+				return err
+			}
+			sources, open = append(sources, src), append(open, src)
 		}
 	}
+	return extsort.Merge(sources, func(a, b storage.Record) int { return bytes.Compare(a.Key, b.Key) },
+		func(rc storage.Record, _ int) error { return emit(rc.Key, rc.Value) })
 }
 
 func (j *jobRun) runReduceTask(r, attempt int, maps []*mapResult) (fetched int64, rerr error) {
@@ -160,14 +173,32 @@ func (j *jobRun) runReduceTask(r, attempt int, maps []*mapResult) (fetched int64
 	}()
 
 	// ---- shuffle fetch ----
-	// A fetched section becomes a plain run of run keys and encoded values on
-	// at: mem, a disk made of the task's own memory, uncharged, while the
-	// sections fit the in-memory shuffle budget; the node's disk from the
-	// first one that does not, when mem is dropped.
+	// A fetched section becomes a plain run of run keys and encoded values in
+	// mem, a disk made of the task's own memory, uncharged: Hadoop's
+	// in-memory shuffle. Before a section would take what mem holds past
+	// half the heap, the runs there are merged into one run on the node's
+	// disk and mem fills again from empty, as Hadoop's InMemoryMerger does;
+	// a section larger than half the heap by itself follows them to the
+	// disk as it is. Either way the disk's runs are in map-task order.
 	mem := storage.NewMemDisk(0)
-	at := storage.Disk(mem)
-	var runs []extsort.Run
-	var payload int64 // of the sections fetched so far
+	var memRuns, diskRuns []extsort.Run
+	var payload int64 // of the runs in mem
+
+	// toDisk merges the runs on from, of n payload bytes, into the next run
+	// on the node's disk and counts it.
+	toDisk := func(from storage.Disk, runs []extsort.Run, n int64) error {
+		name := fmt.Sprintf("%s/fetch-%05d", taskName, len(diskRuns))
+		diskRuns = append(diskRuns, extsort.Run{Name: name})
+		if err := writeRun(from, runs, disk, name); err != nil {
+			return err
+		}
+		reg.Inc("mr.reduce.disk.merges")
+		if tr.Enabled() {
+			tr.Instant(node, tag+"/"+tname,
+				fmt.Sprintf("%s/%s/rspill-%05d", tag, tname, len(diskRuns)-1), "spill", n)
+		}
+		return nil
+	}
 
 	// Transfers are charged per source node with the section sizes summed
 	// (one bulk fetch per map host, the way Hadoop's fetcher pulls all of
@@ -184,21 +215,15 @@ func (j *jobRun) runReduceTask(r, attempt int, maps []*mapResult) (fetched int64
 			continue
 		}
 		seg := part.Sections[0]
-		if mem != nil && payload+seg.Payload > heap/2 {
-			// The fetched data exceeds the in-memory shuffle budget: move
-			// the runs held in memory to the disk and fetch the rest there,
-			// like Hadoop's merge-to-disk.
-			at = disk
-			for _, run := range runs {
-				src, err := extsort.OpenRawRun(mem, run.Name)
-				if err == nil {
-					err = copySegment(src, at, run.Name)
-				}
-				if err != nil {
-					return fetched, err
-				}
+		if payload+seg.Payload > heap/2 && len(memRuns) > 0 {
+			err := toDisk(mem, memRuns, payload)
+			for _, run := range memRuns {
+				_ = mem.Remove(run.Name)
 			}
-			mem = nil
+			if err != nil {
+				return fetched, fmt.Errorf("%s merge to disk: %w", taskName, err)
+			}
+			memRuns, payload = memRuns[:0], 0
 		}
 		// Read the section from the map node's disk (charges that disk one
 		// seek and the section's bytes), then pay the network transfer to
@@ -209,28 +234,23 @@ func (j *jobRun) runReduceTask(r, attempt int, maps []*mapResult) (fetched int64
 			fsp = tr.Start(mr.node, tag+"/"+tname,
 				fmt.Sprintf("%s/%s/fetch-%05d", tag, tname, mi), "fetch", "disk")
 		}
-		rdr, err := extsort.OpenSections(j.c.Disk(mr.node), part)
+		var err error
+		if seg.Payload > heap/2 {
+			err = toDisk(j.c.Disk(mr.node), []extsort.Run{part}, seg.Payload)
+		} else {
+			name := fmt.Sprintf("map-%05d", mi)
+			memRuns = append(memRuns, extsort.Run{Name: name})
+			payload += seg.Payload
+			err = writeRun(j.c.Disk(mr.node), []extsort.Run{part}, mem, name)
+		}
 		if err != nil {
 			return fetched, fmt.Errorf("%s fetch %s: %w", taskName, part.Name, err)
-		}
-		name := fmt.Sprintf("%s/fetch-%05d", taskName, len(runs))
-		runs = append(runs, extsort.Run{Name: name})
-		payload += seg.Payload
-		if err := copySegment(rdr, at, name); err != nil {
-			return fetched, err
 		}
 		fsp.EndBytes(seg.Len)
 		if mr.node != node {
 			remoteBytes[mr.node] += seg.Len
 		}
 		fetched += seg.Len
-		if mem == nil {
-			reg.Inc("mr.reduce.disk.merges")
-			if tr.Enabled() {
-				tr.Instant(node, tag+"/"+tname,
-					fmt.Sprintf("%s/%s/rspill-%05d", tag, tname, len(runs)-1), "spill", seg.Payload)
-			}
-		}
 	}
 
 	// Pay the grouped network transfers, in node order.
@@ -275,14 +295,16 @@ func (j *jobRun) runReduceTask(r, attempt int, maps []*mapResult) (fetched int64
 		}
 	}
 
-	// One merge over the fetched runs, in map-task order, wherever they
-	// are; a value is first decoded here, on its way into Reduce.
+	// One merge over the runs, in map-task order: the disk's in the order
+	// they were written, then those still in memory, which stay there as
+	// they would had none gone to the disk. A value is first decoded here,
+	// on its way into Reduce.
 	groups := &groupReducer{red: reducer, em: em}
-	if err = extsort.MergeRuns(at, runs, groups.add); err == nil {
+	if err = mergeFetched(disk, diskRuns, mem, memRuns, groups.add); err == nil {
 		err = groups.flush()
 	}
-	for _, run := range runs {
-		_ = at.Remove(run.Name)
+	for _, run := range diskRuns {
+		_ = disk.Remove(run.Name)
 	}
 	if err != nil {
 		return fetched, fmt.Errorf("%s: %w", taskName, err)
