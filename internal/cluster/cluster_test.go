@@ -153,16 +153,25 @@ func TestConcurrentJobsIsolatedMetrics(t *testing.T) {
 	}
 }
 
-// TestRunContextCancelMidLoad cancels a job once its loader has emitted:
-// RunContext returns a typed error in bounded time, and the same cluster
-// then runs a fresh job to the right answer, so every node let go of the
-// canceled one.
+// TestRunContextCancelMidLoad cancels a job once its loader has emitted
+// and its reduce flowlet holds accumulator chunks: RunContext returns a
+// typed error in bounded time with every chunk back on its node's list,
+// and the same cluster then runs a fresh job to the right answer, so every
+// node let go of the canceled one.
 func TestRunContextCancelMidLoad(t *testing.T) {
-	c, err := New(Options{NumNodes: 2, Core: core.Config{Workers: 1}})
+	c, err := New(Options{NumNodes: 2, Core: core.Config{Workers: 1, BinSize: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	chunksHome := func(when string) {
+		t.Helper()
+		for i, rt := range c.Nodes() {
+			if s := rt.AccChunks(); s.Live != 0 || s.Made != s.Peak {
+				t.Errorf("%s: node %d chunk list %+v, want Live 0 and Made == Peak", when, i, s)
+			}
+		}
+	}
 
 	ld := &slowLoader{started: make(chan struct{})}
 	g := slowGraph(t, ld)
@@ -178,6 +187,14 @@ func TestRunContextCancelMidLoad(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("loader never started")
 	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if c.Nodes()[0].AccChunks().Live+c.Nodes()[1].AccChunks().Live > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no reduce flowlet buffered a pair")
+		}
+	}
 	cancel()
 	select {
 	case err := <-done:
@@ -187,6 +204,7 @@ func TestRunContextCancelMidLoad(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("canceled job did not return in bounded time")
 	}
+	chunksHome("after the canceled job")
 
 	corpus := testCorpus(120)
 	wc, sink := wordGraph(t, corpus, 4)
@@ -196,6 +214,7 @@ func TestRunContextCancelMidLoad(t *testing.T) {
 	if got, want := sinkCounts(sink), corpusCounts(corpus); !reflect.DeepEqual(got, want) {
 		t.Fatalf("run after cancel counted %v, want %v", got, want)
 	}
+	chunksHome("after the next job")
 }
 
 // TestRunContextCanceledBeforeStart: a context already canceled is refused
@@ -366,6 +385,14 @@ func (summer) Finish(key string, state any, ctx core.Context) error {
 	return ctx.Emit(core.KV{Key: key, Value: state})
 }
 
+func (summer) Reduce(key string, values []any, ctx core.Context) error {
+	var n int64
+	for _, v := range values {
+		n += v.(int64)
+	}
+	return ctx.Emit(core.KV{Key: key, Value: n})
+}
+
 // linesLoader plans a fixed number of splits and deals the lines across
 // them round-robin, so the emitted corpus is deterministic regardless of
 // which node runs which split.
@@ -486,11 +513,17 @@ func slowGraph(t testing.TB, ld *slowLoader) *core.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rd, err := g.AddReduce("group", summer{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	sk, err := g.AddSink("out", core.NewCollectSink())
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Connect(l, pr)
 	g.Connect(pr, sk)
+	g.Connect(l, rd)
+	g.Connect(rd, sk)
 	return g
 }

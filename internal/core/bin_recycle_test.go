@@ -199,6 +199,18 @@ func assertSlabsHome(t *testing.T, nodes []*NodeRuntime) {
 	}
 }
 
+// assertChunksHome checks every node's accumulator chunk list once a job
+// is over, clean or aborted: no chunk still out, and none made while
+// another sat on the list.
+func assertChunksHome(t *testing.T, nodes []*NodeRuntime) {
+	t.Helper()
+	for _, rt := range nodes {
+		if s := rt.AccChunks(); s.Live != 0 || s.Made != s.Free || s.Made != s.Peak {
+			t.Errorf("node %d: chunk list %+v, want Live 0 and Made == Free == Peak", rt.id, s)
+		}
+	}
+}
+
 func TestBinRecyclingExactlyOnce(t *testing.T) {
 	const numNodes, splits, perSplit = 4, 8, 50
 	for _, chain := range []bool{false, true} {
@@ -216,6 +228,7 @@ func TestBinRecyclingExactlyOnce(t *testing.T) {
 				}
 				sink.check(t, splits*perSplit)
 				assertSlabsHome(t, nodes)
+				assertChunksHome(t, nodes)
 				if chain && res.Gated == 0 {
 					t.Errorf("run %d: no bin was flow-gated; the pending queue went unexercised", run)
 				}
@@ -259,6 +272,78 @@ func TestBinRecyclingSurvivesAbort(t *testing.T) {
 		t.Fatalf("job after abort: %v", err)
 	}
 	sink.check(t, splits*perSplit)
+	assertChunksHome(t, nodes)
+}
+
+// TestAccumulatorChunksHomeAfterAbort aborts a job while its reduce
+// flowlets hold chunks on every node and the loaders are still emitting:
+// once Wait returns, every chunk is back on its node's list, and the next
+// job on the same runtimes draws from those lists without making more.
+func TestAccumulatorChunksHomeAfterAbort(t *testing.T) {
+	const numNodes, splits, perSplit = 4, 8, 400
+	nodes, cleanup := newTestCluster(t, numNodes, recycleConfig())
+	defer cleanup()
+
+	ld := idLoader(splits, perSplit)
+	ld.mid = make(chan struct{})
+	hold := make(chan struct{})
+	pair := ld.pair
+	ld.pair = func(split, i int) KV {
+		if i == perSplit/2 {
+			<-hold
+		}
+		return pair(split, i)
+	}
+	g := NewGraph("abort-acc")
+	l, _ := g.AddLoader("load", ld)
+	r, _ := g.AddReduce("one", oneReduce{})
+	s, _ := g.AddSink("out", NewCollectSink())
+	for _, e := range [][2]int{{l, r}, {r, s}} {
+		if err := g.Connect(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j, err := NewJob(g, nodes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Start()
+	<-ld.mid
+	deadline := time.Now().Add(10 * time.Second)
+	for live := 0; live < numNodes; {
+		live = 0
+		for _, rt := range nodes {
+			if rt.AccChunks().Live > 0 {
+				live++
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d nodes hold accumulator chunks", live, numNodes)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	j.Abort(fmt.Errorf("test stop: %w", ErrJobCanceled))
+	close(hold)
+	if _, err := j.Wait(); !errors.Is(err, ErrJobCanceled) {
+		t.Fatalf("Wait after Abort = %v, want ErrJobCanceled", err)
+	}
+	assertChunksHome(t, nodes)
+	made := make([]int, numNodes)
+	for i, rt := range nodes {
+		made[i] = rt.AccChunks().Made
+	}
+
+	g2, sink := idGraph(t, idLoader(2, 50), true)
+	if _, err := Run(g2, nodes, nil); err != nil {
+		t.Fatalf("job after abort: %v", err)
+	}
+	sink.check(t, 2*50)
+	assertChunksHome(t, nodes)
+	for i, rt := range nodes {
+		if m := rt.AccChunks().Made; m != made[i] {
+			t.Errorf("node %d made %d chunks after the abort, want the %d it had", i, m-made[i], made[i])
+		}
+	}
 }
 
 // TestBinRecyclingUnderRefires crashes loader splits, partial-reduce
@@ -276,6 +361,7 @@ func TestBinRecyclingUnderRefires(t *testing.T) {
 	}
 	sink.check(t, splits*perSplit)
 	assertSlabsHome(t, nodes)
+	assertChunksHome(t, nodes)
 	fired := strings.Join(inj.Sites(), " ")
 	for _, kind := range []string{"split:", "pstripe:", "rbatch:"} {
 		if !strings.Contains(fired, "flowlet.fire:"+kind) {
@@ -363,5 +449,88 @@ func TestShuffleAllocsPerKV(t *testing.T) {
 	t.Logf("allocated per emitted KV: %.2f B cold, %.2f B warm (bound %d B)", cold, warm, maxBytesPerKV)
 	if warm > maxBytesPerKV {
 		t.Errorf("second run allocated %.2f B per emitted KV, want <= %d", warm, maxBytesPerKV)
+	}
+}
+
+// TestAccumulatorAllocsPerRecord is the allocation guard on the reduce
+// path: emit → bin → shuffle → accumulator → grouped reduce. Three jobs
+// run back to back on one set of runtimes, as an iterative application's
+// jobs do: the second and third make no accumulator chunk — they buffer
+// in the chunks the first one sent home — and stay under a per-record
+// bound. What is left per record is the reducer's values slice; before
+// chunks, every reduce flowlet grew its buffer by doubling from nothing,
+// once per job.
+func TestAccumulatorAllocsPerRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a measurement, not a race check: the detector makes its three jobs about ten times slower")
+	}
+	const (
+		numNodes, splits, perSplit = 4, 8, 25000
+		maxBytesPerRecord          = 24
+	)
+	words := make([]string, 509)
+	for i := range words {
+		words[i] = fmt.Sprintf("word-%03d", i)
+	}
+	nodes, cleanup := newTestCluster(t, numNodes, Config{Workers: 4, FlowControlWindow: 32})
+	defer cleanup()
+	run := func() float64 {
+		g := NewGraph("acc-alloc-guard")
+		sink := NewCollectSink()
+		ld, err := g.AddLoader("load", &genLoader{splits: splits, perSplit: perSplit, pair: func(split, i int) KV {
+			return KV{Key: words[(split*7+i)%len(words)], Value: int64(1)}
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		red, err := g.AddReduce("count", sumReduce{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sk, err := g.AddSink("out", sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range [][2]int{{ld, red}, {red, sk}} {
+			if err := g.Connect(e[0], e[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := Run(g, nodes, nil); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		var total int64
+		for _, kv := range sink.Pairs() {
+			total += kv.Value.(int64)
+		}
+		if total != splits*perSplit {
+			t.Fatalf("reduced %d of %d pairs", total, splits*perSplit)
+		}
+		assertChunksHome(t, nodes)
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / (splits * perSplit)
+	}
+	made := func() (n int) {
+		for _, rt := range nodes {
+			n += rt.AccChunks().Made
+		}
+		return n
+	}
+	first := run()
+	chunks := made()
+	if chunks == 0 {
+		t.Fatal("the first job made no accumulator chunk")
+	}
+	for job := 2; job <= 3; job++ {
+		perRecord := run()
+		t.Logf("job %d allocated %.2f B per record (first job %.2f B, bound %d B)", job, perRecord, first, maxBytesPerRecord)
+		if n := made(); n != chunks {
+			t.Errorf("job %d made %d accumulator chunks; the first job's %d should have served it", job, n-chunks, chunks)
+		}
+		if perRecord > maxBytesPerRecord {
+			t.Errorf("job %d allocated %.2f B per record, want <= %d", job, perRecord, maxBytesPerRecord)
+		}
 	}
 }

@@ -241,7 +241,7 @@ func newJobNode(rt *NodeRuntime, graph *Graph, jobID int64, numNodes int) *jobNo
 			fs.contention = reg.Timer("partial.contention")
 		case KindReduce:
 			prefix := fmt.Sprintf("job%d/reduce-%d", jobID, spec.ID)
-			fs.acc = newAccumulator(jn.mem, rt.disk, prefix, reg)
+			fs.acc = newAccumulator(jn.mem, rt.disk, rt.chunks, prefix, reg)
 		}
 		jn.flowlets = append(jn.flowlets, fs)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -92,18 +93,23 @@ func (kvFormat) DecodeRecord(key, value []byte) (kvRec, error) {
 }
 
 // accumulator collects the grouped input of one reduce flowlet on one
-// node. Pairs buffer in an extsort run builder until the memory manager
-// denies a reservation, at which point the buffered pairs are sorted by
-// key and spilled to the node's local disk as a run file. Iterate merges
-// the in-memory pairs with all spilled runs in key order.
+// node. Pairs buffer in an extsort run builder, in chunks drawn from the
+// node's chunk list, until the memory manager denies a reservation, at
+// which point the buffered pairs are sorted by key and spilled to the
+// node's local disk as a run file. Iterate merges the spilled runs with
+// the in-memory chunks in key order.
 type accumulator struct {
-	mu   sync.Mutex
-	b    *extsort.RunBuilder[kvRec]
-	mem  *MemoryManager
-	disk storage.Disk
+	mu     sync.Mutex
+	b      *extsort.RunBuilder[kvRec]
+	chunks *extsort.ChunkList[kvRec]
+	mem    *MemoryManager
+	disk   storage.Disk
+	closed bool // set by close: the job is over here, adds are refused
 }
 
-func newAccumulator(mem *MemoryManager, disk storage.Disk, prefix string, reg *metrics.Registry) *accumulator {
+// newAccumulator returns an empty accumulator that buffers in the node's
+// chunk list and names its run files under prefix.
+func newAccumulator(mem *MemoryManager, disk storage.Disk, chunks *extsort.ChunkList[kvRec], prefix string, reg *metrics.Registry) *accumulator {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
@@ -112,13 +118,15 @@ func newAccumulator(mem *MemoryManager, disk storage.Disk, prefix string, reg *m
 		budget = mem
 	}
 	return &accumulator{
-		mem:  mem,
-		disk: disk,
+		mem:    mem,
+		disk:   disk,
+		chunks: chunks,
 		b: extsort.NewRunBuilder(extsort.BuilderConfig[kvRec]{
 			Cmp:     kvRecCompare,
 			Format:  kvFormat{},
 			Disk:    disk,
 			RunName: func(i int) string { return fmt.Sprintf("%s/run-%04d", prefix, i) },
+			Chunks:  chunks,
 			Budget:  budget,
 			OnSpill: func(_ int, bytes int64) {
 				reg.Inc("reduce.spills")
@@ -132,6 +140,9 @@ func newAccumulator(mem *MemoryManager, disk storage.Disk, prefix string, reg *m
 func (a *accumulator) add(kv KV) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if a.closed {
+		return ErrJobAborted
+	}
 	err := a.b.Add(kvRec{key: kv.Key, value: kv.Value}, kv.Size())
 	if errors.Is(err, extsort.ErrNoDisk) {
 		return fmt.Errorf("core: reduce memory budget exhausted and no spill disk configured")
@@ -146,49 +157,47 @@ func (a *accumulator) Count() int64 {
 	return a.b.Count()
 }
 
-// iterate calls fn once per key with all of that key's values (in arrival
-// order within each run, runs in spill order then memory). It merges the
-// spilled runs with the in-memory pairs; after iteration the spill files
-// are removed and the memory reservation is released.
+// release hands drained chunks back to the node's list and their bytes
+// back to the memory budget.
+func (a *accumulator) release(chunks [][]kvRec, bytes int64) {
+	for _, c := range chunks {
+		a.chunks.Put(c)
+	}
+	if a.mem != nil {
+		a.mem.Release(bytes)
+	}
+}
+
+// close returns the chunks still buffered, once the job is over on this
+// node, and refuses later adds. After a clean job iterate has already
+// drained everything; after an abort this is what sends the chunks home.
+func (a *accumulator) close() {
+	a.mu.Lock()
+	chunks, bytes, _ := a.b.Drain()
+	a.closed = true
+	a.mu.Unlock()
+	a.release(chunks, bytes)
+}
+
+// iterate calls fn once per key with all of that key's values: in arrival
+// order within each run, runs in spill order, then the in-memory chunks.
+// Each group's values are copied out into a slice of their own, which fn
+// may keep. After iteration the chunks go back to the node's list, the
+// spill files are removed and the memory reservation is released.
 func (a *accumulator) iterate(fn func(key string, values []any) error) error {
 	a.mu.Lock()
-	buf, bytes, runs := a.b.Drain()
+	chunks, bytes, runs := a.b.Drain()
 	a.mu.Unlock()
 
-	defer func() {
-		if a.mem != nil {
-			a.mem.Release(bytes)
-		}
-		for _, r := range runs {
-			_ = a.disk.Remove(r)
-		}
-	}()
-
-	// Stable sort keeps each key's values in arrival order.
-	extsort.SortStable(buf, kvRecCompare)
-	emit := func(group []kvRec) error {
-		// Copy out of the merge's reused group buffer: reduce tasks hold
-		// the values slice beyond this callback.
-		values := make([]any, len(group))
-		for i, g := range group {
-			values[i] = g.value
-		}
-		return fn(group[0].key, values)
-	}
-
-	if len(runs) == 0 {
-		// Pure in-memory path: no run files to open.
-		return extsort.MergeGrouped(
-			[]extsort.Source[kvRec]{extsort.SliceSource(buf)}, kvRecCompare, nil, emit)
-	}
-
-	// Merge spilled runs with the in-memory snapshot as one extra "run":
-	// on key ties, earlier spills drain first, memory last.
-	sources := make([]extsort.Source[kvRec], 0, len(runs)+1)
+	sources := make([]extsort.Source[kvRec], 0, len(runs)+len(chunks))
 	readers := make([]*extsort.RunReader[kvRec], 0, len(runs))
 	defer func() {
 		for _, r := range readers {
 			r.Close()
+		}
+		a.release(chunks, bytes)
+		for _, r := range runs {
+			_ = a.disk.Remove(r)
 		}
 	}()
 	for _, name := range runs {
@@ -199,6 +208,32 @@ func (a *accumulator) iterate(fn func(key string, values []any) error) error {
 		readers = append(readers, rr)
 		sources = append(sources, rr)
 	}
-	sources = append(sources, extsort.SliceSource(buf))
-	return extsort.MergeGrouped(sources, kvRecCompare, nil, emit)
+	for _, c := range chunks {
+		sources = append(sources, extsort.SliceSource(c))
+	}
+
+	// values collects the current group, reused from group to group; fn
+	// gets an exact-size copy, since reduce tasks hold it past the call.
+	var key string
+	var values []any
+	flush := func() error {
+		err := fn(key, slices.Clone(values))
+		clear(values)
+		values = values[:0]
+		return err
+	}
+	err := extsort.Merge(sources, kvRecCompare, func(r kvRec, _ int) error {
+		if len(values) > 0 && r.key != key {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+		key = r.key
+		values = append(values, r.value)
+		return nil
+	})
+	if err == nil && len(values) > 0 {
+		err = flush()
+	}
+	return err
 }

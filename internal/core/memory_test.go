@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"github.com/hamr-go/hamr/internal/extsort"
 	"github.com/hamr-go/hamr/internal/storage"
 )
 
@@ -52,8 +54,14 @@ func TestMemoryManagerFirstReservationAlwaysGranted(t *testing.T) {
 	}
 }
 
+// testChunks is a chunk list of the size a node's is, for an accumulator
+// tested without a runtime.
+func testChunks() *extsort.ChunkList[kvRec] {
+	return extsort.NewChunkList[kvRec](extsort.DefaultChunkLen)
+}
+
 func TestAccumulatorInMemory(t *testing.T) {
-	acc := newAccumulator(nil, storage.NewMemDisk(0), "t", nil)
+	acc := newAccumulator(nil, storage.NewMemDisk(0), testChunks(), "t", nil)
 	for i := 0; i < 100; i++ {
 		acc.add(KV{Key: fmt.Sprintf("k%02d", i%10), Value: int64(i)})
 	}
@@ -81,7 +89,7 @@ func TestAccumulatorInMemory(t *testing.T) {
 func TestAccumulatorSpillsAndMerges(t *testing.T) {
 	disk := storage.NewMemDisk(0)
 	mem := NewMemoryManager(512) // tiny: forces many spills
-	acc := newAccumulator(mem, disk, "spill", nil)
+	acc := newAccumulator(mem, disk, testChunks(), "spill", nil)
 	want := map[string]int64{}
 	for i := 0; i < 500; i++ {
 		k := fmt.Sprintf("key-%02d", i%17)
@@ -126,7 +134,7 @@ func TestAccumulatorGroupingProperty(t *testing.T) {
 		i++
 		disk := storage.NewMemDisk(0)
 		mem := NewMemoryManager(int64(budget%2000) + 64)
-		acc := newAccumulator(mem, disk, fmt.Sprintf("p%d", i), nil)
+		acc := newAccumulator(mem, disk, testChunks(), fmt.Sprintf("p%d", i), nil)
 		want := map[string][]int64{}
 		for j, kRaw := range keys {
 			k := fmt.Sprintf("k%d", kRaw%13)
@@ -173,7 +181,7 @@ func TestAccumulatorGroupingProperty(t *testing.T) {
 
 func TestAccumulatorSpillWithoutDisk(t *testing.T) {
 	mem := NewMemoryManager(32)
-	acc := newAccumulator(mem, nil, "x", nil)
+	acc := newAccumulator(mem, nil, testChunks(), "x", nil)
 	var err error
 	for i := 0; i < 100 && err == nil; i++ {
 		err = acc.add(KV{Key: fmt.Sprintf("key%d", i), Value: int64(i)})
@@ -314,5 +322,51 @@ func TestKVKeyBytesOrderAsKVRecCompare(t *testing.T) {
 		if got, want := sign(bytes.Compare(ka, kb)), sign(kvRecCompare(a, b)); got != want {
 			t.Fatalf("%q vs %q: bytes order %d, kvRecCompare %d", a.key, b.key, got, want)
 		}
+	}
+}
+
+// TestAccumulatorKeepsArrivalOrder: with four-pair chunks, a budget that
+// spills in the middle of a chunk and several runs, every key's values
+// still reach iterate in the order they were added, and every chunk is
+// back on the list afterwards.
+func TestAccumulatorKeepsArrivalOrder(t *testing.T) {
+	disk := storage.NewMemDisk(0)
+	chunks := extsort.NewChunkList[kvRec](4)
+	kv := func(i int) KV { return KV{Key: fmt.Sprintf("k%d", i%3), Value: int64(i)} }
+	mem := NewMemoryManager(5*kv(0).Size() + 1) // five pairs a spill
+	acc := newAccumulator(mem, disk, chunks, "order", nil)
+	const n = 23 // four runs of five, three pairs in one chunk
+	for i := 0; i < n; i++ {
+		if err := acc.add(kv(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if runs := disk.List("order/"); len(runs) != 4 {
+		t.Fatalf("%d spill runs, want 4", len(runs))
+	}
+	got := map[string][]int64{}
+	err := acc.iterate(func(key string, values []any) error {
+		for _, v := range values {
+			got[key] = append(got[key], v.(int64))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 3; k++ {
+		var want []int64
+		for i := k; i < n; i += 3 {
+			want = append(want, int64(i))
+		}
+		if key := fmt.Sprintf("k%d", k); !slices.Equal(got[key], want) {
+			t.Errorf("key %s: values %v, want %v (arrival order)", key, got[key], want)
+		}
+	}
+	if s := chunks.Stats(); s.Live != 0 || s.Made != s.Peak {
+		t.Errorf("chunks after iterate: %+v", s)
+	}
+	if mem.Used() != 0 {
+		t.Errorf("memory still reserved after iterate: %d", mem.Used())
 	}
 }

@@ -262,6 +262,11 @@ func (j *Job) wait() (*JobResult, error) {
 	// cluster totals are identical to the shared-registry design) and into
 	// the result aggregate (so res.Metrics is exactly this job's deltas).
 	for _, jn := range j.jns {
+		for _, fs := range jn.flowlets {
+			if fs.acc != nil {
+				fs.acc.close()
+			}
+		}
 		agg.Merge(jn.reg)
 		jn.rt.sub.Metrics.Merge(jn.reg)
 		jn.rt.unregisterJob(j.id)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/hamr-go/hamr/internal/extsort"
 	"github.com/hamr-go/hamr/internal/metrics"
 	"github.com/hamr-go/hamr/internal/par"
 	"github.com/hamr-go/hamr/internal/storage"
@@ -140,6 +141,10 @@ type NodeRuntime struct {
 	// bins is the free list every bin this node produces is drawn from and
 	// returned to — by whichever node consumed it — across jobs.
 	bins *binList
+	// chunks is the free list every reduce accumulator on this node
+	// buffers its pairs in, across jobs: a job's accumulators return their
+	// chunks when they are iterated, or when the job ends.
+	chunks *extsort.ChunkList[kvRec]
 
 	// binsDropped counts payloads the delivery handler could not route
 	// (a payload of the wrong type, or a data bin for a job this node no
@@ -170,6 +175,7 @@ func NewNodeRuntime(id int, cfg Config, sub substrate.Handle, net transport.Netw
 		pool:      par.NewPool(cfg.Workers, cfg.Workers*64),
 		loaderSem: par.NewSemaphore(cfg.LoaderConcurrency),
 		bins:      &binList{size: cfg.BinSize},
+		chunks:    extsort.NewChunkList[kvRec](extsort.DefaultChunkLen),
 
 		binsDropped: sub.Metrics.Counter("bins.dropped"),
 	}
@@ -219,6 +225,10 @@ func (rt *NodeRuntime) Disk() storage.Disk { return rt.disk }
 
 // Service returns a node-local service handle.
 func (rt *NodeRuntime) Service(name string) any { return rt.services[name] }
+
+// AccChunks reports the node's reduce-accumulator chunk list. Between
+// jobs every chunk is home: Live is 0 and Made == Peak.
+func (rt *NodeRuntime) AccChunks() extsort.ChunkStats { return rt.chunks.Stats() }
 
 // Pool exposes the worker pool for utilization reporting.
 func (rt *NodeRuntime) Pool() *par.Pool { return rt.pool }

@@ -38,24 +38,34 @@ func (c *TextConfig) FillDefaults() {
 // Word returns the k-th vocabulary word.
 func Word(k int) string { return fmt.Sprintf("w%05d", k) }
 
+// vocabulary returns the first n words, Word(0) to Word(n-1), built once
+// per corpus instead of once per word drawn.
+func vocabulary(n int) []string {
+	words := make([]string, n)
+	for k := range words {
+		words[k] = Word(k)
+	}
+	return words
+}
+
 // Text generates the whole corpus as one byte slice of newline-separated
 // lines.
 func Text(cfg TextConfig) []byte {
 	cfg.FillDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	z := NewZipf(rng, cfg.Vocabulary, cfg.Skew)
-	var sb strings.Builder
-	sb.Grow(cfg.Lines * cfg.WordsPerLine * 7)
+	words := vocabulary(cfg.Vocabulary)
+	out := make([]byte, 0, cfg.Lines*cfg.WordsPerLine*7)
 	for l := 0; l < cfg.Lines; l++ {
 		for w := 0; w < cfg.WordsPerLine; w++ {
 			if w > 0 {
-				sb.WriteByte(' ')
+				out = append(out, ' ')
 			}
-			sb.WriteString(Word(z.Next()))
+			out = append(out, words[z.Next()]...)
 		}
-		sb.WriteByte('\n')
+		out = append(out, '\n')
 	}
-	return []byte(sb.String())
+	return out
 }
 
 // DocsConfig controls labeled-document generation for NaiveBayes training
@@ -99,22 +109,26 @@ func Docs(cfg DocsConfig) []byte {
 	cfg.FillDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	z := NewZipf(rng, cfg.Vocabulary, cfg.Skew)
-	var sb strings.Builder
+	words := vocabulary(cfg.Vocabulary)
+	labels := make([]string, cfg.Labels)
+	for i := range labels {
+		labels[i] = Label(i)
+	}
+	var out []byte
 	for d := 0; d < cfg.Docs; d++ {
 		label := rng.Intn(cfg.Labels)
-		sb.WriteString(Label(label))
-		sb.WriteByte('\t')
+		out = append(out, labels[label]...)
+		out = append(out, '\t')
 		for w := 0; w < cfg.WordsPerDoc; w++ {
 			if w > 0 {
-				sb.WriteByte(' ')
+				out = append(out, ' ')
 			}
 			// Shift the Zipf draw by a label-specific offset.
-			word := (z.Next() + label*37) % cfg.Vocabulary
-			sb.WriteString(Word(word))
+			out = append(out, words[(z.Next()+label*37)%cfg.Vocabulary]...)
 		}
-		sb.WriteByte('\n')
+		out = append(out, '\n')
 	}
-	return []byte(sb.String())
+	return out
 }
 
 // EachField calls fn for each field of s, the fields and their order being

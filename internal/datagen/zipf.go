@@ -15,10 +15,14 @@ import (
 // Zipf draws integers in [0, n) with P(k) proportional to 1/(k+1)^s,
 // deterministic under its seed. It is a small rejection-free inverse-CDF
 // sampler (the stdlib rand.Zipf needs s > 1; the benchmarks commonly use
-// s values at or below 1, so we build our own table).
+// s values at or below 1, so we build our own table), searched through a
+// guide table (Chen and Asau): guide[i] is the first index whose cdf
+// entry reaches i/n, so a draw starts next to its answer instead of
+// bisecting the whole table.
 type Zipf struct {
-	rng *rand.Rand
-	cdf []float64
+	rng   *rand.Rand
+	cdf   []float64
+	guide []int
 }
 
 // NewZipf creates a sampler over n items with exponent s (> 0).
@@ -35,23 +39,34 @@ func NewZipf(rng *rand.Rand, n int, s float64) *Zipf {
 	for k := range cdf {
 		cdf[k] /= sum
 	}
-	return &Zipf{rng: rng, cdf: cdf}
+	guide := make([]int, n)
+	k := 0
+	for i := range guide {
+		for k < n-1 && cdf[k] < float64(i)/float64(n) {
+			k++
+		}
+		guide[i] = k
+	}
+	return &Zipf{rng: rng, cdf: cdf, guide: guide}
 }
 
 // Next draws one sample.
-func (z *Zipf) Next() int {
-	u := z.rng.Float64()
-	// Binary search for the first cdf entry >= u.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+func (z *Zipf) Next() int { return z.index(z.rng.Float64()) }
+
+// index returns the first cdf entry >= u (the last entry when none is),
+// for u in [0, 1). The guide names u's bucket's first candidate; u*n may
+// round up into the next bucket, so the walk also steps back while the
+// entry before it still reaches u.
+func (z *Zipf) index(u float64) int {
+	n := len(z.cdf)
+	k := z.guide[min(int(u*float64(n)), n-1)]
+	for k < n-1 && z.cdf[k] < u {
+		k++
 	}
-	return lo
+	for k > 0 && z.cdf[k-1] >= u {
+		k--
+	}
+	return k
 }
 
 // N returns the sampler's domain size.

@@ -1,6 +1,77 @@
 package extsort
 
-import "github.com/hamr-go/hamr/internal/storage"
+import (
+	"sync"
+
+	"github.com/hamr-go/hamr/internal/storage"
+)
+
+// DefaultChunkLen is the record capacity of a RunBuilder's chunks when
+// its config names no ChunkList, and of core's accumulator chunks: 32 KiB
+// of (key, value) records.
+const DefaultChunkLen = 1024
+
+// ChunkList is a free list of fixed-capacity record chunks: a LIFO stack
+// behind a mutex, so reuse does not depend on GC timing the way a
+// sync.Pool does. Chunks have the list's capacity, so filling one never
+// grows it. A returned chunk is always kept: every chunk the list made is
+// either out (live) or on the stack, so the stack never holds more than
+// the most chunks that were ever out at once.
+type ChunkList[T any] struct {
+	size int // cap of every chunk
+
+	mu   sync.Mutex
+	free [][]T
+	live int // chunks handed out and not yet returned
+	made int
+	peak int // the most chunks live at once
+}
+
+// NewChunkList returns an empty list of chunks with capacity size.
+func NewChunkList[T any](size int) *ChunkList[T] {
+	return &ChunkList[T]{size: max(size, 1)}
+}
+
+// Get returns an empty chunk, allocating one only when the list is empty.
+func (l *ChunkList[T]) Get() []T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.live++
+	l.peak = max(l.peak, l.live)
+	if n := len(l.free); n > 0 {
+		c := l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+		return c
+	}
+	l.made++
+	return make([]T, 0, l.size)
+}
+
+// Put clears a chunk the list handed out (its records must not stay
+// reachable from the free list) and stacks it for reuse. The caller must
+// not touch the chunk afterwards.
+func (l *ChunkList[T]) Put(c []T) {
+	clear(c)
+	l.mu.Lock()
+	l.live--
+	l.free = append(l.free, c[:0])
+	l.mu.Unlock()
+}
+
+// ChunkStats is a snapshot of a ChunkList. Once every chunk is home, Live
+// is 0 and Made == Free; Made == Peak says no chunk was made while one
+// sat on the list.
+type ChunkStats struct {
+	Live, Free, Made, Peak int
+}
+
+// Stats returns the list's counts.
+func (l *ChunkList[T]) Stats() ChunkStats {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return ChunkStats{Live: l.live, Free: len(l.free), Made: l.made, Peak: l.peak}
+}
 
 // BuilderConfig configures a RunBuilder. Cmp, Format, and RunName are
 // required when the builder can spill; Disk may be nil for callers that
@@ -11,6 +82,9 @@ type BuilderConfig[T any] struct {
 	Disk   storage.Disk
 	// RunName names the i-th spilled run (i counts from 0).
 	RunName func(i int) string
+	// Chunks is the free list the builder buffers records in. Nil gives
+	// the builder a list of its own, with chunks of DefaultChunkLen.
+	Chunks *ChunkList[T]
 	// Threshold, when > 0, spills after an Add brings buffered bytes to
 	// Threshold or beyond — Hadoop's io.sort.mb semantics, where the
 	// record that crossed the line is included in the spill. No engine
@@ -34,13 +108,20 @@ type BuilderConfig[T any] struct {
 // RunBuilder accumulates typed records in memory and spills them as
 // sorted run files when its spill policy (byte threshold or memory
 // budget) triggers. It is HAMR's reduce accumulator's builder: that
-// buffer usually never spills and is handed to the reducer as a slice,
-// so it stays typed; records that always reach a run file belong in a
-// SortBuffer. It is not safe for concurrent use; callers that share one
-// builder across goroutines must serialize access.
+// buffer usually never spills, and its reducer reads the records as the
+// typed values they arrived as; records that always reach a run file
+// belong in a SortBuffer.
+//
+// Records buffer in chunks drawn from the configured ChunkList, so the
+// buffer never grows by copying. A spill stably sorts each chunk and
+// merges the chunks into the run, ties going to the earlier chunk: the
+// run holds exactly what one stable sort of the whole buffer would, and
+// the chunks go back to the list. It is not safe for concurrent use;
+// callers that share one builder across goroutines must serialize access.
 type RunBuilder[T any] struct {
 	cfg     BuilderConfig[T]
-	buf     []T
+	chunks  [][]T // in arrival order; only the last one has room
+	records int   // buffered records, across chunks
 	bytes   int64
 	count   int64
 	runs    []string
@@ -49,6 +130,9 @@ type RunBuilder[T any] struct {
 
 // NewRunBuilder returns an empty builder.
 func NewRunBuilder[T any](cfg BuilderConfig[T]) *RunBuilder[T] {
+	if cfg.Chunks == nil {
+		cfg.Chunks = NewChunkList[T](DefaultChunkLen)
+	}
 	return &RunBuilder[T]{cfg: cfg}
 }
 
@@ -56,7 +140,7 @@ func NewRunBuilder[T any](cfg BuilderConfig[T]) *RunBuilder[T] {
 // (Budget) or after (Threshold) according to the configured policy.
 func (b *RunBuilder[T]) Add(rec T, size int64) error {
 	if b.cfg.Budget != nil && !b.cfg.Budget.Reserve(size) {
-		if len(b.buf) > 0 {
+		if b.records > 0 {
 			if err := b.Spill(); err != nil {
 				return err
 			}
@@ -65,10 +149,13 @@ func (b *RunBuilder[T]) Add(rec T, size int64) error {
 		// must be admitted regardless, or the job cannot progress.
 		b.cfg.Budget.ForceReserve(size)
 	}
-	if len(b.buf) == cap(b.buf) {
-		b.growBuf()
+	n := len(b.chunks)
+	if n == 0 || len(b.chunks[n-1]) == cap(b.chunks[n-1]) {
+		b.chunks = append(b.chunks, b.cfg.Chunks.Get())
+		n++
 	}
-	b.buf = append(b.buf, rec)
+	b.chunks[n-1] = append(b.chunks[n-1], rec)
+	b.records++
 	b.bytes += size
 	b.count++
 	if b.cfg.Threshold > 0 && b.bytes >= b.cfg.Threshold {
@@ -77,41 +164,45 @@ func (b *RunBuilder[T]) Add(rec T, size int64) error {
 	return nil
 }
 
-// growBuf doubles the full buffer. (append's own growth past 256
-// elements is 1.25x, which allocates about five times the final buffer on
-// the way to it; doubling allocates twice.)
-func (b *RunBuilder[T]) growBuf() {
-	nb := make([]T, len(b.buf), max(2*cap(b.buf), 256))
-	copy(nb, b.buf)
-	b.buf = nb
-}
-
-// Spill stably sorts the buffered records and writes them as the next
-// run file. An empty buffer is a no-op.
+// Spill writes the buffered records as the next run file, sorted and
+// stable in arrival order, and returns the chunks to the list. An empty
+// buffer is a no-op.
 func (b *RunBuilder[T]) Spill() error {
-	if len(b.buf) == 0 {
+	if b.records == 0 {
 		return nil
 	}
 	if b.cfg.Disk == nil {
 		return ErrNoDisk
 	}
-	SortStable(b.buf, b.cfg.Cmp)
 	name := b.cfg.RunName(b.nextRun)
-	if err := writeRun(b.cfg.Disk, name, b.cfg.Format, b.buf); err != nil {
+	if err := writeRun(b.cfg.Disk, name, b.cfg.Format, b.sorted(), b.cfg.Cmp); err != nil {
 		return err
 	}
 	b.nextRun++
 	b.runs = append(b.runs, name)
 	if b.cfg.OnSpill != nil {
-		b.cfg.OnSpill(len(b.buf), b.bytes)
+		b.cfg.OnSpill(b.records, b.bytes)
 	}
 	if b.cfg.Budget != nil {
 		b.cfg.Budget.Release(b.bytes)
 	}
-	clear(b.buf) // drop value references so spilled data is collectable
-	b.buf = b.buf[:0]
-	b.bytes = 0
+	for _, c := range b.chunks {
+		b.cfg.Chunks.Put(c)
+	}
+	clear(b.chunks)
+	b.chunks, b.records, b.bytes = b.chunks[:0], 0, 0
 	return nil
+}
+
+// sorted stably sorts each buffered chunk and returns them, in arrival
+// order, as merge sources.
+func (b *RunBuilder[T]) sorted() []Source[T] {
+	sources := make([]Source[T], len(b.chunks))
+	for i, c := range b.chunks {
+		SortStable(c, b.cfg.Cmp)
+		sources[i] = SliceSource(c)
+	}
+	return sources
 }
 
 // Count returns the total records ingested since the builder was
@@ -125,13 +216,19 @@ func (b *RunBuilder[T]) BufferedBytes() int64 { return b.bytes }
 // returned slice is owned by the builder.
 func (b *RunBuilder[T]) Runs() []string { return b.runs }
 
-// Drain detaches and returns the builder's state — the unsorted
-// in-memory buffer, its accounted bytes, and the spilled run names —
-// leaving the builder empty for further Adds. The caller owns the
-// returned runs (including their eventual removal) and is responsible
-// for releasing bytes to the Budget once done with the buffer.
-func (b *RunBuilder[T]) Drain() (buf []T, bytes int64, runs []string) {
-	buf, bytes, runs = b.buf, b.bytes, b.runs
-	b.buf, b.bytes, b.runs = nil, 0, nil
-	return buf, bytes, runs
+// Drain detaches and returns the builder's state — the buffered chunks,
+// each stably sorted, in arrival order; their accounted bytes; and the
+// spilled run names — leaving the builder empty for further Adds. Merging
+// the runs in order and then the chunks in order, ties to the earlier
+// source, yields every record in key order and each key's records in
+// arrival order. The caller owns what is returned: it removes the runs,
+// puts each chunk back on the builder's ChunkList once it is done reading
+// it, and releases bytes to the Budget.
+func (b *RunBuilder[T]) Drain() (chunks [][]T, bytes int64, runs []string) {
+	for _, c := range b.chunks {
+		SortStable(c, b.cfg.Cmp)
+	}
+	chunks, bytes, runs = b.chunks, b.bytes, b.runs
+	b.chunks, b.records, b.bytes, b.runs = nil, 0, 0, nil
+	return chunks, bytes, runs
 }

@@ -1,8 +1,12 @@
 package extsort
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/hamr-go/hamr/internal/storage"
@@ -270,5 +274,204 @@ func TestSpillEmptyBufferIsNoOp(t *testing.T) {
 	}
 	if *spills != 0 || len(b.Runs()) != 0 {
 		t.Fatal("empty spill produced a run")
+	}
+}
+
+// capBudget grants reservations up to cap bytes held at once (the first
+// always), so a builder under it spills wherever the bytes run out,
+// whatever chunk the record lands in.
+type capBudget struct{ cap, used int64 }
+
+func (b *capBudget) Reserve(n int64) bool {
+	if b.used+n > b.cap && b.used > 0 {
+		return false
+	}
+	b.used += n
+	return true
+}
+func (b *capBudget) ForceReserve(n int64) { b.used += n }
+func (b *capBudget) Release(n int64)      { b.used -= n }
+
+// pinInput is the fixed input the pinned run digests below were taken
+// from: 3000 records over 97 keys, seq the arrival index.
+func pinInput() []testRec {
+	rng := rand.New(rand.NewSource(15))
+	recs := make([]testRec, 3000)
+	for i := range recs {
+		recs[i] = testRec{key: fmt.Sprintf("k%03d", rng.Intn(97)), seq: int64(i)}
+	}
+	return recs
+}
+
+// pinnedRuns are the sha256 digests of the runs a builder spilled from
+// pinInput under a 5000-byte budget before it buffered in chunks, when a
+// spill was one stable sort of one contiguous buffer.
+var pinnedRuns = []string{
+	"861a2295c8e4f959b7f76f993824b13ed1a35e62e1b3f0980c305c2ba6065adf",
+	"2fc718d1c2e56246a820890dc32eba71d64e13c9fe3618a06f378831be263f19",
+	"23bedade3d6e4d837e624e6845c0e1fe392bb9499cb9122a0f81fe6adfe49ca8",
+	"19ea41f8cad20f3c4510cdb842bdfdc538ab51a685dcb2c1fee05f96659dfa2f",
+	"741ce011382375a2a720c673aa4911dbd870f8823f1b9e8499fbc8f5fe9c7153",
+	"945ae76074886fd43b8242e922caffad2c66792acbe9145f1d506c13ad12e681",
+	"a138b7f510078b3b988ba566ed9e758619e74cedf71598e41cdda8d4c41c6ce7",
+	"b2bb386959fb8c938ccc477e1d652d13c45f3a093d87b376277af2146e9b5ef1",
+}
+
+func fileDigest(t *testing.T, disk storage.Disk, name string) string {
+	t.Helper()
+	f, err := disk.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	data, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(data))
+}
+
+// assertChunksHome requires every chunk the list made back on it, and
+// none made while another sat there.
+func assertChunksHome[T any](t *testing.T, l *ChunkList[T]) {
+	t.Helper()
+	if s := l.Stats(); s.Live != 0 || s.Made != s.Free || s.Made != s.Peak {
+		t.Errorf("chunk list %+v: want Live 0 and Made == Free == Peak", s)
+	}
+}
+
+// TestSpillRunsMatchContiguousSort: whatever the chunk size — one record,
+// a size that straddles every spill, one chunk per spill — each run file
+// is byte for byte its pinned digest and the run one stable
+// sort of the same records writes.
+func TestSpillRunsMatchContiguousSort(t *testing.T) {
+	recs := pinInput()
+	for _, size := range []int{1, 7, 64, DefaultChunkLen} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			disk := storage.NewMemDisk(0)
+			chunks := NewChunkList[testRec](size)
+			var spilled [][]testRec // each spill's records, in arrival order
+			from := 0
+			b := NewRunBuilder(BuilderConfig[testRec]{
+				Cmp: testCmp, Format: testFormat{}, Disk: disk,
+				RunName: func(i int) string { return fmt.Sprintf("pin/run-%04d", i) },
+				Chunks:  chunks,
+				Budget:  &capBudget{cap: 5000},
+				OnSpill: func(n int, _ int64) {
+					spilled = append(spilled, slices.Clone(recs[from:from+n]))
+					from += n
+				},
+			})
+			for _, r := range recs {
+				if err := b.Add(r, int64(len(r.key)+8)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := b.Spill(); err != nil {
+				t.Fatal(err)
+			}
+			if len(b.Runs()) != len(pinnedRuns) {
+				t.Fatalf("%d runs, pinned %d", len(b.Runs()), len(pinnedRuns))
+			}
+			for i, name := range b.Runs() {
+				if got := fileDigest(t, disk, name); got != pinnedRuns[i] {
+					t.Errorf("run %d: sha256 %s, pinned %s", i, got, pinnedRuns[i])
+				}
+				SortStable(spilled[i], testCmp)
+				ref := fmt.Sprintf("ref-%04d", i)
+				if err := writeSorted(disk, ref, testFormat{}, spilled[i]); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := fileDigest(t, disk, name), fileDigest(t, disk, ref); got != want {
+					t.Errorf("run %d differs from one stable sort of its records", i)
+				}
+			}
+			assertChunksHome(t, chunks)
+		})
+	}
+}
+
+// TestBuilderChunksKeepArrivalOrder: equal keys spread over many chunks,
+// spills that cut chunks in the middle and several runs; merging the runs
+// and then the drained chunks returns each key's records in arrival order.
+func TestBuilderChunksKeepArrivalOrder(t *testing.T) {
+	disk := storage.NewMemDisk(0)
+	chunks := NewChunkList[testRec](5)
+	budget := &capBudget{cap: 130} // 13 ten-byte records a spill
+	b := NewRunBuilder(BuilderConfig[testRec]{
+		Cmp: testCmp, Format: testFormat{}, Disk: disk,
+		RunName: func(i int) string { return fmt.Sprintf("order/run-%04d", i) },
+		Chunks:  chunks,
+		Budget:  budget,
+	})
+	const n = 60 // four spills of 13, eight records left in two chunks
+	for i := 0; i < n; i++ {
+		if err := b.Add(testRec{key: fmt.Sprintf("k%d", i%3), seq: int64(i)}, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bufs, bytes, runs := b.Drain()
+	if len(runs) != 4 || len(bufs) != 2 || bytes != 80 {
+		t.Fatalf("Drain = (%d chunks, %d bytes, %d runs), want (2, 80, 4)", len(bufs), bytes, len(runs))
+	}
+	if s := chunks.Stats(); s.Live != 2 {
+		t.Fatalf("chunks live after Drain = %d, want 2", s.Live)
+	}
+	var sources []Source[testRec]
+	for _, name := range runs {
+		rr, err := OpenRun(disk, name, testFormat{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rr.Close()
+		sources = append(sources, rr)
+	}
+	for _, c := range bufs {
+		sources = append(sources, SliceSource(c))
+	}
+	last := map[string]int64{}
+	count := 0
+	var prev string
+	err := Merge(sources, testCmp, func(r testRec, _ int) error {
+		if r.key < prev {
+			t.Fatalf("key %q after %q", r.key, prev)
+		}
+		if s, ok := last[r.key]; ok && r.seq <= s {
+			t.Fatalf("key %q: seq %d after %d, arrival order lost", r.key, r.seq, s)
+		}
+		prev, last[r.key] = r.key, r.seq
+		count++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if count != n {
+		t.Fatalf("merged %d records, want %d", count, n)
+	}
+	for _, c := range bufs {
+		chunks.Put(c)
+	}
+	assertChunksHome(t, chunks)
+}
+
+// TestChunkListReuses: a drained list hands its chunks out again, cleared,
+// before it makes another.
+func TestChunkListReuses(t *testing.T) {
+	l := NewChunkList[*int](4)
+	a, b := l.Get(), l.Get()
+	x := 1
+	a = append(a, &x)
+	l.Put(a)
+	l.Put(b)
+	for i := 0; i < 2; i++ {
+		c := l.Get()
+		if len(c) != 0 || cap(c) != 4 || c[:1][0] != nil {
+			t.Fatalf("reused chunk len %d cap %d, first slot %v", len(c), cap(c), c[:1][0])
+		}
+		defer l.Put(c)
+	}
+	if s := l.Stats(); s.Made != 2 || s.Peak != 2 || s.Live != 2 {
+		t.Fatalf("stats %+v, want Made 2, Peak 2, Live 2", s)
 	}
 }

@@ -1,6 +1,6 @@
 // Package extsort is the single external-sort substrate shared by both
-// engines and the SQL layer: a budget-aware run builder that sorts
-// in-memory buffers and spills them to a node-local disk as ordered run
+// engines: a budget-aware run builder that buffers typed records in
+// recycled chunks and spills them to a node-local disk as ordered run
 // files, its twin for records that are already bytes (SortBuffer), whose
 // runs are sectioned by partition (sections.go), a loser-tree k-way merge
 // that streams runs (on disk or in memory) back in global order, and a
@@ -19,7 +19,8 @@
 // Clients differ only in their record type, ordering and byte format:
 //
 //   - core's reduce accumulator: records are (key, value) pairs ordered
-//     by key, spilling when the node MemoryManager denies a reservation;
+//     by key, in chunks from the node's ChunkList, spilling when the
+//     job's MemoryManager denies a reservation;
 //   - mapreduce's map task: records are encoded (partition, key) and value
 //     bytes in a SortBuffer, ordered by the key bytes, spilling past
 //     io.sort.mb into sectioned runs, combined at spill and merge time,

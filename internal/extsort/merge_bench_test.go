@@ -57,7 +57,7 @@ func mergeToFactorFixture(tb testing.TB, disk storage.Disk, perRun int) ([]Run, 
 	names := make([]string, len(runs))
 	for i, run := range runs {
 		names[i] = fmt.Sprintf("run-%02d", i)
-		if err := writeRun(disk, names[i], testFormat{}, run); err != nil {
+		if err := writeSorted(disk, names[i], testFormat{}, run); err != nil {
 			tb.Fatal(err)
 		}
 	}

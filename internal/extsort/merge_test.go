@@ -135,12 +135,17 @@ func plainRuns(names []string) []Run {
 	return runs
 }
 
+// writeSorted writes an already-sorted slice of records as one run file.
+func writeSorted[T any](disk storage.Disk, name string, f Format[T], recs []T) error {
+	return writeRun(disk, name, f, []Source[T]{SliceSource(recs)}, nil)
+}
+
 // writeTestRun writes sorted records as one run file: sectioned by the
 // first prefix bytes of their encoded keys, or plain when prefix is 0.
 func writeTestRun[T any](t testing.TB, disk storage.Disk, name string, f Format[T], recs []T, prefix int) Run {
 	t.Helper()
 	if prefix == 0 {
-		if err := writeRun(disk, name, f, recs); err != nil {
+		if err := writeSorted(disk, name, f, recs); err != nil {
 			t.Fatal(err)
 		}
 		return Run{Name: name}
@@ -258,7 +263,7 @@ func TestMergeMixedFileAndSliceSources(t *testing.T) {
 	for i, run := range runs {
 		if i%2 == 0 {
 			name := fmt.Sprintf("run-%d", i)
-			if err := writeRun(disk, name, testFormat{}, run); err != nil {
+			if err := writeSorted(disk, name, testFormat{}, run); err != nil {
 				t.Fatal(err)
 			}
 			rr, err := OpenRun(disk, name, testFormat{})

@@ -45,22 +45,27 @@ func OpenRawRun(disk storage.Disk, name string) (*storage.RecordReader, error) {
 	return storage.NewRecordReader(file), nil
 }
 
-// writeRun writes an already-sorted slice of records as one run file.
-func writeRun[T any](disk storage.Disk, name string, f Format[T], recs []T) error {
+// writeRun merges the sorted sources, ties to the earlier source, into one
+// run file.
+func writeRun[T any](disk storage.Disk, name string, f Format[T], sources []Source[T], cmp Compare[T]) error {
 	w, err := CreateRawRun(disk, name)
 	if err != nil {
 		return err
 	}
 	var k, v []byte // encode scratch, reused across records
-	for _, rec := range recs {
+	err = Merge(sources, cmp, func(rec T, _ int) error {
+		var err error
 		if k, v, err = f.AppendRecord(k[:0], v[:0], rec); err != nil {
-			w.Close()
 			return err
 		}
 		if err := w.Write(k, v); err != nil {
-			w.Close()
 			return fmt.Errorf("extsort: write run: %w", err)
 		}
+		return nil
+	})
+	if err != nil {
+		w.Close()
+		return err
 	}
 	if err := w.Close(); err != nil {
 		return fmt.Errorf("extsort: close run: %w", err)
