@@ -61,9 +61,6 @@ func ParsePosition(s string) (Position, error) {
 type LocalTextLoader struct {
 	Files        map[int][]string
 	WithPosition bool
-	// SplitLines caps lines per split so one file yields multiple
-	// fine-grain loader tasks (0 = whole file per split).
-	SplitLines int
 }
 
 type localTextSplit struct {

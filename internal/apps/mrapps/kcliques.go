@@ -160,9 +160,9 @@ func kcJob(name string, edgeInput, candInput, output string, i, k, reduces int) 
 				return nil
 			})
 		},
+		// Candidates in the next job are parsed from the "clique\t1" lines
+		// the reducers write.
 		NumReduces: reduces,
-		// Candidates in the next job are parsed from "clique\t1" lines.
-		OutputFormat: func(kv core.KV) string { return fmt.Sprintf("%s\t%v\n", kv.Key, kv.Value) },
 	}
 }
 

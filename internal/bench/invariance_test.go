@@ -106,11 +106,9 @@ var scenarios = []scenario{
 	// local, and net.bytes is exactly the shuffle to the reduce on node 0.
 	{name: "mr-terasort", nodes: 3, blockSize: 16 << 10, counters: mrCounters,
 		variants: "vclock trace",
-		run: mrRun(teraLines(2500), 1, mapreduce.Config{SortBufferBytes: 4 << 10, MergeFactor: 3},
+		run: mrRun(teraLines(2500), 1, mapreduce.Config{SortBufferBytes: 4 << 10, MergeFactor: 3, ReduceHeapBytes: 32 << 10},
 			func(e *mapreduce.Engine, _ *cluster.Cluster) error {
-				job := teraSortJob("in/", "out", 1)
-				job.ReduceHeapBytes = 32 << 10
-				_, err := e.Run(job)
+				_, err := e.Run(teraSortJob("in/", "out", 1))
 				return err
 			})},
 	// Two PageRank iterations are four chained jobs, every boundary

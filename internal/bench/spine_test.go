@@ -69,7 +69,8 @@ func TestConfigsAreTuning(t *testing.T) {
 	}{
 		{cluster.Options{}, 11},
 		{core.Config{}, 10},
-		{mapreduce.Config{}, 9},
+		{mapreduce.Config{}, 8},
+		{mapreduce.Job{}, 7},
 		{hdfs.Config{}, 4},
 		{transport.CoalescerConfig{}, 4},
 	} {

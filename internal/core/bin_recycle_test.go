@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/hamr-go/hamr/internal/faults"
+	"github.com/hamr-go/hamr/internal/storage"
 	"github.com/hamr-go/hamr/internal/substrate"
 )
 
@@ -276,13 +277,22 @@ func TestBinRecyclingSurvivesAbort(t *testing.T) {
 }
 
 // TestAccumulatorChunksHomeAfterAbort aborts a job while its reduce
-// flowlets hold chunks on every node and the loaders are still emitting:
-// once Wait returns, every chunk is back on its node's list, and the next
-// job on the same runtimes draws from those lists without making more.
+// flowlets hold chunks and have spilled runs on every node and the loaders
+// are still emitting: once Wait returns, every chunk is back on its node's
+// list and every spill run is off its node's disk, and the next job on the
+// same runtimes draws from those lists without making more.
 func TestAccumulatorChunksHomeAfterAbort(t *testing.T) {
 	const numNodes, splits, perSplit = 4, 8, 400
-	nodes, cleanup := newTestCluster(t, numNodes, recycleConfig())
+	// Each node takes about 400 pairs before the loaders hold: a 2 KiB
+	// budget spills them several times over.
+	cfg := recycleConfig()
+	cfg.MemoryBudget = 2 << 10
+	nodes, cleanup := newTestCluster(t, numNodes, cfg)
 	defer cleanup()
+	used := make([]int64, numNodes)
+	for i, rt := range nodes {
+		used[i] = rt.Disk().(*storage.MemDisk).Used()
+	}
 
 	ld := idLoader(splits, perSplit)
 	ld.mid = make(chan struct{})
@@ -307,18 +317,19 @@ func TestAccumulatorChunksHomeAfterAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	runs := fmt.Sprintf("job%d/reduce-", j.ID())
 	j.Start()
 	<-ld.mid
 	deadline := time.Now().Add(10 * time.Second)
-	for live := 0; live < numNodes; {
-		live = 0
+	for ready := 0; ready < numNodes; {
+		ready = 0
 		for _, rt := range nodes {
-			if rt.AccChunks().Live > 0 {
-				live++
+			if rt.AccChunks().Live > 0 && len(rt.Disk().List(runs)) > 0 {
+				ready++
 			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d nodes hold accumulator chunks", live, numNodes)
+			t.Fatalf("only %d of %d nodes hold accumulator chunks and spill runs", ready, numNodes)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -328,6 +339,14 @@ func TestAccumulatorChunksHomeAfterAbort(t *testing.T) {
 		t.Fatalf("Wait after Abort = %v, want ErrJobCanceled", err)
 	}
 	assertChunksHome(t, nodes)
+	for i, rt := range nodes {
+		if left := rt.Disk().List(runs); len(left) > 0 {
+			t.Errorf("node %d: the aborted job left its spill runs %v", i, left)
+		}
+		if u := rt.Disk().(*storage.MemDisk).Used(); u != used[i] {
+			t.Errorf("node %d: disk holds %d bytes after the aborted job, %d before it", i, u, used[i])
+		}
+	}
 	made := make([]int, numNodes)
 	for i, rt := range nodes {
 		made[i] = rt.AccChunks().Made

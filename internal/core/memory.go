@@ -168,15 +168,19 @@ func (a *accumulator) release(chunks [][]kvRec, bytes int64) {
 	}
 }
 
-// close returns the chunks still buffered, once the job is over on this
-// node, and refuses later adds. After a clean job iterate has already
-// drained everything; after an abort this is what sends the chunks home.
+// close returns the chunks still buffered and removes the spill runs not
+// yet merged, once the job is over on this node, and refuses later adds.
+// After a clean job iterate has already drained everything; after an abort
+// this is what sends the chunks home and clears the disk.
 func (a *accumulator) close() {
 	a.mu.Lock()
-	chunks, bytes, _ := a.b.Drain()
+	chunks, bytes, runs := a.b.Drain()
 	a.closed = true
 	a.mu.Unlock()
 	a.release(chunks, bytes)
+	for _, r := range runs {
+		_ = a.disk.Remove(r)
+	}
 }
 
 // iterate calls fn once per key with all of that key's values: in arrival

@@ -230,9 +230,6 @@ func (rt *NodeRuntime) Service(name string) any { return rt.services[name] }
 // jobs every chunk is home: Live is 0 and Made == Peak.
 func (rt *NodeRuntime) AccChunks() extsort.ChunkStats { return rt.chunks.Stats() }
 
-// Pool exposes the worker pool for utilization reporting.
-func (rt *NodeRuntime) Pool() *par.Pool { return rt.pool }
-
 // Close drains the worker pool and flushes the outbound coalescer. The
 // runtime must not be used afterwards.
 func (rt *NodeRuntime) Close() error {

@@ -418,22 +418,17 @@ func (fs *FileSystem) Blocks(name string) ([]Block, error) {
 	return append([]Block(nil), meta.blocks...), nil
 }
 
-// readReplica reads one replica of a block, validating its length (a
-// truncated block is as bad as a missing one).
+// readReplica reads one whole replica of a block, opened and checked as
+// openReplica does.
 func (fs *FileSystem) readReplica(src transport.NodeID, b Block) ([]byte, error) {
-	f, err := fs.disks[src].Open(blockName(b.ID))
+	f, err := fs.openReplica(src, b, 0)
 	if err != nil {
-		return nil, fmt.Errorf("hdfs: open block %s on node %d: %w", b.ID, src, err)
+		return nil, err
 	}
 	defer f.Close()
 	data := make([]byte, b.Size)
-	n, err := io.ReadFull(f, data)
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+	if _, err := io.ReadFull(f, data); err != nil {
 		return nil, fmt.Errorf("hdfs: read block %s on node %d: %w", b.ID, src, err)
-	}
-	if int64(n) != b.Size {
-		return nil, fmt.Errorf("hdfs: block %s on node %d truncated: %d of %d bytes",
-			b.ID, src, n, b.Size)
 	}
 	return data, nil
 }
@@ -500,10 +495,6 @@ func (fs *FileSystem) served(src, at transport.NodeID, n int64) {
 func (fs *FileSystem) readReplicas(b Block, at transport.NodeID) ([]byte, error) {
 	var lastErr error
 	for i, src := range candidates(b, at) {
-		if err := fs.faults.ReplicaDown(int(src), b.ID); err != nil {
-			lastErr = err
-			continue
-		}
 		data, err := fs.readReplica(src, b)
 		if err != nil {
 			lastErr = err

@@ -19,6 +19,9 @@
 //     limit, so a task whose working set exceeds its heap dies with an
 //     out-of-memory error (§5.2, K-Cliques);
 //   - per-job startup cost and HDFS materialization between chained jobs.
+//
+// Every job has a mapper and a reducer: the reducers write the job's part
+// files, and a job without one is refused (there are no map-only jobs).
 package mapreduce
 
 import (
@@ -51,18 +54,6 @@ type Reducer interface {
 	Reduce(key string, values []any, out Emitter) error
 }
 
-// Setupper is an optional Mapper/Reducer extension invoked once before the
-// task's records (Hadoop's setup()).
-type Setupper interface {
-	Setup(out Emitter) error
-}
-
-// Cleanupper is an optional Mapper/Reducer extension invoked after the
-// task's records (Hadoop's cleanup()).
-type Cleanupper interface {
-	Cleanup(out Emitter) error
-}
-
 // MapperFunc adapts a function to Mapper.
 type MapperFunc func(kv core.KV, out Emitter) error
 
@@ -86,8 +77,8 @@ type Job struct {
 	Output string
 	// NewMapper creates one mapper per map task (required).
 	NewMapper func() Mapper
-	// NewReducer creates one reducer per reduce task; nil makes a map-only
-	// job whose map output goes directly to HDFS.
+	// NewReducer creates one reducer per reduce task (required): every job
+	// sorts, shuffles and reduces, and its reducers write the part files.
 	NewReducer func() Reducer
 	// NewCombiner, if non-nil, is applied to map output at spill and merge
 	// time (Hadoop's combiner): one combiner per spill run and one for the
@@ -99,13 +90,6 @@ type Job struct {
 	NewCombiner func() Reducer
 	// NumReduces overrides the engine default.
 	NumReduces int
-	// Partitioner overrides hash partitioning of intermediate keys.
-	Partitioner core.Partitioner
-	// OutputFormat renders final pairs to text; default "key\tvalue\n".
-	OutputFormat func(kv core.KV) string
-	// MapHeapBytes / ReduceHeapBytes override the engine's per-task heap.
-	MapHeapBytes    int64
-	ReduceHeapBytes int64
 }
 
 // Config holds engine-wide defaults, scaled-down analogues of stock Hadoop
@@ -122,8 +106,8 @@ type Config struct {
 	// MapMemMB / ReduceMemMB are container sizes requested from YARN.
 	MapMemMB    int
 	ReduceMemMB int
-	// MapHeapBytes / ReduceHeapBytes are per-task heap limits.
-	MapHeapBytes    int64
+	// ReduceHeapBytes is the per-reduce-task heap limit; a map task's is
+	// mapHeapBytes.
 	ReduceHeapBytes int64
 	// JobStartup is charged once per job (JVM/AppMaster launch).
 	JobStartup time.Duration
@@ -148,13 +132,13 @@ func (c *Config) FillDefaults() {
 	if c.ReduceMemMB <= 0 {
 		c.ReduceMemMB = 1024
 	}
-	if c.MapHeapBytes <= 0 {
-		c.MapHeapBytes = 64 << 20
-	}
 	if c.ReduceHeapBytes <= 0 {
 		c.ReduceHeapBytes = 64 << 20
 	}
 }
+
+// mapHeapBytes is every map task's heap limit.
+const mapHeapBytes = 64 << 20
 
 // OOMError reports a task exceeding its modeled heap.
 type OOMError struct {
@@ -175,7 +159,6 @@ type Result struct {
 	Duration     time.Duration
 	MapTasks     int
 	ReduceTasks  int
-	Spills       int64
 	ShuffleBytes int64
 	OutputFiles  []string
 	// Jobs holds per-job results for a chain.

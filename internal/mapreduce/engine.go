@@ -35,9 +35,6 @@ func NewEngine(c *cluster.Cluster, cfg Config) *Engine {
 	return &Engine{c: c, cfg: cfg, sub: c.Substrate()}
 }
 
-// Config returns the engine configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // Run executes one job and blocks until it completes.
 func (e *Engine) Run(job Job) (*Result, error) {
 	return e.RunContext(context.Background(), job)
@@ -63,24 +60,14 @@ func (e *Engine) RunContext(ctx context.Context, job Job) (*Result, error) {
 // multi-phase computations (§3.2): every boundary pays job startup and a
 // full HDFS materialization of the intermediate data.
 func (e *Engine) RunChain(jobs ...Job) (*Result, error) {
-	return e.RunChainContext(context.Background(), jobs...)
-}
-
-// RunChainContext is RunChain honoring ctx cancellation; a canceled chain
-// stops at the current job boundary.
-func (e *Engine) RunChainContext(ctx context.Context, jobs ...Job) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	start := time.Now()
 	total := &Result{Name: "chain"}
 	for i := range jobs {
-		r, err := e.RunContext(ctx, jobs[i])
+		r, err := e.Run(jobs[i])
 		if r != nil {
 			total.Jobs = append(total.Jobs, r)
 			total.MapTasks += r.MapTasks
 			total.ReduceTasks += r.ReduceTasks
-			total.Spills += r.Spills
 			total.ShuffleBytes += r.ShuffleBytes
 			total.OutputFiles = r.OutputFiles
 		}
@@ -114,42 +101,17 @@ type jobRun struct {
 	// tag is the tracer's label for this job: trace IDs are built from it
 	// and from job-relative names, never from id, so that two identical
 	// runs produce identical timelines whatever the process-global jobSeq.
-	tag                 string
-	numReduces          int
-	partition           core.Partitioner
-	format              lineFormat
-	mapHeap, reduceHeap int64
+	tag        string
+	numReduces int
 }
 
-// newJobRun numbers job and fills what it leaves unset from the engine's
-// defaults.
+// newJobRun numbers job and takes its reduce count from the engine's
+// default when it sets none.
 func (e *Engine) newJobRun(ctx context.Context, job Job) *jobRun {
-	j := &jobRun{
-		Engine:     e,
-		ctx:        ctx,
-		job:        job,
-		id:         jobSeq.Add(1),
-		numReduces: job.NumReduces,
-		partition:  job.Partitioner,
-		format:     appendLine,
-		mapHeap:    job.MapHeapBytes,
-		reduceHeap: job.ReduceHeapBytes,
-	}
+	j := &jobRun{Engine: e, ctx: ctx, job: job, id: jobSeq.Add(1), numReduces: job.NumReduces}
 	j.tag = e.sub.Trace.JobTag(j.id)
 	if j.numReduces <= 0 {
 		j.numReduces = e.cfg.DefaultReduces
-	}
-	if j.partition == nil {
-		j.partition = core.HashPartition
-	}
-	if f := job.OutputFormat; f != nil {
-		j.format = func(dst []byte, kv core.KV) []byte { return append(dst, f(kv)...) }
-	}
-	if j.mapHeap <= 0 {
-		j.mapHeap = e.cfg.MapHeapBytes
-	}
-	if j.reduceHeap <= 0 {
-		j.reduceHeap = e.cfg.ReduceHeapBytes
 	}
 	return j
 }
@@ -165,6 +127,9 @@ func (e *Engine) run(ctx context.Context, job Job) (*Result, error) {
 	}
 	if job.NewMapper == nil {
 		return nil, fmt.Errorf("mapreduce: job %q has no mapper", job.Name)
+	}
+	if job.NewReducer == nil {
+		return nil, fmt.Errorf("mapreduce: job %q has no reducer", job.Name)
 	}
 	if len(job.InputPrefixes) == 0 {
 		return nil, fmt.Errorf("mapreduce: job %q has no input", job.Name)
@@ -220,13 +185,6 @@ func (e *Engine) run(ctx context.Context, job Job) (*Result, error) {
 		return res, err
 	}
 
-	if job.NewReducer == nil {
-		// Map-only job: map output already in HDFS.
-		res.OutputFiles = e.c.FS().List(job.Output + "/")
-		res.Spills = reg.Counter("mr.spills").Value()
-		return res, nil
-	}
-
 	// ---- Reduce phase ----
 	res.ReduceTasks = j.numReduces
 	fetched := make([]int64, j.numReduces) // by each reduce task's last attempt
@@ -251,7 +209,7 @@ func (e *Engine) run(ctx context.Context, job Job) (*Result, error) {
 // runPhase runs the phase's tasks 0..n-1 ("map" or "reduce") at once, each
 // through retryTask, and waits for them all.
 func (j *jobRun) runPhase(kind string, n int, run func(task, attempt int) error) error {
-	g := par.NewGroup(0)
+	g := par.NewGroup()
 	for i := range n {
 		g.Go(func() error {
 			return j.retryTask(fmt.Sprintf("%s/retry:%s-%05d", j.tag, kind, i), func(attempt int) error {
@@ -354,12 +312,9 @@ func (t *taskEmitter) Charge(bytes int64) error {
 	return nil
 }
 
-// lineFormat appends one output pair's text line to dst.
-type lineFormat func(dst []byte, kv core.KV) []byte
-
-// appendLine is the default lineFormat, "key\tvalue\n" with the value as
-// fmt's %v prints it: the common value types are appended directly, the
-// rest go through fmt.
+// appendLine appends one output pair's text line to dst, "key\tvalue\n"
+// with the value as fmt's %v prints it: the common value types are
+// appended directly, the rest go through fmt.
 func appendLine(dst []byte, kv core.KV) []byte {
 	dst = append(dst, kv.Key...)
 	dst = append(dst, '\t')

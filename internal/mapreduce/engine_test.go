@@ -174,7 +174,7 @@ func TestMapSideSpill(t *testing.T) {
 func TestReduceOOM(t *testing.T) {
 	c := newTestCluster(t, 2)
 	writeCorpus(t, c, "in/corpus.txt", 400)
-	e := NewEngine(c, Config{})
+	e := NewEngine(c, Config{ReduceHeapBytes: 1 << 10})
 	job := wordCountJob(false)
 	// Reducer that "builds a graph in memory" per task, like the paper's
 	// K-Cliques reduce (§5.2) — exceeding the task heap must fail the job.
@@ -183,7 +183,6 @@ func TestReduceOOM(t *testing.T) {
 			return out.Charge(1 << 20)
 		})
 	}
-	job.ReduceHeapBytes = 1 << 10
 	_, err := e.Run(job)
 	if err == nil {
 		t.Fatal("expected OOM, job succeeded")
@@ -193,28 +192,43 @@ func TestReduceOOM(t *testing.T) {
 	}
 }
 
+// TestMapOnlyJob holds job validation: a job without a reducer — the
+// map-only job Hadoop allows — is refused like one without a mapper, an
+// input or an output, with an error naming the job, before it runs a task.
 func TestMapOnlyJob(t *testing.T) {
 	c := newTestCluster(t, 2)
 	writeCorpus(t, c, "in/corpus.txt", 50)
 	e := NewEngine(c, Config{})
-	res, err := e.Run(Job{
-		Name:          "upper",
-		InputPrefixes: []string{"in/"},
-		Output:        "out",
-		NewMapper: func() Mapper {
-			return MapperFunc(func(kv core.KV, out Emitter) error {
-				return out.Emit(core.KV{Key: strings.ToUpper(kv.Value.(string)), Value: int64(1)})
-			})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		strip func(*Job)
+		want  string
+	}{
+		{"no reducer", func(j *Job) { j.NewReducer = nil }, "has no reducer"},
+		{"no mapper", func(j *Job) { j.NewMapper = nil }, "has no mapper"},
+		{"no input", func(j *Job) { j.InputPrefixes = nil }, "has no input"},
+		{"no output", func(j *Job) { j.Output = "" }, "has no output"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			job := wordCountJob(false)
+			job.Name = "refused-" + strings.ReplaceAll(tc.name, " ", "-")
+			tc.strip(&job)
+			jobs := c.Metrics().Counter("mr.jobs")
+			before := jobs.Value()
+			res, err := e.Run(job)
+			if err == nil {
+				t.Fatalf("job ran: %+v", res)
+			}
+			if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), job.Name) {
+				t.Errorf("error %q, want %q naming job %q", err, tc.want, job.Name)
+			}
+			if jobs.Value() != before {
+				t.Error("a refused job was started")
+			}
+		})
 	}
-	if res.ReduceTasks != 0 {
-		t.Errorf("map-only job ran %d reduces", res.ReduceTasks)
-	}
-	if len(res.OutputFiles) == 0 {
-		t.Error("map-only job produced no output files")
+	if left := c.FS().List(""); len(left) != 1 {
+		t.Errorf("HDFS holds %v, want only the input", left)
 	}
 }
 

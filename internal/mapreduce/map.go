@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -72,47 +71,21 @@ func (j *jobRun) runMapTask(taskID, attempt int, split hdfs.Split) (mres *mapRes
 		reg.Inc("mr.map.remote")
 	}
 
-	em := &taskEmitter{task: taskName, heap: j.mapHeap}
+	em := &taskEmitter{task: taskName, heap: mapHeapBytes}
 	mt := j.newMapTask(taskName, tname, node, em)
-
-	mapOnly := job.NewReducer == nil
-	var hdfsOut *bufio.Writer
-	var hdfsFile *hdfs.Writer
-	if mapOnly {
-		hdfsFile = j.c.FS().Create(fmt.Sprintf("%s/part-m-%05d", job.Output, taskID), transport.NodeID(node))
-		hdfsOut = bufio.NewWriter(hdfsFile)
-	}
+	em.sink = func(kv core.KV) error { return mt.collect(kv, em) }
 	defer func() {
 		if rerr == nil {
 			return
 		}
-		// Failed attempt: roll back everything it wrote — spills, merged
-		// runs and any unpublished HDFS output — so a retry starts clean and
-		// no partial files leak.
-		if hdfsFile != nil {
-			hdfsFile.Abort()
-		}
+		// Failed attempt: roll back everything it wrote — spills and merged
+		// runs — so a retry starts clean and no partial files leak.
 		for _, f := range mt.disk.List(taskName + "/") {
 			_ = mt.disk.Remove(f)
 		}
 	}()
 
-	var text []byte // the map-only sink's format scratch
-	em.sink = func(kv core.KV) error {
-		if mapOnly {
-			text = j.format(text[:0], kv)
-			_, err := hdfsOut.Write(text)
-			return err
-		}
-		return mt.collect(kv, em)
-	}
-
 	mapper := job.NewMapper()
-	if s, ok := mapper.(Setupper); ok {
-		if err := s.Setup(em); err != nil {
-			return nil, fmt.Errorf("%s setup: %w", taskName, err)
-		}
-	}
 	it, err := j.c.FS().OpenLines(split, transport.NodeID(node))
 	if err != nil {
 		return nil, fmt.Errorf("%s open split: %w", taskName, err)
@@ -131,11 +104,6 @@ func (j *jobRun) runMapTask(taskID, attempt int, split hdfs.Split) (mres *mapRes
 	if err := it.Err(); err != nil {
 		return nil, fmt.Errorf("%s read split: %w", taskName, err)
 	}
-	if c, ok := mapper.(Cleanupper); ok {
-		if err := c.Cleanup(em); err != nil {
-			return nil, fmt.Errorf("%s cleanup: %w", taskName, err)
-		}
-	}
 
 	// Mid-task fault checkpoint: the attempt has done its work but
 	// committed nothing a retry could not redo.
@@ -145,16 +113,6 @@ func (j *jobRun) runMapTask(taskID, attempt int, split hdfs.Split) (mres *mapRes
 	if inj.Revoke(site, attempt) {
 		j.c.Yarn().Revoke(ct)
 		return nil, &faults.Error{Op: "yarn.revoke", Site: fmt.Sprintf("%s#%d", site, attempt)}
-	}
-
-	if mapOnly {
-		if err := hdfsOut.Flush(); err != nil {
-			return nil, err
-		}
-		if err := hdfsFile.Close(); err != nil {
-			return nil, err
-		}
-		return &mapResult{node: node}, nil
 	}
 
 	out, err := mt.finish()
@@ -225,7 +183,7 @@ func (j *jobRun) newMapTask(taskName, tname string, node int, em *taskEmitter) *
 // the map side — and adds it to the sort buffer, which spills when it
 // exceeds io.sort.mb.
 func (mt *mapTask) collect(kv core.KV, em *taskEmitter) error {
-	p := mt.j.partition(kv.Key, mt.j.numReduces)
+	p := core.HashPartition(kv.Key, mt.j.numReduces)
 	sz := kv.Size()
 	if err := em.Charge(sz); err != nil {
 		return err

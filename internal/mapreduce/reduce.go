@@ -146,7 +146,7 @@ func mergeFetched(disk storage.Disk, onDisk []extsort.Run, mem storage.Disk, inM
 
 func (j *jobRun) runReduceTask(r, attempt int, maps []*mapResult) (fetched int64, rerr error) {
 	job, reg, inj, tr := j.job, j.sub.Metrics, j.sub.Faults, j.sub.Trace
-	tag, heap := j.tag, j.reduceHeap
+	tag, heap := j.tag, j.cfg.ReduceHeapBytes
 	site := fmt.Sprintf("reduce-%05d", r)
 	ct, err := j.c.Yarn().Allocate(j.cfg.ReduceMemMB, -1)
 	if err != nil {
@@ -284,22 +284,16 @@ func (j *jobRun) runReduceTask(r, attempt int, maps []*mapResult) (fetched int64
 	em := &taskEmitter{task: taskName, heap: heap}
 	var text []byte // the sink's format scratch
 	em.sink = func(kv core.KV) error {
-		text = j.format(text[:0], kv)
+		text = appendLine(text[:0], kv)
 		_, err := w.Write(text)
 		return err
-	}
-	reducer := job.NewReducer()
-	if s, ok := reducer.(Setupper); ok {
-		if err := s.Setup(em); err != nil {
-			return fetched, fmt.Errorf("%s setup: %w", taskName, err)
-		}
 	}
 
 	// One merge over the runs, in map-task order: the disk's in the order
 	// they were written, then those still in memory, which stay there as
 	// they would had none gone to the disk. A value is first decoded here,
 	// on its way into Reduce.
-	groups := &groupReducer{red: reducer, em: em}
+	groups := &groupReducer{red: job.NewReducer(), em: em}
 	if err = mergeFetched(disk, diskRuns, mem, memRuns, groups.add); err == nil {
 		err = groups.flush()
 	}
@@ -310,11 +304,6 @@ func (j *jobRun) runReduceTask(r, attempt int, maps []*mapResult) (fetched int64
 		return fetched, fmt.Errorf("%s: %w", taskName, err)
 	}
 
-	if c, ok := reducer.(Cleanupper); ok {
-		if err := c.Cleanup(em); err != nil {
-			return fetched, fmt.Errorf("%s cleanup: %w", taskName, err)
-		}
-	}
 	if err := w.Flush(); err != nil {
 		return fetched, err
 	}

@@ -195,14 +195,13 @@ func TestReduceMergesInMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		e := NewEngine(c, Config{})
+		e := NewEngine(c, Config{ReduceHeapBytes: heap})
 		results := writeMapOutputs(t, e, maps, 1, gen)
 		for _, mr := range results {
 			payloads = append(payloads, mr.out.Sections[0].Payload)
 		}
 		reg := c.Metrics()
 		before := reg.Counter("disk.write.ops").Value()
-		job.ReduceHeapBytes = heap
 		if _, err := e.newJobRun(context.Background(), job).runReduceTask(0, 0, results); err != nil {
 			t.Fatal(err)
 		}
@@ -327,12 +326,12 @@ func TestReduceAllocsPerRecord(t *testing.T) {
 		{"disk", 4 << 10, 3.5, 88},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			he := NewEngine(e.c, Config{ReduceHeapBytes: tc.heap})
 			reduce := func() (allocs, bytes float64) {
 				run++
 				job := identitySortJob(reduceFixtureTasks)
 				job.Output = fmt.Sprintf("out%d", run)
-				job.ReduceHeapBytes = tc.heap
-				j := e.newJobRun(context.Background(), job)
+				j := he.newJobRun(context.Background(), job)
 				var m0, m1 runtime.MemStats
 				runtime.ReadMemStats(&m0)
 				for r := 0; r < reduceFixtureTasks; r++ {

@@ -8,33 +8,19 @@ import (
 // in spirit to errgroup but with no external dependency and no context
 // plumbing (callers cancel through their own mechanisms).
 type Group struct {
-	wg   sync.WaitGroup
-	mu   sync.Mutex
-	err  error
-	sema chan struct{}
+	wg  sync.WaitGroup
+	mu  sync.Mutex
+	err error
 }
 
-// NewGroup returns a Group with an optional concurrency limit; limit <= 0
-// means unlimited.
-func NewGroup(limit int) *Group {
-	g := &Group{}
-	if limit > 0 {
-		g.sema = make(chan struct{}, limit)
-	}
-	return g
-}
+// NewGroup returns an empty Group.
+func NewGroup() *Group { return &Group{} }
 
-// Go runs fn in a new goroutine, honoring the concurrency limit.
+// Go runs fn in a new goroutine.
 func (g *Group) Go(fn func() error) {
 	g.wg.Add(1)
-	if g.sema != nil {
-		g.sema <- struct{}{}
-	}
 	go func() {
 		defer g.wg.Done()
-		if g.sema != nil {
-			defer func() { <-g.sema }()
-		}
 		if err := fn(); err != nil {
 			g.mu.Lock()
 			if g.err == nil {
@@ -65,13 +51,3 @@ func (s Semaphore) Acquire() { s <- struct{}{} }
 
 // Release returns one slot.
 func (s Semaphore) Release() { <-s }
-
-// TryAcquire takes a slot if one is immediately available.
-func (s Semaphore) TryAcquire() bool {
-	select {
-	case s <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}

@@ -1,6 +1,6 @@
 // Package par provides small concurrency utilities shared by the HAMR
-// runtime and the MapReduce baseline: a resizable worker pool with busy-time
-// accounting, an error-collecting wait group, and a counting semaphore.
+// runtime and the MapReduce baseline: a fixed-size worker pool, an
+// error-collecting wait group, and a counting semaphore.
 //
 // The worker pool is the "thread pool" of the paper's per-node runtime
 // (Fig. 2): tasks are closures, executed asynchronously, and a task runs
@@ -13,7 +13,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Task is a unit of work executed by a Pool worker. Tasks must not block
@@ -27,14 +26,10 @@ type Task func()
 type Pool struct {
 	tasks    chan Task
 	wg       sync.WaitGroup
-	busyNS   atomic.Int64
-	executed atomic.Int64
 	closed   atomic.Bool
 	closeMu  sync.RWMutex // submitters hold R, Close holds W around close(tasks)
 	panicMu  sync.Mutex
 	panicErr error
-	workers  int
-	start    time.Time
 }
 
 // NewPool starts a pool with workers goroutines and a task queue of the
@@ -46,11 +41,7 @@ func NewPool(workers, queue int) *Pool {
 	if queue < 1 {
 		queue = 1
 	}
-	p := &Pool{
-		tasks:   make(chan Task, queue),
-		workers: workers,
-		start:   time.Now(),
-	}
+	p := &Pool{tasks: make(chan Task, queue)}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go p.worker()
@@ -66,10 +57,7 @@ func (p *Pool) worker() {
 }
 
 func (p *Pool) run(t Task) {
-	start := time.Now()
 	defer func() {
-		p.busyNS.Add(int64(time.Since(start)))
-		p.executed.Add(1)
 		if r := recover(); r != nil {
 			p.panicMu.Lock()
 			if p.panicErr == nil {
@@ -103,22 +91,6 @@ func (p *Pool) Submit(t Task) error {
 	return nil
 }
 
-// TrySubmit enqueues a task if queue space is available, without blocking.
-// It reports whether the task was accepted.
-func (p *Pool) TrySubmit(t Task) bool {
-	p.closeMu.RLock()
-	defer p.closeMu.RUnlock()
-	if p.closed.Load() {
-		return false
-	}
-	select {
-	case p.tasks <- t:
-		return true
-	default:
-		return false
-	}
-}
-
 // Close stops accepting tasks, waits for queued tasks to drain, and returns
 // the first task panic observed (nil if none).
 func (p *Pool) Close() error {
@@ -131,24 +103,4 @@ func (p *Pool) Close() error {
 	p.panicMu.Lock()
 	defer p.panicMu.Unlock()
 	return p.panicErr
-}
-
-// Workers returns the number of worker goroutines.
-func (p *Pool) Workers() int { return p.workers }
-
-// Executed returns the number of tasks completed so far.
-func (p *Pool) Executed() int64 { return p.executed.Load() }
-
-// BusyTime returns the total wall time workers spent executing tasks.
-func (p *Pool) BusyTime() time.Duration { return time.Duration(p.busyNS.Load()) }
-
-// Utilization returns busy time divided by (elapsed * workers), a coarse
-// resource-utilization figure in [0, 1+] used by the harness to back the
-// paper's claim about asynchronous execution improving utilization.
-func (p *Pool) Utilization() float64 {
-	elapsed := time.Since(p.start)
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(p.BusyTime()) / (float64(elapsed) * float64(p.workers))
 }
