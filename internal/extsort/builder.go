@@ -11,20 +11,69 @@ import (
 // of (key, value) records.
 const DefaultChunkLen = 1024
 
-// ChunkList is a free list of fixed-capacity record chunks: a LIFO stack
-// behind a mutex, so reuse does not depend on GC timing the way a
-// sync.Pool does. Chunks have the list's capacity, so filling one never
-// grows it. A returned chunk is always kept: every chunk the list made is
-// either out (live) or on the stack, so the stack never holds more than
-// the most chunks that were ever out at once.
-type ChunkList[T any] struct {
-	size int // cap of every chunk
-
+// FreeList is a free list of slices: a LIFO stack behind a mutex, so
+// reuse does not depend on GC timing the way a sync.Pool does. A returned
+// slice is always kept: every slice the list made is either out (live) or
+// on the stack, so the stack never holds more than the most slices that
+// were ever out at once. The zero value is an empty list.
+type FreeList[T any] struct {
 	mu   sync.Mutex
 	free [][]T
-	live int // chunks handed out and not yet returned
+	live int // slices handed out and not yet returned
 	made int
-	peak int // the most chunks live at once
+	peak int // the most slices live at once
+}
+
+// Get returns an empty slice off the stack, or nil when the stack is
+// empty: the caller makes the slice it needs then. A caller that needs
+// more room than a slice has trades it for a larger one; the list counts
+// either as the one slice it handed out.
+func (l *FreeList[T]) Get() []T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.live++
+	l.peak = max(l.peak, l.live)
+	n := len(l.free)
+	if n == 0 {
+		l.made++
+		return nil
+	}
+	s := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return s
+}
+
+// Put clears a slice the list handed out, or the one it grew into, up to
+// its capacity (nothing it held may stay reachable from the free list)
+// and stacks it for reuse. The caller must not touch it afterwards.
+func (l *FreeList[T]) Put(s []T) {
+	clear(s[:cap(s)])
+	l.mu.Lock()
+	l.live--
+	l.free = append(l.free, s[:0])
+	l.mu.Unlock()
+}
+
+// ChunkStats is a snapshot of a FreeList. Once every slice is home, Live
+// is 0 and Made == Free; Made == Peak says no slice was made while one
+// sat on the list.
+type ChunkStats struct {
+	Live, Free, Made, Peak int
+}
+
+// Stats returns the list's counts.
+func (l *FreeList[T]) Stats() ChunkStats {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return ChunkStats{Live: l.live, Free: len(l.free), Made: l.made, Peak: l.peak}
+}
+
+// ChunkList is a free list of record chunks of one fixed capacity, so
+// filling one never grows it.
+type ChunkList[T any] struct {
+	FreeList[T]
+	size int // cap of every chunk
 }
 
 // NewChunkList returns an empty list of chunks with capacity size.
@@ -34,43 +83,10 @@ func NewChunkList[T any](size int) *ChunkList[T] {
 
 // Get returns an empty chunk, allocating one only when the list is empty.
 func (l *ChunkList[T]) Get() []T {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.live++
-	l.peak = max(l.peak, l.live)
-	if n := len(l.free); n > 0 {
-		c := l.free[n-1]
-		l.free[n-1] = nil
-		l.free = l.free[:n-1]
+	if c := l.FreeList.Get(); c != nil {
 		return c
 	}
-	l.made++
 	return make([]T, 0, l.size)
-}
-
-// Put clears a chunk the list handed out (its records must not stay
-// reachable from the free list) and stacks it for reuse. The caller must
-// not touch the chunk afterwards.
-func (l *ChunkList[T]) Put(c []T) {
-	clear(c)
-	l.mu.Lock()
-	l.live--
-	l.free = append(l.free, c[:0])
-	l.mu.Unlock()
-}
-
-// ChunkStats is a snapshot of a ChunkList. Once every chunk is home, Live
-// is 0 and Made == Free; Made == Peak says no chunk was made while one
-// sat on the list.
-type ChunkStats struct {
-	Live, Free, Made, Peak int
-}
-
-// Stats returns the list's counts.
-func (l *ChunkList[T]) Stats() ChunkStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return ChunkStats{Live: l.live, Free: len(l.free), Made: l.made, Peak: l.peak}
 }
 
 // BuilderConfig configures a RunBuilder. Cmp, Format, and RunName are

@@ -3,6 +3,7 @@ package extsort
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"slices"
 
 	"github.com/hamr-go/hamr/internal/storage"
@@ -10,15 +11,32 @@ import (
 
 // sortBlockSize is the unit a SortBuffer's storage grows by. A buffer
 // that is handed k bytes holds at most k plus one block, so a task that
-// emits little allocates little whatever its spill threshold is.
-const sortBlockSize = 16 << 10
+// emits little allocates little whatever its spill threshold is. An index
+// word's low sortOffsetBits hold a record's offset in its block.
+const (
+	sortOffsetBits = 14
+	sortBlockSize  = 1 << sortOffsetBits
+)
 
-// CombineFunc folds one group of a spill — every buffered record whose
-// key is key, values in arrival order — into the records it passes to
-// emit, which the run then holds in the group's place. key and values
-// point into the buffer and emit copies what it is given: none of the
-// slices may be kept past the call.
-type CombineFunc func(key []byte, values [][]byte, emit func(key, value []byte) error) error
+// maxSortBlocks is the most blocks the high bits of an index word can
+// number: 4 GiB of standard blocks.
+var maxSortBlocks = 1 << (32 - sortOffsetBits)
+
+// errSortBufferFull is returned by an Add that would need a block past
+// maxSortBlocks since the last spill.
+var errSortBufferFull = errors.New("extsort: sort buffer full: its index cannot number another block")
+
+// Combiner folds the records of a spill into the records its run holds
+// (the map-side combiner). A spill calls Begin with the run's writer, Add
+// with each record in run order, lent until Add returns, and End once,
+// after the last record or after the first error. End flushes what the
+// combiner still holds only when flush is true, and either way leaves it
+// ready for the next Begin.
+type Combiner interface {
+	Begin(write func(key, value []byte) error)
+	Add(key, value []byte) error
+	End(flush bool) error
+}
 
 // SortBufferConfig configures a SortBuffer. Disk and RunName are required.
 type SortBufferConfig struct {
@@ -32,10 +50,14 @@ type SortBufferConfig struct {
 	// to Threshold or beyond — Hadoop's io.sort.mb semantics, where the
 	// record that crossed the line is included in the spill.
 	Threshold int64
-	// Combine, when non-nil, is called once per key group of every spill,
-	// in key order, and what it emits is the run (the map-side combiner).
-	// OnSpill's accounting is of the records added, not the records emitted.
-	Combine CombineFunc
+	// Index is the free list each spill borrows its sort index from and
+	// returns it to once the run is written. Buffers that spill one after
+	// another share one index by sharing the list; nil gives the buffer a
+	// list of its own.
+	Index *FreeList[uint32]
+	// Combine, when non-nil, folds every spill: what it writes is the run.
+	// OnSpill's accounting is of the records added, not the records written.
+	Combine Combiner
 	// OnSpill observes each spill, its run already in Runs: the number of
 	// records added since the last one and their accounted bytes.
 	OnSpill func(records int, bytes int64)
@@ -48,25 +70,31 @@ type SortBufferConfig struct {
 // keys, equal keys in arrival order: the order MergeToFactor and MergeRuns
 // keep.
 //
-// Storage is a list of pointer-free blocks of sortBlockSize (a record too
-// large for one gets a block of its own size). A record sits in its block
-// framed as in a run file — uvarint key length, key, uvarint value length,
-// value — and the index holds one word per record: block number in the
-// high half, offset in the low. Blocks and index are reused from one spill
-// to the next and are garbage once the buffer is; nothing is shared with
-// another buffer. It is not safe for concurrent use.
+// Between spills the buffer holds its records and nothing else: a list of
+// pointer-free blocks of sortBlockSize (a record too large for one gets a
+// block of its own size). A record sits in its block framed as in a run
+// file — uvarint key length, key, uvarint value length, value. A spill
+// walks that framing to build its index, one 32-bit word per record:
+// block number in the high bits, offset in the low sortOffsetBits (a
+// standard block is that long, and an outsized one holds one record, at
+// offset 0). The index is scratch from the configured free list and goes
+// back to it when the run is written. The blocks are reused from one
+// spill to the next and are garbage once the buffer is. It is not safe
+// for concurrent use.
 type SortBuffer struct {
 	cfg    SortBufferConfig
 	blocks [][]byte // len = bytes filled
 	cur    int      // the block being filled; those after it are empty
-	index  []uint64
+	n      int      // records buffered
 	bytes  int64
 	runs   []Run
-	values [][]byte // Combine's argument, reused
 }
 
 // NewSortBuffer returns an empty buffer.
 func NewSortBuffer(cfg SortBufferConfig) *SortBuffer {
+	if cfg.Index == nil {
+		cfg.Index = &FreeList[uint32]{}
+	}
 	return &SortBuffer{cfg: cfg}
 }
 
@@ -76,18 +104,15 @@ func (b *SortBuffer) Add(key, value []byte, size int64) error {
 	// Room for the two length prefixes at their longest: a bound, not the
 	// exact frame size, so a block may close a few bytes early.
 	i := b.place(len(key) + len(value) + 2*binary.MaxVarintLen32)
+	if i < 0 {
+		return errSortBufferFull
+	}
 	blk := b.blocks[i]
-	off := len(blk)
 	blk = binary.AppendUvarint(blk, uint64(len(key)))
 	blk = append(blk, key...)
 	blk = binary.AppendUvarint(blk, uint64(len(value)))
 	b.blocks[i] = append(blk, value...)
-	if len(b.index) == cap(b.index) {
-		// Doubling allocates twice the final index on the way to it;
-		// append's own growth past 256 elements, about five times.
-		b.index = slices.Grow(b.index, max(len(b.index), 256))
-	}
-	b.index = append(b.index, uint64(i)<<32|uint64(off))
+	b.n++
 	b.bytes += size
 	if b.cfg.Threshold > 0 && b.bytes >= b.cfg.Threshold {
 		return b.Spill()
@@ -97,8 +122,11 @@ func (b *SortBuffer) Add(key, value []byte, size int64) error {
 
 // place returns the number of a block with room for n more bytes: the one
 // being filled, else the next, which is made when there is none or it is
-// too small. Records therefore land at rising (block, offset) positions,
-// which is what lets a spill tell arrival order from an index word.
+// too small; -1 if that would be one block too many. Records therefore
+// land at rising (block, offset) positions, which is what lets a spill
+// tell arrival order from an index word. A block made for n > sortBlockSize
+// is exactly that large, so the bytes it has left after its record are
+// fewer than the 2*MaxVarintLen32 any next record needs.
 func (b *SortBuffer) place(n int) int {
 	if b.cur < len(b.blocks) {
 		if blk := b.blocks[b.cur]; cap(blk)-len(blk) >= n {
@@ -107,39 +135,67 @@ func (b *SortBuffer) place(n int) int {
 		b.cur++
 	}
 	if b.cur == len(b.blocks) || cap(b.blocks[b.cur]) < n {
+		if len(b.blocks) == maxSortBlocks {
+			return -1
+		}
 		b.blocks = slices.Insert(b.blocks, b.cur, make([]byte, 0, max(n, sortBlockSize)))
 	}
 	return b.cur
 }
 
+// appendIndex appends one index word per buffered record to index, in
+// arrival order: a walk over each block's framing, blocks in order.
+func (b *SortBuffer) appendIndex(index []uint32) []uint32 {
+	for i, blk := range b.blocks {
+		for off := 0; off < len(blk); {
+			index = append(index, uint32(i)<<sortOffsetBits|uint32(off))
+			klen, n := binary.Uvarint(blk[off:])
+			off += n + int(klen)
+			vlen, n := binary.Uvarint(blk[off:])
+			off += n + int(vlen)
+		}
+	}
+	return index
+}
+
 // key returns the key of the record the index word e points at, and the
 // rest of its block from the key's end on.
-func (b *SortBuffer) key(e uint64) (key, rest []byte) {
-	p := b.blocks[e>>32][uint32(e):]
+func (b *SortBuffer) key(e uint32) (key, rest []byte) {
+	p := b.blocks[e>>sortOffsetBits][e&(sortBlockSize-1):]
 	klen, n := binary.Uvarint(p)
 	end := n + int(klen)
 	return p[n:end], p[end:]
 }
 
 // record returns the key and value the index word e points at.
-func (b *SortBuffer) record(e uint64) (key, value []byte) {
+func (b *SortBuffer) record(e uint32) (key, value []byte) {
 	key, p := b.key(e)
 	vlen, n := binary.Uvarint(p)
 	return key, p[n : n+int(vlen)]
 }
 
-// Spill sorts the buffered records, folds each key group through Combine
-// if there is one, and writes the result as the next run file. An empty
-// buffer is a no-op.
+// Spill sorts the buffered records, passes them through Combine if there
+// is one, and writes the result as the next run file. An empty buffer is
+// a no-op.
 func (b *SortBuffer) Spill() error {
-	if len(b.index) == 0 {
+	if b.n == 0 {
 		return nil
 	}
+	index := b.cfg.Index.Get()
+	if cap(index) < b.n {
+		// Room for an eighth more records than this spill holds: the
+		// spills that share a list hold about as many records each, and an
+		// index sized to this one exactly would be traded in by the next
+		// that holds a few more.
+		index = make([]uint32, 0, b.n+b.n/8)
+	}
+	index = b.appendIndex(index)
+	defer b.cfg.Index.Put(index)
 	// By key only: records with one key come out next to each other in any
 	// order, which a sort that sees them as equal gets through faster than
-	// one made to tell them apart. groups puts each group back in arrival
+	// one made to tell them apart. sorted puts each group back in arrival
 	// order, so the run is the stable sort of the buffer.
-	slices.SortFunc(b.index, func(x, y uint64) int {
+	slices.SortFunc(index, func(x, y uint32) int {
 		kx, _ := b.key(x)
 		ky, _ := b.key(y)
 		return bytes.Compare(kx, ky)
@@ -148,7 +204,15 @@ func (b *SortBuffer) Spill() error {
 	if err != nil {
 		return err
 	}
-	err = b.groups(w.Write)
+	if c := b.cfg.Combine; c != nil {
+		c.Begin(w.Write)
+		err = b.sorted(index, c.Add)
+		if cerr := c.End(err == nil); err == nil {
+			err = cerr
+		}
+	} else {
+		err = b.sorted(index, w.Write)
+	}
 	run, cerr := w.Close()
 	if err == nil {
 		err = cerr
@@ -158,7 +222,7 @@ func (b *SortBuffer) Spill() error {
 	}
 	b.runs = append(b.runs, run)
 	if b.cfg.OnSpill != nil {
-		b.cfg.OnSpill(len(b.index), b.bytes)
+		b.cfg.OnSpill(b.n, b.bytes)
 	}
 	// Keep the blocks for the next fill, except the outsized ones: one huge
 	// record should not pin its block for the rest of the task.
@@ -170,47 +234,29 @@ func (b *SortBuffer) Spill() error {
 	}
 	clear(b.blocks[len(kept):])
 	b.blocks, b.cur = kept, 0
-	b.index = b.index[:0]
-	b.bytes = 0
+	b.n, b.bytes = 0, 0
 	return nil
 }
 
-// groups walks the key-sorted index a key group at a time: it restores the
-// group's arrival order — index words rise with arrival — and passes its
-// records to emit, through Combine if there is one.
-func (b *SortBuffer) groups(emit func(key, value []byte) error) error {
-	for i := 0; i < len(b.index); {
-		key, _ := b.key(b.index[i])
+// sorted passes the records of the key-sorted index to emit, a key group
+// at a time in arrival order: index words rise with arrival, so sorting a
+// group's words as integers restores it.
+func (b *SortBuffer) sorted(index []uint32, emit func(key, value []byte) error) error {
+	for i := 0; i < len(index); {
+		key, _ := b.key(index[i])
 		j := i + 1
-		for ; j < len(b.index); j++ {
-			if k, _ := b.key(b.index[j]); !bytes.Equal(k, key) {
+		for ; j < len(index); j++ {
+			if k, _ := b.key(index[j]); !bytes.Equal(k, key) {
 				break
 			}
 		}
-		group := b.index[i:j]
+		group := index[i:j]
 		slices.Sort(group)
 		i = j
-		if b.cfg.Combine == nil {
-			for _, e := range group {
-				if err := emit(b.record(e)); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		// The group was measured first, so the values slice grows to the
-		// largest group in one step (append alone would allocate five
-		// times that).
-		if n := len(group); n > cap(b.values) {
-			b.values = make([][]byte, 0, max(n, 2*cap(b.values)))
-		}
-		b.values = b.values[:0]
 		for _, e := range group {
-			_, v := b.record(e)
-			b.values = append(b.values, v)
-		}
-		if err := b.cfg.Combine(key, b.values, emit); err != nil {
-			return err
+			if err := emit(b.record(e)); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

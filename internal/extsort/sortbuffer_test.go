@@ -2,6 +2,7 @@ package extsort
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strconv"
@@ -72,31 +73,72 @@ func TestSortBufferThresholdIncludesCrossingRecord(t *testing.T) {
 	}
 }
 
+// sumCombiner folds each key group of a spill, values decimal integers,
+// into one record holding their sum, and logs every group it saw. Add
+// sees a spill's records one at a time, so it keeps the open group's key.
+type sumCombiner struct {
+	write  func(key, value []byte) error
+	key    []byte
+	vals   []string
+	seen   []string
+	begins int
+	addErr error
+}
+
+func (c *sumCombiner) Begin(write func(key, value []byte) error) { c.write = write; c.begins++ }
+
+func (c *sumCombiner) Add(key, value []byte) error {
+	if c.addErr != nil {
+		return c.addErr
+	}
+	if len(c.vals) > 0 && !bytes.Equal(key, c.key) {
+		if err := c.flush(); err != nil {
+			return err
+		}
+	}
+	c.key = append(c.key[:0], key...)
+	c.vals = append(c.vals, string(value))
+	return nil
+}
+
+func (c *sumCombiner) End(flush bool) error {
+	var err error
+	if flush {
+		err = c.flush()
+	}
+	c.write, c.vals = nil, c.vals[:0]
+	return err
+}
+
+func (c *sumCombiner) flush() error {
+	if len(c.vals) == 0 {
+		return nil
+	}
+	sum := 0
+	for _, v := range c.vals {
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			return err
+		}
+		sum += n
+	}
+	c.seen = append(c.seen, fmt.Sprintf("%s:%s", c.key, strings.Join(c.vals, ",")))
+	c.vals = c.vals[:0]
+	return c.write(c.key, []byte(strconv.Itoa(sum)))
+}
+
 // What the typed builder's Transform test held: a combiner collapses each
 // key group of the sorted buffer, the run holds its output, and OnSpill
-// still accounts for the records that went in. Here also: groups arrive
-// in key order with their values in arrival order, although the values
-// slice is the same storage every time.
+// still accounts for the records that went in. Here also: the combiner is
+// handed groups in key order with their values in arrival order, one
+// record at a time.
 func TestSortBufferCombine(t *testing.T) {
 	disk := storage.NewMemDisk(0)
 	var preCount int
 	var preBytes int64
-	var seen []string
+	comb := &sumCombiner{}
 	b := sortBufferOn(disk, 0, SortBufferConfig{
-		Combine: func(key []byte, values [][]byte, emit func(key, value []byte) error) error {
-			sum := 0
-			var vs []string
-			for _, v := range values {
-				n, err := strconv.Atoi(string(v))
-				if err != nil {
-					return err
-				}
-				sum += n
-				vs = append(vs, string(v))
-			}
-			seen = append(seen, fmt.Sprintf("%s:%s", key, strings.Join(vs, ",")))
-			return emit(key, []byte(strconv.Itoa(sum)))
-		},
+		Combine: comb,
 		OnSpill: func(records int, bytes int64) { preCount, preBytes = records, bytes },
 	})
 	for i := 0; i < 7; i++ {
@@ -114,8 +156,11 @@ func TestSortBufferCombine(t *testing.T) {
 	if preCount != 7 || preBytes != 49 {
 		t.Fatalf("OnSpill saw (%d, %d), want the pre-combine (7, 49)", preCount, preBytes)
 	}
-	if want := "k0:0,2,4 k1:1,3,5 solo:6"; strings.Join(seen, " ") != want {
-		t.Fatalf("combiner saw %v, want %s", seen, want)
+	if want := "k0:0,2,4 k1:1,3,5 solo:6"; strings.Join(comb.seen, " ") != want {
+		t.Fatalf("combiner saw %v, want %s", comb.seen, want)
+	}
+	if comb.begins != 1 || comb.write != nil {
+		t.Fatalf("one spill began the combiner %d times and left it open: %v", comb.begins, comb.write != nil)
 	}
 	var got []string
 	for _, r := range readRun(t, disk, b.Runs()[0]) {
@@ -126,12 +171,17 @@ func TestSortBufferCombine(t *testing.T) {
 	}
 }
 
+// A combiner's error fails the spill, which reports no run, and still
+// ends the combiner, without a flush, and gives the index back.
 func TestSortBufferCombineError(t *testing.T) {
 	disk := storage.NewMemDisk(0)
 	boom := fmt.Errorf("boom")
 	spilled := false
+	comb := &sumCombiner{addErr: boom}
+	index := &FreeList[uint32]{}
 	b := sortBufferOn(disk, 0, SortBufferConfig{
-		Combine: func([]byte, [][]byte, func(key, value []byte) error) error { return boom },
+		Index:   index,
+		Combine: comb,
 		OnSpill: func(int, int64) { spilled = true },
 	})
 	if err := b.Add([]byte("k"), []byte("v"), 1); err != nil {
@@ -142,6 +192,12 @@ func TestSortBufferCombineError(t *testing.T) {
 	}
 	if spilled || len(b.Runs()) != 0 {
 		t.Fatalf("failed spill was reported: hook %v, runs %v", spilled, b.Runs())
+	}
+	if comb.write != nil || len(comb.seen) != 0 {
+		t.Fatalf("failed spill left the combiner open (%v) or flushed it (%v)", comb.write != nil, comb.seen)
+	}
+	if s := index.Stats(); s.Live != 0 || s.Made != 1 {
+		t.Fatalf("index list %+v after a failed spill, want Live 0, Made 1", s)
 	}
 }
 
@@ -200,16 +256,115 @@ func TestSortBufferLargeRecords(t *testing.T) {
 	}
 }
 
-// A buffer's storage follows what it is handed, not its threshold.
+// A buffer's storage follows what it is handed, not its threshold, and
+// between spills it is the blocks alone. A buffer configured with no index
+// list has one of its own: each spill borrows an index sized to its
+// records, and the next spill reuses it.
 func TestSortBufferStorageFollowsInput(t *testing.T) {
-	b := sortBufferOn(storage.NewMemDisk(0), 64<<20, SortBufferConfig{})
-	for i := 0; i < 100; i++ {
-		if err := b.Add([]byte("key"), []byte("value"), 24); err != nil {
+	disk := storage.NewMemDisk(0)
+	b := sortBufferOn(disk, 64<<20, SortBufferConfig{})
+	for spill := 1; spill <= 2; spill++ {
+		for i := 0; i < 100; i++ {
+			if err := b.Add([]byte("key"), []byte(strconv.Itoa(i)), 24); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(b.blocks) != 1 {
+			t.Fatalf("100 small records hold %d blocks", len(b.blocks))
+		}
+		if err := b.Spill(); err != nil {
 			t.Fatal(err)
 		}
+		l := b.cfg.Index
+		if s := l.Stats(); s.Live != 0 || s.Made != 1 || s.Free != 1 {
+			t.Fatalf("spill %d: index list %+v, want the one index home", spill, s)
+		}
+		if c := cap(l.free[0]); c != 112 {
+			t.Fatalf("spill %d: the index has room for %d records, want 112", spill, c)
+		}
+		got := readRun(t, disk, b.Runs()[spill-1])
+		for i, r := range got {
+			if string(r.Value) != strconv.Itoa(i) {
+				t.Fatalf("spill %d: record %d = %s, want arrival order", spill, i, r.Value)
+			}
+		}
 	}
-	if len(b.blocks) != 1 || cap(b.index) > 256 {
-		t.Fatalf("100 small records hold %d blocks and an index of %d", len(b.blocks), cap(b.index))
+}
+
+// A spill builds its index by walking the blocks, so a record in a block
+// of its own, made between standard blocks that were reused from the spill
+// before, must still come out in its arrival place. Three spills each put
+// a record with an outsized value between small ones, under a key the
+// small records before and after it share; each run must be the stable
+// sort of its fill, and the index must be home after each.
+func TestSortBufferIndexRebuild(t *testing.T) {
+	disk := storage.NewMemDisk(0)
+	index := &FreeList[uint32]{}
+	b := sortBufferOn(disk, 0, SortBufferConfig{Prefix: 4, Index: index})
+	seq := 0
+	for spill := 0; spill < 3; spill++ {
+		var fill []storage.Record
+		for i := 0; i < 3000; i++ {
+			key := binary.BigEndian.AppendUint32(nil, uint32(i%3))
+			key = fmt.Appendf(key, "k%03d", (i*37)%101)
+			value := strconv.AppendInt(nil, int64(seq), 10)
+			if i == 1000+500*spill {
+				value = append(value, bytes.Repeat([]byte{'.'}, sortBlockSize+1000*spill)...)
+			}
+			if err := b.Add(key, value, int64(len(key)+len(value))); err != nil {
+				t.Fatal(err)
+			}
+			fill = append(fill, storage.Record{Key: key, Value: value})
+			seq++
+		}
+		if len(b.blocks) < 4 {
+			t.Fatalf("spill %d: the fill took %d blocks, want three standard ones and an outsized one", spill, len(b.blocks))
+		}
+		if err := b.Spill(); err != nil {
+			t.Fatal(err)
+		}
+		slices.SortStableFunc(fill, func(x, y storage.Record) int { return bytes.Compare(x.Key, y.Key) })
+		got := readRun(t, disk, b.Runs()[spill])
+		if len(got) != len(fill) {
+			t.Fatalf("spill %d: run holds %d records, want %d", spill, len(got), len(fill))
+		}
+		for i, w := range fill {
+			if !bytes.Equal(got[i].Key, w.Key) || !bytes.Equal(got[i].Value, w.Value) {
+				t.Fatalf("spill %d record %d = (%x, %.12s), want (%x, %.12s)", spill, i, got[i].Key, got[i].Value, w.Key, w.Value)
+			}
+		}
+		if s := index.Stats(); s.Live != 0 || s.Made != 1 {
+			t.Fatalf("spill %d: index list %+v, want its one index home", spill, s)
+		}
+	}
+}
+
+// An index word numbers at most maxSortBlocks blocks: the Add that would
+// need one more fails, and after a spill the buffer fills again.
+func TestSortBufferFull(t *testing.T) {
+	defer func(n int) { maxSortBlocks = n }(maxSortBlocks)
+	maxSortBlocks = 2
+	disk := storage.NewMemDisk(0)
+	b := sortBufferOn(disk, 0, SortBufferConfig{})
+	value := bytes.Repeat([]byte{1}, sortBlockSize/2)
+	for round := 0; round < 2; round++ {
+		added := 0
+		var err error
+		for ; added < 10; added++ {
+			if err = b.Add([]byte{byte(added)}, value, 1); err != nil {
+				break
+			}
+		}
+		// Half a block and its framing: one record a block.
+		if err != errSortBufferFull || added != 2 {
+			t.Fatalf("round %d: Add failed with %v after %d records, want errSortBufferFull after 2", round, err, added)
+		}
+		if err := b.Spill(); err != nil {
+			t.Fatal(err)
+		}
+		if got := readRun(t, disk, b.Runs()[round]); len(got) != 2 || got[1].Key[0] != 1 {
+			t.Fatalf("round %d: run holds %d records", round, len(got))
+		}
 	}
 }
 
@@ -220,12 +375,19 @@ func TestSortBufferStorageFollowsInput(t *testing.T) {
 // — so values inside a key group come back in arrival order. The runs are
 // sectioned by the partition, as the map task's are: no file holds a
 // prefix, every record comes back under its own, and the index accounts
-// for every record and every byte.
+// for every record and every byte. keyLen's top bit pads the middle
+// record's key past a storage block, so that record gets a block of its
+// own between standard ones.
 func FuzzSortBuffer(f *testing.F) {
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(3), uint16(40))
 	f.Add([]byte{0, 0, 0, 0, 0xff, 0xff, 0xff, 1, 1, 2, 2, 0xff, 0}, uint8(1), uint16(0))
 	f.Add(bytes.Repeat([]byte{7, 0xff, 7, 0, 200, 201}, 60), uint8(2), uint16(64))
 	f.Add([]byte{}, uint8(0), uint16(10))
+	// An outsized record amid ~5 blocks of small ones: in one spill at the
+	// end, and then in one of several spills of about two blocks.
+	outsized := bytes.Repeat([]byte("abcdefghij\xff\x00"), 500)
+	f.Add(outsized, uint8(0x83), uint16(0))
+	f.Add(outsized, uint8(0x82), uint16(40000))
 	f.Fuzz(func(t *testing.T, raw []byte, keyLen uint8, threshold uint16) {
 		// Keys are windows of raw, 0..3 bytes long, so the empty key,
 		// duplicates, shared prefixes and 0xff runs all turn up; partitions
@@ -240,6 +402,10 @@ func FuzzSortBuffer(f *testing.F) {
 				key:  string(raw[i:min(i+n, len(raw))]),
 				seq:  int64(i),
 			})
+		}
+		if keyLen&0x80 != 0 && len(recs) > 0 {
+			mid := &recs[len(recs)/2]
+			mid.key += strings.Repeat("\x7f", sortBlockSize)
 		}
 		disk := storage.NewMemDisk(0)
 		var perRun []int

@@ -47,9 +47,11 @@ type Mapper interface {
 }
 
 // Reducer processes one key with all its values. The key and each value
-// are the call's own and may be kept; the values slice is not — the task
-// decodes every group into the same one — so a reducer (or a combiner, see
-// Job.NewCombiner) that wants the slice past the call copies it.
+// are the call's own and may be kept; the values slice is not — a reduce
+// task decodes every group into the same one, and a combiner's is scratch
+// its node lends the next spill, maybe another task's, once this one is
+// written — so a reducer (or a combiner, see Job.NewCombiner) that wants
+// the slice past the call copies it.
 type Reducer interface {
 	Reduce(key string, values []any, out Emitter) error
 }
@@ -83,10 +85,12 @@ type Job struct {
 	// NewCombiner, if non-nil, is applied to map output at spill and merge
 	// time (Hadoop's combiner): one combiner per spill run and one for the
 	// final merge, which folds only groups of two records or more. A
-	// combiner works on records that are already encoded: its values are
-	// decoded for the call into a slice the next group reuses, and what it
-	// emits is encoded before Emit returns. It must keep neither the values
-	// slice nor the emitter past the call.
+	// combiner works on records that are already encoded and is fed them
+	// one at a time, in key order, as the spill or merge streams them: a
+	// group's values are decoded as they arrive into a slice borrowed from
+	// the node's spill scratch, which the next group and then the next
+	// spill reuse, and what it emits is encoded before Emit returns. It must
+	// keep neither the values slice nor the emitter past the call.
 	NewCombiner func() Reducer
 	// NumReduces overrides the engine default.
 	NumReduces int

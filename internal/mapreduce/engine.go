@@ -27,12 +27,23 @@ type Engine struct {
 	// sub is the cluster's substrate handle, the one the flowlet runtimes
 	// and HDFS were built over: startup and straggler charges go to its clock.
 	sub substrate.Handle
+	// scratch is each node's spill scratch, shared by its map tasks.
+	scratch []spillScratch
+}
+
+// spillScratch is what a node's map-task spills work in and give back
+// when their run is written: the sort index and the combiner's decoded
+// values. A list holds as many slices as the node ever had spills (or
+// combining merges) in flight at once.
+type spillScratch struct {
+	index  extsort.FreeList[uint32]
+	values extsort.FreeList[any]
 }
 
 // NewEngine creates an engine over the cluster with the given defaults.
 func NewEngine(c *cluster.Cluster, cfg Config) *Engine {
 	cfg.FillDefaults()
-	return &Engine{c: c, cfg: cfg, sub: c.Substrate()}
+	return &Engine{c: c, cfg: cfg, sub: c.Substrate(), scratch: make([]spillScratch, c.NumNodes())}
 }
 
 // Run executes one job and blocks until it completes.

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"strconv"
 
 	"github.com/hamr-go/hamr/internal/core"
@@ -140,17 +139,17 @@ type mapTask struct {
 // newMapTask sets up the map side of one task attempt on its node's disk:
 // the sort buffer spills when it exceeds io.sort.mb, each spill run
 // combined (if configured) and released from em, the task's heap account.
+// Spills borrow their index and the combiner's values from the node's
+// scratch.
 func (j *jobRun) newMapTask(taskName, tname string, node int, em *taskEmitter) *mapTask {
 	reg, tr := j.sub.Metrics, j.sub.Trace
 	mt := &mapTask{j: j, name: taskName, tname: tname, node: node, disk: j.c.Disk(node)}
-	// Every spill run is folded by a combiner of its own, made when the
-	// run's first group arrives.
-	var comb *groupCombiner
 	cfg := extsort.SortBufferConfig{
 		Disk:      mt.disk,
 		RunName:   func(i int) string { return fmt.Sprintf("%s/spill-%04d", taskName, i) },
 		Prefix:    runKeyPrefix,
 		Threshold: j.cfg.SortBufferBytes,
+		Index:     &j.scratch[node].index,
 		OnSpill: func(_ int, bytes int64) {
 			reg.Inc("mr.spills")
 			reg.Add("mr.spill.bytes", bytes)
@@ -160,20 +159,14 @@ func (j *jobRun) newMapTask(taskName, tname string, node int, em *taskEmitter) *
 					fmt.Sprintf("%s/%s/spill-%04d", j.tag, tname, len(mt.buf.Runs())-1), "spill", bytes)
 			}
 			em.Charge(-em.used) // buffer released
-			if comb != nil {
-				comb.red = nil
-			}
 		},
 	}
 	if j.job.NewCombiner != nil {
-		comb = newGroupCombiner(taskName + "/combine")
-		cfg.Combine = func(key []byte, values [][]byte, emit func(key, value []byte) error) error {
-			if comb.red == nil {
-				comb.red = j.job.NewCombiner()
-				reg.Inc("mr.combines")
-			}
-			return comb.fold(key, values, emit)
-		}
+		// Every spill run is folded by a combiner of its own.
+		cfg.Combine = mt.newCombiner("/combine", func() Reducer {
+			reg.Inc("mr.combines")
+			return j.job.NewCombiner()
+		})
 	}
 	mt.buf = extsort.NewSortBuffer(cfg)
 	return mt
@@ -196,19 +189,24 @@ func (mt *mapTask) collect(kv core.KV, em *taskEmitter) error {
 	return mt.buf.Add(mt.kbuf, mt.vbuf, sz)
 }
 
-// groupCombiner is a groupReducer for a job's combiner: what the combiner
-// emits is encoded as run records under the group's partition and passed
-// to emit. One emitter serves every group; red is set by the caller.
+// groupCombiner is a groupReducer for a job's combiner and the
+// extsort.Combiner of a spill or a merge: Begin makes the reducer and
+// borrows the values slice from the node's scratch, End gives it back.
+// What the combiner emits is encoded as run records under the group's
+// partition and passed to write. One emitter serves every group.
 type groupCombiner struct {
 	groupReducer
+	newRed     func() Reducer
+	scratch    *extsort.FreeList[any]
 	kbuf, vbuf []byte
-	emit       func(key, value []byte) error
+	write      func(key, value []byte) error
 }
 
-// newGroupCombiner returns a combiner whose emitter reports as task.
-func newGroupCombiner(task string) *groupCombiner {
-	c := &groupCombiner{}
-	c.em = &taskEmitter{task: task, sink: c.encode}
+// newCombiner returns a combiner of the task's whose emitter reports as
+// the task's name plus suffix and whose reducers newRed makes.
+func (mt *mapTask) newCombiner(suffix string, newRed func() Reducer) *groupCombiner {
+	c := &groupCombiner{newRed: newRed, scratch: &mt.j.scratch[mt.node].values}
+	c.em = &taskEmitter{task: mt.name + suffix, sink: c.encode}
 	return c
 }
 
@@ -219,19 +217,28 @@ func (c *groupCombiner) encode(kv core.KV) error {
 		return err
 	}
 	c.kbuf = append(append(c.kbuf[:0], c.key[:runKeyPrefix]...), kv.Key...)
-	return c.emit(c.kbuf, c.vbuf)
+	return c.write(c.kbuf, c.vbuf)
 }
 
-// fold combines one whole group: the run key and its encoded values.
-func (c *groupCombiner) fold(key []byte, values [][]byte, emit func(key, value []byte) error) error {
-	c.emit = emit
-	c.values = slices.Grow(c.values, len(values))
-	for _, b := range values {
-		if err := c.add(key, b); err != nil {
-			return err
-		}
+// Begin implements extsort.Combiner.
+func (c *groupCombiner) Begin(write func(key, value []byte) error) {
+	c.red, c.write = c.newRed(), write
+	c.values = c.scratch.Get()
+}
+
+// Add implements extsort.Combiner.
+func (c *groupCombiner) Add(key, value []byte) error { return c.add(key, value) }
+
+// End implements extsort.Combiner. A group left open by a failure is
+// dropped.
+func (c *groupCombiner) End(flush bool) error {
+	var err error
+	if flush {
+		err = c.flush()
 	}
-	return c.flush()
+	c.scratch.Put(c.values)
+	c.red, c.values, c.n, c.size = nil, nil, 0, 0
+	return err
 }
 
 // finish performs the final spill and leaves the task's output as one
@@ -280,10 +287,12 @@ func (mt *mapTask) finish() (extsort.Run, error) {
 		return extsort.Run{}, err
 	}
 	if j.job.NewCombiner != nil {
-		comb := newGroupCombiner(mt.name + "/merge-combine")
-		comb.red, comb.emit, comb.single = j.job.NewCombiner(), w.Write, w.Write
-		if err = extsort.MergeRuns(mt.disk, spills, comb.add); err == nil {
-			err = comb.flush()
+		comb := mt.newCombiner("/merge-combine", j.job.NewCombiner)
+		comb.single = w.Write
+		comb.Begin(w.Write)
+		err = extsort.MergeRuns(mt.disk, spills, comb.Add)
+		if cerr := comb.End(err == nil); err == nil {
+			err = cerr
 		}
 	} else {
 		err = extsort.MergeRuns(mt.disk, spills, w.Write)

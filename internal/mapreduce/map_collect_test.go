@@ -314,15 +314,24 @@ func TestMapLargeRecordsRoundTrip(t *testing.T) {
 }
 
 // mapCollectFixture is n (8-byte key, int64) pairs over 4 000 distinct
-// keys and a map task to push them through, on a one-node cluster.
-func mapCollectFixture(tb testing.TB, n int) ([]core.KV, func() (*mapTask, *taskEmitter)) {
+// keys and a map task to push them through, on a one-node cluster. With
+// hot set it is histogram_ratings' shape instead: the pairs are five rating
+// keys, each counted 1, and the job sums them in a combiner.
+func mapCollectFixture(tb testing.TB, n int, hot bool) ([]core.KV, func() (*mapTask, *taskEmitter)) {
 	tb.Helper()
 	kvs := make([]core.KV, n)
+	job := Job{NumReduces: 4}
 	for i := range kvs {
 		kvs[i] = core.KV{Key: fmt.Sprintf("k%07d", (i*7919)%4000), Value: int64(i)}
+		if hot {
+			kvs[i] = core.KV{Key: strconv.Itoa(1 + (i*7)%5), Value: int64(1)}
+		}
+	}
+	if hot {
+		job.NewCombiner = func() Reducer { return wcReducer{} }
 	}
 	c := newTestCluster(tb, 1)
-	j := NewEngine(c, Config{SortBufferBytes: 1 << 20}).newJobRun(context.Background(), Job{NumReduces: 4})
+	j := NewEngine(c, Config{SortBufferBytes: 1 << 20}).newJobRun(context.Background(), job)
 	task := 0
 	return kvs, func() (*mapTask, *taskEmitter) {
 		task++
@@ -351,35 +360,48 @@ func runMapSide(tb testing.TB, mt *mapTask, em *taskEmitter, kvs []core.KV) {
 }
 
 // TestMapCollectAllocsPerRecord bounds what the map side of a task
-// allocates per record from collect to the finished output: the sort
-// buffer's blocks and index, and nothing per record in the spills or the
-// merge. Measured: 6.9 B and 0.001 allocations per record. The typed buffer
-// this replaced (a []rec doubled to its final size, every record decoded
-// again by the final merge) measured 29.2 B and 2.0 allocations per record
-// on the same input at the parent commit.
+// allocates per record from collect to the finished output, the second
+// task on its node: the sort buffer's blocks, and nothing per record in the
+// spills or the merge — the index and the combiner's values are the node's
+// scratch, which the first task made. Measured: 3.1 B and 0.001
+// allocations per record; 6.1 B when every task grew an index of its own,
+// and 29.2 B and 2.0 allocations with the typed buffer before that (a
+// []rec doubled to its final size, every record decoded again by the final
+// merge). The hot variant is histogram_ratings' shape, five keys folded
+// by a combiner at every spill and in the merge: measured 2.0 B and 0.001
+// allocations per record, against 6.8 B when every spill built its group
+// slices and every combiner grew its own values.
 func TestMapCollectAllocsPerRecord(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations are counted in MemStats")
 	}
-	const (
-		records           = 200_000
-		maxBytesPerRecord = 12
-		maxAllocsPerRec   = 0.01
-	)
-	kvs, newTask := mapCollectFixture(t, records)
-	run := func() (allocs, bytes float64) {
-		mt, em := newTask()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		runMapSide(t, mt, em, kvs)
-		runtime.ReadMemStats(&m1)
-		return float64(m1.Mallocs-m0.Mallocs) / records, float64(m1.TotalAlloc-m0.TotalAlloc) / records
-	}
-	run() // fills the disk's page list and the record writers' free lists
-	allocs, bytes := run()
-	t.Logf("map side, per record: %.4f allocs, %.1f B (bounds %.2f, %d B)", allocs, bytes, maxAllocsPerRec, maxBytesPerRecord)
-	if allocs > maxAllocsPerRec || bytes > maxBytesPerRecord {
-		t.Errorf("map side allocated %.4f objects, %.1f B per record", allocs, bytes)
+	const records = 200_000
+	for _, tc := range []struct {
+		name              string
+		hot               bool
+		maxBytesPerRecord float64
+		maxAllocsPerRec   float64
+	}{
+		{"distinct", false, 5, 0.01},
+		{"hot", true, 4, 0.01},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			kvs, newTask := mapCollectFixture(t, records, tc.hot)
+			run := func() (allocs, bytes float64) {
+				mt, em := newTask()
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				runMapSide(t, mt, em, kvs)
+				runtime.ReadMemStats(&m1)
+				return float64(m1.Mallocs-m0.Mallocs) / records, float64(m1.TotalAlloc-m0.TotalAlloc) / records
+			}
+			run() // makes the node's scratch, fills the disk's page list and the record writers' free lists
+			allocs, bytes := run()
+			t.Logf("map side, per record: %.4f allocs, %.1f B (bounds %.2f, %.0f B)", allocs, bytes, tc.maxAllocsPerRec, tc.maxBytesPerRecord)
+			if allocs > tc.maxAllocsPerRec || bytes > tc.maxBytesPerRecord {
+				t.Errorf("map side allocated %.4f objects, %.1f B per record", allocs, bytes)
+			}
+		})
 	}
 }
 
@@ -387,7 +409,7 @@ func TestMapCollectAllocsPerRecord(t *testing.T) {
 // six spills, and the merge into one output of four sections.
 func BenchmarkMapCollect(b *testing.B) {
 	const records = 200_000
-	kvs, newTask := mapCollectFixture(b, records)
+	kvs, newTask := mapCollectFixture(b, records, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
