@@ -170,7 +170,10 @@ func (l *HDFSTextLoader) Load(sp core.Split, ctx core.Context) error {
 		if line == "" {
 			continue
 		}
-		if err := ctx.Emit(core.KV{Key: "", Value: line}); err != nil {
+		// The line is a view of its HDFS block, and a flowlet downstream
+		// may hold the value (or a word cut from it) for the rest of the
+		// job: emit a copy, so no block outlives its split.
+		if err := ctx.Emit(core.KV{Key: "", Value: strings.Clone(line)}); err != nil {
 			return err
 		}
 	}

@@ -9,13 +9,14 @@ import (
 	"github.com/hamr-go/hamr/internal/storage"
 )
 
-// sortBlockSize is the unit a SortBuffer's storage grows by. A buffer
-// that is handed k bytes holds at most k plus one block, so a task that
-// emits little allocates little whatever its spill threshold is. An index
-// word's low sortOffsetBits hold a record's offset in its block.
+// SortBlockSize is the unit a SortBuffer's storage grows by, and the
+// chunk size of a SortBufferConfig.Blocks list. A buffer that is handed k
+// bytes holds at most k plus one block, so a task that emits little holds
+// little whatever its spill threshold is. An index word's low
+// sortOffsetBits hold a record's offset in its block.
 const (
 	sortOffsetBits = 14
-	sortBlockSize  = 1 << sortOffsetBits
+	SortBlockSize  = 1 << sortOffsetBits
 )
 
 // maxSortBlocks is the most blocks the high bits of an index word can
@@ -55,6 +56,12 @@ type SortBufferConfig struct {
 	// another share one index by sharing the list; nil gives the buffer a
 	// list of its own.
 	Index *FreeList[uint32]
+	// Blocks is the free list the buffer takes its standard blocks from,
+	// chunks of SortBlockSize bytes, and Release returns them to. Buffers
+	// that share the list share their blocks: what one spill sends home is
+	// what the next block any of them needs is taken from. Nil gives the
+	// buffer a list of its own.
+	Blocks *ChunkList[byte]
 	// Combine, when non-nil, folds every spill: what it writes is the run.
 	// OnSpill's accounting is of the records added, not the records written.
 	Combine Combiner
@@ -71,20 +78,20 @@ type SortBufferConfig struct {
 // keep.
 //
 // Between spills the buffer holds its records and nothing else: a list of
-// pointer-free blocks of sortBlockSize (a record too large for one gets a
+// pointer-free blocks of SortBlockSize (a record too large for one gets a
 // block of its own size). A record sits in its block framed as in a run
 // file — uvarint key length, key, uvarint value length, value. A spill
 // walks that framing to build its index, one 32-bit word per record:
 // block number in the high bits, offset in the low sortOffsetBits (a
 // standard block is that long, and an outsized one holds one record, at
 // offset 0). The index is scratch from the configured free list and goes
-// back to it when the run is written. The blocks are reused from one
-// spill to the next and are garbage once the buffer is. It is not safe
-// for concurrent use.
+// back to it when the run is written. The standard blocks come from the
+// configured block list as records arrive and go back to it with them:
+// when their spill is written, or on Release. A buffer holds blocks only
+// while it holds records. It is not safe for concurrent use.
 type SortBuffer struct {
 	cfg    SortBufferConfig
-	blocks [][]byte // len = bytes filled
-	cur    int      // the block being filled; those after it are empty
+	blocks [][]byte // in fill order; the last is being filled
 	n      int      // records buffered
 	bytes  int64
 	runs   []Run
@@ -94,6 +101,9 @@ type SortBuffer struct {
 func NewSortBuffer(cfg SortBufferConfig) *SortBuffer {
 	if cfg.Index == nil {
 		cfg.Index = &FreeList[uint32]{}
+	}
+	if cfg.Blocks == nil {
+		cfg.Blocks = NewChunkList[byte](SortBlockSize)
 	}
 	return &SortBuffer{cfg: cfg}
 }
@@ -121,26 +131,27 @@ func (b *SortBuffer) Add(key, value []byte, size int64) error {
 }
 
 // place returns the number of a block with room for n more bytes: the one
-// being filled, else the next, which is made when there is none or it is
-// too small; -1 if that would be one block too many. Records therefore
-// land at rising (block, offset) positions, which is what lets a spill
-// tell arrival order from an index word. A block made for n > sortBlockSize
-// is exactly that large, so the bytes it has left after its record are
-// fewer than the 2*MaxVarintLen32 any next record needs.
+// being filled, else a new last one, taken from the block list or, when n
+// is more than a standard block holds, made to measure; -1 if that would
+// be one block too many. Records therefore land at rising (block, offset)
+// positions, which is what lets a spill tell arrival order from an index
+// word. A block made for n > SortBlockSize is exactly that large, so the
+// bytes it has left after its record are fewer than the 2*MaxVarintLen32
+// any next record needs.
 func (b *SortBuffer) place(n int) int {
-	if b.cur < len(b.blocks) {
-		if blk := b.blocks[b.cur]; cap(blk)-len(blk) >= n {
-			return b.cur
-		}
-		b.cur++
+	last := len(b.blocks) - 1
+	if last >= 0 && cap(b.blocks[last])-len(b.blocks[last]) >= n {
+		return last
 	}
-	if b.cur == len(b.blocks) || cap(b.blocks[b.cur]) < n {
-		if len(b.blocks) == maxSortBlocks {
-			return -1
-		}
-		b.blocks = slices.Insert(b.blocks, b.cur, make([]byte, 0, max(n, sortBlockSize)))
+	if len(b.blocks) == maxSortBlocks {
+		return -1
 	}
-	return b.cur
+	if n > SortBlockSize {
+		b.blocks = append(b.blocks, make([]byte, 0, n))
+	} else {
+		b.blocks = append(b.blocks, b.cfg.Blocks.Get())
+	}
+	return last + 1
 }
 
 // appendIndex appends one index word per buffered record to index, in
@@ -161,7 +172,7 @@ func (b *SortBuffer) appendIndex(index []uint32) []uint32 {
 // key returns the key of the record the index word e points at, and the
 // rest of its block from the key's end on.
 func (b *SortBuffer) key(e uint32) (key, rest []byte) {
-	p := b.blocks[e>>sortOffsetBits][e&(sortBlockSize-1):]
+	p := b.blocks[e>>sortOffsetBits][e&(SortBlockSize-1):]
 	klen, n := binary.Uvarint(p)
 	end := n + int(klen)
 	return p[n:end], p[end:]
@@ -224,17 +235,9 @@ func (b *SortBuffer) Spill() error {
 	if b.cfg.OnSpill != nil {
 		b.cfg.OnSpill(b.n, b.bytes)
 	}
-	// Keep the blocks for the next fill, except the outsized ones: one huge
-	// record should not pin its block for the rest of the task.
-	kept := b.blocks[:0]
-	for _, blk := range b.blocks {
-		if cap(blk) == sortBlockSize {
-			kept = append(kept, blk[:0])
-		}
-	}
-	clear(b.blocks[len(kept):])
-	b.blocks, b.cur = kept, 0
-	b.n, b.bytes = 0, 0
+	// The blocks go home with their records: between the spills of one
+	// task its node's other tasks may fill them.
+	b.Release()
 	return nil
 }
 
@@ -260,6 +263,22 @@ func (b *SortBuffer) sorted(index []uint32, emit func(key, value []byte) error) 
 		}
 	}
 	return nil
+}
+
+// Release drops the records the buffer holds and returns their standard
+// blocks to the block list; an outsized block is left to the garbage
+// collector. Every spill ends with it; call it when the buffer's task has
+// failed with records unspilled. It is idempotent, and a buffer added to
+// after it takes blocks again.
+func (b *SortBuffer) Release() {
+	for _, blk := range b.blocks {
+		if cap(blk) == SortBlockSize {
+			b.cfg.Blocks.Put(blk)
+		}
+	}
+	clear(b.blocks)
+	b.blocks = b.blocks[:0]
+	b.n, b.bytes = 0, 0
 }
 
 // Runs returns the spilled runs, in spill order. The returned slice is

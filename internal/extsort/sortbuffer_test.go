@@ -203,12 +203,13 @@ func TestSortBufferCombineError(t *testing.T) {
 
 // A record larger than a storage block gets a block of its own, one
 // larger than the threshold is a spill of its own, and both come back
-// whole; the next fill reuses the standard blocks and not the outsized one.
+// whole; a spill sends the standard blocks to the list, where the next
+// fill finds them, and never the outsized one.
 func TestSortBufferLargeRecords(t *testing.T) {
 	disk := storage.NewMemDisk(0)
-	const threshold = 4 * sortBlockSize
+	const threshold = 4 * SortBlockSize
 	b := sortBufferOn(disk, threshold, SortBufferConfig{})
-	big := bytes.Repeat([]byte{0xAB}, sortBlockSize+sortBlockSize/2) // > a block, < the threshold
+	big := bytes.Repeat([]byte{0xAB}, SortBlockSize+SortBlockSize/2) // > a block, < the threshold
 	huge := bytes.Repeat([]byte{0xCD}, threshold+100)                // > the threshold
 	add := func(key string, value []byte) {
 		t.Helper()
@@ -229,10 +230,11 @@ func TestSortBufferLargeRecords(t *testing.T) {
 	if len(b.Runs()) != 2 {
 		t.Fatalf("%d runs, want the record over the threshold to have spilled alone", len(b.Runs()))
 	}
-	for _, blk := range b.blocks {
-		if cap(blk) != sortBlockSize || len(blk) != 0 {
-			t.Fatalf("after a spill the buffer keeps a block of cap %d, len %d", cap(blk), len(blk))
-		}
+	if len(b.blocks) != 0 {
+		t.Fatalf("after a spill the buffer keeps %d blocks", len(b.blocks))
+	}
+	if s := b.cfg.Blocks.Stats(); s.Live != 0 || s.Made != 2 || s.Free != 2 {
+		t.Fatalf("block list %+v after two spills, want the standard blocks on either side of the big record home", s)
 	}
 	add("b", []byte("after"))
 	if err := b.Spill(); err != nil {
@@ -291,6 +293,43 @@ func TestSortBufferStorageFollowsInput(t *testing.T) {
 	}
 }
 
+// A spill, and Release for a buffer that did not spill (a failed task),
+// send the buffer's standard blocks to its block list and leave an
+// outsized one to the collector; a Release after either is a no-op, and a
+// buffer filled after another on the same list takes its blocks instead
+// of making new ones.
+func TestSortBufferReleaseSendsBlocksHome(t *testing.T) {
+	disk := storage.NewMemDisk(0)
+	blocks := NewChunkList[byte](SortBlockSize)
+	value := bytes.Repeat([]byte{'v'}, SortBlockSize/4)
+	for i, spill := range []bool{true, false, true} {
+		b := sortBufferOn(disk, 0, SortBufferConfig{Blocks: blocks})
+		for r := 0; r < 9; r++ { // three records a block
+			if err := b.Add([]byte{byte(r)}, value, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.Add([]byte("big"), bytes.Repeat([]byte{'b'}, SortBlockSize+1), 1); err != nil {
+			t.Fatal(err)
+		}
+		if spill {
+			if err := b.Spill(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b.Release()
+		b.Release()
+		if s := blocks.Stats(); s.Live != 0 || s.Made != 3 || s.Free != 3 {
+			t.Fatalf("buffer %d: block list %+v, want its three blocks home and no more made", i, s)
+		}
+		for _, blk := range blocks.free {
+			if cap(blk) != SortBlockSize {
+				t.Fatalf("buffer %d: the list holds a block of cap %d", i, cap(blk))
+			}
+		}
+	}
+}
+
 // A spill builds its index by walking the blocks, so a record in a block
 // of its own, made between standard blocks that were reused from the spill
 // before, must still come out in its arrival place. Three spills each put
@@ -309,7 +348,7 @@ func TestSortBufferIndexRebuild(t *testing.T) {
 			key = fmt.Appendf(key, "k%03d", (i*37)%101)
 			value := strconv.AppendInt(nil, int64(seq), 10)
 			if i == 1000+500*spill {
-				value = append(value, bytes.Repeat([]byte{'.'}, sortBlockSize+1000*spill)...)
+				value = append(value, bytes.Repeat([]byte{'.'}, SortBlockSize+1000*spill)...)
 			}
 			if err := b.Add(key, value, int64(len(key)+len(value))); err != nil {
 				t.Fatal(err)
@@ -346,7 +385,7 @@ func TestSortBufferFull(t *testing.T) {
 	maxSortBlocks = 2
 	disk := storage.NewMemDisk(0)
 	b := sortBufferOn(disk, 0, SortBufferConfig{})
-	value := bytes.Repeat([]byte{1}, sortBlockSize/2)
+	value := bytes.Repeat([]byte{1}, SortBlockSize/2)
 	for round := 0; round < 2; round++ {
 		added := 0
 		var err error
@@ -405,7 +444,7 @@ func FuzzSortBuffer(f *testing.F) {
 		}
 		if keyLen&0x80 != 0 && len(recs) > 0 {
 			mid := &recs[len(recs)/2]
-			mid.key += strings.Repeat("\x7f", sortBlockSize)
+			mid.key += strings.Repeat("\x7f", SortBlockSize)
 		}
 		disk := storage.NewMemDisk(0)
 		var perRun []int

@@ -12,7 +12,6 @@
 package hdfs
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -20,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/hamr-go/hamr/internal/extsort"
 	"github.com/hamr-go/hamr/internal/faults"
 	"github.com/hamr-go/hamr/internal/metrics"
 	"github.com/hamr-go/hamr/internal/storage"
@@ -58,6 +58,10 @@ type FileSystem struct {
 	faults      *faults.Injector
 	tr          *trace.Tracer
 	readSeq     atomic.Int64 // numbers traced block reads for span IDs
+	// writeBufs holds the block buffers of writers that are done: a
+	// Writer takes one at its first Write and gives it back when it ends,
+	// so a file written after another makes no buffer.
+	writeBufs extsort.FreeList[byte]
 
 	mFailover    *metrics.Counter // hdfs.failover.reads
 	mReplaced    *metrics.Counter // hdfs.write.replaced
@@ -148,8 +152,10 @@ type Writer struct {
 	fs        *FileSystem
 	meta      *fileMeta
 	preferred transport.NodeID
-	// block accumulates the block being written: it starts small, never
-	// grows past the block size, and is handed to appendBlock as it is.
+	// block accumulates the block being written: taken from the
+	// filesystem's list at the first Write and non-nil until it goes
+	// back, it starts small when the list had none, never grows past the
+	// block size, and is handed to appendBlock as it is.
 	block     []byte
 	closed    bool
 	published bool
@@ -179,6 +185,9 @@ func (w *Writer) Write(p []byte) (int, error) {
 	n := len(p)
 	size := int(w.fs.blockSize)
 	for len(p) > 0 {
+		if w.block == nil {
+			w.block = w.fs.writeBufs.Get()
+		}
 		take := min(len(p), size-len(w.block))
 		if need := len(w.block) + take; need > cap(w.block) {
 			grown := make([]byte, len(w.block), min(max(need, 2*cap(w.block), 512), size))
@@ -190,6 +199,7 @@ func (w *Writer) Write(p []byte) (int, error) {
 		if len(w.block) == size {
 			if err := w.flushBlock(); err != nil {
 				w.err = err
+				w.release()
 				return 0, err
 			}
 		}
@@ -198,11 +208,21 @@ func (w *Writer) Write(p []byte) (int, error) {
 }
 
 // flushBlock stores the accumulated bytes as the file's next block; the
-// next block reuses their storage.
+// next block reuses their storage, which appendBlock has copied to the
+// replicas' disks before it returns.
 func (w *Writer) flushBlock() error {
 	data := w.block
 	w.block = data[:0]
 	return w.fs.appendBlock(w.meta, w.preferred, data)
+}
+
+// release gives the block buffer back to the filesystem's list. Every way
+// a writer ends calls it; only the first call after a Write returns it.
+func (w *Writer) release() {
+	if w.block != nil {
+		w.fs.writeBufs.Put(w.block)
+		w.block = nil
+	}
 }
 
 // writeReplica stores one replica of a block, removing any partially
@@ -295,6 +315,7 @@ func (w *Writer) Close() error {
 		return w.err
 	}
 	w.closed = true
+	defer w.release()
 	if w.err != nil {
 		w.discardBlocks()
 		return w.err
@@ -327,6 +348,7 @@ func (w *Writer) Abort() {
 	if w.err == nil {
 		w.err = fmt.Errorf("hdfs: file %q aborted", w.meta.name)
 	}
+	w.release()
 	w.discardBlocks()
 }
 
@@ -418,30 +440,31 @@ func (fs *FileSystem) Blocks(name string) ([]Block, error) {
 	return append([]Block(nil), meta.blocks...), nil
 }
 
-// readReplica reads one whole replica of a block, opened and checked as
-// openReplica does.
-func (fs *FileSystem) readReplica(src transport.NodeID, b Block) ([]byte, error) {
+// readReplica reads one whole replica of a block into dst, b.Size bytes
+// the caller owns, opened and checked as openReplica does. A failed read
+// may leave part of dst written.
+func (fs *FileSystem) readReplica(src transport.NodeID, b Block, dst []byte) error {
 	f, err := fs.openReplica(src, b, 0)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.Close()
-	data := make([]byte, b.Size)
-	if _, err := io.ReadFull(f, data); err != nil {
-		return nil, fmt.Errorf("hdfs: read block %s on node %d: %w", b.ID, src, err)
+	if _, err := io.ReadFull(f, dst); err != nil {
+		return fmt.Errorf("hdfs: read block %s on node %d: %w", b.ID, src, err)
 	}
-	return data, nil
+	return nil
 }
 
-// readBlock reads a block's bytes as observed from reader node at, into a
-// caller-owned slice: candidates are tried in order — the local replica
-// first, then the declared replica list — and a dead or failing replica
-// fails over to the next one (hdfs.failover.reads counts reads that did not
-// succeed on their first choice). Remote reads charge the network.
-// hdfs.bytes.local / hdfs.bytes.remote account where the bytes were served
-// from, as observed by a node-resident reader.
-func (fs *FileSystem) readBlock(b Block, at transport.NodeID) ([]byte, error) {
-	return fs.traced(b, at, func() ([]byte, error) { return fs.readReplicas(b, at) })
+// readBlock reads a block's bytes as observed from reader node at into
+// dst, b.Size bytes the caller owns, and returns dst: candidates are tried
+// in order — the local replica first, then the declared replica list —
+// and a dead or failing replica fails over to the next one, which
+// overwrites whatever the failed one left in dst (hdfs.failover.reads
+// counts reads that did not succeed on their first choice). Remote reads
+// charge the network. hdfs.bytes.local / hdfs.bytes.remote account where
+// the bytes were served from, as observed by a node-resident reader.
+func (fs *FileSystem) readBlock(b Block, at transport.NodeID, dst []byte) ([]byte, error) {
+	return fs.traced(b, at, func() ([]byte, error) { return fs.readReplicas(b, at, dst) })
 }
 
 // traced runs one disk/network read of (part of) block b, under an
@@ -492,43 +515,35 @@ func (fs *FileSystem) served(src, at transport.NodeID, n int64) {
 	}
 }
 
-func (fs *FileSystem) readReplicas(b Block, at transport.NodeID) ([]byte, error) {
+func (fs *FileSystem) readReplicas(b Block, at transport.NodeID, dst []byte) ([]byte, error) {
 	var lastErr error
 	for i, src := range candidates(b, at) {
-		data, err := fs.readReplica(src, b)
-		if err != nil {
+		if err := fs.readReplica(src, b, dst); err != nil {
 			lastErr = err
 			continue
 		}
 		if i > 0 {
 			fs.mFailover.Inc()
 		}
-		fs.served(src, at, int64(len(data)))
-		return data, nil
+		fs.served(src, at, int64(len(dst)))
+		return dst, nil
 	}
 	return nil, fmt.Errorf("hdfs: block %s: no readable replica: %w", b.ID, lastErr)
 }
 
 // ReadFile reads the whole file as observed from node at (-1 for a
-// location-less client). The returned slice is caller-owned.
+// location-less client). The returned slice is caller-owned: each block
+// is read straight into its place in it.
 func (fs *FileSystem) ReadFile(name string, at transport.NodeID) ([]byte, error) {
 	meta, err := fs.lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	// Single-block fast path: hand the block's bytes back directly
-	// instead of copying them through a bytes.Buffer.
-	if len(meta.blocks) == 1 {
-		return fs.readBlock(meta.blocks[0], at)
-	}
-	var out bytes.Buffer
-	out.Grow(int(meta.size))
+	out := make([]byte, meta.size)
 	for _, b := range meta.blocks {
-		data, err := fs.readBlock(b, at)
-		if err != nil {
+		if _, err := fs.readBlock(b, at, out[b.Offset:b.Offset+b.Size]); err != nil {
 			return nil, err
 		}
-		out.Write(data)
 	}
-	return out.Bytes(), nil
+	return out, nil
 }

@@ -53,7 +53,7 @@ func (fs *FileSystem) Open(name string, at transport.NodeID) (io.ReadCloser, err
 func (r *fileReader) Read(p []byte) (int, error) {
 	for len(r.cur) == 0 {
 		if r.err == nil {
-			r.err = r.fetch()
+			r.cur, _, r.err = r.fetch()
 		}
 		if r.err != nil {
 			return 0, r.err
@@ -80,38 +80,39 @@ func (r *fileReader) closeReplica() {
 	}
 }
 
-// fetch makes the next stretch of the file current: the rest of an own
-// block or one read-ahead unit of a slack block.
-func (r *fileReader) fetch() error {
+// fetch returns the next stretch of the file: the rest of an own block or
+// one read-ahead unit of a slack block. own says the stretch is part of a
+// block fetch read into a slice of its own, which the reader neither keeps
+// nor writes again; a slack stretch is r.buf, which the next fetch
+// overwrites.
+func (r *fileReader) fetch() (data []byte, own bool, err error) {
 	if r.pos >= r.limit {
 		r.closeReplica()
-		return io.EOF
+		return nil, false, io.EOF
 	}
 	b := r.blocks[r.idx]
 	off := r.pos - b.Offset
-	var data []byte
-	if b.Offset < r.own {
-		whole, err := r.fs.readBlock(b, r.at)
+	own = b.Offset < r.own
+	if own {
+		whole, err := r.fs.readBlock(b, r.at, make([]byte, b.Size))
 		if err != nil {
-			return err
+			return nil, false, err
 		}
 		data = whole[off:]
 	} else {
 		n := min(readAhead, b.Size-off)
-		chunk, err := r.fs.traced(b, r.at, func() ([]byte, error) { return r.readSlack(b, off, n) })
+		data, err = r.fs.traced(b, r.at, func() ([]byte, error) { return r.readSlack(b, off, n) })
 		if err != nil {
-			return err
+			return nil, false, err
 		}
-		data = chunk
 	}
 	data = data[:min(int64(len(data)), r.limit-r.pos)]
-	r.cur = data
 	r.pos += int64(len(data))
 	if r.pos == b.Offset+b.Size {
 		r.closeReplica()
 		r.idx, r.cand = r.idx+1, 0
 	}
-	return nil
+	return data, own, nil
 }
 
 // readSlack reads bytes [off, off+n) of slack block b from its open

@@ -85,16 +85,22 @@ type lineAt struct {
 	off  int64
 }
 
-// scanLines is the sequential reference: every line of data with the file
-// offset it starts at.
+// scanLines is the sequential reference: strings.Split of the file, each
+// piece at the offset it starts at. The empty piece after a final newline,
+// or of an empty file, is no line.
 func scanLines(data []byte) []lineAt {
-	var out []lineAt
+	if len(data) == 0 {
+		return nil
+	}
+	pieces := strings.Split(string(data), "\n")
+	if data[len(data)-1] == '\n' {
+		pieces = pieces[:len(pieces)-1]
+	}
+	out := make([]lineAt, len(pieces))
 	off := int64(0)
-	for len(data) > 0 {
-		line, rest, _ := bytes.Cut(data, []byte("\n"))
-		out = append(out, lineAt{string(line), off})
-		off += int64(len(data) - len(rest))
-		data = rest
+	for i, p := range pieces {
+		out[i] = lineAt{p, off}
+		off += int64(len(p)) + 1
 	}
 	return out
 }

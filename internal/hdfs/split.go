@@ -1,10 +1,11 @@
 package hdfs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
+	"strings"
+	"unsafe"
 
 	"github.com/hamr-go/hamr/internal/transport"
 )
@@ -58,14 +59,32 @@ const maxLine = 1 << 20
 // skips a leading partial line (unless the split starts at offset 0) and
 // reads past the end of the split only to the end of the line that
 // straddles the boundary.
+//
+// A line is a view of the split's own block, not a copy: the iterator
+// reads each own block into a slice of its own and views it as a string
+// once (blockString), and every line that lies inside it is a substring
+// of that view. So keeping any part of a line keeps its whole block
+// alive; a caller that retains lines past the record it is handed copies
+// them (strings.Clone). Two kinds of line are copies: one that spans two
+// fetches (carried across in carry) and one read from slack, whose bytes
+// the next fetch overwrites.
 type LineIterator struct {
 	src      *fileReader
-	r        *bufio.Reader
-	consumed int64 // bytes consumed relative to split start
-	limit    int64 // split length (stop once consumed > limit at line start)
-	offset   int64 // absolute file offset of the next line
+	cur      string // fetched bytes not yet returned
+	carry    []byte // the start of a line that runs into the next fetch
+	consumed int64  // bytes consumed relative to split start
+	limit    int64  // split length (stop once consumed > limit at line start)
+	offset   int64  // absolute file offset of the next line
 	done     bool
 	err      error
+}
+
+// blockString views b as a string without copying it. b must be an own
+// block as fileReader.fetch returns it: a slice read for this iterator
+// alone, which nothing writes after the read, so the string's bytes never
+// change. This is the tree's one use of unsafe.
+func blockString(b []byte) string {
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // OpenLines returns a line iterator over the split as observed from node
@@ -91,13 +110,12 @@ func (fs *FileSystem) OpenLines(sp Split, at transport.NodeID) (*LineIterator, e
 	}
 	it := &LineIterator{
 		src:    src,
-		r:      bufio.NewReader(src),
 		limit:  sp.Length,
 		offset: sp.Offset,
 	}
 	if sp.Offset > 0 {
 		// Skip the partial line carried over from the previous split.
-		skipped, err := it.r.ReadString('\n')
+		skipped, err := it.readLine()
 		if err != nil {
 			it.Close()
 			if err != io.EOF {
@@ -110,10 +128,43 @@ func (fs *FileSystem) OpenLines(sp Split, at transport.NodeID) (*LineIterator, e
 	return it, nil
 }
 
+// readLine returns the stream's next line with its newline, or what is
+// left of the stream when no newline follows; io.EOF once nothing is. A
+// read error discards the partial line.
+func (it *LineIterator) readLine() (string, error) {
+	for {
+		if i := strings.IndexByte(it.cur, '\n'); i >= 0 {
+			line := it.cur[:i+1]
+			it.cur = it.cur[i+1:]
+			if len(it.carry) > 0 {
+				line = string(append(it.carry, line...))
+				it.carry = it.carry[:0]
+			}
+			return line, nil
+		}
+		it.carry = append(it.carry, it.cur...)
+		data, own, err := it.src.fetch()
+		if err != nil {
+			it.cur = ""
+			if err == io.EOF && len(it.carry) > 0 {
+				line := string(it.carry)
+				it.carry = it.carry[:0]
+				return line, nil
+			}
+			return "", err
+		}
+		if own {
+			it.cur = blockString(data)
+		} else {
+			it.cur = string(data)
+		}
+	}
+}
+
 // Next returns the next line (without the trailing newline) and its
 // absolute byte offset in the file. ok is false at the end of the split and
 // on a read error, which Err then reports; either way the iterator has
-// closed itself.
+// closed itself. The line is a view of its block (see LineIterator).
 //
 // The boundary rule mirrors Hadoop's LineRecordReader: a split keeps
 // reading while the next line starts at or before the split end
@@ -124,7 +175,7 @@ func (it *LineIterator) Next() (line string, offset int64, ok bool) {
 		it.Close()
 		return "", 0, false
 	}
-	s, err := it.r.ReadString('\n')
+	s, err := it.readLine()
 	if err != nil && err != io.EOF {
 		it.err = err
 	}

@@ -41,7 +41,10 @@ type Emitter interface {
 
 // Mapper transforms one input pair. For text input the key is empty and
 // the value is one line. A fresh Mapper is created per task (the
-// one-JVM-per-task model: no shared state between tasks).
+// one-JVM-per-task model: no shared state between tasks). The line is a
+// view of its HDFS block (hdfs.LineIterator): keeping it, or any part of
+// it, past the call keeps the whole block alive, so a mapper that keeps
+// one copies it (strings.Clone). What it emits is encoded at once.
 type Mapper interface {
 	Map(kv core.KV, out Emitter) error
 }

@@ -31,11 +31,13 @@ type Engine struct {
 	scratch []spillScratch
 }
 
-// spillScratch is what a node's map-task spills work in and give back
-// when their run is written: the sort index and the combiner's decoded
-// values. A list holds as many slices as the node ever had spills (or
-// combining merges) in flight at once.
+// spillScratch is what a node's map tasks work in and give back: the
+// sort buffer's blocks, which a task holds from its first record to its
+// last spill, and what a spill borrows until its run is written — the
+// sort index and the combiner's decoded values. A list holds as many
+// slices as the node ever had in use at once.
 type spillScratch struct {
+	blocks *extsort.ChunkList[byte]
 	index  extsort.FreeList[uint32]
 	values extsort.FreeList[any]
 }
@@ -43,7 +45,11 @@ type spillScratch struct {
 // NewEngine creates an engine over the cluster with the given defaults.
 func NewEngine(c *cluster.Cluster, cfg Config) *Engine {
 	cfg.FillDefaults()
-	return &Engine{c: c, cfg: cfg, sub: c.Substrate(), scratch: make([]spillScratch, c.NumNodes())}
+	scratch := make([]spillScratch, c.NumNodes())
+	for i := range scratch {
+		scratch[i].blocks = extsort.NewChunkList[byte](extsort.SortBlockSize)
+	}
+	return &Engine{c: c, cfg: cfg, sub: c.Substrate(), scratch: scratch}
 }
 
 // Run executes one job and blocks until it completes.

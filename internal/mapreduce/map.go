@@ -77,8 +77,11 @@ func (j *jobRun) runMapTask(taskID, attempt int, split hdfs.Split) (mres *mapRes
 		if rerr == nil {
 			return
 		}
-		// Failed attempt: roll back everything it wrote — spills and merged
-		// runs — so a retry starts clean and no partial files leak.
+		// Failed attempt: send home the sort buffer's blocks, which hold
+		// what it had not spilled, and roll back everything it wrote —
+		// spills and merged runs — so a retry starts clean and no partial
+		// files leak.
+		mt.buf.Release()
 		for _, f := range mt.disk.List(taskName + "/") {
 			_ = mt.disk.Remove(f)
 		}
@@ -139,8 +142,8 @@ type mapTask struct {
 // newMapTask sets up the map side of one task attempt on its node's disk:
 // the sort buffer spills when it exceeds io.sort.mb, each spill run
 // combined (if configured) and released from em, the task's heap account.
-// Spills borrow their index and the combiner's values from the node's
-// scratch.
+// The buffer's blocks come from the node's scratch, and spills borrow
+// their index and the combiner's values from it.
 func (j *jobRun) newMapTask(taskName, tname string, node int, em *taskEmitter) *mapTask {
 	reg, tr := j.sub.Metrics, j.sub.Trace
 	mt := &mapTask{j: j, name: taskName, tname: tname, node: node, disk: j.c.Disk(node)}
@@ -150,6 +153,7 @@ func (j *jobRun) newMapTask(taskName, tname string, node int, em *taskEmitter) *
 		Prefix:    runKeyPrefix,
 		Threshold: j.cfg.SortBufferBytes,
 		Index:     &j.scratch[node].index,
+		Blocks:    j.scratch[node].blocks,
 		OnSpill: func(_ int, bytes int64) {
 			reg.Inc("mr.spills")
 			reg.Add("mr.spill.bytes", bytes)

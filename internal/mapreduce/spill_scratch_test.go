@@ -9,26 +9,41 @@ import (
 	"github.com/hamr-go/hamr/internal/faults"
 )
 
-// assertScratchHome checks every node's spill scratch once a job is over,
-// clean or failed: no index and no values slice still out, and none made
-// while another sat on its list. It returns how many slices the lists made
-// in all, so a caller can tell that the job spilled through them.
-func assertScratchHome(t *testing.T, e *Engine) (made int) {
+// assertScratchHome checks every node's map-task scratch once a job is
+// over, clean or failed: no sort-buffer block, index or values slice still
+// out, and none made while another sat on its list. It returns how many
+// blocks and how many spill slices the lists made in all, so a caller can
+// tell that the job's buffers and spills went through them.
+func assertScratchHome(t *testing.T, e *Engine) (blocks, made int) {
 	t.Helper()
 	for node := range e.scratch {
 		sc := &e.scratch[node]
-		for i, s := range []extsort.ChunkStats{sc.index.Stats(), sc.values.Stats()} {
+		for i, s := range []extsort.ChunkStats{sc.blocks.Stats(), sc.index.Stats(), sc.values.Stats()} {
 			if s.Live != 0 || s.Made != s.Free || s.Made != s.Peak {
-				t.Errorf("node %d: %s list %+v, want Live 0 and Made == Free == Peak", node, []string{"index", "values"}[i], s)
+				t.Errorf("node %d: %s list %+v, want Live 0 and Made == Free == Peak", node, []string{"blocks", "index", "values"}[i], s)
 			}
-			made += s.Made
+			if i == 0 {
+				blocks += s.Made
+			} else {
+				made += s.Made
+			}
 		}
 	}
-	return made
+	return blocks, made
 }
 
-// TestSpillScratchHome: the index and the combiner's values that map-task
-// spills borrow from their node go back whatever the attempt's end — a
+// requireScratchHome is assertScratchHome for a job that must have filled
+// sort-buffer blocks and spilled through the node's lists.
+func requireScratchHome(t *testing.T, e *Engine) {
+	t.Helper()
+	if blocks, made := assertScratchHome(t, e); blocks == 0 || made == 0 {
+		t.Fatalf("%d blocks and %d spill slices made: the job went round the node's scratch", blocks, made)
+	}
+}
+
+// TestSpillScratchHome: the sort-buffer blocks a map task takes from its
+// node, and the index and the combiner's values its spills borrow, go back
+// whatever the attempt's end — a
 // clean combining job (spills and final merges), a job whose map attempts
 // are killed at their mid-task checkpoint after spilling, and one whose
 // combiner fails in the middle of a spill. The clean job runs twice on one
@@ -57,9 +72,7 @@ func TestSpillScratchHome(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertCounts(t, parseCounts(t, c, job.Output+"/"), want)
-			if assertScratchHome(t, e) == 0 {
-				t.Fatal("no spill borrowed scratch")
-			}
+			requireScratchHome(t, e)
 		}
 		if m := c.Metrics().Counter("mr.merge.passes").Value(); m == 0 {
 			t.Error("no merge pass: the final merges went unexercised")
@@ -77,9 +90,7 @@ func TestSpillScratchHome(t *testing.T) {
 			t.Fatal("no map attempt was killed; pick another seed")
 		}
 		assertCounts(t, parseCounts(t, c, "out/"), want)
-		if assertScratchHome(t, e) == 0 {
-			t.Fatal("no spill borrowed scratch")
-		}
+		requireScratchHome(t, e)
 	})
 
 	t.Run("combiner-fails", func(t *testing.T) {
@@ -99,9 +110,7 @@ func TestSpillScratchHome(t *testing.T) {
 		if _, err := e.Run(job); !errors.Is(err, boom) {
 			t.Fatalf("Run = %v, want the combiner's error", err)
 		}
-		if assertScratchHome(t, e) == 0 {
-			t.Fatal("no spill borrowed scratch")
-		}
+		requireScratchHome(t, e)
 	})
 }
 
