@@ -16,12 +16,14 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
 
 	"github.com/hamr-go/hamr/internal/core"
 	"github.com/hamr-go/hamr/internal/faults"
 	"github.com/hamr-go/hamr/internal/hdfs"
 	"github.com/hamr-go/hamr/internal/kvstore"
 	"github.com/hamr-go/hamr/internal/metrics"
+	"github.com/hamr-go/hamr/internal/par"
 	"github.com/hamr-go/hamr/internal/storage"
 	"github.com/hamr-go/hamr/internal/substrate"
 	"github.com/hamr-go/hamr/internal/trace"
@@ -84,6 +86,12 @@ type Cluster struct {
 	store *kvstore.Store
 	sched *yarn.Scheduler
 	nodes []*core.NodeRuntime
+	// mem is each node's in-memory disk, under its fault and cost
+	// wrappers: its page lists are the node's.
+	mem []*storage.MemDisk
+
+	mu      sync.Mutex
+	engines []par.Buffers // the lists of engines built over the cluster
 }
 
 // New builds and starts a cluster.
@@ -114,9 +122,10 @@ func New(opts Options) (*Cluster, error) {
 	c.net.Use(env)
 
 	c.disks = make([]storage.Disk, opts.NumNodes)
+	c.mem = make([]*storage.MemDisk, opts.NumNodes)
 	for i := range c.disks {
-		var d storage.Disk = storage.NewMemDisk(opts.DiskCapacity)
-		d = sub.Faults.WrapDisk(i, d)
+		c.mem[i] = storage.NewMemDisk(opts.DiskCapacity)
+		d := sub.Faults.WrapDisk(i, c.mem[i])
 		if opts.DiskModel != nil {
 			cd := storage.NewCostDisk(d, *opts.DiskModel, reg)
 			cd.SetClock(sub.Clock, i)
@@ -189,6 +198,34 @@ func (c *Cluster) Metrics() *metrics.Registry { return c.sub.Metrics }
 // is nil-safe) and the registry. The MapReduce baseline takes it from here,
 // so both engines pay the same bytes and seconds.
 func (c *Cluster) Substrate() substrate.Handle { return c.sub }
+
+// AddBuffers adds lists for Buffers to gather besides the nodes' own:
+// the MapReduce baseline adds its spill scratch when it is built.
+func (c *Cluster) AddBuffers(b par.Buffers) {
+	c.mu.Lock()
+	c.engines = append(c.engines, b)
+	c.mu.Unlock()
+}
+
+// Buffers gathers every free list the cluster's nodes own — each runtime's
+// bins, accumulator chunks and partial-reduce scratch, each disk's page
+// classes, HDFS's write buffers and the lists of every engine built over
+// the cluster (AddBuffers) — under names that say whose each is. Once the
+// cluster is idle and its disks are empty, Buffers().Home() is nil.
+func (c *Cluster) Buffers() par.Buffers {
+	all := par.Buffers{}
+	for i, rt := range c.nodes {
+		all.Add(fmt.Sprintf("node%d/", i), rt.Buffers())
+		all.Add(fmt.Sprintf("disk%d/", i), c.mem[i].Buffers())
+	}
+	all.Add("hdfs/", c.fs.Buffers())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, b := range c.engines {
+		all.Add(fmt.Sprintf("engine%d/", i), b)
+	}
+	return all
+}
 
 // jobEnv builds the execution environment handed to every job.
 func (c *Cluster) jobEnv() *core.Env {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"sync"
+
+	"github.com/hamr-go/hamr/internal/par"
 )
 
 // Bin is the minimum unit of data that can enable a flowlet (§2): a batch
@@ -27,65 +29,32 @@ type Bin struct {
 	// the same as a completion marker arriving after it.
 	Last bool
 
-	// home is the free list the slab was drawn from; binList.get is the
-	// only place a Bin is made, so it is never nil.
-	home *binList
+	// home is the free list the slab was drawn from; newBinList's fresh is
+	// the only place a Bin is made, so it is never nil.
+	home *par.List[*Bin]
 }
 
 // release hands a fully consumed bin back to the list it came from. The
 // caller must not touch the bin afterwards.
-func (b *Bin) release() { b.home.put(b) }
+func (b *Bin) release() { b.home.Put(b) }
 
-// binList is one node's free list of bin slabs: a LIFO stack behind a
-// mutex, so reuse does not depend on GC timing the way a sync.Pool does.
-// Slabs have cap(KVs) == the configured bin size, so filling one never
-// grows it. The list is bounded — a put beyond max drops the slab to the
-// GC — and max is the largest need any job on the node has declared: one
-// slab per destination slot plus a flow-control window in flight, per edge.
-type binList struct {
-	size int // cap(KVs) of every slab
-
-	mu   sync.Mutex
-	free []*Bin
-	max  int
-	out  int // slabs drawn and not yet returned
-}
-
-// reserve raises the list's bound to hold n slabs.
-func (l *binList) reserve(n int) {
-	l.mu.Lock()
-	if n > l.max {
-		l.max = n
-	}
-	l.mu.Unlock()
-}
-
-// get returns an empty slab, allocating one only when the list is empty.
-func (l *binList) get() *Bin {
-	l.mu.Lock()
-	l.out++
-	if n := len(l.free); n > 0 {
-		b := l.free[n-1]
-		l.free[n-1] = nil
-		l.free = l.free[:n-1]
-		l.mu.Unlock()
-		return b
-	}
-	l.mu.Unlock()
-	return &Bin{KVs: make([]KV, 0, l.size), home: l}
-}
-
-// put clears a consumed slab (its keys and values must not stay reachable
-// from the free list) and stacks it for reuse.
-func (l *binList) put(b *Bin) {
-	clear(b.KVs)
-	b.KVs, b.Bytes, b.Last = b.KVs[:0], 0, false
-	l.mu.Lock()
-	l.out--
-	if len(l.free) < l.max {
-		l.free = append(l.free, b)
-	}
-	l.mu.Unlock()
+// newBinList returns one node's free list of bin slabs. Slabs have
+// cap(KVs) == size, so filling one never grows it. The list is bounded — a
+// put beyond the bound drops the slab to the GC — and each job raises the
+// bound to its need (Reserve): one slab per destination slot plus a
+// flow-control window in flight, per edge. Put clears a slab: its keys and
+// values must not stay reachable from the free list.
+func newBinList(size int) *par.List[*Bin] {
+	var l *par.List[*Bin]
+	l = par.NewList(
+		func() *Bin { return &Bin{KVs: make([]KV, 0, size), home: l} },
+		func(b *Bin) *Bin {
+			clear(b.KVs)
+			b.KVs, b.Bytes, b.Last = b.KVs[:0], 0, false
+			return b
+		},
+	).Bounded(0)
+	return l
 }
 
 // credit implements the flow-control window for one edge on one producing
@@ -197,7 +166,7 @@ func (c *credit) Stalls() int64 {
 // neighbouring destinations do not false-share.
 type binBuffer struct {
 	slots   []binSlot // one per destination node
-	list    *binList
+	list    *par.List[*Bin]
 	maxByte int64
 }
 
@@ -207,7 +176,7 @@ type binSlot struct {
 	_   [64 - 8 - 8]byte // pad to one 64-byte cache line
 }
 
-func newBinBuffer(numNodes int, list *binList, maxBytes int64) *binBuffer {
+func newBinBuffer(numNodes int, list *par.List[*Bin], maxBytes int64) *binBuffer {
 	return &binBuffer{
 		slots:   make([]binSlot, numNodes),
 		list:    list,
@@ -224,7 +193,7 @@ func (b *binBuffer) add(dest int, kv KV, size int64) *Bin {
 	s.mu.Lock()
 	bin := s.bin
 	if bin == nil {
-		bin = b.list.get()
+		bin = b.list.Get()
 		s.bin = bin
 	}
 	bin.KVs = append(bin.KVs, kv)

@@ -177,37 +177,30 @@ func recycleConfig() Config {
 	}
 }
 
-// assertSlabsHome checks every node's free list after a clean job: no slab
-// still out, and no more kept than the bound the job declared. It also
-// requires that no node dropped a bin: every pair a clean job sends
-// reaches a job that knows it, as the sender's own value.
-func assertSlabsHome(t *testing.T, nodes []*NodeRuntime) {
+// assertHome requires every free list on every node home (par.Stats.Home)
+// once a job is over. After a clean job the bin list must also have kept
+// slabs — the job raised its bound — and no node may have dropped a bin:
+// every pair a clean job sends reaches a job that knows it, as the
+// sender's own value. After an abort the bin list is left out: slabs the
+// job's loaders had not sealed stay in their slots, to the GC.
+func assertHome(t *testing.T, nodes []*NodeRuntime, clean bool) {
 	t.Helper()
 	for _, rt := range nodes {
-		l := rt.bins
-		l.mu.Lock()
-		free, out, max := len(l.free), l.out, l.max
-		l.mu.Unlock()
-		if out != 0 {
-			t.Errorf("node %d: %d slabs not returned after a clean job", rt.id, out)
+		lists := rt.Buffers()
+		if !clean {
+			delete(lists, "bins")
 		}
-		if free > max || max == 0 {
-			t.Errorf("node %d: free list holds %d slabs, bound %d", rt.id, free, max)
+		if err := lists.Home(); err != nil {
+			t.Errorf("node %d: %v", rt.id, err)
+		}
+		if !clean {
+			continue
+		}
+		if s := rt.bins.Stats(); s.Free == 0 {
+			t.Errorf("node %d: bin list %+v keeps no slab after a clean job", rt.id, s)
 		}
 		if d := rt.Metrics().Snapshot().Get("bins.dropped"); d != 0 {
 			t.Errorf("node %d: bins.dropped = %d after a clean job", rt.id, d)
-		}
-	}
-}
-
-// assertChunksHome checks every node's accumulator chunk list once a job
-// is over, clean or aborted: no chunk still out, and none made while
-// another sat on the list.
-func assertChunksHome(t *testing.T, nodes []*NodeRuntime) {
-	t.Helper()
-	for _, rt := range nodes {
-		if s := rt.AccChunks(); s.Live != 0 || s.Made != s.Free || s.Made != s.Peak {
-			t.Errorf("node %d: chunk list %+v, want Live 0 and Made == Free == Peak", rt.id, s)
 		}
 	}
 }
@@ -228,8 +221,7 @@ func TestBinRecyclingExactlyOnce(t *testing.T) {
 					t.Fatalf("run %d: %v", run, err)
 				}
 				sink.check(t, splits*perSplit)
-				assertSlabsHome(t, nodes)
-				assertChunksHome(t, nodes)
+				assertHome(t, nodes, true)
 				if chain && res.Gated == 0 {
 					t.Errorf("run %d: no bin was flow-gated; the pending queue went unexercised", run)
 				}
@@ -273,7 +265,7 @@ func TestBinRecyclingSurvivesAbort(t *testing.T) {
 		t.Fatalf("job after abort: %v", err)
 	}
 	sink.check(t, splits*perSplit)
-	assertChunksHome(t, nodes)
+	assertHome(t, nodes, false)
 }
 
 // TestAccumulatorChunksHomeAfterAbort aborts a job while its reduce
@@ -324,7 +316,7 @@ func TestAccumulatorChunksHomeAfterAbort(t *testing.T) {
 	for ready := 0; ready < numNodes; {
 		ready = 0
 		for _, rt := range nodes {
-			if rt.AccChunks().Live > 0 && len(rt.Disk().List(runs)) > 0 {
+			if rt.chunks.Stats().Live > 0 && len(rt.Disk().List(runs)) > 0 {
 				ready++
 			}
 		}
@@ -338,7 +330,7 @@ func TestAccumulatorChunksHomeAfterAbort(t *testing.T) {
 	if _, err := j.Wait(); !errors.Is(err, ErrJobCanceled) {
 		t.Fatalf("Wait after Abort = %v, want ErrJobCanceled", err)
 	}
-	assertChunksHome(t, nodes)
+	assertHome(t, nodes, false)
 	for i, rt := range nodes {
 		if left := rt.Disk().List(runs); len(left) > 0 {
 			t.Errorf("node %d: the aborted job left its spill runs %v", i, left)
@@ -349,7 +341,7 @@ func TestAccumulatorChunksHomeAfterAbort(t *testing.T) {
 	}
 	made := make([]int, numNodes)
 	for i, rt := range nodes {
-		made[i] = rt.AccChunks().Made
+		made[i] = rt.chunks.Stats().Made
 	}
 
 	g2, sink := idGraph(t, idLoader(2, 50), true)
@@ -357,9 +349,9 @@ func TestAccumulatorChunksHomeAfterAbort(t *testing.T) {
 		t.Fatalf("job after abort: %v", err)
 	}
 	sink.check(t, 2*50)
-	assertChunksHome(t, nodes)
+	assertHome(t, nodes, false)
 	for i, rt := range nodes {
-		if m := rt.AccChunks().Made; m != made[i] {
+		if m := rt.chunks.Stats().Made; m != made[i] {
 			t.Errorf("node %d made %d chunks after the abort, want the %d it had", i, m-made[i], made[i])
 		}
 	}
@@ -379,8 +371,7 @@ func TestBinRecyclingUnderRefires(t *testing.T) {
 		t.Fatalf("run: %v (seed exhausted a task's re-fires; pick another)", err)
 	}
 	sink.check(t, splits*perSplit)
-	assertSlabsHome(t, nodes)
-	assertChunksHome(t, nodes)
+	assertHome(t, nodes, true)
 	fired := strings.Join(inj.Sites(), " ")
 	for _, kind := range []string{"split:", "pstripe:", "rbatch:"} {
 		if !strings.Contains(fired, "flowlet.fire:"+kind) {
@@ -411,9 +402,6 @@ func (cellSum) Finish(key string, state any, ctx Context) error {
 // every bin grew from nil it was about 64 B per pair from bins alone. The
 // second run on a cluster is the one measured, its lists already warm.
 func TestShuffleAllocsPerKV(t *testing.T) {
-	if raceEnabled {
-		t.Skip("under -race sync.Pool drops entries at random, so the fold's pooled scratch reallocates")
-	}
 	const (
 		numNodes, splits, perSplit = 4, 8, 25000
 		maxBytesPerKV              = 8
@@ -528,12 +516,12 @@ func TestAccumulatorAllocsPerRecord(t *testing.T) {
 		if total != splits*perSplit {
 			t.Fatalf("reduced %d of %d pairs", total, splits*perSplit)
 		}
-		assertChunksHome(t, nodes)
+		assertHome(t, nodes, true)
 		return float64(m1.TotalAlloc-m0.TotalAlloc) / (splits * perSplit)
 	}
 	made := func() (n int) {
 		for _, rt := range nodes {
-			n += rt.AccChunks().Made
+			n += rt.chunks.Stats().Made
 		}
 		return n
 	}

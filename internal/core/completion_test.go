@@ -273,7 +273,7 @@ func TestBinForNoEdgeFailsJob(t *testing.T) {
 			}
 			j.Start()
 			rt := nodes[1]
-			bin := rt.bins.get()
+			bin := rt.bins.Get()
 			bin.Job, bin.Edge, bin.Flowlet, bin.From, bin.Last = j.ID(), c.edge, c.flowlet, 0, true
 			bin.KVs = append(bin.KVs, KV{Key: "k", Value: int64(1)})
 			dropped := rt.Metrics().Snapshot().Get("bins.dropped")
@@ -294,8 +294,8 @@ func TestBinForNoEdgeFailsJob(t *testing.T) {
 			if got := rt.Metrics().Snapshot().Get("bins.dropped") - dropped; got != 1 {
 				t.Errorf("bins.dropped rose by %d, want 1", got)
 			}
-			if rt.bins.out != 0 {
-				t.Errorf("%d slabs out after the drop", rt.bins.out)
+			if err := rt.bins.Stats().Home(); err != nil {
+				t.Errorf("slabs after the drop: %v", err)
 			}
 		})
 	}

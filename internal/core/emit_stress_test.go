@@ -19,7 +19,9 @@ func TestBinBufferConcurrentMultiset(t *testing.T) {
 		perW    = 5000
 		nodes   = 4
 	)
-	buf := newBinBuffer(nodes, &binList{size: 16, max: nodes}, 1<<30)
+	bins := newBinList(16)
+	bins.Reserve(nodes)
+	buf := newBinBuffer(nodes, bins, 1<<30)
 	var mu sync.Mutex
 	got := make(map[string]int)
 	var wg sync.WaitGroup
@@ -59,8 +61,8 @@ func TestBinBufferConcurrentMultiset(t *testing.T) {
 			t.Fatalf("key %q seen %d times", k, n)
 		}
 	}
-	if buf.list.out != 0 || len(buf.list.free) > nodes {
-		t.Fatalf("list: %d slabs out, %d free (bound %d)", buf.list.out, len(buf.list.free), nodes)
+	if s := buf.list.Stats(); s.Home() != nil || s.Free > nodes {
+		t.Fatalf("list %+v: want every slab home and at most %d free", s, nodes)
 	}
 }
 

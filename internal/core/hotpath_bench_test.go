@@ -21,7 +21,9 @@ func benchEmit(b *testing.B, workers, nodes int) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	buf := newBinBuffer(nodes, &binList{size: 512, max: 2 * nodes}, 128<<10)
+	bins := newBinList(512)
+	bins.Reserve(2 * nodes)
+	buf := newBinBuffer(nodes, bins, 128<<10)
 	perW := b.N / workers
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

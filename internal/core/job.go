@@ -211,7 +211,7 @@ func newJobNode(rt *NodeRuntime, graph *Graph, jobID int64, numNodes int) *jobNo
 		jn.edges = append(jn.edges, es)
 		jn.outBy[e.From] = append(jn.outBy[e.From], es)
 	}
-	rt.bins.reserve(len(jn.edges) * (numNodes + rt.cfg.FlowControlWindow))
+	rt.bins.Reserve(len(jn.edges) * (numNodes + rt.cfg.FlowControlWindow))
 	for _, spec := range graph.Flowlets() {
 		fs := &flowletState{spec: spec, jn: jn}
 		ups := map[int]bool{}

@@ -10,6 +10,7 @@ import (
 
 	"github.com/hamr-go/hamr/internal/extsort"
 	"github.com/hamr-go/hamr/internal/metrics"
+	"github.com/hamr-go/hamr/internal/par"
 	"github.com/hamr-go/hamr/internal/storage"
 )
 
@@ -101,7 +102,7 @@ func (kvFormat) DecodeRecord(key, value []byte) (kvRec, error) {
 type accumulator struct {
 	mu     sync.Mutex
 	b      *extsort.RunBuilder[kvRec]
-	chunks *extsort.ChunkList[kvRec]
+	chunks *par.List[[]kvRec]
 	mem    *MemoryManager
 	disk   storage.Disk
 	closed bool // set by close: the job is over here, adds are refused
@@ -109,7 +110,7 @@ type accumulator struct {
 
 // newAccumulator returns an empty accumulator that buffers in the node's
 // chunk list and names its run files under prefix.
-func newAccumulator(mem *MemoryManager, disk storage.Disk, chunks *extsort.ChunkList[kvRec], prefix string, reg *metrics.Registry) *accumulator {
+func newAccumulator(mem *MemoryManager, disk storage.Disk, chunks *par.List[[]kvRec], prefix string, reg *metrics.Registry) *accumulator {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}

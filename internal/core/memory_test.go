@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/hamr-go/hamr/internal/extsort"
+	"github.com/hamr-go/hamr/internal/par"
 	"github.com/hamr-go/hamr/internal/storage"
 )
 
@@ -56,8 +57,8 @@ func TestMemoryManagerFirstReservationAlwaysGranted(t *testing.T) {
 
 // testChunks is a chunk list of the size a node's is, for an accumulator
 // tested without a runtime.
-func testChunks() *extsort.ChunkList[kvRec] {
-	return extsort.NewChunkList[kvRec](extsort.DefaultChunkLen)
+func testChunks() *par.List[[]kvRec] {
+	return par.NewSlices[kvRec](extsort.DefaultChunkLen)
 }
 
 func TestAccumulatorInMemory(t *testing.T) {
@@ -246,7 +247,7 @@ func TestCreditAbort(t *testing.T) {
 }
 
 func TestBinBufferSealing(t *testing.T) {
-	b := newBinBuffer(3, &binList{size: 4}, 1<<20)
+	b := newBinBuffer(3, newBinList(4), 1<<20)
 	var sealed []*Bin
 	for i := 0; i < 10; i++ {
 		kv := KV{Key: fmt.Sprint(i), Value: int64(i)}
@@ -270,30 +271,31 @@ func TestBinBufferSealing(t *testing.T) {
 
 // TestBinListRecycles pins the free list's contract: a returned slab comes
 // back empty with its capacity intact and no reference to the old pairs,
-// the list never holds more than its bound, and out counts slabs in use.
+// the list never holds more than its bound, and every slab it made is
+// home once both are returned.
 func TestBinListRecycles(t *testing.T) {
-	l := &binList{size: 4}
-	l.reserve(1)
-	a, b := l.get(), l.get()
+	l := newBinList(4)
+	l.Reserve(1)
+	a, b := l.Get(), l.Get()
 	a.KVs = append(a.KVs, KV{Key: "k", Value: "v"})
 	a.Bytes = 2
 	kept := a.KVs[:1]
 	a.release()
 	b.release() // beyond the bound of 1: dropped
-	if len(l.free) != 1 || l.out != 0 {
-		t.Fatalf("free = %d, out = %d, want 1, 0", len(l.free), l.out)
+	if s := l.Stats(); s.Home() != nil || s.Free != 1 || s.Dropped != 1 {
+		t.Fatalf("list %+v, want one slab free and one dropped", s)
 	}
 	if kept[0] != (KV{}) {
 		t.Fatalf("released slab still references %+v", kept[0])
 	}
-	c := l.get()
+	c := l.Get()
 	if c != a || len(c.KVs) != 0 || cap(c.KVs) != 4 || c.Bytes != 0 {
 		t.Fatalf("recycled slab = %+v (cap %d), want the first one, empty", c, cap(c.KVs))
 	}
 }
 
 func TestBinBufferSealsByBytes(t *testing.T) {
-	b := newBinBuffer(1, &binList{size: 1000}, 64)
+	b := newBinBuffer(1, newBinList(1000), 64)
 	kv := KV{Key: "k", Value: make([]byte, 100)}
 	if b.add(0, kv, kv.Size()) == nil {
 		t.Fatal("oversized value did not seal the bin")
@@ -331,7 +333,7 @@ func TestKVKeyBytesOrderAsKVRecCompare(t *testing.T) {
 // back on the list afterwards.
 func TestAccumulatorKeepsArrivalOrder(t *testing.T) {
 	disk := storage.NewMemDisk(0)
-	chunks := extsort.NewChunkList[kvRec](4)
+	chunks := par.NewSlices[kvRec](4)
 	kv := func(i int) KV { return KV{Key: fmt.Sprintf("k%d", i%3), Value: int64(i)} }
 	mem := NewMemoryManager(5*kv(0).Size() + 1) // five pairs a spill
 	acc := newAccumulator(mem, disk, chunks, "order", nil)
@@ -363,8 +365,8 @@ func TestAccumulatorKeepsArrivalOrder(t *testing.T) {
 			t.Errorf("key %s: values %v, want %v (arrival order)", key, got[key], want)
 		}
 	}
-	if s := chunks.Stats(); s.Live != 0 || s.Made != s.Peak {
-		t.Errorf("chunks after iterate: %+v", s)
+	if err := chunks.Stats().Home(); err != nil {
+		t.Errorf("chunks after iterate: %v", err)
 	}
 	if mem.Used() != 0 {
 		t.Errorf("memory still reserved after iterate: %d", mem.Used())

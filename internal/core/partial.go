@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/hamr-go/hamr/internal/par"
 	"github.com/hamr-go/hamr/internal/vtime"
 )
 
@@ -19,18 +20,23 @@ type prStripe struct {
 
 // prScratch is the reusable working set for stripe-grouping one bin: a
 // per-KV stripe index, per-stripe counts/offsets, and a stripe-ordered
-// copy of the bin's pairs (a counting sort). Pooling it removes the
+// copy of the bin's pairs (a counting sort). Recycling it removes the
 // map[int][]KV plus per-stripe slice allocations the fold used to make
-// for every bin. Pool entries are not cleared between uses: at most a
-// few are live at once (one per concurrently folding worker) and each
-// holds at most one bin's worth of pairs.
+// for every bin. It comes from the node's list, one out per worker
+// folding a bin, and Put clears its pairs, so no job's keys or values
+// stay reachable from the list after the job.
 type prScratch struct {
 	idx    []int32
 	counts []int32
 	kvs    []KV
 }
 
-var prScratchPool = sync.Pool{New: func() any { return new(prScratch) }}
+func newPRScratchList() *par.List[*prScratch] {
+	return par.NewList(
+		func() *prScratch { return new(prScratch) },
+		func(sc *prScratch) *prScratch { clear(sc.kvs[:cap(sc.kvs)]); return sc },
+	)
+}
 
 func (sc *prScratch) grow(nkvs, nstripes int) {
 	if cap(sc.idx) < nkvs {
@@ -58,7 +64,8 @@ func (fs *flowletState) applyPartialBin(bin *Bin) error {
 	if nstripes == 1 {
 		return fs.applyStripeBatch(&fs.stripes[0], bin.KVs)
 	}
-	sc := prScratchPool.Get().(*prScratch)
+	scratch := fs.jn.rt.prScratch
+	sc := scratch.Get()
 	sc.grow(len(bin.KVs), nstripes)
 	for i, kv := range bin.KVs {
 		idx := int32(stripeOf(kv.Key, nstripes))
@@ -88,7 +95,7 @@ func (fs *flowletState) applyPartialBin(bin *Bin) error {
 		}
 		start = end
 	}
-	prScratchPool.Put(sc)
+	scratch.Put(sc)
 	return err
 }
 

@@ -140,11 +140,14 @@ type NodeRuntime struct {
 
 	// bins is the free list every bin this node produces is drawn from and
 	// returned to — by whichever node consumed it — across jobs.
-	bins *binList
+	bins *par.List[*Bin]
 	// chunks is the free list every reduce accumulator on this node
 	// buffers its pairs in, across jobs: a job's accumulators return their
 	// chunks when they are iterated, or when the job ends.
-	chunks *extsort.ChunkList[kvRec]
+	chunks *par.List[[]kvRec]
+	// prScratch is the free list of the partial-reduce fold's working
+	// sets: one is out per worker folding a bin.
+	prScratch *par.List[*prScratch]
 
 	// binsDropped counts payloads the delivery handler could not route
 	// (a payload of the wrong type, or a data bin for a job this node no
@@ -174,8 +177,9 @@ func NewNodeRuntime(id int, cfg Config, sub substrate.Handle, net transport.Netw
 		services:  services,
 		pool:      par.NewPool(cfg.Workers, cfg.Workers*64),
 		loaderSem: par.NewSemaphore(cfg.LoaderConcurrency),
-		bins:      &binList{size: cfg.BinSize},
-		chunks:    extsort.NewChunkList[kvRec](extsort.DefaultChunkLen),
+		bins:      newBinList(cfg.BinSize),
+		chunks:    par.NewSlices[kvRec](extsort.DefaultChunkLen),
+		prScratch: newPRScratchList(),
 
 		binsDropped: sub.Metrics.Counter("bins.dropped"),
 	}
@@ -226,9 +230,12 @@ func (rt *NodeRuntime) Disk() storage.Disk { return rt.disk }
 // Service returns a node-local service handle.
 func (rt *NodeRuntime) Service(name string) any { return rt.services[name] }
 
-// AccChunks reports the node's reduce-accumulator chunk list. Between
-// jobs every chunk is home: Live is 0 and Made == Peak.
-func (rt *NodeRuntime) AccChunks() extsort.ChunkStats { return rt.chunks.Stats() }
+// Buffers names the node's free lists: bin slabs, reduce-accumulator
+// chunks and partial-reduce scratch. Once every job on the node is over,
+// each is home.
+func (rt *NodeRuntime) Buffers() par.Buffers {
+	return par.Buffers{"bins": rt.bins.Stats, "acc-chunks": rt.chunks.Stats, "partial-scratch": rt.prScratch.Stats}
+}
 
 // Close drains the worker pool and flushes the outbound coalescer. The
 // runtime must not be used afterwards.

@@ -29,7 +29,7 @@ func TestHandleDropsWhatItCannotDecode(t *testing.T) {
 			bad = append(bad, transport.Message{Kind: kind, Payload: p})
 		}
 	}
-	stray := rt.bins.get()
+	stray := rt.bins.Get()
 	stray.Job = 1
 	bad = append(bad, transport.Message{Kind: msgBin, Payload: stray})
 	for _, m := range bad {
@@ -38,8 +38,8 @@ func TestHandleDropsWhatItCannotDecode(t *testing.T) {
 	if got := rt.Metrics().Snapshot().Get("bins.dropped"); got != int64(len(bad)) {
 		t.Errorf("bins.dropped = %d, want %d", got, len(bad))
 	}
-	if rt.bins.out != 0 {
-		t.Errorf("%d slabs out after the drops", rt.bins.out)
+	if err := rt.bins.Stats().Home(); err != nil {
+		t.Errorf("slabs after the drops: %v", err)
 	}
 	for _, m := range []transport.Message{
 		{Kind: msgAck, Payload: ackMsg{Job: 1}}, {Kind: msgComplete, Payload: completeMsg{Job: 1}}, {Kind: msgFail, Payload: failMsg{Job: 1}},

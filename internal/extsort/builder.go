@@ -1,93 +1,14 @@
 package extsort
 
 import (
-	"sync"
-
+	"github.com/hamr-go/hamr/internal/par"
 	"github.com/hamr-go/hamr/internal/storage"
 )
 
 // DefaultChunkLen is the record capacity of a RunBuilder's chunks when
-// its config names no ChunkList, and of core's accumulator chunks: 32 KiB
+// its config names no chunk list, and of core's accumulator chunks: 32 KiB
 // of (key, value) records.
 const DefaultChunkLen = 1024
-
-// FreeList is a free list of slices: a LIFO stack behind a mutex, so
-// reuse does not depend on GC timing the way a sync.Pool does. A returned
-// slice is always kept: every slice the list made is either out (live) or
-// on the stack, so the stack never holds more than the most slices that
-// were ever out at once. The zero value is an empty list.
-type FreeList[T any] struct {
-	mu   sync.Mutex
-	free [][]T
-	live int // slices handed out and not yet returned
-	made int
-	peak int // the most slices live at once
-}
-
-// Get returns an empty slice off the stack, or nil when the stack is
-// empty: the caller makes the slice it needs then. A caller that needs
-// more room than a slice has trades it for a larger one; the list counts
-// either as the one slice it handed out.
-func (l *FreeList[T]) Get() []T {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.live++
-	l.peak = max(l.peak, l.live)
-	n := len(l.free)
-	if n == 0 {
-		l.made++
-		return nil
-	}
-	s := l.free[n-1]
-	l.free[n-1] = nil
-	l.free = l.free[:n-1]
-	return s
-}
-
-// Put clears a slice the list handed out, or the one it grew into, up to
-// its capacity (nothing it held may stay reachable from the free list)
-// and stacks it for reuse. The caller must not touch it afterwards.
-func (l *FreeList[T]) Put(s []T) {
-	clear(s[:cap(s)])
-	l.mu.Lock()
-	l.live--
-	l.free = append(l.free, s[:0])
-	l.mu.Unlock()
-}
-
-// ChunkStats is a snapshot of a FreeList. Once every slice is home, Live
-// is 0 and Made == Free; Made == Peak says no slice was made while one
-// sat on the list.
-type ChunkStats struct {
-	Live, Free, Made, Peak int
-}
-
-// Stats returns the list's counts.
-func (l *FreeList[T]) Stats() ChunkStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return ChunkStats{Live: l.live, Free: len(l.free), Made: l.made, Peak: l.peak}
-}
-
-// ChunkList is a free list of record chunks of one fixed capacity, so
-// filling one never grows it.
-type ChunkList[T any] struct {
-	FreeList[T]
-	size int // cap of every chunk
-}
-
-// NewChunkList returns an empty list of chunks with capacity size.
-func NewChunkList[T any](size int) *ChunkList[T] {
-	return &ChunkList[T]{size: max(size, 1)}
-}
-
-// Get returns an empty chunk, allocating one only when the list is empty.
-func (l *ChunkList[T]) Get() []T {
-	if c := l.FreeList.Get(); c != nil {
-		return c
-	}
-	return make([]T, 0, l.size)
-}
 
 // BuilderConfig configures a RunBuilder. Cmp, Format, and RunName are
 // required when the builder can spill; Disk may be nil for callers that
@@ -100,7 +21,7 @@ type BuilderConfig[T any] struct {
 	RunName func(i int) string
 	// Chunks is the free list the builder buffers records in. Nil gives
 	// the builder a list of its own, with chunks of DefaultChunkLen.
-	Chunks *ChunkList[T]
+	Chunks *par.List[[]T]
 	// Threshold, when > 0, spills after an Add brings buffered bytes to
 	// Threshold or beyond — Hadoop's io.sort.mb semantics, where the
 	// record that crossed the line is included in the spill. No engine
@@ -128,7 +49,7 @@ type BuilderConfig[T any] struct {
 // typed values they arrived as; records that always reach a run file
 // belong in a SortBuffer.
 //
-// Records buffer in chunks drawn from the configured ChunkList, so the
+// Records buffer in chunks drawn from the configured list, so the
 // buffer never grows by copying. A spill stably sorts each chunk and
 // merges the chunks into the run, ties going to the earlier chunk: the
 // run holds exactly what one stable sort of the whole buffer would, and
@@ -147,7 +68,7 @@ type RunBuilder[T any] struct {
 // NewRunBuilder returns an empty builder.
 func NewRunBuilder[T any](cfg BuilderConfig[T]) *RunBuilder[T] {
 	if cfg.Chunks == nil {
-		cfg.Chunks = NewChunkList[T](DefaultChunkLen)
+		cfg.Chunks = par.NewSlices[T](DefaultChunkLen)
 	}
 	return &RunBuilder[T]{cfg: cfg}
 }
@@ -238,7 +159,7 @@ func (b *RunBuilder[T]) Runs() []string { return b.runs }
 // the runs in order and then the chunks in order, ties to the earlier
 // source, yields every record in key order and each key's records in
 // arrival order. The caller owns what is returned: it removes the runs,
-// puts each chunk back on the builder's ChunkList once it is done reading
+// puts each chunk back on the builder's chunk list once it is done reading
 // it, and releases bytes to the Budget.
 func (b *RunBuilder[T]) Drain() (chunks [][]T, bytes int64, runs []string) {
 	for _, c := range b.chunks {

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/hamr-go/hamr/internal/par"
 	"github.com/hamr-go/hamr/internal/storage"
 )
 
@@ -331,15 +332,6 @@ func fileDigest(t *testing.T, disk storage.Disk, name string) string {
 	return fmt.Sprintf("%x", sha256.Sum256(data))
 }
 
-// assertChunksHome requires every chunk the list made back on it, and
-// none made while another sat there.
-func assertChunksHome[T any](t *testing.T, l *ChunkList[T]) {
-	t.Helper()
-	if s := l.Stats(); s.Live != 0 || s.Made != s.Free || s.Made != s.Peak {
-		t.Errorf("chunk list %+v: want Live 0 and Made == Free == Peak", s)
-	}
-}
-
 // TestSpillRunsMatchContiguousSort: whatever the chunk size — one record,
 // a size that straddles every spill, one chunk per spill — each run file
 // is byte for byte its pinned digest and the run one stable
@@ -349,7 +341,7 @@ func TestSpillRunsMatchContiguousSort(t *testing.T) {
 	for _, size := range []int{1, 7, 64, DefaultChunkLen} {
 		t.Run(fmt.Sprint(size), func(t *testing.T) {
 			disk := storage.NewMemDisk(0)
-			chunks := NewChunkList[testRec](size)
+			chunks := par.NewSlices[testRec](size)
 			var spilled [][]testRec // each spill's records, in arrival order
 			from := 0
 			b := NewRunBuilder(BuilderConfig[testRec]{
@@ -386,7 +378,9 @@ func TestSpillRunsMatchContiguousSort(t *testing.T) {
 					t.Errorf("run %d differs from one stable sort of its records", i)
 				}
 			}
-			assertChunksHome(t, chunks)
+			if err := chunks.Stats().Home(); err != nil {
+				t.Error(err)
+			}
 		})
 	}
 }
@@ -396,7 +390,7 @@ func TestSpillRunsMatchContiguousSort(t *testing.T) {
 // and then the drained chunks returns each key's records in arrival order.
 func TestBuilderChunksKeepArrivalOrder(t *testing.T) {
 	disk := storage.NewMemDisk(0)
-	chunks := NewChunkList[testRec](5)
+	chunks := par.NewSlices[testRec](5)
 	budget := &capBudget{cap: 130} // 13 ten-byte records a spill
 	b := NewRunBuilder(BuilderConfig[testRec]{
 		Cmp: testCmp, Format: testFormat{}, Disk: disk,
@@ -452,13 +446,15 @@ func TestBuilderChunksKeepArrivalOrder(t *testing.T) {
 	for _, c := range bufs {
 		chunks.Put(c)
 	}
-	assertChunksHome(t, chunks)
+	if err := chunks.Stats().Home(); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestChunkListReuses: a drained list hands its chunks out again, cleared,
 // before it makes another.
 func TestChunkListReuses(t *testing.T) {
-	l := NewChunkList[*int](4)
+	l := par.NewSlices[*int](4)
 	a, b := l.Get(), l.Get()
 	x := 1
 	a = append(a, &x)

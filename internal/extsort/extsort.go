@@ -19,7 +19,7 @@
 // Clients differ only in their record type, ordering and byte format:
 //
 //   - core's reduce accumulator: records are (key, value) pairs ordered
-//     by key, in chunks from the node's ChunkList, spilling when the
+//     by key, in chunks from the node's chunk list, spilling when the
 //     job's MemoryManager denies a reservation;
 //   - mapreduce's map task: records are encoded (partition, key) and value
 //     bytes in a SortBuffer, ordered by the key bytes, spilling past

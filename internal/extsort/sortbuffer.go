@@ -6,14 +6,15 @@ import (
 	"errors"
 	"slices"
 
+	"github.com/hamr-go/hamr/internal/par"
 	"github.com/hamr-go/hamr/internal/storage"
 )
 
 // SortBlockSize is the unit a SortBuffer's storage grows by, and the
-// chunk size of a SortBufferConfig.Blocks list. A buffer that is handed k
-// bytes holds at most k plus one block, so a task that emits little holds
-// little whatever its spill threshold is. An index word's low
-// sortOffsetBits hold a record's offset in its block.
+// capacity of the slices a SortBufferConfig.Blocks list holds. A buffer
+// that is handed k bytes holds at most k plus one block, so a task that
+// emits little holds little whatever its spill threshold is. An index
+// word's low sortOffsetBits hold a record's offset in its block.
 const (
 	sortOffsetBits = 14
 	SortBlockSize  = 1 << sortOffsetBits
@@ -39,7 +40,8 @@ type Combiner interface {
 	End(flush bool) error
 }
 
-// SortBufferConfig configures a SortBuffer. Disk and RunName are required.
+// SortBufferConfig configures a SortBuffer. Disk, RunName, Index and
+// Blocks are required.
 type SortBufferConfig struct {
 	Disk storage.Disk
 	// RunName names the i-th spilled run (i counts from 0).
@@ -53,15 +55,13 @@ type SortBufferConfig struct {
 	Threshold int64
 	// Index is the free list each spill borrows its sort index from and
 	// returns it to once the run is written. Buffers that spill one after
-	// another share one index by sharing the list; nil gives the buffer a
-	// list of its own.
-	Index *FreeList[uint32]
+	// another share one index by sharing the list. Required.
+	Index *par.List[[]uint32]
 	// Blocks is the free list the buffer takes its standard blocks from,
-	// chunks of SortBlockSize bytes, and Release returns them to. Buffers
+	// slices of SortBlockSize bytes, and Release returns them to. Buffers
 	// that share the list share their blocks: what one spill sends home is
-	// what the next block any of them needs is taken from. Nil gives the
-	// buffer a list of its own.
-	Blocks *ChunkList[byte]
+	// what the next block any of them needs is taken from. Required.
+	Blocks *par.List[[]byte]
 	// Combine, when non-nil, folds every spill: what it writes is the run.
 	// OnSpill's accounting is of the records added, not the records written.
 	Combine Combiner
@@ -99,12 +99,6 @@ type SortBuffer struct {
 
 // NewSortBuffer returns an empty buffer.
 func NewSortBuffer(cfg SortBufferConfig) *SortBuffer {
-	if cfg.Index == nil {
-		cfg.Index = &FreeList[uint32]{}
-	}
-	if cfg.Blocks == nil {
-		cfg.Blocks = NewChunkList[byte](SortBlockSize)
-	}
 	return &SortBuffer{cfg: cfg}
 }
 

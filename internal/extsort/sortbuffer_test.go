@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/hamr-go/hamr/internal/par"
 	"github.com/hamr-go/hamr/internal/storage"
 )
 
@@ -30,6 +31,12 @@ func sortBufferOn(disk storage.Disk, threshold int64, cfg SortBufferConfig) *Sor
 	cfg.Disk = disk
 	cfg.RunName = func(i int) string { return fmt.Sprintf("sb/run-%04d", i) }
 	cfg.Threshold = threshold
+	if cfg.Index == nil {
+		cfg.Index = par.NewSlices[uint32](0)
+	}
+	if cfg.Blocks == nil {
+		cfg.Blocks = par.NewSlices[byte](SortBlockSize)
+	}
 	return NewSortBuffer(cfg)
 }
 
@@ -178,7 +185,7 @@ func TestSortBufferCombineError(t *testing.T) {
 	boom := fmt.Errorf("boom")
 	spilled := false
 	comb := &sumCombiner{addErr: boom}
-	index := &FreeList[uint32]{}
+	index := par.NewSlices[uint32](0)
 	b := sortBufferOn(disk, 0, SortBufferConfig{
 		Index:   index,
 		Combine: comb,
@@ -196,8 +203,8 @@ func TestSortBufferCombineError(t *testing.T) {
 	if comb.write != nil || len(comb.seen) != 0 {
 		t.Fatalf("failed spill left the combiner open (%v) or flushed it (%v)", comb.write != nil, comb.seen)
 	}
-	if s := index.Stats(); s.Live != 0 || s.Made != 1 {
-		t.Fatalf("index list %+v after a failed spill, want Live 0, Made 1", s)
+	if s := index.Stats(); s.Home() != nil || s.Made != 1 {
+		t.Fatalf("index list %+v after a failed spill, want its one index home", s)
 	}
 }
 
@@ -233,7 +240,7 @@ func TestSortBufferLargeRecords(t *testing.T) {
 	if len(b.blocks) != 0 {
 		t.Fatalf("after a spill the buffer keeps %d blocks", len(b.blocks))
 	}
-	if s := b.cfg.Blocks.Stats(); s.Live != 0 || s.Made != 2 || s.Free != 2 {
+	if s := b.cfg.Blocks.Stats(); s.Home() != nil || s.Made != 2 {
 		t.Fatalf("block list %+v after two spills, want the standard blocks on either side of the big record home", s)
 	}
 	add("b", []byte("after"))
@@ -259,9 +266,9 @@ func TestSortBufferLargeRecords(t *testing.T) {
 }
 
 // A buffer's storage follows what it is handed, not its threshold, and
-// between spills it is the blocks alone. A buffer configured with no index
-// list has one of its own: each spill borrows an index sized to its
-// records, and the next spill reuses it.
+// between spills it is the blocks alone. On an index list of its own, each
+// spill borrows an index sized to its records, and the next spill reuses
+// it.
 func TestSortBufferStorageFollowsInput(t *testing.T) {
 	disk := storage.NewMemDisk(0)
 	b := sortBufferOn(disk, 64<<20, SortBufferConfig{})
@@ -278,12 +285,14 @@ func TestSortBufferStorageFollowsInput(t *testing.T) {
 			t.Fatal(err)
 		}
 		l := b.cfg.Index
-		if s := l.Stats(); s.Live != 0 || s.Made != 1 || s.Free != 1 {
+		if s := l.Stats(); s.Home() != nil || s.Made != 1 {
 			t.Fatalf("spill %d: index list %+v, want the one index home", spill, s)
 		}
-		if c := cap(l.free[0]); c != 112 {
+		index := l.Get()
+		if c := cap(index); c != 112 {
 			t.Fatalf("spill %d: the index has room for %d records, want 112", spill, c)
 		}
+		l.Put(index)
 		got := readRun(t, disk, b.Runs()[spill-1])
 		for i, r := range got {
 			if string(r.Value) != strconv.Itoa(i) {
@@ -300,7 +309,7 @@ func TestSortBufferStorageFollowsInput(t *testing.T) {
 // of making new ones.
 func TestSortBufferReleaseSendsBlocksHome(t *testing.T) {
 	disk := storage.NewMemDisk(0)
-	blocks := NewChunkList[byte](SortBlockSize)
+	blocks := par.NewSlices[byte](SortBlockSize)
 	value := bytes.Repeat([]byte{'v'}, SortBlockSize/4)
 	for i, spill := range []bool{true, false, true} {
 		b := sortBufferOn(disk, 0, SortBufferConfig{Blocks: blocks})
@@ -319,13 +328,15 @@ func TestSortBufferReleaseSendsBlocksHome(t *testing.T) {
 		}
 		b.Release()
 		b.Release()
-		if s := blocks.Stats(); s.Live != 0 || s.Made != 3 || s.Free != 3 {
+		if s := blocks.Stats(); s.Home() != nil || s.Made != 3 {
 			t.Fatalf("buffer %d: block list %+v, want its three blocks home and no more made", i, s)
 		}
-		for _, blk := range blocks.free {
+		held := [][]byte{blocks.Get(), blocks.Get(), blocks.Get()}
+		for _, blk := range held {
 			if cap(blk) != SortBlockSize {
 				t.Fatalf("buffer %d: the list holds a block of cap %d", i, cap(blk))
 			}
+			blocks.Put(blk)
 		}
 	}
 }
@@ -338,7 +349,7 @@ func TestSortBufferReleaseSendsBlocksHome(t *testing.T) {
 // sort of its fill, and the index must be home after each.
 func TestSortBufferIndexRebuild(t *testing.T) {
 	disk := storage.NewMemDisk(0)
-	index := &FreeList[uint32]{}
+	index := par.NewSlices[uint32](0)
 	b := sortBufferOn(disk, 0, SortBufferConfig{Prefix: 4, Index: index})
 	seq := 0
 	for spill := 0; spill < 3; spill++ {
@@ -372,7 +383,7 @@ func TestSortBufferIndexRebuild(t *testing.T) {
 				t.Fatalf("spill %d record %d = (%x, %.12s), want (%x, %.12s)", spill, i, got[i].Key, got[i].Value, w.Key, w.Value)
 			}
 		}
-		if s := index.Stats(); s.Live != 0 || s.Made != 1 {
+		if s := index.Stats(); s.Home() != nil || s.Made != 1 {
 			t.Fatalf("spill %d: index list %+v, want its one index home", spill, s)
 		}
 	}

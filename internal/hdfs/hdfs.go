@@ -19,9 +19,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/hamr-go/hamr/internal/extsort"
 	"github.com/hamr-go/hamr/internal/faults"
 	"github.com/hamr-go/hamr/internal/metrics"
+	"github.com/hamr-go/hamr/internal/par"
 	"github.com/hamr-go/hamr/internal/storage"
 	"github.com/hamr-go/hamr/internal/substrate"
 	"github.com/hamr-go/hamr/internal/trace"
@@ -61,7 +61,7 @@ type FileSystem struct {
 	// writeBufs holds the block buffers of writers that are done: a
 	// Writer takes one at its first Write and gives it back when it ends,
 	// so a file written after another makes no buffer.
-	writeBufs extsort.FreeList[byte]
+	writeBufs *par.List[[]byte]
 
 	mFailover    *metrics.Counter // hdfs.failover.reads
 	mReplaced    *metrics.Counter // hdfs.write.replaced
@@ -108,6 +108,7 @@ func New(disks []storage.Disk, cfg Config) (*FileSystem, error) {
 		charge:       cfg.Remote,
 		faults:       cfg.Substrate.Faults,
 		tr:           cfg.Substrate.Trace,
+		writeBufs:    par.NewSlices[byte](0),
 		mFailover:    reg.Counter("hdfs.failover.reads"),
 		mReplaced:    reg.Counter("hdfs.write.replaced"),
 		mLocalBytes:  reg.Counter("hdfs.bytes.local"),
@@ -115,6 +116,9 @@ func New(disks []storage.Disk, cfg Config) (*FileSystem, error) {
 	}
 	return fs, nil
 }
+
+// Buffers names the filesystem's list of writer block buffers.
+func (fs *FileSystem) Buffers() par.Buffers { return par.Buffers{"write": fs.writeBufs.Stats} }
 
 // BlockSize returns the filesystem block size.
 func (fs *FileSystem) BlockSize() int64 { return fs.blockSize }

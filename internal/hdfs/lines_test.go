@@ -267,8 +267,8 @@ func TestWriterBlockBufferHome(t *testing.T) {
 			if !faults.IsInjected(err) {
 				return fmt.Errorf("write with every disk failing = %v, want the injected fault", err)
 			}
-			if s := fs.writeBufs.Stats(); s.Live != 0 {
-				return fmt.Errorf("after the failed Write, before Close: %+v", s)
+			if err := fs.Buffers().Home(); err != nil {
+				return fmt.Errorf("after the failed Write, before Close: %w", err)
 			}
 			if err := w.Close(); !faults.IsInjected(err) {
 				return fmt.Errorf("Close after the failed Write = %v, want its fault", err)
@@ -295,16 +295,20 @@ func TestWriterBlockBufferHome(t *testing.T) {
 			if err := tc.end(fs, inj); err != nil {
 				t.Fatal(err)
 			}
-			first := fs.writeBufs.Stats()
-			if first.Live != 0 || first.Made != 1 || first.Free != 1 {
-				t.Fatalf("after the first writer: %+v, want Live 0 and one buffer made and home", first)
+			oneHome := func(when string) {
+				t.Helper()
+				if err := fs.Buffers().Home(); err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+				if s := fs.writeBufs.Stats(); s.Made != 1 {
+					t.Fatalf("%s: %d buffers made, want the one", when, s.Made)
+				}
 			}
+			oneHome("after the first writer")
 			if err := fs.WriteFile("b", big, -1); err != nil {
 				t.Fatal(err)
 			}
-			if s := fs.writeBufs.Stats(); s != first {
-				t.Fatalf("after a second file: %+v, want %+v (no buffer made)", s, first)
-			}
+			oneHome("after a second file")
 		})
 	}
 }

@@ -37,19 +37,36 @@ type Engine struct {
 // sort index and the combiner's decoded values. A list holds as many
 // slices as the node ever had in use at once.
 type spillScratch struct {
-	blocks *extsort.ChunkList[byte]
-	index  extsort.FreeList[uint32]
-	values extsort.FreeList[any]
+	blocks *par.List[[]byte]
+	index  *par.List[[]uint32]
+	values *par.List[[]any]
 }
 
 // NewEngine creates an engine over the cluster with the given defaults.
+// The cluster gathers the engine's lists with its own (Cluster.Buffers).
 func NewEngine(c *cluster.Cluster, cfg Config) *Engine {
 	cfg.FillDefaults()
-	scratch := make([]spillScratch, c.NumNodes())
-	for i := range scratch {
-		scratch[i].blocks = extsort.NewChunkList[byte](extsort.SortBlockSize)
+	e := &Engine{c: c, cfg: cfg, sub: c.Substrate(), scratch: make([]spillScratch, c.NumNodes())}
+	for i := range e.scratch {
+		e.scratch[i] = spillScratch{
+			blocks: par.NewSlices[byte](extsort.SortBlockSize),
+			index:  par.NewSlices[uint32](0),
+			values: par.NewSlices[any](0),
+		}
 	}
-	return &Engine{c: c, cfg: cfg, sub: c.Substrate(), scratch: scratch}
+	c.AddBuffers(e.Buffers())
+	return e
+}
+
+// Buffers names each node's spill scratch lists, under "mr/".
+func (e *Engine) Buffers() par.Buffers {
+	b := par.Buffers{}
+	for node, sc := range e.scratch {
+		b.Add(fmt.Sprintf("mr/node%d/", node), par.Buffers{
+			"sort-blocks": sc.blocks.Stats, "sort-index": sc.index.Stats, "combine-values": sc.values.Stats,
+		})
+	}
+	return b
 }
 
 // Run executes one job and blocks until it completes.

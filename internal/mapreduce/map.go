@@ -9,6 +9,7 @@ import (
 	"github.com/hamr-go/hamr/internal/extsort"
 	"github.com/hamr-go/hamr/internal/faults"
 	"github.com/hamr-go/hamr/internal/hdfs"
+	"github.com/hamr-go/hamr/internal/par"
 	"github.com/hamr-go/hamr/internal/storage"
 	"github.com/hamr-go/hamr/internal/trace"
 	"github.com/hamr-go/hamr/internal/transport"
@@ -152,7 +153,7 @@ func (j *jobRun) newMapTask(taskName, tname string, node int, em *taskEmitter) *
 		RunName:   func(i int) string { return fmt.Sprintf("%s/spill-%04d", taskName, i) },
 		Prefix:    runKeyPrefix,
 		Threshold: j.cfg.SortBufferBytes,
-		Index:     &j.scratch[node].index,
+		Index:     j.scratch[node].index,
 		Blocks:    j.scratch[node].blocks,
 		OnSpill: func(_ int, bytes int64) {
 			reg.Inc("mr.spills")
@@ -201,7 +202,7 @@ func (mt *mapTask) collect(kv core.KV, em *taskEmitter) error {
 type groupCombiner struct {
 	groupReducer
 	newRed     func() Reducer
-	scratch    *extsort.FreeList[any]
+	scratch    *par.List[[]any]
 	kbuf, vbuf []byte
 	write      func(key, value []byte) error
 }
@@ -209,7 +210,7 @@ type groupCombiner struct {
 // newCombiner returns a combiner of the task's whose emitter reports as
 // the task's name plus suffix and whose reducers newRed makes.
 func (mt *mapTask) newCombiner(suffix string, newRed func() Reducer) *groupCombiner {
-	c := &groupCombiner{newRed: newRed, scratch: &mt.j.scratch[mt.node].values}
+	c := &groupCombiner{newRed: newRed, scratch: mt.j.scratch[mt.node].values}
 	c.em = &taskEmitter{task: mt.name + suffix, sink: c.encode}
 	return c
 }

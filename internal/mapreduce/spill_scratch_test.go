@@ -5,39 +5,25 @@ import (
 	"testing"
 
 	"github.com/hamr-go/hamr/internal/cluster"
-	"github.com/hamr-go/hamr/internal/extsort"
 	"github.com/hamr-go/hamr/internal/faults"
 )
 
-// assertScratchHome checks every node's map-task scratch once a job is
-// over, clean or failed: no sort-buffer block, index or values slice still
-// out, and none made while another sat on its list. It returns how many
-// blocks and how many spill slices the lists made in all, so a caller can
-// tell that the job's buffers and spills went through them.
-func assertScratchHome(t *testing.T, e *Engine) (blocks, made int) {
+// requireScratchUsedAndHome requires that a job went through every
+// node's map-task scratch — sort-buffer blocks filled, spills that
+// borrowed an index — and that, the job over, clean or failed, all of it
+// is home (par.Stats.Home).
+func requireScratchUsedAndHome(t *testing.T, e *Engine) {
 	t.Helper()
-	for node := range e.scratch {
-		sc := &e.scratch[node]
-		for i, s := range []extsort.ChunkStats{sc.blocks.Stats(), sc.index.Stats(), sc.values.Stats()} {
-			if s.Live != 0 || s.Made != s.Free || s.Made != s.Peak {
-				t.Errorf("node %d: %s list %+v, want Live 0 and Made == Free == Peak", node, []string{"blocks", "index", "values"}[i], s)
-			}
-			if i == 0 {
-				blocks += s.Made
-			} else {
-				made += s.Made
-			}
-		}
+	var blocks, spills int
+	for _, sc := range e.scratch {
+		blocks += sc.blocks.Stats().Made
+		spills += sc.index.Stats().Made + sc.values.Stats().Made
 	}
-	return blocks, made
-}
-
-// requireScratchHome is assertScratchHome for a job that must have filled
-// sort-buffer blocks and spilled through the node's lists.
-func requireScratchHome(t *testing.T, e *Engine) {
-	t.Helper()
-	if blocks, made := assertScratchHome(t, e); blocks == 0 || made == 0 {
-		t.Fatalf("%d blocks and %d spill slices made: the job went round the node's scratch", blocks, made)
+	if blocks == 0 || spills == 0 {
+		t.Fatalf("%d blocks and %d spill slices made: the job went round the node's scratch", blocks, spills)
+	}
+	if err := e.Buffers().Home(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -72,7 +58,7 @@ func TestSpillScratchHome(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertCounts(t, parseCounts(t, c, job.Output+"/"), want)
-			requireScratchHome(t, e)
+			requireScratchUsedAndHome(t, e)
 		}
 		if m := c.Metrics().Counter("mr.merge.passes").Value(); m == 0 {
 			t.Error("no merge pass: the final merges went unexercised")
@@ -90,7 +76,7 @@ func TestSpillScratchHome(t *testing.T) {
 			t.Fatal("no map attempt was killed; pick another seed")
 		}
 		assertCounts(t, parseCounts(t, c, "out/"), want)
-		requireScratchHome(t, e)
+		requireScratchUsedAndHome(t, e)
 	})
 
 	t.Run("combiner-fails", func(t *testing.T) {
@@ -110,7 +96,7 @@ func TestSpillScratchHome(t *testing.T) {
 		if _, err := e.Run(job); !errors.Is(err, boom) {
 			t.Fatalf("Run = %v, want the combiner's error", err)
 		}
-		requireScratchHome(t, e)
+		requireScratchUsedAndHome(t, e)
 	})
 }
 

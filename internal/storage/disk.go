@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"github.com/hamr-go/hamr/internal/metrics"
+	"github.com/hamr-go/hamr/internal/par"
 	"github.com/hamr-go/hamr/internal/vtime"
 )
 
@@ -52,23 +53,21 @@ func (e *ErrDiskFull) Error() string { return "storage: disk full writing " + e.
 // NewMemDisk. Capacity limits (bytes) support disk-full failure injection;
 // capacity <= 0 means unlimited.
 //
-// A file is a list of pages drawn from a free list the disk owns, so
-// writing a file costs the bytes it stores and removing one makes its
-// pages available to the next writer. Page ownership: a writer is the
-// only holder of its pages until Close publishes the file; from then on
-// the pages are immutable and shared by the directory entry and every
-// open reader, each holding one reference. Remove and overwrite drop the
-// directory's reference, a reader's Close drops the reader's; the last
-// one out returns the pages to the free list. A reader (or writer) that
-// is never closed therefore just leaves its pages to the GC. Pages are
-// only made when their size class has none free, so the free list never
-// holds more than the disk's own high-water mark.
+// A file is a list of pages drawn from free lists the disk owns, one per
+// size class, so writing a file costs the bytes it stores and removing one
+// makes its pages available to the next writer. Page ownership: a writer
+// is the only holder of its pages until Close publishes the file; from
+// then on the pages are immutable and shared by the directory entry and
+// every open reader, each holding one reference. Remove and overwrite drop
+// the directory's reference, a reader's Close drops the reader's; the last
+// one out returns the pages. A reader (or writer) that is never closed
+// leaves its pages to the GC, and live on the page lists.
 type MemDisk struct {
 	mu       sync.Mutex
 	files    map[string]*memFile
 	used     int64
 	capacity int64
-	pages    [pageClasses]pageClass
+	pages    [pageClasses]*par.List[[]byte] // free pages, by size class
 }
 
 // Pages come in power-of-two size classes from minPage to maxPage. A
@@ -82,15 +81,6 @@ const (
 	pageClasses  = maxPageShift - minPageShift + 1
 )
 
-// pageClass is the ledger and free list of one page size. live counts
-// pages held by files, writers and readers; made == live + len(free) at
-// all times and made == peak, because a page is made only when none is
-// free.
-type pageClass struct {
-	free             [][]byte
-	made, live, peak int
-}
-
 // PageStats is the page ledger summed over the size classes, in pages
 // (MadeBytes: the bytes of the pages made). Made == Live + Free always
 // holds; Made == Peak says the free list is bounded by the disk's own
@@ -102,18 +92,25 @@ type PageStats struct {
 
 // PageStats returns the current page ledger.
 func (d *MemDisk) PageStats() PageStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	var st PageStats
-	for i := range d.pages {
-		c := &d.pages[i]
-		st.Made += c.made
-		st.Live += c.live
-		st.Free += len(c.free)
-		st.Peak += c.peak
-		st.MadeBytes += int64(c.made) * int64(minPage<<i)
+	for c, l := range d.pages {
+		s := l.Stats()
+		st.Made += s.Made
+		st.Live += s.Live
+		st.Free += s.Free
+		st.Peak += s.Peak
+		st.MadeBytes += int64(s.Made) * int64(minPage<<c)
 	}
 	return st
+}
+
+// Buffers names the disk's page lists, one per size class.
+func (d *MemDisk) Buffers() par.Buffers {
+	b := par.Buffers{}
+	for c, l := range d.pages {
+		b[fmt.Sprintf("pages-%d", minPage<<c)] = l.Stats
+	}
+	return b
 }
 
 // classFor returns the smallest size class holding n bytes (maxPage's
@@ -126,29 +123,10 @@ func classFor(n int) int {
 	return c
 }
 
-// takePage returns an empty page of class c. Caller holds d.mu.
-func (d *MemDisk) takePage(c int) []byte {
-	pc := &d.pages[c]
-	pc.live++
-	if pc.live > pc.peak {
-		pc.peak = pc.live
-	}
-	if n := len(pc.free); n > 0 {
-		p := pc.free[n-1]
-		pc.free[n-1] = nil
-		pc.free = pc.free[:n-1]
-		return p
-	}
-	pc.made++
-	return make([]byte, 0, minPage<<c)
-}
-
-// putPages returns pages to their free lists. Caller holds d.mu.
+// putPages returns pages to their free lists.
 func (d *MemDisk) putPages(pages [][]byte) {
 	for _, p := range pages {
-		pc := &d.pages[classFor(cap(p))]
-		pc.live--
-		pc.free = append(pc.free, p[:0])
+		d.pages[classFor(cap(p))].Put(p)
 	}
 }
 
@@ -171,7 +149,11 @@ func (d *MemDisk) unref(f *memFile) {
 // NewMemDisk returns an empty in-memory disk with the given byte capacity
 // (<= 0 for unlimited).
 func NewMemDisk(capacity int64) *MemDisk {
-	return &MemDisk{files: make(map[string]*memFile), capacity: capacity}
+	d := &MemDisk{files: make(map[string]*memFile), capacity: capacity}
+	for c := range d.pages {
+		d.pages[c] = par.NewSlices[byte](minPage << c)
+	}
+	return d
 }
 
 // Used returns the number of bytes currently stored.
@@ -217,7 +199,7 @@ func (w *memWriter) Write(p []byte) (int, error) {
 				c = max(c, prev+1)
 			}
 		}
-		pg := d.takePage(c)
+		pg := d.pages[c].Get()
 		w.pages = append(w.pages, pg)
 		need -= cap(pg)
 	}

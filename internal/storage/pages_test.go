@@ -81,6 +81,11 @@ func checkLedger(t testing.TB, d *MemDisk, wantLive int) {
 	if wantLive >= 0 && st.Live != wantLive {
 		t.Errorf("ledger: %d pages live, want %d", st.Live, wantLive)
 	}
+	if wantLive == 0 {
+		if err := d.Buffers().Home(); err != nil {
+			t.Errorf("ledger: %v", err)
+		}
+	}
 }
 
 func TestMemDiskPagesRecycle(t *testing.T) {
@@ -427,4 +432,7 @@ func TestRecordBuffersRecycle(t *testing.T) {
 	}
 	wg.Wait()
 	checkLedger(t, d, 0)
+	if err := RecordBuffers().Home(); err != nil {
+		t.Error(err)
+	}
 }

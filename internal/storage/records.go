@@ -5,7 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
+
+	"github.com/hamr-go/hamr/internal/par"
 )
 
 // Record is a raw key/value byte pair, the unit stored in spill files,
@@ -20,11 +21,14 @@ type Record struct {
 // each need.
 const recordBuf = 64 << 10
 
-// maxFreeBufs bounds each free list below. It has to cover the runs a
-// busy cluster has open at once or every job pays for the excess again:
-// a reducer's final merge opens one reader per map output and a map
-// task's one writer per partition, times the tasks running (24 x 8 and
-// 8 x 16 in the sort_spill benchmark). 16 MiB at most is held per list.
+// maxFreeBufs bounds each list below. It has to cover the record
+// streams a busy cluster has open at once, or every job pays for the
+// excess again. Readers peak in the reducers' final merges, one per
+// fetched map output and all open together (24 x 8 in the sort_spill
+// benchmark). Writers are fewer: a map task writes one sectioned file per
+// spill and then its one file.out, a merge pass or a shuffle fetch writes
+// one run, and each closes before the task opens its next, so a task
+// holds at most one. 16 MiB at most is held per list.
 const maxFreeBufs = 256
 
 // readBuf is what a RecordReader borrows while open: the bufio.Reader
@@ -34,68 +38,23 @@ type readBuf struct {
 	scratch []byte
 }
 
-// freeList is a bounded LIFO of idle buffers. It is a plain stack behind
-// a mutex rather than a sync.Pool on purpose: its content must survive a
-// GC cycle, or a process that collects between jobs pays for every buffer
-// again.
-type freeList[T any] struct {
-	mu    sync.Mutex
-	items []*T
-}
-
-// get returns an idle buffer, or nil when there is none.
-func (l *freeList[T]) get() *T {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := len(l.items)
-	if n == 0 {
-		return nil
-	}
-	it := l.items[n-1]
-	l.items[n-1] = nil
-	l.items = l.items[:n-1]
-	return it
-}
-
-// put keeps it for the next get unless the list is full.
-func (l *freeList[T]) put(it *T) {
-	l.mu.Lock()
-	if len(l.items) < maxFreeBufs {
-		l.items = append(l.items, it)
-	}
-	l.mu.Unlock()
-}
-
-// The buffers of closed writers and readers, package-wide.
+// The buffers of closed writers and readers, process-wide: a process that
+// builds a cluster per job reuses them across clusters.
 var (
-	freeWriters freeList[bufio.Writer]
-	freeReaders freeList[readBuf]
+	freeWriters = par.NewList(
+		func() *bufio.Writer { return bufio.NewWriterSize(nil, recordBuf) },
+		func(bw *bufio.Writer) *bufio.Writer { bw.Reset(nil); return bw }, // drop the closed file
+	).Bounded(maxFreeBufs)
+	freeReaders = par.NewList(
+		func() *readBuf { return &readBuf{br: bufio.NewReaderSize(nil, recordBuf)} },
+		func(rb *readBuf) *readBuf { rb.br.Reset(nil); return rb },
+	).Bounded(maxFreeBufs)
 )
 
-func getWriter(w io.Writer) *bufio.Writer {
-	if bw := freeWriters.get(); bw != nil {
-		bw.Reset(w)
-		return bw
-	}
-	return bufio.NewWriterSize(w, recordBuf)
-}
-
-func putWriter(bw *bufio.Writer) {
-	bw.Reset(nil) // drop the reference to the closed file
-	freeWriters.put(bw)
-}
-
-func getReader(r io.Reader) *readBuf {
-	if rb := freeReaders.get(); rb != nil {
-		rb.br.Reset(r)
-		return rb
-	}
-	return &readBuf{br: bufio.NewReaderSize(r, recordBuf)}
-}
-
-func putReader(rb *readBuf) {
-	rb.br.Reset(nil)
-	freeReaders.put(rb)
+// RecordBuffers names the process-wide lists of record writer and reader
+// buffers.
+func RecordBuffers() par.Buffers {
+	return par.Buffers{"record-writers": freeWriters.Stats, "record-readers": freeReaders.Stats}
 }
 
 // RecordWriter writes length-prefixed records to an underlying writer.
@@ -111,7 +70,9 @@ type RecordWriter struct {
 
 // NewRecordWriter wraps w. If w is also an io.Closer, Close closes it.
 func NewRecordWriter(w io.Writer) *RecordWriter {
-	rw := &RecordWriter{w: getWriter(w)}
+	bw := freeWriters.Get()
+	bw.Reset(w)
+	rw := &RecordWriter{w: bw}
 	if c, ok := w.(io.Closer); ok {
 		rw.c = c
 	}
@@ -158,7 +119,7 @@ func (w *RecordWriter) Close() error {
 		return nil
 	}
 	err := w.w.Flush()
-	putWriter(w.w)
+	freeWriters.Put(w.w)
 	w.w = nil
 	if w.c != nil {
 		if cerr := w.c.Close(); err == nil {
@@ -179,7 +140,9 @@ type RecordReader struct {
 
 // NewRecordReader wraps r. If r is also an io.Closer, Close closes it.
 func NewRecordReader(r io.Reader) *RecordReader {
-	rr := &RecordReader{rb: getReader(r)}
+	rb := freeReaders.Get()
+	rb.br.Reset(r)
+	rr := &RecordReader{rb: rb}
 	if c, ok := r.(io.Closer); ok {
 		rr.c = c
 	}
@@ -254,7 +217,7 @@ func (r *RecordReader) Close() error {
 	if r.rb == nil {
 		return nil
 	}
-	putReader(r.rb)
+	freeReaders.Put(r.rb)
 	r.rb = nil
 	if r.c != nil {
 		return r.c.Close()
