@@ -92,7 +92,7 @@ type (
 	// Partitioner maps keys to nodes.
 	Partitioner = core.Partitioner
 	// EngineConfig tunes the per-node runtime (workers, bin size, flow
-	// control, memory budget, coalescing). It holds tuning values only: the
+	// control, memory budget). It holds tuning values only: the
 	// clock and tracer a cluster runs on are ClusterOptions fields.
 	EngineConfig = core.Config
 	// JobResult reports a completed job.

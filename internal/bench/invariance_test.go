@@ -53,12 +53,10 @@ import (
 //     reduce accumulator decides which pairs are in memory when the budget
 //     trips, so reduce.spill.* and the disk bytes under them are exact only
 //     when each accumulator has one producer and one consumer: one input
-//     file on node 0 and one worker per node.
-//   - net.msgs on the flowlet engine counts coalescer frames, whose
-//     boundaries follow the age timer: exact only with CoalesceMsgs: -1.
-//     The flowlet scenario keeps coalescing on, as the engine runs, and
-//     leaves net.msgs out; net.bytes does not depend on framing and stays
-//     in.
+//     file on node 0 and one worker per node. net.bytes, net.msgs and the
+//     output are exact without that pin: the runtime sends every bin, ack
+//     and completion marker straight to the fabric, so hamr-wordcount
+//     runs unpinned.
 
 var update = flag.Bool("update", false, "rewrite testdata/invariance.golden from this run's base fingerprints")
 
@@ -140,19 +138,30 @@ var scenarios = []scenario{
 	{name: "hamr-wordcount-spill", nodes: 2,
 		core: core.Config{Workers: 1, MemoryBudget: 4 << 10, BinSize: 64},
 		counters: []string{"reduce.spills", "reduce.spill.bytes",
-			"disk.read.bytes", "disk.write.bytes", "net.bytes"},
-		variants: "vclock trace",
-		run: func(t *testing.T, c *cluster.Cluster) (string, map[int][]string) {
-			files, err := hamrapps.DistributeLocalText(c, "wc", invText, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g, sink := buildSpillWordCount(t, files)
-			if _, err := c.Run(g); err != nil {
-				t.Fatal(err)
-			}
-			return hashPairs(sink), files
-		}},
+			"disk.read.bytes", "disk.write.bytes", "net.bytes", "net.msgs"},
+		variants: "vclock trace", run: hamrWordCount(1)},
+	// Unpinned: input files on every node, several workers per node
+	// firing concurrently, no memory budget.
+	{name: "hamr-wordcount", nodes: 3,
+		core:     core.Config{Workers: 4, BinSize: 64},
+		counters: []string{"net.bytes", "net.msgs"},
+		variants: "vclock trace", run: hamrWordCount(6)},
+}
+
+// hamrWordCount runs the flowlet WordCount over invText cut into parts
+// local files, spread round-robin over the nodes.
+func hamrWordCount(parts int) runFunc {
+	return func(t *testing.T, c *cluster.Cluster) (string, map[int][]string) {
+		files, err := hamrapps.DistributeLocalText(c, "wc", invText, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, sink := buildSpillWordCount(t, files)
+		if _, err := c.Run(g); err != nil {
+			t.Fatal(err)
+		}
+		return hashPairs(sink), files
+	}
 }
 
 // mrRun is the shape every baseline-engine scenario shares: input into

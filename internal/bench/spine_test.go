@@ -25,12 +25,10 @@ func TestConfigsAreTuning(t *testing.T) {
 		reflect.TypeOf((*trace.Tracer)(nil)):       true,
 		reflect.TypeOf((*faults.Injector)(nil)):    true,
 	}
-	// Where the substrate comes in: the cluster's own inputs, and the
-	// coalescer's, a leaf that cannot import the handle.
+	// Where the substrate comes in: the cluster's own inputs.
 	allowed := map[string]bool{
-		"cluster.Options.Clock":           true,
-		"cluster.Options.Trace":           true,
-		"transport.CoalescerConfig.Trace": true,
+		"cluster.Options.Clock": true,
+		"cluster.Options.Trace": true,
 	}
 	handle := reflect.TypeOf(substrate.Handle{})
 	var fields []string
@@ -68,11 +66,11 @@ func TestConfigsAreTuning(t *testing.T) {
 		budget int
 	}{
 		{cluster.Options{}, 11},
-		{core.Config{}, 10},
+		{core.Config{}, 8},
 		{mapreduce.Config{}, 8},
 		{mapreduce.Job{}, 7},
 		{hdfs.Config{}, 4},
-		{transport.CoalescerConfig{}, 4},
+		{transport.CoalescerConfig{}, 2},
 	} {
 		typ := reflect.TypeOf(cfg.v)
 		walk(typ.String(), typ)

@@ -20,9 +20,9 @@ import (
 // Chrome trace JSON, and a real-clock run must produce the same span tree
 // (ids, phases, parents, nodes, byte counts) with only the timestamps
 // differing. The configurations here pin every scheduling decision: one
-// input block on node 0, a single reduce task, one worker per node, no
-// message coalescing, and (for the flowlet engine) no network cost model so
-// delivery timing cannot mint extra spans.
+// input block on node 0, a single reduce task, one worker per node, and
+// (for the flowlet engine) no network cost model so delivery timing cannot
+// mint extra spans.
 
 type traceRun struct {
 	json []byte
@@ -101,7 +101,6 @@ func runHAMRTimeline(t *testing.T, vc *vtime.VirtualClock) traceRun {
 		Core: core.Config{
 			Workers:      1,
 			MemoryBudget: 1 << 30,
-			CoalesceMsgs: -1,
 		},
 	}
 	clk := vtime.Clock(vtime.Real())
@@ -248,7 +247,6 @@ func TestTraceOverlapRegression(t *testing.T) {
 			Workers:      4,
 			BinSize:      64,
 			MemoryBudget: 1 << 30,
-			CoalesceMsgs: -1,
 		},
 	}
 	htr := trace.New(hOpts.NumNodes, vtime.Real())

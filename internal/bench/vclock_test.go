@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
+	"github.com/hamr-go/hamr/internal/apps"
 	"github.com/hamr-go/hamr/internal/apps/hamrapps"
 	"github.com/hamr-go/hamr/internal/apps/mrapps"
 	"github.com/hamr-go/hamr/internal/cluster"
@@ -19,7 +21,7 @@ import (
 // what the engines *do*: outputs and byte counters have to be identical
 // between a real-clock and a virtual-clock run of the same workload.
 // The configurations here are placement-deterministic (single reduce
-// task, oversized YARN memory, one worker per node, no coalescing) so
+// task, oversized YARN memory, one worker per node) so
 // the comparison is exact (the rule in invariance_test.go's header).
 // Unlike TestInvariance's vclock variants, the cost models here charge.
 
@@ -84,7 +86,7 @@ func runMRInvariant(t *testing.T, vc *vtime.VirtualClock) (string, string, time.
 }
 
 // runHAMRInvariant runs a spill-heavy WordCount on the flowlet engine
-// (one worker per node, coalescing off, contention model on) under the
+// (one worker per node, contention model on) under the
 // given clock and returns the output hash, counter line and modeled
 // elapsed time.
 func runHAMRInvariant(t *testing.T, vc *vtime.VirtualClock) (string, string, time.Duration) {
@@ -97,7 +99,6 @@ func runHAMRInvariant(t *testing.T, vc *vtime.VirtualClock) (string, string, tim
 		Core: core.Config{
 			Workers:        1,
 			MemoryBudget:   4 << 10,
-			CoalesceMsgs:   -1,
 			ContentionCost: 5 * time.Microsecond,
 		},
 	}
@@ -175,5 +176,38 @@ func TestHAMRInvariantRealVsVirtual(t *testing.T) {
 	_, _, v2Modeled := runHAMRInvariant(t, vtime.NewVirtual(3))
 	if v1Modeled != v2Modeled {
 		t.Errorf("modeled time differs across virtual runs: %v vs %v", v1Modeled, v2Modeled)
+	}
+}
+
+// TestHAMRModeledTimeIgnoresTheScheduler: flowlets fire when data arrives,
+// so under the virtual clock HAMR's modeled time and its fabric message
+// count depend on the data and the cost model alone. Table 2 at TinyScale
+// runs at GOMAXPROCS 1, 2 and 8, and every row's HAMR nanoseconds and the
+// HAMR cluster's net.msgs must be identical across the three runs.
+func TestHAMRModeledTimeIgnoresTheScheduler(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	spec := DefaultSpec()
+	spec.VClock = true
+	type result struct {
+		modeled time.Duration
+		msgs    int64
+	}
+	var first []result
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		h := NewHarness(spec, TinyScale())
+		for i, w := range apps.Table {
+			row, err := h.RunRow(w, apps.Variant{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := result{row.HAMR, h.LastHAMRCluster.Get("net.msgs")}
+			if procs == 1 {
+				first = append(first, got)
+			} else if got != first[i] {
+				t.Errorf("%s at GOMAXPROCS %d: HAMR %d ns, net.msgs %d; at GOMAXPROCS 1: %d ns, net.msgs %d",
+					w.Name, procs, got.modeled, got.msgs, first[i].modeled, first[i].msgs)
+			}
+		}
 	}
 }

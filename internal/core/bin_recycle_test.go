@@ -168,12 +168,11 @@ func idGraph(t *testing.T, ld *genLoader, chain bool) (*Graph, *idSink) {
 }
 
 // recycleConfig is the hostile setting: 4-pair bins, one bin in flight per
-// edge, more loaders than workers. The short coalescer age only keeps the
-// window-of-one round trips, and so the tests, fast.
+// edge, more loaders than workers.
 func recycleConfig() Config {
 	return Config{
 		Workers: 3, BinSize: 4, FlowControlWindow: 1, LoaderConcurrency: 4,
-		PartialStripes: 8, ReduceTaskKeys: 16, CoalesceAge: 20 * time.Microsecond,
+		PartialStripes: 8, ReduceTaskKeys: 16,
 	}
 }
 

@@ -104,10 +104,6 @@ func (jn *jobNode) finishFlowlet(fs *flowletState) {
 		jn.onComplete(fs.spec.ID, jn.node)
 	}
 	if int(jn.finishedN.Add(1)) == len(jn.flowlets) {
-		// The acks of this node's last bins leave before it reports the job
-		// done, so the job's traffic is on the fabric — and priced — by the
-		// time the job ends, not at the coalescer's age bound after it.
-		jn.rt.flushNet()
 		jn.signalDone()
 	}
 }
@@ -117,8 +113,7 @@ func (jn *jobNode) finishFlowlet(fs *flowletState) {
 // none when it is localOnly or has no out-edge, each other node once
 // otherwise — on the last bin flushed to that node, on any edge (Bin.Last),
 // or in one unicast marker when no bin is left for it. Either follows this
-// node's earlier bins to it through the destination's FIFO (coalescer and
-// inbox alike).
+// node's earlier bins to it through the destination's inbox FIFO.
 func (jn *jobNode) flushFinal(fs *flowletState) {
 	outs := jn.outBy[fs.spec.ID]
 	tell := len(outs) > 0 && !jn.localOnly(fs.spec.ID)
@@ -141,7 +136,7 @@ func (jn *jobNode) flushFinal(fs *flowletState) {
 			held.Last = remote
 			jn.sendFinal(heldOn, dest, held)
 		case remote:
-			_ = jn.rt.send(transport.Message{
+			_ = jn.rt.net.Send(transport.Message{
 				From:    transport.NodeID(jn.node),
 				To:      transport.NodeID(dest),
 				Kind:    msgComplete,
@@ -149,11 +144,6 @@ func (jn *jobNode) flushFinal(fs *flowletState) {
 				Size:    16,
 			})
 		}
-	}
-	if tell {
-		// The final bins and markers leave now rather than at the
-		// coalescer's age bound.
-		jn.rt.flushNet()
 	}
 }
 

@@ -96,7 +96,7 @@ func TestLocalEdgeHasNoClusterBarrier(t *testing.T) {
 
 // completionTally wraps a network and records, per producing flowlet and
 // (from, to) node pair, every completion a node sends: a marker, or a bin
-// with Last set. Coalesced batches are counted message by message.
+// with Last set.
 type completionTally struct {
 	transport.Network
 	graph *Graph
@@ -108,17 +108,7 @@ type completionTally struct {
 
 func (c *completionTally) Send(msg transport.Message) error {
 	c.mu.Lock()
-	c.count(msg)
-	c.mu.Unlock()
-	return c.Network.Send(msg)
-}
-
-func (c *completionTally) count(msg transport.Message) {
 	switch p := msg.Payload.(type) {
-	case *transport.BatchPayload:
-		for _, m := range p.Msgs {
-			c.count(m)
-		}
 	case completeMsg:
 		c.heard[[3]int{p.Flowlet, p.Node, int(msg.To)}]++
 		c.markers++
@@ -128,6 +118,8 @@ func (c *completionTally) count(msg transport.Message) {
 			c.lasts++
 		}
 	}
+	c.mu.Unlock()
+	return c.Network.Send(msg)
 }
 
 // TestCompletionFollowsTheData counts completion traffic per job on
@@ -137,57 +129,53 @@ func (c *completionTally) count(msg transport.Message) {
 func TestCompletionFollowsTheData(t *testing.T) {
 	const numNodes = 3
 	chunks, want := wordChunks(6, 20)
-	for _, coalesce := range []int{-1, 0} {
-		t.Run(fmt.Sprintf("coalesce=%d", coalesce), func(t *testing.T) {
-			g := NewGraph("tally")
-			sink := NewCollectSink()
-			ld, _ := g.AddLoader("load", &sliceLoader{chunks: chunks})
-			sp, _ := g.AddMap("split", wordSplit{})
-			ct, _ := g.AddPartialReduce("count", sumPartial{})
-			sk, _ := g.AddSink("out", sink)
-			for _, err := range []error{
-				g.Connect(ld, sp, WithRouting(RouteLocal)), g.Connect(sp, ct), g.Connect(ct, sk),
-			} {
-				if err != nil {
-					t.Fatal(err)
-				}
+	g := NewGraph("tally")
+	sink := NewCollectSink()
+	ld, _ := g.AddLoader("load", &sliceLoader{chunks: chunks})
+	sp, _ := g.AddMap("split", wordSplit{})
+	ct, _ := g.AddPartialReduce("count", sumPartial{})
+	sk, _ := g.AddSink("out", sink)
+	for _, err := range []error{
+		g.Connect(ld, sp, WithRouting(RouteLocal)), g.Connect(sp, ct), g.Connect(ct, sk),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	tally := &completionTally{Network: NewTestNetwork(), graph: g, heard: map[[3]int]int{}}
+	nodes, cleanup := newClusterOn(t, tally, numNodes, Config{Workers: 2, BinSize: 16}, substrate.Handle{})
+	defer cleanup()
+	if _, err := Run(g, nodes, nil); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int64{}
+	for _, kv := range sink.Pairs() {
+		got[kv.Key] += kv.Value.(int64)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("counts = %v, want %v", got, want)
+	}
+	tally.mu.Lock()
+	defer tally.mu.Unlock()
+	if sent := tally.markers + tally.lasts; sent != numNodes*(numNodes-1) {
+		t.Errorf("%d completions crossed the fabric, want %d (split's, one per ordered node pair): %v",
+			sent, numNodes*(numNodes-1), tally.heard)
+	}
+	// Every split flushes a part-filled bin to every node here, so
+	// each completion rides on one.
+	if tally.markers != 0 {
+		t.Errorf("%d completion markers, want every completion on a Last bin", tally.markers)
+	}
+	for from := 0; from < numNodes; from++ {
+		for to := 0; to < numNodes; to++ {
+			want := 1
+			if from == to {
+				want = 0 // told by a direct call, not over the fabric
 			}
-			tally := &completionTally{Network: NewTestNetwork(), graph: g, heard: map[[3]int]int{}}
-			nodes, cleanup := newClusterOn(t, tally, numNodes, Config{Workers: 2, BinSize: 16, CoalesceMsgs: coalesce}, substrate.Handle{})
-			defer cleanup()
-			if _, err := Run(g, nodes, nil); err != nil {
-				t.Fatal(err)
+			if n := tally.heard[[3]int{sp, from, to}]; n != want {
+				t.Errorf("node %d told node %d of split's completion %d times, want %d", from, to, n, want)
 			}
-			got := map[string]int64{}
-			for _, kv := range sink.Pairs() {
-				got[kv.Key] += kv.Value.(int64)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("counts = %v, want %v", got, want)
-			}
-			tally.mu.Lock()
-			defer tally.mu.Unlock()
-			if sent := tally.markers + tally.lasts; sent != numNodes*(numNodes-1) {
-				t.Errorf("%d completions crossed the fabric, want %d (split's, one per ordered node pair): %v",
-					sent, numNodes*(numNodes-1), tally.heard)
-			}
-			// Every split flushes a part-filled bin to every node here, so
-			// each completion rides on one.
-			if tally.markers != 0 {
-				t.Errorf("%d completion markers, want every completion on a Last bin", tally.markers)
-			}
-			for from := 0; from < numNodes; from++ {
-				for to := 0; to < numNodes; to++ {
-					want := 1
-					if from == to {
-						want = 0 // told by a direct call, not over the fabric
-					}
-					if n := tally.heard[[3]int{sp, from, to}]; n != want {
-						t.Errorf("node %d told node %d of split's completion %d times, want %d", from, to, n, want)
-					}
-				}
-			}
-		})
+		}
 	}
 }
 

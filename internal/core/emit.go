@@ -37,7 +37,7 @@ func (jn *jobNode) sendBin(es *edgeState, dest int, bin *Bin, blocking bool) err
 	es.cred.take()
 	jn.mShuffleBytes.Add(bin.Bytes)
 	jn.mShuffleKVs.Add(int64(len(bin.KVs)))
-	return jn.rt.send(transport.Message{
+	return jn.rt.net.Send(transport.Message{
 		From:    transport.NodeID(jn.node),
 		To:      transport.NodeID(dest),
 		Kind:    msgBin,

@@ -88,10 +88,10 @@ func (jn *jobNode) processBin(fs *flowletState, bin *Bin, local bool) {
 	from, edge := bin.From, bin.Edge
 	bin.release()
 	if !local {
-		// Ack frees the producer's flow-control credit. It is queued before
-		// processed++, so whoever finishes this node's last flowlet — and
-		// flushes the coalescer then — finds it queued.
-		_ = jn.rt.send(transport.Message{
+		// Ack frees the producer's flow-control credit. It is on the fabric
+		// before processed++, so the job's traffic is priced by the time
+		// this node reports the job done.
+		_ = jn.rt.net.Send(transport.Message{
 			From:    transport.NodeID(jn.node),
 			To:      transport.NodeID(from),
 			Kind:    msgAck,

@@ -358,7 +358,7 @@ func (jn *jobNode) abort(err error, relay bool) {
 			if errors.As(err, &fe) {
 				fm.FaultOp, fm.FaultSite = fe.Op, fe.Site
 			}
-			_ = jn.rt.send(transport.Message{
+			_ = jn.rt.net.Send(transport.Message{
 				From:    transport.NodeID(jn.node),
 				To:      transport.Broadcast,
 				Kind:    msgFail,

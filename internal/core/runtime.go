@@ -54,15 +54,6 @@ type Config struct {
 	// proposed fix) pay a tenth of it — a single writer does not fight
 	// over the cache line. Zero disables the model.
 	ContentionCost time.Duration
-	// CoalesceMsgs / CoalesceAge configure the node's outbound
-	// transport.Coalescer, which packs small same-destination messages
-	// (bin flushes, acks) into one framed wire message of at most the
-	// transport default 16 KiB. Zero fields take the transport defaults
-	// (32 msgs / 500 µs); CoalesceMsgs < 0 disables coalescing entirely
-	// (sends go straight to the network, used by ablations and tests that
-	// count raw messages).
-	CoalesceMsgs int
-	CoalesceAge  time.Duration
 }
 
 // FillDefaults replaces zero fields with defaults.
@@ -129,9 +120,11 @@ type NodeRuntime struct {
 	cfg Config
 	// sub is the cluster's shared substrate: flowlet tasks consult its
 	// injector at their start, before any side effect.
-	sub      substrate.Handle
+	sub substrate.Handle
+	// net carries every bin, ack, completion marker and failure broadcast
+	// the node sends, each handed straight to the fabric: nothing the
+	// fabric counts or charges waits on a host timer.
 	net      transport.Network
-	co       *transport.Coalescer // nil when coalescing is disabled
 	disk     storage.Disk
 	services map[string]any
 
@@ -183,39 +176,12 @@ func NewNodeRuntime(id int, cfg Config, sub substrate.Handle, net transport.Netw
 
 		binsDropped: sub.Metrics.Counter("bins.dropped"),
 	}
-	if cfg.CoalesceMsgs >= 0 {
-		rt.co = transport.NewCoalescer(net, transport.CoalescerConfig{
-			MaxMsgs: cfg.CoalesceMsgs,
-			MaxAge:  cfg.CoalesceAge,
-			Trace:   sub.Trace,
-		})
-	}
 	rt.jobs = make(map[int64]*jobNode)
 	if err := net.Register(transport.NodeID(id), rt.handle); err != nil {
 		rt.Close()
 		return nil, err
 	}
 	return rt, nil
-}
-
-// send routes an outbound message through the node's coalescer when one
-// is configured, else straight to the network.
-func (rt *NodeRuntime) send(msg transport.Message) error {
-	if rt.co != nil {
-		return rt.co.Send(msg)
-	}
-	return rt.net.Send(msg)
-}
-
-// flushNet pushes any coalesced outbound messages to the network. Called
-// once a flowlet has queued its final bins and completion markers, and once
-// a node's last flowlet of a job finishes, so they leave now instead of at
-// the coalescer's age bound. Ordering does not depend on it: sends to one
-// destination stay FIFO either way.
-func (rt *NodeRuntime) flushNet() {
-	if rt.co != nil {
-		_ = rt.co.Flush()
-	}
 }
 
 // ID returns the node id.
@@ -237,17 +203,8 @@ func (rt *NodeRuntime) Buffers() par.Buffers {
 	return par.Buffers{"bins": rt.bins.Stats, "acc-chunks": rt.chunks.Stats, "partial-scratch": rt.prScratch.Stats}
 }
 
-// Close drains the worker pool and flushes the outbound coalescer. The
-// runtime must not be used afterwards.
-func (rt *NodeRuntime) Close() error {
-	err := rt.pool.Close()
-	if rt.co != nil {
-		if cerr := rt.co.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
+// Close drains the worker pool. The runtime must not be used afterwards.
+func (rt *NodeRuntime) Close() error { return rt.pool.Close() }
 
 func (rt *NodeRuntime) job(id int64) *jobNode {
 	rt.mu.Lock()

@@ -170,7 +170,7 @@ func (f MapperFuncT) Map(kv KV, ctx Context) error { return f(kv, ctx) }
 
 // TestRefusedRuntimeLeavesNoGoroutine: by the time the network refuses a
 // second runtime under a registered id, that runtime has started its worker
-// pool and its coalescer; the error path has to stop both.
+// pool; the error path has to stop it.
 func TestRefusedRuntimeLeavesNoGoroutine(t *testing.T) {
 	net := NewTestNetwork()
 	defer net.Close()

@@ -405,8 +405,7 @@ type hamrRun struct {
 }
 
 // runHAMRWordCount executes the flowlet WordCount on nodes nodes and clk, as
-// runMRWordCount does. Coalescing is disabled so every fabric message is
-// individually visible to the injector's delivery hook.
+// runMRWordCount does.
 func runHAMRWordCount(t *testing.T, nodes int, clk vtime.Clock, fcfg *faults.Config) *hamrRun {
 	t.Helper()
 	return runHAMRWordCountBins(t, nodes, clk, fcfg, 0)
@@ -420,7 +419,7 @@ func runHAMRWordCountBins(t *testing.T, nodes int, clk vtime.Clock, fcfg *faults
 	c, err := cluster.New(cluster.Options{
 		NumNodes:      nodes,
 		HDFSBlockSize: 4 << 10,
-		Core:          core.Config{Workers: 2, CoalesceMsgs: -1, BinSize: binSize},
+		Core:          core.Config{Workers: 2, BinSize: binSize},
 		Faults:        fcfg,
 		Clock:         clk,
 	})
@@ -768,7 +767,7 @@ func TestChaosDisabledInjectorIsInvariant(t *testing.T) {
 		c, err := cluster.New(cluster.Options{
 			NumNodes:      chaosNodes,
 			HDFSBlockSize: 4 << 10,
-			Core:          core.Config{Workers: 2, CoalesceMsgs: -1},
+			Core:          core.Config{Workers: 2},
 			Faults:        loaded,
 		})
 		if err != nil {

@@ -1,12 +1,6 @@
 package transport
 
-import (
-	"fmt"
-	"sync"
-	"time"
-
-	"github.com/hamr-go/hamr/internal/trace"
-)
+import "sync"
 
 // KindBatch marks a coalesced frame carrying several application messages
 // to one destination. InMemNetwork unpacks batch frames (see dispatch)
@@ -20,7 +14,7 @@ type BatchPayload struct {
 	Msgs []Message
 }
 
-// CoalescerConfig bounds how long and how large a pending batch may grow.
+// CoalescerConfig bounds how large a pending batch may grow.
 type CoalescerConfig struct {
 	// MaxBytes flushes a destination once its pending modeled bytes reach
 	// this threshold; messages at least this large bypass coalescing
@@ -29,34 +23,11 @@ type CoalescerConfig struct {
 	MaxBytes int64
 	// MaxMsgs flushes a destination once this many messages are pending.
 	MaxMsgs int
-	// MaxAge bounds how long a pending message may wait before a
-	// background flush pushes it out; this caps the latency added to
-	// credit acks and stragglers.
-	MaxAge time.Duration
-	// Trace, if non-nil, records an instant event per multi-message batch
-	// flush (single-message pass-throughs are not flushes and trace
-	// nothing, so uncoalesced traffic stays event-free).
-	Trace *trace.Tracer
 }
 
-// DefaultCoalescerConfig matches the runtime defaults: one batch per
-// flow-control window of acks (32), 16 KiB of small bin flushes, and a
-// half-millisecond age bound.
+// DefaultCoalescerConfig packs up to 32 messages or 16 KiB into a frame.
 func DefaultCoalescerConfig() CoalescerConfig {
-	return CoalescerConfig{MaxBytes: 16 << 10, MaxMsgs: 32, MaxAge: 500 * time.Microsecond}
-}
-
-func (c *CoalescerConfig) fillDefaults() {
-	d := DefaultCoalescerConfig()
-	if c.MaxBytes <= 0 {
-		c.MaxBytes = d.MaxBytes
-	}
-	if c.MaxMsgs <= 0 {
-		c.MaxMsgs = d.MaxMsgs
-	}
-	if c.MaxAge <= 0 {
-		c.MaxAge = d.MaxAge
-	}
+	return CoalescerConfig{MaxBytes: 16 << 10, MaxMsgs: 32}
 }
 
 // destBuffer holds the pending messages for one destination.
@@ -66,7 +37,7 @@ func (c *CoalescerConfig) fillDefaults() {
 // so once any Flush/flush path returns, every message that was pending at
 // entry has been handed to the wrapped network — nothing can land on the
 // wire after a later message sent under the same sendMu. That is the
-// ordering barrier seal/complete broadcasts rely on.
+// ordering barrier a broadcast relies on.
 type destBuffer struct {
 	sendMu sync.Mutex // serializes sends to this destination
 	mu     sync.Mutex // guards msgs/bytes
@@ -75,36 +46,35 @@ type destBuffer struct {
 }
 
 // Coalescer wraps a Network and aggregates small same-destination
-// messages into single KindBatch frames under size/count/age thresholds.
+// messages into single KindBatch frames under size and count thresholds.
 // The batch frame's modeled Size is the sum of the inner message sizes,
 // so net.bytes totals are unchanged by coalescing; only the message
 // (frame) count drops, reflecting real wire framing.
 //
+// Nothing flushes a batch on a timer: a caller that stops sending calls
+// Flush (or Close) to push out what is pending. The node runtime sends
+// straight to the fabric; the benchmark's send probe is what builds one.
+//
 // Coalescer itself implements Network. Close flushes all pending messages
-// and stops the age timer but does NOT close the wrapped network (the
-// caller owns it).
+// but does NOT close the wrapped network (the caller owns it).
 type Coalescer struct {
 	net Network
 	cfg CoalescerConfig
 
 	mu    sync.RWMutex // guards dests
 	dests map[NodeID]*destBuffer
-
-	// flushes numbers traced batch flushes; shared across destinations,
-	// so it needs its own mutex rather than riding a destBuffer's sendMu.
-	flushMu sync.Mutex
-	flushes int64
-
-	timerMu sync.Mutex
-	timer   *time.Timer
-	armed   bool
-	closed  bool
 }
 
 // NewCoalescer wraps net with a coalescing send path. Zero config fields
 // take the defaults from DefaultCoalescerConfig.
 func NewCoalescer(net Network, cfg CoalescerConfig) *Coalescer {
-	cfg.fillDefaults()
+	d := DefaultCoalescerConfig()
+	if cfg.MaxBytes <= 0 {
+		cfg.MaxBytes = d.MaxBytes
+	}
+	if cfg.MaxMsgs <= 0 {
+		cfg.MaxMsgs = d.MaxMsgs
+	}
 	return &Coalescer{net: net, cfg: cfg, dests: make(map[NodeID]*destBuffer)}
 }
 
@@ -129,8 +99,8 @@ func (c *Coalescer) dest(id NodeID) *destBuffer {
 
 // Send implements Network. Broadcasts and large messages flush the
 // pending traffic ordered ahead of them, then pass straight through;
-// small unicasts are buffered until a size, count, or age threshold
-// flushes the destination.
+// small unicasts are buffered until a size or count threshold, or Flush,
+// sends the destination's batch.
 func (c *Coalescer) Send(msg Message) error {
 	if msg.To == Broadcast {
 		// Flush every destination first so each receiver sees this
@@ -163,7 +133,6 @@ func (c *Coalescer) Send(msg Message) error {
 	if full {
 		return c.flushDest(d, msg.To)
 	}
-	c.arm()
 	return nil
 }
 
@@ -182,14 +151,6 @@ func (c *Coalescer) sendPendingLocked(d *destBuffer, to NodeID) error {
 	case 1:
 		return c.net.Send(msgs[0])
 	}
-	if t := c.cfg.Trace; t != nil {
-		c.flushMu.Lock()
-		c.flushes++
-		seq := c.flushes
-		c.flushMu.Unlock()
-		t.Instant(int(msgs[0].From), "",
-			fmt.Sprintf("coalesce:n%d:to%d:%d", msgs[0].From, to, seq), "flush", bytes)
-	}
 	return c.net.Send(Message{
 		From:    msgs[0].From,
 		To:      to,
@@ -205,10 +166,9 @@ func (c *Coalescer) flushDest(d *destBuffer, to NodeID) error {
 	return c.sendPendingLocked(d, to)
 }
 
-// Flush pushes every pending message out to the wrapped network. It is
-// the barrier used at seal/completion points: when it returns, every
-// message accepted by Send before the call has been handed to the wrapped
-// network in order.
+// Flush pushes every pending message out to the wrapped network: when it
+// returns, every message accepted by Send before the call has been handed
+// to the wrapped network in order.
 func (c *Coalescer) Flush() error {
 	c.mu.RLock()
 	ids := make([]NodeID, 0, len(c.dests))
@@ -225,55 +185,7 @@ func (c *Coalescer) Flush() error {
 	return firstErr
 }
 
-// arm schedules the age-bound background flush if one isn't already
-// pending. The timer is re-armed on demand rather than ticking
-// continuously, so an idle coalescer costs nothing. It runs on wall time
-// under either clock: the age flush is liveness pacing for batching — it
-// must keep firing when a virtual clock has removed every modeled sleep —
-// not a modeled cost.
-func (c *Coalescer) arm() {
-	c.timerMu.Lock()
-	defer c.timerMu.Unlock()
-	if c.armed || c.closed {
-		return
-	}
-	c.armed = true
-	if c.timer == nil {
-		c.timer = time.AfterFunc(c.cfg.MaxAge, c.onTimer)
-	} else {
-		c.timer.Reset(c.cfg.MaxAge)
-	}
-}
-
-func (c *Coalescer) onTimer() {
-	c.timerMu.Lock()
-	// Clear armed BEFORE flushing: an append racing this flush re-arms
-	// the timer instead of being stranded until the next send.
-	c.armed = false
-	closed := c.closed
-	c.timerMu.Unlock()
-	if closed {
-		return
-	}
-	// Best-effort: a network that closed while an ack sat in the buffer
-	// is not an error worth surfacing from a timer goroutine.
-	_ = c.Flush()
-}
-
-// Close flushes pending messages and stops the age timer. The wrapped
-// network is left open.
-func (c *Coalescer) Close() error {
-	c.timerMu.Lock()
-	alreadyClosed := c.closed
-	c.closed = true
-	if c.timer != nil {
-		c.timer.Stop()
-	}
-	c.timerMu.Unlock()
-	if alreadyClosed {
-		return nil
-	}
-	return c.Flush()
-}
+// Close flushes pending messages. The wrapped network is left open.
+func (c *Coalescer) Close() error { return c.Flush() }
 
 var _ Network = (*Coalescer)(nil)

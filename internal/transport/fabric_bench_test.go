@@ -17,7 +17,6 @@ package transport
 import (
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // ---------------------------------------------------------------------------
@@ -64,7 +63,7 @@ func benchShuffleFanout(b *testing.B, coalesce bool) {
 	var net Network = inner
 	var co *Coalescer
 	if coalesce {
-		co = NewCoalescer(inner, CoalescerConfig{MaxBytes: 16 << 10, MaxMsgs: 32, MaxAge: 500 * time.Microsecond})
+		co = NewCoalescer(inner, DefaultCoalescerConfig())
 		net = co
 	}
 	var delivered atomic.Int64

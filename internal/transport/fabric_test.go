@@ -195,7 +195,7 @@ func TestCoalescerBytesInvariant(t *testing.T) {
 	reg := metrics.NewRegistry()
 	n := NewInMemNetwork(CostModel{}, reg)
 	defer n.Close()
-	co := NewCoalescer(n, CoalescerConfig{MaxBytes: 1 << 20, MaxMsgs: 8, MaxAge: time.Hour})
+	co := NewCoalescer(n, CoalescerConfig{MaxBytes: 1 << 20, MaxMsgs: 8})
 	defer co.Close()
 
 	const msgs = 100
@@ -253,7 +253,7 @@ func TestCoalescerBytesInvariant(t *testing.T) {
 func TestCoalescerBarriers(t *testing.T) {
 	n := NewInMemNetwork(CostModel{}, nil)
 	defer n.Close()
-	co := NewCoalescer(n, CoalescerConfig{MaxBytes: 1 << 10, MaxMsgs: 1 << 20, MaxAge: time.Hour})
+	co := NewCoalescer(n, CoalescerConfig{MaxBytes: 1 << 10, MaxMsgs: 1 << 20})
 	defer co.Close()
 
 	var mu sync.Mutex
@@ -307,41 +307,5 @@ func TestCoalescerBarriers(t *testing.T) {
 	}
 	if pos["0:small"] > pos["0:done"] || pos["1:small"] > pos["1:done"] {
 		t.Errorf("broadcast barrier broken: %v", kinds)
-	}
-}
-
-// TestCoalescerAgeFlush: without reaching any size threshold, buffered
-// messages must still go out within ~MaxAge.
-func TestCoalescerAgeFlush(t *testing.T) {
-	n := NewInMemNetwork(CostModel{}, nil)
-	defer n.Close()
-	co := NewCoalescer(n, CoalescerConfig{MaxBytes: 1 << 20, MaxMsgs: 1 << 20, MaxAge: 2 * time.Millisecond})
-	defer co.Close()
-	got := make(chan Message, 4)
-	if err := co.Register(0, func(m Message) { got <- m }); err != nil {
-		t.Fatal(err)
-	}
-	if err := co.Send(Message{From: 1, To: 0, Kind: "lonely", Size: 8}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-got:
-		if m.Kind != "lonely" {
-			t.Fatalf("got kind %q", m.Kind)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("age flush never fired")
-	}
-	// The timer re-arms for later sends, too.
-	if err := co.Send(Message{From: 1, To: 0, Kind: "second", Size: 8}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-got:
-		if m.Kind != "second" {
-			t.Fatalf("got kind %q", m.Kind)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("age flush did not re-arm")
 	}
 }

@@ -147,3 +147,35 @@ func TestTransferSharesIngress(t *testing.T) {
 		t.Errorf("virtual clock: sender %v, driver %v; want both 0", vc.NodeTime(0), vc.NodeTime(vtime.Driver))
 	}
 }
+
+// TestByteChargesIgnoreFraming: a node's byte charges depend on how many
+// bytes it received, not on how they were cut into messages and
+// transfers. At 3 B/s a byte costs 333,333,333.3 ns, so charging each
+// one-byte arrival on its own would lose a nanosecond per three.
+func TestByteChargesIgnoreFraming(t *testing.T) {
+	model := CostModel{BytesPerSec: 3}
+	lane := func(sizes ...int64) time.Duration {
+		vc := vtime.NewVirtual(2)
+		n := newTransferNet(t, model, 2, nil)
+		n.Use(Env{Clock: vc})
+		for i, size := range sizes {
+			if i%2 == 0 {
+				n.Transfer(0, 1, size)
+			} else if err := n.Send(Message{From: 0, To: 1, Kind: "bin", Size: size}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n.Quiesce()
+		return vc.NodeTime(1)
+	}
+	whole := lane(6)
+	if whole != 2*time.Second {
+		t.Fatalf("6 bytes at 3 B/s charged %v, want 2s", whole)
+	}
+	if cut := lane(1, 1, 1, 1, 1, 1); cut != whole {
+		t.Errorf("six 1-byte arrivals charged %v, one 6-byte arrival %v", cut, whole)
+	}
+	if cut := lane(2, 1, 3); cut != whole {
+		t.Errorf("arrivals of 2, 1 and 3 bytes charged %v, one 6-byte arrival %v", cut, whole)
+	}
+}

@@ -13,20 +13,23 @@
 // HistogramRatings). Every payload reaches its handler as the sender's own
 // Go value; nothing is encoded.
 //
-// A Coalescer (coalesce.go) can wrap the network to aggregate small
-// same-destination messages into one batch frame, which the network
-// unpacks transparently before invoking handlers.
+// The node runtime sends every message straight to the network, so what
+// the fabric counts and charges follows the data alone. A Coalescer
+// (coalesce.go) can still wrap the network to pack small same-destination
+// messages into one batch frame, which the network unpacks before invoking
+// handlers; the benchmark's send probe is what builds one.
 //
 // Fabric engineering vs modeled cost: the send path is lock-free beyond
 // the destination inbox (an atomically swapped immutable routing snapshot
 // serves lookups), the inbox is a ring queue that does not retain its
 // backing array the way a queue = queue[1:] slice did, and the delivery
 // goroutine drains whole batches, charging the summed modeled delay in a
-// single sleep. The modeled per-message byte and latency charges are
-// computed with the exact same formula as one-at-a-time delivery, so
-// total modeled cost is bit-identical — only the engine's own overhead
-// (lock acquisitions, wakeups, registry lookups, sleep syscalls) is
-// amortized. See DESIGN.md §6 "Fabric: modeled vs engineered cost".
+// single sleep. Latency and fault terms are charged per message; bytes
+// are charged on each receiver's running byte total, truncated once, so a
+// node's byte charges do not depend on how its bytes were cut into
+// messages or batches. Only the engine's own overhead (lock acquisitions,
+// wakeups, registry lookups, sleep syscalls) is amortized. See DESIGN.md
+// §6 "Fabric: modeled vs engineered cost".
 package transport
 
 import (
@@ -71,8 +74,8 @@ type Message struct {
 type Handler func(msg Message)
 
 // FaultHook lets a fault injector perturb delivery (see internal/faults).
-// It is consulted once per wire message (a coalesced batch frame counts as
-// one) and once per Transfer arriving at a node, and returns the simulated
+// It is consulted once per delivered message and once per Transfer
+// arriving at a node, and returns the simulated
 // mishaps: retrans counts dropped-then-retransmitted copies, dups counts
 // duplicates the fabric dedups by sequence number, extra is added latency.
 // The fabric stays reliable — every message is still delivered exactly
@@ -83,7 +86,7 @@ type FaultHook interface {
 }
 
 // Network is the fabric interface: InMemNetwork implements it, and so do
-// wrappers around it such as Coalescer.
+// Coalescer, which wraps it.
 type Network interface {
 	// Register installs the handler for a node. Must be called before any
 	// message is sent to that node.
@@ -139,17 +142,29 @@ func GigabitEthernet() CostModel {
 	return CostModel{Latency: 100 * time.Microsecond, BytesPerSec: 115 << 20, TimeScale: 1}
 }
 
-// Delay is the modeled time to move one message of size bytes.
-func (m CostModel) Delay(size int64) time.Duration {
-	d := m.Latency
-	if m.BytesPerSec > 0 {
-		d += time.Duration(float64(size) / float64(m.BytesPerSec) * float64(time.Second))
+// Delay is the modeled time to move one message of size bytes over an idle
+// link.
+func (m CostModel) Delay(size int64) time.Duration { return m.latency() + m.byteTime(size) }
+
+func (m CostModel) scale() float64 {
+	if m.TimeScale == 0 {
+		return 1
 	}
-	s := m.TimeScale
-	if s == 0 {
-		s = 1
+	return m.TimeScale
+}
+
+// latency is the per-message part of Delay.
+func (m CostModel) latency() time.Duration { return time.Duration(float64(m.Latency) * m.scale()) }
+
+// byteTime is the time to move bytes through a receiver's ingress,
+// truncated once. A node pays byteTime(after) − byteTime(before) for each
+// arrival, so its byte charges sum to byteTime of everything it received,
+// however the bytes were cut into messages.
+func (m CostModel) byteTime(bytes int64) time.Duration {
+	if m.BytesPerSec <= 0 {
+		return 0
 	}
-	return time.Duration(float64(d) * s)
+	return time.Duration(float64(bytes) / float64(m.BytesPerSec) * float64(time.Second) * m.scale())
 }
 
 // dispatch invokes h once per application message: a coalesced batch frame
@@ -215,6 +230,9 @@ type inbox struct {
 	// lane — a delivered batch or a Transfer — is paid holding it, so on the
 	// real clock two arrivals at one node queue instead of overlapping.
 	ingress sync.Mutex
+	// rxBytes is every byte the node has been charged for receiving, under
+	// ingress: the running total its byte charges telescope over.
+	rxBytes int64
 	// inflight counts messages drained from the queue but not yet handed
 	// to the handler, so QueueDepth reports undelivered messages even
 	// while the delivery goroutine works through a batch.
@@ -379,30 +397,44 @@ func (n *InMemNetwork) Register(node NodeID, h Handler) error {
 	return nil
 }
 
-// price is the modeled cost of one wire message of size bytes arriving at
-// node: the model's delay, plus, under injected wire faults, one more
-// transfer per retransmitted or duplicated copy and any extra latency. The
-// payload itself still arrives exactly once.
+// price is the per-message part of the modeled cost of a wire message of
+// size bytes arriving at node: the model's latency, plus, under injected
+// wire faults, one more Delay per retransmitted or duplicated copy and any
+// extra latency. The payload itself still arrives exactly once, and pay
+// charges its bytes.
 func (n *InMemNetwork) price(node NodeID, size int64) time.Duration {
-	d := n.model.Delay(size)
+	d := n.model.latency()
 	if hook := n.env.Faults; hook != nil {
 		retrans, dups, extra := hook.DeliveryFault(int(node), size)
-		d += time.Duration(retrans+dups)*d + extra
+		d += time.Duration(retrans+dups)*n.model.Delay(size) + extra
 	}
 	return d
 }
 
-// pay charges d to ib's node's Net lane through its ingress.
-func (n *InMemNetwork) pay(ib *inbox, d time.Duration) {
+// priced reports whether an arrival with per-message part fixed and bytes
+// bytes can cost anything; a free fabric charges and traces nothing.
+func (n *InMemNetwork) priced(fixed time.Duration, bytes int64) bool {
+	return fixed > 0 || (bytes > 0 && n.model.BytesPerSec > 0)
+}
+
+// pay charges fixed plus the byte term of bytes more arriving at ib's node
+// to its Net lane, through its ingress, and returns the charge.
+func (n *InMemNetwork) pay(ib *inbox, fixed time.Duration, bytes int64) time.Duration {
 	ib.ingress.Lock()
-	n.env.Clock.Charge(int(ib.id), vtime.Net, d)
-	ib.ingress.Unlock()
+	defer ib.ingress.Unlock()
+	before := n.model.byteTime(ib.rxBytes)
+	ib.rxBytes += bytes
+	d := fixed + n.model.byteTime(ib.rxBytes) - before
+	if d > 0 {
+		n.env.Clock.Charge(int(ib.id), vtime.Net, d)
+	}
+	return d
 }
 
 // deliver drains one node's inbox. The whole pending batch is taken in a
-// single critical section; the summed modeled delay of the batch — each
-// message priced with the identical per-message formula — is charged with
-// one sleep and one net.time observation covering the batch.
+// single critical section and charged with one sleep and one net.time
+// observation covering the batch: each message's latency and fault terms,
+// and the batch's bytes on the node's running byte total.
 func (n *InMemNetwork) deliver(ib *inbox) {
 	defer close(ib.done)
 	var batch []Message
@@ -419,23 +451,22 @@ func (n *InMemNetwork) deliver(ib *inbox) {
 		ib.inflight.Store(int64(len(batch)))
 		ib.mu.Unlock()
 
-		var total time.Duration
+		var fixed time.Duration
+		var bytes int64
 		for i := range batch {
-			total += n.price(ib.id, batch[i].Size)
+			fixed += n.price(ib.id, batch[i].Size)
+			bytes += batch[i].Size
 		}
-		if total > 0 {
-			n.tTime.ObserveN(total, int64(len(batch)))
+		if n.priced(fixed, bytes) {
 			var sp trace.Span // stays inert when tracing is off
-			var bytes int64
 			if t := n.env.Trace; t != nil {
 				ib.deliveries++
-				for i := range batch {
-					bytes += batch[i].Size
-				}
 				sp = t.Start(int(ib.id), "",
 					fmt.Sprintf("net:rx%d:%d", ib.id, ib.deliveries), "deliver", "net")
 			}
-			n.pay(ib, total)
+			if d := n.pay(ib, fixed, bytes); d > 0 {
+				n.tTime.ObserveN(d, int64(len(batch)))
+			}
 			sp.EndBytes(bytes)
 		}
 		for i := range batch {
@@ -504,9 +535,10 @@ func (n *InMemNetwork) Transfer(from, to NodeID, bytes int64) {
 	}
 	n.mMsgs.Inc()
 	n.mBytes.Add(bytes)
-	if d := n.price(to, bytes); d > 0 {
-		n.tTime.Observe(d)
-		n.pay(ib, d)
+	if fixed := n.price(to, bytes); n.priced(fixed, bytes) {
+		if d := n.pay(ib, fixed, bytes); d > 0 {
+			n.tTime.Observe(d)
+		}
 	}
 }
 
