@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -96,7 +97,7 @@ func TestLocalEdgeHasNoClusterBarrier(t *testing.T) {
 
 // completionTally wraps a network and records, per producing flowlet and
 // (from, to) node pair, every completion a node sends: a marker, or a bin
-// with Last set.
+// with Last set. Framed batches are counted message by message.
 type completionTally struct {
 	transport.Network
 	graph *Graph
@@ -104,11 +105,23 @@ type completionTally struct {
 	mu             sync.Mutex
 	heard          map[[3]int]int // {producer flowlet, from node, to node}
 	markers, lasts int
+	frames         int // batches of several messages
 }
 
 func (c *completionTally) Send(msg transport.Message) error {
 	c.mu.Lock()
+	c.count(msg)
+	c.mu.Unlock()
+	return c.Network.Send(msg)
+}
+
+func (c *completionTally) count(msg transport.Message) {
 	switch p := msg.Payload.(type) {
+	case *transport.BatchPayload:
+		c.frames++
+		for _, m := range p.Msgs {
+			c.count(m)
+		}
 	case completeMsg:
 		c.heard[[3]int{p.Flowlet, p.Node, int(msg.To)}]++
 		c.markers++
@@ -118,8 +131,34 @@ func (c *completionTally) Send(msg transport.Message) error {
 			c.lasts++
 		}
 	}
-	c.mu.Unlock()
-	return c.Network.Send(msg)
+}
+
+// framedNetwork frames a runtime's sends through a transport.Coalescer
+// over net. The runtime never flushes, so a flusher goroutine pushes
+// pending frames out until stop; a frame holds whatever piled up between
+// two passes.
+func framedNetwork(net transport.Network, cfg transport.CoalescerConfig) (co *transport.Coalescer, stop func()) {
+	co = transport.NewCoalescer(net, cfg)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			_ = co.Flush()
+			runtime.Gosched()
+		}
+	}()
+	return co, func() {
+		close(done)
+		wg.Wait()
+		_ = co.Flush()
+	}
 }
 
 // TestCompletionFollowsTheData counts completion traffic per job on
@@ -129,53 +168,69 @@ func (c *completionTally) Send(msg transport.Message) error {
 func TestCompletionFollowsTheData(t *testing.T) {
 	const numNodes = 3
 	chunks, want := wordChunks(6, 20)
-	g := NewGraph("tally")
-	sink := NewCollectSink()
-	ld, _ := g.AddLoader("load", &sliceLoader{chunks: chunks})
-	sp, _ := g.AddMap("split", wordSplit{})
-	ct, _ := g.AddPartialReduce("count", sumPartial{})
-	sk, _ := g.AddSink("out", sink)
-	for _, err := range []error{
-		g.Connect(ld, sp, WithRouting(RouteLocal)), g.Connect(sp, ct), g.Connect(ct, sk),
-	} {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	tally := &completionTally{Network: NewTestNetwork(), graph: g, heard: map[[3]int]int{}}
-	nodes, cleanup := newClusterOn(t, tally, numNodes, Config{Workers: 2, BinSize: 16}, substrate.Handle{})
-	defer cleanup()
-	if _, err := Run(g, nodes, nil); err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]int64{}
-	for _, kv := range sink.Pairs() {
-		got[kv.Key] += kv.Value.(int64)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("counts = %v, want %v", got, want)
-	}
-	tally.mu.Lock()
-	defer tally.mu.Unlock()
-	if sent := tally.markers + tally.lasts; sent != numNodes*(numNodes-1) {
-		t.Errorf("%d completions crossed the fabric, want %d (split's, one per ordered node pair): %v",
-			sent, numNodes*(numNodes-1), tally.heard)
-	}
-	// Every split flushes a part-filled bin to every node here, so
-	// each completion rides on one.
-	if tally.markers != 0 {
-		t.Errorf("%d completion markers, want every completion on a Last bin", tally.markers)
-	}
-	for from := 0; from < numNodes; from++ {
-		for to := 0; to < numNodes; to++ {
-			want := 1
-			if from == to {
-				want = 0 // told by a direct call, not over the fabric
+	// coalesce < 0: the runtime sends straight to the fabric. coalesce = 0:
+	// the fabric under it packs same-destination messages into frames
+	// within the default coalescer bounds.
+	for _, coalesce := range []int{-1, 0} {
+		t.Run(fmt.Sprintf("coalesce=%d", coalesce), func(t *testing.T) {
+			g := NewGraph("tally")
+			sink := NewCollectSink()
+			ld, _ := g.AddLoader("load", &sliceLoader{chunks: chunks})
+			sp, _ := g.AddMap("split", wordSplit{})
+			ct, _ := g.AddPartialReduce("count", sumPartial{})
+			sk, _ := g.AddSink("out", sink)
+			for _, err := range []error{
+				g.Connect(ld, sp, WithRouting(RouteLocal)), g.Connect(sp, ct), g.Connect(ct, sk),
+			} {
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
-			if n := tally.heard[[3]int{sp, from, to}]; n != want {
-				t.Errorf("node %d told node %d of split's completion %d times, want %d", from, to, n, want)
+			tally := &completionTally{Network: NewTestNetwork(), graph: g, heard: map[[3]int]int{}}
+			var net transport.Network = tally
+			if coalesce >= 0 {
+				co, stop := framedNetwork(tally, transport.CoalescerConfig{MaxMsgs: coalesce})
+				// The coalescer's Close leaves the network under it open.
+				defer tally.Close()
+				defer stop()
+				net = co
 			}
-		}
+			nodes, cleanup := newClusterOn(t, net, numNodes, Config{Workers: 2, BinSize: 16}, substrate.Handle{})
+			defer cleanup()
+			if _, err := Run(g, nodes, nil); err != nil {
+				t.Fatal(err)
+			}
+			got := map[string]int64{}
+			for _, kv := range sink.Pairs() {
+				got[kv.Key] += kv.Value.(int64)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("counts = %v, want %v", got, want)
+			}
+			tally.mu.Lock()
+			defer tally.mu.Unlock()
+			t.Logf("%d framed batches crossed the fabric", tally.frames)
+			if sent := tally.markers + tally.lasts; sent != numNodes*(numNodes-1) {
+				t.Errorf("%d completions crossed the fabric, want %d (split's, one per ordered node pair): %v",
+					sent, numNodes*(numNodes-1), tally.heard)
+			}
+			// Every split flushes a part-filled bin to every node here, so
+			// each completion rides on one.
+			if tally.markers != 0 {
+				t.Errorf("%d completion markers, want every completion on a Last bin", tally.markers)
+			}
+			for from := 0; from < numNodes; from++ {
+				for to := 0; to < numNodes; to++ {
+					want := 1
+					if from == to {
+						want = 0 // told by a direct call, not over the fabric
+					}
+					if n := tally.heard[[3]int{sp, from, to}]; n != want {
+						t.Errorf("node %d told node %d of split's completion %d times, want %d", from, to, n, want)
+					}
+				}
+			}
+		})
 	}
 }
 
