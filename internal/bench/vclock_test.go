@@ -1,7 +1,11 @@
 package bench
 
 import (
+	"bytes"
+	"fmt"
+	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -180,19 +184,19 @@ func TestHAMRInvariantRealVsVirtual(t *testing.T) {
 }
 
 // TestHAMRModeledTimeIgnoresTheScheduler: flowlets fire when data arrives,
-// so under the virtual clock HAMR's modeled time and its fabric message
-// count depend on the data and the cost model alone. Table 2 at TinyScale
-// runs at GOMAXPROCS 1, 2 and 8, and every row's HAMR nanoseconds and the
-// HAMR cluster's net.msgs must be identical across the three runs.
+// so under the virtual clock HAMR's modeled time and its traffic depend on
+// the data and the cost model alone. Table 2 at TinyScale runs at
+// GOMAXPROCS 1, 2 and 8; every row's HAMR nanoseconds, net.msgs, net.bytes
+// and disk read and write bytes must be identical across the three runs,
+// and the first run must equal testdata/table2_tiny.golden. After an
+// intended change to what HAMR does or costs:
+//
+//	go test ./internal/bench -run TestHAMRModeledTimeIgnoresTheScheduler -update
 func TestHAMRModeledTimeIgnoresTheScheduler(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	spec := DefaultSpec()
 	spec.VClock = true
-	type result struct {
-		modeled time.Duration
-		msgs    int64
-	}
-	var first []result
+	var first []string
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		h := NewHarness(spec, TinyScale())
@@ -201,13 +205,54 @@ func TestHAMRModeledTimeIgnoresTheScheduler(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := result{row.HAMR, h.LastHAMRCluster.Get("net.msgs")}
+			m := h.LastHAMRCluster
+			got := fmt.Sprintf("ns=%d net.msgs=%d net.bytes=%d disk.read.bytes=%d disk.write.bytes=%d",
+				row.HAMR, m.Get("net.msgs"), m.Get("net.bytes"), m.Get("disk.read.bytes"), m.Get("disk.write.bytes"))
 			if procs == 1 {
 				first = append(first, got)
-			} else if got != first[i] {
-				t.Errorf("%s at GOMAXPROCS %d: HAMR %d ns, net.msgs %d; at GOMAXPROCS 1: %d ns, net.msgs %d",
-					w.Name, procs, got.modeled, got.msgs, first[i].modeled, first[i].msgs)
+			} else if m := mismatch(string(w.Name), fmt.Sprintf("GOMAXPROCS %d", procs), "GOMAXPROCS 1", first[i], got); m != "" {
+				t.Error(m)
 			}
+		}
+	}
+	checkTable2Golden(t, first)
+}
+
+const table2GoldenPath = "testdata/table2_tiny.golden"
+
+// checkTable2Golden holds each Table 2 row's HAMR fingerprint to its line
+// in table2GoldenPath, or rewrites the file under -update.
+func checkTable2Golden(t *testing.T, prints []string) {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.WriteString("# HAMR modeled ns and traffic per Table 2 row at TinyScale under the\n" +
+		"# virtual clock (TestHAMRModeledTimeIgnoresTheScheduler). Rewrite with:\n" +
+		"#   go test ./internal/bench -run TestHAMRModeledTimeIgnoresTheScheduler -update\n")
+	for i, w := range apps.Table {
+		fmt.Fprintf(&buf, "%s: %s\n", w.Name, prints[i])
+	}
+	if *update {
+		if err := os.WriteFile(table2GoldenPath, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(table2GoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if name, print, ok := strings.Cut(line, ": "); ok && !strings.HasPrefix(line, "#") {
+			want[name] = print
+		}
+	}
+	if len(want) != len(apps.Table) {
+		t.Errorf("%s has %d rows for %d Table 2 rows (run with -update)", table2GoldenPath, len(want), len(apps.Table))
+	}
+	for i, w := range apps.Table {
+		if m := mismatch(string(w.Name), "GOMAXPROCS 1", table2GoldenPath, want[string(w.Name)], prints[i]); m != "" {
+			t.Error(m)
 		}
 	}
 }
