@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -187,57 +189,103 @@ func (s *CountSink) Bytes() int64 {
 
 // FileSink writes formatted pairs to one writer per node (e.g. part files
 // on each node's local disk — the paper's "output can happen not only in
-// reduce but also in map", §3.3).
+// reduce but also in map", §3.3). Each node's lines gather in a buffer of
+// fileSinkBuf bytes that is written when full and on Close, so the writer
+// sees a few large writes, not one per pair. Write and Close are serial
+// per node (the Sink contract), so a node's buffer needs no lock.
 type FileSink struct {
 	open   func(node int) (io.WriteCloser, error)
 	format func(kv KV) string
-	mu     sync.Mutex
-	files  map[int]io.WriteCloser
+	mu     sync.Mutex // guards files, not the buffers in it
+	files  map[int]*sinkFile
+}
+
+// fileSinkBuf is the size at which a node's buffered lines are written.
+const fileSinkBuf = 64 << 10
+
+// sinkFile is one node's writer and the lines not yet written to it.
+type sinkFile struct {
+	w   io.WriteCloser
+	buf []byte
 }
 
 // NewFileSink creates a sink whose per-node writers come from open and
-// whose record format is produced by format (default "key\tvalue\n").
+// whose record format is produced by format (nil for AppendLine's
+// "key\tvalue\n").
 func NewFileSink(open func(node int) (io.WriteCloser, error), format func(kv KV) string) *FileSink {
-	if format == nil {
-		format = func(kv KV) string { return fmt.Sprintf("%s\t%v\n", kv.Key, kv.Value) }
-	}
-	return &FileSink{open: open, format: format, files: make(map[int]io.WriteCloser)}
+	return &FileSink{open: open, format: format, files: make(map[int]*sinkFile)}
 }
 
-func (s *FileSink) writer(node int) (io.WriteCloser, error) {
+func (s *FileSink) file(node int) (*sinkFile, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if w, ok := s.files[node]; ok {
-		return w, nil
+	if f, ok := s.files[node]; ok {
+		return f, nil
 	}
 	w, err := s.open(node)
 	if err != nil {
 		return nil, err
 	}
-	s.files[node] = w
-	return w, nil
+	f := &sinkFile{w: w, buf: make([]byte, 0, fileSinkBuf)}
+	s.files[node] = f
+	return f, nil
 }
 
 // Write implements Sink.
 func (s *FileSink) Write(node int, kv KV) error {
-	w, err := s.writer(node)
+	f, err := s.file(node)
 	if err != nil {
 		return err
 	}
-	_, err = io.WriteString(w, s.format(kv))
+	if s.format == nil {
+		f.buf = AppendLine(f.buf, kv)
+	} else {
+		f.buf = append(f.buf, s.format(kv)...)
+	}
+	if len(f.buf) < fileSinkBuf {
+		return nil
+	}
+	_, err = f.w.Write(f.buf)
+	f.buf = f.buf[:0]
 	return err
 }
 
-// Close implements Sink.
+// Close implements Sink: it writes what the node's buffer holds and closes
+// its writer, which is closed even when that last write fails.
 func (s *FileSink) Close(node int) error {
 	s.mu.Lock()
-	w, ok := s.files[node]
+	f, ok := s.files[node]
 	delete(s.files, node)
 	s.mu.Unlock()
 	if !ok {
 		return nil
 	}
-	return w.Close()
+	var err error
+	if len(f.buf) > 0 {
+		_, err = f.w.Write(f.buf)
+	}
+	return errors.Join(err, f.w.Close())
+}
+
+// AppendLine appends kv's text line to dst: "key\tvalue\n", with the value
+// as fmt's %v prints it. The common value types are appended directly, the
+// rest go through fmt.
+func AppendLine(dst []byte, kv KV) []byte {
+	dst = append(dst, kv.Key...)
+	dst = append(dst, '\t')
+	switch v := kv.Value.(type) {
+	case string:
+		dst = append(dst, v...)
+	case int:
+		dst = strconv.AppendInt(dst, int64(v), 10)
+	case int64:
+		dst = strconv.AppendInt(dst, v, 10)
+	case float64:
+		dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
+	default:
+		dst = fmt.Append(dst, v)
+	}
+	return append(dst, '\n')
 }
 
 // FuncSink adapts a function to the Sink interface; Close is a no-op.

@@ -4,8 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
+	"strings"
 	"sync"
 	"testing"
+
+	"github.com/hamr-go/hamr/internal/metrics"
+	"github.com/hamr-go/hamr/internal/storage"
+	"github.com/hamr-go/hamr/internal/vtime"
 )
 
 func TestCollectSink(t *testing.T) {
@@ -157,6 +163,124 @@ func TestFileSinkOpenError(t *testing.T) {
 	}, nil)
 	if err := s.Write(0, KV{Key: "a"}); err == nil {
 		t.Fatal("write with failing opener succeeded")
+	}
+}
+
+// A file sink on a modeled disk writes whole buffers: N small records make
+// at most ⌈bytes / 64 KiB⌉ + 1 byte charges, not one per record.
+func TestFileSinkBuffersDiskCharges(t *testing.T) {
+	reg := metrics.NewRegistry()
+	disk := storage.NewCostDisk(storage.NewMemDisk(0), storage.CostModel{WriteBytesPerSec: 120 << 20}, reg)
+	disk.SetClock(vtime.NewVirtual(1), 0)
+	s := NewFileSink(func(node int) (io.WriteCloser, error) { return disk.Create("part") }, nil)
+	const records = 20000
+	for i := range records {
+		if err := s.Write(0, KV{Key: fmt.Sprintf("k%05d", i), Value: int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(0); err != nil {
+		t.Fatal(err)
+	}
+	written := reg.Counter("disk.write.bytes").Value()
+	if size, _ := disk.Size("part"); size != written || written < records*8 {
+		t.Fatalf("wrote %d bytes in a %d-byte file for %d records", written, size, records)
+	}
+	limit := (written+fileSinkBuf-1)/fileSinkBuf + 1
+	if got := reg.Timer("disk.time").Count(); got > limit {
+		t.Errorf("%d records of %d bytes made %d disk charges, want at most %d", records, written, got, limit)
+	}
+}
+
+// failingWriter fails every Write and records its Close.
+type failingWriter struct{ closed bool }
+
+func (w *failingWriter) Write(p []byte) (int, error) { return 0, fmt.Errorf("disk gone") }
+func (w *failingWriter) Close() error                { w.closed = true; return nil }
+
+// The buffered lines a Close writes can fail; the failure is Close's, and
+// the writer is closed all the same.
+func TestFileSinkCloseReturnsTheWriteError(t *testing.T) {
+	w := &failingWriter{}
+	s := NewFileSink(func(node int) (io.WriteCloser, error) { return w, nil }, nil)
+	if err := s.Write(0, KV{Key: "a", Value: int64(1)}); err != nil {
+		t.Fatalf("a buffered write failed: %v", err)
+	}
+	if err := s.Close(0); err == nil || !strings.Contains(err.Error(), "disk gone") {
+		t.Errorf("Close = %v, want the write's error", err)
+	}
+	if !w.closed {
+		t.Error("writer left open after its last write failed")
+	}
+}
+
+type discardCloser struct{}
+
+func (discardCloser) Write(p []byte) (int, error) { return len(p), nil }
+func (discardCloser) Close() error                { return nil }
+
+// Once a node's buffer exists, writing a pair allocates nothing: the line
+// is appended in place, not built as a string first.
+func TestFileSinkAllocsPerRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a measurement, not a race check: the detector allocates on its own")
+	}
+	s := NewFileSink(func(node int) (io.WriteCloser, error) { return discardCloser{}, nil }, nil)
+	for _, kv := range []KV{{Key: "key", Value: int64(123456)}, {Key: "key", Value: "a string value"}} {
+		// Fill the buffer past one write first, so it has grown to its size.
+		for range fileSinkBuf / 8 {
+			if err := s.Write(0, kv); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := testing.AllocsPerRun(10000, func() { _ = s.Write(0, kv) }); got != 0 {
+			t.Errorf("Write(%T pair) = %v allocs, want 0", kv.Value, got)
+		}
+	}
+}
+
+// AppendLine must print what fmt's "%s\t%v\n" prints.
+func TestAppendLineMatchesFmt(t *testing.T) {
+	type point struct{ X, Y int }
+	for _, kv := range []KV{
+		{Key: "k", Value: "plain"},
+		{Key: "", Value: ""},
+		{Key: "tab\tin key", Value: "tab\tand\nnewline in value"},
+		{Key: "k", Value: 0},
+		{Key: "k", Value: -17},
+		{Key: "k", Value: math.MaxInt64},
+		{Key: "k", Value: int64(0)},
+		{Key: "k", Value: int64(-1)},
+		{Key: "k", Value: int64(math.MaxInt64)},
+		{Key: "k", Value: int64(math.MinInt64)},
+		{Key: "k", Value: 0.0},
+		{Key: "k", Value: math.Copysign(0, -1)},
+		{Key: "k", Value: 0.1},
+		{Key: "k", Value: -2.5},
+		{Key: "k", Value: 123456789.0},
+		{Key: "k", Value: 1e20},
+		{Key: "k", Value: 1e21},
+		{Key: "k", Value: 1e-7},
+		{Key: "k", Value: math.MaxFloat64},
+		{Key: "k", Value: math.SmallestNonzeroFloat64},
+		{Key: "k", Value: math.NaN()},
+		{Key: "k", Value: math.Inf(1)},
+		{Key: "k", Value: math.Inf(-1)},
+		// Everything else takes the %v fallback.
+		{Key: "k", Value: nil},
+		{Key: "k", Value: true},
+		{Key: "k", Value: float32(0.1)},
+		{Key: "k", Value: uint8(200)},
+		{Key: "k", Value: []float64{1, 2.5}},
+		{Key: "k", Value: []string{"a", "b"}},
+		{Key: "k", Value: point{1, -2}},
+		{Key: "k", Value: fmt.Errorf("an error")},
+	} {
+		want := fmt.Sprintf("%s\t%v\n", kv.Key, kv.Value)
+		// A dirty prefix shows an append that overwrites.
+		if got := string(AppendLine([]byte("prefix|"), kv)); got != "prefix|"+want {
+			t.Errorf("AppendLine(%q, %#v) = %q, want %q", kv.Key, kv.Value, got, want)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 
@@ -224,7 +223,7 @@ func TestWriterAbortRollsBackFlushedBlocks(t *testing.T) {
 
 func TestReaderFailoverMidStream(t *testing.T) {
 	// A per-replica fault on a middle block must fail over transparently
-	// inside the streaming reader.
+	// inside a line iterator over the whole file.
 	reg := metrics.NewRegistry()
 	fs, _, inj := faultFS(t, 3, Config{BlockSize: 32, Replication: 2},
 		faults.Config{Seed: 1, DeadReplica: 0.2}, reg)
@@ -237,12 +236,7 @@ func TestReaderFailoverMidStream(t *testing.T) {
 	}
 	inj.Arm()
 	defer inj.Disarm()
-	r, err := fs.Open("s", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(r)
-	r.Close()
+	got, err := readWhole(fs, "s", 1)
 	if err != nil {
 		t.Fatalf("stream with failover failed: %v", err)
 	}

@@ -3,7 +3,6 @@ package hdfs
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -47,19 +46,42 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// readWhole reads a file as observed from node at through OpenLines over
+// one split that covers it, putting each line back at its offset with the
+// newline Next strips (none after a last line that ends the file).
+func readWhole(fs *FileSystem, name string, at transport.NodeID) ([]byte, error) {
+	size, err := fs.Size(name)
+	if err != nil {
+		return nil, err
+	}
+	it, err := fs.OpenLines(Split{File: name, Length: size}, at)
+	if err != nil {
+		return nil, err
+	}
+	got := make([]byte, 0, size)
+	for {
+		line, off, ok := it.Next()
+		if !ok {
+			return got, it.Err()
+		}
+		if off != int64(len(got)) {
+			it.Close()
+			return got, fmt.Errorf("line at offset %d after %d bytes", off, len(got))
+		}
+		if got = append(got, line...); int64(len(got)) < size {
+			got = append(got, '\n')
+		}
+	}
+}
+
 func TestStreamingReader(t *testing.T) {
 	fs, _ := newFS(t, 2, Config{BlockSize: 32})
 	data := []byte(strings.Repeat("abcdefgh", 100))
 	fs.WriteFile("f", data, -1)
-	r, err := fs.Open("f", -1)
+	got, err := readWhole(fs, "f", -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
 	if !bytes.Equal(got, data) {
 		t.Fatal("streaming read mismatch")
 	}

@@ -11,8 +11,9 @@ import (
 // follows a line into: Hadoop's default io.file.buffer.size.
 const readAhead = 4 << 10
 
-// fileReader streams the bytes [pos, limit) of a file as observed from node
-// at, one block at a time and only as far as it is read.
+// fileReader fetches the bytes [pos, limit) of a file for a LineIterator,
+// as observed from node at, one block at a time and only as far as the
+// iterator reads.
 //
 // A block that starts before own is fetched whole through readBlock when
 // the stream reaches it, so it fails over and is traced like any block
@@ -28,8 +29,6 @@ type fileReader struct {
 	pos    int64 // file offset of the next byte to fetch
 	own    int64
 	limit  int64
-	cur    []byte // fetched, undelivered bytes
-	err    error  // sticky: a failed fetch is not retried
 
 	// The open replica of slack block idx. cand counts the candidates
 	// tried so far; a replica that fails mid-block is replaced by the next
@@ -40,39 +39,7 @@ type fileReader struct {
 	buf  []byte
 }
 
-// Open returns a streaming reader for the file as observed from node at.
-func (fs *FileSystem) Open(name string, at transport.NodeID) (io.ReadCloser, error) {
-	meta, err := fs.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return &fileReader{fs: fs, at: at, blocks: meta.blocks, own: meta.size, limit: meta.size}, nil
-}
-
-// Read implements io.Reader.
-func (r *fileReader) Read(p []byte) (int, error) {
-	for len(r.cur) == 0 {
-		if r.err == nil {
-			r.cur, _, r.err = r.fetch()
-		}
-		if r.err != nil {
-			return 0, r.err
-		}
-	}
-	n := copy(p, r.cur)
-	r.cur = r.cur[n:]
-	return n, nil
-}
-
-// Close releases the open replica, if any. The reader is unusable after.
-func (r *fileReader) Close() error {
-	r.closeReplica()
-	if r.err == nil {
-		r.err = fmt.Errorf("hdfs: read from closed file")
-	}
-	return nil
-}
-
+// closeReplica releases the open replica, if any.
 func (r *fileReader) closeReplica() {
 	if r.rep != nil {
 		_ = r.rep.Close() // read-only handle

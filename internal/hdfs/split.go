@@ -200,5 +200,5 @@ func (it *LineIterator) Err() error { return it.err }
 // open. It is idempotent.
 func (it *LineIterator) Close() {
 	it.done = true
-	it.src.Close()
+	it.src.closeReplica()
 }

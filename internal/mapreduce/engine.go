@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -344,25 +343,4 @@ func (t *taskEmitter) Charge(bytes int64) error {
 		return &OOMError{Task: t.task, Need: t.used, Heap: t.heap}
 	}
 	return nil
-}
-
-// appendLine appends one output pair's text line to dst, "key\tvalue\n"
-// with the value as fmt's %v prints it: the common value types are
-// appended directly, the rest go through fmt.
-func appendLine(dst []byte, kv core.KV) []byte {
-	dst = append(dst, kv.Key...)
-	dst = append(dst, '\t')
-	switch v := kv.Value.(type) {
-	case string:
-		dst = append(dst, v...)
-	case int:
-		dst = strconv.AppendInt(dst, int64(v), 10)
-	case int64:
-		dst = strconv.AppendInt(dst, v, 10)
-	case float64:
-		dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
-	default:
-		dst = fmt.Append(dst, v)
-	}
-	return append(dst, '\n')
 }

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"strconv"
 	"strings"
@@ -14,51 +13,6 @@ import (
 	"github.com/hamr-go/hamr/internal/cluster"
 	"github.com/hamr-go/hamr/internal/core"
 )
-
-// appendLine must print what the format it replaced printed.
-func TestAppendLineMatchesFmt(t *testing.T) {
-	type point struct{ X, Y int }
-	for _, kv := range []core.KV{
-		{Key: "k", Value: "plain"},
-		{Key: "", Value: ""},
-		{Key: "tab\tin key", Value: "tab\tand\nnewline in value"},
-		{Key: "k", Value: 0},
-		{Key: "k", Value: -17},
-		{Key: "k", Value: math.MaxInt64},
-		{Key: "k", Value: int64(0)},
-		{Key: "k", Value: int64(-1)},
-		{Key: "k", Value: int64(math.MaxInt64)},
-		{Key: "k", Value: int64(math.MinInt64)},
-		{Key: "k", Value: 0.0},
-		{Key: "k", Value: math.Copysign(0, -1)},
-		{Key: "k", Value: 0.1},
-		{Key: "k", Value: -2.5},
-		{Key: "k", Value: 123456789.0},
-		{Key: "k", Value: 1e20},
-		{Key: "k", Value: 1e21},
-		{Key: "k", Value: 1e-7},
-		{Key: "k", Value: math.MaxFloat64},
-		{Key: "k", Value: math.SmallestNonzeroFloat64},
-		{Key: "k", Value: math.NaN()},
-		{Key: "k", Value: math.Inf(1)},
-		{Key: "k", Value: math.Inf(-1)},
-		// Everything else takes the %v fallback.
-		{Key: "k", Value: nil},
-		{Key: "k", Value: true},
-		{Key: "k", Value: float32(0.1)},
-		{Key: "k", Value: uint8(200)},
-		{Key: "k", Value: []float64{1, 2.5}},
-		{Key: "k", Value: []string{"a", "b"}},
-		{Key: "k", Value: point{1, -2}},
-		{Key: "k", Value: fmt.Errorf("an error")},
-	} {
-		want := fmt.Sprintf("%s\t%v\n", kv.Key, kv.Value)
-		// A dirty prefix shows an append that overwrites.
-		if got := string(appendLine([]byte("prefix|"), kv)); got != "prefix|"+want {
-			t.Errorf("appendLine(%q, %#v) = %q, want %q", kv.Key, kv.Value, got, want)
-		}
-	}
-}
 
 // seqCombiner checks what a combiner is handed and folds it. Map output
 // values are "<key>:<seq>", a combined value is "<key>:<seq>+<seq>+…": a

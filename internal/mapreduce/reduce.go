@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -280,12 +279,11 @@ func (j *jobRun) runReduceTask(r, attempt int, maps []*mapResult) (fetched int64
 
 	// ---- merge + reduce ----
 	out = j.c.FS().Create(fmt.Sprintf("%s/part-r-%05d", job.Output, r), transport.NodeID(node))
-	w := bufio.NewWriter(out)
 	em := &taskEmitter{task: taskName, heap: heap}
-	var text []byte // the sink's format scratch
+	var text []byte // the sink's format scratch; out gathers whole blocks
 	em.sink = func(kv core.KV) error {
-		text = appendLine(text[:0], kv)
-		_, err := w.Write(text)
+		text = core.AppendLine(text[:0], kv)
+		_, err := out.Write(text)
 		return err
 	}
 
@@ -304,8 +302,5 @@ func (j *jobRun) runReduceTask(r, attempt int, maps []*mapResult) (fetched int64
 		return fetched, fmt.Errorf("%s: %w", taskName, err)
 	}
 
-	if err := w.Flush(); err != nil {
-		return fetched, err
-	}
 	return fetched, out.Close()
 }

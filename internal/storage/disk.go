@@ -248,8 +248,8 @@ func (w *memWriter) Close() error {
 }
 
 // memReader streams a published file. Read fills p across page
-// boundaries, so callers (CostDisk's per-call charges above all) see the
-// same call sizes a flat byte slice would give them.
+// boundaries, so a caller sees the call sizes a flat byte slice would give
+// it.
 type memReader struct {
 	d    *MemDisk
 	f    *memFile // nil once closed
@@ -402,30 +402,10 @@ func SATA3() CostModel {
 	}
 }
 
-func (m CostModel) scale(d time.Duration) time.Duration {
-	s := m.TimeScale
-	if s == 0 {
-		s = 1
-	}
-	return time.Duration(float64(d) * s)
-}
-
-func (m CostModel) readDelay(n int) time.Duration {
-	if m.ReadBytesPerSec <= 0 {
-		return 0
-	}
-	return m.scale(time.Duration(float64(n) / float64(m.ReadBytesPerSec) * float64(time.Second)))
-}
-
-func (m CostModel) writeDelay(n int) time.Duration {
-	if m.WriteBytesPerSec <= 0 {
-		return 0
-	}
-	return m.scale(time.Duration(float64(n) / float64(m.WriteBytesPerSec) * float64(time.Second)))
-}
-
 // CostDisk wraps a backing Disk and charges modeled delays plus metrics for
-// every operation. Metrics recorded: disk.read.bytes, disk.write.bytes,
+// every operation: a seek per Create, Open and Remove, and each direction's
+// bytes on its running total, so how reads and writes are cut moves no
+// modeled time. Metrics recorded: disk.read.bytes, disk.write.bytes,
 // disk.read.ops, disk.write.ops, disk.time (timer).
 type CostDisk struct {
 	backing Disk
@@ -440,6 +420,10 @@ type CostDisk struct {
 	// the disk is not part of a cluster).
 	clock vtime.Clock
 	node  int
+	// read and written are the bytes charged so far in each direction,
+	// under bytesMu: the running totals the byte charges telescope over.
+	bytesMu       sync.Mutex
+	read, written int64
 }
 
 // NewCostDisk wraps backing with the given model, recording into reg
@@ -477,6 +461,22 @@ func (d *CostDisk) SetClock(clk vtime.Clock, node int) {
 	}
 }
 
+// chargeBytes pays for n more bytes on the running total *total at perSec
+// bytes per second: ByteTime(total+n) − ByteTime(total), so a direction's
+// charges sum to the ByteTime of all its bytes, however the reads or writes
+// cut them. The totals' lock is released before the charge waits for a slot.
+func (d *CostDisk) chargeBytes(total *int64, perSec int64, n int) {
+	d.bytesMu.Lock()
+	before := vtime.ByteTime(*total, perSec, d.model.TimeScale)
+	*total += int64(n)
+	dur := vtime.ByteTime(*total, perSec, d.model.TimeScale) - before
+	d.bytesMu.Unlock()
+	d.charge(dur)
+}
+
+// seek pays one SeekLatency.
+func (d *CostDisk) seek() { d.charge(vtime.Scale(d.model.SeekLatency, d.model.TimeScale)) }
+
 func (d *CostDisk) charge(dur time.Duration) {
 	if dur <= 0 {
 		return
@@ -496,7 +496,7 @@ func (w *costWriter) Write(p []byte) (int, error) {
 	n, err := w.WriteCloser.Write(p)
 	if n > 0 {
 		w.d.mWriteBytes.Add(int64(n))
-		w.d.charge(w.d.model.writeDelay(n))
+		w.d.chargeBytes(&w.d.written, w.d.model.WriteBytesPerSec, n)
 	}
 	return n, err
 }
@@ -512,7 +512,7 @@ func (r *costReader) Read(p []byte) (int, error) {
 	n, err := r.ReadSeekCloser.Read(p)
 	if n > 0 {
 		r.d.mReadBytes.Add(int64(n))
-		r.d.charge(r.d.model.readDelay(n))
+		r.d.chargeBytes(&r.d.read, r.d.model.ReadBytesPerSec, n)
 	}
 	return n, err
 }
@@ -520,7 +520,7 @@ func (r *costReader) Read(p []byte) (int, error) {
 // Create implements Disk.
 func (d *CostDisk) Create(name string) (io.WriteCloser, error) {
 	d.mWriteOps.Inc()
-	d.charge(d.model.scale(d.model.SeekLatency))
+	d.seek()
 	w, err := d.backing.Create(name)
 	if err != nil {
 		return nil, err
@@ -531,7 +531,7 @@ func (d *CostDisk) Create(name string) (io.WriteCloser, error) {
 // Open implements Disk.
 func (d *CostDisk) Open(name string) (io.ReadSeekCloser, error) {
 	d.mReadOps.Inc()
-	d.charge(d.model.scale(d.model.SeekLatency))
+	d.seek()
 	r, err := d.backing.Open(name)
 	if err != nil {
 		return nil, err
@@ -541,7 +541,7 @@ func (d *CostDisk) Open(name string) (io.ReadSeekCloser, error) {
 
 // Remove implements Disk.
 func (d *CostDisk) Remove(name string) error {
-	d.charge(d.model.scale(d.model.SeekLatency))
+	d.seek()
 	return d.backing.Remove(name)
 }
 

@@ -281,7 +281,7 @@ func TestCostDiskSeekIsFree(t *testing.T) {
 	if n, err := io.ReadFull(r, make([]byte, 1024)); n != 1024 || err != nil {
 		t.Fatalf("read after seek = %d, %v", n, err)
 	}
-	if d, want := vc.Busy(vtime.Disk)-opened, cd.model.readDelay(1024); d != want {
+	if d, want := vc.Busy(vtime.Disk)-opened, vtime.ByteTime(1024, cd.model.ReadBytesPerSec, cd.model.TimeScale); d != want {
 		t.Errorf("1 KiB after a 1 MiB seek charged %v, want %v", d, want)
 	}
 	if got := reg.Counter("disk.read.bytes").Value(); got != 1024 {
@@ -307,6 +307,72 @@ func TestCostDiskTimeScale(t *testing.T) {
 	ratio := float64(charge(10)) / float64(charge(1))
 	if ratio < 9.5 || ratio > 10.5 {
 		t.Errorf("TimeScale 10 changed charge by %.2fx, want ~10x", ratio)
+	}
+}
+
+// The disk's byte charges follow the bytes, not how they were cut: the same
+// bytes written or read in 1-byte pieces, in odd-sized pieces or in one
+// piece cost the same modeled time, ByteTime of the total in each
+// direction. At 3 and 7 B/s scaled by 30, a charge truncated on its own
+// would lose up to 30 ns a call.
+func TestDiskByteChargesIgnoreFraming(t *testing.T) {
+	const size = 60
+	model := CostModel{WriteBytesPerSec: 3, ReadBytesPerSec: 7, TimeScale: 30}
+	lane := func(pieces ...int) time.Duration {
+		vc := vtime.NewVirtual(1)
+		cd := NewCostDisk(NewMemDisk(0), model, nil)
+		cd.SetClock(vc, 0)
+		w, _ := cd.Create("f")
+		for i, off := 0, 0; off < size; i++ {
+			n := min(pieces[i%len(pieces)], size-off)
+			if _, err := w.Write(make([]byte, n)); err != nil {
+				t.Fatal(err)
+			}
+			off += n
+		}
+		w.Close()
+		r, _ := cd.Open("f")
+		defer r.Close()
+		for i := 0; ; i++ {
+			if _, err := r.Read(make([]byte, pieces[i%len(pieces)])); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return vc.NodeTime(0)
+	}
+	want := vtime.ByteTime(size, model.WriteBytesPerSec, model.TimeScale) +
+		vtime.ByteTime(size, model.ReadBytesPerSec, model.TimeScale)
+	if whole := lane(size); whole != want {
+		t.Fatalf("%d bytes written and read in one piece charged %v, want %v", size, whole, want)
+	}
+	if cut := lane(1); cut != want {
+		t.Errorf("%d bytes written and read a byte at a time charged %v, want %v", size, cut, want)
+	}
+	if cut := lane(7, 2, 11); cut != want {
+		t.Errorf("%d bytes written and read in pieces of 7, 2 and 11 charged %v, want %v", size, cut, want)
+	}
+
+	// Writers running at once share the disk's running total.
+	vc := vtime.NewVirtual(1)
+	cd := NewCostDisk(NewMemDisk(0), model, nil)
+	cd.SetClock(vc, 0)
+	var wg sync.WaitGroup
+	for f := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w, _ := cd.Create(fmt.Sprintf("f%d", f))
+			for range size / 4 {
+				w.Write(make([]byte, 1))
+			}
+			w.Close()
+		}()
+	}
+	wg.Wait()
+	if got, want := vc.NodeTime(0), vtime.ByteTime(size, model.WriteBytesPerSec, model.TimeScale); got != want {
+		t.Errorf("four writers of %d bytes each, a byte at a time, charged %v, want %v", size/4, got, want)
 	}
 }
 

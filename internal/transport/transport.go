@@ -144,28 +144,12 @@ func GigabitEthernet() CostModel {
 
 // Delay is the modeled time to move one message of size bytes over an idle
 // link.
-func (m CostModel) Delay(size int64) time.Duration { return m.latency() + m.byteTime(size) }
-
-func (m CostModel) scale() float64 {
-	if m.TimeScale == 0 {
-		return 1
-	}
-	return m.TimeScale
+func (m CostModel) Delay(size int64) time.Duration {
+	return m.latency() + vtime.ByteTime(size, m.BytesPerSec, m.TimeScale)
 }
 
 // latency is the per-message part of Delay.
-func (m CostModel) latency() time.Duration { return time.Duration(float64(m.Latency) * m.scale()) }
-
-// byteTime is the time to move bytes through a receiver's ingress,
-// truncated once. A node pays byteTime(after) − byteTime(before) for each
-// arrival, so its byte charges sum to byteTime of everything it received,
-// however the bytes were cut into messages.
-func (m CostModel) byteTime(bytes int64) time.Duration {
-	if m.BytesPerSec <= 0 {
-		return 0
-	}
-	return time.Duration(float64(bytes) / float64(m.BytesPerSec) * float64(time.Second) * m.scale())
-}
+func (m CostModel) latency() time.Duration { return vtime.Scale(m.Latency, m.TimeScale) }
 
 // dispatch invokes h once per application message: a coalesced batch frame
 // is unpacked in order and everything else passes straight through, so
@@ -418,13 +402,16 @@ func (n *InMemNetwork) priced(fixed time.Duration, bytes int64) bool {
 }
 
 // pay charges fixed plus the byte term of bytes more arriving at ib's node
-// to its Net lane, through its ingress, and returns the charge.
+// to its Net lane, through its ingress, and returns the charge. The byte
+// term telescopes over the node's running total, so its byte charges sum
+// to the ByteTime of all it received, however the bytes were cut.
 func (n *InMemNetwork) pay(ib *inbox, fixed time.Duration, bytes int64) time.Duration {
 	ib.ingress.Lock()
 	defer ib.ingress.Unlock()
-	before := n.model.byteTime(ib.rxBytes)
+	m := n.model
+	before := vtime.ByteTime(ib.rxBytes, m.BytesPerSec, m.TimeScale)
 	ib.rxBytes += bytes
-	d := fixed + n.model.byteTime(ib.rxBytes) - before
+	d := fixed + vtime.ByteTime(ib.rxBytes, m.BytesPerSec, m.TimeScale) - before
 	if d > 0 {
 		n.env.Clock.Charge(int(ib.id), vtime.Net, d)
 	}

@@ -65,6 +65,30 @@ func Resources() []Resource {
 	return out
 }
 
+// Scale multiplies a modeled delay by a cost model's TimeScale (0 treated
+// as 1).
+func Scale(d time.Duration, scale float64) time.Duration {
+	if scale == 0 {
+		scale = 1
+	}
+	return time.Duration(float64(d) * scale)
+}
+
+// ByteTime is the one rule that prices bytes: the time to move bytes at
+// perSec bytes per second, scaled by a cost model's TimeScale (0 treated
+// as 1) and truncated once; 0 when perSec is not positive. A link or disk
+// that pays ByteTime(total+n) − ByteTime(total) for each n more bytes pays
+// ByteTime of all its bytes in sum, however they were cut.
+func ByteTime(bytes, perSec int64, scale float64) time.Duration {
+	if perSec <= 0 {
+		return 0
+	}
+	if scale == 0 {
+		scale = 1
+	}
+	return time.Duration(float64(bytes) / float64(perSec) * float64(time.Second) * scale)
+}
+
 // Driver is the node argument attributing a charge to the serial job
 // coordinator rather than to any worker node.
 const Driver = -1
