@@ -58,7 +58,7 @@ import (
 //     and completion marker straight to the fabric, so hamr-wordcount
 //     runs unpinned.
 
-var update = flag.Bool("update", false, "rewrite testdata/invariance.golden and testdata/table2_tiny.golden from this run")
+var update = flag.Bool("update", false, "rewrite testdata/invariance.golden, testdata/table2_tiny.golden and testdata/graphs.golden from this run")
 
 const goldenPath = "testdata/invariance.golden"
 
