@@ -4,8 +4,8 @@
 // FlatMap splitting them into (word, 1) pairs, a Filter dropping noise
 // words, and a partial reduce that counts occurrences as soon as they
 // arrive (no barrier before aggregation — the dataflow property the
-// engine is built around). Pipeline.Run wires the sink and executes the
-// job in one call; no manual graph assembly is needed.
+// engine is built around). Collect wires the sink and returns the graph,
+// and RunContext executes it; no manual graph assembly is needed.
 //
 // Run with:
 //
@@ -60,13 +60,17 @@ func main() {
 	// node, so filtered pairs never cross the network.
 	stop := map[string]bool{"the": true, "a": true, "and": true, "for": true}
 
-	res, sink, err := hamr.NewPipeline("wordcount", loader).
+	g, sink, err := hamr.NewPipeline("wordcount", loader).
 		Via(hamr.WithRouting(hamr.RouteLocal)). // split where the data loads
 		FlatMap("split", splitLine).
 		Via(hamr.WithRouting(hamr.RouteLocal)).
 		Filter("drop-stopwords", func(kv hamr.KV) bool { return !stop[kv.Key] }).
 		PartialReduce("count", hamr.SumInt64()).
-		Run(context.Background(), c)
+		Collect()
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := c.RunContext(context.Background(), g)
 	if err != nil {
 		log.Fatal(err)
 	}

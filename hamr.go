@@ -50,8 +50,7 @@
 package hamr
 
 import (
-	"fmt"
-
+	"github.com/hamr-go/hamr/internal/apps/hamrapps"
 	"github.com/hamr-go/hamr/internal/cluster"
 	"github.com/hamr-go/hamr/internal/core"
 	"github.com/hamr-go/hamr/internal/kvstore"
@@ -175,7 +174,7 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) { return cluster.New(opts
 // Typed sentinels for the job path; match with errors.Is.
 var (
 	// ErrJobCanceled reports a job stopped by a canceled or expired
-	// context (Cluster.RunContext, Pipeline.Run).
+	// context (Cluster.RunContext).
 	ErrJobCanceled = core.ErrJobCanceled
 	// ErrNoNodes reports a run over zero node runtimes.
 	ErrNoNodes = core.ErrNoNodes
@@ -203,10 +202,4 @@ type KVStore = kvstore.Store
 type KVTable = kvstore.Table
 
 // StoreService extracts the key-value store from a flowlet context.
-func StoreService(ctx Context) (*KVStore, error) {
-	st, ok := ctx.Service(ServiceKVStore).(*KVStore)
-	if !ok {
-		return nil, fmt.Errorf("hamr: kv-store service not available on node %d", ctx.Node())
-	}
-	return st, nil
-}
+func StoreService(ctx Context) (*KVStore, error) { return hamrapps.Store(ctx) }

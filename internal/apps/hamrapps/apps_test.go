@@ -448,9 +448,10 @@ func TestHistogramMoviesBucketsValid(t *testing.T) {
 // the strings fmt built — they are keys and values both engines and the
 // reference must agree on to the byte.
 func TestKeysMatchTheirFmtForms(t *testing.T) {
-	for b := -1.0; b <= 7; b += 0.125 {
-		if got, want := BucketKey(b), fmt.Sprintf("%.1f", b); got != want {
-			t.Errorf("BucketKey(%v) = %q, %%.1f gives %q", b, got, want)
+	for avg := -1.0; avg <= 7; avg += 0.125 {
+		bucket := math.Min(5, math.Max(1, math.Round(avg*2)/2))
+		if got, want := BucketKey(avg), fmt.Sprintf("%.1f", bucket); got != want {
+			t.Errorf("BucketKey(%v) = %q, %%.1f of its half-star bucket gives %q", avg, got, want)
 		}
 	}
 	rng := rand.New(rand.NewSource(5))

@@ -34,45 +34,16 @@ func (m *Classify) Map(kv core.KV, ctx core.Context) error {
 type ClassificationOptions struct {
 	Files     map[int][]string
 	Centroids []Centroid
-	// AssignmentSink overrides the local assignment output.
-	AssignmentSink core.Sink
 }
 
-// ClassificationSinks carries the outputs.
-type ClassificationSinks struct {
-	// Assignments receives (clusterID, movieID) pairs; nil when overridden.
-	Assignments *core.CollectSink
-}
-
-// BuildClassification constructs the Classification graph.
-func BuildClassification(opts ClassificationOptions) (*core.Graph, *ClassificationSinks, error) {
+// BuildClassification constructs the Classification graph; assign receives
+// the (clusterID, movieID) pairs on each node.
+func BuildClassification(opts ClassificationOptions, assign core.Sink) (*core.Graph, error) {
 	if len(opts.Centroids) == 0 {
-		return nil, nil, fmt.Errorf("hamrapps: classification needs centroids")
+		return nil, fmt.Errorf("hamrapps: classification needs centroids")
 	}
-	g := core.NewGraph("classification")
-	sinks := &ClassificationSinks{Assignments: core.NewCollectSink()}
-	var assignSink core.Sink = sinks.Assignments
-	if opts.AssignmentSink != nil {
-		assignSink = opts.AssignmentSink
-		sinks.Assignments = nil
-	}
-	ld, err := g.AddLoader("load", &LocalTextLoader{Files: opts.Files})
-	if err != nil {
-		return nil, nil, err
-	}
-	cl, err := g.AddMap("classify", &Classify{Centroids: opts.Centroids})
-	if err != nil {
-		return nil, nil, err
-	}
-	asn, err := g.AddSink("assign", assignSink)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := g.Connect(ld, cl, core.WithRouting(core.RouteLocal)); err != nil {
-		return nil, nil, err
-	}
-	if err := g.Connect(cl, asn); err != nil {
-		return nil, nil, err
-	}
-	return g, sinks, nil
+	return core.NewPipeline("classification", "load", &LocalTextLoader{Files: opts.Files}).
+		Via(core.WithRouting(core.RouteLocal)).
+		Map("classify", &Classify{Centroids: opts.Centroids}).
+		Sink("assign", assign)
 }

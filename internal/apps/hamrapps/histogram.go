@@ -16,12 +16,14 @@ type MovieAvgBucket struct{}
 // bucketKeys are the half-star buckets 1.0 ... 5.0, indexed by 2b-2.
 var bucketKeys = [...]string{"1.0", "1.5", "2.0", "2.5", "3.0", "3.5", "4.0", "4.5", "5.0"}
 
-// BucketKey renders a histogram bucket to one decimal.
-func BucketKey(b float64) string {
-	if i := b*2 - 2; i >= 0 && i < float64(len(bucketKeys)) && i == math.Trunc(i) {
-		return bucketKeys[int(i)]
+// BucketKey is the half-star bucket of an average rating, to one decimal:
+// the average rounded to the nearest half star and clamped to 1.0 ... 5.0.
+func BucketKey(avg float64) string {
+	i := math.Round(avg*2) - 2
+	if !(i > 0) { // also NaN
+		i = 0
 	}
-	return strconv.FormatFloat(b, 'f', 1, 64)
+	return bucketKeys[int(math.Min(i, float64(len(bucketKeys)-1)))]
 }
 
 // Map implements core.Mapper.
@@ -30,15 +32,7 @@ func (MovieAvgBucket) Map(kv core.KV, ctx core.Context) error {
 	if !ok || len(rec.Ratings) == 0 {
 		return nil
 	}
-	avg := rec.AvgRating()
-	bucket := math.Round(avg*2) / 2
-	if bucket < 1 {
-		bucket = 1
-	}
-	if bucket > 5 {
-		bucket = 5
-	}
-	return ctx.Emit(core.KV{Key: BucketKey(bucket), Value: int64(1)})
+	return ctx.Emit(core.KV{Key: BucketKey(rec.AvgRating()), Value: int64(1)})
 }
 
 // RatingExplode is the HistogramRatings map flowlet: emit one count per
@@ -69,50 +63,19 @@ type HistogramOptions struct {
 // flowlet, named mapName, emitting (key, 1) into a shuffled partial-reduce
 // sum, with an optional node-local sum before the shuffle.
 func buildCount(name, mapName string, mapper core.Mapper, opts HistogramOptions) (*core.Graph, *core.CollectSink, error) {
-	g := core.NewGraph(name)
-	sink := core.NewCollectSink()
-	ld, err := g.AddLoader("load", opts.Loader)
-	if err != nil {
-		return nil, nil, err
-	}
-	mp, err := g.AddMap(mapName, mapper)
-	if err != nil {
-		return nil, nil, err
-	}
-	prev := mp
-	if opts.Combiner {
-		cb, err := g.AddPartialReduce("combine", SumCounts{})
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := g.Connect(mp, cb, core.WithRouting(core.RouteLocal)); err != nil {
-			return nil, nil, err
-		}
-		prev = cb
-	}
-	cnt, err := g.AddPartialReduce("count", SumCounts{})
-	if err != nil {
-		return nil, nil, err
-	}
-	if opts.SerializeUpdates {
-		g.Flowlets()[cnt].SerializeUpdates = true
-	}
-	sk, err := g.AddSink("out", sink)
-	if err != nil {
-		return nil, nil, err
-	}
 	// The loader's lines carry no keys; they are parsed on the node that
 	// holds them (§3.3), so the edge is explicitly local.
-	if err := g.Connect(ld, mp, core.WithRouting(core.RouteLocal)); err != nil {
-		return nil, nil, err
+	p := core.NewPipeline(name, "load", opts.Loader).
+		Via(core.WithRouting(core.RouteLocal)).
+		Map(mapName, mapper)
+	if opts.Combiner {
+		p.Via(core.WithRouting(core.RouteLocal)).PartialReduce("combine", SumCounts{})
 	}
-	if err := g.Connect(prev, cnt); err != nil {
-		return nil, nil, err
+	g, sink, err := p.PartialReduce("count", SumCounts{}).Collect()
+	if err == nil && opts.SerializeUpdates {
+		g.Flowlets()[g.FlowletID("count")].SerializeUpdates = true
 	}
-	if err := g.Connect(cnt, sk); err != nil {
-		return nil, nil, err
-	}
-	return g, sink, nil
+	return g, sink, err
 }
 
 // BuildHistogramMovies constructs the HistogramMovies graph:

@@ -216,45 +216,13 @@ func BuildKCliques(k int, edgeLoader core.Loader) (*core.Graph, *core.CollectSin
 	if k < 2 {
 		return nil, nil, fmt.Errorf("hamrapps: K must be >= 2, got %d", k)
 	}
-	g := core.NewGraph(fmt.Sprintf("%d-cliques", k))
-	sink := core.NewCollectSink()
-	ld, err := g.AddLoader("load", &CliqueLoader{Inner: edgeLoader})
-	if err != nil {
-		return nil, nil, err
-	}
-	gb, err := g.AddReduce("graphbuilder", GraphBuilder{})
-	if err != nil {
-		return nil, nil, err
-	}
-	seed, err := g.AddPartialReduce("seeder", CliqueSeeder{K: k})
-	if err != nil {
-		return nil, nil, err
-	}
-	sk, err := g.AddSink("out", sink)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := g.Connect(ld, gb); err != nil {
-		return nil, nil, err
-	}
-	if err := g.Connect(gb, seed); err != nil {
-		return nil, nil, err
-	}
-	prev := seed
+	p := core.NewPipeline(fmt.Sprintf("%d-cliques", k), "load", &CliqueLoader{Inner: edgeLoader}).
+		Reduce("graphbuilder", GraphBuilder{}).
+		PartialReduce("seeder", CliqueSeeder{K: k})
 	for size := 2; size <= k; size++ {
-		v, err := g.AddMap(fmt.Sprintf("verify%d", size), CliqueVerify{Size: size, K: k})
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := g.Connect(prev, v); err != nil {
-			return nil, nil, err
-		}
-		prev = v
+		p.Map(fmt.Sprintf("verify%d", size), CliqueVerify{Size: size, K: k})
 	}
 	// Candidate-emitting stages can also reach the sink directly ("out"):
 	// the seeder for K == 2, the final verify stage otherwise.
-	if err := g.Connect(prev, sk, core.WithRouting(core.RouteLocal)); err != nil {
-		return nil, nil, err
-	}
-	return g, sink, nil
+	return p.Via(core.WithRouting(core.RouteLocal)).Collect()
 }

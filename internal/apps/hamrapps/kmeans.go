@@ -254,7 +254,6 @@ func BuildKMeans(opts KMeansOptions) (*core.Graph, *KMeansSinks, error) {
 	if len(opts.Centroids) == 0 {
 		return nil, nil, fmt.Errorf("hamrapps: kmeans needs initial centroids")
 	}
-	g := core.NewGraph("kmeans")
 	sinks := &KMeansSinks{
 		Centroids:   core.NewCollectSink(),
 		Assignments: core.NewCollectSink(),
@@ -264,11 +263,13 @@ func BuildKMeans(opts KMeansOptions) (*core.Graph, *KMeansSinks, error) {
 		assignSink = opts.AssignmentSink
 		sinks.Assignments = nil
 	}
-	ld, err := g.AddLoader("load", &LocalTextLoader{Files: opts.Files, WithPosition: true})
-	if err != nil {
-		return nil, nil, err
-	}
-	cg, err := g.AddMap("clustergen", &ClusterGen{Centroids: opts.Centroids})
+	g, err := core.NewPipeline("kmeans", "load", &LocalTextLoader{Files: opts.Files, WithPosition: true}).
+		Via(core.WithRouting(core.RouteLocal)).
+		Map("clustergen", &ClusterGen{Centroids: opts.Centroids}).
+		Reduce("newcentroid", NewCentroidGen{}).
+		Map("centroidinfo", NewCentroidInfoGet{}). // routed explicitly with EmitToNode
+		Map("update", CentroidUpdate{}).           // routed explicitly with EmitBroadcast
+		Sink("out", sinks.Centroids)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -276,38 +277,7 @@ func BuildKMeans(opts KMeansOptions) (*core.Graph, *KMeansSinks, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ncg, err := g.AddReduce("newcentroid", NewCentroidGen{})
-	if err != nil {
-		return nil, nil, err
-	}
-	nci, err := g.AddMap("centroidinfo", NewCentroidInfoGet{})
-	if err != nil {
-		return nil, nil, err
-	}
-	upd, err := g.AddMap("update", CentroidUpdate{})
-	if err != nil {
-		return nil, nil, err
-	}
-	sk, err := g.AddSink("out", sinks.Centroids)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, e := range []struct {
-		from, to int
-		opts     []core.EdgeOption
-	}{
-		{ld, cg, []core.EdgeOption{core.WithRouting(core.RouteLocal)}},
-		{cg, asn, nil},
-		{cg, ncg, nil},
-		{ncg, nci, nil}, // routed explicitly with EmitToNode
-		{nci, upd, nil}, // routed explicitly with EmitBroadcast
-		{upd, sk, nil},
-	} {
-		if err := g.Connect(e.from, e.to, e.opts...); err != nil {
-			return nil, nil, err
-		}
-	}
-	return g, sinks, nil
+	return g, sinks, g.Connect(g.FlowletID("clustergen"), asn)
 }
 
 // readLineAt returns the line starting at byte offset off of an open

@@ -105,45 +105,17 @@ func (WeightSum) Finish(feature string, state any, ctx core.Context) error {
 
 // BuildNaiveBayes constructs the Algorithm 4 graph.
 func BuildNaiveBayes(loader core.Loader) (*core.Graph, *core.CollectSink, error) {
-	g := core.NewGraph("naivebayes")
-	sink := core.NewCollectSink()
-	ld, err := g.AddLoader("load", loader)
-	if err != nil {
-		return nil, nil, err
-	}
-	idx, err := g.AddMap("index", IndexInstances{})
-	if err != nil {
-		return nil, nil, err
-	}
-	vs, err := g.AddPartialReduce("vectorsum", VectorSum{})
-	if err != nil {
-		return nil, nil, err
-	}
-	ws, err := g.AddPartialReduce("weightsum", WeightSum{})
-	if err != nil {
-		return nil, nil, err
-	}
-	sk, err := g.AddSink("out", sink)
-	if err != nil {
-		return nil, nil, err
-	}
 	// Documents are parsed on the node holding them (§3.3).
-	if err := g.Connect(ld, idx, core.WithRouting(core.RouteLocal)); err != nil {
-		return nil, nil, err
-	}
-	if err := g.Connect(idx, vs); err != nil {
-		return nil, nil, err
-	}
-	if err := g.Connect(vs, ws); err != nil {
+	g, sink, err := core.NewPipeline("naivebayes", "load", loader).
+		Via(core.WithRouting(core.RouteLocal)).
+		Map("index", IndexInstances{}).
+		PartialReduce("vectorsum", VectorSum{}).
+		PartialReduce("weightsum", WeightSum{}).
+		Collect()
+	if err != nil {
 		return nil, nil, err
 	}
 	// VectorSum emits label weights straight to the sink (multi-output,
 	// §3.2's "flexible input/output way").
-	if err := g.Connect(vs, sk); err != nil {
-		return nil, nil, err
-	}
-	if err := g.Connect(ws, sk); err != nil {
-		return nil, nil, err
-	}
-	return g, sink, nil
+	return g, sink, g.Connect(g.FlowletID("vectorsum"), g.FlowletID("out"))
 }

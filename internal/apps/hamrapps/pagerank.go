@@ -205,58 +205,19 @@ func (MaxFloat) Finish(key string, state any, ctx core.Context) error {
 // edge replay). The sink receives one ("delta", node-local max) per node
 // that reduced a page; the iteration's max delta is their maximum.
 func BuildPageRankIteration(first bool, edgeLoader core.Loader) (*core.Graph, *core.CollectSink, error) {
-	g := core.NewGraph("pagerank-iter")
-	sink := core.NewCollectSink()
-	var prev int
+	var p *core.Pipeline
 	if first {
-		ld, err := g.AddLoader("edges", &EdgeFileLoader{Inner: edgeLoader})
-		if err != nil {
-			return nil, nil, err
-		}
-		join, err := g.AddReduce("hashjoin", HashJoinRed{})
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := g.Connect(ld, join); err != nil {
-			return nil, nil, err
-		}
-		prev = join
+		p = core.NewPipeline("pagerank-iter", "edges", &EdgeFileLoader{Inner: edgeLoader}).
+			Reduce("hashjoin", HashJoinRed{})
 	} else {
-		ld, err := g.AddLoader("edges", EdgeLoader{})
-		if err != nil {
-			return nil, nil, err
-		}
-		prev = ld
+		p = core.NewPipeline("pagerank-iter", "edges", EdgeLoader{})
 	}
-	merge, err := g.AddReduce("merge", MergeRed{})
-	if err != nil {
-		return nil, nil, err
-	}
-	cont, err := g.AddMap("cont", ContMap{})
-	if err != nil {
-		return nil, nil, err
-	}
-	mx, err := g.AddPartialReduce("maxdelta", MaxFloat{})
-	if err != nil {
-		return nil, nil, err
-	}
-	sk, err := g.AddSink("out", sink)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := g.Connect(prev, merge); err != nil {
-		return nil, nil, err
-	}
-	if err := g.Connect(merge, cont, core.WithRouting(core.RouteLocal)); err != nil {
-		return nil, nil, err
-	}
-	if err := g.Connect(cont, mx, core.WithRouting(core.RouteLocal)); err != nil {
-		return nil, nil, err
-	}
-	if err := g.Connect(mx, sk); err != nil {
-		return nil, nil, err
-	}
-	return g, sink, nil
+	return p.Reduce("merge", MergeRed{}).
+		Via(core.WithRouting(core.RouteLocal)).
+		Map("cont", ContMap{}).
+		Via(core.WithRouting(core.RouteLocal)).
+		PartialReduce("maxdelta", MaxFloat{}).
+		Collect()
 }
 
 // PageRankResult holds a finished run.

@@ -8,7 +8,6 @@ package mrapps
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -63,14 +62,7 @@ func HistogramMoviesJob(input, output string, combiner bool, reduces int) mapred
 		if !ok || len(rec.Ratings) == 0 {
 			return nil
 		}
-		b := math.Round(rec.AvgRating()*2) / 2
-		if b < 1 {
-			b = 1
-		}
-		if b > 5 {
-			b = 5
-		}
-		return out.Emit(core.KV{Key: hamrapps.BucketKey(b), Value: int64(1)})
+		return out.Emit(core.KV{Key: hamrapps.BucketKey(rec.AvgRating()), Value: int64(1)})
 	})
 }
 

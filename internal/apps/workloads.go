@@ -206,9 +206,9 @@ var Table = []*Workload{
 		Paper: PaperRow{"300GB", 2773.660, 212.815, 13.03},
 		Data:  movies300, Seeded: true, Reference: refClassification,
 		Graph: func(e Env) (*core.Graph, *core.CollectSink, error) {
-			g, _, err := hamrapps.BuildClassification(hamrapps.ClassificationOptions{
-				Files: e.Files, Centroids: e.Centroids, AssignmentSink: e.localSink("out/classify-assign"),
-			})
+			g, err := hamrapps.BuildClassification(hamrapps.ClassificationOptions{
+				Files: e.Files, Centroids: e.Centroids,
+			}, e.localSink("out/classify-assign"))
 			return g, nil, err
 		},
 		// The PUMA job materializes every record under its cluster.

@@ -1,7 +1,6 @@
 package hamr
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/hamr-go/hamr/internal/apps/hamrapps"
@@ -30,151 +29,19 @@ func DistributeLocalText(c *Cluster, name string, data []byte, parts int) (map[i
 //	    Collect()
 //
 // Stages are connected in order with shuffle routing (overridable per
-// stage with Via).
-type Pipeline struct {
-	g      *Graph
-	prev   int
-	nextRt []EdgeOption
-	err    error
-}
+// stage with Via); run the graph with Cluster.Run or Cluster.RunContext.
+type Pipeline = core.Pipeline
 
-// NewPipeline starts a pipeline at a loader stage.
+// NewPipeline starts a pipeline at a loader stage named "load".
 func NewPipeline(name string, loader Loader) *Pipeline {
-	p := &Pipeline{g: NewGraph(name)}
-	id, err := p.g.AddLoader("load", loader)
-	p.prev, p.err = id, err
-	return p
-}
-
-// Via sets edge options for the next connection only.
-func (p *Pipeline) Via(opts ...EdgeOption) *Pipeline {
-	p.nextRt = opts
-	return p
-}
-
-func (p *Pipeline) connect(id int, err error) *Pipeline {
-	if p.err != nil {
-		return p
-	}
-	if err != nil {
-		p.err = err
-		return p
-	}
-	opts := p.nextRt
-	p.nextRt = nil
-	if err := p.g.Connect(p.prev, id, opts...); err != nil {
-		p.err = err
-		return p
-	}
-	p.prev = id
-	return p
-}
-
-// Map appends a map stage.
-func (p *Pipeline) Map(name string, m Mapper) *Pipeline {
-	if p.err != nil {
-		return p
-	}
-	id, err := p.g.AddMap(name, m)
-	return p.connect(id, err)
-}
-
-// Filter appends a map stage that forwards only pairs keep returns true
-// for.
-func (p *Pipeline) Filter(name string, keep func(KV) bool) *Pipeline {
-	return p.Map(name, MapFunc(func(kv KV, ctx Context) error {
-		if !keep(kv) {
-			return nil
-		}
-		return ctx.Emit(kv)
-	}))
-}
-
-// FlatMap appends a map stage whose function may emit zero or more pairs
-// per input pair through the emit callback.
-func (p *Pipeline) FlatMap(name string, fn func(kv KV, emit func(KV) error) error) *Pipeline {
-	return p.Map(name, MapFunc(func(kv KV, ctx Context) error {
-		return fn(kv, ctx.Emit)
-	}))
-}
-
-// Reduce appends a reduce stage.
-func (p *Pipeline) Reduce(name string, r Reducer) *Pipeline {
-	if p.err != nil {
-		return p
-	}
-	id, err := p.g.AddReduce(name, r)
-	return p.connect(id, err)
-}
-
-// PartialReduce appends a partial-reduce stage.
-func (p *Pipeline) PartialReduce(name string, r PartialReducer) *Pipeline {
-	if p.err != nil {
-		return p
-	}
-	id, err := p.g.AddPartialReduce(name, r)
-	return p.connect(id, err)
-}
-
-// Sink terminates the pipeline with a caller-provided sink and returns the
-// finished graph.
-func (p *Pipeline) Sink(name string, s Sink) (*Graph, error) {
-	if p.err != nil {
-		return nil, p.err
-	}
-	id, err := p.g.AddSink(name, s)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.g.Connect(p.prev, id, p.nextRt...); err != nil {
-		return nil, err
-	}
-	return p.g, nil
-}
-
-// Collect terminates the pipeline with a CollectSink.
-func (p *Pipeline) Collect() (*Graph, *CollectSink, error) {
-	sink := NewCollectSink()
-	g, err := p.Sink("out", sink)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, sink, nil
-}
-
-// Run terminates the pipeline with a CollectSink and executes it on the
-// cluster, honoring ctx cancellation — the one-call path from fluent
-// builder to results:
-//
-//	res, sink, err := hamr.NewPipeline("wc", loader).
-//	    FlatMap("split", splitLine).
-//	    PartialReduce("count", hamr.SumInt64()).
-//	    Run(ctx, c)
-func (p *Pipeline) Run(ctx context.Context, c *Cluster) (*JobResult, *CollectSink, error) {
-	g, sink, err := p.Collect()
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := c.RunContext(ctx, g)
-	if err != nil {
-		return res, sink, err
-	}
-	return res, sink, nil
+	return core.NewPipeline(name, "load", loader)
 }
 
 // MapFunc adapts a function to Mapper.
-type MapFunc func(kv KV, ctx Context) error
-
-// Map implements Mapper.
-func (f MapFunc) Map(kv KV, ctx Context) error { return f(kv, ctx) }
+type MapFunc = core.MapFunc
 
 // ReduceFunc adapts a function to Reducer.
-type ReduceFunc func(key string, values []any, ctx Context) error
-
-// Reduce implements Reducer.
-func (f ReduceFunc) Reduce(key string, values []any, ctx Context) error {
-	return f(key, values, ctx)
-}
+type ReduceFunc = core.ReduceFunc
 
 // Fold builds a PartialReducer from an update function and an optional
 // finish formatter (default: emit the final state under the key).
