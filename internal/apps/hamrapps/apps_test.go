@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -206,12 +207,8 @@ func TestKCliquesGraphDepthMatchesK(t *testing.T) {
 				verifies++
 			}
 		}
-		want := k - 1
-		if k == 2 {
-			want = 1 // verify2 exists but the seeder short-circuits to the sink
-		}
-		if verifies != want {
-			t.Errorf("k=%d: %d verify stages, want %d", k, verifies, want)
+		if verifies != k-1 {
+			t.Errorf("k=%d: %d verify stages, want %d", k, verifies, k-1)
 		}
 	}
 	if _, _, err := BuildKCliques(1, loader); err == nil {
@@ -238,6 +235,40 @@ func TestKCliquesOnKnownGraph(t *testing.T) {
 		if sink.Len() != want {
 			t.Errorf("k=%d: found %d cliques, want %d", k, sink.Len(), want)
 		}
+	}
+}
+
+// TestKCliquesTwoListsEveryEdgeOnce: at K = 2 the seeder's candidates
+// pass through verify2 to the sink, so the answer is the graph's edge set,
+// each undirected edge once.
+func TestKCliquesTwoListsEveryEdgeOnce(t *testing.T) {
+	c := newCluster(t, 3)
+	data := datagen.CliqueTestGraph(5, 8)
+	want := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var u, v int
+		if _, err := fmt.Sscan(line, &u, &v); err != nil {
+			t.Fatal(err)
+		}
+		want[fmt.Sprintf("%d,%d", min(u, v), max(u, v))] = 1
+	}
+	files, err := DistributeLocalText(c, "g", data, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, sink, err := BuildKCliques(2, &LocalTextLoader{Files: files})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(g); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int{}
+	for _, kv := range sink.Pairs() {
+		got[kv.Key]++
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("2-cliques %v, want each of %d edges once: %v", got, len(want), want)
 	}
 }
 

@@ -102,17 +102,16 @@ func (GraphBuilder) Reduce(key string, values []any, ctx core.Context) error {
 
 // CliqueSeeder generates 2-cliques once every GraphBuilder has completed
 // (partial-reduce Finish runs only after all upstreams complete on all
-// nodes — the Alg. 3 TwoCliquesGenerator barrier).
-type CliqueSeeder struct {
-	K int
-}
+// nodes — the Alg. 3 TwoCliquesGenerator barrier). Every candidate goes
+// to verify2, which emits it for K == 2 and extends it otherwise.
+type CliqueSeeder struct{}
 
 // Update implements core.PartialReducer (the token's value is unused).
 func (CliqueSeeder) Update(key string, state, value any) (any, error) { return value, nil }
 
 // Finish implements core.PartialReducer: emit "u,v" candidates keyed by v
 // for every neighbor v > u.
-func (s CliqueSeeder) Finish(key string, state any, ctx core.Context) error {
+func (CliqueSeeder) Finish(key string, state any, ctx core.Context) error {
 	st, err := Store(ctx)
 	if err != nil {
 		return err
@@ -135,12 +134,6 @@ func (s CliqueSeeder) Finish(key string, state any, ctx core.Context) error {
 	sort.Slice(neighbors, func(i, j int) bool { return neighbors[i] < neighbors[j] })
 	for _, v := range neighbors {
 		cand := fmt.Sprintf("%d,%d", u, v)
-		if s.K == 2 {
-			if err := ctx.EmitTo("out", core.KV{Key: cand, Value: int64(1)}); err != nil {
-				return err
-			}
-			continue
-		}
 		if err := ctx.EmitTo("verify2", core.KV{Key: strconv.FormatInt(v, 10), Value: cand}); err != nil {
 			return err
 		}
@@ -218,11 +211,10 @@ func BuildKCliques(k int, edgeLoader core.Loader) (*core.Graph, *core.CollectSin
 	}
 	p := core.NewPipeline(fmt.Sprintf("%d-cliques", k), "load", &CliqueLoader{Inner: edgeLoader}).
 		Reduce("graphbuilder", GraphBuilder{}).
-		PartialReduce("seeder", CliqueSeeder{K: k})
+		PartialReduce("seeder", CliqueSeeder{})
 	for size := 2; size <= k; size++ {
 		p.Map(fmt.Sprintf("verify%d", size), CliqueVerify{Size: size, K: k})
 	}
-	// Candidate-emitting stages can also reach the sink directly ("out"):
-	// the seeder for K == 2, the final verify stage otherwise.
+	// The final verify stage emits the K-cliques to the sink ("out").
 	return p.Via(core.WithRouting(core.RouteLocal)).Collect()
 }

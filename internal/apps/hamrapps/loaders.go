@@ -7,6 +7,7 @@ package hamrapps
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -190,30 +191,46 @@ func Store(ctx core.Context) (*kvstore.Store, error) {
 
 // DistributeLocalText splits data line-preserving into one local file per
 // node and returns the LocalTextLoader file map. parts defaults to the
-// cluster size.
+// cluster size. Trailing newlines are dropped, each part holds
+// ⌈lines/parts⌉ lines ending in '\n', and part p goes to node p mod N.
+// Each part is a slice of data handed straight to the disk, which copies
+// what it is given; only an input's last line without its '\n' is copied
+// here.
 func DistributeLocalText(c *cluster.Cluster, name string, data []byte, parts int) (map[int][]string, error) {
 	if parts <= 0 {
 		parts = c.NumNodes()
 	}
-	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	per := (len(lines) + parts - 1) / parts
+	text := bytes.TrimRight(data, "\n")
+	lines := bytes.Count(text, []byte{'\n'}) + 1
+	per := (lines + parts - 1) / parts
 	files := make(map[int][]string)
-	for p := 0; p < parts; p++ {
-		lo := p * per
-		if lo >= len(lines) {
-			break
+	start := 0
+	for p := 0; p*per < lines; p++ {
+		// next is one past the '\n' that ends the part's last line. The
+		// text's last line lost its '\n' to TrimRight, so it counts as
+		// ending at len(text).
+		next := start
+		for i := 0; i < per; i++ {
+			nl := bytes.IndexByte(text[next:], '\n')
+			if nl < 0 {
+				next = len(text) + 1
+				break
+			}
+			next += nl + 1
 		}
-		hi := lo + per
-		if hi > len(lines) {
-			hi = len(lines)
+		var chunk []byte
+		if next <= len(data) {
+			chunk = data[start:next]
+		} else {
+			chunk = append(append(make([]byte, 0, len(data)-start+1), data[start:]...), '\n')
 		}
 		node := p % c.NumNodes()
 		fname := fmt.Sprintf("input/%s-part-%04d", name, p)
-		chunk := strings.Join(lines[lo:hi], "\n") + "\n"
-		if err := c.WriteLocalText(node, fname, []byte(chunk)); err != nil {
+		if err := c.WriteLocalText(node, fname, chunk); err != nil {
 			return nil, err
 		}
 		files[node] = append(files[node], fname)
+		start = next
 	}
 	return files, nil
 }

@@ -17,13 +17,18 @@ import (
 // sampler (the stdlib rand.Zipf needs s > 1; the benchmarks commonly use
 // s values at or below 1, so we build our own table), searched through a
 // guide table (Chen and Asau): guide[i] is the first index whose cdf
-// entry reaches i/n, so a draw starts next to its answer instead of
-// bisecting the whole table.
+// entry reaches i/len(guide), so a draw starts next to its answer instead
+// of bisecting the whole table. The table has guidePerItem buckets per
+// item: with one, a draw in a long s = 1 tail still walked up to about
+// nine entries.
 type Zipf struct {
 	rng   *rand.Rand
 	cdf   []float64
-	guide []int
+	guide []int32
 }
+
+// guidePerItem is the guide table's buckets per cdf entry.
+const guidePerItem = 8
 
 // NewZipf creates a sampler over n items with exponent s (> 0).
 func NewZipf(rng *rand.Rand, n int, s float64) *Zipf {
@@ -39,27 +44,32 @@ func NewZipf(rng *rand.Rand, n int, s float64) *Zipf {
 	for k := range cdf {
 		cdf[k] /= sum
 	}
-	guide := make([]int, n)
+	return &Zipf{rng: rng, cdf: cdf, guide: guideFor(cdf)}
+}
+
+// guideFor builds the guide table over a normalised cdf.
+func guideFor(cdf []float64) []int32 {
+	guide := make([]int32, guidePerItem*len(cdf))
 	k := 0
 	for i := range guide {
-		for k < n-1 && cdf[k] < float64(i)/float64(n) {
+		for k < len(cdf)-1 && cdf[k] < float64(i)/float64(len(guide)) {
 			k++
 		}
-		guide[i] = k
+		guide[i] = int32(k)
 	}
-	return &Zipf{rng: rng, cdf: cdf, guide: guide}
+	return guide
 }
 
 // Next draws one sample.
 func (z *Zipf) Next() int { return z.index(z.rng.Float64()) }
 
 // index returns the first cdf entry >= u (the last entry when none is),
-// for u in [0, 1). The guide names u's bucket's first candidate; u*n may
+// for u in [0, 1). The guide names u's bucket's first candidate; u*g may
 // round up into the next bucket, so the walk also steps back while the
 // entry before it still reaches u.
 func (z *Zipf) index(u float64) int {
-	n := len(z.cdf)
-	k := z.guide[min(int(u*float64(n)), n-1)]
+	n, g := len(z.cdf), len(z.guide)
+	k := int(z.guide[min(int(u*float64(g)), g-1)])
 	for k < n-1 && z.cdf[k] < u {
 		k++
 	}
