@@ -188,8 +188,11 @@ func TestHAMRInvariantRealVsVirtual(t *testing.T) {
 // the data and the cost model alone. Table 2 at TinyScale runs at
 // GOMAXPROCS 1, 2 and 8; every row's HAMR nanoseconds, net.msgs, net.bytes
 // and disk read and write bytes must be identical across the three runs,
-// and the first run must equal testdata/table2_tiny.golden. After an
-// intended change to what HAMR does or costs:
+// and the first run must equal testdata/table2_tiny.golden. So must the
+// baseline's jobs, spills, spilled bytes, merge passes, combines and disk
+// bytes: what its user code emits, not where YARN places it (its shuffle
+// and net bytes and its time move with container placement, and are left
+// out). After an intended change to what either engine does or costs:
 //
 //	go test ./internal/bench -run TestHAMRModeledTimeIgnoresTheScheduler -update
 func TestHAMRModeledTimeIgnoresTheScheduler(t *testing.T) {
@@ -205,31 +208,46 @@ func TestHAMRModeledTimeIgnoresTheScheduler(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := h.LastHAMRCluster
-			got := fmt.Sprintf("ns=%d net.msgs=%d net.bytes=%d disk.read.bytes=%d disk.write.bytes=%d",
-				row.HAMR, m.Get("net.msgs"), m.Get("net.bytes"), m.Get("disk.read.bytes"), m.Get("disk.write.bytes"))
-			if procs == 1 {
-				first = append(first, got)
-			} else if m := mismatch(string(w.Name), fmt.Sprintf("GOMAXPROCS %d", procs), "GOMAXPROCS 1", first[i], got); m != "" {
-				t.Error(m)
+			m, mr := h.LastHAMRCluster, h.LastMR
+			got := []string{
+				fmt.Sprintf("ns=%d net.msgs=%d net.bytes=%d disk.read.bytes=%d disk.write.bytes=%d",
+					row.HAMR, m.Get("net.msgs"), m.Get("net.bytes"), m.Get("disk.read.bytes"), m.Get("disk.write.bytes")),
+				fmt.Sprintf("mr.jobs=%d mr.spills=%d mr.spill.bytes=%d mr.merge.passes=%d mr.combines=%d disk.read.bytes=%d disk.write.bytes=%d",
+					mr.Get("mr.jobs"), mr.Get("mr.spills"), mr.Get("mr.spill.bytes"), mr.Get("mr.merge.passes"),
+					mr.Get("mr.combines"), mr.Get("disk.read.bytes"), mr.Get("disk.write.bytes")),
+			}
+			for j, side := range []string{"", mrSuffix} {
+				if procs == 1 {
+					first = append(first, got[j])
+				} else if m := mismatch(string(w.Name)+side, fmt.Sprintf("GOMAXPROCS %d", procs), "GOMAXPROCS 1", first[2*i+j], got[j]); m != "" {
+					t.Error(m)
+				}
 			}
 		}
 	}
 	checkTable2Golden(t, first)
 }
 
+// mrSuffix names a row's baseline line in table2GoldenPath.
+const mrSuffix = " MR"
+
 const table2GoldenPath = "testdata/table2_tiny.golden"
 
-// checkTable2Golden holds each Table 2 row's HAMR fingerprint to its line
-// in table2GoldenPath, or rewrites the file under -update.
+// checkTable2Golden holds each Table 2 row's HAMR and baseline fingerprints
+// (prints[2i] and prints[2i+1]) to their lines in table2GoldenPath, the
+// HAMR half first, or rewrites the file under -update.
 func checkTable2Golden(t *testing.T, prints []string) {
 	t.Helper()
 	var buf bytes.Buffer
 	buf.WriteString("# HAMR modeled ns and traffic per Table 2 row at TinyScale under the\n" +
-		"# virtual clock (TestHAMRModeledTimeIgnoresTheScheduler). Rewrite with:\n" +
+		"# virtual clock, then (\"<row> MR\") the MapReduce baseline's jobs, spills,\n" +
+		"# merge passes, combines and disk bytes (TestHAMRModeledTimeIgnoresTheScheduler).\n" +
+		"# Rewrite with:\n" +
 		"#   go test ./internal/bench -run TestHAMRModeledTimeIgnoresTheScheduler -update\n")
-	for i, w := range apps.Table {
-		fmt.Fprintf(&buf, "%s: %s\n", w.Name, prints[i])
+	for j, side := range []string{"", mrSuffix} {
+		for i, w := range apps.Table {
+			fmt.Fprintf(&buf, "%s%s: %s\n", w.Name, side, prints[2*i+j])
+		}
 	}
 	if *update {
 		if err := os.WriteFile(table2GoldenPath, buf.Bytes(), 0o644); err != nil {
@@ -247,11 +265,12 @@ func checkTable2Golden(t *testing.T, prints []string) {
 			want[name] = print
 		}
 	}
-	if len(want) != len(apps.Table) {
-		t.Errorf("%s has %d rows for %d Table 2 rows (run with -update)", table2GoldenPath, len(want), len(apps.Table))
+	if len(want) != len(prints) {
+		t.Errorf("%s has %d lines for %d Table 2 rows on two engines (run with -update)", table2GoldenPath, len(want), len(apps.Table))
 	}
-	for i, w := range apps.Table {
-		if m := mismatch(string(w.Name), "GOMAXPROCS 1", table2GoldenPath, want[string(w.Name)], prints[i]); m != "" {
+	for i, p := range prints {
+		row := string(apps.Table[i/2].Name) + []string{"", mrSuffix}[i%2]
+		if m := mismatch(row, "GOMAXPROCS 1", table2GoldenPath, want[row], p); m != "" {
 			t.Error(m)
 		}
 	}
