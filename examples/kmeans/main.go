@@ -20,6 +20,7 @@ import (
 
 	hamr "github.com/hamr-go/hamr"
 	"github.com/hamr-go/hamr/internal/apps/hamrapps"
+	"github.com/hamr-go/hamr/internal/apps/kernel"
 	"github.com/hamr-go/hamr/internal/datagen"
 )
 
@@ -80,7 +81,7 @@ func main() {
 		for _, kv := range sinks.Centroids.Pairs() {
 			var idx int
 			fmt.Sscanf(kv.Key, "%d", &idx)
-			cent, err := hamrapps.ParseCentroid(kv.Value.(string))
+			cent, err := kernel.ParseCentroid(kv.Value.(string))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -94,7 +95,7 @@ func main() {
 				next[i] = centroids[i] // empty cluster keeps its centroid
 				continue
 			}
-			if hamrapps.FormatCentroid(next[i]) != hamrapps.FormatCentroid(centroids[i]) {
+			if kernel.FormatCentroid(next[i]) != kernel.FormatCentroid(centroids[i]) {
 				moved++
 			}
 		}

@@ -67,30 +67,7 @@ func diffRow(t *testing.T, name apps.Benchmark, labels ...string) {
 	data := w.Data.Gen(diffScale)
 	for i, v := range variants {
 		run := func(t *testing.T) {
-			r := w.NewRun(diffScale, data, v)
-			ref := w.Reference(data, r)
-
-			env, err := w.HAMREnv(newCluster(t), data, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, collect, err := w.RunHAMR(env)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res == nil || res.Job == 0 {
-				t.Errorf("no job result from the flowlet side: %+v", res)
-			}
-			check(t, w, ref, apps.SideHAMR, collect)
-
-			if env, err = w.MREnv(newCluster(t), mapreduce.Config{}, data, r); err != nil {
-				t.Fatal(err)
-			}
-			if collect, err = w.MR(env); err != nil {
-				t.Fatal(err)
-			}
-			check(t, w, ref, apps.SideMR, collect)
-
+			ref := runBoth(t, w, data, v)
 			if w.Name == apps.HistogramRatings && len(ref) > 5 {
 				t.Errorf("rating histogram has %d keys, want <= 5", len(ref))
 			}
@@ -101,6 +78,36 @@ func diffRow(t *testing.T, name apps.Benchmark, labels ...string) {
 			t.Run(labels[i], run)
 		}
 	}
+}
+
+// runBoth runs row w under variant v over data on both engines, holds both
+// answers to the reference's and returns that.
+func runBoth(t *testing.T, w *apps.Workload, data []byte, v apps.Variant) apps.Output {
+	t.Helper()
+	r := w.NewRun(diffScale, data, v)
+	ref := w.Reference(data, r)
+
+	env, err := w.HAMREnv(newCluster(t), data, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, collect, err := w.RunHAMR(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res == nil || res.Job == 0 {
+		t.Errorf("no job result from the flowlet side: %+v", res)
+	}
+	check(t, w, ref, apps.SideHAMR, collect)
+
+	if env, err = w.MREnv(newCluster(t), mapreduce.Config{}, data, r); err != nil {
+		t.Fatal(err)
+	}
+	if collect, err = w.MR(env); err != nil {
+		t.Fatal(err)
+	}
+	check(t, w, ref, apps.SideMR, collect)
+	return ref
 }
 
 func check(t *testing.T, w *apps.Workload, ref apps.Output, side string, collect apps.Collect) {
@@ -127,6 +134,33 @@ func TestDiffNaiveBayes(t *testing.T)      { diffRow(t, apps.NaiveBayes) }
 func TestDiffHistogramRatings(t *testing.T) {
 	diffRow(t, apps.HistogramRatings,
 		"combiner=false,serialize=false", "combiner=true,serialize=false", "combiner=false,serialize=true")
+}
+
+// TestEdgeListsAgreeWithTheReference runs the edge-list rows over
+// hand-written graphs the generators never produce: an edge line repeated,
+// which PageRank counts twice (a page's every line carries a share), and an
+// edge listed in both directions, which is one edge of one clique. KCliques
+// also runs at k = 2, where the answer is the edge set, each edge once.
+func TestEdgeListsAgreeWithTheReference(t *testing.T) {
+	const twice = "0 1\n1 0\n0 2\n1 2\n"
+	for _, tc := range []struct {
+		name  string
+		row   apps.Benchmark
+		k     int
+		edges string
+	}{
+		{"pagerank/repeated-edge", apps.PageRank, 0, "0 1\n0 1\n0 2\n1 2\n2 0\n2 1\n1 0\n3 0\n"},
+		{"kcliques/both-directions", apps.KCliques, 3, twice},
+		{"kcliques/both-directions/k=2", apps.KCliques, 2, twice},
+		{"kcliques/k=2", apps.KCliques, 2, "0 1\n0 2\n1 2\n2 3\n3 4\n5 5\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := runBoth(t, apps.Lookup(string(tc.row)), []byte(tc.edges), apps.Variant{K: tc.k})
+			if tc.row == apps.KCliques && len(ref) == 0 {
+				t.Error("the reference finds no clique: the case checks nothing")
+			}
+		})
+	}
 }
 
 // TestCheckNamesTheFirstDifference: the comparison every timed row rests on

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/hamr-go/hamr/internal/apps/kernel"
 	"github.com/hamr-go/hamr/internal/cluster"
 	"github.com/hamr-go/hamr/internal/core"
 	"github.com/hamr-go/hamr/internal/datagen"
@@ -60,7 +61,7 @@ func TestCentroidFormatRoundTripProperty(t *testing.T) {
 			}
 			c[int(u)] = r
 		}
-		got, err := ParseCentroid(FormatCentroid(c))
+		got, err := kernel.ParseCentroid(kernel.FormatCentroid(c))
 		if err != nil || len(got) != len(c) {
 			return false
 		}
@@ -74,7 +75,7 @@ func TestCentroidFormatRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(37))}); err != nil {
 		t.Fatal(err)
 	}
-	if c, err := ParseCentroid(""); err != nil || len(c) != 0 {
+	if c, err := kernel.ParseCentroid(""); err != nil || len(c) != 0 {
 		t.Errorf("empty centroid: %v, %v", c, err)
 	}
 }
@@ -321,7 +322,7 @@ func seqPageRank(edgeLines string, iters int) (map[string]float64, []float64) {
 		}
 		largest := 0.0
 		for page, s := range sum {
-			next := (1 - PRDamping) + PRDamping*s
+			next := 0.15 + 0.85*s
 			largest = math.Max(largest, math.Abs(next-rank[page]))
 			rank[page] = next
 		}
@@ -481,14 +482,14 @@ func TestHistogramMoviesBucketsValid(t *testing.T) {
 func TestKeysMatchTheirFmtForms(t *testing.T) {
 	for avg := -1.0; avg <= 7; avg += 0.125 {
 		bucket := math.Min(5, math.Max(1, math.Round(avg*2)/2))
-		if got, want := BucketKey(avg), fmt.Sprintf("%.1f", bucket); got != want {
+		if got, want := kernel.BucketKey(avg), fmt.Sprintf("%.1f", bucket); got != want {
 			t.Errorf("BucketKey(%v) = %q, %%.1f of its half-star bucket gives %q", avg, got, want)
 		}
 	}
 	rng := rand.New(rand.NewSource(5))
 	for _, sim := range []float64{0, 1, 0.5, 1e-7, 0.999999999999, 1.0 / 3, 123456789012345, 1e21} {
 		for i := 0; i < 20; i++ {
-			if got, want := FormatSimilarity(sim), fmt.Sprintf("%.12g", sim); got != want {
+			if got, want := kernel.FormatSimilarity(sim), fmt.Sprintf("%.12g", sim); got != want {
 				t.Errorf("FormatSimilarity(%v) = %q, %%.12g gives %q", sim, got, want)
 			}
 			sim *= rng.Float64()

@@ -2,10 +2,9 @@ package hamrapps
 
 import (
 	"fmt"
-	"strconv"
 
+	"github.com/hamr-go/hamr/internal/apps/kernel"
 	"github.com/hamr-go/hamr/internal/core"
-	"github.com/hamr-go/hamr/internal/datagen"
 )
 
 // Classification (§4): like K-Means but with fixed centroids — assign each
@@ -22,12 +21,11 @@ type Classify struct {
 
 // Map implements core.Mapper.
 func (m *Classify) Map(kv core.KV, ctx core.Context) error {
-	rec, ok := datagen.ParseMovie(kv.Value.(string))
-	if !ok || len(rec.Ratings) == 0 {
+	rec, cluster, _, ok := kernel.Assign(kv.Value.(string), m.Centroids)
+	if !ok {
 		return nil
 	}
-	best, _ := BestCluster(rec, m.Centroids)
-	return ctx.EmitTo("assign", core.KV{Key: strconv.Itoa(best), Value: rec.ID})
+	return ctx.EmitTo("assign", core.KV{Key: cluster, Value: rec.ID})
 }
 
 // ClassificationOptions configures the benchmark.

@@ -1,52 +1,26 @@
 package hamrapps
 
 import (
-	"math"
-	"strconv"
-
+	"github.com/hamr-go/hamr/internal/apps/kernel"
 	"github.com/hamr-go/hamr/internal/core"
-	"github.com/hamr-go/hamr/internal/datagen"
 )
 
-// MovieAvgBucket is the HistogramMovies map flowlet: parse a movie record,
-// compute its average rating, and emit one count for the half-star bucket
-// (1.0, 1.5, ..., 5.0) it falls in — 8 buckets, like the PUMA benchmark.
+// MovieAvgBucket is the HistogramMovies map flowlet (kernel.MovieBucket).
 type MovieAvgBucket struct{}
-
-// bucketKeys are the half-star buckets 1.0 ... 5.0, indexed by 2b-2.
-var bucketKeys = [...]string{"1.0", "1.5", "2.0", "2.5", "3.0", "3.5", "4.0", "4.5", "5.0"}
-
-// BucketKey is the half-star bucket of an average rating, to one decimal:
-// the average rounded to the nearest half star and clamped to 1.0 ... 5.0.
-func BucketKey(avg float64) string {
-	i := math.Round(avg*2) - 2
-	if !(i > 0) { // also NaN
-		i = 0
-	}
-	return bucketKeys[int(math.Min(i, float64(len(bucketKeys)-1)))]
-}
 
 // Map implements core.Mapper.
 func (MovieAvgBucket) Map(kv core.KV, ctx core.Context) error {
-	rec, ok := datagen.ParseMovie(kv.Value.(string))
-	if !ok || len(rec.Ratings) == 0 {
-		return nil
-	}
-	return ctx.Emit(core.KV{Key: BucketKey(rec.AvgRating()), Value: int64(1)})
+	return kernel.MovieBucket(kv.Value.(string), ctx.Emit)
 }
 
-// RatingExplode is the HistogramRatings map flowlet: emit one count per
-// individual user rating. The key space is exactly five values (1..5), the
-// extreme skew behind the paper's 0.26x result (§5.2): the shuffle routes
-// everything to at most five nodes and each hot node folds into a single
-// shared variable.
+// RatingExplode is the HistogramRatings map flowlet (kernel.Ratings): the
+// shuffle routes everything to at most five nodes and each hot node folds
+// into a single shared variable (§5.2).
 type RatingExplode struct{}
 
 // Map implements core.Mapper.
 func (RatingExplode) Map(kv core.KV, ctx core.Context) error {
-	return datagen.EachRating(kv.Value.(string), func(_ int, r float64) error {
-		return ctx.Emit(core.KV{Key: strconv.Itoa(int(r)), Value: int64(1)})
-	})
+	return kernel.Ratings(kv.Value.(string), ctx.Emit)
 }
 
 // HistogramOptions configures the two histogram benchmarks.

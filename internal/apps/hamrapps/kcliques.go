@@ -2,10 +2,10 @@ package hamrapps
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
+	"github.com/hamr-go/hamr/internal/apps/kernel"
 	"github.com/hamr-go/hamr/internal/core"
 )
 
@@ -37,49 +37,18 @@ type neighborSet map[int64]bool
 // SizeBytes implements core.Sizer.
 func (s neighborSet) SizeBytes() int64 { return int64(len(s))*16 + 48 }
 
-// CliqueLoader parses undirected edge lines "u v" and emits both
-// directions so every vertex's full neighborhood reaches its builder.
-type CliqueLoader struct {
-	Inner core.Loader
-}
-
-// Plan implements core.Loader.
-func (l *CliqueLoader) Plan(env *core.Env) ([]core.Split, error) { return l.Inner.Plan(env) }
-
-// Load implements core.Loader.
-func (l *CliqueLoader) Load(sp core.Split, ctx core.Context) error {
-	return l.Inner.Load(sp, &cliqueParseCtx{Context: ctx})
-}
-
-type cliqueParseCtx struct {
-	core.Context
-}
-
-// Emit implements core.Context.
-func (c *cliqueParseCtx) Emit(kv core.KV) error {
-	line := strings.TrimSpace(kv.Value.(string))
-	if line == "" {
-		return nil
-	}
-	f := strings.Fields(line)
-	if len(f) != 2 {
-		return fmt.Errorf("hamrapps: bad edge line %q", line)
-	}
-	u, err := strconv.ParseInt(f[0], 10, 64)
-	if err != nil {
+// parseUndirected turns an undirected edge line (kernel.UndirectedEdge)
+// into both directions, so every vertex's full neighborhood reaches its
+// builder.
+func parseUndirected(line string, ctx core.Context) error {
+	e, ok, err := kernel.UndirectedEdge(line)
+	if !ok {
 		return err
 	}
-	v, err := strconv.ParseInt(f[1], 10, 64)
-	if err != nil {
+	if err := ctx.Emit(core.KV{Key: e.U, Value: e.VID}); err != nil {
 		return err
 	}
-	if u == v {
-		return nil
-	}
-	if err := c.Context.Emit(core.KV{Key: f[0], Value: v}); err != nil {
-		return err
-	}
-	return c.Context.Emit(core.KV{Key: f[1], Value: u})
+	return ctx.Emit(core.KV{Key: e.V, Value: e.UID})
 }
 
 // GraphBuilder stores each vertex's neighbor set in the local shard of the
@@ -102,43 +71,24 @@ func (GraphBuilder) Reduce(key string, values []any, ctx core.Context) error {
 
 // CliqueSeeder generates 2-cliques once every GraphBuilder has completed
 // (partial-reduce Finish runs only after all upstreams complete on all
-// nodes — the Alg. 3 TwoCliquesGenerator barrier). Every candidate goes
-// to verify2, which emits it for K == 2 and extends it otherwise.
-type CliqueSeeder struct{}
+// nodes — the Alg. 3 TwoCliquesGenerator barrier): each vertex u is the
+// 1-clique "u", extended by every neighbor above it into verify2, which
+// emits it for K == 2 and extends it otherwise.
+type CliqueSeeder struct{ K int }
 
 // Update implements core.PartialReducer (the token's value is unused).
 func (CliqueSeeder) Update(key string, state, value any) (any, error) { return value, nil }
 
-// Finish implements core.PartialReducer: emit "u,v" candidates keyed by v
-// for every neighbor v > u.
-func (CliqueSeeder) Finish(key string, state any, ctx core.Context) error {
-	st, err := Store(ctx)
+// Finish implements core.PartialReducer.
+func (cs CliqueSeeder) Finish(key string, state any, ctx core.Context) error {
+	adj, err := localAdj(ctx, key)
+	if err == nil && adj == nil {
+		err = fmt.Errorf("hamrapps: adjacency for %s missing on node %d", key, ctx.Node())
+	}
 	if err != nil {
 		return err
 	}
-	adjAny, ok := st.Table(kcAdjTable).LocalGet(ctx.Node(), key)
-	if !ok {
-		return fmt.Errorf("hamrapps: adjacency for %s missing on node %d", key, ctx.Node())
-	}
-	u, err := strconv.ParseInt(key, 10, 64)
-	if err != nil {
-		return err
-	}
-	adj := adjAny.(neighborSet)
-	neighbors := make([]int64, 0, len(adj))
-	for v := range adj {
-		if v > u {
-			neighbors = append(neighbors, v)
-		}
-	}
-	sort.Slice(neighbors, func(i, j int) bool { return neighbors[i] < neighbors[j] })
-	for _, v := range neighbors {
-		cand := fmt.Sprintf("%d,%d", u, v)
-		if err := ctx.EmitTo("verify2", core.KV{Key: strconv.FormatInt(v, 10), Value: cand}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return extend(ctx, key, adj, 1, cs.K)
 }
 
 // CliqueVerify is verify stage i (2 <= i <= K): it receives candidates of
@@ -153,54 +103,43 @@ type CliqueVerify struct {
 
 // Map implements core.Mapper.
 func (cv CliqueVerify) Map(kv core.KV, ctx core.Context) error {
+	clique := kv.Value.(string)
+	if n := strings.Count(clique, ",") + 1; n != cv.Size {
+		return fmt.Errorf("hamrapps: stage %d got %d-clique %q", cv.Size, n, clique)
+	}
+	// A newest vertex with no adjacency here (nil) has no clique.
+	adj, err := localAdj(ctx, kv.Key)
+	if err != nil {
+		return err
+	}
+	return extend(ctx, clique, adj, cv.Size, cv.K)
+}
+
+// localAdj is a vertex's neighbor set from this node's shard of the
+// kv-store, nil when the shard has none.
+func localAdj(ctx core.Context, vertex string) (neighborSet, error) {
 	st, err := Store(ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	newest, err := strconv.ParseInt(kv.Key, 10, 64)
-	if err != nil {
-		return err
+	adj, _ := st.Table(kcAdjTable).LocalGet(ctx.Node(), vertex)
+	set, _ := adj.(neighborSet)
+	return set, nil
+}
+
+// extend runs kernel.Extend on a clique of the given size, whose newest
+// vertex's neighbors are adj, and routes what it emits: a K-clique to the
+// sink, a longer candidate to the next verify stage, keyed by its newest
+// vertex.
+func extend(ctx core.Context, clique string, adj neighborSet, size, k int) error {
+	if size == k {
+		return kernel.Extend(clique, adj, k, func(kv core.KV) error { return ctx.EmitTo("out", kv) })
 	}
-	members := strings.Split(kv.Value.(string), ",")
-	if len(members) != cv.Size {
-		return fmt.Errorf("hamrapps: stage %d got %d-clique %q", cv.Size, len(members), kv.Value)
-	}
-	adjAny, ok := st.Table(kcAdjTable).LocalGet(ctx.Node(), kv.Key)
-	if !ok {
-		return nil // newest vertex has no adjacency here: not a clique
-	}
-	adj := adjAny.(neighborSet)
-	// Validate: every earlier member must neighbor the newest vertex. The
-	// second-newest is guaranteed (the candidate was extended through its
-	// adjacency), but checking all is cheap and robust.
-	for _, m := range members[:len(members)-1] {
-		mv, err := strconv.ParseInt(m, 10, 64)
-		if err != nil {
-			return err
-		}
-		if !adj[mv] {
-			return nil
-		}
-	}
-	if cv.Size == cv.K {
-		return ctx.EmitTo("out", core.KV{Key: kv.Value.(string), Value: int64(1)})
-	}
-	// Extend by each neighbor greater than the newest vertex.
-	next := make([]int64, 0, len(adj))
-	for v := range adj {
-		if v > newest {
-			next = append(next, v)
-		}
-	}
-	sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
-	stage := fmt.Sprintf("verify%d", cv.Size+1)
-	for _, v := range next {
-		cand := kv.Value.(string) + "," + strconv.FormatInt(v, 10)
-		if err := ctx.EmitTo(stage, core.KV{Key: strconv.FormatInt(v, 10), Value: cand}); err != nil {
-			return err
-		}
-	}
-	return nil
+	stage := "verify" + strconv.Itoa(size+1)
+	return kernel.Extend(clique, adj, k, func(kv core.KV) error {
+		next := kv.Key
+		return ctx.EmitTo(stage, core.KV{Key: next[strings.LastIndexByte(next, ',')+1:], Value: next})
+	})
 }
 
 // BuildKCliques constructs the Algorithm 3 graph for clique size K >= 2.
@@ -209,9 +148,9 @@ func BuildKCliques(k int, edgeLoader core.Loader) (*core.Graph, *core.CollectSin
 	if k < 2 {
 		return nil, nil, fmt.Errorf("hamrapps: K must be >= 2, got %d", k)
 	}
-	p := core.NewPipeline(fmt.Sprintf("%d-cliques", k), "load", &CliqueLoader{Inner: edgeLoader}).
+	p := core.NewPipeline(fmt.Sprintf("%d-cliques", k), "load", &parseLoader{edgeLoader, parseUndirected}).
 		Reduce("graphbuilder", GraphBuilder{}).
-		PartialReduce("seeder", CliqueSeeder{})
+		PartialReduce("seeder", CliqueSeeder{K: k})
 	for size := 2; size <= k; size++ {
 		p.Map(fmt.Sprintf("verify%d", size), CliqueVerify{Size: size, K: k})
 	}

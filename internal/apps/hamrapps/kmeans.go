@@ -4,10 +4,10 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
+	"github.com/hamr-go/hamr/internal/apps/kernel"
 	"github.com/hamr-go/hamr/internal/cluster"
 	"github.com/hamr-go/hamr/internal/core"
 	"github.com/hamr-go/hamr/internal/datagen"
@@ -34,58 +34,12 @@ import (
 //	                                           node-local kv-store and (on
 //	                                           node 0) emits it as output.
 
-// Centroid is a sparse rating vector.
-type Centroid = map[int]float64
+// Centroid is a sparse rating vector (kernel.Centroid).
+type Centroid = kernel.Centroid
 
-// FormatCentroid serializes a sparse centroid as "u:r,u:r" with sorted
-// user ids (deterministic).
-func FormatCentroid(c Centroid) string {
-	users := make([]int, 0, len(c))
-	for u := range c {
-		users = append(users, u)
-	}
-	sort.Ints(users)
-	parts := make([]string, len(users))
-	for i, u := range users {
-		parts[i] = fmt.Sprintf("%d:%g", u, c[u])
-	}
-	return strings.Join(parts, ",")
-}
-
-// ParseCentroid parses FormatCentroid's output.
-func ParseCentroid(s string) (Centroid, error) {
-	c := make(Centroid)
-	if s == "" {
-		return c, nil
-	}
-	for _, p := range strings.Split(s, ",") {
-		i := strings.IndexByte(p, ':')
-		if i <= 0 {
-			return nil, fmt.Errorf("hamrapps: bad centroid entry %q", p)
-		}
-		u, err := strconv.Atoi(p[:i])
-		if err != nil {
-			return nil, err
-		}
-		r, err := strconv.ParseFloat(p[i+1:], 64)
-		if err != nil {
-			return nil, err
-		}
-		c[u] = r
-	}
-	return c, nil
-}
-
-// BestCluster returns the index of the centroid most similar to the movie
-// (cosine similarity, ties to the lower index) and that similarity.
+// BestCluster is kernel.BestCluster.
 func BestCluster(rec datagen.MovieRecord, centroids []Centroid) (int, float64) {
-	best, bestSim := 0, -1.0
-	for i, c := range centroids {
-		if sim := rec.Cosine(c); sim > bestSim {
-			best, bestSim = i, sim
-		}
-	}
-	return best, bestSim
+	return kernel.BestCluster(rec, centroids)
 }
 
 // ClusterGen assigns movies to centroids (Alg. 1 step 3).
@@ -95,12 +49,10 @@ type ClusterGen struct {
 
 // Map implements core.Mapper. kv.Key is the record's Position string.
 func (m *ClusterGen) Map(kv core.KV, ctx core.Context) error {
-	rec, ok := datagen.ParseMovie(kv.Value.(string))
-	if !ok || len(rec.Ratings) == 0 {
+	rec, cluster, sim, ok := kernel.Assign(kv.Value.(string), m.Centroids)
+	if !ok {
 		return nil
 	}
-	best, sim := BestCluster(rec, m.Centroids)
-	cluster := strconv.Itoa(best)
 	// Data locality: write the full assignment locally...
 	if err := ctx.EmitTo("assign", core.KV{Key: cluster, Value: rec.ID}); err != nil {
 		return err
@@ -108,72 +60,40 @@ func (m *ClusterGen) Map(kv core.KV, ctx core.Context) error {
 	// ...and ship only the location + similarity to the reducer.
 	return ctx.EmitTo("newcentroid", core.KV{
 		Key:   cluster,
-		Value: kv.Key + ";" + FormatSimilarity(sim) + ";" + rec.ID,
+		Value: kv.Key + ";" + kernel.FormatSimilarity(sim) + ";" + rec.ID,
 	})
 }
 
-// FormatSimilarity renders a similarity to 12 significant digits (%.12g),
-// which is what a similarity is defined to on both engines: it is all that
-// reaches either reduce.
-func FormatSimilarity(sim float64) string { return strconv.FormatFloat(sim, 'g', 12, 64) }
-
-// NewCentroidGen picks each cluster's new representative — the
-// median-similarity member, a medoid-style update that is robust to the
-// seed itself being in the data — and routes its *position* to the node
-// holding the record (Alg. 1 step 4). Ordering is deterministic:
-// (similarity, movie id).
+// NewCentroidGen picks each cluster's new representative (kernel.Medoid)
+// from its "pos;sim;id" similarity records and routes its *position* to
+// the node holding the record (Alg. 1 step 4).
 type NewCentroidGen struct{}
-
-// simRec is one parsed "pos;sim;id" similarity record.
-type simRec struct {
-	pos string
-	sim float64
-	id  string
-}
-
-func parseSimRec(s string) (simRec, error) {
-	parts := strings.Split(s, ";")
-	if len(parts) != 3 {
-		return simRec{}, fmt.Errorf("hamrapps: bad similarity record %q", s)
-	}
-	sim, err := strconv.ParseFloat(parts[1], 64)
-	if err != nil {
-		return simRec{}, err
-	}
-	return simRec{pos: parts[0], sim: sim, id: parts[2]}, nil
-}
-
-// MedianIndex returns the index of the median element of a sorted list of
-// n items (n/2, the upper median).
-func MedianIndex(n int) int { return n / 2 }
 
 // Reduce implements core.Reducer.
 func (NewCentroidGen) Reduce(key string, values []any, ctx core.Context) error {
-	recs := make([]simRec, 0, len(values))
-	for _, v := range values {
-		r, err := parseSimRec(v.(string))
+	if len(values) == 0 {
+		return nil
+	}
+	ms := make([]kernel.Member, len(values))
+	for i, v := range values {
+		parts := strings.Split(v.(string), ";")
+		if len(parts) != 3 {
+			return fmt.Errorf("hamrapps: bad similarity record %q", v)
+		}
+		sim, err := strconv.ParseFloat(parts[1], 64)
 		if err != nil {
 			return err
 		}
-		recs = append(recs, r)
+		ms[i] = kernel.Member{Sim: sim, ID: parts[2], Ref: parts[0]}
 	}
-	if len(recs) == 0 {
-		return nil
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].sim != recs[j].sim {
-			return recs[i].sim < recs[j].sim
-		}
-		return recs[i].id < recs[j].id
-	})
-	chosen := recs[MedianIndex(len(recs))]
-	p, err := ParsePosition(chosen.pos)
+	pos := kernel.Medoid(ms).Ref
+	p, err := ParsePosition(pos)
 	if err != nil {
 		return err
 	}
 	// Route back to the node where the record lives (§3.3: "go back to
 	// the node which the data resides in").
-	return ctx.EmitToNode("centroidinfo", p.Node, core.KV{Key: key, Value: chosen.pos})
+	return ctx.EmitToNode("centroidinfo", p.Node, core.KV{Key: key, Value: pos})
 }
 
 // NewCentroidInfoGet re-reads the chosen record from the local disk by
@@ -199,30 +119,25 @@ func (NewCentroidInfoGet) Map(kv core.KV, ctx core.Context) error {
 	if err != nil {
 		return err
 	}
-	rec, ok2 := datagen.ParseMovie(line)
-	if !ok2 {
+	centroid, ok := kernel.CentroidOf(line)
+	if !ok {
 		return fmt.Errorf("hamrapps: position %s does not hold a movie record", kv.Value)
 	}
-	return ctx.EmitBroadcast("update", core.KV{Key: kv.Key, Value: FormatCentroid(rec.Vector())})
+	return ctx.EmitBroadcast("update", core.KV{Key: kv.Key, Value: centroid})
 }
 
 // CentroidUpdate installs the new centroid locally on every node (Alg. 1
-// step 6) and emits the result once (from node 0).
-type CentroidUpdate struct {
-	Table string
-}
+// step 6), in the kv-store table "kmeans.centroids", and emits the result
+// once (from node 0).
+type CentroidUpdate struct{}
 
 // Map implements core.Mapper.
-func (m CentroidUpdate) Map(kv core.KV, ctx core.Context) error {
+func (CentroidUpdate) Map(kv core.KV, ctx core.Context) error {
 	st, err := Store(ctx)
 	if err != nil {
 		return err
 	}
-	table := m.Table
-	if table == "" {
-		table = "kmeans.centroids"
-	}
-	st.Table(table).LocalPut(ctx.Node(), kv.Key, kv.Value.(string))
+	st.Table("kmeans.centroids").LocalPut(ctx.Node(), kv.Key, kv.Value.(string))
 	if ctx.Node() == 0 {
 		return ctx.Emit(kv)
 	}

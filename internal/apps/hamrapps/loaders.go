@@ -120,6 +120,30 @@ func (l *LocalTextLoader) Load(sp core.Split, ctx core.Context) error {
 	return sc.Err()
 }
 
+// parseLoader hands each line its inner loader emits to parse, which emits
+// the pairs that enter the graph in its place: the edge-list rows' loaders.
+type parseLoader struct {
+	inner core.Loader
+	parse func(line string, ctx core.Context) error
+}
+
+// Plan implements core.Loader.
+func (l *parseLoader) Plan(env *core.Env) ([]core.Split, error) { return l.inner.Plan(env) }
+
+// Load implements core.Loader.
+func (l *parseLoader) Load(sp core.Split, ctx core.Context) error {
+	return l.inner.Load(sp, parseCtx{ctx, l.parse})
+}
+
+// parseCtx is the context a parseLoader's inner loader emits its lines to.
+type parseCtx struct {
+	core.Context
+	parse func(line string, ctx core.Context) error
+}
+
+// Emit implements core.Context.
+func (c parseCtx) Emit(kv core.KV) error { return c.parse(kv.Value.(string), c.Context) }
+
 // HDFSTextLoader streams an HDFS file (or prefix) split by block, emitting
 // one pair per line with empty keys. Splits prefer the nodes that hold
 // each block.

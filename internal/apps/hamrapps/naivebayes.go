@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/hamr-go/hamr/internal/apps/kernel"
 	"github.com/hamr-go/hamr/internal/core"
 )
 
@@ -13,8 +14,8 @@ import (
 //	TextLoader -> IndexInstances(map) -> VectorSum(partial reduce)
 //	           -> WeightSum(partial reduce) -> sink
 //
-// Output keys: "labelweight|<label>" (total feature weight per label) and
-// "featureweight|<feature>" (total weight per feature), the sufficient
+// Output keys: kernel.LabelWeight (total feature weight per label) and
+// kernel.FeatureWeight (total weight per feature), the sufficient
 // statistics the Mahout trainer materializes.
 
 // wordVec is a sparse feature-count vector used as partial-reduce state.
@@ -34,17 +35,14 @@ type IndexInstances struct{}
 
 // Map implements core.Mapper.
 func (IndexInstances) Map(kv core.KV, ctx core.Context) error {
-	line := kv.Value.(string)
-	tab := strings.IndexByte(line, '\t')
-	if tab <= 0 {
+	label, body, ok := kernel.Document(kv.Value.(string))
+	if !ok {
 		return nil
 	}
-	label := line[:tab]
-	words := strings.Fields(line[tab+1:])
-	if len(words) == 0 {
-		return nil
+	if words := strings.Fields(body); len(words) > 0 {
+		return ctx.Emit(core.KV{Key: label, Value: words})
 	}
-	return ctx.Emit(core.KV{Key: label, Value: words})
+	return nil
 }
 
 // VectorSum folds per-label word vectors; on finish it emits the per-label
@@ -87,7 +85,7 @@ func (VectorSum) Finish(label string, state any, ctx core.Context) error {
 			return err
 		}
 	}
-	return ctx.EmitTo("out", core.KV{Key: "labelweight|" + label, Value: total})
+	return ctx.EmitTo("out", core.KV{Key: kernel.LabelWeight(label), Value: total})
 }
 
 // WeightSum folds per-feature weights.
@@ -100,7 +98,7 @@ func (WeightSum) Update(key string, state, value any) (any, error) {
 
 // Finish implements core.PartialReducer.
 func (WeightSum) Finish(feature string, state any, ctx core.Context) error {
-	return ctx.Emit(core.KV{Key: "featureweight|" + feature, Value: state.(*count).n})
+	return ctx.Emit(core.KV{Key: kernel.FeatureWeight(feature), Value: state.(*count).n})
 }
 
 // BuildNaiveBayes constructs the Algorithm 4 graph.

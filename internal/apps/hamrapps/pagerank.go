@@ -2,10 +2,11 @@ package hamrapps
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
-	"strings"
 
+	"github.com/hamr-go/hamr/internal/apps/kernel"
 	"github.com/hamr-go/hamr/internal/cluster"
 	"github.com/hamr-go/hamr/internal/core"
 )
@@ -15,8 +16,8 @@ import (
 // materialization between them; HAMR keeps the adjacency lists and ranks
 // distributed in memory (the kv-store) and runs each iteration as one job:
 //
-//	iteration 1:  EdgeFileLoader -> HashJoinRed(reduce) -> MergeRed(reduce) => ContMap => maxΔ -> sink
-//	iteration i:  EdgeLoader (from memory)              -> MergeRed(reduce) => ContMap => maxΔ -> sink
+//	iteration 1:  edge lines (parseEdge) -> HashJoinRed(reduce) -> MergeRed(reduce) => ContMap => maxΔ -> sink
+//	iteration i:  EdgeLoader (from memory)                     -> MergeRed(reduce) => ContMap => maxΔ -> sink
 //
 // "=>" is a node-local edge. The convergence check is a two-level
 // maximum: every delta carries the one constant key "delta", so over a
@@ -26,14 +27,12 @@ import (
 // each node folds its own maximum, and one pair per node reaches the
 // sink for the driver to take the maximum of.
 //
-// The damping follows the common formulation rank = 0.15 + 0.85·Σ
-// contributions; pages keep rank 1 until they receive contributions.
+// The rank rule is kernel.Rank: rank = 0.15 + 0.85·Σ contributions;
+// pages keep rank 1 until they receive contributions.
 
 const (
 	prAdjTable  = "pagerank.adj"
 	prRankTable = "pagerank.rank"
-	// PRDamping is the damping factor.
-	PRDamping = 0.85
 )
 
 // adjList is the stored adjacency value.
@@ -42,40 +41,17 @@ type adjList []int64
 // SizeBytes implements core.Sizer.
 func (a adjList) SizeBytes() int64 { return int64(len(a))*8 + 24 }
 
-// EdgeFileLoader parses "src dst" lines into (src, dst) pairs.
-type EdgeFileLoader struct {
-	Inner core.Loader // supplies raw text lines
-}
-
-// Plan implements core.Loader.
-func (l *EdgeFileLoader) Plan(env *core.Env) ([]core.Split, error) { return l.Inner.Plan(env) }
-
-// Load implements core.Loader.
-func (l *EdgeFileLoader) Load(sp core.Split, ctx core.Context) error {
-	return l.Inner.Load(sp, &edgeParseCtx{Context: ctx})
-}
-
-// edgeParseCtx rewrites the inner loader's (“”, line) emissions into
-// (src, dst) pairs before they enter the graph.
-type edgeParseCtx struct {
-	core.Context
-}
-
-// Emit implements core.Context.
-func (c *edgeParseCtx) Emit(kv core.KV) error {
-	line := strings.TrimSpace(kv.Value.(string))
-	if line == "" {
-		return nil
+// parseEdge turns an edge line (kernel.EdgeLine) into a (src, dst) pair.
+func parseEdge(line string, ctx core.Context) error {
+	src, dst, ok, err := kernel.EdgeLine(line)
+	if !ok {
+		return err
 	}
-	fields := strings.Fields(line)
-	if len(fields) != 2 {
-		return fmt.Errorf("hamrapps: bad edge line %q", line)
-	}
-	dst, err := strconv.ParseInt(fields[1], 10, 64)
+	d, err := strconv.ParseInt(dst, 10, 64)
 	if err != nil {
 		return err
 	}
-	return c.Context.Emit(core.KV{Key: fields[0], Value: dst})
+	return ctx.Emit(core.KV{Key: src, Value: d})
 }
 
 // HashJoinRed (iteration 1) collects each page's destination list, stores
@@ -96,7 +72,13 @@ func (HashJoinRed) Reduce(key string, values []any, ctx core.Context) error {
 	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
 	st.Table(prAdjTable).LocalPut(ctx.Node(), key, dsts)
 	st.Table(prRankTable).LocalPut(ctx.Node(), key, 1.0)
-	contrib := 1.0 / float64(len(dsts))
+	return contribute(ctx, dsts, 1)
+}
+
+// contribute sends a page's share of its rank (kernel.Share) along each of
+// its out-edges.
+func contribute(ctx core.Context, dsts adjList, rank float64) error {
+	contrib := kernel.Share(rank, len(dsts))
 	for _, d := range dsts {
 		if err := ctx.Emit(core.KV{Key: strconv.FormatInt(d, 10), Value: contrib}); err != nil {
 			return err
@@ -139,11 +121,8 @@ func (EdgeLoader) Load(sp core.Split, ctx core.Context) error {
 		if rv, ok := ranks.LocalGet(node, src); ok {
 			rank = rv.(float64)
 		}
-		contrib := rank / float64(len(dsts))
-		for _, d := range dsts {
-			if err := ctx.Emit(core.KV{Key: strconv.FormatInt(d, 10), Value: contrib}); err != nil {
-				return err
-			}
+		if err := contribute(ctx, dsts, rank); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -163,18 +142,14 @@ func (MergeRed) Reduce(key string, values []any, ctx core.Context) error {
 	for _, v := range values {
 		sum += v.(float64)
 	}
-	newRank := (1 - PRDamping) + PRDamping*sum
+	newRank := kernel.Rank(sum)
 	ranks := st.Table(prRankTable)
 	old := 1.0
 	if ov, ok := ranks.LocalGet(ctx.Node(), key); ok {
 		old = ov.(float64)
 	}
 	ranks.LocalPut(ctx.Node(), key, newRank)
-	delta := newRank - old
-	if delta < 0 {
-		delta = -delta
-	}
-	return ctx.Emit(core.KV{Key: "delta", Value: delta})
+	return ctx.Emit(core.KV{Key: "delta", Value: math.Abs(newRank - old)})
 }
 
 // ContMap forwards deltas to the node's max aggregation (Alg. 2 step 10).
@@ -207,7 +182,7 @@ func (MaxFloat) Finish(key string, state any, ctx core.Context) error {
 func BuildPageRankIteration(first bool, edgeLoader core.Loader) (*core.Graph, *core.CollectSink, error) {
 	var p *core.Pipeline
 	if first {
-		p = core.NewPipeline("pagerank-iter", "edges", &EdgeFileLoader{Inner: edgeLoader}).
+		p = core.NewPipeline("pagerank-iter", "edges", &parseLoader{edgeLoader, parseEdge}).
 			Reduce("hashjoin", HashJoinRed{})
 	} else {
 		p = core.NewPipeline("pagerank-iter", "edges", EdgeLoader{})

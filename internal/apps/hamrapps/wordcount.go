@@ -1,8 +1,8 @@
 package hamrapps
 
 import (
+	"github.com/hamr-go/hamr/internal/apps/kernel"
 	"github.com/hamr-go/hamr/internal/core"
-	"github.com/hamr-go/hamr/internal/datagen"
 )
 
 // SplitWords is the WordCount map flowlet: line -> (word, 1).
@@ -10,9 +10,7 @@ type SplitWords struct{}
 
 // Map implements core.Mapper.
 func (SplitWords) Map(kv core.KV, ctx core.Context) error {
-	return datagen.EachField(kv.Value.(string), func(w string) error {
-		return ctx.Emit(core.KV{Key: w, Value: int64(1)})
-	})
+	return kernel.Words(kv.Value.(string), ctx.Emit)
 }
 
 // SumCounts is a partial reduce folding int64 counts — WordCount "can

@@ -6,10 +6,10 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/hamr-go/hamr/internal/apps/kernel"
 	"github.com/hamr-go/hamr/internal/core"
 	"github.com/hamr-go/hamr/internal/hdfs"
 	"github.com/hamr-go/hamr/internal/mapreduce"
-	"github.com/hamr-go/hamr/internal/transport"
 )
 
 // K-Cliques for the Hadoop baseline: "an iterative map-reduce strategy"
@@ -40,42 +40,23 @@ func kcJob(name string, edgeInput, candInput, output string, i, k, reduces int) 
 		Output:        output,
 		NewMapper: func() mapreduce.Mapper {
 			return mapreduce.MapperFunc(func(kv core.KV, out mapreduce.Emitter) error {
-				line := strings.TrimSpace(kv.Value.(string))
-				if line == "" {
-					return nil
+				line := kv.Value.(string)
+				if clique, _, ok := strings.Cut(line, "\t"); ok {
+					// A candidate, from the previous job's "clique\t1" lines.
+					return out.Emit(core.KV{Key: clique[strings.LastIndexByte(clique, ',')+1:], Value: "C:" + clique})
 				}
-				if strings.ContainsRune(line, ',') || !strings.ContainsRune(line, ' ') {
-					// Candidate line "v1,...,vi" (possibly via part file
-					// "clique\t1" from the previous job's output).
-					if tab := strings.IndexByte(line, '\t'); tab > 0 {
-						line = line[:tab]
-					}
-					members := strings.Split(line, ",")
-					return out.Emit(core.KV{Key: members[len(members)-1], Value: "C:" + line})
-				}
-				f := strings.Fields(line)
-				if len(f) != 2 {
-					return fmt.Errorf("mrapps: bad edge line %q", line)
-				}
-				u, err := strconv.ParseInt(f[0], 10, 64)
-				if err != nil {
+				e, ok, err := kernel.UndirectedEdge(line)
+				if !ok {
 					return err
 				}
-				v, err := strconv.ParseInt(f[1], 10, 64)
-				if err != nil {
+				if err := out.Emit(core.KV{Key: e.U, Value: "E:" + e.V}); err != nil {
 					return err
 				}
-				if u == v {
-					return nil
-				}
-				if err := out.Emit(core.KV{Key: f[0], Value: "E:" + f[1]}); err != nil {
-					return err
-				}
-				if err := out.Emit(core.KV{Key: f[1], Value: "E:" + f[0]}); err != nil {
+				if err := out.Emit(core.KV{Key: e.V, Value: "E:" + e.U}); err != nil {
 					return err
 				}
 				if i == 2 {
-					lo, hi := u, v
+					lo, hi := e.UID, e.VID
 					if lo > hi {
 						lo, hi = hi, lo
 					}
@@ -89,10 +70,6 @@ func kcJob(name string, edgeInput, candInput, output string, i, k, reduces int) 
 		},
 		NewReducer: func() mapreduce.Reducer {
 			return mapreduce.ReducerFunc(func(key string, values []any, out mapreduce.Emitter) error {
-				newest, err := strconv.ParseInt(key, 10, 64)
-				if err != nil {
-					return err
-				}
 				// Build this vertex's adjacency in task memory — the heap
 				// pressure point of the Hadoop implementation.
 				adj := make(map[int64]bool)
@@ -121,40 +98,13 @@ func kcJob(name string, edgeInput, candInput, output string, i, k, reduces int) 
 					}
 				}
 				sort.Strings(cands)
-				for _, cand := range cands {
-					members := strings.Split(cand, ",")
-					valid := true
-					for _, m := range members[:len(members)-1] {
-						mv, err := strconv.ParseInt(m, 10, 64)
-						if err != nil {
-							return err
-						}
-						if !adj[mv] {
-							valid = false
-							break
-						}
-					}
-					if !valid {
+				for j, cand := range cands {
+					// An edge listed twice seeds its 2-clique twice.
+					if j > 0 && cand == cands[j-1] {
 						continue
 					}
-					if i == k {
-						if err := out.Emit(core.KV{Key: cand, Value: int64(1)}); err != nil {
-							return err
-						}
-						continue
-					}
-					var exts []int64
-					for n := range adj {
-						if n > newest {
-							exts = append(exts, n)
-						}
-					}
-					sort.Slice(exts, func(a, b int) bool { return exts[a] < exts[b] })
-					for _, n := range exts {
-						next := cand + "," + strconv.FormatInt(n, 10)
-						if err := out.Emit(core.KV{Key: next, Value: int64(1)}); err != nil {
-							return err
-						}
+					if err := kernel.Extend(cand, adj, k, out.Emit); err != nil {
+						return err
 					}
 				}
 				return nil
@@ -172,50 +122,35 @@ type KCliquesMRResult struct {
 	Result  *mapreduce.Result
 }
 
-// RunKCliquesMR finds all k-cliques (k >= 3) with k-2 chained jobs over
-// the edge file at `input`, writing intermediates under `work`.
+// RunKCliquesMR finds all k-cliques (k >= 2) with k-1 chained jobs over
+// the edge file at `input`, writing intermediates under `work`: job i
+// (2 <= i < k) validates the i-clique candidates and extends the valid ones
+// to size i+1, and a last job validates the k-clique candidates.
 func RunKCliquesMR(e *mapreduce.Engine, fs *hdfs.FileSystem, input, work string, k, reduces int) (*KCliquesMRResult, error) {
-	if k < 3 {
-		return nil, fmt.Errorf("mrapps: k must be >= 3, got %d", k)
+	if k < 2 {
+		return nil, fmt.Errorf("mrapps: k must be >= 2, got %d", k)
 	}
 	var jobs []mapreduce.Job
 	cand := ""
-	var finalOut string
 	for i := 2; i < k; i++ {
 		out := fmt.Sprintf("%s/cliques-%02d", work, i+1)
-		// Job taking i-cliques to (i+1)-cliques; the last job (i == k-1)
-		// emits validated k-cliques because extension + validation happen
-		// in the same reduce for i+1 == k... extension happens at size i,
-		// validation of the extended clique at size i+1, so we need one
-		// final validation-only job.
 		jobs = append(jobs, kcJob(fmt.Sprintf("kcliques-extend-%d", i), input, cand, out, i, k, reduces))
 		cand = out + "/"
-		finalOut = out
 	}
-	// Final validation job: candidates of size k, validate only.
-	out := fmt.Sprintf("%s/cliques-final", work)
-	jobs = append(jobs, kcJob("kcliques-validate", input, cand, out, k, k, reduces))
-	finalOut = out
+	finalOut := fmt.Sprintf("%s/cliques-final", work)
+	jobs = append(jobs, kcJob("kcliques-validate", input, cand, finalOut, k, k, reduces))
 
 	res, err := e.RunChain(jobs...)
 	if err != nil {
 		return nil, err
 	}
 	var cliques []string
-	for _, f := range fs.List(finalOut + "/") {
-		data, err := fs.ReadFile(f, transport.NodeID(-1))
-		if err != nil {
-			return nil, err
-		}
-		for _, line := range strings.Split(string(data), "\n") {
-			if line == "" {
-				continue
-			}
-			if tab := strings.IndexByte(line, '\t'); tab > 0 {
-				line = line[:tab]
-			}
-			cliques = append(cliques, line)
-		}
+	err = eachOutputLine(fs, finalOut+"/", func(clique, _ string) error {
+		cliques = append(cliques, clique)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Strings(cliques)
 	return &KCliquesMRResult{Cliques: cliques, Result: res}, nil

@@ -2,11 +2,10 @@ package mrapps
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
-	"github.com/hamr-go/hamr/internal/apps/hamrapps"
+	"github.com/hamr-go/hamr/internal/apps/kernel"
 	"github.com/hamr-go/hamr/internal/core"
 	"github.com/hamr-go/hamr/internal/datagen"
 	"github.com/hamr-go/hamr/internal/mapreduce"
@@ -20,69 +19,49 @@ import (
 // big intermediate data volume the paper attributes Hadoop's K-Means cost
 // to (§4: "this process causes big disk IO and network overhead").
 //
-// Output lines: "<cluster>\t<centroid>" with hamrapps.FormatCentroid's
+// Output lines: "<cluster>\t<centroid>" with kernel.FormatCentroid's
 // encoding, so results are directly comparable with the flowlet version.
-func KMeansJob(input, output string, centroids []hamrapps.Centroid, reduces int) mapreduce.Job {
+func KMeansJob(input, output string, centroids []kernel.Centroid, reduces int) mapreduce.Job {
 	return mapreduce.Job{
 		Name:          "kmeans",
 		InputPrefixes: []string{input},
 		Output:        output,
 		NewMapper: func() mapreduce.Mapper {
 			return mapreduce.MapperFunc(func(kv core.KV, out mapreduce.Emitter) error {
-				rec, ok := datagen.ParseMovie(kv.Value.(string))
-				if !ok || len(rec.Ratings) == 0 {
+				_, cluster, sim, ok := kernel.Assign(kv.Value.(string), centroids)
+				if !ok {
 					return nil
 				}
-				best, sim := hamrapps.BestCluster(rec, centroids)
 				// The whole record crosses the shuffle.
 				if err := out.Charge(kv.Size()); err != nil {
 					return err
 				}
-				return out.Emit(core.KV{
-					Key:   strconv.Itoa(best),
-					Value: hamrapps.FormatSimilarity(sim) + ";" + kv.Value.(string),
-				})
+				return out.Emit(core.KV{Key: cluster, Value: kernel.FormatSimilarity(sim) + ";" + kv.Value.(string)})
 			})
 		},
 		NewReducer: func() mapreduce.Reducer {
 			return mapreduce.ReducerFunc(func(key string, values []any, out mapreduce.Emitter) error {
-				type member struct {
-					sim  float64
-					id   string
-					line string
+				if len(values) == 0 {
+					return nil
 				}
-				recs := make([]member, 0, len(values))
-				for _, v := range values {
-					s := v.(string)
-					i := strings.IndexByte(s, ';')
-					if i < 0 {
-						return fmt.Errorf("mrapps: bad kmeans record %q", s)
+				ms := make([]kernel.Member, len(values))
+				for i, v := range values {
+					simStr, line, ok := strings.Cut(v.(string), ";")
+					if !ok {
+						return fmt.Errorf("mrapps: bad kmeans record %q", v)
 					}
-					sim, err := strconv.ParseFloat(s[:i], 64)
+					sim, err := strconv.ParseFloat(simStr, 64)
 					if err != nil {
 						return err
 					}
-					line := s[i+1:]
 					rec, ok := datagen.ParseMovie(line)
 					if !ok {
 						return fmt.Errorf("mrapps: unparsable member %q", line)
 					}
-					recs = append(recs, member{sim: sim, id: rec.ID, line: line})
+					ms[i] = kernel.Member{Sim: sim, ID: rec.ID, Ref: line}
 				}
-				if len(recs) == 0 {
-					return nil
-				}
-				// Median-similarity medoid, ordered exactly like the
-				// flowlet version: (similarity, movie id).
-				sort.Slice(recs, func(i, j int) bool {
-					if recs[i].sim != recs[j].sim {
-						return recs[i].sim < recs[j].sim
-					}
-					return recs[i].id < recs[j].id
-				})
-				chosen := recs[hamrapps.MedianIndex(len(recs))]
-				rec, _ := datagen.ParseMovie(chosen.line)
-				return out.Emit(core.KV{Key: key, Value: hamrapps.FormatCentroid(rec.Vector())})
+				centroid, _ := kernel.CentroidOf(kernel.Medoid(ms).Ref)
+				return out.Emit(core.KV{Key: key, Value: centroid})
 			})
 		},
 		NumReduces: reduces,
@@ -96,22 +75,21 @@ func KMeansJob(input, output string, centroids []hamrapps.Centroid, reduces int)
 // materialize set the reducers write the grouped records to HDFS (the
 // PUMA behaviour); otherwise they emit per-cluster counts (used by the
 // differential tests for cross-engine comparison).
-func ClassificationJob(input, output string, centroids []hamrapps.Centroid, reduces int, materialize bool) mapreduce.Job {
+func ClassificationJob(input, output string, centroids []kernel.Centroid, reduces int, materialize bool) mapreduce.Job {
 	return mapreduce.Job{
 		Name:          "classification",
 		InputPrefixes: []string{input},
 		Output:        output,
 		NewMapper: func() mapreduce.Mapper {
 			return mapreduce.MapperFunc(func(kv core.KV, out mapreduce.Emitter) error {
-				rec, ok := datagen.ParseMovie(kv.Value.(string))
-				if !ok || len(rec.Ratings) == 0 {
+				_, cluster, _, ok := kernel.Assign(kv.Value.(string), centroids)
+				if !ok {
 					return nil
 				}
-				best, _ := hamrapps.BestCluster(rec, centroids)
 				if err := out.Charge(kv.Size()); err != nil {
 					return err
 				}
-				return out.Emit(core.KV{Key: strconv.Itoa(best), Value: kv.Value})
+				return out.Emit(core.KV{Key: cluster, Value: kv.Value})
 			})
 		},
 		NewReducer: func() mapreduce.Reducer {

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/hamr-go/hamr/internal/apps/hamrapps"
+	"github.com/hamr-go/hamr/internal/apps/kernel"
 	"github.com/hamr-go/hamr/internal/cluster"
 	"github.com/hamr-go/hamr/internal/datagen"
 	"github.com/hamr-go/hamr/internal/mapreduce"
@@ -142,7 +142,7 @@ func TestKMeansJobPicksMedianMedoid(t *testing.T) {
 		if _, err := strconv.Atoi(k); err != nil {
 			t.Errorf("bad cluster key %q", k)
 		}
-		cent, err := hamrapps.ParseCentroid(v)
+		cent, err := kernel.ParseCentroid(v)
 		if err != nil || len(cent) == 0 {
 			t.Errorf("bad centroid %q: %v", v, err)
 		}
@@ -220,17 +220,15 @@ func TestKCliquesMROnKnownGraph(t *testing.T) {
 	if strings.Join(res.Cliques, " ") != strings.Join(want, " ") {
 		t.Fatalf("cliques = %v, want %v", res.Cliques, want)
 	}
-	if _, err := RunKCliquesMR(e, c.FS(), "in/g", "w2", 2, 3); err == nil {
-		t.Error("k=2 accepted")
+	// At k = 2 the validate-only job lists the graph's edges, each once.
+	res, err = RunKCliquesMR(e, c.FS(), "in/g", "w2", 2, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestDedupe(t *testing.T) {
-	got := dedupe([]string{"", "a", "a", "b", "b", "b", "c"})
-	if strings.Join(got, ",") != "a,b,c" {
-		t.Fatalf("dedupe = %v", got)
+	if got, want := len(res.Cliques), strings.Count(string(data), "\n"); got != want {
+		t.Errorf("k=2: %d cliques %v, want the graph's %d edges", got, res.Cliques, want)
 	}
-	if out := dedupe(nil); len(out) != 0 {
-		t.Fatalf("dedupe(nil) = %v", out)
+	if _, err := RunKCliquesMR(e, c.FS(), "in/g", "w1", 1, 3); err == nil {
+		t.Error("k=1 accepted")
 	}
 }

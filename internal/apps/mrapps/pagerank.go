@@ -6,17 +6,18 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/hamr-go/hamr/internal/apps/kernel"
 	"github.com/hamr-go/hamr/internal/core"
 	"github.com/hamr-go/hamr/internal/hdfs"
 	"github.com/hamr-go/hamr/internal/mapreduce"
-	"github.com/hamr-go/hamr/internal/transport"
 )
 
 // PageRank for the Hadoop baseline: two chained jobs per iteration (§4:
 // "Hadoop version uses two jobs to implement one iteration"), with all
 // intermediate state — adjacency lists and ranks — materialized in HDFS
-// between jobs and between iterations. Damping matches the flowlet
-// version: rank = 0.15 + 0.85·Σ contributions; pages keep rank 1.0 until
+// between jobs and between iterations. The edge lines and the rank rule
+// are the flowlet version's (kernel.EdgeLine, kernel.Share, kernel.Rank):
+// a page's every edge line carries a share, and pages keep rank 1.0 until
 // they receive contributions.
 //
 // Line formats in intermediate files:
@@ -26,6 +27,20 @@ import (
 //	"page\tR:rank"       current rank
 //	"page\tC:v"          one contribution (between job 1 and job 2)
 
+// prMap is both jobs' map: a "page\tvalue" line goes to its page, a raw
+// edge line (kernel.EdgeLine) to its source as (src, "E:dst").
+func prMap(kv core.KV, out mapreduce.Emitter) error {
+	line := kv.Value.(string)
+	if tab := strings.IndexByte(line, '\t'); tab > 0 {
+		return out.Emit(core.KV{Key: line[:tab], Value: line[tab+1:]})
+	}
+	src, dst, ok, err := kernel.EdgeLine(line)
+	if !ok {
+		return err
+	}
+	return out.Emit(core.KV{Key: src, Value: "E:" + dst})
+}
+
 // prJoinJob is job 1: join ranks with adjacency and emit contributions,
 // passing the adjacency through.
 func prJoinJob(input, output string, reduces int) mapreduce.Job {
@@ -33,22 +48,7 @@ func prJoinJob(input, output string, reduces int) mapreduce.Job {
 		Name:          "pagerank-join",
 		InputPrefixes: []string{input},
 		Output:        output,
-		NewMapper: func() mapreduce.Mapper {
-			return mapreduce.MapperFunc(func(kv core.KV, out mapreduce.Emitter) error {
-				line := kv.Value.(string)
-				if line == "" {
-					return nil
-				}
-				if tab := strings.IndexByte(line, '\t'); tab > 0 {
-					return out.Emit(core.KV{Key: line[:tab], Value: line[tab+1:]})
-				}
-				f := strings.Fields(line)
-				if len(f) != 2 {
-					return fmt.Errorf("mrapps: bad pagerank line %q", line)
-				}
-				return out.Emit(core.KV{Key: f[0], Value: "E:" + f[1]})
-			})
-		},
+		NewMapper:     func() mapreduce.Mapper { return mapreduce.MapperFunc(prMap) },
 		NewReducer: func() mapreduce.Reducer {
 			return mapreduce.ReducerFunc(func(page string, values []any, out mapreduce.Emitter) error {
 				rank := 1.0
@@ -75,7 +75,6 @@ func prJoinJob(input, output string, reduces int) mapreduce.Job {
 					}
 				}
 				sort.Strings(dsts)
-				dsts = dedupe(dsts)
 				if err := out.Charge(int64(len(dsts) * 8)); err != nil {
 					return err
 				}
@@ -89,7 +88,7 @@ func prJoinJob(input, output string, reduces int) mapreduce.Job {
 				if len(dsts) == 0 {
 					return nil
 				}
-				contrib := rank / float64(len(dsts))
+				contrib := kernel.Share(rank, len(dsts))
 				for _, d := range dsts {
 					if err := out.Emit(core.KV{Key: d, Value: fmt.Sprintf("C:%g", contrib)}); err != nil {
 						return err
@@ -109,23 +108,12 @@ func prAggJob(input, output string, reduces int) mapreduce.Job {
 		Name:          "pagerank-agg",
 		InputPrefixes: []string{input},
 		Output:        output,
-		NewMapper: func() mapreduce.Mapper {
-			return mapreduce.MapperFunc(func(kv core.KV, out mapreduce.Emitter) error {
-				line := kv.Value.(string)
-				tab := strings.IndexByte(line, '\t')
-				if tab <= 0 {
-					return nil
-				}
-				return out.Emit(core.KV{Key: line[:tab], Value: line[tab+1:]})
-			})
-		},
+		NewMapper:     func() mapreduce.Mapper { return mapreduce.MapperFunc(prMap) },
 		NewReducer: func() mapreduce.Reducer {
 			return mapreduce.ReducerFunc(func(page string, values []any, out mapreduce.Emitter) error {
-				var sum float64
-				gotContrib := false
-				oldRank := 1.0
-				adj := ""
-				hasAdj := false
+				sum, contribs := 0.0, 0
+				rank := 1.0
+				adj := "" // the "A:" value, when the page has one
 				for _, v := range values {
 					s := v.(string)
 					switch {
@@ -135,25 +123,23 @@ func prAggJob(input, output string, reduces int) mapreduce.Job {
 							return err
 						}
 						sum += c
-						gotContrib = true
+						contribs++
 					case strings.HasPrefix(s, "R:"):
 						r, err := strconv.ParseFloat(s[2:], 64)
 						if err != nil {
 							return err
 						}
-						oldRank = r
+						rank = r
 					case strings.HasPrefix(s, "A:"):
 						adj = s
-						hasAdj = true
 					default:
 						return fmt.Errorf("mrapps: bad pagerank value %q", s)
 					}
 				}
-				rank := oldRank
-				if gotContrib {
-					rank = 0.15 + 0.85*sum
+				if contribs > 0 {
+					rank = kernel.Rank(sum)
 				}
-				if hasAdj {
+				if adj != "" {
 					if err := out.Emit(core.KV{Key: page, Value: adj}); err != nil {
 						return err
 					}
@@ -163,20 +149,6 @@ func prAggJob(input, output string, reduces int) mapreduce.Job {
 		},
 		NumReduces: reduces,
 	}
-}
-
-func dedupe(sorted []string) []string {
-	out := sorted[:0]
-	for i, s := range sorted {
-		if s == "" {
-			continue
-		}
-		if i > 0 && s == sorted[i-1] {
-			continue
-		}
-		out = append(out, s)
-	}
-	return out
 }
 
 // PageRankMRResult is the outcome of the baseline PageRank driver.
@@ -195,35 +167,27 @@ func RunPageRankMR(e *mapreduce.Engine, fs *hdfs.FileSystem, input, work string,
 	}
 	cur := input
 	var jobs []mapreduce.Job
-	var finalOut string
 	for it := 0; it < iters; it++ {
 		mid := fmt.Sprintf("%s/iter%02d-contrib", work, it)
 		out := fmt.Sprintf("%s/iter%02d-rank", work, it)
 		jobs = append(jobs, prJoinJob(cur, mid, reduces), prAggJob(mid+"/", out, reduces))
 		cur = out + "/"
-		finalOut = out
 	}
 	res, err := e.RunChain(jobs...)
 	if err != nil {
 		return nil, err
 	}
 	ranks := make(map[string]float64)
-	for _, f := range fs.List(finalOut + "/") {
-		data, err := fs.ReadFile(f, transport.NodeID(-1))
-		if err != nil {
-			return nil, err
+	err = eachOutputLine(fs, cur, func(page, v string) error {
+		if !strings.HasPrefix(v, "R:") {
+			return nil
 		}
-		for _, line := range strings.Split(string(data), "\n") {
-			tab := strings.IndexByte(line, '\t')
-			if tab <= 0 || !strings.HasPrefix(line[tab+1:], "R:") {
-				continue
-			}
-			r, err := strconv.ParseFloat(line[tab+3:], 64)
-			if err != nil {
-				return nil, err
-			}
-			ranks[line[:tab]] = r
-		}
+		r, err := strconv.ParseFloat(v[2:], 64)
+		ranks[page] = r
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &PageRankMRResult{Iterations: iters, Ranks: ranks, Result: res}, nil
 }

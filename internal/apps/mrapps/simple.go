@@ -11,11 +11,32 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/hamr-go/hamr/internal/apps/hamrapps"
+	"github.com/hamr-go/hamr/internal/apps/kernel"
 	"github.com/hamr-go/hamr/internal/core"
 	"github.com/hamr-go/hamr/internal/datagen"
+	"github.com/hamr-go/hamr/internal/hdfs"
 	"github.com/hamr-go/hamr/internal/mapreduce"
+	"github.com/hamr-go/hamr/internal/transport"
 )
+
+// eachOutputLine calls fn with the key and value of every "key<TAB>value"
+// line of the part files under prefix.
+func eachOutputLine(fs *hdfs.FileSystem, prefix string, fn func(key, value string) error) error {
+	for _, f := range fs.List(prefix) {
+		data, err := fs.ReadFile(f, transport.NodeID(-1))
+		if err != nil {
+			return err
+		}
+		for _, line := range strings.Split(string(data), "\n") {
+			if k, v, ok := strings.Cut(line, "\t"); ok && k != "" {
+				if err := fn(k, v); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
 
 // sumReducer adds int64 counts; it doubles as the combiner.
 func sumReducer() mapreduce.Reducer {
@@ -49,20 +70,14 @@ func countJob(name, input, output string, combiner bool, reduces int, mapper map
 // Hadoop stay within 1.2x of HAMR on this benchmark (§5.2).
 func WordCountJob(input, output string, combiner bool, reduces int) mapreduce.Job {
 	return countJob("wordcount", input, output, combiner, reduces, func(kv core.KV, out mapreduce.Emitter) error {
-		return datagen.EachField(kv.Value.(string), func(w string) error {
-			return out.Emit(core.KV{Key: w, Value: int64(1)})
-		})
+		return kernel.Words(kv.Value.(string), out.Emit)
 	})
 }
 
 // HistogramMoviesJob buckets movies by average rating (half stars 1..5).
 func HistogramMoviesJob(input, output string, combiner bool, reduces int) mapreduce.Job {
 	return countJob("histogram-movies", input, output, combiner, reduces, func(kv core.KV, out mapreduce.Emitter) error {
-		rec, ok := datagen.ParseMovie(kv.Value.(string))
-		if !ok || len(rec.Ratings) == 0 {
-			return nil
-		}
-		return out.Emit(core.KV{Key: hamrapps.BucketKey(rec.AvgRating()), Value: int64(1)})
+		return kernel.MovieBucket(kv.Value.(string), out.Emit)
 	})
 }
 
@@ -71,9 +86,7 @@ func HistogramMoviesJob(input, output string, combiner bool, reduces int) mapred
 // why it beats HAMR here (§5.2).
 func HistogramRatingsJob(input, output string, combiner bool, reduces int) mapreduce.Job {
 	return countJob("histogram-ratings", input, output, combiner, reduces, func(kv core.KV, out mapreduce.Emitter) error {
-		return datagen.EachRating(kv.Value.(string), func(_ int, r float64) error {
-			return out.Emit(core.KV{Key: strconv.Itoa(int(r)), Value: int64(1)})
-		})
+		return kernel.Ratings(kv.Value.(string), out.Emit)
 	})
 }
 
@@ -84,8 +97,8 @@ func HistogramRatingsJob(input, output string, combiner bool, reduces int) mapre
 //	       per-(label,feature) weights and per-label totals.
 //	job 2: per-feature weight sums across labels.
 //
-// Final output keys match the HAMR implementation: "labelweight|<label>"
-// and "featureweight|<feature>".
+// Final output keys match the HAMR implementation: kernel.LabelWeight and
+// kernel.FeatureWeight.
 func NaiveBayesJobs(input, mid, output string, reduces int) []mapreduce.Job {
 	job1 := mapreduce.Job{
 		Name:          "nb-vectorsum",
@@ -93,13 +106,11 @@ func NaiveBayesJobs(input, mid, output string, reduces int) []mapreduce.Job {
 		Output:        mid,
 		NewMapper: func() mapreduce.Mapper {
 			return mapreduce.MapperFunc(func(kv core.KV, out mapreduce.Emitter) error {
-				line := kv.Value.(string)
-				tab := strings.IndexByte(line, '\t')
-				if tab <= 0 {
+				label, body, ok := kernel.Document(kv.Value.(string))
+				if !ok {
 					return nil
 				}
-				label := line[:tab]
-				return datagen.EachField(line[tab+1:], func(w string) error {
+				return datagen.EachField(body, func(w string) error {
 					return out.Emit(core.KV{Key: label + "|" + w, Value: int64(1)})
 				})
 			})
@@ -115,25 +126,19 @@ func NaiveBayesJobs(input, mid, output string, reduces int) []mapreduce.Job {
 		NewMapper: func() mapreduce.Mapper {
 			return mapreduce.MapperFunc(func(kv core.KV, out mapreduce.Emitter) error {
 				// Input lines: "label|feature\tcount".
-				line := kv.Value.(string)
-				tab := strings.IndexByte(line, '\t')
-				if tab <= 0 {
+				lf, count, tab := strings.Cut(kv.Value.(string), "\t")
+				label, feature, bar := strings.Cut(lf, "|")
+				if !tab || !bar || label == "" {
 					return nil
 				}
-				lf := line[:tab]
-				var n int64
-				if _, err := fmt.Sscanf(line[tab+1:], "%d", &n); err != nil {
-					return fmt.Errorf("mrapps: bad weight line %q: %w", line, err)
+				n, err := strconv.ParseInt(count, 10, 64)
+				if err != nil {
+					return fmt.Errorf("mrapps: bad weight line %q: %w", kv.Value, err)
 				}
-				bar := strings.IndexByte(lf, '|')
-				if bar <= 0 {
-					return nil
-				}
-				label, feature := lf[:bar], lf[bar+1:]
-				if err := out.Emit(core.KV{Key: "featureweight|" + feature, Value: n}); err != nil {
+				if err := out.Emit(core.KV{Key: kernel.FeatureWeight(feature), Value: n}); err != nil {
 					return err
 				}
-				return out.Emit(core.KV{Key: "labelweight|" + label, Value: n})
+				return out.Emit(core.KV{Key: kernel.LabelWeight(label), Value: n})
 			})
 		},
 		NewReducer:  sumReducer,

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/hamr-go/hamr/internal/apps/hamrapps"
 	"github.com/hamr-go/hamr/internal/datagen"
 )
 
@@ -119,8 +118,10 @@ func closeFloats(want, got string) bool {
 
 // The eight references: each reads the input, maps, groups and reduces on
 // one thread with no engine underneath, and is short enough to be checked
-// by eye. They share the record parsers and the similarity kernel with the
-// engines' versions — what they do not share is anything that moves data.
+// by eye. They share datagen's record parsers and cosine similarity with
+// the engines' versions, and nothing of the engines' own code: not the
+// record kernels both engines run (package kernel), nor anything that
+// moves data. CI holds this file to importing no package under apps/.
 
 func lines(input []byte) []string { return strings.Split(string(input), "\n") }
 
@@ -185,7 +186,7 @@ func refClassification(input []byte, r Run) Output {
 	out := Output{}
 	for _, line := range lines(input) {
 		if rec, ok := datagen.ParseMovie(line); ok && len(rec.Ratings) > 0 {
-			best, _ := hamrapps.BestCluster(rec, r.Centroids)
+			best, _ := nearest(rec, r.Centroids)
 			out[assignKey+rec.ID] = strconv.Itoa(best)
 		}
 	}
@@ -207,7 +208,7 @@ func refKMeans(input []byte, r Run) Output {
 		if !ok || len(rec.Ratings) == 0 {
 			continue
 		}
-		best, sim := hamrapps.BestCluster(rec, r.Centroids)
+		best, sim := nearest(rec, r.Centroids)
 		out[assignKey+rec.ID] = strconv.Itoa(best)
 		// A similarity is defined to 12 significant digits: that is what
 		// both versions carry to the reduce.
@@ -221,9 +222,28 @@ func refKMeans(input []byte, r Run) Output {
 			}
 			return ms[i].rec.ID < ms[j].rec.ID
 		})
-		out[strconv.Itoa(c)] = hamrapps.FormatCentroid(ms[len(ms)/2].rec.Vector())
+		// The centroid is the medoid's ratings as "user:rating", by user.
+		ratings := ms[len(ms)/2].rec.Ratings
+		sort.Slice(ratings, func(i, j int) bool { return ratings[i].User < ratings[j].User })
+		entries := make([]string, len(ratings))
+		for i, r := range ratings {
+			entries[i] = fmt.Sprintf("%d:%g", r.User, r.Rating)
+		}
+		out[strconv.Itoa(c)] = strings.Join(entries, ",")
 	}
 	return out
+}
+
+// nearest is the index of the centroid most similar to the movie, ties to
+// the lower index, and that similarity.
+func nearest(rec datagen.MovieRecord, centroids []map[int]float64) (int, float64) {
+	best, bestSim := 0, -1.0
+	for i, c := range centroids {
+		if sim := rec.Cosine(c); sim > bestSim {
+			best, bestSim = i, sim
+		}
+	}
+	return best, bestSim
 }
 
 // refPageRank runs r.PageRankIters rounds of rank = 0.15 + 0.85·Σ
@@ -246,7 +266,7 @@ func refPageRank(input []byte, r Run) Output {
 			sum[e[1]] += rank[e[0]] / outdeg[e[0]]
 		}
 		for page, s := range sum {
-			rank[page] = (1 - hamrapps.PRDamping) + hamrapps.PRDamping*s
+			rank[page] = 0.15 + 0.85*s
 		}
 	}
 	return rankOutput(r.PageRankIters, rank)

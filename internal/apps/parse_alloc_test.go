@@ -36,6 +36,8 @@ func TestParsePathAllocs(t *testing.T) {
 	movieKV, textKV := core.KV{Value: movie}, core.KV{Value: text}
 	out := &countEmits{}
 	mrWordCount := mrapps.WordCountJob("in", "out", true, 1).NewMapper()
+	mrRatings := mrapps.HistogramRatingsJob("in", "out", true, 1).NewMapper()
+	mrMovies := mrapps.HistogramMoviesJob("in", "out", true, 1).NewMapper()
 	var state any
 	var thousand any = int64(1000)
 	sum := func() {
@@ -61,7 +63,12 @@ func TestParsePathAllocs(t *testing.T) {
 		{"EachRating", 0, 5, func() error {
 			return datagen.EachRating(movie, func(int, float64) error { out.n++; return nil })
 		}},
+		// Each kernel behind both engines' adapters: a record costs what
+		// the kernel costs, whichever engine calls it.
 		{"hamrapps.RatingExplode.Map", 0, 5, func() error { return hamrapps.RatingExplode{}.Map(movieKV, out) }},
+		{"mrapps.HistogramRatingsJob mapper", 0, 5, func() error { return mrRatings.Map(movieKV, out) }},
+		{"hamrapps.MovieAvgBucket.Map", 1, 1, func() error { return hamrapps.MovieAvgBucket{}.Map(movieKV, out) }},
+		{"mrapps.HistogramMoviesJob mapper", 1, 1, func() error { return mrMovies.Map(movieKV, out) }},
 		{"hamrapps.SplitWords.Map", 0, 10, func() error { return hamrapps.SplitWords{}.Map(textKV, out) }},
 		{"mrapps.WordCountJob mapper", 0, 10, func() error { return mrWordCount.Map(textKV, out) }},
 		{"hamrapps.SumCounts.Update", 0, 0, func() error { sum(); return nil }},
