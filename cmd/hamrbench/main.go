@@ -48,7 +48,7 @@ func main() {
 		spec.Nodes = *nodes
 	}
 	if *workers > 0 {
-		spec.WorkersPerNode = *workers
+		spec.Core.Workers = *workers
 	}
 	spec.VClock = *vclock
 	var sc bench.Scale
@@ -93,12 +93,12 @@ func main() {
 		fmt.Println()
 		bench.WriteTimeReport(os.Stdout, []bench.Row{r})
 		fmt.Println()
-		bench.WriteIOReport(os.Stdout, h.LastMR)
+		bench.WriteIOReport(os.Stdout, r.MR.Metrics)
 		if *traceTo != "" {
-			if err := exportTrace(h.LastMRTrace, *traceTo, "mr"); err != nil {
+			if err := exportTrace(r.MR.Trace, *traceTo, "mr"); err != nil {
 				fatal(err)
 			}
-			if err := exportTrace(h.LastHAMRTrace, *traceTo, "hamr"); err != nil {
+			if err := exportTrace(r.HAMR.Trace, *traceTo, "hamr"); err != nil {
 				fatal(err)
 			}
 		}

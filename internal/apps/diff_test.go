@@ -139,10 +139,12 @@ func TestDiffHistogramRatings(t *testing.T) {
 // TestEdgeListsAgreeWithTheReference runs the edge-list rows over
 // hand-written graphs the generators never produce: an edge line repeated,
 // which PageRank counts twice (a page's every line carries a share), and an
-// edge listed in both directions, which is one edge of one clique. KCliques
-// also runs at k = 2, where the answer is the edge set, each edge once.
+// edge listed in both directions, which is one edge of one clique, and
+// edges written "u\tv", which are edges, whatever the MapReduce chains' own
+// intermediate lines look like. KCliques also runs at k = 2, where the
+// answer is the edge set, each edge once.
 func TestEdgeListsAgreeWithTheReference(t *testing.T) {
-	const twice = "0 1\n1 0\n0 2\n1 2\n"
+	const twice, tabs = "0 1\n1 0\n0 2\n1 2\n", "0\t1\n1\t2\n2\t0\n"
 	for _, tc := range []struct {
 		name  string
 		row   apps.Benchmark
@@ -153,6 +155,8 @@ func TestEdgeListsAgreeWithTheReference(t *testing.T) {
 		{"kcliques/both-directions", apps.KCliques, 3, twice},
 		{"kcliques/both-directions/k=2", apps.KCliques, 2, twice},
 		{"kcliques/k=2", apps.KCliques, 2, "0 1\n0 2\n1 2\n2 3\n3 4\n5 5\n"},
+		{"pagerank/tabs", apps.PageRank, 0, tabs},
+		{"kcliques/tabs", apps.KCliques, 3, tabs},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := runBoth(t, apps.Lookup(string(tc.row)), []byte(tc.edges), apps.Variant{K: tc.k})

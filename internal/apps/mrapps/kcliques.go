@@ -25,7 +25,8 @@ import (
 // kcJob builds the job that takes i-clique candidates to (i+1)-cliques
 // (or, when i == k, validates and outputs final cliques).
 //
-// Inputs: the edge file plus (for i > 2) the previous candidate file.
+// Inputs: the edge file plus (for i > 2) the previous candidate file; the
+// map tells a line's input by its file (the key), not by its shape.
 // Map: edge "u v" -> (u, "E:v"), (v, "E:u"); for i == 2 also the seed
 // candidates (max(u,v), "C:min,max"). Candidate line "v1,...,vi" ->
 // (vi, "C:v1,...,vi").
@@ -41,8 +42,9 @@ func kcJob(name string, edgeInput, candInput, output string, i, k, reduces int) 
 		NewMapper: func() mapreduce.Mapper {
 			return mapreduce.MapperFunc(func(kv core.KV, out mapreduce.Emitter) error {
 				line := kv.Value.(string)
-				if clique, _, ok := strings.Cut(line, "\t"); ok {
+				if candInput != "" && strings.HasPrefix(kv.Key, candInput) {
 					// A candidate, from the previous job's "clique\t1" lines.
+					clique, _, _ := strings.Cut(line, "\t")
 					return out.Emit(core.KV{Key: clique[strings.LastIndexByte(clique, ',')+1:], Value: "C:" + clique})
 				}
 				e, ok, err := kernel.UndirectedEdge(line)

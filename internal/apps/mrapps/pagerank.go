@@ -27,14 +27,20 @@ import (
 //	"page\tR:rank"       current rank
 //	"page\tC:v"          one contribution (between job 1 and job 2)
 
-// prMap is both jobs' map: a "page\tvalue" line goes to its page, a raw
-// edge line (kernel.EdgeLine) to its source as (src, "E:dst").
+// prMap is the map of every job that reads the chain's own "page\tvalue"
+// lines: each goes to its page.
 func prMap(kv core.KV, out mapreduce.Emitter) error {
 	line := kv.Value.(string)
 	if tab := strings.IndexByte(line, '\t'); tab > 0 {
 		return out.Emit(core.KV{Key: line[:tab], Value: line[tab+1:]})
 	}
-	src, dst, ok, err := kernel.EdgeLine(line)
+	return fmt.Errorf("mrapps: bad pagerank line %q", line)
+}
+
+// prEdgeMap is the first join's map, the one job that reads raw edges: an
+// edge line (kernel.EdgeLine) goes to its source as (src, "E:dst").
+func prEdgeMap(kv core.KV, out mapreduce.Emitter) error {
+	src, dst, ok, err := kernel.EdgeLine(kv.Value.(string))
 	if !ok {
 		return err
 	}
@@ -42,13 +48,14 @@ func prMap(kv core.KV, out mapreduce.Emitter) error {
 }
 
 // prJoinJob is job 1: join ranks with adjacency and emit contributions,
-// passing the adjacency through.
-func prJoinJob(input, output string, reduces int) mapreduce.Job {
+// passing the adjacency through. m reads its input: raw edges in the first
+// iteration, the previous iteration's ranks and adjacency after it.
+func prJoinJob(input, output string, reduces int, m mapreduce.MapperFunc) mapreduce.Job {
 	return mapreduce.Job{
 		Name:          "pagerank-join",
 		InputPrefixes: []string{input},
 		Output:        output,
-		NewMapper:     func() mapreduce.Mapper { return mapreduce.MapperFunc(prMap) },
+		NewMapper:     func() mapreduce.Mapper { return m },
 		NewReducer: func() mapreduce.Reducer {
 			return mapreduce.ReducerFunc(func(page string, values []any, out mapreduce.Emitter) error {
 				rank := 1.0
@@ -165,13 +172,13 @@ func RunPageRankMR(e *mapreduce.Engine, fs *hdfs.FileSystem, input, work string,
 	if iters <= 0 {
 		iters = 1
 	}
-	cur := input
+	cur, join := input, prEdgeMap
 	var jobs []mapreduce.Job
 	for it := 0; it < iters; it++ {
 		mid := fmt.Sprintf("%s/iter%02d-contrib", work, it)
 		out := fmt.Sprintf("%s/iter%02d-rank", work, it)
-		jobs = append(jobs, prJoinJob(cur, mid, reduces), prAggJob(mid+"/", out, reduces))
-		cur = out + "/"
+		jobs = append(jobs, prJoinJob(cur, mid, reduces, join), prAggJob(mid+"/", out, reduces))
+		cur, join = out+"/", prMap
 	}
 	res, err := e.RunChain(jobs...)
 	if err != nil {

@@ -17,7 +17,7 @@ func fastSpec() ClusterSpec {
 	s.Net.TimeScale = 0.01
 	s.MapReduce.JobStartup = time.Millisecond
 	s.MapReduce.TaskStartup = 0
-	s.ContentionCost = 0
+	s.Core.ContentionCost = 0
 	return s
 }
 
@@ -33,7 +33,7 @@ func TestHarnessRunsEveryBenchmarkOnBothEngines(t *testing.T) {
 		t.Run(string(w.Name), func(t *testing.T) {
 			checked := h.Checked
 			row, err := h.RunRow(w, apps.Variant{})
-			if err != nil || row.IDH <= 0 || row.HAMR <= 0 {
+			if err != nil || row.MR.Time <= 0 || row.HAMR.Time <= 0 {
 				t.Fatalf("%v (%+v)", err, row)
 			}
 			// Both answers were held to the reference, not just timed.
@@ -73,39 +73,35 @@ func TestHarnessFailsOnAWrongAnswer(t *testing.T) {
 // here as bins.dropped > 0 or missing shuffle traffic.
 func TestHarnessHotPathClean(t *testing.T) {
 	h := NewHarness(fastSpec(), TinyScale())
-	if _, err := h.RunRow(row(WordCount), apps.Variant{}); err != nil {
+	wc, err := h.RunRow(row(WordCount), apps.Variant{})
+	if err != nil {
 		t.Fatalf("wordcount: %v", err)
 	}
-	res := h.LastHAMR
-	if res == nil {
-		t.Fatal("LastHAMR not recorded")
-	}
-	if got := res.Metrics.Get("bins.sent"); got == 0 {
+	m := wc.HAMR.Metrics
+	if got := m.Get("bins.sent"); got == 0 {
 		t.Error("bins.sent = 0, expected shuffle traffic")
 	}
-	if got := res.Metrics.Get("shuffle.kvs"); got == 0 {
+	if got := m.Get("shuffle.kvs"); got == 0 {
 		t.Error("shuffle.kvs = 0, expected remote shuffle traffic")
 	}
 	// bins.dropped and net.dropped are substrate counters (runtime
 	// teardown, fabric delivery), accounted cluster-wide rather than in
 	// the job's own deltas.
-	if got := h.LastHAMRCluster.Get("bins.dropped"); got != 0 {
+	if got := m.Get("bins.dropped"); got != 0 {
 		t.Errorf("bins.dropped = %d on a clean run", got)
 	}
 	// The fabric only skips deliveries (best-effort broadcast to a closed
 	// inbox) during teardown races; a clean run must deliver everything.
-	if got := h.LastHAMRCluster.Get("net.dropped"); got != 0 {
+	if got := m.Get("net.dropped"); got != 0 {
 		t.Errorf("net.dropped = %d on a clean run", got)
 	}
-
-	// LastHAMR is this row's last job, whatever the row: PageRank is a
-	// chain run by a driver, not a graph the harness runs itself.
-	wordcount := res.Job
-	if _, err := h.RunRow(row(PageRank), apps.Variant{}); err != nil {
-		t.Fatalf("pagerank: %v", err)
+	// Each side is its own cluster's: neither engine's counters reach the
+	// other's snapshot.
+	if got := m.Get("mr.jobs"); got != 0 {
+		t.Errorf("the HAMR side counts %d MapReduce jobs", got)
 	}
-	if h.LastHAMR == nil || h.LastHAMR.Job == wordcount {
-		t.Errorf("after PageRank LastHAMR is still WordCount's job %d", wordcount)
+	if got := wc.MR.Metrics.Get("bins.sent"); got != 0 || wc.MR.Metrics.Get("mr.jobs") == 0 {
+		t.Errorf("the MapReduce side counts %d bins sent and %d jobs", got, wc.MR.Metrics.Get("mr.jobs"))
 	}
 }
 
@@ -160,8 +156,8 @@ func TestShapeCheckAgainstPaperNumbers(t *testing.T) {
 		rows = append(rows, Row{
 			Benchmark: b,
 			DataSize:  p.DataSize,
-			IDH:       time.Duration(p.IDH * float64(time.Second)),
-			HAMR:      time.Duration(p.HAMR * float64(time.Second)),
+			MR:        Side{Time: time.Duration(p.IDH * float64(time.Second))},
+			HAMR:      Side{Time: time.Duration(p.HAMR * float64(time.Second))},
 			Speedup:   p.Speedup,
 			Paper:     p,
 		})
@@ -196,9 +192,9 @@ func TestReportsRender(t *testing.T) {
 		b, p := w.Name, w.Paper
 		rows = append(rows, Row{
 			Benchmark: b, DataSize: p.DataSize,
-			IDH:  2 * time.Second,
-			HAMR: time.Second, Speedup: 2, Paper: p,
-			Modeled: true, IDHImbalance: 1.25, HAMRImbalance: 2.5,
+			MR:      Side{Time: 2 * time.Second, Imbalance: 1.25},
+			HAMR:    Side{Time: time.Second, Imbalance: 2.5},
+			Speedup: 2, Paper: p, Modeled: true,
 		})
 	}
 	var sb strings.Builder
@@ -251,7 +247,7 @@ func TestScalesProportioned(t *testing.T) {
 
 // TestHAMRLaneImbalance is the funnel guard over the workload table: every
 // row's HAMR side, once, under a virtual clock with the benchmark's cost
-// models, held to a ceiling on its lane imbalance (Row.HAMRImbalance). A
+// models, held to a ceiling on its lane imbalance (Side.Imbalance). A
 // graph that shuffles a constant key sends its pairs to one node and folds
 // them on one stripe while the rest of the cluster idles; the modeled
 // seconds only say the row got slower, this says one node set them. A row
@@ -282,14 +278,15 @@ func TestHAMRLaneImbalance(t *testing.T) {
 	run := func(h *Harness, w *apps.Workload) {
 		t.Helper()
 		data, r := h.input(w, apps.Variant{})
-		if _, _, err := h.runHAMR(w, data, r); err != nil {
+		side, _, err := h.sideHAMR(w, data, r)
+		if err != nil {
 			t.Fatal(err)
 		}
 		limit, why := ceiling, "default"
 		if row, ok := hot[w.Name]; ok {
 			limit, why = row.max, row.why
 		}
-		if got := h.LastImbalance; got < 1 || got > limit {
+		if got := side.Imbalance; got < 1 || got > limit {
 			t.Errorf("%s: largest node lane is %.2fx the mean, want 1x-%.2fx (%s): one node paces the row while the others idle",
 				w.Name, got, limit, why)
 		}

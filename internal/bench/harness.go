@@ -6,8 +6,6 @@ import (
 
 	"github.com/hamr-go/hamr/internal/apps"
 	"github.com/hamr-go/hamr/internal/cluster"
-	"github.com/hamr-go/hamr/internal/core"
-	"github.com/hamr-go/hamr/internal/metrics"
 	"github.com/hamr-go/hamr/internal/trace"
 	"github.com/hamr-go/hamr/internal/vtime"
 )
@@ -21,41 +19,11 @@ type Harness struct {
 	Spec  ClusterSpec
 	Scale Scale
 
-	// Trace attaches a span recorder to every cluster the harness builds;
-	// the timeline of the most recent run on each engine is kept in
-	// LastMRTrace / LastHAMRTrace for export and critical-path analysis.
-	// Off by default — the engines' hot paths stay untouched.
-	Trace         bool
-	LastMRTrace   []*trace.Event
-	LastHAMRTrace []*trace.Event
-
-	// LastHAMR is the JobResult of the most recent HAMR job run by the
-	// harness (the last job if a benchmark chains several). It exposes
-	// the engine's hot-path health counters — flow.gated, stalls,
-	// bins.dropped — so callers can verify a measurement was not
-	// distorted by harness overhead or silent data loss.
-	LastHAMR *core.JobResult
-
-	// LastMR is the metrics snapshot of the most recent baseline run's
-	// cluster, captured before the cluster is torn down; WriteIOReport
-	// renders its HDFS read-path counters.
-	LastMR metrics.Snapshot
-
-	// LastHAMRCluster is the cluster-wide metrics snapshot of the most
-	// recent HAMR run, captured before teardown. JobResult.Metrics carries
-	// only the job's own deltas; substrate counters accounted outside any
-	// job — the fabric's net.bytes/net.msgs, bins.dropped — live here.
-	LastHAMRCluster metrics.Snapshot
-
-	// LastWall is the most recent run's wall-clock cost. In real-clock mode
-	// it is the duration the tables report; under Spec.VClock that one is
-	// modeled, read from the virtual clock's logical lanes.
-	LastWall time.Duration
-
-	// LastImbalance is the most recent run's lane imbalance under
-	// Spec.VClock (Row.HAMRImbalance says what it reads); 0 on the real
-	// clock, which has no lanes.
-	LastImbalance float64
+	// Trace attaches a span recorder to every cluster the harness builds
+	// and keeps each run's timeline in its Side for export and
+	// critical-path analysis. Off by default — the engines' hot paths stay
+	// untouched.
+	Trace bool
 
 	// Checked counts the keys of the answers held to their reference so
 	// far: it grows with every row the harness returns without error.
@@ -104,26 +72,6 @@ func (h *Harness) clusterOptions() (opts cluster.Options, vc *vtime.VirtualClock
 	return h.Spec.ClusterOptions(clk, tr), vc, tr
 }
 
-// measure starts a wall+modeled interval and returns the stop function; the
-// duration it returns is the one the tables report (modeled under VClock,
-// wall otherwise).
-func (h *Harness) measure(vc *vtime.VirtualClock) func() time.Duration {
-	start := time.Now()
-	var mark vtime.Mark
-	if vc != nil {
-		mark = vc.Mark()
-	}
-	return func() time.Duration {
-		h.LastWall = time.Since(start)
-		h.LastImbalance = 0
-		if vc != nil {
-			h.LastImbalance = laneImbalance(vc.LanesSince(mark))
-			return vc.Since(mark)
-		}
-		return h.LastWall
-	}
-}
-
 // laneImbalance is the largest node lane's advance over the mean advance:
 // 1 when every node carried an equal share of the modeled work, the node
 // count when one node carried all of it. 0 when nothing was charged.
@@ -141,63 +89,62 @@ func laneImbalance(lanes []time.Duration) float64 {
 	return float64(largest) * float64(len(lanes)) / float64(sum)
 }
 
-// runHAMR times one row on the HAMR engine, over a fresh cluster with the
-// spec's cost models, and returns its answer.
-func (h *Harness) runHAMR(w *apps.Workload, data []byte, r apps.Run) (time.Duration, apps.Output, error) {
-	opts, vc, tr := h.clusterOptions()
-	c, err := cluster.New(opts)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer c.Close()
-	env, err := w.HAMREnv(c, data, r)
-	if err != nil {
-		return 0, nil, err
-	}
-
-	stop := h.measure(vc)
-	res, collect, err := w.RunHAMR(env)
-	if err != nil {
-		return 0, nil, fmt.Errorf("bench: %s on hamr: %w", w.Name, err)
-	}
-	elapsed := stop()
-	h.LastHAMR = res
-	h.LastHAMRCluster = c.Metrics().Snapshot()
-	h.LastHAMRTrace = tr.Events()
-	out, err := collect()
-	if err != nil {
-		return 0, nil, fmt.Errorf("bench: %s on hamr: reading the answer: %w", w.Name, err)
-	}
-	return elapsed, out, nil
+// sideMR runs row w on the baseline (IDH stand-in): the input in HDFS, run
+// by an engine with the spec's overhead model.
+func (h *Harness) sideMR(w *apps.Workload, data []byte, r apps.Run) (Side, apps.Output, error) {
+	return h.runSide(w, apps.SideMR, func(c *cluster.Cluster) (apps.Env, error) {
+		return w.MREnv(c, h.Spec.MapReduce, data, r)
+	}, w.MR)
 }
 
-// runMR times one row on the MapReduce baseline (IDH stand-in), over a fresh
-// cluster with the same cost models, and returns its answer.
-func (h *Harness) runMR(w *apps.Workload, data []byte, r apps.Run) (time.Duration, apps.Output, error) {
+// sideHAMR runs row w on the flowlet engine: the input split over the nodes'
+// local disks.
+func (h *Harness) sideHAMR(w *apps.Workload, data []byte, r apps.Run) (Side, apps.Output, error) {
+	return h.runSide(w, apps.SideHAMR, func(c *cluster.Cluster) (apps.Env, error) {
+		return w.HAMREnv(c, data, r)
+	}, func(e apps.Env) (apps.Collect, error) {
+		_, collect, err := w.RunHAMR(e)
+		return collect, err
+	})
+}
+
+// runSide times one engine's run of row w over a fresh cluster with the
+// spec's cost models: stage lays the input out on it, the clock runs over
+// run alone, and the metrics and the trace are captured before the answer
+// is read. side names the engine in errors.
+func (h *Harness) runSide(w *apps.Workload, side string,
+	stage func(*cluster.Cluster) (apps.Env, error), run func(apps.Env) (apps.Collect, error)) (Side, apps.Output, error) {
 	opts, vc, tr := h.clusterOptions()
 	c, err := cluster.New(opts)
 	if err != nil {
-		return 0, nil, err
+		return Side{}, nil, err
 	}
 	defer c.Close()
-	env, err := w.MREnv(c, h.Spec.MapReduce, data, r)
+	env, err := stage(c)
 	if err != nil {
-		return 0, nil, err
+		return Side{}, nil, err
 	}
 
-	stop := h.measure(vc)
-	collect, err := w.MR(env)
-	if err != nil {
-		return 0, nil, fmt.Errorf("bench: %s on mapreduce: %w", w.Name, err)
+	start := time.Now()
+	var mark vtime.Mark
+	if vc != nil {
+		mark = vc.Mark()
 	}
-	elapsed := stop()
-	h.LastMR = c.Metrics().Snapshot()
-	h.LastMRTrace = tr.Events()
+	collect, err := run(env)
+	if err != nil {
+		return Side{}, nil, fmt.Errorf("bench: %s on %s: %w", w.Name, side, err)
+	}
+	s := Side{Wall: time.Since(start)}
+	s.Time = s.Wall
+	if vc != nil {
+		s.Time, s.Imbalance = vc.Since(mark), laneImbalance(vc.LanesSince(mark))
+	}
+	s.Metrics, s.Trace = c.Metrics().Snapshot(), tr.Events()
 	out, err := collect()
 	if err != nil {
-		return 0, nil, fmt.Errorf("bench: %s on mapreduce: reading the answer: %w", w.Name, err)
+		return Side{}, nil, fmt.Errorf("bench: %s on %s: reading the answer: %w", w.Name, side, err)
 	}
-	return elapsed, out, nil
+	return s, out, nil
 }
 
 // RunRow measures one row on both engines and holds both answers to the
@@ -206,12 +153,11 @@ func (h *Harness) runMR(w *apps.Workload, data []byte, r apps.Run) (time.Duratio
 // it, where the paper printed one.
 func (h *Harness) RunRow(w *apps.Workload, v apps.Variant) (Row, error) {
 	data, r := h.input(w, v)
-	idh, mrOut, err := h.runMR(w, data, r)
+	mr, mrOut, err := h.sideMR(w, data, r)
 	if err != nil {
 		return Row{}, err
 	}
-	idhWall, idhImbalance := h.LastWall, h.LastImbalance
-	hamr, hamrOut, err := h.runHAMR(w, data, r)
+	hamr, hamrOut, err := h.sideHAMR(w, data, r)
 	if err != nil {
 		return Row{}, err
 	}
@@ -230,17 +176,13 @@ func (h *Harness) RunRow(w *apps.Workload, v apps.Variant) (Row, error) {
 		paper = *v.Paper
 	}
 	return Row{
-		Benchmark:     w.Name,
-		DataSize:      paper.DataSize,
-		IDH:           idh,
-		HAMR:          hamr,
-		Speedup:       idh.Seconds() / hamr.Seconds(),
-		Paper:         paper,
-		IDHWall:       idhWall,
-		HAMRWall:      h.LastWall,
-		Modeled:       h.Spec.VClock,
-		IDHImbalance:  idhImbalance,
-		HAMRImbalance: h.LastImbalance,
+		Benchmark: w.Name,
+		DataSize:  paper.DataSize,
+		MR:        mr,
+		HAMR:      hamr,
+		Speedup:   mr.Time.Seconds() / hamr.Time.Seconds(),
+		Paper:     paper,
+		Modeled:   h.Spec.VClock,
 	}, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"time"
 
 	"github.com/hamr-go/hamr/internal/apps"
 )
@@ -16,8 +17,8 @@ import (
 func WriteTable1(w io.Writer, spec ClusterSpec) {
 	fmt.Fprintln(w, "Table 1: Cluster Information (scaled simulation)")
 	fmt.Fprintf(w, "  %-28s %v (paper: 16, 1 master + 15 workers)\n", "# of compute nodes", spec.Nodes)
-	fmt.Fprintf(w, "  %-28s %v (paper: 32 threads)\n", "workers per node", spec.WorkersPerNode)
-	fmt.Fprintf(w, "  %-28s %v MB (paper: 32 GB)\n", "memory budget per node", spec.MemoryBudget>>20)
+	fmt.Fprintf(w, "  %-28s %v (paper: 32 threads)\n", "workers per node", spec.Core.Workers)
+	fmt.Fprintf(w, "  %-28s %v MB (paper: 32 GB)\n", "memory budget per node", spec.Core.MemoryBudget>>20)
 	fmt.Fprintf(w, "  %-28s seek %v, read %v MB/s, write %v MB/s (paper: SATA-III)\n",
 		"local disk model", spec.Disk.SeekLatency,
 		spec.Disk.ReadBytesPerSec>>20, spec.Disk.WriteBytesPerSec>>20)
@@ -35,7 +36,7 @@ func WriteTable2(w io.Writer, rows []Row) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "  %-18s %-9s %12s %12s %8.2fx | %8.2fx\n",
 			r.Benchmark, r.DataSize,
-			fmtDur(r.IDH), fmtDur(r.HAMR), r.Speedup, r.Paper.Speedup)
+			fmtDur(r.MR.Time), fmtDur(r.HAMR.Time), r.Speedup, r.Paper.Speedup)
 	}
 }
 
@@ -47,7 +48,7 @@ func WriteTable3(w io.Writer, rows []Row) {
 	fmt.Fprintln(w, "  "+strings.Repeat("-", 64))
 	for _, r := range rows {
 		fmt.Fprintf(w, "  %-18s %-9s %12s %8.2fx | %8.2fx\n",
-			r.Benchmark, r.DataSize, fmtDur(r.HAMR), r.Speedup, r.Paper.Speedup)
+			r.Benchmark, r.DataSize, fmtDur(r.HAMR.Time), r.Speedup, r.Paper.Speedup)
 	}
 }
 
@@ -104,7 +105,7 @@ func WriteIOReport(w io.Writer, snap interface{ Get(string) int64 }) {
 // plain column is what the tables report. In real-clock mode the pairs
 // are equal; under -vclock the wall columns show the suite speedup the
 // virtual clock buys, and each engine's "max/mean" column is the row's
-// lane imbalance (Row.HAMRImbalance): the node lane that set the modeled
+// lane imbalance (Side.Imbalance): the node lane that set the modeled
 // time over the average one. The seconds say how long; this says whether
 // one node was doing the work while the others waited.
 func WriteTimeReport(w io.Writer, rows []Row) {
@@ -118,11 +119,13 @@ func WriteTimeReport(w io.Writer, rows []Row) {
 	fmt.Fprintln(w, "  "+strings.Repeat("-", 92))
 	var wall, modeled float64
 	for _, r := range rows {
-		fmt.Fprintf(w, "  %-18s %12s %12s %9s %12s %12s %9s\n",
-			r.Benchmark, fmtDur(r.IDHWall), fmtDur(r.IDH), fmtImbalance(r.IDHImbalance),
-			fmtDur(r.HAMRWall), fmtDur(r.HAMR), fmtImbalance(r.HAMRImbalance))
-		wall += r.IDHWall.Seconds() + r.HAMRWall.Seconds()
-		modeled += r.IDH.Seconds() + r.HAMR.Seconds()
+		fmt.Fprintf(w, "  %-18s", r.Benchmark)
+		for _, s := range []Side{r.MR, r.HAMR} {
+			fmt.Fprintf(w, " %12s %12s %9s", fmtDur(s.Wall), fmtDur(s.Time), fmtImbalance(s.Imbalance))
+			wall += s.Wall.Seconds()
+			modeled += s.Time.Seconds()
+		}
+		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "  %-18s %12s %12s\n", "total",
 		fmt.Sprintf("%.3fs", wall), fmt.Sprintf("%.3fs", modeled))
@@ -166,7 +169,7 @@ func ShapeCheck(rows []Row) []string {
 	return out
 }
 
-func fmtDur(d interface{ Seconds() float64 }) string {
+func fmtDur(d time.Duration) string {
 	return fmt.Sprintf("%.3fs", d.Seconds())
 }
 

@@ -12,6 +12,7 @@ import (
 	"github.com/hamr-go/hamr/internal/cluster"
 	"github.com/hamr-go/hamr/internal/core"
 	"github.com/hamr-go/hamr/internal/mapreduce"
+	"github.com/hamr-go/hamr/internal/metrics"
 	"github.com/hamr-go/hamr/internal/storage"
 	"github.com/hamr-go/hamr/internal/trace"
 	"github.com/hamr-go/hamr/internal/transport"
@@ -28,11 +29,10 @@ type ClusterSpec struct {
 	// Workers nodes execute the job (the paper's 15 DataNode/NodeManager
 	// machines; the master is implicit in the driver).
 	Nodes int
-	// WorkersPerNode is the per-node thread pool size (paper: 32).
-	WorkersPerNode int
-	// MemoryBudget is the per-node in-memory data budget for the HAMR
-	// engine (paper: 32 GB per node).
-	MemoryBudget int64
+	// Core is the HAMR engine's configuration: workers per node (paper:
+	// 32 threads), the per-node in-memory data budget (paper: 32 GB), the
+	// flow-control window, the bin size and the contended-update cost.
+	Core core.Config
 	// Disk and Net are the substrate cost models (paper: SATA-III, FDR).
 	Disk storage.CostModel
 	Net  transport.CostModel
@@ -40,13 +40,6 @@ type ClusterSpec struct {
 	HDFSBlockSize int64
 	// MapReduce holds the baseline engine's overhead model.
 	MapReduce mapreduce.Config
-	// FlowControlWindow is the HAMR flow-control window in bins.
-	FlowControlWindow int
-	// BinSize is the HAMR scheduling quantum in pairs.
-	BinSize int
-	// ContentionCost is the modeled contended shared-variable update cost
-	// for partial reduces (core.Config.ContentionCost).
-	ContentionCost time.Duration
 	// VClock runs every benchmark under a virtual clock (internal/vtime):
 	// modeled delays advance per-node logical clocks instead of sleeping,
 	// so reported IDH/HAMR times are modeled seconds while the suite's
@@ -67,9 +60,14 @@ type ClusterSpec struct {
 func DefaultSpec() ClusterSpec {
 	const timeScale = 30.0
 	return ClusterSpec{
-		Nodes:          8,
-		WorkersPerNode: 4,
-		MemoryBudget:   256 << 20,
+		Nodes: 8,
+		Core: core.Config{
+			Workers:           4,
+			MemoryBudget:      256 << 20,
+			FlowControlWindow: 32,
+			BinSize:           512,
+			ContentionCost:    12 * time.Microsecond,
+		},
 		Disk: storage.CostModel{
 			SeekLatency:      100 * time.Microsecond,
 			ReadBytesPerSec:  150 << 20,
@@ -85,29 +83,17 @@ func DefaultSpec() ClusterSpec {
 		HDFSBlockSize: 256 << 10,
 		MapReduce: mapreduce.Config{
 			SortBufferBytes: 1 << 20,
-			DefaultReduces:  8,
 			MapMemMB:        512,
 			ReduceMemMB:     512,
 			ReduceHeapBytes: 4 << 20,
 			JobStartup:      80 * time.Millisecond,
 			TaskStartup:     3 * time.Millisecond,
 		},
-		FlowControlWindow: 32,
-		BinSize:           512,
-		ContentionCost:    12 * time.Microsecond,
 	}
 }
 
-// CoreConfig derives the HAMR engine configuration from the spec.
-func (s ClusterSpec) CoreConfig() core.Config {
-	return core.Config{
-		Workers:           s.WorkersPerNode,
-		MemoryBudget:      s.MemoryBudget,
-		FlowControlWindow: s.FlowControlWindow,
-		BinSize:           s.BinSize,
-		ContentionCost:    s.ContentionCost,
-	}
-}
+// CoreConfig is the HAMR engine configuration: s.Core.
+func (s ClusterSpec) CoreConfig() core.Config { return s.Core }
 
 // ClusterOptions is the benchmark cluster: the spec's nodes, cost models,
 // and block size, paying modeled delays to clk and recording into tr
@@ -118,7 +104,7 @@ func (s ClusterSpec) CoreConfig() core.Config {
 func (s ClusterSpec) ClusterOptions(clk vtime.Clock, tr *trace.Tracer) cluster.Options {
 	return cluster.Options{
 		NumNodes:      s.Nodes,
-		Core:          s.CoreConfig(),
+		Core:          s.Core,
 		DiskModel:     &s.Disk,
 		NetModel:      &s.Net,
 		HDFSBlockSize: s.HDFSBlockSize,
@@ -191,28 +177,36 @@ var PaperTable2 = func() map[Benchmark]apps.PaperRow {
 	return m
 }()
 
-// Row is one measured Table 2 / Table 3 entry.
+// Row is one measured Table 2 / Table 3 entry: what each engine's run of
+// the row measured, side by side.
 type Row struct {
 	Benchmark Benchmark
 	DataSize  string // the paper's size label
-	IDH       time.Duration
-	HAMR      time.Duration
-	Speedup   float64
+	MR, HAMR  Side
+	Speedup   float64 // MR.Time over HAMR.Time
 	Paper     apps.PaperRow
-	// IDHWall / HAMRWall are the wall-clock costs of producing the row.
-	// In real-clock mode they equal IDH / HAMR; under -vclock IDH/HAMR
-	// are modeled seconds from the logical clocks and the wall columns
-	// show what the run actually took.
-	IDHWall  time.Duration
-	HAMRWall time.Duration
 	// Modeled marks rows measured under the virtual clock.
 	Modeled bool
-	// IDHImbalance / HAMRImbalance are, on a modeled row, the largest node
-	// lane's advance over the mean node lane's advance across the timed
-	// interval. Modeled elapsed time is set by the largest lane, so 1.0
-	// says the nodes shared the work and N says one node of N did it all
-	// while the rest idled — a funnel (or the paper's §5.2 hot keys) that
-	// the per-resource sums cannot show. 0 on the real clock.
-	IDHImbalance  float64
-	HAMRImbalance float64
+}
+
+// Side is what one engine's run of a row measured.
+type Side struct {
+	// Time is what the tables report: modeled seconds from the logical
+	// clocks under -vclock, the wall time otherwise.
+	Time time.Duration
+	// Wall is what producing the side actually took.
+	Wall time.Duration
+	// Imbalance is, on a modeled row, the largest node lane's advance over
+	// the mean node lane's advance across the timed interval. Modeled
+	// elapsed time is set by the largest lane, so 1.0 says the nodes
+	// shared the work and N says one node of N did it all while the rest
+	// idled — a funnel (or the paper's §5.2 hot keys) that the
+	// per-resource sums cannot show. 0 on the real clock.
+	Imbalance float64
+	// Metrics is the run's cluster-wide snapshot, taken before the answer
+	// is read: substrate counters accounted outside any job (the fabric's
+	// net.bytes, bins.dropped) as well as every job's own.
+	Metrics metrics.Snapshot
+	// Trace is the run's timeline when Harness.Trace is set.
+	Trace []*trace.Event
 }

@@ -67,16 +67,40 @@ func TestConfigsAreTuning(t *testing.T) {
 	}{
 		{cluster.Options{}, 11},
 		{core.Config{}, 8},
-		{mapreduce.Config{}, 8},
+		{mapreduce.Config{}, 7},
 		{mapreduce.Job{}, 7},
 		{hdfs.Config{}, 4},
 		{transport.CoalescerConfig{}, 2},
+		{ClusterSpec{}, 7},
 	} {
 		typ := reflect.TypeOf(cfg.v)
 		walk(typ.String(), typ)
 		if n := typ.NumField(); n > cfg.budget {
 			t.Errorf("%v has %d fields, budget %d", typ, n, cfg.budget)
 		}
+	}
+	// The spec holds each engine's config whole: a field of either, mirrored
+	// in the spec, is a second place to set one value.
+	spec := reflect.TypeOf(ClusterSpec{})
+	for _, engine := range []any{core.Config{}, mapreduce.Config{}} {
+		typ := reflect.TypeOf(engine)
+		for i := 0; i < typ.NumField(); i++ {
+			name := typ.Field(i).Name
+			if _, ok := spec.FieldByName(name); ok {
+				t.Errorf("ClusterSpec.%s mirrors %v.%s: the spec holds a %v whole", name, typ, name, typ)
+			}
+		}
+	}
+	// What a run measured is returned in its Row's sides, never left on the
+	// harness for the next run to overwrite.
+	var exported []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Harness{})) {
+		if f.IsExported() {
+			exported = append(exported, f.Name)
+		}
+	}
+	if want := []string{"Spec", "Scale", "Trace", "Checked"}; !slices.Equal(exported, want) {
+		t.Errorf("bench.Harness exports %v, want exactly %v", exported, want)
 	}
 
 	clock := reflect.TypeOf((*vtime.Clock)(nil)).Elem()

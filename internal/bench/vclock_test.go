@@ -208,10 +208,10 @@ func TestHAMRModeledTimeIgnoresTheScheduler(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, mr := h.LastHAMRCluster, h.LastMR
+			m, mr := row.HAMR.Metrics, row.MR.Metrics
 			got := []string{
 				fmt.Sprintf("ns=%d net.msgs=%d net.bytes=%d disk.read.bytes=%d disk.write.bytes=%d",
-					row.HAMR, m.Get("net.msgs"), m.Get("net.bytes"), m.Get("disk.read.bytes"), m.Get("disk.write.bytes")),
+					row.HAMR.Time, m.Get("net.msgs"), m.Get("net.bytes"), m.Get("disk.read.bytes"), m.Get("disk.write.bytes")),
 				fmt.Sprintf("mr.jobs=%d mr.spills=%d mr.spill.bytes=%d mr.merge.passes=%d mr.combines=%d disk.read.bytes=%d disk.write.bytes=%d",
 					mr.Get("mr.jobs"), mr.Get("mr.spills"), mr.Get("mr.spill.bytes"), mr.Get("mr.merge.passes"),
 					mr.Get("mr.combines"), mr.Get("disk.read.bytes"), mr.Get("disk.write.bytes")),

@@ -39,12 +39,13 @@ type Emitter interface {
 	Charge(bytes int64) error
 }
 
-// Mapper transforms one input pair. For text input the key is empty and
-// the value is one line. A fresh Mapper is created per task (the
-// one-JVM-per-task model: no shared state between tasks). The line is a
-// view of its HDFS block (hdfs.LineIterator): keeping it, or any part of
-// it, past the call keeps the whole block alive, so a mapper that keeps
-// one copies it (strings.Clone). What it emits is encoded at once.
+// Mapper transforms one input pair. For text input the key is the HDFS
+// file the line was read from and the value is one line. A fresh Mapper is
+// created per task (the one-JVM-per-task model: no shared state between
+// tasks). The line is a view of its HDFS block (hdfs.LineIterator):
+// keeping it, or any part of it, past the call keeps the whole block alive,
+// so a mapper that keeps one copies it (strings.Clone). What it emits is
+// encoded at once.
 type Mapper interface {
 	Map(kv core.KV, out Emitter) error
 }
@@ -95,7 +96,7 @@ type Job struct {
 	// spill reuse, and what it emits is encoded before Emit returns. It must
 	// keep neither the values slice nor the emitter past the call.
 	NewCombiner func() Reducer
-	// NumReduces overrides the engine default.
+	// NumReduces is the reduce task count (defaultReduces when <= 0).
 	NumReduces int
 }
 
@@ -108,8 +109,6 @@ type Config struct {
 	// (io.sort.factor); more spills mean extra read+write passes over the
 	// intermediate data.
 	MergeFactor int
-	// DefaultReduces is the reduce task count when a job does not say.
-	DefaultReduces int
 	// MapMemMB / ReduceMemMB are container sizes requested from YARN.
 	MapMemMB    int
 	ReduceMemMB int
@@ -130,9 +129,6 @@ func (c *Config) FillDefaults() {
 	if c.MergeFactor <= 0 {
 		c.MergeFactor = 10
 	}
-	if c.DefaultReduces <= 0 {
-		c.DefaultReduces = 4
-	}
 	if c.MapMemMB <= 0 {
 		c.MapMemMB = 1024
 	}
@@ -146,6 +142,9 @@ func (c *Config) FillDefaults() {
 
 // mapHeapBytes is every map task's heap limit.
 const mapHeapBytes = 64 << 20
+
+// defaultReduces is a job's reduce task count when it sets none.
+const defaultReduces = 4
 
 // OOMError reports a task exceeding its modeled heap.
 type OOMError struct {

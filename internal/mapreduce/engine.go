@@ -138,13 +138,13 @@ type jobRun struct {
 	numReduces int
 }
 
-// newJobRun numbers job and takes its reduce count from the engine's
-// default when it sets none.
+// newJobRun numbers job and gives it defaultReduces reduce tasks when it
+// sets no count.
 func (e *Engine) newJobRun(ctx context.Context, job Job) *jobRun {
 	j := &jobRun{Engine: e, ctx: ctx, job: job, id: jobSeq.Add(1), numReduces: job.NumReduces}
 	j.tag = e.sub.Trace.JobTag(j.id)
 	if j.numReduces <= 0 {
-		j.numReduces = e.cfg.DefaultReduces
+		j.numReduces = defaultReduces
 	}
 	return j
 }

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"encoding/binary"
 	"fmt"
-	"strconv"
 
 	"github.com/hamr-go/hamr/internal/core"
 	"github.com/hamr-go/hamr/internal/extsort"
@@ -95,11 +94,11 @@ func (j *jobRun) runMapTask(taskID, attempt int, split hdfs.Split) (mres *mapRes
 	}
 	defer it.Close()
 	for {
-		line, off, ok := it.Next()
+		line, _, ok := it.Next()
 		if !ok {
 			break
 		}
-		kv := core.KV{Key: strconv.FormatInt(off, 10), Value: line}
+		kv := core.KV{Key: split.File, Value: line}
 		if err := mapper.Map(kv, em); err != nil {
 			return nil, fmt.Errorf("%s: %w", taskName, err)
 		}
