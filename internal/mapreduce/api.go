@@ -92,7 +92,7 @@ type Job struct {
 	// combiner works on records that are already encoded and is fed them
 	// one at a time, in key order, as the spill or merge streams them: a
 	// group's values are decoded as they arrive into a slice borrowed from
-	// the node's spill scratch, which the next group and then the next
+	// the map tasks' spill scratch, which the next group and then the next
 	// spill reuse, and what it emits is encoded before Emit returns. It must
 	// keep neither the values slice nor the emitter past the call.
 	NewCombiner func() Reducer

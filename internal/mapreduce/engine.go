@@ -26,46 +26,54 @@ type Engine struct {
 	// sub is the cluster's substrate handle, the one the flowlet runtimes
 	// and HDFS were built over: startup and straggler charges go to its clock.
 	sub substrate.Handle
-	// scratch is each node's spill scratch, shared by its map tasks.
-	scratch []spillScratch
+	// scratch is the spill scratch its map tasks share: the process's.
+	scratch *spillScratch
 }
 
-// spillScratch is what a node's map tasks work in and give back: the
-// sort buffer's blocks, which a task holds from its first record to its
-// last spill, and what a spill borrows until its run is written — the
-// sort index and the combiner's decoded values. A list holds as many
-// slices as the node ever had in use at once.
+// spillScratch is what map tasks work in and give back: the sort buffer's
+// blocks, which a task holds from its first record to its last spill, and
+// what a spill borrows until its run is written — the sort index and the
+// combiner's decoded values. A list holds as many slices as were ever in
+// use from it at once.
 type spillScratch struct {
 	blocks *par.List[[]byte]
 	index  *par.List[[]uint32]
 	values *par.List[[]any]
 }
 
+func newSpillScratch() *spillScratch {
+	return &spillScratch{
+		blocks: par.NewSlices[byte](extsort.SortBlockSize),
+		index:  par.NewSlices[uint32](0),
+		values: par.NewSlices[any](0),
+	}
+}
+
+// processScratch is shared by the map tasks of every engine in the
+// process, so a process that builds a cluster per job reuses it across
+// clusters, as it does storage's record buffers. Per engine, every job
+// would pay again for its cluster's peak of spills in progress at once, a
+// peak that follows how the map tasks interleave, so the bytes one job
+// allocates would move from one run of it to the next.
+var processScratch = newSpillScratch()
+
 // NewEngine creates an engine over the cluster with the given defaults.
-// The cluster gathers the engine's lists with its own (Cluster.Buffers).
+// The cluster gathers the spill scratch with its own lists
+// (Cluster.Buffers).
 func NewEngine(c *cluster.Cluster, cfg Config) *Engine {
 	cfg.FillDefaults()
-	e := &Engine{c: c, cfg: cfg, sub: c.Substrate(), scratch: make([]spillScratch, c.NumNodes())}
-	for i := range e.scratch {
-		e.scratch[i] = spillScratch{
-			blocks: par.NewSlices[byte](extsort.SortBlockSize),
-			index:  par.NewSlices[uint32](0),
-			values: par.NewSlices[any](0),
-		}
-	}
+	e := &Engine{c: c, cfg: cfg, sub: c.Substrate(), scratch: processScratch}
 	c.AddBuffers(e.Buffers())
 	return e
 }
 
-// Buffers names each node's spill scratch lists, under "mr/".
+// Buffers names the spill scratch lists, under "mr/".
 func (e *Engine) Buffers() par.Buffers {
-	b := par.Buffers{}
-	for node, sc := range e.scratch {
-		b.Add(fmt.Sprintf("mr/node%d/", node), par.Buffers{
-			"sort-blocks": sc.blocks.Stats, "sort-index": sc.index.Stats, "combine-values": sc.values.Stats,
-		})
+	return par.Buffers{
+		"mr/sort-blocks":    e.scratch.blocks.Stats,
+		"mr/sort-index":     e.scratch.index.Stats,
+		"mr/combine-values": e.scratch.values.Stats,
 	}
-	return b
 }
 
 // Run executes one job and blocks until it completes.

@@ -142,7 +142,7 @@ type mapTask struct {
 // newMapTask sets up the map side of one task attempt on its node's disk:
 // the sort buffer spills when it exceeds io.sort.mb, each spill run
 // combined (if configured) and released from em, the task's heap account.
-// The buffer's blocks come from the node's scratch, and spills borrow
+// The buffer's blocks come from the spill scratch, and spills borrow
 // their index and the combiner's values from it.
 func (j *jobRun) newMapTask(taskName, tname string, node int, em *taskEmitter) *mapTask {
 	reg, tr := j.sub.Metrics, j.sub.Trace
@@ -152,8 +152,8 @@ func (j *jobRun) newMapTask(taskName, tname string, node int, em *taskEmitter) *
 		RunName:   func(i int) string { return fmt.Sprintf("%s/spill-%04d", taskName, i) },
 		Prefix:    runKeyPrefix,
 		Threshold: j.cfg.SortBufferBytes,
-		Index:     j.scratch[node].index,
-		Blocks:    j.scratch[node].blocks,
+		Index:     j.scratch.index,
+		Blocks:    j.scratch.blocks,
 		OnSpill: func(_ int, bytes int64) {
 			reg.Inc("mr.spills")
 			reg.Add("mr.spill.bytes", bytes)
@@ -195,7 +195,7 @@ func (mt *mapTask) collect(kv core.KV, em *taskEmitter) error {
 
 // groupCombiner is a groupReducer for a job's combiner and the
 // extsort.Combiner of a spill or a merge: Begin makes the reducer and
-// borrows the values slice from the node's scratch, End gives it back.
+// borrows the values slice from the spill scratch, End gives it back.
 // What the combiner emits is encoded as run records under the group's
 // partition and passed to write. One emitter serves every group.
 type groupCombiner struct {
@@ -209,7 +209,7 @@ type groupCombiner struct {
 // newCombiner returns a combiner of the task's whose emitter reports as
 // the task's name plus suffix and whose reducers newRed makes.
 func (mt *mapTask) newCombiner(suffix string, newRed func() Reducer) *groupCombiner {
-	c := &groupCombiner{newRed: newRed, scratch: mt.j.scratch[mt.node].values}
+	c := &groupCombiner{newRed: newRed, scratch: mt.j.scratch.values}
 	c.em = &taskEmitter{task: mt.name + suffix, sink: c.encode}
 	return c
 }

@@ -317,7 +317,7 @@ func runMapSide(tb testing.TB, mt *mapTask, em *taskEmitter, kvs []core.KV) {
 // allocates per record from collect to the finished output, the second
 // task on its node: nothing per record in the sort buffer, the spills or
 // the merge — the buffer's blocks, the index and the combiner's values are
-// the node's scratch, which the first task made. Measured: 0.1 B and 0.001
+// the spill scratch, which the first task made. Measured: 0.1 B and 0.001
 // allocations per record; 3.1 B when every task made its own blocks, 6.1 B
 // when it also grew an index of its own, and 29.2 B and 2.0 allocations
 // with the typed buffer before that (a []rec doubled to its final size,
@@ -350,7 +350,7 @@ func TestMapCollectAllocsPerRecord(t *testing.T) {
 				runtime.ReadMemStats(&m1)
 				return float64(m1.Mallocs-m0.Mallocs) / records, float64(m1.TotalAlloc-m0.TotalAlloc) / records
 			}
-			run() // makes the node's scratch, fills the disk's page list and the record writers' free lists
+			run() // fills the spill scratch, the disk's page list and the record writers' free lists
 			allocs, bytes := run()
 			t.Logf("map side, per record: %.4f allocs, %.1f B (bounds %.2f, %.0f B)", allocs, bytes, tc.maxAllocsPerRec, tc.maxBytesPerRecord)
 			if allocs > tc.maxAllocsPerRec || bytes > tc.maxBytesPerRecord {

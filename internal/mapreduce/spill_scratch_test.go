@@ -8,32 +8,38 @@ import (
 	"github.com/hamr-go/hamr/internal/faults"
 )
 
-// requireScratchUsedAndHome requires that a job went through every
-// node's map-task scratch — sort-buffer blocks filled, spills that
-// borrowed an index — and that, the job over, clean or failed, all of it
-// is home (par.Stats.Home).
+// newScratchEngine returns an engine whose map tasks share a spill
+// scratch of their own instead of the process's, so that what its jobs
+// made is counted apart from every other test's.
+func newScratchEngine(c *cluster.Cluster, cfg Config) *Engine {
+	e := NewEngine(c, cfg)
+	e.scratch = newSpillScratch()
+	return e
+}
+
+// requireScratchUsedAndHome requires that a job went through the map
+// tasks' spill scratch — sort-buffer blocks filled, spills that borrowed
+// an index — and that, the job over, clean or failed, all of it is home
+// (par.Stats.Home).
 func requireScratchUsedAndHome(t *testing.T, e *Engine) {
 	t.Helper()
-	var blocks, spills int
-	for _, sc := range e.scratch {
-		blocks += sc.blocks.Stats().Made
-		spills += sc.index.Stats().Made + sc.values.Stats().Made
-	}
+	sc := e.scratch
+	blocks, spills := sc.blocks.Stats().Made, sc.index.Stats().Made+sc.values.Stats().Made
 	if blocks == 0 || spills == 0 {
-		t.Fatalf("%d blocks and %d spill slices made: the job went round the node's scratch", blocks, spills)
+		t.Fatalf("%d blocks and %d spill slices made: the job went round the spill scratch", blocks, spills)
 	}
 	if err := e.Buffers().Home(); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestSpillScratchHome: the sort-buffer blocks a map task takes from its
-// node, and the index and the combiner's values its spills borrow, go back
-// whatever the attempt's end — a
-// clean combining job (spills and final merges), a job whose map attempts
-// are killed at their mid-task checkpoint after spilling, and one whose
-// combiner fails in the middle of a spill. The clean job runs twice on one
-// engine, the second time on what the first left home.
+// TestSpillScratchHome: the sort-buffer blocks a map task takes from the
+// spill scratch, and the index and the combiner's values its spills
+// borrow, go back whatever the attempt's end — a clean combining job
+// (spills and final merges), a job whose map attempts are killed at their
+// mid-task checkpoint after spilling, and one whose combiner fails in the
+// middle of a spill. The clean job runs twice on one engine, the second
+// time on what the first left home.
 func TestSpillScratchHome(t *testing.T) {
 	newCluster := func(t *testing.T, fcfg *faults.Config) *cluster.Cluster {
 		c, err := cluster.New(cluster.Options{NumNodes: 3, HDFSBlockSize: 4 << 10, Faults: fcfg})
@@ -50,7 +56,7 @@ func TestSpillScratchHome(t *testing.T) {
 	t.Run("combining", func(t *testing.T) {
 		c := newCluster(t, nil)
 		want := writeCorpus(t, c, "in/corpus.txt", 600)
-		e := NewEngine(c, cfg)
+		e := newScratchEngine(c, cfg)
 		for run := 0; run < 2; run++ {
 			job := wordCountJob(true)
 			job.Output = []string{"out-a", "out-b"}[run]
@@ -68,7 +74,7 @@ func TestSpillScratchHome(t *testing.T) {
 	t.Run("map-kill", func(t *testing.T) {
 		c := newCluster(t, &faults.Config{Seed: 3, KillMap: 0.3, Armed: true})
 		want := writeCorpus(t, c, "in/corpus.txt", 600)
-		e := NewEngine(c, cfg)
+		e := newScratchEngine(c, cfg)
 		if _, err := e.Run(wordCountJob(true)); err != nil {
 			t.Fatalf("job failed: %v (pick a seed no task exhausts its attempts at)", err)
 		}
@@ -82,7 +88,7 @@ func TestSpillScratchHome(t *testing.T) {
 	t.Run("combiner-fails", func(t *testing.T) {
 		c := newCluster(t, nil)
 		writeCorpus(t, c, "in/corpus.txt", 600)
-		e := NewEngine(c, cfg)
+		e := newScratchEngine(c, cfg)
 		boom := errors.New("boom")
 		job := wordCountJob(false)
 		job.NewCombiner = func() Reducer {
