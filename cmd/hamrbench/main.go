@@ -37,7 +37,6 @@ func main() {
 		scale   = flag.String("scale", "small", "input scale: tiny or small")
 		nodes   = flag.Int("nodes", 0, "override worker node count")
 		workers = flag.Int("workers", 0, "override workers per node")
-		check   = flag.Bool("check", true, "run the shape check after Table 2")
 		vclock  = flag.Bool("vclock", false, "run under the virtual clock: modeled delays advance logical clocks instead of sleeping, tables report modeled seconds")
 		traceTo = flag.String("trace", "", "with -bench: record per-task spans, write Chrome trace JSON per engine (PATH.mr.json / PATH.hamr.json) and print each engine's critical path")
 	)
@@ -128,12 +127,10 @@ func main() {
 		fmt.Println()
 		bench.WriteTimeReport(os.Stdout, rows)
 		fmt.Println()
-		if *check {
-			for _, v := range bench.ShapeCheck(rows) {
-				fmt.Println(" ", v)
-			}
-			fmt.Println()
+		for _, v := range bench.ShapeCheck(rows) {
+			fmt.Println(" ", v)
 		}
+		fmt.Println()
 	}
 	if wantTable("3") {
 		fmt.Fprintln(os.Stderr, "running Table 3 (combiner ablation)...")

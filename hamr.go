@@ -90,9 +90,10 @@ type (
 	Routing = core.Routing
 	// Partitioner maps keys to nodes.
 	Partitioner = core.Partitioner
-	// EngineConfig tunes the per-node runtime (workers, bin size, flow
-	// control, memory budget). It holds tuning values only: the
-	// clock and tracer a cluster runs on are ClusterOptions fields.
+	// EngineConfig tunes the per-node runtime: workers, bin size, flow
+	// control window, memory budget and the modeled contention cost. It
+	// holds tuning values only: the clock and tracer a cluster runs on are
+	// ClusterOptions fields.
 	EngineConfig = core.Config
 	// JobResult reports a completed job.
 	JobResult = core.JobResult

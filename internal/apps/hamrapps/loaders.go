@@ -188,7 +188,7 @@ func (l *HDFSTextLoader) Load(sp core.Split, ctx core.Context) error {
 	}
 	defer it.Close()
 	for {
-		line, _, ok := it.Next()
+		line, ok := it.Next()
 		if !ok {
 			return it.Err()
 		}

@@ -83,8 +83,6 @@ func DefaultSpec() ClusterSpec {
 		HDFSBlockSize: 256 << 10,
 		MapReduce: mapreduce.Config{
 			SortBufferBytes: 1 << 20,
-			MapMemMB:        512,
-			ReduceMemMB:     512,
 			ReduceHeapBytes: 4 << 20,
 			JobStartup:      80 * time.Millisecond,
 			TaskStartup:     3 * time.Millisecond,

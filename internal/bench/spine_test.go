@@ -1,8 +1,14 @@
 package bench
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/hamr-go/hamr/internal/cluster"
@@ -66,8 +72,8 @@ func TestConfigsAreTuning(t *testing.T) {
 		budget int
 	}{
 		{cluster.Options{}, 11},
-		{core.Config{}, 8},
-		{mapreduce.Config{}, 7},
+		{core.Config{}, 5},
+		{mapreduce.Config{}, 5},
 		{mapreduce.Job{}, 7},
 		{hdfs.Config{}, 4},
 		{transport.CoalescerConfig{}, 2},
@@ -91,6 +97,21 @@ func TestConfigsAreTuning(t *testing.T) {
 			}
 		}
 	}
+	// Every field of an engine's config is a knob some caller turns: a
+	// non-test file outside the config's own package (whose FillDefaults
+	// is no caller), benchmark/ included, writes it. A field nothing sets
+	// has one value, and that is a constant.
+	writes := configWrites(t, filepath.Join("..", ".."))
+	for _, engine := range []any{core.Config{}, mapreduce.Config{}} {
+		typ := reflect.TypeOf(engine)
+		caller := func(dir string) bool { return !strings.HasSuffix(typ.PkgPath(), "/"+dir) }
+		for i := 0; i < typ.NumField(); i++ {
+			name := typ.Field(i).Name
+			if !slices.ContainsFunc(writes[name], caller) {
+				t.Errorf("no caller sets %v.%s: a setting nothing changes is a constant", typ, name)
+			}
+		}
+	}
 	// What a run measured is returned in its Row's sides, never left on the
 	// harness for the next run to overwrite.
 	var exported []string
@@ -107,4 +128,75 @@ func TestConfigsAreTuning(t *testing.T) {
 	if clock.NumMethod() != 1 || clock.Method(0).Name != "Charge" {
 		t.Errorf("vtime.Clock has %d methods, want Charge alone: nothing calls anything else through the seam", clock.NumMethod())
 	}
+}
+
+// configWrites maps a field name to the directories, relative to root, of
+// the non-test Go files that write a field of that name: as a key of a
+// composite literal of a type named Config, or as the selector on the left
+// of an assignment. Names are matched without types, so a field of another
+// struct that shares the name counts too.
+func configWrites(t *testing.T, root string) map[string][]string {
+	t.Helper()
+	writes := map[string][]string{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(rel)
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				if !namedConfig(n.Type) {
+					break
+				}
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if key, ok := kv.Key.(*ast.Ident); ok {
+							writes[key.Name] = append(writes[key.Name], dir)
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						writes[sel.Sel.Name] = append(writes[sel.Sel.Name], dir)
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return writes
+}
+
+// namedConfig reports whether a composite literal's type is Config or
+// pkg.Config.
+func namedConfig(typ ast.Expr) bool {
+	if sel, ok := typ.(*ast.SelectorExpr); ok {
+		typ = sel.Sel
+	}
+	id, ok := typ.(*ast.Ident)
+	return ok && id.Name == "Config"
 }

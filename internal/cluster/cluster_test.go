@@ -353,7 +353,7 @@ func (l *hdfsLoader) Load(sp core.Split, ctx core.Context) error {
 	}
 	defer it.Close()
 	for {
-		line, _, ok := it.Next()
+		line, ok := it.Next()
 		if !ok {
 			return it.Err()
 		}

@@ -19,11 +19,13 @@ import (
 	"github.com/hamr-go/hamr/internal/storage"
 )
 
-// TestBuffersHomeAcrossEngines runs three jobs on one cluster: WordCount
+// TestBuffersHomeAcrossEngines runs four jobs on one cluster: WordCount
 // on HAMR, WordCount on the MapReduce baseline (spilling, combining and
-// merging), and a HAMR job aborted while every node's reduce flowlet is
-// iterating. After each, once the disks are emptied, every free list the
-// cluster gathers must be home (par.Stats.Home). That covers the nodes'
+// merging), a HAMR reduce job to its end, and the same job aborted while
+// every node's reduce flowlet is iterating, with more reduce tasks waiting
+// behind the ones that hold.
+// After each, once the disks are emptied, every free list the cluster
+// gathers must be home (par.Stats.Home). That covers the nodes'
 // bins, accumulator chunks and partial-reduce scratch, the disks' pages,
 // HDFS's write buffers, the baseline's spill scratch and the process-wide
 // record buffers. No node may have dropped a bin.
@@ -31,7 +33,7 @@ func TestBuffersHomeAcrossEngines(t *testing.T) {
 	const nodes = 3
 	c, err := cluster.New(cluster.Options{
 		NumNodes: nodes, HDFSBlockSize: 4 << 10,
-		Core: core.Config{Workers: 2, BinSize: 16, ReduceTaskKeys: 8},
+		Core: core.Config{Workers: 2, BinSize: 16},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,22 +99,47 @@ func TestBuffersHomeAcrossEngines(t *testing.T) {
 	home("after MapReduce WordCount")
 
 	write("in/abort.txt")
-	red := &gateReduce{nodes: nodes, started: make(chan struct{}), gate: make(chan struct{})}
-	g = core.NewGraph("abort-mid-reduce")
-	ld, _ := g.AddLoader("load", &hamrapps.HDFSTextLoader{Prefix: "in/abort.txt"})
-	mp, _ := g.AddMap("split", hamrapps.SplitWords{})
-	rd, _ := g.AddReduce("count", red)
-	sk, _ := g.AddSink("out", core.NewCollectSink())
-	for _, edge := range [][2]int{{ld, mp}, {mp, rd}, {rd, sk}} {
-		if err := g.Connect(edge[0], edge[1]); err != nil {
-			t.Fatal(err)
+	reduceGraph := func(red *gateReduce) *core.Graph {
+		g := core.NewGraph("abort-mid-reduce")
+		ld, _ := g.AddLoader("load", &hamrapps.HDFSTextLoader{Prefix: "in/abort.txt"})
+		mp, _ := g.AddMap("split", hamrapps.SplitWords{})
+		rd, _ := g.AddReduce("count", red)
+		sk, _ := g.AddSink("out", core.NewCollectSink())
+		for _, edge := range [][2]int{{ld, mp}, {mp, rd}, {rd, sk}} {
+			if err := g.Connect(edge[0], edge[1]); err != nil {
+				t.Fatal(err)
+			}
 		}
+		return g
 	}
+	// Run to the end once, the gate open: each node's keys make at least
+	// two reduce tasks of 64 keys (the engine's batch), so the aborted run
+	// has tasks queued behind the ones the gate holds.
+	open := newGateReduce(nodes)
+	close(open.gate)
+	res, err := c.Run(reduceGraph(open))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tasks int64
+	for node, keys := range open.keys {
+		if keys <= 64 {
+			t.Errorf("node %d reduced %d keys, want more than one task's 64", node, keys)
+		}
+		tasks += int64(keys+63) / 64
+	}
+	if got := res.Metrics.Get("reduce.tasks"); got != tasks {
+		t.Errorf("reduce.tasks = %d, want %d: 64 keys a task on each node", got, tasks)
+	}
+	home("after the reduce job ran to the end")
+
+	write("in/abort.txt")
+	red := newGateReduce(nodes)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.RunContext(ctx, g)
+		_, err := c.RunContext(ctx, reduceGraph(red))
 		done <- err
 	}()
 	select {
@@ -145,40 +172,40 @@ func nodeListsHome(c *cluster.Cluster) bool {
 	return true
 }
 
-// gateReduce holds every reduce call until gate closes, and closes
-// started once a call has entered on each node. It emits nothing, so no
-// bin is left half filled when the job is aborted.
+// gateReduce holds every reduce call until gate closes, counts the keys
+// each node reduces, and closes started once a call has entered on each
+// node. It emits nothing, so no bin is left half filled when the job is
+// aborted.
 type gateReduce struct {
 	nodes   int
 	mu      sync.Mutex
-	entered map[int]bool
+	keys    map[int]int
 	started chan struct{}
 	gate    chan struct{}
 }
 
+func newGateReduce(nodes int) *gateReduce {
+	return &gateReduce{nodes: nodes, keys: map[int]int{}, started: make(chan struct{}), gate: make(chan struct{})}
+}
+
 func (r *gateReduce) Reduce(key string, values []any, ctx core.Context) error {
 	r.mu.Lock()
-	if r.entered == nil {
-		r.entered = map[int]bool{}
-	}
-	if !r.entered[ctx.Node()] {
-		if r.entered[ctx.Node()] = true; len(r.entered) == r.nodes {
-			close(r.started)
-		}
+	if r.keys[ctx.Node()]++; r.keys[ctx.Node()] == 1 && len(r.keys) == r.nodes {
+		close(r.started)
 	}
 	r.mu.Unlock()
 	<-r.gate
 	return nil
 }
 
-// homeCorpus returns lines of words drawn from a 60-word vocabulary, so
-// every node reduces some, and the count of each word.
+// homeCorpus returns lines of words drawn from a 600-word vocabulary, so
+// every node reduces a few hundred, and the count of each word.
 func homeCorpus(lines int) ([]byte, map[string]int64) {
 	want := map[string]int64{}
 	var sb strings.Builder
 	for i := 0; i < lines; i++ {
 		for j := 0; j < 6; j++ {
-			w := fmt.Sprintf("w%02d", (i*13+j*7)%60)
+			w := fmt.Sprintf("w%03d", (i*13+j*7)%600)
 			want[w]++
 			sb.WriteString(w)
 			sb.WriteByte(' ')

@@ -18,12 +18,11 @@ import (
 // retain KVs — the backing array is cleared and refilled by the next
 // producer.
 type Bin struct {
-	Job     int64
-	Edge    int // index into the graph's edge list
-	Flowlet int // destination flowlet id (redundant with Edge, kept for clarity)
-	From    int // producing node
-	KVs     []KV
-	Bytes   int64
+	Job   int64
+	Edge  int // index into the graph's edge list; its To is the destination flowlet
+	From  int // producing node
+	KVs   []KV
+	Bytes int64
 	// Last marks the final bin the producing flowlet flushed to this node:
 	// once it is enqueued, that flowlet counts as complete on From (§2),
 	// the same as a completion marker arriving after it.

@@ -168,12 +168,18 @@ func idGraph(t *testing.T, ld *genLoader, chain bool) (*Graph, *idSink) {
 }
 
 // recycleConfig is the hostile setting: 4-pair bins, one bin in flight per
-// edge, more loaders than workers.
+// edge, and one worker, so the node's two loader slots outnumber it.
 func recycleConfig() Config {
-	return Config{
-		Workers: 3, BinSize: 4, FlowControlWindow: 1, LoaderConcurrency: 4,
-		PartialStripes: 8, ReduceTaskKeys: 16,
+	return Config{Workers: 1, BinSize: 4, FlowControlWindow: 1}
+}
+
+// reduceTasks reads every node's reduce.tasks counter.
+func reduceTasks(nodes []*NodeRuntime) []int64 {
+	out := make([]int64, len(nodes))
+	for i, rt := range nodes {
+		out[i] = rt.Metrics().Snapshot().Get("reduce.tasks")
 	}
+	return out
 }
 
 // assertHome requires every free list on every node home (par.Stats.Home)
@@ -205,7 +211,9 @@ func assertHome(t *testing.T, nodes []*NodeRuntime, clean bool) {
 }
 
 func TestBinRecyclingExactlyOnce(t *testing.T) {
-	const numNodes, splits, perSplit = 4, 8, 50
+	// Each node reduces about 200 of the 800 keys: several batches of
+	// reduceTaskKeys each.
+	const numNodes, splits, perSplit = 4, 8, 100
 	for _, chain := range []bool{false, true} {
 		chain := chain
 		t.Run(fmt.Sprintf("chain=%v", chain), func(t *testing.T) {
@@ -215,14 +223,23 @@ func TestBinRecyclingExactlyOnce(t *testing.T) {
 			// the first one left on the lists.
 			for run := 0; run < 2; run++ {
 				g, sink := idGraph(t, idLoader(splits, perSplit), chain)
+				before := reduceTasks(nodes)
 				res, err := Run(g, nodes, nil)
 				if err != nil {
 					t.Fatalf("run %d: %v", run, err)
 				}
 				sink.check(t, splits*perSplit)
 				assertHome(t, nodes, true)
-				if chain && res.Gated == 0 {
+				if !chain {
+					continue
+				}
+				if res.Gated == 0 {
 					t.Errorf("run %d: no bin was flow-gated; the pending queue went unexercised", run)
+				}
+				for i, n := range reduceTasks(nodes) {
+					if n-before[i] < 2 {
+						t.Errorf("run %d: node %d fired %d reduce tasks, want at least 2", run, i, n-before[i])
+					}
 				}
 			}
 		})
@@ -360,7 +377,9 @@ func TestAccumulatorChunksHomeAfterAbort(t *testing.T) {
 // stripes and reduce batches at their start; the re-fired tasks draw slabs
 // from the same lists and the output must not change.
 func TestBinRecyclingUnderRefires(t *testing.T) {
-	const numNodes, splits, perSplit = 4, 8, 50
+	// 1,600 keys: about seven reduce batches of 64 keys on each node, enough
+	// for the seed to crash some.
+	const numNodes, splits, perSplit = 4, 8, 200
 	cfg := recycleConfig()
 	inj := faults.New(faults.Config{Seed: 3, FlowletFire: 0.15, Armed: true}, numNodes, nil)
 	nodes, cleanup := newClusterOn(t, NewTestNetwork(), numNodes, cfg, substrate.Handle{Faults: inj})

@@ -226,12 +226,12 @@ func (jn *jobNode) finishReduce(fs *flowletState) error {
 		key    string
 		values []any
 	}
-	// A batch holds at most ReduceTaskKeys groups and never more than the
+	// A batch holds at most reduceTaskKeys groups and never more than the
 	// pairs still to come, so a node left with a handful of keys does not
 	// allocate a full batch for them.
 	remaining := fs.acc.Count()
 	newBatch := func() []group {
-		return make([]group, 0, min(int64(jn.rt.cfg.ReduceTaskKeys), remaining))
+		return make([]group, 0, min(int64(reduceTaskKeys), remaining))
 	}
 	batch := newBatch()
 	tasks := jn.newFanOut(fs, "reduce")
@@ -258,7 +258,7 @@ func (jn *jobNode) finishReduce(fs *flowletState) error {
 		}
 		batch = append(batch, group{key, values})
 		remaining -= int64(len(values))
-		if len(batch) >= jn.rt.cfg.ReduceTaskKeys {
+		if len(batch) >= reduceTaskKeys {
 			if !submit(batch) {
 				return ErrJobAborted
 			}

@@ -286,20 +286,18 @@ func (l *heldLoader) Load(sp Split, ctx Context) error {
 	return nil
 }
 
-// TestBinForNoEdgeFailsJob: a bin whose Edge or Flowlet names no edge of
-// a known job fails that job — its pairs would be lost, and with them
+// TestBinForNoEdgeFailsJob: a bin whose Edge names no edge of a known job
+// fails that job — its pairs would be lost, and with them
 // perhaps the completion it carries, which would hang the job instead.
 func TestBinForNoEdgeFailsJob(t *testing.T) {
 	nodes, cleanup := newTestCluster(t, 2, Config{Workers: 2})
 	defer cleanup()
 	for _, c := range []struct {
-		name          string
-		edge, flowlet int
+		name string
+		edge int
 	}{
-		{"edge past the end", 2, 1},
-		{"negative edge", -1, 1},
-		{"flowlet not the edge's", 0, 2},
-		{"flowlet out of range", 0, 7},
+		{"edge past the end", 2},
+		{"negative edge", -1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			release := make(chan struct{})
@@ -317,7 +315,7 @@ func TestBinForNoEdgeFailsJob(t *testing.T) {
 			j.Start()
 			rt := nodes[1]
 			bin := rt.bins.Get()
-			bin.Job, bin.Edge, bin.Flowlet, bin.From, bin.Last = j.ID(), c.edge, c.flowlet, 0, true
+			bin.Job, bin.Edge, bin.From, bin.Last = j.ID(), c.edge, 0, true
 			bin.KVs = append(bin.KVs, KV{Key: "k", Value: int64(1)})
 			dropped := rt.Metrics().Snapshot().Get("bins.dropped")
 			rt.handle(transport.Message{From: 0, To: 1, Kind: msgBin, Payload: bin})

@@ -164,7 +164,6 @@ func TestFlowControlEngagesUnderPressure(t *testing.T) {
 		Workers:           2,
 		BinSize:           16,
 		FlowControlWindow: 2,
-		LoaderConcurrency: 1,
 	})
 	defer cleanup()
 	done := make(chan error, 1)

@@ -12,7 +12,7 @@ import (
 // take one — blocking first if the caller runs on a plain goroutine or a
 // loader task (blocking=true), overshooting otherwise.
 func (jn *jobNode) sendBin(es *edgeState, dest int, bin *Bin, blocking bool) error {
-	bin.Job, bin.Edge, bin.Flowlet, bin.From = jn.jobID, es.idx, es.edge.To, jn.node
+	bin.Job, bin.Edge, bin.From = jn.jobID, es.idx, jn.node
 	jn.mBinsSent.Inc()
 	if dest == jn.node {
 		// The chained flowlet runs inside this task, so its output windows

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -86,8 +87,9 @@ func (s *countingSink) Close(node int) error { return nil }
 
 // TestConcurrentEmitStress drives the full emit→bin→shuffle→fold path
 // with many concurrent producers: every loader split emits the same key
-// space interleaved, a partial reduce folds the counts, and the sink
-// total must equal the input multiset exactly.
+// space interleaved, a map re-keys it on every node's pool of workers, a
+// partial reduce folds the counts, and the sink total must equal the input
+// multiset exactly.
 func TestConcurrentEmitStress(t *testing.T) {
 	const (
 		numNodes = 3
@@ -95,11 +97,7 @@ func TestConcurrentEmitStress(t *testing.T) {
 		keys     = 97
 		perSplit = 500
 	)
-	cfg := Config{
-		Workers:           8,
-		BinSize:           32,
-		LoaderConcurrency: 8,
-	}
+	cfg := Config{Workers: 8, BinSize: 32}
 	nodes, cleanup := newTestCluster(t, numNodes, cfg)
 	defer cleanup()
 
@@ -130,7 +128,16 @@ func TestConcurrentEmitStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range [][2]int{{ld, mp}, {mp, pr}, {pr, sk}} {
+	// Every loader pair has the key "", which one hash sends to one node.
+	// Dealt round robin instead, most reach the map as remote bins, so the
+	// map's emits run on every node's 8 pool workers, not on its 2 loader
+	// slots.
+	var next atomic.Int64
+	deal := WithPartitioner(func(_ string, n int) int { return int(next.Add(1) % int64(n)) })
+	if err := g.Connect(ld, mp, deal); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range [][2]int{{mp, pr}, {pr, sk}} {
 		if err := g.Connect(c[0], c[1]); err != nil {
 			t.Fatal(err)
 		}

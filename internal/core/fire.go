@@ -13,14 +13,14 @@ import (
 // dispatched to the worker pool. A bin that names no edge of this job fails
 // it: its data would be lost, and so might the completion it carries.
 func (jn *jobNode) onBin(bin *Bin, local bool) {
-	if bin.Edge < 0 || bin.Edge >= len(jn.edges) || bin.Flowlet != jn.edges[bin.Edge].edge.To {
+	if bin.Edge < 0 || bin.Edge >= len(jn.edges) {
 		jn.rt.binsDropped.Inc()
-		jn.fail(fmt.Errorf("core: node %d got a bin for job %d on edge %d to flowlet %d, which the job does not have (%d kvs, from node %d)",
-			jn.node, bin.Job, bin.Edge, bin.Flowlet, len(bin.KVs), bin.From))
+		jn.fail(fmt.Errorf("core: node %d got a bin for job %d on edge %d, which the job does not have (%d kvs, from node %d)",
+			jn.node, bin.Job, bin.Edge, len(bin.KVs), bin.From))
 		bin.release()
 		return
 	}
-	fs := jn.flowlets[bin.Flowlet]
+	fs := jn.flowlets[jn.edges[bin.Edge].edge.To]
 	jn.mBinsRecv.Inc()
 	if local {
 		fs.mu.Lock()

@@ -163,9 +163,9 @@ func BenchmarkCodec(b *testing.B) {
 
 // benchPartialNode builds a single-node jobNode with a loader -> partial
 // reduce graph so applyPartialBin runs against real flowlet state.
-func benchPartialNode(b *testing.B, stripes int) (*flowletState, func()) {
+func benchPartialNode(b *testing.B) (*flowletState, func()) {
 	b.Helper()
-	cfg := Config{Workers: 4, PartialStripes: stripes}
+	cfg := Config{Workers: 4}
 	nodes, cleanup := newTestCluster(b, 1, cfg)
 	g := NewGraph("bench-partial")
 	ld, err := g.AddLoader("load", &sliceLoader{})
@@ -202,7 +202,7 @@ func BenchmarkPartialReduceStripes(b *testing.B) {
 	}
 	bin := &Bin{KVs: kvs}
 	b.Run("scratch", func(b *testing.B) {
-		fs, cleanup := benchPartialNode(b, 64)
+		fs, cleanup := benchPartialNode(b)
 		defer cleanup()
 		b.ReportAllocs()
 		b.ResetTimer()

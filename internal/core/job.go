@@ -230,7 +230,7 @@ func newJobNode(rt *NodeRuntime, graph *Graph, jobID int64, numNodes int) *jobNo
 		}
 		switch spec.Kind {
 		case KindPartialReduce:
-			n := rt.cfg.PartialStripes
+			n := partialStripes
 			if spec.SerializeUpdates {
 				n = 1
 			}
@@ -254,6 +254,22 @@ const maxRefires = 3
 // maxBinBytes seals a bin whose pairs reach this many modeled bytes before
 // it holds BinSize of them.
 const maxBinBytes = 128 << 10
+
+// loaderSlots bounds the loader splits running at once on a node: the
+// valve that throttles how much input enters the graph ("the number of
+// concurrent loader tasks can be decreased to control the amount of input
+// data", §2).
+const loaderSlots = 2
+
+// reduceTaskKeys is the number of key groups batched into one fine-grain
+// reduce task.
+const reduceTaskKeys = 64
+
+// partialStripes is the number of lock stripes protecting a partial
+// reduce's state. Few distinct keys concentrate on few stripes, which
+// reproduces the shared-variable contention of §5.2; a flowlet with
+// SerializeUpdates has a single stripe.
+const partialStripes = 64
 
 // fireTask launches one fine-grain flowlet task under the fault injector.
 // The injector may crash the task at its start — before fn has run, so

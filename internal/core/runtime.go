@@ -14,9 +14,12 @@ import (
 	"github.com/hamr-go/hamr/internal/transport"
 )
 
-// Config is the per-node runtime's tuning: pool sizes and the engine's
-// scheduling granularity. The zero value is usable: FillDefaults supplies
-// sensible settings. What the runtime shares with the rest of the cluster —
+// Config is the per-node runtime's tuning: the pool size, the bin (the
+// engine's scheduling quantum), flow control, the memory budget and the
+// contention model. The zero value is usable: FillDefaults supplies
+// sensible settings. The loader slots, the keys per reduce task and the
+// partial-reduce stripes are constants: loaderSlots, reduceTaskKeys and
+// partialStripes. What the runtime shares with the rest of the cluster —
 // clock, tracer, fault injector, registry — is not tuning and
 // arrives as a substrate.Handle.
 type Config struct {
@@ -33,17 +36,6 @@ type Config struct {
 	// MemoryBudget is each node's in-memory data budget in bytes; reduce
 	// flowlets spill to local disk beyond it. Zero means unlimited.
 	MemoryBudget int64
-	// LoaderConcurrency bounds concurrently running loader splits per node
-	// ("the number of concurrent loader tasks can be decreased to control
-	// the amount of input data", §2).
-	LoaderConcurrency int
-	// ReduceTaskKeys is the number of key groups batched into one
-	// fine-grain reduce task.
-	ReduceTaskKeys int
-	// PartialStripes is the number of lock stripes protecting
-	// partial-reduce state. Few distinct keys concentrate on few stripes,
-	// reproducing the shared-variable contention of §5.2.
-	PartialStripes int
 	// ContentionCost is the modeled cost of one contended shared-variable
 	// update in a partial reduce (§5.2: "all threads atomically update
 	// only one variable on each node... severe memory contention"). It is
@@ -66,15 +58,6 @@ func (c *Config) FillDefaults() {
 	}
 	if c.FlowControlWindow < 0 {
 		c.FlowControlWindow = 0
-	}
-	if c.LoaderConcurrency <= 0 {
-		c.LoaderConcurrency = 2
-	}
-	if c.ReduceTaskKeys <= 0 {
-		c.ReduceTaskKeys = 64
-	}
-	if c.PartialStripes <= 0 {
-		c.PartialStripes = 64
 	}
 }
 
@@ -169,7 +152,7 @@ func NewNodeRuntime(id int, cfg Config, sub substrate.Handle, net transport.Netw
 		disk:      disk,
 		services:  services,
 		pool:      par.NewPool(cfg.Workers, cfg.Workers*64),
-		loaderSem: par.NewSemaphore(cfg.LoaderConcurrency),
+		loaderSem: par.NewSemaphore(loaderSlots),
 		bins:      newBinList(cfg.BinSize),
 		chunks:    par.NewSlices[kvRec](extsort.DefaultChunkLen),
 		prScratch: newPRScratchList(),
@@ -254,8 +237,8 @@ func (rt *NodeRuntime) handle(msg transport.Message) {
 			// A data bin for a job this node does not know means lost
 			// data, not a benign protocol tail — make it visible.
 			rt.binsDropped.Inc()
-			log.Printf("core: node %d dropped bin for unknown job %d (flowlet %d, %d kvs, from node %d)",
-				rt.id, bin.Job, bin.Flowlet, len(bin.KVs), bin.From)
+			log.Printf("core: node %d dropped bin for unknown job %d (edge %d, %d kvs, from node %d)",
+				rt.id, bin.Job, bin.Edge, len(bin.KVs), bin.From)
 			bin.release()
 		}
 	case msgAck:

@@ -303,10 +303,9 @@ func TestSerializeUpdatesSingleStripe(t *testing.T) {
 }
 
 func TestConfigFillDefaults(t *testing.T) {
-	var c Config
+	c := Config{FlowControlWindow: -1}
 	c.FillDefaults()
-	if c.Workers <= 0 || c.BinSize <= 0 ||
-		c.LoaderConcurrency <= 0 || c.ReduceTaskKeys <= 0 || c.PartialStripes <= 0 {
+	if c.Workers <= 0 || c.BinSize <= 0 || c.FlowControlWindow != 0 {
 		t.Errorf("defaults incomplete: %+v", c)
 	}
 	c2 := Config{Workers: 7, BinSize: 11}

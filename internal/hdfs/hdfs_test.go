@@ -47,8 +47,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 // readWhole reads a file as observed from node at through OpenLines over
-// one split that covers it, putting each line back at its offset with the
-// newline Next strips (none after a last line that ends the file).
+// one split that covers it, putting back the newline Next strips after each
+// line (none after a last line that ends the file).
 func readWhole(fs *FileSystem, name string, at transport.NodeID) ([]byte, error) {
 	size, err := fs.Size(name)
 	if err != nil {
@@ -60,13 +60,9 @@ func readWhole(fs *FileSystem, name string, at transport.NodeID) ([]byte, error)
 	}
 	got := make([]byte, 0, size)
 	for {
-		line, off, ok := it.Next()
+		line, ok := it.Next()
 		if !ok {
 			return got, it.Err()
-		}
-		if off != int64(len(got)) {
-			it.Close()
-			return got, fmt.Errorf("line at offset %d after %d bytes", off, len(got))
 		}
 		if got = append(got, line...); int64(len(got)) < size {
 			got = append(got, '\n')
@@ -210,36 +206,30 @@ func TestSplitsAndLineIterator(t *testing.T) {
 	if len(splits) < 2 {
 		t.Fatalf("only %d splits", len(splits))
 	}
-	var got []string
-	offsets := map[int64]bool{}
+	// The lines of all splits, taken in split order, rebuild the file
+	// exactly: a line lost at a boundary or read by two splits changes it.
+	var got strings.Builder
+	lines := 0
 	for _, sp := range splits {
 		it, err := fs.OpenLines(sp, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for {
-			line, off, ok := it.Next()
+			line, ok := it.Next()
 			if !ok {
 				break
 			}
-			if offsets[off] {
-				t.Fatalf("offset %d yielded twice", off)
-			}
-			offsets[off] = true
-			got = append(got, line)
+			got.WriteString(line)
+			got.WriteByte('\n')
+			lines++
 		}
 	}
-	if len(got) != len(want) {
-		t.Fatalf("iterated %d lines, want %d", len(got), len(want))
+	if lines != len(want) {
+		t.Fatalf("iterated %d lines, want %d", lines, len(want))
 	}
-	seen := map[string]bool{}
-	for _, l := range got {
-		seen[l] = true
-	}
-	for _, l := range want {
-		if !seen[l] {
-			t.Errorf("line %q lost", l)
-		}
+	if got.String() != sb.String() {
+		t.Errorf("splits' lines in order do not rebuild the file")
 	}
 }
 
@@ -275,7 +265,7 @@ func TestSplitLinePropertyQuick(t *testing.T) {
 				return false
 			}
 			for {
-				line, _, ok := it.Next()
+				line, ok := it.Next()
 				if !ok {
 					break
 				}

@@ -32,8 +32,9 @@ func cutSplits(name string, size int64, cuts []int64) []Split {
 }
 
 // checkTiling writes data with the given block size and requires the
-// union of the lines of every split — the file's block splits, then splits
-// cut at each line end and at random offsets — to be scanLines(data).
+// lines of every split, taken in split order — the file's block splits,
+// then splits cut at each line end and at random offsets — to be
+// scanLines(data).
 func checkTiling(t testing.TB, data string, bs int64, seed int64) {
 	t.Helper()
 	fs, _ := newFS(t, 2, Config{BlockSize: bs})
@@ -66,7 +67,7 @@ func checkTiling(t testing.TB, data string, bs int64, seed int64) {
 		{"line ends", cutSplits("f", size, lineEnds)},
 		{"random", cutSplits("f", size, random)},
 	} {
-		var got []lineAt
+		var got []string
 		for _, sp := range tiling.splits {
 			lines, err := splitLines(t, fs, sp, 0)
 			if err != nil {
@@ -82,11 +83,11 @@ func checkTiling(t testing.TB, data string, bs int64, seed int64) {
 }
 
 // clip shortens a line list for a failure message.
-func clip(ls []lineAt) []lineAt {
-	out := make([]lineAt, 0, min(len(ls), 8))
+func clip(ls []string) []string {
+	out := make([]string, 0, min(len(ls), 8))
 	for _, l := range ls[:min(len(ls), 8)] {
-		if len(l.line) > 24 {
-			l.line = l.line[:24] + "…"
+		if len(l) > 24 {
+			l = l[:24] + "…"
 		}
 		out = append(out, l)
 	}
@@ -164,8 +165,8 @@ func TestLineViewsStayPut(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if last := lines[len(lines)-1]; last.off+int64(len(last.line)) <= bs+readAhead {
-				t.Fatalf("last line ends at %d: it does not read through slack", last.off+int64(len(last.line)))
+			if end := lineEnd(lines); end <= bs+readAhead {
+				t.Fatalf("last line ends at %d: it does not read through slack", end)
 			}
 			want := scanLines([]byte(data))[:len(lines)]
 			check := func(after string) {
@@ -219,7 +220,7 @@ func TestOpenLinesAllocs(t *testing.T) {
 		}
 		n := 0
 		for {
-			if _, _, ok := it.Next(); !ok {
+			if _, ok := it.Next(); !ok {
 				break
 			}
 			n++

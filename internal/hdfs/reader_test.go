@@ -80,15 +80,11 @@ func mustBlocks(t *testing.T, fs *FileSystem, name string) []Block {
 	return bs
 }
 
-type lineAt struct {
-	line string
-	off  int64
-}
-
-// scanLines is the sequential reference: strings.Split of the file, each
-// piece at the offset it starts at. The empty piece after a final newline,
-// or of an empty file, is no line.
-func scanLines(data []byte) []lineAt {
+// scanLines is the sequential reference: strings.Split of the file. The
+// empty piece after a final newline, or of an empty file, is no line. A
+// split sequence whose lines, in order, equal these rebuilds the file: a
+// gap or a line read twice shows as a difference.
+func scanLines(data []byte) []string {
 	if len(data) == 0 {
 		return nil
 	}
@@ -96,30 +92,34 @@ func scanLines(data []byte) []lineAt {
 	if data[len(data)-1] == '\n' {
 		pieces = pieces[:len(pieces)-1]
 	}
-	out := make([]lineAt, len(pieces))
-	off := int64(0)
-	for i, p := range pieces {
-		out[i] = lineAt{p, off}
-		off += int64(len(p)) + 1
+	return pieces
+}
+
+// lineEnd is the position, counted from the start of a split that skips no
+// partial line (split 0), where the last of its lines ends.
+func lineEnd(lines []string) int64 {
+	var n int64
+	for _, l := range lines {
+		n += int64(len(l)) + 1
 	}
-	return out
+	return n - 1
 }
 
 // splitLines iterates one split to exhaustion from node at.
-func splitLines(t testing.TB, fs *FileSystem, sp Split, at transport.NodeID) ([]lineAt, error) {
+func splitLines(t testing.TB, fs *FileSystem, sp Split, at transport.NodeID) ([]string, error) {
 	t.Helper()
 	it, err := fs.OpenLines(sp, at)
 	if err != nil {
 		return nil, err
 	}
 	defer it.Close()
-	var out []lineAt
+	var out []string
 	for {
-		line, off, ok := it.Next()
+		line, ok := it.Next()
 		if !ok {
 			return out, it.Err()
 		}
-		out = append(out, lineAt{line, off})
+		out = append(out, line)
 	}
 }
 
@@ -155,7 +155,7 @@ func TestSplitsReadTheirBytesOnce(t *testing.T) {
 	if err != nil || len(splits) != blocks {
 		t.Fatalf("%d splits, %v; want %d", len(splits), err, blocks)
 	}
-	var got []lineAt
+	var got []string
 	for _, sp := range splits {
 		lines, err := splitLines(t, fs, sp, sp.Hosts[0])
 		if err != nil {
@@ -163,8 +163,8 @@ func TestSplitsReadTheirBytesOnce(t *testing.T) {
 		}
 		got = append(got, lines...)
 	}
-	if want := scanLines(data); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("splits yielded %d lines, a sequential scan %d (or offsets differ)", len(got), len(want))
+	if want := scanLines(data); !slices.Equal(got, want) {
+		t.Fatalf("splits yielded %d lines, a sequential scan %d (or lines differ)", len(got), len(want))
 	}
 	size, slack := int64(len(data)), int64((blocks-1)*readAhead)
 	if v := reg.Counter("disk.read.bytes").Value(); v < size || v > size+slack {
@@ -190,7 +190,8 @@ func TestSplitsReadTheirBytesOnce(t *testing.T) {
 	}
 }
 
-// Lines and offsets are those of a sequential scan whatever the geometry:
+// The splits' lines, in order, are those of a sequential scan whatever the
+// geometry:
 // a line longer than a block (read-ahead unit), a line that starts exactly
 // on a block boundary, a file without a trailing newline.
 func TestSplitLinesMatchSequentialScan(t *testing.T) {
@@ -210,7 +211,7 @@ func TestSplitLinesMatchSequentialScan(t *testing.T) {
 			if len(splits) < 2 {
 				t.Fatalf("%s/%d: %d splits", name, bs, len(splits))
 			}
-			var got []lineAt
+			var got []string
 			for _, sp := range splits {
 				lines, err := splitLines(t, fs, sp, sp.Hosts[0])
 				if err != nil {
@@ -224,8 +225,8 @@ func TestSplitLinesMatchSequentialScan(t *testing.T) {
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("%s/%d: line %d = %d bytes at %d, want %d bytes at %d",
-						name, bs, i, len(got[i].line), got[i].off, len(want[i].line), want[i].off)
+					t.Fatalf("%s/%d: line %d = %d bytes, want %d bytes",
+						name, bs, i, len(got[i]), len(want[i]))
 				}
 			}
 		}
@@ -251,7 +252,7 @@ func (p onlyBlock) OpenFault(name string) (int64, error) {
 // reaching 9000 bytes (three read-ahead units) into block 1. A reader on
 // node 0 therefore has block 1's replica on node 2 as its first choice and
 // the one on node 3 as its second. wrap, if set, replaces node 2's disk.
-func slackFS(t *testing.T, inj *faults.Injector, wrap func(blk1 string, d storage.Disk) storage.Disk) (fs *FileSystem, disks []storage.Disk, reg *metrics.Registry, split0 Split, want []lineAt) {
+func slackFS(t *testing.T, inj *faults.Injector, wrap func(blk1 string, d storage.Disk) storage.Disk) (fs *FileSystem, disks []storage.Disk, reg *metrics.Registry, split0 Split, want []string) {
 	t.Helper()
 	const blockSize = 16 << 10
 	head := shortLines(blockSize - 1000)
@@ -278,10 +279,10 @@ func slackFS(t *testing.T, inj *faults.Injector, wrap func(blk1 string, d storag
 		t.Fatalf("unexpected layout: %s", got)
 	}
 	splits, _ := fs.Splits("f")
-	for _, l := range scanLines(data) {
-		if l.off <= blockSize {
-			want = append(want, l)
-		}
+	// Split 0's lines are those that start at or before its end.
+	for off, l := int64(0), scanLines(data); len(l) > 0 && off <= blockSize; l = l[1:] {
+		want = append(want, l[0])
+		off += int64(len(l[0])) + 1
 	}
 	return fs, disks, reg, splits[0], want
 }
@@ -341,9 +342,9 @@ func TestSlackFailsOverToSecondReplica(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
+		if !slices.Equal(got, want) {
 			t.Errorf("%s: %d lines, last %d bytes; want %d lines, last %d bytes", name,
-				len(got), len(got[len(got)-1].line), len(want), len(want[len(want)-1].line))
+				len(got), len(got[len(got)-1]), len(want), len(want[len(want)-1]))
 		}
 		if v := reg.Counter("hdfs.failover.reads").Value(); v != 1 {
 			t.Errorf("%s: hdfs.failover.reads = %d, want 1", name, v)
@@ -362,8 +363,8 @@ func TestSlackWithNoReadableReplicaIsAnError(t *testing.T) {
 		t.Fatalf("err = %v, want no readable replica", err)
 	}
 	// Every whole line before the straddling one, and no piece of that.
-	if fmt.Sprint(got) != fmt.Sprint(want[:len(want)-1]) {
-		t.Errorf("yielded %d lines (last %d bytes), want the %d whole ones", len(got), len(got[len(got)-1].line), len(want)-1)
+	if !slices.Equal(got, want[:len(want)-1]) {
+		t.Errorf("yielded %d lines (last %d bytes), want the %d whole ones", len(got), len(got[len(got)-1]), len(want)-1)
 	}
 }
 
@@ -396,14 +397,14 @@ func TestLineIteratorLeavesNoReplicaOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		line, off, ok := it.Next()
+	// Split 0 skips no partial line, so a line's end is the bytes counted
+	// from its start.
+	for end := int64(-1); end < blockSize; {
+		line, ok := it.Next()
 		if !ok {
 			t.Fatal("split ended before its straddling line")
 		}
-		if off+int64(len(line)) >= blockSize {
-			break
-		}
+		end += int64(len(line)) + 1
 	}
 	if open() != 1 {
 		t.Fatalf("%d replicas open inside the slack, want 1", open())
@@ -413,7 +414,7 @@ func TestLineIteratorLeavesNoReplicaOpen(t *testing.T) {
 	if open() != 0 {
 		t.Errorf("%d replicas open after Close", open())
 	}
-	if _, _, ok := it.Next(); ok || it.Err() != nil {
+	if _, ok := it.Next(); ok || it.Err() != nil {
 		t.Errorf("Next after Close = %v, Err %v; want false, nil", ok, it.Err())
 	}
 }

@@ -74,7 +74,6 @@ type LineIterator struct {
 	carry    []byte // the start of a line that runs into the next fetch
 	consumed int64  // bytes consumed relative to split start
 	limit    int64  // split length (stop once consumed > limit at line start)
-	offset   int64  // absolute file offset of the next line
 	done     bool
 	err      error
 }
@@ -108,11 +107,7 @@ func (fs *FileSystem) OpenLines(sp Split, at transport.NodeID) (*LineIterator, e
 		own:   end,
 		limit: min(end+maxLine, meta.size),
 	}
-	it := &LineIterator{
-		src:    src,
-		limit:  sp.Length,
-		offset: sp.Offset,
-	}
+	it := &LineIterator{src: src, limit: sp.Length}
 	if sp.Offset > 0 {
 		// Skip the partial line carried over from the previous split.
 		skipped, err := it.readLine()
@@ -123,7 +118,6 @@ func (fs *FileSystem) OpenLines(sp Split, at transport.NodeID) (*LineIterator, e
 			}
 		}
 		it.consumed += int64(len(skipped))
-		it.offset += int64(len(skipped))
 	}
 	return it, nil
 }
@@ -161,8 +155,7 @@ func (it *LineIterator) readLine() (string, error) {
 	}
 }
 
-// Next returns the next line (without the trailing newline) and its
-// absolute byte offset in the file. ok is false at the end of the split and
+// Next returns the next line, without the trailing newline. ok is false at the end of the split and
 // on a read error, which Err then reports; either way the iterator has
 // closed itself. The line is a view of its block (see LineIterator).
 //
@@ -170,10 +163,10 @@ func (it *LineIterator) readLine() (string, error) {
 // reading while the next line starts at or before the split end
 // (consumed <= limit), because the following split unconditionally skips
 // its first line — including a line that starts exactly on the boundary.
-func (it *LineIterator) Next() (line string, offset int64, ok bool) {
+func (it *LineIterator) Next() (line string, ok bool) {
 	if it.done || it.consumed > it.limit {
 		it.Close()
-		return "", 0, false
+		return "", false
 	}
 	s, err := it.readLine()
 	if err != nil && err != io.EOF {
@@ -181,15 +174,13 @@ func (it *LineIterator) Next() (line string, offset int64, ok bool) {
 	}
 	if s == "" || it.err != nil {
 		it.Close()
-		return "", 0, false
+		return "", false
 	}
-	offset = it.offset
 	it.consumed += int64(len(s))
-	it.offset += int64(len(s))
 	if n := len(s); n > 0 && s[n-1] == '\n' {
 		s = s[:n-1]
 	}
-	return s, offset, true
+	return s, true
 }
 
 // Err returns the read error that ended the iteration early, if any. A

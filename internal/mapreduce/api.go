@@ -101,7 +101,7 @@ type Job struct {
 }
 
 // Config holds engine-wide defaults, scaled-down analogues of stock Hadoop
-// settings.
+// settings. The YARN container every task requests is containerMB.
 type Config struct {
 	// SortBufferBytes is the map-side sort buffer (io.sort.mb).
 	SortBufferBytes int64
@@ -109,9 +109,6 @@ type Config struct {
 	// (io.sort.factor); more spills mean extra read+write passes over the
 	// intermediate data.
 	MergeFactor int
-	// MapMemMB / ReduceMemMB are container sizes requested from YARN.
-	MapMemMB    int
-	ReduceMemMB int
 	// ReduceHeapBytes is the per-reduce-task heap limit; a map task's is
 	// mapHeapBytes.
 	ReduceHeapBytes int64
@@ -129,16 +126,14 @@ func (c *Config) FillDefaults() {
 	if c.MergeFactor <= 0 {
 		c.MergeFactor = 10
 	}
-	if c.MapMemMB <= 0 {
-		c.MapMemMB = 1024
-	}
-	if c.ReduceMemMB <= 0 {
-		c.ReduceMemMB = 1024
-	}
 	if c.ReduceHeapBytes <= 0 {
 		c.ReduceHeapBytes = 64 << 20
 	}
 }
+
+// containerMB is the container size every map and reduce task requests
+// from YARN.
+const containerMB = 512
 
 // mapHeapBytes is every map task's heap limit.
 const mapHeapBytes = 64 << 20

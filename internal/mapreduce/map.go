@@ -38,7 +38,7 @@ func (j *jobRun) runMapTask(taskID, attempt int, split hdfs.Split) (mres *mapRes
 	if len(split.Hosts) > 0 {
 		pref = int(split.Hosts[0])
 	}
-	ct, err := j.c.Yarn().Allocate(j.cfg.MapMemMB, pref)
+	ct, err := j.c.Yarn().Allocate(containerMB, pref)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +94,7 @@ func (j *jobRun) runMapTask(taskID, attempt int, split hdfs.Split) (mres *mapRes
 	}
 	defer it.Close()
 	for {
-		line, _, ok := it.Next()
+		line, ok := it.Next()
 		if !ok {
 			break
 		}

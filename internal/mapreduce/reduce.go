@@ -147,7 +147,7 @@ func (j *jobRun) runReduceTask(r, attempt int, maps []*mapResult) (fetched int64
 	job, reg, inj, tr := j.job, j.sub.Metrics, j.sub.Faults, j.sub.Trace
 	tag, heap := j.tag, j.cfg.ReduceHeapBytes
 	site := fmt.Sprintf("reduce-%05d", r)
-	ct, err := j.c.Yarn().Allocate(j.cfg.ReduceMemMB, -1)
+	ct, err := j.c.Yarn().Allocate(containerMB, -1)
 	if err != nil {
 		return 0, err
 	}

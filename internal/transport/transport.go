@@ -576,10 +576,3 @@ func (n *InMemNetwork) Close() error {
 }
 
 var _ Network = (*InMemNetwork)(nil)
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
