@@ -14,7 +14,6 @@
 //	hamrbench -figure 3a       # one figure panel
 //	hamrbench -bench PageRank  # one Table 2 row
 //	hamrbench -scale tiny      # smaller inputs (fast smoke run)
-//	hamrbench -nodes 8 -workers 4
 //	hamrbench -vclock          # virtual clock: modeled seconds, no sleeps
 package main
 
@@ -35,20 +34,12 @@ func main() {
 		figure  = flag.String("figure", "", "regenerate one figure panel: 3a or 3b")
 		one     = flag.String("bench", "", "run a single Table 2 benchmark by name")
 		scale   = flag.String("scale", "small", "input scale: tiny or small")
-		nodes   = flag.Int("nodes", 0, "override worker node count")
-		workers = flag.Int("workers", 0, "override workers per node")
 		vclock  = flag.Bool("vclock", false, "run under the virtual clock: modeled delays advance logical clocks instead of sleeping, tables report modeled seconds")
 		traceTo = flag.String("trace", "", "with -bench: record per-task spans, write Chrome trace JSON per engine (PATH.mr.json / PATH.hamr.json) and print each engine's critical path")
 	)
 	flag.Parse()
 
 	spec := bench.DefaultSpec()
-	if *nodes > 0 {
-		spec.Nodes = *nodes
-	}
-	if *workers > 0 {
-		spec.Core.Workers = *workers
-	}
 	spec.VClock = *vclock
 	var sc bench.Scale
 	switch strings.ToLower(*scale) {

@@ -135,16 +135,6 @@ func WithPartitioner(p Partitioner) EdgeOption { return core.WithPartitioner(p) 
 // HashPartition is the default key partitioner.
 func HashPartition(key string, n int) int { return core.HashPartition(key, n) }
 
-// RegisterValue lets KV values of v's type be spilled and shuffled as
-// bytes. Values of type nil, bool, int (read back as int64), int64,
-// float64, string, []byte, []float64, []int64, []int, []string and
-// map[string]int64 need no registration; any other type must implement
-// encoding.BinaryMarshaler, and encoding.BinaryUnmarshaler on its pointer,
-// and be registered before the first job — RegisterValue panics if the
-// methods are missing, and an unregistered type fails the job at its first
-// encode with an error naming the type.
-func RegisterValue(v any) { core.RegisterValue(v) }
-
 // Cluster is a running HAMR cluster: N simulated nodes, each with a
 // flowlet runtime, local disk and services (HDFS, kv-store), joined by a
 // message fabric.

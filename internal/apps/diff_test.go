@@ -29,12 +29,14 @@ var diffScale = apps.Scale{
 	Reduces: 3,
 }
 
-func newCluster(t *testing.T) *cluster.Cluster {
+// newCluster builds a test cluster whose nodes hold budget bytes of
+// reduce input in memory (0: unlimited).
+func newCluster(t *testing.T, budget int64) *cluster.Cluster {
 	t.Helper()
 	c, err := cluster.New(cluster.Options{
 		NumNodes:      testNodes,
 		HDFSBlockSize: 8 << 10,
-		Core:          core.Config{Workers: 2},
+		Core:          core.Config{Workers: 2, MemoryBudget: budget},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,9 +49,10 @@ func newCluster(t *testing.T) *cluster.Cluster {
 // declares — on one cluster per engine (separate substrates, same geometry),
 // through the same table entries and the same input layout the harness uses
 // (Workload.HAMREnv / MREnv),
-// and holds both answers to the reference. labels name the subtests, plain
-// run first; without them a variant's subtest carries its name.
-func diffRow(t *testing.T, name apps.Benchmark, labels ...string) {
+// and holds both answers to the reference. The flowlet side runs under a
+// MemoryBudget of budget bytes (0: unlimited). labels name the subtests,
+// plain run first; without them a variant's subtest carries its name.
+func diffRow(t *testing.T, name apps.Benchmark, budget int64, labels ...string) {
 	w := apps.Lookup(string(name))
 	if w == nil {
 		t.Fatalf("the table has no row %q", name)
@@ -67,7 +70,7 @@ func diffRow(t *testing.T, name apps.Benchmark, labels ...string) {
 	data := w.Data.Gen(diffScale)
 	for i, v := range variants {
 		run := func(t *testing.T) {
-			ref := runBoth(t, w, data, v)
+			ref := runBoth(t, w, data, v, budget)
 			if w.Name == apps.HistogramRatings && len(ref) > 5 {
 				t.Errorf("rating histogram has %d keys, want <= 5", len(ref))
 			}
@@ -81,13 +84,15 @@ func diffRow(t *testing.T, name apps.Benchmark, labels ...string) {
 }
 
 // runBoth runs row w under variant v over data on both engines, holds both
-// answers to the reference's and returns that.
-func runBoth(t *testing.T, w *apps.Workload, data []byte, v apps.Variant) apps.Output {
+// answers to the reference's and returns that. A flowlet side run under a
+// budget (> 0) must also have spilled reduce input.
+func runBoth(t *testing.T, w *apps.Workload, data []byte, v apps.Variant, budget int64) apps.Output {
 	t.Helper()
 	r := w.NewRun(diffScale, data, v)
 	ref := w.Reference(data, r)
 
-	env, err := w.HAMREnv(newCluster(t), data, r)
+	c := newCluster(t, budget)
+	env, err := w.HAMREnv(c, data, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +104,11 @@ func runBoth(t *testing.T, w *apps.Workload, data []byte, v apps.Variant) apps.O
 		t.Errorf("no job result from the flowlet side: %+v", res)
 	}
 	check(t, w, ref, apps.SideHAMR, collect)
+	if spills := c.Metrics().Snapshot().Get("reduce.spills"); budget > 0 && spills == 0 {
+		t.Errorf("%s: no reduce flowlet spilled under a %d-byte memory budget", w.Name, budget)
+	}
 
-	if env, err = w.MREnv(newCluster(t), mapreduce.Config{}, data, r); err != nil {
+	if env, err = w.MREnv(newCluster(t, 0), mapreduce.Config{}, data, r); err != nil {
 		t.Fatal(err)
 	}
 	if collect, err = w.MR(env); err != nil {
@@ -124,16 +132,28 @@ func check(t *testing.T, w *apps.Workload, ref apps.Output, side string, collect
 // One test per row of Table 2, under the names (subtests included) these
 // comparisons have always run under; everything they do is read from the
 // table. TestRegistryCoversTable2 holds the table to these eight rows.
-func TestDiffKMeans(t *testing.T)          { diffRow(t, apps.KMeans) }
-func TestDiffClassification(t *testing.T)  { diffRow(t, apps.Classification) }
-func TestDiffPageRank(t *testing.T)        { diffRow(t, apps.PageRank) }
-func TestDiffKCliques(t *testing.T)        { diffRow(t, apps.KCliques, "k=3", "k=4") }
-func TestDiffWordCount(t *testing.T)       { diffRow(t, apps.WordCount, "combiner=false", "combiner=true") }
-func TestDiffHistogramMovies(t *testing.T) { diffRow(t, apps.HistogramMovies) }
-func TestDiffNaiveBayes(t *testing.T)      { diffRow(t, apps.NaiveBayes) }
+func TestDiffKMeans(t *testing.T)         { diffRow(t, apps.KMeans, 0) }
+func TestDiffClassification(t *testing.T) { diffRow(t, apps.Classification, 0) }
+func TestDiffPageRank(t *testing.T)       { diffRow(t, apps.PageRank, 0) }
+func TestDiffKCliques(t *testing.T)       { diffRow(t, apps.KCliques, 0, "k=3", "k=4") }
+func TestDiffWordCount(t *testing.T) {
+	diffRow(t, apps.WordCount, 0, "combiner=false", "combiner=true")
+}
+func TestDiffHistogramMovies(t *testing.T) { diffRow(t, apps.HistogramMovies, 0) }
+func TestDiffNaiveBayes(t *testing.T)      { diffRow(t, apps.NaiveBayes, 0) }
 func TestDiffHistogramRatings(t *testing.T) {
-	diffRow(t, apps.HistogramRatings,
+	diffRow(t, apps.HistogramRatings, 0,
 		"combiner=false,serialize=false", "combiner=true,serialize=false", "combiner=false,serialize=true")
+}
+
+// TestDiffReduceSpills runs the rows whose graphs have a Reduce flowlet
+// again with a 1 KiB memory budget on each node, so their reduce input
+// spills through the value codec to disk and is merged back: every type a
+// row spills must survive the codec, and the answer must not move.
+func TestDiffReduceSpills(t *testing.T) {
+	for _, row := range []apps.Benchmark{apps.KMeans, apps.PageRank, apps.KCliques} {
+		t.Run(string(row), func(t *testing.T) { diffRow(t, row, 1<<10) })
+	}
 }
 
 // TestEdgeListsAgreeWithTheReference runs the edge-list rows over
@@ -159,7 +179,7 @@ func TestEdgeListsAgreeWithTheReference(t *testing.T) {
 		{"kcliques/tabs", apps.KCliques, 3, tabs},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := runBoth(t, apps.Lookup(string(tc.row)), []byte(tc.edges), apps.Variant{K: tc.k})
+			ref := runBoth(t, apps.Lookup(string(tc.row)), []byte(tc.edges), apps.Variant{K: tc.k}, 0)
 			if tc.row == apps.KCliques && len(ref) == 0 {
 				t.Error("the reference finds no clique: the case checks nothing")
 			}

@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -31,104 +30,28 @@ func roundTripValue(t *testing.T, v any) any {
 	return got
 }
 
+// codecValues reach every layout's edges: varints of one and ten bytes,
+// infinite floats, and strings empty, multi-byte and past a one-byte length.
+var codecValues = []any{
+	int64(0), int64(-5), int64(math.MaxInt64), int64(math.MinInt64),
+	float64(3.25), math.Inf(1), math.Inf(-1),
+	"", "hello", "unicode ✓ ☃", strings.Repeat("x", 200),
+}
+
 func TestCodecScalars(t *testing.T) {
-	for _, v := range []any{
-		nil, true, false,
-		int64(0), int64(-5), int64(math.MaxInt64),
-		float64(3.25), math.Inf(1), float64(-0.0),
-		"", "hello", "unicode ✓ ☃",
-		[]byte{}, []byte{0, 1, 2, 255},
-		[]float64{}, []float64{1.5, -2.5},
-		[]int64{7, -7},
-		[]string{}, []string{"a", "", "ccc"},
-		[]int{1, -2, 3},
-		map[string]int64{}, map[string]int64{"a": 1, "bb": -2},
-	} {
-		got := roundTripValue(t, v)
-		if !reflect.DeepEqual(got, normalize(v)) {
+	for _, v := range codecValues {
+		if got := roundTripValue(t, v); got != v {
 			t.Errorf("round trip %#v -> %#v", v, got)
 		}
 	}
 }
 
-// normalize maps encoder input types onto decoder output types (int ->
-// int64 is the only lossy-but-defined conversion).
-func normalize(v any) any {
-	switch x := v.(type) {
-	case int:
-		return int64(x)
-	case []byte:
-		if len(x) == 0 {
-			return []byte(nil) // decoder yields a nil slice for empty bytes
-		}
-	case []float64:
-		if len(x) == 0 {
-			return []float64{}
-		}
-	case []int64:
-		if len(x) == 0 {
-			return []int64{}
-		}
-	case []string:
-		if len(x) == 0 {
-			return []string{}
-		}
-	case map[string]int64:
-		if len(x) == 0 {
-			return map[string]int64{}
-		}
-	}
-	return v
-}
-
-func TestCodecIntBecomesInt64(t *testing.T) {
-	if got := roundTripValue(t, int(42)); got.(int64) != 42 {
-		t.Fatalf("int round trip = %v", got)
-	}
-}
-
-// customValue is a value type outside the codec's own set: it reaches
-// bytes through RegisterValue and its own marshaling.
-type customValue struct {
-	Name  string
-	Count int64
-}
-
-func (c customValue) MarshalBinary() ([]byte, error) {
-	return append(binary.LittleEndian.AppendUint64(nil, uint64(c.Count)), c.Name...), nil
-}
-
-func (c *customValue) UnmarshalBinary(b []byte) error {
-	if len(b) < 8 {
-		return errors.New("customValue: short")
-	}
-	c.Count, c.Name = int64(binary.LittleEndian.Uint64(b)), string(b[8:])
-	return nil
-}
-
-func TestCodecRegisteredValue(t *testing.T) {
-	RegisterValue(customValue{})
-	v := customValue{Name: "x", Count: 9}
-	got := roundTripValue(t, v)
-	if !reflect.DeepEqual(got, v) {
-		t.Fatalf("registered round trip = %#v", got)
-	}
-}
-
-// TestCodecUnregisteredTypes: the type set is closed. Registering a type
-// that cannot marshal itself panics on the spot, and a value outside the
-// set fails at encode with an error naming its type.
+// TestCodecUnregisteredTypes: the type set is closed. A value outside it
+// fails at encode with an error naming its type — an int too, which a
+// reduce flowlet would otherwise read back after a spill as another type.
 func TestCodecUnregisteredTypes(t *testing.T) {
 	type plain struct{ N int }
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("RegisterValue accepted a type without MarshalBinary/UnmarshalBinary")
-			}
-		}()
-		RegisterValue(plain{})
-	}()
-	for _, v := range []any{int32(1), plain{N: 1}, &customValue{}} {
+	for _, v := range []any{int(42), nil, int32(1), []byte("b"), []float64{1}, plain{N: 1}} {
 		_, err := EncodeValue(nil, v)
 		if want := fmt.Sprintf("%T", v); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("EncodeValue(%s) = %v, want an error naming the type", want, err)
@@ -136,41 +59,8 @@ func TestCodecUnregisteredTypes(t *testing.T) {
 	}
 }
 
-// TestCodecConcurrentRegistered encodes and decodes a registered type from
-// many goroutines at once; the registry is the only shared state. Run
-// under -race.
-func TestCodecConcurrentRegistered(t *testing.T) {
-	RegisterValue(customValue{})
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				want := customValue{Name: fmt.Sprintf("w%d-%d", w, i), Count: int64(i)}
-				buf, err := EncodeValue(nil, want)
-				if err != nil {
-					t.Errorf("encode: %v", err)
-					return
-				}
-				got, n, err := DecodeValue(buf)
-				if err != nil || n != len(buf) {
-					t.Errorf("decode: %v (n=%d of %d)", err, n, len(buf))
-					return
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("round trip %#v -> %#v", want, got)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 func TestCodecKVRoundTrip(t *testing.T) {
-	kv := KV{Key: "some/key", Value: []float64{1, 2, 3}}
+	kv := KV{Key: "some/key", Value: 1.5}
 	buf, err := EncodeKV(nil, kv)
 	if err != nil {
 		t.Fatal(err)
@@ -206,24 +96,18 @@ func overlong(tag typeTag) []byte {
 	return append([]byte{byte(tag)}, bytes.Repeat([]byte{0x80}, 11)...)
 }
 
-// hostileCounts are encodings whose count or length is not backed by the
-// bytes that follow: a count whose byte size overflows int, one that fits
-// int and would size a 2 GiB slice, a map of 2^40 entries, a varint of
-// eleven continuation bytes, a length one past the bytes that remain.
+// hostileCounts are encodings whose length is not backed by the bytes
+// that follow: a string of 2^64-1 bytes, a varint of eleven continuation
+// bytes, a length one past the bytes that remain.
 var hostileCounts = [][]byte{
-	counted(tagFloat64Slice, math.MaxInt64),
-	counted(tagInt64Slice, math.MaxInt64),
-	counted(tagStringSlice, math.MaxInt64),
-	counted(tagIntSlice, math.MaxInt64),
-	counted(tagBytes, math.MaxUint64),
-	counted(tagFloat64Slice, 1<<28),
-	counted(tagStringSlice, 1<<28, 1, 'x'),
-	counted(tagMapStringInt64, 1<<40),
+	counted(tagString, math.MaxUint64),
 	overlong(tagString),
 	overlong(tagInt64),
 	counted(tagString, 5, 'a', 'b', 'c', 'd'),
-	counted(tagMapStringInt64, 1, 1, 'k', 0, 0, 0, 0, 0, 0, 0),
 }
+
+// retiredTags are the tag bytes of the types the codec no longer carries.
+var retiredTags = []byte{0, 1, 5, 6, 7, 8, 9, 10, 11}
 
 // decodeMeasured is DecodeValue and the bytes the call allocated.
 func decodeMeasured(b []byte) (v any, n int, err error, alloc uint64) {
@@ -245,6 +129,19 @@ func TestCodecHostileCounts(t *testing.T) {
 	}
 }
 
+// A retired tag is ErrUnknownTag, and saying so allocates nothing.
+func TestCodecRetiredTags(t *testing.T) {
+	for _, tag := range retiredTags {
+		b := []byte{tag, 1, 'x'}
+		if _, _, err := DecodeValue(b); !errors.Is(err, ErrUnknownTag) {
+			t.Errorf("DecodeValue(% x) = %v, want ErrUnknownTag", b, err)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { DecodeValue(b) }); allocs != 0 {
+			t.Errorf("DecodeValue(% x) allocates %v times", b, allocs)
+		}
+	}
+}
+
 // TestEncodedSizes pins what a length and a small int cost, so a slide
 // back to fixed-width words fails here rather than in a benchmark.
 func TestEncodedSizes(t *testing.T) {
@@ -253,8 +150,7 @@ func TestEncodedSizes(t *testing.T) {
 		want int
 	}{
 		{int64(1), 2}, {int64(-1), 2}, {int64(63), 2}, {int64(-64), 2}, {int64(64), 3},
-		{int64(math.MinInt64), 11}, {"0123456789abcdef", 18}, {"", 2}, {[]byte{}, 2},
-		{[]string{"a", ""}, 5}, {map[string]int64{"k": 1}, 12},
+		{int64(math.MinInt64), 11}, {"0123456789abcdef", 18}, {"", 2}, {2.5, 9},
 	} {
 		if b, err := EncodeValue(nil, c.v); err != nil || len(b) != c.want {
 			t.Errorf("%#v encodes to %d bytes (%v), want %d", c.v, len(b), err, c.want)
@@ -267,38 +163,12 @@ func TestEncodedSizes(t *testing.T) {
 	}
 }
 
-// TestCodecMapOrder: equal maps encode to equal bytes whatever order Go
-// ranges over them in, so map order does not leak into run files.
-func TestCodecMapOrder(t *testing.T) {
-	m := map[string]int64{}
-	for i := 0; i < 50; i++ {
-		m[fmt.Sprintf("key-%02d", i*37%50)] = int64(i)
-	}
-	first, err := EncodeValue(nil, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < 100; i++ {
-		if again, _ := EncodeValue(nil, m); !bytes.Equal(first, again) {
-			t.Fatalf("encoding %d of one map differs from the first", i)
-		}
-	}
-	if got := roundTripValue(t, m); !reflect.DeepEqual(got, m) {
-		t.Errorf("round trip %v -> %v", m, got)
-	}
-}
-
 // FuzzDecodeValue holds DecodeValue to what a decoder of bytes read back
 // from disk owes its caller: whatever the input, it does not panic and it
 // allocates no more than a small multiple of the input; and what it accepts
 // encodes again to something that decodes to the same value.
 func FuzzDecodeValue(f *testing.F) {
-	RegisterValue(customValue{})
-	for _, v := range []any{
-		nil, true, int64(-7), 2.5, "string", []byte("bytes"), []float64{1, math.NaN()},
-		[]int64{1, -2}, []string{"a", "", "bc"}, customValue{Name: "registered", Count: 1},
-		[]int{3, 4}, map[string]int64{"k": 1, "": 2},
-	} {
+	for _, v := range append(codecValues, math.NaN()) {
 		b, err := EncodeValue(nil, v)
 		if err != nil {
 			f.Fatal(err)
@@ -307,6 +177,9 @@ func FuzzDecodeValue(f *testing.F) {
 	}
 	for _, b := range hostileCounts {
 		f.Add(b)
+	}
+	for _, tag := range retiredTags {
+		f.Add([]byte{tag, 1, 'x'})
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		v, n, err, alloc := decodeMeasured(b)

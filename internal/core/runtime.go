@@ -34,7 +34,9 @@ type Config struct {
 	// flow control (used by the ablation benchmark).
 	FlowControlWindow int
 	// MemoryBudget is each node's in-memory data budget in bytes; reduce
-	// flowlets spill to local disk beyond it. Zero means unlimited.
+	// flowlets spill to local disk beyond it. Zero means unlimited. A
+	// spilled value goes through the codec, which carries int64, float64
+	// and string; any other type fails the job at its first spill.
 	MemoryBudget int64
 	// ContentionCost is the modeled cost of one contended shared-variable
 	// update in a partial reduce (§5.2: "all threads atomically update
