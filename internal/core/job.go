@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/hamr-go/hamr/internal/faults"
 	"github.com/hamr-go/hamr/internal/metrics"
 	"github.com/hamr-go/hamr/internal/trace"
 	"github.com/hamr-go/hamr/internal/transport"
@@ -369,47 +368,16 @@ func (jn *jobNode) abort(err error, relay bool) {
 			es.cred.abort()
 		}
 		if relay {
-			fm := failMsg{Job: jn.jobID, Err: err.Error(), Canceled: errors.Is(err, ErrJobCanceled)}
-			var fe *faults.Error
-			if errors.As(err, &fe) {
-				fm.FaultOp, fm.FaultSite = fe.Op, fe.Site
-			}
 			_ = jn.rt.net.Send(transport.Message{
 				From:    transport.NodeID(jn.node),
 				To:      transport.Broadcast,
 				Kind:    msgFail,
-				Payload: fm,
+				Payload: failMsg{Job: jn.jobID, Err: err},
 				Size:    int64(len(err.Error())),
 			})
 		}
 		jn.signalDone()
 	})
-}
-
-// remoteError is a failure relayed from another node: the message is the
-// remote error's full text, the cause (when the failure was an injected
-// fault) keeps errors.Is matching across the fabric.
-type remoteError struct {
-	msg   string
-	cause error
-}
-
-func (e *remoteError) Error() string { return e.msg }
-func (e *remoteError) Unwrap() error { return e.cause }
-
-// relayed rebuilds the error a failMsg carries.
-func (fm failMsg) relayed() error {
-	switch {
-	case fm.FaultOp != "":
-		return &remoteError{msg: fm.Err, cause: &faults.Error{Op: fm.FaultOp, Site: fm.FaultSite}}
-	case fm.Canceled:
-		// A relayed cancellation keeps its typed cause, the same contract
-		// FaultOp/FaultSite give injected faults: errors.Is still matches
-		// ErrJobCanceled after the abort crossed nodes.
-		return &remoteError{msg: fm.Err, cause: ErrJobCanceled}
-	default:
-		return errors.New(fm.Err)
-	}
 }
 
 func (jn *jobNode) signalDone() {

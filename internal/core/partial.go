@@ -158,8 +158,9 @@ func (fs *flowletState) applyStripeBatch(st *prStripe, kvs []KV) error {
 // spaces), so it models it explicitly: the node's contention elapsed is
 // max(hottest stripe's total, node total / workers) — the hot stripe
 // paces a skewed key space, the worker pool bounds overlap of a wide
-// one. Full cost still lands in the Contention busy accounting. Both
-// inputs are monotone sums of atomic adds, so the final lane advance is
+// one. Only that advance is charged to the clock's Contention cell; the
+// full per-update cost is the partial.contention timer's. Both inputs
+// are monotone sums of atomic adds, so the final lane advance is
 // scheduling-independent and deterministic.
 func (fs *flowletState) chargeContention(st *prStripe, d time.Duration) {
 	clk := fs.jn.rt.sub.Clock
@@ -168,7 +169,6 @@ func (fs *flowletState) chargeContention(st *prStripe, d time.Duration) {
 		clk.Charge(fs.jn.rt.id, vtime.Contention, d)
 		return
 	}
-	vc.AddBusy(vtime.Contention, d)
 	st.charged += d
 	hot := fs.prHot.Load()
 	for st.charged > time.Duration(hot) && !fs.prHot.CompareAndSwap(hot, int64(st.charged)) {
@@ -189,7 +189,7 @@ func (fs *flowletState) chargeContention(st *prStripe, d time.Duration) {
 			return
 		}
 		if fs.prAdvanced.CompareAndSwap(cur, target) {
-			vc.AdvanceLane(fs.jn.rt.id, time.Duration(target-cur))
+			vc.Charge(fs.jn.rt.id, vtime.Contention, time.Duration(target-cur))
 			return
 		}
 	}

@@ -82,19 +82,12 @@ type completeMsg struct {
 	Node    int
 }
 
+// failMsg relays a job's failure. The fabric hands the sender's error
+// value over as it is, so errors.Is(err, ErrJobCanceled) and
+// faults.IsInjected match on every node the abort reaches.
 type failMsg struct {
 	Job int64
-	Err string
-	// FaultOp/FaultSite carry the identity of an injected fault across the
-	// fabric so the driver's error keeps its typed cause (errors.Is /
-	// faults.IsInjected still match after the abort crossed nodes).
-	FaultOp   string
-	FaultSite string
-	// Canceled marks an abort that originated from job cancellation
-	// (a canceled or expired context) so receivers reconstruct an
-	// error matching ErrJobCanceled, the same cross-node typing the fault
-	// fields provide.
-	Canceled bool
+	Err error
 }
 
 // NodeRuntime is the long-lived flowlet runtime on one node (Fig. 2): a
@@ -268,7 +261,7 @@ func (rt *NodeRuntime) handle(msg transport.Message) {
 			break
 		}
 		if jn := rt.job(fm.Job); jn != nil {
-			jn.abort(fm.relayed(), false)
+			jn.abort(fm.Err, false)
 		}
 	}
 	if err != nil {

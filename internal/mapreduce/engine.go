@@ -192,7 +192,6 @@ func (e *Engine) run(ctx context.Context, job Job) (*Result, error) {
 	// driver lane — job launch is serial with everything.
 	if e.cfg.JobStartup > 0 {
 		d := e.cfg.JobStartup
-		reg.Observe("mr.job.startup", d)
 		var ssp trace.Span
 		if tr.Enabled() {
 			ssp = tr.Start(-1, j.tag+"/job:"+job.Name, j.tag+"/job-startup", "startup", "startup")

@@ -66,46 +66,4 @@ func TestMergeWhileSnapshotting(t *testing.T) {
 	if got := dst.Timer("busy").Total(); got != nodes*time.Second {
 		t.Errorf("merged timer total = %v, want %v", got, nodes*time.Second)
 	}
-	if got := dst.Timer("busy").Count(); got != nodes {
-		t.Errorf("merged timer count = %d, want %d", got, nodes)
-	}
-}
-
-// TestObserveNZeroCount pins the batched-observation edge cases: n <= 0
-// must leave the timer untouched (no phantom observations, Mean stays
-// defined), and a normal aggregate observation must match n individual
-// ones in Total and Count.
-func TestObserveNZeroCount(t *testing.T) {
-	var tm Timer
-	tm.ObserveN(5*time.Second, 0)
-	tm.ObserveN(3*time.Second, -7)
-	if tm.Count() != 0 || tm.Total() != 0 || tm.Max() != 0 {
-		t.Errorf("n<=0 mutated the timer: count=%d total=%v max=%v",
-			tm.Count(), tm.Total(), tm.Max())
-	}
-	if tm.Mean() != 0 {
-		t.Errorf("Mean with zero observations = %v, want 0", tm.Mean())
-	}
-
-	tm.ObserveN(90*time.Millisecond, 3)
-	if tm.Count() != 3 || tm.Total() != 90*time.Millisecond {
-		t.Errorf("aggregate observation: count=%d total=%v, want 3/90ms",
-			tm.Count(), tm.Total())
-	}
-	if tm.Mean() != 30*time.Millisecond {
-		t.Errorf("Mean = %v, want 30ms", tm.Mean())
-	}
-	// The max tracks the aggregate, matching ObserveN's documentation.
-	if tm.Max() != 90*time.Millisecond {
-		t.Errorf("Max = %v, want 90ms", tm.Max())
-	}
-
-	var individual Timer
-	for i := 0; i < 3; i++ {
-		individual.Observe(30 * time.Millisecond)
-	}
-	if individual.Total() != tm.Total() || individual.Count() != tm.Count() {
-		t.Errorf("aggregate (total=%v count=%d) != individual (total=%v count=%d)",
-			tm.Total(), tm.Count(), individual.Total(), individual.Count())
-	}
 }

@@ -35,69 +35,14 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Timer accumulates elapsed durations, e.g. total worker busy time.
 type Timer struct {
-	ns    atomic.Int64
-	count atomic.Int64
-	maxNS atomic.Int64
+	ns atomic.Int64
 }
 
-// Observe records one elapsed duration.
-func (t *Timer) Observe(d time.Duration) {
-	ns := int64(d)
-	t.ns.Add(ns)
-	t.count.Add(1)
-	for {
-		cur := t.maxNS.Load()
-		if ns <= cur || t.maxNS.CompareAndSwap(cur, ns) {
-			break
-		}
-	}
-}
-
-// ObserveN records one aggregate observation covering n underlying events:
-// total is added to the accumulated duration, count advances by n, and the
-// max tracks the aggregate observation. Batched consumers (e.g. the
-// network delivery loop) use it to charge a whole drained batch with a
-// single timer update instead of one per message; Total and Mean are
-// unchanged versus n individual Observe calls with the same sum.
-func (t *Timer) ObserveN(total time.Duration, n int64) {
-	if n <= 0 {
-		return
-	}
-	ns := int64(total)
-	t.ns.Add(ns)
-	t.count.Add(n)
-	for {
-		cur := t.maxNS.Load()
-		if ns <= cur || t.maxNS.CompareAndSwap(cur, ns) {
-			break
-		}
-	}
-}
-
-// Time runs fn and records its wall-clock duration.
-func (t *Timer) Time(fn func()) {
-	start := time.Now()
-	fn()
-	t.Observe(time.Since(start))
-}
+// Observe adds one elapsed duration to the total.
+func (t *Timer) Observe(d time.Duration) { t.ns.Add(int64(d)) }
 
 // Total returns the accumulated duration across all observations.
 func (t *Timer) Total() time.Duration { return time.Duration(t.ns.Load()) }
-
-// Count returns the number of observations.
-func (t *Timer) Count() int64 { return t.count.Load() }
-
-// Max returns the largest single observation.
-func (t *Timer) Max() time.Duration { return time.Duration(t.maxNS.Load()) }
-
-// Mean returns the mean observation, or zero if none were recorded.
-func (t *Timer) Mean() time.Duration {
-	n := t.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(t.ns.Load() / n)
-}
 
 // Registry is a named collection of counters and timers.
 //
@@ -161,9 +106,6 @@ func (r *Registry) Add(name string, delta int64) { r.Counter(name).Add(delta) }
 
 // Inc is shorthand for Counter(name).Inc().
 func (r *Registry) Inc(name string) { r.Counter(name).Inc() }
-
-// Observe is shorthand for Timer(name).Observe(d).
-func (r *Registry) Observe(name string, d time.Duration) { r.Timer(name).Observe(d) }
 
 // Snapshot is a point-in-time copy of a registry's values.
 type Snapshot struct {

@@ -406,13 +406,12 @@ func SATA3() CostModel {
 // every operation: a seek per Create, Open and Remove, and each direction's
 // bytes on its running total, so how reads and writes are cut moves no
 // modeled time. Metrics recorded: disk.read.bytes, disk.write.bytes,
-// disk.read.ops, disk.write.ops, disk.time (timer).
+// disk.read.ops, disk.write.ops; the modeled time is the clock's.
 type CostDisk struct {
 	backing Disk
 	model   CostModel
 	// Metric handles, resolved once: charge runs per Read and Write.
 	mReadBytes, mWriteBytes, mReadOps, mWriteOps *metrics.Counter
-	tTime                                        *metrics.Timer
 	// slots serializes modeled delays so aggregate throughput cannot
 	// exceed Parallel concurrent streams.
 	slots chan struct{}
@@ -444,7 +443,6 @@ func NewCostDisk(backing Disk, model CostModel, reg *metrics.Registry) *CostDisk
 		mWriteBytes: reg.Counter("disk.write.bytes"),
 		mReadOps:    reg.Counter("disk.read.ops"),
 		mWriteOps:   reg.Counter("disk.write.ops"),
-		tTime:       reg.Timer("disk.time"),
 
 		slots: make(chan struct{}, par),
 		clock: vtime.Real(),
@@ -481,7 +479,6 @@ func (d *CostDisk) charge(dur time.Duration) {
 	if dur <= 0 {
 		return
 	}
-	d.tTime.Observe(dur)
 	d.slots <- struct{}{}
 	d.clock.Charge(d.node, vtime.Disk, dur)
 	<-d.slots

@@ -293,7 +293,6 @@ type InMemNetwork struct {
 	mMsgs    *metrics.Counter
 	mBytes   *metrics.Counter
 	mDropped *metrics.Counter
-	tTime    *metrics.Timer
 
 	// pending counts accepted messages whose delivery (modeled delay
 	// charge + handler dispatch) has not yet completed. It is raised
@@ -319,7 +318,6 @@ func NewInMemNetwork(model CostModel, reg *metrics.Registry) *InMemNetwork {
 		mMsgs:    reg.Counter("net.msgs"),
 		mBytes:   reg.Counter("net.bytes"),
 		mDropped: reg.Counter("net.dropped"),
-		tTime:    reg.Timer("net.time"),
 	}
 	n.routes.Store(&routeTable{})
 	n.quiCond = sync.NewCond(&n.quiMu)
@@ -402,10 +400,10 @@ func (n *InMemNetwork) priced(fixed time.Duration, bytes int64) bool {
 }
 
 // pay charges fixed plus the byte term of bytes more arriving at ib's node
-// to its Net lane, through its ingress, and returns the charge. The byte
+// to its Net lane, through its ingress. The byte
 // term telescopes over the node's running total, so its byte charges sum
 // to the ByteTime of all it received, however the bytes were cut.
-func (n *InMemNetwork) pay(ib *inbox, fixed time.Duration, bytes int64) time.Duration {
+func (n *InMemNetwork) pay(ib *inbox, fixed time.Duration, bytes int64) {
 	ib.ingress.Lock()
 	defer ib.ingress.Unlock()
 	m := n.model
@@ -415,13 +413,12 @@ func (n *InMemNetwork) pay(ib *inbox, fixed time.Duration, bytes int64) time.Dur
 	if d > 0 {
 		n.env.Clock.Charge(int(ib.id), vtime.Net, d)
 	}
-	return d
 }
 
 // deliver drains one node's inbox. The whole pending batch is taken in a
-// single critical section and charged with one sleep and one net.time
-// observation covering the batch: each message's latency and fault terms,
-// and the batch's bytes on the node's running byte total.
+// single critical section and charged with one sleep covering the batch:
+// each message's latency and fault terms, and the batch's bytes on the
+// node's running byte total.
 func (n *InMemNetwork) deliver(ib *inbox) {
 	defer close(ib.done)
 	var batch []Message
@@ -451,9 +448,7 @@ func (n *InMemNetwork) deliver(ib *inbox) {
 				sp = t.Start(int(ib.id), "",
 					fmt.Sprintf("net:rx%d:%d", ib.id, ib.deliveries), "deliver", "net")
 			}
-			if d := n.pay(ib, fixed, bytes); d > 0 {
-				n.tTime.ObserveN(d, int64(len(batch)))
-			}
+			n.pay(ib, fixed, bytes)
 			sp.EndBytes(bytes)
 		}
 		for i := range batch {
@@ -523,9 +518,7 @@ func (n *InMemNetwork) Transfer(from, to NodeID, bytes int64) {
 	n.mMsgs.Inc()
 	n.mBytes.Add(bytes)
 	if fixed := n.price(to, bytes); n.priced(fixed, bytes) {
-		if d := n.pay(ib, fixed, bytes); d > 0 {
-			n.tTime.Observe(d)
-		}
+		n.pay(ib, fixed, bytes)
 	}
 }
 

@@ -12,7 +12,8 @@
 //     existed. Runs are bit-identical to the pre-seam code.
 //
 //   - VirtualClock: a charge advances a per-node logical clock instead of
-//     sleeping, with per-resource busy-time accounting on the side. Wall
+//     sleeping, in that node's cell for the charge's resource, so lane
+//     times and per-resource busy times are sums of one ledger. Wall
 //     time collapses to the real compute the run does, while modeled
 //     elapsed seconds are still reported from the logical clocks — so the
 //     Table 2 / Figure 3 shapes regenerate at memory speed without wall
@@ -115,24 +116,37 @@ func (RealClock) Charge(_ int, _ Resource, d time.Duration) {
 	}
 }
 
-// lane is one logical clock, padded to its own cache line so concurrent
-// chargers on different nodes do not false-share.
-type lane struct {
-	ns atomic.Int64
-	_  [56]byte
+// row is one lane's ledger: a cell per resource, padded to its own cache
+// line so concurrent chargers on different nodes do not false-share. The
+// lane's logical time is the sum of its cells.
+type row struct {
+	ns [numResources]atomic.Int64
+	_  [64 - 8*numResources]byte
 }
 
-// VirtualClock advances per-node logical clocks instead of sleeping.
-// Charges are atomic adds, so accumulated lane times are independent of
-// goroutine scheduling order: two runs that issue the same charges
-// report identical modeled times regardless of interleaving.
+// total is the lane's logical time.
+func (r *row) total() int64 {
+	var t int64
+	for i := range r.ns {
+		t += r.ns[i].Load()
+	}
+	return t
+}
+
+// VirtualClock advances per-node logical clocks instead of sleeping. It
+// keeps one ledger — a row of per-resource cells for each lane — and
+// Charge is its only write, so a lane's time and a resource's busy time
+// are two sums over the same cells: the busy times of all resources add
+// up to the lanes' times exactly. Charges are atomic adds, so
+// accumulated times are independent of goroutine scheduling order: two
+// runs that issue the same charges report identical modeled times
+// regardless of interleaving.
 //
 // Configure with SetRealHold before the run starts; it is a plain write
 // read concurrently afterwards.
 type VirtualClock struct {
-	lanes []lane // [0] = driver, [1+i] = node i
-	busy  [numResources]atomic.Int64
-	hold  [numResources]bool
+	rows []row // [0] = driver, [1+i] = node i
+	hold [numResources]bool
 }
 
 // NewVirtual creates a virtual clock for a cluster of nodes worker
@@ -141,7 +155,16 @@ func NewVirtual(nodes int) *VirtualClock {
 	if nodes < 0 {
 		nodes = 0
 	}
-	return &VirtualClock{lanes: make([]lane, nodes+1)}
+	return &VirtualClock{rows: make([]row, nodes+1)}
+}
+
+// lane is node's row: a worker node's own, or the driver's for Driver
+// (any negative node) and for a node the clock was not sized for.
+func (v *VirtualClock) lane(node int) *row {
+	if node >= 0 && node < len(v.rows)-1 {
+		return &v.rows[node+1]
+	}
+	return &v.rows[0]
 }
 
 // SetRealHold makes node-attributed charges of res also block the
@@ -156,46 +179,15 @@ func (v *VirtualClock) SetRealHold(res Resource, on bool) *VirtualClock {
 	return v
 }
 
-// Charge implements Clock by advancing logical clocks.
+// Charge implements Clock by advancing node's lane in res's cell.
 func (v *VirtualClock) Charge(node int, res Resource, d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	li := 0
-	if node >= 0 && node < len(v.lanes)-1 {
-		li = node + 1
-	}
-	v.lanes[li].ns.Add(int64(d))
-	v.busy[res].Add(int64(d))
+	v.lane(node).ns[res].Add(int64(d))
 	if v.hold[res] && node >= 0 {
 		time.Sleep(d)
 	}
-}
-
-// AddBusy records busy time for res without advancing any lane. It is
-// for callers that model their own overlap — work whose full cost should
-// appear in the per-resource accounting while only a caller-computed
-// serialized fraction advances a lane (via AdvanceLane). The contention
-// model uses the pair: charges overlap across lock stripes, so the lane
-// advance is the hot stripe's serialized time, not the stripe sum.
-func (v *VirtualClock) AddBusy(res Resource, d time.Duration) {
-	if d > 0 {
-		v.busy[res].Add(int64(d))
-	}
-}
-
-// AdvanceLane advances one lane without busy accounting — the companion
-// to AddBusy for callers modeling their own
-// overlap. node < 0 advances the driver lane.
-func (v *VirtualClock) AdvanceLane(node int, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	li := 0
-	if node >= 0 && node < len(v.lanes)-1 {
-		li = node + 1
-	}
-	v.lanes[li].ns.Add(int64(d))
 }
 
 // Mark is a snapshot of every lane, for interval measurement.
@@ -203,11 +195,20 @@ type Mark struct{ lanes []int64 }
 
 // Mark snapshots the clock so Since can measure a run's advance.
 func (v *VirtualClock) Mark() Mark {
-	m := Mark{lanes: make([]int64, len(v.lanes))}
-	for i := range v.lanes {
-		m.lanes[i] = v.lanes[i].ns.Load()
+	m := Mark{lanes: make([]int64, len(v.rows))}
+	for i := range v.rows {
+		m.lanes[i] = v.rows[i].total()
 	}
 	return m
+}
+
+// advance is row i's advance since m.
+func (v *VirtualClock) advance(m Mark, i int) int64 {
+	d := v.rows[i].total()
+	if i < len(m.lanes) {
+		d -= m.lanes[i]
+	}
+	return d
 }
 
 // Since reports the modeled elapsed time since m: the driver lane's
@@ -218,20 +219,11 @@ func (v *VirtualClock) Mark() Mark {
 // deliberately not modeled — see DESIGN.md "Virtual
 // time and the cost model" for what that approximation preserves.
 func (v *VirtualClock) Since(m Mark) time.Duration {
-	at := func(i int) int64 {
-		if i < len(m.lanes) {
-			return m.lanes[i]
-		}
-		return 0
-	}
-	driver := v.lanes[0].ns.Load() - at(0)
 	var maxNode int64
-	for i := 1; i < len(v.lanes); i++ {
-		if d := v.lanes[i].ns.Load() - at(i); d > maxNode {
-			maxNode = d
-		}
+	for i := 1; i < len(v.rows); i++ {
+		maxNode = max(maxNode, v.advance(m, i))
 	}
-	return time.Duration(driver + maxNode)
+	return time.Duration(v.advance(m, 0) + maxNode)
 }
 
 // LanesSince reports every node lane's advance since m, in node order —
@@ -239,13 +231,9 @@ func (v *VirtualClock) Since(m Mark) time.Duration {
 // far above the mean is paced by one node while the others idle, which
 // the per-resource Busy sums cannot show.
 func (v *VirtualClock) LanesSince(m Mark) []time.Duration {
-	out := make([]time.Duration, len(v.lanes)-1)
+	out := make([]time.Duration, len(v.rows)-1)
 	for n := range out {
-		d := v.lanes[n+1].ns.Load()
-		if n+1 < len(m.lanes) {
-			d -= m.lanes[n+1]
-		}
-		out[n] = time.Duration(d)
+		out[n] = time.Duration(v.advance(m, n+1))
 	}
 	return out
 }
@@ -253,22 +241,21 @@ func (v *VirtualClock) LanesSince(m Mark) []time.Duration {
 // Elapsed is Since the clock's creation.
 func (v *VirtualClock) Elapsed() time.Duration { return v.Since(Mark{}) }
 
-// Busy reports the total charged time of one resource across all nodes
-// — the per-resource accounting that lets a
-// report decompose modeled elapsed time into disk, net, startup and so
-// on.
+// Busy reports the total charged time of one resource across all lanes
+// — the per-resource accounting that lets a report decompose the lanes'
+// time into disk, net, startup and so on.
 func (v *VirtualClock) Busy(res Resource) time.Duration {
-	return time.Duration(v.busy[res].Load())
+	var t int64
+	for i := range v.rows {
+		t += v.rows[i].ns[res].Load()
+	}
+	return time.Duration(t)
 }
 
 // NodeTime reports one lane's accumulated logical time (node < 0 for
 // the driver lane).
 func (v *VirtualClock) NodeTime(node int) time.Duration {
-	li := 0
-	if node >= 0 && node < len(v.lanes)-1 {
-		li = node + 1
-	}
-	return time.Duration(v.lanes[li].ns.Load())
+	return time.Duration(v.lane(node).total())
 }
 
 var (
