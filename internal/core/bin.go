@@ -122,10 +122,10 @@ func (c *credit) waitBelow() bool {
 	return !c.aborted
 }
 
-// release frees one slot (called when the receiver acks the bin). Each
-// ack frees exactly one window slot, so waking a single waiter suffices;
-// Broadcast here caused a thundering herd of loaders that immediately
-// re-slept. abort still Broadcasts because it releases every waiter.
+// release frees one slot (called when the receiver acks the bin) and
+// wakes every waiter. Waking one is not enough: waitOutBelow waits for
+// room without taking a slot, so a wakeup it alone received left a
+// loader asleep on an empty window, and the job hung.
 func (c *credit) release() {
 	if c.window <= 0 {
 		return
@@ -134,7 +134,7 @@ func (c *credit) release() {
 	if c.outstanding > 0 {
 		c.outstanding--
 	}
-	c.cond.Signal()
+	c.cond.Broadcast()
 	c.mu.Unlock()
 }
 

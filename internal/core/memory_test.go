@@ -246,6 +246,36 @@ func TestCreditAbort(t *testing.T) {
 	}
 }
 
+// A release wakes every waiter, not one: a waiter that only waits for
+// room (waitOutBelow before a local delivery) takes no slot, so a wakeup
+// handed to it alone left a loader asleep on an empty window for good.
+func TestCreditReleaseWakesEveryWaiter(t *testing.T) {
+	c := newCredit(1)
+	c.take()
+	done := make(chan bool, 2)
+	for w := int64(1); w <= 2; w++ {
+		go func() { done <- c.waitBelow() }()
+		// Stalls counts a waiter under the lock it waits with, so once it
+		// reads w the waiter is queued on the condition, behind the others.
+		for deadline := time.Now().Add(2 * time.Second); c.Stalls() < w; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("waiter %d never stalled", w)
+			}
+		}
+	}
+	c.release()
+	for i := 0; i < 2; i++ {
+		select {
+		case ok := <-done:
+			if !ok {
+				t.Fatal("waitBelow failed")
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%d of 2 waiters woke after the window emptied", i)
+		}
+	}
+}
+
 func TestBinBufferSealing(t *testing.T) {
 	b := newBinBuffer(3, newBinList(4), 1<<20)
 	var sealed []*Bin
