@@ -61,7 +61,7 @@ func main() {
 		if !ok {
 			log.Fatalf("bad seed record %q", line)
 		}
-		centroids = append(centroids, rec.Vector())
+		centroids = append(centroids, datagen.NewCentroid(rec.Vector()))
 	}
 
 	for iter := 1; iter <= 8; iter++ {
@@ -76,8 +76,9 @@ func main() {
 			log.Fatal(err)
 		}
 
-		// Pull the new centroids out of the job's sink.
-		next := make([]hamrapps.Centroid, k)
+		// Pull the new centroids out of the job's sink; an empty cluster
+		// keeps its centroid.
+		next := append([]hamrapps.Centroid(nil), centroids...)
 		for _, kv := range sinks.Centroids.Pairs() {
 			var idx int
 			fmt.Sscanf(kv.Key, "%d", &idx)
@@ -91,10 +92,6 @@ func main() {
 		}
 		moved := 0
 		for i := range next {
-			if next[i] == nil {
-				next[i] = centroids[i] // empty cluster keeps its centroid
-				continue
-			}
 			if kernel.FormatCentroid(next[i]) != kernel.FormatCentroid(centroids[i]) {
 				moved++
 			}

@@ -53,29 +53,32 @@ func TestPositionRoundTripProperty(t *testing.T) {
 
 func TestCentroidFormatRoundTripProperty(t *testing.T) {
 	f := func(users []uint8, ratings []uint8) bool {
-		c := make(Centroid)
+		v := make(map[int]float64)
 		for i, u := range users {
 			r := float64(1)
 			if len(ratings) > 0 {
 				r = float64(ratings[i%len(ratings)]%5) + 1
 			}
-			c[int(u)] = r
+			v[int(u)] = r
 		}
+		c := datagen.NewCentroid(v)
 		got, err := kernel.ParseCentroid(kernel.FormatCentroid(c))
-		if err != nil || len(got) != len(c) {
+		if err != nil || len(got.Vector()) != len(v) {
 			return false
 		}
-		for u, r := range c {
-			if got[u] != r {
+		for u, r := range v {
+			if got.Vector()[u] != r {
 				return false
 			}
 		}
-		return true
+		// The parsed centroid scores as the one it was formatted from.
+		rec := datagen.MovieRecord{Ratings: []datagen.Rating{{User: 7, Rating: 3}, {User: 200, Rating: 1}}}
+		return rec.Cosine(got) == rec.Cosine(c)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(37))}); err != nil {
 		t.Fatal(err)
 	}
-	if c, err := kernel.ParseCentroid(""); err != nil || len(c) != 0 {
+	if c, err := kernel.ParseCentroid(""); err != nil || len(c.Vector()) != 0 {
 		t.Errorf("empty centroid: %v, %v", c, err)
 	}
 }
@@ -156,13 +159,13 @@ func TestLoaderErrors(t *testing.T) {
 
 func TestBestClusterDeterministic(t *testing.T) {
 	rec := datagen.MovieRecord{ID: "m", Ratings: []datagen.Rating{{User: 1, Rating: 5}, {User: 2, Rating: 3}}}
-	cents := []Centroid{{1: 5, 2: 3}, {9: 1}}
+	cents := []Centroid{datagen.NewCentroid(map[int]float64{1: 5, 2: 3}), datagen.NewCentroid(map[int]float64{9: 1})}
 	best, sim := BestCluster(rec, cents)
 	if best != 0 || sim < 0.99 {
 		t.Fatalf("BestCluster = %d, %v", best, sim)
 	}
 	// Ties break toward the lower index.
-	same := []Centroid{{1: 1}, {1: 1}}
+	same := []Centroid{datagen.NewCentroid(map[int]float64{1: 1}), datagen.NewCentroid(map[int]float64{1: 1})}
 	if b, _ := BestCluster(rec, same); b != 0 {
 		t.Fatalf("tie went to %d", b)
 	}
@@ -489,8 +492,8 @@ func TestKeysMatchTheirFmtForms(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, sim := range []float64{0, 1, 0.5, 1e-7, 0.999999999999, 1.0 / 3, 123456789012345, 1e21} {
 		for i := 0; i < 20; i++ {
-			if got, want := kernel.FormatSimilarity(sim), fmt.Sprintf("%.12g", sim); got != want {
-				t.Errorf("FormatSimilarity(%v) = %q, %%.12g gives %q", sim, got, want)
+			if got, want := string(kernel.AppendSimilarity(nil, sim)), fmt.Sprintf("%.12g", sim); got != want {
+				t.Errorf("AppendSimilarity(%v) = %q, %%.12g gives %q", sim, got, want)
 			}
 			sim *= rng.Float64()
 		}

@@ -21,11 +21,11 @@ type Classify struct {
 
 // Map implements core.Mapper.
 func (m *Classify) Map(kv core.KV, ctx core.Context) error {
-	rec, cluster, _, ok := kernel.Assign(kv.Value.(string), m.Centroids)
+	id, cluster, _, ok := kernel.Assign(kv.Value.(string), m.Centroids)
 	if !ok {
 		return nil
 	}
-	return ctx.EmitTo("assign", core.KV{Key: cluster, Value: rec.ID})
+	return ctx.EmitTo("assign", core.KV{Key: cluster, Value: id})
 }
 
 // ClassificationOptions configures the benchmark.

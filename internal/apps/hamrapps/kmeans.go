@@ -34,7 +34,7 @@ import (
 //	                                           node-local kv-store and (on
 //	                                           node 0) emits it as output.
 
-// Centroid is a sparse rating vector (kernel.Centroid).
+// Centroid is a sparse rating vector with its norm (kernel.Centroid).
 type Centroid = kernel.Centroid
 
 // BestCluster is kernel.BestCluster.
@@ -49,18 +49,19 @@ type ClusterGen struct {
 
 // Map implements core.Mapper. kv.Key is the record's Position string.
 func (m *ClusterGen) Map(kv core.KV, ctx core.Context) error {
-	rec, cluster, sim, ok := kernel.Assign(kv.Value.(string), m.Centroids)
+	id, cluster, sim, ok := kernel.Assign(kv.Value.(string), m.Centroids)
 	if !ok {
 		return nil
 	}
 	// Data locality: write the full assignment locally...
-	if err := ctx.EmitTo("assign", core.KV{Key: cluster, Value: rec.ID}); err != nil {
+	if err := ctx.EmitTo("assign", core.KV{Key: cluster, Value: id}); err != nil {
 		return err
 	}
 	// ...and ship only the location + similarity to the reducer.
+	var buf [32]byte
 	return ctx.EmitTo("newcentroid", core.KV{
 		Key:   cluster,
-		Value: kv.Key + ";" + kernel.FormatSimilarity(sim) + ";" + rec.ID,
+		Value: kv.Key + ";" + string(kernel.AppendSimilarity(buf[:0], sim)) + ";" + id,
 	})
 }
 

@@ -100,8 +100,14 @@ func (l *LocalTextLoader) Load(sp core.Split, ctx core.Context) error {
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	// Lines may reach 1 MiB, but the scanner grows on demand: starting at
-	// the maximum cost every split a megabyte it never used.
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	// the maximum cost every split a megabyte it never used. A split under
+	// 64 KiB starts at its own size, plus the byte that lets the scanner
+	// meet the end of the file without growing.
+	bufSize := 64 << 10
+	if size, err := disk.Size(s.file); err == nil && size < int64(bufSize) {
+		bufSize = int(size) + 1
+	}
+	sc.Buffer(make([]byte, 0, bufSize), 1<<20)
 	var off int64
 	for sc.Scan() {
 		line := sc.Text()

@@ -10,7 +10,9 @@ import (
 	"testing"
 
 	"github.com/hamr-go/hamr/internal/cluster"
+	"github.com/hamr-go/hamr/internal/core"
 	"github.com/hamr-go/hamr/internal/datagen"
+	"github.com/hamr-go/hamr/internal/storage"
 )
 
 // stageOracle is DistributeLocalText as it was first written: split the
@@ -183,6 +185,65 @@ func TestDistributeLocalTextAllocs(t *testing.T) {
 	t.Logf("%d input bytes, %d allocated (%.2fx)", len(data), best, float64(best)/float64(len(data)))
 	if best > limit {
 		t.Errorf("staging %d bytes allocated %d bytes, want <= %d (1.1x + %d)", len(data), best, limit, slack)
+	}
+}
+
+// diskCtx is a node's flowlet context reduced to what a loader asks of it:
+// its node, its disk, and an Emit that counts the lines.
+type diskCtx struct {
+	core.Context
+	disk  storage.Disk
+	lines int
+}
+
+func (c *diskCtx) Node() int               { return 0 }
+func (c *diskCtx) Service(name string) any { return c.disk }
+func (c *diskCtx) Emit(kv core.KV) error   { c.lines++; return nil }
+
+// TestLocalTextLoaderBufferFitsTheSplit: a split under 64 KiB reads
+// through a scanner buffer of its own size, not the 64 KiB one a larger
+// split gets. Loading one costs the lines it emits and that buffer — about
+// twice the split — where a 64 KiB buffer alone would pass the bound.
+// Bytes are what it measures: a buffer is one allocation of any size.
+func TestLocalTextLoaderBufferFitsTheSplit(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations are counted")
+	}
+	data := datagen.Movies(datagen.MoviesConfig{Seed: 1, Movies: 100, MinRatings: 17, MaxRatings: 17})
+	disk := storage.NewMemDisk(0)
+	w, err := disk.Create("input/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Count(data, []byte{'\n'})
+	l := &LocalTextLoader{}
+	sp := core.Split{Payload: localTextSplit{file: "input/f"}}
+	ctx := &diskCtx{disk: disk}
+	const loads = 20
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < loads; i++ {
+		ctx.lines = 0
+		if err := l.Load(sp, ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	if ctx.lines != want {
+		t.Fatalf("loaded %d lines, the split holds %d", ctx.lines, want)
+	}
+	limit := 2*uint64(len(data)) + 8<<10
+	if limit >= 64<<10 {
+		t.Fatalf("a %d-byte split cannot tell its buffer from a 64 KiB one", len(data))
+	}
+	if got := (m1.TotalAlloc - m0.TotalAlloc) / loads; got > limit {
+		t.Errorf("loading a %d-byte split allocated %d bytes, want <= %d (twice the split + 8 KiB)", len(data), got, limit)
 	}
 }
 

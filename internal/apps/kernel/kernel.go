@@ -32,12 +32,19 @@ func Words(line string, emit func(core.KV) error) error {
 // MovieBucket is HistogramMovies' map: one count for the half-star bucket
 // (1.0, 1.5, ..., 5.0) of the movie's average rating — 8 buckets, like the
 // PUMA benchmark. A line that is not a movie with ratings counts nowhere.
+// It sums the ratings in the order MovieRecord.AvgRating does.
 func MovieBucket(line string, emit func(core.KV) error) error {
-	rec, ok := datagen.ParseMovie(line)
-	if !ok || len(rec.Ratings) == 0 {
+	var sum float64
+	n := 0
+	_ = datagen.EachRating(line, func(_ int, r float64) error { // fn returns no error
+		sum += r
+		n++
+		return nil
+	})
+	if n == 0 {
 		return nil
 	}
-	return emit(core.KV{Key: BucketKey(rec.AvgRating()), Value: int64(1)})
+	return emit(core.KV{Key: BucketKey(sum / float64(n)), Value: int64(1)})
 }
 
 // bucketKeys are the half-star buckets 1.0 ... 5.0, indexed by 2b-2.
@@ -64,46 +71,49 @@ func Ratings(line string, emit func(core.KV) error) error {
 // K-Means and Classification: assign each movie to its most similar
 // centroid; K-Means then makes each cluster's median member its centroid.
 
-// Centroid is a sparse user -> rating vector.
-type Centroid = map[int]float64
+// Centroid is a sparse user -> rating vector with its norm
+// (datagen.Centroid).
+type Centroid = datagen.Centroid
 
 // FormatCentroid serializes a sparse centroid as "u:r,u:r" with sorted
 // user ids (deterministic).
-func FormatCentroid(c Centroid) string {
-	users := make([]int, 0, len(c))
-	for u := range c {
+func FormatCentroid(c Centroid) string { return formatVector(c.Vector()) }
+
+func formatVector(v map[int]float64) string {
+	users := make([]int, 0, len(v))
+	for u := range v {
 		users = append(users, u)
 	}
 	sort.Ints(users)
 	parts := make([]string, len(users))
 	for i, u := range users {
-		parts[i] = fmt.Sprintf("%d:%g", u, c[u])
+		parts[i] = fmt.Sprintf("%d:%g", u, v[u])
 	}
 	return strings.Join(parts, ",")
 }
 
 // ParseCentroid parses FormatCentroid's output.
 func ParseCentroid(s string) (Centroid, error) {
-	c := make(Centroid)
+	v := make(map[int]float64)
 	if s == "" {
-		return c, nil
+		return datagen.NewCentroid(v), nil
 	}
 	for _, p := range strings.Split(s, ",") {
 		i := strings.IndexByte(p, ':')
 		if i <= 0 {
-			return nil, fmt.Errorf("kernel: bad centroid entry %q", p)
+			return Centroid{}, fmt.Errorf("kernel: bad centroid entry %q", p)
 		}
 		u, err := strconv.Atoi(p[:i])
 		if err != nil {
-			return nil, err
+			return Centroid{}, err
 		}
 		r, err := strconv.ParseFloat(p[i+1:], 64)
 		if err != nil {
-			return nil, err
+			return Centroid{}, err
 		}
-		c[u] = r
+		v[u] = r
 	}
-	return c, nil
+	return datagen.NewCentroid(v), nil
 }
 
 // BestCluster returns the index of the centroid most similar to the movie
@@ -118,26 +128,32 @@ func BestCluster(rec datagen.MovieRecord, centroids []Centroid) (int, float64) {
 	return best, bestSim
 }
 
-// Assign is the map of K-Means and Classification: the movie on line, the
-// key of the cluster it is assigned to and its similarity to that
-// cluster's centroid. ok is false for a line that is not a movie with
-// ratings, which is assigned nowhere.
-func Assign(line string, centroids []Centroid) (rec datagen.MovieRecord, cluster string, sim float64, ok bool) {
-	rec, ok = datagen.ParseMovie(line)
-	if !ok || len(rec.Ratings) == 0 {
-		return rec, "", 0, false
+// Assign is the map of K-Means and Classification: the id of the movie on
+// line, the key of the cluster it is assigned to and its similarity to
+// that cluster's centroid. ok is false for a line that is not a movie with
+// ratings, which is assigned nowhere. Its ratings live in a buffer on
+// Assign's stack, so a record allocates nothing.
+func Assign(line string, centroids []Centroid) (id, cluster string, sim float64, ok bool) {
+	var buf [datagen.InlineRatings]datagen.Rating
+	id, ratings, ok := datagen.ParseMovieInto(line, buf[:0])
+	if !ok || len(ratings) == 0 {
+		return "", "", 0, false
 	}
-	best, sim := BestCluster(rec, centroids)
-	return rec, strconv.Itoa(best), sim, true
+	best, sim := BestCluster(datagen.MovieRecord{Ratings: ratings}, centroids)
+	return id, strconv.Itoa(best), sim, true
 }
 
-// FormatSimilarity renders a similarity to 12 significant digits (%.12g),
+// AppendSimilarity appends a similarity to 12 significant digits (%.12g),
 // which is what a similarity is defined to: it is all that reaches the
-// K-Means reduce on either engine.
-func FormatSimilarity(sim float64) string { return strconv.FormatFloat(sim, 'g', 12, 64) }
+// K-Means reduce on either engine. A mapper appends it to a buffer on its
+// stack and concatenates from there, so the text costs no allocation of
+// its own.
+func AppendSimilarity(dst []byte, sim float64) []byte {
+	return strconv.AppendFloat(dst, sim, 'g', 12, 64)
+}
 
 // Member is one member of a K-Means cluster as the medoid rule sees it: its
-// similarity (as FormatSimilarity carried it), its movie id, and Ref, what
+// similarity (as AppendSimilarity carried it), its movie id, and Ref, what
 // the caller finds the record again by.
 type Member struct {
 	Sim     float64
@@ -165,7 +181,7 @@ func CentroidOf(line string) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	return FormatCentroid(rec.Vector()), true
+	return formatVector(rec.Vector()), true
 }
 
 // NaiveBayes: "label<TAB>w w w" documents; the answer is each label's total

@@ -1,11 +1,15 @@
 package kernel
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"github.com/hamr-go/hamr/internal/core"
+	"github.com/hamr-go/hamr/internal/datagen"
 )
 
 // collect runs a kernel and returns the keys it emitted, in order.
@@ -91,5 +95,125 @@ func TestMedoid(t *testing.T) {
 	want := []Member{{0.1, "a", "r2"}, {0.5, "b", "r3"}, {0.5, "c", "r1"}, {0.9, "d", "r4"}}
 	if !reflect.DeepEqual(ms, want) {
 		t.Errorf("members ordered %+v, want %+v", ms, want)
+	}
+}
+
+// naiveCosine is the cosine of two sparse vectors that walks both for
+// their norms on every call: the scorer a prepared centroid replaces.
+func naiveCosine(rec, cent map[int]float64) float64 {
+	var dot, nr, nc float64
+	for u, r := range rec {
+		nr += r * r
+		if c, ok := cent[u]; ok {
+			dot += r * c
+		}
+	}
+	for _, c := range cent {
+		nc += c * c
+	}
+	if nr == 0 || nc == 0 {
+		return 0
+	}
+	return dot / (math.Sqrt(nr) * math.Sqrt(nc))
+}
+
+// randomMovie is a movie line over users -5..20, which repeats users and
+// names some no centroid holds, and the vector it means: a repeated
+// user's last rating. Some lines pass InlineRatings entries.
+func randomMovie(rng *rand.Rand, i int) (string, map[int]float64) {
+	line := "m" + strconv.Itoa(i) + ":"
+	vec := map[int]float64{}
+	n := rng.Intn(8)
+	if rng.Intn(10) == 0 {
+		n = datagen.InlineRatings + rng.Intn(20)
+	}
+	for j := 0; j < n; j++ {
+		u, r := rng.Intn(26)-5, rng.Intn(6)
+		if j > 0 {
+			line += ","
+		}
+		line += "u" + strconv.Itoa(u) + "_" + strconv.Itoa(r)
+		vec[u] = float64(r)
+	}
+	return line, vec
+}
+
+// TestPreparedCosineIsNaiveCosine holds the prepared scorer — Cosine,
+// BestCluster and Assign — to the naive cosine bit for bit, over random
+// integer-rated movies and centroids: empty (zero-norm) centroids, users
+// on one side only, repeated users, negative ids, and ties, which go to
+// the lower index.
+func TestPreparedCosineIsNaiveCosine(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	ties := 0
+	for i := 0; i < 2000; i++ {
+		var vecs []map[int]float64
+		for k := 1 + rng.Intn(5); k > 0; k-- {
+			v := map[int]float64{}
+			switch {
+			case len(vecs) > 0 && rng.Intn(4) == 0:
+				for u, r := range vecs[rng.Intn(len(vecs))] { // a tie
+					v[u] = r
+				}
+			case rng.Intn(5) != 0:
+				for e := rng.Intn(10); e >= 0; e-- {
+					v[rng.Intn(26)-5] = float64(1 + rng.Intn(5))
+				}
+			}
+			vecs = append(vecs, v)
+		}
+		cents := make([]Centroid, len(vecs))
+		for c, v := range vecs {
+			cents[c] = datagen.NewCentroid(v)
+		}
+		line, vec := randomMovie(rng, i)
+		rec, ok := datagen.ParseMovie(line)
+		if !ok {
+			t.Fatalf("ParseMovie(%q) failed", line)
+		}
+		wantBest, wantSim := 0, -1.0
+		for c, v := range vecs {
+			want := naiveCosine(vec, v)
+			if got := rec.Cosine(cents[c]); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%q against %v: Cosine %v, naive %v", line, v, got, want)
+			}
+			if want > wantSim {
+				wantBest, wantSim = c, want
+			} else if want == wantSim {
+				ties++
+			}
+		}
+		best, sim := BestCluster(rec, cents)
+		if best != wantBest || math.Float64bits(sim) != math.Float64bits(wantSim) {
+			t.Fatalf("%q: BestCluster = %d, %v; naive %d, %v", line, best, sim, wantBest, wantSim)
+		}
+		id, cluster, sim, ok := Assign(line, cents)
+		if len(vec) == 0 {
+			if ok {
+				t.Fatalf("Assign(%q) assigned a movie with no ratings to %s", line, cluster)
+			}
+			continue
+		}
+		if !ok || id != rec.ID || cluster != strconv.Itoa(wantBest) || math.Float64bits(sim) != math.Float64bits(wantSim) {
+			t.Fatalf("Assign(%q) = %q, %q, %v, %v; want %q, %d, %v", line, id, cluster, sim, ok, rec.ID, wantBest, wantSim)
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no case tied two centroids")
+	}
+}
+
+// BenchmarkAssign scores movies shaped like the benchmark's K-Means input
+// (17 ratings each) against four centroids.
+func BenchmarkAssign(b *testing.B) {
+	data := datagen.Movies(datagen.MoviesConfig{Seed: 1, Movies: 1000, Users: 500, MinRatings: 17, MaxRatings: 17})
+	cents := datagen.InitialCentroids(data, 4)
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, ok := Assign(lines[i%len(lines)], cents); !ok {
+			b.Fatal("no assignment")
+		}
 	}
 }

@@ -36,7 +36,8 @@ func KMeansJob(input, output string, centroids []kernel.Centroid, reduces int) m
 				if err := out.Charge(kv.Size()); err != nil {
 					return err
 				}
-				return out.Emit(core.KV{Key: cluster, Value: kernel.FormatSimilarity(sim) + ";" + kv.Value.(string)})
+				var buf [32]byte
+				return out.Emit(core.KV{Key: cluster, Value: string(kernel.AppendSimilarity(buf[:0], sim)) + ";" + kv.Value.(string)})
 			})
 		},
 		NewReducer: func() mapreduce.Reducer {

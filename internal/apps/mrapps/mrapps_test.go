@@ -143,7 +143,7 @@ func TestKMeansJobPicksMedianMedoid(t *testing.T) {
 			t.Errorf("bad cluster key %q", k)
 		}
 		cent, err := kernel.ParseCentroid(v)
-		if err != nil || len(cent) == 0 {
+		if err != nil || len(cent.Vector()) == 0 {
 			t.Errorf("bad centroid %q: %v", v, err)
 		}
 	}

@@ -118,10 +118,11 @@ func closeFloats(want, got string) bool {
 
 // The eight references: each reads the input, maps, groups and reduces on
 // one thread with no engine underneath, and is short enough to be checked
-// by eye. They share datagen's record parsers and cosine similarity with
-// the engines' versions, and nothing of the engines' own code: not the
-// record kernels both engines run (package kernel), nor anything that
-// moves data. CI holds this file to importing no package under apps/.
+// by eye. They share datagen's record parsers with the engines' versions,
+// and nothing of the engines' own code: not the record kernels both
+// engines run (package kernel) nor the prepared centroid's scorer
+// (MovieRecord.Cosine), nor anything that moves data. CI holds this file
+// to importing no package under apps/.
 
 func lines(input []byte) []string { return strings.Split(string(input), "\n") }
 
@@ -236,14 +237,31 @@ func refKMeans(input []byte, r Run) Output {
 
 // nearest is the index of the centroid most similar to the movie, ties to
 // the lower index, and that similarity.
-func nearest(rec datagen.MovieRecord, centroids []map[int]float64) (int, float64) {
+func nearest(rec datagen.MovieRecord, centroids []datagen.Centroid) (int, float64) {
 	best, bestSim := 0, -1.0
 	for i, c := range centroids {
-		if sim := rec.Cosine(c); sim > bestSim {
+		if sim := cosine(rec, c.Vector()); sim > bestSim {
 			best, bestSim = i, sim
 		}
 	}
 	return best, bestSim
+}
+
+// cosine is the plain cosine similarity of the movie's ratings and a
+// centroid's (user, rating) entries, both norms summed on every call.
+func cosine(rec datagen.MovieRecord, centroid map[int]float64) float64 {
+	var dot, nr, nc float64
+	for _, r := range rec.Ratings {
+		nr += r.Rating * r.Rating
+		dot += r.Rating * centroid[r.User]
+	}
+	for _, c := range centroid {
+		nc += c * c
+	}
+	if nr == 0 || nc == 0 {
+		return 0
+	}
+	return dot / (math.Sqrt(nr) * math.Sqrt(nc))
 }
 
 // refPageRank runs r.PageRankIters rounds of rank = 0.15 + 0.85·Σ

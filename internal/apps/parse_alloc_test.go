@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/hamr-go/hamr/internal/apps/hamrapps"
+	"github.com/hamr-go/hamr/internal/apps/kernel"
 	"github.com/hamr-go/hamr/internal/apps/mrapps"
 	"github.com/hamr-go/hamr/internal/core"
 	"github.com/hamr-go/hamr/internal/datagen"
@@ -18,15 +19,17 @@ type countEmits struct {
 	n int
 }
 
-func (c *countEmits) Emit(core.KV) error { c.n++; return nil }
-func (c *countEmits) Charge(int64) error { return nil }
+func (c *countEmits) Emit(core.KV) error           { c.n++; return nil }
+func (c *countEmits) EmitTo(string, core.KV) error { c.n++; return nil }
+func (c *countEmits) Charge(int64) error           { return nil }
 
 // TestParsePathAllocs holds the first hop of the record path — line ->
-// record -> emit — to its allocation budget: a record costs its ratings
-// slice and nothing else, and a mapper that does not keep the record, or a
-// count that already has its state, costs nothing at all. What a job
-// allocates beyond these is the engines', which is what the benchmark's
-// allocation gate is there to watch.
+// record -> emit — to its allocation budget: a parsed record costs its
+// ratings slice and nothing else, a mapper costs the values it emits and
+// no ratings slice, and a mapper that emits constants, or a count that
+// already has its state, costs nothing at all. What a job allocates beyond
+// these is the engines', which is what the benchmark's allocation gate is
+// there to watch.
 func TestParsePathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations are counted")
@@ -38,6 +41,10 @@ func TestParsePathAllocs(t *testing.T) {
 	mrWordCount := mrapps.WordCountJob("in", "out", true, 1).NewMapper()
 	mrRatings := mrapps.HistogramRatingsJob("in", "out", true, 1).NewMapper()
 	mrMovies := mrapps.HistogramMoviesJob("in", "out", true, 1).NewMapper()
+	cents := datagen.InitialCentroids(datagen.Movies(datagen.MoviesConfig{Seed: 2, Movies: 40}), 4)
+	positionKV := core.KV{Key: hamrapps.Position{Node: 0, File: "input/kmeans-part-0000", Offset: 4096}.String(), Value: movie}
+	mrKMeans := mrapps.KMeansJob("in", "out", cents, 1).NewMapper()
+	mrClassify := mrapps.ClassificationJob("in", "out", cents, 1, true).NewMapper()
 	var state any
 	var thousand any = int64(1000)
 	sum := func() {
@@ -67,8 +74,24 @@ func TestParsePathAllocs(t *testing.T) {
 		// the kernel costs, whichever engine calls it.
 		{"hamrapps.RatingExplode.Map", 0, 5, func() error { return hamrapps.RatingExplode{}.Map(movieKV, out) }},
 		{"mrapps.HistogramRatingsJob mapper", 0, 5, func() error { return mrRatings.Map(movieKV, out) }},
-		{"hamrapps.MovieAvgBucket.Map", 1, 1, func() error { return hamrapps.MovieAvgBucket{}.Map(movieKV, out) }},
-		{"mrapps.HistogramMoviesJob mapper", 1, 1, func() error { return mrMovies.Map(movieKV, out) }},
+		{"hamrapps.MovieAvgBucket.Map", 0, 1, func() error { return hamrapps.MovieAvgBucket{}.Map(movieKV, out) }},
+		{"mrapps.HistogramMoviesJob mapper", 0, 1, func() error { return mrMovies.Map(movieKV, out) }},
+		// K-Means and Classification score a record against prepared
+		// centroids with its ratings on the stack: what a mapper allocates
+		// is the values it emits. ClusterGen boxes the movie id for the
+		// local assignment, then builds and boxes "pos;sim;id"; the PUMA
+		// K-Means mapper builds and boxes "sim;record"; Classify boxes the
+		// id; the PUMA Classification mapper passes its input value on.
+		{"kernel.Assign", 0, 0, func() error {
+			if _, _, _, ok := kernel.Assign(movie, cents); !ok {
+				return fmt.Errorf("Assign(%q) assigned nothing", movie)
+			}
+			return nil
+		}},
+		{"hamrapps.ClusterGen.Map", 3, 2, func() error { return (&hamrapps.ClusterGen{Centroids: cents}).Map(positionKV, out) }},
+		{"hamrapps.Classify.Map", 1, 1, func() error { return (&hamrapps.Classify{Centroids: cents}).Map(movieKV, out) }},
+		{"mrapps.KMeansJob mapper", 2, 1, func() error { return mrKMeans.Map(movieKV, out) }},
+		{"mrapps.ClassificationJob mapper", 0, 1, func() error { return mrClassify.Map(movieKV, out) }},
 		{"hamrapps.SplitWords.Map", 0, 10, func() error { return hamrapps.SplitWords{}.Map(textKV, out) }},
 		{"mrapps.WordCountJob mapper", 0, 10, func() error { return mrWordCount.Map(textKV, out) }},
 		{"hamrapps.SumCounts.Update", 0, 0, func() error { sum(); return nil }},

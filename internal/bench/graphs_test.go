@@ -11,6 +11,7 @@ import (
 	"github.com/hamr-go/hamr/internal/apps"
 	"github.com/hamr-go/hamr/internal/apps/hamrapps"
 	"github.com/hamr-go/hamr/internal/core"
+	"github.com/hamr-go/hamr/internal/datagen"
 )
 
 const graphsGoldenPath = "testdata/graphs.golden"
@@ -69,7 +70,7 @@ func appGraphs(t *testing.T) (names []string, shapes map[string]string) {
 		for _, v := range append([]apps.Variant{{}}, w.Variants...) {
 			r := w.NewRun(TinyScale(), nil, v)
 			if w.Seeded {
-				r.Centroids = []hamrapps.Centroid{{1: 1}}
+				r.Centroids = []hamrapps.Centroid{datagen.NewCentroid(map[int]float64{1: 1})}
 			}
 			g, _, err := w.Graph(apps.Env{Run: r})
 			name := string(w.Name)

@@ -12,8 +12,9 @@
 // which compiles against Lookup, LZ, AppendFrame, DecodeFrame and Meter; a
 // benchmark change retires the probe and this package together.
 //
-// A Meter carries optional counters and a modeled per-byte CPU cost; a
-// nil Meter is valid everywhere and costs nothing.
+// A Meter carries optional byte and frame counters; a nil Meter is valid
+// everywhere. Compressing costs no modeled time: nothing here charges a
+// clock.
 package compress
 
 import (
@@ -21,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/hamr-go/hamr/internal/metrics"
 )
@@ -102,14 +102,9 @@ func idOf(c Codec) byte {
 // nil *Meter is valid and free. Counter semantics: In is raw bytes entering
 // Encode, Out is frame bytes leaving it (header included), SiteOut is the
 // same bytes on the site's own counter, Skipped counts frames stored raw
-// (under the minimum size or incompressible). NsPerByte is the modeled CPU
-// cost per raw byte, charged (and slept) on both encode and decode; Time
-// accumulates those modeled charges.
+// (under the minimum size or incompressible).
 type Meter struct {
 	In, Out, Skipped, SiteOut *metrics.Counter
-	Time                      *metrics.Timer
-	NsPerByte                 float64
-	Sleep                     func(time.Duration) // nil = time.Sleep
 }
 
 func (m *Meter) onEncode(rawLen, frameLen int, stored bool) {
@@ -120,7 +115,7 @@ func (m *Meter) onEncode(rawLen, frameLen int, stored bool) {
 }
 
 // Encoded accounts one encoded frame: rawLen bytes in, frameLen bytes
-// out, plus the modeled encode CPU.
+// out.
 func (m *Meter) Encoded(rawLen, frameLen int) {
 	if m == nil {
 		return
@@ -134,40 +129,12 @@ func (m *Meter) Encoded(rawLen, frameLen int) {
 	if m.SiteOut != nil {
 		m.SiteOut.Add(int64(frameLen))
 	}
-	m.charge(rawLen)
 }
 
 // Skip counts one frame that went out uncompressed.
 func (m *Meter) Skip() {
 	if m != nil && m.Skipped != nil {
 		m.Skipped.Inc()
-	}
-}
-
-func (m *Meter) onDecode(rawLen int) {
-	if m == nil {
-		return
-	}
-	m.charge(rawLen)
-}
-
-// charge applies the modeled per-byte CPU cost: observed on the timer and
-// slept in the caller's goroutine.
-func (m *Meter) charge(rawLen int) {
-	if m.NsPerByte <= 0 || rawLen <= 0 {
-		return
-	}
-	d := time.Duration(float64(rawLen) * m.NsPerByte)
-	if d <= 0 {
-		return
-	}
-	if m.Time != nil {
-		m.Time.Observe(d)
-	}
-	if m.Sleep != nil {
-		m.Sleep(d)
-	} else {
-		time.Sleep(d)
 	}
 }
 
@@ -219,7 +186,9 @@ func AppendFrame(codec Codec, dst, src []byte, minBytes int, m *Meter) []byte {
 // the raw bytes to dst. It returns the extended dst and the remainder of
 // buf after the frame. All failures wrap ErrTruncated, ErrBadCodec or
 // ErrCorrupt; a lying raw-length header is detected without allocating
-// more than the payload can actually produce (plus one allocStep).
+// more than the payload can actually produce (plus one allocStep). A
+// Meter counts only what is encoded: m is kept for the callers that pass
+// one, and read by nothing.
 func DecodeFrame(dst, buf []byte, m *Meter) (out, rest []byte, err error) {
 	if len(buf) == 0 {
 		return dst, buf, fmt.Errorf("%w: empty input", ErrTruncated)
@@ -251,13 +220,11 @@ func DecodeFrame(dst, buf []byte, m *Meter) (out, rest []byte, err error) {
 		if uint64(len(body)) != rawLen {
 			return dst, buf, fmt.Errorf("%w: stored frame %d bytes, header claims %d", ErrCorrupt, len(body), rawLen)
 		}
-		m.onDecode(int(rawLen))
 		return append(dst, body...), rest, nil
 	}
 	out, err = codecs[id].Decode(dst, body, int(rawLen))
 	if err != nil {
 		return dst, buf, err
 	}
-	m.onDecode(int(rawLen))
 	return out, rest, nil
 }

@@ -166,14 +166,17 @@ func TestParseMovieRejectsGarbage(t *testing.T) {
 
 func TestCosine(t *testing.T) {
 	rec := MovieRecord{ID: "m", Ratings: []Rating{{User: 1, Rating: 3}, {User: 2, Rating: 4}}}
-	if got := rec.Cosine(rec.Vector()); math.Abs(got-1) > 1e-12 {
+	if got := rec.Cosine(NewCentroid(rec.Vector())); math.Abs(got-1) > 1e-12 {
 		t.Errorf("self cosine = %v", got)
 	}
-	if got := rec.Cosine(map[int]float64{3: 5}); got != 0 {
+	if got := rec.Cosine(NewCentroid(map[int]float64{3: 5})); got != 0 {
 		t.Errorf("orthogonal cosine = %v", got)
 	}
-	if got := rec.Cosine(nil); got != 0 {
+	if got := rec.Cosine(NewCentroid(nil)); got != 0 {
 		t.Errorf("empty centroid cosine = %v", got)
+	}
+	if got := rec.Cosine(Centroid{}); got != 0 {
+		t.Errorf("zero centroid cosine = %v", got)
 	}
 }
 
@@ -184,7 +187,7 @@ func TestInitialCentroids(t *testing.T) {
 		t.Fatalf("%d centroids", len(cents))
 	}
 	for i, c := range cents {
-		if len(c) == 0 {
+		if len(c.Vector()) == 0 {
 			t.Errorf("centroid %d empty", i)
 		}
 	}

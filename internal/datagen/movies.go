@@ -138,15 +138,19 @@ type MovieRecord struct {
 	Ratings []Rating
 }
 
-// inlineRatings is how many ratings EachRating parses without touching the
-// heap, and past which parseMovie indexes users instead of scanning for a
-// repeat.
-const inlineRatings = 64
+// InlineRatings is how many ratings EachRating parses without touching the
+// heap, the size of a ParseMovieInto buffer that does the same, and past
+// which ParseMovieInto indexes users instead of scanning for a repeat.
+const InlineRatings = 64
 
-// parseMovie is the one parser: it returns the movie's ID and its ratings,
-// held in buf's array when that has room and otherwise in one allocation
-// sized from the comma count; ok is false for blank or malformed lines.
-func parseMovie(line string, buf []Rating) (id string, ratings []Rating, ok bool) {
+// ParseMovieInto is the one parser: it returns the movie's ID and its
+// ratings, held in buf's array when that has room and otherwise in one
+// allocation sized from the comma count; ok is false for blank or
+// malformed lines. A caller that keeps buf on its stack parses without
+// touching the heap. The ID and the ratings come back apart: a caller that
+// keeps the ID (a view of line) and not the ratings lets buf stay where it
+// is, which a MovieRecord holding both would not.
+func ParseMovieInto(line string, buf []Rating) (id string, ratings []Rating, ok bool) {
 	colon := strings.IndexByte(line, ':')
 	if colon <= 0 {
 		return "", nil, false
@@ -185,7 +189,7 @@ func parseMovie(line string, buf []Rating) (id string, ratings []Rating, ok bool
 		}
 		// A user named before keeps their place and takes the new rating.
 		at := -1
-		if n <= inlineRatings {
+		if n <= InlineRatings {
 			for i := range ratings {
 				if ratings[i].User == uid {
 					at = i
@@ -214,7 +218,7 @@ func parseMovie(line string, buf []Rating) (id string, ratings []Rating, ok bool
 // ParseMovie parses one movie line; it returns ok=false for blank or
 // malformed lines.
 func ParseMovie(line string) (MovieRecord, bool) {
-	id, ratings, ok := parseMovie(line, nil)
+	id, ratings, ok := ParseMovieInto(line, nil)
 	if !ok {
 		return MovieRecord{}, false
 	}
@@ -226,8 +230,8 @@ func ParseMovie(line string) (MovieRecord, bool) {
 // ratings allocates nothing. A line ParseMovie rejects has no ratings to
 // visit. It stops at, and returns, fn's first error.
 func EachRating(line string, fn func(user int, rating float64) error) error {
-	var buf [inlineRatings]Rating
-	_, ratings, _ := parseMovie(line, buf[:0])
+	var buf [InlineRatings]Rating
+	_, ratings, _ := ParseMovieInto(line, buf[:0])
 	for _, r := range ratings {
 		if err := fn(r.User, r.Rating); err != nil {
 			return err
@@ -258,46 +262,67 @@ func (m MovieRecord) AvgRating() float64 {
 	return sum / float64(len(m.Ratings))
 }
 
-// Cosine returns the cosine similarity of the movie's sparse rating vector
-// with a centroid vector.
-func (m MovieRecord) Cosine(centroid map[int]float64) float64 {
-	var dot, nm, nc float64
-	for _, r := range m.Ratings {
-		nm += r.Rating * r.Rating
-		if c, ok := centroid[r.User]; ok {
-			dot += r.Rating * c
-		}
-	}
-	for _, c := range centroid {
-		nc += c * c
-	}
-	if nm == 0 || nc == 0 {
-		return 0
-	}
-	return dot / (math.Sqrt(nm) * math.Sqrt(nc))
+// Centroid is a sparse user -> rating vector prepared for scoring: its
+// entries and their Euclidean norm, computed once when it is made, so a
+// record is scored against it without walking it. The zero Centroid is
+// empty and scores 0 against everything.
+type Centroid struct {
+	vec  map[int]float64
+	norm float64
 }
 
-// InitialCentroids deterministically picks k centroid vectors from the
-// dataset (every (movies/k)-th record), the usual PUMA seeding.
-func InitialCentroids(data []byte, k int) []map[int]float64 {
+// NewCentroid prepares v, which it keeps: the caller must not change v
+// afterwards.
+func NewCentroid(v map[int]float64) Centroid {
+	var sq float64
+	for _, r := range v {
+		sq += r * r
+	}
+	return Centroid{vec: v, norm: math.Sqrt(sq)}
+}
+
+// Vector returns the centroid's user -> rating entries, which the caller
+// must not change.
+func (c Centroid) Vector() map[int]float64 { return c.vec }
+
+// Cosine returns the cosine similarity of the movie's sparse rating vector
+// with a centroid. With integer ratings every sum of squares is exact, so
+// it equals the cosine that walks the centroid for its norm, to the bit.
+func (m MovieRecord) Cosine(c Centroid) float64 {
+	var dot, nm float64
+	for _, r := range m.Ratings {
+		nm += r.Rating * r.Rating
+		if v, ok := c.vec[r.User]; ok {
+			dot += r.Rating * v
+		}
+	}
+	if nm == 0 || c.norm == 0 {
+		return 0
+	}
+	return dot / (math.Sqrt(nm) * c.norm)
+}
+
+// InitialCentroids deterministically picks k centroids from the dataset
+// (every (movies/k)-th record), the usual PUMA seeding.
+func InitialCentroids(data []byte, k int) []Centroid {
 	var recs []string // the lines that hold a record with ratings
 	for _, l := range strings.Split(string(data), "\n") {
-		var buf [inlineRatings]Rating
-		if _, ratings, ok := parseMovie(l, buf[:0]); ok && len(ratings) > 0 {
+		var buf [InlineRatings]Rating
+		if _, ratings, ok := ParseMovieInto(l, buf[:0]); ok && len(ratings) > 0 {
 			recs = append(recs, l)
 		}
 	}
 	if k <= 0 || len(recs) == 0 {
 		return nil
 	}
-	cents := make([]map[int]float64, 0, k)
+	cents := make([]Centroid, 0, k)
 	step := len(recs) / k
 	if step == 0 {
 		step = 1
 	}
 	for i := 0; i < k && i*step < len(recs); i++ {
 		rec, _ := ParseMovie(recs[i*step])
-		cents = append(cents, rec.Vector())
+		cents = append(cents, NewCentroid(rec.Vector()))
 	}
 	return cents
 }

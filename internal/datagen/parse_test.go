@@ -120,12 +120,12 @@ func TestMoviesMatchesReferenceGenerator(t *testing.T) {
 	}
 }
 
-// longMovieLine is a record past inlineRatings entries, every fifth user a
+// longMovieLine is a record past InlineRatings entries, every fifth user a
 // repeat of an earlier one.
 func longMovieLine() string {
 	var sb strings.Builder
 	sb.WriteString("movie000009:")
-	for i := 0; i < 3*inlineRatings; i++ {
+	for i := 0; i < 3*InlineRatings; i++ {
 		if i > 0 {
 			sb.WriteByte(',')
 		}
