@@ -158,9 +158,10 @@ func TestTextAndDocsMatchReferenceGenerators(t *testing.T) {
 }
 
 // TestGeneratorOutputsAreStable holds Movies and WebGraph, which draw
-// through NewZipf but have no reference generator of their own, to the
-// SHA-256 of their output: a sampler change that moves any draw moves a
-// hash.
+// through NewZipf but have no reference generator of their own, and the
+// other graph inputs, RMAT and CliqueTestGraph, to the SHA-256 of their
+// output: a sampler change that moves any draw, or a writer change that
+// moves any byte, moves a hash.
 func TestGeneratorOutputsAreStable(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -177,6 +178,13 @@ func TestGeneratorOutputsAreStable(t *testing.T) {
 		{"WebGraph{Seed:11,...}", func() []byte {
 			return WebGraph(WebGraphConfig{Seed: 11, Pages: 20000, OutLinks: 5, Skew: 1.3})
 		}, "bfdd95fdc2011eb6b7c33f265324f3ee223264a6722006fdca1b1ff4230a6a3b"},
+		{"RMAT{Seed:7}", func() []byte { return RMAT(RMATConfig{Seed: 7}) },
+			"34e1aedb057d665a82c90d88bf6efa61b6e49270afc276b85600254cf61e25cc"},
+		{"RMAT{Seed:11,...}", func() []byte {
+			return RMAT(RMATConfig{Seed: 11, Scale: 14, Edges: 30000, A: 0.45, B: 0.25, C: 0.2, D: 0.1})
+		}, "737f8f5ca9b8046f8c324663016d89df231753a64aa1eda3b34c500c5a5fb32d"},
+		{"CliqueTestGraph(5, 8)", func() []byte { return CliqueTestGraph(5, 8) },
+			"e663375d139e9e1d721635118ade7869e277e0e008ae4d4fb9d2487312fb94ee"},
 	} {
 		sum := sha256.Sum256(c.gen())
 		if got := hex.EncodeToString(sum[:]); got != c.want {
