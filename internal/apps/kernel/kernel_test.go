@@ -117,7 +117,21 @@ func naiveCosine(rec, cent map[int]float64) float64 {
 	return dot / (math.Sqrt(nr) * math.Sqrt(nc))
 }
 
-// randomMovie is a movie line over users -5..20, which repeats users and
+// testUsers is the pool random movies and centroids draw their users
+// from: -5..20, the last id a centroid's dense array can hold, and three
+// it cannot, so the negative ids and the last three reach the map.
+var testUsers = func() []int {
+	var us []int
+	for u := -5; u <= 20; u++ {
+		us = append(us, u)
+	}
+	return append(us, datagen.DenseUsers-1, datagen.DenseUsers, 1<<20, 1<<20+1)
+}()
+
+// dense reports whether a centroid holds user u in its array.
+func dense(u int) bool { return u >= 0 && u < datagen.DenseUsers }
+
+// randomMovie is a movie line over testUsers, which repeats users and
 // names some no centroid holds, and the vector it means: a repeated
 // user's last rating. Some lines pass InlineRatings entries.
 func randomMovie(rng *rand.Rand, i int) (string, map[int]float64) {
@@ -128,7 +142,7 @@ func randomMovie(rng *rand.Rand, i int) (string, map[int]float64) {
 		n = datagen.InlineRatings + rng.Intn(20)
 	}
 	for j := 0; j < n; j++ {
-		u, r := rng.Intn(26)-5, rng.Intn(6)
+		u, r := testUsers[rng.Intn(len(testUsers))], rng.Intn(6)
 		if j > 0 {
 			line += ","
 		}
@@ -141,11 +155,13 @@ func randomMovie(rng *rand.Rand, i int) (string, map[int]float64) {
 // TestPreparedCosineIsNaiveCosine holds the prepared scorer — Cosine,
 // BestCluster and Assign — to the naive cosine bit for bit, over random
 // integer-rated movies and centroids: empty (zero-norm) centroids, users
-// on one side only, repeated users, negative ids, and ties, which go to
-// the lower index.
+// on one side only, repeated users, negative ids, ids past the dense
+// array, centroids held in the array only, in the map only and in both,
+// and ties, which go to the lower index.
 func TestPreparedCosineIsNaiveCosine(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	ties := 0
+	var kinds [3]int // array only, map only, both
 	for i := 0; i < 2000; i++ {
 		var vecs []map[int]float64
 		for k := 1 + rng.Intn(5); k > 0; k-- {
@@ -156,9 +172,26 @@ func TestPreparedCosineIsNaiveCosine(t *testing.T) {
 					v[u] = r
 				}
 			case rng.Intn(5) != 0:
+				where := rng.Intn(3) // array only, map only, either
 				for e := rng.Intn(10); e >= 0; e-- {
-					v[rng.Intn(26)-5] = float64(1 + rng.Intn(5))
+					u := testUsers[rng.Intn(len(testUsers))]
+					for where == 0 && !dense(u) || where == 1 && dense(u) {
+						u = testUsers[rng.Intn(len(testUsers))]
+					}
+					v[u] = float64(1 + rng.Intn(5))
 				}
+			}
+			inArray, inMap := false, false
+			for u := range v {
+				inArray, inMap = inArray || dense(u), inMap || !dense(u)
+			}
+			switch {
+			case inArray && inMap:
+				kinds[2]++
+			case inArray:
+				kinds[0]++
+			case inMap:
+				kinds[1]++
 			}
 			vecs = append(vecs, v)
 		}
@@ -200,6 +233,9 @@ func TestPreparedCosineIsNaiveCosine(t *testing.T) {
 	}
 	if ties == 0 {
 		t.Fatal("no case tied two centroids")
+	}
+	if kinds[0] == 0 || kinds[1] == 0 || kinds[2] == 0 {
+		t.Fatalf("centroids held in the array only, the map only and both: %v, want some of each", kinds)
 	}
 }
 

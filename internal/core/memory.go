@@ -16,9 +16,16 @@ import (
 
 // MemoryManager tracks a node's in-memory data budget. "Instead of cores,
 // YARN schedules the tasks based on available memory on nodes" (§3.1);
-// HAMR similarly associates memory with computation in a fine-grain way:
-// buffered bins and reduce accumulations reserve bytes here, and reduce
-// flowlets spill to local disk when the budget is exhausted (§2).
+// HAMR similarly associates memory with computation in a fine-grain way
+// (§2). Two things reserve bytes here:
+//   - reduce accumulators, through their extsort run builder's Budget: a
+//     refused Reserve spills the buffer to local disk and then forces the
+//     reservation;
+//   - partial-reduce state, through ForceReserve on every update, which
+//     never spills.
+//
+// Buffered bins reserve nothing: the bin list's Reserve bounds how many
+// slabs it keeps free, not memory.
 type MemoryManager struct {
 	budget int64
 	used   atomic.Int64
