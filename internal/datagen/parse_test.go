@@ -120,18 +120,18 @@ func TestMoviesMatchesReferenceGenerator(t *testing.T) {
 	}
 }
 
-// longMovieLine is a record past InlineRatings entries, every fifth user a
-// repeat of an earlier one.
-func longMovieLine() string {
+// longMovieLine is a record past InlineRatings entries, users counting up
+// from base, every fifth user a repeat of an earlier one.
+func longMovieLine(base int) string {
 	var sb strings.Builder
 	sb.WriteString("movie000009:")
 	for i := 0; i < 3*InlineRatings; i++ {
 		if i > 0 {
 			sb.WriteByte(',')
 		}
-		u := i
+		u := base + i
 		if i%5 == 4 {
-			u = i / 2
+			u = base + i/2
 		}
 		fmt.Fprintf(&sb, "u%d_%d", u, 1+i%5)
 	}
@@ -146,7 +146,16 @@ func FuzzParseMovie(f *testing.F) {
 		"m:u1_2,", "m:,u1_2", "m:u1_2,,u2_3", "m:,",
 		"m:u+1_+2,u-3_-4,u01_05", "m:u1_2_3", "m:u99999999999999999999_1", "m:u1_99999999999999999999",
 		"m:u1_2:u3_4", "m\x00:u1_2", "m:u1_2\n", "m:u\uff11_2",
-		longMovieLine(),
+		// Digit runs either side of the in-place read's 18 digits, and
+		// leading zeros.
+		"m:u123456789012345678_3,u1234567890123456789_4,u12345678901234567890_5",
+		"m:u1_123456789012345678,u2_1234567890123456789,u3_12345678901234567890",
+		"m:u9223372036854775807_1,u9223372036854775808_2,u-9223372036854775808_3",
+		"m:u000000000000000001_2,u0000000000000000001_3,u00000000000000000001_4,u001_0005,u1_007",
+		"m:u_1", "m:u1__2", "m:u1_2_", "m:u1_", "m:u1", "m:u", "m:u1_2,u", "m:u1_2,u_",
+		"m:u255_1,u256_2,u255_3,u256_4,u0_5,u0_1,u-1_2,u-1_3",
+		// Long lines repeating users under 256, at and over 256, and both.
+		longMovieLine(0), longMovieLine(256), longMovieLine(200),
 		string(Movies(MoviesConfig{Seed: 2, Movies: 3, Users: 30})),
 	} {
 		f.Add(line)
