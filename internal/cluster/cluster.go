@@ -92,6 +92,27 @@ type Cluster struct {
 
 	mu      sync.Mutex
 	engines []par.Buffers // the lists of engines built over the cluster
+
+	closeOnce sync.Once
+}
+
+// diskKey files a node's disk in the depot: node i's disk goes back to
+// node i, under the capacity it was made with.
+type diskKey struct {
+	node     int
+	capacity int64
+}
+
+// disks holds the empty disks of closed clusters, with their pages.
+var disks par.Depot[diskKey, *storage.MemDisk]
+
+// takeDisk returns node's disk of the given capacity from the depot, or a
+// new one.
+func takeDisk(node int, capacity int64) *storage.MemDisk {
+	if d, ok := disks.Take(diskKey{node, capacity}); ok {
+		return d
+	}
+	return storage.NewMemDisk(capacity)
 }
 
 // New builds and starts a cluster.
@@ -124,7 +145,7 @@ func New(opts Options) (*Cluster, error) {
 	c.disks = make([]storage.Disk, opts.NumNodes)
 	c.mem = make([]*storage.MemDisk, opts.NumNodes)
 	for i := range c.disks {
-		c.mem[i] = storage.NewMemDisk(opts.DiskCapacity)
+		c.mem[i] = takeDisk(i, opts.DiskCapacity)
 		d := sub.Faults.WrapDisk(i, c.mem[i])
 		if opts.DiskModel != nil {
 			cd := storage.NewCostDisk(d, *opts.DiskModel, reg)
@@ -304,9 +325,23 @@ func (c *Cluster) ReadLocalText(node int, name string) ([]byte, error) {
 	return io.ReadAll(f)
 }
 
-// Close shuts down the runtimes, the scheduler and the fabric. Call it
-// once every Run and RunContext on the cluster has returned.
-func (c *Cluster) Close() {
+// Close shuts down the runtimes, the scheduler and the fabric, and hands
+// the nodes' buffers on to the next cluster: it empties the disks, waits
+// for the fabric to drain, closes each runtime (which drains its worker
+// pool, then files the node's free lists in the depot) and then files each
+// disk, pages and all. Only sets whose lists are home are filed; the rest
+// go to the GC. Call it once every Run and RunContext on the cluster has
+// returned; the cluster must not be used afterwards. A second Close does
+// nothing.
+func (c *Cluster) Close() { c.closeOnce.Do(c.close) }
+
+func (c *Cluster) close() {
+	for _, d := range c.mem {
+		d.Empty()
+	}
+	if c.net != nil {
+		c.net.Quiesce()
+	}
 	for _, rt := range c.nodes {
 		if rt != nil {
 			rt.Close()
@@ -317,5 +352,8 @@ func (c *Cluster) Close() {
 	}
 	if c.net != nil {
 		c.net.Close()
+	}
+	for i, d := range c.mem {
+		disks.Give(diskKey{i, c.opts.DiskCapacity}, d, d.Buffers())
 	}
 }

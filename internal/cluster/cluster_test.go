@@ -219,6 +219,112 @@ func TestRunContextCancelMidLoad(t *testing.T) {
 	chunksHome("after the next job")
 }
 
+// TestLeakyClusterHandsOnNothing: a cluster closed with items still out
+// files none of their lists in the depot. A job canceled mid-load leaves
+// its loader's unsealed bins in their slots, and a reader left open holds
+// its file's pages. The next cluster built with the same options is home
+// before its job and after it.
+func TestLeakyClusterHandsOnNothing(t *testing.T) {
+	opts := Options{NumNodes: 2, Core: core.Config{Workers: 1, BinSize: 5}}
+	leaky, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ld := &slowLoader{started: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := leaky.RunContext(ctx, slowGraph(t, ld))
+		done <- err
+	}()
+	select {
+	case <-ld.started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("loader never started")
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, core.ErrJobCanceled) {
+		t.Fatalf("RunContext after cancel = %v, want ErrJobCanceled", err)
+	}
+	if err := leaky.WriteLocalText(1, "held", []byte("pages a reader holds")); err != nil {
+		t.Fatal(err)
+	}
+	r, err := leaky.Disk(1).Open("held")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if leaky.Buffers().Home() == nil {
+		t.Fatal("every list is home: the leaky cluster leaks nothing")
+	}
+	leaky.Close()
+
+	c, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Buffers().Home(); err != nil {
+		t.Fatalf("a new cluster's lists before its job:\n%v", err)
+	}
+	corpus := testCorpus(120)
+	wc, sink := wordGraph(t, corpus, 4)
+	if _, err := c.Run(wc); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sinkCounts(sink), corpusCounts(corpus); !reflect.DeepEqual(got, want) {
+		t.Fatalf("counted %v, want %v", got, want)
+	}
+	if err := c.Buffers().Home(); err != nil {
+		t.Errorf("a new cluster's lists after its job:\n%v", err)
+	}
+}
+
+// TestCloseTwiceHandsBackOnce: a second Close files nothing again, so two
+// clusters built after it hold distinct disks, one of them the closed
+// cluster's, and each one's lists come home after a file is written to its
+// disks and removed.
+func TestCloseTwiceHandsBackOnce(t *testing.T) {
+	opts := Options{NumNodes: 2, HDFSBlockSize: 1 << 10, Core: core.Config{Workers: 1, BinSize: 6}}
+	closed, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	closed.Close()
+
+	var cs []*Cluster
+	for range 2 {
+		c, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		cs = append(cs, c)
+	}
+	for i := range closed.mem {
+		if cs[0].mem[i] == cs[1].mem[i] {
+			t.Fatalf("disk %d: two open clusters share one disk", i)
+		}
+		if cs[0].mem[i] != closed.mem[i] && cs[1].mem[i] != closed.mem[i] {
+			t.Errorf("disk %d: the closed cluster's disk went to neither new cluster", i)
+		}
+	}
+	text := []byte(strings.Join(testCorpus(120), "\n") + "\n")
+	for _, c := range cs {
+		if err := c.FS().WriteFile("in.txt", text, -1); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.FS().Remove("in.txt"); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Buffers().Home(); err != nil {
+			t.Errorf("after a file written and removed:\n%v", err)
+		}
+	}
+}
+
 // TestRunContextCanceledBeforeStart: a context already canceled is refused
 // with ErrJobCanceled before any loader split runs or any message is sent.
 func TestRunContextCanceledBeforeStart(t *testing.T) {

@@ -162,6 +162,92 @@ func TestBuffersHomeAcrossEngines(t *testing.T) {
 	home("after a HAMR job aborted mid-reduce")
 }
 
+// TestBuffersOutliveTheCluster: a closed cluster's node lists and disks,
+// pages and all, go to the next cluster built with the same options. After
+// cluster A has run WordCount on HAMR and on the MapReduce baseline, the
+// same two jobs on cluster B make no bin, accumulator chunk, partial-reduce
+// scratch, reduce batch or disk page, and B's lists are home after them,
+// its disks emptied.
+// Each list's peak must repeat from run to run, so nothing runs at once:
+// one node, hosting one YARN container at a time, one worker, and an input
+// of one block, so one loader split and one map task. Where tasks overlap
+// a list's peak follows how they interleave, and a B that topped A's
+// would make the difference.
+func TestBuffersOutliveTheCluster(t *testing.T) {
+	const nodes = 1
+	opts := cluster.Options{
+		NumNodes: nodes, HDFSBlockSize: 1 << 20, YarnMemMB: 512,
+		Core: core.Config{Workers: 1, BinSize: 16, FlowControlWindow: 32},
+	}
+	text, want := homeCorpus(600)
+	run := func(c *cluster.Cluster) {
+		t.Helper()
+		if err := c.FS().WriteFile("in/hamr.txt", text, -1); err != nil {
+			t.Fatal(err)
+		}
+		g, sink, err := hamrapps.BuildWordCount(hamrapps.WordCountOptions{Loader: &hamrapps.HDFSTextLoader{Prefix: "in/hamr.txt"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run(g); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]int64{}
+		for _, kv := range sink.Pairs() {
+			got[kv.Key] += kv.Value.(int64)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("HAMR counted %v, want %v", got, want)
+		}
+		if err := c.FS().WriteFile("in/mr.txt", text, -1); err != nil {
+			t.Fatal(err)
+		}
+		e := mapreduce.NewEngine(c, mapreduce.Config{SortBufferBytes: 1 << 10, MergeFactor: 3})
+		if _, err := e.Run(mrapps.WordCountJob("in/mr.txt", "out/mr", true, nodes)); err != nil {
+			t.Fatal(err)
+		}
+		if got := mrCounts(t, c, "out/mr/"); !reflect.DeepEqual(got, want) {
+			t.Fatalf("MapReduce counted %v, want %v", got, want)
+		}
+	}
+	// made is what every node list and disk page class has made so far.
+	made := func(c *cluster.Cluster) map[string]int {
+		m := map[string]int{}
+		for name, stats := range c.Buffers() {
+			if strings.HasPrefix(name, "node") || strings.HasPrefix(name, "disk") {
+				m[name] = stats().Made
+			}
+		}
+		return m
+	}
+
+	a, err := cluster.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(a)
+	a.Close()
+
+	b, err := cluster.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	before := made(b)
+	run(b)
+	for name, n := range made(b) {
+		if n != before[name] {
+			t.Errorf("%s: cluster B made %d, want none: cluster A's %d should have served it", name, n-before[name], before[name])
+		}
+	}
+	for _, d := range b.Disks() {
+		d.(*storage.MemDisk).Empty()
+	}
+	if err := b.Buffers().Home(); err != nil {
+		t.Errorf("cluster B's lists after its jobs:\n%v", err)
+	}
+}
+
 // nodeListsHome reports whether every node runtime's lists are home.
 func nodeListsHome(c *cluster.Cluster) bool {
 	for _, rt := range c.Nodes() {

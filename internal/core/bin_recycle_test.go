@@ -559,3 +559,102 @@ func TestAccumulatorAllocsPerRecord(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseHandsBackOnce: a runtime closed twice files its lists in the
+// depot once. Two sets of runtimes built after it hold distinct lists —
+// one of them the closed runtime's — and after a job on each, run at
+// once, both sets are home.
+func TestCloseHandsBackOnce(t *testing.T) {
+	cfg := Config{Workers: 2, BinSize: 7, FlowControlWindow: 2}
+	const numNodes = 2
+	closed, cleanup := newTestCluster(t, numNodes, cfg)
+	g, sink := idGraph(t, idLoader(2, 50), true)
+	if _, err := Run(g, closed, nil); err != nil {
+		t.Fatal(err)
+	}
+	sink.check(t, 2*50)
+	cleanup()
+	cleanup()
+
+	x, cleanupX := newTestCluster(t, numNodes, cfg)
+	defer cleanupX()
+	y, cleanupY := newTestCluster(t, numNodes, cfg)
+	defer cleanupY()
+	for i := range closed {
+		if x[i].nodeLists == y[i].nodeLists {
+			t.Fatalf("node %d: two live runtimes share one set of lists", i)
+		}
+		if x[i].nodeLists != closed[i].nodeLists && y[i].nodeLists != closed[i].nodeLists {
+			t.Errorf("node %d: the closed runtime's lists went to neither new runtime", i)
+		}
+	}
+	var wg sync.WaitGroup
+	sets := [][]*NodeRuntime{x, y}
+	sinks := make([]*idSink, len(sets))
+	errs := make([]error, len(sets))
+	for i, nodes := range sets {
+		var g *Graph
+		g, sinks[i] = idGraph(t, idLoader(2, 50), true)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = Run(g, nodes, nil)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+		sinks[i].check(t, 2*50)
+	}
+	assertHome(t, x, true)
+	assertHome(t, y, true)
+}
+
+// runReadFault fails every read of a reduce spill run once the run has
+// served failAfter bytes.
+type runReadFault struct{ failAfter int64 }
+
+func (runReadFault) CreateFault(string) (int64, error) { return 0, nil }
+
+func (f runReadFault) OpenFault(name string) (int64, error) {
+	if strings.Contains(name, "/reduce-") {
+		return f.failAfter, errors.New("injected run read fault")
+	}
+	return 0, nil
+}
+
+// TestReduceBatchHomeAfterFailedMerge: a spill run that stops reading part
+// way through the reduce's merge fails the job while a batch is half
+// filled. That batch goes back with the rest: once Run returns, every list
+// but the bins (the reduce's unsealed output bins stay in their slots) is
+// home.
+func TestReduceBatchHomeAfterFailedMerge(t *testing.T) {
+	net := NewTestNetwork()
+	defer net.Close()
+	disk := storage.NewFaultyDisk(storage.NewMemDisk(0), runReadFault{failAfter: 256})
+	cfg := recycleConfig()
+	cfg.MemoryBudget = 2 << 10
+	rt, err := NewNodeRuntime(0, cfg, substrate.Handle{}, net, disk, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	g := NewGraph("failed-merge")
+	l, _ := g.AddLoader("load", idLoader(2, 400))
+	r, _ := g.AddReduce("one", oneReduce{})
+	s, _ := g.AddSink("out", NewCollectSink())
+	for _, e := range [][2]int{{l, r}, {r, s}} {
+		if err := g.Connect(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Run(g, []*NodeRuntime{rt}, nil); err == nil || !strings.Contains(err.Error(), "injected run read fault") {
+		t.Fatalf("Run = %v, want the injected read fault", err)
+	}
+	if n := rt.Metrics().Snapshot().Get("reduce.spills"); n == 0 {
+		t.Fatal("the reduce never spilled: its merge read no run")
+	}
+	assertHome(t, []*NodeRuntime{rt}, false)
+}

@@ -176,9 +176,14 @@ func (jn *jobNode) newFanOut(fs *flowletState, kind string) *fanOut {
 
 // submit runs fn as the task at site once the flowlet's output windows have
 // room; it reports false, and runs nothing, if the job aborted first.
-func (f *fanOut) submit(site string, fn func() error) bool {
+// release, if not nil, runs once the task is over, whether or not fn ran,
+// or before submit reports false.
+func (f *fanOut) submit(site string, fn func() error, release func()) bool {
 	jn := f.jn
 	if !jn.waitOutBelow(f.fs) {
+		if release != nil {
+			release()
+		}
 		return false
 	}
 	f.wg.Add(1)
@@ -186,6 +191,9 @@ func (f *fanOut) submit(site string, fn func() error) bool {
 	jn.rt.pool.Submit(func() {
 		defer f.wg.Done()
 		defer f.inflight.Release()
+		if release != nil {
+			defer release()
+		}
 		var tsp trace.Span
 		if jn.tr.Enabled() {
 			tsp = jn.tr.Start(jn.node, jn.traceTag, jn.traceTag+"/"+site, f.kind, "cpu")
@@ -208,8 +216,15 @@ func (f *fanOut) wait() error {
 	return f.err
 }
 
+// reduceGroup is one key's values, as a reduce batch holds them.
+type reduceGroup struct {
+	key    string
+	values []any
+}
+
 // finishReduce iterates the accumulated groups (merging spills) and runs
-// the user reducer over batches of keys as fine-grain pool tasks.
+// the user reducer over batches of keys as fine-grain pool tasks. Batches
+// come from the node's list, and each goes back when its task is over.
 func (jn *jobNode) finishReduce(fs *flowletState) error {
 	// The accumulate window closes where the grouped reduce begins: the
 	// span [first pair accumulated, here] is this node's reduce-input
@@ -222,21 +237,11 @@ func (jn *jobNode) finishReduce(fs *flowletState) error {
 		defer rsp.End()
 	}
 	ctx := &flowCtx{jn: jn, fs: fs}
-	type group struct {
-		key    string
-		values []any
-	}
-	// A batch holds at most reduceTaskKeys groups and never more than the
-	// pairs still to come, so a node left with a handful of keys does not
-	// allocate a full batch for them.
-	remaining := fs.acc.Count()
-	newBatch := func() []group {
-		return make([]group, 0, min(int64(reduceTaskKeys), remaining))
-	}
-	batch := newBatch()
+	batches := jn.rt.batches
 	tasks := jn.newFanOut(fs, "reduce")
 	batchIdx := 0
-	submit := func(b []group) bool {
+	// submit hands b to a task, which returns it to the list.
+	submit := func(b []reduceGroup) bool {
 		site := fmt.Sprintf("rbatch:%s:%d:%d", fs.spec.Name, jn.node, batchIdx)
 		batchIdx++
 		return tasks.submit(site, func() error {
@@ -250,27 +255,37 @@ func (jn *jobNode) finishReduce(fs *flowletState) error {
 			}
 			jn.reg.Inc("reduce.tasks")
 			return nil
-		})
+		}, func() { batches.Put(b) })
 	}
+	var batch []reduceGroup // nil until a key arrives, and again once submitted
 	err := fs.acc.iterate(func(key string, values []any) error {
 		if jn.failed.Load() {
 			return ErrJobAborted
 		}
-		batch = append(batch, group{key, values})
-		remaining -= int64(len(values))
+		if batch == nil {
+			batch = batches.Get()
+		}
+		batch = append(batch, reduceGroup{key, values})
 		if len(batch) >= reduceTaskKeys {
-			if !submit(batch) {
+			b := batch
+			batch = nil
+			if !submit(b) {
 				return ErrJobAborted
 			}
-			batch = newBatch()
 		}
 		return nil
 	})
-	if len(batch) > 0 && err == nil && !submit(batch) {
-		// The job aborted while the final batch waited on flow control;
-		// without this the abort would be silently swallowed and the job
-		// reported clean with the tail of the key space never reduced.
-		err = ErrJobAborted
+	switch {
+	case batch != nil && err == nil:
+		if !submit(batch) {
+			// The job aborted while the final batch waited on flow
+			// control; without this the abort would be silently swallowed
+			// and the job reported clean with the tail of the key space
+			// never reduced.
+			err = ErrJobAborted
+		}
+	case batch != nil:
+		batches.Put(batch)
 	}
 	if terr := tasks.wait(); err == nil {
 		err = terr

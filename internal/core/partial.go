@@ -218,7 +218,7 @@ func (jn *jobNode) finishPartial(fs *flowletState) error {
 			}
 			return nil
 		}
-		if !tasks.submit(fmt.Sprintf("pstripe:%s:%d:%d", fs.spec.Name, jn.node, i), finish) {
+		if !tasks.submit(fmt.Sprintf("pstripe:%s:%d:%d", fs.spec.Name, jn.node, i), finish, nil) {
 			break
 		}
 	}

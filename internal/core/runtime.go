@@ -109,16 +109,10 @@ type NodeRuntime struct {
 	pool      *par.Pool
 	loaderSem par.Semaphore
 
-	// bins is the free list every bin this node produces is drawn from and
-	// returned to — by whichever node consumed it — across jobs.
-	bins *par.List[*Bin]
-	// chunks is the free list every reduce accumulator on this node
-	// buffers its pairs in, across jobs: a job's accumulators return their
-	// chunks when they are iterated, or when the job ends.
-	chunks *par.List[[]kvRec]
-	// prScratch is the free list of the partial-reduce fold's working
-	// sets: one is out per worker folding a bin.
-	prScratch *par.List[*prScratch]
+	// nodeLists are the node's free lists, taken from the depot and handed
+	// back to it by the first Close.
+	*nodeLists
+	handBack sync.Once
 
 	// binsDropped counts payloads the delivery handler could not route
 	// (a payload of the wrong type, or a data bin for a job this node no
@@ -148,9 +142,7 @@ func NewNodeRuntime(id int, cfg Config, sub substrate.Handle, net transport.Netw
 		services:  services,
 		pool:      par.NewPool(cfg.Workers, cfg.Workers*64),
 		loaderSem: par.NewSemaphore(loaderSlots),
-		bins:      newBinList(cfg.BinSize),
-		chunks:    par.NewSlices[kvRec](extsort.DefaultChunkLen),
-		prScratch: newPRScratchList(),
+		nodeLists: takeLists(id, cfg.BinSize),
 
 		binsDropped: sub.Metrics.Counter("bins.dropped"),
 	}
@@ -174,15 +166,69 @@ func (rt *NodeRuntime) Disk() storage.Disk { return rt.disk }
 // Service returns a node-local service handle.
 func (rt *NodeRuntime) Service(name string) any { return rt.services[name] }
 
-// Buffers names the node's free lists: bin slabs, reduce-accumulator
-// chunks and partial-reduce scratch. Once every job on the node is over,
-// each is home.
-func (rt *NodeRuntime) Buffers() par.Buffers {
-	return par.Buffers{"bins": rt.bins.Stats, "acc-chunks": rt.chunks.Stats, "partial-scratch": rt.prScratch.Stats}
+// nodeLists are one node's free lists. They outlive the runtime: Close
+// files them in the depot, and the next runtime built for the same node
+// with the same BinSize takes them, so a job on a fresh cluster finds the
+// buffers the last one made.
+type nodeLists struct {
+	// bins is the free list every bin this node produces is drawn from and
+	// returned to — by whichever node consumed it — across jobs.
+	bins *par.List[*Bin]
+	// chunks is the free list every reduce accumulator on this node
+	// buffers its pairs in, across jobs: a job's accumulators return their
+	// chunks when they are iterated, or when the job ends.
+	chunks *par.List[[]kvRec]
+	// prScratch is the free list of the partial-reduce fold's working
+	// sets: one is out per worker folding a bin.
+	prScratch *par.List[*prScratch]
+	// batches is the free list of reduce batches: one is out per reduce
+	// task in flight, and one more while finishReduce fills it.
+	batches *par.List[[]reduceGroup]
 }
 
-// Close drains the worker pool. The runtime must not be used afterwards.
-func (rt *NodeRuntime) Close() error { return rt.pool.Close() }
+// listsKey files a node's lists in the depot: bin slabs are BinSize
+// pairs, and node i's lists go back to node i, whose share of a job's work
+// a cluster with the same options repeats.
+type listsKey struct{ node, binSize int }
+
+// depot holds the lists of closed runtimes.
+var depot par.Depot[listsKey, *nodeLists]
+
+// takeLists returns node's lists from the depot, or new ones.
+func takeLists(node, binSize int) *nodeLists {
+	if l, ok := depot.Take(listsKey{node, binSize}); ok {
+		return l
+	}
+	return &nodeLists{
+		bins:      newBinList(binSize),
+		chunks:    par.NewSlices[kvRec](extsort.DefaultChunkLen),
+		prScratch: newPRScratchList(),
+		batches:   par.NewSlices[reduceGroup](reduceTaskKeys),
+	}
+}
+
+// Buffers names the node's free lists: bin slabs, reduce-accumulator
+// chunks, partial-reduce scratch and reduce batches. Once every job on the
+// node is over, each is home.
+func (rt *NodeRuntime) Buffers() par.Buffers {
+	return par.Buffers{
+		"bins":            rt.bins.Stats,
+		"acc-chunks":      rt.chunks.Stats,
+		"partial-scratch": rt.prScratch.Stats,
+		"reduce-batches":  rt.batches.Stats,
+	}
+}
+
+// Close drains the worker pool and, the first time, hands the node's lists
+// back to the depot if they are home; lists with an item still out are
+// left to the GC. Once the node's jobs are over, only its pool still
+// draws from them (other nodes only return its bins), so lists home after
+// the drain stay home. The runtime must not be used afterwards.
+func (rt *NodeRuntime) Close() error {
+	err := rt.pool.Close()
+	rt.handBack.Do(func() { depot.Give(listsKey{rt.id, rt.cfg.BinSize}, rt.nodeLists, rt.Buffers()) })
+	return err
+}
 
 func (rt *NodeRuntime) job(id int64) *jobNode {
 	rt.mu.Lock()

@@ -318,6 +318,18 @@ func (r *memReader) Close() error {
 	return nil
 }
 
+// Empty removes every file, as Remove would: the pages no open reader
+// holds go back to their lists.
+func (d *MemDisk) Empty() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for name, f := range d.files {
+		delete(d.files, name)
+		d.unref(f)
+	}
+	d.used = 0
+}
+
 // Create implements Disk.
 func (d *MemDisk) Create(name string) (io.WriteCloser, error) {
 	return &memWriter{d: d, name: name}, nil
