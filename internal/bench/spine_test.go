@@ -5,8 +5,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -112,6 +114,24 @@ func TestConfigsAreTuning(t *testing.T) {
 			}
 		}
 	}
+	// DESIGN.md's Settings table is the list of knobs: each field of the four
+	// tuning structs has exactly one row, and each row names a field.
+	rows := settingsRows(t, filepath.Join("..", "..", "DESIGN.md"))
+	for _, cfg := range []any{cluster.Options{}, core.Config{}, mapreduce.Config{}, ClusterSpec{}} {
+		typ := reflect.TypeOf(cfg)
+		name := typ.String()
+		for i := 0; i < typ.NumField(); i++ {
+			f := name + "." + typ.Field(i).Name
+			if n := rows[f]; n != 1 {
+				t.Errorf("DESIGN.md's Settings table has %d rows for %s, want 1", n, f)
+			}
+			delete(rows, f)
+		}
+	}
+	for f := range rows {
+		t.Errorf("DESIGN.md's Settings table has a row for %s, which is no field", f)
+	}
+
 	// What a run measured is returned in its Row's sides, never left on the
 	// harness for the next run to overwrite.
 	var exported []string
@@ -199,4 +219,51 @@ func namedConfig(typ ast.Expr) bool {
 	}
 	id, ok := typ.(*ast.Ident)
 	return ok && id.Name == "Config"
+}
+
+// settingRef is a qualified field in a Settings row's first cell, and
+// bareField a field named after one, of the same type.
+var (
+	settingRef = regexp.MustCompile(`^(cluster\.Options|core\.Config|mapreduce\.Config|bench\.ClusterSpec)\.(\w+)$`)
+	bareField  = regexp.MustCompile(`^\w+$`)
+)
+
+// settingsRows counts, per qualified field (as reflect spells the type), the
+// rows of the table under the Settings heading of the design document at
+// path that name it.
+func settingsRows(t *testing.T, path string) map[string]int {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]int{}
+	in := false
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, "#") {
+			in = strings.HasSuffix(line, "Settings")
+			continue
+		}
+		if !in || !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		cell, _, _ := strings.Cut(line[1:], "|")
+		typ := ""
+		for i, tok := range strings.Split(cell, "`") {
+			switch m := settingRef.FindStringSubmatch(tok); {
+			case i%2 == 0:
+			case m != nil:
+				typ = m[1]
+				rows[typ+"."+m[2]]++
+			case typ != "" && bareField.MatchString(tok):
+				rows[typ+"."+tok]++
+			default:
+				typ = ""
+			}
+		}
+	}
+	if len(rows) == 0 {
+		t.Fatalf("%s: no Settings table rows found", path)
+	}
+	return rows
 }

@@ -331,3 +331,39 @@ func TestClockLedgerCloses(t *testing.T) {
 		}
 	}
 }
+
+// TestContentionAloneInverts: in this model the hot rows' HAMR time is the
+// partial-reduce contention charge and nothing of flow control. At
+// TinyScale under the virtual clock, HistogramRatings' and WordCount's HAMR
+// modeled time is the same at every FlowControlWindow (off, 4, the spec's
+// 32), and lower with ContentionCost at 0. Flow control stalls loaders on
+// the host but charges no lane; a clock where it costs time is ROADMAP
+// item 4.
+func TestContentionAloneInverts(t *testing.T) {
+	for _, name := range []string{"HistogramRatings", "WordCount"} {
+		w := apps.Lookup(name)
+		hamr := func(window int, contention time.Duration) time.Duration {
+			spec := DefaultSpec()
+			spec.VClock = true
+			spec.Core.FlowControlWindow = window
+			spec.Core.ContentionCost = contention
+			h := NewHarness(spec, TinyScale())
+			data, r := h.input(w, apps.Variant{})
+			s, _, err := h.sideHAMR(w, data, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s.Time
+		}
+		cost := DefaultSpec().Core.ContentionCost
+		want := hamr(32, cost)
+		for _, window := range []int{0, 4} {
+			if got := hamr(window, cost); got != want {
+				t.Errorf("%s HAMR at FlowControlWindow %d: %v, at 32: %v", name, window, got, want)
+			}
+		}
+		if free := hamr(32, 0); free >= want {
+			t.Errorf("%s HAMR with ContentionCost 0: %v, not below %v at %v", name, free, want, cost)
+		}
+	}
+}

@@ -57,8 +57,8 @@ func BenchmarkEmitPath(b *testing.B) {
 
 // BenchmarkCodec measures EncodeValue/DecodeValue for int64 and string, the
 // two types every benchmark's map outputs carry (a spilled float64 is one
-// fixed word), and EncodeKV/DecodeKV for the two pairs DESIGN.md §6 prices,
-// with their encoded size as bytes/kv.
+// fixed word), and EncodeKV/DecodeKV for the two pairs DESIGN.md §5
+// "internal/core" prices, with their encoded size as bytes/kv.
 func BenchmarkCodec(b *testing.B) {
 	values := []struct {
 		name string

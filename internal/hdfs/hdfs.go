@@ -13,7 +13,6 @@ package hdfs
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -444,31 +443,15 @@ func (fs *FileSystem) Blocks(name string) ([]Block, error) {
 	return append([]Block(nil), meta.blocks...), nil
 }
 
-// readReplica reads one whole replica of a block into dst, b.Size bytes
-// the caller owns, opened and checked as openReplica does. A failed read
-// may leave part of dst written.
-func (fs *FileSystem) readReplica(src transport.NodeID, b Block, dst []byte) error {
-	f, err := fs.openReplica(src, b, 0)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := io.ReadFull(f, dst); err != nil {
-		return fmt.Errorf("hdfs: read block %s on node %d: %w", b.ID, src, err)
-	}
-	return nil
-}
-
 // readBlock reads a block's bytes as observed from reader node at into
-// dst, b.Size bytes the caller owns, and returns dst: candidates are tried
-// in order — the local replica first, then the declared replica list —
-// and a dead or failing replica fails over to the next one, which
-// overwrites whatever the failed one left in dst (hdfs.failover.reads
-// counts reads that did not succeed on their first choice). Remote reads
-// charge the network. hdfs.bytes.local / hdfs.bytes.remote account where
-// the bytes were served from, as observed by a node-resident reader.
+// dst, b.Size bytes the caller owns, and returns dst. A candidate that
+// fails is replaced by the next, which overwrites what it left in dst.
 func (fs *FileSystem) readBlock(b Block, at transport.NodeID, dst []byte) ([]byte, error) {
-	return fs.traced(b, at, func() ([]byte, error) { return fs.readReplicas(b, at, dst) })
+	return fs.traced(b, at, func() ([]byte, error) {
+		c := fs.cursor(b, at)
+		defer c.close()
+		return c.read(dst, 0)
+	})
 }
 
 // traced runs one disk/network read of (part of) block b, under an
@@ -517,22 +500,6 @@ func (fs *FileSystem) served(src, at transport.NodeID, n int64) {
 			fs.charge(src, at, n)
 		}
 	}
-}
-
-func (fs *FileSystem) readReplicas(b Block, at transport.NodeID, dst []byte) ([]byte, error) {
-	var lastErr error
-	for i, src := range candidates(b, at) {
-		if err := fs.readReplica(src, b, dst); err != nil {
-			lastErr = err
-			continue
-		}
-		if i > 0 {
-			fs.mFailover.Inc()
-		}
-		fs.served(src, at, int64(len(dst)))
-		return dst, nil
-	}
-	return nil, fmt.Errorf("hdfs: block %s: no readable replica: %w", b.ID, lastErr)
 }
 
 // ReadFile reads the whole file as observed from node at (-1 for a

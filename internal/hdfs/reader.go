@@ -30,21 +30,15 @@ type fileReader struct {
 	own    int64
 	limit  int64
 
-	// The open replica of slack block idx. cand counts the candidates
-	// tried so far; a replica that fails mid-block is replaced by the next
-	// one, positioned where the failed one stopped.
-	rep  io.ReadSeekCloser
-	src  transport.NodeID
-	cand int
-	buf  []byte
+	// The replicas of slack block idx, kept open across read-ahead units.
+	cur replicaCursor
+	buf []byte
 }
 
-// closeReplica releases the open replica, if any.
+// closeReplica releases the slack block's cursor.
 func (r *fileReader) closeReplica() {
-	if r.rep != nil {
-		_ = r.rep.Close() // read-only handle
-		r.rep = nil
-	}
+	r.cur.close()
+	r.cur = replicaCursor{}
 }
 
 // fetch returns the next stretch of the file: the rest of an own block or
@@ -67,8 +61,14 @@ func (r *fileReader) fetch() (data []byte, own bool, err error) {
 		}
 		data = whole[off:]
 	} else {
-		n := min(readAhead, b.Size-off)
-		data, err = r.fs.traced(b, r.at, func() ([]byte, error) { return r.readSlack(b, off, n) })
+		if r.buf == nil {
+			r.buf = make([]byte, readAhead)
+		}
+		if r.cur.fs == nil {
+			r.cur = r.fs.cursor(b, r.at)
+		}
+		unit := r.buf[:min(readAhead, b.Size-off)]
+		data, err = r.fs.traced(b, r.at, func() ([]byte, error) { return r.cur.read(unit, off) })
 		if err != nil {
 			return nil, false, err
 		}
@@ -77,46 +77,70 @@ func (r *fileReader) fetch() (data []byte, own bool, err error) {
 	r.pos += int64(len(data))
 	if r.pos == b.Offset+b.Size {
 		r.closeReplica()
-		r.idx, r.cand = r.idx+1, 0
+		r.idx++
 	}
 	return data, own, nil
 }
 
-// readSlack reads bytes [off, off+n) of slack block b from its open
-// replica, opening the first live full-length candidate when there is none
-// and failing over as readReplicas does: a dead, missing, truncated
-// or erroring replica yields to the next candidate, and a read that did
-// not succeed on its first choice counts in hdfs.failover.reads.
-func (r *fileReader) readSlack(b Block, off, n int64) ([]byte, error) {
-	if r.buf == nil {
-		r.buf = make([]byte, readAhead)
-	}
-	cands := candidates(b, r.at)
+// replicaCursor reads one block as observed from node at, walking its
+// candidates in order and keeping the replica it last read from open: a
+// slack block keeps one across read-ahead units, an own block takes one
+// per fetch.
+type replicaCursor struct {
+	fs    *FileSystem
+	b     Block
+	at    transport.NodeID
+	cands []transport.NodeID
+	next  int // index of the next candidate to open
+	rep   io.ReadSeekCloser
+	src   transport.NodeID
+}
+
+// cursor starts a cursor over block b's candidates as seen from node at.
+func (fs *FileSystem) cursor(b Block, at transport.NodeID) replicaCursor {
+	return replicaCursor{fs: fs, b: b, at: at, cands: candidates(b, at)}
+}
+
+// read fills dst with the block's bytes from off and returns it, or nil on
+// failure. The open replica is read where it stands; when there is none,
+// the next live full-length candidate is opened at off. A dead, missing,
+// truncated or erroring replica yields to the next candidate, a read that
+// did not succeed on its first choice counts in hdfs.failover.reads, and
+// the bytes delivered are accounted by served.
+func (c *replicaCursor) read(dst []byte, off int64) ([]byte, error) {
 	var lastErr error
 	for {
-		if r.rep == nil {
-			if r.cand == len(cands) {
-				return nil, fmt.Errorf("hdfs: block %s: no readable replica: %w", b.ID, lastErr)
+		if c.rep == nil {
+			if c.next == len(c.cands) {
+				return nil, fmt.Errorf("hdfs: block %s: no readable replica: %w", c.b.ID, lastErr)
 			}
-			r.src = cands[r.cand]
-			r.cand++
-			f, err := r.fs.openReplica(r.src, b, off)
+			c.src = c.cands[c.next]
+			c.next++
+			f, err := c.fs.openReplica(c.src, c.b, off)
 			if err != nil {
 				lastErr = err
 				continue
 			}
-			r.rep = f
+			c.rep = f
 		}
-		if _, err := io.ReadFull(r.rep, r.buf[:n]); err != nil {
-			lastErr = fmt.Errorf("hdfs: read block %s on node %d: %w", b.ID, r.src, err)
-			r.closeReplica()
+		if _, err := io.ReadFull(c.rep, dst); err != nil {
+			lastErr = fmt.Errorf("hdfs: read block %s on node %d: %w", c.b.ID, c.src, err)
+			c.close()
 			continue
 		}
 		if lastErr != nil {
-			r.fs.mFailover.Inc()
+			c.fs.mFailover.Inc()
 		}
-		r.fs.served(r.src, r.at, n)
-		return r.buf[:n], nil
+		c.fs.served(c.src, c.at, int64(len(dst)))
+		return dst, nil
+	}
+}
+
+// close releases the open replica, if any.
+func (c *replicaCursor) close() {
+	if c.rep != nil {
+		_ = c.rep.Close() // read-only handle
+		c.rep = nil
 	}
 }
 

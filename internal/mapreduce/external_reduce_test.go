@@ -59,12 +59,18 @@ func identitySortJob(reduces int) Job {
 // moved to byte merges and recycled pages (PR 13). A change to the path
 // must not move any of them unless it means to, and says so here.
 func TestExternalReduceMatchesPinnedBaseline(t *testing.T) {
+	externalReduceMatchesPinnedBaseline(t)
+}
+
+// externalReduceMatchesPinnedBaseline is the test's body; it closes its
+// cluster before it returns, so it can run inside a synctest bubble.
+func externalReduceMatchesPinnedBaseline(t *testing.T) {
 	// A zero-cost disk model still counts every byte through CostDisk.
 	c, err := cluster.New(cluster.Options{NumNodes: 4, HDFSBlockSize: 4 << 10, DiskModel: &storage.CostModel{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
+	defer c.Close()
 	if err := c.FS().WriteFile("in/rows.txt", []byte(teraRows(6000)), -1); err != nil {
 		t.Fatal(err)
 	}

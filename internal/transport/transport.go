@@ -29,7 +29,7 @@
 // node's byte charges do not depend on how its bytes were cut into
 // messages or batches. Only the engine's own overhead (lock acquisitions,
 // wakeups, registry lookups, sleep syscalls) is amortized. See DESIGN.md
-// §6 "Fabric: modeled vs engineered cost".
+// §5 "internal/transport".
 package transport
 
 import (

@@ -216,8 +216,8 @@ func (v *VirtualClock) advance(m Mark, i int) int64 {
 // (job startup) is serial with everything;
 // node work overlaps across nodes and the slowest node paces the run.
 // Within a node charges accumulate, so intra-node overlap is
-// deliberately not modeled — see DESIGN.md "Virtual
-// time and the cost model" for what that approximation preserves.
+// deliberately not modeled — see DESIGN.md §5 "internal/vtime" for what
+// that approximation preserves.
 func (v *VirtualClock) Since(m Mark) time.Duration {
 	var maxNode int64
 	for i := 1; i < len(v.rows); i++ {
