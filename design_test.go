@@ -22,9 +22,9 @@ var (
 )
 
 // TestDesignCitationsResolve holds every DESIGN.md section number and
-// heading that Go code, README.md or CI cites to a heading the document
-// has: a renamed or renumbered heading fails here until its citations
-// follow it.
+// heading that Go code, README.md, EXPERIMENTS.md or CI cites to a heading
+// the document has: a renamed or renumbered heading fails here until its
+// citations follow it.
 func TestDesignCitationsResolve(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -46,7 +46,7 @@ func TestDesignCitationsResolve(t *testing.T) {
 		headings[m[2]] = section
 	}
 
-	files := []string{"README.md", filepath.Join(".github", "workflows", "ci.yml")}
+	files := []string{"README.md", "EXPERIMENTS.md", filepath.Join(".github", "workflows", "ci.yml")}
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err

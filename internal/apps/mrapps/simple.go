@@ -27,7 +27,9 @@ func eachOutputLine(fs *hdfs.FileSystem, prefix string, fn func(key, value strin
 		if err != nil {
 			return err
 		}
-		for _, line := range strings.Split(string(data), "\n") {
+		for rest := string(data); rest != ""; {
+			var line string
+			line, rest, _ = strings.Cut(rest, "\n")
 			if k, v, ok := strings.Cut(line, "\t"); ok && k != "" {
 				if err := fn(k, v); err != nil {
 					return err

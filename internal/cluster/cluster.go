@@ -230,9 +230,10 @@ func (c *Cluster) AddBuffers(b par.Buffers) {
 
 // Buffers gathers every free list the cluster's nodes own — each runtime's
 // bins, accumulator chunks and partial-reduce scratch, each disk's page
-// classes, HDFS's write buffers and the lists of every engine built over
-// the cluster (AddBuffers) — under names that say whose each is. Once the
-// cluster is idle and its disks are empty, Buffers().Home() is nil.
+// classes, HDFS's read and write block buffers and the lists of every
+// engine built over the cluster (AddBuffers) — under names that say whose
+// each is. Once the cluster is idle and its disks are empty,
+// Buffers().Home() is nil.
 func (c *Cluster) Buffers() par.Buffers {
 	all := par.Buffers{}
 	for i, rt := range c.nodes {

@@ -463,7 +463,9 @@ func (l *hdfsLoader) Load(sp core.Split, ctx core.Context) error {
 		if !ok {
 			return it.Err()
 		}
-		if err := ctx.Emit(core.KV{Value: line}); err != nil {
+		// The line lasts until the next Next; the splitter downstream
+		// may hold it, or words cut from it, past that.
+		if err := ctx.Emit(core.KV{Value: strings.Clone(line)}); err != nil {
 			return err
 		}
 	}

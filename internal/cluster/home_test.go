@@ -27,8 +27,9 @@ import (
 // After each, once the disks are emptied, every free list the cluster
 // gathers must be home (par.Stats.Home). That covers the nodes'
 // bins, accumulator chunks and partial-reduce scratch, the disks' pages,
-// HDFS's write buffers, the baseline's spill scratch and the process-wide
-// record buffers. No node may have dropped a bin.
+// HDFS's read and write block buffers, the baseline's spill scratch and
+// shuffle disks, and the process-wide record buffers. No node may have
+// dropped a bin.
 func TestBuffersHomeAcrossEngines(t *testing.T) {
 	const nodes = 3
 	c, err := cluster.New(cluster.Options{

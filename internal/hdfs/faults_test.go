@@ -30,7 +30,7 @@ func faultFS(t testing.TB, nodes int, cfg Config, fcfg faults.Config, reg *metri
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fs, mems, inj
+	return ownLists(fs), mems, inj
 }
 
 func totalUsed(mems []*storage.MemDisk) int64 {
@@ -265,5 +265,115 @@ func TestNoReadableReplicaSurfacesInjectedError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "no readable replica") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// TestSplitBlockBufferHome: the buffer a split reader reads each own block
+// into goes back to the read list however the read ends — a replica that
+// fails mid-block and hands over to the other, a split whose second block
+// has no readable replica, a Close before the end — and the next split, of
+// another file, is read in it. The blocks sit on both nodes; a reader on
+// node 0 tries node 0's replica first.
+func TestSplitBlockBufferHome(t *testing.T) {
+	const bs = 4 << 10
+	data := shortLines(3*bs - 50)
+	whole := Split{File: "f", Length: int64(len(data))}
+	for _, tc := range []struct {
+		name   string
+		policy storage.FaultPolicy // node 0's, on reads
+		spoil  func(t *testing.T, disks []storage.Disk)
+		read   func(it *LineIterator) error
+	}{
+		{name: "fails over mid-block", policy: onlyBlock{name: blockName("blk_000000"), failAfter: 1000}},
+		{name: "no readable replica", spoil: func(t *testing.T, disks []storage.Disk) {
+			for _, d := range disks {
+				if err := d.Remove(blockName("blk_000001")); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{name: "closed early", read: func(it *LineIterator) error {
+			for range 3 {
+				if _, ok := it.Next(); !ok {
+					return fmt.Errorf("split ended after fewer than 3 lines: %v", it.Err())
+				}
+			}
+			it.Close()
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			disks := []storage.Disk{storage.NewMemDisk(0), storage.NewMemDisk(0)}
+			if tc.policy != nil {
+				disks[0] = storage.NewFaultyDisk(disks[0], tc.policy)
+			}
+			fs, err := New(disks, Config{BlockSize: bs, Replication: 2, Substrate: substrate.Handle{Metrics: reg}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ownLists(fs)
+			second := shortLines(bs / 2)
+			if err := fs.WriteFile("f", data, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.WriteFile("g", second, 0); err != nil {
+				t.Fatal(err)
+			}
+			if tc.spoil != nil {
+				tc.spoil(t, disks)
+			}
+			it, err := fs.OpenLines(whole, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case tc.read != nil:
+				if err := tc.read(it); err != nil {
+					t.Fatal(err)
+				}
+			case tc.spoil != nil:
+				for {
+					if _, ok := it.Next(); !ok {
+						break
+					}
+				}
+				if err := it.Err(); err == nil || !strings.Contains(err.Error(), "no readable replica") {
+					t.Fatalf("Err = %v, want no readable replica", err)
+				}
+			default:
+				n := 0
+				for {
+					line, ok := it.Next()
+					if !ok {
+						break
+					}
+					if want := scanLines(data)[n]; line != want {
+						t.Fatalf("line %d = %.20q, want %.20q", n, line, want)
+					}
+					n++
+				}
+				if err := it.Err(); err != nil || n != len(scanLines(data)) {
+					t.Fatalf("%d lines, %v; want %d", n, err, len(scanLines(data)))
+				}
+				if v := reg.Counter("hdfs.failover.reads").Value(); v != 1 {
+					t.Errorf("hdfs.failover.reads = %d, want 1", v)
+				}
+			}
+			it.Close()
+			if err := fs.Buffers().Home(); err != nil {
+				t.Fatalf("after the split: %v", err)
+			}
+			made := fs.readBufs.Stats().Made
+			if _, err := splitLines(t, fs, Split{File: "g", Length: int64(len(second))}, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Buffers().Home(); err != nil {
+				t.Errorf("after a second split: %v", err)
+			}
+			if again := fs.readBufs.Stats().Made; again != made {
+				t.Errorf("the second split made %d block buffers, want none", again-made)
+			}
+		})
 	}
 }

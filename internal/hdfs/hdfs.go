@@ -57,10 +57,10 @@ type FileSystem struct {
 	faults      *faults.Injector
 	tr          *trace.Tracer
 	readSeq     atomic.Int64 // numbers traced block reads for span IDs
-	// writeBufs holds the block buffers of writers that are done: a
-	// Writer takes one at its first Write and gives it back when it ends,
-	// so a file written after another makes no buffer.
-	writeBufs *par.List[[]byte]
+	// readBufs and writeBufs are the lists block buffers come from: the
+	// process's (blockReads, blockWrites) unless a test gives the
+	// filesystem lists of its own.
+	readBufs, writeBufs *par.List[[]byte]
 
 	mFailover    *metrics.Counter // hdfs.failover.reads
 	mReplaced    *metrics.Counter // hdfs.write.replaced
@@ -82,6 +82,15 @@ type Config struct {
 	// counters; its tracer records block-read spans.
 	Substrate substrate.Handle
 }
+
+// blockReads holds the buffers split readers read own blocks into, and
+// blockWrites those writers gather blocks in: a LineIterator takes one per
+// own block and gives it back when it moves past the block or closes, a
+// Writer takes one at its first Write and gives it back when it ends. They
+// are shared by every filesystem in the process, as storage's record
+// buffers are, so a process that builds a cluster per job reads and writes
+// the next cluster's files in the buffers the last one made.
+var blockReads, blockWrites = par.NewSlices[byte](0), par.NewSlices[byte](0)
 
 // New creates a filesystem over the given per-node disks.
 func New(disks []storage.Disk, cfg Config) (*FileSystem, error) {
@@ -107,7 +116,8 @@ func New(disks []storage.Disk, cfg Config) (*FileSystem, error) {
 		charge:       cfg.Remote,
 		faults:       cfg.Substrate.Faults,
 		tr:           cfg.Substrate.Trace,
-		writeBufs:    par.NewSlices[byte](0),
+		readBufs:     blockReads,
+		writeBufs:    blockWrites,
 		mFailover:    reg.Counter("hdfs.failover.reads"),
 		mReplaced:    reg.Counter("hdfs.write.replaced"),
 		mLocalBytes:  reg.Counter("hdfs.bytes.local"),
@@ -116,8 +126,11 @@ func New(disks []storage.Disk, cfg Config) (*FileSystem, error) {
 	return fs, nil
 }
 
-// Buffers names the filesystem's list of writer block buffers.
-func (fs *FileSystem) Buffers() par.Buffers { return par.Buffers{"write": fs.writeBufs.Stats} }
+// Buffers names the filesystem's lists of block buffers: "read" for split
+// readers' own blocks, "write" for writers'.
+func (fs *FileSystem) Buffers() par.Buffers {
+	return par.Buffers{"read": fs.readBufs.Stats, "write": fs.writeBufs.Stats}
+}
 
 // BlockSize returns the filesystem block size.
 func (fs *FileSystem) BlockSize() int64 { return fs.blockSize }
@@ -156,9 +169,9 @@ type Writer struct {
 	meta      *fileMeta
 	preferred transport.NodeID
 	// block accumulates the block being written: taken from the
-	// filesystem's list at the first Write and non-nil until it goes
-	// back, it starts small when the list had none, never grows past the
-	// block size, and is handed to appendBlock as it is.
+	// filesystem's write list at the first Write and non-nil until it
+	// goes back, it starts small when the list had none, grows to at
+	// most the block size, and is handed to appendBlock as it is.
 	block     []byte
 	closed    bool
 	published bool

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/hamr-go/hamr/internal/par"
 	"github.com/hamr-go/hamr/internal/storage"
 	"github.com/hamr-go/hamr/internal/transport"
 )
@@ -22,7 +23,15 @@ func newFS(t testing.TB, nodes int, cfg Config) (*FileSystem, []storage.Disk) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fs, disks
+	return ownLists(fs), disks
+}
+
+// ownLists gives fs block-buffer lists of its own instead of the
+// process's, so that what its readers and writers make is counted apart
+// from every other test's.
+func ownLists(fs *FileSystem) *FileSystem {
+	fs.readBufs, fs.writeBufs = par.NewSlices[byte](0), par.NewSlices[byte](0)
+	return fs
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -269,7 +278,7 @@ func TestSplitLinePropertyQuick(t *testing.T) {
 				if !ok {
 					break
 				}
-				got = append(got, line)
+				got = append(got, strings.Clone(line))
 			}
 		}
 		if len(got) != len(want) {

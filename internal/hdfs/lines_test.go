@@ -139,64 +139,73 @@ func FuzzOpenLines(f *testing.F) {
 	})
 }
 
-// A returned line is a view of its own block and stays what it was: after
-// the iterator reads on through slack (one read-ahead buffer, overwritten
-// fetch after fetch), after a ReadFile result over the same block is
-// overwritten, and after the split is read again.
-func TestLineViewsStayPut(t *testing.T) {
+// A line is valid until the next Next or Close. Split 0's last line
+// either starts in its block and runs into the next, or starts right on
+// the boundary; the next block is slack either way, so the Next that
+// returns that line moves the iterator past its own block. The block goes
+// back to the read list, and a line of it kept from before reads what the
+// list leaves in a returned buffer — zeros, or under the race detector the
+// 0xA5 poison — while a copy kept with strings.Clone reads what it read.
+// After the split ends the one buffer made is home.
+func TestLinesLastUntilTheNextNext(t *testing.T) {
 	const bs = 16 << 10
 	short := string(shortLines(bs - 300))
-	for name, data := range map[string]string{
-		// Split 0's last line starts in its block and runs three fetches
-		// into the next one.
-		"straddles": short + strings.Repeat("S", 300+3*readAhead) + "\n" + short,
-		// Split 0's block ends on a newline, so its last line lies wholly
-		// in slack, over three fetches.
-		"starts on the boundary": short + strings.Repeat("p", bs-len(short)-1) + "\n" +
-			strings.Repeat("T", 2*readAhead+5) + "\n" + short,
+	for name, tc := range map[string]struct{ head, last string }{
+		"straddles":              {short, strings.Repeat("S", 300+readAhead)},
+		"starts on the boundary": {short + strings.Repeat("p", bs-len(short)-1) + "\n", strings.Repeat("T", 2*readAhead+5)},
 	} {
 		t.Run(name, func(t *testing.T) {
 			fs, _ := newFS(t, 2, Config{BlockSize: bs})
-			if err := fs.WriteFile("f", []byte(data), -1); err != nil {
+			if err := fs.WriteFile("f", []byte(tc.head+tc.last+"\n"+short), -1); err != nil {
 				t.Fatal(err)
 			}
 			splits, _ := fs.Splits("f")
-			lines, err := splitLines(t, fs, splits[0], 0)
+			it, err := fs.OpenLines(splits[0], 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if end := lineEnd(lines); end <= bs+readAhead {
-				t.Fatalf("last line ends at %d: it does not read through slack", end)
-			}
-			want := scanLines([]byte(data))[:len(lines)]
-			check := func(after string) {
-				t.Helper()
-				if !slices.Equal(lines, want) {
-					t.Fatalf("returned lines changed after %s", after)
+			defer it.Close()
+			want := scanLines([]byte(tc.head))
+			var kept, clone string
+			for i, w := range want {
+				line, ok := it.Next()
+				if !ok || line != w {
+					t.Fatalf("line %d = %.20q, %v; want %.20q", i, line, ok, w)
 				}
+				kept, clone = line, strings.Clone(line)
 			}
-			check("reading through slack")
-			whole, err := fs.ReadFile("f", 0)
-			if err != nil {
-				t.Fatal(err)
+			if err := fs.Buffers().Home(); err == nil {
+				t.Fatal("every buffer is home while the iterator is inside its block")
 			}
-			for i := range whole {
-				whole[i] = 'X'
+			if line, ok := it.Next(); !ok || line != tc.last {
+				t.Fatalf("split 0's last line = %.20q, %v; want %.20q", line, ok, tc.last)
 			}
-			check("overwriting a ReadFile result")
-			if _, err := splitLines(t, fs, splits[0], 0); err != nil {
-				t.Fatal(err)
+			fill := byte(0)
+			if raceEnabled {
+				fill = 0xA5
 			}
-			check("reading the split again")
+			if kept != strings.Repeat(string([]byte{fill}), len(kept)) {
+				t.Errorf("a line kept past its block reads %.20q, want %d bytes of %#x", kept, len(kept), fill)
+			}
+			if clone != want[len(want)-1] {
+				t.Errorf("the kept copy reads %.20q, want %.20q", clone, want[len(want)-1])
+			}
+			if _, ok := it.Next(); ok || it.Err() != nil {
+				t.Fatalf("split 0 goes on past its last line: %v", it.Err())
+			}
+			if err := fs.Buffers().Home(); err != nil {
+				t.Errorf("after the split: %v", err)
+			}
+			if made := fs.readBufs.Stats().Made; made != 1 {
+				t.Errorf("%d block buffers made, want 1", made)
+			}
 		})
 	}
 }
 
-// TestOpenLinesAllocs: a split's lines cost its block, read once into a
-// slice the lines view, and a constant number of small objects — not a
-// copy per line. Measured: 1.00 B per split byte and 8 mallocs per
-// split; the iterator that copied each line through a bufio.Reader cost
-// 2.14 B per byte and 5,017 mallocs, about one per line.
+// TestOpenLinesAllocs: a split read again costs a constant number of
+// small objects — not a copy per line, and not its block, which it reads
+// into the buffer the first read gave back to the read list.
 func TestOpenLinesAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations are counted in MemStats")
@@ -234,8 +243,8 @@ func TestOpenLinesAllocs(t *testing.T) {
 	read()
 	mallocs, total := read()
 	perByte := float64(total) / float64(len(data))
-	t.Logf("one split: %d mallocs, %.3f B per split byte (bounds 16, 1.1)", mallocs, perByte)
-	if mallocs > 16 || perByte > 1.1 {
+	t.Logf("one split: %d mallocs, %.3f B per split byte (bounds 16, 0.1)", mallocs, perByte)
+	if mallocs > 16 || perByte > 0.1 {
 		t.Errorf("reading a split allocated %d objects, %.3f B per split byte", mallocs, perByte)
 	}
 }

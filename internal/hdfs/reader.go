@@ -30,6 +30,11 @@ type fileReader struct {
 	own    int64
 	limit  int64
 
+	// block holds the last own block fetched, in a buffer from the
+	// filesystem's read list, until the next fetch or release gives it
+	// back.
+	block []byte
+
 	// The replicas of slack block idx, kept open across read-ahead units.
 	cur replicaCursor
 	buf []byte
@@ -41,12 +46,30 @@ func (r *fileReader) closeReplica() {
 	r.cur = replicaCursor{}
 }
 
+// putBlock gives the own block's buffer, if the reader holds one, back to
+// the read list.
+func (r *fileReader) putBlock() {
+	if r.block != nil {
+		r.fs.readBufs.Put(r.block)
+		r.block = nil
+	}
+}
+
+// release gives back everything the reader holds: the slack block's
+// replica and the own block's buffer. It is idempotent.
+func (r *fileReader) release() {
+	r.closeReplica()
+	r.putBlock()
+}
+
 // fetch returns the next stretch of the file: the rest of an own block or
-// one read-ahead unit of a slack block. own says the stretch is part of a
-// block fetch read into a slice of its own, which the reader neither keeps
-// nor writes again; a slack stretch is r.buf, which the next fetch
-// overwrites.
+// one read-ahead unit of a slack block. Either way the stretch before it is
+// done with: the previous own block goes back to the read list here, and a
+// slack stretch is r.buf, which the next fetch overwrites. own says the
+// stretch is part of an own block, read into r.block, a buffer nothing
+// writes until that block goes back.
 func (r *fileReader) fetch() (data []byte, own bool, err error) {
+	r.putBlock()
 	if r.pos >= r.limit {
 		r.closeReplica()
 		return nil, false, io.EOF
@@ -55,7 +78,13 @@ func (r *fileReader) fetch() (data []byte, own bool, err error) {
 	off := r.pos - b.Offset
 	own = b.Offset < r.own
 	if own {
-		whole, err := r.fs.readBlock(b, r.at, make([]byte, b.Size))
+		r.block = r.fs.readBufs.Get()
+		if int64(cap(r.block)) < b.Size {
+			// Sized to the filesystem's blocks, so a buffer first made
+			// for a short last block serves a whole one later.
+			r.block = make([]byte, 0, r.fs.blockSize)
+		}
+		whole, err := r.fs.readBlock(b, r.at, r.block[:b.Size])
 		if err != nil {
 			return nil, false, err
 		}

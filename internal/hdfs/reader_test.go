@@ -60,7 +60,7 @@ func countingFS(t testing.TB, nodes int, cfg Config) (*FileSystem, []*countingDi
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fs, counting
+	return ownLists(fs), counting
 }
 
 func totalOpens(disks []*countingDisk) int64 {
@@ -105,7 +105,8 @@ func lineEnd(lines []string) int64 {
 	return n - 1
 }
 
-// splitLines iterates one split to exhaustion from node at.
+// splitLines iterates one split to exhaustion from node at, keeping a
+// copy of each line: a line lasts only until the next Next.
 func splitLines(t testing.TB, fs *FileSystem, sp Split, at transport.NodeID) ([]string, error) {
 	t.Helper()
 	it, err := fs.OpenLines(sp, at)
@@ -119,7 +120,7 @@ func splitLines(t testing.TB, fs *FileSystem, sp Split, at transport.NodeID) ([]
 		if !ok {
 			return out, it.Err()
 		}
-		out = append(out, line)
+		out = append(out, strings.Clone(line))
 	}
 }
 
@@ -271,6 +272,7 @@ func slackFS(t *testing.T, inj *faults.Injector, wrap func(blk1 string, d storag
 	if err != nil {
 		t.Fatal(err)
 	}
+	ownLists(fs)
 	if err := fs.WriteFile("f", data, -1); err != nil {
 		t.Fatal(err)
 	}

@@ -60,14 +60,16 @@ const maxLine = 1 << 20
 // reads past the end of the split only to the end of the line that
 // straddles the boundary.
 //
-// A line is a view of the split's own block, not a copy: the iterator
-// reads each own block into a slice of its own and views it as a string
-// once (blockString), and every line that lies inside it is a substring
-// of that view. So keeping any part of a line keeps its whole block
-// alive; a caller that retains lines past the record it is handed copies
-// them (strings.Clone). Two kinds of line are copies: one that spans two
-// fetches (carried across in carry) and one read from slack, whose bytes
-// the next fetch overwrites.
+// A line is valid until the next Next or Close, the way Hadoop's
+// LineRecordReader reuses its Text. The iterator reads each own block into
+// a buffer from the filesystem's read list and views it as a string once
+// (blockString); every line that lies inside it is a substring of that
+// view, and the buffer goes back to the list, to be overwritten by the
+// next reader, when the iterator moves past the block or closes. A caller
+// that keeps a line, or any part of it, past the record it is handed
+// copies it (strings.Clone). Two kinds of line are copies already: one
+// that spans two fetches (carried across in carry) and one read from
+// slack, whose bytes the next fetch overwrites.
 type LineIterator struct {
 	src      *fileReader
 	cur      string // fetched bytes not yet returned
@@ -79,9 +81,10 @@ type LineIterator struct {
 }
 
 // blockString views b as a string without copying it. b must be an own
-// block as fileReader.fetch returns it: a slice read for this iterator
-// alone, which nothing writes after the read, so the string's bytes never
-// change. This is the tree's one use of unsafe.
+// block as fileReader.fetch returns it: a buffer read for this iterator
+// alone, which nothing writes until the iterator gives it back to the read
+// list, so the string's bytes hold still for as long as the view is used.
+// This is the tree's one use of unsafe.
 func blockString(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
@@ -90,7 +93,7 @@ func blockString(b []byte) string {
 // at. The split's blocks are read whole as the iterator reaches them; what
 // follows is read only as far as the last line goes (see fileReader), and
 // at most maxLine bytes. Close the iterator unless Next has reported the
-// end.
+// end: one left open keeps its block buffer out of the read list.
 func (fs *FileSystem) OpenLines(sp Split, at transport.NodeID) (*LineIterator, error) {
 	meta, err := fs.lookup(sp.File)
 	if err != nil {
@@ -157,7 +160,8 @@ func (it *LineIterator) readLine() (string, error) {
 
 // Next returns the next line, without the trailing newline. ok is false at the end of the split and
 // on a read error, which Err then reports; either way the iterator has
-// closed itself. The line is a view of its block (see LineIterator).
+// closed itself. The line is valid until the next Next or Close (see
+// LineIterator).
 //
 // The boundary rule mirrors Hadoop's LineRecordReader: a split keeps
 // reading while the next line starts at or before the split end
@@ -187,9 +191,9 @@ func (it *LineIterator) Next() (line string, ok bool) {
 // line cut short by an unreadable block is never returned as a line.
 func (it *LineIterator) Err() error { return it.err }
 
-// Close ends the iteration and releases the replica the iterator may hold
-// open. It is idempotent.
+// Close ends the iteration, releases the replica the iterator may hold
+// open and gives its block buffer back to the read list. It is idempotent.
 func (it *LineIterator) Close() {
 	it.done = true
-	it.src.closeReplica()
+	it.src.release()
 }

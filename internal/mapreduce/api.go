@@ -42,10 +42,11 @@ type Emitter interface {
 // Mapper transforms one input pair. For text input the key is the HDFS
 // file the line was read from and the value is one line. A fresh Mapper is
 // created per task (the one-JVM-per-task model: no shared state between
-// tasks). The line is a view of its HDFS block (hdfs.LineIterator):
-// keeping it, or any part of it, past the call keeps the whole block alive,
-// so a mapper that keeps one copies it (strings.Clone). What it emits is
-// encoded at once.
+// tasks). The line is valid only during the call: it may be a view of its
+// HDFS block, whose buffer goes back to HDFS's read list, to be
+// overwritten, once the task reads past the block (hdfs.LineIterator). A
+// mapper that keeps the line, or any part of it, past the call copies it
+// (strings.Clone). What it emits is encoded at once.
 type Mapper interface {
 	Map(kv core.KV, out Emitter) error
 }

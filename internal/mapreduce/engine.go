@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"github.com/hamr-go/hamr/internal/faults"
 	"github.com/hamr-go/hamr/internal/hdfs"
 	"github.com/hamr-go/hamr/internal/par"
+	"github.com/hamr-go/hamr/internal/storage"
 	"github.com/hamr-go/hamr/internal/substrate"
 	"github.com/hamr-go/hamr/internal/trace"
 	"github.com/hamr-go/hamr/internal/vtime"
@@ -30,30 +32,65 @@ type Engine struct {
 	scratch *spillScratch
 }
 
-// spillScratch is what map tasks work in and give back: the sort buffer's
-// blocks, which a task holds from its first record to its last spill, and
+// spillScratch is what tasks work in and give back: the sort buffer's
+// blocks, which a map task holds from its first record to its last spill;
 // what a spill borrows until its run is written — the sort index and the
-// combiner's decoded values. A list holds as many slices as were ever in
-// use from it at once.
+// combiner's decoded values; and the memory disk a reduce task fetches its
+// shuffle into, which goes back emptied when the task ends. A list holds
+// as many items as were ever in use from it at once.
 type spillScratch struct {
-	blocks *par.List[[]byte]
-	index  *par.List[[]uint32]
-	values *par.List[[]any]
+	blocks  *par.List[[]byte]
+	index   *par.List[[]uint32]
+	values  *par.List[[]any]
+	shuffle *par.List[*storage.MemDisk]
+
+	mu    sync.Mutex
+	disks []*storage.MemDisk // every shuffle disk made, for shufflePages
 }
 
 func newSpillScratch() *spillScratch {
-	return &spillScratch{
+	s := &spillScratch{
 		blocks: par.NewSlices[byte](extsort.SortBlockSize),
 		index:  par.NewSlices[uint32](0),
 		values: par.NewSlices[any](0),
 	}
+	s.shuffle = par.NewList(func() *storage.MemDisk {
+		d := storage.NewMemDisk(0)
+		s.mu.Lock()
+		s.disks = append(s.disks, d)
+		s.mu.Unlock()
+		return d
+	}, func(d *storage.MemDisk) *storage.MemDisk {
+		d.Empty()
+		return d
+	})
+	return s
 }
 
-// processScratch is shared by the map tasks of every engine in the
-// process, so a process that builds a cluster per job reuses it across
-// clusters, as it does storage's record buffers. Per engine, every job
-// would pay again for its cluster's peak of spills in progress at once, a
-// peak that follows how the map tasks interleave, so the bytes one job
+// shufflePages sums the page lists of every shuffle disk made: they are
+// home once each disk is back and no reader of it is open.
+func (s *spillScratch) shufflePages() par.Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var sum par.Stats
+	for _, d := range s.disks {
+		for _, stats := range d.Buffers() {
+			st := stats()
+			sum.Live += st.Live
+			sum.Free += st.Free
+			sum.Made += st.Made
+			sum.Peak += st.Peak
+			sum.Dropped += st.Dropped
+		}
+	}
+	return sum
+}
+
+// processScratch is shared by the tasks of every engine in the process,
+// so a process that builds a cluster per job reuses it across clusters, as
+// it does storage's record buffers. Per engine, every job would pay again
+// for its cluster's peak of spills (or reduce tasks) in progress at once,
+// a peak that follows how the tasks interleave, so the bytes one job
 // allocates would move from one run of it to the next.
 var processScratch = newSpillScratch()
 
@@ -67,12 +104,15 @@ func NewEngine(c *cluster.Cluster, cfg Config) *Engine {
 	return e
 }
 
-// Buffers names the spill scratch lists, under "mr/".
+// Buffers names the spill scratch lists, under "mr/": the shuffle disks'
+// page lists together as "mr/shuffle-pages".
 func (e *Engine) Buffers() par.Buffers {
 	return par.Buffers{
 		"mr/sort-blocks":    e.scratch.blocks.Stats,
 		"mr/sort-index":     e.scratch.index.Stats,
 		"mr/combine-values": e.scratch.values.Stats,
+		"mr/shuffle-disks":  e.scratch.shuffle.Stats,
+		"mr/shuffle-pages":  e.scratch.shufflePages,
 	}
 }
 

@@ -174,12 +174,15 @@ func (j *jobRun) runReduceTask(r, attempt int, maps []*mapResult) (fetched int64
 	// ---- shuffle fetch ----
 	// A fetched section becomes a plain run of run keys and encoded values in
 	// mem, a disk made of the task's own memory, uncharged: Hadoop's
-	// in-memory shuffle. Before a section would take what mem holds past
-	// half the heap, the runs there are merged into one run on the node's
-	// disk and mem fills again from empty, as Hadoop's InMemoryMerger does;
-	// a section larger than half the heap by itself follows them to the
-	// disk as it is. Either way the disk's runs are in map-task order.
-	mem := storage.NewMemDisk(0)
+	// in-memory shuffle. mem comes from the spill scratch and goes back
+	// emptied however the task ends. Before a section would take what mem
+	// holds past half the heap, the runs there are merged into one run on
+	// the node's disk and mem fills again from empty, as Hadoop's
+	// InMemoryMerger does; a section larger than half the heap by itself
+	// follows them to the disk as it is. Either way the disk's runs are in
+	// map-task order.
+	mem := j.scratch.shuffle.Get()
+	defer j.scratch.shuffle.Put(mem)
 	var memRuns, diskRuns []extsort.Run
 	var payload int64 // of the runs in mem
 

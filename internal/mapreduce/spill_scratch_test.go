@@ -1,11 +1,15 @@
 package mapreduce
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/hamr-go/hamr/internal/cluster"
+	"github.com/hamr-go/hamr/internal/core"
 	"github.com/hamr-go/hamr/internal/faults"
+	"github.com/hamr-go/hamr/internal/storage"
 )
 
 // newScratchEngine returns an engine whose map tasks share a spill
@@ -116,5 +120,102 @@ func assertCounts(t *testing.T, got, want map[string]int64) {
 		if got[w] != n {
 			t.Errorf("%q counted %d, want %d", w, got[w], n)
 		}
+	}
+}
+
+// TestShuffleDiskHomeAfterFailedFetch: a reduce attempt whose fetch fails
+// part way, with sections already in its memory disk, gives the disk back
+// to the spill scratch emptied — no page of it still out — and the next
+// attempt, over the sections the failed one had fetched, works in that
+// disk without making another or a page more.
+func TestShuffleDiskHomeAfterFailedFetch(t *testing.T) {
+	const maps = 4
+	e := newScratchEngine(newTestCluster(t, 1), Config{})
+	gen := func(m int, collect func(core.KV)) {
+		for i := m; i < 4000; i += maps {
+			collect(core.KV{Key: fmt.Sprintf("%06d", (i*7919)%4000), Value: fmt.Sprintf("%08d-payload", i)})
+		}
+	}
+	sc := e.scratch
+	results := writeMapOutputs(t, e, maps, 1, gen)
+	// The last map's output is gone, as if its node had lost it: the fetch
+	// fails there, after the first three sections are in memory.
+	if err := e.c.Disk(0).Remove(results[maps-1].out.Name); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.newJobRun(context.Background(), identitySortJob(1)).runReduceTask(0, 0, results); err == nil {
+		t.Fatal("the reduce attempt fetched a removed map output")
+	}
+	pages := sc.shufflePages()
+	if sc.shuffle.Stats().Made != 1 || pages.Made == 0 {
+		t.Fatalf("%d shuffle disks and %d pages made: the attempt fetched nothing into memory", sc.shuffle.Stats().Made, pages.Made)
+	}
+	if err := e.Buffers().Home(); err != nil {
+		t.Fatalf("after the failed attempt: %v", err)
+	}
+
+	results = writeMapOutputs(t, e, maps, 1, gen)
+	job := identitySortJob(1)
+	job.Output = "again"
+	if _, err := e.newJobRun(context.Background(), job).runReduceTask(0, 1, results[:maps-1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Buffers().Home(); err != nil {
+		t.Errorf("after the next attempt: %v", err)
+	}
+	if made, again := pages.Made, sc.shufflePages().Made; sc.shuffle.Stats().Made != 1 || again != made {
+		t.Errorf("the next attempt made %d shuffle disks and %d pages more, want none", sc.shuffle.Stats().Made-1, again-made)
+	}
+}
+
+// TestSecondClusterMakesNoDataPathBuffers: the MapReduce data path draws
+// on lists that outlive the cluster. After one WordCount on cluster A, the
+// same job on cluster B, built with the same options, makes no read or
+// write block in HDFS (its input's included), no shuffle disk or page and
+// no sort scratch, and every list is home after it. Nothing runs at once —
+// one node hosting one YARN container — so each list's peak repeats from
+// run to run.
+func TestSecondClusterMakesNoDataPathBuffers(t *testing.T) {
+	opts := cluster.Options{NumNodes: 1, HDFSBlockSize: 4 << 10, YarnMemMB: 512}
+	cfg := Config{SortBufferBytes: 1 << 10, MergeFactor: 3}
+	made := func(c *cluster.Cluster) map[string]int {
+		m := map[string]int{}
+		for name, stats := range c.Buffers() {
+			m[name] = stats().Made
+		}
+		return m
+	}
+	for run := range 2 {
+		c, err := cluster.New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(c, cfg)
+		before := made(c)
+		want := writeCorpus(t, c, "in/corpus.txt", 600)
+		if _, err := e.Run(wordCountJob(true)); err != nil {
+			t.Fatal(err)
+		}
+		assertCounts(t, parseCounts(t, c, "out/"), want)
+		if run == 1 {
+			after := made(c)
+			for list, n := range after {
+				if n != before[list] {
+					t.Errorf("%s: cluster B made %d, want none: cluster A's should have served it", list, n-before[list])
+				}
+			}
+			for _, list := range []string{"hdfs/read", "hdfs/write", "engine0/mr/shuffle-disks", "engine0/mr/shuffle-pages"} {
+				if after[list] == 0 {
+					t.Errorf("%s: none ever made: the job went round the list", list)
+				}
+			}
+			for _, d := range c.Disks() {
+				d.(*storage.MemDisk).Empty()
+			}
+			if err := c.Buffers().Home(); err != nil {
+				t.Errorf("cluster B's lists after its job:\n%v", err)
+			}
+		}
+		c.Close()
 	}
 }
